@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"critter/internal/autotune"
+	"critter/internal/blas"
 	"critter/internal/critter"
 	"critter/internal/figures"
+	"critter/internal/lapack"
 	"critter/internal/mpi"
 	"critter/internal/sim"
 	"critter/internal/stats"
@@ -385,4 +387,121 @@ func BenchmarkWelford(b *testing.B) {
 	if w.Count() != int64(b.N) {
 		b.Fatal("count mismatch")
 	}
+}
+
+// --- The numerics core: level-3 BLAS and the LAPACK kernels built on it ---
+
+// numericsSizes are the tile orders the level-3 microbenches run at: the
+// quick-scale tile and the default-scale one.
+var numericsSizes = []int{8, 64}
+
+// benchMatrix fills a deterministic n x n matrix; with spd set it is
+// symmetric and diagonally dominant, so its triangles are well conditioned.
+func benchMatrix(n int, seed uint64, spd bool) []float64 {
+	rng := sim.NewRNG(seed)
+	a := make([]float64, n*n)
+	for i := range a {
+		a[i] = rng.Float64() - 0.5
+	}
+	if spd {
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				a[i+j*n] = a[j+i*n]
+			}
+			a[i+i*n] += float64(n)
+		}
+	}
+	return a
+}
+
+// benchNumerics runs call once per iteration at each size in numericsSizes
+// and reports its rate; call gets fresh operands from setup outside the
+// timed loop, and must itself restore whatever it overwrites.
+func benchNumerics(b *testing.B, flops func(n int) float64, setup func(n int) (call func())) {
+	for _, n := range numericsSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			call := setup(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+			b.ReportMetric(flops(n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "gflops")
+		})
+	}
+}
+
+func BenchmarkBlasDgemm(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.GemmFlops(n, n, n) }, func(n int) func() {
+		x, y, c := benchMatrix(n, 1, false), benchMatrix(n, 2, false), make([]float64, n*n)
+		return func() { blas.Dgemm(false, false, n, n, n, 1, x, n, y, n, 0, c, n) }
+	})
+}
+
+func BenchmarkBlasDsyrk(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.SyrkFlops(n, n) }, func(n int) func() {
+		x, c := benchMatrix(n, 1, false), make([]float64, n*n)
+		return func() { blas.Dsyrk(blas.Lower, false, n, n, 1, x, n, 0, c, n) }
+	})
+}
+
+func BenchmarkBlasDtrsm(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.TrsmFlops(true, n, n) }, func(n int) func() {
+		tri, y, c := benchMatrix(n, 1, true), benchMatrix(n, 2, false), make([]float64, n*n)
+		return func() {
+			copy(c, y)
+			blas.Dtrsm(blas.Left, blas.Lower, false, blas.NonUnit, n, n, 1, tri, n, c, n)
+		}
+	})
+}
+
+func BenchmarkBlasDtrmm(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.TrmmFlops(false, n, n) }, func(n int) func() {
+		tri, y, c := benchMatrix(n, 1, true), benchMatrix(n, 2, false), make([]float64, n*n)
+		return func() {
+			copy(c, y)
+			blas.Dtrmm(blas.Right, blas.Lower, true, blas.NonUnit, n, n, 1, tri, n, c, n)
+		}
+	})
+}
+
+func BenchmarkLapackPotrf(b *testing.B) {
+	benchNumerics(b, lapack.PotrfFlops, func(n int) func() {
+		spd, c := benchMatrix(n, 1, true), make([]float64, n*n)
+		return func() {
+			copy(c, spd)
+			if err := lapack.Dpotrf(n, c, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// numericsIB is the inner block size of the blocked QR microbenches.
+const numericsIB = 8
+
+func BenchmarkLapackGeqrt(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.GeqrfFlops(n, n) }, func(n int) func() {
+		x, c := benchMatrix(n, 1, false), make([]float64, n*n)
+		t, tau := make([]float64, numericsIB*n), make([]float64, n)
+		return func() {
+			copy(c, x)
+			lapack.Dgeqrt(n, n, numericsIB, c, n, t, numericsIB, tau)
+		}
+	})
+}
+
+func BenchmarkLapackTpqrt(b *testing.B) {
+	benchNumerics(b, func(n int) float64 { return lapack.TpqrtFlops(n, n) }, func(n int) func() {
+		top, x := benchMatrix(n, 1, true), benchMatrix(n, 2, false)
+		for j := 0; j < n; j++ { // keep the upper triangle only
+			clear(top[j+1+j*n : (j+1)*n])
+		}
+		r, c, t := make([]float64, n*n), make([]float64, n*n), make([]float64, numericsIB*n)
+		return func() {
+			copy(r, top)
+			copy(c, x)
+			lapack.Dtpqrt(n, n, numericsIB, r, n, c, n, t, numericsIB)
+		}
+	})
 }

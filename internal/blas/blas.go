@@ -6,10 +6,30 @@
 // LAPACK conventions: element (i, j) of an m-by-n matrix stored in a with
 // leading dimension lda >= m lives at a[i+j*lda].
 //
-// The implementations favor obvious correctness over speed: experiment
-// timings come from the virtual machine model (package sim), not from these
-// loops, and the numerics only need to be right so the factorization tests
-// can verify residuals.
+// The level-3 routines are what a sweep spends its real time in, so they
+// all run on one pair of register-blocked pure-Go micro-kernels (gemm.go):
+//
+//   - gemmN, the N-form axpy kernel, for op(A) = A: 4 columns of C by 2
+//     steps of k per pass over unit-stride column slices cut to a common
+//     length, so the inner loop carries no bounds check;
+//   - gemmT, the T-form dot kernel, for op(A) = A^T: a 2-by-4 tile of C in
+//     eight independent accumulators;
+//   - scalar edge loops for the remainders of both.
+//
+// Dgemm dispatches to them directly, Dsyrk as a triangle of gemm blocks,
+// and Dtrsm/Dtrmm by splitting the stored triangle in halves joined by a
+// gemm, down to scalar loops on blocks of order 8 (tri.go). No level-3
+// routine allocates, packs or copies an operand; the only scratch is a
+// fixed 8-by-8 tile on the stack.
+//
+// Garbage-input contract: the libraries run these routines on buffers that
+// skipped kernels left undefined, so for operands of any content (NaN,
+// infinities, denormals) a routine returns without panicking, branches on
+// no value it loads from a matrix, and writes only inside the m-by-n
+// window (or triangle) it is given. beta == 0 and alpha == 0 assign rather
+// than scale, so C need not be defined on input. Timings of experiments
+// come from the virtual machine model (package sim), never from these
+// loops: making them faster changes how long a sweep takes, not its result.
 package blas
 
 import (
@@ -44,10 +64,11 @@ const (
 	Unit
 )
 
-func checkDim(cond bool, format string, args ...any) {
-	if !cond {
-		panic("blas: " + fmt.Sprintf(format, args...))
-	}
+// badDims is the panic message of a routine called with a negative
+// dimension. Callers test the dimensions themselves, so that a valid call
+// does not pay for boxing them.
+func badDims(routine string, dims ...int) string {
+	return fmt.Sprintf("blas: %s: negative dimension in %v", routine, dims)
 }
 
 // Ddot returns x^T y over n elements with the given strides.
@@ -138,219 +159,6 @@ func Dger(m, n int, alpha float64, x []float64, incx int, y []float64, incy int,
 		}
 		for i := 0; i < m; i++ {
 			a[i+j*lda] += x[i*incx] * yj
-		}
-	}
-}
-
-// Dgemm computes C = alpha*op(A)*op(B) + beta*C where op(A) is m-by-k and
-// op(B) is k-by-n.
-func Dgemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	checkDim(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension %dx%dx%d", m, n, k)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			c[i+j*ldc] *= beta
-		}
-	}
-	if alpha == 0 || k == 0 {
-		return
-	}
-	at := func(i, l int) float64 {
-		if transA {
-			return a[l+i*lda]
-		}
-		return a[i+l*lda]
-	}
-	bt := func(l, j int) float64 {
-		if transB {
-			return b[j+l*ldb]
-		}
-		return b[l+j*ldb]
-	}
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			blj := alpha * bt(l, j)
-			if blj == 0 {
-				continue
-			}
-			for i := 0; i < m; i++ {
-				c[i+j*ldc] += at(i, l) * blj
-			}
-		}
-	}
-}
-
-// Dsyrk computes the symmetric rank-k update
-// C = alpha*A*A^T + beta*C (trans=false, A n-by-k) or
-// C = alpha*A^T*A + beta*C (trans=true, A k-by-n),
-// referencing only the uplo triangle of C.
-func Dsyrk(uplo Uplo, trans bool, n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	at := func(i, l int) float64 {
-		if trans {
-			return a[l+i*lda]
-		}
-		return a[i+l*lda]
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += at(i, l) * at(j, l)
-			}
-			c[i+j*ldc] = alpha*s + beta*c[i+j*ldc]
-		}
-	}
-}
-
-// materializeTri returns op(A) as a dense n-by-n matrix (zero-filled outside
-// the triangle, with unit diagonal applied when diag is Unit).
-func materializeTri(uplo Uplo, trans bool, diag Diag, n int, a []float64, lda int) []float64 {
-	t := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		for i := lo; i < hi; i++ {
-			v := a[i+j*lda]
-			if diag == Unit && i == j {
-				v = 1
-			}
-			if trans {
-				t[j+i*n] = v
-			} else {
-				t[i+j*n] = v
-			}
-		}
-	}
-	return t
-}
-
-// lowerOrUpper reports whether the materialized op(A) is lower triangular.
-func lowerOrUpper(uplo Uplo, trans bool) bool {
-	return (uplo == Lower) != trans
-}
-
-// Dtrsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
-// Right) for X, overwriting the m-by-n matrix B. A is the relevant triangle
-// of an m-by-m (Left) or n-by-n (Right) triangular matrix.
-func Dtrsm(side Side, uplo Uplo, transA bool, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	dim := m
-	if side == Right {
-		dim = n
-	}
-	t := materializeTri(uplo, transA, diag, dim, a, lda)
-	isLower := lowerOrUpper(uplo, transA)
-	if alpha != 1 {
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				b[i+j*ldb] *= alpha
-			}
-		}
-	}
-	if side == Left {
-		// Solve T * X = B column by column.
-		for j := 0; j < n; j++ {
-			col := b[j*ldb : j*ldb+m]
-			solveTriVec(t, dim, isLower, col)
-		}
-		return
-	}
-	// Side == Right: X * T = B, i.e. T^T * X^T = B^T. Solve per row of B.
-	row := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			row[j] = b[i+j*ldb]
-		}
-		solveTriVecTrans(t, dim, isLower, row)
-		for j := 0; j < n; j++ {
-			b[i+j*ldb] = row[j]
-		}
-	}
-}
-
-// solveTriVec solves T x = b in place for dense triangular T (dim x dim,
-// column-major, stride dim).
-func solveTriVec(t []float64, dim int, isLower bool, x []float64) {
-	if isLower {
-		for i := 0; i < dim; i++ {
-			s := x[i]
-			for k := 0; k < i; k++ {
-				s -= t[i+k*dim] * x[k]
-			}
-			x[i] = s / t[i+i*dim]
-		}
-		return
-	}
-	for i := dim - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < dim; k++ {
-			s -= t[i+k*dim] * x[k]
-		}
-		x[i] = s / t[i+i*dim]
-	}
-}
-
-// solveTriVecTrans solves T^T x = b in place.
-func solveTriVecTrans(t []float64, dim int, isLower bool, x []float64) {
-	// T^T is upper when T is lower.
-	if isLower {
-		for i := dim - 1; i >= 0; i-- {
-			s := x[i]
-			for k := i + 1; k < dim; k++ {
-				s -= t[k+i*dim] * x[k]
-			}
-			x[i] = s / t[i+i*dim]
-		}
-		return
-	}
-	for i := 0; i < dim; i++ {
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= t[k+i*dim] * x[k]
-		}
-		x[i] = s / t[i+i*dim]
-	}
-}
-
-// Dtrmm computes B = alpha*op(A)*B (side Left) or B = alpha*B*op(A) (side
-// Right), overwriting the m-by-n matrix B.
-func Dtrmm(side Side, uplo Uplo, transA bool, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	dim := m
-	if side == Right {
-		dim = n
-	}
-	t := materializeTri(uplo, transA, diag, dim, a, lda)
-	if side == Left {
-		col := make([]float64, m)
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				col[i] = b[i+j*ldb]
-			}
-			for i := 0; i < m; i++ {
-				s := 0.0
-				for k := 0; k < m; k++ {
-					s += t[i+k*dim] * col[k]
-				}
-				b[i+j*ldb] = alpha * s
-			}
-		}
-		return
-	}
-	row := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			row[j] = b[i+j*ldb]
-		}
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += row[k] * t[k+j*dim]
-			}
-			b[i+j*ldb] = alpha * s
 		}
 	}
 }

@@ -18,31 +18,6 @@ func randMat(m, n int, seed uint64) []float64 {
 	return a
 }
 
-// naiveGemm is a reference implementation over fresh matrices.
-func naiveGemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	at := func(i, l int) float64 {
-		if transA {
-			return a[l+i*lda]
-		}
-		return a[i+l*lda]
-	}
-	bt := func(l, j int) float64 {
-		if transB {
-			return b[j+l*ldb]
-		}
-		return b[l+j*ldb]
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += at(i, l) * bt(l, j)
-			}
-			c[i+j*ldc] = alpha*s + beta*c[i+j*ldc]
-		}
-	}
-}
-
 func maxAbsDiff(a, b []float64) float64 {
 	d := 0.0
 	for i := range a {
@@ -107,7 +82,7 @@ func TestDgemvAgainstGemm(t *testing.T) {
 	y := randMat(m, 1, 3)
 	yRef := append([]float64(nil), y...)
 	Dgemv(false, m, n, 1.3, a, m, x, 1, 0.7, y, 1)
-	naiveGemm(false, false, m, 1, n, 1.3, a, m, x, n, 0.7, yRef, m)
+	refGemm(false, false, m, 1, n, 1.3, a, m, x, n, 0.7, yRef, m)
 	if d := maxAbsDiff(y, yRef); d > 1e-13 {
 		t.Errorf("gemv mismatch %g", d)
 	}
@@ -116,7 +91,7 @@ func TestDgemvAgainstGemm(t *testing.T) {
 	y2 := randMat(n, 1, 5)
 	y2Ref := append([]float64(nil), y2...)
 	Dgemv(true, m, n, -0.5, a, m, x2, 1, 1.1, y2, 1)
-	naiveGemm(true, false, n, 1, m, -0.5, a, m, x2, m, 1.1, y2Ref, n)
+	refGemm(true, false, n, 1, m, -0.5, a, m, x2, m, 1.1, y2Ref, n)
 	if d := maxAbsDiff(y2, y2Ref); d > 1e-13 {
 		t.Errorf("gemv^T mismatch %g", d)
 	}
@@ -155,7 +130,7 @@ func TestDgemmAllTransCombos(t *testing.T) {
 			c := randMat(m, n, 30)
 			ref := append([]float64(nil), c...)
 			Dgemm(ta, tb, m, n, k, 1.5, a, lda, b, ldb, -0.5, c, m)
-			naiveGemm(ta, tb, m, n, k, 1.5, a, lda, b, ldb, -0.5, ref, m)
+			refGemm(ta, tb, m, n, k, 1.5, a, lda, b, ldb, -0.5, ref, m)
 			if d := maxAbsDiff(c, ref); d > 1e-12 {
 				t.Errorf("gemm ta=%v tb=%v mismatch %g", ta, tb, d)
 			}
@@ -227,7 +202,7 @@ func TestDsyrkMatchesGemm(t *testing.T) {
 			}
 			ref := append([]float64(nil), c...)
 			Dsyrk(uplo, trans, n, k, 2, a, lda, 0.5, c, n)
-			naiveGemm(trans, !trans, n, n, k, 2, a, lda, a, lda, 0.5, ref, n)
+			refGemm(trans, !trans, n, n, k, 2, a, lda, a, lda, 0.5, ref, n)
 			for j := 0; j < n; j++ {
 				lo, hi := 0, j+1
 				if uplo == Lower {
@@ -280,9 +255,9 @@ func TestDtrsmAllCombos(t *testing.T) {
 					check := make([]float64, m*n)
 					tmat := materializeTri(uplo, trans, diag, dim, a, dim)
 					if side == Left {
-						naiveGemm(false, false, m, n, m, 1, tmat, m, x, m, 0, check, m)
+						refGemm(false, false, m, n, m, 1, tmat, m, x, m, 0, check, m)
 					} else {
-						naiveGemm(false, false, m, n, n, 1, x, m, tmat, n, 0, check, m)
+						refGemm(false, false, m, n, n, 1, x, m, tmat, n, 0, check, m)
 					}
 					want := make([]float64, m*n)
 					for i := range b {
@@ -315,9 +290,9 @@ func TestDtrmmAllCombos(t *testing.T) {
 					ref := make([]float64, m*n)
 					tmat := materializeTri(uplo, trans, diag, dim, a, dim)
 					if side == Left {
-						naiveGemm(false, false, m, n, m, 2, tmat, m, b, m, 0, ref, m)
+						refGemm(false, false, m, n, m, 2, tmat, m, b, m, 0, ref, m)
 					} else {
-						naiveGemm(false, false, m, n, n, 2, b, m, tmat, n, 0, ref, m)
+						refGemm(false, false, m, n, n, 2, b, m, tmat, n, 0, ref, m)
 					}
 					if d := maxAbsDiff(got, ref); d > 1e-11 {
 						t.Errorf("trmm side=%v uplo=%v trans=%v diag=%v mismatch %g",

@@ -62,64 +62,82 @@ func applyReflectorLeft(r, c int, vcol []float64, tau float64, cm []float64, ldc
 // lower trapezoidal, essential parts below the diagonal) with scalars tau.
 func Dlarft(m, k int, v []float64, ldv int, tau []float64, t []float64, ldt int) {
 	for i := 0; i < k; i++ {
-		ti := tau[i]
-		t[i+i*ldt] = ti
-		if i == 0 || ti == 0 {
-			for j := 0; j < i; j++ {
-				t[j+i*ldt] = 0
+		ti := t[i*ldt : i*ldt+i]
+		if tau[i] == 0 {
+			clear(ti)
+		} else {
+			// ti = V[:, 0:i]^T * v_i: row i of V meets the implicit 1 of
+			// v_i, the rows below it are a product of stored entries.
+			for j := range ti {
+				ti[j] = v[i+j*ldv]
 			}
-			continue
+			blas.Dgemm(true, false, i, 1, m-i-1, 1, v[i+1:], ldv, v[i+1+i*ldv:], ldv, 1, ti, ldt)
+			finishTColumn(i, tau[i], t, ldt)
 		}
-		// w = V[:, 0:i]^T * v_i  (v_i has implicit 1 at row i).
-		for j := 0; j < i; j++ {
-			s := v[i+j*ldv] // V[i,j] * v_i[i]=1
-			for r := i + 1; r < m; r++ {
-				s += v[r+j*ldv] * v[r+i*ldv]
-			}
-			t[j+i*ldt] = -ti * s
-		}
-		// T[0:i, i] = T[0:i, 0:i] * w (in place, upper triangular).
-		for j := 0; j < i; j++ {
-			s := 0.0
-			for r := j; r < i; r++ {
-				s += t[j+r*ldt] * t[r+i*ldt]
-			}
-			t[j+i*ldt] = s
-		}
+		t[i+i*ldt] = tau[i]
 	}
+}
+
+// finishTColumn turns column i of T from V[:, 0:i]^T * v_i into its final
+// value -tau * T[0:i, 0:i] * (that product), in place. Row j of the product
+// reads rows j..i-1, so ascending order overwrites each after its last use.
+// This is i*i/2 multiply-adds beside the m*i of the product before it; a
+// one-column Dtrmm was slower at every block width the studies use.
+func finishTColumn(i int, tau float64, t []float64, ldt int) {
+	ti := t[i*ldt : i*ldt+i]
+	for j := range ti {
+		s := 0.0
+		for r := j; r < i; r++ {
+			s += t[j+r*ldt] * ti[r]
+		}
+		ti[j] = -tau * s
+	}
+}
+
+// workLen is the length of the workspace the block-reflector applications
+// keep on their stack: they take the columns of C in groups that fit it, so
+// applying a reflector allocates nothing.
+const workLen = 128
+
+// blockWork returns the workspace for a k-row block reflector applied to n
+// columns, and how many columns it holds at a time: buf, unless a single
+// column does not fit it.
+func blockWork(buf []float64, k, n int) ([]float64, int) {
+	if k > len(buf) {
+		return make([]float64, k*n), n
+	}
+	return buf, min(n, len(buf)/k)
 }
 
 // Dlarfb applies the block reflector Q = I - V*T*V^T (or its transpose) from
 // the left to the m-by-n matrix C, with V m-by-k unit lower trapezoidal and
 // T k-by-k upper triangular: C := (I - V T^op V^T) C.
 func Dlarfb(trans bool, m, n, k int, v []float64, ldv int, t []float64, ldt int, c []float64, ldc int) {
-	if k == 0 {
+	if k == 0 || n == 0 {
 		return
 	}
-	// W = V^T * C, k-by-n (V's unit diagonal applied explicitly).
-	w := make([]float64, k*n)
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			s := c[l+j*ldc] // unit diagonal of V at row l
-			for i := l + 1; i < m; i++ {
-				s += v[i+l*ldv] * c[i+j*ldc]
-			}
-			w[l+j*k] = s
+	var buf [workLen]float64
+	w, nc := blockWork(buf[:], k, n)
+	for j := 0; j < n; j += nc {
+		jb := min(nc, n-j)
+		c1 := c[j*ldc:] // the top k rows meet the unit triangle V1 of V
+		// W = V^T * C = V1^T*C1 + V2^T*C2, k-by-jb.
+		for jj := 0; jj < jb; jj++ {
+			copy(w[jj*k:jj*k+k], c1[jj*ldc:jj*ldc+k])
 		}
-	}
-	// W = T^op * W.
-	blas.Dtrmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, n, 1, t, ldt, w, k)
-	// C -= V * W.
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			wl := w[l+j*k]
-			if wl == 0 {
-				continue
-			}
-			c[l+j*ldc] -= wl
-			for i := l + 1; i < m; i++ {
-				c[i+j*ldc] -= v[i+l*ldv] * wl
-			}
+		blas.Dtrmm(blas.Left, blas.Lower, true, blas.Unit, k, jb, 1, v, ldv, w, k)
+		if m > k {
+			blas.Dgemm(true, false, k, jb, m-k, 1, v[k:], ldv, c1[k:], ldc, 1, w, k)
+		}
+		// W = T^op * W.
+		blas.Dtrmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, jb, 1, t, ldt, w, k)
+		// C -= V * W.
+		if m > k {
+			blas.Dgemm(false, false, m-k, jb, k, -1, v[k:], ldv, w, k, 1, c1[k:], ldc)
+		}
+		blas.Dtrmm(blas.Left, blas.Lower, false, blas.Unit, k, jb, 1, v, ldv, w, k)
+		for jj := 0; jj < jb; jj++ {
+			blas.Daxpy(k, -1, w[jj*k:], 1, c1[jj*ldc:], 1)
 		}
 	}
 }

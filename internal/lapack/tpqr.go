@@ -9,11 +9,10 @@ import "critter/internal/blas"
 // n-by-n identity block of V is implicit). T (n-by-n upper triangular)
 // receives the block reflector factor.
 func Dtpqrt2(m, n int, a []float64, lda int, b []float64, ldb int, t []float64, ldt int) {
-	tau := make([]float64, n)
 	for j := 0; j < n; j++ {
 		// Generate the reflector from [A[j,j]; B[:, j]].
 		beta, tj := Dlarfg(m+1, a[j+j*lda], b[j*ldb:], 1)
-		tau[j] = tj
+		t[j+j*ldt] = tj
 		a[j+j*lda] = beta
 		// Apply H_j to the remaining columns of the pair.
 		if tj != 0 {
@@ -30,23 +29,13 @@ func Dtpqrt2(m, n int, a []float64, lda int, b []float64, ldb int, t []float64, 
 			}
 		}
 	}
-	// Build T: T[0:j, j] = T[0:j, 0:j] * (-tau_j * V[:,0:j]^T V[:,j]).
-	for j := 0; j < n; j++ {
-		t[j+j*ldt] = tau[j]
-		for i := 0; i < j; i++ {
-			s := 0.0
-			for r := 0; r < m; r++ {
-				s += b[r+i*ldb] * b[r+j*ldb]
-			}
-			t[i+j*ldt] = -tau[j] * s
-		}
-		for i := 0; i < j; i++ {
-			s := 0.0
-			for r := i; r < j; r++ {
-				s += t[i+r*ldt] * t[r+j*ldt]
-			}
-			t[i+j*ldt] = s
-		}
+	// Build T above its diagonal, which already holds tau: the top n-by-n
+	// identity of the reflectors adds nothing there, so
+	// T[0:j, j] = -tau_j * T[0:j, 0:j] * (B[:, 0:j]^T * B[:, j]).
+	for j := 1; j < n; j++ {
+		tj := t[j*ldt : j*ldt+j]
+		blas.Dgemm(true, false, j, 1, m, 1, b, ldb, b[j*ldb:], ldb, 0, tj, ldt)
+		finishTColumn(j, t[j+j*ldt], t, ldt)
 	}
 }
 
@@ -63,7 +52,7 @@ func Dtpqrt(m, n, ib int, a []float64, lda int, b []float64, ldb int, t []float6
 		if j+jb < n {
 			// Apply the block reflector to the trailing columns of the pair:
 			// top rows A[j:j+jb, j+jb:] and all of B[:, j+jb:].
-			tpApplyLeftTrans(m, n-j-jb, jb,
+			tpApplyLeft(true, m, n-j-jb, jb,
 				b[j*ldb:], ldb,
 				t[j*ldt:], ldt,
 				a[j+(j+jb)*lda:], lda,
@@ -72,49 +61,29 @@ func Dtpqrt(m, n, ib int, a []float64, lda int, b []float64, ldb int, t []float6
 	}
 }
 
-// tpApplyLeftTrans applies Q^T = (I - V' T V'^T)^T with V' = [I_k; V] to the
-// stacked pair [Atop (k-by-n); B (m-by-n)]:
+// tpApplyLeft applies Q^T (trans) or Q, Q = I - V' T V'^T with
+// V' = [I_k; V], to the stacked pair [Atop (k-by-n); B (m-by-n)]:
 //
-//	W = T^T (Atop + V^T B); Atop -= W; B -= V W.
-func tpApplyLeftTrans(m, n, k int, v []float64, ldv int, t []float64, ldt int, atop []float64, ldat int, b []float64, ldb int) {
-	w := make([]float64, k*n)
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			s := atop[l+j*ldat]
-			for i := 0; i < m; i++ {
-				s += v[i+l*ldv] * b[i+j*ldb]
-			}
-			w[l+j*k] = s
-		}
+//	W = T^op (Atop + V^T B); Atop -= W; B -= V W.
+func tpApplyLeft(trans bool, m, n, k int, v []float64, ldv int, t []float64, ldt int, atop []float64, ldat int, b []float64, ldb int) {
+	if k == 0 || n == 0 {
+		return
 	}
-	blas.Dtrmm(blas.Left, blas.Upper, true, blas.NonUnit, k, n, 1, t, ldt, w, k)
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			atop[l+j*ldat] -= w[l+j*k]
+	var buf [workLen]float64
+	w, nc := blockWork(buf[:], k, n)
+	for j := 0; j < n; j += nc {
+		jb := min(nc, n-j)
+		aj, bj := atop[j*ldat:], b[j*ldb:]
+		for jj := 0; jj < jb; jj++ {
+			copy(w[jj*k:jj*k+k], aj[jj*ldat:jj*ldat+k])
 		}
-	}
-	blas.Dgemm(false, false, m, n, k, -1, v, ldv, w, k, 1, b, ldb)
-}
-
-// tpApplyLeftNoTrans applies Q = I - V' T V'^T to the stacked pair.
-func tpApplyLeftNoTrans(m, n, k int, v []float64, ldv int, t []float64, ldt int, atop []float64, ldat int, b []float64, ldb int) {
-	w := make([]float64, k*n)
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			s := atop[l+j*ldat]
-			for i := 0; i < m; i++ {
-				s += v[i+l*ldv] * b[i+j*ldb]
-			}
-			w[l+j*k] = s
+		blas.Dgemm(true, false, k, jb, m, 1, v, ldv, bj, ldb, 1, w, k)
+		blas.Dtrmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, jb, 1, t, ldt, w, k)
+		for jj := 0; jj < jb; jj++ {
+			blas.Daxpy(k, -1, w[jj*k:], 1, aj[jj*ldat:], 1)
 		}
+		blas.Dgemm(false, false, m, jb, k, -1, v, ldv, w, k, 1, bj, ldb)
 	}
-	blas.Dtrmm(blas.Left, blas.Upper, false, blas.NonUnit, k, n, 1, t, ldt, w, k)
-	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			atop[l+j*ldat] -= w[l+j*k]
-		}
-	}
-	blas.Dgemm(false, false, m, n, k, -1, v, ldv, w, k, 1, b, ldb)
 }
 
 // Dtpmqrt applies Q^T (trans=true) or Q (trans=false) of a Dtpqrt
@@ -127,13 +96,13 @@ func Dtpmqrt(trans bool, m, n, k, ib int, v []float64, ldv int, t []float64, ldt
 	if trans {
 		for j := 0; j < k; j += ib {
 			jb := min(ib, k-j)
-			tpApplyLeftTrans(m, n, jb, v[j*ldv:], ldv, t[j*ldt:], ldt, atop[j:], ldat, b, ldb)
+			tpApplyLeft(true, m, n, jb, v[j*ldv:], ldv, t[j*ldt:], ldt, atop[j:], ldat, b, ldb)
 		}
 		return
 	}
 	start := ((k - 1) / ib) * ib
 	for j := start; j >= 0; j -= ib {
 		jb := min(ib, k-j)
-		tpApplyLeftNoTrans(m, n, jb, v[j*ldv:], ldv, t[j*ldt:], ldt, atop[j:], ldat, b, ldb)
+		tpApplyLeft(false, m, n, jb, v[j*ldv:], ldv, t[j*ldt:], ldt, atop[j:], ldat, b, ldb)
 	}
 }
