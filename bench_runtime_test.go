@@ -14,11 +14,6 @@ package critter_test
 //   - BenchmarkFullSweep: the full-sweep macrobench. One iteration is one
 //     complete (policy, eps) sweep of the SLATE Cholesky study at QuickScale
 //     through the Tuner. The tracked metric is ns/op (wall time).
-//   - BenchmarkPropagationDES / BenchmarkFullSweepDES: the same workloads
-//     pinned to the discrete-event world scheduler (mpi.SchedEvent), so the
-//     trajectory of both execution modes stays visible regardless of which
-//     one SchedAuto resolves to on the CI host. Virtual-clock results are
-//     identical across the pair — only the throughput may differ.
 //
 // Run the suite with:
 //
@@ -51,15 +46,8 @@ const propagationKernels = 48
 // on a ring (combined internal exchange), at 8 ranks under online
 // propagation with skipping disabled so every step propagates counts.
 // allocs/op is the CI-gated metric (BENCH_runtime.json).
-func BenchmarkPropagation(b *testing.B) { benchPropagation(b, mpi.SchedAuto) }
-
-// BenchmarkPropagationDES is BenchmarkPropagation pinned to the
-// discrete-event scheduler.
-func BenchmarkPropagationDES(b *testing.B) { benchPropagation(b, mpi.SchedEvent) }
-
-func benchPropagation(b *testing.B, sched mpi.SchedulerKind) {
+func BenchmarkPropagation(b *testing.B) {
 	w := mpi.NewWorld(8, benchMachine(), 7)
-	w.SetScheduler(sched)
 	b.ReportAllocs()
 	b.ResetTimer()
 	err := w.Run(func(c *mpi.Comm) {
@@ -90,24 +78,17 @@ func benchPropagation(b *testing.B, sched mpi.SchedulerKind) {
 // reference execution plus selective execution per configuration — of the
 // SLATE Cholesky study at QuickScale, through the Tuner on a single worker.
 // ns/op is the tracked wall-time metric (BENCH_runtime.json).
-func BenchmarkFullSweep(b *testing.B) { benchFullSweep(b, mpi.SchedAuto) }
-
-// BenchmarkFullSweepDES is BenchmarkFullSweep pinned to the discrete-event
-// scheduler.
-func BenchmarkFullSweepDES(b *testing.B) { benchFullSweep(b, mpi.SchedEvent) }
-
-func benchFullSweep(b *testing.B, sched mpi.SchedulerKind) {
+func BenchmarkFullSweep(b *testing.B) {
 	study := autotune.SlateCholesky(autotune.QuickScale())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := autotune.Tuner{
-			Study:     study,
-			EpsList:   []float64{0.125},
-			Machine:   benchMachine(),
-			Seed:      42,
-			Policies:  []critter.Policy{critter.Online},
-			Scheduler: sched,
-			Workers:   1,
+			Study:    study,
+			EpsList:  []float64{0.125},
+			Machine:  benchMachine(),
+			Seed:     42,
+			Policies: []critter.Policy{critter.Online},
+			Workers:  1,
 		}.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)

@@ -63,7 +63,6 @@ import (
 	"syscall"
 	"time"
 
-	"critter/internal/mpi"
 	"critter/internal/service"
 	"critter/internal/sim"
 	"critter/internal/store"
@@ -86,14 +85,7 @@ func main() {
 	memo := flag.Int("memo", 1024, "memoized finished jobs answering identical resubmissions instantly (<0 = off)")
 	traceEvents := flag.Int("trace-events", 4096, "per-job span-trace ring size served at /v1/jobs/{id}/trace (<0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off; both modes)")
-	schedFlag := flag.String("sched", "auto", "world scheduler for job execution: "+mpi.SchedulerNames()+" (results are byte-identical under every choice; both modes)")
 	flag.Parse()
-
-	worldSched, err := mpi.ParseScheduler(*schedFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "critter-serve: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *debugAddr != "" {
 		if err := startDebug(*debugAddr); err != nil {
@@ -104,7 +96,7 @@ func main() {
 
 	switch *mode {
 	case "worker":
-		os.Exit(runWorker(*join, *name, *workers, worldSched, *poll))
+		os.Exit(runWorker(*join, *name, *workers, *poll))
 	case "serve":
 	default:
 		fmt.Fprintf(os.Stderr, "critter-serve: unknown -mode %q (want serve or worker)\n", *mode)
@@ -117,7 +109,6 @@ func main() {
 		QueueSize:   *queue,
 		Runners:     *runners,
 		Workers:     *workers,
-		Scheduler:   worldSched,
 		MaxHistory:  *history,
 		MaxMemo:     *memo,
 		TraceEvents: *traceEvents,
@@ -195,7 +186,7 @@ func startDebug(addr string) error {
 }
 
 // runWorker joins a coordinator and serves leases until SIGINT/SIGTERM.
-func runWorker(join, name string, workers int, sched mpi.SchedulerKind, poll time.Duration) int {
+func runWorker(join, name string, workers int, poll time.Duration) int {
 	if join == "" {
 		fmt.Fprintln(os.Stderr, "critter-serve: worker mode needs -join=<coordinator url>")
 		return 2
@@ -206,13 +197,12 @@ func runWorker(join, name string, workers int, sched mpi.SchedulerKind, poll tim
 	}
 	logger := log.New(os.Stderr, "critter-worker: ", log.LstdFlags)
 	w, err := service.NewWorker(service.WorkerOptions{
-		Base:      join,
-		Name:      name,
-		Machine:   sim.DefaultMachine(),
-		Workers:   workers,
-		Scheduler: sched,
-		Poll:      poll,
-		Logf:      logger.Printf,
+		Base:    join,
+		Name:    name,
+		Machine: sim.DefaultMachine(),
+		Workers: workers,
+		Poll:    poll,
+		Logf:    logger.Printf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "critter-serve: %v\n", err)

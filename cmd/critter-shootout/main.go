@@ -8,9 +8,8 @@
 //
 // The shootout is fully deterministic: every sweep runs in its own
 // simulated world seeded identically, so repeated runs (at any worker
-// count, under either scheduler) produce byte-identical scoreboards, and
-// the committed baseline BENCH_shootout.json can gate it at ratio 1.0
-// through cmd/benchdiff.
+// count) produce byte-identical scoreboards, and the committed baseline
+// BENCH_shootout.json can gate it at ratio 1.0 through cmd/benchdiff.
 //
 // Usage:
 //
@@ -44,7 +43,6 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/sim"
 	"critter/internal/workload"
 )
@@ -61,7 +59,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "noise seed")
 	noise := flag.Float64("noise", 0.05, "machine noise sigma")
 	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = GOMAXPROCS); any count scores identically")
-	schedFlag := flag.String("sched", "auto", "world scheduler: "+mpi.SchedulerNames())
 	strategiesFlag := flag.String("strategies", "exhaustive,random:@,halving,surrogate:@",
 		"comma-separated strategy specs ("+autotune.StrategyNames+"); @ expands to the per-workload budget")
 	budgetFrac := flag.Float64("budget-frac", 0.4, "per-workload budget for @: this fraction of the space size (at least dims+2)")
@@ -74,10 +71,6 @@ func main() {
 	flag.Parse()
 
 	policy, err := critter.ParsePolicy(*policyFlag)
-	if err != nil {
-		fatal(err)
-	}
-	sched, err := mpi.ParseScheduler(*schedFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,7 +87,7 @@ func main() {
 		b, err := race(raceSpec{
 			study: study, workload: name,
 			policy: policy, eps: *epsFlag, epsilon: *epsilon,
-			machine: machine, seed: *seed, sched: sched, workers: *workers,
+			machine: machine, seed: *seed, workers: *workers,
 			specs: expandSpecs(strings.Split(*strategiesFlag, ","), budget(study, *budgetFrac)),
 		})
 		if err != nil {
@@ -213,7 +206,6 @@ type raceSpec struct {
 	epsilon  float64
 	machine  sim.Machine
 	seed     uint64
-	sched    mpi.SchedulerKind
 	workers  int
 	specs    []string
 }
@@ -260,14 +252,13 @@ func race(rs raceSpec) (*board, error) {
 // runSweep executes one single-cell tuning run and returns its sweep.
 func runSweep(rs raceSpec, strat autotune.Strategy) (autotune.SweepResult, error) {
 	res, err := autotune.Tuner{
-		Study:     rs.study,
-		EpsList:   []float64{rs.eps},
-		Machine:   rs.machine,
-		Seed:      rs.seed,
-		Policies:  []critter.Policy{rs.policy},
-		Strategy:  strat,
-		Scheduler: rs.sched,
-		Workers:   rs.workers,
+		Study:    rs.study,
+		EpsList:  []float64{rs.eps},
+		Machine:  rs.machine,
+		Seed:     rs.seed,
+		Policies: []critter.Policy{rs.policy},
+		Strategy: strat,
+		Workers:  rs.workers,
 	}.Run(context.Background())
 	if err != nil {
 		return autotune.SweepResult{}, err

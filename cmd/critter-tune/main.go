@@ -46,7 +46,6 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/obs"
 	"critter/internal/sim"
 	"critter/internal/workload"
@@ -67,7 +66,6 @@ func main() {
 	profileIn := flag.String("profile-in", "", "warm-start every sweep from this kernel profile (JSON, from -profile-out)")
 	profileOut := flag.String("profile-out", "", "write the run's merged learned kernel profile to this file")
 	traceOut := flag.String("trace", "", "write the run's span events to this file as JSONL (see critter-trace)")
-	schedFlag := flag.String("sched", "auto", "world scheduler: "+mpi.SchedulerNames()+" (results are byte-identical under every choice)")
 	flag.Parse()
 
 	// The -scale name resolves against the chosen workload's own declared
@@ -88,11 +86,6 @@ func main() {
 		os.Exit(2)
 	}
 	strategy, err := autotune.ParseStrategy(*strategyFlag, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "critter-tune: %v\n", err)
-		os.Exit(2)
-	}
-	sched, err := mpi.ParseScheduler(*schedFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "critter-tune: %v\n", err)
 		os.Exit(2)
@@ -140,7 +133,6 @@ func main() {
 		Strategy:    strategy,
 		Prior:       prior,
 		Extrapolate: *extrapolate,
-		Scheduler:   sched,
 		Workers:     *workers,
 	}
 	if tracer != nil {

@@ -125,11 +125,6 @@ type (
 	ProfileSummary = autotune.ProfileSummary
 	// Machine is the alpha-beta-gamma cost model.
 	Machine = sim.Machine
-	// SchedulerKind selects how a World's ranks are driven (Tuner.Scheduler):
-	// SchedAuto picks per world, SchedGoroutine is one goroutine per rank,
-	// SchedEvent is the discrete-event scheduler that runs small worlds on a
-	// single goroutine. Results are byte-identical under every choice.
-	SchedulerKind = mpi.SchedulerKind
 	// Welford is the single-pass statistics accumulator.
 	Welford = stats.Welford
 	// Study is one library's tuning problem: a configuration Space plus an
@@ -212,20 +207,6 @@ const (
 	APriori     = critter.APriori
 	Eager       = critter.Eager
 )
-
-// World scheduler kinds (see SchedulerKind).
-const (
-	SchedAuto      = mpi.SchedAuto
-	SchedGoroutine = mpi.SchedGoroutine
-	SchedEvent     = mpi.SchedEvent
-)
-
-// ParseScheduler resolves a scheduler name as used in the CLIs' -sched
-// flags: "auto", "goroutine", or "event".
-func ParseScheduler(name string) (SchedulerKind, error) { return mpi.ParseScheduler(name) }
-
-// SchedulerNames lists the accepted -sched values for usage strings.
-func SchedulerNames() string { return mpi.SchedulerNames() }
 
 // NewWorld creates a simulated machine of size ranks.
 func NewWorld(size int, m Machine, seed uint64) *World { return mpi.NewWorld(size, m, seed) }

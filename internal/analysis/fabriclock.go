@@ -5,18 +5,16 @@ import (
 )
 
 // FabricLock restricts raw synchronization primitives in internal/mpi to
-// fabric.go, world.go, and sched.go. The PR-4 lock architecture gives
-// every rank its own mailbox and shards collectives eight ways precisely
-// so there is no world-global lock; it lives in fabric.go and world.go,
-// and the discrete-event scheduler's run-queue state (one mutex plus
-// per-rank resume channels) is confined to sched.go. Any other file in
-// the package importing sync or sync/atomic is a regression vector — new
+// fabric.go and world.go. The PR-4 lock architecture gives every rank its
+// own mailbox and shards collectives eight ways precisely so there is no
+// world-global lock; it lives in those two files. Any other file in the
+// package importing sync or sync/atomic is a regression vector — new
 // shared state should route through the fabric (or move into the
 // sanctioned files with a design note). Test files are exempt: they
 // synchronize their own harnesses, not the runtime.
 var FabricLock = &Analyzer{
 	Name: "fabriclock",
-	Doc:  "restrict raw sync/atomic use in internal/mpi to fabric.go, world.go, and sched.go",
+	Doc:  "restrict raw sync/atomic use in internal/mpi to fabric.go and world.go",
 	Run:  runFabricLock,
 }
 
@@ -24,7 +22,6 @@ var FabricLock = &Analyzer{
 var fabricLockFiles = map[string]bool{
 	"fabric.go": true,
 	"world.go":  true,
-	"sched.go":  true,
 }
 
 func runFabricLock(pass *Pass) error {
@@ -39,7 +36,7 @@ func runFabricLock(pass *Pass) error {
 			switch strings.Trim(spec.Path.Value, `"`) {
 			case "sync", "sync/atomic":
 				pass.Reportf(spec.Pos(),
-					"import of %s outside fabric.go/world.go/sched.go: the mpi lock architecture (per-rank mailboxes, sharded collectives, event-scheduler run queue, no world-global lock) is confined to those files — route synchronization through the fabric or move this into a sanctioned file",
+					"import of %s outside fabric.go/world.go: the mpi lock architecture (per-rank mailboxes, sharded collectives, no world-global lock) is confined to those files — route synchronization through the fabric or move this into a sanctioned file",
 					spec.Path.Value)
 			}
 		}

@@ -1,8 +1,8 @@
 package fixture
 
 import (
-	"sync"        // want "outside fabric.go/world.go/sched.go"
-	"sync/atomic" // want "outside fabric.go/world.go/sched.go"
+	"sync"        // want "outside fabric.go/world.go:"
+	"sync/atomic" // want "outside fabric.go/world.go:"
 )
 
 var strayMu sync.Mutex

@@ -108,9 +108,6 @@ type sweepJob struct {
 	// tracer receives the sweep's span events (see Tuner.Tracer); nil
 	// disables tracing for this job at the cost of one branch.
 	tracer obs.Tracer
-	// sched selects the world scheduler (see Tuner.Scheduler); the zero
-	// value lets the world auto-select by size.
-	sched mpi.SchedulerKind
 	// memo is the worker's cross-config kernel memoization cache,
 	// installed by run from the worker's scratch arena. Nil disables
 	// memoization (results are byte-identical either way).
@@ -145,7 +142,6 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	if err = ctx.Err(); err == nil {
 		j.memo = sc.memo
 		w := sc.world(j.study.WorldSize, j.machine, j.seed)
-		w.SetScheduler(j.sched)
 		w.SetTracer(j.tracer)
 		err = w.Run(func(c *mpi.Comm) {
 			sr := runSweep(ctx, c, j)

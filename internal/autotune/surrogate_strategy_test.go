@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"critter/internal/critter"
-	"critter/internal/mpi"
 )
 
 // TestSurrogateStrategy checks the model-guided sampler: at most N distinct
@@ -109,10 +108,9 @@ func TestSurrogateSeedVariesDesign(t *testing.T) {
 	}
 }
 
-// TestSurrogateWorkerSchedulerInvariance is the acceptance criterion for
-// the new strategy: serialized result grids are byte-identical at any
-// worker count and under both pinned world schedulers.
-func TestSurrogateWorkerSchedulerInvariance(t *testing.T) {
+// TestSurrogateWorkerInvariance is the acceptance criterion for the new
+// strategy: serialized result grids are byte-identical at any worker count.
+func TestSurrogateWorkerInvariance(t *testing.T) {
 	base := Tuner{
 		Study:    CapitalCholesky(QuickScale()),
 		EpsList:  []float64{0.125},
@@ -134,21 +132,18 @@ func TestSurrogateWorkerSchedulerInvariance(t *testing.T) {
 	}
 	want := marshal(base)
 	for _, workers := range []int{1, 4} {
-		for _, sched := range []mpi.SchedulerKind{mpi.SchedGoroutine, mpi.SchedEvent} {
-			tn := base
-			tn.Workers = workers
-			tn.Scheduler = sched
-			if got := marshal(tn); got != want {
-				t.Errorf("surrogate sweep diverges at workers=%d sched=%s", workers, sched)
-			}
+		tn := base
+		tn.Workers = workers
+		if got := marshal(tn); got != want {
+			t.Errorf("surrogate sweep diverges at workers=%d", workers)
 		}
 	}
 }
 
 // profileProbe decorates a strategy to record every ObserveProfile feed,
 // for asserting the executor's ProfileAware plumbing. The recorder is
-// shared by every rank's plan copy (ranks run concurrently under the
-// goroutine scheduler), hence the mutex.
+// shared by every rank's plan copy (ranks run concurrently), hence the
+// mutex.
 type profileProbe struct {
 	inner Strategy
 	mu    *sync.Mutex

@@ -53,14 +53,6 @@ type Tuner struct {
 	// return a fresh, independent instance.
 	NewEstimator func() critter.Estimator
 
-	// Scheduler selects the world scheduler for every sweep. The zero
-	// value (mpi.SchedAuto) picks the single-goroutine discrete-event loop
-	// for small worlds and goroutine-per-rank above the threshold; either
-	// explicit kind forces that engine. Results are byte-identical under
-	// every setting — the scheduler decides execution order, never
-	// virtual-time outcomes.
-	Scheduler mpi.SchedulerKind
-
 	// Workers bounds how many sweeps are simulated concurrently. Zero (or
 	// negative) means runtime.GOMAXPROCS(0); 1 recovers the sequential
 	// path. Every worker count yields bit-identical results, because each
@@ -130,7 +122,6 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 				extrapolate: t.Extrapolate,
 				newEst:      t.NewEstimator,
 				tracer:      t.Tracer,
-				sched:       t.Scheduler,
 				out:         &res.Sweeps[pi][ei],
 				sink:        sink,
 			})

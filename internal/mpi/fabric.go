@@ -12,12 +12,12 @@ package mpi
 //
 // Matching is per fabric: a message sent as type T is received as type T.
 // SPMD symmetry makes this safe — peers issue the same operation with the
-// same payload type on both sides — and the legacy *Any operations are thin
-// wrappers over the fabric instantiated at T = any.
+// same payload type on both sides.
 
 import (
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -39,6 +39,9 @@ type fbox[T any] struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []fmsg[T]
+	// parked is set while the owning rank waits on cond and is counted in
+	// World.idle; the next post clears both (see World.park).
+	parked bool
 }
 
 // round coordinates one collective operation instance. Guarded by its
@@ -133,8 +136,9 @@ func (f *fabric[T]) post(dest int, m fmsg[T]) {
 	f.w.checkAbort()
 	box.queue = append(box.queue, m)
 	box.cond.Broadcast()
-	if d := f.w.des; d != nil {
-		d.ready(dest)
+	if box.parked {
+		box.parked = false
+		f.w.unpark(1)
 	}
 }
 
@@ -150,15 +154,17 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 			m := &box.queue[i]
 			if m.ctx == c.ctx && m.src == src && m.tag == tag {
 				out := *m
-				box.queue = append(box.queue[:i], box.queue[i+1:]...)
+				// Delete zeroes the vacated tail slot, so the mailbox does
+				// not pin a delivered payload.
+				box.queue = slices.Delete(box.queue, i, i+1)
 				return out
 			}
 		}
-		if d := f.w.des; d != nil {
-			d.park(c.state.worldRank, &box.mu)
-		} else {
-			box.cond.Wait()
+		if !box.parked {
+			box.parked = true
+			f.w.park(&box.mu)
 		}
+		box.cond.Wait()
 	}
 }
 
@@ -196,23 +202,15 @@ func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
 		rd.maxT = maxT
 		rd.done = true
 		sh.cond.Broadcast()
-		if d := f.w.des; d != nil {
-			// Every other member has deposited and parked on this round;
-			// route their wakeups explicitly.
-			for _, wr := range c.group {
-				if wr != c.state.worldRank {
-					d.ready(wr)
-				}
-			}
-		}
+		// Every other member deposited and parked without releasing the
+		// shard lock in between.
+		f.w.unpark(len(c.group) - 1)
+	} else {
+		f.w.park(&sh.mu)
 	}
 	for !rd.done {
 		f.w.checkAbort()
-		if d := f.w.des; d != nil {
-			d.park(c.state.worldRank, &sh.mu)
-		} else {
-			sh.cond.Wait()
-		}
+		sh.cond.Wait()
 	}
 	f.w.checkAbort()
 	payloads, maxT := rd.payloads, rd.maxT
@@ -320,34 +318,6 @@ func AllreduceMsg[T any](c *Comm, payload T, merge func(a, b T) T) T {
 // rank, synchronizing clocks without charging cost. See Lane.GatherUntimed.
 func GatherMsgUntimed[T any](c *Comm, payload T) []T {
 	return LaneOf[T](c.w).GatherUntimed(c, payload)
-}
-
-// SendAny transmits an arbitrary payload to dest under tag without
-// advancing any virtual clock. Thin wrapper over the typed fabric at
-// T = any, kept for call sites without a concrete payload type.
-func (c *Comm) SendAny(dest, tag int, payload any) { SendMsg(c, dest, tag, payload) }
-
-// RecvAny blocks for an internal payload from src under tag. Clocks are not
-// advanced. Thin wrapper over the typed fabric at T = any.
-func (c *Comm) RecvAny(src, tag int) any { return RecvMsg[any](c, src, tag) }
-
-// ExchangeAny sends payload to peer and receives the peer's payload, both
-// untimed. Thin wrapper over the typed fabric at T = any.
-func (c *Comm) ExchangeAny(peer, tag int, payload any) any {
-	return ExchangeMsg[any](c, peer, tag, payload)
-}
-
-// AllreduceAny folds every member's payload with merge in comm-rank order.
-// Thin wrapper over the typed fabric at T = any.
-func (c *Comm) AllreduceAny(payload any, merge func(a, b any) any) any {
-	return AllreduceMsg(c, payload, merge)
-}
-
-// GatherAnyUntimed returns every member's payload indexed by comm rank,
-// synchronizing clocks without charging cost. Thin wrapper over the typed
-// fabric at T = any.
-func (c *Comm) GatherAnyUntimed(payload any) []any {
-	return GatherMsgUntimed(c, payload)
 }
 
 // BufPool recycles data-plane payload buffers ([]float64) across messages.

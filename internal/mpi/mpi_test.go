@@ -428,42 +428,64 @@ func TestDupIsolation(t *testing.T) {
 	})
 }
 
-func TestAllreduceAny(t *testing.T) {
+func TestAllreduceMsg(t *testing.T) {
 	run(t, 4, func(c *Comm) {
 		type profile struct{ maxT float64 }
-		res := c.AllreduceAny(profile{float64(c.Rank())}, func(a, b any) any {
-			pa, pb := a.(profile), b.(profile)
-			if pb.maxT > pa.maxT {
-				return pb
+		res := AllreduceMsg(c, profile{float64(c.Rank())}, func(a, b profile) profile {
+			if b.maxT > a.maxT {
+				return b
 			}
-			return pa
+			return a
 		})
-		if res.(profile).maxT != 3 {
-			t.Errorf("allreduce-any got %v, want 3", res)
+		if res.maxT != 3 {
+			t.Errorf("allreduce-msg got %v, want 3", res)
 		}
 	})
 }
 
-func TestGatherAnyUntimed(t *testing.T) {
+func TestGatherMsgUntimed(t *testing.T) {
 	run(t, 3, func(c *Comm) {
-		vals := c.GatherAnyUntimed(c.Rank() * 11)
+		vals := GatherMsgUntimed(c, c.Rank()*11)
 		for r, v := range vals {
-			if v.(int) != r*11 {
+			if v != r*11 {
 				t.Errorf("gathered[%d] = %v", r, v)
 			}
 		}
 	})
 }
 
-func TestExchangeAny(t *testing.T) {
+func TestExchangeMsg(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		peer := 1 - c.Rank()
-		got := c.ExchangeAny(peer, 0, fmt.Sprintf("from-%d", c.Rank()))
+		got := ExchangeMsg(c, peer, 0, fmt.Sprintf("from-%d", c.Rank()))
 		want := fmt.Sprintf("from-%d", peer)
-		if got.(string) != want {
+		if got != want {
 			t.Errorf("exchange got %q want %q", got, want)
 		}
 	})
+}
+
+// TestMatchReleasesPayload pins the mailbox's backing array after a matched
+// receive: the vacated slot must not keep the delivered payload alive (on
+// the data plane that buffer may already be back in the BufPool).
+func TestMatchReleasesPayload(t *testing.T) {
+	w := NewWorld(2, quietMachine(), 1)
+	if err := w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, 0, []float64{1, 2, 3})
+		} else {
+			c.Recv(0, 0, make([]float64, 3))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	q := w.dataFab.boxes[1].queue
+	if len(q) != 0 || cap(q) == 0 {
+		t.Fatalf("mailbox queue len %d cap %d after one matched receive", len(q), cap(q))
+	}
+	if vacated := q[:1][0]; vacated.payload != nil {
+		t.Errorf("vacated tail slot still holds payload %v", vacated.payload)
+	}
 }
 
 func TestGroupStrideNonUniform(t *testing.T) {

@@ -63,7 +63,9 @@ func stressBody(c *Comm, sum []float64) {
 // TestStressDeterminism64 runs the mixed 64-rank workload three times and
 // demands bit-identical per-rank virtual clocks: the sharded per-mailbox
 // locks and round shards must not leak goroutine scheduling into virtual
-// time. Run under -race in CI, this is also the fabric's data-race stress.
+// time. Run under -race in CI, this is also the fabric's data-race stress
+// and the deadlock accounting's negative: with ranks parking and being
+// unparked across every mailbox and shard, no run may report a deadlock.
 func TestStressDeterminism64(t *testing.T) {
 	m := sim.DefaultMachine()
 	m.NoiseSigma = 0.08

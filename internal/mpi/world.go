@@ -14,7 +14,7 @@
 // Gather, Scatter, Barrier, and communicator construction via Split and Dup.
 // Payloads are []float64 (application data) or typed values via the generic
 // message core (SendMsg and friends, used by the profiler's internal
-// piggyback messages); the *Any variants remain as thin untyped wrappers.
+// piggyback messages).
 //
 // All traffic runs on sharded typed fabrics (fabric.go): one mailbox lock
 // per destination rank and a fixed set of collective-round shards per
@@ -22,8 +22,8 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -34,6 +34,11 @@ import (
 // ErrAborted is the panic value raised in every rank when some rank panics,
 // so a single failure cannot deadlock the remaining ranks.
 var ErrAborted = fmt.Errorf("mpi: world aborted due to failure on another rank")
+
+// errDeadlock is the abort cause when every unfinished rank is blocked at a
+// fabric wait site, so no wakeup can ever arrive. Run returns it (wrapped)
+// instead of hanging.
+var errDeadlock = errors.New("mpi: deadlock: every rank is blocked with no message in flight")
 
 // World is a set of P ranks sharing a machine model and a message fabric
 // per payload type. Create one with NewWorld and run an SPMD program with
@@ -69,12 +74,13 @@ type World struct {
 	abortE  any
 	wakers  []waker
 
-	// Scheduler selection: schedKind is what the caller asked for
-	// (SetScheduler, default SchedAuto); des is non-nil iff Run resolved
-	// to the event scheduler (see sched.go).
-	schedKind SchedulerKind
-	des       *desSched
+	// idle counts the ranks that cannot run: parked at a fabric wait site
+	// (low 32 bits) and finished (high 32 bits). See park.
+	idle atomic.Int64
 }
+
+// finishedOne is one finished rank in World.idle; a parked rank counts 1.
+const finishedOne = 1 << 32
 
 // waker pairs a condition variable with the lock its waiters hold, so abort
 // can broadcast without losing a wakeup.
@@ -154,29 +160,6 @@ func (w *World) SetTracer(t obs.Tracer) { w.trace = t }
 // deterministic and volume bounded by the run, not the world size.
 func (w *World) TracerOf() obs.Tracer { return w.trace }
 
-// SetScheduler selects the execution mode for Run. Call it before Run; the
-// default, SchedAuto, picks the event scheduler for small worlds on
-// multi-core hosts (see EffectiveScheduler). Virtual-clock results are
-// identical under every mode — the scheduler is a throughput choice, never
-// a semantic one.
-func (w *World) SetScheduler(k SchedulerKind) { w.schedKind = k }
-
-// EffectiveScheduler resolves the mode Run will use (never SchedAuto).
-// Auto picks the discrete-event scheduler only for worlds of at most
-// DefaultEventThreshold ranks on hosts running more than one OS thread:
-// the event loop exists to keep a small world's ranks from thrashing
-// across cores, while under GOMAXPROCS=1 the Go runtime already serializes
-// goroutines more cheaply than the baton handoff does.
-func (w *World) EffectiveScheduler() SchedulerKind {
-	if w.schedKind == SchedAuto {
-		if w.size <= DefaultEventThreshold && runtime.GOMAXPROCS(0) > 1 {
-			return SchedEvent
-		}
-		return SchedGoroutine
-	}
-	return w.schedKind
-}
-
 // registerWakers records condition variables the abort broadcast must
 // reach.
 func (w *World) registerWakers(ws []waker) {
@@ -190,17 +173,11 @@ func (w *World) registerWakers(ws []waker) {
 // remaining ranks are woken and unwound via ErrAborted panics.
 // A World must not be reused after Run returns.
 func (w *World) Run(body func(c *Comm)) error {
-	if w.EffectiveScheduler() == SchedEvent {
-		w.des = newDES(w)
-	}
 	var wg sync.WaitGroup
 	wg.Add(w.size)
 	for r := 0; r < w.size; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			if w.des != nil {
-				w.des.await(rank)
-			}
 			completed := false
 			defer func() {
 				if e := recover(); e != nil {
@@ -211,17 +188,15 @@ func (w *World) Run(body func(c *Comm)) error {
 					// left blocked.
 					w.abort(fmt.Errorf("rank %d exited abnormally", rank))
 				}
-				if w.des != nil {
-					// After abort bookkeeping, so a drain sees the flag.
-					w.des.finish(rank)
+				// After the abort bookkeeping, so a rank's own failure wins
+				// over the deadlock its exit leaves behind.
+				if w.deadlocked(w.idle.Add(finishedOne)) {
+					w.abort(errDeadlock)
 				}
 			}()
 			body(w.worldComm(rank))
 			completed = true
 		}(r)
-	}
-	if w.des != nil {
-		w.des.start()
 	}
 	wg.Wait()
 	if w.aborted.Load() {
@@ -253,6 +228,33 @@ func (w *World) abort(e any) {
 		wk.mu.Unlock()
 	}
 }
+
+// deadlocked reports whether idle, a value of w.idle, accounts for every
+// rank with at least one of them parked: nobody is left to post the message
+// or join the round a parked rank waits for.
+func (w *World) deadlocked(idle int64) bool {
+	parked, finished := int(uint32(idle)), int(idle>>32)
+	return parked > 0 && parked+finished == w.size
+}
+
+// park counts the calling rank as blocked, just before it waits on the
+// condition variable of inner, which it holds. Whoever later makes the
+// rank's wait predicate true — a post to its mailbox, the last arrival of
+// its round — uncounts it under the same lock, so the count never includes
+// a rank that can proceed. The rank that completes the count aborts the
+// world with errDeadlock (dropping inner, which abort must take to
+// broadcast) and unwinds like every other rank.
+func (w *World) park(inner *sync.Mutex) {
+	if w.deadlocked(w.idle.Add(1)) {
+		inner.Unlock()
+		w.abort(errDeadlock)
+		inner.Lock()
+		panic(ErrAborted)
+	}
+}
+
+// unpark uncounts n ranks parked by park; the caller holds their lock.
+func (w *World) unpark(n int) { w.idle.Add(-int64(n)) }
 
 // checkAbort panics with ErrAborted if the world has failed; the panic
 // unwinds through the caller's defers. Callers blocked on a condition

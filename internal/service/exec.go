@@ -11,7 +11,6 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/obs"
 	"critter/internal/sim"
 )
@@ -26,7 +25,7 @@ import (
 // non-nil, receives the run's span events (sweep/config/strategy/round);
 // tracing is observational only — the envelope is byte-identical either
 // way.
-func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, sched mpi.SchedulerKind, prior *critter.Profile, tracer obs.Tracer, onSweep func(sw autotune.SweepResult, err error)) (*autotune.Envelope, *critter.Profile, error) {
+func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, prior *critter.Profile, tracer obs.Tracer, onSweep func(sw autotune.SweepResult, err error)) (*autotune.Envelope, *critter.Profile, error) {
 	study := spec.workload.Build(spec.scale)
 	machine.NoiseSigma = spec.noise
 	tn := autotune.Tuner{
@@ -38,7 +37,6 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 		Strategy:    spec.strategy,
 		Prior:       prior,
 		Extrapolate: spec.extrapolate,
-		Scheduler:   sched,
 		Workers:     workers,
 		Tracer:      tracer,
 	}

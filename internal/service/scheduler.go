@@ -22,7 +22,6 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/obs"
 	"critter/internal/sim"
 	"critter/internal/store"
@@ -272,10 +271,6 @@ type Config struct {
 	// Workers bounds each job's sweep pool (Tuner.Workers); 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Scheduler picks the world scheduler every job's sweeps run under
-	// (Tuner.Scheduler). The zero value is mpi.SchedAuto. Results are
-	// byte-identical under every choice — this is a throughput knob only.
-	Scheduler mpi.SchedulerKind
 	// Store accumulates learned profiles across jobs; nil means a fresh
 	// store private to this scheduler.
 	Store *ProfileStore
@@ -1054,7 +1049,7 @@ func (s *Scheduler) runJob(j *job) {
 	kernMemo := s.met.kernelsMemoized.With(spec.workload.Name())
 
 	s.tunerRuns.Add(1)
-	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, s.cfg.Scheduler, prior, tracer, func(sw autotune.SweepResult, swErr error) {
+	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, prior, tracer, func(sw autotune.SweepResult, swErr error) {
 		if sw.Executed > 0 {
 			kernExec.Add(sw.Executed)
 		}

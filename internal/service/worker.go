@@ -19,7 +19,6 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/sim"
 	"critter/internal/workload"
 )
@@ -41,10 +40,6 @@ type WorkerOptions struct {
 	Machine sim.Machine
 	// Workers bounds each leased job's sweep pool; 0 means GOMAXPROCS.
 	Workers int
-	// Scheduler picks the world scheduler leased jobs run under; the zero
-	// value is mpi.SchedAuto. Results are byte-identical under every
-	// choice, so workers need not agree with the coordinator here.
-	Scheduler mpi.SchedulerKind
 	// Poll is the idle delay between lease polls when the queue is empty.
 	// 0 means 500ms.
 	Poll time.Duration
@@ -243,7 +238,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) {
 		}
 	}()
 
-	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, w.opts.Scheduler, prior, nil, func(sw autotune.SweepResult, swErr error) {
+	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, prior, nil, func(sw autotune.SweepResult, swErr error) {
 		ev := Event{
 			Type: "sweep", Job: grant.Job,
 			Policy: sw.Policy.String(), Eps: sw.Eps,
