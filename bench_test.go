@@ -8,6 +8,8 @@ package critter_test
 // same rows the paper plots; cmd/figures regenerates them at DefaultScale.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -119,13 +121,13 @@ func BenchmarkParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			study := autotune.SlateCholesky(autotune.QuickScale())
 			for i := 0; i < b.N; i++ {
-				_, err := autotune.Experiment{
+				_, err := autotune.Tuner{
 					Study:   study,
 					EpsList: benchEps(),
 					Machine: benchMachine(),
 					Seed:    42,
 					Workers: workers,
-				}.Run()
+				}.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,11 +136,11 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSuite measures the suite executor across all four case
-// studies sharing one worker pool at a single tolerance.
+// BenchmarkParallelSuite measures RunTuners across all four case studies
+// sharing one worker pool at a single tolerance.
 func BenchmarkParallelSuite(b *testing.B) {
-	mk := func(st autotune.Study) autotune.Experiment {
-		return autotune.Experiment{
+	mk := func(st autotune.Study) autotune.Tuner {
+		return autotune.Tuner{
 			Study:   st,
 			EpsList: []float64{0.125},
 			Machine: benchMachine(),
@@ -146,15 +148,13 @@ func BenchmarkParallelSuite(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		_, err := autotune.ExperimentSuite{
-			Experiments: []autotune.Experiment{
-				mk(autotune.CapitalCholesky(autotune.QuickScale())),
-				mk(autotune.SlateCholesky(autotune.QuickScale())),
-				mk(autotune.CandmcQR(autotune.QuickScale())),
-				mk(autotune.SlateQR(autotune.QuickScale())),
-			},
-		}.Run()
-		if err != nil {
+		_, errs := autotune.RunTuners(context.Background(), []autotune.Tuner{
+			mk(autotune.CapitalCholesky(autotune.QuickScale())),
+			mk(autotune.SlateCholesky(autotune.QuickScale())),
+			mk(autotune.CandmcQR(autotune.QuickScale())),
+			mk(autotune.SlateQR(autotune.QuickScale())),
+		}, 0, nil)
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,13 +169,13 @@ func BenchmarkParallelSuite(b *testing.B) {
 func BenchmarkAblationFreqPropagation(b *testing.B) {
 	study := autotune.SlateCholesky(autotune.QuickScale())
 	for i := 0; i < b.N; i++ {
-		res, err := autotune.Experiment{
+		res, err := autotune.Tuner{
 			Study:    study,
 			EpsList:  []float64{0.125},
 			Machine:  benchMachine(),
 			Seed:     42,
 			Policies: []critter.Policy{critter.Conditional, critter.Online},
-		}.Run()
+		}.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,13 +195,13 @@ func BenchmarkAblationFreqPropagation(b *testing.B) {
 func BenchmarkAblationEager(b *testing.B) {
 	study := autotune.CapitalCholesky(autotune.QuickScale())
 	for i := 0; i < b.N; i++ {
-		res, err := autotune.Experiment{
+		res, err := autotune.Tuner{
 			Study:    study,
 			EpsList:  []float64{0.125},
 			Machine:  benchMachine(),
 			Seed:     42,
 			Policies: []critter.Policy{critter.Conditional, critter.Eager},
-		}.Run()
+		}.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,13 +223,13 @@ func BenchmarkAblationNoise(b *testing.B) {
 		for _, sigma := range []float64{0.01, 0.05, 0.15} {
 			m := sim.DefaultMachine()
 			m.NoiseSigma = sigma
-			res, err := autotune.Experiment{
+			res, err := autotune.Tuner{
 				Study:    study,
 				EpsList:  []float64{0.125},
 				Machine:  m,
 				Seed:     42,
 				Policies: []critter.Policy{critter.Online},
-			}.Run()
+			}.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -113,7 +113,7 @@ func main() {
 	printBoards(os.Stderr, boards, *epsilon)
 	if *markdownOut != "" {
 		var md strings.Builder
-		writeMarkdown(&md, boards, *epsilon)
+		writeMarkdown(&md, boards, policy, *epsFlag, *epsilon)
 		if err := os.WriteFile(*markdownOut, []byte(md.String()), 0o644); err != nil {
 			fatal(err)
 		}
@@ -401,12 +401,14 @@ func kte(v int64) string {
 }
 
 // writeMarkdown renders the scoreboard as the committed Markdown artifact.
-func writeMarkdown(w io.Writer, boards []*board, epsilon float64) {
+func writeMarkdown(w io.Writer, boards []*board, policy critter.Policy, eps, epsilon float64) {
 	fmt.Fprintf(w, "# Strategy shootout\n\n")
 	fmt.Fprintf(w, "Every registered search strategy raced on the built-in workloads and\n")
 	fmt.Fprintf(w, "scored against the exhaustive sweep's ground truth (gap = selected\n")
 	fmt.Fprintf(w, "configuration's full-execution time over the true optimum's, hit =\n")
-	fmt.Fprintf(w, "gap within ε = %g). Deterministic; regenerate with:\n\n", epsilon)
+	fmt.Fprintf(w, "gap within ε = %g). Every sweep ran under the %s policy at confidence\n", epsilon, policy)
+	fmt.Fprintf(w, "tolerance eps = %g; each strategy's kernel count relative to exhaustive\n", eps)
+	fmt.Fprintf(w, "depends on both (README, \"Measured and kept\"). Deterministic; regenerate with:\n\n")
 	fmt.Fprintf(w, "```\ngo run ./cmd/critter-shootout -scale quick -markdown BENCH_shootout.md -baseline-out BENCH_shootout.json\n```\n")
 	for _, b := range boards {
 		fmt.Fprintf(w, "\n## %s (%s) — %d configs, optimal %d\n\n", b.Workload, b.Study, b.Configs, b.Optimal)

@@ -4,8 +4,8 @@
 // stamps), virtual time (from the simulation's clocks), and heap growth,
 // plus a per-op table of the kernel-propagation rounds. The rounds table
 // separates memoized skips — rounds whose skip decision was replayed from
-// the sweep-scoped kernel memo rather than freshly tested — so the memo's
-// contribution to a run is visible per operation.
+// the profiler's per-kernel decision cache rather than freshly tested — so
+// the cache's contribution to a run is visible per operation.
 //
 // Usage:
 //
@@ -221,7 +221,7 @@ func summarize(in io.Reader, out io.Writer) error {
 }
 
 // opStats is one round op's row: total rounds and how many were skips the
-// sweep-scoped kernel memo answered (the trace event's memoized flag).
+// profiler's decision cache answered (the trace event's memoized flag).
 type opStats struct {
 	count    int
 	memoized int

@@ -21,22 +21,21 @@
 // run at any worker count; cancelling the context stops a running grid at
 // the next configuration boundary. Tuner.Stream yields sweeps in
 // completion order as an iterator for serving and streaming consumers, and
-// RunTuners shares one pool across several studies. Experiment and
-// ExperimentSuite are thin compatibility wrappers over the Tuner,
-// preserved from the exhaustive-only API.
+// RunTuners shares one pool across several studies.
 //
-// The prediction layer behind the skip decisions is the pluggable
-// Estimator (NewCIMeanEstimator is the paper's machinery and the default),
-// and what a run learns is a persistent artifact: every sweep exports a
-// versioned, JSON-serializable Profile that warm-starts later runs via
-// Options.Prior, Tuner.Prior, or the WarmStart strategy decorator —
-// including across problem scales, where the fitted family extrapolators
-// keep predicting after the per-signature models stop matching.
+// The prediction model behind the skip decisions is the paper's: a
+// confidence interval on each kernel signature's sample mean, optionally
+// extended by per-routine-family line fits (Options.Extrapolate). What a
+// run learns is a persistent artifact: every sweep exports a versioned,
+// JSON-serializable Profile that warm-starts later runs via Options.Prior,
+// Tuner.Prior, or the WarmStart strategy decorator — including across
+// problem scales, where the fitted family extrapolators keep predicting
+// after the per-signature models stop matching.
 //
 // Tuning problems themselves are first-class Workloads in a process-global
 // registry: the shipped catalog (the four case studies plus the example
 // workloads) and anything added with RegisterWorkload resolve by name
-// through ParseStudy, the CLIs, and the critter-serve job service, which
+// through LookupWorkload, the CLIs, and the critter-serve job service, which
 // queues tuning runs behind an HTTP JSON API and warm-starts each job from
 // what earlier jobs on the same workload learned. The service is built to
 // be run continuously: finished jobs, result envelopes, and merged
@@ -90,7 +89,7 @@ type (
 	RawComm = mpi.Comm
 	// World is the simulated machine: ranks, mailboxes, virtual clocks.
 	World = mpi.World
-	// Options configures a Profiler (policy, tolerance, estimator, prior).
+	// Options configures a Profiler (policy, tolerance, extrapolation, prior).
 	Options = critter.Options
 	// Policy selects the selective-execution method.
 	Policy = critter.Policy
@@ -98,17 +97,6 @@ type (
 	Key = critter.Key
 	// Report summarizes one configuration run.
 	Report = critter.Report
-	// Estimator is the pluggable prediction layer: it models kernel
-	// durations (Observe/Estimate), decides predictability, and may
-	// extrapolate across input sizes. The built-in CI-mean estimator
-	// (NewCIMeanEstimator) is the paper's statistical machinery.
-	Estimator = critter.Estimator
-	// ProfileCarrier is the optional Estimator interface for exporting
-	// learned state to a Profile and warm-starting from a prior.
-	ProfileCarrier = critter.ProfileCarrier
-	// WelfordCarrier is the optional Estimator interface the eager
-	// policy's cross-rank statistics aggregation requires.
-	WelfordCarrier = critter.WelfordCarrier
 	// Profile is the versioned, JSON-serializable artifact of what a
 	// profiling run learned: kernel models, fitted family extrapolators,
 	// and critical-path frequencies. Export with Profiler.ExportProfile or
@@ -166,26 +154,20 @@ type (
 	// Envelope is the self-describing JSON serialization of one tuning
 	// run (schema version, seed, scale, noise, strategy, result grid).
 	Envelope = autotune.Envelope
-	// Experiment sweeps a study exhaustively over policies and tolerances;
-	// a compatibility wrapper over Tuner.
-	Experiment = autotune.Experiment
-	// ExperimentSuite runs several experiments through one shared worker
-	// pool with suite-wide progress reporting; a wrapper over RunTuners.
-	ExperimentSuite = autotune.ExperimentSuite
-	// Result holds every sweep of an experiment, indexed [policy][eps].
+	// Result holds every sweep of a tuning run, indexed [policy][eps].
 	Result = autotune.Result
 	// SweepResult aggregates one (policy, eps) pass over a study's space.
 	SweepResult = autotune.SweepResult
 	// ConfigResult captures one configuration's reference and selective runs.
 	ConfigResult = autotune.ConfigResult
-	// Progress describes one completed sweep of a running experiment or suite.
+	// Progress describes one completed sweep of a running Tuner or RunTuners pool.
 	Progress = autotune.Progress
 	// Scale sizes the built-in case studies.
 	Scale = autotune.Scale
 	// Workload is a first-class, registrable tuning problem: name,
 	// description, configuration space, default policies, scale presets,
-	// and a Study builder. Resolve by name through LookupWorkload or
-	// ParseStudy; add your own with RegisterWorkload.
+	// and a Study builder. Resolve by name through LookupWorkload; add your
+	// own with RegisterWorkload.
 	Workload = workload.Workload
 	// WorkloadDef is the declarative Workload implementation: fill the
 	// fields, pass it to RegisterWorkload.
@@ -217,13 +199,6 @@ func DefaultMachine() Machine { return sim.DefaultMachine() }
 // NewProfiler creates a rank's profiler and wraps its world communicator;
 // collective over the world.
 func NewProfiler(c *RawComm, o Options) (*Profiler, *Comm) { return critter.New(c, o) }
-
-// NewCIMeanEstimator returns the built-in confidence-interval estimator
-// (the paper's machinery); extrapolate enables family-model line fitting.
-// This is what a nil Options.Estimator resolves to.
-func NewCIMeanEstimator(extrapolate bool) Estimator {
-	return critter.NewCIMeanEstimator(extrapolate)
-}
 
 // WarmStart decorates a search strategy with a warm-start prior: every
 // sweep the decorated strategy plans seeds its selective profiler from the
@@ -258,20 +233,10 @@ func QuickScale() Scale { return autotune.QuickScale() }
 // serialized results.
 func ParsePolicy(name string) (Policy, error) { return critter.ParsePolicy(name) }
 
-// ParseScale resolves a scale-preset name against the default workload
-// registry's declared presets (default, quick for the built-ins); the
-// error enumerates the valid names.
-func ParseScale(name string) (Scale, error) { return workload.ParseScale(name) }
-
-// ParseStudy resolves a workload name in the default registry (capital,
-// slate-chol, candmc, slate-qr, cholesky3d, qr2d, plus anything registered
-// with RegisterWorkload) and builds its study at the given scale.
-func ParseStudy(name string, s Scale) (Study, error) { return workload.ParseStudy(nil, name, s) }
-
 // RegisterWorkload adds a custom workload to the default registry, making
-// it resolvable by name everywhere studies are: ParseStudy, the CLIs'
-// -study flags, and the critter-serve job API. Empty and duplicate names
-// are errors.
+// it resolvable by name everywhere studies are: LookupWorkload, the CLIs'
+// -study flags, and the critter-serve job API. Empty and duplicate names,
+// and a workload whose study fails Study.Validate, are errors.
 func RegisterWorkload(w Workload) error { return workload.Register(w) }
 
 // LookupWorkload resolves a workload by name in the default registry.

@@ -5,8 +5,14 @@ package critter_test
 import (
 	"bytes"
 	"context"
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -58,8 +64,8 @@ func TestFacadeStudyConstructors(t *testing.T) {
 		critter.CandmcQR(s),
 		critter.SlateQR(s),
 	} {
-		if st.NumConfigs == 0 || st.Run == nil || st.Describe == nil {
-			t.Errorf("%s: incomplete study", st.Name)
+		if err := st.Validate(); err != nil || st.Label(0) == "" {
+			t.Errorf("%s: incomplete study (%v)", st.Name, err)
 		}
 	}
 	if len(critter.DefaultEpsList()) != 11 {
@@ -67,14 +73,16 @@ func TestFacadeStudyConstructors(t *testing.T) {
 	}
 }
 
+// TestFacadeExperiment runs the smallest whole tuning experiment through
+// the facade: one exhaustive sweep of a built-in study.
 func TestFacadeExperiment(t *testing.T) {
-	res, err := critter.Experiment{
+	res, err := critter.Tuner{
 		Study:    critter.SlateCholesky(critter.QuickScale()),
 		EpsList:  []float64{0.25},
 		Machine:  critter.DefaultMachine(),
 		Seed:     1,
 		Policies: []critter.Policy{critter.Conditional},
-	}.Run()
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +95,9 @@ func TestFacadeExperiment(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentSuite(t *testing.T) {
-	mk := func(study critter.Study) critter.Experiment {
-		return critter.Experiment{
+func TestFacadeRunTuners(t *testing.T) {
+	mk := func(study critter.Study) critter.Tuner {
+		return critter.Tuner{
 			Study:    study,
 			EpsList:  []float64{0.25},
 			Machine:  critter.DefaultMachine(),
@@ -98,22 +106,20 @@ func TestFacadeExperimentSuite(t *testing.T) {
 		}
 	}
 	var last critter.Progress
-	results, err := critter.ExperimentSuite{
-		Experiments: []critter.Experiment{
-			mk(critter.CapitalCholesky(critter.QuickScale())),
-			mk(critter.SlateCholesky(critter.QuickScale())),
-		},
-		Workers:  2,
-		Progress: func(ev critter.Progress) { last = ev },
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
+	results, errs := critter.RunTuners(context.Background(), []critter.Tuner{
+		mk(critter.CapitalCholesky(critter.QuickScale())),
+		mk(critter.SlateCholesky(critter.QuickScale())),
+	}, 2, func(ev critter.Progress) { last = ev })
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(results) != 2 || results[0] == nil || results[1] == nil {
-		t.Fatalf("suite results incomplete: %v", results)
+		t.Fatalf("pool results incomplete: %v", results)
 	}
 	if results[0].Study != "capital-cholesky" || results[1].Study != "slate-cholesky" {
-		t.Errorf("suite result order broken: %s, %s", results[0].Study, results[1].Study)
+		t.Errorf("result order broken: %s, %s", results[0].Study, results[1].Study)
 	}
 	if last.Done != 2 || last.Total != 2 {
 		t.Errorf("final progress %d/%d, want 2/2", last.Done, last.Total)
@@ -128,23 +134,19 @@ func TestFacadeTunerStrategies(t *testing.T) {
 		Seed:     1,
 		Policies: []critter.Policy{critter.Conditional},
 	}
-	// Exhaustive (the default) must match the legacy Experiment wrapper.
+	// A nil Strategy is Exhaustive.
 	exhaustive, err := base.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := critter.Experiment{
-		Study:    base.Study,
-		EpsList:  base.EpsList,
-		Machine:  base.Machine,
-		Seed:     base.Seed,
-		Policies: base.Policies,
-	}.Run()
+	explicit := base
+	explicit.Strategy = critter.Exhaustive{}
+	named, err := explicit.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(exhaustive, legacy) {
-		t.Error("Tuner default strategy differs from Experiment")
+	if !reflect.DeepEqual(exhaustive, named) {
+		t.Error("Tuner default strategy differs from explicit Exhaustive")
 	}
 	// A budgeted sample evaluates exactly N configurations of the space.
 	sampled := base
@@ -278,16 +280,6 @@ func TestFacadeEstimatorAndProfiles(t *testing.T) {
 	if critter.MergedProfile(res) == nil {
 		t.Error("MergedProfile empty through the facade")
 	}
-	// The default estimator is constructible explicitly.
-	expl := base
-	expl.NewEstimator = func() critter.Estimator { return critter.NewCIMeanEstimator(true) }
-	res2, err := expl.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, res2) {
-		t.Error("explicit NewCIMeanEstimator differs from the default estimator")
-	}
 }
 
 func TestPolicyNames(t *testing.T) {
@@ -307,7 +299,7 @@ func TestPolicyNames(t *testing.T) {
 
 // TestFacadeWorkloadRegistry: a downstream user can register a custom
 // workload through the facade alone and have it resolve everywhere names
-// do — ParseStudy included — without touching internal packages.
+// do without touching internal packages.
 func TestFacadeWorkloadRegistry(t *testing.T) {
 	// The shipped catalog is visible and resolvable.
 	names := critter.WorkloadNames()
@@ -360,23 +352,6 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 	if st.Name != "custom-qr" || st.Size() <= 0 {
 		t.Errorf("built study %+v", st)
 	}
-
-	// The legacy name-resolution surface sees it too.
-	viaParse, err := critter.ParseStudy("custom-qr-facade-test", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaParse.Name != "custom-qr" {
-		t.Errorf("ParseStudy resolved %q", viaParse.Name)
-	}
-
-	// And the scale presets feed the global scale namespace.
-	if _, err := critter.ParseScale("tiny"); err != nil {
-		t.Errorf("ParseScale(tiny) after registration: %v", err)
-	}
-	if _, err := critter.ParseScale("bogus-scale"); err == nil {
-		t.Error("ParseScale(bogus-scale) succeeded")
-	}
 }
 
 func TestFacadeObservability(t *testing.T) {
@@ -427,5 +402,63 @@ func TestFacadeObservability(t *testing.T) {
 	header, _, ok := strings.Cut(buf.String(), "\n")
 	if !ok || !strings.Contains(header, `"traceSchemaVersion":1`) {
 		t.Errorf("JSONL header %q does not carry schema version %d", header, critter.TraceSchemaVersion)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/facade.golden")
+
+// TestFacadeSurface pins the public surface: the sorted exported identifiers
+// declared in critter.go must equal testdata/facade.golden, so a change that
+// grows or shrinks the facade shows it in one diff. Regenerate with
+//
+//	go test -run TestFacadeSurface -update-golden .
+func TestFacadeSurface(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "critter.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names = append(names, id.Name)
+		}
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add(sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(id)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	got := strings.Join(names, "\n") + "\n"
+	const golden = "testdata/facade.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("facade surface changed (regenerate %s with -update-golden if intended):\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }

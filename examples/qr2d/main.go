@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -66,12 +67,10 @@ func main() {
 	}
 
 	// Autotune block size and grid shape (the paper's Figure 5a study).
-	// The experiment is the registered "qr2d" workload (online propagation
-	// as its declared default policy), resolved by name through the
-	// registry like any CLI or service job. This deliberately uses the
-	// legacy Experiment wrapper: pre-Tuner code keeps compiling and
-	// produces bit-identical results (see the migration notes in the
-	// README and examples/budgeted-search for the Tuner API).
+	// The study is the registered "qr2d" workload (online propagation as
+	// its declared default policy), resolved by name through the registry
+	// like any CLI or service job, and swept exhaustively — the Tuner's
+	// default strategy (see examples/budgeted-search for the others).
 	wl, ok := critter.LookupWorkload("qr2d")
 	if !ok {
 		log.Fatal("workload qr2d is not registered")
@@ -81,13 +80,13 @@ func main() {
 		log.Fatal(err)
 	}
 	study := wl.Build(scale)
-	res, err := critter.Experiment{
+	res, err := critter.Tuner{
 		Study:    study,
 		EpsList:  []float64{0.25},
 		Machine:  machine,
 		Seed:     23,
 		Policies: wl.Policies(), // online
-	}.Run()
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

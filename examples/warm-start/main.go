@@ -1,15 +1,15 @@
 // Warm-start: tune the CANDMC QR study cold, export what the run learned
-// as a kernel Profile, and tune again warm-started from it — the
-// transfer-learning loop of the Estimator redesign.
+// as a kernel Profile, and tune again warm-started from it.
 //
 // The cold run pays the paper's full price: every kernel signature must be
 // executed until its own confidence interval converges (plus one full
 // reference execution per configuration, in both runs). The warm run seeds
-// every configuration's estimator with the prior's kernel models and fitted
-// family extrapolators, so signatures the prior already predicts skip after
-// a single validation execution — and, because extrapolation is enabled,
-// signatures the prior never saw can be skipped through their routine
-// family's fit. The executed-kernel counts make the difference concrete.
+// every configuration's prediction model with the prior's kernel models and
+// fitted family extrapolators, so signatures the prior already predicts skip
+// after a single validation execution — and, because extrapolation is
+// enabled, signatures the prior never saw can be skipped through their
+// routine family's fit. The executed-kernel counts make the difference
+// concrete.
 //
 // The same profile also transfers across scales: the per-signature models
 // stop matching when the matrix grows, but the family fits keep predicting,

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,14 +25,14 @@ func TestDefaultEpsList(t *testing.T) {
 func TestScalesValidate(t *testing.T) {
 	// Every configuration of every study must pass its library Validate
 	// (the Run closures panic otherwise; here we only exercise the
-	// constructors and Describe).
+	// constructors and labels).
 	for _, s := range []Scale{DefaultScale(), QuickScale()} {
 		for _, st := range []Study{CapitalCholesky(s), SlateCholesky(s), CandmcQR(s), SlateQR(s)} {
-			if st.NumConfigs <= 0 || st.WorldSize <= 0 {
+			if st.Size() <= 0 || st.WorldSize <= 0 {
 				t.Errorf("%s: bad dims", st.Name)
 			}
-			for v := 0; v < st.NumConfigs; v++ {
-				if st.Describe(v) == "" {
+			for v := 0; v < st.Size(); v++ {
+				if st.Label(v) == "" {
 					t.Errorf("%s config %d has no description", st.Name, v)
 				}
 			}
@@ -41,16 +42,16 @@ func TestScalesValidate(t *testing.T) {
 
 func TestConfigSpaceSizesMatchPaper(t *testing.T) {
 	s := DefaultScale()
-	if got := CapitalCholesky(s).NumConfigs; got != 15 {
+	if got := CapitalCholesky(s).Size(); got != 15 {
 		t.Errorf("capital configs = %d, want 15", got)
 	}
-	if got := SlateCholesky(s).NumConfigs; got != 20 {
+	if got := SlateCholesky(s).Size(); got != 20 {
 		t.Errorf("slate cholesky configs = %d, want 20", got)
 	}
-	if got := CandmcQR(s).NumConfigs; got != 15 {
+	if got := CandmcQR(s).Size(); got != 15 {
 		t.Errorf("candmc configs = %d, want 15", got)
 	}
-	if got := SlateQR(s).NumConfigs; got != 63 {
+	if got := SlateQR(s).Size(); got != 63 {
 		t.Errorf("slate qr configs = %d, want 63", got)
 	}
 }
@@ -61,7 +62,7 @@ func TestFullOnlyCapitalQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != st.NumConfigs {
+	if len(reports) != st.Size() {
 		t.Fatalf("got %d reports", len(reports))
 	}
 	for v, r := range reports {
@@ -82,20 +83,20 @@ func TestFullOnlyCapitalQuick(t *testing.T) {
 
 func TestSweepCapitalQuick(t *testing.T) {
 	st := CapitalCholesky(QuickScale())
-	exp := Experiment{
+	tn := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.25},
 		Machine:  quickMachine(),
 		Seed:     5,
 		Policies: []critter.Policy{critter.Conditional, critter.Eager},
 	}
-	res, err := exp.Run()
+	res, err := tn.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cond := res.Sweeps[0][0]
 	eager := res.Sweeps[1][0]
-	if len(cond.Configs) != st.NumConfigs {
+	if len(cond.Configs) != st.Size() {
 		t.Fatalf("conditional covered %d configs", len(cond.Configs))
 	}
 	if cond.TuneWall <= 0 || cond.FullWall <= 0 {
@@ -131,13 +132,13 @@ func TestSweepSlateCholQuickErrorShrinks(t *testing.T) {
 	var errDiffSum float64
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, seed := range seeds {
-		res, err := Experiment{
+		res, err := Tuner{
 			Study:    st,
 			EpsList:  []float64{0.5, 0.03125},
 			Machine:  quickMachine(),
 			Seed:     seed,
 			Policies: []critter.Policy{critter.Online},
-		}.Run()
+		}.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,14 +160,14 @@ func TestSweepSlateCholQuickErrorShrinks(t *testing.T) {
 // send-with-recv), letting the two sides reach different skip decisions.
 func TestCandmcOnlineNoDeadlock(t *testing.T) {
 	st := CandmcQR(QuickScale())
-	exp := Experiment{
+	tn := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.25},
 		Machine:  quickMachine(),
 		Seed:     4,
 		Policies: []critter.Policy{critter.Online},
 	}
-	if _, err := exp.Run(); err != nil {
+	if _, err := tn.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -176,14 +177,14 @@ func TestAprioriIncludesOfflinePass(t *testing.T) {
 		t.Skip("sweep test")
 	}
 	st := CandmcQR(QuickScale())
-	exp := Experiment{
+	tn := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.25},
 		Machine:  quickMachine(),
 		Seed:     4,
 		Policies: []critter.Policy{critter.Conditional, critter.APriori},
 	}
-	res, err := exp.Run()
+	res, err := tn.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +205,14 @@ func TestOptimalConfigSelection(t *testing.T) {
 	// close to the optimum. With simulated noise the argmin may differ;
 	// check the selected config's full time is within 10% of optimal.
 	st := CapitalCholesky(QuickScale())
-	exp := Experiment{
+	tn := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.125},
 		Machine:  quickMachine(),
 		Seed:     8,
 		Policies: []critter.Policy{critter.Online},
 	}
-	res, err := exp.Run()
+	res, err := tn.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package autotune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -100,11 +99,10 @@ type sweepJob struct {
 	eps     float64
 	machine sim.Machine
 	seed    uint64
-	// prior warm-starts the selective profiler; extrapolate and newEst
-	// configure its estimator (see the matching Tuner fields).
+	// prior warm-starts the selective profiler and extrapolate enables
+	// its family fits (see the matching Tuner fields).
 	prior       *critter.Profile
 	extrapolate bool
-	newEst      func() critter.Estimator
 	// tracer receives the sweep's span events (see Tuner.Tracer); nil
 	// disables tracing for this job at the cost of one branch.
 	tracer obs.Tracer
@@ -121,12 +119,12 @@ type sweepJob struct {
 }
 
 // run simulates the sweep in a fresh world — wired to the worker's arena —
-// and stores rank 0's view. A done context skips the simulation entirely;
-// failure or cancellation zeroes the slot. With a tracer installed the
-// sweep is bracketed by begin/end span events, the end event carrying the
-// sweep's virtual totals and the process heap growth observed across the
-// span (approximate under concurrent sweeps — TotalAlloc is
-// process-global).
+// and stores rank 0's view. A done context or a study that fails Validate
+// skips the simulation entirely; failure or cancellation zeroes the slot.
+// With a tracer installed the sweep is bracketed by begin/end span events,
+// the end event carrying the sweep's virtual totals and the process heap
+// growth observed across the span (approximate under concurrent sweeps —
+// TotalAlloc is process-global).
 func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	var allocStart uint64
 	if j.tracer != nil {
@@ -138,8 +136,11 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 		runtime.ReadMemStats(&ms)
 		allocStart = ms.TotalAlloc
 	}
-	var err error
-	if err = ctx.Err(); err == nil {
+	err := ctx.Err()
+	if err == nil {
+		err = j.study.Validate()
+	}
+	if err == nil {
 		j.memo = sc.memo
 		w := sc.world(j.study.WorldSize, j.machine, j.seed)
 		w.SetTracer(j.tracer)
@@ -232,43 +233,4 @@ func runJobs(ctx context.Context, jobs []sweepJob, workers int) []error {
 		errs[i] = jobs[i].run(ctx, sc.(*scratch))
 	})
 	return errs
-}
-
-// ExperimentSuite runs several experiments — typically the four case
-// studies of the paper's evaluation — through one shared bounded worker
-// pool, so a wide study's sweeps backfill the pool while a narrow one
-// drains. It is a compatibility wrapper over RunTuners.
-type ExperimentSuite struct {
-	Experiments []Experiment
-
-	// Workers bounds the pool shared by every experiment; zero (or
-	// negative) means runtime.GOMAXPROCS(0). Per-experiment Workers
-	// fields are ignored.
-	Workers int
-	// Progress, when non-nil, receives every sweep completion across the
-	// whole suite with suite-wide Done/Total counts. Invocations are
-	// serialized. Per-experiment Progress callbacks are ignored, like
-	// Workers.
-	Progress func(Progress)
-}
-
-// Run executes every sweep of every experiment. The returned slice is
-// aligned with Experiments; an experiment whose sweeps all succeed gets its
-// *Result, one with any failed sweep gets nil. The error joins every
-// per-study failure (each tagged with study, policy, and eps) rather than
-// dropping them, and is nil only if all studies succeed.
-func (s ExperimentSuite) Run() ([]*Result, error) {
-	tuners := make([]Tuner, len(s.Experiments))
-	for i, e := range s.Experiments {
-		tuners[i] = e.Tuner()
-	}
-	results, errs := RunTuners(context.Background(), tuners, s.Workers, s.Progress)
-	var failures []error
-	for i, err := range errs {
-		if err != nil {
-			results[i] = nil
-			failures = append(failures, err)
-		}
-	}
-	return results, errors.Join(failures...)
 }

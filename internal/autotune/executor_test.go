@@ -1,6 +1,8 @@
 package autotune
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,14 +10,24 @@ import (
 	"critter/internal/critter"
 )
 
+// flatSpace is a one-axis space of n configurations, for synthetic studies
+// whose configuration index has no structure.
+func flatSpace(n int) Space {
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = i
+	}
+	return NewSpace(IntsDim("config", vals...))
+}
+
 // tinyStudy is a minimal synthetic study for executor tests: two
 // configurations of a single computation kernel on two ranks.
 func tinyStudy(name string) Study {
 	return Study{
-		Name:       name,
-		NumConfigs: 2,
-		WorldSize:  2,
-		Policies:   []critter.Policy{critter.Conditional},
+		Name:      name,
+		Space:     flatSpace(2),
+		WorldSize: 2,
+		Policies:  []critter.Policy{critter.Conditional},
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
 			n := 4 << v
 			for i := 0; i < 8; i++ {
@@ -23,7 +35,6 @@ func tinyStudy(name string) Study {
 			}
 			cc.Barrier()
 		},
-		Describe: func(v int) string { return "tiny" },
 	}
 }
 
@@ -40,7 +51,7 @@ func panicStudy() Study {
 // four workers must return SweepResults identical to the sequential path,
 // because every sweep runs in its own world seeded identically.
 func TestRunParallelDeterminism(t *testing.T) {
-	exp := Experiment{
+	tn := Tuner{
 		Study:    CapitalCholesky(QuickScale()),
 		EpsList:  []float64{0.5, 0.125},
 		Machine:  quickMachine(),
@@ -48,12 +59,12 @@ func TestRunParallelDeterminism(t *testing.T) {
 		Policies: []critter.Policy{critter.Conditional, critter.Online},
 		Workers:  1,
 	}
-	seq, err := exp.Run()
+	seq, err := tn.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.Workers = 4
-	par, err := exp.Run()
+	tn.Workers = 4
+	par, err := tn.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +85,12 @@ func TestRunParallelDeterminism(t *testing.T) {
 // still runs every sweep and fills the whole result grid in order.
 func TestRunDefaultWorkers(t *testing.T) {
 	eps := []float64{1, 0.5, 0.25}
-	res, err := Experiment{
+	res, err := Tuner{
 		Study:   tinyStudy("tiny"),
 		EpsList: eps,
 		Machine: quickMachine(),
 		Seed:    3,
-	}.Run()
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +113,13 @@ func TestRunDefaultWorkers(t *testing.T) {
 func TestEmptyPolicyOverrideFallsBack(t *testing.T) {
 	st := tinyStudy("tiny")
 	st.Policies = nil
-	res, err := Experiment{
+	res, err := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.25},
 		Machine:  quickMachine(),
 		Seed:     1,
 		Policies: []critter.Policy{},
-	}.Run()
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,36 +128,40 @@ func TestEmptyPolicyOverrideFallsBack(t *testing.T) {
 	}
 }
 
-// TestSuitePropagatesErrors checks that ExperimentSuite reports every
-// failing study (tagged with study, policy, and eps) instead of dropping
-// errors, while still returning the results of the studies that succeeded.
+// TestSuitePropagatesErrors checks that RunTuners reports every failing
+// study (tagged with study, policy, and eps) in its own errs slot instead of
+// dropping errors, while every result grid stays non-nil: the healthy
+// study's intact, the failed study's with its cells zeroed.
 func TestSuitePropagatesErrors(t *testing.T) {
-	mk := func(st Study) Experiment {
-		return Experiment{Study: st, EpsList: []float64{0.25}, Machine: quickMachine(), Seed: 2}
+	mk := func(st Study) Tuner {
+		return Tuner{Study: st, EpsList: []float64{0.25}, Machine: quickMachine(), Seed: 2}
 	}
 	var events []Progress
-	suite := ExperimentSuite{
-		Experiments: []Experiment{mk(tinyStudy("ok-study")), mk(panicStudy())},
-		Workers:     2,
-		Progress:    func(ev Progress) { events = append(events, ev) },
+	results, errs := RunTuners(context.Background(),
+		[]Tuner{mk(tinyStudy("ok-study")), mk(panicStudy())}, 2,
+		func(ev Progress) { events = append(events, ev) })
+	if len(results) != 2 || len(errs) != 2 {
+		t.Fatalf("got %d results and %d errors, want 2 and 2", len(results), len(errs))
 	}
-	results, err := suite.Run()
-	if err == nil {
-		t.Fatal("suite dropped the failing study's error")
+	if errs[0] != nil {
+		t.Errorf("healthy study reported %v", errs[0])
+	}
+	if errs[1] == nil {
+		t.Fatal("pool dropped the failing study's error")
 	}
 	for _, want := range []string{"boom-study", "kaboom", "conditional"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("suite error %q does not mention %q", err, want)
+		if !strings.Contains(errs[1].Error(), want) {
+			t.Errorf("error %q does not mention %q", errs[1], want)
 		}
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if results[0] == nil || len(results[0].Sweeps) != 1 {
+	if results[0] == nil || len(results[0].Sweeps[0][0].Configs) != 2 {
 		t.Error("successful study's result was dropped alongside the failure")
 	}
-	if results[1] != nil {
-		t.Error("failed study should yield a nil result")
+	if results[1] == nil {
+		t.Fatal("failed study's grid is nil, want zeroed cells")
+	}
+	if bad := results[1].Sweeps[0][0]; !reflect.DeepEqual(bad, SweepResult{}) {
+		t.Errorf("failed sweep not zeroed: %+v", bad)
 	}
 	// Failed sweeps still count toward progress, so Done reaches Total.
 	if len(events) != 2 {
@@ -169,20 +184,16 @@ func TestSuitePropagatesErrors(t *testing.T) {
 	}
 }
 
-// TestSuiteSharedProgress checks that a suite reports one completion per
-// sweep with suite-wide counts, serialized across workers.
+// TestSuiteSharedProgress checks that RunTuners reports one completion per
+// sweep with pool-wide counts, serialized across workers.
 func TestSuiteSharedProgress(t *testing.T) {
 	eps := []float64{1, 0.5}
 	var events []Progress
-	suite := ExperimentSuite{
-		Experiments: []Experiment{
-			{Study: tinyStudy("a"), EpsList: eps, Machine: quickMachine(), Seed: 1},
-			{Study: tinyStudy("b"), EpsList: eps, Machine: quickMachine(), Seed: 1},
-		},
-		Workers:  4,
-		Progress: func(ev Progress) { events = append(events, ev) },
-	}
-	if _, err := suite.Run(); err != nil {
+	_, errs := RunTuners(context.Background(), []Tuner{
+		{Study: tinyStudy("a"), EpsList: eps, Machine: quickMachine(), Seed: 1},
+		{Study: tinyStudy("b"), EpsList: eps, Machine: quickMachine(), Seed: 1},
+	}, 4, func(ev Progress) { events = append(events, ev) })
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 4 {
@@ -197,5 +208,57 @@ func TestSuiteSharedProgress(t *testing.T) {
 	}
 	if byStudy["a"] != 2 || byStudy["b"] != 2 {
 		t.Errorf("per-study completions %v, want 2 each", byStudy)
+	}
+}
+
+// TestUnrunnableStudyFails pins the empty-study fix: a study with no
+// configurations (the zero Space) or no Run function used to plan zero
+// rounds and return err == nil with Selected: 0, Optimal: 0 in every sweep.
+// Every entry point must fail each such sweep with an error naming the
+// study, cells zeroed.
+func TestUnrunnableStudyFails(t *testing.T) {
+	noSpace := tinyStudy("no-space")
+	noSpace.Space = Space{}
+	noRun := tinyStudy("no-run")
+	noRun.Run = nil
+	for _, st := range []Study{noSpace, noRun} {
+		tn := Tuner{Study: st, EpsList: []float64{0.5, 0.25}, Machine: quickMachine(), Seed: 1}
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Errorf("%s: %s returned no error", st.Name, entry)
+			} else if !strings.Contains(err.Error(), st.Name) {
+				t.Errorf("%s: %s error %q does not name the study", st.Name, entry, err)
+			}
+		}
+		res, err := tn.Run(context.Background())
+		check("Tuner.Run", err)
+		if res == nil || len(res.Sweeps) != 1 || len(res.Sweeps[0]) != 2 {
+			t.Fatalf("%s: Tuner.Run grid %+v, want 1x2 zeroed cells", st.Name, res)
+		}
+		for _, sw := range res.Sweeps[0] {
+			if !reflect.DeepEqual(sw, SweepResult{}) {
+				t.Errorf("%s: failed cell not zeroed: %+v", st.Name, sw)
+			}
+		}
+		yielded := 0
+		for sw, err := range tn.Stream(context.Background()) {
+			yielded++
+			check("Tuner.Stream", err)
+			if len(sw.Configs) != 0 {
+				t.Errorf("%s: Stream yielded configs for a failed sweep", st.Name)
+			}
+		}
+		if yielded != 2 {
+			t.Errorf("%s: Stream yielded %d cells, want 2", st.Name, yielded)
+		}
+		ok := Tuner{Study: tinyStudy("fine"), EpsList: []float64{0.5}, Machine: quickMachine(), Seed: 1}
+		results, errs := RunTuners(context.Background(), []Tuner{ok, tn}, 2, nil)
+		if errs[0] != nil || len(results[0].Sweeps[0][0].Configs) != 2 {
+			t.Errorf("%s: RunTuners let the bad study disturb its neighbour: %v", st.Name, errs[0])
+		}
+		check("RunTuners", errs[1])
+		_, err = FullOnlyCtx(context.Background(), st, quickMachine(), 1, 1)
+		check("FullOnlyCtx", err)
 	}
 }

@@ -5,15 +5,14 @@ package autotune_test
 // studies or strategies. Under plain `go test` these run their seed corpus
 // as ordinary unit tests.
 //
-// This is an external test package: ParseStudy and ParseScale now resolve
-// through the workload registry, whose package imports autotune, so the
-// registry import (and the resolver it installs) must come from outside.
+// This is an external test package: study and scale names resolve through
+// the workload registry, whose package imports autotune.
 
 import (
 	"testing"
 
 	. "critter/internal/autotune"
-	_ "critter/internal/workload" // installs the registry resolver
+	"critter/internal/workload"
 )
 
 func FuzzParseStudy(f *testing.F) {
@@ -23,15 +22,12 @@ func FuzzParseStudy(f *testing.F) {
 	}
 	scale := QuickScale()
 	f.Fuzz(func(t *testing.T, name string) {
-		st, err := ParseStudy(name, scale)
+		st, err := workload.ParseStudy(nil, name, scale)
 		if err != nil {
 			return
 		}
 		if st.Name == "" || st.Size() <= 0 || st.WorldSize <= 0 || st.Run == nil {
 			t.Fatalf("ParseStudy(%q) returned a half-built study: %+v", name, st)
-		}
-		if st.Space.Size() != st.Size() {
-			t.Fatalf("ParseStudy(%q): space size %d != %d", name, st.Space.Size(), st.Size())
 		}
 		for v := 0; v < st.Size(); v++ {
 			if st.Label(v) == "" {
@@ -46,13 +42,13 @@ func FuzzParseScale(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
-		s, err := ParseScale(name)
-		if err != nil {
-			return
-		}
-		for _, st := range []Study{CapitalCholesky(s), SlateCholesky(s), CandmcQR(s), SlateQR(s)} {
-			if st.Size() <= 0 || st.WorldSize <= 0 {
-				t.Fatalf("ParseScale(%q) built a degenerate study %s", name, st.Name)
+		for _, w := range workload.List() {
+			s, err := workload.ScaleOf(w, name)
+			if err != nil {
+				continue
+			}
+			if st := w.Build(s); st.Validate() != nil || st.WorldSize <= 0 {
+				t.Fatalf("ScaleOf(%s, %q) built a degenerate study %s", w.Name(), name, st.Name)
 			}
 		}
 	})

@@ -8,7 +8,7 @@ package autotune_test
 // stay bit-identical: any refactor that perturbs virtual-time determinism,
 // pathset merging, or estimator feeding order fails here.
 //
-// Studies are resolved by name through the workload registry (ParseStudy),
+// Studies are resolved by name through the workload registry (ResolveStudy),
 // the same path the CLIs and the service layer take, so the tests also pin
 // that registry resolution changes nothing about the results.
 //
@@ -26,7 +26,7 @@ import (
 
 	. "critter/internal/autotune"
 	"critter/internal/sim"
-	_ "critter/internal/workload" // installs the registry resolver
+	"critter/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden envelope files")
@@ -56,7 +56,7 @@ func goldenCases(t *testing.T) []struct {
 		return s
 	}
 	study := func(name string) Study {
-		st, err := ParseStudy(name, QuickScale())
+		st, err := workload.ResolveStudy(nil, name, "quick")
 		if err != nil {
 			t.Fatal(err)
 		}

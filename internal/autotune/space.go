@@ -1,10 +1,9 @@
 package autotune
 
-// A configuration space with named, typed dimensions. Space replaces the
-// opaque (NumConfigs, Describe) pair of the original Study API: strategies
-// can decode a flat configuration index into per-dimension coordinates and
-// move along individual axes, and reports can label configurations without
-// the study supplying a bespoke formatter.
+// A configuration space with named, typed dimensions: strategies can decode
+// a flat configuration index into per-dimension coordinates and move along
+// individual axes, and reports can label configurations without the study
+// supplying a bespoke formatter.
 
 import (
 	"fmt"
@@ -48,8 +47,8 @@ func GridsDim(name string, grids ...[2]int) Dim {
 // b = b0*2^(v%5), strategy = 1 + v/5 is the space [b-dim of radix 5,
 // strategy-dim of radix 3]).
 //
-// The zero value is an empty space of size 0; Study falls back to its
-// legacy NumConfigs/Describe fields in that case.
+// The zero value is an empty space of size 0, which no study can be run
+// with (Study.Validate).
 type Space struct {
 	Dims []Dim
 }
@@ -121,14 +120,4 @@ func (s Space) Describe(v int) string {
 		parts[i] = d.Name + "=" + d.Values[coords[i]]
 	}
 	return strings.Join(parts, " ")
-}
-
-// legacySpace wraps a bare configuration count as a single anonymous
-// dimension, so pre-Space studies keep working under the Tuner.
-func legacySpace(n int) Space {
-	vals := make([]string, n)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("%d", i)
-	}
-	return Space{Dims: []Dim{{Name: "config", Values: vals}}}
 }

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -45,58 +46,48 @@ func TestSpaceDescribeAndValue(t *testing.T) {
 	}
 }
 
-// TestBuiltinSpacesMatchLegacyEncoding pins the ported Space declarations
-// to the paper's flat config numbering: every study's Space size equals its
-// legacy NumConfigs, and the decoded dimension values match the parameters
-// the legacy Describe strings report.
-func TestBuiltinSpacesMatchLegacyEncoding(t *testing.T) {
-	for _, s := range []Scale{DefaultScale(), QuickScale()} {
-		for _, st := range []Study{CapitalCholesky(s), SlateCholesky(s), CandmcQR(s), SlateQR(s)} {
-			if st.Space.Size() != st.NumConfigs {
-				t.Errorf("%s: Space size %d != NumConfigs %d", st.Name, st.Space.Size(), st.NumConfigs)
-			}
-			for v := 0; v < st.Size(); v++ {
-				desc := st.Label(v)
-				for _, d := range st.Space.Dims {
-					val := st.Space.Value(v, d.Name)
-					if !containsParam(desc, d.Name, val) {
-						t.Fatalf("%s config %d: legacy label %q disagrees with space %s=%s",
-							st.Name, v, desc, d.Name, val)
-					}
-				}
+// TestBuiltinSpaceLabels pins the built-in Space declarations to the paper's
+// flat config numbering — the numbering each study's cfgOf decodes when it
+// runs configuration v. The literals are the labels the studies' bespoke
+// formatters printed before labels came from the Space alone, for the first,
+// one interior, and the last configuration; they are compared as name=value
+// token sets because a label lists the axes in Space order (slate-cholesky
+// used to print nb before la).
+func TestBuiltinSpaceLabels(t *testing.T) {
+	type want struct {
+		v     int
+		label string
+	}
+	cases := []struct {
+		scale string
+		study Study
+		size  int
+		want  []want
+	}{
+		{"quick", CapitalCholesky(QuickScale()), 15, []want{{0, "b=2 strat=1"}, {8, "b=16 strat=2"}, {14, "b=32 strat=3"}}},
+		{"quick", SlateCholesky(QuickScale()), 20, []want{{0, "nb=6 la=0"}, {11, "nb=48 la=1"}, {19, "nb=16 la=1"}}},
+		{"quick", CandmcQR(QuickScale()), 15, []want{{0, "b=1 grid=4x2"}, {8, "b=8 grid=8x1"}, {14, "b=16 grid=2x4"}}},
+		{"quick", SlateQR(QuickScale()), 63, []want{{0, "ib=1 nb=4 grid=4x2"}, {54, "ib=1 nb=24 grid=8x1"}, {62, "ib=4 nb=6 grid=8x1"}}},
+		{"default", CapitalCholesky(DefaultScale()), 15, []want{{0, "b=2 strat=1"}, {8, "b=16 strat=2"}, {14, "b=32 strat=3"}}},
+		{"default", SlateCholesky(DefaultScale()), 20, []want{{0, "nb=12 la=0"}, {11, "nb=40 la=1"}, {19, "nb=120 la=1"}}},
+		{"default", CandmcQR(DefaultScale()), 15, []want{{0, "b=2 grid=8x8"}, {8, "b=16 grid=16x4"}, {14, "b=32 grid=32x2"}}},
+		{"default", SlateQR(DefaultScale()), 63, []want{{0, "ib=2 nb=12 grid=16x2"}, {32, "ib=8 nb=30 grid=8x4"}, {62, "ib=8 nb=120 grid=4x8"}}},
+	}
+	tokens := func(label string) []string {
+		f := strings.Fields(label)
+		sort.Strings(f)
+		return f
+	}
+	for _, tc := range cases {
+		if tc.study.Size() != tc.size {
+			t.Errorf("%s %s: %d configurations, want %d", tc.scale, tc.study.Name, tc.study.Size(), tc.size)
+			continue
+		}
+		for _, w := range tc.want {
+			if got := tc.study.Label(w.v); !reflect.DeepEqual(tokens(got), tokens(w.label)) {
+				t.Errorf("%s %s config %d: label %q, want the tokens of %q",
+					tc.scale, tc.study.Name, w.v, got, w.label)
 			}
 		}
-	}
-}
-
-// containsParam reports whether the legacy "name=value" label includes the
-// given pair as a whole token.
-func containsParam(desc, name, val string) bool {
-	token := name + "=" + val
-	for _, part := range strings.Fields(desc) {
-		if part == token {
-			return true
-		}
-	}
-	return false
-}
-
-func TestLegacySpaceFallback(t *testing.T) {
-	st := Study{Name: "legacy", NumConfigs: 5}
-	if st.Size() != 5 {
-		t.Fatalf("Size = %d, want 5", st.Size())
-	}
-	if got := st.Label(3); got != "config=3" {
-		t.Errorf("legacy label = %q", got)
-	}
-	st.Describe = func(v int) string { return "custom" }
-	if got := st.Label(3); got != "custom" {
-		t.Errorf("Describe override ignored: %q", got)
-	}
-	// The wrapped space still supports strategies.
-	plan := Exhaustive{}.Plan(st.space(), 0.5)
-	round, ok := plan.Next(nil)
-	if !ok || !reflect.DeepEqual(round.Configs, []int{0, 1, 2, 3, 4}) {
-		t.Errorf("exhaustive plan over legacy space = %v", round.Configs)
 	}
 }

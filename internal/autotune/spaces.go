@@ -1,8 +1,6 @@
 package autotune
 
 import (
-	"fmt"
-
 	"critter/internal/candmc"
 	"critter/internal/capital"
 	"critter/internal/critter"
@@ -50,48 +48,6 @@ func DefaultScale() Scale {
 	}
 }
 
-// Resolver resolves study and scale names through a workload registry.
-// internal/workload installs one at init (it imports this package, so the
-// registry cannot live here); ParseStudy and ParseScale are thin wrappers
-// over it, preserved for pre-registry call sites.
-type Resolver interface {
-	// ResolveStudy builds the named workload's study at the given scale.
-	ResolveStudy(name string, s Scale) (Study, error)
-	// ResolveScale resolves a named scale preset.
-	ResolveScale(name string) (Scale, error)
-}
-
-// resolver is the installed workload registry adapter. Installation
-// happens in package init (importing critter/internal/workload, the
-// critter facade, or anything built on them), strictly before any parse
-// call, so no synchronization is needed.
-var resolver Resolver
-
-// SetResolver installs the workload registry adapter ParseStudy and
-// ParseScale delegate to. Called by internal/workload's init.
-func SetResolver(r Resolver) { resolver = r }
-
-// ParseStudy resolves a workload name at the given scale through the
-// registered workload registry. It is a thin compatibility wrapper over
-// the registry in critter/internal/workload; new code should resolve
-// workloads there (or through the critter facade) directly.
-func ParseStudy(name string, s Scale) (Study, error) {
-	if resolver == nil {
-		return Study{}, fmt.Errorf("autotune: no workload registry installed (import critter/internal/workload)")
-	}
-	return resolver.ResolveStudy(name, s)
-}
-
-// ParseScale resolves a scale-preset name through the registered workload
-// registry; the registry's error enumerates the declared preset names. A
-// thin compatibility wrapper, like ParseStudy.
-func ParseScale(name string) (Scale, error) {
-	if resolver == nil {
-		return Scale{}, fmt.Errorf("autotune: no workload registry installed (import critter/internal/workload)")
-	}
-	return resolver.ResolveScale(name)
-}
-
 // QuickScale is a miniature space for tests: 8 ranks, tiny matrices.
 func QuickScale() Scale {
 	return Scale{
@@ -134,7 +90,6 @@ func CapitalCholesky(s Scale) Study {
 	return Study{
 		Name:       "capital-cholesky",
 		Space:      NewSpace(IntsDim("b", bs...), IntsDim("strat", 1, 2, 3)),
-		NumConfigs: 15,
 		WorldSize:  world,
 		ResetStats: false,
 		Policies: []critter.Policy{
@@ -149,10 +104,6 @@ func CapitalCholesky(s Scale) Study {
 			g := grid.New3D(cc, s.CapitalC)
 			ch := capital.New(p, g, cfg)
 			ch.Run()
-		},
-		Describe: func(v int) string {
-			cfg := cfgOf(v)
-			return fmt.Sprintf("b=%d strat=%d", cfg.B, cfg.Strategy)
 		},
 	}
 }
@@ -174,7 +125,6 @@ func SlateCholesky(s Scale) Study {
 	return Study{
 		Name:       "slate-cholesky",
 		Space:      NewSpace(IntsDim("la", 0, 1), IntsDim("nb", s.SlateCholNB...)),
-		NumConfigs: 2 * len(s.SlateCholNB),
 		WorldSize:  world,
 		ResetStats: true,
 		Policies: []critter.Policy{
@@ -190,10 +140,6 @@ func SlateCholesky(s Scale) Study {
 			a.FillSymmetricPD()
 			slate.Cholesky(p, a, cfg)
 			a.Release()
-		},
-		Describe: func(v int) string {
-			cfg := cfgOf(v)
-			return fmt.Sprintf("nb=%d la=%d", cfg.NB, cfg.Lookahead)
 		},
 	}
 }
@@ -219,7 +165,6 @@ func CandmcQR(s Scale) Study {
 	return Study{
 		Name:       "candmc-qr",
 		Space:      NewSpace(IntsDim("b", bs...), GridsDim("grid", s.CandmcGrids[:]...)),
-		NumConfigs: 15,
 		WorldSize:  world,
 		ResetStats: true,
 		Policies: []critter.Policy{
@@ -234,10 +179,6 @@ func CandmcQR(s Scale) Study {
 			a := candmc.NewMatrix(g, cfg)
 			a.FillGeneral(7)
 			candmc.QR(p, a, cfg)
-		},
-		Describe: func(v int) string {
-			cfg := cfgOf(v)
-			return fmt.Sprintf("b=%d grid=%dx%d", cfg.B, cfg.PR, cfg.PC)
 		},
 	}
 }
@@ -265,7 +206,6 @@ func SlateQR(s Scale) Study {
 		Name: "slate-qr",
 		Space: NewSpace(IntsDim("ib", ibs...), IntsDim("nb", s.SlateQRNB...),
 			GridsDim("grid", s.SlateQRGrids[:]...)),
-		NumConfigs: 63,
 		WorldSize:  world,
 		ResetStats: true,
 		Policies: []critter.Policy{
@@ -281,10 +221,6 @@ func SlateQR(s Scale) Study {
 			a.FillGeneral(3)
 			slate.QR(p, a, cfg)
 			a.Release()
-		},
-		Describe: func(v int) string {
-			cfg := cfgOf(v)
-			return fmt.Sprintf("ib=%d nb=%d grid=%dx%d", cfg.IB, cfg.NB, cfg.PR, cfg.PC)
 		},
 	}
 }

@@ -83,8 +83,7 @@ func (p *oneShot) Next(prev []ConfigResult) (Round, bool) {
 }
 
 // Exhaustive evaluates every configuration in index order at the sweep's
-// tolerance — the paper's protocol, and the default strategy. Results are
-// bit-identical to the pre-Tuner Experiment path.
+// tolerance — the paper's protocol, and the default strategy.
 type Exhaustive struct{}
 
 // Name implements Strategy.

@@ -13,8 +13,7 @@
 // parallel: each (policy, eps) sweep runs in its own simulated world seeded
 // identically, so the Tuner dispatches sweeps to a bounded worker pool (see
 // executor.go) and produces results that are bit-identical at any worker
-// count. Experiment and ExperimentSuite are compatibility wrappers over the
-// Tuner, preserved from the exhaustive-only API.
+// count.
 package autotune
 
 import (
@@ -34,12 +33,9 @@ type Study struct {
 	// Name identifies the study (e.g. "capital-cholesky").
 	Name string
 	// Space declares the configuration space as named dimensions, letting
-	// strategies decode indices and move along axes. When empty, the
-	// legacy NumConfigs/Describe pair below defines the space.
+	// strategies decode indices and move along axes. A study with an empty
+	// space cannot be run (see Validate).
 	Space Space
-	// NumConfigs is the size of the search space. Legacy: superseded by
-	// Space; consulted only when Space is empty.
-	NumConfigs int
 	// WorldSize is the rank count the study's grids require.
 	WorldSize int
 	// ResetStats requests discarding kernel models between configurations,
@@ -49,38 +45,29 @@ type Study struct {
 	ResetStats bool
 	// Run executes configuration v on the calling rank.
 	Run func(p *critter.Profiler, cc *critter.Comm, v int)
-	// Describe labels configuration v for reports. Legacy: when nil, the
-	// Space's "name=value" join is used instead.
-	Describe func(v int) string
 	// Policies lists the selective-execution policies the paper evaluates
 	// for this study (eager only for the bulk-synchronous CAPITAL).
 	Policies []critter.Policy
 }
 
-// space resolves the study's configuration space, wrapping the legacy
-// NumConfigs count when no dimensions are declared.
-func (s Study) space() Space {
-	if s.Space.Size() > 0 {
-		return s.Space
-	}
-	return legacySpace(s.NumConfigs)
-}
-
 // Size returns the number of configurations in the study's space.
-func (s Study) Size() int {
-	if n := s.Space.Size(); n > 0 {
-		return n
-	}
-	return s.NumConfigs
-}
+func (s Study) Size() int { return s.Space.Size() }
 
-// Label renders configuration v for reports: the study's own Describe
-// formatter when set, else the space's "name=value" join.
-func (s Study) Label(v int) string {
-	if s.Describe != nil {
-		return s.Describe(v)
+// Label renders configuration v for reports: the space's "name=value" join.
+func (s Study) Label(v int) string { return s.Space.Describe(v) }
+
+// Validate rejects a study no sweep can run. Without configurations a sweep
+// would plan zero rounds and report Selected: 0, Optimal: 0 as if it had
+// searched, so every entry point (Tuner.Run/Stream, RunTuners, FullOnlyCtx,
+// workload registration) fails such a study instead.
+func (s Study) Validate() error {
+	switch {
+	case s.Size() == 0:
+		return fmt.Errorf("study %q has no configurations (empty Space)", s.Name)
+	case s.Run == nil:
+		return fmt.Errorf("study %q has no Run function", s.Name)
 	}
-	return s.space().Describe(v)
+	return nil
 }
 
 // ConfigResult captures one configuration's reference and selective runs.
@@ -115,11 +102,12 @@ type SweepResult struct {
 	Skipped        int64   `json:"Skipped"`
 
 	// KernelsMemoized counts the skips whose predictability decision was
-	// replayed from the worker's cross-config memoization layer
-	// (critter.KernelMemo) instead of re-derived. Excluded from JSON:
-	// memoization is observational and its hit counts depend on sweep
-	// scheduling, so envelopes stay byte-identical with or without it.
-	// Surfaced operationally as the kernels_memoized_total metric.
+	// replayed from a profiler's per-kernel decision cache instead of
+	// re-derived from the model (critter.Report.Memoized, summed over the
+	// sweep); the count is the same with or without the worker's
+	// critter.KernelMemo. Excluded from JSON: it is observational, so
+	// envelopes stay byte-identical. Surfaced operationally as the
+	// kernels_memoized_total metric.
 	KernelsMemoized int64 `json:"-"`
 
 	// Profile is what the sweep's selective executions learned, merged
@@ -131,27 +119,6 @@ type SweepResult struct {
 	Profile *critter.Profile `json:"-"`
 }
 
-// Experiment drives exhaustive sweeps of one study over policies and
-// tolerances. It is a compatibility wrapper over Tuner with the Exhaustive
-// strategy and no cancellation; new code should use Tuner directly.
-type Experiment struct {
-	Study    Study
-	EpsList  []float64
-	Machine  sim.Machine
-	Seed     uint64
-	Policies []critter.Policy // overrides Study.Policies when non-nil
-
-	// Workers bounds how many sweeps are simulated concurrently. Zero (or
-	// negative) means runtime.GOMAXPROCS(0); 1 recovers the sequential
-	// path. Every worker count yields bit-identical results, because each
-	// sweep runs in its own world seeded with Seed.
-	Workers int
-	// Progress, when non-nil, is invoked after each sweep completes.
-	// Invocations are serialized; the callback must not call back into
-	// the experiment.
-	Progress func(Progress)
-}
-
 // Result holds every sweep of a tuning run, indexed [policy][eps].
 type Result struct {
 	Study    string
@@ -159,28 +126,6 @@ type Result struct {
 	Policies []critter.Policy
 	EpsList  []float64
 	Sweeps   [][]SweepResult
-}
-
-// Tuner converts the experiment to the equivalent exhaustive Tuner.
-func (e Experiment) Tuner() Tuner {
-	return Tuner{
-		Study:    e.Study,
-		EpsList:  e.EpsList,
-		Machine:  e.Machine,
-		Seed:     e.Seed,
-		Policies: e.Policies,
-		Strategy: Exhaustive{},
-		Workers:  e.Workers,
-		Progress: e.Progress,
-	}
-}
-
-// Run executes every (policy, eps) sweep of the experiment through the
-// Tuner. The result grid is always returned — cells of failed sweeps are
-// zeroed — alongside the joined per-sweep errors (nil when every sweep
-// succeeded), matching ExperimentSuite's partial-result semantics.
-func (e Experiment) Run() (*Result, error) {
-	return e.Tuner().Run(context.Background())
 }
 
 // FullOnly runs every configuration once with full execution, returning the
@@ -196,13 +141,16 @@ func FullOnly(study Study, machine sim.Machine, seed uint64) ([]critter.Report, 
 // configuration runs in its own world seeded with seed, so results are
 // bit-identical at any worker count. The report slice is always returned
 // with failed or skipped configurations zeroed, alongside the joined
-// errors.
+// errors; a study that fails Validate runs nothing.
 func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uint64, workers int) ([]critter.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := study.Size()
 	reports := make([]critter.Report, n)
+	if err := study.Validate(); err != nil {
+		return reports, fmt.Errorf("autotune: %w", err)
+	}
 	errs := make([]error, n)
 	var scratches sync.Map // worker -> *scratch
 	forEachBounded(n, workers, func(v, worker int) {

@@ -1,7 +1,7 @@
 package autotune
 
 // Model-guided search: the Surrogate strategy fits a deterministic
-// ridge-regression surrogate (internal/surrogate) on the Estimator's
+// ridge-regression surrogate (internal/surrogate) on the profiler's
 // predicted times — cheap, low-fidelity observations the sweep produces
 // anyway — and proposes the next round of configurations by expected
 // improvement. This is the repo's rung past exhaustive/random/halving, in
@@ -26,7 +26,7 @@ import (
 // exhaustive sweep in model-guided order.
 //
 // All evaluations run at the sweep's target tolerance — the surrogate's
-// cheap fidelity is the Estimator's predicted time, not a loosened
+// cheap fidelity is the profiler's predicted time, not a loosened
 // tolerance — so the observations it learns from are exactly the
 // Selective.Predicted values the sweep reports.
 type Surrogate struct {

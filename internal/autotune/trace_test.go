@@ -13,13 +13,13 @@ import (
 
 	. "critter/internal/autotune"
 	"critter/internal/obs"
-	_ "critter/internal/workload" // installs the registry resolver
+	"critter/internal/workload"
 )
 
 // traceTuner builds the fixed small grid both runs share.
 func traceTuner(t *testing.T) Tuner {
 	t.Helper()
-	study, err := ParseStudy("candmc", QuickScale())
+	study, err := workload.ResolveStudy(nil, "candmc", "quick")
 	if err != nil {
 		t.Fatal(err)
 	}

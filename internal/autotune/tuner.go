@@ -3,9 +3,7 @@ package autotune
 // The Tuner is the central control flow of the autotuning harness: it
 // composes a Study (the space and its runner), a Strategy (which
 // configurations to evaluate, at what tolerance), and the concurrent sweep
-// executor, under caller-controlled cancellation. Experiment and
-// ExperimentSuite (study.go, executor.go) are thin compatibility wrappers
-// over it.
+// executor, under caller-controlled cancellation.
 
 import (
 	"context"
@@ -43,15 +41,10 @@ type Tuner struct {
 	// warm-started. Takes precedence over a WarmStart strategy's prior.
 	Prior *critter.Profile
 	// Extrapolate enables family-model extrapolation (Section VIII's
-	// line-fitting extension) in the default estimator of every sweep's
-	// selective profiler. This is how warm starts transfer across scales:
-	// a prior's fitted families predict kernel sizes never seen before.
+	// line-fitting extension) in every sweep's selective profiler. This is
+	// how warm starts transfer across scales: a prior's fitted families
+	// predict kernel sizes never seen before.
 	Extrapolate bool
-	// NewEstimator, when non-nil, supplies the prediction model for each
-	// sweep's selective profiler, overriding the default CI-mean estimator
-	// (and Extrapolate). Called once per rank per sweep; every call must
-	// return a fresh, independent instance.
-	NewEstimator func() critter.Estimator
 
 	// Workers bounds how many sweeps are simulated concurrently. Zero (or
 	// negative) means runtime.GOMAXPROCS(0); 1 recovers the sequential
@@ -120,7 +113,6 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 				seed:        t.Seed,
 				prior:       t.Prior,
 				extrapolate: t.Extrapolate,
-				newEst:      t.NewEstimator,
 				tracer:      t.Tracer,
 				out:         &res.Sweeps[pi][ei],
 				sink:        sink,
@@ -141,7 +133,8 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 // world at the next configuration boundary and pending sweeps are skipped.
 // The result grid is always returned — failed or cancelled cells are
 // zeroed — alongside the joined per-sweep errors; on cancellation the error
-// satisfies errors.Is(err, ctx.Err()).
+// satisfies errors.Is(err, ctx.Err()). A study that fails Study.Validate
+// fails every sweep.
 func (t Tuner) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,9 +248,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		Prior:       prior,
 		Memo:        j.memo,
 	}
-	if j.newEst != nil {
-		opts.Estimator = j.newEst()
-	}
 	ref, refComm := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0, Memo: j.memo})
 	tuned, tunedComm := critter.New(c, opts)
 	// Trace from rank 0 only, mirroring the profiler's convention: one
@@ -268,7 +258,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	}
 	sr := SweepResult{Policy: pol, Eps: eps}
 	var execErrs, compErrs []float64
-	plan := strat.Plan(study.space(), eps)
+	plan := strat.Plan(study.Space, eps)
 	// ProfileAware plans receive the live merged profile after every round.
 	// The type assertion resolves identically on every rank (all ranks hold
 	// the same plan type), so the collective GlobalProfile below is entered
@@ -384,7 +374,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	// their full union.
 	sr.Profile = tuned.GlobalProfileRoot(0)
 	// The sweep is done with its profilers: donate their dense arenas and
-	// estimator slabs back to the worker's memo for the next sweep.
+	// accumulator slabs back to the worker's memo for the next sweep.
 	ref.Retire()
 	tuned.Retire()
 	return sr

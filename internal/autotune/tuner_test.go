@@ -12,35 +12,6 @@ import (
 	"critter/internal/critter"
 )
 
-// TestTunerExhaustiveMatchesExperiment is the redesign's core contract: the
-// Tuner with the Exhaustive strategy reproduces the legacy Experiment
-// bit-for-bit, at any worker count.
-func TestTunerExhaustiveMatchesExperiment(t *testing.T) {
-	exp := Experiment{
-		Study:    CapitalCholesky(QuickScale()),
-		EpsList:  []float64{0.5, 0.125},
-		Machine:  quickMachine(),
-		Seed:     7,
-		Policies: []critter.Policy{critter.Conditional, critter.Online},
-		Workers:  1,
-	}
-	legacy, err := exp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		tn := exp.Tuner()
-		tn.Workers = workers
-		got, err := tn.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, got) {
-			t.Errorf("Tuner (Workers: %d) differs from Experiment", workers)
-		}
-	}
-}
-
 // TestTunerNilStrategyAndContext checks the defaults: nil Strategy means
 // Exhaustive and a nil context means Background.
 func TestTunerNilStrategyAndContext(t *testing.T) {
@@ -200,7 +171,7 @@ func TestTunerCancelMidGrid(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	st := tinyStudy("cancel-study")
-	st.NumConfigs = 500
+	st.Space = flatSpace(500)
 	run := st.Run
 	st.Run = func(p *critter.Profiler, cc *critter.Comm, v int) {
 		once.Do(cancel)
@@ -339,13 +310,13 @@ func TestExperimentPartialResults(t *testing.T) {
 		}
 		run(p, cc, v)
 	}
-	res, err := Experiment{
+	res, err := Tuner{
 		Study:    st,
 		EpsList:  []float64{0.25},
 		Machine:  quickMachine(),
 		Seed:     2,
 		Policies: []critter.Policy{critter.Conditional, critter.Local},
-	}.Run()
+	}.Run(context.Background())
 	if err == nil {
 		t.Fatal("failing sweep reported no error")
 	}

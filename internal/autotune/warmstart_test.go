@@ -8,10 +8,11 @@ import (
 	"critter/internal/critter"
 )
 
-// TestTunerDefaultEstimatorBitIdentical is the redesign's acceptance
-// contract: with the default estimator and no prior, Tuner.Run is
-// bit-identical to an explicitly constructed CI-mean estimator (the
-// refactored pre-redesign path).
+// TestTunerDefaultEstimatorBitIdentical pins the model's two query paths
+// to each other: a twin with Extrapolate off and an empty (non-nil) prior
+// answers every estimate and predictability query through the keyed,
+// prior-merging path instead of the dense id-indexed one, and must produce
+// a bit-identical result grid, exported profiles included.
 func TestTunerDefaultEstimatorBitIdentical(t *testing.T) {
 	base := Tuner{
 		Study:    CandmcQR(QuickScale()),
@@ -25,14 +26,15 @@ func TestTunerDefaultEstimatorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expl := base
-	expl.NewEstimator = func() critter.Estimator { return critter.NewCIMeanEstimator(false) }
-	got, err := expl.Run(context.Background())
+	twin := base
+	twin.Extrapolate = false
+	twin.Prior = &critter.Profile{SchemaVersion: critter.ProfileSchemaVersion}
+	got, err := twin.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(def, got) {
-		t.Error("explicit CI-mean estimator differs from the default path")
+		t.Error("keyed prior-merging path differs from the default id-indexed path")
 	}
 }
 

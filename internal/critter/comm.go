@@ -82,7 +82,7 @@ func (c *Comm) collective(op string, words int, bspWords float64, run func() flo
 		dt = run()
 		p.record(key, id, ks, 0, dt)
 	} else {
-		dt = p.estimate(key, id)
+		dt = p.est.estimate(id, key)
 		p.skipped++
 	}
 	p.accountComm(id, dt, bspWords)
@@ -221,7 +221,7 @@ func (c *Comm) Send(dest, tag int, buf []float64) {
 		dt = c.user.Send(dest, tag, buf)
 		p.record(key, id, ks, 0, dt)
 	} else {
-		dt = p.estimate(key, id)
+		dt = p.est.estimate(id, key)
 		p.skipped++
 	}
 	p.accountComm(id, dt, float64(len(buf)))
@@ -257,7 +257,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 		}
 		p.record(key, id, ks, 0, dt)
 	} else {
-		dt = p.estimate(key, id)
+		dt = p.est.estimate(id, key)
 		p.skipped++
 	}
 	p.accountComm(id, dt, float64(len(buf)))
@@ -300,7 +300,7 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 		dt = c.user.Send(dest, sendTag, sendBuf)
 		p.record(sendKey, sendID, sks, 0, dt)
 	} else {
-		dt = p.estimate(sendKey, sendID)
+		dt = p.est.estimate(sendID, sendKey)
 		p.skipped++
 	}
 	p.accountComm(sendID, dt, float64(len(sendBuf)))
@@ -308,7 +308,7 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 		dt = c.user.Recv(src, recvTag, recvBuf)
 		p.record(recvKey, recvID, rks, 0, dt)
 	} else {
-		dt = p.estimate(recvKey, recvID)
+		dt = p.est.estimate(recvID, recvKey)
 		p.skipped++
 	}
 	p.accountComm(recvID, dt, float64(len(recvBuf)))
@@ -350,7 +350,7 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 		p.record(key, id, ks, 0, dt)
 	} else {
 		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
-		dt = p.estimate(key, id)
+		dt = p.est.estimate(id, key)
 		p.skipped++
 	}
 	p.accountComm(id, dt, float64(len(buf)))

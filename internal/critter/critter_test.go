@@ -109,6 +109,26 @@ func TestSelectiveComputeSkipsAndPredicts(t *testing.T) {
 	}
 }
 
+// TestMemoizedCountsDecisionCacheWithoutMemo pins what Report.Memoized
+// measures: replays of the profiler's own per-id decision cache (predCache),
+// which needs no KernelMemo. A converged kernel re-encountered under a
+// conditional (constant) frequency credit is answered from the cache on
+// every skip after the first.
+func TestMemoizedCountsDecisionCacheWithoutMemo(t *testing.T) {
+	rep := runProfiled(t, 1, 0.02, Options{Policy: Conditional, Eps: 0.1}, func(p *Profiler, cc *Comm) {
+		for i := 0; i < 200; i++ {
+			p.Kernel("gemm", 32, 32, 32, 0, 2*32*32*32, func() {})
+		}
+	})
+	if rep.Skipped < 2 {
+		t.Fatalf("kernel loop skipped %d times, want a converged loop", rep.Skipped)
+	}
+	if rep.Memoized == 0 || rep.Memoized > rep.Skipped {
+		t.Errorf("Memoized = %d with Options.Memo == nil and %d skips, want 0 < Memoized <= Skipped",
+			rep.Memoized, rep.Skipped)
+	}
+}
+
 func TestPredictionAccuracyImprovesWithTighterEps(t *testing.T) {
 	// Run the same workload fully, then selectively at two tolerances;
 	// the tighter tolerance must not be less accurate (statistically this

@@ -17,12 +17,6 @@ func (p *Profiler) aggregateEager(c *Comm) {
 	if !c.chOK || c.user.Size() <= 1 {
 		return
 	}
-	// Cross-rank pooling needs direct access to the Welford accumulators;
-	// estimators that do not carry them opt out of eager propagation.
-	wc, ok := p.est.(WelfordCarrier)
-	if !ok {
-		return
-	}
 	ch := c.ch
 	nominate := make(map[Key]stats.Welford)
 	for id := range p.k {
@@ -31,7 +25,7 @@ func (p *Profiler) aggregateEager(c *Comm) {
 			continue
 		}
 		key := p.keyAt(uint32(id))
-		w, has := wc.ExportWelford(key)
+		w, has := p.est.exportWelford(key)
 		if !has || w.Count() < 2 {
 			continue
 		}
@@ -53,14 +47,10 @@ func (p *Profiler) aggregateEager(c *Comm) {
 	for key, w := range merged {
 		id := p.intern(key)
 		ks := p.stats(id)
-		wc.ImportWelford(key, w)
+		p.est.importWelford(id, key, w)
 		// The pooled model replaced the live one; cached predictability
-		// bounds and the dense id→accumulator association no longer
-		// describe it.
+		// bounds no longer describe it.
 		p.pred[id] = predCache{}
-		if p.fast != nil {
-			p.fast.invalidateID(id)
-		}
 		if cov, ok := channel.Combine(ks.coverage, ch); ok {
 			ks.coverage = cov
 		}

@@ -20,7 +20,7 @@ import (
 // skipped immediately, its duration estimated from the fit — bypassing the
 // execute-at-least-once rule that otherwise forces a sample of every
 // distinct signature per configuration. The family models are owned by the
-// built-in CI-mean estimator (estimator.go) and serialize into Profiles
+// CI-mean prediction model (estimator.go) and serialize into Profiles
 // (profile.go), which is how warm-started runs transfer across scales: a
 // fitted family predicts any flops count within its extrapolation range,
 // even for signatures the prior run never saw.
@@ -133,13 +133,10 @@ func (fm *familyModel) predict(flops, eps float64) (float64, bool) {
 }
 
 // FamilyPoints returns how many (flops, mean) points the named kernel
-// family has accumulated (for tests and diagnostics). Zero when the active
-// estimator does not extrapolate.
+// family has accumulated (for tests and diagnostics).
 func (p *Profiler) FamilyPoints(name string) int {
-	if e, ok := p.est.(*ciMean); ok {
-		if fm, ok := e.families[name]; ok {
-			return len(fm.points)
-		}
+	if fm, ok := p.est.families[name]; ok {
+		return len(fm.points)
 	}
 	return 0
 }

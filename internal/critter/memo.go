@@ -5,15 +5,14 @@ package critter
 // the selective one, every (policy, eps) sweep after the first, warm
 // service jobs after cold ones — and each evaluation used to rebuild the
 // exact same config-invariant state from scratch: the kernel-signature
-// interner, every rank's Key→id cache, and the estimator's accumulator
-// slabs. KernelMemo is the sweep executor's per-worker cache of that
-// state. It is strictly observational: every byte of every result is
-// identical with a memo attached or not, because the memo only changes
-// *how fast* config-invariant facts are recomputed, never their values
-// (ids never leave the process, and all result-bearing artifacts are
-// rekeyed by Key).
+// interner, every rank's Key→id cache, and the prediction model's
+// accumulator slabs. KernelMemo is the sweep executor's per-worker cache of
+// that state. It is strictly observational: every byte of every result is
+// identical with a memo attached or not, because the memo only changes *how
+// fast* config-invariant facts are recomputed, never their values (ids never
+// leave the process, and all result-bearing artifacts are rekeyed by Key).
 //
-// Three things are memoized:
+// Two things are memoized:
 //
 //   - Per-configuration kernel tables. The first profiler to finish a
 //     configuration publishes its interner (Profiler.Report), keyed by the
@@ -28,17 +27,13 @@ package critter
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its dense bookkeeping arrays, private
-//     intern cache, and — for the built-in estimator — its Welford
-//     accumulator slabs back to the memo; the next profiler built with
-//     the same memo adopts them instead of growing fresh ones.
+//     intern cache, and its model's Welford accumulator slabs back to
+//     the memo; the next profiler built with the same memo adopts them
+//     instead of growing fresh ones.
 //
-//   - Propagation-point predictability outcomes, cached per kernel id
-//     inside each profiler (see predCache in profiler.go) and surfaced
-//     through the memo's counters. The CI tolerance test is pure in
-//     (model state, eps, path frequency) and monotone in the frequency
-//     credit, so a converged signature's outcome is replayed without
-//     re-deriving the confidence interval. Replayed skip decisions are
-//     counted as "memoized kernels" in Report and the sweep stats.
+// The "memoized kernels" of Report and the sweep stats are not this cache:
+// they count replays of each profiler's own per-id decision cache (predCache
+// in profiler.go), which works with or without a KernelMemo.
 //
 // A KernelMemo is safe for concurrent use by every rank of the worlds it
 // is threaded through. The sweep executor gives each worker goroutine its
@@ -80,7 +75,7 @@ type memoConfig struct {
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
 // dense per-id tables (zeroed, length 0, capacity kept), the private
-// intern cache (cleared), and the built-in estimator's accumulator slabs.
+// intern cache (cleared), and the prediction model's accumulator slabs.
 type memoArena struct {
 	idOf           map[Key]uint32
 	keys           []Key

@@ -32,12 +32,13 @@ func (p *Profiler) LocalProfile() []KernelProfile {
 			continue
 		}
 		key := p.keyAt(uint32(id))
+		m := p.est.model(key)
 		kp := KernelProfile{
 			Key:       key,
 			PathTime:  p.pathKernelTime[id],
 			PathCount: p.path.Kernels.get(uint32(id)),
-			Mean:      p.est.Estimate(key),
-			Samples:   p.est.Samples(key),
+			Mean:      m.Mean(),
+			Samples:   m.Count(),
 		}
 		out = append(out, kp)
 	}

@@ -5,10 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
-	"critter/internal/mpi"
 	"critter/internal/stats"
 )
 
@@ -205,45 +203,6 @@ func TestProfileMerge(t *testing.T) {
 	}
 }
 
-// TestEstimatorDefaultMatchesExplicit is the redesign's core contract at
-// the profiler level: a nil Options.Estimator and an explicit
-// NewCIMeanEstimator produce bit-identical reports. Each rank constructs
-// its own estimator instance (they are not shareable across ranks).
-func TestEstimatorDefaultMatchesExplicit(t *testing.T) {
-	run := func(explicit bool) Report {
-		w := mpi.NewWorld(4, testMachine(0.05), 7)
-		var rep Report
-		var mu sync.Mutex
-		if err := w.Run(func(c *mpi.Comm) {
-			opts := Options{Policy: Online, Eps: 0.125}
-			if explicit {
-				opts.Estimator = NewCIMeanEstimator(false)
-			}
-			p, cc := New(c, opts)
-			buf := make([]float64, 32)
-			for i := 0; i < 40; i++ {
-				p.Kernel("gemm", 8, 8, 8, 0, 1e4, func() {})
-				p.Kernel("gemm", 16, 16, 16, 0, 8e4, func() {})
-				cc.Bcast(0, buf)
-			}
-			r := p.Report()
-			if c.Rank() == 0 {
-				mu.Lock()
-				rep = r
-				mu.Unlock()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	def := run(false)
-	expl := run(true)
-	if def != expl {
-		t.Errorf("default estimator differs from explicit CI-mean:\n%+v\n%+v", def, expl)
-	}
-}
-
 // TestProfilerExportAndPrior checks the warm-start loop at the profiler
 // level: an exported profile seeded as a prior makes kernels skip after a
 // single validation execution, and exports exclude prior samples so
@@ -363,45 +322,55 @@ func TestGlobalProfilePoolsRanks(t *testing.T) {
 	}
 }
 
-// TestWelfordCarrierExcludesPrior pins the eager-pooling contract: the
-// nomination export carries only rank-local samples (every rank shares the
-// same prior, which must enter a pooled model exactly once, through the
-// layered query path), and an imported pooled model neither destroys the
-// prior layer nor leaks into ExportProfile unmarked.
-func TestWelfordCarrierExcludesPrior(t *testing.T) {
+// TestPooledModelExcludesPrior pins the eager-pooling contract of the
+// prediction model: the nomination export carries only rank-local samples
+// (every rank shares the same prior, which must enter a pooled model exactly
+// once, through the layered query path), and an imported pooled model
+// neither destroys the prior layer nor leaks into profile exports unmarked.
+func TestPooledModelExcludesPrior(t *testing.T) {
 	key := CompKey("gemm", 8, 8, 8, 0)
+	const id = 0
 	prior := &Profile{
 		SchemaVersion: ProfileSchemaVersion,
 		Kernels:       map[Key]KernelModel{key: {Count: 10, Mean: 2e-6, M2: 1e-13}},
 	}
-	est := NewCIMeanEstimator(false)
-	est.(ProfileCarrier).LoadPrior(prior)
-	wc := est.(WelfordCarrier)
-	if _, ok := wc.ExportWelford(key); ok {
+	est := newCIMean(false)
+	est.loadPrior(prior)
+	samples := func() int64 {
+		m := est.model(key)
+		return m.Count()
+	}
+	if _, ok := est.exportWelford(key); ok {
 		t.Error("nomination export leaked prior samples before any local observation")
 	}
-	est.Observe(key, 1e4, 2.1e-6, 0.1)
-	w, ok := wc.ExportWelford(key)
+	est.observe(id, key, 1e4, 2.1e-6, 0.1)
+	w, ok := est.exportWelford(key)
 	if !ok || w.Count() != 1 {
 		t.Errorf("nomination export has %d samples, want the 1 local one", w.Count())
 	}
-	if est.Samples(key) != 11 {
-		t.Errorf("layered query sees %d samples, want prior 10 + 1 local", est.Samples(key))
+	if samples() != 11 {
+		t.Errorf("layered query sees %d samples, want prior 10 + 1 local", samples())
 	}
 	// Import a pooled model (as if merged across 4 ranks): the prior layer
-	// must survive underneath and the export must flag the pooled entry.
+	// must survive underneath, the dense id view must follow the new
+	// accumulator, and the export must flag the pooled entry.
 	var pooledW stats.Welford
 	for _, x := range []float64{2e-6, 2.1e-6, 2.2e-6, 1.9e-6} {
 		pooledW.Add(x)
 	}
-	wc.ImportWelford(key, pooledW)
-	if est.Samples(key) != 10+4 {
-		t.Errorf("after import: %d samples, want prior 10 + pooled 4", est.Samples(key))
+	est.importWelford(id, key, pooledW)
+	if samples() != 10+4 {
+		t.Errorf("after import: %d samples, want prior 10 + pooled 4", samples())
 	}
-	exp := est.(ProfileCarrier).ExportProfile()
+	est.observe(id, key, 1e4, 2e-6, 0.1)
+	if samples() != 10+5 {
+		t.Errorf("observation after import went to a stale accumulator: %d samples, want 15", samples())
+	}
+	exp := &Profile{}
+	est.archiveInto(exp)
 	km := exp.Kernels[key]
-	if km.Count != 4 || !km.Pooled {
-		t.Errorf("export after import: count %d pooled %v, want 4 samples marked pooled", km.Count, km.Pooled)
+	if km.Count != 5 || !km.Pooled {
+		t.Errorf("export after import: count %d pooled %v, want 5 samples marked pooled", km.Count, km.Pooled)
 	}
 }
 

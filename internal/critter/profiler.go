@@ -6,13 +6,12 @@ import (
 	"critter/internal/channel"
 	"critter/internal/mpi"
 	"critter/internal/obs"
-	"critter/internal/stats"
 )
 
 // kernelStats is the per-rank execution bookkeeping of one kernel signature
 // (an entry of the set K in the paper's notation), stored densely by
 // KernelTable id. The signature's duration model itself lives in the rank's
-// Estimator.
+// prediction model (estimator.go).
 type kernelStats struct {
 	// seen marks the slot as belonging to a signature this rank has
 	// actually profiled (dense storage leaves holes for ids interned only
@@ -45,18 +44,10 @@ type Options struct {
 	// (the line-fitting extension of Section VIII): a computation kernel
 	// with an unseen or under-sampled signature may be skipped using a
 	// least-squares fit over its routine family's (flops, mean) points.
-	// Consulted only by the default estimator; a custom Estimator makes
-	// its own extrapolation choice.
 	Extrapolate bool
-	// Estimator selects the prediction model; nil means the paper's
-	// CI-mean estimator (NewCIMeanEstimator) with Extrapolate as
-	// configured, which reproduces the hardwired pre-Estimator path
-	// bit-for-bit. Each rank needs its own instance.
-	Estimator Estimator
-	// Prior warm-starts the estimator from a profile exported by an
-	// earlier run (Profiler.ExportProfile / GlobalProfile). Ignored when
-	// the estimator does not implement ProfileCarrier. The prior survives
-	// StartConfig resets: every configuration starts from it.
+	// Prior warm-starts the prediction model from a profile exported by an
+	// earlier run (Profiler.ExportProfile / GlobalProfile). The prior
+	// survives StartConfig resets: every configuration starts from it.
 	Prior *Profile
 	// Memo, when non-nil, attaches the sweep-scoped cross-config
 	// memoization cache (see KernelMemo): configurations started through
@@ -76,8 +67,8 @@ type Options struct {
 // shared by every rank of the world, so the per-invocation bookkeeping
 // (stats, path frequencies, local counts, path attribution) lives in flat
 // arrays instead of maps and pathsets propagate between ranks without
-// copying. Keys reappear only at the boundaries: the Estimator, profile
-// exports, and reports.
+// copying. Keys reappear only at the boundaries: the prediction model's cold
+// path, profile exports, and reports.
 type Profiler struct {
 	opts  Options
 	world *Comm
@@ -135,11 +126,8 @@ type Profiler struct {
 	flane mpi.FusedLane[intMsg]
 
 	// est is the rank's prediction model (estimator.go): kernel duration
-	// estimates, predictability decisions, and extrapolation. fast is its
-	// dense id-indexed view when the estimator offers one (the built-in
-	// ciMean does); nil otherwise.
-	est  Estimator
-	fast idEstimator
+	// estimates, predictability decisions, and extrapolation.
+	est *ciMean
 	// archive accumulates profile exports across StartConfig resets, so
 	// ExportProfile covers everything the run learned, not just the
 	// current configuration.
@@ -171,14 +159,14 @@ type Profiler struct {
 	skipped        int64
 	memoizedSkips  int64 // skips whose predictability decision was cache-served
 	// lastMemoized marks whether the most recent shouldExecute call
-	// resolved to a memo-served skip; traceRound consumes and clears it so
+	// resolved to a cache-served skip; traceRound consumes and clears it so
 	// round events can distinguish memoized skips. Trace-only state: it
 	// never feeds clocks, decisions, or reports.
 	lastMemoized bool
 }
 
 // predCache memoizes one kernel id's propagation-point predictability
-// outcomes. Estimator.Predictable is pure in (model state, eps, freq) and
+// outcomes. ciMean.predictable is pure in (model state, eps, freq) and
 // monotone nondecreasing in freq — a larger execution-count credit only
 // shrinks the scaled confidence interval — so a single observation in each
 // direction bounds the whole frequency axis: predictable at trueAt implies
@@ -204,9 +192,9 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		aggregates: make(map[uint64]channel.Channel),
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
-	// supply: the dense per-id tables, the private intern cache, and — once
-	// the estimator exists — its accumulator slabs.
-	var slabs [][]stats.Welford
+	// supply: the dense per-id tables, the private intern cache, and the
+	// model's accumulator slabs.
+	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
 		if a := p.memo.acquireArena(); a != nil {
 			p.idOf = a.idOf
@@ -216,28 +204,14 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 			p.pathKernelTime = a.pathKernelTime
 			p.pred = a.pred
 			p.path.Kernels = kernelCounts{vals: a.counts}
-			slabs = a.slabs
+			p.est.adoptSlabs(a.slabs)
 		}
 	}
 	if p.idOf == nil {
 		p.idOf = make(map[Key]uint32)
 	}
-	p.est = opts.Estimator
-	if p.est == nil {
-		p.est = NewCIMeanEstimator(opts.Extrapolate)
-	}
-	if slabs != nil {
-		if r, ok := p.est.(slabRecycler); ok {
-			r.adoptSlabs(slabs)
-		}
-	}
-	if f, ok := p.est.(idEstimator); ok {
-		p.fast = f
-	}
 	if opts.Prior != nil {
-		if pc, ok := p.est.(ProfileCarrier); ok {
-			pc.LoadPrior(opts.Prior)
-		}
+		p.est.loadPrior(opts.Prior)
 	}
 	ch, ok := channel.FromGroup(world.Group())
 	if ok {
@@ -273,9 +247,6 @@ func (p *Profiler) Policy() Policy { return p.opts.Policy }
 
 // Eps returns the active confidence tolerance.
 func (p *Profiler) Eps() float64 { return p.opts.Eps }
-
-// Estimator returns the rank's prediction model.
-func (p *Profiler) Estimator() Estimator { return p.est }
 
 // World returns the wrapped world communicator.
 func (p *Profiler) World() *Comm { return p.world }
@@ -389,19 +360,16 @@ func (p *Profiler) stats(id uint32) *kernelStats {
 func (p *Profiler) KernelCount() int { return p.touched }
 
 // Mean returns the modeled mean duration for key (0 if never sampled; a
-// warm-started estimator answers from its prior before the first sample).
-func (p *Profiler) Mean(key Key) float64 { return p.est.Estimate(key) }
+// warm-started model answers from its prior before the first sample).
+func (p *Profiler) Mean(key Key) float64 {
+	m := p.est.model(key)
+	return m.Mean()
+}
 
 // Samples returns the number of duration samples backing key's model.
-func (p *Profiler) Samples(key Key) int64 { return p.est.Samples(key) }
-
-// estimate returns the modeled duration charged for a skipped kernel,
-// through the estimator's id-indexed fast path when it offers one.
-func (p *Profiler) estimate(key Key, id uint32) float64 {
-	if p.fast != nil {
-		return p.fast.estimateID(id, key)
-	}
-	return p.est.Estimate(key)
+func (p *Profiler) Samples(key Key) int64 {
+	m := p.est.model(key)
+	return m.Count()
 }
 
 // pathFreqMap rekeys a dense frequency table by Key for the map-facing
@@ -483,11 +451,7 @@ func (p *Profiler) predictable(key Key, id uint32, freq int64) (pred, hit bool) 
 	if c.falseAt != 0 && freq <= c.falseAt {
 		return false, true
 	}
-	if p.fast != nil {
-		pred = p.fast.predictableID(id, key, p.opts.Eps, freq)
-	} else {
-		pred = p.est.Predictable(key, p.opts.Eps, freq)
-	}
+	pred = p.est.predictable(id, key, p.opts.Eps, freq)
 	if pred {
 		if c.trueAt == 0 || freq < c.trueAt {
 			c.trueAt = freq
@@ -498,16 +462,12 @@ func (p *Profiler) predictable(key Key, id uint32, freq int64) (pred, hit bool) 
 	return pred, false
 }
 
-// record incorporates one measured duration for key: the estimator observes
+// record incorporates one measured duration for key: the model observes
 // the sample and the per-configuration execution counters advance. The new
 // sample changes the kernel's model, so its cached predictability bounds are
 // dropped.
 func (p *Profiler) record(key Key, id uint32, ks *kernelStats, flops, dt float64) {
-	if p.fast != nil {
-		p.fast.observeID(id, key, flops, dt, p.opts.Eps)
-	} else {
-		p.est.Observe(key, flops, dt, p.opts.Eps)
-	}
+	p.est.observe(id, key, flops, dt, p.opts.Eps)
 	p.pred[id] = predCache{}
 	ks.perConfig++
 	p.executed++
@@ -567,8 +527,8 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 	if exec && p.opts.Eps > 0 && flops > 0 {
 		// Line-fitting extension: an under-sampled signature may still
 		// be skipped when its routine family's fit is trustworthy.
-		if est, ok := p.est.Extrapolate(key, flops, p.opts.Eps); ok &&
-			!p.est.Predictable(key, p.opts.Eps, p.freqFor(key, id)) {
+		if est, ok := p.est.extrapolate(key, flops, p.opts.Eps); ok &&
+			!p.est.predictable(id, key, p.opts.Eps, p.freqFor(key, id)) {
 			exec = false
 			dt = est
 			p.extrapolatedSkips++
@@ -580,7 +540,7 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 		p.record(key, id, ks, flops, dt)
 	} else {
 		if dt == 0 {
-			dt = p.estimate(key, id)
+			dt = p.est.estimate(id, key)
 		}
 		p.skipped++
 	}
@@ -650,12 +610,12 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	p.volCommWords, p.volSync, p.volFlops = 0, 0, 0
 	p.executed, p.skipped, p.memoizedSkips = 0, 0, 0
 	if resetIDs {
-		// Archive what the estimator learned before wiping it, so the
-		// run's exported profile spans every configuration. (Without a
-		// reset the live estimator state persists and is merged at export
-		// time instead — archiving it here would double-count samples.)
+		// Archive what the model learned before wiping it, so the run's
+		// exported profile spans every configuration. (Without a reset the
+		// live model state persists and is merged at export time instead —
+		// archiving it here would double-count samples.)
 		p.archiveEstimator()
-		p.est.Reset()
+		p.est.reset()
 		p.extrapolatedSkips = 0
 		p.memoKey = cfg
 		p.memoKeyed = keyed && p.memo != nil
@@ -744,10 +704,11 @@ type Report struct {
 	Executed      int64   `json:"Executed"`      // total kernel executions across ranks
 	Skipped       int64   `json:"Skipped"`       // total kernel skips across ranks
 	// Memoized counts the skips (across ranks) whose predictability
-	// decision was replayed from the cross-config memoization layer rather
-	// than re-derived; always <= Skipped. Excluded from serialized
-	// envelopes: memoization is observational, and hit counts depend on
-	// sweep order, so they must not perturb golden artifacts.
+	// decision was replayed from the profiler's per-kernel decision cache
+	// (predCache) rather than re-derived from the model; always <= Skipped.
+	// The cache is per profiler and independent of Options.Memo. Excluded
+	// from serialized envelopes: the count is observational and must not
+	// perturb golden artifacts.
 	Memoized int64 `json:"-"`
 }
 
@@ -821,11 +782,10 @@ func (p *Profiler) Report() Report {
 
 // Retire donates the profiler's recyclable per-rank state to the attached
 // memo — dense per-id tables, the private intern cache, the path-frequency
-// array, and the built-in estimator's accumulator slabs — for the next
-// profiler built with Options.Memo on the same memo to adopt. The profiler
-// must not be used afterwards. A no-op without a memo. Call it per rank
-// once the sweep is done with the profiler (after the final Report /
-// GlobalProfile).
+// array, and the model's accumulator slabs — for the next profiler built
+// with Options.Memo on the same memo to adopt. The profiler must not be used
+// afterwards. A no-op without a memo. Call it per rank once the sweep is done
+// with the profiler (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
@@ -850,9 +810,7 @@ func (p *Profiler) Retire() {
 		clear(kc.vals[:cap(kc.vals)])
 		a.counts = kc.vals[:0]
 	}
-	if r, ok := p.est.(slabRecycler); ok {
-		a.slabs = r.releaseSlabs()
-	}
+	a.slabs = p.est.releaseSlabs()
 	p.memo.releaseArena(a)
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
@@ -901,56 +859,31 @@ func (p *Profiler) archivePathFreqs() {
 	}
 }
 
-// archiveEstimator merges the estimator's current export into the archive;
-// called only when the estimator is about to be reset, so no sample is ever
-// archived twice. Estimators implementing profileArchiver (the built-in
-// one) merge directly into the archive, skipping the intermediate export
-// profile this would otherwise build every configuration.
+// archiveEstimator merges the model's live state into the archive; called
+// only when the model is about to be reset, so no sample is ever archived
+// twice.
 func (p *Profiler) archiveEstimator() {
-	if a, ok := p.est.(profileArchiver); ok {
-		if !a.hasLiveState() {
-			return
-		}
-		if p.archive == nil {
-			p.archive = &Profile{SchemaVersion: ProfileSchemaVersion}
-		}
-		a.archiveInto(p.archive)
-		if p.archive.Estimator == "" {
-			p.archive.Estimator = p.est.Name()
-		}
-		return
-	}
-	pc, ok := p.est.(ProfileCarrier)
-	if !ok {
-		return
-	}
-	exp := pc.ExportProfile()
-	if exp == nil || (len(exp.Kernels) == 0 && len(exp.Families) == 0) {
+	if !p.est.hasLiveState() {
 		return
 	}
 	if p.archive == nil {
 		p.archive = &Profile{SchemaVersion: ProfileSchemaVersion}
 	}
-	p.archive.Merge(exp)
+	p.est.archiveInto(p.archive)
+	p.archive.Estimator = estimatorName
 }
 
 // ExportProfile returns this rank's learned profile: everything archived
-// across configuration resets, the live estimator state, and the path
+// across configuration resets, the live model state, and the path
 // frequencies seen so far. Samples loaded from Options.Prior are excluded,
-// so chaining runs via MergeProfiles never counts a sample twice. Returns
-// an empty (but non-nil) profile when the estimator does not implement
-// ProfileCarrier.
+// so chaining runs via MergeProfiles never counts a sample twice.
 func (p *Profiler) ExportProfile() *Profile {
 	out := p.archive.Clone()
 	if out == nil {
 		out = &Profile{SchemaVersion: ProfileSchemaVersion}
 	}
-	if pc, ok := p.est.(ProfileCarrier); ok {
-		out.Merge(pc.ExportProfile())
-	}
-	if out.Estimator == "" {
-		out.Estimator = p.est.Name()
-	}
+	p.est.archiveInto(out)
+	out.Estimator = estimatorName
 	for id, v := range p.path.Kernels.vals {
 		if v == 0 {
 			continue

@@ -73,9 +73,9 @@ type Event struct {
 	Executed int64 `json:"executed,omitempty"`
 	Skipped  int64 `json:"skipped,omitempty"`
 	// Memoized counts skips whose predictability decision was replayed
-	// from the sweep-scoped kernel memo (a subset of Skipped): cumulative
-	// on sweep end events, 1 on round point events whose deciding rank's
-	// latest skip decision was memo-served.
+	// from the profiler's per-kernel decision cache (a subset of Skipped):
+	// cumulative on sweep end events, 1 on round point events whose
+	// deciding rank's latest skip decision was cache-served.
 	Memoized int64 `json:"memoized,omitempty"`
 	// AllocBytes is the heap growth attributed to the span (sweep end
 	// events, sampled by the executor when tracing is enabled).

@@ -83,7 +83,7 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 
 		kernelsExecuted: reg.CounterVec("kernels_executed_total", "Kernels actually executed by finished sweeps.", "workload"),
 		kernelsSkipped:  reg.CounterVec("kernels_skipped_total", "Kernels skipped by selective execution in finished sweeps.", "workload"),
-		kernelsMemoized: reg.CounterVec("kernels_memoized_total", "Skipped kernels whose decision came from the sweep-scoped kernel memo (subset of kernels_skipped_total).", "workload"),
+		kernelsMemoized: reg.CounterVec("kernels_memoized_total", "Skipped kernels whose decision was replayed from a profiler's per-kernel decision cache (subset of kernels_skipped_total).", "workload"),
 	}
 
 	reg.GaugeFunc("queue_depth", "Jobs waiting in the bounded queue.", func() float64 {

@@ -70,9 +70,9 @@ type Event struct {
 	// absence).
 	Executed int64 `json:"executed"`
 	Skipped  int64 `json:"skipped"`
-	// Memoized counts the skipped kernels whose skip decision was answered
-	// by the sweep-scoped kernel memo rather than a fresh predictability
-	// test (a subset of Skipped; sweep events only).
+	// Memoized counts the skipped kernels whose skip decision was replayed
+	// from a profiler's per-kernel decision cache rather than a fresh
+	// predictability test (a subset of Skipped; sweep events only).
 	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`

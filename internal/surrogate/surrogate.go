@@ -6,7 +6,7 @@
 //
 // The model is the repo-native cousin of the Bayesian autotuners in the
 // related literature (Wu et al.'s BO over PolyBench spaces, the Triton
-// autotuner's train_model): observations are the Estimator's cheap
+// autotuner's train_model): observations are the profiler's cheap
 // predicted times — low-fidelity by construction — so a strategy can learn
 // the response surface mid-sweep without paying for executed kernels.
 //

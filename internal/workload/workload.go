@@ -9,9 +9,7 @@
 // layer then resolve by name — no switch statement to extend.
 //
 // The package sits above internal/autotune (it imports Study, Space, and
-// Scale from it); autotune's legacy ParseStudy/ParseScale remain as thin
-// wrappers that delegate back here through a resolver installed at init,
-// so pre-registry call sites keep working against the registry.
+// Scale from it).
 package workload
 
 import (
@@ -149,8 +147,15 @@ func (r *Registry) Register(w Workload) error {
 	// list is rejected here rather than panicking there. Def can never
 	// trip this (its Scales falls back to default/quick); this guards
 	// hand-rolled Workload implementations.
-	if len(w.Scales()) == 0 {
+	scales := w.Scales()
+	if len(scales) == 0 {
 		return fmt.Errorf("workload: register %q: at least one scale preset is required", name)
+	}
+	// A workload whose study has no configurations or no runner would
+	// resolve fine and then fail every sweep; reject it here, sized at the
+	// first preset like the catalog listings.
+	if err := w.Build(scales[0].Scale).Validate(); err != nil {
+		return fmt.Errorf("workload: register %q: %w", name, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -207,7 +212,7 @@ func (r *Registry) ScaleNames() []string {
 }
 
 // defaultRegistry is the process-global registry the package-level
-// functions (and autotune's legacy parsers) resolve against.
+// functions resolve against.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-global registry.
@@ -286,34 +291,3 @@ func ScaleOf(w Workload, name string) (autotune.Scale, error) {
 	return autotune.Scale{}, fmt.Errorf("workload: %s: unknown scale %q (want %s)",
 		w.Name(), name, strings.Join(names, ", "))
 }
-
-// ParseScale resolves a scale name against the union of the default
-// registry's declared presets: the first workload declaring the name wins
-// (the built-ins all share the default/quick pair). The error enumerates
-// every declared preset name. This is the legacy workload-agnostic
-// namespace behind autotune.ParseScale and the facade; callers that know
-// their workload should resolve through ScaleOf (or ResolveStudy), which
-// restricts the namespace to that workload's own presets.
-func ParseScale(name string) (autotune.Scale, error) {
-	for _, w := range defaultRegistry.List() {
-		for _, p := range w.Scales() {
-			if p.Name == name {
-				return p.Scale, nil
-			}
-		}
-	}
-	return autotune.Scale{}, fmt.Errorf("workload: unknown scale %q (want %s)",
-		name, strings.Join(defaultRegistry.ScaleNames(), ", "))
-}
-
-// resolver adapts the default registry to autotune's legacy
-// ParseStudy/ParseScale surface.
-type resolver struct{}
-
-func (resolver) ResolveStudy(name string, s autotune.Scale) (autotune.Study, error) {
-	return ParseStudy(nil, name, s)
-}
-
-func (resolver) ResolveScale(name string) (autotune.Scale, error) { return ParseScale(name) }
-
-func init() { autotune.SetResolver(resolver{}) }

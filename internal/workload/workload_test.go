@@ -127,6 +127,26 @@ func TestRegistryErrors(t *testing.T) {
 	if err := r.Register(noScales{}); err == nil {
 		t.Error("Register of a workload with no scale presets succeeded")
 	}
+	// A workload whose study cannot run (no configurations, or no runner)
+	// is rejected at the door, sized at its first preset.
+	noSpace := func(sc autotune.Scale) autotune.Study {
+		st := autotune.CandmcQR(sc)
+		st.Space = autotune.Space{}
+		return st
+	}
+	if err := r.Register(Def{WorkloadName: "no-space", BuildFunc: noSpace}); err == nil ||
+		!strings.Contains(err.Error(), "no configurations") {
+		t.Errorf("Register of a Def building an empty-space study: %v", err)
+	}
+	noRun := func(sc autotune.Scale) autotune.Study {
+		st := autotune.CandmcQR(sc)
+		st.Run = nil
+		return st
+	}
+	if err := r.Register(&Def{WorkloadName: "no-run", BuildFunc: noRun}); err == nil ||
+		!strings.Contains(err.Error(), "no Run") {
+		t.Errorf("Register of a *Def building a study without Run: %v", err)
+	}
 	def := Def{WorkloadName: "x", BuildFunc: autotune.CandmcQR}
 	if err := r.Register(def); err != nil {
 		t.Fatalf("Register: %v", err)
@@ -167,29 +187,16 @@ func TestParseStudyErrorEnumerates(t *testing.T) {
 	}
 }
 
-// TestParseScaleErrorEnumerates checks the unknown-scale error enumerates
-// the declared preset names (the registry-backed form of the satellite
-// requirement).
+// TestParseScaleErrorEnumerates checks a workload's declared presets
+// resolve by name and the unknown-scale error enumerates them.
 func TestParseScaleErrorEnumerates(t *testing.T) {
-	if _, err := ParseScale("default"); err != nil {
-		t.Fatalf("ParseScale(default): %v", err)
-	}
-	if _, err := ParseScale("quick"); err != nil {
-		t.Fatalf("ParseScale(quick): %v", err)
-	}
-	_, err := ParseScale("bogus")
-	if err == nil {
-		t.Fatal("ParseScale(bogus) succeeded")
-	}
+	w, _ := Lookup("candmc")
 	for _, name := range []string{"default", "quick"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not enumerate scale %q", err, name)
+		if _, err := ScaleOf(w, name); err != nil {
+			t.Fatalf("ScaleOf(candmc, %s): %v", name, err)
 		}
 	}
-
-	// Per-workload resolution enumerates that workload's own presets.
-	w, _ := Lookup("candmc")
-	_, err = ScaleOf(w, "huge")
+	_, err := ScaleOf(w, "huge")
 	if err == nil || !strings.Contains(err.Error(), "default") || !strings.Contains(err.Error(), "quick") {
 		t.Errorf("ScaleOf error %q does not enumerate candmc's presets", err)
 	}
@@ -226,28 +233,6 @@ func TestResolveStudy(t *testing.T) {
 	}
 	if _, err := ResolveStudy(reg, "a", "tiny"); err != nil {
 		t.Errorf("workload a's own preset failed to resolve: %v", err)
-	}
-}
-
-// TestAutotuneParsersDelegate checks the legacy autotune surface is a thin
-// wrapper over this registry: same resolutions, same failures.
-func TestAutotuneParsersDelegate(t *testing.T) {
-	q := autotune.QuickScale()
-	st, err := autotune.ParseStudy("qr2d", q)
-	if err != nil {
-		t.Fatalf("autotune.ParseStudy(qr2d): %v", err)
-	}
-	if st.Name != "candmc-qr" {
-		t.Errorf("autotune.ParseStudy(qr2d).Name = %q", st.Name)
-	}
-	if _, err := autotune.ParseStudy("bogus", q); err == nil {
-		t.Error("autotune.ParseStudy(bogus) succeeded")
-	}
-	if _, err := autotune.ParseScale("quick"); err != nil {
-		t.Errorf("autotune.ParseScale(quick): %v", err)
-	}
-	if _, err := autotune.ParseScale("bogus"); err == nil {
-		t.Error("autotune.ParseScale(bogus) succeeded")
 	}
 }
 

@@ -15,7 +15,7 @@
 #      /v1/metrics (JSON) naming the counter families, and /metrics
 #      (Prometheus text) reporting jobs_completed_total >= 1,
 #      memo_hits_total >= 1, and kernels_memoized_total >= 1 (the
-#      sweep-scoped kernel memo fired during the job),
+#      profilers' decision caches replayed skips during the job),
 #   7. shut the server down gracefully (SIGTERM) and require a clean exit,
 #   8. RESTART against the same store directory and require the finished
 #      job, its envelope (golden-diffed again), and the persisted profile
@@ -137,8 +137,8 @@ memo_hits=$(awk '$1 == "memo_hits_total" {print $2}' "$workdir/metrics.prom")
 [[ -n "$memo_hits" && "$memo_hits" -ge 1 ]] || { echo "memo_hits_total = '$memo_hits', want >= 1"; exit 1; }
 executed=$(awk -F' ' '/^kernels_executed_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
 [[ -n "$executed" && "$executed" -ge 1 ]] || { echo "kernels_executed_total = '$executed', want >= 1"; exit 1; }
-# The sweep-scoped kernel memo must have answered skip decisions during the
-# job's warm (post-first-sweep) grid cells.
+# The profilers' per-kernel decision caches must have replayed skip decisions
+# during the job.
 memoized=$(awk -F' ' '/^kernels_memoized_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
 [[ -n "$memoized" && "$memoized" -ge 1 ]] || { echo "kernels_memoized_total = '$memoized', want >= 1"; exit 1; }
 
