@@ -17,7 +17,10 @@ package critter_test
 //
 // Run the suite with:
 //
-//	go test -run '^$' -bench 'Propagation|FullSweep' -benchmem -count=5 .
+//	go test -run '^$' -bench 'Propagation|FullSweep|MPIAllreduce|ProfilerCollective' -benchmem -count=5 .
+//
+// (BenchmarkMPIAllreduce and BenchmarkProfilerCollective live in
+// bench_test.go; their allocs/op — zero — are gated too.)
 //
 // and compare against the committed baseline with:
 //

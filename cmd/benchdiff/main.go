@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Propagation|FullSweep' -benchmem -count=5 . | tee bench.txt
+//	go test -run '^$' -bench 'Propagation|FullSweep|MPIAllreduce|ProfilerCollective' -benchmem -count=5 . | tee bench.txt
 //	go run ./cmd/benchdiff -baseline BENCH_runtime.json bench.txt
 //
 // With -emit-baseline, the committed baseline is re-printed in `go test

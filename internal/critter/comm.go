@@ -74,7 +74,7 @@ func (c *Comm) collective(op string, words int, bspWords float64, run func() flo
 	ks := p.stats(id)
 	p.notePath(id)
 	local := intMsg{Exec: p.shouldExecute(key, id, ks), Path: p.snapshot()}
-	g := c.p.lane.Allreduce(c.internal, local, mergeIntMsg)
+	g := c.p.lane.Allreduce(c.internal, local, propagate)
 	p.adopt(g.Path)
 	p.traceRound(op)
 	var dt float64

@@ -23,7 +23,7 @@ package critter
 //     Key→id snapshot, so its steady-state intern path is a read-only map
 //     hit: no table lock, no insert, no per-config cache rebuild. Ids
 //     stay as compact as the configuration's active kernel set, keeping
-//     the copy-on-write path-frequency snapshots small.
+//     the path-frequency table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its dense bookkeeping arrays, private
@@ -75,7 +75,9 @@ type memoConfig struct {
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
 // dense per-id tables (zeroed, length 0, capacity kept), the private
-// intern cache (cleared), and the prediction model's accumulator slabs.
+// intern cache (cleared), the path-frequency table and its freelist of
+// spare buffers (length 0, not zeroed — kernelCounts clears what it grows
+// into), and the prediction model's accumulator slabs.
 type memoArena struct {
 	idOf           map[Key]uint32
 	keys           []Key
@@ -84,6 +86,7 @@ type memoArena struct {
 	pathKernelTime []float64
 	pred           []predCache
 	counts         []int64
+	free           countsFree
 	slabs          [][]stats.Welford
 }
 

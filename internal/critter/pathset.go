@@ -1,19 +1,19 @@
 package critter
 
 // kernelCounts is the path frequency table K-tilde as a dense array indexed
-// by KernelTable id, with copy-on-write sharing. Snapshotting for a
-// piggyback message freezes the backing array (O(1), no copy); the next
-// write by any holder first materializes a private copy (amortized O(active
-// kernels), one allocation). This replaces the map[Key]int64 clone the old
-// propagation path paid at every snapshot and adopt.
+// by KernelTable id. A table has exactly one owner at any time: the profiler
+// counting into it, the internal message carrying it, or the freelist it
+// waits on. It changes hands whole — a snapshot is a copy made into a
+// recycled buffer that the message then owns, the receiver that adopts a
+// table becomes its sole owner and files the table it replaces — so no holder
+// ever has to ask whether somebody else can see its backing array, and a
+// propagation round leaves no garbage behind.
 type kernelCounts struct {
 	// vals[id] is the number of appearances of kernel id along the current
-	// sub-critical path. Indexed by the world's shared KernelTable.
+	// sub-critical path. Indexed by the world-wide KernelTable. The
+	// length is not part of the value: ids past the end count zero, and
+	// whatever lies between len and cap is stale (see materialize).
 	vals []int64
-	// shared marks vals as aliased by a frozen snapshot (an in-flight
-	// message, or an adopted global table other ranks also hold): it must
-	// be treated as immutable and copied before the next write.
-	shared bool
 }
 
 // active reports whether the table is carried at all (policies that do not
@@ -28,63 +28,76 @@ func (k *kernelCounts) get(id uint32) int64 {
 	return k.vals[id]
 }
 
-// incr counts one appearance of kernel id, materializing a private copy
-// first when the backing array is frozen or too small.
+// incr counts one appearance of kernel id, growing the table first when it
+// is too short.
 func (k *kernelCounts) incr(id uint32) {
-	if k.shared || int(id) >= len(k.vals) {
+	if int(id) >= len(k.vals) {
 		k.materialize(int(id) + 1)
 	}
 	k.vals[id]++
 }
 
-// materialize unshares the backing array and grows it to hold at least n
-// entries. Capacity doubles only when n actually outgrows it (repeated
-// interning settles into amortized O(1)); an unshare copy at unchanged size
-// keeps the same capacity.
+// materialize grows the table to hold n > len entries. Within capacity it
+// extends in place and clears the exposed range: buffers are recycled
+// without zeroing, so the tail of one that held a longer table still carries
+// that table's counts. Past capacity it moves to an array of doubled
+// capacity (repeated interning settles into amortized O(1)).
 func (k *kernelCounts) materialize(n int) {
-	if n < len(k.vals) {
-		n = len(k.vals)
-	}
-	if !k.shared && n <= cap(k.vals) {
-		// Exclusively owned and big enough underneath: extend in place.
-		// The exposed tail is zero — backing arrays are allocated zeroed
-		// and never shrunk.
+	old := len(k.vals)
+	if n <= cap(k.vals) {
 		k.vals = k.vals[:n]
+		clear(k.vals[old:])
 		return
 	}
-	c := cap(k.vals)
-	if n > c {
-		c *= 2
-		if c < n {
-			c = n
-		}
-	}
-	if c < 16 {
-		c = 16
-	}
-	vals := make([]int64, n, c)
+	vals := make([]int64, n, growCap(n, cap(k.vals)))
 	copy(vals, k.vals)
-	k.vals, k.shared = vals, false
+	k.vals = vals
 }
 
-// freeze marks the table shared and returns a snapshot aliasing the same
-// backing array. O(1); both the owner and the snapshot copy on their next
-// write.
-func (k *kernelCounts) freeze() kernelCounts {
-	k.shared = true
-	return kernelCounts{vals: k.vals, shared: true}
-}
+// reset clears every count in place for a new configuration.
+func (k *kernelCounts) reset() { clear(k.vals) }
 
-// reset clears every count for a new configuration, reusing the backing
-// array when it is exclusively owned (the allocation-lean steady state) and
-// replacing it when a frozen snapshot still aliases it.
-func (k *kernelCounts) reset() {
-	if k.shared {
-		k.vals = make([]int64, len(k.vals))
-		k.shared = false
-		return
+// copyInto returns a copy of the table held in buf's backing array when it
+// is big enough, in a fresh one otherwise. The copy is active exactly when
+// the table is.
+func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
+	if !k.active() {
+		return kernelCounts{}
 	}
-	clear(k.vals)
+	if buf == nil || cap(buf) < len(k.vals) {
+		// make, not append: an empty table's copy must still be non-nil.
+		buf = make([]int64, 0, cap(k.vals))
+	}
+	return kernelCounts{vals: append(buf[:0], k.vals...)}
+}
+
+// countsFree is a profiler's freelist of table buffers: what adopt replaced,
+// waiting to carry the next snapshot. Confined to the owning rank. Contents
+// of a filed buffer are stale, not zero.
+type countsFree [][]int64
+
+// maxFreeCounts bounds the freelist. Steady state needs one buffer (each
+// snapshot sent is answered by one table adopted); bursts of outstanding
+// nonblocking sends briefly need more.
+const maxFreeCounts = 4
+
+// get pops a buffer, nil when the list is empty.
+func (f *countsFree) get() []int64 {
+	n := len(*f)
+	if n == 0 {
+		return nil
+	}
+	buf := (*f)[n-1]
+	(*f)[n-1] = nil
+	*f = (*f)[:n-1]
+	return buf
+}
+
+// put files the buffer of a table its owner is done with.
+func (f *countsFree) put(k kernelCounts) {
+	if k.active() && len(*f) < maxFreeCounts {
+		*f = append(*f, k.vals[:0])
+	}
 }
 
 // Pathset is the per-rank container of critical-path costs (the pathset P of
@@ -103,17 +116,19 @@ type Pathset struct {
 	BSPComp  float64 // BSP computation cost (flops)
 
 	// Kernels is the path frequency table K-tilde: for each kernel, the
-	// number of appearances along the current sub-critical path. It is
-	// adopted wholesale from whichever rank owns the maximal ExecTime at
-	// each propagation point (Figure 2, lines 64-65). Inactive (nil vals)
-	// when the active policy does not propagate counts.
+	// number of appearances along the current sub-critical path. At a
+	// collective it is adopted wholesale from whichever rank owns the
+	// maximal ExecTime (Figure 2, lines 64-65); the two ends of a
+	// point-to-point pair take each other's (see adopt). Inactive (nil
+	// vals) when the active policy does not propagate counts.
 	Kernels kernelCounts
 }
 
 // mergePath combines two pathsets at a propagation point: metrics are
 // max-merged elementwise, and the frequency table of the path with the
 // larger ExecTime wins (the longest-path algorithm). Inputs are not
-// mutated; the returned table aliases the winning input's frozen array.
+// mutated; the returned table is the winning input's, not a copy —
+// propagate settles who owns what once the fold is done.
 func mergePath(a, b Pathset) Pathset {
 	out := Pathset{
 		ExecTime: max(a.ExecTime, b.ExecTime),
@@ -143,8 +158,8 @@ type intMsg struct {
 	// Committed marks nonblocking-send messages whose execution decision
 	// was made unilaterally by the sender; the receiver must follow it.
 	Committed bool
-	// Path is a snapshot of the sender's pathset; its frequency table is
-	// frozen and must not be mutated.
+	// Path is a snapshot of the sender's pathset; the message owns its
+	// frequency table until a receiver adopts it.
 	Path Pathset
 }
 
@@ -159,5 +174,31 @@ func mergeIntMsg(a, b intMsg) intMsg {
 		Exec2:     a.Exec2 || b.Exec2,
 		Committed: a.Committed || b.Committed,
 		Path:      mergePath(a.Path, b.Path),
+	}
+}
+
+// propagate is the finish of the profiler's internal allreduce (the
+// PMPI_Allreduce with a custom operator in Figure 2): it folds the members'
+// messages with mergeIntMsg in comm-rank order, once, on the last arriver,
+// and hands every member the result. The winning frequency table — that of
+// the first member holding the maximal ExecTime, as mergePath decides — stays
+// with the member that sent it; every other member receives a copy written
+// into the buffer it sent itself, so each rank leaves the round owning its
+// table and the round frees nothing.
+func propagate(members []intMsg) {
+	acc, win := members[0], 0
+	for i, m := range members[1:] {
+		if m.Path.ExecTime > acc.Path.ExecTime {
+			win = i + 1
+		}
+		acc = mergeIntMsg(acc, m)
+	}
+	winner := acc.Path.Kernels
+	for i := range members {
+		sent := members[i].Path.Kernels.vals
+		members[i] = acc
+		if i != win {
+			members[i].Path.Kernels = winner.copyInto(sent)
+		}
 	}
 }

@@ -21,111 +21,3 @@ func TestMergeIntMsgPreservesExec2(t *testing.T) {
 		t.Errorf("mergeIntMsg invented an Exec2 vote: %+v", got)
 	}
 }
-
-// TestKernelCountsCOW exercises the copy-on-write contract: a freeze is
-// O(1) aliasing, and the next write on either side materializes a private
-// copy without disturbing the other.
-func TestKernelCountsCOW(t *testing.T) {
-	var kc kernelCounts
-	for i := 0; i < 5; i++ {
-		kc.incr(uint32(i))
-	}
-	kc.incr(2)
-	snap := kc.freeze()
-	if &snap.vals[0] != &kc.vals[0] {
-		t.Fatal("freeze copied the backing array; want O(1) aliasing")
-	}
-	// Writing through the owner must not touch the frozen snapshot.
-	kc.incr(2)
-	kc.incr(7)
-	if snap.get(2) != 2 {
-		t.Errorf("snapshot saw the owner's post-freeze write: got %d, want 2", snap.get(2))
-	}
-	if snap.get(7) != 0 {
-		t.Errorf("snapshot saw a post-freeze id: got %d, want 0", snap.get(7))
-	}
-	if kc.get(2) != 3 || kc.get(7) != 1 {
-		t.Errorf("owner counts wrong after COW: got %d,%d want 3,1", kc.get(2), kc.get(7))
-	}
-	// Writing through the snapshot copy must not touch the owner.
-	snap.incr(0)
-	if kc.get(0) != 1 {
-		t.Errorf("owner saw the snapshot's write: got %d, want 1", kc.get(0))
-	}
-}
-
-// TestMergePathAliasingSafety is the clone-audit satellite: mergePath no
-// longer deep-copies, so the merged pathset's table aliases the winning
-// (frozen) input. Mutating the merged result must leave the source inputs
-// untouched — exactly what a receiving rank does when it adopts a merged
-// global pathset and then keeps counting.
-func TestMergePathAliasingSafety(t *testing.T) {
-	var a, b Pathset
-	for i := 0; i < 4; i++ {
-		a.Kernels.incr(uint32(i))
-	}
-	b.Kernels.incr(9)
-	a.ExecTime, b.ExecTime = 2.0, 1.0
-
-	fa, fb := a, b
-	fa.Kernels = a.Kernels.freeze()
-	fb.Kernels = b.Kernels.freeze()
-	merged := mergePath(fa, fb)
-	if merged.ExecTime != 2.0 {
-		t.Fatalf("merge picked wrong path: ExecTime %g", merged.ExecTime)
-	}
-	if merged.Kernels.get(0) != 1 || merged.Kernels.get(9) != 0 {
-		t.Fatalf("merge did not adopt the winner's table")
-	}
-
-	// The adopter mutates its merged table; the sources must be untouched.
-	merged.Kernels.incr(0)
-	merged.Kernels.incr(9)
-	if a.Kernels.get(0) != 1 {
-		t.Errorf("source a mutated through merged pathset: id0 = %d, want 1", a.Kernels.get(0))
-	}
-	if b.Kernels.get(9) != 1 {
-		t.Errorf("source b mutated through merged pathset: id9 = %d, want 1", b.Kernels.get(9))
-	}
-}
-
-// TestKernelCountsReset verifies the allocation-lean reset: an exclusively
-// owned table reuses its backing array, a frozen one is replaced so live
-// snapshots keep their values.
-func TestKernelCountsReset(t *testing.T) {
-	var kc kernelCounts
-	kc.incr(3)
-	before := &kc.vals[0]
-	kc.reset()
-	if kc.get(3) != 0 {
-		t.Fatal("reset did not clear counts")
-	}
-	if &kc.vals[0] != before {
-		t.Error("reset of an owned table reallocated; want in-place clear")
-	}
-	kc.incr(3)
-	snap := kc.freeze()
-	kc.reset()
-	kc.incr(3)
-	kc.incr(3)
-	if snap.get(3) != 1 {
-		t.Errorf("reset of a frozen table disturbed the snapshot: got %d, want 1", snap.get(3))
-	}
-}
-
-// TestKernelCountsGrowthIsLinear guards against the capacity-doubling bug
-// class: repeated COW copies at a stable size must not grow capacity, and
-// repeated single-id growth must stay linear in the high-water mark.
-func TestKernelCountsGrowthIsLinear(t *testing.T) {
-	var kc kernelCounts
-	for i := 0; i < 100; i++ {
-		kc.incr(uint32(i))
-	}
-	for i := 0; i < 40; i++ {
-		kc.freeze() // somebody snapshots...
-		kc.incr(5)  // ...and the owner keeps counting
-	}
-	if c := cap(kc.vals); c > 1024 {
-		t.Errorf("COW copies inflated capacity to %d for 100 ids", c)
-	}
-}

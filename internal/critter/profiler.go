@@ -66,9 +66,9 @@ type Options struct {
 // Kernel signatures are interned into dense ids through a KernelTable
 // shared by every rank of the world, so the per-invocation bookkeeping
 // (stats, path frequencies, local counts, path attribution) lives in flat
-// arrays instead of maps and pathsets propagate between ranks without
-// copying. Keys reappear only at the boundaries: the prediction model's cold
-// path, profile exports, and reports.
+// arrays instead of maps and pathsets propagate between ranks as flat copies
+// into recycled buffers. Keys reappear only at the boundaries: the prediction
+// model's cold path, profile exports, and reports.
 type Profiler struct {
 	opts  Options
 	world *Comm
@@ -101,6 +101,9 @@ type Profiler struct {
 	k       []kernelStats
 	touched int
 	path    Pathset
+	// free recycles path-frequency buffers between adopt, which files the
+	// table it replaces, and snapshot, which copies into one (pathset.go).
+	free countsFree
 	// localFreq counts kernel appearances on this rank during the current
 	// configuration (the Local policy's frequency credit), densely by id.
 	localFreq []int64
@@ -204,6 +207,7 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 			p.pathKernelTime = a.pathKernelTime
 			p.pred = a.pred
 			p.path.Kernels = kernelCounts{vals: a.counts}
+			p.free = a.free
 			p.est.adoptSlabs(a.slabs)
 		}
 	}
@@ -478,28 +482,31 @@ func (p *Profiler) record(key Key, id uint32, ks *kernelStats, flops, dt float64
 }
 
 // snapshot captures the rank's pathset for an internal message. Under
-// policies that propagate counts the frequency table is frozen in place
-// (copy-on-write; no copy is taken), otherwise the message carries none.
+// policies that propagate counts the message carries its own copy of the
+// frequency table, made into a recycled buffer; otherwise it carries none.
 func (p *Profiler) snapshot() Pathset {
 	ps := p.path
 	if p.opts.Policy == Online {
-		ps.Kernels = p.path.Kernels.freeze()
+		ps.Kernels = p.path.Kernels.copyInto(p.free.get())
 	} else {
 		ps.Kernels = kernelCounts{}
 	}
 	return ps
 }
 
-// adopt installs the merged global pathset: metrics are already max-merged;
-// the frequency table, when propagated, replaces the local one wholesale
-// (the local path joins the global sub-critical path). The adopted table
-// stays frozen — other ranks alias it — and is copied lazily by the next
-// local count.
+// adopt installs a received pathset: metrics are max-merged; the frequency
+// table, when propagated, replaces the local one wholesale (the local path
+// joins the sender's sub-critical path). The caller hands over g's table —
+// this rank is its sole owner from here on — and the table it replaces goes
+// to the freelist for the next snapshot. After a collective g is the merged
+// global pathset and its table the longest path's; after a point-to-point
+// exchange it is the peer's, taken whether or not the peer's path is the
+// longer one.
 func (p *Profiler) adopt(g Pathset) {
 	kernels := p.path.Kernels
 	if g.Kernels.active() {
+		p.free.put(kernels)
 		kernels = g.Kernels
-		kernels.shared = true
 	}
 	p.path = Pathset{
 		ExecTime: max(p.path.ExecTime, g.ExecTime),
@@ -589,8 +596,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// about to be discarded anyway, the same round distributes the next
 	// shared interner, so dense ids stay as compact as the configuration's
 	// active kernel set instead of accumulating across configurations
-	// (every copy-on-write snapshot copy is sized by the id high-water
-	// mark). With a memo attached, rank 0 first checks whether an earlier
+	// (every path-frequency snapshot copies up to the id high-water mark).
+	// With a memo attached, rank 0 first checks whether an earlier
 	// profiler already published this configuration's interner; on a hit
 	// the round distributes the published table and its read-only intern
 	// snapshots instead of an empty table.
@@ -646,9 +653,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.pathKernelTime = p.pathKernelTime[:0]
 		clear(p.pred)
 		p.pred = p.pred[:0]
-		kc := p.path.Kernels
-		kc.reset()
-		p.path = Pathset{Kernels: kernelCounts{vals: kc.vals[:0]}}
+		// The table's stale tail is cleared as it regrows (materialize).
+		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
 		if n := len(p.roKeys); n > 0 {
 			// The configuration's id range is known up front: size the
 			// dense tables once instead of growing them kernel by kernel.
@@ -782,10 +788,11 @@ func (p *Profiler) Report() Report {
 
 // Retire donates the profiler's recyclable per-rank state to the attached
 // memo — dense per-id tables, the private intern cache, the path-frequency
-// array, and the model's accumulator slabs — for the next profiler built
-// with Options.Memo on the same memo to adopt. The profiler must not be used
-// afterwards. A no-op without a memo. Call it per rank once the sweep is done
-// with the profiler (after the final Report / GlobalProfile).
+// table and its spare buffers, and the model's accumulator slabs — for the
+// next profiler built with Options.Memo on the same memo to adopt. The
+// profiler must not be used afterwards. A no-op without a memo. Call it per
+// rank once the sweep is done with the profiler (after the final Report /
+// GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
@@ -803,13 +810,10 @@ func (p *Profiler) Retire() {
 	a.pathKernelTime = p.pathKernelTime[:0]
 	clear(p.pred[:cap(p.pred)])
 	a.pred = p.pred[:0]
-	// The frequency array travels only when exclusively owned: a frozen
-	// snapshot (an in-flight message, an adopted global table) may still
-	// alias a shared one.
-	if kc := p.path.Kernels; !kc.shared && kc.vals != nil {
-		clear(kc.vals[:cap(kc.vals)])
-		a.counts = kc.vals[:0]
-	}
+	// The frequency table has no other holder, and neither it nor the
+	// spare buffers need zeroing: a table clears what it grows into.
+	a.counts = p.path.Kernels.vals[:0]
+	a.free = p.free
 	a.slabs = p.est.releaseSlabs()
 	p.memo.releaseArena(a)
 	// Sever the donated state so accidental reuse fails loudly instead of
@@ -819,7 +823,7 @@ func (p *Profiler) Retire() {
 	p.localFreq, p.pathKernelTime, p.pred = nil, nil, nil
 	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
-	p.path.Kernels = kernelCounts{}
+	p.path.Kernels, p.free = kernelCounts{}, nil
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,
@@ -828,9 +832,11 @@ func (p *Profiler) Retire() {
 // the APriori policy.
 func (p *Profiler) GlobalPathFreqs() map[Key]int64 {
 	ps := p.path
-	ps.Kernels = p.path.Kernels.freeze()
-	g := p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, mergeIntMsg)
-	return p.pathFreqMap(g.Path.Kernels)
+	ps.Kernels = p.path.Kernels.copyInto(p.free.get())
+	g := p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, propagate)
+	freqs := p.pathFreqMap(g.Path.Kernels)
+	p.free.put(g.Path.Kernels)
+	return freqs
 }
 
 // archivePathFreqs max-merges the configuration's path frequency table into

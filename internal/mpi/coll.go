@@ -29,13 +29,32 @@ func (op ReduceOp) apply(acc, x float64) float64 {
 	panic(fmt.Sprintf("mpi: unknown reduce op %d", op))
 }
 
-// gatherData synchronizes all communicator members at a data collective
-// point, depositing payload and returning every member's payload (indexed
-// by comm rank), the maximum participant clock, and the round's sequence
-// number. Payloads are shared across ranks after the round: treat them as
-// immutable.
-func (c *Comm) gatherData(payload []float64) ([][]float64, float64, uint64) {
-	return c.w.dataFab.gatherRound(c, payload)
+// collView is the payload of a data collective: views of the caller's own
+// input and output buffers. Nothing is copied into the round — the caller is
+// parked from its deposit until the last arriver's finish returns, so finish
+// reads every in and writes every out in place. A member's in may alias its
+// own out; each finish below therefore reads all it needs of a member's in
+// before writing that member's out, going through the finishing rank's
+// scratch where no such order exists.
+type collView struct {
+	in, out []float64
+}
+
+// collRound runs one data-collective round on the world's view fabric and
+// returns the maximum participant clock and the round's sequence number.
+func (c *Comm) collRound(in, out []float64, finish func(members []collView)) (float64, uint64) {
+	_, maxT, seq := c.w.collFab.reduceRound(c, collView{in, out}, finish)
+	return maxT, seq
+}
+
+// scratch returns the calling rank's length-n collective scratch buffer
+// (contents unspecified), grown on demand and kept for the rank's next
+// finish.
+func (c *Comm) scratch(n int) []float64 {
+	if cap(c.state.collScratch) < n {
+		c.state.collScratch = make([]float64, n)
+	}
+	return c.state.collScratch[:n]
 }
 
 // collKind distinguishes cost shapes of the collectives.
@@ -87,7 +106,7 @@ func (c *Comm) finishColl(maxT float64, kind collKind, nbytes float64, seq uint6
 
 // Barrier blocks until all members arrive and synchronizes virtual clocks.
 func (c *Comm) Barrier() float64 {
-	_, maxT, seq := c.gatherData(nil)
+	maxT, seq := c.collRound(nil, nil, nil)
 	return c.finishColl(maxT, collSync, 0, seq)
 }
 
@@ -95,49 +114,83 @@ func (c *Comm) Barrier() float64 {
 // equal-length buffers.
 func (c *Comm) Bcast(root int, buf []float64) float64 {
 	c.checkPeer(root)
-	var payload []float64
-	if c.rank == root {
-		payload = append([]float64(nil), buf...)
-	}
-	payloads, maxT, seq := c.gatherData(payload)
-	src := payloads[root]
-	if len(src) != len(buf) {
-		panic(fmt.Sprintf("mpi: bcast length mismatch: root has %d, rank %d has %d", len(src), c.rank, len(buf)))
-	}
-	if c.rank != root {
-		copy(buf, src)
-	}
+	maxT, seq := c.collRound(nil, buf, func(members []collView) {
+		src := members[root].out
+		for r, m := range members {
+			if len(m.out) != len(src) {
+				panic(fmt.Sprintf("mpi: bcast length mismatch: root has %d, rank %d has %d", len(src), r, len(m.out)))
+			}
+			if r != root {
+				copy(m.out, src)
+			}
+		}
+	})
 	return c.finishColl(maxT, collTree, float64(8*len(buf)), seq)
 }
 
-// Reduce combines every member's in elementwise with op into root's out.
-// out is only written at root and must not alias in there.
+// reduceViews folds every member's in elementwise with op, in comm-rank
+// order, into dst, which must not alias any member's buffers. what names the
+// operation in the length-mismatch panic.
+func reduceViews(what string, dst []float64, members []collView, op ReduceOp) {
+	for r, m := range members {
+		if len(m.in) != len(dst) {
+			panic(fmt.Sprintf("mpi: %s length mismatch: out %d, in %d at rank %d", what, len(dst), len(m.in), r))
+		}
+		if r == 0 {
+			copy(dst, m.in)
+			continue
+		}
+		for i, x := range m.in {
+			dst[i] = op.apply(dst[i], x)
+		}
+	}
+}
+
+// Reduce combines every member's in elementwise with op into root's out,
+// which is only written at root.
 func (c *Comm) Reduce(root int, in, out []float64, op ReduceOp) float64 {
 	c.checkPeer(root)
-	payloads, maxT, seq := c.gatherData(append([]float64(nil), in...))
-	if c.rank == root {
-		reduceInto(out, payloads, op)
-	}
+	maxT, seq := c.collRound(in, out, func(members []collView) {
+		dst := members[root].out
+		acc := c.scratch(len(dst))
+		reduceViews("reduce", acc, members, op)
+		copy(dst, acc)
+	})
 	return c.finishColl(maxT, collTree, float64(8*len(in)), seq)
 }
 
 // Allreduce combines every member's in elementwise with op into every
-// member's out.
+// member's out: one fold in comm-rank order on the last arriver, copied to
+// each out (bit-identical to every member folding for itself).
 func (c *Comm) Allreduce(in, out []float64, op ReduceOp) float64 {
-	payloads, maxT, seq := c.gatherData(append([]float64(nil), in...))
-	reduceInto(out, payloads, op)
+	maxT, seq := c.collRound(in, out, func(members []collView) {
+		acc := c.scratch(len(members[0].out))
+		reduceViews("allreduce", acc, members, op)
+		for r, m := range members {
+			if len(m.out) != len(acc) {
+				panic(fmt.Sprintf("mpi: allreduce length mismatch: out %d, in %d at rank %d", len(m.out), len(acc), r))
+			}
+			copy(m.out, acc)
+		}
+	})
 	return c.finishColl(maxT, collTree, float64(8*len(in)), seq)
 }
 
-func reduceInto(out []float64, payloads [][]float64, op ReduceOp) {
-	first := payloads[0]
-	if len(out) != len(first) {
-		panic(fmt.Sprintf("mpi: reduce length mismatch: out %d, in %d", len(out), len(first)))
+// gatherInto concatenates every member's in, each of n elements, into dst in
+// comm-rank order, starting with rank first's segment (so a root whose in
+// aliases its own out is read before it is overwritten). dst belongs to rank
+// owner, named in the length-mismatch panic.
+func gatherInto(dst []float64, owner int, members []collView, n, first int) {
+	if len(dst) != n*len(members) {
+		panic(fmt.Sprintf("mpi: gather length mismatch: out %d, want %d at rank %d", len(dst), n*len(members), owner))
 	}
-	copy(out, first)
-	for _, v := range payloads[1:] {
-		for i, x := range v {
-			out[i] = op.apply(out[i], x)
+	copy(dst[first*n:(first+1)*n], members[first].in)
+	for r, m := range members {
+		if len(m.in) != n {
+			panic(fmt.Sprintf("mpi: gather ragged input: rank %d has %d, want %d", r, len(m.in), n))
+		}
+		if r != first {
+			copy(dst[r*n:(r+1)*n], m.in)
 		}
 	}
 }
@@ -145,18 +198,26 @@ func reduceInto(out []float64, payloads [][]float64, op ReduceOp) {
 // Allgather concatenates every member's in (all of equal length) into out in
 // comm-rank order; len(out) must be len(in)*Size().
 func (c *Comm) Allgather(in, out []float64) float64 {
-	payloads, maxT, seq := c.gatherData(append([]float64(nil), in...))
-	c.concatInto(out, payloads, len(in))
+	maxT, seq := c.collRound(in, out, func(members []collView) {
+		n := len(members[0].in)
+		all := c.scratch(n * len(members))
+		gatherInto(all, 0, members, n, 0)
+		for r, m := range members {
+			if len(m.out) != len(all) {
+				panic(fmt.Sprintf("mpi: gather length mismatch: out %d, want %d at rank %d", len(m.out), len(all), r))
+			}
+			copy(m.out, all)
+		}
+	})
 	return c.finishColl(maxT, collVol, float64(8*len(in)*(len(c.group)-1)), seq)
 }
 
 // Gather concatenates every member's in into root's out.
 func (c *Comm) Gather(root int, in, out []float64) float64 {
 	c.checkPeer(root)
-	payloads, maxT, seq := c.gatherData(append([]float64(nil), in...))
-	if c.rank == root {
-		c.concatInto(out, payloads, len(in))
-	}
+	maxT, seq := c.collRound(in, out, func(members []collView) {
+		gatherInto(members[root].out, root, members, len(members[root].in), root)
+	})
 	return c.finishColl(maxT, collVol, float64(8*len(in)*(len(c.group)-1)), seq)
 }
 
@@ -164,38 +225,17 @@ func (c *Comm) Gather(root int, in, out []float64) float64 {
 // segment to comm rank i's out.
 func (c *Comm) Scatter(root int, in, out []float64) float64 {
 	c.checkPeer(root)
-	var payload []float64
-	if c.rank == root {
-		payload = append([]float64(nil), in...)
-	}
-	payloads, maxT, seq := c.gatherData(payload)
-	full := payloads[root]
-	n := len(out)
-	if n*len(c.group) != len(full) {
-		panic(fmt.Sprintf("mpi: scatter length mismatch: in %d, out %d x %d ranks", len(full), n, len(c.group)))
-	}
-	copy(out, full[c.rank*n:(c.rank+1)*n])
-	return c.finishColl(maxT, collVol, float64(8*n*(len(c.group)-1)), seq)
-}
-
-func (c *Comm) concatInto(out []float64, payloads [][]float64, n int) {
-	if len(out) != n*len(c.group) {
-		panic(fmt.Sprintf("mpi: gather length mismatch: out %d, want %d", len(out), n*len(c.group)))
-	}
-	for r, v := range payloads {
-		if len(v) != n {
-			panic(fmt.Sprintf("mpi: gather ragged input: rank %d has %d, want %d", r, len(v), n))
+	maxT, seq := c.collRound(in, out, func(members []collView) {
+		full := members[root].in
+		// Root's own segment last: its out may alias any part of its in.
+		for i := range members {
+			r := (root + 1 + i) % len(members)
+			seg := members[r].out
+			if len(seg)*len(members) != len(full) {
+				panic(fmt.Sprintf("mpi: scatter length mismatch: in %d, out %d x %d ranks at rank %d", len(full), len(seg), len(members), r))
+			}
+			copy(seg, full[r*len(seg):])
 		}
-		copy(out[r*n:(r+1)*n], v)
-	}
-}
-
-// AllreduceUntimed combines every member's in elementwise with op into
-// every member's out, synchronizing clocks to the maximum participant time
-// without charging transfer cost. Used for profiler bookkeeping reductions
-// whose overhead the paper treats as negligible.
-func (c *Comm) AllreduceUntimed(in, out []float64, op ReduceOp) {
-	payloads, maxT, _ := c.gatherData(append([]float64(nil), in...))
-	reduceInto(out, payloads, op)
-	c.state.clock.AdvanceTo(maxT)
+	})
+	return c.finishColl(maxT, collVol, float64(8*len(out)*(len(c.group)-1)), seq)
 }

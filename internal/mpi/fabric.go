@@ -44,8 +44,8 @@ type fbox[T any] struct {
 	parked bool
 }
 
-// round coordinates one collective operation instance. Guarded by its
-// shard's lock.
+// round coordinates one collective operation instance: one slot per member
+// for its payload and its entry clock. Guarded by its shard's lock.
 type round[T any] struct {
 	arrived  int
 	departed int
@@ -73,6 +73,43 @@ type roundShard[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	rounds map[roundKey]*round[T]
+	// free holds the rounds reduceRound has finished with (struct, payload
+	// and clock slices, slots cleared), at most maxFreeRounds of them; a
+	// shard in steady state opens its rounds without allocating.
+	free []*round[T]
+}
+
+// maxFreeRounds bounds each shard's freelist of recycled rounds: a shard
+// rarely has more than a few rounds open at once (one per communicator
+// hashing to it), and anything beyond the bound falls to the collector.
+const maxFreeRounds = 8
+
+// open returns a round with n empty slots, recycled when reuse is set and
+// the freelist has one. A recycled round too small for this communicator is
+// dropped for a fresh one, so the freelist converges on the largest size the
+// shard serves.
+func (sh *roundShard[T]) open(n int, reuse bool) *round[T] {
+	if k := len(sh.free); reuse && k > 0 {
+		rd := sh.free[k-1]
+		sh.free[k-1] = nil
+		sh.free = sh.free[:k-1]
+		if cap(rd.payloads) >= n {
+			rd.payloads, rd.clocks = rd.payloads[:n], rd.clocks[:n]
+			return rd
+		}
+	}
+	return &round[T]{payloads: make([]T, n), clocks: make([]float64, n)}
+}
+
+// recycle clears rd's slots (a freelist must not pin a delivered payload)
+// and files it for the next open.
+func (sh *roundShard[T]) recycle(rd *round[T]) {
+	if len(sh.free) >= maxFreeRounds {
+		return
+	}
+	clear(rd.payloads)
+	*rd = round[T]{payloads: rd.payloads[:0], clocks: rd.clocks[:0]}
+	sh.free = append(sh.free, rd)
 }
 
 // fabric is the per-payload-type message substrate of one World.
@@ -168,43 +205,55 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 	}
 }
 
-// gatherRound synchronizes all communicator members at a collective point
-// on this fabric, depositing payload and returning every member's payload
-// (indexed by comm rank), the maximum participant clock, and the round's
-// sequence number. Payloads are shared across ranks after the round: treat
-// them as immutable.
-func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
-	seq := c.collSeq
+// rendezvous is the one wait path of every collective round on this fabric:
+// the caller deposits payload and its clock in its slot of the round numbered
+// by c.collSeq (which also seeds finishColl's noise), and the last member to
+// arrive computes the maximum participant clock, runs finish (when non-nil)
+// over the slots in comm-rank order, and wakes the others. Every other member
+// is parked — counted in World.idle, under the same hold of the shard lock as
+// its deposit — until that wakeup, so finish, which runs with the lock held,
+// may read and write through any member's payload (the callers' own buffers
+// included) as if it were alone.
+// A panic in finish unwinds the last arriver with the lock released by the
+// deferred unlock; World.Run turns it into an abort that wakes the parked
+// members, exactly as a panic anywhere else in a rank body does.
+//
+// With reuse set the round comes from, and returns to, the shard's freelist,
+// and only the caller's own slot is returned (all is nil); without it the
+// round is allocated fresh and all is the shared slot slice, which outlives
+// the round.
+func (f *fabric[T]) rendezvous(c *Comm, payload T, finish func(members []T), reuse bool) (all []T, mine T, maxT float64, seq uint64) {
+	seq = c.collSeq
 	c.collSeq++
 	key := roundKey{c.ctx, seq}
+	n := len(c.group)
 	sh := f.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f.w.checkAbort()
 	rd, ok := sh.rounds[key]
 	if !ok {
-		rd = &round[T]{
-			payloads: make([]T, len(c.group)),
-			clocks:   make([]float64, len(c.group)),
-		}
+		rd = sh.open(n, reuse)
 		sh.rounds[key] = rd
 	}
 	rd.payloads[c.rank] = payload
 	rd.clocks[c.rank] = c.state.clock.Now()
 	rd.arrived++
-	if rd.arrived == len(c.group) {
-		maxT := rd.clocks[0]
+	if rd.arrived == n {
+		rd.maxT = rd.clocks[0]
 		for _, t := range rd.clocks[1:] {
-			if t > maxT {
-				maxT = t
+			if t > rd.maxT {
+				rd.maxT = t
 			}
 		}
-		rd.maxT = maxT
+		if finish != nil {
+			finish(rd.payloads)
+		}
 		rd.done = true
 		sh.cond.Broadcast()
 		// Every other member deposited and parked without releasing the
 		// shard lock in between.
-		f.w.unpark(len(c.group) - 1)
+		f.w.unpark(n - 1)
 	} else {
 		f.w.park(&sh.mu)
 	}
@@ -213,12 +262,43 @@ func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
 		sh.cond.Wait()
 	}
 	f.w.checkAbort()
-	payloads, maxT := rd.payloads, rd.maxT
-	rd.departed++
-	if rd.departed == len(c.group) {
-		delete(sh.rounds, key)
+	mine, maxT = rd.payloads[c.rank], rd.maxT
+	if !reuse {
+		all = rd.payloads
 	}
-	return payloads, maxT, seq
+	rd.departed++
+	if rd.departed == n {
+		delete(sh.rounds, key)
+		if reuse {
+			sh.recycle(rd)
+		}
+	}
+	return all, mine, maxT, seq
+}
+
+// gatherRound synchronizes all communicator members at a collective point
+// on this fabric, depositing payload and returning every member's payload
+// (indexed by comm rank), the maximum participant clock, and the round's
+// sequence number. Payloads are shared across ranks after the round: treat
+// them as immutable. It is for the callers that need every payload
+// (GatherUntimed, Split, Dup); everything that reduces goes through
+// reduceRound.
+func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
+	all, _, maxT, seq := f.rendezvous(c, payload, nil, false)
+	return all, maxT, seq
+}
+
+// reduceRound synchronizes all communicator members at a collective point
+// where the last arriver does the work: finish runs once, on the last
+// arriver, over the members' slots in place (members[i] is comm rank i's
+// payload) while every other member is parked, and must leave in members[i]
+// what rank i is to receive. Each member returns its own slot by value, the
+// maximum participant clock, and the round's sequence number. The round
+// itself (struct, slot and clock slices) is recycled through the shard's
+// freelist, so a round allocates nothing in steady state.
+func (f *fabric[T]) reduceRound(c *Comm, payload T, finish func(members []T)) (T, float64, uint64) {
+	_, mine, maxT, seq := f.rendezvous(c, payload, finish, true)
+	return mine, maxT, seq
 }
 
 // Lane is a pre-resolved handle on a world's fabric for one payload type:
@@ -264,20 +344,18 @@ func (l Lane[T]) Exchange(c *Comm, peer, tag int, payload T) T {
 	return l.Recv(c, peer, tag)
 }
 
-// Allreduce folds every member's typed payload with merge (in comm-rank
-// order) and returns the result to all members. Clocks are synchronized to
-// the maximum participant time but no transfer cost is charged: this is the
-// profiler's internal coordination primitive (the PMPI_Allreduce with a
-// custom operator in Figure 2 of the paper). merge must be pure; the result
-// is shared across ranks and must be treated as immutable.
-func (l Lane[T]) Allreduce(c *Comm, payload T, merge func(a, b T) T) T {
-	payloads, maxT, _ := l.f.gatherRound(c, payload)
-	acc := payloads[0]
-	for _, p := range payloads[1:] {
-		acc = merge(acc, p)
-	}
+// Allreduce is the profiler's internal coordination primitive (the
+// PMPI_Allreduce with a custom operator in Figure 2 of the paper) as one
+// reduceRound: finish runs once, on the last member to arrive, over every
+// member's payload in comm-rank order while the others are parked, and leaves
+// in members[i] what rank i returns. Clocks are synchronized to the maximum
+// participant time but no transfer cost is charged. Whatever finish hands to
+// more than one slot is shared across those ranks and must be treated as
+// immutable; AllreduceMsg is the plain fold-and-hand-to-all form.
+func (l Lane[T]) Allreduce(c *Comm, payload T, finish func(members []T)) T {
+	out, maxT, _ := l.f.reduceRound(c, payload, finish)
 	c.state.clock.AdvanceTo(maxT)
-	return acc
+	return out
 }
 
 // GatherUntimed returns every member's typed payload indexed by comm rank,
@@ -309,9 +387,19 @@ func ExchangeMsg[T any](c *Comm, peer, tag int, payload T) T {
 }
 
 // AllreduceMsg folds every member's typed payload with merge in comm-rank
-// order, untimed. See Lane.Allreduce.
+// order — once, on the last arriver — and returns the result to all members,
+// untimed. merge must be pure; the result is shared across ranks and must be
+// treated as immutable. See Lane.Allreduce.
 func AllreduceMsg[T any](c *Comm, payload T, merge func(a, b T) T) T {
-	return LaneOf[T](c.w).Allreduce(c, payload, merge)
+	return LaneOf[T](c.w).Allreduce(c, payload, func(members []T) {
+		acc := members[0]
+		for _, p := range members[1:] {
+			acc = merge(acc, p)
+		}
+		for i := range members {
+			members[i] = acc
+		}
+	})
 }
 
 // GatherMsgUntimed returns every member's typed payload indexed by comm
@@ -340,10 +428,20 @@ type bufClass struct {
 	free [][]float64
 }
 
-// maxPooledPerClass bounds each class's freelist; beyond it buffers fall to
-// the garbage collector (a world's in-flight message population is small,
-// so the bound only matters after pathological bursts).
-const maxPooledPerClass = 256
+// A class's freelist is bounded by the memory it may hold (maxPooledWords),
+// never below minPooledPerClass buffers; beyond the bound buffers fall to the
+// garbage collector. The bound is there for pathological bursts only: a pool
+// that overflows in steady state drops and remakes buffers at a rate that
+// depends on how far apart the ranks happen to run, which is what a count
+// bound of 256 did to the 2 KB class once slate.QR's per-iteration tiles
+// (about 900 live per 32-rank world at nb = 16) went through the pool.
+const (
+	minPooledPerClass = 256
+	maxPooledWords    = 1 << 20 // 8 MB per class
+)
+
+// classBound returns how many buffers class c's freelist may hold.
+func classBound(c int) int { return max(minPooledPerClass, maxPooledWords>>c) }
 
 // NewBufPool returns an empty pool.
 func NewBufPool() *BufPool { return &BufPool{} }
@@ -384,7 +482,7 @@ func (p *BufPool) Put(b []float64) {
 	}
 	cl := &p.classes[c]
 	cl.mu.Lock()
-	if len(cl.free) < maxPooledPerClass {
+	if len(cl.free) < classBound(c) {
 		cl.free = append(cl.free, b[:0])
 	}
 	cl.mu.Unlock()

@@ -565,3 +565,27 @@ func TestManyRanksStress(t *testing.T) {
 		}
 	})
 }
+
+// A class's freelist is bounded by the memory it holds, not by a count: a
+// thousand live 2 KB tiles (slate.QR's per-iteration population at nb = 16)
+// must all come back from the pool, or which of them are dropped and remade
+// depends on how far apart the ranks run. Large classes keep the old bound.
+func TestBufPoolBoundIsByMemory(t *testing.T) {
+	p := NewBufPool()
+	const small, large = 256, 8192 // words: a 2 KB and a 64 KB class
+	for _, tc := range []struct{ words, put, kept int }{
+		{small, 1000, 1000},
+		{large, 300, minPooledPerClass},
+	} {
+		bufs := make([][]float64, tc.put)
+		for i := range bufs {
+			bufs[i] = p.Get(tc.words)
+		}
+		for _, b := range bufs {
+			p.Put(b)
+		}
+		if got := len(p.classes[sizeClass(tc.words)].free); got != tc.kept {
+			t.Errorf("%d buffers of %d words put: %d kept, want %d", tc.put, tc.words, got, tc.kept)
+		}
+	}
+}

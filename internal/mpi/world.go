@@ -51,11 +51,13 @@ type World struct {
 	ranks []*rankState
 
 	// fabrics maps a payload type (reflect.Type) to its *fabric[T]; the
-	// data plane lives at T = []float64 and is cached in dataFab.
-	// fabricMu serializes fabric creation (lookups are lock-free).
+	// data plane's two are cached: point-to-point payloads travel at
+	// T = []float64 (dataFab), data collectives meet at T = collView
+	// (collFab). fabricMu serializes fabric creation (lookups are lock-free).
 	fabrics  sync.Map
 	fabricMu sync.Mutex
 	dataFab  *fabric[[]float64]
+	collFab  *fabric[collView]
 
 	// bufs, when non-nil, recycles data-plane payload buffers across
 	// messages (and, via the sweep executor's per-worker scratch, across
@@ -99,6 +101,9 @@ type rankState struct {
 	// transient sorted-record view (the records are copied into the new
 	// communicator's group before Split returns).
 	splitScratch []splitRecord
+	// collScratch is the buffer this rank reduces or concatenates into when
+	// it is the last arriver of a data collective (see Comm.scratch).
+	collScratch []float64
 }
 
 // NewWorld creates a world of size ranks with the given machine model and
@@ -123,6 +128,7 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 		}
 	}
 	w.dataFab = fabricOf[[]float64](w)
+	w.collFab = fabricOf[collView](w)
 	return w
 }
 

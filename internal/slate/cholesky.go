@@ -52,6 +52,10 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	// storage are never pooled. At most lookahead+1 panels are live, so
 	// the steady state allocates nothing.
 	bufs := cc.Raw().World().BufPoolOf()
+	var recvBuf func(words int) []float64
+	if bufs != nil {
+		recvBuf = bufs.Get
+	}
 	var cachePool []map[int][]float64
 	panelRecv := make(map[int][][]float64)
 	newCache := func() map[int][]float64 {
@@ -94,7 +98,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			}
 		}
 		var lkk []float64
-		if got := tileBcast(cc, diagOwner, sc.sorted(), tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, bufs); got != nil {
+		if got := tileBcast(cc, diagOwner, sc.sorted(), tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, recvBuf); got != nil {
 			lkk = got
 			if me != diagOwner {
 				panelRecv[k] = append(panelRecv[k], got)
@@ -128,7 +132,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 					need[o] = true
 				}
 			}
-			got := tileBcast(cc, owner, sc.sorted(), tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, bufs)
+			got := tileBcast(cc, owner, sc.sorted(), tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, recvBuf)
 			if got != nil {
 				cache[i] = got
 				if me != owner {

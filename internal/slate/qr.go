@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"critter/internal/critter"
+	"critter/internal/mpi"
 )
 
 // QRConfig parameterizes SLATE's tiled Householder QR (geqrf): matrix shape
@@ -33,6 +34,46 @@ func (c QRConfig) Validate(worldSize int) error {
 	return nil
 }
 
+// iterBufs hands out the buffers that live for one k iteration of QR — the
+// migrating R and top tiles, the T factors, the [V|T] send copies and the
+// received tiles — from the world's buffer pool, and gives them all back at
+// the end of the iteration (messages capture their payload at issue, so by
+// then nothing in flight refers to them). Without a pool it is make.
+type iterBufs struct {
+	pool *mpi.BufPool
+	held [][]float64
+}
+
+// get returns a length-n buffer the caller overwrites in full.
+func (b *iterBufs) get(n int) []float64 {
+	if b.pool == nil {
+		return make([]float64, n)
+	}
+	buf := b.pool.Get(n)
+	b.held = append(b.held, buf)
+	return buf
+}
+
+// zeroed returns a length-n buffer of zeros, for every use that relied on
+// make's: R's lower triangle, and whatever a skipped Recv or a skipped
+// kernel leaves unwritten — so an executed kernel reads what it always read.
+func (b *iterBufs) zeroed(n int) []float64 {
+	buf := b.get(n)
+	if b.pool != nil {
+		clear(buf)
+	}
+	return buf
+}
+
+// release returns every buffer handed out since the last release.
+func (b *iterBufs) release() {
+	for i, buf := range b.held {
+		b.pool.Put(buf)
+		b.held[i] = nil
+	}
+	b.held = b.held[:0]
+}
+
 // QR runs the tiled Householder QR factorization: geqrt on diagonal tiles,
 // tpqrt chains down each tile column, and gemqrt/tpmqrt updates across the
 // trailing tiles, communicating tiles with profiled isend/recv. On return,
@@ -43,7 +84,16 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	cc := a.G.All
 	me := cc.Rank()
 	sc := newRankScratch(cc.Size())
+	bufs := &iterBufs{pool: cc.Raw().World().BufPoolOf()}
+	recvBuf := bufs.zeroed  // a skipped Recv leaves the buffer as handed out
 	vWords := nb*nb + ib*nb // a V tile with its stacked T factor
+	// stack returns [v|t] as one buffer, the unit tileBcast moves.
+	stack := func(v, t []float64) []float64 {
+		vt := bufs.get(vWords)
+		copy(vt, v)
+		copy(vt[len(v):], t)
+		return vt
+	}
 
 	tagOf := func(k, i, j, phase int) int {
 		return ((k*mt+i)*(nt+1)+j)*8 + phase
@@ -57,8 +107,8 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		var vkk, tkk []float64
 		if me == diagOwner {
 			vkk = a.Tile(k, k)
-			tkk = make([]float64, ib*nb)
-			tau := make([]float64, nb)
+			tkk = bufs.zeroed(ib * nb)
+			tau := bufs.zeroed(nb)
 			p.Geqrt(nb, nb, ib, vkk, nb, tkk, ib, tau)
 		}
 		rowNeed := sc.reset()
@@ -69,9 +119,9 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		}
 		var send []float64
 		if me == diagOwner {
-			send = append(append([]float64(nil), vkk...), tkk...)
+			send = stack(vkk, tkk)
 		}
-		if got := tileBcast(cc, diagOwner, sc.sorted(), tagOf(k, k, 0, 0), send, vWords, &reqs, nil); got != nil && me != diagOwner {
+		if got := tileBcast(cc, diagOwner, sc.sorted(), tagOf(k, k, 0, 0), send, vWords, &reqs, recvBuf); got != nil && me != diagOwner {
 			vkk, tkk = got[:nb*nb], got[nb*nb:]
 		}
 		// Apply Q_kk^T to the rest of tile row k.
@@ -88,7 +138,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		// tile (i,k) and broadcasts them along tile row i.
 		var r []float64
 		if me == diagOwner {
-			r = make([]float64, nb*nb)
+			r = bufs.zeroed(nb * nb)
 			for c := 0; c < nb; c++ {
 				for rr := 0; rr <= c; rr++ {
 					r[rr+c*nb] = vkk[rr+c*nb]
@@ -103,14 +153,14 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				if me == cur {
 					reqs = append(reqs, cc.Isend(o, tagOf(k, i, 0, 1), r))
 				} else if me == o {
-					r = make([]float64, nb*nb)
+					r = bufs.zeroed(nb * nb)
 					cc.Recv(cur, tagOf(k, i, 0, 1), r)
 				}
 			}
 			var vik, tik []float64
 			if me == o {
 				vik = a.Tile(i, k)
-				tik = make([]float64, ib*nb)
+				tik = bufs.zeroed(ib * nb)
 				p.Tpqrt(nb, nb, ib, r, nb, vik, nb, tik, ib)
 			}
 			need := sc.reset()
@@ -121,9 +171,9 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			}
 			var vsend []float64
 			if me == o {
-				vsend = append(append([]float64(nil), vik...), tik...)
+				vsend = stack(vik, tik)
 			}
-			if got := tileBcast(cc, o, sc.sorted(), tagOf(k, i, 0, 3), vsend, vWords, &reqs, nil); got != nil {
+			if got := tileBcast(cc, o, sc.sorted(), tagOf(k, i, 0, 3), vsend, vWords, &reqs, recvBuf); got != nil {
 				vT[i] = [2][]float64{got[:nb*nb], got[nb*nb:]}
 			} else if me == o {
 				vT[i] = [2][]float64{vik, tik}
@@ -161,7 +211,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 					if me == cur {
 						reqs = append(reqs, cc.Isend(o, tagOf(k, i, j, 4), top))
 					} else if me == o {
-						top = make([]float64, nb*nb)
+						top = bufs.zeroed(nb * nb)
 						cc.Recv(cur, tagOf(k, i, j, 4), top)
 					}
 				}
@@ -178,7 +228,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				if me == cur {
 					reqs = append(reqs, cc.Isend(topOwner, tagOf(k, k, j, 5), top))
 				} else if me == topOwner {
-					top = make([]float64, nb*nb)
+					top = bufs.zeroed(nb * nb)
 					cc.Recv(cur, tagOf(k, k, j, 5), top)
 				}
 			}
@@ -189,5 +239,6 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			}
 		}
 		critter.Waitall(reqs)
+		bufs.release()
 	}
 }

@@ -206,9 +206,9 @@ func copyTileIntoDense(full []float64, ld int, tile []float64, i, j, nb int) {
 // distinct grid ranks) using profiled isend/recv. Every rank must call it
 // with identical arguments; returns the tile contents on ranks in recips and
 // on the owner, nil elsewhere. Isend requests are appended to reqs for
-// deferred completion. A non-nil pool supplies receive buffers that the
-// caller recycles (Put) once the tile is consumed.
-func tileBcast(cc *critter.Comm, owner int, recips []int, tag int, buf []float64, words int, reqs *[]*critter.Request, pool *mpi.BufPool) []float64 {
+// deferred completion. A non-nil recvBuf supplies the receive buffer, which
+// the caller recycles once the tile is consumed; nil means make.
+func tileBcast(cc *critter.Comm, owner int, recips []int, tag int, buf []float64, words int, reqs *[]*critter.Request, recvBuf func(words int) []float64) []float64 {
 	me := cc.Rank()
 	if me == owner {
 		for _, r := range recips {
@@ -221,8 +221,8 @@ func tileBcast(cc *critter.Comm, owner int, recips []int, tag int, buf []float64
 	for _, r := range recips {
 		if r == me {
 			var in []float64
-			if pool != nil {
-				in = pool.Get(words)
+			if recvBuf != nil {
+				in = recvBuf(words)
 			} else {
 				in = make([]float64, words)
 			}
