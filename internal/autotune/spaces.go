@@ -101,6 +101,8 @@ func CapitalCholesky(s Scale) Study {
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
+			ws := cc.Raw().Workspace()
+			defer ws.Release(ws.Mark())
 			g := grid.New3D(cc, s.CapitalC)
 			ch := capital.New(p, g, cfg)
 			ch.Run()
@@ -175,6 +177,8 @@ func CandmcQR(s Scale) Study {
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
+			ws := cc.Raw().Workspace()
+			defer ws.Release(ws.Mark())
 			g := grid.New2D(cc, cfg.PR, cfg.PC)
 			a := candmc.NewMatrix(g, cfg)
 			a.FillGeneral(7)
@@ -216,6 +220,8 @@ func SlateQR(s Scale) Study {
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
+			ws := cc.Raw().Workspace()
+			defer ws.Release(ws.Mark())
 			g := grid.New2D(cc, cfg.PR, cfg.PC)
 			a := slate.NewTileMatrix(g, cfg.M/cfg.NB, cfg.N/cfg.NB, cfg.NB)
 			a.FillGeneral(3)

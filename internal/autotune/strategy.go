@@ -42,18 +42,17 @@ type Plan interface {
 // ProfileAware is an optional interface a Plan may implement to receive the
 // sweep's live learned state: after each completed round the executor pools
 // every rank's profiler export (Profiler.GlobalProfile — a collective whose
-// result is identical on every rank) and feeds it to the plan before the
-// next Next call. Model-guided strategies use it to learn mid-run — e.g.
+// result is one profile handed to every rank) and feeds it to the plan before
+// the next Next call. Model-guided strategies use it to learn mid-run — e.g.
 // the Surrogate plan re-derives its exploration margin from the measured
 // kernel noise.
 //
 // The Plan contract extends naturally: ObserveProfile receives identical
 // arguments on every rank of a sweep, and a plan's later Next decisions
 // must remain deterministic in everything it has observed, so all ranks
-// keep agreeing. Implementations must not retain p past the call unless
-// they treat it as immutable (it is shared with nothing else, but mutating
-// it would desynchronize nothing — it is a per-round snapshot — while
-// wasting the copy).
+// keep agreeing. p is the same *critter.Profile on every rank of the sweep:
+// implementations must only read it, during the call and for as long as
+// they retain it.
 type ProfileAware interface {
 	ObserveProfile(p *critter.Profile)
 }

@@ -358,8 +358,8 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		}
 		prev = sr.Configs[roundStart:]
 		if profileAware != nil {
-			// Collective: every rank gathers and folds the identical merged
-			// profile, so plan state advances in lockstep across ranks. Fed
+			// Collective: every rank receives the one merged profile (shared,
+			// read-only), so plan state advances in lockstep across ranks. Fed
 			// after the round's results exist and before the next planning
 			// decision, mirroring how prev reaches Next.
 			profileAware.ObserveProfile(tuned.GlobalProfile())

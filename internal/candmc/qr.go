@@ -14,6 +14,7 @@ import (
 	"critter/internal/blas"
 	"critter/internal/critter"
 	"critter/internal/grid"
+	"critter/internal/mpi"
 )
 
 // PanelMethod selects the panel factorization algorithm.
@@ -77,7 +78,9 @@ type Matrix struct {
 	Data       []float64
 }
 
-// NewMatrix allocates the local part of an M x N matrix for cfg's layout.
+// NewMatrix allocates the local part of an M x N matrix for cfg's layout on
+// the calling rank's workspace: Data lives until a workspace mark taken
+// before the call is released.
 func NewMatrix(g *grid.Grid2D, cfg Config) *Matrix {
 	m := &Matrix{
 		G: g, M: cfg.M, N: cfg.N, B: cfg.B,
@@ -86,7 +89,7 @@ func NewMatrix(g *grid.Grid2D, cfg Config) *Matrix {
 	}
 	m.RLoc = cfg.M / cfg.PR
 	m.CLoc = cfg.N / cfg.PC
-	m.Data = make([]float64, m.RLoc*m.CLoc)
+	m.Data = g.All.Raw().Workspace().Get(m.RLoc * m.CLoc)
 	return m
 }
 
@@ -177,12 +180,15 @@ func (m *Matrix) localColStart(g int) int {
 // QR factorizes the distributed matrix in place: on return the upper
 // triangle (banded by panels) holds R and the panel columns hold the
 // reconstructed Householder vectors Y. All kernels run through the
-// profiler.
+// profiler; each panel step's buffers come off the rank's workspace and are
+// popped when the step ends.
 func QR(p *critter.Profiler, a *Matrix, cfg Config) {
 	b := cfg.B
 	g := a.G
+	ws := g.All.Raw().Workspace()
 	npanels := a.N / b
 	for t := 0; t < npanels; t++ {
+		step := ws.Mark()
 		rt0 := t * b // first global row of the panel
 		ct0 := t * b // first global col of the panel
 		ct1 := ct0 + b
@@ -192,7 +198,7 @@ func QR(p *critter.Profiler, a *Matrix, cfg Config) {
 
 		var y, tmat, rtile []float64
 		if inPanelCol {
-			y, tmat, rtile = panelFactor(p, a, cfg, t, lr0, rloc)
+			y, tmat, rtile = panelFactor(p, ws, a, cfg, t, lr0, rloc)
 		}
 		// Trailing update: broadcast Y and T along process rows, then
 		// W1 = Y^T A (column-comm reduction), W2 = T^T W1, A -= Y W2.
@@ -201,23 +207,23 @@ func QR(p *critter.Profiler, a *Matrix, cfg Config) {
 		rootInRow := t % g.PC
 		ybuf := y
 		if !inPanelCol {
-			ybuf = make([]float64, rloc*b)
+			ybuf = ws.Get(rloc * b)
 		}
 		if rloc > 0 {
 			g.Row.Bcast(rootInRow, ybuf)
 		}
 		tbuf := tmat
 		if !inPanelCol {
-			tbuf = make([]float64, b*b)
+			tbuf = ws.Get(b * b)
 		}
 		g.Row.Bcast(rootInRow, tbuf)
 		if cloc > 0 {
-			w1 := make([]float64, b*cloc)
+			w1 := ws.Get(b * cloc)
 			if rloc > 0 {
 				trail := a.Data[lr0+lc1*a.RLoc:]
 				p.Gemm(true, false, b, cloc, rloc, 1, ybuf, rloc, trail, a.RLoc, 0, w1, b)
 			}
-			w1g := make([]float64, b*cloc)
+			w1g := ws.Get(b * cloc)
 			g.Col.Allreduce(w1, w1g, 0)
 			p.Trmm(blas.Left, blas.Upper, true, blas.NonUnit, b, cloc, 1, tbuf, b, w1g, b)
 			if rloc > 0 {
@@ -242,6 +248,7 @@ func QR(p *critter.Profiler, a *Matrix, cfg Config) {
 				}
 			}
 		}
+		ws.Release(step)
 	}
 }
 
@@ -249,27 +256,28 @@ func QR(p *critter.Profiler, a *Matrix, cfg Config) {
 // the explicit orthogonal panel factor Q1 (negated for reconstruction
 // robustness), reconstructs the Householder representation (Y, T), and
 // returns the local Y rows, T, and the panel's R tile (written back by the
-// caller after Y). Collective over the process-column communicator.
-func panelFactor(p *critter.Profiler, a *Matrix, cfg Config, t, lr0, rloc int) (y, tmat, rtile []float64) {
+// caller after Y), all on ws. Collective over the process-column
+// communicator.
+func panelFactor(p *critter.Profiler, ws *mpi.Workspace, a *Matrix, cfg Config, t, lr0, rloc int) (y, tmat, rtile []float64) {
 	b := cfg.B
 	g := a.G
 	lc0 := a.localColStart(t * b)
 	// Copy the local panel rows into q (rloc x b, contiguous).
-	q := make([]float64, rloc*b)
+	q := ws.Get(rloc * b)
 	for c := 0; c < b; c++ {
 		copy(q[c*rloc:(c+1)*rloc], a.Data[lr0+(lc0+c)*a.RLoc:lr0+(lc0+c)*a.RLoc+rloc])
 	}
 	var r []float64
 	if cfg.Panel == PanelCholQR2 {
-		r = cholQR2(p, g, q, rloc, b)
+		r = cholQR2(p, ws, g, q, rloc, b)
 	} else {
-		r = tsqr(p, g, q, rloc, b, t)
+		r = tsqr(p, ws, g, q, rloc, b, t)
 		// Form explicit Q = P R^{-1} and refine once (CholeskyQR-style
 		// second pass) for orthogonality.
 		if rloc > 0 {
 			p.Trsm(blas.Right, blas.Upper, false, blas.NonUnit, rloc, b, 1, r, b, q, rloc)
 		}
-		r2 := cholQR(p, g, q, rloc, b)
+		r2 := cholQR(p, ws, g, q, rloc, b)
 		p.Trmm(blas.Left, blas.Upper, false, blas.NonUnit, b, b, 1, r2, b, r, b)
 	}
 	// Negate Q and R so the reconstruction LU has pivots bounded away
@@ -283,12 +291,12 @@ func panelFactor(p *critter.Profiler, a *Matrix, cfg Config, t, lr0, rloc int) (
 	// Householder reconstruction: LU(Q1 - [I;0]) = Y W, T = -W Y0^{-T}.
 	topRow := t % g.PR
 	isTop := g.MyRow == topRow
-	w := make([]float64, b*b)
-	tmat = make([]float64, b*b)
+	w := ws.Get(b * b)
+	tmat = ws.Get(b * b)
 	if isTop {
 		// The top b x b block of the panel is this rank's first b local
 		// rows at/after lr0.
-		top := make([]float64, b*b)
+		top := ws.Get(b * b)
 		for c := 0; c < b; c++ {
 			copy(top[c*b:(c+1)*b], q[c*rloc:c*rloc+b])
 		}
@@ -299,7 +307,7 @@ func panelFactor(p *critter.Profiler, a *Matrix, cfg Config, t, lr0, rloc int) (
 			_ = err // tolerated under selective execution
 		}
 		// Split factors: W = upper incl. diagonal, L0 = unit lower.
-		l0 := make([]float64, b*b)
+		l0 := ws.Get(b * b)
 		for c := 0; c < b; c++ {
 			for rr := 0; rr <= c; rr++ {
 				w[rr+c*b] = top[rr+c*b]
@@ -325,7 +333,7 @@ func panelFactor(p *critter.Profiler, a *Matrix, cfg Config, t, lr0, rloc int) (
 		start = b
 	}
 	if rloc-start > 0 {
-		sub := make([]float64, (rloc-start)*b)
+		sub := ws.Get((rloc - start) * b)
 		for c := 0; c < b; c++ {
 			copy(sub[c*(rloc-start):(c+1)*(rloc-start)], q[c*rloc+start:c*rloc+rloc])
 		}
@@ -339,18 +347,18 @@ func panelFactor(p *critter.Profiler, a *Matrix, cfg Config, t, lr0, rloc int) (
 
 // cholQR performs one CholeskyQR pass: G = P^T P (syrk + column allreduce),
 // R = chol(G)^T, P = P R^{-1}. Returns R (b x b upper, column-major).
-func cholQR(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b int) []float64 {
-	gram := make([]float64, b*b)
+func cholQR(p *critter.Profiler, ws *mpi.Workspace, g *grid.Grid2D, q []float64, rloc, b int) []float64 {
+	gram := ws.Get(b * b)
 	if rloc > 0 {
 		p.Syrk(blas.Lower, true, b, rloc, 1, q, rloc, 0, gram, b)
 	}
-	gsum := make([]float64, b*b)
+	gsum := ws.Get(b * b)
 	g.Col.Allreduce(gram, gsum, 0)
 	if err := p.Potrf(b, gsum, b); err != nil {
 		_ = err
 	}
 	// R = L^T: build upper-triangular R from the lower factor.
-	r := make([]float64, b*b)
+	r := ws.Get(b * b)
 	for c := 0; c < b; c++ {
 		for rr := c; rr < b; rr++ {
 			r[c+rr*b] = gsum[rr+c*b]
@@ -363,9 +371,9 @@ func cholQR(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b int) []flo
 }
 
 // cholQR2 runs two CholeskyQR passes and returns R = R2*R1.
-func cholQR2(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b int) []float64 {
-	r1 := cholQR(p, g, q, rloc, b)
-	r2 := cholQR(p, g, q, rloc, b)
+func cholQR2(p *critter.Profiler, ws *mpi.Workspace, g *grid.Grid2D, q []float64, rloc, b int) []float64 {
+	r1 := cholQR(p, ws, g, q, rloc, b)
+	r2 := cholQR(p, ws, g, q, rloc, b)
 	p.Trmm(blas.Left, blas.Upper, false, blas.NonUnit, b, b, 1, r2, b, r1, b)
 	return r1
 }
@@ -374,11 +382,12 @@ func cholQR2(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b int) []fl
 // exchange tree: local geqrf, then log2(pr) rounds of sendrecv + stacked
 // geqrf. Every column rank ends with the final R (b x b upper). The local
 // panel q is left unmodified (only a copy is factored).
-func tsqr(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b, panel int) []float64 {
-	r := make([]float64, b*b)
+func tsqr(p *critter.Profiler, ws *mpi.Workspace, g *grid.Grid2D, q []float64, rloc, b, panel int) []float64 {
+	r := ws.Get(b * b)
 	if rloc > 0 {
-		work := append([]float64(nil), q...)
-		tau := make([]float64, b)
+		work := ws.Get(len(q))
+		copy(work, q)
+		tau := ws.Get(b)
 		p.Geqrf(rloc, b, b, work, rloc, tau)
 		for c := 0; c < b; c++ {
 			for rr := 0; rr <= c && rr < rloc; rr++ {
@@ -387,8 +396,8 @@ func tsqr(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b, panel int) 
 		}
 	}
 	me := g.Col.Rank()
-	stacked := make([]float64, 2*b*b)
-	peerR := make([]float64, b*b)
+	stacked := ws.Get(2 * b * b)
+	peerR := ws.Get(b * b)
 	for lvl := 1; lvl < g.PR; lvl <<= 1 {
 		peer := me ^ lvl
 		tag := panel*64 + lvl
@@ -401,7 +410,7 @@ func tsqr(p *critter.Profiler, g *grid.Grid2D, q []float64, rloc, b, panel int) 
 			copy(stacked[c*2*b:c*2*b+b], lo[c*b:(c+1)*b])
 			copy(stacked[c*2*b+b:(c+1)*2*b], hi[c*b:(c+1)*b])
 		}
-		tau := make([]float64, b)
+		tau := ws.Get(b)
 		p.Geqrf(2*b, b, b, stacked, 2*b, tau)
 		for c := 0; c < b; c++ {
 			for rr := 0; rr < b; rr++ {

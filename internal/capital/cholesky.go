@@ -28,6 +28,7 @@ import (
 	"critter/internal/blas"
 	"critter/internal/critter"
 	"critter/internal/grid"
+	"critter/internal/mpi"
 )
 
 // Config parameterizes the factorization: matrix dimension N, base-case
@@ -58,7 +59,8 @@ func (c Config) Validate(worldSize int) error {
 }
 
 // Chol holds one rank's state: the replicated-by-layer, row-cyclic local
-// slabs of A, L, and L^{-1} (each rloc x N column-major).
+// slabs of A, L, and L^{-1} (each rloc x N column-major). The slabs and every
+// buffer of the factorization live on the rank's workspace.
 type Chol struct {
 	G    *grid.Grid3D
 	Cfg  Config
@@ -68,20 +70,22 @@ type Chol struct {
 	L    []float64
 	Linv []float64
 	p    *critter.Profiler
+	ws   *mpi.Workspace
 }
 
-// New allocates the local state and fills A with the deterministic SPD test
-// matrix (identical on every layer).
+// New allocates the local state on the calling rank's workspace — it lives
+// until a workspace mark taken before the call is released — and fills A with
+// the deterministic SPD test matrix (identical on every layer).
 func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 	p2 := cfg.C * cfg.C
 	ch := &Chol{
-		G: g, Cfg: cfg, p: p,
+		G: g, Cfg: cfg, p: p, ws: g.All.Raw().Workspace(),
 		Rows: grid.Cyclic{N: cfg.N, BS: cfg.BB, P: p2},
 	}
 	ch.RLoc = ch.Rows.LocalItems(g.LayerRank)
-	ch.A = make([]float64, ch.RLoc*cfg.N)
-	ch.L = make([]float64, ch.RLoc*cfg.N)
-	ch.Linv = make([]float64, ch.RLoc*cfg.N)
+	ch.A = ch.ws.Get(ch.RLoc * cfg.N)
+	ch.L = ch.ws.Get(ch.RLoc * cfg.N)
+	ch.Linv = ch.ws.Get(ch.RLoc * cfg.N)
 	boost := 4 + 2*math.Log(float64(cfg.N))
 	for lb := 0; lb < ch.Rows.LocalBlocks(g.LayerRank); lb++ {
 		g0 := ch.Rows.GlobalBlock(g.LayerRank, lb) * cfg.BB
@@ -136,12 +140,16 @@ func (ch *Chol) maxBlocksIn(r0, r1 int) int {
 // matrix mat (A, L, or Linv) on every rank of the layer, via a padded
 // intra-layer allgather. Packing and unpacking are profiled as the
 // block-to-cyclic redistribution kernel, as the paper does for CAPITAL
-// (Section V-D).
+// (Section V-D). The returned block is pushed on the workspace before the
+// mark that pops the send and receive buffers, so it is the only thing the
+// call leaves there.
 func (ch *Chol) allgatherBlock(mat []float64, r0, r1, c0, c1 int) []float64 {
 	bb := ch.Cfg.BB
 	rows, cols := r1-r0, c1-c0
 	maxB := ch.maxBlocksIn(r0, r1)
-	contrib := make([]float64, maxB*bb*cols)
+	dense := ch.ws.Get(rows * cols)
+	defer ch.ws.Release(ch.ws.Mark())
+	contrib := ch.ws.Get(maxB * bb * cols)
 	mine := ch.localBlocksIn(r0, r1)
 	ch.p.Kernel("blk2cyc", len(mine), cols, 0, 0, float64(len(mine)*bb*cols), func() {
 		for bi, lb := range mine {
@@ -152,9 +160,8 @@ func (ch *Chol) allgatherBlock(mat []float64, r0, r1, c0, c1 int) []float64 {
 		}
 	})
 	p2 := ch.Cfg.C * ch.Cfg.C
-	out := make([]float64, p2*len(contrib))
+	out := ch.ws.Get(p2 * len(contrib))
 	ch.G.Layer.Allgather(contrib, out)
-	dense := make([]float64, rows*cols)
 	ch.p.Kernel("cyc2blk", rows/bb, cols, 0, 0, float64(rows*cols), func() {
 		for owner := 0; owner < p2; owner++ {
 			seg := out[owner*len(contrib) : (owner+1)*len(contrib)]
@@ -200,12 +207,16 @@ func (ch *Chol) cholInv(i0, i1 int) {
 	s11 := mid - i0
 	m2 := i1 - mid
 
-	// L21 = A21 * L11inv^T, contraction split across depth fibers.
+	// L21 = A21 * L11inv^T, contraction split across depth fibers. m11inv
+	// is needed again after the second recursive call; everything else of
+	// the Schur update is popped before it.
+	defer ch.ws.Release(ch.ws.Mark())
 	m11inv := ch.allgatherBlock(ch.Linv, i0, mid, i0, mid)
+	schur := ch.ws.Mark()
 	mine := ch.localBlocksIn(mid, i1)
 	bb := ch.Cfg.BB
 	m2loc := len(mine) * bb
-	l21 := make([]float64, m2loc*s11)
+	l21 := ch.ws.Get(m2loc * s11)
 	if m2loc > 0 {
 		a21 := ch.packRows(ch.A, mine, i0, s11)
 		if ch.Cfg.C == 1 {
@@ -220,7 +231,7 @@ func (ch *Chol) cholInv(i0, i1 int) {
 		}
 	}
 	if ch.Cfg.C > 1 {
-		sum := make([]float64, len(l21))
+		sum := ch.ws.Get(len(l21))
 		ch.G.Depth.Allreduce(l21, sum, 0)
 		l21 = sum
 	}
@@ -231,11 +242,12 @@ func (ch *Chol) cholInv(i0, i1 int) {
 	f := ch.allgatherBlock(ch.L, mid, i1, i0, mid) // m2 x s11
 	for _, lb := range mine {
 		g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * bb
-		frow := make([]float64, bb*s11)
+		block := ch.ws.Mark()
+		frow := ch.ws.Get(bb * s11)
 		for c := 0; c < s11; c++ {
 			copy(frow[c*bb:(c+1)*bb], f[g0-mid+c*m2:g0-mid+c*m2+bb])
 		}
-		diag := make([]float64, bb*bb)
+		diag := ch.ws.Get(bb * bb)
 		ch.p.Syrk(blas.Lower, false, bb, s11, 1, frow, bb, 0, diag, bb)
 		for c := 0; c < bb; c++ {
 			for r := c; r < bb; r++ {
@@ -243,7 +255,7 @@ func (ch *Chol) cholInv(i0, i1 int) {
 			}
 		}
 		if g0 > mid {
-			off := make([]float64, bb*(g0-mid))
+			off := ch.ws.Get(bb * (g0 - mid))
 			ch.p.Gemm(false, true, bb, g0-mid, s11, 1, frow, bb, f, m2, 0, off, bb)
 			for c := 0; c < g0-mid; c++ {
 				for r := 0; r < bb; r++ {
@@ -251,7 +263,9 @@ func (ch *Chol) cholInv(i0, i1 int) {
 				}
 			}
 		}
+		ch.ws.Release(block)
 	}
+	ch.ws.Release(schur)
 
 	ch.cholInv(mid, i1)
 
@@ -269,11 +283,11 @@ func (ch *Chol) cholInv(i0, i1 int) {
 }
 
 // packRows copies the local blocks' columns [c0, c0+cols) into a contiguous
-// (len(mine)*BB) x cols matrix.
+// (len(mine)*BB) x cols matrix on the workspace.
 func (ch *Chol) packRows(mat []float64, mine []int, c0, cols int) []float64 {
 	bb := ch.Cfg.BB
 	m := len(mine) * bb
-	out := make([]float64, m*cols)
+	out := ch.ws.Get(m * cols)
 	for bi, lb := range mine {
 		for c := 0; c < cols; c++ {
 			copy(out[bi*bb+c*m:bi*bb+c*m+bb], mat[lb*bb+(c0+c)*ch.RLoc:lb*bb+(c0+c)*ch.RLoc+bb])
@@ -324,12 +338,12 @@ func (ch *Chol) baseCase(i0, i1 int) {
 }
 
 // factorDense runs potrf then trtri on a dense s x s block, producing the
-// packed pair [L | Linv] (each s x s, lower).
+// packed pair [L | Linv] (each s x s, lower) on the workspace.
 func (ch *Chol) factorDense(block []float64, s int) []float64 {
 	if err := ch.p.Potrf(s, block, s); err != nil {
 		_ = err // tolerated under selective execution
 	}
-	pair := make([]float64, 2*s*s)
+	pair := ch.ws.Get(2 * s * s)
 	copy(pair[:s*s], block)
 	inv := pair[s*s:]
 	copy(inv, block)
@@ -354,9 +368,10 @@ func (ch *Chol) baseGatherScatter(i0, i1, s int) {
 	maxB := ch.maxBlocksIn(i0, i1)
 	p2 := ch.Cfg.C * ch.Cfg.C
 	contribWords := maxB * bb * s
-	slab := make([]float64, 2*contribWords)
+	defer ch.ws.Release(ch.ws.Mark())
+	slab := ch.ws.Get(2 * contribWords)
 	if ch.G.MyLayer == 0 {
-		contrib := make([]float64, contribWords)
+		contrib := ch.ws.Get(contribWords)
 		mine := ch.localBlocksIn(i0, i1)
 		ch.p.Kernel("blk2cyc", len(mine), s, 0, 0, float64(len(mine)*bb*s), func() {
 			for bi, lb := range mine {
@@ -366,12 +381,7 @@ func (ch *Chol) baseGatherScatter(i0, i1, s int) {
 				}
 			}
 		})
-		var gathered []float64
-		if ch.G.LayerRank == 0 {
-			gathered = make([]float64, p2*contribWords)
-		} else {
-			gathered = make([]float64, p2*contribWords) // root-significant only
-		}
+		gathered := ch.ws.Get(p2 * contribWords) // root-significant only
 		ch.G.Layer.Gather(0, contrib, gathered)
 		var scatterSrc []float64
 		if ch.G.LayerRank == 0 {
@@ -379,7 +389,7 @@ func (ch *Chol) baseGatherScatter(i0, i1, s int) {
 			pair := ch.factorDense(dense, s)
 			scatterSrc = ch.packPairForScatter(pair, i0, i1, s, maxB)
 		} else {
-			scatterSrc = make([]float64, p2*2*contribWords)
+			scatterSrc = ch.ws.Get(p2 * 2 * contribWords)
 		}
 		ch.G.Layer.Scatter(0, scatterSrc, slab)
 	}
@@ -390,6 +400,7 @@ func (ch *Chol) baseGatherScatter(i0, i1, s int) {
 // baseAllgatherAll is strategy 2: allgather within every layer and
 // factorize redundantly everywhere.
 func (ch *Chol) baseAllgatherAll(i0, i1, s int) {
+	defer ch.ws.Release(ch.ws.Mark())
 	dense := ch.allgatherBlock(ch.A, i0, i1, i0, i1)
 	pair := ch.factorDense(dense, s)
 	ch.writePair(pair, i0, i1, s)
@@ -400,7 +411,8 @@ func (ch *Chol) baseAllgatherAll(i0, i1, s int) {
 func (ch *Chol) baseAllgatherLayer0(i0, i1, s int) {
 	bb := ch.Cfg.BB
 	maxB := ch.maxBlocksIn(i0, i1)
-	slab := make([]float64, 2*maxB*bb*s)
+	defer ch.ws.Release(ch.ws.Mark())
+	slab := ch.ws.Get(2 * maxB * bb * s)
 	if ch.G.MyLayer == 0 {
 		dense := ch.allgatherBlock(ch.A, i0, i1, i0, i1)
 		pair := ch.factorDense(dense, s)
@@ -419,12 +431,13 @@ func (ch *Chol) baseAllgatherLayer0(i0, i1, s int) {
 	ch.unpackPairSlab(slab, i0, i1, s, maxB)
 }
 
-// assembleDense unpacks a gathered padded buffer into a dense s x s block.
+// assembleDense unpacks a gathered padded buffer into a dense s x s block on
+// the workspace.
 func (ch *Chol) assembleDense(gathered []float64, i0, i1, s, maxB int) []float64 {
 	bb := ch.Cfg.BB
 	p2 := ch.Cfg.C * ch.Cfg.C
 	contribWords := maxB * bb * s
-	dense := make([]float64, s*s)
+	dense := ch.ws.Get(s * s)
 	d := grid.Cyclic{N: ch.Cfg.N, BS: bb, P: p2}
 	for owner := 0; owner < p2; owner++ {
 		seg := gathered[owner*contribWords : (owner+1)*contribWords]
@@ -444,12 +457,12 @@ func (ch *Chol) assembleDense(gathered []float64, i0, i1, s, maxB int) []float64
 }
 
 // packPairForScatter packs [L | Linv] into per-rank padded slabs in layer
-// rank order for a Scatter.
+// rank order for a Scatter, on the workspace.
 func (ch *Chol) packPairForScatter(pair []float64, i0, i1, s, maxB int) []float64 {
 	bb := ch.Cfg.BB
 	p2 := ch.Cfg.C * ch.Cfg.C
 	slabWords := 2 * maxB * bb * s
-	out := make([]float64, p2*slabWords)
+	out := ch.ws.Get(p2 * slabWords)
 	d := grid.Cyclic{N: ch.Cfg.N, BS: bb, P: p2}
 	for owner := 0; owner < p2; owner++ {
 		seg := out[owner*slabWords : (owner+1)*slabWords]

@@ -161,27 +161,29 @@ func (e *ciMean) predictable(id uint32, key Key, eps float64, freq int64) bool {
 // holding large dead spans alive).
 const slabChunk = 128
 
-// adoptSlabs takes over a retired model's accumulator slabs (KernelMemo's
-// arena recycling). Slab contents need not be zeroed — newWelford zeroes
-// each accumulator on handout — so donation and adoption are both O(chunks).
-// Only a freshly constructed model may adopt (live map entries point into
-// the current slabs).
-func (e *ciMean) adoptSlabs(s [][]stats.Welford) {
+// adoptArena takes over a retired model's accumulator slabs and its emptied
+// live map (KernelMemo's arena recycling). Slab contents need not be zeroed —
+// newWelford zeroes each accumulator on handout — so donation and adoption
+// are both O(chunks). Only a freshly constructed model may adopt (live map
+// entries point into the current slabs).
+func (e *ciMean) adoptArena(slabs [][]stats.Welford, cur map[Key]*stats.Welford) {
 	if len(e.slabs) == 0 && e.slabUsed == 0 {
-		e.slabs = s
+		e.slabs, e.cur = slabs, cur
 	}
 }
 
-// releaseSlabs hands the slabs off and severs them from the (now retired)
-// model.
-func (e *ciMean) releaseSlabs() [][]stats.Welford {
-	s := e.slabs
+// releaseArena hands off the slabs and the live map — emptied, its buckets
+// kept, so the adopter does not regrow it entry by entry — and severs them
+// from the (now retired) model.
+func (e *ciMean) releaseArena() ([][]stats.Welford, map[Key]*stats.Welford) {
+	s, cur := e.slabs, e.cur
+	clear(cur)
 	e.slabs = nil
 	e.slabUsed = 0
 	e.cur = nil
 	e.byID = nil
 	e.lastValid = false
-	return s
+	return s, cur
 }
 
 // newWelford hands out a zeroed accumulator from the slab.
@@ -300,49 +302,12 @@ func (e *ciMean) importWelford(id uint32, key Key, w stats.Welford) {
 	e.pooled[key] = true
 }
 
-// hasLiveState reports whether archiveInto would contribute anything.
-func (e *ciMean) hasLiveState() bool {
-	if len(e.cur) > 0 {
-		return true
-	}
-	for _, fm := range e.families {
-		if len(fm.points) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// archiveInto merges the live layer into dst — the kernel and family loops
-// of Profile.Merge applied directly from the live maps, archive-side
-// accumulator first, so no intermediate Profile is built. Prior samples are
-// excluded, so chaining runs via MergeProfiles never double-counts them;
-// every family point currently fitted is included — points are snapshots
-// keyed by flops, so re-exporting prior-seeded ones is lossless.
-func (e *ciMean) archiveInto(dst *Profile) {
-	for key, w := range e.cur {
-		if w.Count() == 0 {
-			continue
-		}
-		om := KernelModel{
-			Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
-			Pooled: e.pooled[key],
-		}
-		if dst.Kernels == nil {
-			dst.Kernels = make(map[Key]KernelModel, len(e.cur))
-		}
-		km, ok := dst.Kernels[key]
-		if !ok {
-			dst.Kernels[key] = om
-			continue
-		}
-		wm := welfordOf(km)
-		wm.Merge(welfordOf(om))
-		dst.Kernels[key] = KernelModel{
-			Count: wm.Count(), Mean: wm.Mean(), M2: wm.M2(),
-			Pooled: km.Pooled || om.Pooled,
-		}
-	}
+// familiesInto merges the live family models into dst (allocated on first
+// need, returned): every family point currently fitted is included — points
+// are snapshots keyed by flops, so re-exporting prior-seeded ones is lossless
+// — and a family dst already holds keeps its points where the live fit has
+// none at that flops count.
+func (e *ciMean) familiesInto(dst map[string]Family) map[string]Family {
 	for name, fm := range e.families {
 		if len(fm.points) == 0 {
 			continue
@@ -352,15 +317,16 @@ func (e *ciMean) archiveInto(dst *Profile) {
 			pts = append(pts, FamilyPoint{Flops: pt.flops, Mean: pt.mean})
 		}
 		sort.Slice(pts, func(i, j int) bool { return pts[i].Flops < pts[j].Flops })
-		if dst.Families == nil {
-			dst.Families = make(map[string]Family, len(e.families))
+		if dst == nil {
+			dst = make(map[string]Family, len(e.families))
 		}
-		if fam, ok := dst.Families[name]; ok {
-			dst.Families[name] = Family{Points: mergePoints(fam.Points, pts)}
+		if fam, ok := dst[name]; ok {
+			dst[name] = Family{Points: mergePoints(fam.Points, pts)}
 		} else {
-			dst.Families[name] = Family{Points: pts}
+			dst[name] = Family{Points: pts}
 		}
 	}
+	return dst
 }
 
 // loadPrior warm-starts the model: kernel models become the read-only

@@ -5,8 +5,8 @@ package critter
 // the selective one, every (policy, eps) sweep after the first, warm
 // service jobs after cold ones — and each evaluation used to rebuild the
 // exact same config-invariant state from scratch: the kernel-signature
-// interner, every rank's Key→id cache, and the prediction model's
-// accumulator slabs. KernelMemo is the sweep executor's per-worker cache of
+// interner, every rank's Key→id cache, the prediction model's accumulator
+// slabs and live map, and the archive's slabs. KernelMemo is the sweep executor's per-worker cache of
 // that state. It is strictly observational: every byte of every result is
 // identical with a memo attached or not, because the memo only changes *how
 // fast* config-invariant facts are recomputed, never their values (ids never
@@ -27,9 +27,10 @@ package critter
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its dense bookkeeping arrays, private
-//     intern cache, and its model's Welford accumulator slabs back to
-//     the memo; the next profiler built with the same memo adopts them
-//     instead of growing fresh ones.
+//     intern cache, its model's Welford accumulator slabs and emptied
+//     live map, and its archive's model, frequency and segment slabs
+//     back to the memo; the next profiler built with the same memo
+//     adopts them instead of growing fresh ones.
 //
 // The "memoized kernels" of Report and the sweep stats are not this cache:
 // they count replays of each profiler's own per-id decision cache (predCache
@@ -77,7 +78,10 @@ type memoConfig struct {
 // dense per-id tables (zeroed, length 0, capacity kept), the private
 // intern cache (cleared), the path-frequency table and its freelist of
 // spare buffers (length 0, not zeroed — kernelCounts clears what it grows
-// into), and the prediction model's accumulator slabs.
+// into), the prediction model's accumulator slabs and its live map
+// (cleared, buckets kept), and the archive (length 0: the model slab is
+// overwritten as it refills, the frequency slab is stale and cleared as it
+// regrows, the segment list is cleared so it pins no table).
 type memoArena struct {
 	idOf           map[Key]uint32
 	keys           []Key
@@ -88,6 +92,8 @@ type memoArena struct {
 	counts         []int64
 	free           countsFree
 	slabs          [][]stats.Welford
+	cur            map[Key]*stats.Welford
+	arch           archive
 }
 
 // NewKernelMemo returns an empty memo.

@@ -59,14 +59,18 @@ func (k *kernelCounts) reset() { clear(k.vals) }
 
 // copyInto returns a copy of the table held in buf's backing array when it
 // is big enough, in a fresh one otherwise. The copy is active exactly when
-// the table is.
+// the table is. A fresh array is sized by what the copy holds, not by the
+// capacity the table happens to have: capacities travel with recycled arenas
+// from study to study and from rank to rank, so which one a table inherited
+// depends on scheduling, and a burst of sends past the freelist makes
+// thousands of these a sweep.
 func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
 	if !k.active() {
 		return kernelCounts{}
 	}
 	if buf == nil || cap(buf) < len(k.vals) {
 		// make, not append: an empty table's copy must still be non-nil.
-		buf = make([]int64, 0, cap(k.vals))
+		buf = make([]int64, 0, len(k.vals))
 	}
 	return kernelCounts{vals: append(buf[:0], k.vals...)}
 }

@@ -111,26 +111,7 @@ func (p *Profile) merge(o *Profile, sameRun bool) {
 		if p.Kernels == nil {
 			p.Kernels = make(map[Key]KernelModel, len(o.Kernels))
 		}
-		km, ok := p.Kernels[key]
-		if !ok {
-			p.Kernels[key] = om
-			continue
-		}
-		if sameRun && (km.Pooled || om.Pooled) {
-			// Shared pooled copies: keep the most informed one. (A rank
-			// that kept observing after the pool has the pooled set plus
-			// its newest samples, so a higher count is strictly better.)
-			if om.Count >= km.Count {
-				p.Kernels[key] = om
-			}
-			continue
-		}
-		w := welfordOf(km)
-		w.Merge(welfordOf(om))
-		p.Kernels[key] = KernelModel{
-			Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
-			Pooled: km.Pooled || om.Pooled,
-		}
+		p.mergeKernel(key, om, sameRun)
 	}
 	for name, ofam := range o.Families {
 		if p.Families == nil {
@@ -150,6 +131,32 @@ func (p *Profile) merge(o *Profile, sameRun bool) {
 			p.PathFreqs = make(map[Key]int64, len(o.PathFreqs))
 		}
 		p.PathFreqs[key] = max(p.PathFreqs[key], n)
+	}
+}
+
+// mergeKernel pools om into key's model in p.Kernels (which must not be nil),
+// the earlier samples first; under sameRun, shared pooled copies deduplicate
+// (see merge).
+func (p *Profile) mergeKernel(key Key, om KernelModel, sameRun bool) {
+	km, ok := p.Kernels[key]
+	if !ok {
+		p.Kernels[key] = om
+		return
+	}
+	if sameRun && (km.Pooled || om.Pooled) {
+		// Shared pooled copies: keep the most informed one. (A rank
+		// that kept observing after the pool has the pooled set plus
+		// its newest samples, so a higher count is strictly better.)
+		if om.Count >= km.Count {
+			p.Kernels[key] = om
+		}
+		return
+	}
+	w := welfordOf(km)
+	w.Merge(welfordOf(om))
+	p.Kernels[key] = KernelModel{
+		Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
+		Pooled: km.Pooled || om.Pooled,
 	}
 }
 
@@ -198,18 +205,6 @@ func MergeProfiles(a, b *Profile) *Profile {
 	}
 	out := a.Clone()
 	out.Merge(b)
-	return out
-}
-
-// mergeProfilesSameRun is MergeProfiles for one run's per-rank exports:
-// kernel models flagged Pooled deduplicate instead of re-pooling (see
-// KernelModel.Pooled). Used by Profiler.GlobalProfile.
-func mergeProfilesSameRun(a, b *Profile) *Profile {
-	if a == nil {
-		return b.Clone()
-	}
-	out := a.Clone()
-	out.merge(b, true)
 	return out
 }
 

@@ -366,9 +366,12 @@ func TestPooledModelExcludesPrior(t *testing.T) {
 	if samples() != 10+5 {
 		t.Errorf("observation after import went to a stale accumulator: %d samples, want 15", samples())
 	}
-	exp := &Profile{}
-	est.archiveInto(exp)
-	km := exp.Kernels[key]
+	// Export through a profiler that knows the signature under the same id.
+	p := &Profiler{est: est, tab: NewKernelTable(), idOf: make(map[Key]uint32)}
+	if got := p.intern(key); got != id {
+		t.Fatalf("fresh table interned the first key as %d", got)
+	}
+	km := p.ExportProfile().Kernels[key]
 	if km.Count != 5 || !km.Pooled {
 		t.Errorf("export after import: count %d pooled %v, want 5 samples marked pooled", km.Count, km.Pooled)
 	}

@@ -131,10 +131,10 @@ type Profiler struct {
 	// est is the rank's prediction model (estimator.go): kernel duration
 	// estimates, predictability decisions, and extrapolation.
 	est *ciMean
-	// archive accumulates profile exports across StartConfig resets, so
-	// ExportProfile covers everything the run learned, not just the
-	// current configuration.
-	archive *Profile
+	// arch is what StartConfig has set aside of the configurations before
+	// the current one, so ExportProfile covers everything the run learned
+	// (archive.go).
+	arch archive
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
 
@@ -195,8 +195,8 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		aggregates: make(map[uint64]channel.Channel),
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
-	// supply: the dense per-id tables, the private intern cache, and the
-	// model's accumulator slabs.
+	// supply: the dense per-id tables, the private intern cache, the model's
+	// accumulator slabs and live map, and the archive's slabs.
 	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
 		if a := p.memo.acquireArena(); a != nil {
@@ -208,7 +208,8 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 			p.pred = a.pred
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
-			p.est.adoptSlabs(a.slabs)
+			p.est.adoptArena(a.slabs, a.cur)
+			p.arch = a.arch
 		}
 	}
 	if p.idOf == nil {
@@ -788,11 +789,11 @@ func (p *Profiler) Report() Report {
 
 // Retire donates the profiler's recyclable per-rank state to the attached
 // memo — dense per-id tables, the private intern cache, the path-frequency
-// table and its spare buffers, and the model's accumulator slabs — for the
-// next profiler built with Options.Memo on the same memo to adopt. The
-// profiler must not be used afterwards. A no-op without a memo. Call it per
-// rank once the sweep is done with the profiler (after the final Report /
-// GlobalProfile).
+// table and its spare buffers, the model's accumulator slabs and live map,
+// and the archive's slabs — for the next profiler built with Options.Memo on
+// the same memo to adopt. The profiler must not be used afterwards. A no-op
+// without a memo. Call it per rank once the sweep is done with the profiler
+// (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
@@ -814,7 +815,8 @@ func (p *Profiler) Retire() {
 	// spare buffers need zeroing: a table clears what it grows into.
 	a.counts = p.path.Kernels.vals[:0]
 	a.free = p.free
-	a.slabs = p.est.releaseSlabs()
+	a.slabs, a.cur = p.est.releaseArena()
+	a.arch = p.arch.recycled()
 	p.memo.releaseArena(a)
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
@@ -824,6 +826,7 @@ func (p *Profiler) Retire() {
 	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
 	p.path.Kernels, p.free = kernelCounts{}, nil
+	p.arch = archive{}
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,
@@ -837,107 +840,6 @@ func (p *Profiler) GlobalPathFreqs() map[Key]int64 {
 	freqs := p.pathFreqMap(g.Path.Kernels)
 	p.free.put(g.Path.Kernels)
 	return freqs
-}
-
-// archivePathFreqs max-merges the configuration's path frequency table into
-// the archive before StartConfig resets the pathset.
-func (p *Profiler) archivePathFreqs() {
-	freqs := p.path.Kernels
-	if !freqs.active() {
-		return
-	}
-	archived := false
-	for id, v := range freqs.vals {
-		if v == 0 {
-			continue
-		}
-		if !archived {
-			archived = true
-			if p.archive == nil {
-				p.archive = &Profile{SchemaVersion: ProfileSchemaVersion}
-			}
-			if p.archive.PathFreqs == nil {
-				p.archive.PathFreqs = make(map[Key]int64)
-			}
-		}
-		key := p.tab.KeyOf(uint32(id))
-		p.archive.PathFreqs[key] = max(p.archive.PathFreqs[key], v)
-	}
-}
-
-// archiveEstimator merges the model's live state into the archive; called
-// only when the model is about to be reset, so no sample is ever archived
-// twice.
-func (p *Profiler) archiveEstimator() {
-	if !p.est.hasLiveState() {
-		return
-	}
-	if p.archive == nil {
-		p.archive = &Profile{SchemaVersion: ProfileSchemaVersion}
-	}
-	p.est.archiveInto(p.archive)
-	p.archive.Estimator = estimatorName
-}
-
-// ExportProfile returns this rank's learned profile: everything archived
-// across configuration resets, the live model state, and the path
-// frequencies seen so far. Samples loaded from Options.Prior are excluded,
-// so chaining runs via MergeProfiles never counts a sample twice.
-func (p *Profiler) ExportProfile() *Profile {
-	out := p.archive.Clone()
-	if out == nil {
-		out = &Profile{SchemaVersion: ProfileSchemaVersion}
-	}
-	p.est.archiveInto(out)
-	out.Estimator = estimatorName
-	for id, v := range p.path.Kernels.vals {
-		if v == 0 {
-			continue
-		}
-		if out.PathFreqs == nil {
-			out.PathFreqs = make(map[Key]int64)
-		}
-		key := p.tab.KeyOf(uint32(id))
-		out.PathFreqs[key] = max(out.PathFreqs[key], v)
-	}
-	return out
-}
-
-// GlobalProfile merges every rank's exported profile into one artifact,
-// identical on every rank. Collective over the world communicator. Each
-// rank folds the gathered exports itself — one clone then in-place merges,
-// instead of a clone per fold step — in comm-rank order, so every rank
-// computes the identical artifact.
-func (p *Profiler) GlobalProfile() *Profile {
-	profs := mpi.GatherMsgUntimed(p.world.internal, p.ExportProfile())
-	return mergeExports(profs)
-}
-
-// GlobalProfileRoot is GlobalProfile with the fold performed only on root:
-// other ranks participate in the gather (collective) but return nil instead
-// of computing a merged artifact nobody reads. The sweep executor keeps only
-// rank 0's SweepResult, so the identical folds on ranks 1..P-1 were pure
-// allocation churn — on the benchmark sweep they were the single largest
-// allocation site after the workload's own tiles.
-func (p *Profiler) GlobalProfileRoot(root int) *Profile {
-	profs := mpi.GatherMsgUntimed(p.world.internal, p.ExportProfile())
-	if p.rank != root {
-		return nil
-	}
-	return mergeExports(profs)
-}
-
-// mergeExports folds gathered per-rank exports in comm-rank order: one clone
-// then in-place merges.
-func mergeExports(profs []*Profile) *Profile {
-	out := profs[0].Clone()
-	if out == nil {
-		out = &Profile{SchemaVersion: ProfileSchemaVersion}
-	}
-	for _, o := range profs[1:] {
-		out.merge(o, true)
-	}
-	return out
 }
 
 // registerChannel records a newly created communicator's channel and

@@ -1,14 +1,25 @@
 package critter
 
+// Former implementations kept as test oracles (the pattern of internal/blas
+// and internal/lapack's ref_test.go).
+//
 // The copy-on-write path-frequency table this package used before tables had
-// a single owner, kept as a test oracle (the pattern of internal/blas and
-// internal/lapack's ref_test.go): a snapshot froze the backing array in
-// place, every holder copied before its next write, and nobody knew who else
-// could see an array. The owned kernelCounts, its freelist and propagate must
-// be indistinguishable from it through get.
+// a single owner: a snapshot froze the backing array in place, every holder
+// copied before its next write, and nobody knew who else could see an array.
+// The owned kernelCounts, its freelist and propagate must be
+// indistinguishable from it through get.
+//
+// The Key-keyed per-configuration archive (mapArchive, below): a Profile
+// whose maps StartConfig merged into by hashing every signature, cloned at
+// every export, and P exports folded by every rank. The id-dense archive of
+// archive.go and the export round's single fold must produce the same
+// profiles bit for bit.
 
 import (
+	"errors"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"critter/internal/mpi"
@@ -391,6 +402,333 @@ func TestProfiledCollectivesSteadyStateAllocateNothing(t *testing.T) {
 		// anything per-operation shows as a thousand or more.
 		if n := after.Mallocs - before.Mallocs; n >= iters/10 {
 			t.Errorf("eps %g: %d mallocs over %d profiled collectives on 8 ranks, want none per operation", eps, n, iters)
+		}
+	}
+}
+
+// mapArchive is the former Profiler.archive with the code that filled and
+// exported it, verbatim but for taking the profiler as an argument.
+type mapArchive struct{ prof *Profile }
+
+// beforeStartConfig does what startConfig did to the archive; the test calls
+// it directly before the StartConfig it mirrors, when the profiler is in the
+// state that StartConfig archives.
+func (m *mapArchive) beforeStartConfig(p *Profiler, resetStats bool) {
+	m.archivePathFreqs(p)
+	if resetStats && p.opts.Policy != Eager {
+		m.archiveEstimator(p)
+	}
+}
+
+func (m *mapArchive) archivePathFreqs(p *Profiler) {
+	freqs := p.path.Kernels
+	if !freqs.active() {
+		return
+	}
+	archived := false
+	for id, v := range freqs.vals {
+		if v == 0 {
+			continue
+		}
+		if !archived {
+			archived = true
+			if m.prof == nil {
+				m.prof = &Profile{SchemaVersion: ProfileSchemaVersion}
+			}
+			if m.prof.PathFreqs == nil {
+				m.prof.PathFreqs = make(map[Key]int64)
+			}
+		}
+		key := p.tab.KeyOf(uint32(id))
+		m.prof.PathFreqs[key] = max(m.prof.PathFreqs[key], v)
+	}
+}
+
+func (m *mapArchive) archiveEstimator(p *Profiler) {
+	if !refHasLiveState(p.est) {
+		return
+	}
+	if m.prof == nil {
+		m.prof = &Profile{SchemaVersion: ProfileSchemaVersion}
+	}
+	refArchiveInto(p.est, m.prof)
+	m.prof.Estimator = estimatorName
+}
+
+// export is the former Profiler.ExportProfile.
+func (m *mapArchive) export(p *Profiler) *Profile {
+	out := m.prof.Clone()
+	if out == nil {
+		out = &Profile{SchemaVersion: ProfileSchemaVersion}
+	}
+	refArchiveInto(p.est, out)
+	out.Estimator = estimatorName
+	for id, v := range p.path.Kernels.vals {
+		if v == 0 {
+			continue
+		}
+		if out.PathFreqs == nil {
+			out.PathFreqs = make(map[Key]int64)
+		}
+		key := p.tab.KeyOf(uint32(id))
+		out.PathFreqs[key] = max(out.PathFreqs[key], v)
+	}
+	return out
+}
+
+// refHasLiveState is the former ciMean.hasLiveState.
+func refHasLiveState(e *ciMean) bool {
+	if len(e.cur) > 0 {
+		return true
+	}
+	for _, fm := range e.families {
+		if len(fm.points) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// refArchiveInto is the former ciMean.archiveInto: the live layer merged
+// into dst straight from the keyed maps, archive-side accumulator first.
+func refArchiveInto(e *ciMean, dst *Profile) {
+	for key, w := range e.cur {
+		if w.Count() == 0 {
+			continue
+		}
+		om := KernelModel{
+			Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
+			Pooled: e.pooled[key],
+		}
+		if dst.Kernels == nil {
+			dst.Kernels = make(map[Key]KernelModel, len(e.cur))
+		}
+		km, ok := dst.Kernels[key]
+		if !ok {
+			dst.Kernels[key] = om
+			continue
+		}
+		wm := welfordOf(km)
+		wm.Merge(welfordOf(om))
+		dst.Kernels[key] = KernelModel{
+			Count: wm.Count(), Mean: wm.Mean(), M2: wm.M2(),
+			Pooled: km.Pooled || om.Pooled,
+		}
+	}
+	for name, fm := range e.families {
+		if len(fm.points) == 0 {
+			continue
+		}
+		pts := make([]FamilyPoint, 0, len(fm.points))
+		for _, pt := range fm.points {
+			pts = append(pts, FamilyPoint{Flops: pt.flops, Mean: pt.mean})
+		}
+		sort.Slice(pts, func(i, j int) bool { return pts[i].Flops < pts[j].Flops })
+		if dst.Families == nil {
+			dst.Families = make(map[string]Family, len(e.families))
+		}
+		if fam, ok := dst.Families[name]; ok {
+			dst.Families[name] = Family{Points: mergePoints(fam.Points, pts)}
+		} else {
+			dst.Families[name] = Family{Points: pts}
+		}
+	}
+}
+
+// refMergeExports is the former mergeExports, the fold every rank performed
+// over the gathered per-rank exports: one clone, then in-place merges in
+// comm-rank order.
+func refMergeExports(profs []*Profile) *Profile {
+	out := profs[0].Clone()
+	if out == nil {
+		out = &Profile{SchemaVersion: ProfileSchemaVersion}
+	}
+	for _, o := range profs[1:] {
+		out.merge(o, true)
+	}
+	return out
+}
+
+// TestArchiveMatchesMapOracle drives a profiler per rank, on worlds of 2 to 8
+// ranks, through seeded random sequences of everything that reaches the
+// archive — configurations with statistics reset and kept, the memo handing
+// the same kernel table twice in a row (successive halving's last-then-first
+// configuration), a-priori's offline pass followed by StartConfig(false),
+// eager pooling (Pooled models without a dense id) followed by a flip to a
+// resetting policy, family models under Extrapolate — with the map archive
+// mirrored beside it, and demands after random steps and at the end that
+// ExportProfile equals the oracle's export, GlobalProfile equals the former
+// fold of the oracle's per-rank exports and is one value on every rank, and
+// GlobalProfileRoot is that value on root and nil elsewhere.
+func TestArchiveMatchesMapOracle(t *testing.T) {
+	names := []string{"gemm", "trsm", "syrk"}
+	dims := []int{4, 8, 12, 16}
+	for seed := uint64(1); seed <= 14; seed++ {
+		ranks := 2 + int(seed%7)
+		opts := Options{Policy: Conditional, Eps: 0.3, Extrapolate: seed%2 == 0}
+		if seed%3 != 0 {
+			opts.Memo = NewKernelMemo()
+		}
+		exports := make([]*Profile, ranks)
+		globals := make([]*Profile, ranks)
+		w := mpi.NewWorld(ranks, testMachine(0.05), seed)
+		err := w.Run(func(c *mpi.Comm) {
+			// ctl decides what every rank does next; loc varies how much of
+			// it this rank does, so the ranks' sample sets differ.
+			ctl := sim.NewRNG(sim.Mix(seed, 0xa1))
+			loc := sim.NewRNG(sim.Mix(seed, 0xa2, uint64(c.Rank())))
+			// Two profilers in turn, as two sweeps of a worker: with a memo
+			// the second fills the archive slabs the first retired, stale
+			// contents and all.
+			for sweep := 0; sweep < 2; sweep++ {
+				p, cc := New(c, opts)
+				half := cc.Split(c.Rank()%2, c.Rank())
+				ref := &mapArchive{}
+				in, out := make([]float64, 16), make([]float64, 16)
+				work := func() {
+					for n := 3 + ctl.Intn(5); n > 0; n-- {
+						name, d := names[ctl.Intn(len(names))], dims[ctl.Intn(len(dims))]
+						for r := 1 + loc.Intn(4); r > 0; r-- {
+							p.Kernel(name, d, d, d, 0, float64(d*d*d), func() {})
+						}
+						switch ctl.Intn(4) {
+						case 0:
+							cc.Allreduce(in, out, mpi.OpSum)
+						case 1:
+							half.Allreduce(in[:8], out[:8], mpi.OpSum)
+						case 2:
+							if peer := c.Rank() ^ 1; peer < ranks {
+								cc.Sendrecv(peer, 5, in[:4], peer, 5, out[:4])
+							}
+						}
+					}
+				}
+				start := func(resetStats, keyed bool, cfg uint64) {
+					ref.beforeStartConfig(p, resetStats)
+					if keyed {
+						p.StartConfigKeyed(resetStats, cfg)
+					} else {
+						p.StartConfig(resetStats)
+					}
+				}
+				check := func(step int, what string) {
+					want := ref.export(p)
+					if got := p.ExportProfile(); !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d step %d (%s) rank %d: ExportProfile differs from the map archive's export\n got %+v\nwant %+v",
+							seed, step, what, c.Rank(), got, want)
+					}
+					exports[c.Rank()] = want
+					globals[c.Rank()] = p.GlobalProfile()
+					root := step % ranks
+					atRoot := p.GlobalProfileRoot(root)
+					// Both rounds are behind this rank, so every rank's export
+					// and global slot of this step is written.
+					folded := refMergeExports(exports)
+					if !reflect.DeepEqual(globals[c.Rank()], folded) {
+						t.Errorf("seed %d step %d (%s) rank %d: GlobalProfile differs from the former fold of the per-rank exports",
+							seed, step, what, c.Rank())
+					}
+					if !reflect.DeepEqual(globals[c.Rank()], globals[0]) {
+						t.Errorf("seed %d step %d (%s): rank %d's GlobalProfile is not rank 0's", seed, step, what, c.Rank())
+					}
+					if c.Rank() != root && atRoot != nil {
+						t.Errorf("seed %d step %d: GlobalProfileRoot(%d) returned a profile on rank %d", seed, step, root, c.Rank())
+					}
+					if c.Rank() == root && !reflect.DeepEqual(atRoot, folded) {
+						t.Errorf("seed %d step %d: GlobalProfileRoot(%d) differs from the former fold on root", seed, step, root)
+					}
+					// Nobody may overwrite a slot before every rank has read it.
+					c.Barrier()
+				}
+				lastCfg := uint64(0)
+				for step := 0; step < 30; step++ {
+					var what string
+					switch op := ctl.Intn(100); {
+					case op < 30:
+						what = "reset, keyed"
+						cfg := 1 + uint64(ctl.Intn(4))
+						if ctl.Intn(3) == 0 && lastCfg != 0 {
+							cfg = lastCfg // the memo hands back the table just used
+						}
+						lastCfg = cfg
+						start(true, true, cfg)
+						work()
+						p.Report() // publishes the configuration's table
+					case op < 40:
+						what = "reset"
+						start(true, false, 0)
+						work()
+					case op < 55:
+						what = "kept"
+						start(false, false, 0)
+						work()
+					case op < 70:
+						what = "a-priori"
+						pol, eps := p.Policy(), p.Eps()
+						start(true, true, 9)
+						p.SetPolicy(Online)
+						p.SetEps(0)
+						work()
+						p.Report()
+						p.SetAprioriFreq(p.GlobalPathFreqs())
+						p.SetPolicy(APriori)
+						p.SetEps(eps)
+						start(false, false, 0)
+						work()
+						p.SetPolicy(pol)
+					case op < 85:
+						what = "eager, then a resetting policy"
+						p.SetPolicy(Eager)
+						start(true, false, 0) // resets nothing under eager
+						work()
+						work()
+						p.SetPolicy([]Policy{Conditional, Local, Online}[ctl.Intn(3)])
+						if ctl.Intn(2) == 0 {
+							// Archive the pooled accumulators as eager left them,
+							// dense slot or not.
+							start(true, false, 0)
+							work()
+						}
+					default:
+						what = "more of the same configuration"
+						work()
+					}
+					if ctl.Intn(3) == 0 || step == 29 {
+						check(step, what)
+					}
+				}
+				p.Retire()
+			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestExportFoldPanicAbortsWorld corrupts one rank's archive so that rekeying
+// it panics inside the export round's finish — on whichever rank arrives
+// last, under the round's lock, with every other rank parked. The world must
+// abort and Run return the panic as an error. That Run returns at all shows
+// the lock was released: a parked rank has to retake it to leave its wait.
+func TestExportFoldPanicAbortsWorld(t *testing.T) {
+	for _, ranks := range []int{2, 8} {
+		for _, root := range []int{-1, 0} {
+			w := mpi.NewWorld(ranks, testMachine(0.05), 3)
+			err := w.Run(func(c *mpi.Comm) {
+				p, _ := New(c, Options{Policy: Conditional, Eps: 0})
+				p.Kernel("gemm", 8, 8, 8, 0, 512, func() {})
+				p.StartConfig(true)
+				if c.Rank() == ranks-1 {
+					p.arch.models[0].id = 1 << 20 // no table ever assigned it
+				}
+				p.globalProfile(root)
+				t.Errorf("ranks %d root %d: rank %d returned from an export round whose fold panicked", ranks, root, c.Rank())
+			})
+			var rerr runtime.Error
+			if !errors.As(err, &rerr) {
+				t.Errorf("ranks %d root %d: Run error %v does not wrap the fold's panic", ranks, root, err)
+			}
 		}
 	}
 }

@@ -345,3 +345,47 @@ func TestGarbageOperandsNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestDgeqrfAllocatesTOnFirstUse pins the two halves of Dgeqrf's lazy T
+// factor: a single-panel call (nb >= n, the only shape candmc.tsqr issues)
+// allocates nothing, and a call with trailing blocks leaves a and tau
+// bit-equal to the form that allocated T on entry.
+func TestDgeqrfAllocatesTOnFirstUse(t *testing.T) {
+	rng := sim.NewRNG(0x9e0f)
+	for _, dims := range [][3]int{{16, 8, 8}, {16, 8, 12}, {32, 4, 4}, {8, 8, 64}} {
+		m, n, nb := dims[0], dims[1], dims[2]
+		a, ld := padMat(m, n, 1, rng)
+		work := make([]float64, len(a))
+		tau := make([]float64, n)
+		if allocs := testing.AllocsPerRun(20, func() {
+			copy(work, a)
+			Dgeqrf(m, n, nb, work, ld, tau)
+		}); allocs != 0 {
+			t.Errorf("Dgeqrf(%d, %d, nb=%d): %v allocs per call, want 0 when nb >= n", m, n, nb, allocs)
+		}
+	}
+	for _, m := range []int{5, 9, 17, 33} {
+		for _, n := range []int{2, 5, 9, 17} {
+			for _, nb := range []int{1, 2, 3, 4, 8, 16} {
+				if nb >= n || n > m {
+					continue
+				}
+				a, ld := padMat(m, n, 2, rng)
+				want := append([]float64(nil), a...)
+				tau, wantTau := make([]float64, n), make([]float64, n)
+				Dgeqrf(m, n, nb, a, ld, tau)
+				refGeqrfEagerT(m, n, nb, want, ld, wantTau)
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%dx%d nb=%d: a[%d] = %v, eager-T form %v", m, n, nb, i, a[i], want[i])
+					}
+				}
+				for i := range tau {
+					if math.Float64bits(tau[i]) != math.Float64bits(wantTau[i]) {
+						t.Fatalf("%dx%d nb=%d: tau[%d] = %v, eager-T form %v", m, n, nb, i, tau[i], wantTau[i])
+					}
+				}
+			}
+		}
+	}
+}

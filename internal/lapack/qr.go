@@ -149,11 +149,16 @@ func Dgeqrf(m, n, nb int, a []float64, lda int, tau []float64) {
 	if nb < 1 {
 		nb = 1
 	}
-	t := make([]float64, nb*nb)
+	// The T factor serves only the trailing update, so a single-panel call
+	// (nb >= n, every call candmc.tsqr makes) never allocates it.
+	var t []float64
 	for j := 0; j < k; j += nb {
 		jb := min(nb, k-j)
 		Dgeqr2(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb])
 		if j+jb < n {
+			if t == nil {
+				t = make([]float64, nb*nb)
+			}
 			Dlarft(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], t, nb)
 			Dlarfb(true, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda)
 		}

@@ -201,3 +201,21 @@ func refTpqrt2T(m, n int, b []float64, ldb int, tau []float64, t []float64, ldt 
 		}
 	}
 }
+
+// refGeqrfEagerT is Dgeqrf as it stood while it allocated its T factor on
+// entry, whether or not a trailing block would ever read it.
+func refGeqrfEagerT(m, n, nb int, a []float64, lda int, tau []float64) {
+	k := min(m, n)
+	if nb < 1 {
+		nb = 1
+	}
+	t := make([]float64, nb*nb)
+	for j := 0; j < k; j += nb {
+		jb := min(nb, k-j)
+		Dgeqr2(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb])
+		if j+jb < n {
+			Dlarft(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], t, nb)
+			Dlarfb(true, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda)
+		}
+	}
+}

@@ -1,0 +1,213 @@
+package mpi
+
+import (
+	"errors"
+	"math"
+	"testing"
+)
+
+// pooled counts the buffers p holds, over all size classes.
+func pooled(p *BufPool) int {
+	n := 0
+	for i := range p.classes {
+		n += len(p.classes[i].free)
+	}
+	return n
+}
+
+// dirtyPool returns a pool holding n buffers of words words each, all NaN.
+func dirtyPool(n, words int) *BufPool {
+	p := NewBufPool()
+	bufs := make([][]float64, n)
+	for i := range bufs {
+		bufs[i] = p.Get(words)
+		for j := range bufs[i] {
+			bufs[i][j] = math.NaN()
+		}
+	}
+	for _, b := range bufs {
+		p.Put(b)
+	}
+	return p
+}
+
+func allZero(b []float64) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWorkspaceGetIsMake checks the contract the factorizations lean on: Get
+// returns what make returns. Over a fresh chunk from a pool full of NaNs, and
+// over a released region the previous holder filled with garbage, the buffer
+// is all zeros, has the asked length, and has its capacity clipped to it, so
+// an append cannot run into the next buffer.
+func TestWorkspaceGetIsMake(t *testing.T) {
+	for _, pool := range []*BufPool{nil, dirtyPool(4, minWorkspaceChunk)} {
+		ws := &Workspace{pool: pool}
+		base := ws.Mark()
+		a := ws.Get(100)
+		if len(a) != 100 || cap(a) != 100 || !allZero(a) {
+			t.Fatalf("first Get(100): len %d cap %d zero %v", len(a), cap(a), allZero(a))
+		}
+		for i := range a {
+			a[i] = math.Inf(1)
+		}
+		if b := ws.Get(50); !allZero(b) {
+			t.Errorf("pool %v: second Get from a dirty chunk is not zeroed", pool != nil)
+		}
+		ws.Release(base)
+		c := ws.Get(120) // spans all of the first buffer and part of the second
+		if !allZero(c) {
+			t.Errorf("pool %v: Get after Release exposes the previous holder's values", pool != nil)
+		}
+		if &c[0] != &a[0] {
+			t.Errorf("pool %v: Get after Release did not reuse the released region", pool != nil)
+		}
+		d := ws.Get(10)
+		c = append(c, 7)
+		if d[0] != 0 || &c[0] == &a[0] {
+			t.Errorf("append past a workspace buffer wrote into its neighbour")
+		}
+		if e := ws.Get(0); e == nil || len(e) != 0 {
+			t.Errorf("Get(0) = %v, want empty and non-nil like make", e)
+		}
+	}
+}
+
+// TestWorkspaceNestedMarks releases an inner mark and then an outer one: each
+// pops exactly what was pushed after it.
+func TestWorkspaceNestedMarks(t *testing.T) {
+	ws := &Workspace{}
+	keep := ws.Get(8)
+	outer := ws.Mark()
+	o := ws.Get(16)
+	inner := ws.Mark()
+	i1 := ws.Get(32)
+	ws.Release(inner)
+	i2 := ws.Get(32)
+	if &i1[0] != &i2[0] {
+		t.Error("releasing the inner mark did not pop the inner buffer")
+	}
+	o[0], keep[0] = 1, 2
+	ws.Release(outer)
+	o2 := ws.Get(16)
+	if &o2[0] != &o[0] || o2[0] != 0 {
+		t.Error("releasing the outer mark did not pop (and re-zero) the outer buffer")
+	}
+	if keep[0] != 2 {
+		t.Error("a buffer pushed before the mark was disturbed by its release")
+	}
+	if ws.Mark() == outer {
+		t.Error("stack did not advance after Get")
+	}
+}
+
+// TestWorkspaceBuffersSurviveGrowth pushes buffers until the stack has grown
+// through several chunks, each buffer holding its own pattern: no two may
+// overlap, none may move, and releasing to a mark taken in an early chunk and
+// pushing again must walk the same chunks without taking new ones.
+func TestWorkspaceBuffersSurviveGrowth(t *testing.T) {
+	ws := &Workspace{}
+	var bufs [][]float64
+	for n := 1; len(ws.chunks) < 4; n = n*3/2 + 1 {
+		b := ws.Get(n)
+		for i := range b {
+			b[i] = float64(len(bufs))
+		}
+		bufs = append(bufs, b)
+	}
+	for k, b := range bufs {
+		for i, v := range b {
+			if v != float64(k) {
+				t.Fatalf("buffer %d word %d = %v after later pushes: buffers overlap or moved", k, i, v)
+			}
+		}
+	}
+	for i := 1; i < len(ws.chunks); i++ {
+		if len(ws.chunks[i]) < 2*len(ws.chunks[i-1]) {
+			t.Errorf("chunk %d has %d words after one of %d: sizes must at least double", i, len(ws.chunks[i]), len(ws.chunks[i-1]))
+		}
+	}
+	// A request no earlier chunk can hold skips to the one that can.
+	chunks := len(ws.chunks)
+	ws.Release(WorkspaceMark{})
+	big := ws.Get(len(ws.chunks[chunks-1]))
+	if len(ws.chunks) != chunks || &big[0] != &ws.chunks[chunks-1][0] {
+		t.Errorf("a request fitting the last chunk took a new one (%d chunks, was %d)", len(ws.chunks), chunks)
+	}
+	// Steady state: the same pushes again allocate nothing.
+	ws.Release(WorkspaceMark{})
+	if allocs := testing.AllocsPerRun(10, func() {
+		m := ws.Mark()
+		for _, b := range bufs {
+			ws.Get(len(b))
+		}
+		ws.Release(m)
+	}); allocs != 0 {
+		t.Errorf("re-pushing a released stack: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestWorkspaceChunksReturnToPool checks both ends of a chunk's life in a
+// world: chunks come from the installed pool, go back when the rank's body
+// returns — so the next world's ranks start from them — and stay out of the
+// pool when the rank panics, since a peer unwinding out of a round may still
+// be reading one.
+func TestWorkspaceChunksReturnToPool(t *testing.T) {
+	const ranks = 4
+	pool := NewBufPool()
+	body := func(c *Comm) {
+		ws := c.Workspace()
+		if ws != c.Dup().Workspace() {
+			t.Error("two communicators of one rank have different workspaces")
+		}
+		ws.Get(minWorkspaceChunk)     // first chunk
+		ws.Get(2 * minWorkspaceChunk) // forces a second
+		c.Barrier()                   // every rank holds its chunks at once
+	}
+	w := NewWorld(ranks, quietMachine(), 1)
+	w.SetBufPool(pool)
+	if err := w.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	if got := pooled(pool); got != 2*ranks {
+		t.Fatalf("pool holds %d buffers after %d ranks returned with 2 chunks each", got, ranks)
+	}
+	// A second world takes its chunks from the pool and gives them back.
+	w = NewWorld(ranks, quietMachine(), 1)
+	w.SetBufPool(pool)
+	if err := w.Run(func(c *Comm) {
+		body(c)
+		if c.Rank() == 0 && pooled(pool) != 0 {
+			t.Errorf("pool still holds %d buffers while every rank has its chunks out", pooled(pool))
+		}
+		c.Barrier()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pooled(pool); got != 2*ranks {
+		t.Errorf("pool holds %d buffers after the second world, want %d again", got, 2*ranks)
+	}
+	// Every rank of a failed world keeps its chunks from the pool: rank 1
+	// by its own panic, the others by the abort that unwinds them.
+	boom := errors.New("boom")
+	w = NewWorld(ranks, quietMachine(), 1)
+	w.SetBufPool(pool)
+	err := w.Run(func(c *Comm) {
+		body(c)
+		if c.Rank() == 1 {
+			panic(boom)
+		}
+		c.Barrier()
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run error %v does not wrap the rank's panic", err)
+	}
+	if got := pooled(pool); got != 0 {
+		t.Errorf("pool holds %d buffers after a failed world: a panicking rank returned its chunks", got)
+	}
+}

@@ -104,6 +104,9 @@ type rankState struct {
 	// collScratch is the buffer this rank reduces or concatenates into when
 	// it is the last arriver of a data collective (see Comm.scratch).
 	collScratch []float64
+	// ws is the rank's scratch stack for the workload running on it (see
+	// Workspace); Run wires it to the world's buffer pool.
+	ws Workspace
 }
 
 // NewWorld creates a world of size ranks with the given machine model and
@@ -150,8 +153,12 @@ func (w *World) Seed() uint64 { return w.seed }
 func (w *World) SetBufPool(p *BufPool) { w.bufs = p }
 
 // BufPoolOf returns the installed payload-buffer recycler (nil when none).
-// Workloads running on the world may borrow it for their own transient
-// buffers — anything Put must no longer be referenced.
+// A workload's per-step scratch does not come from here but from its rank's
+// Workspace, which draws its chunks from this pool. What stays on the pool
+// directly is storage whose lifetime is not a stack's: slate's TileMatrix
+// tiles, which live as long as the matrix, and slate.Cholesky's received
+// panels, which are retired a lookahead after they arrive — anything Put
+// must no longer be referenced.
 func (w *World) BufPoolOf() *BufPool { return w.bufs }
 
 // SetTracer installs a trace sink for layers running on this world. Call
@@ -200,8 +207,11 @@ func (w *World) Run(body func(c *Comm)) error {
 					w.abort(errDeadlock)
 				}
 			}()
+			ws := &w.ranks[rank].ws
+			ws.pool = w.bufs
 			body(w.worldComm(rank))
 			completed = true
+			ws.drain()
 		}(r)
 	}
 	wg.Wait()

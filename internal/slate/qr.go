@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"critter/internal/critter"
-	"critter/internal/mpi"
 )
 
 // QRConfig parameterizes SLATE's tiled Householder QR (geqrf): matrix shape
@@ -34,62 +33,26 @@ func (c QRConfig) Validate(worldSize int) error {
 	return nil
 }
 
-// iterBufs hands out the buffers that live for one k iteration of QR — the
-// migrating R and top tiles, the T factors, the [V|T] send copies and the
-// received tiles — from the world's buffer pool, and gives them all back at
-// the end of the iteration (messages capture their payload at issue, so by
-// then nothing in flight refers to them). Without a pool it is make.
-type iterBufs struct {
-	pool *mpi.BufPool
-	held [][]float64
-}
-
-// get returns a length-n buffer the caller overwrites in full.
-func (b *iterBufs) get(n int) []float64 {
-	if b.pool == nil {
-		return make([]float64, n)
-	}
-	buf := b.pool.Get(n)
-	b.held = append(b.held, buf)
-	return buf
-}
-
-// zeroed returns a length-n buffer of zeros, for every use that relied on
-// make's: R's lower triangle, and whatever a skipped Recv or a skipped
-// kernel leaves unwritten — so an executed kernel reads what it always read.
-func (b *iterBufs) zeroed(n int) []float64 {
-	buf := b.get(n)
-	if b.pool != nil {
-		clear(buf)
-	}
-	return buf
-}
-
-// release returns every buffer handed out since the last release.
-func (b *iterBufs) release() {
-	for i, buf := range b.held {
-		b.pool.Put(buf)
-		b.held[i] = nil
-	}
-	b.held = b.held[:0]
-}
-
 // QR runs the tiled Householder QR factorization: geqrt on diagonal tiles,
 // tpqrt chains down each tile column, and gemqrt/tpmqrt updates across the
 // trailing tiles, communicating tiles with profiled isend/recv. On return,
 // tile rows k hold the R factor in tiles (k, j), j >= k; the lower tiles
-// hold the Householder reflectors.
+// hold the Householder reflectors. The buffers that live for one k iteration
+// — the migrating R and top tiles, the T factors, the [V|T] send copies and
+// the received tiles — come off the rank's workspace and are popped at the
+// end of the iteration (messages capture their payload at issue and every
+// request is waited for first, so by then nothing in flight refers to them).
 func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	mt, nt, nb, ib := a.MT, a.NT, a.NB, cfg.IB
 	cc := a.G.All
 	me := cc.Rank()
 	sc := newRankScratch(cc.Size())
-	bufs := &iterBufs{pool: cc.Raw().World().BufPoolOf()}
-	recvBuf := bufs.zeroed  // a skipped Recv leaves the buffer as handed out
+	ws := cc.Raw().Workspace()
+	recvBuf := ws.Get       // zeroed: a skipped Recv leaves the buffer as handed out
 	vWords := nb*nb + ib*nb // a V tile with its stacked T factor
 	// stack returns [v|t] as one buffer, the unit tileBcast moves.
 	stack := func(v, t []float64) []float64 {
-		vt := bufs.get(vWords)
+		vt := ws.Get(vWords)
 		copy(vt, v)
 		copy(vt[len(v):], t)
 		return vt
@@ -100,6 +63,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	}
 
 	for k := 0; k < nt; k++ {
+		iter := ws.Mark()
 		var reqs []*critter.Request
 		diagOwner := a.Owner(k, k)
 
@@ -107,8 +71,8 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		var vkk, tkk []float64
 		if me == diagOwner {
 			vkk = a.Tile(k, k)
-			tkk = bufs.zeroed(ib * nb)
-			tau := bufs.zeroed(nb)
+			tkk = ws.Get(ib * nb)
+			tau := ws.Get(nb)
 			p.Geqrt(nb, nb, ib, vkk, nb, tkk, ib, tau)
 		}
 		rowNeed := sc.reset()
@@ -138,7 +102,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		// tile (i,k) and broadcasts them along tile row i.
 		var r []float64
 		if me == diagOwner {
-			r = bufs.zeroed(nb * nb)
+			r = ws.Get(nb * nb)
 			for c := 0; c < nb; c++ {
 				for rr := 0; rr <= c; rr++ {
 					r[rr+c*nb] = vkk[rr+c*nb]
@@ -153,14 +117,14 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				if me == cur {
 					reqs = append(reqs, cc.Isend(o, tagOf(k, i, 0, 1), r))
 				} else if me == o {
-					r = bufs.zeroed(nb * nb)
+					r = ws.Get(nb * nb)
 					cc.Recv(cur, tagOf(k, i, 0, 1), r)
 				}
 			}
 			var vik, tik []float64
 			if me == o {
 				vik = a.Tile(i, k)
-				tik = bufs.zeroed(ib * nb)
+				tik = ws.Get(ib * nb)
 				p.Tpqrt(nb, nb, ib, r, nb, vik, nb, tik, ib)
 			}
 			need := sc.reset()
@@ -211,7 +175,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 					if me == cur {
 						reqs = append(reqs, cc.Isend(o, tagOf(k, i, j, 4), top))
 					} else if me == o {
-						top = bufs.zeroed(nb * nb)
+						top = ws.Get(nb * nb)
 						cc.Recv(cur, tagOf(k, i, j, 4), top)
 					}
 				}
@@ -228,7 +192,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				if me == cur {
 					reqs = append(reqs, cc.Isend(topOwner, tagOf(k, k, j, 5), top))
 				} else if me == topOwner {
-					top = bufs.zeroed(nb * nb)
+					top = ws.Get(nb * nb)
 					cc.Recv(cur, tagOf(k, k, j, 5), top)
 				}
 			}
@@ -239,6 +203,6 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			}
 		}
 		critter.Waitall(reqs)
-		bufs.release()
+		ws.Release(iter)
 	}
 }
