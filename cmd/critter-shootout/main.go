@@ -6,10 +6,12 @@
 // optimum, and how many executed kernels it needed before its running
 // choice was within epsilon of that optimum.
 //
-// The shootout is fully deterministic: every sweep runs in its own
-// simulated world seeded identically, so repeated runs (at any worker
-// count) produce byte-identical scoreboards, and the committed baseline
-// BENCH_shootout.json can gate it at ratio 1.0 through cmd/benchdiff.
+// The shootout is fully deterministic: a run's noise is keyed by what is run,
+// so repeated runs (at any worker count) produce byte-identical scoreboards,
+// and the committed baseline BENCH_shootout.json can gate it at ratio 1.0
+// through cmd/benchdiff. For the same reason every strategy's sweep sees the
+// reference's full-execution reports, not a table of its own: crossCheck
+// holds each evaluation to the ground truth bit for bit.
 //
 // Usage:
 //
@@ -94,7 +96,7 @@ func main() {
 			fatal(err)
 		}
 		if *goldenDir != "" {
-			switch err := crossCheck(*goldenDir, name, policy, *epsFlag, b.reference); {
+			switch err := goldenCheck(*goldenDir, name, policy, *epsFlag, b.reference); {
 			case os.IsNotExist(err):
 				// Not every workload has a committed golden grid; the
 				// cross-check anchors the ones that do.
@@ -219,6 +221,10 @@ func race(rs raceSpec) (*board, error) {
 		return nil, fmt.Errorf("%s: exhaustive reference: %w", rs.workload, err)
 	}
 	refFull := fullTable(reference)
+	truth := make(map[int]critter.Report, len(reference.Configs))
+	for _, cr := range reference.Configs {
+		truth[cr.Config] = cr.Full
+	}
 	refOpt := math.Inf(1)
 	optimal := -1
 	for cfg, full := range refFull {
@@ -241,6 +247,9 @@ func race(rs raceSpec) (*board, error) {
 		sweep := reference
 		if strat.Name() != (autotune.Exhaustive{}).Name() {
 			if sweep, err = runSweep(rs, strat); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", rs.workload, spec, err)
+			}
+			if err := crossCheck(truth, sweep); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", rs.workload, spec, err)
 			}
 		}
@@ -275,6 +284,29 @@ func fullTable(sw autotune.SweepResult) map[int]float64 {
 		t[cr.Config] = cr.Full.Wall
 	}
 	return t
+}
+
+// crossCheck holds a strategy's sweep to truth, the exhaustive reference's
+// full-execution report per configuration: every evaluation's Full is the
+// reference's report for that configuration, bit for bit (a reference
+// execution is one fact per study, seed and configuration, whichever sweep
+// asks for it), and the sweep's Optimal attains the ground truth's minimum
+// over the configurations it evaluated — so a strategy that evaluated the
+// space's optimum reports it, and Optimal is one fact per study too.
+func crossCheck(truth map[int]critter.Report, sw autotune.SweepResult) error {
+	best := math.Inf(1)
+	for _, cr := range sw.Configs {
+		if cr.Full != truth[cr.Config] {
+			return fmt.Errorf("config %d: full execution %+v differs from the exhaustive reference's %+v",
+				cr.Config, cr.Full, truth[cr.Config])
+		}
+		best = math.Min(best, cr.Full.Wall)
+	}
+	if got := truth[sw.Optimal].Wall; got != best {
+		return fmt.Errorf("reported optimal %d (full %g), the ground truth over its evaluated configurations has %g",
+			sw.Optimal, got, best)
+	}
+	return nil
 }
 
 // score reduces one strategy sweep to its scoreboard row against the
@@ -482,12 +514,12 @@ func goldenPath(dir, workload string) string {
 	return filepath.Join(dir, "envelope_"+workload+"_exhaustive.golden.json")
 }
 
-// crossCheck ties the shootout's ground truth to the repo's determinism
+// goldenCheck ties the shootout's ground truth to the repo's determinism
 // anchor: the reference exhaustive sweep must be byte-identical to the
 // matching (policy, eps) cell of the committed golden envelope. Golden
 // grids exist only for the quick-scale seed-42 noise-0.05 configuration;
 // a missing cell is an error (the flag was asked for and cannot hold).
-func crossCheck(dir, workload string, policy critter.Policy, eps float64, ref autotune.SweepResult) error {
+func goldenCheck(dir, workload string, policy critter.Policy, eps float64, ref autotune.SweepResult) error {
 	path := goldenPath(dir, workload)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -15,7 +15,7 @@
 // regression model of the space and adapts its exploration margin from the
 // live merged profile via the ProfileAware plan interface), and a
 // context-aware concurrent runner. Every (study, policy, eps) sweep of the tuning grid
-// runs in its own deterministic world seeded identically, so Tuner.Run
+// runs in its own deterministic world whose noise is keyed by what is run, so Tuner.Run
 // dispatches sweeps to a bounded pool of worker goroutines (Workers;
 // default GOMAXPROCS) and produces results bit-identical to a sequential
 // run at any worker count; cancelling the context stops a running grid at

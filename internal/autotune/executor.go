@@ -1,19 +1,22 @@
 package autotune
 
-// The concurrent sweep executor. Every (study, policy, eps) sweep is
-// independent given its own deterministic world seeded identically, so the
-// full evaluation grid — within one Tuner or across several — is dispatched
-// to a bounded pool of worker goroutines. Each job writes into a
-// preallocated result slot, making results bit-identical to the sequential
-// path regardless of worker count or completion order. Cancellation is
-// cooperative: workers skip pending jobs once the context is done, and a
-// running sweep aborts its world at the next configuration boundary.
+// The concurrent sweep executor. Every (study, policy, eps) sweep runs in its
+// own deterministic world, and a run's noise is keyed by what is run (see
+// runKey), so the full evaluation grid — within one Tuner or across several —
+// is dispatched to a bounded pool of worker goroutines. Each job writes into
+// a preallocated result slot, and the reference reports a tuner's sweeps
+// share are the same bits whichever sweep computes them, making results
+// bit-identical to the sequential path regardless of worker count or
+// completion order. Cancellation is cooperative: workers skip pending jobs
+// once the context is done, and a running sweep aborts its world at the next
+// configuration boundary.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
@@ -91,7 +94,7 @@ func (s *scratch) world(size int, machine sim.Machine, seed uint64) *mpi.World {
 
 // sweepJob is one (study, policy, eps) cell of the evaluation grid. It owns
 // its result slot exclusively, so workers share no mutable state beyond the
-// progress sink.
+// progress sink and the tuner's table of reference reports.
 type sweepJob struct {
 	study   Study
 	strat   Strategy
@@ -110,6 +113,14 @@ type sweepJob struct {
 	// installed by run from the worker's scratch arena. Nil disables
 	// memoization (results are byte-identical either way).
 	memo *critter.KernelMemo
+	// refs is the reference (full-execution) report of each configuration,
+	// shared by all of a tuner's jobs (Tuner.build): nil until some sweep
+	// has run the configuration's reference and rank 0 of its world has
+	// published the report. The value is a pure function of (study, machine,
+	// seed, configuration), so a slot is only ever overwritten with the bits
+	// it already holds, and a sweep that fails or is cancelled mid-reference
+	// publishes nothing.
+	refs []atomic.Pointer[critter.Report]
 	out  *SweepResult
 	sink *progressSink
 	// emit, when non-nil, receives the finished sweep (or a zeroed one

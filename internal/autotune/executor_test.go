@@ -49,7 +49,8 @@ func panicStudy() Study {
 
 // TestRunParallelDeterminism is the executor's core contract: a pool of
 // four workers must return SweepResults identical to the sequential path,
-// because every sweep runs in its own world seeded identically.
+// because every sweep runs in its own world and a run's noise is keyed by
+// what is run.
 func TestRunParallelDeterminism(t *testing.T) {
 	tn := Tuner{
 		Study:    CapitalCholesky(QuickScale()),

@@ -13,35 +13,37 @@ import (
 // exportedProfileSHA pins, per strategy and study, the sha256 over every
 // sweep's Profile.Encode() of the quick grids (seed 42, the golden machine,
 // each study's own policy list, eps 0.5 and 0.125), in sweep order. The
-// literals were recorded before the profiler's archive went from Key-keyed
-// maps to id-dense segments and the rank fold moved into one round's finish;
-// the golden envelopes cannot see that change (SweepResult.Profile is not
-// serialized into them), while warm starts and the surrogate consume exactly
-// these moments as priors.
+// golden envelopes cannot see a change to an exported profile
+// (SweepResult.Profile is not serialized into them), while warm starts and
+// the surrogate consume exactly these moments as priors. The literals move
+// only with the noise the runs draw: they were last recorded when a run's
+// streams became keyed by (configuration, run kind, round), in the same
+// change that regenerated the envelopes. To regenerate, run the test and
+// replace each recorded literal with the hash it reports.
 var exportedProfileSHA = map[string]map[string]string{
 	"exhaustive": {
-		"capital":    "792bdcd6714a61a8df6943ad889cc72dbba9d60fb27f18e54e6fe9323e4490a7",
-		"slate-chol": "3c1edaab4fbeeeed3c2b0788d3172388805a98dda676dccfe15cc4ee1b961cb4",
-		"candmc":     "00fa337d43b81df94bba52dd882db90da7ebb60e9238979abab4b44a5c80aead",
-		"slate-qr":   "97d0b8a6d00c4647335a251c69c0ac6db8c29dbb1a0d80b1ce58273e54a39843",
+		"capital":    "142b68952ebe88de62dcc6aa823c7c0b1c48aff14db6e06bc5e8a37e7b7bd241",
+		"slate-chol": "ffdb66b0fe483f85b2d235d65ca3a5bbb469ca7cad5038a9f654d1b5a9be8394",
+		"candmc":     "d951c3faea33cfb2adc743cc210b9b420b1e15795863e146415201014fd0b811",
+		"slate-qr":   "2450bf30efbb66178bc9252822eb0c7a69b6ce8218abe2c58e464c9ab4e7d52e",
 	},
 	"halving+extrapolate": {
-		"capital":    "f6f1f3fea3fa761c6db284b1c6fb0c26580336ef76070d4613a1d985de3dba10",
-		"slate-chol": "4b823c6d9828ddb3c206b59e7e1be8e6fcb7eb33c3ff378e68fe57299bca38b9",
-		"candmc":     "3829e02c9e43c32464a187106ab56fdbf01472aaa2402355df77ec8d72306899",
-		"slate-qr":   "d6fd7a48e8ab5f3acae0b420f3175472517f069bd160afac0313aa02ac5ebdaf",
+		"capital":    "e6549679c673cdeebdc36018b36b938ec09fe47e82ae2a401762e02e8b82441c",
+		"slate-chol": "3c2d56e3b92337e99048937067ff92582e9fbb42637aac7e491dd03e9cdcb699",
+		"candmc":     "2a88f88acafd2c4c257c1ed8eb60966c057414df3a6621aa0b91eaa8feed3ec2",
+		"slate-qr":   "5971ec34419a2a2d837d9a58dff845285528da3437b2f39c20a104eb8f619996",
 	},
 	"surrogate:8": {
-		"capital":    "5063bf7739bee4475c1e483fdc6d97b7b964a38d00d6ca1d72928a25c36cd8ba",
-		"slate-chol": "f5081e66cc779544e29c3bfb608e099d75f99fae814c29670f577f293659f604",
-		"candmc":     "2fa7580a70b0b1e29601bd27e29ae038b2c3704cc1cfcdf2f048d799fc534caf",
-		"slate-qr":   "4309103d3e63630ce01468d5bf263325269235acee1a527cb696be2a07a452a2",
+		"capital":    "835c5f684611f324b3f0fc6afdbb6a66cd14522581474d536141f6f47b60e5d6",
+		"slate-chol": "8a6cee29c805e6eb961d14508d115be2fc3d78a2cf12f037eb7a76ddd91be4e8",
+		"candmc":     "487326bb7ee0fbe2c52c2ac3fdf22cf823443bf424c7042961269c9aeab19a19",
+		"slate-qr":   "4b40b8339022e68c1a617f87e8dfa59a3ac029b248f4ac1af420d9c96170cd83",
 	},
 	"random:6": {
-		"capital":    "4a45b718acb4eb7fe56cf22f8f9e072a5bd09343a61f7480d5622ee10206e8d6",
-		"slate-chol": "99addb5e18ca89077e80d4b49652c0802fe5ff4385338a606e02d5b6f918422c",
-		"candmc":     "13407e7550b879a0e01269bfa756249c382e952be2ce8c20c76cab42171e6b7b",
-		"slate-qr":   "e1f4e3a634440eb5aac07468d0d260b45046af1e3daf269d83cc62b32cef12b5",
+		"capital":    "e9bdcab0a37e30ff972fa0a30c29ee642a4337b9fd7a439b2e4de02a14991894",
+		"slate-chol": "fa2cd864e703bffae2a0190c4cf5f82ac1eda4c6a7b53785201df74e9b09aa5f",
+		"candmc":     "9ec32459ba36a1707b96d9ecdc88bb167c2655d611df40fcfba1d2808580d1d6",
+		"slate-qr":   "f0168f9ee60e4a740aca8b4943ee81f164066407e28bdd92d7d3ce060ca259b2",
 	},
 }
 

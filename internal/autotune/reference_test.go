@@ -1,0 +1,223 @@
+package autotune
+
+// Tests of the one reference execution: ConfigResult.Full is a function of
+// (study, machine, seed, configuration) and nothing else, each tuner computes
+// it once per configuration, and a sweep that dies mid-reference leaves
+// nothing behind for the others to trip over.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"critter/internal/critter"
+)
+
+// quickStudies are the four case studies at quick scale.
+func quickStudies() []Study {
+	s := QuickScale()
+	return []Study{CapitalCholesky(s), SlateCholesky(s), CandmcQR(s), SlateQR(s)}
+}
+
+// TestFullIsOneFactPerConfiguration is the property behind the shared
+// reference table: over several seeds and the four quick studies, Full of a
+// configuration is bit-identical across every policy, tolerance list,
+// strategy, worker count and Tuner.Run call, and equals FullOnlyCtx's report
+// for it. Before noise was keyed by what is run, Full depended on how many
+// kernels the selective runs of earlier configurations had skipped.
+func TestFullIsOneFactPerConfiguration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs quick sweeps of every study over several seeds")
+	}
+	variants := []struct {
+		spec     string
+		policies []critter.Policy // nil: the study's own list (eager for CAPITAL)
+		eps      []float64
+		workers  int
+	}{
+		{"exhaustive", nil, []float64{0.5, 0.125}, 3},
+		{"exhaustive", []critter.Policy{critter.Online}, []float64{1}, 1},
+		{"random:6", []critter.Policy{critter.Local, critter.Online}, []float64{0.25}, 1},
+		{"halving", []critter.Policy{critter.Conditional, critter.APriori}, []float64{0.125}, 2},
+		{"surrogate:8", []critter.Policy{critter.Local, critter.APriori}, []float64{0.25, 0.0625}, 2},
+	}
+	for _, seed := range []uint64{1, 7, 42, 1234} {
+		for _, st := range quickStudies() {
+			t.Run(fmt.Sprintf("%s/seed%d", st.Name, seed), func(t *testing.T) {
+				t.Parallel()
+				truth, err := FullOnlyCtx(context.Background(), st, quickMachine(), seed, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, vr := range variants {
+					strat, err := ParseStrategy(vr.spec, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := Tuner{
+						Study: st, EpsList: vr.eps, Machine: quickMachine(), Seed: seed,
+						Policies: vr.policies, Strategy: strat, Workers: vr.workers,
+					}.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					evaluated := 0
+					for pi, row := range res.Sweeps {
+						for ei, sw := range row {
+							for _, cr := range sw.Configs {
+								evaluated++
+								if cr.Full != truth[cr.Config] {
+									t.Errorf("%s workers %d, policy %s eps %g: Full of config %d is %+v, FullOnlyCtx says %+v",
+										vr.spec, vr.workers, res.Policies[pi], res.EpsList[ei], cr.Config, cr.Full, truth[cr.Config])
+								}
+							}
+						}
+					}
+					if evaluated == 0 {
+						t.Errorf("%s evaluated nothing", vr.spec)
+					}
+				}
+			})
+		}
+	}
+}
+
+// isReference reports whether p is a reference profiler: cold Conditional at
+// tolerance zero. The sweeps of the tests below all run at eps > 0, and
+// a-priori's offline pass runs under Online, so nothing else matches.
+func isReference(p *critter.Profiler) bool {
+	return p.Policy() == critter.Conditional && p.Eps() == 0
+}
+
+// TestReferenceRunsOncePerConfiguration counts executions through a wrapped
+// Study.Run: a 4-policy x 2-eps exhaustive tuner on one worker runs Size()
+// reference executions, not 8*Size(), and the selective work is untouched —
+// one run per cell and configuration plus a-priori's offline pass.
+func TestReferenceRunsOncePerConfiguration(t *testing.T) {
+	st := rampStudy(6)
+	st.Policies = []critter.Policy{critter.Conditional, critter.Local, critter.Online, critter.APriori}
+	var refRuns, otherRuns atomic.Int64
+	run := st.Run
+	st.Run = func(p *critter.Profiler, cc *critter.Comm, v int) {
+		if cc.Rank() == 0 {
+			if isReference(p) {
+				refRuns.Add(1)
+			} else {
+				otherRuns.Add(1)
+			}
+		}
+		run(p, cc, v)
+	}
+	res, err := Tuner{
+		Study: st, EpsList: []float64{0.5, 0.125}, Machine: quickMachine(), Seed: 11, Workers: 1,
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(st.Size())
+	if got := refRuns.Load(); got != size {
+		t.Errorf("%d reference executions, want %d (one per configuration)", got, size)
+	}
+	// 8 selective runs per configuration, and a-priori's 2 cells run an
+	// offline pass each.
+	if got := otherRuns.Load(); got != 10*size {
+		t.Errorf("%d selective and offline executions, want %d", got, 10*size)
+	}
+	for _, row := range res.Sweeps {
+		for _, sw := range row {
+			if int64(len(sw.Configs)) != size {
+				t.Errorf("policy %s eps %g evaluated %d configs, want %d", sw.Policy, sw.Eps, len(sw.Configs), size)
+			}
+		}
+	}
+}
+
+// TestFailedSweepPublishesNothing kills one sweep of a tuner mid-reference —
+// by a panic inside the reference run of configuration 1, and by a
+// cancellation raised there — and checks the shared table afterwards: the
+// slot of a reference that did not complete stays empty, every filled slot
+// holds exactly FullOnlyCtx's report, and the tuner's other sweep completes
+// with the result it has in a run where nothing failed.
+func TestFailedSweepPublishesNothing(t *testing.T) {
+	const failing = 1 // the configuration whose reference run is hit
+	base := rampStudy(4)
+	truth, err := FullOnlyCtx(context.Background(), base, quickMachine(), 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := func(st Study) Tuner {
+		return Tuner{Study: st, EpsList: []float64{0.5, 0.125}, Machine: quickMachine(), Seed: 5, Workers: 1}
+	}
+	clean, err := tuner(base).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mode := range []string{"panic", "cancel"} {
+		t.Run(mode, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var armed atomic.Bool
+			armed.Store(true)
+			st := base
+			st.Run = func(p *critter.Profiler, cc *critter.Comm, v int) {
+				if v == failing && isReference(p) && cc.Rank() == 0 && armed.CompareAndSwap(true, false) {
+					if mode == "panic" {
+						panic("reference run dies")
+					}
+					cancel()
+				}
+				base.Run(p, cc, v)
+			}
+			res, jobs := tuner(st).build(&progressSink{})
+			sc := newScratch()
+
+			// The first sweep fails; the context is its own, so the second
+			// sweep is not cancelled with it.
+			err := jobs[0].run(ctx, sc)
+			switch mode {
+			case "panic":
+				if err == nil || errors.Is(err, context.Canceled) {
+					t.Fatalf("first sweep: err = %v, want the rank's panic", err)
+				}
+				// The reference of the failing configuration never reported.
+				if got := jobs[0].refs[failing].Load(); got != nil {
+					t.Errorf("slot %d holds %+v after its reference run panicked", failing, *got)
+				}
+			case "cancel":
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("first sweep: err = %v, want context.Canceled", err)
+				}
+				// Cancellation is honoured at the next configuration
+				// boundary: the run it interrupted completes and may publish,
+				// the configurations after it were never started.
+				if got := jobs[0].refs[failing+1].Load(); got != nil {
+					t.Errorf("slot %d holds %+v though the sweep stopped before it", failing+1, *got)
+				}
+			}
+			if got := res.Sweeps[0][0]; len(got.Configs) != 0 {
+				t.Errorf("failed sweep kept %d configs, want a zeroed cell", len(got.Configs))
+			}
+			for v := range jobs[0].refs {
+				if got := jobs[0].refs[v].Load(); got != nil && *got != truth[v] {
+					t.Errorf("slot %d holds %+v, FullOnlyCtx says %+v", v, *got, truth[v])
+				}
+			}
+
+			if err := jobs[1].run(context.Background(), sc); err != nil {
+				t.Fatalf("second sweep: %v", err)
+			}
+			if got, want := res.Sweeps[0][1], clean.Sweeps[0][1]; !reflect.DeepEqual(got, want) {
+				t.Errorf("second sweep differs from the run where nothing failed:\n got %+v\nwant %+v", got, want)
+			}
+			for v := range jobs[1].refs {
+				if got := jobs[1].refs[v].Load(); got == nil || *got != truth[v] {
+					t.Errorf("slot %d after the second sweep: %v, want %+v", v, got, truth[v])
+				}
+			}
+		})
+	}
+}

@@ -6,14 +6,26 @@
 // that full execution, and tuning cost as the total (virtual) time of the
 // selective executions.
 //
+// The reference is computed once per configuration and tuner, not once per
+// sweep, and that is the same experiment. On a real machine "directly prior"
+// is a control for drift: the full run must see the machine the approximated
+// run is about to see. The simulated machine has no drift — a run's noise is
+// keyed by (seed, rank, study, configuration, run kind, round) and by nothing
+// that happened before (mpi.Comm.Rekey, runKey) — so the full execution of a
+// configuration is one fact per (study, machine, seed), the same bits in
+// whichever sweep runs it and in FullOnlyCtx, and every (policy, eps) sweep
+// of a tuner is judged against that one report (reference, tuner.go). What
+// stays per evaluation is the selective run and its draws, which differ from
+// the reference's: a profiler that skips nothing still has a non-zero error
+// against the reference, as two runs of a real machine do.
+//
 // The central type is the Tuner (tuner.go), which composes a Study (a
 // configuration Space plus an SPMD runner), a search Strategy (Exhaustive —
-// the paper's protocol — RandomSample, or SuccessiveHalving), and a
-// context-aware concurrent executor. The evaluation grid is embarrassingly
-// parallel: each (policy, eps) sweep runs in its own simulated world seeded
-// identically, so the Tuner dispatches sweeps to a bounded worker pool (see
-// executor.go) and produces results that are bit-identical at any worker
-// count.
+// the paper's protocol — RandomSample, SuccessiveHalving, or Surrogate), and
+// a context-aware concurrent executor. The evaluation grid is embarrassingly
+// parallel: each (policy, eps) sweep runs in its own simulated world, so the
+// Tuner dispatches sweeps to a bounded worker pool (see executor.go) and
+// produces results that are bit-identical at any worker count.
 package autotune
 
 import (
@@ -138,8 +150,10 @@ func FullOnly(study Study, machine sim.Machine, seed uint64) ([]critter.Report, 
 
 // FullOnlyCtx is FullOnly with caller-controlled cancellation and pool
 // size (workers; 0 or negative means runtime.GOMAXPROCS(0)). Each
-// configuration runs in its own world seeded with seed, so results are
-// bit-identical at any worker count. The report slice is always returned
+// configuration runs in its own world through the same reference execution
+// a Tuner's sweeps use, so reports[v] is bit-identical at any worker count
+// and equals ConfigResult.Full of configuration v in every sweep of a Tuner
+// with the same study, machine and seed. The report slice is always returned
 // with failed or skipped configurations zeroed, alongside the joined
 // errors; a study that fails Validate runs nothing.
 func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uint64, workers int) ([]critter.Report, error) {
@@ -171,10 +185,8 @@ func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed 
 	}
 	w := sc.world(study.WorldSize, machine, seed)
 	err := w.Run(func(c *mpi.Comm) {
-		p, cc := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0})
-		p.StartConfig(true)
-		study.Run(p, cc, v)
-		rep := p.Report()
+		ref, refComm := newReference(c, nil)
+		rep := reference(c, study, ref, refComm, v)
 		if c.Rank() == 0 {
 			*out = rep
 		}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"sync/atomic"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
@@ -26,7 +27,9 @@ type Tuner struct {
 	EpsList []float64
 	// Machine is the simulated machine model.
 	Machine sim.Machine
-	// Seed seeds every sweep's world identically.
+	// Seed is the noise seed. Every execution of a configuration draws from
+	// streams keyed by (Seed, rank, study, configuration, run kind, round),
+	// never by what its world ran before.
 	Seed uint64
 	// Policies overrides Study.Policies when non-nil.
 	Policies []critter.Policy
@@ -38,7 +41,8 @@ type Tuner struct {
 	// exported by an earlier run (SweepResult.Profile, critter-tune
 	// -profile-out): kernels predicted by the prior skip sooner, shrinking
 	// the executed-kernel count. The reference (full) executions are never
-	// warm-started. Takes precedence over a WarmStart strategy's prior.
+	// warm-started: they are a function of (Study, Machine, Seed) alone.
+	// Takes precedence over a WarmStart strategy's prior.
 	Prior *critter.Profile
 	// Extrapolate enables family-model extrapolation (Section VIII's
 	// line-fitting extension) in every sweep's selective profiler. This is
@@ -48,8 +52,10 @@ type Tuner struct {
 
 	// Workers bounds how many sweeps are simulated concurrently. Zero (or
 	// negative) means runtime.GOMAXPROCS(0); 1 recovers the sequential
-	// path. Every worker count yields bit-identical results, because each
-	// sweep runs in its own world seeded with Seed.
+	// path. Every worker count yields bit-identical results: each sweep
+	// runs in its own world, and the one thing sweeps share — the table of
+	// reference reports — holds values that do not depend on who computed
+	// them.
 	Workers int
 	// Progress, when non-nil, is invoked after each sweep completes (or is
 	// abandoned to cancellation). Invocations are serialized; the callback
@@ -89,10 +95,12 @@ func (t Tuner) policies() []critter.Policy {
 }
 
 // build preallocates the result grid and one sweep job per (policy, eps)
-// cell, each pointing at its result slot so workers never contend.
+// cell, each pointing at its result slot so workers never contend, and hands
+// all of them one table of reference reports, a slot per configuration.
 func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 	policies := t.policies()
 	strat := t.strategy()
+	refs := make([]atomic.Pointer[critter.Report], t.Study.Size())
 	res := &Result{
 		Study:    t.Study.Name,
 		Strategy: strat.Name(),
@@ -114,6 +122,7 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 				prior:       t.Prior,
 				extrapolate: t.Extrapolate,
 				tracer:      t.Tracer,
+				refs:        refs,
 				out:         &res.Sweeps[pi][ei],
 				sink:        sink,
 			})
@@ -124,7 +133,7 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 }
 
 // Run executes every (policy, eps) sweep of the tuner, each in a fresh
-// world seeded with Seed, dispatching them to a pool of Workers goroutines.
+// world, dispatching them to a pool of Workers goroutines.
 // Result ordering is fixed by the policy and tolerance lists, not
 // completion order, and the values are identical to a sequential
 // (Workers: 1) run.
@@ -227,16 +236,57 @@ type cancelError struct{ err error }
 func (c cancelError) Error() string { return "sweep canceled: " + c.err.Error() }
 func (c cancelError) Unwrap() error { return c.err }
 
+// The kinds of execution a configuration goes through. Together with the
+// configuration's key and the strategy round they name a run, and the name
+// is what seeds its noise (runKey).
+const (
+	runReference uint64 = iota
+	runOffline
+	runSelective
+)
+
+// runKey names one execution of a configuration for mpi.Comm.Rekey. The
+// reference is always round 0: it is one fact per (study, machine, seed,
+// configuration), whichever sweep, strategy or rung asks for it. Offline and
+// selective runs carry the strategy's round number, so a rung strategy that
+// evaluates a configuration again does not replay its earlier draws.
+func runKey(ck, kind uint64, round int) uint64 {
+	return sim.Mix(ck, kind, uint64(round))
+}
+
+// reference is the only full execution in the repository: configuration v
+// under a cold profiler that skips nothing, on streams keyed by the
+// configuration alone, so the report is the same bits in every world that
+// computes it. Collective over the world communicator c, which ref was built
+// on.
+func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter.Comm, v int) critter.Report {
+	ck := critter.ConfigKey(study.Name, v)
+	// The configuration's memo key lets the reference run publish its
+	// interner for the selective runs of the same worker to adopt.
+	ref.StartConfigKeyed(true, ck)
+	c.Rekey(runKey(ck, runReference, 0))
+	study.Run(ref, refComm, v)
+	return ref.Report()
+}
+
+// newReference builds the profiler reference runs under: cold, never
+// warm-started, tolerance zero — it is the ground truth the selective run is
+// judged against.
+func newReference(c *mpi.Comm, memo *critter.KernelMemo) (*critter.Profiler, *critter.Comm) {
+	return critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0, Memo: memo})
+}
+
 // runSweep performs one (policy, eps) pass over the configurations the
-// strategy selects: per configuration, a full reference execution directly
-// prior to the approximated one (the measurement protocol of Section VI-A).
+// strategy selects, judging each approximated execution against the
+// configuration's full execution (the measurement protocol of Section VI-A).
+// The full execution comes from the tuner's shared table when another sweep
+// has already published it, and is run here, then published, when not.
 // Collective; the returned value is meaningful on every rank. Cancellation
 // is checked at every configuration boundary and aborts the whole world.
 func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	study, pol, eps, strat := j.study, j.pol, j.eps, j.strat
 	// The tuner's explicit prior wins; otherwise a WarmStart strategy may
-	// carry one. The reference profiler always starts cold: it is the
-	// ground truth the selective run is judged against.
+	// carry one.
 	prior := j.prior
 	if pp, ok := strat.(priorCarrier); ok && prior == nil {
 		prior = pp.Prior()
@@ -248,7 +298,12 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		Prior:       prior,
 		Memo:        j.memo,
 	}
-	ref, refComm := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0, Memo: j.memo})
+	// The reference profiler is built on the first miss of the shared table;
+	// a sweep that finds every report published never needs one.
+	var (
+		ref     *critter.Profiler
+		refComm *critter.Comm
+	)
 	tuned, tunedComm := critter.New(c, opts)
 	// Trace from rank 0 only, mirroring the profiler's convention: one
 	// deterministic event stream per sweep, not one per rank.
@@ -291,16 +346,30 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 					Config: len(sr.Configs) + 1, Round: roundNo,
 				})
 			}
-			// Full execution directly prior to the approximated one. The
-			// configuration's memo key lets the reference run publish its
-			// interner for the selective run (and all later sweeps of the
-			// same worker) to adopt.
-			ck := critter.ConfigKey(study.Name, v)
-			ref.StartConfigKeyed(true, ck)
-			study.Run(ref, refComm, v)
-			full := ref.Report()
+			// Rank 0 reads the slot and one untimed round hands every rank
+			// its answer, so the world takes the hit or the miss together.
+			// Two sweeps that miss the same slot at once both run the
+			// reference and publish the same bits: nothing to wait for.
+			var known *critter.Report
+			if c.Rank() == 0 {
+				known = j.refs[v].Load()
+			}
+			known = mpi.GatherMsgUntimed(c, known)[0]
+			var full critter.Report
+			if known != nil {
+				full = *known
+			} else {
+				if ref == nil {
+					ref, refComm = newReference(c, j.memo)
+				}
+				full = reference(c, study, ref, refComm, v)
+				if c.Rank() == 0 {
+					pub := full
+					j.refs[v].Store(&pub)
+				}
+			}
 
-			var sel critter.Report
+			ck := critter.ConfigKey(study.Name, v)
 			if pol == critter.APriori && round.Eps > 0 {
 				// Offline iteration: full execution under online
 				// propagation to obtain critical-path execution counts
@@ -308,6 +377,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				tuned.StartConfigKeyed(study.ResetStats, ck)
 				tuned.SetPolicy(critter.Online)
 				tuned.SetEps(0)
+				c.Rekey(runKey(ck, runOffline, roundNo))
 				study.Run(tuned, tunedComm, v)
 				offline := tuned.Report()
 				freqs := tuned.GlobalPathFreqs()
@@ -319,14 +389,13 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				tuned.SetPolicy(critter.APriori)
 				tuned.SetEps(round.Eps)
 				tuned.StartConfig(false) // keep the offline pass's samples
-				study.Run(tuned, tunedComm, v)
-				sel = tuned.Report()
 			} else {
 				tuned.SetEps(round.Eps)
 				tuned.StartConfigKeyed(study.ResetStats, ck)
-				study.Run(tuned, tunedComm, v)
-				sel = tuned.Report()
 			}
+			c.Rekey(runKey(ck, runSelective, roundNo))
+			study.Run(tuned, tunedComm, v)
+			sel := tuned.Report()
 
 			cr := ConfigResult{
 				Config:    v,
@@ -375,7 +444,9 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	sr.Profile = tuned.GlobalProfileRoot(0)
 	// The sweep is done with its profilers: donate their dense arenas and
 	// accumulator slabs back to the worker's memo for the next sweep.
-	ref.Retire()
+	if ref != nil {
+		ref.Retire()
+	}
 	tuned.Retire()
 	return sr
 }

@@ -1,9 +1,10 @@
 package critter
 
-// Cross-config kernel memoization. A tuning sweep evaluates the same study
-// configurations over and over — the reference profiler immediately before
-// the selective one, every (policy, eps) sweep after the first, warm
-// service jobs after cold ones — and each evaluation used to rebuild the
+// Cross-config kernel memoization. A tuning run evaluates the same study
+// configurations over and over — the selective run after the reference run
+// of a configuration whose reference this sweep computed, every (policy,
+// eps) sweep after the first, a rung strategy's later rungs, warm service
+// jobs after cold ones — and each evaluation used to rebuild the
 // exact same config-invariant state from scratch: the kernel-signature
 // interner, every rank's Key→id cache, the prediction model's accumulator
 // slabs and live map, and the archive's slabs. KernelMemo is the sweep executor's per-worker cache of
@@ -18,8 +19,10 @@ package critter
 //     configuration publishes its interner (Profiler.Report), keyed by the
 //     caller-supplied configuration key (StartConfigKeyed). Every later
 //     profiler that starts the same configuration — the selective run
-//     right after the reference run, and every run of the configuration
-//     in later sweeps — adopts the published table plus an immutable
+//     after a reference run (when the sweep ran one: a tuner computes each
+//     configuration's reference once, in whichever sweep gets there
+//     first), and every run of the configuration in the worker's later
+//     sweeps — adopts the published table plus an immutable
 //     Key→id snapshot, so its steady-state intern path is a read-only map
 //     hit: no table lock, no insert, no per-config cache rebuild. Ids
 //     stay as compact as the configuration's active kernel set, keeping

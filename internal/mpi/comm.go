@@ -20,7 +20,6 @@ type Comm struct {
 	state *rankState
 
 	collSeq uint64 // per-rank count of collectives issued on this comm
-	p2pSeq  uint64 // used only to diversify noise streams
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -75,6 +74,23 @@ func (c *Comm) Compute(flops float64) float64 {
 func (c *Comm) ComputeTime(flops float64) float64 {
 	m := c.w.machine
 	return m.ComputeTime(flops) * m.Noise(c.state.rng)
+}
+
+// Rekey makes everything the rank draws from here on a function of key
+// rather than of what ran before: the communicator's matching context is
+// derived from key and its collective sequence restarts at zero — so the
+// round numbers, the per-round collective noise and the context of every
+// communicator Split or Dup from it below are relative to key — and the
+// rank's noise stream is re-seeded from (world seed, world rank, key). The
+// harness calls it on the world communicator before each execution of a
+// configuration, which is what makes a run's timings independent of the runs
+// before it. Local, no communication: every member must call it with the same
+// key at the same point of the program, with no message in flight on the
+// communicator (one posted under the old context would never match).
+func (c *Comm) Rekey(key uint64) {
+	c.ctx = sim.Mix(key, 0x72656b6579)
+	c.collSeq = 0
+	c.state.rng.Seed(sim.Mix(c.w.seed, uint64(c.state.worldRank), key))
 }
 
 // Split partitions the communicator by color, ordering each new group by

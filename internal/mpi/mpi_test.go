@@ -589,3 +589,55 @@ func TestBufPoolBoundIsByMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestRekeyMakesTimingsAFunctionOfTheKey runs one noisy program — compute
+// draws, point-to-point traffic, a collective on the world and one on a
+// communicator split from it — after Rekey(k) in worlds that did different
+// amounts of work first. The elapsed virtual time per rank must depend on k
+// and the seed alone: equal across histories, different across keys.
+func TestRekeyMakesTimingsAFunctionOfTheKey(t *testing.T) {
+	const ranks = 4
+	elapsed := func(history int, key uint64) []float64 {
+		w := NewWorld(ranks, sim.DefaultMachine(), 99) // with noise
+		out := make([]float64, ranks)
+		if err := w.Run(func(c *Comm) {
+			buf := make([]float64, 64)
+			// What ran before: a history-dependent number of draws from the
+			// rank stream and of rounds on the world communicator.
+			for i := 0; i < history; i++ {
+				c.Compute(1e4 * float64(c.Rank()+1))
+				c.Allreduce(buf, buf, OpSum)
+			}
+			c.Barrier()
+			c.ResetClock()
+			c.Rekey(key)
+			row := c.Split(c.Rank()/2, c.Rank())
+			next, prev := (c.Rank()+1)%ranks, (c.Rank()+ranks-1)%ranks
+			for i := 0; i < 5; i++ {
+				c.Compute(1e5)
+				c.Sendrecv(next, i, buf[:16], prev, i, buf[:16])
+				c.Bcast(i%ranks, buf)
+				row.Allreduce(buf[:8], buf[:8], OpMax)
+			}
+			out[c.Rank()] = c.Clock() // each rank writes its own slot
+		}); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return out
+	}
+	base := elapsed(0, 7)
+	for _, history := range []int{1, 3, 10} {
+		got := elapsed(history, 7)
+		for r := range got {
+			if got[r] != base[r] {
+				t.Errorf("history %d: rank %d took %g after Rekey(7), %g with no history", history, r, got[r], base[r])
+			}
+		}
+	}
+	other := elapsed(0, 8)
+	for r := range other {
+		if other[r] == base[r] {
+			t.Errorf("rank %d: keys 7 and 8 drew the same timings (%g)", r, base[r])
+		}
+	}
+}

@@ -5,9 +5,14 @@
 // machine (the paper's experiments ran on Stampede2, where variability was
 // observed to be high).
 //
-// All randomness is derived from splitmix64 streams seeded from (experiment
-// seed, rank, kernel signature), so a fixed seed yields bitwise-identical
-// virtual timings across runs regardless of goroutine scheduling.
+// All randomness is derived from splitmix64 streams. Nothing here seeds them:
+// the runtime does (package mpi) — one stream per rank from (world seed,
+// rank), re-seeded from (world seed, rank, key) whenever the harness names
+// the run that follows (mpi.Comm.Rekey), and one per collective round from
+// (world seed, communicator context, round) — never per kernel signature. A
+// fixed seed therefore yields bitwise-identical virtual timings across runs
+// regardless of goroutine scheduling, and a keyed run draws the same noise
+// whatever its world ran before.
 package sim
 
 import "math"
