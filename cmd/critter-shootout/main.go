@@ -8,21 +8,21 @@
 //
 // The shootout is fully deterministic: a run's noise is keyed by what is run,
 // so repeated runs (at any worker count) produce byte-identical scoreboards,
-// and the committed baseline BENCH_shootout.json can gate it at ratio 1.0
-// through cmd/benchdiff. For the same reason every strategy's sweep sees the
-// reference's full-execution reports, not a table of its own: crossCheck
-// holds each evaluation to the ground truth bit for bit.
+// and the committed BENCH_shootout.md is held to by byte-compare
+// (scripts/shootout-smoke.sh, and main_test.go for the capital section). For
+// the same reason every strategy's sweep sees the reference's full-execution
+// reports, not a table of its own: crossCheck holds each evaluation to the
+// ground truth bit for bit.
 //
 // Usage:
 //
 //	critter-shootout -scale quick
 //	critter-shootout -scale quick -golden-dir internal/autotune/testdata -require 2
-//	critter-shootout -scale quick -markdown BENCH_shootout.md | go run ./cmd/benchdiff -baseline BENCH_shootout.json
-//	critter-shootout -scale quick -baseline-out BENCH_shootout.json   # regenerate the committed baseline
+//	critter-shootout -scale quick -markdown BENCH_shootout.md   # regenerate the committed scoreboard
 //
-// Stdout carries `go test -bench`-style result lines (benchdiff's input
-// format); the human-readable scoreboard goes to stderr and, with
-// -markdown, to a Markdown file. -golden-dir additionally cross-checks the
+// Stdout carries the human-readable scoreboard; stderr only the golden
+// cross-check and -require verdicts. -markdown also writes the scoreboard
+// as a Markdown file. -golden-dir additionally cross-checks the
 // reference exhaustive sweep byte-for-byte against the committed golden
 // envelopes, tying the scoreboard's ground truth to the repo's determinism
 // anchor. -require N exits nonzero unless the surrogate strategy lands
@@ -40,7 +40,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"critter/internal/autotune"
@@ -50,31 +49,40 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "critter-shootout:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: args without the program name, the scoreboard on
+// stdout, cross-check and -require verdicts on stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("critter-shootout", flag.ExitOnError)
 	// The default study list is the four canonical golden-backed workloads;
 	// the registry's extra names are aliases (cholesky3d, qr2d) that would
 	// duplicate rows.
-	studiesFlag := flag.String("studies", "capital,slate-chol,candmc,slate-qr",
+	studiesFlag := fs.String("studies", "capital,slate-chol,candmc,slate-qr",
 		"comma-separated workloads to race (registry: "+strings.Join(workload.Names(), ", ")+")")
-	scaleName := flag.String("scale", "quick", "problem scale: "+strings.Join(workload.Default().ScaleNames(), ", "))
-	policyFlag := flag.String("policy", "online", "selective-execution policy every sweep runs under")
-	epsFlag := flag.Float64("eps", 0.125, "confidence tolerance every sweep targets")
-	seed := flag.Uint64("seed", 42, "noise seed")
-	noise := flag.Float64("noise", 0.05, "machine noise sigma")
-	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = GOMAXPROCS); any count scores identically")
-	strategiesFlag := flag.String("strategies", "exhaustive,random:@,halving,surrogate:@",
+	scaleName := fs.String("scale", "quick", "problem scale: "+strings.Join(workload.Default().ScaleNames(), ", "))
+	policyFlag := fs.String("policy", "online", "selective-execution policy every sweep runs under")
+	epsFlag := fs.Float64("eps", 0.125, "confidence tolerance every sweep targets")
+	seed := fs.Uint64("seed", 42, "noise seed")
+	noise := fs.Float64("noise", 0.05, "machine noise sigma")
+	workers := fs.Int("workers", 0, "concurrent sweep workers (0 = GOMAXPROCS); any count scores identically")
+	strategiesFlag := fs.String("strategies", "exhaustive,random:@,halving,surrogate:@",
 		"comma-separated strategy specs ("+autotune.StrategyNames+"); @ expands to the per-workload budget")
-	budgetFrac := flag.Float64("budget-frac", 0.4, "per-workload budget for @: this fraction of the space size (at least dims+2)")
-	epsilon := flag.Float64("epsilon", 0.05, "scoring tolerance: a selection within this fraction of the optimum counts as a hit")
-	markdownOut := flag.String("markdown", "", "write the scoreboard as Markdown to this file")
-	baselineOut := flag.String("baseline-out", "", "write the scoreboard as a benchdiff baseline JSON to this file (gates at ratio 1.0)")
-	goldenDir := flag.String("golden-dir", "", "cross-check the reference exhaustive sweep against the golden envelopes in this directory")
-	require := flag.Int("require", 0, "exit nonzero unless the surrogate hits epsilon within -require-frac of exhaustive kernels on at least N workloads")
-	requireFrac := flag.Float64("require-frac", 0.5, "kernel-budget fraction the -require check holds the surrogate to")
-	flag.Parse()
+	budgetFrac := fs.Float64("budget-frac", 0.4, "per-workload budget for @: this fraction of the space size (at least dims+2)")
+	epsilon := fs.Float64("epsilon", 0.05, "scoring tolerance: a selection within this fraction of the optimum counts as a hit")
+	markdownOut := fs.String("markdown", "", "write the scoreboard as Markdown to this file")
+	goldenDir := fs.String("golden-dir", "", "cross-check the reference exhaustive sweep against the golden envelopes in this directory")
+	require := fs.Int("require", 0, "exit nonzero unless the surrogate hits epsilon within -require-frac of exhaustive kernels on at least N workloads")
+	requireFrac := fs.Float64("require-frac", 0.5, "kernel-budget fraction the -require check holds the surrogate to")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here
 
 	policy, err := critter.ParsePolicy(*policyFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	machine := sim.DefaultMachine()
 	machine.NoiseSigma = *noise
@@ -84,7 +92,7 @@ func main() {
 		name = strings.TrimSpace(name)
 		study, err := workload.ResolveStudy(nil, name, *scaleName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		b, err := race(raceSpec{
 			study: study, workload: name,
@@ -93,52 +101,42 @@ func main() {
 			specs: expandSpecs(strings.Split(*strategiesFlag, ","), budget(study, *budgetFrac)),
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *goldenDir != "" {
 			switch err := goldenCheck(*goldenDir, name, policy, *epsFlag, b.reference); {
 			case os.IsNotExist(err):
 				// Not every workload has a committed golden grid; the
 				// cross-check anchors the ones that do.
-				fmt.Fprintf(os.Stderr, "golden cross-check skipped: no %s\n", goldenPath(*goldenDir, name))
+				fmt.Fprintf(stderr, "golden cross-check skipped: no %s\n", goldenPath(*goldenDir, name))
 			case err != nil:
-				fatal(err)
+				return err
 			default:
-				fmt.Fprintf(os.Stderr, "golden cross-check ok: %s reference sweep matches %s\n",
+				fmt.Fprintf(stderr, "golden cross-check ok: %s reference sweep matches %s\n",
 					name, goldenPath(*goldenDir, name))
 			}
 		}
 		boards = append(boards, b)
 	}
 
-	printBench(os.Stdout, boards)
-	printBoards(os.Stderr, boards, *epsilon)
+	printBoards(stdout, boards, *epsilon)
 	if *markdownOut != "" {
 		var md strings.Builder
 		writeMarkdown(&md, boards, policy, *epsFlag, *epsilon)
 		if err := os.WriteFile(*markdownOut, []byte(md.String()), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	if *baselineOut != "" {
-		if err := writeBaseline(*baselineOut, boards); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *require > 0 {
 		hits := surrogateHits(boards, *requireFrac)
 		if hits < *require {
-			fatal(fmt.Errorf("surrogate within epsilon at <= %.0f%% of exhaustive kernels on %d workloads, need %d",
-				100**requireFrac, hits, *require))
+			return fmt.Errorf("surrogate within epsilon at <= %.0f%% of exhaustive kernels on %d workloads, need %d",
+				100**requireFrac, hits, *require)
 		}
-		fmt.Fprintf(os.Stderr, "require ok: surrogate hit epsilon within %.0f%% of exhaustive kernels on %d/%d workloads\n",
+		fmt.Fprintf(stderr, "require ok: surrogate hit epsilon within %.0f%% of exhaustive kernels on %d/%d workloads\n",
 			100**requireFrac, hits, len(boards))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "critter-shootout:", err)
-	os.Exit(1)
+	return nil
 }
 
 // budget is the evaluation budget @ expands to: a fraction of the space,
@@ -374,42 +372,6 @@ func surrogateHits(boards []*board, frac float64) int {
 	return hits
 }
 
-// benchName renders a workload or strategy token as a CamelCase benchmark
-// name fragment: "slate-chol" -> "SlateChol", "surrogate:8" ->
-// "Surrogate8", "surrogate:8:2" -> "Surrogate8x2". Dash-free, so
-// benchdiff's GOMAXPROCS-suffix stripping never bites.
-func benchName(s string) string {
-	parts := strings.FieldsFunc(s, func(r rune) bool { return r == '-' || r == '_' })
-	var out strings.Builder
-	for _, p := range parts {
-		segs := strings.Split(p, ":")
-		for i, seg := range segs {
-			if seg == "" {
-				continue
-			}
-			if i >= 2 {
-				out.WriteByte('x')
-			}
-			out.WriteString(strings.ToUpper(seg[:1]) + seg[1:])
-		}
-	}
-	return out.String()
-}
-
-// printBench emits the scoreboard as `go test -bench` result lines —
-// benchdiff's input format — one Kernels and one GapBps metric per cell.
-// The simulation is deterministic, so the committed baseline gates these at
-// ratio 1.0.
-func printBench(w io.Writer, boards []*board) {
-	for _, b := range boards {
-		for _, r := range b.Rows {
-			prefix := "BenchmarkShootout" + benchName(b.Workload) + benchName(r.Strategy)
-			fmt.Fprintf(w, "%sKernels 1 %d ns/op\n", prefix, r.Executed)
-			fmt.Fprintf(w, "%sGapBps 1 %d ns/op\n", prefix, int64(math.Round(10000*r.Gap)))
-		}
-	}
-}
-
 // printBoards renders the human-readable scoreboard.
 func printBoards(w io.Writer, boards []*board, epsilon float64) {
 	for _, b := range boards {
@@ -418,7 +380,7 @@ func printBoards(w io.Writer, boards []*board, epsilon float64) {
 		fmt.Fprintf(w, "%-16s %9s %7s %9s %8s %7s %12s\n",
 			"strategy", "kernels", "frac", "selected", "gap", "hit", "kernelsToEps")
 		for _, r := range b.Rows {
-			fmt.Fprintf(w, "%-16s %9d %6.0f%% %9d %7.1f%% %7v %12s\n",
+			fmt.Fprintf(w, "%-16s %9d %6.0f%% %9d %7.2f%% %7v %12s\n",
 				r.Strategy, r.Executed, 100*r.KernelFrac, r.Selected, 100*r.Gap,
 				r.Gap <= epsilon, kte(r.KernelsToEps))
 		}
@@ -441,71 +403,17 @@ func writeMarkdown(w io.Writer, boards []*board, policy critter.Policy, eps, eps
 	fmt.Fprintf(w, "gap within ε = %g). Every sweep ran under the %s policy at confidence\n", epsilon, policy)
 	fmt.Fprintf(w, "tolerance eps = %g; each strategy's kernel count relative to exhaustive\n", eps)
 	fmt.Fprintf(w, "depends on both (README, \"Measured and kept\"). Deterministic; regenerate with:\n\n")
-	fmt.Fprintf(w, "```\ngo run ./cmd/critter-shootout -scale quick -markdown BENCH_shootout.md -baseline-out BENCH_shootout.json\n```\n")
+	fmt.Fprintf(w, "```\ngo run ./cmd/critter-shootout -scale quick -markdown BENCH_shootout.md\n```\n")
 	for _, b := range boards {
 		fmt.Fprintf(w, "\n## %s (%s) — %d configs, optimal %d\n\n", b.Workload, b.Study, b.Configs, b.Optimal)
 		fmt.Fprintf(w, "| strategy | kernels | %% of exhaustive | selected | gap | hit | kernels to ε |\n")
 		fmt.Fprintf(w, "|---|---|---|---|---|---|---|\n")
 		for _, r := range b.Rows {
-			fmt.Fprintf(w, "| %s | %d | %.0f%% | %d | %.1f%% | %v | %s |\n",
+			fmt.Fprintf(w, "| %s | %d | %.0f%% | %d | %.2f%% | %v | %s |\n",
 				r.Strategy, r.Executed, 100*r.KernelFrac, r.Selected, 100*r.Gap,
 				r.Gap <= epsilon, kte(r.KernelsToEps))
 		}
 	}
-}
-
-// baseline mirrors cmd/benchdiff's Baseline schema (kept in sync by
-// TestShootoutBaselineSchema-style usage in CI: benchdiff reads what this
-// writes).
-type baseline struct {
-	SchemaVersion int                `json:"schemaVersion"`
-	Suite         string             `json:"suite"`
-	Benchmarks    map[string]metrics `json:"benchmarks"`
-	Gates         []gate             `json:"gates"`
-}
-
-type metrics struct {
-	NsPerOp     float64 `json:"nsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-}
-
-type gate struct {
-	Benchmark string  `json:"benchmark"`
-	Metric    string  `json:"metric"`
-	Ratio     float64 `json:"ratio"`
-}
-
-// writeBaseline persists the scoreboard as the benchdiff baseline, gating
-// every metric at ratio 1.0: the shootout is deterministic, so any drift is
-// a real behavior change and must come with a regenerated baseline (same
-// contract as the golden envelopes).
-func writeBaseline(path string, boards []*board) error {
-	base := baseline{
-		SchemaVersion: 1,
-		Suite:         "cmd/critter-shootout (strategy scoreboard; deterministic, gated exactly)",
-		Benchmarks:    map[string]metrics{},
-	}
-	for _, b := range boards {
-		for _, r := range b.Rows {
-			prefix := "BenchmarkShootout" + benchName(b.Workload) + benchName(r.Strategy)
-			base.Benchmarks[prefix+"Kernels"] = metrics{NsPerOp: float64(r.Executed)}
-			base.Benchmarks[prefix+"GapBps"] = metrics{NsPerOp: math.Round(10000 * r.Gap)}
-		}
-	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base.Gates = append(base.Gates, gate{Benchmark: name, Metric: "ns_per_op", Ratio: 1.0})
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // goldenPath names the committed golden envelope backing a workload's

@@ -113,7 +113,7 @@ func TestPerConfigErrUnknownPolicy(t *testing.T) {
 }
 
 func TestTuningShapesMatchPaper(t *testing.T) {
-	// The qualitative shape targets from DESIGN.md, on the quick scale:
+	// The qualitative shape of the paper's Figures 4/5, on the quick scale:
 	// tuning time decreases as eps loosens, and is never more than the
 	// full-execution baseline (within noise).
 	st := autotune.CapitalCholesky(autotune.QuickScale())
