@@ -193,13 +193,13 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	return err
 }
 
-// forEachBounded runs fn(i, worker) for every i in [0, n) on at most
-// workers goroutines (0 or negative means runtime.GOMAXPROCS(0); 1 recovers
-// the sequential path). worker identifies the executing pool slot, so
-// callers can thread one scratch arena per worker. The index channel is
-// buffered to n, so feeding it never blocks a worker. It is the one pool
+// forEachBounded runs fn(i, sc) for every i in [0, n) on at most workers
+// goroutines (0 or negative means runtime.GOMAXPROCS(0); 1 recovers the
+// sequential path). sc is the executing worker's scratch arena: each worker
+// goroutine makes one and hands it to every call it runs. The index channel
+// is buffered to n, so feeding it never blocks a worker. It is the one pool
 // implementation shared by the sweep executor and the full-only pass.
-func forEachBounded(n, workers int, fn func(i, worker int)) {
+func forEachBounded(n, workers int, fn func(i int, sc *scratch)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -207,8 +207,9 @@ func forEachBounded(n, workers int, fn func(i, worker int)) {
 		workers = n
 	}
 	if workers <= 1 {
+		sc := newScratch()
 		for i := 0; i < n; i++ {
-			fn(i, 0)
+			fn(i, sc)
 		}
 		return
 	}
@@ -220,12 +221,13 @@ func forEachBounded(n, workers int, fn func(i, worker int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
+			sc := newScratch()
 			for i := range idx {
-				fn(i, worker)
+				fn(i, sc)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -235,13 +237,8 @@ func forEachBounded(n, workers int, fn func(i, worker int)) {
 // entries for successes. A failed sweep never blocks the others.
 func runJobs(ctx context.Context, jobs []sweepJob, workers int) []error {
 	errs := make([]error, len(jobs))
-	var scratches sync.Map // worker -> *scratch, created lazily per pool slot
-	forEachBounded(len(jobs), workers, func(i, worker int) {
-		sc, ok := scratches.Load(worker)
-		if !ok {
-			sc, _ = scratches.LoadOrStore(worker, newScratch())
-		}
-		errs[i] = jobs[i].run(ctx, sc.(*scratch))
+	forEachBounded(len(jobs), workers, func(i int, sc *scratch) {
+		errs[i] = jobs[i].run(ctx, sc)
 	})
 	return errs
 }

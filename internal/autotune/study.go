@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
@@ -166,13 +165,8 @@ func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uin
 		return reports, fmt.Errorf("autotune: %w", err)
 	}
 	errs := make([]error, n)
-	var scratches sync.Map // worker -> *scratch
-	forEachBounded(n, workers, func(v, worker int) {
-		sc, ok := scratches.Load(worker)
-		if !ok {
-			sc, _ = scratches.LoadOrStore(worker, newScratch())
-		}
-		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, sc.(*scratch), &reports[v])
+	forEachBounded(n, workers, func(v int, sc *scratch) {
+		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, sc, &reports[v])
 	})
 	return reports, errors.Join(errs...)
 }

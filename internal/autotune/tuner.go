@@ -442,8 +442,8 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	// studies that reset statistics between configurations still yield
 	// their full union.
 	sr.Profile = tuned.GlobalProfileRoot(0)
-	// The sweep is done with its profilers: donate their dense arenas and
-	// accumulator slabs back to the worker's memo for the next sweep.
+	// The sweep is done with its profilers: donate their arenas back to the
+	// worker's memo for the next sweep.
 	if ref != nil {
 		ref.Retire()
 	}

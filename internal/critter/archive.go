@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"critter/internal/mpi"
-	"critter/internal/stats"
 )
 
 // The per-configuration archive. StartConfig wipes the live model and the
@@ -56,12 +55,12 @@ func (a *archive) lastFor(tab *KernelTable) *archiveSeg {
 	return nil
 }
 
-// open starts a new, empty segment for tab. The pointer is valid until the
-// next open.
-func (a *archive) open(tab *KernelTable) *archiveSeg {
+// open starts a new segment for tab, empty of frequencies and holding the
+// models from mLo on. The pointer is valid until the next open.
+func (a *archive) open(tab *KernelTable, mLo int) *archiveSeg {
 	a.segs = append(a.segs, archiveSeg{
 		tab: tab,
-		mLo: len(a.models), mHi: len(a.models),
+		mLo: mLo, mHi: len(a.models),
 		fLo: len(a.freqs), fHi: len(a.freqs),
 	})
 	return &a.segs[len(a.segs)-1]
@@ -91,7 +90,7 @@ func (p *Profiler) archivePathFreqs() {
 	a := &p.arch
 	seg := a.lastFor(p.tab)
 	if seg == nil {
-		seg = a.open(p.tab)
+		seg = a.open(p.tab, len(a.models))
 	}
 	if have := seg.fHi - seg.fLo; n > have {
 		a.freqs = slices.Grow(a.freqs, n-have)[:seg.fLo+n]
@@ -114,52 +113,32 @@ func (p *Profiler) archivePathFreqs() {
 // through the same Welford merge as any other two configurations'.
 func (p *Profiler) archiveEstimator() {
 	a := &p.arch
-	if len(p.est.cur) > 0 {
-		seg := a.lastFor(p.tab)
-		if seg == nil || seg.mHi > seg.mLo {
-			seg = a.open(p.tab)
+	lo := len(a.models)
+	a.models = p.liveModels(a.models)
+	if len(a.models) > lo {
+		// A last segment without models starts at lo too: only it grows.
+		if seg := a.lastFor(p.tab); seg != nil && seg.mHi == seg.mLo {
+			seg.mHi = len(a.models)
+		} else {
+			a.open(p.tab, lo)
 		}
-		a.models = p.liveModels(a.models)
-		seg.mHi = len(a.models)
 	}
 	a.families = p.est.familiesInto(a.families)
 }
 
-// liveModels appends the model's live accumulators to dst under their dense
-// ids, walking the id-indexed view instead of hashing the keyed map. An
-// accumulator installed by eager pooling has lost its dense slot until its
-// next observation (importWelford); those are found through the map and
-// resolved by interning their key. Prior samples are not part of the live
+// liveModels appends the live accumulator of every record that has samples
+// to dst, under the record's id. Prior samples are not part of the live
 // layer, so chaining runs via MergeProfiles never counts one twice.
 func (p *Profiler) liveModels(dst []archivedModel) []archivedModel {
-	e := p.est
-	dense := 0
-	for id, w := range e.byID {
-		if w == nil {
-			continue
-		}
-		dense++
-		pooled := e.pooled != nil && e.pooled[p.keyAt(uint32(id))]
-		dst = appendModel(dst, uint32(id), w, pooled)
-	}
-	if dense < len(e.cur) {
-		for key, w := range e.cur {
-			if id := p.intern(key); e.wByID(id) == nil {
-				dst = appendModel(dst, id, w, e.pooled[key])
-			}
+	for id := range p.k {
+		ks := &p.k[id]
+		if w := &ks.live; w.Count() > 0 {
+			dst = append(dst, archivedModel{uint32(id), KernelModel{
+				Count: w.Count(), Mean: w.Mean(), M2: w.M2(), Pooled: ks.pooled,
+			}})
 		}
 	}
 	return dst
-}
-
-// appendModel appends w's moments as kernel id's model, if it has samples.
-func appendModel(dst []archivedModel, id uint32, w *stats.Welford, pooled bool) []archivedModel {
-	if w.Count() == 0 {
-		return dst
-	}
-	return append(dst, archivedModel{id, KernelModel{
-		Count: w.Count(), Mean: w.Mean(), M2: w.M2(), Pooled: pooled,
-	}})
 }
 
 // ExportProfile returns this rank's learned profile: everything archived

@@ -69,23 +69,12 @@ func (c *Comm) Split(color, key int) *Comm {
 // user operation, update the kernel model, and account path costs.
 func (c *Comm) collective(op string, words int, bspWords float64, run func() float64) {
 	p := c.p
-	key := CommKey(op, words, c.user.Size(), c.stride())
-	id := p.intern(key)
-	ks := p.stats(id)
-	p.notePath(id)
-	local := intMsg{Exec: p.shouldExecute(key, id, ks), Path: p.snapshot()}
+	id, ks := p.intercept(CommKey(op, words, c.user.Size(), c.stride()))
+	local := intMsg{Exec: p.shouldExecute(id, ks), Path: p.snapshot()}
 	g := c.p.lane.Allreduce(c.internal, local, propagate)
 	p.adopt(g.Path)
 	p.traceRound(op)
-	var dt float64
-	if g.Exec {
-		dt = run()
-		p.record(key, id, ks, 0, dt)
-	} else {
-		dt = p.est.estimate(id, key)
-		p.skipped++
-	}
-	p.accountComm(id, dt, bspWords)
+	p.accountComm(ks, p.settle(ks, g.Exec, run), bspWords)
 	if p.opts.Policy == Eager {
 		p.aggregateEager(c)
 	}
@@ -94,10 +83,11 @@ func (c *Comm) collective(op string, words int, bspWords float64, run func() flo
 // traceRound emits one kernel-propagation round event: op names the
 // intercepted operation, Virtual is the rank's clock after the round's
 // pathset adoption, and Memoized flags rounds whose latest local skip
-// decision was replayed from the kernel memo's predictability cache
-// (consumed here so an op without its own decision, like wait, never
-// inherits one). p.trace is non-nil only on rank 0 of a traced world, so
-// the disabled hot path costs exactly this one branch.
+// decision was replayed from the kernel's predCache — the profiler's own,
+// with or without a KernelMemo (consumed here so an op without its own
+// decision, like wait, never inherits one). p.trace is non-nil only on rank
+// 0 of a traced world, so the disabled hot path costs exactly this one
+// branch.
 func (p *Profiler) traceRound(op string) {
 	if p.trace == nil {
 		return
@@ -106,23 +96,23 @@ func (p *Profiler) traceRound(op string) {
 		Kind: obs.KindRound, Phase: obs.PhasePoint,
 		Name: op, Virtual: p.world.user.Clock(),
 	}
-	if p.lastMemoized {
+	if p.lastReplayed {
 		ev.Memoized = 1
-		p.lastMemoized = false
+		p.lastReplayed = false
 	}
 	p.trace.Emit(ev)
 }
 
 // accountComm adds one communication kernel's contribution to the pathset
-// and volumetric accumulators. id is the kernel's interned signature.
-func (p *Profiler) accountComm(id uint32, dt, bspWords float64) {
+// and volumetric accumulators.
+func (p *Profiler) accountComm(ks *kernelStats, dt, bspWords float64) {
 	p.path.ExecTime += dt
 	p.path.CommTime += dt
 	p.path.BSPComm += bspWords
 	p.path.BSPSync++
 	p.volCommWords += bspWords
 	p.volSync++
-	p.pathKernelTime[id] += dt
+	ks.pathTime += dt
 }
 
 // Barrier profiles a barrier synchronization.
@@ -206,25 +196,14 @@ func srIntTag(tag int) int   { return 3*tag + 2 }
 // Sendrecv, whose combined protocol cannot deadlock.
 func (c *Comm) Send(dest, tag int, buf []float64) {
 	p := c.p
-	key := c.p2pKey("send", len(buf), dest)
-	id := p.intern(key)
-	ks := p.stats(id)
-	p.notePath(id)
-	local := p.shouldExecute(key, id, ks)
+	id, ks := p.intercept(c.p2pKey("send", len(buf), dest))
+	local := p.shouldExecute(id, ks)
 	p.flane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
 	peer := c.p.lane.Recv(c.internal, dest, recvIntTag(tag))
 	p.adopt(peer.Path)
 	p.traceRound("send")
-	exec := local || peer.Exec
-	var dt float64
-	if exec {
-		dt = c.user.Send(dest, tag, buf)
-		p.record(key, id, ks, 0, dt)
-	} else {
-		dt = p.est.estimate(id, key)
-		p.skipped++
-	}
-	p.accountComm(id, dt, float64(len(buf)))
+	dt := p.settle(ks, local || peer.Exec, func() float64 { return c.user.Send(dest, tag, buf) })
+	p.accountComm(ks, dt, float64(len(buf)))
 }
 
 // Recv profiles a blocking receive matching either a profiled Send or a
@@ -232,11 +211,8 @@ func (c *Comm) Send(dest, tag int, buf []float64) {
 // decision and the receiver follows it.
 func (c *Comm) Recv(src, tag int, buf []float64) {
 	p := c.p
-	key := c.p2pKey("recv", len(buf), src)
-	id := p.intern(key)
-	ks := p.stats(id)
-	p.notePath(id)
-	local := p.shouldExecute(key, id, ks)
+	id, ks := p.intercept(c.p2pKey("recv", len(buf), src))
+	local := p.shouldExecute(id, ks)
 	c.p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
 	peer, fdt, hasData := p.flane.Recv(c.internal, src, sendIntTag(tag), buf)
 	p.adopt(peer.Path)
@@ -245,22 +221,16 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 	if peer.Committed {
 		exec = peer.Exec
 	}
-	var dt float64
-	if exec {
+	dt := p.settle(ks, exec, func() float64 {
 		if hasData {
 			// A committed executing Isend fused its data into the vote
 			// message; the payload is already in buf and fdt is the sampled
 			// arrival duration Comm.Recv would have returned.
-			dt = fdt
-		} else {
-			dt = c.user.Recv(src, tag, buf)
+			return fdt
 		}
-		p.record(key, id, ks, 0, dt)
-	} else {
-		dt = p.est.estimate(id, key)
-		p.skipped++
-	}
-	p.accountComm(id, dt, float64(len(buf)))
+		return c.user.Recv(src, tag, buf)
+	})
+	p.accountComm(ks, dt, float64(len(buf)))
 }
 
 // Sendrecv profiles a combined send and receive. When the operation is a
@@ -276,51 +246,30 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 		return
 	}
 	p := c.p
-	sendKey := c.p2pKey("send", len(sendBuf), dest)
-	recvKey := c.p2pKey("recv", len(recvBuf), src)
-	sendID, recvID := p.intern(sendKey), p.intern(recvKey)
-	// One ensure before taking both pointers: a second stats call could
-	// grow the dense tables and invalidate the first.
-	p.ensure(max(sendID, recvID))
-	sks, rks := p.stats(sendID), p.stats(recvID)
-	p.notePath(sendID)
-	p.notePath(recvID)
-	localSend := p.shouldExecute(sendKey, sendID, sks)
-	localRecv := p.shouldExecute(recvKey, recvID, rks)
+	sendID, _ := p.intercept(c.p2pKey("send", len(sendBuf), dest))
+	recvID, rks := p.intercept(c.p2pKey("recv", len(recvBuf), src))
+	// Taken after both lookups: the second may have grown the records and
+	// invalidated a pointer from the first.
+	sks := &p.k[sendID]
+	localSend := p.shouldExecute(sendID, sks)
+	localRecv := p.shouldExecute(recvID, rks)
 	peer := c.p.lane.Exchange(c.internal, dest, srIntTag(sendTag),
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	p.adopt(peer.Path)
 	p.traceRound("sendrecv")
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
-	execSend := localSend || peer.Exec2
-	execRecv := localRecv || peer.Exec
-	var dt float64
-	if execSend {
-		dt = c.user.Send(dest, sendTag, sendBuf)
-		p.record(sendKey, sendID, sks, 0, dt)
-	} else {
-		dt = p.est.estimate(sendID, sendKey)
-		p.skipped++
-	}
-	p.accountComm(sendID, dt, float64(len(sendBuf)))
-	if execRecv {
-		dt = c.user.Recv(src, recvTag, recvBuf)
-		p.record(recvKey, recvID, rks, 0, dt)
-	} else {
-		dt = p.est.estimate(recvID, recvKey)
-		p.skipped++
-	}
-	p.accountComm(recvID, dt, float64(len(recvBuf)))
+	dt := p.settle(sks, localSend || peer.Exec2, func() float64 { return c.user.Send(dest, sendTag, sendBuf) })
+	p.accountComm(sks, dt, float64(len(sendBuf)))
+	dt = p.settle(rks, localRecv || peer.Exec, func() float64 { return c.user.Recv(src, recvTag, recvBuf) })
+	p.accountComm(rks, dt, float64(len(recvBuf)))
 }
 
 // Request is a profiled nonblocking operation handle.
 type Request struct {
 	c        *Comm
-	id       uint32
 	peer     int
 	tag      int
-	exec     bool
 	irecvBuf []float64 // non-nil for Irecv: resolved lazily at Wait
 	done     bool
 }
@@ -332,29 +281,22 @@ type Request struct {
 // data into one timed message; a skipped send posts the vote untimed.
 func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 	p := c.p
-	key := c.p2pKey("isend", len(buf), dest)
-	id := p.intern(key)
-	ks := p.stats(id)
-	p.notePath(id)
-	exec := p.shouldExecute(key, id, ks)
+	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
+	exec := p.shouldExecute(id, ks)
 	aux := intMsg{Exec: exec, Committed: true, Path: p.snapshot()}
 	p.traceRound("isend")
-	r := &Request{c: c, id: id, peer: dest, tag: tag, exec: exec}
-	var dt float64
-	if exec {
+	if !exec {
+		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
+	}
+	dt := p.settle(ks, exec, func() float64 {
 		// Vote and data fuse into one timed message with Isend's exact
 		// cost model (the caller may reuse buf immediately).
 		t0 := c.user.Clock()
 		p.flane.Isend(c.internal, dest, sendIntTag(tag), aux, buf)
-		dt = c.user.Clock() - t0
-		p.record(key, id, ks, 0, dt)
-	} else {
-		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
-		dt = p.est.estimate(id, key)
-		p.skipped++
-	}
-	p.accountComm(id, dt, float64(len(buf)))
-	return r
+		return c.user.Clock() - t0
+	})
+	p.accountComm(ks, dt, float64(len(buf)))
+	return &Request{c: c, peer: dest, tag: tag}
 }
 
 // Irecv posts a profiled nonblocking receive. The interception is lazy: the

@@ -24,12 +24,10 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if !ks.seen || ks.propagated {
 			continue
 		}
-		key := p.keyAt(uint32(id))
-		w, has := p.est.exportWelford(key)
-		if !has || w.Count() < 2 {
-			continue
-		}
-		if !w.Predictable(p.opts.Eps, 1) {
+		// Only the rank-local live samples are pooled: every rank shares
+		// the same prior, which pooling would count once per rank.
+		w := ks.live
+		if w.Count() < 2 || !w.Predictable(p.opts.Eps, 1) {
 			continue
 		}
 		if ks.coverage.Contains(ch) {
@@ -38,19 +36,15 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if _, ok := channel.Combine(ks.coverage, ch); !ok {
 			continue
 		}
-		nominate[key] = w
+		nominate[p.keyAt(uint32(id))] = w
 	}
 	merged := mpi.AllreduceMsg(c.internal, nominate, mergeNominations)
 	if len(merged) == 0 {
 		return
 	}
 	for key, w := range merged {
-		id := p.intern(key)
-		ks := p.stats(id)
-		p.est.importWelford(id, key, w)
-		// The pooled model replaced the live one; cached predictability
-		// bounds no longer describe it.
-		p.pred[id] = predCache{}
+		_, ks := p.lookup(key)
+		ks.adoptPooled(w)
 		if cov, ok := channel.Combine(ks.coverage, ch); ok {
 			ks.coverage = cov
 		}

@@ -6,8 +6,8 @@ package critter
 // eps) sweep after the first, a rung strategy's later rungs, warm service
 // jobs after cold ones — and each evaluation used to rebuild the
 // exact same config-invariant state from scratch: the kernel-signature
-// interner, every rank's Key→id cache, the prediction model's accumulator
-// slabs and live map, and the archive's slabs. KernelMemo is the sweep executor's per-worker cache of
+// interner, every rank's Key→id cache and per-kernel records, and the
+// archive's slabs. KernelMemo is the sweep executor's per-worker cache of
 // that state. It is strictly observational: every byte of every result is
 // identical with a memo attached or not, because the memo only changes *how
 // fast* config-invariant facts are recomputed, never their values (ids never
@@ -29,15 +29,15 @@ package critter
 //     the path-frequency table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
-//     (Profiler.Retire) donates its dense bookkeeping arrays, private
-//     intern cache, its model's Welford accumulator slabs and emptied
-//     live map, and its archive's model, frequency and segment slabs
-//     back to the memo; the next profiler built with the same memo
-//     adopts them instead of growing fresh ones.
+//     (Profiler.Retire) donates its per-kernel records, private intern
+//     cache, path-frequency buffers, and its archive's model, frequency
+//     and segment slabs back to the memo; the next profiler built with
+//     the same memo adopts them instead of growing fresh ones.
 //
 // The "memoized kernels" of Report and the sweep stats are not this cache:
-// they count replays of each profiler's own per-id decision cache (predCache
-// in profiler.go), which works with or without a KernelMemo.
+// they count replays of the decision cache in each profiler's own kernel
+// records (predCache in profiler.go), which works with or without a
+// KernelMemo.
 //
 // A KernelMemo is safe for concurrent use by every rank of the worlds it
 // is threaded through. The sweep executor gives each worker goroutine its
@@ -48,8 +48,6 @@ package critter
 import (
 	"hash/fnv"
 	"sync"
-
-	"critter/internal/stats"
 )
 
 // KernelMemo caches config-invariant profiler state across configurations,
@@ -78,25 +76,19 @@ type memoConfig struct {
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
-// dense per-id tables (zeroed, length 0, capacity kept), the private
-// intern cache (cleared), the path-frequency table and its freelist of
-// spare buffers (length 0, not zeroed — kernelCounts clears what it grows
-// into), the prediction model's accumulator slabs and its live map
-// (cleared, buckets kept), and the archive (length 0: the model slab is
-// overwritten as it refills, the frequency slab is stale and cleared as it
-// regrows, the segment list is cleared so it pins no table).
+// the records and the id→Key cache (zeroed, length 0, capacity kept), the
+// private intern cache (cleared), the path-frequency table and its freelist
+// of spare buffers (length 0, not zeroed — kernelCounts clears what it grows
+// into), and the archive (length 0: the model slab is overwritten as it
+// refills, the frequency slab is stale and cleared as it regrows, the
+// segment list is cleared so it pins no table).
 type memoArena struct {
-	idOf           map[Key]uint32
-	keys           []Key
-	k              []kernelStats
-	localFreq      []int64
-	pathKernelTime []float64
-	pred           []predCache
-	counts         []int64
-	free           countsFree
-	slabs          [][]stats.Welford
-	cur            map[Key]*stats.Welford
-	arch           archive
+	idOf   map[Key]uint32
+	keys   []Key
+	k      []kernelStats
+	counts []int64
+	free   countsFree
+	arch   archive
 }
 
 // NewKernelMemo returns an empty memo.
@@ -175,7 +167,7 @@ func (m *KernelMemo) acquireArena() *memoArena {
 }
 
 // releaseArena files a retired profiler's arena for reuse. The donor has
-// already zeroed the dense arrays and cleared the map (see
+// already zeroed the records and cleared the map (see
 // Profiler.Retire), so adoption is O(1).
 func (m *KernelMemo) releaseArena(a *memoArena) {
 	m.mu.Lock()

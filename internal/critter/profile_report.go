@@ -26,21 +26,20 @@ type KernelProfile struct {
 // descending path time. A kernel is on the rank's path this configuration
 // iff its local frequency count is nonzero.
 func (p *Profiler) LocalProfile() []KernelProfile {
-	out := make([]KernelProfile, 0, len(p.pathKernelTime))
-	for id, freq := range p.localFreq {
-		if freq == 0 {
+	out := make([]KernelProfile, 0, len(p.k))
+	for id := range p.k {
+		ks := &p.k[id]
+		if ks.localFreq == 0 {
 			continue
 		}
-		key := p.keyAt(uint32(id))
-		m := p.est.model(key)
-		kp := KernelProfile{
-			Key:       key,
-			PathTime:  p.pathKernelTime[id],
+		m := ks.model()
+		out = append(out, KernelProfile{
+			Key:       p.keyAt(uint32(id)),
+			PathTime:  ks.pathTime,
 			PathCount: p.path.Kernels.get(uint32(id)),
 			Mean:      m.Mean(),
 			Samples:   m.Count(),
-		}
-		out = append(out, kp)
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].PathTime != out[j].PathTime {

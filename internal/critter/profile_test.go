@@ -323,53 +323,47 @@ func TestGlobalProfilePoolsRanks(t *testing.T) {
 }
 
 // TestPooledModelExcludesPrior pins the eager-pooling contract of the
-// prediction model: the nomination export carries only rank-local samples
-// (every rank shares the same prior, which must enter a pooled model exactly
-// once, through the layered query path), and an imported pooled model
-// neither destroys the prior layer nor leaks into profile exports unmarked.
+// prediction model: what a rank nominates (its record's live layer) carries
+// only rank-local samples (every rank shares the same prior, which must enter
+// a pooled model exactly once, through the layered query), and an adopted
+// pooled model neither destroys the prior layer nor leaks into profile
+// exports unmarked.
 func TestPooledModelExcludesPrior(t *testing.T) {
 	key := CompKey("gemm", 8, 8, 8, 0)
-	const id = 0
 	prior := &Profile{
 		SchemaVersion: ProfileSchemaVersion,
 		Kernels:       map[Key]KernelModel{key: {Count: 10, Mean: 2e-6, M2: 1e-13}},
 	}
-	est := newCIMean(false)
-	est.loadPrior(prior)
-	samples := func() int64 {
-		m := est.model(key)
-		return m.Count()
+	p := &Profiler{est: newCIMean(false), tab: NewKernelTable(), idOf: make(map[Key]uint32)}
+	p.est.loadPrior(prior)
+	if n := p.Samples(key); n != 10 {
+		t.Errorf("a signature never seen answers with %d samples, want the prior's 10", n)
 	}
-	if _, ok := est.exportWelford(key); ok {
-		t.Error("nomination export leaked prior samples before any local observation")
+	_, ks := p.lookup(key)
+	if ks.live.Count() != 0 {
+		t.Error("live layer leaked prior samples before any local observation")
 	}
-	est.observe(id, key, 1e4, 2.1e-6, 0.1)
-	w, ok := est.exportWelford(key)
-	if !ok || w.Count() != 1 {
-		t.Errorf("nomination export has %d samples, want the 1 local one", w.Count())
+	p.record(ks, 2.1e-6)
+	if ks.live.Count() != 1 {
+		t.Errorf("live layer has %d samples, want the 1 local one", ks.live.Count())
 	}
-	if samples() != 11 {
-		t.Errorf("layered query sees %d samples, want prior 10 + 1 local", samples())
+	if n := p.Samples(key); n != 11 {
+		t.Errorf("layered query sees %d samples, want prior 10 + 1 local", n)
 	}
-	// Import a pooled model (as if merged across 4 ranks): the prior layer
-	// must survive underneath, the dense id view must follow the new
+	// Adopt a pooled model (as if merged across 4 ranks): the prior layer
+	// must survive underneath, the next observation must land on the adopted
 	// accumulator, and the export must flag the pooled entry.
 	var pooledW stats.Welford
 	for _, x := range []float64{2e-6, 2.1e-6, 2.2e-6, 1.9e-6} {
 		pooledW.Add(x)
 	}
-	est.importWelford(id, key, pooledW)
-	if samples() != 10+4 {
-		t.Errorf("after import: %d samples, want prior 10 + pooled 4", samples())
+	ks.adoptPooled(pooledW)
+	if n := p.Samples(key); n != 10+4 {
+		t.Errorf("after adoption: %d samples, want prior 10 + pooled 4", n)
 	}
-	est.observe(id, key, 1e4, 2e-6, 0.1)
-	if samples() != 10+5 {
-		t.Errorf("observation after import went to a stale accumulator: %d samples, want 15", samples())
-	}
-	// Export through a profiler that knows the signature under the same id.
-	p := &Profiler{est: est, tab: NewKernelTable(), idOf: make(map[Key]uint32)}
-	if got := p.intern(key); got != id {
-		t.Fatalf("fresh table interned the first key as %d", got)
+	p.record(ks, 2e-6)
+	if n := p.Samples(key); n != 10+5 {
+		t.Errorf("observation after adoption went astray: %d samples, want 15", n)
 	}
 	km := p.ExportProfile().Kernels[key]
 	if km.Count != 5 || !km.Pooled {

@@ -6,12 +6,17 @@ import (
 	"critter/internal/channel"
 	"critter/internal/mpi"
 	"critter/internal/obs"
+	"critter/internal/stats"
 )
 
-// kernelStats is the per-rank execution bookkeeping of one kernel signature
-// (an entry of the set K in the paper's notation), stored densely by
-// KernelTable id. The signature's duration model itself lives in the rank's
-// prediction model (estimator.go).
+// kernelStats is everything one rank holds about one kernel signature (an
+// entry of the set K in the paper's notation): its duration model, its
+// execution bookkeeping and its path attribution, one record per KernelTable
+// id. Records live exactly as long as the id space that indexes them
+// (startConfig). What depends on the signature itself — the prior's moments,
+// the a-priori count — is resolved from its Key-keyed source once, when the
+// id is first seen (lookup), so the interception path works on an id and a
+// record and never hashes a Key again.
 type kernelStats struct {
 	// seen marks the slot as belonging to a signature this rank has
 	// actually profiled (dense storage leaves holes for ids interned only
@@ -20,6 +25,9 @@ type kernelStats struct {
 	// propagated marks the kernel globally skippable under the eager
 	// policy: its statistics have covered the full processor grid.
 	propagated bool
+	// pooled marks a live accumulator installed by eager cross-rank
+	// aggregation (adoptPooled).
+	pooled bool
 	// perConfig counts executions of the kernel during the current
 	// configuration; non-eager policies require at least one execution per
 	// tuning iteration before skipping (Section VI-A).
@@ -27,6 +35,21 @@ type kernelStats struct {
 	// coverage accumulates the aggregate channel over which this kernel's
 	// statistics have been propagated (eager policy).
 	coverage channel.Channel
+	// live accumulates the durations sampled since the last statistics
+	// reset; prior is the warm-start profile's accumulator for the signature
+	// (empty without one). Queries merge the two (model, estimator.go).
+	live, prior stats.Welford
+	// apriori is the signature's entry in Options.AprioriFreq (0: none).
+	apriori int64
+	// pred caches the propagation-point predictability outcomes (predCache).
+	pred predCache
+	// localFreq counts the kernel's appearances on this rank during the
+	// current configuration (the Local policy's frequency credit); the
+	// kernel is on the rank's path this configuration iff it is nonzero.
+	localFreq int64
+	// pathTime is the path time attributed to the kernel this configuration
+	// (profile_report.go).
+	pathTime float64
 }
 
 // Options configures a Profiler.
@@ -38,7 +61,9 @@ type Options struct {
 	// selective execution entirely (full execution; the reference mode).
 	Eps float64
 	// AprioriFreq supplies fixed critical-path execution counts for the
-	// APriori policy, measured on a preceding full execution.
+	// APriori policy, measured on a preceding full execution. A kernel's
+	// count is read when it is first seen; SetAprioriFreq installs a new
+	// table.
 	AprioriFreq map[Key]int64
 	// Extrapolate enables kernel-model extrapolation across input sizes
 	// (the line-fitting extension of Section VIII): a computation kernel
@@ -47,7 +72,8 @@ type Options struct {
 	Extrapolate bool
 	// Prior warm-starts the prediction model from a profile exported by an
 	// earlier run (Profiler.ExportProfile / GlobalProfile). The prior
-	// survives StartConfig resets: every configuration starts from it.
+	// survives StartConfig resets: every configuration starts from it. The
+	// profiler reads it for as long as it runs; it must not change meanwhile.
 	Prior *Profile
 	// Memo, when non-nil, attaches the sweep-scoped cross-config
 	// memoization cache (see KernelMemo): configurations started through
@@ -64,11 +90,11 @@ type Options struct {
 // their Profiler collectively (New performs communication).
 //
 // Kernel signatures are interned into dense ids through a KernelTable
-// shared by every rank of the world, so the per-invocation bookkeeping
-// (stats, path frequencies, local counts, path attribution) lives in flat
-// arrays instead of maps and pathsets propagate between ranks as flat copies
-// into recycled buffers. Keys reappear only at the boundaries: the prediction
-// model's cold path, profile exports, and reports.
+// shared by every rank of the world, so everything per-invocation (model,
+// bookkeeping, local counts, path attribution) is one dense record per id
+// (kernelStats) and pathsets propagate between ranks as flat copies into
+// recycled buffers. Keys reappear only at the boundaries: a signature's first
+// sight in a configuration, eager nominations, profile exports, and reports.
 type Profiler struct {
 	opts  Options
 	world *Comm
@@ -96,29 +122,18 @@ type Profiler struct {
 	lastID    uint32
 	lastValid bool
 
-	// k is the dense per-signature bookkeeping, indexed by kernel id;
-	// touched counts the seen entries (KernelCount).
+	// k is the per-signature records, indexed by kernel id; touched counts
+	// the seen entries (KernelCount).
 	k       []kernelStats
 	touched int
 	path    Pathset
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
 	free countsFree
-	// localFreq counts kernel appearances on this rank during the current
-	// configuration (the Local policy's frequency credit), densely by id.
-	localFreq []int64
-	// pred caches propagation-point predictability outcomes per kernel id
-	// (see predCache); grown in lockstep with k by ensure.
-	pred []predCache
 
 	// aggregates is the registry of aggregate channels (Figure 2, lines
 	// 16-25), keyed by hash, seeded with the world channel.
 	aggregates map[uint64]channel.Channel
-
-	// pathKernelTime attributes path time to kernels for the profiling
-	// report (profile_report.go), densely by id; an id is on this rank's
-	// path this configuration iff localFreq[id] > 0.
-	pathKernelTime []float64
 
 	// lane is the pre-resolved typed-message lane the piggyback protocol
 	// runs on (one fabric lookup at construction instead of per message).
@@ -128,8 +143,8 @@ type Profiler struct {
 	lane  mpi.Lane[intMsg]
 	flane mpi.FusedLane[intMsg]
 
-	// est is the rank's prediction model (estimator.go): kernel duration
-	// estimates, predictability decisions, and extrapolation.
+	// est is the part of the rank's prediction model that is not
+	// per-signature (estimator.go): the family fits and the prior.
 	est *ciMean
 	// arch is what StartConfig has set aside of the configurations before
 	// the current one, so ExportProfile covers everything the run learned
@@ -160,24 +175,24 @@ type Profiler struct {
 	volFlops       float64 // local BSP computation (flops)
 	executed       int64
 	skipped        int64
-	memoizedSkips  int64 // skips whose predictability decision was cache-served
-	// lastMemoized marks whether the most recent shouldExecute call
-	// resolved to a cache-served skip; traceRound consumes and clears it so
-	// round events can distinguish memoized skips. Trace-only state: it
+	replayedSkips  int64 // skips whose predictability decision predCache replayed
+	// lastReplayed marks whether the most recent shouldExecute call
+	// resolved to a replayed skip; traceRound consumes and clears it so
+	// round events can tell replayed skips apart. Trace-only state: it
 	// never feeds clocks, decisions, or reports.
-	lastMemoized bool
+	lastReplayed bool
 }
 
-// predCache memoizes one kernel id's propagation-point predictability
-// outcomes. ciMean.predictable is pure in (model state, eps, freq) and
+// predCache memoizes one kernel's propagation-point predictability
+// outcomes. Welford.Predictable is pure in (model state, eps, freq) and
 // monotone nondecreasing in freq — a larger execution-count credit only
 // shrinks the scaled confidence interval — so a single observation in each
 // direction bounds the whole frequency axis: predictable at trueAt implies
 // predictable at every freq >= trueAt, unpredictable at falseAt implies
 // unpredictable at every freq <= falseAt. Zero means "no bound yet" (the
-// frequency credit is always >= 1). Entries are invalidated per id when the
-// model changes (record) and wholesale when eps or the whole model set
-// changes (SetEps, StartConfig's statistics reset).
+// frequency credit is always >= 1). A record's bounds are dropped when its
+// model changes (record, adoptPooled) and every record's when eps changes
+// (SetEps); StartConfig's statistics reset drops the records themselves.
 type predCache struct {
 	trueAt  int64 // minimal freq observed predictable (0: none)
 	falseAt int64 // maximal freq observed unpredictable (0: none)
@@ -195,20 +210,16 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		aggregates: make(map[uint64]channel.Channel),
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
-	// supply: the dense per-id tables, the private intern cache, the model's
-	// accumulator slabs and live map, and the archive's slabs.
+	// supply: the records, the private intern cache, the path-frequency
+	// buffers, and the archive's slabs.
 	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
 		if a := p.memo.acquireArena(); a != nil {
 			p.idOf = a.idOf
 			p.keys = a.keys
 			p.k = a.k
-			p.localFreq = a.localFreq
-			p.pathKernelTime = a.pathKernelTime
-			p.pred = a.pred
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
-			p.est.adoptArena(a.slabs, a.cur)
 			p.arch = a.arch
 		}
 	}
@@ -303,7 +314,7 @@ func (p *Profiler) keyAt(id uint32) Key {
 	return p.keys[id]
 }
 
-// growCap sizes a dense per-id table that must hold n entries: double the
+// growCap sizes an id-indexed table that must hold n entries: double the
 // outgrown capacity c, bounded below by n (and a small floor).
 func growCap(n, c int) int {
 	c *= 2
@@ -316,64 +327,76 @@ func growCap(n, c int) int {
 	return c
 }
 
-// ensure grows the dense per-id bookkeeping tables to cover id.
-func (p *Profiler) ensure(id uint32) {
-	n := int(id) + 1
-	if n <= len(p.k) {
-		return
+// lookup interns key and returns its id and record, growing the records to
+// cover the id. On the signature's first sight since the records were last
+// dropped it is marked profiled and what the record holds by Key is resolved.
+// The pointer is invalidated by the next lookup that grows the records.
+func (p *Profiler) lookup(key Key) (uint32, *kernelStats) {
+	id := p.intern(key)
+	if n := int(id) + 1; n > len(p.k) {
+		p.grow(n)
 	}
-	if n <= cap(p.k) {
-		// Backing arrays are allocated zeroed and cleared in place on
-		// reset (and zeroed before arena donation), so extending within
-		// capacity exposes zero slots.
-		p.k = p.k[:n]
-		p.localFreq = p.localFreq[:n]
-		p.pathKernelTime = p.pathKernelTime[:n]
-		p.pred = p.pred[:n]
-		return
-	}
-	c := growCap(n, cap(p.k))
-	k := make([]kernelStats, n, c)
-	copy(k, p.k)
-	p.k = k
-	lf := make([]int64, n, c)
-	copy(lf, p.localFreq)
-	p.localFreq = lf
-	pkt := make([]float64, n, c)
-	copy(pkt, p.pathKernelTime)
-	p.pathKernelTime = pkt
-	pc := make([]predCache, n, c)
-	copy(pc, p.pred)
-	p.pred = pc
-}
-
-// stats returns the bookkeeping slot for kernel id, marking it profiled.
-// The pointer is invalidated by the next ensure/stats call that grows the
-// tables; take all needed slots after a single ensure when holding two.
-func (p *Profiler) stats(id uint32) *kernelStats {
-	p.ensure(id)
 	ks := &p.k[id]
 	if !ks.seen {
 		ks.seen = true
 		p.touched++
+		ks.prior = p.est.priorOf(key)
+		ks.apriori = p.opts.AprioriFreq[key]
 	}
-	return ks
+	return id, ks
+}
+
+// grow extends the records to n > len entries.
+func (p *Profiler) grow(n int) {
+	if n <= cap(p.k) {
+		// The backing array is allocated zeroed and cleared in place on
+		// reset (and zeroed before arena donation), so extending within
+		// capacity exposes zero records.
+		p.k = p.k[:n]
+		return
+	}
+	k := make([]kernelStats, n, growCap(n, cap(p.k)))
+	copy(k, p.k)
+	p.k = k
+}
+
+// intercept is lookup for a kernel invocation: it also counts one appearance
+// of the kernel along the rank's execution path.
+func (p *Profiler) intercept(key Key) (uint32, *kernelStats) {
+	id, ks := p.lookup(key)
+	p.path.Kernels.incr(id)
+	ks.localFreq++
+	return id, ks
 }
 
 // KernelCount returns the number of distinct kernel signatures profiled so
 // far on this rank.
 func (p *Profiler) KernelCount() int { return p.touched }
 
+// modelOf returns key's combined model for the report accessors: its record's
+// when this rank has profiled the signature, the bare prior otherwise. It
+// interns nothing.
+func (p *Profiler) modelOf(key Key) stats.Welford {
+	id, ok := p.roIDs[key]
+	if !ok {
+		id, ok = p.idOf[key]
+	}
+	if ok && int(id) < len(p.k) && p.k[id].seen {
+		return p.k[id].model()
+	}
+	return p.est.priorOf(key)
+}
+
 // Mean returns the modeled mean duration for key (0 if never sampled; a
 // warm-started model answers from its prior before the first sample).
 func (p *Profiler) Mean(key Key) float64 {
-	m := p.est.model(key)
+	m := p.modelOf(key)
 	return m.Mean()
 }
 
 // Samples returns the number of duration samples backing key's model.
 func (p *Profiler) Samples(key Key) int64 {
-	m := p.est.model(key)
+	m := p.modelOf(key)
 	return m.Count()
 }
 
@@ -395,25 +418,17 @@ func (p *Profiler) PathFreqs() map[Key]int64 {
 	return p.pathFreqMap(p.path.Kernels)
 }
 
-// notePath records one appearance of kernel id along the rank's execution
-// path. The caller has interned id on this rank (stats), so localFreq
-// covers it.
-func (p *Profiler) notePath(id uint32) {
-	p.path.Kernels.incr(id)
-	p.localFreq[id]++
-}
-
 // freqFor returns the execution-count credit the active policy grants when
-// sizing key's confidence interval.
-func (p *Profiler) freqFor(key Key, id uint32) int64 {
+// sizing the kernel's confidence interval.
+func (p *Profiler) freqFor(id uint32, ks *kernelStats) int64 {
 	switch p.opts.Policy {
 	case Local:
-		return p.localFreq[id]
+		return ks.localFreq
 	case Online:
 		return p.path.Kernels.get(id)
 	case APriori:
-		if f := p.opts.AprioriFreq[key]; f > 0 {
-			return f
+		if ks.apriori > 0 {
+			return ks.apriori
 		}
 	}
 	return 1
@@ -423,10 +438,10 @@ func (p *Profiler) freqFor(key Key, id uint32) int64 {
 // policy the decision is the global propagation flag; for all other
 // policies the kernel must have executed at least once this configuration
 // and is skipped only when predictable at tolerance Eps under the policy's
-// frequency credit. Decisions replayed from the predictability cache that
-// result in a skip are counted as memoized (Report.Memoized).
-func (p *Profiler) shouldExecute(key Key, id uint32, ks *kernelStats) bool {
-	p.lastMemoized = false
+// frequency credit. Decisions replayed from the record's predCache that
+// result in a skip are counted (Report.Memoized).
+func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) bool {
+	p.lastReplayed = false
 	if p.opts.Eps <= 0 {
 		return true
 	}
@@ -436,27 +451,28 @@ func (p *Profiler) shouldExecute(key Key, id uint32, ks *kernelStats) bool {
 	if ks.perConfig < 1 {
 		return true
 	}
-	pred, hit := p.predictable(key, id, p.freqFor(key, id))
+	pred, hit := p.predictable(ks, p.freqFor(id, ks))
 	if pred && hit {
-		p.memoizedSkips++
-		p.lastMemoized = true
+		p.replayedSkips++
+		p.lastReplayed = true
 	}
 	return !pred
 }
 
 // predictable answers the propagation-point CI tolerance test through the
-// per-id decision cache, reporting whether the answer was replayed. The
+// record's decision cache, reporting whether the answer was replayed. The
 // steady-state skip path — a converged signature re-encountered with an
 // ever-growing frequency credit — reduces to two integer compares.
-func (p *Profiler) predictable(key Key, id uint32, freq int64) (pred, hit bool) {
-	c := &p.pred[id]
+func (p *Profiler) predictable(ks *kernelStats, freq int64) (pred, hit bool) {
+	c := &ks.pred
 	if c.trueAt != 0 && freq >= c.trueAt {
 		return true, true
 	}
 	if c.falseAt != 0 && freq <= c.falseAt {
 		return false, true
 	}
-	pred = p.est.predictable(id, key, p.opts.Eps, freq)
+	m := ks.model()
+	pred = m.Predictable(p.opts.Eps, freq)
 	if pred {
 		if c.trueAt == 0 || freq < c.trueAt {
 			c.trueAt = freq
@@ -467,19 +483,30 @@ func (p *Profiler) predictable(key Key, id uint32, freq int64) (pred, hit bool) 
 	return pred, false
 }
 
-// record incorporates one measured duration for key: the model observes
-// the sample and the per-configuration execution counters advance. The new
-// sample changes the kernel's model, so its cached predictability bounds are
-// dropped.
-func (p *Profiler) record(key Key, id uint32, ks *kernelStats, flops, dt float64) {
-	p.est.observe(id, key, flops, dt, p.opts.Eps)
-	p.pred[id] = predCache{}
+// record incorporates one measured duration: the kernel's live accumulator
+// takes the sample and the per-configuration execution counters advance. The
+// sample changes the model, so the cached predictability bounds are dropped.
+func (p *Profiler) record(ks *kernelStats, dt float64) {
+	ks.live.Add(dt)
+	ks.pred = predCache{}
 	ks.perConfig++
 	p.executed++
 	p.kernelTime += dt
-	if key.Kind == KindComp {
-		p.compKernelTime += dt
+}
+
+// settle is the tail of every interception once the execution decision is
+// final: an executing kernel runs — run performs it and returns its measured
+// duration — and is recorded; a skipped one is charged its modeled mean. It
+// returns the duration to charge to the path.
+func (p *Profiler) settle(ks *kernelStats, exec bool, run func() float64) float64 {
+	if !exec {
+		p.skipped++
+		m := ks.model()
+		return m.Mean()
 	}
+	dt := run()
+	p.record(ks, dt)
+	return dt
 }
 
 // snapshot captures the rank's pathset for an internal message. Under
@@ -526,37 +553,38 @@ func (p *Profiler) adopt(g Pathset) {
 // and the model mean is charged to the pathset instead of virtual time.
 // It returns the duration charged to the path.
 func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run func()) float64 {
-	key := CompKey(name, d1, d2, d3, d4)
-	id := p.intern(key)
-	ks := p.stats(id)
-	p.notePath(id)
-	var dt float64
-	exec := p.shouldExecute(key, id, ks)
+	id, ks := p.intercept(CompKey(name, d1, d2, d3, d4))
+	exec := p.shouldExecute(id, ks)
+	// Line-fitting extension: an under-sampled signature may still be
+	// skipped, charged its routine family's fit, when that is trustworthy.
+	fit, fitted := 0.0, false
 	if exec && p.opts.Eps > 0 && flops > 0 {
-		// Line-fitting extension: an under-sampled signature may still
-		// be skipped when its routine family's fit is trustworthy.
-		if est, ok := p.est.extrapolate(key, flops, p.opts.Eps); ok &&
-			!p.est.predictable(id, key, p.opts.Eps, p.freqFor(key, id)) {
-			exec = false
-			dt = est
-			p.extrapolatedSkips++
+		if fit, fitted = p.est.extrapolate(name, flops, p.opts.Eps); fitted {
+			m := ks.model()
+			fitted = !m.Predictable(p.opts.Eps, p.freqFor(id, ks))
 		}
 	}
-	if exec {
-		dt = p.world.user.Compute(flops)
-		run()
-		p.record(key, id, ks, flops, dt)
-	} else {
-		if dt == 0 {
-			dt = p.est.estimate(id, key)
-		}
+	var dt float64
+	if fitted {
+		dt = fit
 		p.skipped++
+		p.extrapolatedSkips++
+	} else {
+		dt = p.settle(ks, exec, func() float64 {
+			dt := p.world.user.Compute(flops)
+			run()
+			return dt
+		})
+		if exec {
+			p.compKernelTime += dt
+			p.est.observe(name, flops, ks, p.opts.Eps)
+		}
 	}
 	p.path.ExecTime += dt
 	p.path.CompTime += dt
 	p.path.BSPComp += flops
 	p.volFlops += flops
-	p.pathKernelTime[id] += dt
+	ks.pathTime += dt
 	return dt
 }
 
@@ -567,7 +595,7 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 // and CANDMC's algorithms; eager propagation keeps its models to reuse them
 // across configurations). Collective over the world communicator.
 //
-// The dense per-id tables are cleared in place, so the steady state across
+// The records are cleared in place, so the steady state across
 // configurations allocates nothing.
 func (p *Profiler) StartConfig(resetStats bool) {
 	p.startConfig(resetStats, 0, false)
@@ -593,9 +621,8 @@ type tabMsg struct {
 
 func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	resetIDs := resetStats && p.opts.Policy != Eager
-	// Align ranks before resetting clocks; when the per-id bookkeeping is
-	// about to be discarded anyway, the same round distributes the next
-	// shared interner, so dense ids stay as compact as the configuration's
+	// Align ranks before resetting clocks; when the records are about to be
+	// discarded anyway, the same round distributes the next shared interner, so dense ids stay as compact as the configuration's
 	// active kernel set instead of accumulating across configurations
 	// (every path-frequency snapshot copies up to the id high-water mark).
 	// With a memo attached, rank 0 first checks whether an earlier
@@ -616,12 +643,13 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	p.archivePathFreqs() // resolves ids through the outgoing table
 	p.kernelTime, p.compKernelTime = 0, 0
 	p.volCommWords, p.volSync, p.volFlops = 0, 0, 0
-	p.executed, p.skipped, p.memoizedSkips = 0, 0, 0
+	p.executed, p.skipped, p.replayedSkips = 0, 0, 0
 	if resetIDs {
 		// Archive what the model learned before wiping it, so the run's
 		// exported profile spans every configuration. (Without a reset the
 		// live model state persists and is merged at export time instead —
-		// archiving it here would double-count samples.)
+		// archiving it here would double-count samples.) The live
+		// accumulators themselves go with the records, below.
 		p.archiveEstimator()
 		p.est.reset()
 		p.extrapolatedSkips = 0
@@ -639,8 +667,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 			// run completes (one publication per world, not per rank).
 			p.memoFresh = p.memoKeyed && p.rank == 0
 		}
-		// Empty the per-id tables down to zero length (capacity kept) so
-		// they regrow to the new, compact id range.
+		// Empty the id-indexed tables down to zero length (capacity kept)
+		// so they regrow to the new, compact id range.
 		clear(p.idOf)
 		p.lastValid = false
 		clear(p.keys)
@@ -648,37 +676,32 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		clear(p.k)
 		p.k = p.k[:0]
 		p.touched = 0
-		clear(p.localFreq)
-		p.localFreq = p.localFreq[:0]
-		clear(p.pathKernelTime)
-		p.pathKernelTime = p.pathKernelTime[:0]
-		clear(p.pred)
-		p.pred = p.pred[:0]
 		// The table's stale tail is cleared as it regrows (materialize).
 		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
 		if n := len(p.roKeys); n > 0 {
 			// The configuration's id range is known up front: size the
-			// dense tables once instead of growing them kernel by kernel.
-			p.ensure(uint32(n - 1))
+			// records once instead of growing them kernel by kernel.
+			p.grow(n)
 		}
 		return
 	}
 	kc := p.path.Kernels
 	kc.reset()
 	p.path = Pathset{Kernels: kc}
-	clear(p.localFreq)
-	clear(p.pathKernelTime)
 	for i := range p.k {
-		p.k[i].perConfig = 0
+		ks := &p.k[i]
+		ks.perConfig, ks.localFreq, ks.pathTime = 0, 0, 0
 	}
 }
 
 // SetEps changes the confidence tolerance (used by sweeps reusing one
 // profiler). Cached predictability decisions are bound to the tolerance
-// they were made under, so the cache is dropped wholesale.
+// they were made under, so every record's are dropped.
 func (p *Profiler) SetEps(eps float64) {
 	p.opts.Eps = eps
-	clear(p.pred)
+	for i := range p.k {
+		p.k[i].pred = predCache{}
+	}
 }
 
 // SetPolicy changes the selective-execution policy (used by the a-priori
@@ -689,8 +712,16 @@ func (p *Profiler) SetPolicy(pol Policy) { p.opts.Policy = pol }
 // family-model extrapolation rather than their own signature's model.
 func (p *Profiler) ExtrapolatedSkips() int64 { return p.extrapolatedSkips }
 
-// SetAprioriFreq installs the critical-path counts for the APriori policy.
-func (p *Profiler) SetAprioriFreq(f map[Key]int64) { p.opts.AprioriFreq = f }
+// SetAprioriFreq installs the critical-path counts for the APriori policy,
+// re-resolving the records of the kernels already seen.
+func (p *Profiler) SetAprioriFreq(f map[Key]int64) {
+	p.opts.AprioriFreq = f
+	for id := range p.k {
+		if ks := &p.k[id]; ks.seen {
+			ks.apriori = f[p.keyAt(uint32(id))]
+		}
+	}
+}
 
 // Report summarizes the configuration run. Collective over the world
 // communicator: critical-path metrics and kernel-time maxima reduce with
@@ -711,11 +742,12 @@ type Report struct {
 	Executed      int64   `json:"Executed"`      // total kernel executions across ranks
 	Skipped       int64   `json:"Skipped"`       // total kernel skips across ranks
 	// Memoized counts the skips (across ranks) whose predictability
-	// decision was replayed from the profiler's per-kernel decision cache
-	// (predCache) rather than re-derived from the model; always <= Skipped.
-	// The cache is per profiler and independent of Options.Memo. Excluded
-	// from serialized envelopes: the count is observational and must not
-	// perturb golden artifacts.
+	// decision was replayed from the kernel's record (predCache) rather
+	// than re-derived from the model; always <= Skipped. The cache is the
+	// profiler's own: the count is the same with or without Options.Memo,
+	// and the name stays only because bench/ reads it. Excluded from
+	// serialized envelopes: the count is observational and must not perturb
+	// golden artifacts.
 	Memoized int64 `json:"-"`
 }
 
@@ -753,7 +785,7 @@ func (p *Profiler) Report() Report {
 		sums: [6]float64{
 			p.volCommWords, p.volSync, p.volFlops,
 			float64(p.executed), float64(p.skipped),
-			float64(p.memoizedSkips),
+			float64(p.replayedSkips),
 		},
 	}
 	g := mpi.AllreduceMsg(p.world.internal, local, mergeReport)
@@ -788,12 +820,11 @@ func (p *Profiler) Report() Report {
 }
 
 // Retire donates the profiler's recyclable per-rank state to the attached
-// memo — dense per-id tables, the private intern cache, the path-frequency
-// table and its spare buffers, the model's accumulator slabs and live map,
-// and the archive's slabs — for the next profiler built with Options.Memo on
-// the same memo to adopt. The profiler must not be used afterwards. A no-op
-// without a memo. Call it per rank once the sweep is done with the profiler
-// (after the final Report / GlobalProfile).
+// memo — the records, the private intern cache, the path-frequency table and
+// its spare buffers, and the archive's slabs — for the next profiler built
+// with Options.Memo on the same memo to adopt. The profiler must not be used
+// afterwards. A no-op without a memo. Call it per rank once the sweep is done
+// with the profiler (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
@@ -805,24 +836,16 @@ func (p *Profiler) Retire() {
 	a.keys = p.keys[:0]
 	clear(p.k[:cap(p.k)])
 	a.k = p.k[:0]
-	clear(p.localFreq[:cap(p.localFreq)])
-	a.localFreq = p.localFreq[:0]
-	clear(p.pathKernelTime[:cap(p.pathKernelTime)])
-	a.pathKernelTime = p.pathKernelTime[:0]
-	clear(p.pred[:cap(p.pred)])
-	a.pred = p.pred[:0]
 	// The frequency table has no other holder, and neither it nor the
 	// spare buffers need zeroing: a table clears what it grows into.
 	a.counts = p.path.Kernels.vals[:0]
 	a.free = p.free
-	a.slabs, a.cur = p.est.releaseArena()
 	a.arch = p.arch.recycled()
 	p.memo.releaseArena(a)
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
 	p.memo = nil
 	p.idOf, p.keys, p.k = nil, nil, nil
-	p.localFreq, p.pathKernelTime, p.pred = nil, nil, nil
 	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
 	p.path.Kernels, p.free = kernelCounts{}, nil

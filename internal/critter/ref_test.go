@@ -14,6 +14,12 @@ package critter
 // every export, and P exports folded by every rank. The id-dense archive of
 // archive.go and the export round's single fold must produce the same
 // profiles bit for bit.
+//
+// The Key-keyed prediction model (keyedModel, at the end): a map of live
+// accumulators over a map of priors, with a set of pooled keys, queried by
+// hashing the signature every time. The per-id record (kernelStats) with its
+// resolved prior and its decision cache must answer every query bit for bit
+// the same.
 
 import (
 	"errors"
@@ -24,6 +30,7 @@ import (
 
 	"critter/internal/mpi"
 	"critter/internal/sim"
+	"critter/internal/stats"
 )
 
 // cowCounts is the former kernelCounts, verbatim but for its name.
@@ -445,13 +452,13 @@ func (m *mapArchive) archivePathFreqs(p *Profiler) {
 }
 
 func (m *mapArchive) archiveEstimator(p *Profiler) {
-	if !refHasLiveState(p.est) {
+	if !refHasLiveState(p) {
 		return
 	}
 	if m.prof == nil {
 		m.prof = &Profile{SchemaVersion: ProfileSchemaVersion}
 	}
-	refArchiveInto(p.est, m.prof)
+	refArchiveInto(p, m.prof)
 	m.prof.Estimator = estimatorName
 }
 
@@ -461,7 +468,7 @@ func (m *mapArchive) export(p *Profiler) *Profile {
 	if out == nil {
 		out = &Profile{SchemaVersion: ProfileSchemaVersion}
 	}
-	refArchiveInto(p.est, out)
+	refArchiveInto(p, out)
 	out.Estimator = estimatorName
 	for id, v := range p.path.Kernels.vals {
 		if v == 0 {
@@ -476,12 +483,15 @@ func (m *mapArchive) export(p *Profiler) *Profile {
 	return out
 }
 
-// refHasLiveState is the former ciMean.hasLiveState.
-func refHasLiveState(e *ciMean) bool {
-	if len(e.cur) > 0 {
-		return true
+// refHasLiveState is the former ciMean.hasLiveState, reading the live layer
+// from the records.
+func refHasLiveState(p *Profiler) bool {
+	for i := range p.k {
+		if p.k[i].live.Count() > 0 {
+			return true
+		}
 	}
-	for _, fm := range e.families {
+	for _, fm := range p.est.families {
 		if len(fm.points) > 0 {
 			return true
 		}
@@ -490,18 +500,21 @@ func refHasLiveState(e *ciMean) bool {
 }
 
 // refArchiveInto is the former ciMean.archiveInto: the live layer merged
-// into dst straight from the keyed maps, archive-side accumulator first.
-func refArchiveInto(e *ciMean, dst *Profile) {
-	for key, w := range e.cur {
+// into dst key by key, archive-side accumulator first.
+func refArchiveInto(p *Profiler, dst *Profile) {
+	e := p.est
+	for id := range p.k {
+		w := p.k[id].live
 		if w.Count() == 0 {
 			continue
 		}
+		key := p.tab.KeyOf(uint32(id))
 		om := KernelModel{
 			Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
-			Pooled: e.pooled[key],
+			Pooled: p.k[id].pooled,
 		}
 		if dst.Kernels == nil {
-			dst.Kernels = make(map[Key]KernelModel, len(e.cur))
+			dst.Kernels = make(map[Key]KernelModel)
 		}
 		km, ok := dst.Kernels[key]
 		if !ok {
@@ -554,8 +567,9 @@ func refMergeExports(profs []*Profile) *Profile {
 // archive — configurations with statistics reset and kept, the memo handing
 // the same kernel table twice in a row (successive halving's last-then-first
 // configuration), a-priori's offline pass followed by StartConfig(false),
-// eager pooling (Pooled models without a dense id) followed by a flip to a
-// resetting policy, family models under Extrapolate — with the map archive
+// eager pooling (Pooled models) followed by a flip to a resetting policy,
+// family models under Extrapolate, a warm-start prior whose samples no export
+// may contain — with the map archive
 // mirrored beside it, and demands after random steps and at the end that
 // ExportProfile equals the oracle's export, GlobalProfile equals the former
 // fold of the oracle's per-rank exports and is one value on every rank, and
@@ -568,6 +582,22 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 		opts := Options{Policy: Conditional, Eps: 0.3, Extrapolate: seed%2 == 0}
 		if seed%3 != 0 {
 			opts.Memo = NewKernelMemo()
+		}
+		if seed%4 < 2 {
+			// A prior over part of the signature set: those kernels skip
+			// after one validation execution, and their prior samples must
+			// stay out of every export.
+			opts.Prior = &Profile{
+				SchemaVersion: ProfileSchemaVersion,
+				Kernels: map[Key]KernelModel{
+					CompKey("gemm", 4, 4, 4, 0):    {Count: 6, Mean: 3e-8, M2: 1e-18},
+					CompKey("gemm", 8, 8, 8, 0):    {Count: 9, Mean: 2e-7, M2: 4e-17},
+					CompKey("trsm", 12, 12, 12, 0): {Count: 4, Mean: 7e-7, M2: 9e-16},
+				},
+				Families: map[string]Family{"syrk": {Points: []FamilyPoint{
+					{Flops: 64, Mean: 3e-8}, {Flops: 512, Mean: 2e-7}, {Flops: 4096, Mean: 1.6e-6},
+				}}},
+			}
 		}
 		exports := make([]*Profile, ranks)
 		globals := make([]*Profile, ranks)
@@ -731,4 +761,185 @@ func TestExportFoldPanicAbortsWorld(t *testing.T) {
 			}
 		}
 	}
+}
+
+// keyedModel is the former ciMean's per-signature state without its caches:
+// plain maps, hashed on every query.
+type keyedModel struct {
+	live   map[Key]stats.Welford
+	prior  map[Key]stats.Welford
+	pooled map[Key]bool
+	// archived is what reset sets aside, as the archive would export it.
+	archived map[Key]KernelModel
+}
+
+func newKeyedModel(prior *Profile) *keyedModel {
+	m := &keyedModel{
+		live: map[Key]stats.Welford{}, pooled: map[Key]bool{}, archived: map[Key]KernelModel{},
+	}
+	if prior != nil {
+		m.prior = map[Key]stats.Welford{}
+		for key, km := range prior.Kernels {
+			m.prior[key] = stats.WelfordFromMoments(km.Count, km.Mean, km.M2)
+		}
+	}
+	return m
+}
+
+func (m *keyedModel) observe(key Key, dt float64) {
+	w := m.live[key]
+	w.Add(dt)
+	m.live[key] = w
+}
+
+// model is the former ciMean.model.
+func (m *keyedModel) model(key Key) stats.Welford {
+	cw, hasLive := m.live[key]
+	w, hasPrior := m.prior[key]
+	if !hasPrior {
+		return cw
+	}
+	if hasLive {
+		w.Merge(cw)
+	}
+	return w
+}
+
+func (m *keyedModel) adoptPooled(key Key, w stats.Welford) {
+	m.live[key] = w
+	m.pooled[key] = true
+}
+
+// export is the archive followed by the live layer, per key.
+func (m *keyedModel) export() map[Key]KernelModel {
+	out := &Profile{Kernels: map[Key]KernelModel{}}
+	for key, km := range m.archived {
+		out.Kernels[key] = km
+	}
+	for key, w := range m.live {
+		out.mergeKernel(key, KernelModel{Count: w.Count(), Mean: w.Mean(), M2: w.M2(), Pooled: m.pooled[key]}, false)
+	}
+	return out.Kernels
+}
+
+func (m *keyedModel) reset() {
+	m.archived = m.export()
+	m.live, m.pooled = map[Key]stats.Welford{}, map[Key]bool{}
+}
+
+// TestRecordMatchesKeyedOracle drives one profiler's records and the keyed
+// model through the same seeded random sequences of everything that reads or
+// writes a kernel's model — samples, skip charges, predictability tests at
+// random frequency credits (through the record's decision cache; the oracle
+// has none), eager adoptions, tolerance changes, statistics resets — with and
+// without a prior, and demands bit-equal means, counts and verdicts after
+// every step and equal exports before every reset. The signature set includes
+// one the prior knows and nobody ever samples, one no layer knows, and every
+// signature is sampled after an adoption sooner or later.
+func TestRecordMatchesKeyedOracle(t *testing.T) {
+	var keys []Key
+	for _, d := range []int{4, 8, 16} {
+		keys = append(keys, CompKey("gemm", d, d, d, 0), CompKey("trsm", d, d, 0, 0), CommKey("bcast", d, 8, 1))
+	}
+	unsampled := CompKey("potrf", 32, 0, 0, 0) // prior-backed, looked up, never sampled
+	unknown := CommKey("reduce", 99, 8, 1)     // in no layer, never looked up
+	keys = append(keys, unsampled)
+	prior := &Profile{SchemaVersion: ProfileSchemaVersion, Kernels: map[Key]KernelModel{
+		unsampled: {Count: 12, Mean: 5e-6, M2: 2e-13},
+		keys[0]:   {Count: 3, Mean: 1e-6, M2: 1e-14},
+		keys[4]:   {Count: 7, Mean: 3e-6, M2: 5e-13},
+		keys[8]:   {Count: 2, Mean: 2e-6, M2: 8e-15},
+	}}
+	for seed := uint64(1); seed <= 12; seed++ {
+		opts := Options{Policy: Conditional, Eps: 0.2}
+		if seed%2 == 0 {
+			opts.Prior = prior
+		}
+		w := mpi.NewWorld(1, testMachine(0), seed)
+		err := w.Run(func(c *mpi.Comm) {
+			p, _ := New(c, opts)
+			ref := newKeyedModel(opts.Prior)
+			rng := sim.NewRNG(sim.Mix(seed, 0xb7))
+			same := func(step int, what string, key Key, got stats.Welford) {
+				want := ref.model(key)
+				if got != want {
+					t.Errorf("seed %d step %d (%s) %v: record model %+v, keyed model %+v", seed, step, what, key, got, want)
+				}
+				if p.Mean(key) != want.Mean() || p.Samples(key) != want.Count() {
+					t.Errorf("seed %d step %d (%s) %v: Mean/Samples %g/%d, keyed model %g/%d",
+						seed, step, what, key, p.Mean(key), p.Samples(key), want.Mean(), want.Count())
+				}
+			}
+			for step := 0; step < 600 && !t.Failed(); step++ {
+				key := keys[rng.Intn(len(keys))]
+				switch op := rng.Intn(100); {
+				case op < 40:
+					if key == unsampled {
+						continue
+					}
+					dt := 1e-6 * float64(1+key.P1) * rng.LogNormal(0.05+0.3*rng.Float64())
+					_, ks := p.lookup(key)
+					p.record(ks, dt)
+					ref.observe(key, dt)
+					same(step, "observe", key, ks.model())
+				case op < 55:
+					_, ks := p.lookup(key)
+					want := ref.model(key)
+					if got := p.settle(ks, false, nil); got != want.Mean() {
+						t.Errorf("seed %d step %d %v: a skip is charged %g, keyed model's mean is %g", seed, step, key, got, want.Mean())
+					}
+					same(step, "estimate", key, ks.model())
+				case op < 80:
+					freq := int64(1 + rng.Intn(40))
+					_, ks := p.lookup(key)
+					got, _ := p.predictable(ks, freq)
+					want := ref.model(key)
+					if got != want.Predictable(p.Eps(), freq) {
+						t.Errorf("seed %d step %d %v: predictable(eps %g, freq %d) = %v through the record, %v from the keyed model %+v",
+							seed, step, key, p.Eps(), freq, got, !got, want)
+					}
+				case op < 87:
+					if key == unsampled {
+						continue
+					}
+					var pooled stats.Welford
+					for n := 2 + rng.Intn(4); n > 0; n-- {
+						pooled.Add(1e-6 * float64(1+key.P1) * rng.LogNormal(0.1))
+					}
+					_, ks := p.lookup(key)
+					ks.adoptPooled(pooled)
+					ref.adoptPooled(key, pooled)
+					same(step, "adopt pooled", key, ks.model())
+				case op < 91:
+					p.SetEps([]float64{0.05, 0.2, 0.5}[rng.Intn(3)])
+				case op < 95:
+					if got, want := p.ExportProfile().Kernels, ref.export(); !sameKernels(got, want) {
+						t.Errorf("seed %d step %d: export before reset\n got %+v\nwant %+v", seed, step, got, want)
+					}
+					p.StartConfig(true)
+					ref.reset()
+				default:
+					// The report accessors, on signatures seen and not.
+					for _, k := range []Key{key, unknown} {
+						want := ref.model(k)
+						if p.Mean(k) != want.Mean() || p.Samples(k) != want.Count() {
+							t.Errorf("seed %d step %d %v: Mean/Samples %g/%d, keyed model %g/%d",
+								seed, step, k, p.Mean(k), p.Samples(k), want.Mean(), want.Count())
+						}
+					}
+				}
+			}
+			if got, want := p.ExportProfile().Kernels, ref.export(); !sameKernels(got, want) {
+				t.Errorf("seed %d: final export\n got %+v\nwant %+v", seed, got, want)
+			}
+		})
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// sameKernels compares exported kernel models, a nil map equal to an empty one.
+func sameKernels(got, want map[Key]KernelModel) bool {
+	return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
 }

@@ -71,8 +71,10 @@ type Event struct {
 	Executed int64 `json:"executed"`
 	Skipped  int64 `json:"skipped"`
 	// Memoized counts the skipped kernels whose skip decision was replayed
-	// from a profiler's per-kernel decision cache rather than a fresh
-	// predictability test (a subset of Skipped; sweep events only).
+	// from the kernel's record in its profiler (critter's predCache) rather
+	// than a fresh predictability test (a subset of Skipped; sweep events
+	// only). Despite the name it counts neither critter.KernelMemo hits nor
+	// hits of this package's result memo (memo.go).
 	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`

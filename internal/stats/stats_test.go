@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"critter/internal/sim"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -249,5 +251,40 @@ func TestWelfordReset(t *testing.T) {
 	w.Reset()
 	if w.Count() != 0 || w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("Reset did not clear the accumulator")
+	}
+}
+
+// TestCICoverage measures how often Welford.CI — the normal quantile Z95 times
+// the standard error, from two samples up — actually contains the true mean
+// under the simulator's own noise (sim.Machine.Noise: lognormal, unit median,
+// sigma 0.05), per sample count. The interval is nominally 95%; a z quantile
+// where Student's t belongs covers far less at small n (t at one degree of
+// freedom is 12.7, not 1.96), and this pins how much less, so that a change to
+// the quantile or to the minimum sample count is made against a number. It
+// changes no interval.
+func TestCICoverage(t *testing.T) {
+	const sigma, trials = 0.05, 20000
+	trueMean := math.Exp(sigma * sigma / 2)
+	coverage := map[int]float64{}
+	for _, n := range []int{2, 3, 4, 8, 16, 32} {
+		rng := sim.NewRNG(sim.Mix(0xc1, uint64(n)))
+		covered := 0
+		for trial := 0; trial < trials; trial++ {
+			var w Welford
+			for i := 0; i < n; i++ {
+				w.Add(rng.LogNormal(sigma))
+			}
+			if math.Abs(w.Mean()-trueMean) <= w.CI() {
+				covered++
+			}
+		}
+		coverage[n] = float64(covered) / trials
+		t.Logf("n = %2d: the nominal 95%% interval covers the true mean in %.3f of %d trials", n, coverage[n], trials)
+	}
+	if c := coverage[2]; c < 0.65 || c > 0.75 {
+		t.Errorf("coverage at n = 2 is %.3f, want 0.65-0.75 (a z interval on one degree of freedom)", c)
+	}
+	if c := coverage[32]; c < 0.93 {
+		t.Errorf("coverage at n = 32 is %.3f, want at least 0.93", c)
 	}
 }
