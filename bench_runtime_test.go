@@ -2,9 +2,12 @@ package critter_test
 
 // The four benchmarks of the simulation substrate (mpi + critter + autotune
 // executor) that carry an allocation budget, and TestAllocBudgets, which
-// holds them to it in `go test .`. allocs/op is the only number of theirs
-// that is checked: it is a function of the code, where ns/op is a function
-// of the box (bench/ owns every timing, with repetitions and a spread).
+// holds them to it in `go test .`. allocs/op and B/op are the only numbers of
+// theirs that are checked: they are functions of the code, where ns/op is a
+// function of the box (bench/ owns every timing, with repetitions and a
+// spread). Both are needed: an allocation whose size grows with the problem
+// — a per-rank index over every tile of the global matrix, made once per
+// matrix — moves bytes and leaves the count where it was.
 //
 //   - BenchmarkPropagation: one iteration is a realistic profiler step under
 //     online propagation — a handful of computation kernels followed by a
@@ -32,35 +35,43 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestAllocBudgets fails when a budgeted benchmark allocates more per
-// operation than its ceiling. A change that lowers a count lowers the
-// ceiling with it; one that raises a count says what the allocation buys.
+// TestAllocBudgets fails when a budgeted benchmark allocates more objects or
+// more bytes per operation than its ceiling. A change that lowers a number
+// lowers the ceiling with it; one that raises a number says what the
+// allocation buys.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs four benchmarks for a second each; counts under -race are the detector's")
 	}
 	for _, bud := range []struct {
-		name   string
-		bench  func(*testing.B)
-		allocs int64
+		name          string
+		bench         func(*testing.B)
+		allocs, bytes int64
 	}{
-		// The eight unpooled Sendrecv payloads of a world without a BufPool.
-		{"BenchmarkPropagation", BenchmarkPropagation, 8},
-		// 14 018-14 032 over 47 runs at -cpu 1, 2 and 4, idle and loaded: the
-		// last digits move with how often the collector empties the pools
-		// during the run, hence four of headroom. An allocation per
-		// configuration (20 a sweep) or per adopt is well past it.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 14036},
+		// The eight unpooled Sendrecv payloads of a world without a BufPool:
+		// 1 030-1 034 B/op over 44 runs, hence the bytes' headroom.
+		{"BenchmarkPropagation", BenchmarkPropagation, 8, 1038},
+		// 13 795-13 803 allocs/op and 1 520 105-1 526 361 B/op over 46 runs
+		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
+		// often the collector empties the pools during the run, hence four
+		// allocations and one spread of bytes of headroom. An allocation per
+		// configuration (20 a sweep) or per adopt is well past either.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 13807, 1532700},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first.
-		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0},
-		{"BenchmarkProfilerCollective", BenchmarkProfilerCollective, 0},
+		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0, 0},
+		{"BenchmarkProfilerCollective", BenchmarkProfilerCollective, 0, 0},
 	} {
 		res := testing.Benchmark(bud.bench)
 		if res.N == 0 {
 			t.Errorf("%s failed", bud.name)
-		} else if got := res.AllocsPerOp(); got > bud.allocs {
+			continue
+		}
+		if got := res.AllocsPerOp(); got > bud.allocs {
 			t.Errorf("%s: %d allocs/op, budget %d", bud.name, got, bud.allocs)
+		}
+		if got := res.AllocedBytesPerOp(); got > bud.bytes {
+			t.Errorf("%s: %d B/op, budget %d", bud.name, got, bud.bytes)
 		}
 	}
 }

@@ -7,13 +7,19 @@ package autotune
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"critter/internal/critter"
+	"critter/internal/mpi"
+	"critter/internal/stats"
 )
 
 // quickStudies are the four case studies at quick scale.
@@ -82,6 +88,86 @@ func TestFullIsOneFactPerConfiguration(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReferenceNoiseFloor measures the part of the prediction error that no
+// profiler can remove. ExecErr scores a selective run's prediction against
+// the reference's wall time, and the two runs see different noise draws. So
+// each configuration's reference runs a second time, under the key of a
+// second round, and is scored against the first with the sweep's own
+// RelErr/MeanLogErr: wall time against wall time is the noise floor, pinned
+// between zero and the smallest exhaustive golden sweep's MeanLogExecErr at
+// seed 42. Logged beside it, unpinned: the second run's prediction against
+// the first's wall time — the ExecErr of a profiler that skips nothing — and
+// a reference's prediction against its own wall time, which no draw touches.
+// Nothing a sweep reports changes; this only reads the references.
+func TestReferenceNoiseFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick configuration's reference twice")
+	}
+	const seed = 42
+	golden := []string{"capital", "slate-chol", "candmc", "slate-qr"}
+	for i, st := range quickStudies() {
+		t.Run(st.Name, func(t *testing.T) {
+			t.Parallel()
+			raw, err := os.ReadFile(filepath.Join("testdata", "envelope_"+golden[i]+"_exhaustive.golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			if err := json.Unmarshal(raw, &res); err != nil {
+				t.Fatal(err)
+			}
+			first := make([]critter.Report, st.Size())
+			second := make([]critter.Report, st.Size())
+			w := mpi.NewWorld(st.WorldSize, quickMachine(), seed)
+			if err := w.Run(func(c *mpi.Comm) {
+				ref, refComm := newReference(c, nil)
+				for v := range first {
+					a := reference(c, st, ref, refComm, v)
+					ck := critter.ConfigKey(st.Name, v)
+					ref.StartConfigKeyed(true, ck)
+					c.Rekey(runKey(ck, runReference, 1))
+					st.Run(ref, refComm, v)
+					b := ref.Report()
+					if c.Rank() == 0 {
+						first[v], second[v] = a, b
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			n := len(first)
+			errs := make([]float64, 3*n) // wall/wall, predicted/wall across runs, within a run
+			for v := range first {
+				if got := res.Sweeps[0][0].Configs[v]; got.Config != v || got.Full != first[v] {
+					t.Fatalf("config %d: the first reference is not the one the golden sweeps scored against", v)
+				}
+				errs[v] = stats.RelErr(second[v].Wall, first[v].Wall)
+				errs[n+v] = stats.RelErr(second[v].Predicted, first[v].Wall)
+				errs[2*n+v] = stats.RelErr(first[v].Predicted, first[v].Wall)
+			}
+			pct := func(l float64) float64 { return 100 * math.Exp2(l) }
+			floor := stats.MeanLogErr(errs[:n])
+			skipNothing, within := stats.MeanLogErr(errs[n:2*n]), stats.MeanLogErr(errs[2*n:])
+			t.Logf("noise floor %.3f (%.2f%%); skip-nothing ExecErr %.3f (%.2f%%); a reference against itself %.3f (%.2f%%)",
+				floor, pct(floor), skipNothing, pct(skipNothing), within, pct(within))
+			lowest := math.Inf(1)
+			for pi, row := range res.Sweeps {
+				for ei, sw := range row {
+					t.Logf("golden %s eps %g: MeanLogExecErr %.3f (%.2f%%)",
+						res.Policies[pi], res.EpsList[ei], sw.MeanLogExecErr, pct(sw.MeanLogExecErr))
+					lowest = min(lowest, sw.MeanLogExecErr)
+				}
+			}
+			// -20 is MeanLogErr's floored zero: the second run's wall time
+			// equal to the first's in every configuration.
+			if !(floor > -20 && floor < lowest) {
+				t.Errorf("noise floor %.3f outside (-20, %.3f): want above zero and below every golden sweep's error", floor, lowest)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"slices"
 	"sync/atomic"
 
 	"critter/internal/critter"
@@ -281,8 +282,10 @@ func newReference(c *mpi.Comm, memo *critter.KernelMemo) (*critter.Profiler, *cr
 // configuration's full execution (the measurement protocol of Section VI-A).
 // The full execution comes from the tuner's shared table when another sweep
 // has already published it, and is run here, then published, when not.
-// Collective; the returned value is meaningful on every rank. Cancellation
-// is checked at every configuration boundary and aborts the whole world.
+// Collective; the returned value is meaningful on rank 0, the view
+// sweepJob.run keeps — every other rank holds only the latest round's
+// results, which is all plan.Next reads. Cancellation is checked at every
+// configuration boundary and aborts the whole world.
 func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	study, pol, eps, strat := j.study, j.pol, j.eps, j.strat
 	// The tuner's explicit prior wins; otherwise a WarmStart strategy may
@@ -312,7 +315,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		tr = nil
 	}
 	sr := SweepResult{Policy: pol, Eps: eps}
-	var execErrs, compErrs []float64
 	plan := strat.Plan(study.Space, eps)
 	// ProfileAware plans receive the live merged profile after every round.
 	// The type assertion resolves identically on every rank (all ranks hold
@@ -334,7 +336,11 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				Round: roundNo, Configs: len(round.Configs),
 			})
 		}
+		if c.Rank() != 0 {
+			sr.Configs = sr.Configs[:0]
+		}
 		roundStart := len(sr.Configs)
+		sr.Configs = slices.Grow(sr.Configs, len(round.Configs))
 		for _, v := range round.Configs {
 			if ctx.Err() != nil {
 				panic(cancelError{ctx.Err()})
@@ -413,8 +419,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 			sr.Executed += sel.Executed
 			sr.Skipped += sel.Skipped
 			sr.KernelsMemoized += sel.Memoized
-			execErrs = append(execErrs, cr.ExecErr)
-			compErrs = append(compErrs, cr.CompErr)
 			if tr != nil {
 				tr.Emit(obs.Event{
 					Kind: obs.KindConfig, Phase: obs.PhaseEnd,
@@ -435,8 +439,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		}
 	}
 	sr.Selected, sr.Optimal = argmins(sr.Configs)
-	sr.MeanLogExecErr = stats.MeanLogErr(execErrs)
-	sr.MeanLogCompErr = stats.MeanLogErr(compErrs)
+	sr.MeanLogExecErr, sr.MeanLogCompErr = meanLogErrs(sr.Configs)
 	// Export what the sweep learned, pooled across ranks (collective).
 	// The archive inside the profiler spans every configuration, so
 	// studies that reset statistics between configurations still yield
@@ -449,6 +452,17 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	}
 	tuned.Retire()
 	return sr
+}
+
+// meanLogErrs returns the mean log execution- and computation-time errors of
+// a sweep's evaluations, taken in evaluation order.
+func meanLogErrs(configs []ConfigResult) (exec, comp float64) {
+	n := len(configs)
+	errs := make([]float64, 2*n)
+	for i, cr := range configs {
+		errs[i], errs[n+i] = cr.ExecErr, cr.CompErr
+	}
+	return stats.MeanLogErr(errs[:n]), stats.MeanLogErr(errs[n:])
 }
 
 // argmins picks the sweep's Selected (minimal predicted time) and Optimal

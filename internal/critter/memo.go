@@ -31,8 +31,9 @@ package critter
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its per-kernel records, private intern
 //     cache, path-frequency buffers, and its archive's model, frequency
-//     and segment slabs back to the memo; the next profiler built with
-//     the same memo adopts them instead of growing fresh ones.
+//     and segment slabs back to the memo; the next profiler of the same
+//     world rank built with the same memo adopts them instead of growing
+//     fresh ones.
 //
 // The "memoized kernels" of Report and the sweep stats are not this cache:
 // they count replays of the decision cache in each profiler's own kernel
@@ -56,7 +57,13 @@ import (
 type KernelMemo struct {
 	mu      sync.Mutex
 	configs map[uint64]*memoConfig
-	arenas  []*memoArena
+	// arenas[r] holds the arenas retired by world rank r, for the next
+	// profilers of rank r to adopt. Keyed by rank, not one shared stack: what
+	// an arena holds — above all its path-table freelist, sized by its
+	// owners' peak number of snapshots in flight — is then a function of one
+	// rank's program over the worker's sweeps, not of which rank happened to
+	// retire last.
+	arenas [][]*memoArena
 
 	// tableHits/tableMisses count StartConfigKeyed lookups (rank-0 only,
 	// one per configuration start).
@@ -153,26 +160,32 @@ func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
 	m.mu.Unlock()
 }
 
-// acquireArena pops a retired arena, nil when none is available.
-func (m *KernelMemo) acquireArena() *memoArena {
+// acquireArena pops an arena retired by world rank, nil when none is
+// available.
+func (m *KernelMemo) acquireArena(rank int) *memoArena {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n := len(m.arenas); n > 0 {
-		a := m.arenas[n-1]
-		m.arenas[n-1] = nil
-		m.arenas = m.arenas[:n-1]
-		return a
+	if rank >= len(m.arenas) || len(m.arenas[rank]) == 0 {
+		return nil
 	}
-	return nil
+	s := m.arenas[rank]
+	n := len(s)
+	a := s[n-1]
+	s[n-1] = nil
+	m.arenas[rank] = s[:n-1]
+	return a
 }
 
-// releaseArena files a retired profiler's arena for reuse. The donor has
-// already zeroed the records and cleared the map (see
+// releaseArena files a profiler's arena, retired by world rank, for reuse.
+// The donor has already zeroed the records and cleared the map (see
 // Profiler.Retire), so adoption is O(1).
-func (m *KernelMemo) releaseArena(a *memoArena) {
+func (m *KernelMemo) releaseArena(rank int, a *memoArena) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.arenas = append(m.arenas, a)
+	if rank >= len(m.arenas) {
+		m.arenas = append(m.arenas, make([][]*memoArena, rank+1-len(m.arenas))...)
+	}
+	m.arenas[rank] = append(m.arenas[rank], a)
 }
 
 // TableHits returns how many StartConfigKeyed lookups found a published

@@ -62,8 +62,7 @@ func (k *kernelCounts) reset() { clear(k.vals) }
 // the table is. A fresh array is sized by what the copy holds, not by the
 // capacity the table happens to have: capacities travel with recycled arenas
 // from study to study and from rank to rank, so which one a table inherited
-// depends on scheduling, and a burst of sends past the freelist makes
-// thousands of these a sweep.
+// depends on scheduling.
 func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
 	if !k.active() {
 		return kernelCounts{}
@@ -78,12 +77,19 @@ func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
 // countsFree is a profiler's freelist of table buffers: what adopt replaced,
 // waiting to carry the next snapshot. Confined to the owning rank. Contents
 // of a filed buffer are stale, not zero.
+//
+// It has no bound of its own, because the protocol bounds it: every
+// interception takes one snapshot and adopts one table, and an Isend adopts
+// its table at Wait. So a profiler's free buffers plus its snapshots still
+// awaiting an adoption always add up to the most snapshots it has had
+// awaiting one at once — its peak in flight, a function of the rank's own
+// program order — or to the freelist it adopted with a retired arena, if
+// that was longer (the memo keeps a rank's arenas for the same rank). A
+// snapshot makes a fresh table only when it raises that peak or finds the
+// buffer too small, so a burst of Isends before one Waitall is paid for
+// once, not per burst, and what the freelist holds does not depend on how
+// far apart the ranks run.
 type countsFree [][]int64
-
-// maxFreeCounts bounds the freelist. Steady state needs one buffer (each
-// snapshot sent is answered by one table adopted); bursts of outstanding
-// nonblocking sends briefly need more.
-const maxFreeCounts = 4
 
 // get pops a buffer, nil when the list is empty.
 func (f *countsFree) get() []int64 {
@@ -99,7 +105,7 @@ func (f *countsFree) get() []int64 {
 
 // put files the buffer of a table its owner is done with.
 func (f *countsFree) put(k kernelCounts) {
-	if k.active() && len(*f) < maxFreeCounts {
+	if k.active() {
 		*f = append(*f, k.vals[:0])
 	}
 }

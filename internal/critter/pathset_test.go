@@ -1,8 +1,136 @@
 package critter
 
 import (
+	"runtime"
 	"testing"
+
+	"critter/internal/mpi"
+	"critter/internal/sim"
 )
+
+// TestFreelistHoldsPeakInFlight: the freelist has no bound of its own and
+// needs none. A rank that posts Isends and waits for them in random bursts
+// holds, after every step, free buffers plus snapshots awaiting adoption
+// equal to the most it has had awaiting at once; its receiver, which adopts
+// as it snapshots, never holds more than one.
+func TestFreelistHoldsPeakInFlight(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRNG(sim.Mix(seed, 0xf1ee))
+		a := &Profiler{opts: Options{Policy: Online}}
+		b := &Profiler{opts: Options{Policy: Online}}
+		var replies []Pathset // one per Isend of a not yet waited for
+		peak := 0
+		for step := 0; step < 600; step++ {
+			if len(replies) == 0 || rng.Intn(100) < 55 {
+				for n := 1 + rng.Intn(8); n > 0; n-- {
+					// a's Isend, matched at once by b's Recv: b replies with
+					// its own snapshot and adopts a's.
+					a.path.Kernels.incr(uint32(rng.Intn(6)))
+					sent := a.snapshot()
+					b.path.Kernels.incr(uint32(rng.Intn(6)))
+					replies = append(replies, b.snapshot())
+					b.adopt(sent)
+				}
+				peak = max(peak, len(replies))
+			} else {
+				// Waitall over a prefix of the outstanding requests.
+				for n := 1 + rng.Intn(len(replies)); n > 0; n-- {
+					a.adopt(replies[0])
+					replies = replies[1:]
+				}
+			}
+			if got := len(a.free) + len(replies); got != peak {
+				t.Fatalf("seed %d step %d: sender holds %d free + %d in flight = %d tables, peak in flight %d",
+					seed, step, len(a.free), len(replies), got, peak)
+			}
+			if len(b.free) > 1 {
+				t.Fatalf("seed %d step %d: receiver holds %d free tables, want at most 1", seed, step, len(b.free))
+			}
+		}
+	}
+}
+
+// TestIsendBurstReusesTables: rank 0 of a 2-rank online world posts 64
+// Isends before one Waitall and rank 1 receives them. Once a burst has run,
+// every later burst allocates its 64 *Request handles and nothing else — in
+// particular no path table: each snapshot takes a buffer the previous
+// Waitall filed. The count does not depend on how the two ranks interleave,
+// so it is the same at GOMAXPROCS 1 and 2.
+func TestIsendBurstReusesTables(t *testing.T) {
+	const burst, bursts = 64, 8
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		w := mpi.NewWorld(2, testMachine(0.05), 3)
+		w.SetBufPool(mpi.NewBufPool())
+		err := w.Run(func(c *mpi.Comm) {
+			_, cc := New(c, Options{Policy: Online, Eps: 0.25})
+			buf := make([]float64, 16)
+			reqs := make([]*Request, 0, burst)
+			// fill fences the warm-up burst so both mailboxes reach their full
+			// depth: every Isend is queued before rank 1 receives, and every
+			// reply before rank 0 waits.
+			run := func(fill bool) {
+				if c.Rank() == 0 {
+					for i := 0; i < burst; i++ {
+						reqs = append(reqs, cc.Isend(1, i, buf))
+					}
+					if fill {
+						c.Barrier()
+						c.Barrier()
+					}
+					Waitall(reqs)
+					reqs = reqs[:0]
+					return
+				}
+				if fill {
+					c.Barrier()
+				}
+				for i := 0; i < burst; i++ {
+					cc.Recv(0, i, buf)
+				}
+				if fill {
+					c.Barrier()
+				}
+			}
+			run(true)
+			run(false)
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			for r := 0; r < bursts; r++ {
+				run(false)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	var counts []uint64
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		n := mallocs()
+		runtime.GOMAXPROCS(prev)
+		t.Logf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends", procs, n, bursts, burst)
+		// A path table per snapshot past the freelist would add up to
+		// burst*bursts objects; a handful belong to the runtime.
+		if want := uint64(burst * bursts); n < want || n >= want+burst {
+			t.Errorf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends, want the %d requests and no path table",
+				procs, n, bursts, burst, want)
+		}
+		counts = append(counts, n)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("mallocs depend on scheduling: %d at GOMAXPROCS 1, %d at 2", counts[0], counts[1])
+	}
+}
 
 // TestMergeIntMsgPreservesExec2 is the regression test for the combined
 // Sendrecv exchange's second vote: the old merge rebuilt the message without

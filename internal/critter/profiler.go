@@ -214,7 +214,7 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	// buffers, and the archive's slabs.
 	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
-		if a := p.memo.acquireArena(); a != nil {
+		if a := p.memo.acquireArena(p.rank); a != nil {
 			p.idOf = a.idOf
 			p.keys = a.keys
 			p.k = a.k
@@ -821,10 +821,11 @@ func (p *Profiler) Report() Report {
 
 // Retire donates the profiler's recyclable per-rank state to the attached
 // memo — the records, the private intern cache, the path-frequency table and
-// its spare buffers, and the archive's slabs — for the next profiler built
-// with Options.Memo on the same memo to adopt. The profiler must not be used
-// afterwards. A no-op without a memo. Call it per rank once the sweep is done
-// with the profiler (after the final Report / GlobalProfile).
+// its spare buffers, and the archive's slabs — for the next profiler of the
+// same world rank built with Options.Memo on the same memo to adopt. The
+// profiler must not be used afterwards. A no-op without a memo. Call it per
+// rank once the sweep is done with the profiler (after the final Report /
+// GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
@@ -841,7 +842,7 @@ func (p *Profiler) Retire() {
 	a.counts = p.path.Kernels.vals[:0]
 	a.free = p.free
 	a.arch = p.arch.recycled()
-	p.memo.releaseArena(a)
+	p.memo.releaseArena(p.rank, a)
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
 	p.memo = nil

@@ -22,10 +22,14 @@ type TileMatrix struct {
 	G      *grid.Grid2D
 	NB     int
 	MT, NT int
-	// tiles holds local tile storage indexed i*NT+j (nil = absent). A dense
-	// slice, not a map: tile lookups sit in the factorizations' innermost
-	// loops and the index space (MT*NT pointers) is small.
+	// tiles holds the calling rank's own tiles (nil = not yet allocated):
+	// tile (I, J) sits in slot (I/pr)*lnt + J/pc, lnt = ⌈NT/pc⌉, so the index
+	// is sized by what the rank owns, ⌈MT/pr⌉·⌈NT/pc⌉ slots, not by the
+	// global MT·NT. A dense slice, not a map: tile lookups sit in the
+	// factorizations' innermost loops. Slot order is the owned tiles'
+	// row-major global order, so Release hands them back in that order.
 	tiles [][]float64
+	lnt   int
 	// pool, when non-nil, supplies tile storage (world buffer pool). Pooled
 	// tiles have unspecified initial contents, which is sound because every
 	// tile the factorizations touch is fully overwritten by a Fill* call
@@ -39,12 +43,17 @@ type TileMatrix struct {
 // storage draws from the world's buffer pool when the executor installed
 // one; call Release when the matrix (and any aliases of its tiles) is dead.
 func NewTileMatrix(g *grid.Grid2D, mt, nt, nb int) *TileMatrix {
+	lmt, lnt := (mt+g.PR-1)/g.PR, (nt+g.PC-1)/g.PC
 	return &TileMatrix{
 		G: g, NB: nb, MT: mt, NT: nt,
-		tiles: make([][]float64, mt*nt),
+		tiles: make([][]float64, lmt*lnt),
+		lnt:   lnt,
 		pool:  g.All.Raw().World().BufPoolOf(),
 	}
 }
+
+// slot returns the index of owned tile (i, j) in t.tiles.
+func (t *TileMatrix) slot(i, j int) int { return (i/t.G.PR)*t.lnt + j/t.G.PC }
 
 // Release recycles every tile's storage back to the buffer pool and empties
 // the matrix. The caller asserts no live references to any tile remain.
@@ -75,7 +84,7 @@ func (t *TileMatrix) Tile(i, j int) []float64 {
 	if !t.Mine(i, j) {
 		panic(fmt.Sprintf("slate: tile (%d,%d) not owned by rank %d", i, j, t.G.All.Rank()))
 	}
-	ix := i*t.NT + j
+	ix := t.slot(i, j)
 	tl := t.tiles[ix]
 	if tl == nil {
 		if t.pool != nil {
@@ -87,9 +96,6 @@ func (t *TileMatrix) Tile(i, j int) []float64 {
 	}
 	return tl
 }
-
-// SetTile installs data as local tile (i, j).
-func (t *TileMatrix) SetTile(i, j int, data []float64) { t.tiles[i*t.NT+j] = data }
 
 // FillSymmetricPD fills the lower tiles (i >= j) with the deterministic
 // symmetric positive definite test matrix
@@ -175,11 +181,11 @@ func (t *TileMatrix) GatherDense(root int) []float64 {
 			tag := 1<<20 + i*t.NT + j
 			switch {
 			case owner == root && me == root:
-				if tl := t.tiles[i*t.NT+j]; tl != nil {
+				if tl := t.tiles[t.slot(i, j)]; tl != nil {
 					copyTileIntoDense(full, m, tl, i, j, t.NB)
 				}
 			case me == owner:
-				tl := t.tiles[i*t.NT+j]
+				tl := t.tiles[t.slot(i, j)]
 				if tl == nil {
 					tl = buf
 					for k := range tl {

@@ -183,6 +183,79 @@ func TestQRConfigValidate(t *testing.T) {
 	}
 }
 
+// TestRaggedTileIndex: on a 3x2 grid holding 7x5 tiles, where neither tile
+// count divides by its grid dimension, each rank indexes ⌈7/3⌉·⌈5/2⌉ slots
+// whatever it owns, the gathered matrix is the generator's entry for entry,
+// Release hands back every tile the rank allocated, and a tile the rank
+// does not own still panics.
+func TestRaggedTileIndex(t *testing.T) {
+	const pr, pc, mt, nt, nb = 3, 2, 7, 5, 4
+	const seed = 9
+	runGrid(t, pr, pc, 0, critter.Conditional, func(p *critter.Profiler, g *grid.Grid2D) {
+		me := g.All.Rank()
+		a := NewTileMatrix(g, mt, nt, nb)
+		if want := 3 * 3; len(a.tiles) != want {
+			t.Errorf("rank %d: index holds %d slots, want %d", me, len(a.tiles), want)
+		}
+		// A private pool per rank, so what Release returns is this rank's alone.
+		a.pool = mpi.NewBufPool()
+		a.FillGeneral(seed)
+		owned := map[*float64]bool{}
+		for i := 0; i < mt; i++ {
+			for j := 0; j < nt; j++ {
+				if a.Mine(i, j) {
+					owned[&a.Tile(i, j)[0]] = true
+				}
+			}
+		}
+		rows, cols := (mt-g.MyRow+pr-1)/pr, (nt-g.MyCol+pc-1)/pc
+		if len(owned) != rows*cols {
+			t.Errorf("rank %d: owns %d distinct tiles, want %d", me, len(owned), rows*cols)
+		}
+
+		full := a.GatherDense(0)
+		if me == 0 {
+			m, bad := mt*nb, 0
+			for j := 0; j < nt*nb; j++ {
+				for i := 0; i < m; i++ {
+					if got, want := full[i+j*m], generalEntry(i, j, seed); got != want {
+						bad++
+					}
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d gathered entries differ from the generator", bad, len(full))
+			}
+		}
+
+		a.Release()
+		for ix, tl := range a.tiles {
+			if tl != nil {
+				t.Errorf("rank %d: slot %d still holds a tile after Release", me, ix)
+			}
+		}
+		for n := len(owned); n > 0; n-- {
+			b := a.pool.Get(nb * nb)
+			if !owned[&b[0]] {
+				t.Errorf("rank %d: pool handed back a buffer that was not one of its tiles", me)
+				break
+			}
+			delete(owned, &b[0])
+		}
+
+		// The first tile of the next grid row and column is someone else's.
+		i, j := (g.MyRow+1)%pr, (g.MyCol+1)%pc
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rank %d: Tile(%d,%d) of rank %d did not panic", me, i, j, a.Owner(i, j))
+				}
+			}()
+			a.Tile(i, j)
+		}()
+	})
+}
+
 func TestTileMatrixOwnership(t *testing.T) {
 	runGrid(t, 2, 2, 0, critter.Conditional, func(p *critter.Profiler, g *grid.Grid2D) {
 		a := NewTileMatrix(g, 4, 4, 8)
