@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -297,6 +298,10 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+// facadeRegistrations counts the runs of TestFacadeWorkloadRegistry in this
+// process.
+var facadeRegistrations int
+
 // TestFacadeWorkloadRegistry: a downstream user can register a custom
 // workload through the facade alone and have it resolve everywhere names
 // do without touching internal packages.
@@ -316,9 +321,13 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 		t.Errorf("Workloads and WorkloadNames disagree")
 	}
 
-	// Register a custom workload: a shrunk CANDMC QR under a new name.
+	// Register a custom workload: a shrunk CANDMC QR under a new name. The
+	// default registry lives as long as the process and has no Unregister,
+	// so each run of this test (go test -count=N) registers a name of its own.
+	facadeRegistrations++
+	name := fmt.Sprintf("custom-qr-facade-test-%d", facadeRegistrations)
 	custom := critter.WorkloadDef{
-		WorkloadName: "custom-qr-facade-test",
+		WorkloadName: name,
 		Description:  "facade-registered CANDMC QR variant",
 		BuildFunc: func(s critter.Scale) critter.Study {
 			st := critter.CandmcQR(s)
@@ -337,7 +346,7 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 		t.Error("duplicate facade registration succeeded")
 	}
 
-	wl, ok := critter.LookupWorkload("custom-qr-facade-test")
+	wl, ok := critter.LookupWorkload(name)
 	if !ok {
 		t.Fatal("registered workload not found")
 	}

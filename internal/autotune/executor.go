@@ -14,6 +14,7 @@ package autotune
 import (
 	"context"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,9 +66,9 @@ func (ps *progressSink) report(study string, pol critter.Policy, eps float64, er
 // every world a worker creates shares one data-plane buffer pool, so
 // consecutive sweeps (and configurations within them) recycle each other's
 // message payload buffers instead of reallocating the same tile-sized
-// slices thousands of times, and one kernel memo, so consecutive sweeps of
-// the same study skip re-interning each configuration's kernel signatures
-// and recycle retired profiler arenas (see critter.KernelMemo). A scratch
+// slices thousands of times, and one kernel memo, so later runs of a
+// configuration skip re-interning its kernel signatures and every profiler
+// recycles a retired one's arenas (see critter.KernelMemo). A scratch
 // belongs to exactly one worker goroutine at a time; the pool and memo it
 // hands to worlds are themselves concurrency safe (the world's ranks share
 // them).
@@ -76,9 +77,60 @@ type scratch struct {
 	memo *critter.KernelMemo
 }
 
-// newScratch builds one worker's arena. Each worker owns its pool and memo
-// outright: no cross-worker contention, and the memory dies with the run
-// instead of pinning the largest study's buffers for the process lifetime.
+// Arenas is a set of executor arenas owned by a caller that runs tuner after
+// tuner, such as the service's runners: every run streamed through it
+// (Arenas.Stream) takes its workers' arenas from the set and gives them back,
+// so its buffers, records and interners grow once rather than once per run.
+// It holds at most as many arenas as its runs have had workers at once, each
+// for as long as the Arenas itself lives; an arena's memo publishes one table
+// per distinct (study, scale, configuration) it has run. Tuner.Run, Stream
+// and RunTuners, which have no such owner, give each worker a fresh arena
+// that dies with the run. The zero value is an empty set.
+//
+// An arena's lifetime is the owner's, not the collector's: a free list that
+// the collector emptied would leave whether a run starts warm, and so what it
+// allocates, to when the last collection happened.
+type Arenas struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+// take returns the arena given back last, or a new one. A nil set has no
+// arenas to give.
+func (a *Arenas) take() *scratch {
+	if a == nil {
+		return newScratch()
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := len(a.free)
+	if n == 0 {
+		return newScratch()
+	}
+	sc := a.free[n-1]
+	a.free[n-1] = nil
+	a.free = a.free[:n-1]
+	return sc
+}
+
+// give files an arena its worker is done with for the next worker to take.
+func (a *Arenas) give(sc *scratch) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.free = append(a.free, sc)
+	a.mu.Unlock()
+}
+
+// Stream is t.Stream with the workers' arenas taken from a and given back.
+// Results are byte-identical to t.Stream's: an arena changes how fast a run
+// goes, never what it computes.
+func (a *Arenas) Stream(ctx context.Context, t Tuner) iter.Seq2[SweepResult, error] {
+	return t.stream(ctx, a)
+}
+
+// newScratch builds one arena: an empty buffer pool and an empty memo.
 func newScratch() *scratch {
 	return &scratch{bufs: mpi.NewBufPool(), memo: critter.NewKernelMemo()}
 }
@@ -196,10 +248,12 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 // forEachBounded runs fn(i, sc) for every i in [0, n) on at most workers
 // goroutines (0 or negative means runtime.GOMAXPROCS(0); 1 recovers the
 // sequential path). sc is the executing worker's scratch arena: each worker
-// goroutine makes one and hands it to every call it runs. The index channel
-// is buffered to n, so feeding it never blocks a worker. It is the one pool
-// implementation shared by the sweep executor and the full-only pass.
-func forEachBounded(n, workers int, fn func(i int, sc *scratch)) {
+// goroutine takes one from arenas (a fresh one when arenas is nil), hands it
+// to every call it runs, and gives it back when the indices run out. The
+// index channel is buffered to n, so feeding it never blocks a worker. It is
+// the one pool implementation shared by the sweep executor and the full-only
+// pass.
+func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, sc *scratch)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -207,7 +261,8 @@ func forEachBounded(n, workers int, fn func(i int, sc *scratch)) {
 		workers = n
 	}
 	if workers <= 1 {
-		sc := newScratch()
+		sc := arenas.take()
+		defer arenas.give(sc)
 		for i := 0; i < n; i++ {
 			fn(i, sc)
 		}
@@ -223,7 +278,8 @@ func forEachBounded(n, workers int, fn func(i int, sc *scratch)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch()
+			sc := arenas.take()
+			defer arenas.give(sc)
 			for i := range idx {
 				fn(i, sc)
 			}
@@ -233,11 +289,12 @@ func forEachBounded(n, workers int, fn func(i int, sc *scratch)) {
 }
 
 // runJobs executes jobs on at most workers goroutines — each carrying its
-// own scratch arena — and returns the per-job errors in job order, nil
-// entries for successes. A failed sweep never blocks the others.
-func runJobs(ctx context.Context, jobs []sweepJob, workers int) []error {
+// own scratch arena, taken from arenas — and returns the per-job errors in
+// job order, nil entries for successes. A failed sweep never blocks the
+// others.
+func runJobs(ctx context.Context, jobs []sweepJob, workers int, arenas *Arenas) []error {
 	errs := make([]error, len(jobs))
-	forEachBounded(len(jobs), workers, func(i int, sc *scratch) {
+	forEachBounded(len(jobs), workers, arenas, func(i int, sc *scratch) {
 		errs[i] = jobs[i].run(ctx, sc)
 	})
 	return errs

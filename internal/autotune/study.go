@@ -165,7 +165,7 @@ func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uin
 		return reports, fmt.Errorf("autotune: %w", err)
 	}
 	errs := make([]error, n)
-	forEachBounded(n, workers, func(v int, sc *scratch) {
+	forEachBounded(n, workers, nil, func(v int, sc *scratch) {
 		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, sc, &reports[v])
 	})
 	return reports, errors.Join(errs...)

@@ -151,7 +151,7 @@ func (t Tuner) Run(ctx context.Context) (*Result, error) {
 	}
 	sink := &progressSink{fn: t.Progress}
 	res, jobs := t.build(sink)
-	err := errors.Join(runJobs(ctx, jobs, t.Workers)...)
+	err := errors.Join(runJobs(ctx, jobs, t.Workers, nil)...)
 	return res, err
 }
 
@@ -163,6 +163,12 @@ func (t Tuner) Run(ctx context.Context) (*Result, error) {
 // consumer breaks early, which cancels the remaining sweeps before the
 // iterator returns; no goroutines outlive the loop.
 func (t Tuner) Stream(ctx context.Context) iter.Seq2[SweepResult, error] {
+	return t.stream(ctx, nil)
+}
+
+// stream is Stream with the workers' arenas taken from arenas (see
+// Arenas.Stream); nil gives each worker a fresh one.
+func (t Tuner) stream(ctx context.Context, arenas *Arenas) iter.Seq2[SweepResult, error] {
 	return func(yield func(SweepResult, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()
@@ -184,7 +190,7 @@ func (t Tuner) Stream(ctx context.Context) iter.Seq2[SweepResult, error] {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			runJobs(ctx, jobs, t.Workers)
+			runJobs(ctx, jobs, t.Workers, arenas)
 		}()
 		stopped := false
 		for range jobs {
@@ -220,7 +226,7 @@ func RunTuners(ctx context.Context, tuners []Tuner, workers int, progress func(P
 		all = append(all, jobs...)
 		spans[i] = [2]int{start, len(all)}
 	}
-	jobErrs := runJobs(ctx, all, workers)
+	jobErrs := runJobs(ctx, all, workers, nil)
 	errs := make([]error, len(tuners))
 	for i := range tuners {
 		errs[i] = errors.Join(jobErrs[spans[i][0]:spans[i][1]]...)

@@ -8,25 +8,28 @@ package critter
 // exact same config-invariant state from scratch: the kernel-signature
 // interner, every rank's Key→id cache and per-kernel records, and the
 // archive's slabs. KernelMemo is the sweep executor's per-worker cache of
-// that state. It is strictly observational: every byte of every result is
-// identical with a memo attached or not, because the memo only changes *how
-// fast* config-invariant facts are recomputed, never their values (ids never
-// leave the process, and all result-bearing artifacts are rekeyed by Key).
+// that state, living as long as the arena that carries it: one run, or
+// every run a long-lived owner (the service's scheduler) streams through
+// its arenas. It is strictly observational: every byte of
+// every result is identical with a memo attached or not, because the memo
+// only changes *how fast* config-invariant facts are recomputed, never their
+// values (ids never leave the process, and all result-bearing artifacts are
+// rekeyed by Key).
 //
 // Two things are memoized:
 //
 //   - Per-configuration kernel tables. The first profiler to finish a
 //     configuration publishes its interner (Profiler.Report), keyed by the
-//     caller-supplied configuration key (StartConfigKeyed). Every later
-//     profiler that starts the same configuration — the selective run
-//     after a reference run (when the sweep ran one: a tuner computes each
-//     configuration's reference once, in whichever sweep gets there
-//     first), and every run of the configuration in the worker's later
-//     sweeps — adopts the published table plus an immutable
-//     Key→id snapshot, so its steady-state intern path is a read-only map
-//     hit: no table lock, no insert, no per-config cache rebuild. Ids
-//     stay as compact as the configuration's active kernel set, keeping
-//     the path-frequency table every snapshot copies small.
+//     caller-supplied configuration key (StartConfigKeyed) and the world
+//     size. Every later profiler that starts the same configuration — the
+//     selective run after a reference run (when the sweep ran one: a tuner
+//     computes each configuration's reference once, in whichever sweep gets
+//     there first), and every run of the configuration in the later sweeps
+//     and runs the memo serves — adopts the published table plus an
+//     immutable Key→id snapshot, so its steady-state intern path is a
+//     read-only map hit: no table lock, no insert, no per-config cache
+//     rebuild. Ids stay as compact as the configuration's active kernel
+//     set, keeping the path-frequency table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its per-kernel records, private intern
@@ -44,7 +47,8 @@ package critter
 // is threaded through. The sweep executor gives each worker goroutine its
 // own memo (alongside its buffer-pool arena), so cross-worker contention
 // never occurs; within a world the ranks share the memo's mutex, which is
-// touched only at configuration boundaries.
+// touched only at configuration boundaries. Its published tables are
+// bounded by the distinct (study, scale, configuration) triples it has run.
 
 import (
 	"hash/fnv"
@@ -107,7 +111,8 @@ func NewKernelMemo() *KernelMemo {
 // Any deterministic hash works — the memo is observationally invisible, so
 // even a collision only costs speed, never correctness — but the key must
 // include the study identity: one worker's memo may serve sweeps of
-// several studies.
+// several studies. (StartConfigKeyed mixes in the world size, which a
+// study's name does not carry across scales.)
 func ConfigKey(study string, config int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(study))

@@ -209,11 +209,12 @@ func MergeProfiles(a, b *Profile) *Profile {
 }
 
 // Encode serializes the profile as indented JSON with the current schema
-// version stamped in.
+// version stamped in. The stamp goes on a shallow copy: p is not modified,
+// and its maps are only read.
 func (p *Profile) Encode() ([]byte, error) {
-	c := p.Clone()
+	c := *p
 	c.SchemaVersion = ProfileSchemaVersion
-	return json.MarshalIndent(c, "", "  ")
+	return json.MarshalIndent(&c, "", "  ")
 }
 
 // DecodeProfile parses a serialized profile, validating the schema version

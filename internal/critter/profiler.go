@@ -6,6 +6,7 @@ import (
 	"critter/internal/channel"
 	"critter/internal/mpi"
 	"critter/internal/obs"
+	"critter/internal/sim"
 	"critter/internal/stats"
 )
 
@@ -604,9 +605,10 @@ func (p *Profiler) StartConfig(resetStats bool) {
 // StartConfigKeyed is StartConfig for a configuration with a stable identity
 // (critter.ConfigKey): with a KernelMemo attached (Options.Memo) and the
 // statistics reset in effect, the configuration adopts the memo-published
-// interner of an earlier run of the same configuration — or, on the first
-// run anywhere, publishes its own at the next Report. Identical to
-// StartConfig when no memo is attached; byte-identical in results always.
+// interner of an earlier run of the same configuration in a world of the
+// same size — or, on the first such run, publishes its own at the next
+// Report. Identical to StartConfig when no memo is attached; byte-identical
+// in results always.
 func (p *Profiler) StartConfigKeyed(resetStats bool, cfg uint64) {
 	p.startConfig(resetStats, cfg, true)
 }
@@ -630,6 +632,12 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// the round distributes the published table and its read-only intern
 	// snapshots instead of an empty table.
 	var msg tabMsg
+	if keyed {
+		// A memo outlives one run, and a study keeps its name across scales:
+		// the world size keeps quick and default scale apart, so neither grows
+		// the ids of the tables the other adopts.
+		cfg = sim.Mix(cfg, uint64(p.psize))
+	}
 	if resetIDs && p.rank == 0 {
 		if keyed && p.memo != nil {
 			msg.mc = p.memo.lookup(cfg)

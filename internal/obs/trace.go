@@ -92,18 +92,26 @@ type Tracer interface {
 	Emit(Event)
 }
 
+// ringChunk is how many event slots a Ring allocates at a time. A ring is
+// sized for the busiest run it may trace, while most emit a few hundred
+// events, so its storage grows a chunk at a time as slots are first written.
+const ringChunk = 256
+
 // Ring is a bounded in-memory tracer: the last capacity events, oldest
 // dropped first. It is the service layer's per-job tracer behind
-// GET /v1/jobs/{id}/trace.
+// GET /v1/jobs/{id}/trace. Its slots live in chunks of ringChunk, each made
+// when its first slot is written; the last is cut to the capacity, so a
+// full ring holds exactly capacity slots.
 type Ring struct {
 	clock Clock
 
-	mu      sync.Mutex
-	seq     uint64
-	buf     []Event
-	next    int
-	full    bool
-	dropped uint64
+	mu       sync.Mutex
+	seq      uint64
+	capacity int
+	chunks   [][]Event // slot i is chunks[i/ringChunk][i%ringChunk]
+	next     int
+	full     bool
+	dropped  uint64
 }
 
 // NewRing returns a ring holding at most capacity events (minimum 1).
@@ -112,7 +120,7 @@ func NewRing(capacity int, clock Clock) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{clock: clock, buf: make([]Event, capacity)}
+	return &Ring{clock: clock, capacity: capacity, chunks: make([][]Event, (capacity+ringChunk-1)/ringChunk)}
 }
 
 // Emit implements Tracer.
@@ -126,9 +134,14 @@ func (r *Ring) Emit(ev Event) {
 	if r.full {
 		r.dropped++
 	}
-	r.buf[r.next] = ev
+	c := &r.chunks[r.next/ringChunk]
+	if *c == nil {
+		// Slots are first written in order, so r.next starts this chunk.
+		*c = make([]Event, min(ringChunk, r.capacity-r.next))
+	}
+	(*c)[r.next%ringChunk] = ev
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 		r.full = true
 	}
@@ -139,12 +152,21 @@ func (r *Ring) Emit(ev Event) {
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
+	n, i := r.next, 0
+	if r.full {
+		n, i = r.capacity, r.next
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for len(out) < n {
+		c := r.chunks[i/ringChunk][i%ringChunk:]
+		c = c[:min(len(c), n-len(out))]
+		out = append(out, c...)
+		i = (i + len(c)) % r.capacity
+	}
+	return out
 }
 
 // Dropped reports how many events the ring has overwritten.

@@ -47,6 +47,57 @@ func TestRingOrderAndOverflow(t *testing.T) {
 	}
 }
 
+// TestRingChunkBoundaries checks Events order, Seq and Dropped against the
+// last-capacity-events oracle at every chunk boundary a ring can straddle:
+// capacities below, at and past one chunk and across several, each filled
+// to nothing, one event, the chunk edges, exactly full, and wrapped twice
+// over.
+func TestRingChunkBoundaries(t *testing.T) {
+	for _, capacity := range []int{1, ringChunk - 1, ringChunk, ringChunk + 1, 3*ringChunk + 5} {
+		for _, n := range []int{0, 1, ringChunk - 1, ringChunk, ringChunk + 1, capacity, 2*capacity + 3} {
+			r := NewRing(capacity, nil)
+			for i := 1; i <= n; i++ {
+				r.Emit(Event{Kind: KindRound, Phase: PhasePoint, Config: i})
+			}
+			kept := min(n, capacity)
+			evs := r.Events()
+			if len(evs) != kept {
+				t.Fatalf("capacity %d, %d emitted: %d events, want %d", capacity, n, len(evs), kept)
+			}
+			for k, ev := range evs {
+				if want := n - kept + 1 + k; ev.Config != want || ev.Seq != uint64(want) {
+					t.Fatalf("capacity %d, %d emitted: event %d is config %d seq %d, want %d",
+						capacity, n, k, ev.Config, ev.Seq, want)
+				}
+			}
+			if got, want := r.Dropped(), uint64(n-kept); got != want {
+				t.Errorf("capacity %d, %d emitted: dropped %d, want %d", capacity, n, got, want)
+			}
+			slots := 0
+			for _, c := range r.chunks {
+				slots += len(c)
+			}
+			if want := min(capacity, (n+ringChunk-1)/ringChunk*ringChunk); slots != want {
+				t.Errorf("capacity %d, %d emitted: %d slots allocated, want %d", capacity, n, slots, want)
+			}
+		}
+	}
+}
+
+// TestRingAllocatesWhatItHolds: a ring sized for a busy job that records ten
+// events costs the ring, its chunk index and one chunk.
+func TestRingAllocatesWhatItHolds(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		r := NewRing(4096, nil)
+		for i := 0; i < 10; i++ {
+			r.Emit(Event{Kind: KindRound, Phase: PhasePoint})
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("a 4096-slot ring holding 10 events made %v allocations, want at most 3", allocs)
+	}
+}
+
 func TestRingWallStamps(t *testing.T) {
 	r := NewRing(4, fixedClock())
 	r.Emit(Event{Kind: KindJob, Phase: PhaseBegin})

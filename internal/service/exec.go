@@ -24,8 +24,9 @@ import (
 // still valid statistics), and the joined sweep errors. tracer, when
 // non-nil, receives the run's span events (sweep/config/strategy/round);
 // tracing is observational only — the envelope is byte-identical either
-// way.
-func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, prior *critter.Profile, tracer obs.Tracer, onSweep func(sw autotune.SweepResult, err error)) (*autotune.Envelope, *critter.Profile, error) {
+// way. The sweeps run on arenas taken from, and given back to, the caller's
+// set.
+func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, arenas *autotune.Arenas, prior *critter.Profile, tracer obs.Tracer, onSweep func(sw autotune.SweepResult, err error)) (*autotune.Envelope, *critter.Profile, error) {
 	study := spec.workload.Build(spec.scale)
 	machine.NoiseSigma = spec.noise
 	tn := autotune.Tuner{
@@ -54,7 +55,7 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 		filled[pi] = make([]bool, len(spec.eps))
 	}
 	var errs []error
-	for sw, err := range tn.Stream(ctx) {
+	for sw, err := range arenas.Stream(ctx, tn) {
 		if err == nil {
 			placeSweep(res, filled, sw)
 		} else {

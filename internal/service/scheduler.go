@@ -342,6 +342,10 @@ type Scheduler struct {
 	// tunerRuns counts Tuner executions started by this process's
 	// runners — the witness that dedup coalesced instead of re-running.
 	tunerRuns atomic.Int64
+	// arenas are the executor arenas the runners' jobs run on, kept for the
+	// scheduler's lifetime: a job starts on buffers and memo tables an
+	// earlier job grew.
+	arenas autotune.Arenas
 
 	// mu guards everything below; cond (tied to mu) wakes runners when
 	// pending grows or the scheduler closes. Lock order: mu before any
@@ -1051,7 +1055,7 @@ func (s *Scheduler) runJob(j *job) {
 	kernMemo := s.met.kernelsMemoized.With(spec.workload.Name())
 
 	s.tunerRuns.Add(1)
-	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, prior, tracer, func(sw autotune.SweepResult, swErr error) {
+	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(sw autotune.SweepResult, swErr error) {
 		if sw.Executed > 0 {
 			kernExec.Add(sw.Executed)
 		}

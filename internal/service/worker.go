@@ -57,6 +57,9 @@ type Worker struct {
 	// completed counts jobs this worker finished (posted a result for),
 	// for tests and logs.
 	completed int
+	// arenas are the executor arenas every leased job runs on, kept for the
+	// worker's lifetime.
+	arenas autotune.Arenas
 }
 
 // NewWorker validates options and builds a worker; Run does the work.
@@ -238,7 +241,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) {
 		}
 	}()
 
-	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, prior, nil, func(sw autotune.SweepResult, swErr error) {
+	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, &w.arenas, prior, nil, func(sw autotune.SweepResult, swErr error) {
 		ev := Event{
 			Type: "sweep", Job: grant.Job,
 			Policy: sw.Policy.String(), Eps: sw.Eps,
