@@ -65,54 +65,61 @@ func (c *Comm) Split(color, key int) *Comm {
 }
 
 // collective intercepts one blocking collective: agree on execution via an
-// internal allreduce (which also propagates pathsets), then run or skip the
-// user operation, update the kernel model, and account path costs.
+// internal allreduce (which also propagates pathsets), then complete the
+// round with the user operation as its one leg.
 func (c *Comm) collective(op string, words int, bspWords float64, run func() float64) {
 	p := c.p
 	id, ks := p.intercept(CommKey(op, words, c.user.Size(), c.stride()))
 	local := intMsg{Exec: p.shouldExecute(id, ks), Path: p.snapshot()}
 	g := c.p.lane.Allreduce(c.internal, local, propagate)
-	p.adopt(g.Path)
-	p.traceRound(op)
-	p.accountComm(ks, p.settle(ks, g.Exec, run), bspWords)
+	p.complete(op, g.Path, leg{ks, g.Exec, bspWords, run}, leg{})
 	if p.opts.Policy == Eager {
 		p.aggregateEager(c)
 	}
 }
 
-// traceRound emits one kernel-propagation round event: op names the
-// intercepted operation, Virtual is the rank's clock after the round's
-// pathset adoption, and Memoized flags rounds whose latest local skip
-// decision was replayed from the kernel's predCache — the profiler's own,
-// with or without a KernelMemo (consumed here so an op without its own
-// decision, like wait, never inherits one). p.trace is non-nil only on rank
-// 0 of a traced world, so the disabled hot path costs exactly this one
-// branch.
-func (p *Profiler) traceRound(op string) {
-	if p.trace == nil {
-		return
-	}
-	ev := obs.Event{
-		Kind: obs.KindRound, Phase: obs.PhasePoint,
-		Name: op, Virtual: p.world.user.Clock(),
-	}
-	if p.lastReplayed {
-		ev.Memoized = 1
-		p.lastReplayed = false
-	}
-	p.trace.Emit(ev)
+// leg is one user communication kernel of an operation: its record, the agreed
+// decision, the words it moves, and run, which performs it and returns its
+// duration. A leg with a nil ks is absent.
+type leg struct {
+	ks    *kernelStats
+	exec  bool
+	words float64
+	run   func() float64
 }
 
-// accountComm adds one communication kernel's contribution to the pathset
-// and volumetric accumulators.
-func (p *Profiler) accountComm(ks *kernelStats, dt, bspWords float64) {
-	p.path.ExecTime += dt
-	p.path.CommTime += dt
-	p.path.BSPComm += bspWords
-	p.path.BSPSync++
-	p.volCommWords += bspWords
-	p.volSync++
-	ks.pathTime += dt
+// complete is Figure 2's protocol after the internal exchange, for every
+// profiled op. It adopts peer (the merged pathset after a collective, the
+// peer's after a point-to-point exchange, the zero pathset — a no-op — for an
+// Isend, whose reply Wait adopts), emits the round event, then settles legs a
+// and b in turn and charges each to the path and the volumetric accumulators.
+// The event carries the clock after adoption; Memoized flags a latest local
+// skip replayed from predCache, consumed here so an op with no decision of its
+// own (wait) never inherits one. p.trace is non-nil only on rank 0 of a traced
+// world, so the disabled path costs one branch.
+func (p *Profiler) complete(op string, peer Pathset, a, b leg) {
+	p.adopt(peer)
+	if p.trace != nil {
+		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op, Virtual: p.world.user.Clock()}
+		if p.lastReplayed {
+			ev.Memoized = 1
+			p.lastReplayed = false
+		}
+		p.trace.Emit(ev)
+	}
+	for _, l := range [...]leg{a, b} {
+		if l.ks == nil {
+			continue
+		}
+		dt := p.settle(l.ks, l.exec, l.run)
+		p.path.ExecTime += dt
+		p.path.CommTime += dt
+		p.path.BSPComm += l.words
+		p.path.BSPSync++
+		p.volCommWords += l.words
+		p.volSync++
+		l.ks.pathTime += dt
+	}
 }
 
 // Barrier profiles a barrier synchronization.
@@ -200,10 +207,8 @@ func (c *Comm) Send(dest, tag int, buf []float64) {
 	local := p.shouldExecute(id, ks)
 	p.flane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
 	peer := c.p.lane.Recv(c.internal, dest, recvIntTag(tag))
-	p.adopt(peer.Path)
-	p.traceRound("send")
-	dt := p.settle(ks, local || peer.Exec, func() float64 { return c.user.Send(dest, tag, buf) })
-	p.accountComm(ks, dt, float64(len(buf)))
+	p.complete("send", peer.Path, leg{ks, local || peer.Exec, float64(len(buf)),
+		func() float64 { return c.user.Send(dest, tag, buf) }}, leg{})
 }
 
 // Recv profiles a blocking receive matching either a profiled Send or a
@@ -215,13 +220,11 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 	local := p.shouldExecute(id, ks)
 	c.p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
 	peer, fdt, hasData := p.flane.Recv(c.internal, src, sendIntTag(tag), buf)
-	p.adopt(peer.Path)
-	p.traceRound("recv")
 	exec := local || peer.Exec
 	if peer.Committed {
 		exec = peer.Exec
 	}
-	dt := p.settle(ks, exec, func() float64 {
+	p.complete("recv", peer.Path, leg{ks, exec, float64(len(buf)), func() float64 {
 		if hasData {
 			// A committed executing Isend fused its data into the vote
 			// message; the payload is already in buf and fdt is the sampled
@@ -229,8 +232,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 			return fdt
 		}
 		return c.user.Recv(src, tag, buf)
-	})
-	p.accountComm(ks, dt, float64(len(buf)))
+	}}, leg{})
 }
 
 // Sendrecv profiles a combined send and receive. When the operation is a
@@ -255,14 +257,13 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 	localRecv := p.shouldExecute(recvID, rks)
 	peer := c.p.lane.Exchange(c.internal, dest, srIntTag(sendTag),
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
-	p.adopt(peer.Path)
-	p.traceRound("sendrecv")
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
-	dt := p.settle(sks, localSend || peer.Exec2, func() float64 { return c.user.Send(dest, sendTag, sendBuf) })
-	p.accountComm(sks, dt, float64(len(sendBuf)))
-	dt = p.settle(rks, localRecv || peer.Exec, func() float64 { return c.user.Recv(src, recvTag, recvBuf) })
-	p.accountComm(rks, dt, float64(len(recvBuf)))
+	p.complete("sendrecv", peer.Path,
+		leg{sks, localSend || peer.Exec2, float64(len(sendBuf)),
+			func() float64 { return c.user.Send(dest, sendTag, sendBuf) }},
+		leg{rks, localRecv || peer.Exec, float64(len(recvBuf)),
+			func() float64 { return c.user.Recv(src, recvTag, recvBuf) }})
 }
 
 // Request is a profiled nonblocking operation handle.
@@ -270,7 +271,8 @@ type Request struct {
 	c        *Comm
 	peer     int
 	tag      int
-	irecvBuf []float64 // non-nil for Irecv: resolved lazily at Wait
+	irecvBuf []float64 // may be nil or empty for a zero-word receive
+	irecv    bool      // an Irecv: Wait runs the receive into irecvBuf
 	done     bool
 }
 
@@ -284,18 +286,16 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
 	exec := p.shouldExecute(id, ks)
 	aux := intMsg{Exec: exec, Committed: true, Path: p.snapshot()}
-	p.traceRound("isend")
 	if !exec {
 		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
 	}
-	dt := p.settle(ks, exec, func() float64 {
+	p.complete("isend", Pathset{}, leg{ks, exec, float64(len(buf)), func() float64 {
 		// Vote and data fuse into one timed message with Isend's exact
 		// cost model (the caller may reuse buf immediately).
 		t0 := c.user.Clock()
 		p.flane.Isend(c.internal, dest, sendIntTag(tag), aux, buf)
 		return c.user.Clock() - t0
-	})
-	p.accountComm(ks, dt, float64(len(buf)))
+	}}, leg{})
 	return &Request{c: c, peer: dest, tag: tag}
 }
 
@@ -304,7 +304,7 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 // user receive all happen at Wait, which is when Figure 2's protocol
 // resolves outstanding request completion. buf must stay valid until then.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	return &Request{c: c, peer: src, tag: tag, irecvBuf: buf}
+	return &Request{c: c, peer: src, tag: tag, irecv: true, irecvBuf: buf}
 }
 
 // Wait completes a profiled nonblocking operation, consuming the peer's
@@ -314,14 +314,12 @@ func (r *Request) Wait() {
 		return
 	}
 	r.done = true
-	if r.irecvBuf != nil {
+	if r.irecv {
 		r.c.Recv(r.peer, r.tag, r.irecvBuf)
 		return
 	}
-	p := r.c.p
 	m := r.c.p.lane.Recv(r.c.internal, r.peer, recvIntTag(r.tag))
-	p.adopt(m.Path)
-	p.traceRound("wait")
+	r.c.p.complete("wait", m.Path, leg{}, leg{})
 }
 
 // Waitall completes profiled requests in order.

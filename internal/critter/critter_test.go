@@ -283,6 +283,27 @@ func TestIrecvLazyCompletion(t *testing.T) {
 	})
 }
 
+// TestIrecvZeroLengthBuffer posts a zero-word receive with a nil and with an
+// empty buffer against a blocking Send. Both are receives: Wait must run the
+// receive side of the protocol whatever the buffer, or it waits for a reply
+// the sender is waiting for too.
+func TestIrecvZeroLengthBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		buf  []float64
+	}{{"nil", nil}, {"empty", []float64{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
+				if cc.Rank() == 0 {
+					cc.Send(1, 3, nil)
+				} else {
+					cc.Irecv(0, 3, tc.buf).Wait()
+				}
+			})
+		})
+	}
+}
+
 func TestIrecvSelectiveSkipsConsistently(t *testing.T) {
 	runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: 0.3}, func(p *Profiler, cc *Comm) {
 		buf := make([]float64, 32)

@@ -129,8 +129,8 @@ type Pathset struct {
 	// number of appearances along the current sub-critical path. At a
 	// collective it is adopted wholesale from whichever rank owns the
 	// maximal ExecTime (Figure 2, lines 64-65); the two ends of a
-	// point-to-point pair take each other's (see adopt). Inactive (nil
-	// vals) when the active policy does not propagate counts.
+	// point-to-point pair take each other's (adopt, which Profiler.complete
+	// applies at every propagation point). Inactive unless counts propagate.
 	Kernels kernelCounts
 }
 

@@ -178,7 +178,7 @@ type Profiler struct {
 	skipped        int64
 	replayedSkips  int64 // skips whose predictability decision predCache replayed
 	// lastReplayed marks whether the most recent shouldExecute call
-	// resolved to a replayed skip; traceRound consumes and clears it so
+	// resolved to a replayed skip; complete consumes and clears it so
 	// round events can tell replayed skips apart. Trace-only state: it
 	// never feeds clocks, decisions, or reports.
 	lastReplayed bool
@@ -530,7 +530,7 @@ func (p *Profiler) snapshot() Pathset {
 // to the freelist for the next snapshot. After a collective g is the merged
 // global pathset and its table the longest path's; after a point-to-point
 // exchange it is the peer's, taken whether or not the peer's path is the
-// longer one.
+// longer one. Profiler.complete, its one caller, applies it to every op.
 func (p *Profiler) adopt(g Pathset) {
 	kernels := p.path.Kernels
 	if g.Kernels.active() {
