@@ -155,6 +155,59 @@ func FuzzKeyText(f *testing.F) {
 	})
 }
 
+// FuzzDecodeProfile: DecodeProfile never panics, and a profile it accepts
+// encodes, and decodes back to an equal value — the round trip every
+// durable profile takes through the service's store.
+func FuzzDecodeProfile(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "profile.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, seed := range []string{
+		`{"schemaVersion":1}`,
+		`{"schemaVersion":1,"kernels":{},"families":{},"pathFreqs":{}}`,
+		`{"schemaVersion":1,"kernels":{"comp:gemm(8,8,8;0)":{"count":1,"mean":-0,"m2":0}}}`,
+		`{"schemaVersion":1,"families":{"gemm":{"points":[]}},"pathFreqs":{"comm:bcast(64,8,1;0)":3}}`,
+		`{"schemaVersion":1,"families":{"gémm<&>":{"points":[{"flops":1e3,"mean":2.5e-9},{"flops":2e3,"mean":4e-9}]}}}`,
+		`{"schemaVersion":1,"kernels":{"comp:gemm(8,8,8;0)":{"count":0,"mean":1,"m2":0}}}`,
+		`{"schemaVersion":2}`,
+		`{"schemaVersion":1,"kernels":{"bogus":{"count":1,"mean":1,"m2":0}}}`,
+		`null`, `[]`, `{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProfile(data)
+		if err != nil {
+			return
+		}
+		enc, err := p.Encode()
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", data, err)
+		}
+		back, err := DecodeProfile(enc)
+		if err != nil {
+			t.Fatalf("accepted %q but rejects its encoding %s: %v", data, enc, err)
+		}
+		// Encoding omits an empty map; compare with those as nil.
+		for _, q := range []*Profile{p, back} {
+			if len(q.Kernels) == 0 {
+				q.Kernels = nil
+			}
+			if len(q.Families) == 0 {
+				q.Families = nil
+			}
+			if len(q.PathFreqs) == 0 {
+				q.PathFreqs = nil
+			}
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("accepted %q, round trip through %s gives %+v, want %+v", data, enc, back, p)
+		}
+	})
+}
+
 func TestProfileMerge(t *testing.T) {
 	key := CompKey("gemm", 8, 8, 8, 0)
 	var w1, w2, all stats.Welford

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"critter/internal/store"
@@ -10,16 +11,20 @@ import (
 // TestRestartDurability is the restart acceptance test, in three lives of
 // one store directory:
 //
-//	life 1: run a cold job to completion, shut down cleanly.
+//	life 1: run a cold job to completion, shut down cleanly. The store
+//	        compacts at every commit, so lives 2 and 3 replay a snapshot
+//	        the streamed compaction wrote, not the log. (Life 2 commits
+//	        nothing, so a small threshold there would write none.)
 //	life 2: reopen; verify the finished job replayed. Queue a job on a
 //	        runner-less scheduler and shut down with it still pending —
 //	        the crash-with-queued-work case.
 //	life 3: reopen; the finished job is still queryable with a
 //	        byte-identical envelope, the never-started job is gone (the
 //	        documented reject-on-restart semantics), the persisted
-//	        profile warm-starts a new job into strictly fewer executed
-//	        kernels than the cold run, and a resubmission of the cold
-//	        spec is served from the replayed memo without re-executing.
+//	        profile encodes to life 1's bytes and warm-starts a new job
+//	        into strictly fewer executed kernels than the cold run, and a
+//	        resubmission of the cold spec is served from the replayed memo
+//	        without re-executing.
 func TestRestartDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full sweeps")
@@ -28,7 +33,7 @@ func TestRestartDurability(t *testing.T) {
 	const coldBody = `{"workload":"candmc","scale":"quick","policies":["online"],"eps":[0.125],"seed":11,"warmStart":false}`
 
 	// Life 1: cold job to completion.
-	st1, err := store.Open(dir, store.Options{})
+	st1, err := store.Open(dir, store.Options{CompactBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +44,29 @@ func TestRestartDurability(t *testing.T) {
 	}
 	coldEnv := envelopeJSON(t, s1, cold.ID)
 	coldExec := mustExecuted(t, s1, cold.ID)
+	coldProfile, _, ok := s1.ProfileInfo("candmc")
+	if !ok {
+		t.Fatal("no candmc profile after the cold job")
+	}
+	// The durable records hold the bytes earlier versions framed: the
+	// profile is Profile.Encode compacted, the envelope json.Marshal's.
+	var want bytes.Buffer
+	if err := json.Compact(&want, coldProfile); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := st1.Get(kindProfile, "candmc"); !ok || !bytes.Equal(rec.Data, want.Bytes()) {
+		t.Errorf("durable profile record (found %v) is not the compacted Profile.Encode", ok)
+	}
+	var jr struct {
+		Envelope json.RawMessage `json:"envelope"`
+	}
+	if rec, ok := st1.Get(kindJob, cold.ID); !ok || json.Unmarshal(rec.Data, &jr) != nil || !bytes.Equal(jr.Envelope, coldEnv) {
+		t.Errorf("durable job record (found %v) does not hold the marshaled envelope", ok)
+	}
 	closeNow(t, s1)
+	if n := st1.LogSize(); n != 0 {
+		t.Fatalf("log holds %d bytes after compacting at every commit", n)
+	}
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +122,12 @@ func TestRestartDurability(t *testing.T) {
 	if _, ok := s3.Status(queued.ID); ok {
 		t.Errorf("queued-but-unstarted job %s survived the restart; restart semantics say it is rejected", queued.ID)
 	}
-	if _, at, ok := s3.ProfileInfo("candmc"); !ok || at.IsZero() {
+	prof, at, ok := s3.ProfileInfo("candmc")
+	if !ok || at.IsZero() {
 		t.Errorf("persisted profile after restart: ok=%v persistedAt=%v", ok, at)
+	}
+	if !bytes.Equal(prof, coldProfile) {
+		t.Errorf("profile after two restarts differs from life 1's:\n%s\nvs\n%s", prof, coldProfile)
 	}
 
 	// The durable profile warm-starts new work: strictly fewer executed

@@ -43,45 +43,38 @@ const (
 	kindProfile = "profile"
 )
 
-// jobRecord is the persisted form of one finished job.
+// jobRecord is the persisted form of one finished job, collected under
+// job locks and written outside them. The envelope is encoded inline, in
+// the one json.Marshal of the record.
 type jobRecord struct {
-	Status   JobStatus       `json:"status"`
-	Request  JobRequest      `json:"request"`
-	Envelope json.RawMessage `json:"envelope,omitempty"`
-}
-
-// persistedJob is the in-memory staging of a jobRecord, collected under
-// job locks and written outside them.
-type persistedJob struct {
-	status   JobStatus
-	request  JobRequest
-	envelope *autotune.Envelope
+	Status   JobStatus          `json:"status"`
+	Request  JobRequest         `json:"request"`
+	Envelope *autotune.Envelope `json:"envelope,omitempty"`
 }
 
 // persistJobs appends one durable record per finished job. Persistence
 // failures are logged, not fatal: the scheduler keeps serving from memory.
-func (s *Scheduler) persistJobs(recs []persistedJob) {
+func (s *Scheduler) persistJobs(recs []jobRecord) {
 	if s.durable == nil {
 		return
 	}
-	for _, rec := range recs {
-		jr := jobRecord{Status: rec.status, Request: rec.request}
-		if rec.envelope != nil {
-			data, err := json.Marshal(rec.envelope)
-			if err != nil {
-				s.logf("service: marshal envelope for %s: %v", rec.status.ID, err)
-			} else {
-				jr.Envelope = data
-			}
-		}
+	for _, jr := range recs {
+		id := jr.Status.ID
 		data, err := json.Marshal(jr)
+		if err != nil && jr.Envelope != nil {
+			// An envelope that cannot be encoded costs the record its
+			// envelope, not the job.
+			s.logf("service: marshal envelope for %s: %v", id, err)
+			jr.Envelope = nil
+			data, err = json.Marshal(jr)
+		}
 		if err != nil {
-			s.logf("service: marshal job record %s: %v", rec.status.ID, err)
+			s.logf("service: marshal job record %s: %v", id, err)
 			continue
 		}
-		err = s.durable.Append(store.Record{Kind: kindJob, Key: rec.status.ID, At: rec.status.Finished, Data: data})
+		err = s.durable.Append(store.Record{Kind: kindJob, Key: id, At: jr.Status.Finished, Data: data})
 		if err != nil {
-			s.logf("service: persist job %s: %v", rec.status.ID, err)
+			s.logf("service: persist job %s: %v", id, err)
 		}
 	}
 }
@@ -116,7 +109,12 @@ func (s *Scheduler) replayDurable() {
 
 // replayJob restores one finished job from its durable record.
 func (s *Scheduler) replayJob(data []byte) error {
-	var jr jobRecord
+	// The envelope is read raw, for DecodeEnvelope's version check; the
+	// outer field shadows jobRecord's.
+	var jr struct {
+		jobRecord
+		Envelope json.RawMessage `json:"envelope"`
+	}
 	if err := json.Unmarshal(data, &jr); err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}

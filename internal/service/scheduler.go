@@ -14,6 +14,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -647,7 +648,7 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 // s.mu. Returns persistence records only when the primary turned out to be
 // terminal already (the follower is then born terminal and must persist
 // itself; live followers persist when the primary terminates).
-func (s *Scheduler) attachFollowerLocked(p *job, spec *jobSpec, now time.Time) (JobStatus, []persistedJob) {
+func (s *Scheduler) attachFollowerLocked(p *job, spec *jobSpec, now time.Time) (JobStatus, []jobRecord) {
 	f := &job{
 		spec:      spec,
 		subs:      make(map[int]*subscriber),
@@ -687,7 +688,7 @@ func (s *Scheduler) attachFollowerLocked(p *job, spec *jobSpec, now time.Time) (
 		f.mu.Lock()
 		st := f.statusLocked()
 		f.mu.Unlock()
-		return st, []persistedJob{{status: st, envelope: f.envelope, request: spec.req}}
+		return st, []jobRecord{{Status: st, Envelope: f.envelope, Request: spec.req}}
 	}
 	f.primary = p
 	p.followers = append(p.followers, f)
@@ -702,7 +703,7 @@ func (s *Scheduler) attachFollowerLocked(p *job, spec *jobSpec, now time.Time) (
 // s.mu; returns ok=false when the memoized job cannot back a result (no
 // envelope survived), in which case the caller falls through to a real
 // execution.
-func (s *Scheduler) memoHitLocked(d *job, spec *jobSpec, now time.Time) (JobStatus, []persistedJob, bool) {
+func (s *Scheduler) memoHitLocked(d *job, spec *jobSpec, now time.Time) (JobStatus, []jobRecord, bool) {
 	d.mu.Lock()
 	env := d.envelope
 	total := d.sweepsTotal
@@ -738,7 +739,7 @@ func (s *Scheduler) memoHitLocked(d *job, spec *jobSpec, now time.Time) (JobStat
 	f.mu.Lock()
 	st := f.statusLocked()
 	f.mu.Unlock()
-	return st, []persistedJob{{status: st, envelope: env, request: spec.req}}, true
+	return st, []jobRecord{{Status: st, Envelope: env, Request: spec.req}}, true
 }
 
 // lookup resolves a job by ID.
@@ -1136,7 +1137,7 @@ func (s *Scheduler) terminate(j *job, state State, err error, env *autotune.Enve
 	started := j.started
 	followers := j.followers
 	j.followers = nil
-	recs := []persistedJob{{status: j.statusLocked(), envelope: env, request: j.persistRequest()}}
+	recs := []jobRecord{{Status: j.statusLocked(), Envelope: env, Request: j.persistRequest()}}
 	j.mu.Unlock()
 
 	// Followers share the outcome and the envelope pointer: the envelope
@@ -1162,7 +1163,7 @@ func (s *Scheduler) terminate(j *job, state State, err error, env *autotune.Enve
 		f.deliverLocked(fv)
 		f.closeSubsLocked()
 		close(f.done)
-		recs = append(recs, persistedJob{status: f.statusLocked(), envelope: env, request: f.persistRequest()})
+		recs = append(recs, jobRecord{Status: f.statusLocked(), Envelope: env, Request: f.persistRequest()})
 		f.mu.Unlock()
 	}
 
@@ -1224,7 +1225,12 @@ func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 	if merged == nil {
 		return
 	}
-	data, err := merged.Encode()
+	// Compact, where Profile.Encode indents: the store frames compact JSON
+	// and would only strip the whitespace again. The version stamp goes on
+	// a shallow copy, as in Encode; merged is shared and read-only.
+	stamped := *merged
+	stamped.SchemaVersion = critter.ProfileSchemaVersion
+	data, err := json.Marshal(&stamped)
 	if err != nil {
 		s.logf("service: encode profile %s: %v", name, err)
 		return

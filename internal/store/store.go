@@ -18,6 +18,15 @@
 //	wal.log       — records appended since the snapshot, each framed as
 //	                [uint32 length][uint32 CRC-32C][JSON payload]
 //
+// Every record is encoded once. A frame's payload is exactly
+// json.Marshal(rec), but only the small {kind, key, at} head goes through
+// the encoder: Data is validated and compacted straight into the frame,
+// and that compact payload is what the store keeps in memory. Compaction
+// streams the snapshot as compact JSON, copying each live record's
+// committed bytes through a buffered writer, so it never holds a second
+// encoding of the state. Snapshots written indented, as earlier versions
+// did, still load.
+//
 // Opening replays the snapshot and then the log. A torn tail — a partial
 // frame or a frame whose CRC does not match, the signature of a crash
 // mid-append — is truncated away, and everything before it is kept: a
@@ -29,6 +38,8 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -95,6 +106,9 @@ const (
 	defaultCompactBytes = 4 << 20
 
 	snapshotSchemaVersion = 1
+
+	// dataField joins a record's head to its Data in the encoding.
+	dataField = `,"data":`
 )
 
 // castagnoli is the CRC-32C table (the polynomial used by modern storage
@@ -173,6 +187,17 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("store: snapshot schemaVersion %d, this build reads %d", snap.SchemaVersion, snapshotSchemaVersion)
 	}
 	for _, rec := range snap.Records {
+		// JSON strings hold no raw newline, so one in Data is the
+		// indentation of a snapshot written before snapshots were
+		// streamed: compact it, so the record in memory is what a
+		// commit of it would keep.
+		if bytes.IndexByte(rec.Data, '\n') >= 0 {
+			var buf bytes.Buffer
+			if err := appendData(&buf, rec.Data); err != nil {
+				return fmt.Errorf("store: decode snapshot: %w", err)
+			}
+			rec.Data = buf.Bytes()
+		}
 		s.apply(rec)
 	}
 	s.snapRecs = len(snap.Records)
@@ -251,8 +276,10 @@ func (s *Store) Append(rec Record) error {
 	if rec.Kind == "" || rec.Key == "" {
 		return fmt.Errorf("store: append: empty kind or key")
 	}
-	if rec.Data == nil {
-		return fmt.Errorf("store: append: nil data (use Delete for tombstones)")
+	if len(rec.Data) == 0 {
+		// An empty Data would be live in memory but dropped from the
+		// frame (omitempty), replaying as a tombstone.
+		return fmt.Errorf("store: append: empty data (use Delete for tombstones)")
 	}
 	return s.commit(rec)
 }
@@ -269,17 +296,14 @@ func (s *Store) Delete(kind, key string, at time.Time) error {
 
 // commit frames, writes, fsyncs, and applies one record.
 func (s *Store) commit(rec Record) error {
-	payload, err := json.Marshal(rec)
+	frame, data, err := encodeFrame(rec)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("store: record %s/%s is %d bytes, exceeding the %d-byte limit", rec.Kind, rec.Key, len(payload), maxRecordBytes)
+	if n := len(frame) - frameHeaderLen; n > maxRecordBytes {
+		return fmt.Errorf("store: record %s/%s is %d bytes, exceeding the %d-byte limit", rec.Kind, rec.Key, n, maxRecordBytes)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderLen:], payload)
+	rec.Data = data
 
 	s.mu.Lock()
 	if s.closed {
@@ -313,6 +337,71 @@ func (s *Store) commit(rec Record) error {
 		cb(stats)
 	}
 	return nil
+}
+
+// encodeFrame encodes rec as one log frame: the header, then a payload
+// equal to json.Marshal(rec). Data is compacted into the frame after the
+// head; data is that compacted copy, a view into frame (nil for a
+// tombstone).
+func encodeFrame(rec Record) (frame []byte, data json.RawMessage, err error) {
+	head, err := recordHead(rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, frameHeaderLen, frameHeaderLen+len(head)+len(dataField)+len(rec.Data)+1))
+	buf.Write(head)
+	start, end := 0, 0
+	if len(rec.Data) > 0 {
+		buf.WriteString(dataField)
+		start = buf.Len()
+		if err := appendData(buf, rec.Data); err != nil {
+			return nil, nil, err
+		}
+		end = buf.Len()
+	}
+	buf.WriteByte('}')
+	frame = buf.Bytes()
+	if end > start {
+		data = frame[start:end:end]
+	}
+	payload := frame[frameHeaderLen:]
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return frame, data, nil
+}
+
+// recordHead returns the encoding of rec without its Data and without
+// the closing brace: what json.Marshal(rec) writes before `,"data":`.
+func recordHead(rec Record) ([]byte, error) {
+	head, err := json.Marshal(Record{Kind: rec.Kind, Key: rec.Key, At: rec.At})
+	if err != nil {
+		return nil, err
+	}
+	return head[:len(head)-1], nil
+}
+
+// appendData validates data and writes it to buf the way json.Marshal
+// writes a json.RawMessage: compacted, with <, >, &, U+2028 and U+2029
+// escaped, which json.Compact alone leaves as they are.
+func appendData(buf *bytes.Buffer, data []byte) error {
+	start := buf.Len()
+	if err := json.Compact(buf, data); err != nil {
+		return err
+	}
+	if htmlUnsafe(buf.Bytes()[start:]) {
+		compacted := bytes.Clone(buf.Bytes()[start:])
+		buf.Truncate(start)
+		json.HTMLEscape(buf, compacted)
+	}
+	return nil
+}
+
+// htmlUnsafe reports whether b may hold a character json.HTMLEscape
+// rewrites: <, >, &, or 0xE2, the lead byte of U+2028 and U+2029.
+// Four vectorized byte searches beat one byte-at-a-time loop severalfold.
+func htmlUnsafe(b []byte) bool {
+	return bytes.IndexByte(b, '<') >= 0 || bytes.IndexByte(b, '>') >= 0 ||
+		bytes.IndexByte(b, '&') >= 0 || bytes.IndexByte(b, 0xE2) >= 0
 }
 
 // Get returns the live record for (kind, key).
@@ -400,12 +489,6 @@ func (s *Store) compactLocked() (CompactStats, error) {
 		RecordsDropped: s.snapRecs + s.walRecs - len(live),
 		BytesReclaimed: s.walSize,
 	}
-	snap := snapshotFile{SchemaVersion: snapshotSchemaVersion, Records: live}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return CompactStats{}, fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	stats.SnapshotBytes = int64(len(data))
 
 	tmp, err := os.CreateTemp(s.dir, snapshotName+".tmp-*")
 	if err != nil {
@@ -413,11 +496,13 @@ func (s *Store) compactLocked() (CompactStats, error) {
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
+	n, err := writeSnapshot(tmp, live)
+	if err != nil {
 		tmp.Close()
 		cleanup()
 		return CompactStats{}, fmt.Errorf("store: write snapshot: %w", err)
 	}
+	stats.SnapshotBytes = n
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		cleanup()
@@ -455,6 +540,34 @@ func (s *Store) compactLocked() (CompactStats, error) {
 		s.idx[rec.Kind+"\x00"+rec.Key] = i
 	}
 	return stats, nil
+}
+
+// writeSnapshot streams live to w as json.Marshal would encode its
+// snapshotFile, copying each record's committed Data as it is, and
+// returns the bytes written.
+func writeSnapshot(w io.Writer, live []Record) (int64, error) {
+	bw := bufio.NewWriter(w)
+	// A bufio.Writer's error sticks: every write after a failed one is a
+	// no-op, and Flush reports it.
+	n, _ := fmt.Fprintf(bw, `{"schemaVersion":%d,"records":[`, snapshotSchemaVersion)
+	for i, rec := range live {
+		head, err := recordHead(rec)
+		if err != nil {
+			return 0, err
+		}
+		if i > 0 {
+			bw.WriteByte(',')
+			n++
+		}
+		bw.Write(head)
+		bw.WriteString(dataField)
+		bw.Write(rec.Data)
+		bw.WriteByte('}')
+		n += len(head) + len(dataField) + len(rec.Data) + 1
+	}
+	bw.WriteString("]}")
+	n += 2
+	return int64(n), bw.Flush()
 }
 
 // Close releases the store. Appended records are already durable; Close

@@ -289,6 +289,17 @@ func TestAppendValidation(t *testing.T) {
 	if err := s.Append(Record{Kind: "k", Key: "k"}); err == nil {
 		t.Error("nil data accepted by Append (tombstones go through Delete)")
 	}
+	// Empty but non-nil: live in memory, yet omitted from the frame, so it
+	// would replay as a tombstone.
+	if err := s.Append(Record{Kind: "k", Key: "k", Data: json.RawMessage{}}); err == nil {
+		t.Error("empty data accepted by Append")
+	}
+	if err := s.Append(Record{Kind: "k", Key: "k", Data: json.RawMessage(`{"unterminated":`)}); err == nil {
+		t.Error("invalid JSON data accepted by Append")
+	}
+	if n := s.Len(); n != 0 {
+		t.Errorf("Len = %d after rejected appends, want 0", n)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,4 +332,146 @@ func TestReplaceAndCompactCollapse(t *testing.T) {
 		t.Errorf("post-compaction Get = %+v, %v", got, ok)
 	}
 	s.Close()
+}
+
+// encodingCases are records whose encoding json.Marshal and a bare
+// json.Compact would disagree on, or that only a full encoder gets right:
+// <, > and & (escaped by json.Marshal, kept by json.Compact) in kind, key
+// and data; non-ASCII, U+2028/U+2029 and invalid UTF-8; a non-UTC time
+// with nanoseconds; indented and padded Data.
+func encodingCases() []Record {
+	zone := time.FixedZone("UTC-7:30", -(7*3600 + 30*60))
+	return []Record{
+		rec("job", "job-1", 0, `{"n":1}`),
+		{Kind: "a<b>&c", Key: "k<&>", At: at(1), Data: json.RawMessage(`{"s":"<script>&amp;</script>","<k>":[1,2]}`)},
+		{Kind: "prøfil", Key: "ключ-日本", At: time.Date(2026, 3, 4, 5, 6, 7, 891011121, zone),
+			Data: json.RawMessage("{\"s\":\"naïve \u2028 \u2029 日本 \\u003c\"}")},
+		{Kind: "job", Key: "indented", At: at(2),
+			Data: json.RawMessage("{\n  \"a\": [\n    1,\n    2.5e-3\n  ],\n  \"b\": \"x y\",\n  \"c\": {}\n}\n")},
+		{Kind: "job", Key: "bad-utf8", At: at(3), Data: json.RawMessage("\"\xff\xfe \xe2\x80 \xe2\x80\xa8\"")},
+		{Kind: "job", Key: "scalar", At: at(4), Data: json.RawMessage(" \t42\r\n")},
+	}
+}
+
+// walPayloads returns the payload of every frame in dir's log, all of
+// which must be intact.
+func walPayloads(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, payloads, _ := readFrames(wal)
+	if good != int64(len(wal)) {
+		t.Fatalf("log has %d bytes past its %d intact ones", int64(len(wal))-good, good)
+	}
+	return payloads
+}
+
+// sameRecords requires got and want to hold the same records in order.
+func sameRecords(t *testing.T, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Kind != w.Kind || g.Key != w.Key || !g.At.Equal(w.At) || !bytes.Equal(g.Data, w.Data) {
+			t.Errorf("record %d = %s/%s at %v %q, want %s/%s at %v %q", i, g.Kind, g.Key, g.At, g.Data, w.Kind, w.Key, w.At, w.Data)
+		}
+	}
+}
+
+// TestFramePayloadIsMarshal: each frame's payload is byte for byte
+// json.Marshal of the record appended (the layout every earlier version
+// wrote), and the record kept in memory is the one a reopen reads back.
+func TestFramePayloadIsMarshal(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	recs := encodingCases()
+	for _, r := range recs {
+		if err := s.Append(r); err != nil {
+			t.Fatalf("Append %s/%s: %v", r.Kind, r.Key, err)
+		}
+	}
+	if err := s.Delete("job", "job-1", at(5)); err != nil {
+		t.Fatal(err)
+	}
+	recs = append(recs, Record{Kind: "job", Key: "job-1", At: at(5)})
+
+	payloads := walPayloads(t, dir)
+	if len(payloads) != len(recs) {
+		t.Fatalf("%d frames, want %d", len(payloads), len(recs))
+	}
+	for i, r := range recs {
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payloads[i], want) {
+			t.Errorf("frame %d (%s/%s):\n got %q\nwant %q", i, r.Kind, r.Key, payloads[i], want)
+		}
+	}
+
+	before := s.Records()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	sameRecords(t, s2.Records(), before)
+}
+
+// TestSnapshotLayouts: a snapshot in the indented layout of earlier
+// versions (json.MarshalIndent with a one-space indent) opens to the
+// records that were committed, and the next compaction streams the state
+// as exactly json.Marshal of the snapshot.
+func TestSnapshotLayouts(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	for _, r := range encodingCases() {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Records()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(snapshotFile{SchemaVersion: snapshotSchemaVersion, Records: want}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), indented, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, walName), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Options{CompactBytes: -1})
+	defer s2.Close()
+	sameRecords(t, s2.Records(), want)
+
+	stats, err := s2.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(snapshotFile{SchemaVersion: snapshotSchemaVersion, Records: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, compact) {
+		t.Errorf("streamed snapshot:\n got %s\nwant %s", got, compact)
+	}
+	if stats.SnapshotBytes != int64(len(got)) {
+		t.Errorf("SnapshotBytes = %d, file has %d", stats.SnapshotBytes, len(got))
+	}
+	s3 := mustOpen(t, dir, Options{})
+	defer s3.Close()
+	sameRecords(t, s3.Records(), want)
 }

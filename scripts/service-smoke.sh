@@ -21,7 +21,8 @@
 #   8. shut the server down gracefully (SIGTERM) and require a clean exit,
 #   9. RESTART against the same store directory and require the finished
 #      job, its envelope (golden-diffed again), and the persisted profile
-#      (persistedAt set) to have survived,
+#      (persistedAt set; every other line as served before the restart) to
+#      have survived,
 #  10. shut the restarted server down gracefully too.
 #
 # Usage: scripts/service-smoke.sh  (from the repository root)
@@ -177,10 +178,10 @@ go run ./cmd/envelopediff \
   -golden internal/autotune/testdata/envelope_candmc_exhaustive.golden.json \
   "$workdir/result2.json"
 
-echo "=== persisted profile survived the restart"
+echo "=== persisted profile survived the restart, byte for byte"
 curl -fsS "$base/v1/profiles/candmc" >"$workdir/profile2.json"
-grep -q '"kernels"' "$workdir/profile2.json"
 grep -q '"persistedAt"' "$workdir/profile2.json"
+diff <(grep -v '"persistedAt"' "$workdir/profile.json") <(grep -v '"persistedAt"' "$workdir/profile2.json")
 
 echo "=== graceful shutdown (restarted server)"
 stop_server "$workdir/serve2.log"
