@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+
+	"critter/internal/sim"
 )
 
 // TestDedupCoalescesConcurrentSubmissions is the dedup acceptance test:
@@ -193,6 +196,215 @@ func TestDedupOptOutAndBoundaries(t *testing.T) {
 	for id := range map[string]bool{a.ID: true, b.ID: true} {
 		waitDone(t, s, id)
 	}
+}
+
+// TestFollowerLifecycle pins what the README's Dedup paragraph promises a
+// coalesced follower: canceling it detaches only it, canceling the primary
+// cancels the whole group, and a follower of a leased primary reports the
+// lease's worker and attempts, sees the requeue under its own ID, and
+// finishes with the primary.
+func TestFollowerLifecycle(t *testing.T) {
+	const body = `{"workload":"block","eps":[0.25],"seed":7,"warmStart":false}`
+	// group submits a primary, waits for a runner to start it, then
+	// submits n followers, and subscribes to all of them.
+	group := func(t *testing.T, s *Scheduler, n int) ([]JobStatus, []*Subscription) {
+		t.Helper()
+		var jobs []JobStatus
+		var subs []*Subscription
+		for i := 0; i <= n; i++ {
+			st, err := s.SubmitJSON([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				waitState(t, s, st.ID, StateRunning)
+			}
+			if i > 0 && (!st.Deduped || st.DedupOf != jobs[0].ID) {
+				t.Fatalf("submission %d did not coalesce onto %s: %+v", i, jobs[0].ID, st)
+			}
+			sub, ok := s.Subscribe(st.ID)
+			if !ok {
+				t.Fatalf("Subscribe(%s): unknown job", st.ID)
+			}
+			t.Cleanup(sub.Close)
+			jobs = append(jobs, st)
+			subs = append(subs, sub)
+		}
+		return jobs, subs
+	}
+	// stream returns a subscription's whole history, replay and live, after
+	// checking that every event carries the subscriber's own job ID.
+	stream := func(t *testing.T, id string, sub *Subscription) []Event {
+		t.Helper()
+		evs := append([]Event(nil), sub.Past...)
+		for sub.C != nil {
+			select {
+			case ev, open := <-sub.C:
+				if !open {
+					sub.C = nil
+					continue
+				}
+				evs = append(evs, ev)
+			case <-time.After(time.Minute):
+				t.Fatalf("stream of %s never ended", id)
+			}
+		}
+		for _, ev := range evs {
+			if ev.Job != id {
+				t.Errorf("stream of %s carries %+v", id, ev)
+			}
+		}
+		return evs
+	}
+	last := func(evs []Event) string {
+		if len(evs) == 0 {
+			return ""
+		}
+		return evs[len(evs)-1].Type
+	}
+
+	t.Run("cancel follower", func(t *testing.T) {
+		gate := make(chan struct{})
+		s := New(Config{Registry: blockingRegistry(gate), Runners: 1})
+		defer closeNow(t, s)
+		jobs, subs := group(t, s, 2)
+
+		st, err := s.Cancel(jobs[1].ID)
+		if err != nil || st.State != StateCanceled {
+			t.Fatalf("cancel follower: %+v, %v", st, err)
+		}
+		if evs := stream(t, jobs[1].ID, subs[1]); last(evs) != "canceled" {
+			t.Errorf("canceled follower's stream ends %q: %+v", last(evs), evs)
+		}
+		close(gate)
+		for _, i := range []int{0, 2} {
+			if final := waitDone(t, s, jobs[i].ID); final.State != StateDone {
+				t.Errorf("job %s finished %s after a follower left", jobs[i].ID, final.State)
+			}
+			if evs := stream(t, jobs[i].ID, subs[i]); last(evs) != "done" {
+				t.Errorf("stream of %s ends %q", jobs[i].ID, last(evs))
+			}
+		}
+		if !bytes.Equal(envelopeJSON(t, s, jobs[0].ID), envelopeJSON(t, s, jobs[2].ID)) {
+			t.Error("the remaining follower's envelope differs from the primary's")
+		}
+		if st, _ := s.Status(jobs[1].ID); st.State != StateCanceled {
+			t.Errorf("detached follower ended %s", st.State)
+		}
+	})
+
+	t.Run("cancel primary", func(t *testing.T) {
+		gate := make(chan struct{})
+		s := New(Config{Registry: blockingRegistry(gate), Runners: 1})
+		defer closeNow(t, s)
+		jobs, subs := group(t, s, 2)
+
+		if _, err := s.Cancel(jobs[0].ID); err != nil {
+			t.Fatal(err)
+		}
+		close(gate)
+		for i, st := range jobs {
+			if final := waitDone(t, s, st.ID); final.State != StateCanceled {
+				t.Errorf("job %s finished %s after its primary was canceled", st.ID, final.State)
+			}
+			if evs := stream(t, st.ID, subs[i]); last(evs) != "canceled" {
+				t.Errorf("stream of %s ends %q", st.ID, last(evs))
+			}
+		}
+	})
+
+	t.Run("leased primary", func(t *testing.T) {
+		s := New(Config{Registry: blockingRegistry(make(chan struct{})), Runners: -1})
+		defer closeNow(t, s)
+		wid, _, err := s.RegisterWorker("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary, err := s.SubmitJSON([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err := s.LeaseJob(wid); err != nil || g == nil || g.Job != primary.ID {
+			t.Fatalf("lease: %+v, %v", g, err)
+		}
+		f, err := s.SubmitJSON([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.DedupOf != primary.ID || f.State != StateRunning || f.Worker != wid || f.Attempts != 1 {
+			t.Fatalf("follower of a leased primary: %+v", f)
+		}
+		sub, ok := s.Subscribe(f.ID)
+		if !ok {
+			t.Fatalf("Subscribe(%s): unknown job", f.ID)
+		}
+		defer sub.Close()
+		sweep := []Event{{Type: "sweep", Policy: "conditional", Eps: 0.25, Executed: 1}}
+		if err := s.ExtendLease(wid, primary.ID, sweep); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := s.Status(f.ID); st.SweepsDone != 1 {
+			t.Errorf("follower did not see the leased sweep: %+v", st)
+		}
+
+		// Past the lease deadline, short of forgetting the quiet worker.
+		s.expireLeases(time.Now().Add(2 * s.cfg.LeaseTTL))
+		if st, _ := s.Status(f.ID); st.State != StateQueued || st.SweepsDone != 0 {
+			t.Errorf("follower after the requeue: %+v, want queued with 0 sweeps", st)
+		}
+		if g, err := s.LeaseJob(wid); err != nil || g == nil || g.Job != primary.ID {
+			t.Fatalf("second lease: %+v, %v", g, err)
+		}
+		if st, _ := s.Status(f.ID); st.Worker != wid || st.Attempts != 2 {
+			t.Errorf("follower after the second lease: %+v", st)
+		}
+		if err := s.ExtendLease(wid, primary.ID, sweep); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CompleteLease(wid, primary.ID, blockEnvelope(t, body), nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		if final := waitDone(t, s, f.ID); final.State != StateDone || final.SweepsDone != 1 {
+			t.Errorf("follower finished %+v", final)
+		}
+		evs := stream(t, f.ID, sub)
+		requeued := 0
+		for _, ev := range evs {
+			if ev.Type == "requeued" {
+				requeued++
+				if ev.Done != 0 || ev.Worker != wid {
+					t.Errorf("requeued event %+v", ev)
+				}
+			}
+		}
+		if requeued != 1 || last(evs) != "done" {
+			t.Errorf("follower's stream: %d requeued, ends %q", requeued, last(evs))
+		}
+		if !bytes.Equal(envelopeJSON(t, s, primary.ID), envelopeJSON(t, s, f.ID)) {
+			t.Error("follower's envelope differs from the primary's")
+		}
+	})
+}
+
+// blockEnvelope runs the block workload to completion outside any
+// scheduler and returns its encoded envelope, what a worker would post.
+func blockEnvelope(t *testing.T, body string) []byte {
+	t.Helper()
+	open := make(chan struct{})
+	close(open)
+	spec, err := ParseJobRequest(blockingRegistry(open), []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := executeSpec(context.Background(), spec, sim.DefaultMachine(), 1, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // waitDone waits for a job's terminal state with a test-friendly timeout.
