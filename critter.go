@@ -319,8 +319,8 @@ type (
 	// simulation, wall nanoseconds from the tracer's injected clock.
 	TraceEvent = obs.Event
 	// MetricsRegistry is a process- or service-local metric namespace with
-	// JSON snapshots and Prometheus text exposition; pass one to the service
-	// Config.Metrics to scrape a scheduler.
+	// JSON snapshots and Prometheus text exposition; a service scheduler
+	// serves its own through Scheduler.Metrics.
 	MetricsRegistry = obs.Registry
 )
 

@@ -172,10 +172,11 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, env)
 }
 
-// trace returns a job's collected span events (see obs.Event). Jobs that
-// did not execute on a local runner — leased, replayed, born terminal, or
-// tracing disabled — return an empty event list rather than 404: the job
-// exists, it just has nothing traced.
+// trace returns the span events of a job's execution (see obs.Event); a
+// dedup follower serves its primary's. Executions that did not run on a
+// local runner — leased, replayed, born terminal, or tracing disabled —
+// return an empty event list rather than 404: the job exists, it just has
+// nothing traced.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	events, dropped, ok := s.sched.Trace(id)

@@ -106,51 +106,33 @@ func (s *Scheduler) LeaseJob(workerID string) (*LeaseGrant, error) {
 	}
 	w.lastSeen = now
 
-	var j *job
 	for len(s.pending) > 0 {
-		cand := s.pending[0]
+		j := s.pending[0]
 		s.pending = s.pending[1:]
-		cand.mu.Lock()
-		if cand.state == StateQueued {
-			j = cand // keep cand.mu held; released below
-			break
+		prior := s.prior(j.spec)
+		x := j.exec
+		x.mu.Lock()
+		_, err := x.apply(step{ev: Event{Type: "started", Worker: workerID}, at: now, warm: prior != nil})
+		if err != nil {
+			// Not queued any more; a runner popping it would skip it too.
+			x.mu.Unlock()
+			continue
 		}
-		// Canceled while queued; a runner popping it would skip it too.
-		cand.mu.Unlock()
-	}
-	if j == nil {
+		x.leaseDeadline = now.Add(s.cfg.LeaseTTL)
+		x.mu.Unlock()
+		w.jobs[j.id] = true
 		s.mu.Unlock()
-		return nil, nil
-	}
-	w.jobs[j.id] = true
 
-	var prior *critter.Profile
-	if j.spec.warm {
-		prior = s.store.Get(j.spec.workload.Name())
-	}
-	j.state = StateRunning
-	j.worker = workerID
-	j.leaseDeadline = now.Add(s.cfg.LeaseTTL)
-	j.attempts++
-	j.warmApplied = prior != nil
-	if j.started.IsZero() {
-		j.started = now
-	}
-	j.emitLocked(Event{Type: "started", Job: j.id, Total: j.sweepsTotal, Worker: workerID})
-	grant := &LeaseGrant{
-		Job:         j.id,
-		Request:     j.spec.req,
-		LeaseMillis: leaseMillis(s.cfg.LeaseTTL),
-	}
-	j.mu.Unlock()
-	s.mu.Unlock()
-
-	if prior != nil {
-		if data, err := prior.Encode(); err == nil {
-			grant.Prior = data
+		grant := &LeaseGrant{Job: j.id, Request: j.spec.req, LeaseMillis: leaseMillis(s.cfg.LeaseTTL)}
+		if prior != nil {
+			if data, err := prior.Encode(); err == nil {
+				grant.Prior = data
+			}
 		}
+		return grant, nil
 	}
-	return grant, nil
+	s.mu.Unlock()
+	return nil, nil
 }
 
 // leaseMillis renders a TTL for the wire, at least 1. Milliseconds, not
@@ -164,91 +146,78 @@ func leaseMillis(ttl time.Duration) int64 {
 	return ms
 }
 
-// ExtendLease is the worker heartbeat: it extends the job's lease deadline
-// and folds any completed-sweep events into the job's stream (Done/Total
-// are recomputed server-side; an empty batch is a pure heartbeat).
-func (s *Scheduler) ExtendLease(workerID, jobID string, events []Event) error {
-	now := time.Now()
+// leased resolves a worker's post against a job it leased and returns the
+// job's execution, locked: ErrUnknownWorker for a worker the scheduler
+// does not know, ErrLeaseLost when the worker no longer holds the job.
+func (s *Scheduler) leased(workerID, jobID string, now time.Time) (*execution, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	w, ok := s.workers[workerID]
 	if !ok {
-		s.mu.Unlock()
-		return ErrUnknownWorker
+		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = now
 	j, ok := s.jobs[jobID]
-	s.mu.Unlock()
 	if !ok {
-		return ErrLeaseLost
+		return nil, ErrLeaseLost
 	}
+	x := j.exec
+	x.mu.Lock()
+	if x.lc.state != StateRunning || x.lc.worker != workerID {
+		x.mu.Unlock()
+		return nil, ErrLeaseLost
+	}
+	return x, nil
+}
 
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning || j.worker != workerID {
-		return ErrLeaseLost
+// ExtendLease is the worker heartbeat: it extends the job's lease deadline
+// and folds any completed-sweep events into the job's stream (Done/Total
+// are recomputed server-side; an empty batch is a pure heartbeat). A batch
+// the job cannot take — more sweeps than its grid holds — is rejected
+// whole, with the job and its deadline unchanged.
+func (s *Scheduler) ExtendLease(workerID, jobID string, events []Event) error {
+	now := time.Now()
+	x, err := s.leased(workerID, jobID, now)
+	if err != nil {
+		return err
 	}
-	workloadName := j.spec.workload.Name()
-	j.leaseDeadline = now.Add(s.cfg.LeaseTTL)
+	defer x.mu.Unlock()
+	var sweeps []Event
 	for _, ev := range events {
-		if ev.Type != "sweep" {
-			continue
+		if ev.Type == "sweep" {
+			sweeps = append(sweeps, Event{
+				Type:   "sweep",
+				Policy: ev.Policy, Eps: ev.Eps,
+				Executed: ev.Executed, Skipped: ev.Skipped,
+				Memoized: ev.Memoized,
+				Error:    ev.Error,
+				Worker:   workerID,
+			})
 		}
-		// Worker-supplied counts feed monotone counters; negative values
-		// (a broken or hostile worker) must not panic the coordinator.
-		if ev.Executed > 0 {
-			s.met.kernelsExecuted.With(workloadName).Add(ev.Executed)
-		}
-		if ev.Skipped > 0 {
-			s.met.kernelsSkipped.With(workloadName).Add(ev.Skipped)
-		}
-		if ev.Memoized > 0 {
-			s.met.kernelsMemoized.With(workloadName).Add(ev.Memoized)
-		}
-		j.sweepsDone++
-		j.emitLocked(Event{
-			Type: "sweep", Job: j.id,
-			Policy: ev.Policy, Eps: ev.Eps,
-			Done: j.sweepsDone, Total: j.sweepsTotal,
-			Executed: ev.Executed, Skipped: ev.Skipped,
-			Memoized: ev.Memoized,
-			Error:    ev.Error,
-			Worker:   workerID,
-		})
 	}
+	if err := s.sweepLocked(x, sweeps...); err != nil {
+		return err
+	}
+	x.leaseDeadline = now.Add(s.cfg.LeaseTTL)
 	return nil
 }
 
 // CompleteLease finishes a leased job with the worker's result: the
 // envelope it produced, the merged profile it learned (shipped separately
 // because sweep profiles never serialize into envelopes), and an error
-// message for failed runs.
+// message for failed runs. A result with neither an envelope nor an error
+// fails the job: there would be nothing to serve.
 func (s *Scheduler) CompleteLease(workerID, jobID string, envData, profileData []byte, errMsg string) error {
 	now := time.Now()
-	s.mu.Lock()
-	w, ok := s.workers[workerID]
-	if !ok {
-		s.mu.Unlock()
-		return ErrUnknownWorker
-	}
-	w.lastSeen = now
-	j, ok := s.jobs[jobID]
-	s.mu.Unlock()
-	if !ok {
-		return ErrLeaseLost
-	}
-
-	j.mu.Lock()
-	if j.state != StateRunning || j.worker != workerID {
-		j.mu.Unlock()
-		return ErrLeaseLost
+	x, err := s.leased(workerID, jobID, now)
+	if err != nil {
+		return err
 	}
 	// Take ownership against the janitor: push the deadline far out so the
-	// expiry scan skips this job until terminate below lands the terminal
-	// state. j.worker stays set so the final status records where the job
-	// ran.
-	j.leaseDeadline = now.Add(24 * time.Hour)
-	workloadName := j.spec.workload.Name()
-	j.mu.Unlock()
+	// expiry scan skips this job until the terminal transition below.
+	x.leaseDeadline = now.Add(24 * time.Hour)
+	workloadName := x.names[0].spec.workload.Name()
+	x.mu.Unlock()
 
 	var env *autotune.Envelope
 	if len(envData) > 0 {
@@ -258,6 +227,9 @@ func (s *Scheduler) CompleteLease(workerID, jobID string, envData, profileData [
 		}
 		env = e
 	}
+	if env == nil && errMsg == "" {
+		errMsg = "worker returned no envelope"
+	}
 	if len(profileData) > 0 {
 		p, err := critter.DecodeProfile(profileData)
 		if err != nil {
@@ -266,13 +238,13 @@ func (s *Scheduler) CompleteLease(workerID, jobID string, envData, profileData [
 			s.mergeProfile(workloadName, p)
 		}
 	}
-	state, typ := StateDone, "done"
-	var jerr error
+	st := step{ev: Event{Type: "done"}, at: time.Now(), envelope: env}
 	if errMsg != "" {
-		state, typ = StateFailed, "failed"
-		jerr = errors.New(errMsg)
+		st.ev.Type, st.err = "failed", errors.New(errMsg)
 	}
-	s.terminate(j, state, jerr, env, typ)
+	// A cancel that landed since the check above wins; the worker is done
+	// either way.
+	_ = s.finish(x, st)
 	return nil
 }
 
@@ -303,7 +275,7 @@ func (s *Scheduler) janitor() {
 // fails jobs that exhausted their attempts, and forgets workers that have
 // been quiet for 3 lease TTLs while holding nothing.
 func (s *Scheduler) expireLeases(now time.Time) {
-	var giveUp []*job
+	var finished [][]jobRecord
 	s.mu.Lock()
 	for wid, w := range s.workers {
 		for id := range w.jobs {
@@ -312,39 +284,38 @@ func (s *Scheduler) expireLeases(now time.Time) {
 				delete(w.jobs, id)
 				continue
 			}
-			j.mu.Lock()
-			if j.state.terminal() {
+			x := j.exec
+			x.mu.Lock()
+			if x.lc.state.terminal() {
 				// Canceled (or otherwise finished) while leased; release
 				// the roster entry.
-				j.mu.Unlock()
+				x.mu.Unlock()
 				delete(w.jobs, id)
 				continue
 			}
-			if j.state != StateRunning || j.worker != wid || !now.After(j.leaseDeadline) {
-				j.mu.Unlock()
+			if x.lc.state != StateRunning || x.lc.worker != wid || !now.After(x.leaseDeadline) {
+				x.mu.Unlock()
 				continue
 			}
 			delete(w.jobs, id)
 			s.met.leaseExpiries.Inc()
-			if j.attempts >= maxLeaseAttempts {
-				j.mu.Unlock()
-				giveUp = append(giveUp, j)
+			if x.lc.attempts >= maxLeaseAttempts {
+				err := fmt.Errorf("service: lease expired %d times; giving up", maxLeaseAttempts)
+				// Running and leased (checked above), so next accepts both
+				// this and the requeue below.
+				recs, _ := s.finishLocked(x, step{ev: Event{Type: "failed"}, at: time.Now(), err: err})
+				x.mu.Unlock()
+				finished = append(finished, recs)
+				s.met.leaseGiveups.Inc()
+				s.logf("service: failed %s: %v", id, err)
 				continue
 			}
-			j.state = StateQueued
-			j.worker = ""
-			j.leaseDeadline = time.Time{}
-			// Progress restarts from zero: the next executor replays the
-			// whole grid (sweeps are deterministic, so nothing is lost but
-			// time).
-			j.sweepsDone = 0
-			attempts := j.attempts
-			j.emitLocked(Event{Type: "requeued", Job: j.id, Total: j.sweepsTotal, Worker: wid})
-			j.mu.Unlock()
+			lc, _ := x.apply(step{ev: Event{Type: "requeued", Worker: wid}})
+			x.mu.Unlock()
 			s.pending = append([]*job{j}, s.pending...)
 			s.cond.Signal()
 			s.met.jobsRequeued.Inc()
-			s.logf("service: requeued %s after worker %s lease expired (attempt %d/%d)", id, wid, attempts, maxLeaseAttempts)
+			s.logf("service: requeued %s after worker %s lease expired (attempt %d/%d)", id, wid, lc.attempts, maxLeaseAttempts)
 		}
 		if len(w.jobs) == 0 && now.Sub(w.lastSeen) > 3*s.cfg.LeaseTTL {
 			delete(s.workers, wid)
@@ -352,10 +323,7 @@ func (s *Scheduler) expireLeases(now time.Time) {
 	}
 	s.mu.Unlock()
 
-	for _, j := range giveUp {
-		err := fmt.Errorf("service: lease expired %d times; giving up", maxLeaseAttempts)
-		s.met.leaseGiveups.Inc()
-		s.terminate(j, StateFailed, err, nil, "failed")
-		s.logf("service: failed %s: %v", j.id, err)
+	for _, recs := range finished {
+		s.finished(recs)
 	}
 }

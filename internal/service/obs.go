@@ -51,7 +51,7 @@ type schedMetrics struct {
 }
 
 // newSchedMetrics registers the scheduler's instrument set on reg. The
-// callback gauges close over s and take s.mu (and job locks, in the
+// callback gauges close over s and take s.mu (and execution locks, in the
 // scheduler's lock order) when sampled; callers must not snapshot the
 // registry while holding scheduler locks.
 func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
@@ -149,21 +149,19 @@ func (s *Scheduler) onCompact(cs store.CompactStats) {
 }
 
 // countRunning tallies jobs in the running state, split by whether a
-// remote worker holds them (leased) or a local runner does.
+// remote worker holds them (leased) or a local runner does. A follower
+// counts as its execution does.
 func (s *Scheduler) countRunning(leased bool) int {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, j := range jobs {
-		j.mu.Lock()
-		if j.state == StateRunning && (j.worker != "") == leased {
+	for _, j := range s.jobs {
+		x := j.exec
+		x.mu.Lock()
+		if x.lc.state == StateRunning && (x.lc.worker != "") == leased {
 			n++
 		}
-		j.mu.Unlock()
+		x.mu.Unlock()
 	}
 	return n
 }

@@ -44,7 +44,7 @@ const (
 )
 
 // jobRecord is the persisted form of one finished job, collected under
-// job locks and written outside them. The envelope is encoded inline, in
+// its execution's lock and written outside it. The envelope is encoded inline, in
 // the one json.Marshal of the record.
 type jobRecord struct {
 	Status   JobStatus          `json:"status"`
@@ -126,41 +126,29 @@ func (s *Scheduler) replayJob(data []byte) error {
 		return fmt.Errorf("duplicate job record %s", st.ID)
 	}
 
-	j := &job{
-		id:          st.ID,
-		state:       st.State,
-		subs:        make(map[int]*subscriber),
-		warmApplied: st.WarmStart,
-		sweepsDone:  st.SweepsDone,
-		sweepsTotal: st.SweepsTotal,
-		submitted:   st.Submitted,
-		started:     st.Started,
-		finished:    st.Finished,
-		done:        make(chan struct{}),
-		deduped:     st.Deduped,
-		dedupOf:     st.DedupOf,
-		attempts:    st.Attempts,
-		replay:      &st,
-	}
+	var jerr error
 	if st.Error != "" {
-		j.err = errors.New(st.Error)
+		jerr = errors.New(st.Error)
 	}
+	var env *autotune.Envelope
 	if len(jr.Envelope) > 0 {
-		env, err := autotune.DecodeEnvelope(jr.Envelope)
-		if err != nil {
+		var err error
+		if env, err = autotune.DecodeEnvelope(jr.Envelope); err != nil {
 			s.logf("service: replay envelope of %s: %v", st.ID, err)
-		} else {
-			j.envelope = env
 		}
 	}
 	// The event history is not persisted; a replayed job exposes its one
 	// terminal event (state names double as terminal event types).
-	j.events = []Event{{
-		Type: string(st.State), Job: st.ID,
-		Done: st.SweepsDone, Total: st.SweepsTotal,
-		Error: st.Error,
-	}}
-	close(j.done)
+	x := &execution{
+		lc: lifecycle{
+			state: st.State, err: jerr, envelope: env, warmApplied: st.WarmStart,
+			sweepsDone: st.SweepsDone, sweepsTotal: st.SweepsTotal,
+			started: st.Started, finished: st.Finished, worker: st.Worker, attempts: st.Attempts,
+		},
+		events: []Event{{Type: string(st.State), Done: st.SweepsDone, Total: st.SweepsTotal, Error: st.Error}},
+	}
+	j := &job{id: st.ID, exec: x, replay: &st}
+	x.names = []*job{j}
 	s.jobs[st.ID] = j
 	s.order = append(s.order, st.ID)
 	if n, ok := jobIDNumber(st.ID); ok && n > s.nextID {
@@ -169,7 +157,7 @@ func (s *Scheduler) replayJob(data []byte) error {
 	// Rebuild the memo: a replayed job backs future identical
 	// submissions under the same conditions a live one would — dedup on,
 	// warm start off, finished clean, envelope intact.
-	if st.State == StateDone && j.envelope != nil && st.Fingerprint != "" &&
+	if st.State == StateDone && env != nil && st.Fingerprint != "" &&
 		jr.Request.Dedup != nil && *jr.Request.Dedup &&
 		jr.Request.WarmStart != nil && !*jr.Request.WarmStart {
 		if evicted := s.memo.put(st.Fingerprint, st.ID); evicted > 0 {

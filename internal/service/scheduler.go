@@ -3,13 +3,13 @@
 // streams completion-ordered progress events (reusing Tuner.Stream), and
 // shares a ProfileStore so later jobs warm-start from what earlier jobs on
 // the same workload learned. On top of that sit three production
-// capabilities: identical submissions coalesce onto one execution
-// (dedup.go semantics live in this file and persist.go), finished jobs and
-// merged profiles survive restarts through an optional durable store
-// (persist.go), and queued jobs can be leased to remote worker processes
-// with heartbeat-driven requeue on worker death (lease.go, worker.go). The
-// HTTP layer (http.go, served by cmd/critter-serve) exposes it all as a
-// versioned JSON API.
+// capabilities: identical submissions coalesce onto one execution (this
+// file, memo.go and persist.go), finished jobs and merged profiles survive
+// restarts through an optional durable store (persist.go), and queued jobs
+// can be leased to remote worker processes with heartbeat-driven requeue
+// on worker death (lease.go, worker.go). Every status change goes through
+// one state machine (lifecycle.go). The HTTP layer (http.go, served by
+// cmd/critter-serve) exposes it all as a versioned JSON API.
 package service
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,94 +133,90 @@ type subscriber struct {
 	dropped int
 }
 
-// job is the scheduler's internal record of one submission.
-type job struct {
-	id   string
-	spec *jobSpec // nil only for jobs replayed from the durable store
-
-	mu          sync.Mutex
-	state       State
-	err         error
-	envelope    *autotune.Envelope
-	events      []Event
-	subs        map[int]*subscriber
-	nextSub     int
-	cancel      context.CancelFunc // set while running locally
-	warmApplied bool
-	sweepsDone  int
-	sweepsTotal int
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-	done        chan struct{} // closed on terminal state
-
-	// Dedup wiring: a follower mirrors its primary's events and shares
-	// its envelope; a primary fans out to its live followers.
-	deduped   bool
-	dedupOf   string
-	primary   *job   // followers: set until the primary terminates
-	followers []*job // primaries: live followers to mirror into
-
-	// Lease wiring for jobs executing on a remote worker.
-	worker        string
-	leaseDeadline time.Time
-	attempts      int
-
-	// trace collects the job's span events while it executes on a local
-	// runner (GET /v1/jobs/{id}/trace). Nil for leased, replayed, and
-	// born-terminal jobs, and when Config.TraceEvents disables tracing.
+// execution is one run of a job's work and everything that reports on it:
+// the lifecycle, the event history, and the names — jobs — that share it.
+// A dedup follower is a second name on its primary's execution. Every
+// field is guarded by mu.
+type execution struct {
+	mu sync.Mutex
+	lc lifecycle
+	// events is the history; each reader sees it stamped with its own job
+	// ID (history), and apply stamps live deliveries the same way.
+	events []Event
+	// names lists the jobs reporting this execution: the one that
+	// submitted it, then its dedup followers in attach order.
+	names         []*job
+	cancel        context.CancelFunc // set while running on a local runner
+	leaseDeadline time.Time          // set while leased to a remote worker
+	// trace collects the span events of a local run (GET
+	// /v1/jobs/{id}/trace). Nil for leased, replayed, and born-terminal
+	// executions, and when Config.TraceEvents disables tracing.
 	trace *obs.Ring
+}
 
+// job is one submission: a name on an execution.
+type job struct {
+	id        string
+	spec      *jobSpec // nil only for jobs replayed from the durable store
+	submitted time.Time
+	dedupOf   string // the job whose execution or memoized result this one shares
+	// exec is guarded by the scheduler's mu: canceling a follower moves it
+	// onto a private copy of its execution. subs and nextSub are guarded by
+	// exec.mu.
+	exec    *execution
+	subs    map[int]*subscriber
+	nextSub int
 	// replay is the status snapshot of a job restored from the durable
-	// store, returned verbatim by statusLocked (spec is nil for these).
+	// store, returned verbatim by status (spec is nil for these).
 	replay *JobStatus
 }
 
-// deliverLocked appends an event to this job's history and offers it to
-// every subscriber, dropping for any whose bounded buffer is full. Callers
-// hold j.mu.
-func (j *job) deliverLocked(ev Event) {
-	j.events = append(j.events, ev)
-	for _, sb := range j.subs {
-		select {
-		case sb.ch <- ev:
-		default:
-			sb.dropped++
+// apply moves x through next and publishes the step: its event joins the
+// history and goes to every name's subscribers, stamped with that name's
+// ID, and a terminal event then closes every stream. An illegal step
+// changes nothing. Callers hold x.mu.
+func (x *execution) apply(st step) (lifecycle, error) {
+	lc, err := next(x.lc, st)
+	if err != nil {
+		return x.lc, err
+	}
+	x.lc = lc
+	ev := st.ev
+	ev.Done, ev.Total = lc.sweepsDone, lc.sweepsTotal
+	if st.err != nil {
+		ev.Error = st.err.Error()
+	}
+	x.events = append(x.events, ev)
+	for _, n := range x.names {
+		ev.Job = n.id
+		for idx, sb := range n.subs {
+			select {
+			case sb.ch <- ev:
+			default:
+				sb.dropped++
+			}
+			if lc.state.terminal() {
+				delete(n.subs, idx)
+				close(sb.ch)
+			}
 		}
 	}
+	return lc, nil
 }
 
-// emitLocked delivers an event and mirrors it — job ID rewritten, progress
-// fields copied — into every live follower. Callers hold j.mu; follower
-// locks nest inside (lock order: primary.mu before follower.mu).
-func (j *job) emitLocked(ev Event) {
-	j.deliverLocked(ev)
-	for _, f := range j.followers {
-		f.mu.Lock()
-		f.state = j.state
-		f.warmApplied = j.warmApplied
-		f.sweepsDone = j.sweepsDone
-		f.started = j.started
-		f.worker = j.worker
-		f.attempts = j.attempts
-		fv := ev
-		fv.Job = f.id
-		f.deliverLocked(fv)
-		f.mu.Unlock()
+// history returns the event history as job id reads it. Callers hold
+// x.mu.
+func (x *execution) history(id string) []Event {
+	out := make([]Event, len(x.events))
+	for i, ev := range x.events {
+		ev.Job = id
+		out[i] = ev
 	}
+	return out
 }
 
-// closeSubsLocked detaches and closes every subscriber channel after the
-// terminal event has been emitted. Callers hold j.mu.
-func (j *job) closeSubsLocked() {
-	for idx, sb := range j.subs {
-		delete(j.subs, idx)
-		close(sb.ch)
-	}
-}
-
-// statusLocked snapshots the job. Callers hold j.mu.
-func (j *job) statusLocked() JobStatus {
+// status snapshots the job as it reports lc, its execution's lifecycle.
+func (j *job) status(lc lifecycle) JobStatus {
 	if j.replay != nil {
 		st := *j.replay
 		st.Policies = append([]string(nil), st.Policies...)
@@ -228,7 +225,7 @@ func (j *job) statusLocked() JobStatus {
 	}
 	st := JobStatus{
 		ID:          j.id,
-		State:       j.state,
+		State:       lc.state,
 		Workload:    j.spec.workload.Name(),
 		Scale:       j.spec.scaleName,
 		Strategy:    j.spec.strategy.Name(),
@@ -237,20 +234,20 @@ func (j *job) statusLocked() JobStatus {
 		Seed:        j.spec.seed,
 		NoiseSigma:  j.spec.noise,
 		Extrapolate: j.spec.extrapolate,
-		WarmStart:   j.warmApplied,
+		WarmStart:   lc.warmApplied,
 		Fingerprint: j.spec.fingerprint,
-		Deduped:     j.deduped,
+		Deduped:     j.dedupOf != "",
 		DedupOf:     j.dedupOf,
-		Worker:      j.worker,
-		Attempts:    j.attempts,
-		SweepsDone:  j.sweepsDone,
-		SweepsTotal: j.sweepsTotal,
+		Worker:      lc.worker,
+		Attempts:    lc.attempts,
+		SweepsDone:  lc.sweepsDone,
+		SweepsTotal: lc.sweepsTotal,
 		Submitted:   j.submitted,
-		Started:     j.started,
-		Finished:    j.finished,
+		Started:     lc.started,
+		Finished:    lc.finished,
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
+	if lc.err != nil {
+		st.Error = lc.err.Error()
 	}
 	return st
 }
@@ -274,9 +271,6 @@ type Config struct {
 	// Workers bounds each job's sweep pool (Tuner.Workers); 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Store accumulates learned profiles across jobs; nil means a fresh
-	// store private to this scheduler.
-	Store *ProfileStore
 	// Durable persists finished jobs (envelopes included) and merged
 	// profiles across restarts; nil means in-memory only. The scheduler
 	// replays it on construction and appends on every completion. The
@@ -300,11 +294,6 @@ type Config struct {
 	// Logf, when set, receives operational log lines (persistence
 	// failures, lease requeues). nil discards them.
 	Logf func(format string, args ...any)
-	// Metrics is the registry the scheduler registers its instrument set
-	// on (served by the HTTP layer at /v1/metrics and /metrics); nil means
-	// a private registry, still reachable through Scheduler.Metrics. The
-	// registry must not already hold the scheduler's metric names.
-	Metrics *obs.Registry
 	// MaxMemo bounds the memoized-result cache (fingerprint -> finished
 	// job); beyond it the least recently used entries are evicted, so
 	// fingerprint-varying clients cannot grow the cache without bound.
@@ -348,13 +337,12 @@ type Scheduler struct {
 	// earlier job grew.
 	arenas autotune.Arenas
 
-	// mu guards everything below; cond (tied to mu) wakes runners when
-	// pending grows or the scheduler closes. Lock order: mu before any
-	// job's mu, a primary job's mu before its followers' — never the
-	// reverse.
+	// mu guards everything below, and every job's exec pointer; cond
+	// (tied to mu) wakes runners when pending grows or the scheduler
+	// closes. Lock order: mu before any execution's mu, never the reverse.
 	mu          sync.Mutex
 	cond        *sync.Cond
-	pending     []*job // the bounded queue; canceling a queued job removes it here
+	pending     []*job // the bounded queue of primaries; canceling a queued job removes it here
 	jobs        map[string]*job
 	order       []string
 	nextID      int
@@ -389,9 +377,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.Runners < 0 {
 		cfg.Runners = 0
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewProfileStore()
-	}
 	if cfg.MaxHistory == 0 {
 		cfg.MaxHistory = 256
 	}
@@ -404,9 +389,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxMemo == 0 {
 		cfg.MaxMemo = 1024
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 4096
 	}
@@ -414,7 +396,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:         cfg,
 		reg:         cfg.Registry,
-		store:       cfg.Store,
+		store:       NewProfileStore(),
 		durable:     cfg.Durable,
 		baseCtx:     ctx,
 		stop:        stop,
@@ -426,7 +408,7 @@ func New(cfg Config) *Scheduler {
 		stopJanitor: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.met = newSchedMetrics(s, cfg.Metrics)
+	s.met = newSchedMetrics(s, obs.NewRegistry())
 	if s.durable != nil {
 		s.durable.SetOnCompact(s.onCompact)
 	}
@@ -436,11 +418,11 @@ func New(cfg Config) *Scheduler {
 		go func() {
 			defer s.wg.Done()
 			for {
-				j, ok := s.nextJob()
+				j, x, ok := s.nextJob()
 				if !ok {
 					return
 				}
-				s.runJob(j)
+				s.runJob(j, x)
 			}
 		}()
 	}
@@ -459,20 +441,20 @@ func (s *Scheduler) logf(format string, args ...any) {
 	}
 }
 
-// nextJob blocks until a pending job is available or the scheduler is
-// closed and drained.
-func (s *Scheduler) nextJob() (*job, bool) {
+// nextJob blocks until a pending job is available, and returns it with
+// its execution, or until the scheduler is closed and drained.
+func (s *Scheduler) nextJob() (*job, *execution, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.pending) == 0 && !s.closed {
 		s.cond.Wait()
 	}
 	if len(s.pending) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	j := s.pending[0]
 	s.pending = s.pending[1:]
-	return j, true
+	return j, j.exec, true
 }
 
 // Store returns the scheduler's shared profile store.
@@ -482,19 +464,19 @@ func (s *Scheduler) Store() *ProfileStore { return s.store }
 // the one behind GET /v1/metrics and GET /metrics.
 func (s *Scheduler) Metrics() *obs.Registry { return s.met.reg }
 
-// Trace returns a job's collected span events (oldest first) and how many
-// older events its bounded ring overwrote. The second result is false for
-// unknown jobs; a known job without a trace (leased to a worker, replayed
-// from the durable store, born terminal, or tracing disabled) returns an
-// empty slice.
+// Trace returns the span events (oldest first) of a job's execution, so a
+// dedup follower serves its primary's, and how many older events the
+// bounded ring overwrote. The second result is false for unknown jobs; an
+// execution without a trace (leased to a worker, replayed from the
+// durable store, born terminal, or tracing disabled) returns an empty
+// slice.
 func (s *Scheduler) Trace(id string) ([]obs.Event, uint64, bool) {
-	j, ok := s.lookup(id)
+	_, x, ok := s.locked(id)
 	if !ok {
 		return nil, 0, false
 	}
-	j.mu.Lock()
-	ring := j.trace
-	j.mu.Unlock()
+	ring := x.trace
+	x.mu.Unlock()
 	if ring == nil {
 		return []obs.Event{}, 0, true
 	}
@@ -571,17 +553,14 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 
 	if spec.dedup {
 		if p, ok := s.inflight[spec.fingerprint]; ok {
-			st, recs := s.attachFollowerLocked(p, spec, now)
+			// A second name on the primary's execution: it reports the
+			// primary's lifecycle and history under its own ID. An
+			// in-flight execution is never terminal (finishLocked clears
+			// the registration in the same s.mu section).
+			_, st := s.addJobLocked(p.exec, spec, p.id, now)
 			s.mu.Unlock()
 			s.met.jobsSubmitted.Inc()
 			s.met.dedupCoalesced.Inc()
-			if st.State.terminal() {
-				s.met.jobFinished(st.State)
-			}
-			if len(recs) > 0 {
-				s.persistJobs(recs)
-			}
-			s.pruneHistory()
 			return st, nil
 		}
 		if doneID, ok := s.memo.get(spec.fingerprint); ok {
@@ -609,24 +588,13 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 		s.met.queueRejected.Inc()
 		return JobStatus{}, ErrQueueFull
 	}
-	j := &job{
-		spec:        spec,
-		state:       StateQueued,
-		subs:        make(map[int]*subscriber),
-		sweepsTotal: len(spec.policies) * len(spec.eps),
-		submitted:   now,
-		done:        make(chan struct{}),
+	total := len(spec.policies) * len(spec.eps)
+	x := &execution{
+		lc:     lifecycle{state: StateQueued, sweepsTotal: total},
+		events: []Event{{Type: "queued", Total: total}},
 	}
-	s.nextID++
-	j.id = fmt.Sprintf("job-%d", s.nextID)
-	// Record the queued event before the job becomes reachable: once it
-	// is on the queue a runner may start it immediately, and "started"
-	// must never precede "queued" in the event history. The job is still
-	// private here, so no lock is needed for the append.
-	j.events = append(j.events, Event{Type: "queued", Job: j.id, Total: j.sweepsTotal})
+	j, st := s.addJobLocked(x, spec, "", now)
 	s.pending = append(s.pending, j)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	if spec.dedup {
 		s.inflight[spec.fingerprint] = j
 	}
@@ -637,123 +605,72 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 	if spec.dedup {
 		s.met.memoMisses.Inc()
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(), nil
-}
-
-// attachFollowerLocked coalesces a new submission onto an executing
-// primary: the follower replays the primary's history under its own ID,
-// mirrors subsequent events, and shares the final envelope. Caller holds
-// s.mu. Returns persistence records only when the primary turned out to be
-// terminal already (the follower is then born terminal and must persist
-// itself; live followers persist when the primary terminates).
-func (s *Scheduler) attachFollowerLocked(p *job, spec *jobSpec, now time.Time) (JobStatus, []jobRecord) {
-	f := &job{
-		spec:      spec,
-		subs:      make(map[int]*subscriber),
-		submitted: now,
-		done:      make(chan struct{}),
-		deduped:   true,
-	}
-	s.nextID++
-	f.id = fmt.Sprintf("job-%d", s.nextID)
-	s.jobs[f.id] = f
-	s.order = append(s.order, f.id)
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f.dedupOf = p.id
-	f.state = p.state
-	f.err = p.err
-	f.warmApplied = p.warmApplied
-	f.sweepsDone = p.sweepsDone
-	f.sweepsTotal = p.sweepsTotal
-	f.started = p.started
-	f.worker = p.worker
-	f.attempts = p.attempts
-	// Replay the primary's history under the follower's identity.
-	for _, ev := range p.events {
-		ev.Job = f.id
-		f.events = append(f.events, ev)
-	}
-	if p.state.terminal() {
-		// The primary finished between the inflight lookup and acquiring
-		// its lock: the follower is born terminal, sharing the final
-		// envelope (immutable once terminal, so serialization stays
-		// byte-identical).
-		f.envelope = p.envelope
-		f.finished = now
-		close(f.done)
-		f.mu.Lock()
-		st := f.statusLocked()
-		f.mu.Unlock()
-		return st, []jobRecord{{Status: st, Envelope: f.envelope, Request: spec.req}}
-	}
-	f.primary = p
-	p.followers = append(p.followers, f)
-	f.mu.Lock()
-	st := f.statusLocked()
-	f.mu.Unlock()
 	return st, nil
 }
 
+// addJobLocked names a new submission on execution x and returns it with
+// its first status. Callers hold s.mu.
+func (s *Scheduler) addJobLocked(x *execution, spec *jobSpec, dedupOf string, now time.Time) (*job, JobStatus) {
+	s.nextID++
+	j := &job{id: fmt.Sprintf("job-%d", s.nextID), spec: spec, submitted: now, dedupOf: dedupOf, exec: x}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.names = append(x.names, j)
+	return j, j.status(x.lc)
+}
+
 // memoHitLocked satisfies a submission from a memoized finished job: the
-// new job is born terminal, sharing the stored envelope. Caller holds
-// s.mu; returns ok=false when the memoized job cannot back a result (no
-// envelope survived), in which case the caller falls through to a real
-// execution.
+// new job is born terminal on an execution of its own, sharing the stored
+// envelope. Caller holds s.mu; returns ok=false when the memoized job
+// cannot back a result (no envelope survived), in which case the caller
+// falls through to a real execution.
 func (s *Scheduler) memoHitLocked(d *job, spec *jobSpec, now time.Time) (JobStatus, []jobRecord, bool) {
-	d.mu.Lock()
-	env := d.envelope
-	total := d.sweepsTotal
-	dID := d.id
-	d.mu.Unlock()
+	d.exec.mu.Lock()
+	env, total := d.exec.lc.envelope, d.exec.lc.sweepsTotal
+	d.exec.mu.Unlock()
 	if env == nil {
 		return JobStatus{}, nil, false
 	}
-
-	f := &job{
-		spec:        spec,
-		state:       StateDone,
-		envelope:    env,
-		subs:        make(map[int]*subscriber),
-		sweepsDone:  total,
-		sweepsTotal: total,
-		submitted:   now,
-		started:     now,
-		finished:    now,
-		done:        make(chan struct{}),
-		deduped:     true,
-		dedupOf:     dID,
+	x := &execution{
+		lc: lifecycle{state: StateDone, envelope: env, sweepsDone: total, sweepsTotal: total, started: now, finished: now},
+		events: []Event{
+			{Type: "queued", Total: total},
+			{Type: "done", Done: total, Total: total},
+		},
 	}
-	s.nextID++
-	f.id = fmt.Sprintf("job-%d", s.nextID)
-	f.events = []Event{
-		{Type: "queued", Job: f.id, Total: total},
-		{Type: "done", Job: f.id, Done: total, Total: total},
-	}
-	close(f.done)
-	s.jobs[f.id] = f
-	s.order = append(s.order, f.id)
-	f.mu.Lock()
-	st := f.statusLocked()
-	f.mu.Unlock()
+	_, st := s.addJobLocked(x, spec, d.id, now)
 	return st, []jobRecord{{Status: st, Envelope: env, Request: spec.req}}, true
 }
 
-// lookup resolves a job by ID.
-func (s *Scheduler) lookup(id string) (*job, bool) {
+// lockExec locks the execution a job names (s.mu strictly before the
+// execution's mu, which it returns held).
+func (s *Scheduler) lockExec(j *job) *execution {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.exec.mu.Lock()
+	return j.exec
+}
+
+// locked resolves a job by ID and locks its execution; the caller unlocks
+// x.mu.
+func (s *Scheduler) locked(id string) (*job, *execution, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	return j, ok
+	if !ok {
+		return nil, nil, false
+	}
+	j.exec.mu.Lock()
+	return j, j.exec, true
 }
 
 // pruneHistory evicts the oldest terminal jobs beyond MaxHistory, cleaning
 // their memo entries and durable records along the way. Called after a job
-// reaches a terminal state, outside any job lock (s.mu is taken first,
-// each candidate's j.mu second — the scheduler's lock order).
+// reaches a terminal state, outside any execution lock (s.mu is taken
+// first, each candidate's execution mu second — the scheduler's lock
+// order).
 func (s *Scheduler) pruneHistory() {
 	if s.cfg.MaxHistory < 0 {
 		return
@@ -761,10 +678,10 @@ func (s *Scheduler) pruneHistory() {
 	s.mu.Lock()
 	var terminal []string
 	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		isTerminal := j.state.terminal()
-		j.mu.Unlock()
+		x := s.jobs[id].exec
+		x.mu.Lock()
+		isTerminal := x.lc.state.terminal()
+		x.mu.Unlock()
 		if isTerminal {
 			terminal = append(terminal, id)
 		}
@@ -804,13 +721,12 @@ func (s *Scheduler) pruneHistory() {
 
 // Status snapshots a job.
 func (s *Scheduler) Status(id string) (JobStatus, bool) {
-	j, ok := s.lookup(id)
+	j, x, ok := s.locked(id)
 	if !ok {
 		return JobStatus{}, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked(), true
+	defer x.mu.Unlock()
+	return j.status(x.lc), true
 }
 
 // Jobs snapshots every job in submission order (replayed history first).
@@ -832,77 +748,64 @@ func (s *Scheduler) Jobs() []JobStatus {
 // until the job reaches a terminal state (and stays nil for jobs canceled
 // before they started).
 func (s *Scheduler) Result(id string) (*autotune.Envelope, bool) {
-	j, ok := s.lookup(id)
+	_, x, ok := s.locked(id)
 	if !ok {
 		return nil, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.envelope, true
+	defer x.mu.Unlock()
+	return x.lc.envelope, true
 }
 
-// Cancel stops a job: a queued job is marked canceled and skipped when a
-// runner pops it; a locally running job's context is canceled, aborting
-// its sweeps at the next configuration boundary; a leased job is
-// terminated immediately (the worker's later posts get ErrLeaseLost); a
-// deduped follower detaches alone, leaving the shared execution running
-// for everyone else — canceling the primary, by contrast, cancels the
-// whole coalesced group. Canceling a finished job returns ErrFinished.
+// Cancel stops a job: a queued job is marked canceled and leaves the
+// queue; a locally running job's context is canceled, aborting its sweeps
+// at the next configuration boundary; a leased job is terminated
+// immediately (the worker's later posts get ErrLeaseLost); a deduped
+// follower detaches alone onto a private copy of the execution, leaving
+// the shared execution running for everyone else — canceling the primary,
+// by contrast, cancels the whole coalesced group. Canceling a finished job
+// returns ErrFinished.
 func (s *Scheduler) Cancel(id string) (JobStatus, error) {
-	// Pull the job out of the pending queue first (s.mu strictly before
-	// j.mu): a canceled queued job must free its queue slot immediately,
-	// not when a busy runner eventually pops and discards it.
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
 	}
-	for i, p := range s.pending {
-		if p == j {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-
-	j.mu.Lock()
+	x := j.exec
+	x.mu.Lock()
 	switch {
-	case j.state.terminal():
-		st := j.statusLocked()
-		j.mu.Unlock()
+	case x.lc.state.terminal():
+		st := j.status(x.lc)
+		x.mu.Unlock()
+		s.mu.Unlock()
 		return st, ErrFinished
-	case j.primary != nil:
-		// Live follower: detach from the primary, then cancel alone.
-		p := j.primary
-		j.mu.Unlock()
-		p.mu.Lock()
-		for i, f := range p.followers {
-			if f == j {
-				p.followers = append(p.followers[:i], p.followers[i+1:]...)
-				break
-			}
-		}
-		p.mu.Unlock()
-	case j.state == StateRunning && j.cancel != nil:
-		// Locally running: the terminal transition happens in runJob when
-		// the stream drains; this just triggers it.
-		j.cancel()
-		st := j.statusLocked()
-		j.mu.Unlock()
+	case x.names[0] != j:
+		// A follower: it leaves the shared execution for a copy of its
+		// lifecycle and history, where it is canceled alone.
+		x.names = slices.DeleteFunc(x.names, func(n *job) bool { return n == j })
+		c := &execution{lc: x.lc, events: slices.Clone(x.events), names: []*job{j}}
+		x.mu.Unlock()
+		c.mu.Lock()
+		j.exec, x = c, c
+	case x.cancel != nil:
+		// Running locally: runJob lands the terminal transition when the
+		// stream drains; this just triggers it.
+		x.cancel()
+		st := j.status(x.lc)
+		x.mu.Unlock()
+		s.mu.Unlock()
 		return st, nil
 	default:
-		// Queued, or leased to a worker: terminate directly below.
-		j.mu.Unlock()
+		// Queued, or leased to a worker: a queued job frees its queue slot
+		// now, not when a busy runner would pop it.
+		s.pending = slices.DeleteFunc(s.pending, func(p *job) bool { return p == j })
 	}
-
-	if !s.terminate(j, StateCanceled, context.Canceled, nil, "canceled") {
-		// Lost the race with completion.
-		st, _ := s.Status(id)
-		return st, ErrFinished
-	}
-	st, _ := s.Status(id)
-	return st, nil
+	// Not terminal (checked above under the same locks), so next accepts.
+	recs, _ := s.finishLocked(x, step{ev: Event{Type: "canceled"}, at: time.Now(), err: context.Canceled})
+	x.mu.Unlock()
+	s.mu.Unlock()
+	s.finished(recs)
+	return recs[0].Status, nil
 }
 
 // Subscription is one live attachment to a job's event stream, returned by
@@ -916,6 +819,7 @@ type Subscription struct {
 	// consumer was too slow to receive it; check Dropped on close.
 	C <-chan Event
 
+	s   *Scheduler
 	j   *job
 	sb  *subscriber
 	idx int
@@ -926,8 +830,8 @@ func (sub *Subscription) Dropped() int {
 	if sub.sb == nil {
 		return 0
 	}
-	sub.j.mu.Lock()
-	defer sub.j.mu.Unlock()
+	x := sub.s.lockExec(sub.j)
+	defer x.mu.Unlock()
 	return sub.sb.dropped
 }
 
@@ -937,8 +841,8 @@ func (sub *Subscription) Close() {
 	if sub.sb == nil {
 		return
 	}
-	sub.j.mu.Lock()
-	defer sub.j.mu.Unlock()
+	x := sub.s.lockExec(sub.j)
+	defer x.mu.Unlock()
 	if _, still := sub.j.subs[sub.idx]; still {
 		delete(sub.j.subs, sub.idx)
 		close(sub.sb.ch)
@@ -950,36 +854,48 @@ func (sub *Subscription) Close() {
 // events rather than blocking the scheduler — Subscription.Dropped counts
 // the losses, and the SSE layer surfaces them as a lagged event.
 func (s *Scheduler) Subscribe(id string) (*Subscription, bool) {
-	j, found := s.lookup(id)
+	return s.subscribe(id, s.cfg.SubBuffer)
+}
+
+// subscribe is Subscribe with a live channel of buf slots.
+func (s *Scheduler) subscribe(id string, buf int) (*Subscription, bool) {
+	j, x, found := s.locked(id)
 	if !found {
 		return nil, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	sub := &Subscription{Past: append([]Event(nil), j.events...), j: j}
-	if j.state.terminal() {
+	defer x.mu.Unlock()
+	sub := &Subscription{Past: x.history(j.id), s: s, j: j}
+	if x.lc.state.terminal() {
 		return sub, true
 	}
-	sb := &subscriber{ch: make(chan Event, s.cfg.SubBuffer)}
-	sub.sb = sb
-	sub.idx = j.nextSub
+	if j.subs == nil {
+		j.subs = make(map[int]*subscriber)
+	}
+	sb := &subscriber{ch: make(chan Event, buf)}
+	sub.sb, sub.idx, sub.C = sb, j.nextSub, sb.ch
+	j.subs[j.nextSub] = sb
 	j.nextSub++
-	j.subs[sub.idx] = sb
-	sub.C = sb.ch
 	return sub, true
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx is done) and
-// returns its final status.
+// returns its final status. It waits on a subscription, whose channel
+// closes at the job's terminal event — a canceled follower's included.
 func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
-	j, ok := s.lookup(id)
+	sub, ok := s.subscribe(id, 0)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("service: unknown job %q", id)
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
+	defer sub.Close()
+	for sub.C != nil {
+		select {
+		case _, open := <-sub.C:
+			if !open {
+				sub.C = nil
+			}
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
 	}
 	st, _ := s.Status(id)
 	return st, nil
@@ -1014,75 +930,70 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	}
 }
 
+// prior returns the stored profile a job warm-starts from, or nil.
+func (s *Scheduler) prior(spec *jobSpec) *critter.Profile {
+	if !spec.warm {
+		return nil
+	}
+	return s.store.Get(spec.workload.Name())
+}
+
 // runJob executes one popped job end to end on the calling runner.
-func (s *Scheduler) runJob(j *job) {
+func (s *Scheduler) runJob(j *job, x *execution) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
 	spec := j.spec
-	var prior *critter.Profile
-	if spec.warm {
-		prior = s.store.Get(spec.workload.Name())
-	}
+	prior := s.prior(spec)
 	var ring *obs.Ring
 	if s.cfg.TraceEvents > 0 {
 		ring = obs.NewRing(s.cfg.TraceEvents, obs.WallClock())
 	}
 
-	j.mu.Lock()
-	if j.state != StateQueued {
+	x.mu.Lock()
+	if _, err := x.apply(step{ev: Event{Type: "started"}, at: time.Now(), warm: prior != nil}); err != nil {
 		// Canceled while queued: never started.
-		j.mu.Unlock()
+		x.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.cancel = cancel
-	j.warmApplied = prior != nil
-	j.attempts++
-	j.started = time.Now()
-	j.trace = ring
-	j.emitLocked(Event{Type: "started", Job: j.id, Total: j.sweepsTotal})
-	j.mu.Unlock()
+	x.cancel = cancel
+	x.trace = ring
+	x.mu.Unlock()
 
+	// A local run shows its workload's kernel counters from the start,
+	// zero included.
+	name := spec.workload.Name()
+	s.met.kernelsExecuted.With(name)
+	s.met.kernelsSkipped.With(name)
+	s.met.kernelsMemoized.With(name)
 	// The interface must stay untyped-nil when tracing is off: a typed-nil
 	// *Ring would slip past the executor's nil checks and panic on Emit.
 	var tracer obs.Tracer
 	if ring != nil {
 		tracer = ring
-		ring.Emit(obs.Event{Kind: obs.KindJob, Phase: obs.PhaseBegin, Name: spec.workload.Name(), Job: j.id})
+		ring.Emit(obs.Event{Kind: obs.KindJob, Phase: obs.PhaseBegin, Name: name, Job: j.id})
 	}
-	kernExec := s.met.kernelsExecuted.With(spec.workload.Name())
-	kernSkip := s.met.kernelsSkipped.With(spec.workload.Name())
-	kernMemo := s.met.kernelsMemoized.With(spec.workload.Name())
 
 	s.tunerRuns.Add(1)
 	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(sw autotune.SweepResult, swErr error) {
-		if sw.Executed > 0 {
-			kernExec.Add(sw.Executed)
-		}
-		if sw.Skipped > 0 {
-			kernSkip.Add(sw.Skipped)
-		}
-		if sw.KernelsMemoized > 0 {
-			kernMemo.Add(sw.KernelsMemoized)
-		}
-		j.mu.Lock()
-		j.sweepsDone++
 		ev := Event{
-			Type: "sweep", Job: j.id,
+			Type:   "sweep",
 			Policy: sw.Policy.String(), Eps: sw.Eps,
-			Done: j.sweepsDone, Total: j.sweepsTotal,
 			Executed: sw.Executed, Skipped: sw.Skipped,
 			Memoized: sw.KernelsMemoized,
 		}
 		if swErr != nil {
 			ev.Error = swErr.Error()
 		}
-		j.emitLocked(ev)
-		j.mu.Unlock()
+		x.mu.Lock()
+		err := s.sweepLocked(x, ev)
+		x.mu.Unlock()
+		if err != nil {
+			s.logf("service: %s: %v", j.id, err)
+		}
 	})
 	if ring != nil {
-		ev := obs.Event{Kind: obs.KindJob, Phase: obs.PhaseEnd, Name: spec.workload.Name(), Job: j.id}
+		ev := obs.Event{Kind: obs.KindJob, Phase: obs.PhaseEnd, Name: name, Job: j.id}
 		if err != nil {
 			ev.Error = err.Error()
 		}
@@ -1091,124 +1002,114 @@ func (s *Scheduler) runJob(j *job) {
 
 	// What the job learned feeds the store, partial grids included: a
 	// timed-out run's completed sweeps are still valid statistics.
-	s.mergeProfile(spec.workload.Name(), merged)
+	s.mergeProfile(name, merged)
 
-	state := StateDone
 	typ := "done"
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		state, typ = StateCanceled, "canceled"
+		typ = "canceled"
 	default:
-		state, typ = StateFailed, "failed"
+		typ = "failed"
 	}
-	s.terminate(j, state, err, env, typ)
+	if err := s.finish(x, step{ev: Event{Type: typ}, at: time.Now(), err: err, envelope: env}); err != nil {
+		s.logf("service: %s: %v", j.id, err)
+	}
 }
 
-// terminate drives a job (and its live followers) to a terminal state,
-// updates the dedup maps, persists the outcome, and prunes history. It is
-// the single terminal-transition path — runners, lease completion, the
-// janitor's give-up, and cancellation all funnel through it. Reports false
-// when the job was already terminal. Callers must not hold s.mu or any
-// job lock.
-func (s *Scheduler) terminate(j *job, state State, err error, env *autotune.Envelope, typ string) bool {
-	now := time.Now()
-
-	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return false
+// sweepLocked folds completed sweeps into x. It is the one sweep path,
+// for local runners and worker heartbeats alike: next judges the whole
+// batch before any of it lands, so a rejected batch leaves the job
+// unchanged; then each sweep is published and its kernel counts feed the
+// per-workload counters. Callers hold x.mu.
+func (s *Scheduler) sweepLocked(x *execution, evs ...Event) error {
+	lc := x.lc
+	for _, ev := range evs {
+		var err error
+		if lc, err = next(lc, step{ev: ev}); err != nil {
+			return err
+		}
 	}
-	j.state = state
-	j.err = err
-	j.envelope = env
-	// j.worker stays: the terminal status records where the job ran. The
-	// janitor skips terminal jobs, so the lease bookkeeping is moot.
-	j.leaseDeadline = time.Time{}
-	j.finished = now
-	ev := Event{Type: typ, Job: j.id, Done: j.sweepsDone, Total: j.sweepsTotal}
+	name := x.names[0].spec.workload.Name()
+	for _, ev := range evs {
+		x.apply(step{ev: ev}) // accepted: the same steps passed next above
+		// Worker-supplied counts feed monotone counters; negative values
+		// (a broken or hostile worker) must not panic the coordinator.
+		if ev.Executed > 0 {
+			s.met.kernelsExecuted.With(name).Add(ev.Executed)
+		}
+		if ev.Skipped > 0 {
+			s.met.kernelsSkipped.With(name).Add(ev.Skipped)
+		}
+		if ev.Memoized > 0 {
+			s.met.kernelsMemoized.With(name).Add(ev.Memoized)
+		}
+	}
+	return nil
+}
+
+// finishLocked lands a terminal step on x and, in the same s.mu section,
+// clears the in-flight registration and installs the memo entry, so a
+// concurrent submit coalesces onto a live execution or finds the memo —
+// never a finished execution and never a window in which an identical job
+// would re-execute. It returns one durable record per name on x for
+// finished. Callers hold s.mu and x.mu.
+func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
+	lc, err := x.apply(st)
 	if err != nil {
-		ev.Error = err.Error()
+		return nil, err
 	}
-	j.deliverLocked(ev)
-	j.closeSubsLocked()
-	close(j.done)
-	worker := j.worker
-	started := j.started
-	followers := j.followers
-	j.followers = nil
-	recs := []jobRecord{{Status: j.statusLocked(), Envelope: env, Request: j.persistRequest()}}
-	j.mu.Unlock()
-
-	// Followers share the outcome and the envelope pointer: the envelope
-	// is immutable once terminal, so every follower's serialized result
-	// is byte-identical to the primary's.
-	transitioned := 0
-	for _, f := range followers {
-		f.mu.Lock()
-		if f.state.terminal() {
-			f.mu.Unlock()
-			continue
-		}
-		transitioned++
-		f.state = state
-		f.err = err
-		f.envelope = env
-		f.worker = worker
-		f.sweepsDone = ev.Done
-		f.finished = now
-		f.primary = nil
-		fv := ev
-		fv.Job = f.id
-		f.deliverLocked(fv)
-		f.closeSubsLocked()
-		close(f.done)
-		recs = append(recs, jobRecord{Status: f.statusLocked(), Envelope: env, Request: f.persistRequest()})
-		f.mu.Unlock()
+	recs := make([]jobRecord, len(x.names))
+	for i, n := range x.names {
+		recs[i] = jobRecord{Status: n.status(lc), Envelope: lc.envelope, Request: n.spec.req}
 	}
-
-	// One s.mu section clears the in-flight registration and installs the
-	// memo entry atomically, so a concurrent submit sees exactly one of
-	// them — there is no window where an identical job would re-execute.
-	// Memoization applies only to deterministic runs: dedup on, warm
-	// start off (a warm run's output depends on the evolving profile
-	// store), and a clean finish.
-	s.mu.Lock()
-	if j.spec != nil && j.spec.dedup {
-		if s.inflight[j.spec.fingerprint] == j {
-			delete(s.inflight, j.spec.fingerprint)
+	// Memoization applies only to deterministic runs: dedup on, warm start
+	// off (a warm run's output depends on the evolving profile store), and
+	// a clean finish.
+	p := x.names[0]
+	if p.spec.dedup {
+		if s.inflight[p.spec.fingerprint] == p {
+			delete(s.inflight, p.spec.fingerprint)
 		}
-		if state == StateDone && !j.spec.warm && env != nil {
-			if evicted := s.memo.put(j.spec.fingerprint, j.id); evicted > 0 {
+		if lc.state == StateDone && !p.spec.warm {
+			if evicted := s.memo.put(p.spec.fingerprint, p.id); evicted > 0 {
 				s.met.memoEvictions.Add(int64(evicted))
 			}
 		}
 	}
 	for _, w := range s.workers {
-		delete(w.jobs, j.id)
+		delete(w.jobs, p.id)
 	}
-	s.mu.Unlock()
-
-	s.met.jobFinished(state)
-	for i := 0; i < transitioned; i++ {
-		s.met.jobFinished(state)
-	}
-	if !started.IsZero() {
-		s.met.jobDuration.Observe(now.Sub(started).Seconds())
-	}
-
-	s.persistJobs(recs)
-	s.pruneHistory()
-	return true
+	return recs, nil
 }
 
-// persistRequest returns the job's normalized request for the durable
-// record. Callers hold j.mu.
-func (j *job) persistRequest() JobRequest {
-	if j.spec == nil {
-		return JobRequest{}
+// finished observes a terminal transition outside every lock: the state
+// counters once per name, the duration once per execution, the durable
+// records, and history pruning.
+func (s *Scheduler) finished(recs []jobRecord) {
+	st := recs[0].Status
+	for range recs {
+		s.met.jobFinished(st.State)
 	}
-	return j.spec.req
+	if !st.Started.IsZero() {
+		s.met.jobDuration.Observe(st.Finished.Sub(st.Started).Seconds())
+	}
+	s.persistJobs(recs)
+	s.pruneHistory()
+}
+
+// finish is finishLocked then finished, for a caller holding no lock.
+func (s *Scheduler) finish(x *execution, st step) error {
+	s.mu.Lock()
+	x.mu.Lock()
+	recs, err := s.finishLocked(x, st)
+	x.mu.Unlock()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.finished(recs)
+	return nil
 }
 
 // mergeProfile folds a finished run's learned profile into the shared
