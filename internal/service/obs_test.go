@@ -169,20 +169,55 @@ func TestSSELaggedResynthesis(t *testing.T) {
 	}
 }
 
-// TestMemoLRUEviction pins the memo cache's LRU bound: MaxMemo entries
-// survive, the oldest is evicted first, an evicted fingerprint re-executes
-// on resubmission, and the eviction/hit/miss counters plus the per-entry
-// hit gauge track it all.
-func TestMemoLRUEviction(t *testing.T) {
+// TestMemoEntriesLeaveWithHistory pins what bounds the memo: MaxHistory.
+// A memoized job that history evicts takes its entry with it, so its
+// fingerprint re-executes on resubmission, and the memo gauges and
+// counters track every step.
+func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 	gate := make(chan struct{})
 	close(gate) // jobs finish immediately
-	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 8, MaxMemo: 2})
+	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 8, MaxHistory: 2})
 	defer closeNow(t, s)
 
-	// Three distinct fingerprints (the seed differs), memo capacity two.
+	// Three distinct fingerprints (the seed differs), history for two.
 	body := func(seed int) string {
 		return `{"workload":"block","eps":[0.5],"seed":` + string(rune('0'+seed)) + `,"warmStart":false}`
 	}
+	// gone waits for the runner's history pruning, which follows a job's
+	// terminal event, to evict id.
+	gone := func(id string) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, ok := s.Status(id); !ok {
+				return
+			}
+		}
+		t.Fatalf("job %s was never evicted from history", id)
+	}
+	// memo reads memo_entry_hits as fingerprint -> hits.
+	memo := func() map[string]float64 {
+		t.Helper()
+		out := map[string]float64{}
+		for _, m := range findFamily(t, s, "memo_entry_hits").Metrics {
+			out[m.Labels[0]] = m.Value
+		}
+		if n := counterValue(t, s, "memo_entries"); int(n) != len(out) {
+			t.Errorf("memo_entries = %v, but memo_entry_hits has %d samples", n, len(out))
+		}
+		return out
+	}
+	sameMemo := func(got, want map[string]float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("memo = %v, want %v", got, want)
+		}
+		for fp, hits := range want {
+			if v, ok := got[fp]; !ok || v != hits {
+				t.Fatalf("memo = %v, want %v", got, want)
+			}
+		}
+	}
+
 	a := submitWait(t, s, body(1))
 	b := submitWait(t, s, body(2))
 	c := submitWait(t, s, body(3))
@@ -191,49 +226,37 @@ func TestMemoLRUEviction(t *testing.T) {
 			t.Fatalf("cold job %+v did not execute cleanly", st)
 		}
 	}
-	if v := counterValue(t, s, "memo_evictions_total"); v != 1 {
-		t.Fatalf("memo_evictions_total after 3 inserts into capacity 2 = %v, want 1", v)
-	}
-	if v := counterValue(t, s, "memo_entries"); v != 2 {
-		t.Fatalf("memo_entries = %v, want 2", v)
-	}
+	gone(a.ID)
+	sameMemo(memo(), map[string]float64{b.Fingerprint: 0, c.Fingerprint: 0})
 
-	// B is still memoized: the resubmission is born terminal off B's
-	// envelope and promotes B to most-recently-used.
-	hitB, err := s.SubmitJSON([]byte(body(2)))
+	// A left history, so its resubmission executes again; its finish
+	// evicts B, entry included.
+	reA := submitWait(t, s, body(1))
+	if reA.State != StateDone || reA.DedupOf != "" {
+		t.Fatalf("resubmission of an evicted fingerprint %+v, want a fresh execution", reA)
+	}
+	gone(b.ID)
+	if v := counterValue(t, s, "memo_misses_total"); v != 4 {
+		t.Errorf("memo_misses_total = %v, want 4 (three cold runs plus A's re-execution)", v)
+	}
+	sameMemo(memo(), map[string]float64{c.Fingerprint: 0, reA.Fingerprint: 0})
+
+	// A again is a memo hit, born terminal: it counts against history and
+	// evicts C, leaving the re-execution's entry with its one hit.
+	hitA, err := s.SubmitJSON([]byte(body(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hitB.State != StateDone || hitB.DedupOf != b.ID {
-		t.Fatalf("memoized resubmission %+v, want done dedupOf %s", hitB, b.ID)
+	if hitA.State != StateDone || hitA.DedupOf != reA.ID {
+		t.Fatalf("memoized resubmission %+v, want done dedupOf %s", hitA, reA.ID)
+	}
+	if _, ok := s.Status(c.ID); ok {
+		t.Errorf("job %s survived a memo hit past MaxHistory", c.ID)
 	}
 	if v := counterValue(t, s, "memo_hits_total"); v != 1 {
 		t.Errorf("memo_hits_total = %v, want 1", v)
 	}
-
-	// A was evicted (oldest), so its resubmission executes again — and its
-	// re-memoization evicts C, which B's hit pushed behind it.
-	reA := submitWait(t, s, body(1))
-	if reA.State != StateDone || reA.DedupOf != "" {
-		t.Fatalf("evicted fingerprint resubmission %+v, want a fresh execution", reA)
-	}
-	if v := counterValue(t, s, "memo_evictions_total"); v != 2 {
-		t.Errorf("memo_evictions_total after re-memoizing A = %v, want 2", v)
-	}
-	if v := counterValue(t, s, "memo_misses_total"); v != 4 {
-		t.Errorf("memo_misses_total = %v, want 4 (three cold runs plus A's re-execution)", v)
-	}
-
-	// The per-entry hit gauge samples live entries MRU-first; B's hit is
-	// on the books even though A's re-memoization reordered the cache.
-	hits := findFamily(t, s, "memo_entry_hits")
-	var hitVals []float64
-	for _, m := range hits.Metrics {
-		hitVals = append(hitVals, m.Value)
-	}
-	if len(hitVals) != 2 || hitVals[0] != 0 || hitVals[1] != 1 {
-		t.Errorf("memo_entry_hits = %v, want [0 1] (fresh A first, once-hit B behind it)", hitVals)
-	}
+	sameMemo(memo(), map[string]float64{reA.Fingerprint: 1})
 }
 
 // TestMetricsAndTraceEndpoints drives the three observability endpoints

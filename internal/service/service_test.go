@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
+	"critter/internal/sim"
 	"critter/internal/workload"
 )
 
@@ -118,6 +121,85 @@ func blockingRegistry(gate chan struct{}) *workload.Registry {
 		panic(err)
 	}
 	return reg
+}
+
+// TestServiceEnvelopeIsTheTunersGrid pins a job's envelope to the Tuner:
+// on a grid with a repeated tolerance and a policy whose every run panics,
+// the envelope's result grid marshals byte-equal to Tuner.Run's for the
+// same spec, and the job's error lists the failed sweeps as Tuner.Run
+// does, in grid order.
+func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
+	reg := workload.NewRegistry()
+	err := reg.Register(workload.Def{
+		WorkloadName: "grid",
+		Description:  "test workload whose online runs panic",
+		BuildFunc: func(autotune.Scale) autotune.Study {
+			return autotune.Study{
+				Name:      "grid",
+				Space:     autotune.NewSpace(autotune.IntsDim("v", 0, 1)),
+				WorldSize: 2,
+				Policies:  []critter.Policy{critter.Conditional, critter.Online},
+				Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
+					if p.Policy() == critter.Online {
+						panic("online run fails")
+					}
+					n := 4 << v
+					for i := 0; i < 8; i++ {
+						p.Kernel("work", n, 0, 0, 0, float64(n*n), func() {})
+					}
+					cc.Barrier()
+				},
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"workload":"grid","policies":["conditional","online"],"eps":[0.5,0.5,0.25],"warmStart":false,"dedup":false}`
+	s := New(Config{Registry: reg, Runners: 1, Workers: 4})
+	defer closeNow(t, s)
+	st := submitWait(t, s, body)
+	if st.State != StateFailed {
+		t.Fatalf("job finished %s (err %q), want failed", st.State, st.Error)
+	}
+	env, _ := s.Result(st.ID)
+	if env == nil {
+		t.Fatal("failed job has no envelope")
+	}
+
+	spec, err := ParseJobRequest(reg, []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.DefaultMachine()
+	m.NoiseSigma = spec.noise
+	res, runErr := autotune.Tuner{
+		Study: spec.workload.Build(spec.scale), EpsList: spec.eps, Machine: m, Seed: spec.seed,
+		Policies: spec.policies, Strategy: spec.strategy, Workers: 1,
+	}.Run(context.Background())
+	if runErr == nil {
+		t.Fatal("Tuner.Run did not fail the online sweeps")
+	}
+	got, err := json.Marshal(env.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("envelope grid differs from Tuner.Run's:\n%s\nvs\n%s", got, want)
+	}
+	lines := strings.Split(st.Error, "\n")
+	if len(lines) != 3 {
+		t.Fatalf("job error has %d lines, want one per failed sweep (3):\n%s", len(lines), st.Error)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "policy online") {
+			t.Errorf("job error line %q is not an online sweep's", l)
+		}
+	}
 }
 
 // TestQueueBounded: submissions beyond the queue capacity fail fast with
