@@ -82,7 +82,6 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL to join in worker mode, e.g. http://host:8080")
 	name := flag.String("name", "", "worker name shown in GET /v1/workers (worker mode)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle lease-poll interval (worker mode)")
-	memo := flag.Int("memo", 1024, "memoized finished jobs answering identical resubmissions instantly (<0 = off)")
 	traceEvents := flag.Int("trace-events", 4096, "per-job span-trace ring size served at /v1/jobs/{id}/trace (<0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off; both modes)")
 	flag.Parse()
@@ -110,7 +109,6 @@ func main() {
 		Runners:     *runners,
 		Workers:     *workers,
 		MaxHistory:  *history,
-		MaxMemo:     *memo,
 		TraceEvents: *traceEvents,
 		LeaseTTL:    *lease,
 		Logf:        logger.Printf,

@@ -31,7 +31,7 @@ func runOn(ctx context.Context, sc *scratch, tu Tuner) (*Result, error) {
 // given back is the one the next worker takes, on whichever goroutine, and
 // collections do not take it away (its lifetime is the owner's, so whether a
 // run starts warm never depends on the collector); a nil set keeps nothing;
-// and runs streamed through a set leave their worker count of arenas in it,
+// and runs through a set leave their worker count of arenas in it,
 // the same ones run after run.
 func TestArenasKeepWhatTheirRunsGaveBack(t *testing.T) {
 	var a Arenas
@@ -57,10 +57,8 @@ func TestArenasKeepWhatTheirRunsGaveBack(t *testing.T) {
 	}
 	var kept []*scratch
 	for run := 0; run < 2; run++ {
-		for _, err := range a.Stream(context.Background(), tu) {
-			if err != nil {
-				t.Fatal(err)
-			}
+		if _, err := a.Run(context.Background(), tu, nil); err != nil {
+			t.Fatal(err)
 		}
 		if len(a.free) != 2 {
 			t.Fatalf("run %d left %d arenas in the set, want one per worker (2)", run+1, len(a.free))

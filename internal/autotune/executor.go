@@ -14,7 +14,6 @@ package autotune
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,11 +38,14 @@ type Progress struct {
 }
 
 // progressSink serializes completion callbacks from concurrent workers and
-// tracks the done/total counts. A nil callback disables reporting; the
+// tracks the done/total counts. Nil callbacks disable reporting; the
 // counters still advance so Total is meaningful if jobs are added later.
 type progressSink struct {
-	mu    sync.Mutex
-	fn    func(Progress)
+	mu sync.Mutex
+	fn func(Progress)
+	// emit, when non-nil, receives every finished sweep for streaming
+	// consumers (Tuner.Stream, Arenas.Run).
+	emit  func(SweepResult, error)
 	done  int
 	total int
 }
@@ -52,13 +54,18 @@ type progressSink struct {
 // before any worker runs.
 func (ps *progressSink) grow(n int) { ps.total += n }
 
-// report records one completed sweep and invokes the callback, serialized.
-func (ps *progressSink) report(study string, pol critter.Policy, eps float64, err error) {
+// report records one completed sweep and invokes the callbacks, serialized.
+// sw is the sweep's final slot, tagged with its cell's policy and eps even
+// when err zeroed it.
+func (ps *progressSink) report(study string, sw SweepResult, err error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.done++
 	if ps.fn != nil {
-		ps.fn(Progress{Study: study, Policy: pol, Eps: eps, Done: ps.done, Total: ps.total, Err: err})
+		ps.fn(Progress{Study: study, Policy: sw.Policy, Eps: sw.Eps, Done: ps.done, Total: ps.total, Err: err})
+	}
+	if ps.emit != nil {
+		ps.emit(sw, err)
 	}
 }
 
@@ -78,8 +85,8 @@ type scratch struct {
 }
 
 // Arenas is a set of executor arenas owned by a caller that runs tuner after
-// tuner, such as the service's runners: every run streamed through it
-// (Arenas.Stream) takes its workers' arenas from the set and gives them back,
+// tuner, such as the service's runners: every run through it (Arenas.Run)
+// takes its workers' arenas from the set and gives them back,
 // so its buffers, records and interners grow once rather than once per run.
 // It holds at most as many arenas as its runs have had workers at once, each
 // for as long as the Arenas itself lives; an arena's memo publishes one table
@@ -123,11 +130,13 @@ func (a *Arenas) give(sc *scratch) {
 	a.mu.Unlock()
 }
 
-// Stream is t.Stream with the workers' arenas taken from a and given back.
-// Results are byte-identical to t.Stream's: an arena changes how fast a run
-// goes, never what it computes.
-func (a *Arenas) Stream(ctx context.Context, t Tuner) iter.Seq2[SweepResult, error] {
-	return t.stream(ctx, a)
+// Run is t.Run with the workers' arenas taken from a and given back, and
+// with emit, when non-nil, called once per sweep as it completes, as
+// Tuner.Stream yields them; the calls are serialized. The grid and error
+// are byte-identical to t.Run's: an arena changes how fast a run goes,
+// never what it computes. A nil set gives each worker a fresh arena.
+func (a *Arenas) Run(ctx context.Context, t Tuner, emit func(SweepResult, error)) (*Result, error) {
+	return t.run(ctx, a, emit)
 }
 
 // newScratch builds one arena: an empty buffer pool and an empty memo.
@@ -175,10 +184,6 @@ type sweepJob struct {
 	refs []atomic.Pointer[critter.Report]
 	out  *SweepResult
 	sink *progressSink
-	// emit, when non-nil, receives the finished sweep (or a zeroed one
-	// tagged with the cell's policy and eps on failure) for streaming
-	// consumers. Called exactly once per job, after the slot is final.
-	emit func(SweepResult, error)
 }
 
 // run simulates the sweep in a fresh world — wired to the worker's arena —
@@ -234,14 +239,9 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 		}
 		j.tracer.Emit(ev)
 	}
-	j.sink.report(j.study.Name, j.pol, j.eps, err)
-	if j.emit != nil {
-		sw := *j.out
-		if err != nil {
-			sw.Policy, sw.Eps = j.pol, j.eps
-		}
-		j.emit(sw, err)
-	}
+	sw := *j.out
+	sw.Policy, sw.Eps = j.pol, j.eps
+	j.sink.report(j.study.Name, sw, err)
 	return err
 }
 

@@ -142,17 +142,11 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 // Cancelling ctx stops the grid promptly: running sweeps abandon their
 // world at the next configuration boundary and pending sweeps are skipped.
 // The result grid is always returned — failed or cancelled cells are
-// zeroed — alongside the joined per-sweep errors; on cancellation the error
-// satisfies errors.Is(err, ctx.Err()). A study that fails Study.Validate
-// fails every sweep.
+// zeroed — alongside the per-sweep errors joined in grid order; on
+// cancellation the error satisfies errors.Is(err, ctx.Err()). A study that
+// fails Study.Validate fails every sweep.
 func (t Tuner) Run(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sink := &progressSink{fn: t.Progress}
-	res, jobs := t.build(sink)
-	err := errors.Join(runJobs(ctx, jobs, t.Workers, nil)...)
-	return res, err
+	return t.run(ctx, nil, nil)
 }
 
 // Stream runs the tuner like Run but yields each sweep as it completes, in
@@ -163,45 +157,44 @@ func (t Tuner) Run(ctx context.Context) (*Result, error) {
 // consumer breaks early, which cancels the remaining sweeps before the
 // iterator returns; no goroutines outlive the loop.
 func (t Tuner) Stream(ctx context.Context) iter.Seq2[SweepResult, error] {
-	return t.stream(ctx, nil)
-}
-
-// stream is Stream with the workers' arenas taken from arenas (see
-// Arenas.Stream); nil gives each worker a fresh one.
-func (t Tuner) stream(ctx context.Context, arenas *Arenas) iter.Seq2[SweepResult, error] {
 	return func(yield func(SweepResult, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		sink := &progressSink{fn: t.Progress}
-		_, jobs := t.build(sink)
 		type item struct {
 			sweep SweepResult
 			err   error
 		}
-		// Buffered to the job count: job completions never block on a
+		// Buffered to the grid's size: sweep completions never block on a
 		// consumer that has stopped reading.
-		out := make(chan item, len(jobs))
-		for i := range jobs {
-			jobs[i].emit = func(sw SweepResult, err error) { out <- item{sw, err} }
-		}
-		done := make(chan struct{})
+		out := make(chan item, len(t.policies())*len(t.EpsList))
 		go func() {
-			defer close(done)
-			runJobs(ctx, jobs, t.Workers, arenas)
+			defer close(out)
+			t.run(ctx, nil, func(sw SweepResult, err error) { out <- item{sw, err} })
 		}()
 		stopped := false
-		for range jobs {
-			it := <-out
+		for it := range out {
 			if !stopped && !yield(it.sweep, it.err) {
 				stopped = true
 				cancel() // stop the pool, then drain its completions
 			}
 		}
-		<-done
 	}
+}
+
+// run is the one execution of a tuner's grid, behind Run, Stream and
+// Arenas.Run: it builds the grid, runs its sweeps on workers whose arenas
+// come from arenas (nil gives each worker a fresh one), hands emit, when
+// non-nil, each finished sweep in completion order, and returns the grid
+// with the per-sweep errors joined in grid order.
+func (t Tuner) run(ctx context.Context, arenas *Arenas, emit func(SweepResult, error)) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	res, jobs := t.build(&progressSink{fn: t.Progress, emit: emit})
+	return res, errors.Join(runJobs(ctx, jobs, t.Workers, arenas)...)
 }
 
 // RunTuners executes several tuners through one shared bounded worker pool

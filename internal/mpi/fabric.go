@@ -374,12 +374,6 @@ func SendMsg[T any](c *Comm, dest, tag int, payload T) {
 	LaneOf[T](c.w).Send(c, dest, tag, payload)
 }
 
-// RecvMsg blocks for a typed payload from src under tag. Clocks are not
-// advanced.
-func RecvMsg[T any](c *Comm, src, tag int) T {
-	return LaneOf[T](c.w).Recv(c, src, tag)
-}
-
 // ExchangeMsg sends payload to peer and receives the peer's payload, both
 // untimed. Both sides must call it.
 func ExchangeMsg[T any](c *Comm, peer, tag int, payload T) T {

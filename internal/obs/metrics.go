@@ -259,18 +259,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // on first use. Hot paths should cache the returned *Counter.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).c }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, kind: KindGauge, labels: append([]string(nil), labels...)})}
-}
-
-// With returns the gauge cell for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).g }
-
 // BucketSnapshot is one histogram bucket in a snapshot: its inclusive
 // upper bound (+Inf rendered as the JSON string "+Inf" by UpperBound's
 // marshaling being a float — math.Inf encodes via the text format only;

@@ -7,7 +7,6 @@ package service
 
 import (
 	"context"
-	"errors"
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
@@ -15,18 +14,16 @@ import (
 	"critter/internal/sim"
 )
 
-// executeSpec runs one resolved job to completion: it streams the tuning
-// grid (sweeps arrive in completion order and are placed back into their
-// (policy, eps) cells, rebuilding exactly the grid Tuner.Run would have
-// returned, failed cells zeroed), invokes onSweep for every finished sweep
-// in completion order, and returns the result envelope, the merged learned
-// profile (partial grids included — a canceled run's completed sweeps are
-// still valid statistics), and the joined sweep errors. tracer, when
-// non-nil, receives the run's span events (sweep/config/strategy/round);
-// tracing is observational only — the envelope is byte-identical either
-// way. The sweeps run on arenas taken from, and given back to, the caller's
-// set.
-func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, arenas *autotune.Arenas, prior *critter.Profile, tracer obs.Tracer, onSweep func(sw autotune.SweepResult, err error)) (*autotune.Envelope, *critter.Profile, error) {
+// executeSpec runs one resolved job to completion on workers whose arenas
+// come from the caller's set: it hands onSweep, when non-nil, a sweep event
+// for every finished sweep in completion order, and returns the result
+// envelope around the grid the Tuner returns (failed cells zeroed), the
+// merged learned profile (partial grids included — a canceled run's
+// completed sweeps are still valid statistics), and the sweep errors joined
+// in grid order. tracer, when non-nil, receives the run's span events
+// (sweep/config/strategy/round); tracing is observational only — the
+// envelope is byte-identical either way.
+func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, workers int, arenas *autotune.Arenas, prior *critter.Profile, tracer obs.Tracer, onSweep func(Event)) (*autotune.Envelope, *critter.Profile, error) {
 	study := spec.workload.Build(spec.scale)
 	machine.NoiseSigma = spec.noise
 	tn := autotune.Tuner{
@@ -41,32 +38,23 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 		Workers:     workers,
 		Tracer:      tracer,
 	}
-
-	res := &autotune.Result{
-		Study:    study.Name,
-		Strategy: spec.strategy.Name(),
-		Policies: spec.policies,
-		EpsList:  spec.eps,
-		Sweeps:   make([][]autotune.SweepResult, len(spec.policies)),
-	}
-	filled := make([][]bool, len(spec.policies))
-	for pi := range res.Sweeps {
-		res.Sweeps[pi] = make([]autotune.SweepResult, len(spec.eps))
-		filled[pi] = make([]bool, len(spec.eps))
-	}
-	var errs []error
-	for sw, err := range arenas.Stream(ctx, tn) {
-		if err == nil {
-			placeSweep(res, filled, sw)
-		} else {
-			errs = append(errs, err)
-		}
-		if onSweep != nil {
-			onSweep(sw, err)
+	var emit func(autotune.SweepResult, error)
+	if onSweep != nil {
+		emit = func(sw autotune.SweepResult, err error) {
+			ev := Event{
+				Type:   "sweep",
+				Policy: sw.Policy.String(), Eps: sw.Eps,
+				Executed: sw.Executed, Skipped: sw.Skipped,
+				Memoized: sw.KernelsMemoized,
+			}
+			if err != nil {
+				ev.Error = err.Error()
+			}
+			onSweep(ev)
 		}
 	}
+	res, err := arenas.Run(ctx, tn, emit)
 
-	merged := autotune.MergedProfile(res)
 	env := &autotune.Envelope{
 		SchemaVersion: autotune.ResultSchemaVersion,
 		Study:         study.Name,
@@ -81,5 +69,5 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 		sum := autotune.Summarize("", 0, prior)
 		env.Prior = &sum
 	}
-	return env, merged, errors.Join(errs...)
+	return env, autotune.MergedProfile(res), err
 }

@@ -7,6 +7,9 @@ package service
 // Observability section documents and scripts/service-smoke.sh asserts on.
 
 import (
+	"maps"
+	"slices"
+
 	"critter/internal/obs"
 	"critter/internal/store"
 )
@@ -66,9 +69,9 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 		jobDuration:   reg.Histogram("job_duration_seconds", "Wall time from job start to terminal state.", jobDurationBuckets...),
 
 		dedupCoalesced: reg.Counter("dedup_coalesced_total", "Submissions coalesced onto an identical in-flight execution."),
-		memoHits:       reg.Counter("memo_hits_total", "Submissions answered from the memoized-result cache."),
+		memoHits:       reg.Counter("memo_hits_total", "Submissions answered from a memoized finished job."),
 		memoMisses:     reg.Counter("memo_misses_total", "Dedup-enabled submissions that found no usable memo entry and executed."),
-		memoEvictions:  reg.Counter("memo_evictions_total", "Memo entries evicted by the LRU bound (Config.MaxMemo)."),
+		memoEvictions:  reg.Counter("memo_evictions_total", "Memo entries dropped because history evicted their job (Config.MaxHistory)."),
 
 		leaseExpiries: reg.Counter("lease_expiries_total", "Worker leases the janitor found expired."),
 		jobsRequeued:  reg.Counter("jobs_requeued_total", "Leased jobs requeued after their worker went quiet."),
@@ -100,21 +103,10 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 	reg.GaugeFunc("tuner_runs", "Tuner executions started by this process's runners.", func() float64 {
 		return float64(s.TunerRuns())
 	})
-	reg.GaugeFunc("memo_entries", "Live entries in the memoized-result cache.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.memo.len())
+	reg.GaugeFunc("memo_entries", "Finished jobs in the fingerprint index answering identical submissions.", func() float64 {
+		return float64(len(s.memo()))
 	})
-	reg.GaugeVecFunc("memo_entry_hits", "Submissions satisfied per memo entry, most recently used first.", []string{"fingerprint"}, func() []obs.Sample {
-		s.mu.Lock()
-		entries := s.memo.hitCounts()
-		s.mu.Unlock()
-		out := make([]obs.Sample, 0, len(entries))
-		for _, e := range entries {
-			out = append(out, obs.Sample{Labels: []string{e.fingerprint}, Value: float64(e.hits)})
-		}
-		return out
-	})
+	reg.GaugeVecFunc("memo_entry_hits", "Submissions satisfied per memo entry, in fingerprint order.", []string{"fingerprint"}, s.memo)
 	if s.durable != nil {
 		reg.GaugeFunc("store_log_bytes", "Durable-store write-ahead log size.", func() float64 {
 			return float64(s.durable.LogSize())
@@ -146,6 +138,25 @@ func (s *Scheduler) onCompact(cs store.CompactStats) {
 	s.met.storeCompactBytes.Add(cs.BytesReclaimed)
 	s.logf("service: store compacted: kept %d records, dropped %d, reclaimed %d bytes (snapshot %d bytes)",
 		cs.RecordsKept, cs.RecordsDropped, cs.BytesReclaimed, cs.SnapshotBytes)
+}
+
+// memo samples the memo — the fingerprint index's entries whose execution
+// has finished — in fingerprint order, each valued by the submissions it
+// answered.
+func (s *Scheduler) memo() []obs.Sample {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []obs.Sample
+	for _, fp := range slices.Sorted(maps.Keys(s.index)) {
+		j := s.index[fp]
+		j.exec.mu.Lock()
+		done := j.exec.lc.state.terminal()
+		j.exec.mu.Unlock()
+		if done {
+			out = append(out, obs.Sample{Labels: []string{fp}, Value: float64(j.hits)})
+		}
+	}
+	return out
 }
 
 // countRunning tallies jobs in the running state, split by whether a

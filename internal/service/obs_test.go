@@ -194,11 +194,17 @@ func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 		}
 		t.Fatalf("job %s was never evicted from history", id)
 	}
-	// memo reads memo_entry_hits as fingerprint -> hits.
+	// memo reads memo_entry_hits as fingerprint -> hits, checking that
+	// the samples come in fingerprint order.
 	memo := func() map[string]float64 {
 		t.Helper()
 		out := map[string]float64{}
+		prev := ""
 		for _, m := range findFamily(t, s, "memo_entry_hits").Metrics {
+			if fp := m.Labels[0]; fp <= prev {
+				t.Errorf("memo_entry_hits sample %s follows %s, want fingerprint order", fp, prev)
+			}
+			prev = m.Labels[0]
 			out[m.Labels[0]] = m.Value
 		}
 		if n := counterValue(t, s, "memo_entries"); int(n) != len(out) {
@@ -206,8 +212,11 @@ func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 		}
 		return out
 	}
-	sameMemo := func(got, want map[string]float64) {
+	sameMemo := func(got, want map[string]float64, evictions float64) {
 		t.Helper()
+		if v := counterValue(t, s, "memo_evictions_total"); v != evictions {
+			t.Errorf("memo_evictions_total = %v, want %v", v, evictions)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("memo = %v, want %v", got, want)
 		}
@@ -227,7 +236,7 @@ func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 		}
 	}
 	gone(a.ID)
-	sameMemo(memo(), map[string]float64{b.Fingerprint: 0, c.Fingerprint: 0})
+	sameMemo(memo(), map[string]float64{b.Fingerprint: 0, c.Fingerprint: 0}, 1)
 
 	// A left history, so its resubmission executes again; its finish
 	// evicts B, entry included.
@@ -239,7 +248,7 @@ func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 	if v := counterValue(t, s, "memo_misses_total"); v != 4 {
 		t.Errorf("memo_misses_total = %v, want 4 (three cold runs plus A's re-execution)", v)
 	}
-	sameMemo(memo(), map[string]float64{c.Fingerprint: 0, reA.Fingerprint: 0})
+	sameMemo(memo(), map[string]float64{c.Fingerprint: 0, reA.Fingerprint: 0}, 2)
 
 	// A again is a memo hit, born terminal: it counts against history and
 	// evicts C, leaving the re-execution's entry with its one hit.
@@ -256,7 +265,7 @@ func TestMemoEntriesLeaveWithHistory(t *testing.T) {
 	if v := counterValue(t, s, "memo_hits_total"); v != 1 {
 		t.Errorf("memo_hits_total = %v, want 1", v)
 	}
-	sameMemo(memo(), map[string]float64{reA.Fingerprint: 1})
+	sameMemo(memo(), map[string]float64{reA.Fingerprint: 1}, 3)
 }
 
 // TestMetricsAndTraceEndpoints drives the three observability endpoints

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
@@ -79,10 +78,10 @@ func (s *Scheduler) persistJobs(recs []jobRecord) {
 	}
 }
 
-// replayDurable rebuilds jobs, profiles, and the memo map from the durable
-// store. Called from New before any runner starts, so no locking is
-// needed. Individual corrupt records are skipped with a log line; replay
-// never fails the scheduler.
+// replayDurable rebuilds jobs, profiles, and the memo entries of the
+// fingerprint index from the durable store. Called from New before any
+// runner starts, so no locking is needed. Individual corrupt records are
+// skipped with a log line; replay never fails the scheduler.
 func (s *Scheduler) replayDurable() {
 	if s.durable == nil {
 		return
@@ -96,7 +95,7 @@ func (s *Scheduler) replayDurable() {
 				continue
 			}
 			s.store.Merge(rec.Key, p)
-			s.persisted[rec.Key] = rec.At
+			s.store.markPersisted(rec.Key, rec.At)
 		case kindJob:
 			if err := s.replayJob(rec.Data); err != nil {
 				s.logf("service: replay job %s: %v", rec.Key, err)
@@ -156,13 +155,12 @@ func (s *Scheduler) replayJob(data []byte) error {
 	}
 	// Rebuild the memo: a replayed job backs future identical
 	// submissions under the same conditions a live one would — dedup on,
-	// warm start off, finished clean, envelope intact.
+	// warm start off, finished clean, envelope intact. The last such job
+	// replayed for a fingerprint wins.
 	if st.State == StateDone && env != nil && st.Fingerprint != "" &&
 		jr.Request.Dedup != nil && *jr.Request.Dedup &&
 		jr.Request.WarmStart != nil && !*jr.Request.WarmStart {
-		if evicted := s.memo.put(st.Fingerprint, st.ID); evicted > 0 {
-			s.met.memoEvictions.Add(int64(evicted))
-		}
+		s.index[st.Fingerprint] = j
 	}
 	return nil
 }
@@ -178,13 +176,4 @@ func jobIDNumber(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// PersistedAt reports when a workload's merged profile was last durably
-// written; zero time (and false) when it never was.
-func (s *Scheduler) PersistedAt(workload string) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	at, ok := s.persisted[workload]
-	return at, ok
 }

@@ -1,10 +1,11 @@
 // Package service turns tuning runs into schedulable jobs: a Scheduler
 // with a bounded queue and per-job contexts wraps the autotune Tuner,
-// streams completion-ordered progress events (reusing Tuner.Stream), and
-// shares a ProfileStore so later jobs warm-start from what earlier jobs on
-// the same workload learned. On top of that sit three production
-// capabilities: identical submissions coalesce onto one execution (this
-// file, memo.go and persist.go), finished jobs and merged profiles survive
+// streams completion-ordered progress events (the sweeps Arenas.Run hands
+// back), and shares a ProfileStore so later jobs warm-start from what
+// earlier jobs on the same workload learned. On top of that sit three
+// production capabilities: identical submissions coalesce onto one
+// execution or its memoized result (this file and persist.go, through one
+// fingerprint index), finished jobs and merged profiles survive
 // restarts through an optional durable store (persist.go), and queued jobs
 // can be leased to remote worker processes with heartbeat-driven requeue
 // on worker death (lease.go, worker.go). Every status change goes through
@@ -17,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,7 +49,7 @@ func (s State) terminal() bool {
 }
 
 // Event is one progress notification of a running job, delivered in
-// completion order (the order Tuner.Stream yields sweeps, not grid order).
+// completion order (the order the Tuner finishes sweeps, not grid order).
 // It is also the SSE payload shape of GET /v1/jobs/{id}/events.
 type Event struct {
 	// Type is queued, started, sweep, requeued, lagged, done, failed, or
@@ -76,7 +78,7 @@ type Event struct {
 	// from the kernel's record in its profiler (critter's predCache) rather
 	// than a fresh predictability test (a subset of Skipped; sweep events
 	// only). Despite the name it counts neither critter.KernelMemo hits nor
-	// hits of this package's result memo (memo.go).
+	// this package's memo hits (memoHitLocked).
 	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`
@@ -169,6 +171,9 @@ type job struct {
 	// replay is the status snapshot of a job restored from the durable
 	// store, returned verbatim by status (spec is nil for these).
 	replay *JobStatus
+	// hits counts the submissions this job's envelope answered as a memo
+	// entry. Guarded by the scheduler's mu.
+	hits int64
 }
 
 // apply moves x through next and publishes the step: its event joins the
@@ -279,9 +284,9 @@ type Config struct {
 	Durable *store.Store
 	// MaxHistory bounds how many finished (terminal) jobs are retained
 	// for Status/Result lookups; beyond it the oldest terminal jobs are
-	// evicted, envelopes and event histories included, so a long-running
-	// server cannot grow without bound. Queued and running jobs never
-	// count against it. 0 means 256; negative disables eviction.
+	// evicted, envelopes, event histories and memo entries included, so a
+	// long-running server cannot grow without bound. Queued and running
+	// jobs never count against it. 0 means 256; negative disables eviction.
 	MaxHistory int
 	// LeaseTTL bounds how long a worker may hold a leased job between
 	// heartbeats before the janitor requeues it. 0 means 10s.
@@ -294,11 +299,6 @@ type Config struct {
 	// Logf, when set, receives operational log lines (persistence
 	// failures, lease requeues). nil discards them.
 	Logf func(format string, args ...any)
-	// MaxMemo bounds the memoized-result cache (fingerprint -> finished
-	// job); beyond it the least recently used entries are evicted, so
-	// fingerprint-varying clients cannot grow the cache without bound.
-	// 0 means 1024; negative disables memoization.
-	MaxMemo int
 	// TraceEvents bounds each locally executed job's in-memory trace ring
 	// (GET /v1/jobs/{id}/trace keeps the last TraceEvents span events). 0
 	// means 4096; negative disables per-job tracing.
@@ -340,16 +340,18 @@ type Scheduler struct {
 	// mu guards everything below, and every job's exec pointer; cond
 	// (tied to mu) wakes runners when pending grows or the scheduler
 	// closes. Lock order: mu before any execution's mu, never the reverse.
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     []*job // the bounded queue of primaries; canceling a queued job removes it here
-	jobs        map[string]*job
-	order       []string
-	nextID      int
-	closed      bool
-	inflight    map[string]*job      // fingerprint -> executing primary (dedup on)
-	memo        *memoCache           // fingerprint -> finished cold job (dedup on, warm off)
-	persisted   map[string]time.Time // workload -> last durable profile write
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []*job // the bounded queue of primaries; canceling a queued job removes it here
+	jobs    map[string]*job
+	order   []string
+	nextID  int
+	closed  bool
+	// index maps a fingerprint to the job whose execution answers it
+	// (dedup on): a primary still queued or running, which identical
+	// submissions coalesce onto, or a finished cold one — the memo — whose
+	// envelope answers them at once.
+	index       map[string]*job
 	workers     map[string]*workerState
 	nextWorker  int
 	stopJanitor chan struct{}
@@ -386,9 +388,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.SubBuffer <= 0 {
 		cfg.SubBuffer = 64
 	}
-	if cfg.MaxMemo == 0 {
-		cfg.MaxMemo = 1024
-	}
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 4096
 	}
@@ -401,9 +400,7 @@ func New(cfg Config) *Scheduler {
 		baseCtx:     ctx,
 		stop:        stop,
 		jobs:        make(map[string]*job),
-		inflight:    make(map[string]*job),
-		memo:        newMemoCache(cfg.MaxMemo),
-		persisted:   make(map[string]time.Time),
+		index:       make(map[string]*job),
 		workers:     make(map[string]*workerState),
 		stopJanitor: make(chan struct{}),
 	}
@@ -514,7 +511,7 @@ func (s *Scheduler) RetryAfterHint() int {
 // time it was last durably persisted (zero when the scheduler has no
 // durable store or the profile has not been written yet).
 func (s *Scheduler) ProfileInfo(name string) ([]byte, time.Time, bool) {
-	p := s.store.Get(name)
+	p, at := s.store.get(name)
 	if p == nil {
 		return nil, time.Time{}, false
 	}
@@ -522,9 +519,6 @@ func (s *Scheduler) ProfileInfo(name string) ([]byte, time.Time, bool) {
 	if err != nil {
 		return nil, time.Time{}, false
 	}
-	s.mu.Lock()
-	at := s.persisted[name]
-	s.mu.Unlock()
 	return data, at, true
 }
 
@@ -551,31 +545,30 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 		return JobStatus{}, ErrClosed
 	}
 
-	if spec.dedup {
-		if p, ok := s.inflight[spec.fingerprint]; ok {
+	if p, ok := s.index[spec.fingerprint]; ok && spec.dedup {
+		p.exec.mu.Lock()
+		lc := p.exec.lc
+		p.exec.mu.Unlock()
+		// Terminal transitions run under s.mu, which is held: lc.state
+		// cannot change behind this check.
+		if !lc.state.terminal() {
 			// A second name on the primary's execution: it reports the
-			// primary's lifecycle and history under its own ID. An
-			// in-flight execution is never terminal (finishLocked clears
-			// the registration in the same s.mu section).
+			// primary's lifecycle and history under its own ID.
 			_, st := s.addJobLocked(p.exec, spec, p.id, now)
 			s.mu.Unlock()
 			s.met.jobsSubmitted.Inc()
 			s.met.dedupCoalesced.Inc()
 			return st, nil
 		}
-		if doneID, ok := s.memo.get(spec.fingerprint); ok {
-			if d, live := s.jobs[doneID]; live {
-				if st, recs, ok := s.memoHitLocked(d, spec, now); ok {
-					s.memo.hit(spec.fingerprint)
-					s.mu.Unlock()
-					s.met.jobsSubmitted.Inc()
-					s.met.memoHits.Inc()
-					s.met.jobFinished(st.State)
-					s.persistJobs(recs)
-					s.pruneHistory()
-					return st, nil
-				}
-			}
+		if st, recs, ok := s.memoHitLocked(p, lc, spec, now); ok {
+			p.hits++
+			s.mu.Unlock()
+			s.met.jobsSubmitted.Inc()
+			s.met.memoHits.Inc()
+			s.met.jobFinished(st.State)
+			s.persistJobs(recs)
+			s.pruneHistory()
+			return st, nil
 		}
 	}
 
@@ -596,7 +589,7 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 	j, st := s.addJobLocked(x, spec, "", now)
 	s.pending = append(s.pending, j)
 	if spec.dedup {
-		s.inflight[spec.fingerprint] = j
+		s.index[spec.fingerprint] = j
 	}
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -621,15 +614,13 @@ func (s *Scheduler) addJobLocked(x *execution, spec *jobSpec, dedupOf string, no
 	return j, j.status(x.lc)
 }
 
-// memoHitLocked satisfies a submission from a memoized finished job: the
-// new job is born terminal on an execution of its own, sharing the stored
-// envelope. Caller holds s.mu; returns ok=false when the memoized job
-// cannot back a result (no envelope survived), in which case the caller
-// falls through to a real execution.
-func (s *Scheduler) memoHitLocked(d *job, spec *jobSpec, now time.Time) (JobStatus, []jobRecord, bool) {
-	d.exec.mu.Lock()
-	env, total := d.exec.lc.envelope, d.exec.lc.sweepsTotal
-	d.exec.mu.Unlock()
+// memoHitLocked satisfies a submission from a memoized finished job d,
+// whose lifecycle is lc: the new job is born terminal on an execution of
+// its own, sharing the stored envelope. Caller holds s.mu; returns
+// ok=false when the memoized job cannot back a result (no envelope
+// survived), in which case the caller falls through to a real execution.
+func (s *Scheduler) memoHitLocked(d *job, lc lifecycle, spec *jobSpec, now time.Time) (JobStatus, []jobRecord, bool) {
+	env, total := lc.envelope, lc.sweepsTotal
 	if env == nil {
 		return JobStatus{}, nil, false
 	}
@@ -666,7 +657,7 @@ func (s *Scheduler) locked(id string) (*job, *execution, bool) {
 	return j, j.exec, true
 }
 
-// pruneHistory evicts the oldest terminal jobs beyond MaxHistory, cleaning
+// pruneHistory evicts the oldest terminal jobs beyond MaxHistory, dropping
 // their memo entries and durable records along the way. Called after a job
 // reaches a terminal state, outside any execution lock (s.mu is taken
 // first, each candidate's execution mu second — the scheduler's lock
@@ -697,9 +688,9 @@ func (s *Scheduler) pruneHistory() {
 		evicted = append(evicted, id)
 		delete(s.jobs, id)
 	}
-	for _, id := range evicted {
-		s.memo.removeJob(id)
-	}
+	indexed := len(s.index)
+	maps.DeleteFunc(s.index, func(_ string, j *job) bool { return evict[j.id] })
+	s.met.memoEvictions.Add(int64(indexed - len(s.index)))
 	kept := s.order[:0]
 	for _, id := range s.order {
 		if !evict[id] {
@@ -975,16 +966,7 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	}
 
 	s.tunerRuns.Add(1)
-	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(sw autotune.SweepResult, swErr error) {
-		ev := Event{
-			Type:   "sweep",
-			Policy: sw.Policy.String(), Eps: sw.Eps,
-			Executed: sw.Executed, Skipped: sw.Skipped,
-			Memoized: sw.KernelsMemoized,
-		}
-		if swErr != nil {
-			ev.Error = swErr.Error()
-		}
+	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(ev Event) {
 		x.mu.Lock()
 		err := s.sweepLocked(x, ev)
 		x.mu.Unlock()
@@ -1049,11 +1031,10 @@ func (s *Scheduler) sweepLocked(x *execution, evs ...Event) error {
 }
 
 // finishLocked lands a terminal step on x and, in the same s.mu section,
-// clears the in-flight registration and installs the memo entry, so a
-// concurrent submit coalesces onto a live execution or finds the memo —
-// never a finished execution and never a window in which an identical job
-// would re-execute. It returns one durable record per name on x for
-// finished. Callers hold s.mu and x.mu.
+// settles x's fingerprint index entry: it stays as the memo entry or goes,
+// so a concurrent submit finds a live execution or the memo, never a
+// window in which an identical job would re-execute. It returns one
+// durable record per name on x for finished. Callers hold s.mu and x.mu.
 func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
 	lc, err := x.apply(st)
 	if err != nil {
@@ -1065,17 +1046,10 @@ func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
 	}
 	// Memoization applies only to deterministic runs: dedup on, warm start
 	// off (a warm run's output depends on the evolving profile store), and
-	// a clean finish.
+	// a clean finish. Any other finished execution leaves the index.
 	p := x.names[0]
-	if p.spec.dedup {
-		if s.inflight[p.spec.fingerprint] == p {
-			delete(s.inflight, p.spec.fingerprint)
-		}
-		if lc.state == StateDone && !p.spec.warm {
-			if evicted := s.memo.put(p.spec.fingerprint, p.id); evicted > 0 {
-				s.met.memoEvictions.Add(int64(evicted))
-			}
-		}
+	if p.spec.dedup && s.index[p.spec.fingerprint] == p && (lc.state != StateDone || p.spec.warm) {
+		delete(s.index, p.spec.fingerprint)
 	}
 	for _, w := range s.workers {
 		delete(w.jobs, p.id)
@@ -1141,26 +1115,5 @@ func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 		s.logf("service: persist profile %s: %v", name, err)
 		return
 	}
-	s.mu.Lock()
-	s.persisted[name] = now
-	s.mu.Unlock()
-}
-
-// placeSweep stores a completed sweep into its (policy, eps) grid cell.
-// With duplicate tolerances in the eps list the first unfilled matching
-// cell wins — identical cells run identical worlds, so the values are
-// interchangeable.
-func placeSweep(res *autotune.Result, filled [][]bool, sw autotune.SweepResult) {
-	for pi, pol := range res.Policies {
-		if pol != sw.Policy {
-			continue
-		}
-		for ei, eps := range res.EpsList {
-			if eps == sw.Eps && !filled[pi][ei] {
-				res.Sweeps[pi][ei] = sw
-				filled[pi][ei] = true
-				return
-			}
-		}
-	}
+	s.store.markPersisted(name, now)
 }

@@ -195,10 +195,13 @@ func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("job error has %d lines, want one per failed sweep (3):\n%s", len(lines), st.Error)
 	}
-	for _, l := range lines {
-		if !strings.Contains(l, "policy online") {
-			t.Errorf("job error line %q is not an online sweep's", l)
+	for i, eps := range []string{"eps 0.5:", "eps 0.5:", "eps 0.25:"} {
+		if !strings.Contains(lines[i], "policy online "+eps) {
+			t.Errorf("job error line %d is %q, want the online sweep at %s", i+1, lines[i], eps)
 		}
+	}
+	if st.Error != runErr.Error() {
+		t.Errorf("job error differs from Tuner.Run's:\n%s\nvs\n%s", st.Error, runErr)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"critter/internal/critter"
 )
@@ -19,21 +20,36 @@ import (
 // as their prior never observe later merges.
 type ProfileStore struct {
 	mu         sync.RWMutex
-	byWorkload map[string]*critter.Profile
+	byWorkload map[string]storedProfile
+}
+
+// storedProfile is one workload's record: its merged profile and when the
+// scheduler last wrote that profile to its durable store (zero when never).
+type storedProfile struct {
+	profile   *critter.Profile
+	persisted time.Time
 }
 
 // NewProfileStore returns an empty store.
 func NewProfileStore() *ProfileStore {
-	return &ProfileStore{byWorkload: make(map[string]*critter.Profile)}
+	return &ProfileStore{byWorkload: make(map[string]storedProfile)}
 }
 
 // Get returns the merged profile accumulated for a workload, or nil when
 // no job has contributed yet. The returned profile is never mutated by the
 // store; it is safe to share across concurrently running jobs.
 func (s *ProfileStore) Get(workload string) *critter.Profile {
+	p, _ := s.get(workload)
+	return p
+}
+
+// get returns a workload's record: its merged profile (nil when none) and
+// its last durable write time.
+func (s *ProfileStore) get(workload string) (*critter.Profile, time.Time) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.byWorkload[workload]
+	r := s.byWorkload[workload]
+	return r.profile, r.persisted
 }
 
 // Merge folds p into the workload's accumulated profile. A nil p is a
@@ -44,7 +60,20 @@ func (s *ProfileStore) Merge(workload string, p *critter.Profile) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byWorkload[workload] = critter.MergeProfiles(s.byWorkload[workload], p)
+	r := s.byWorkload[workload]
+	r.profile = critter.MergeProfiles(r.profile, p)
+	s.byWorkload[workload] = r
+}
+
+// markPersisted records that a workload's profile was durably written at
+// at; a workload without a profile is left out.
+func (s *ProfileStore) markPersisted(workload string, at time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.byWorkload[workload]; ok {
+		r.persisted = at
+		s.byWorkload[workload] = r
+	}
 }
 
 // Workloads returns the names with accumulated profiles, sorted.

@@ -241,16 +241,8 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) {
 		}
 	}()
 
-	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, &w.arenas, prior, nil, func(sw autotune.SweepResult, swErr error) {
-		ev := Event{
-			Type: "sweep", Job: grant.Job,
-			Policy: sw.Policy.String(), Eps: sw.Eps,
-			Executed: sw.Executed, Skipped: sw.Skipped,
-			Memoized: sw.KernelsMemoized,
-		}
-		if swErr != nil {
-			ev.Error = swErr.Error()
-		}
+	env, merged, runErr := executeSpec(jobCtx, spec, w.opts.Machine, w.opts.Workers, &w.arenas, prior, nil, func(ev Event) {
+		ev.Job = grant.Job
 		if err := w.postEvents(jobCtx, grant.Job, []Event{ev}); err != nil {
 			w.logf("worker: post sweep %s: %v", grant.Job, err)
 			leaseLost.Store(true)
