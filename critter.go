@@ -41,12 +41,11 @@
 // be run continuously: finished jobs, result envelopes, and merged
 // profiles persist across restarts in an embedded crash-safe store
 // (internal/store, enabled with -store), identical submissions
-// deduplicate onto one execution (and memoize afterwards), remote workers
-// join over the same API (-mode=worker) with lease-based fault tolerance,
-// and a bounded queue sheds overload with 429 + Retry-After. The
-// determinism guarantees make all of that safe: because a spec's result
-// is byte-identical wherever and whenever it runs, caching, replaying,
-// and relocating jobs cannot change what a client observes.
+// deduplicate onto one execution (and memoize afterwards), and a bounded
+// queue sheds overload with 429 + Retry-After. The determinism guarantees
+// make all of that safe: because a spec's result is byte-identical
+// whenever it runs, caching and replaying jobs cannot change what a
+// client observes.
 //
 // This file is the public facade: it re-exports the stable API surface from
 // the internal packages. Typical use:

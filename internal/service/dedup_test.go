@@ -2,13 +2,10 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"sync"
 	"testing"
 	"time"
-
-	"critter/internal/sim"
 )
 
 // TestDedupCoalescesConcurrentSubmissions is the dedup acceptance test:
@@ -199,10 +196,8 @@ func TestDedupOptOutAndBoundaries(t *testing.T) {
 }
 
 // TestFollowerLifecycle pins what the README's Dedup paragraph promises a
-// coalesced follower: canceling it detaches only it, canceling the primary
-// cancels the whole group, and a follower of a leased primary reports the
-// lease's worker and attempts, sees the requeue under its own ID, and
-// finishes with the primary.
+// coalesced follower: canceling it detaches only it, and canceling the
+// primary cancels the whole group.
 func TestFollowerLifecycle(t *testing.T) {
 	const body = `{"workload":"block","eps":[0.25],"seed":7,"warmStart":false}`
 	// group submits a primary, waits for a runner to start it, then
@@ -313,98 +308,6 @@ func TestFollowerLifecycle(t *testing.T) {
 		}
 	})
 
-	t.Run("leased primary", func(t *testing.T) {
-		s := New(Config{Registry: blockingRegistry(make(chan struct{})), Runners: -1})
-		defer closeNow(t, s)
-		wid, _, err := s.RegisterWorker("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		primary, err := s.SubmitJSON([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, err := s.LeaseJob(wid); err != nil || g == nil || g.Job != primary.ID {
-			t.Fatalf("lease: %+v, %v", g, err)
-		}
-		f, err := s.SubmitJSON([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.DedupOf != primary.ID || f.State != StateRunning || f.Worker != wid || f.Attempts != 1 {
-			t.Fatalf("follower of a leased primary: %+v", f)
-		}
-		sub, ok := s.Subscribe(f.ID)
-		if !ok {
-			t.Fatalf("Subscribe(%s): unknown job", f.ID)
-		}
-		defer sub.Close()
-		sweep := []Event{{Type: "sweep", Policy: "conditional", Eps: 0.25, Executed: 1}}
-		if err := s.ExtendLease(wid, primary.ID, sweep); err != nil {
-			t.Fatal(err)
-		}
-		if st, _ := s.Status(f.ID); st.SweepsDone != 1 {
-			t.Errorf("follower did not see the leased sweep: %+v", st)
-		}
-
-		// Past the lease deadline, short of forgetting the quiet worker.
-		s.expireLeases(time.Now().Add(2 * s.cfg.LeaseTTL))
-		if st, _ := s.Status(f.ID); st.State != StateQueued || st.SweepsDone != 0 {
-			t.Errorf("follower after the requeue: %+v, want queued with 0 sweeps", st)
-		}
-		if g, err := s.LeaseJob(wid); err != nil || g == nil || g.Job != primary.ID {
-			t.Fatalf("second lease: %+v, %v", g, err)
-		}
-		if st, _ := s.Status(f.ID); st.Worker != wid || st.Attempts != 2 {
-			t.Errorf("follower after the second lease: %+v", st)
-		}
-		if err := s.ExtendLease(wid, primary.ID, sweep); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CompleteLease(wid, primary.ID, blockEnvelope(t, body), nil, ""); err != nil {
-			t.Fatal(err)
-		}
-		if final := waitDone(t, s, f.ID); final.State != StateDone || final.SweepsDone != 1 {
-			t.Errorf("follower finished %+v", final)
-		}
-		evs := stream(t, f.ID, sub)
-		requeued := 0
-		for _, ev := range evs {
-			if ev.Type == "requeued" {
-				requeued++
-				if ev.Done != 0 || ev.Worker != wid {
-					t.Errorf("requeued event %+v", ev)
-				}
-			}
-		}
-		if requeued != 1 || last(evs) != "done" {
-			t.Errorf("follower's stream: %d requeued, ends %q", requeued, last(evs))
-		}
-		if !bytes.Equal(envelopeJSON(t, s, primary.ID), envelopeJSON(t, s, f.ID)) {
-			t.Error("follower's envelope differs from the primary's")
-		}
-	})
-}
-
-// blockEnvelope runs the block workload to completion outside any
-// scheduler and returns its encoded envelope, what a worker would post.
-func blockEnvelope(t *testing.T, body string) []byte {
-	t.Helper()
-	open := make(chan struct{})
-	close(open)
-	spec, err := ParseJobRequest(blockingRegistry(open), []byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, _, err := executeSpec(context.Background(), spec, sim.DefaultMachine(), 1, nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // waitDone waits for a job's terminal state with a test-friendly timeout.

@@ -11,19 +11,23 @@ import (
 // TestRestartDurability is the restart acceptance test, in three lives of
 // one store directory:
 //
-//	life 1: run a cold job to completion, shut down cleanly. The store
-//	        compacts at every commit, so lives 2 and 3 replay a snapshot
-//	        the streamed compaction wrote, not the log. (Life 2 commits
-//	        nothing, so a small threshold there would write none.)
-//	life 2: reopen; verify the finished job replayed. Queue a job on a
-//	        runner-less scheduler and shut down with it still pending —
-//	        the crash-with-queued-work case.
+//	life 1: run a cold job to completion, shut down cleanly, and append
+//	        a record as earlier versions wrote it (its status names a
+//	        worker and attempts). The store compacts at every commit, so
+//	        lives 2 and 3 replay a snapshot the streamed compaction wrote,
+//	        not the log. (Life 2 commits nothing, so a small threshold
+//	        there would write none.)
+//	life 2: reopen; verify the finished job replayed. Start one job and
+//	        queue another behind it, then close the store under them —
+//	        the crash-with-work-in-flight case.
 //	life 3: reopen; the finished job is still queryable with a
-//	        byte-identical envelope, the never-started job is gone (the
-//	        documented reject-on-restart semantics), the persisted
-//	        profile encodes to life 1's bytes and warm-starts a new job
-//	        into strictly fewer executed kernels than the cold run, and a
-//	        resubmission of the cold spec is served from the replayed memo
+//	        byte-identical envelope, the unfinished jobs are gone (the
+//	        documented reject-on-restart semantics), the earlier version's
+//	        record is a done job without the fields this version dropped,
+//	        the persisted profile encodes to life 1's bytes and
+//	        warm-starts a new job into strictly fewer executed kernels
+//	        than the cold run, and a resubmission of the cold spec is
+//	        served from the replayed memo, the earlier record's entry,
 //	        without re-executing.
 func TestRestartDurability(t *testing.T) {
 	if testing.Short() {
@@ -64,6 +68,14 @@ func TestRestartDurability(t *testing.T) {
 		t.Errorf("durable job record (found %v) does not hold the marshaled envelope", ok)
 	}
 	closeNow(t, s1)
+	// A record as earlier versions wrote it, whose status names the worker
+	// that ran the job and its attempts: a copy of the cold job's record
+	// under a later ID. It is appended last, so its memo entry wins.
+	const parentID = "job-50"
+	parentData := parentRecord(t, st1, cold.ID, parentID)
+	if err := st1.Append(store.Record{Kind: kindJob, Key: parentID, At: cold.Finished, Data: parentData}); err != nil {
+		t.Fatal(err)
+	}
 	if n := st1.LogSize(); n != 0 {
 		t.Fatalf("log holds %d bytes after compacting at every commit", n)
 	}
@@ -71,13 +83,15 @@ func TestRestartDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Life 2: the finished job replayed; park a fresh job on a
-	// runner-less scheduler and "crash" with it queued.
+	// Life 2: the finished job replayed; "crash" with one job running and
+	// one queued behind it: the store closes under a scheduler that never
+	// shut down, so neither job's end reaches it.
 	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(Config{Runners: -1, Durable: st2})
+	gate := make(chan struct{})
+	s2 := New(Config{Registry: blockingRegistry(gate), Durable: st2})
 	replayed, ok := s2.Status(cold.ID)
 	if !ok || replayed.State != StateDone {
 		t.Fatalf("job %s after restart: ok=%v status %+v", cold.ID, ok, replayed)
@@ -85,20 +99,26 @@ func TestRestartDurability(t *testing.T) {
 	if got := envelopeJSON(t, s2, cold.ID); !bytes.Equal(got, coldEnv) {
 		t.Errorf("replayed envelope differs from the original:\n%s\nvs\n%s", got, coldEnv)
 	}
-	queued, err := s2.SubmitJSON([]byte(`{"workload":"candmc","scale":"quick","policies":["online"],"eps":[0.25],"seed":99,"warmStart":false}`))
+	running, err := s2.SubmitJSON([]byte(`{"workload":"block","dedup":false}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s2, running.ID, StateRunning)
+	queued, err := s2.SubmitJSON([]byte(`{"workload":"block","dedup":false}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if queued.State != StateQueued {
-		t.Fatalf("job on a runner-less scheduler is %s, want queued", queued.State)
+		t.Fatalf("job behind a busy runner is %s, want queued", queued.State)
 	}
-	if queued.ID == cold.ID {
-		t.Fatalf("replay did not advance job IDs: new job reused %s", cold.ID)
+	if running.ID == cold.ID || running.ID == parentID {
+		t.Fatalf("replay did not advance job IDs: new job reused %s", running.ID)
 	}
-	closeNow(t, s2)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
+	closeNow(t, s2)
 
 	// Life 3: history and profiles survived; queued-but-unstarted did not.
 	st3, err := store.Open(dir, store.Options{})
@@ -119,8 +139,22 @@ func TestRestartDurability(t *testing.T) {
 	if got := envelopeJSON(t, s3, cold.ID); !bytes.Equal(got, coldEnv) {
 		t.Error("second replay corrupted the envelope")
 	}
-	if _, ok := s3.Status(queued.ID); ok {
-		t.Errorf("queued-but-unstarted job %s survived the restart; restart semantics say it is rejected", queued.ID)
+	for _, id := range []string{running.ID, queued.ID} {
+		if _, ok := s3.Status(id); ok {
+			t.Errorf("job %s, unfinished at the crash, survived the restart; restart semantics say it is rejected", id)
+		}
+	}
+	// The earlier version's record replays as a done job with its
+	// envelope, and its status drops the fields this version lacks.
+	parent, ok := s3.Status(parentID)
+	if !ok || parent.State != StateDone {
+		t.Fatalf("earlier version's record %s after restart: ok=%v status %+v", parentID, ok, parent)
+	}
+	if got := envelopeJSON(t, s3, parentID); !bytes.Equal(got, coldEnv) {
+		t.Error("earlier version's record replayed a different envelope")
+	}
+	if data, err := json.Marshal(parent); err != nil || bytes.Contains(data, []byte(`"worker"`)) || bytes.Contains(data, []byte(`"attempts"`)) {
+		t.Errorf("replayed status of %s still carries worker or attempts: %s (%v)", parentID, data, err)
 	}
 	prof, at, ok := s3.ProfileInfo("candmc")
 	if !ok || at.IsZero() {
@@ -155,12 +189,43 @@ func TestRestartDurability(t *testing.T) {
 	if !memo.Deduped || memo.State != StateDone {
 		t.Fatalf("resubmitted cold spec after restart: %+v, want a memo hit", memo)
 	}
+	if memo.DedupOf != parentID {
+		t.Errorf("memo hit answered by %s, want the earlier version's record %s", memo.DedupOf, parentID)
+	}
 	if got := envelopeJSON(t, s3, memo.ID); !bytes.Equal(got, coldEnv) {
 		t.Error("memoized envelope after restart differs from the original")
 	}
 	if runs := s3.TunerRuns(); runs != runsBefore {
 		t.Errorf("memo hit after restart re-executed the Tuner (%d -> %d runs)", runsBefore, runs)
 	}
+}
+
+// parentRecord copies the durable record of job from under id, its status
+// carrying the "worker" and "attempts" fields earlier versions wrote.
+func parentRecord(t *testing.T, st *store.Store, from, id string) []byte {
+	t.Helper()
+	rec, ok := st.Get(kindJob, from)
+	if !ok {
+		t.Fatalf("no durable record for %s", from)
+	}
+	var jr map[string]json.RawMessage
+	var status map[string]any
+	if err := json.Unmarshal(rec.Data, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(jr["status"], &status); err != nil {
+		t.Fatal(err)
+	}
+	status["id"], status["worker"], status["attempts"] = id, "w-1", 2
+	var err error
+	if jr["status"], err = json.Marshal(status); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // mustExecuted returns the executed-kernel count of a finished job's only

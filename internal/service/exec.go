@@ -1,9 +1,8 @@
 package service
 
-// The one execution path for a resolved job spec. Local runners
-// (scheduler.go) and remote workers (worker.go) both call executeSpec, so
-// a job produces the identical envelope wherever it runs — the property
-// the dedup and lease machinery lean on.
+// The one execution path for a resolved job spec, called by the
+// scheduler's runners (scheduler.go). A spec produces the identical
+// envelope whenever it runs — the property dedup and the memo lean on.
 
 import (
 	"context"

@@ -9,20 +9,15 @@ package service
 //	DELETE /v1/jobs/{id}            cancel a job
 //	GET    /v1/jobs/{id}/events     completion-ordered progress (SSE)
 //	GET    /v1/jobs/{id}/result     a finished job's result envelope
-//	GET    /v1/jobs/{id}/trace      a locally executed job's span events
+//	GET    /v1/jobs/{id}/trace      a job's span events
 //	GET    /v1/metrics              the metrics registry as JSON
 //	GET    /metrics                 the same, Prometheus text format
 //	GET    /v1/workloads            the registry's workload catalog
 //	GET    /v1/profiles/{workload}  the accumulated warm-start profile
-//	POST   /v1/workers              register a worker process
-//	GET    /v1/workers              list registered workers
-//	POST   /v1/workers/{id}/lease   lease the next queued job (204 = none)
-//	POST   /v1/workers/{id}/jobs/{job}/events   sweep events / heartbeat
-//	POST   /v1/workers/{id}/jobs/{job}/result   final result of a lease
 //
 // Responses are JSON; errors are {"error": "..."} with conventional
 // status codes (400 malformed request, 404 unknown resource, 409 wrong
-// state or lost lease, 429 queue full — with a Retry-After header and a
+// state, 429 queue full — with a Retry-After header and a
 // retryAfterSeconds field — and 503 shutting down).
 
 import (
@@ -41,10 +36,6 @@ import (
 // maxJobBodyBytes bounds a job-submission body; a tuning request is a few
 // hundred bytes of JSON, so anything larger is garbage or abuse.
 const maxJobBodyBytes = 1 << 20
-
-// maxWorkerBodyBytes bounds worker posts; a result carries a full envelope
-// plus a merged profile, which for large grids runs to megabytes.
-const maxWorkerBodyBytes = 64 << 20
 
 // Server is the http.Handler wrapping a Scheduler.
 type Server struct {
@@ -66,11 +57,6 @@ func NewServer(s *Scheduler) *Server {
 	srv.mux.HandleFunc("GET /metrics", srv.metricsProm)
 	srv.mux.HandleFunc("GET /v1/workloads", srv.workloads)
 	srv.mux.HandleFunc("GET /v1/profiles/{workload}", srv.profile)
-	srv.mux.HandleFunc("POST /v1/workers", srv.registerWorker)
-	srv.mux.HandleFunc("GET /v1/workers", srv.listWorkers)
-	srv.mux.HandleFunc("POST /v1/workers/{id}/lease", srv.lease)
-	srv.mux.HandleFunc("POST /v1/workers/{id}/jobs/{job}/events", srv.workerEvents)
-	srv.mux.HandleFunc("POST /v1/workers/{id}/jobs/{job}/result", srv.workerResult)
 	return srv
 }
 
@@ -173,10 +159,10 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 }
 
 // trace returns the span events of a job's execution (see obs.Event); a
-// dedup follower serves its primary's. Executions that did not run on a
-// local runner — leased, replayed, born terminal, or tracing disabled —
-// return an empty event list rather than 404: the job exists, it just has
-// nothing traced.
+// dedup follower serves its primary's. Executions that did not run in
+// this process — replayed, born terminal, or tracing disabled — return an
+// empty event list rather than 404: the job exists, it just has nothing
+// traced.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	events, dropped, ok := s.sched.Trace(id)
@@ -342,106 +328,4 @@ func (s *Server) profile(w http.ResponseWriter, r *http.Request) {
 		resp.PersistedAt = &at
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) registerWorker(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name string `json:"name"`
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
-			return
-		}
-	}
-	id, ttl, err := s.sched.RegisterWorker(req.Name)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"worker":      id,
-		"leaseMillis": leaseMillis(ttl),
-	})
-}
-
-func (s *Server) listWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": s.sched.Workers()})
-}
-
-// writeWorkerError maps lease-protocol errors onto status codes workers
-// key their recovery off: 404 register again, 409 drop the job.
-func writeWorkerError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrUnknownWorker):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrLeaseLost):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
-	}
-}
-
-func (s *Server) lease(w http.ResponseWriter, r *http.Request) {
-	grant, err := s.sched.LeaseJob(r.PathValue("id"))
-	if err != nil {
-		writeWorkerError(w, err)
-		return
-	}
-	if grant == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, grant)
-}
-
-func (s *Server) workerEvents(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Events []Event `json:"events"`
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWorkerBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
-			return
-		}
-	}
-	if err := s.sched.ExtendLease(r.PathValue("id"), r.PathValue("job"), req.Events); err != nil {
-		writeWorkerError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) workerResult(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Envelope json.RawMessage `json:"envelope,omitempty"`
-		Profile  json.RawMessage `json:"profile,omitempty"`
-		Error    string          `json:"error,omitempty"`
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWorkerBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
-		return
-	}
-	if err := s.sched.CompleteLease(r.PathValue("id"), r.PathValue("job"), req.Envelope, req.Profile, req.Error); err != nil {
-		writeWorkerError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -3,20 +3,19 @@ package service
 // The job state machine. A job's lifecycle changes in exactly one place,
 // next: a pure function from the current lifecycle and one proposed step
 // to the lifecycle after it, or an error when the step is illegal there.
-// The scheduler, the lease protocol and cancellation propose steps; the
-// dedup map, the memo, persistence and metrics observe what next returns.
+// The runners and cancellation propose steps; the dedup map, the memo,
+// persistence and metrics observe what next returns.
 //
-//	state \ event  started  sweep            requeued    done, failed  canceled
-//	queued         running  —                —           —             canceled
-//	running        —        running, done+1  queued (*)  done, failed  canceled
-//	done           —        —                —           —             —
-//	failed         —        —                —           —             —
-//	canceled       —        —                —           —             —
+//	state \ event  started  sweep            done, failed  canceled
+//	queued         running  —                —             canceled
+//	running        —        running, done+1  done, failed  canceled
+//	done           —        —                —             —
+//	failed         —        —                —             —
+//	canceled       —        —                —             —
 //
 // A "queued" event is rejected in every state: a job is queued only at
-// birth. A sweep past the job's total is rejected, done needs an envelope,
-// and (*) only a leased job (one with a worker) is requeued. The first
-// start wins: a requeued job keeps the start time of its first attempt.
+// birth, so it starts at most once. A sweep past the job's total is
+// rejected, and done needs an envelope.
 
 import (
 	"errors"
@@ -37,12 +36,10 @@ type lifecycle struct {
 	sweepsTotal int
 	started     time.Time
 	finished    time.Time
-	worker      string
-	attempts    int
 }
 
 // step is one proposed transition. ev.Type names it, and ev carries the
-// event's payload (sweep fields, the worker); the rest are its inputs.
+// event's payload (the sweep fields); the rest are its inputs.
 type step struct {
 	ev       Event
 	at       time.Time          // the caller's clock: start and finish times
@@ -60,29 +57,18 @@ func next(cur lifecycle, st step) (lifecycle, error) {
 	switch {
 	case cur.state == StateQueued && typ == "started":
 		nx.state = StateRunning
-		nx.worker = st.ev.Worker
 		nx.warmApplied = st.warm
-		nx.attempts++
-		if nx.started.IsZero() {
-			nx.started = st.at
-		}
+		nx.started = st.at
 	case cur.state == StateRunning && typ == "sweep":
 		if cur.sweepsDone >= cur.sweepsTotal {
 			return cur, fmt.Errorf("service: sweep %d of a %d-sweep job", cur.sweepsDone+1, cur.sweepsTotal)
 		}
 		nx.sweepsDone++
-	case cur.state == StateRunning && cur.worker != "" && typ == "requeued":
-		// Progress restarts from zero: the next executor replays the whole
-		// grid (sweeps are deterministic, so nothing is lost but time).
-		nx.state = StateQueued
-		nx.worker = ""
-		nx.sweepsDone = 0
 	case cur.state == StateRunning && (typ == "done" || typ == "failed"),
 		(cur.state == StateQueued || cur.state == StateRunning) && typ == "canceled":
 		if typ == "done" && st.envelope == nil {
 			return cur, errors.New("service: a done job needs an envelope")
 		}
-		// The worker stays: a finished status records where the job ran.
 		nx.state = State(typ)
 		nx.err = st.err
 		nx.envelope = st.envelope

@@ -37,10 +37,6 @@ type schedMetrics struct {
 	memoMisses     *obs.Counter
 	memoEvictions  *obs.Counter
 
-	leaseExpiries *obs.Counter
-	jobsRequeued  *obs.Counter
-	leaseGiveups  *obs.Counter
-
 	sseLagged  *obs.Counter
 	sseDropped *obs.Counter
 
@@ -73,10 +69,6 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 		memoMisses:     reg.Counter("memo_misses_total", "Dedup-enabled submissions that found no usable memo entry and executed."),
 		memoEvictions:  reg.Counter("memo_evictions_total", "Memo entries dropped because history evicted their job (Config.MaxHistory)."),
 
-		leaseExpiries: reg.Counter("lease_expiries_total", "Worker leases the janitor found expired."),
-		jobsRequeued:  reg.Counter("jobs_requeued_total", "Leased jobs requeued after their worker went quiet."),
-		leaseGiveups:  reg.Counter("lease_giveups_total", "Jobs failed after exhausting their lease attempts."),
-
 		sseLagged:  reg.Counter("sse_lagged_total", "SSE subscribers that lost events to backpressure (lagged events sent)."),
 		sseDropped: reg.Counter("sse_dropped_events_total", "Events dropped across all lagged SSE subscribers."),
 
@@ -95,10 +87,7 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 		return float64(len(s.pending))
 	})
 	reg.GaugeFunc("jobs_running", "Jobs executing on this process's runners.", func() float64 {
-		return float64(s.countRunning(false))
-	})
-	reg.GaugeFunc("jobs_leased", "Jobs leased to remote workers.", func() float64 {
-		return float64(s.countRunning(true))
+		return float64(s.countRunning())
 	})
 	reg.GaugeFunc("tuner_runs", "Tuner executions started by this process's runners.", func() float64 {
 		return float64(s.TunerRuns())
@@ -159,17 +148,16 @@ func (s *Scheduler) memo() []obs.Sample {
 	return out
 }
 
-// countRunning tallies jobs in the running state, split by whether a
-// remote worker holds them (leased) or a local runner does. A follower
-// counts as its execution does.
-func (s *Scheduler) countRunning(leased bool) int {
+// countRunning tallies jobs in the running state. A follower counts as its
+// execution does.
+func (s *Scheduler) countRunning() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, j := range s.jobs {
 		x := j.exec
 		x.mu.Lock()
-		if x.lc.state == StateRunning && (x.lc.worker != "") == leased {
+		if x.lc.state == StateRunning {
 			n++
 		}
 		x.mu.Unlock()

@@ -142,7 +142,7 @@ func (s *Scheduler) replayJob(data []byte) error {
 		lc: lifecycle{
 			state: st.State, err: jerr, envelope: env, warmApplied: st.WarmStart,
 			sweepsDone: st.SweepsDone, sweepsTotal: st.SweepsTotal,
-			started: st.Started, finished: st.Finished, worker: st.Worker, attempts: st.Attempts,
+			started: st.Started, finished: st.Finished,
 		},
 		events: []Event{{Type: string(st.State), Done: st.SweepsDone, Total: st.SweepsTotal, Error: st.Error}},
 	}

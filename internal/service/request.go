@@ -81,8 +81,8 @@ type jobSpec struct {
 	// so they are safe to coalesce.
 	fingerprint string
 	// req is the normalized request — every default filled in, every name
-	// canonical — so a spec can be shipped to a worker process and
-	// re-resolved there into the identical spec.
+	// canonical — as a job's durable record holds it (replay reads its
+	// dedup and warm-start flags).
 	req JobRequest
 }
 
@@ -195,7 +195,7 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 	}
 
 	// Strategy names round-trip through ParseStrategy, so the normalized
-	// request re-resolves to an identical spec on a worker.
+	// request re-resolves to an identical spec.
 	spec.req = JobRequest{
 		Workload:    w.Name(),
 		Scale:       spec.scaleName,

@@ -2,13 +2,12 @@
 // with a bounded queue and per-job contexts wraps the autotune Tuner,
 // streams completion-ordered progress events (the sweeps Arenas.Run hands
 // back), and shares a ProfileStore so later jobs warm-start from what
-// earlier jobs on the same workload learned. On top of that sit three
-// production capabilities: identical submissions coalesce onto one
-// execution or its memoized result (this file and persist.go, through one
-// fingerprint index), finished jobs and merged profiles survive
-// restarts through an optional durable store (persist.go), and queued jobs
-// can be leased to remote worker processes with heartbeat-driven requeue
-// on worker death (lease.go, worker.go). Every status change goes through
+// earlier jobs on the same workload learned. Every job runs on the
+// scheduler's own runners. On top of that sit two production
+// capabilities: identical submissions coalesce onto one execution or its
+// memoized result (this file and persist.go, through one fingerprint
+// index), and finished jobs and merged profiles survive restarts through
+// an optional durable store (persist.go). Every status change goes through
 // one state machine (lifecycle.go). The HTTP layer (http.go, served by
 // cmd/critter-serve) exposes it all as a versioned JSON API.
 package service
@@ -52,11 +51,9 @@ func (s State) terminal() bool {
 // completion order (the order the Tuner finishes sweeps, not grid order).
 // It is also the SSE payload shape of GET /v1/jobs/{id}/events.
 type Event struct {
-	// Type is queued, started, sweep, requeued, lagged, done, failed, or
-	// canceled. requeued means the job's worker lease expired and it went
-	// back to the queue; lagged is synthesized per subscriber by the SSE
-	// layer when backpressure dropped events (it never appears in the
-	// stored history).
+	// Type is queued, started, sweep, lagged, done, failed, or canceled.
+	// lagged is synthesized per subscriber by the SSE layer when
+	// backpressure dropped events (it never appears in the stored history).
 	Type string `json:"type"`
 	// Job is the job ID the event belongs to.
 	Job string `json:"job"`
@@ -82,10 +79,6 @@ type Event struct {
 	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`
-	// Worker names the worker process involved: the leasing worker on
-	// started/sweep events of leased jobs, the dead worker on requeued
-	// events.
-	Worker string `json:"worker,omitempty"`
 	// Dropped counts the events a slow subscriber lost (lagged events
 	// only).
 	Dropped int `json:"dropped,omitempty"`
@@ -113,13 +106,8 @@ type JobStatus struct {
 	// Deduped marks a job that never executed itself: it coalesced onto
 	// DedupOf's execution and shares that job's result envelope
 	// byte-for-byte.
-	Deduped bool   `json:"deduped,omitempty"`
-	DedupOf string `json:"dedupOf,omitempty"`
-	// Worker names the worker process currently holding the job's lease,
-	// and Attempts counts execution attempts (lease expiries requeue and
-	// increment it).
-	Worker      string    `json:"worker,omitempty"`
-	Attempts    int       `json:"attempts,omitempty"`
+	Deduped     bool      `json:"deduped,omitempty"`
+	DedupOf     string    `json:"dedupOf,omitempty"`
 	SweepsDone  int       `json:"sweepsDone"`
 	SweepsTotal int       `json:"sweepsTotal"`
 	Error       string    `json:"error,omitempty"`
@@ -147,12 +135,11 @@ type execution struct {
 	events []Event
 	// names lists the jobs reporting this execution: the one that
 	// submitted it, then its dedup followers in attach order.
-	names         []*job
-	cancel        context.CancelFunc // set while running on a local runner
-	leaseDeadline time.Time          // set while leased to a remote worker
-	// trace collects the span events of a local run (GET
-	// /v1/jobs/{id}/trace). Nil for leased, replayed, and born-terminal
-	// executions, and when Config.TraceEvents disables tracing.
+	names  []*job
+	cancel context.CancelFunc // set while running
+	// trace collects the span events of a run (GET /v1/jobs/{id}/trace).
+	// Nil for replayed and born-terminal executions, and when
+	// Config.TraceEvents disables tracing.
 	trace *obs.Ring
 }
 
@@ -243,8 +230,6 @@ func (j *job) status(lc lifecycle) JobStatus {
 		Fingerprint: j.spec.fingerprint,
 		Deduped:     j.dedupOf != "",
 		DedupOf:     j.dedupOf,
-		Worker:      lc.worker,
-		Attempts:    lc.attempts,
 		SweepsDone:  lc.sweepsDone,
 		SweepsTotal: lc.sweepsTotal,
 		Submitted:   j.submitted,
@@ -268,10 +253,9 @@ type Config struct {
 	// QueueSize bounds the pending-job queue; Submit fails with
 	// ErrQueueFull beyond it. 0 means 16.
 	QueueSize int
-	// Runners is how many jobs execute concurrently in this process. 0
-	// means 1: jobs run strictly in submission order, each one's profile
-	// warm-starting the next. Negative means no local runners at all —
-	// jobs execute only when remote workers lease them.
+	// Runners is how many jobs execute concurrently. 0 or less means 1:
+	// jobs run strictly in submission order, each one's profile
+	// warm-starting the next.
 	Runners int
 	// Workers bounds each job's sweep pool (Tuner.Workers); 0 means
 	// GOMAXPROCS.
@@ -288,18 +272,15 @@ type Config struct {
 	// long-running server cannot grow without bound. Queued and running
 	// jobs never count against it. 0 means 256; negative disables eviction.
 	MaxHistory int
-	// LeaseTTL bounds how long a worker may hold a leased job between
-	// heartbeats before the janitor requeues it. 0 means 10s.
-	LeaseTTL time.Duration
 	// SubBuffer bounds each event subscriber's channel; a consumer that
 	// falls further behind loses intermediate events (flagged by the SSE
 	// layer with a lagged event) instead of blocking the scheduler. 0
 	// means 64.
 	SubBuffer int
 	// Logf, when set, receives operational log lines (persistence
-	// failures, lease requeues). nil discards them.
+	// failures). nil discards them.
 	Logf func(format string, args ...any)
-	// TraceEvents bounds each locally executed job's in-memory trace ring
+	// TraceEvents bounds each executed job's in-memory trace ring
 	// (GET /v1/jobs/{id}/trace keeps the last TraceEvents span events). 0
 	// means 4096; negative disables per-job tracing.
 	TraceEvents int
@@ -316,8 +297,7 @@ var ErrClosed = errors.New("service: scheduler is shutting down")
 var ErrFinished = errors.New("service: job already finished")
 
 // Scheduler executes submitted tuning jobs on a fixed set of runner
-// goroutines and any number of remote workers, with a bounded queue,
-// per-job cancellation, completion-order progress events, request
+// goroutines, with a bounded queue, per-job cancellation, completion-order progress events, request
 // dedup/memoization, durable history, and a shared warm-start profile
 // store.
 type Scheduler struct {
@@ -329,8 +309,8 @@ type Scheduler struct {
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
-	// tunerRuns counts Tuner executions started by this process's
-	// runners — the witness that dedup coalesced instead of re-running.
+	// tunerRuns counts Tuner executions started by the runners — the
+	// witness that dedup coalesced instead of re-running.
 	tunerRuns atomic.Int64
 	// arenas are the executor arenas the runners' jobs run on, kept for the
 	// scheduler's lifetime: a job starts on buffers and memo tables an
@@ -351,17 +331,13 @@ type Scheduler struct {
 	// (dedup on): a primary still queued or running, which identical
 	// submissions coalesce onto, or a finished cold one — the memo — whose
 	// envelope answers them at once.
-	index       map[string]*job
-	workers     map[string]*workerState
-	nextWorker  int
-	stopJanitor chan struct{}
+	index map[string]*job
 
 	// met is the registered instrument set (obs.go); never nil.
 	met *schedMetrics
 }
 
-// New starts a scheduler: its runner and janitor goroutines live until
-// Close. When cfg.Durable is set, history and profiles are replayed from
+// New starts a scheduler: its runner goroutines live until Close. When cfg.Durable is set, history and profiles are replayed from
 // it before the first runner starts.
 func New(cfg Config) *Scheduler {
 	if cfg.Registry == nil {
@@ -373,17 +349,11 @@ func New(cfg Config) *Scheduler {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 16
 	}
-	if cfg.Runners == 0 {
+	if cfg.Runners <= 0 {
 		cfg.Runners = 1
-	}
-	if cfg.Runners < 0 {
-		cfg.Runners = 0
 	}
 	if cfg.MaxHistory == 0 {
 		cfg.MaxHistory = 256
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second
 	}
 	if cfg.SubBuffer <= 0 {
 		cfg.SubBuffer = 64
@@ -393,16 +363,14 @@ func New(cfg Config) *Scheduler {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Scheduler{
-		cfg:         cfg,
-		reg:         cfg.Registry,
-		store:       NewProfileStore(),
-		durable:     cfg.Durable,
-		baseCtx:     ctx,
-		stop:        stop,
-		jobs:        make(map[string]*job),
-		index:       make(map[string]*job),
-		workers:     make(map[string]*workerState),
-		stopJanitor: make(chan struct{}),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		store:   NewProfileStore(),
+		durable: cfg.Durable,
+		baseCtx: ctx,
+		stop:    stop,
+		jobs:    make(map[string]*job),
+		index:   make(map[string]*job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.met = newSchedMetrics(s, obs.NewRegistry())
@@ -423,11 +391,6 @@ func New(cfg Config) *Scheduler {
 			}
 		}()
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.janitor()
-	}()
 	return s
 }
 
@@ -464,9 +427,8 @@ func (s *Scheduler) Metrics() *obs.Registry { return s.met.reg }
 // Trace returns the span events (oldest first) of a job's execution, so a
 // dedup follower serves its primary's, and how many older events the
 // bounded ring overwrote. The second result is false for unknown jobs; an
-// execution without a trace (leased to a worker, replayed from the
-// durable store, born terminal, or tracing disabled) returns an empty
-// slice.
+// execution without a trace (replayed from the durable store, born
+// terminal, or tracing disabled) returns an empty slice.
 func (s *Scheduler) Trace(id string) ([]obs.Event, uint64, bool) {
 	_, x, ok := s.locked(id)
 	if !ok {
@@ -483,28 +445,15 @@ func (s *Scheduler) Trace(id string) ([]obs.Event, uint64, bool) {
 // Registry returns the registry jobs resolve workloads against.
 func (s *Scheduler) Registry() *workload.Registry { return s.reg }
 
-// TunerRuns reports how many Tuner executions this process's runners have
-// started. Deduped and memoized submissions never increment it.
+// TunerRuns reports how many Tuner executions the runners have started.
+// Deduped and memoized submissions never increment it.
 func (s *Scheduler) TunerRuns() int64 { return s.tunerRuns.Load() }
 
 // RetryAfterHint estimates, in whole seconds, how long a client should
 // wait before resubmitting after ErrQueueFull. It is a coarse heuristic
 // (queue depth over runner count), clamped to [1, 60].
 func (s *Scheduler) RetryAfterHint() int {
-	runners := s.cfg.Runners
-	if runners <= 0 {
-		// Lease-only scheduler: drain rate depends on remote workers we
-		// cannot see from here.
-		return 5
-	}
-	hint := s.cfg.QueueSize / runners
-	if hint < 1 {
-		hint = 1
-	}
-	if hint > 60 {
-		hint = 60
-	}
-	return hint
+	return min(max(s.cfg.QueueSize/s.cfg.Runners, 1), 60)
 }
 
 // ProfileInfo returns the encoded merged profile for a workload plus the
@@ -748,10 +697,8 @@ func (s *Scheduler) Result(id string) (*autotune.Envelope, bool) {
 }
 
 // Cancel stops a job: a queued job is marked canceled and leaves the
-// queue; a locally running job's context is canceled, aborting its sweeps
-// at the next configuration boundary; a leased job is terminated
-// immediately (the worker's later posts get ErrLeaseLost); a deduped
-// follower detaches alone onto a private copy of the execution, leaving
+// queue; a running job's context is canceled, aborting its sweeps at the
+// next configuration boundary; a deduped follower detaches alone onto a private copy of the execution, leaving
 // the shared execution running for everyone else — canceling the primary,
 // by contrast, cancels the whole coalesced group. Canceling a finished job
 // returns ErrFinished.
@@ -779,16 +726,16 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		c.mu.Lock()
 		j.exec, x = c, c
 	case x.cancel != nil:
-		// Running locally: runJob lands the terminal transition when the
-		// stream drains; this just triggers it.
+		// Running: runJob lands the terminal transition when the stream
+		// drains; this just triggers it.
 		x.cancel()
 		st := j.status(x.lc)
 		x.mu.Unlock()
 		s.mu.Unlock()
 		return st, nil
 	default:
-		// Queued, or leased to a worker: a queued job frees its queue slot
-		// now, not when a busy runner would pop it.
+		// Queued: the job frees its queue slot now, not when a busy runner
+		// would pop it.
 		s.pending = slices.DeleteFunc(s.pending, func(p *job) bool { return p == j })
 	}
 	// Not terminal (checked above under the same locks), so next accepts.
@@ -895,15 +842,10 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 // Close shuts the scheduler down gracefully: no new submissions, queued
 // and running jobs are given until ctx is done to finish, then everything
 // still running is canceled. Close returns when every runner has exited.
-// Jobs leased to remote workers are not waited for; their result posts
-// after Close fail with ErrLeaseLost or a closed listener.
 func (s *Scheduler) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.stopJanitor)
-		s.cond.Broadcast()
-	}
+	s.closed = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	finished := make(chan struct{})
@@ -951,8 +893,8 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	x.trace = ring
 	x.mu.Unlock()
 
-	// A local run shows its workload's kernel counters from the start,
-	// zero included.
+	// A run shows its workload's kernel counters from the start, zero
+	// included.
 	name := spec.workload.Name()
 	s.met.kernelsExecuted.With(name)
 	s.met.kernelsSkipped.With(name)
@@ -999,34 +941,17 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	}
 }
 
-// sweepLocked folds completed sweeps into x. It is the one sweep path,
-// for local runners and worker heartbeats alike: next judges the whole
-// batch before any of it lands, so a rejected batch leaves the job
-// unchanged; then each sweep is published and its kernel counts feed the
-// per-workload counters. Callers hold x.mu.
-func (s *Scheduler) sweepLocked(x *execution, evs ...Event) error {
-	lc := x.lc
-	for _, ev := range evs {
-		var err error
-		if lc, err = next(lc, step{ev: ev}); err != nil {
-			return err
-		}
+// sweepLocked folds one completed sweep into x: next judges it, and an
+// accepted sweep is published and its kernel counts feed the per-workload
+// counters. Callers hold x.mu.
+func (s *Scheduler) sweepLocked(x *execution, ev Event) error {
+	if _, err := x.apply(step{ev: ev}); err != nil {
+		return err
 	}
 	name := x.names[0].spec.workload.Name()
-	for _, ev := range evs {
-		x.apply(step{ev: ev}) // accepted: the same steps passed next above
-		// Worker-supplied counts feed monotone counters; negative values
-		// (a broken or hostile worker) must not panic the coordinator.
-		if ev.Executed > 0 {
-			s.met.kernelsExecuted.With(name).Add(ev.Executed)
-		}
-		if ev.Skipped > 0 {
-			s.met.kernelsSkipped.With(name).Add(ev.Skipped)
-		}
-		if ev.Memoized > 0 {
-			s.met.kernelsMemoized.With(name).Add(ev.Memoized)
-		}
-	}
+	s.met.kernelsExecuted.With(name).Add(ev.Executed)
+	s.met.kernelsSkipped.With(name).Add(ev.Skipped)
+	s.met.kernelsMemoized.With(name).Add(ev.Memoized)
 	return nil
 }
 
@@ -1050,9 +975,6 @@ func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
 	p := x.names[0]
 	if p.spec.dedup && s.index[p.spec.fingerprint] == p && (lc.state != StateDone || p.spec.warm) {
 		delete(s.index, p.spec.fingerprint)
-	}
-	for _, w := range s.workers {
-		delete(w.jobs, p.id)
 	}
 	return recs, nil
 }

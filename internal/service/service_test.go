@@ -340,37 +340,40 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 // TestHistoryPruning: terminal jobs beyond MaxHistory are evicted oldest
-// first, while queued and running jobs never count against the cap.
+// first, while queued and running jobs never count against the cap. A
+// negative runner count means one runner, so its jobs finish too.
 func TestHistoryPruning(t *testing.T) {
 	gate := make(chan struct{})
 	close(gate) // jobs finish immediately
-	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 8, MaxHistory: 2})
-	defer closeNow(t, s)
+	for _, runners := range []int{1, -1} {
+		s := New(Config{Registry: blockingRegistry(gate), Runners: runners, QueueSize: 8, MaxHistory: 2})
+		defer closeNow(t, s)
 
-	// dedup off: five independent terminal records, not one execution
-	// plus four memo hits.
-	const body = `{"workload":"block","dedup":false}`
-	var ids []string
-	for i := 0; i < 5; i++ {
-		ids = append(ids, submitWait(t, s, body).ID)
-	}
-	// The two newest terminal jobs survive; the three oldest are gone.
-	for _, id := range ids[:3] {
-		if _, ok := s.Status(id); ok {
-			t.Errorf("evicted job %s still resolvable", id)
+		// dedup off: five independent terminal records, not one execution
+		// plus four memo hits.
+		const body = `{"workload":"block","dedup":false}`
+		var ids []string
+		for i := 0; i < 5; i++ {
+			ids = append(ids, submitWait(t, s, body).ID)
 		}
-	}
-	for _, id := range ids[3:] {
-		st, ok := s.Status(id)
-		if !ok || st.State != StateDone {
-			t.Errorf("retained job %s: ok=%v state=%v", id, ok, st.State)
+		// The two newest terminal jobs survive; the three oldest are gone.
+		for _, id := range ids[:3] {
+			if _, ok := s.Status(id); ok {
+				t.Errorf("runners %d: evicted job %s still resolvable", runners, id)
+			}
 		}
-		if env, ok := s.Result(id); !ok || env == nil {
-			t.Errorf("retained job %s lost its envelope", id)
+		for _, id := range ids[3:] {
+			st, ok := s.Status(id)
+			if !ok || st.State != StateDone {
+				t.Errorf("runners %d: retained job %s: ok=%v state=%v", runners, id, ok, st.State)
+			}
+			if env, ok := s.Result(id); !ok || env == nil {
+				t.Errorf("runners %d: retained job %s lost its envelope", runners, id)
+			}
 		}
-	}
-	if n := len(s.Jobs()); n != 2 {
-		t.Errorf("job list has %d entries, want 2", n)
+		if n := len(s.Jobs()); n != 2 {
+			t.Errorf("runners %d: job list has %d entries, want 2", runners, n)
+		}
 	}
 }
 

@@ -16,27 +16,22 @@
 #      (Prometheus text) reporting jobs_completed_total >= 1,
 #      memo_hits_total >= 1, and kernels_memoized_total >= 1 (the
 #      profilers' decision caches replayed skips during the job),
-#   7. join one worker process (critter-serve -mode=worker) and require it
-#      in the coordinator's roster at GET /v1/workers,
-#   8. shut the server down gracefully (SIGTERM) and require a clean exit,
-#   9. RESTART against the same store directory and require the finished
+#   7. shut the server down gracefully (SIGTERM) and require a clean exit,
+#   8. RESTART against the same store directory and require the finished
 #      job, its envelope (golden-diffed again), and the persisted profile
 #      (persistedAt set; every other line as served before the restart) to
 #      have survived,
-#  10. shut the restarted server down gracefully too.
+#   9. shut the restarted server down gracefully too.
 #
 # Usage: scripts/service-smoke.sh  (from the repository root)
 set -euo pipefail
 
 workdir=$(mktemp -d)
 server_pid=""
-worker_pid=""
 cleanup() {
-  for pid in "$worker_pid" "$server_pid"; do
-    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-      kill -9 "$pid" 2>/dev/null || true
-    fi
-  done
+  if [[ -n "$server_pid" ]] && kill -0 "$server_pid" 2>/dev/null; then
+    kill -9 "$server_pid" 2>/dev/null || true
+  fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -147,20 +142,6 @@ executed=$(awk -F' ' '/^kernels_executed_total{workload="candmc"}/ {print $2}' "
 # during the job.
 memoized=$(awk -F' ' '/^kernels_memoized_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
 [[ -n "$memoized" && "$memoized" -ge 1 ]] || { echo "kernels_memoized_total = '$memoized', want >= 1"; exit 1; }
-
-echo "=== a joined worker process shows in the roster"
-"$workdir/critter-serve" -mode=worker -join "$base" -name ci-worker >"$workdir/worker.log" 2>&1 &
-worker_pid=$!
-joined=""
-for _ in $(seq 1 100); do
-  if curl -fsS "$base/v1/workers" | grep -q '"ci-worker"'; then joined=1; break; fi
-  kill -0 "$worker_pid" 2>/dev/null || { echo "worker died:"; cat "$workdir/worker.log"; exit 1; }
-  sleep 0.1
-done
-[[ -n "$joined" ]] || { echo "ci-worker never appeared in /v1/workers:"; cat "$workdir/worker.log"; exit 1; }
-kill -TERM "$worker_pid"
-wait "$worker_pid" 2>/dev/null || true
-worker_pid=""
 
 echo "=== graceful shutdown"
 stop_server "$workdir/serve.log"
