@@ -1,6 +1,6 @@
 package critter_test
 
-// The four benchmarks of the simulation substrate (mpi + critter + autotune
+// The five benchmarks of the simulation substrate (mpi + critter + autotune
 // executor) that carry an allocation budget, and TestAllocBudgets, which
 // holds them to it in `go test .`. allocs/op and B/op are the only numbers of
 // theirs that are checked: they are functions of the code, where ns/op is a
@@ -15,13 +15,14 @@ package critter_test
 //     path frequency table, so the piggyback path (pathset snapshot, merge,
 //     adopt) dominates.
 //   - BenchmarkFullSweep: one iteration is one complete (policy, eps) sweep
-//     of the SLATE Cholesky study at QuickScale through the Tuner.
+//     of the SLATE Cholesky study at QuickScale through the Tuner;
+//     BenchmarkFullSweepApriori is the same sweep under the a-priori policy.
 //   - BenchmarkMPIAllreduce, BenchmarkProfilerCollective: a raw and a
 //     profiled 8-rank collective in steady state.
 //
 // To see the numbers behind a budget:
 //
-//	go test -run '^$' -bench '^Benchmark(Propagation|FullSweep|MPIAllreduce|ProfilerCollective)$' -benchmem .
+//	go test -run '^$' -bench '^Benchmark(Propagation|FullSweep|FullSweepApriori|MPIAllreduce|ProfilerCollective)$' -benchmem .
 
 import (
 	"context"
@@ -41,7 +42,7 @@ var raceEnabled bool
 // allocation buys.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs four benchmarks for a second each; counts under -race are the detector's")
+		t.Skip("runs five benchmarks for a second each; counts under -race are the detector's")
 	}
 	for _, bud := range []struct {
 		name          string
@@ -51,12 +52,18 @@ func TestAllocBudgets(t *testing.T) {
 		// The eight unpooled Sendrecv payloads of a world without a BufPool:
 		// 1 030-1 034 B/op over 44 runs, hence the bytes' headroom.
 		{"BenchmarkPropagation", BenchmarkPropagation, 8, 1038},
-		// 13 795-13 803 allocs/op and 1 520 105-1 526 361 B/op over 46 runs
+		// 13 653-13 660 allocs/op and 1 400 910-1 407 005 B/op over 18 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
 		// allocations and one spread of bytes of headroom. An allocation per
-		// configuration (20 a sweep) or per adopt is well past either.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 13807, 1532700},
+		// configuration (20 a sweep) or per adopt is well past either, and so
+		// is a reference profiler that archives what nobody exports.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 13664, 1413100},
+		// 19 255-19 264 allocs/op and 1 720 625-1 727 331 B/op over 18 runs,
+		// the same way. Rekeying the offline pass's global path table into a
+		// Key map per configuration and rank, as GlobalPathFreqs does, cost
+		// 19 909-19 918 and 2 016 045-2 022 235 B.
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 19268, 1734100},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first.
 		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0, 0},
@@ -117,7 +124,14 @@ func BenchmarkPropagation(b *testing.B) {
 // BenchmarkFullSweep measures one complete (policy, eps) sweep — full
 // reference execution plus selective execution per configuration — of the
 // SLATE Cholesky study at QuickScale, through the Tuner on a single worker.
-func BenchmarkFullSweep(b *testing.B) {
+func BenchmarkFullSweep(b *testing.B) { benchSweep(b, critter.Online) }
+
+// BenchmarkFullSweepApriori is BenchmarkFullSweep under the a-priori policy,
+// whose every configuration adds an offline pass and installs its global
+// path counts.
+func BenchmarkFullSweepApriori(b *testing.B) { benchSweep(b, critter.APriori) }
+
+func benchSweep(b *testing.B, pol critter.Policy) {
 	study := autotune.SlateCholesky(autotune.QuickScale())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +140,7 @@ func BenchmarkFullSweep(b *testing.B) {
 			EpsList:  []float64{0.125},
 			Machine:  benchMachine(),
 			Seed:     42,
-			Policies: []critter.Policy{critter.Online},
+			Policies: []critter.Policy{pol},
 			Workers:  1,
 		}.Run(context.Background())
 		if err != nil {

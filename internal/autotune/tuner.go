@@ -271,9 +271,9 @@ func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter
 
 // newReference builds the profiler reference runs under: cold, never
 // warm-started, tolerance zero — it is the ground truth the selective run is
-// judged against.
+// judged against. Only its reports are read, so it archives nothing.
 func newReference(c *mpi.Comm, memo *critter.KernelMemo) (*critter.Profiler, *critter.Comm) {
-	return critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0, Memo: memo})
+	return critter.NewReference(c, memo)
 }
 
 // runSweep performs one (policy, eps) pass over the configurations the
@@ -385,12 +385,11 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				c.Rekey(runKey(ck, runOffline, roundNo))
 				study.Run(tuned, tunedComm, v)
 				offline := tuned.Report()
-				freqs := tuned.GlobalPathFreqs()
+				tuned.SetAprioriFromPath()
 				sr.TuneWall += offline.Wall
 				sr.KernelTime += offline.KernelTime
 				sr.CompKernelTime += offline.CompKernel
 				sr.KernelsMemoized += offline.Memoized
-				tuned.SetAprioriFreq(freqs)
 				tuned.SetPolicy(critter.APriori)
 				tuned.SetEps(round.Eps)
 				tuned.StartConfig(false) // keep the offline pass's samples

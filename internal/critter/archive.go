@@ -12,8 +12,10 @@ import (
 // configuration. A sweep does this once per configuration evaluated, per
 // profiler, per rank, and exports once — so the archive stays in the
 // profiler's own currency, dense kernel ids, appended to two slabs, and is
-// rekeyed by Key only when an export is actually asked for (the reference
-// profiler's never is).
+// rekeyed by Key only when an export is actually asked for. A reference
+// profiler (NewReference) keeps no archive at all: the sweep only ever reads
+// its reports, never asks it for an export, so anything set aside would be
+// recycled unread at Retire.
 
 // archivedModel is one kernel's archived duration model under the dense id
 // its segment's table gave it.

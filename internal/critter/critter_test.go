@@ -3,6 +3,7 @@ package critter
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -562,5 +563,100 @@ func TestReportDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.Predicted != b.Predicted || a.Wall != b.Wall || a.Executed != b.Executed {
 		t.Errorf("reports differ across identical runs: %+v vs %+v", a, b)
+	}
+}
+
+// TestReferenceArchivesNothing runs a NewReference profiler and its New twin
+// (Conditional, eps 0, a memo of its own) over the same keyed configurations
+// on identical worlds and seeds, each configuration's noise keyed by the
+// configuration as the sweep keys it. The reports must agree field for field
+// and the reference's archive must stay empty; its memo publications must
+// still serve a later selective profiler; and its GlobalProfile must be the
+// live layer alone, the profile of a twin that ran only the last
+// configuration.
+func TestReferenceArchivesNothing(t *testing.T) {
+	const ranks, configs = 4, 5
+	work := func(p *Profiler, cc *Comm, cfg int) {
+		buf := make([]float64, 16)
+		for i := 0; i < 6; i++ {
+			d := 4 + 4*((cfg+i)%3)
+			p.Kernel("gemm", d, d, d, 0, float64(d*d*d), func() {})
+			p.Kernel("trsm", d, d, 0, 0, float64(d*d), func() {})
+			cc.Allreduce(buf[:8], buf[8:], mpi.OpSum)
+			peer := cc.Rank() ^ 1
+			cc.Sendrecv(peer, 3, buf[:4], peer, 3, buf[4:8])
+		}
+	}
+	type side struct {
+		reports []Report
+		global  *Profile
+		memo    *KernelMemo
+	}
+	// run executes configurations first..configs-1 under a profiler from
+	// build, then a selective profiler on the same memo restarts
+	// configuration first.
+	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), first int, archiveEmpty bool) side {
+		s := side{memo: NewKernelMemo()}
+		w := mpi.NewWorld(ranks, testMachine(0.05), 11)
+		err := w.Run(func(c *mpi.Comm) {
+			p, cc := build(c, s.memo)
+			for cfg := first; cfg < configs; cfg++ {
+				ck := ConfigKey("ref", cfg)
+				p.StartConfigKeyed(true, ck)
+				c.Rekey(ck)
+				work(p, cc, cfg)
+				r := p.Report()
+				if c.Rank() == 0 {
+					s.reports = append(s.reports, r)
+				}
+				if a := &p.arch; archiveEmpty && (len(a.segs) != 0 || len(a.models) != 0 || len(a.freqs) != 0 || a.families != nil) {
+					t.Errorf("config %d rank %d: the reference archived %d segments, %d models, %d frequencies, %d families",
+						cfg, c.Rank(), len(a.segs), len(a.models), len(a.freqs), len(a.families))
+				}
+			}
+			g := p.GlobalProfile()
+			if c.Rank() == 0 {
+				s.global = g
+			}
+			p.Retire()
+			sel, scc := New(c, Options{Policy: Conditional, Eps: 0.25, Memo: s.memo})
+			ck := ConfigKey("ref", first)
+			sel.StartConfigKeyed(true, ck)
+			c.Rekey(ck)
+			work(sel, scc, first)
+			sel.Report()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	twin := func(c *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
+		return New(c, Options{Policy: Conditional, Eps: 0, Memo: memo})
+	}
+	ref := run(NewReference, 0, true)
+	full := run(twin, 0, false)
+	last := run(twin, configs-1, false)
+
+	for i := range ref.reports {
+		if ref.reports[i] != full.reports[i] {
+			t.Errorf("config %d: the reference reports %+v, its New twin %+v", i, ref.reports[i], full.reports[i])
+		}
+	}
+	for _, s := range []struct {
+		name string
+		memo *KernelMemo
+	}{{"reference", ref.memo}, {"twin", full.memo}} {
+		if hits, misses := s.memo.TableHits(); hits != 1 || misses != configs {
+			t.Errorf("%s's memo: %d hits and %d misses, want 1 (the selective restart) and %d (its publications)",
+				s.name, hits, misses, configs)
+		}
+	}
+	if !reflect.DeepEqual(ref.global, last.global) {
+		t.Errorf("the reference's GlobalProfile is not the last configuration's live layer\n got %+v\nwant %+v", ref.global, last.global)
+	}
+	if ref.global.Samples() >= full.global.Samples() {
+		t.Errorf("the reference's GlobalProfile holds %d samples, its twin's %d: the twin should hold every configuration's",
+			ref.global.Samples(), full.global.Samples())
 	}
 }

@@ -14,7 +14,9 @@ import "sync"
 // all. Ids are assigned in global first-seen order, which depends on
 // goroutine scheduling — nothing result-bearing may depend on id order, and
 // nothing does: ids never leave the process, and every boundary artifact
-// (PathFreqs, profiles, reports) is rekeyed by Key.
+// (PathFreqs, profiles, reports) is rekeyed by Key. A-priori counts never
+// cross that boundary: a sweep's offline and a-priori passes run under one
+// table, so SetAprioriFromPath keeps the global path counts by id.
 type KernelTable struct {
 	mu   sync.RWMutex
 	ids  map[Key]uint32

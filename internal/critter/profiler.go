@@ -40,7 +40,8 @@ type kernelStats struct {
 	// reset; prior is the warm-start profile's accumulator for the signature
 	// (empty without one). Queries merge the two (model, estimator.go).
 	live, prior stats.Welford
-	// apriori is the signature's entry in Options.AprioriFreq (0: none).
+	// apriori is the signature's a-priori count: its entry in the installed
+	// id table (SetAprioriFromPath) or in Options.AprioriFreq (0: none).
 	apriori int64
 	// pred caches the propagation-point predictability outcomes (predCache).
 	pred predCache
@@ -62,9 +63,10 @@ type Options struct {
 	// selective execution entirely (full execution; the reference mode).
 	Eps float64
 	// AprioriFreq supplies fixed critical-path execution counts for the
-	// APriori policy, measured on a preceding full execution. A kernel's
-	// count is read when it is first seen; SetAprioriFreq installs a new
-	// table.
+	// APriori policy, measured on a preceding full execution, by Key — the
+	// form a caller outside the profiler holds. A kernel's count is read when
+	// it is first seen; SetAprioriFreq installs a new map, and
+	// SetAprioriFromPath replaces the map with counts by kernel id.
 	AprioriFreq map[Key]int64
 	// Extrapolate enables kernel-model extrapolation across input sizes
 	// (the line-fitting extension of Section VIII): a computation kernel
@@ -131,6 +133,11 @@ type Profiler struct {
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
 	free countsFree
+	// apriori is the global path table SetAprioriFromPath installed, by id of
+	// the current interner; inactive when the counts come from
+	// Options.AprioriFreq. It goes back to free when it is replaced or its
+	// ids are (startConfig, Retire).
+	apriori kernelCounts
 
 	// aggregates is the registry of aggregate channels (Figure 2, lines
 	// 16-25), keyed by hash, seeded with the world channel.
@@ -151,6 +158,8 @@ type Profiler struct {
 	// the current one, so ExportProfile covers everything the run learned
 	// (archive.go).
 	arch archive
+	// reference marks a profiler built by NewReference: it archives nothing.
+	reference bool
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
 
@@ -259,6 +268,20 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	return p, cc
 }
 
+// NewReference creates the profiler a reference execution runs under — the
+// full execution every selective one is judged against: New with the
+// Conditional policy, tolerance zero and memo. It is collective like New.
+// A reference is only ever asked for its Reports, so StartConfig sets
+// nothing aside for an export: ExportProfile and GlobalProfile on it yield
+// only the live layer, what it learned since the last statistics reset (the
+// current configuration, under StartConfig(true)). It still publishes its
+// configurations' interners to memo, like any keyed profiler.
+func NewReference(world *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
+	p, cc := New(world, Options{Policy: Conditional, Eps: 0, Memo: memo})
+	p.reference = true
+	return p, cc
+}
+
 // Policy returns the active selective-execution policy.
 func (p *Profiler) Policy() Policy { return p.opts.Policy }
 
@@ -342,9 +365,19 @@ func (p *Profiler) lookup(key Key) (uint32, *kernelStats) {
 		ks.seen = true
 		p.touched++
 		ks.prior = p.est.priorOf(key)
-		ks.apriori = p.opts.AprioriFreq[key]
+		ks.apriori = p.aprioriOf(id, key)
 	}
 	return id, ks
+}
+
+// aprioriOf returns the a-priori count of kernel id, whose signature is key:
+// from the installed id table when there is one, from Options.AprioriFreq
+// otherwise.
+func (p *Profiler) aprioriOf(id uint32, key Key) int64 {
+	if p.apriori.active() {
+		return p.apriori.get(id)
+	}
+	return p.opts.AprioriFreq[key]
 }
 
 // grow extends the records to n > len entries.
@@ -623,14 +656,15 @@ type tabMsg struct {
 
 func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	resetIDs := resetStats && p.opts.Policy != Eager
-	// Align ranks before resetting clocks; when the records are about to be
-	// discarded anyway, the same round distributes the next shared interner, so dense ids stay as compact as the configuration's
-	// active kernel set instead of accumulating across configurations
-	// (every path-frequency snapshot copies up to the id high-water mark).
-	// With a memo attached, rank 0 first checks whether an earlier
-	// profiler already published this configuration's interner; on a hit
-	// the round distributes the published table and its read-only intern
-	// snapshots instead of an empty table.
+	// Align ranks before resetting clocks. When the records are about to be
+	// discarded anyway, the same round distributes the next shared
+	// interner, so dense ids stay as compact as the configuration's active
+	// kernel set instead of accumulating across configurations (every
+	// path-frequency snapshot copies up to the id high-water mark). With a
+	// memo attached, rank 0 first checks whether an earlier profiler
+	// already published this configuration's interner; on a hit the round
+	// distributes the published table and its read-only intern snapshots
+	// instead of an empty table.
 	var msg tabMsg
 	if keyed {
 		// A memo outlives one run, and a study keeps its name across scales:
@@ -648,7 +682,9 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	}
 	g := mpi.GatherMsgUntimed(p.world.internal, msg)[0]
 	p.world.user.ResetClock()
-	p.archivePathFreqs() // resolves ids through the outgoing table
+	if !p.reference {
+		p.archivePathFreqs() // resolves ids through the outgoing table
+	}
 	p.kernelTime, p.compKernelTime = 0, 0
 	p.volCommWords, p.volSync, p.volFlops = 0, 0, 0
 	p.executed, p.skipped, p.replayedSkips = 0, 0, 0
@@ -658,7 +694,9 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		// live model state persists and is merged at export time instead —
 		// archiving it here would double-count samples.) The live
 		// accumulators themselves go with the records, below.
-		p.archiveEstimator()
+		if !p.reference {
+			p.archiveEstimator()
+		}
 		p.est.reset()
 		p.extrapolatedSkips = 0
 		p.memoKey = cfg
@@ -684,6 +722,9 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		clear(p.k)
 		p.k = p.k[:0]
 		p.touched = 0
+		// A-priori counts by id mean nothing under the next interner.
+		p.free.put(p.apriori)
+		p.apriori = kernelCounts{}
 		// The table's stale tail is cleared as it regrows (materialize).
 		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
 		if n := len(p.roKeys); n > 0 {
@@ -720,13 +761,41 @@ func (p *Profiler) SetPolicy(pol Policy) { p.opts.Policy = pol }
 // family-model extrapolation rather than their own signature's model.
 func (p *Profiler) ExtrapolatedSkips() int64 { return p.extrapolatedSkips }
 
-// SetAprioriFreq installs the critical-path counts for the APriori policy,
-// re-resolving the records of the kernels already seen.
+// SetAprioriFreq installs critical-path counts by Key for the APriori policy
+// (Options.AprioriFreq), replacing those SetAprioriFromPath installed, and
+// re-resolves the records of the kernels already seen. For callers that hold
+// their counts by Key; a sweep's own offline pass uses SetAprioriFromPath.
 func (p *Profiler) SetAprioriFreq(f map[Key]int64) {
+	p.free.put(p.apriori)
+	p.apriori = kernelCounts{}
 	p.opts.AprioriFreq = f
+	p.resolveApriori()
+}
+
+// SetAprioriFromPath installs the configuration's critical-path counts for
+// the APriori policy: the path frequency table of the rank with the maximal
+// predicted execution time, the table GlobalPathFreqs returns, kept by
+// kernel id instead of rekeyed by Key. It replaces Options.AprioriFreq and
+// re-resolves the records of the kernels already seen; a kernel first seen
+// later reads its count from the same table. Collective over world.
+//
+// The counts hold while the kernel ids do: a statistics reset that swaps the
+// interner (StartConfig(true) under a non-eager policy) drops them, and
+// SetAprioriFreq replaces them. This is how a sweep seeds the a-priori pass
+// from its offline pass (StartConfig(false) between the two keeps the ids).
+func (p *Profiler) SetAprioriFromPath() {
+	g := p.globalPath()
+	p.free.put(p.apriori)
+	p.apriori = g
+	p.opts.AprioriFreq = nil
+	p.resolveApriori()
+}
+
+// resolveApriori re-reads the a-priori count of every kernel already seen.
+func (p *Profiler) resolveApriori() {
 	for id := range p.k {
 		if ks := &p.k[id]; ks.seen {
-			ks.apriori = f[p.keyAt(uint32(id))]
+			ks.apriori = p.aprioriOf(uint32(id), p.keyAt(uint32(id)))
 		}
 	}
 }
@@ -846,8 +915,10 @@ func (p *Profiler) Retire() {
 	clear(p.k[:cap(p.k)])
 	a.k = p.k[:0]
 	// The frequency table has no other holder, and neither it nor the
-	// spare buffers need zeroing: a table clears what it grows into.
+	// spare buffers (the a-priori table among them) need zeroing: a table
+	// clears what it grows into.
 	a.counts = p.path.Kernels.vals[:0]
+	p.free.put(p.apriori)
 	a.free = p.free
 	a.arch = p.arch.recycled()
 	p.memo.releaseArena(p.rank, a)
@@ -857,21 +928,30 @@ func (p *Profiler) Retire() {
 	p.idOf, p.keys, p.k = nil, nil, nil
 	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
-	p.path.Kernels, p.free = kernelCounts{}, nil
+	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
 	p.arch = archive{}
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,
 // returning the table of the rank with the maximal predicted execution time
-// (the configuration's critical path). Collective over world. Used to seed
-// the APriori policy.
+// (the configuration's critical path), rekeyed by Key. Collective over world.
+// SetAprioriFromPath installs the same counts for the APriori policy without
+// the rekeying.
 func (p *Profiler) GlobalPathFreqs() map[Key]int64 {
+	g := p.globalPath()
+	freqs := p.pathFreqMap(g)
+	p.free.put(g)
+	return freqs
+}
+
+// globalPath is the round behind GlobalPathFreqs and SetAprioriFromPath: a
+// copy of the rank's path table, made into a buffer from the freelist, goes
+// into the internal allreduce, and the winning table comes back, owned by the
+// caller (in that buffer when it fits; see propagate).
+func (p *Profiler) globalPath() kernelCounts {
 	ps := p.path
 	ps.Kernels = p.path.Kernels.copyInto(p.free.get())
-	g := p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, propagate)
-	freqs := p.pathFreqMap(g.Path.Kernels)
-	p.free.put(g.Path.Kernels)
-	return freqs
+	return p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, propagate).Path.Kernels
 }
 
 // registerChannel records a newly created communicator's channel and

@@ -13,7 +13,9 @@ package critter
 // whose maps StartConfig merged into by hashing every signature, cloned at
 // every export, and P exports folded by every rank. The id-dense archive of
 // archive.go and the export round's single fold must produce the same
-// profiles bit for bit.
+// profiles bit for bit. The same walk holds the a-priori install by kernel id
+// (SetAprioriFromPath) to the Key-keyed pair it replaced in the sweep,
+// SetAprioriFreq(GlobalPathFreqs()).
 //
 // The Key-keyed prediction model (keyedModel, at the end): a map of live
 // accumulators over a map of priors, with a set of pooled keys, queried by
@@ -26,6 +28,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"critter/internal/mpi"
@@ -569,10 +572,22 @@ func refMergeExports(profs []*Profile) *Profile {
 // mirrored beside it, and demands after random steps and at the end that
 // ExportProfile equals the oracle's export, GlobalProfile equals the former
 // fold of the oracle's per-rank exports and is one value on every rank, and
-// GlobalProfileRoot is that value on root and nil elsewhere.
+// GlobalProfileRoot is that value on root and nil elsewhere. The a-priori
+// step installs its counts by id or by Key at random, and after the install
+// and after the selective pass every seen record's count must be the global
+// path table's entry for its Key — including records first seen in the
+// selective pass, which must find a count the critical path's owner left.
 func TestArchiveMatchesMapOracle(t *testing.T) {
 	names := []string{"gemm", "trsm", "syrk"}
 	dims := []int{4, 8, 12, 16}
+	// lateCounted counts records first seen in a selective pass with a
+	// nonzero count, which lookup, not the install's re-resolve, gave them.
+	var lateCounted atomic.Int64
+	defer func() {
+		if lateCounted.Load() == 0 && !t.Failed() {
+			t.Error("no a-priori step read a nonzero count for a kernel first seen in its selective pass")
+		}
+	}()
 	for seed := uint64(1); seed <= 14; seed++ {
 		ranks := 2 + int(seed%7)
 		opts := Options{Policy: Conditional, Eps: 0.3, Extrapolate: seed%2 == 0}
@@ -666,6 +681,24 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 					// Nobody may overwrite a slot before every rank has read it.
 					c.Barrier()
 				}
+				// checkApriori demands that every seen record's a-priori
+				// count be want's entry for its Key.
+				checkApriori := func(step int, what string, want map[Key]int64) {
+					for id := range p.k {
+						if !p.k[id].seen {
+							continue
+						}
+						key := p.keyAt(uint32(id))
+						got := p.k[id].apriori
+						if got != want[key] {
+							t.Errorf("seed %d step %d (%s) rank %d: %v has a-priori count %d, the global path table %d",
+								seed, step, what, c.Rank(), key, got, want[key])
+						}
+						if key.Name == "solo" && key.P1 != c.Rank() && got > 0 {
+							lateCounted.Add(1)
+						}
+					}
+				}
 				lastCfg := uint64(0)
 				for step := 0; step < 30; step++ {
 					var what string
@@ -680,10 +713,14 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						start(true, true, cfg)
 						work()
 						p.Report() // publishes the configuration's table
+						// A reset drops counts installed by id: they belong to
+						// the previous interner's ids.
+						checkApriori(step, what, p.opts.AprioriFreq)
 					case op < 40:
 						what = "reset"
 						start(true, false, 0)
 						work()
+						checkApriori(step, what, p.opts.AprioriFreq)
 					case op < 55:
 						what = "kept"
 						start(false, false, 0)
@@ -695,12 +732,29 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						p.SetPolicy(Online)
 						p.SetEps(0)
 						work()
+						// Each rank runs a signature of its own: on every rank
+						// but the critical path's owner, the owner's is counted
+						// in the global table and first seen in the selective
+						// pass below.
+						p.Kernel("solo", c.Rank(), 1, 1, 0, 8, func() {})
 						p.Report()
-						p.SetAprioriFreq(p.GlobalPathFreqs())
+						want := p.GlobalPathFreqs()
+						if ctl.Intn(2) == 0 {
+							what += " by id"
+							p.SetAprioriFromPath()
+						} else {
+							what += " by Key"
+							p.SetAprioriFreq(p.GlobalPathFreqs())
+						}
+						checkApriori(step, what, want)
 						p.SetPolicy(APriori)
 						p.SetEps(eps)
 						start(false, false, 0)
+						for r := 0; r < ranks; r++ {
+							p.Kernel("solo", r, 1, 1, 0, 8, func() {})
+						}
 						work()
+						checkApriori(step, what+", selective pass", want)
 						p.SetPolicy(pol)
 					case op < 85:
 						what = "eager, then a resetting policy"
