@@ -52,18 +52,21 @@ func TestAllocBudgets(t *testing.T) {
 		// The eight unpooled Sendrecv payloads of a world without a BufPool:
 		// 1 030-1 034 B/op over 44 runs, hence the bytes' headroom.
 		{"BenchmarkPropagation", BenchmarkPropagation, 8, 1038},
-		// 13 653-13 660 allocs/op and 1 400 910-1 407 005 B/op over 18 runs
+		// 9 839-9 847 allocs/op and 1 216 449-1 220 512 B/op over 18 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
 		// allocations and one spread of bytes of headroom. An allocation per
 		// configuration (20 a sweep) or per adopt is well past either, and so
-		// is a reference profiler that archives what nobody exports.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 13664, 1413100},
-		// 19 255-19 264 allocs/op and 1 720 625-1 727 331 B/op over 18 runs,
+		// is a reference profiler that archives what nobody exports, a
+		// *Request per Isend (13 653-13 660 and 1 400 910-1 407 005 B with
+		// that, a per-member Split group and two Split rounds per profiled
+		// split), or a recipient scratch per factorization.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 9851, 1224600},
+		// 13 474-13 486 allocs/op and 1 432 640-1 439 073 B/op over 18 runs,
 		// the same way. Rekeying the offline pass's global path table into a
 		// Key map per configuration and rank, as GlobalPathFreqs does, cost
-		// 19 909-19 918 and 2 016 045-2 022 235 B.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 19268, 1734100},
+		// about 650 allocations and 295 000 B more.
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13490, 1445600},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first.
 		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0, 0},

@@ -105,7 +105,10 @@ func (c Channel) Ranks() int {
 // purely from (stride, size)"). Channels differing only by offset share a
 // hash, which is what lets symmetric fibers of a grid aggregate alike.
 func (c Channel) Hash() uint64 {
-	words := make([]uint64, 0, 2*len(c.Dims))
+	// Mix does not retain its argument, so the words stay on the stack for
+	// every channel of up to four dimensions (a grid has at most three).
+	var buf [8]uint64
+	words := buf[:0]
 	for _, d := range c.Dims {
 		words = append(words, uint64(d.Stride), uint64(d.Size))
 	}

@@ -50,10 +50,12 @@ func (c *Comm) stride() int {
 // Split partitions the profiled communicator (as MPI_Comm_split), splitting
 // the internal communicator alongside and registering the new channel with
 // the aggregate-channel machinery (Figure 2). Ranks passing a negative
-// color receive nil.
+// color receive nil. The internal communicator has the user one's group, so
+// its split is derived from the user split (mpi.Comm.SplitAs), not run as a
+// second round.
 func (c *Comm) Split(color, key int) *Comm {
 	user := c.user.Split(color, key)
-	internal := c.internal.Split(color, key)
+	internal := c.internal.SplitAs(user, color)
 	if user == nil {
 		return nil
 	}
@@ -266,7 +268,10 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 			func() float64 { return c.user.Recv(src, recvTag, recvBuf) }})
 }
 
-// Request is a profiled nonblocking operation handle.
+// Request is a profiled nonblocking operation handle. Handles come from, and
+// Waitall returns them to, the profiler's freelist (Profiler.reqs), so a rank
+// allocates one per request it has in flight at its peak, not one per
+// message: a handle passed to Waitall is invalid once Waitall returns.
 type Request struct {
 	c        *Comm
 	peer     int
@@ -296,7 +301,9 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 		p.flane.Isend(c.internal, dest, sendIntTag(tag), aux, buf)
 		return c.user.Clock() - t0
 	}}, leg{})
-	return &Request{c: c, peer: dest, tag: tag}
+	r := p.newRequest()
+	*r = Request{c: c, peer: dest, tag: tag}
+	return r
 }
 
 // Irecv posts a profiled nonblocking receive. The interception is lazy: the
@@ -304,11 +311,26 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 // user receive all happen at Wait, which is when Figure 2's protocol
 // resolves outstanding request completion. buf must stay valid until then.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	return &Request{c: c, peer: src, tag: tag, irecv: true, irecvBuf: buf}
+	r := c.p.newRequest()
+	*r = Request{c: c, peer: src, tag: tag, irecv: true, irecvBuf: buf}
+	return r
+}
+
+// newRequest returns a handle from the freelist Waitall files, or a fresh
+// one. The list needs no bound: it never holds more handles than the rank
+// had in flight at once, the same argument as the path-table freelist's.
+func (p *Profiler) newRequest() *Request {
+	if n := len(p.reqs); n > 0 {
+		r := p.reqs[n-1]
+		p.reqs = p.reqs[:n-1]
+		return r
+	}
+	return new(Request)
 }
 
 // Wait completes a profiled nonblocking operation, consuming the peer's
-// internal reply and propagating its pathset.
+// internal reply and propagating its pathset. It keeps the handle valid (a
+// later Wait is a no-op); only Waitall recycles it.
 func (r *Request) Wait() {
 	if r.done {
 		return
@@ -322,12 +344,22 @@ func (r *Request) Wait() {
 	r.c.p.complete("wait", m.Path, leg{}, leg{})
 }
 
-// Waitall completes profiled requests in order.
+// Waitall completes profiled requests in order and releases them, as
+// MPI_Waitall sets its handles to MPI_REQUEST_NULL: each handle is cleared
+// and filed on its profiler's freelist for a later Isend or Irecv, and its
+// slot in reqs is set to nil. A handle passed to Waitall is invalid
+// afterwards, whether or not it had been waited for already; nil slots are
+// skipped.
 func Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
+	for i, r := range reqs {
+		if r == nil {
+			continue
 		}
+		r.Wait()
+		p := r.c.p
+		*r = Request{}
+		p.reqs = append(p.reqs, r)
+		reqs[i] = nil
 	}
 }
 

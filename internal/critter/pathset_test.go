@@ -1,6 +1,7 @@
 package critter
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -50,12 +51,15 @@ func TestFreelistHoldsPeakInFlight(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestIsendBurstReusesTables: rank 0 of a 2-rank online world posts 64
 // Isends before one Waitall and rank 1 receives them. Once a burst has run,
-// every later burst allocates its 64 *Request handles and nothing else — in
-// particular no path table: each snapshot takes a buffer the previous
-// Waitall filed. The count does not depend on how the two ranks interleave,
-// so it is the same at GOMAXPROCS 1 and 2.
+// every later burst allocates nothing: each snapshot takes a path table the
+// previous Waitall filed, and each Isend a *Request handle it released. The
+// count does not depend on how the two ranks interleave, so it is zero at
+// GOMAXPROCS 1 and 2 alike.
 func TestIsendBurstReusesTables(t *testing.T) {
 	const burst, bursts = 64, 8
 	mallocs := func() uint64 {
@@ -113,22 +117,71 @@ func TestIsendBurstReusesTables(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
-	var counts []uint64
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
 		n := mallocs()
 		runtime.GOMAXPROCS(prev)
 		t.Logf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends", procs, n, bursts, burst)
-		// A path table per snapshot past the freelist would add up to
-		// burst*bursts objects; a handful belong to the runtime.
-		if want := uint64(burst * bursts); n < want || n >= want+burst {
-			t.Errorf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends, want the %d requests and no path table",
-				procs, n, bursts, burst, want)
+		// A path table per snapshot past the freelist, or a handle per
+		// Isend, would each add burst*bursts objects. Under -race the test
+		// still drives the reuse for the detector, but the count is not ours.
+		if n != 0 && !raceEnabled {
+			t.Errorf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends, want none", procs, n, bursts, burst)
 		}
-		counts = append(counts, n)
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("mallocs depend on scheduling: %d at GOMAXPROCS 1, %d at 2", counts[0], counts[1])
+}
+
+// TestWaitallReleasesHandles: Waitall nils every slot it completes and files
+// the handle for the next Isend or Irecv — an Irecv's as well as an Isend's —
+// and a request already completed by Wait is completed once, not again, when
+// Waitall releases it.
+func TestWaitallReleasesHandles(t *testing.T) {
+	w := mpi.NewWorld(2, testMachine(0.05), 5)
+	// A second completion of the waited-for Isend would wait for a reply
+	// that never comes, which the world reports as a deadlock.
+	err := w.Run(func(c *mpi.Comm) {
+		p, cc := New(c, Options{Policy: Online, Eps: 0.25})
+		buf := make([]float64, 4)
+		if c.Rank() == 1 {
+			for tag := 0; tag < 3; tag++ {
+				cc.Recv(0, tag, buf)
+			}
+			cc.Send(0, 7, buf)
+			cc.Send(0, 8, buf)
+			return
+		}
+		first := cc.Isend(1, 0, buf)
+		second := cc.Isend(1, 1, buf)
+		first.Wait()
+		reqs := []*Request{first, nil, second}
+		Waitall(reqs)
+		for i, r := range reqs {
+			if r != nil {
+				t.Errorf("slot %d still holds %p after Waitall", i, r)
+			}
+		}
+		if len(p.reqs) != 2 {
+			t.Fatalf("freelist holds %d handles after a Waitall of 2, want 2", len(p.reqs))
+		}
+		if !reflect.ValueOf(*first).IsZero() || !reflect.ValueOf(*second).IsZero() {
+			t.Error("Waitall filed a handle without clearing it")
+		}
+		again := cc.Isend(1, 2, buf)
+		if again != first && again != second {
+			t.Error("an Isend after Waitall did not reuse a released handle")
+		}
+		Waitall([]*Request{again})
+
+		rr := cc.Irecv(1, 7, buf)
+		Waitall([]*Request{rr})
+		if next := cc.Irecv(1, 8, buf); next != rr {
+			t.Error("an Irecv handle released by Waitall was not reused")
+		} else {
+			Waitall([]*Request{next})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -133,6 +133,9 @@ type Profiler struct {
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
 	free countsFree
+	// reqs holds the nonblocking-request handles Waitall released, for the
+	// next Isend or Irecv (comm.go).
+	reqs []*Request
 	// apriori is the global path table SetAprioriFromPath installed, by id of
 	// the current interner; inactive when the counts come from
 	// Options.AprioriFreq. It goes back to free when it is replaced or its
@@ -957,10 +960,11 @@ func (p *Profiler) globalPath() kernelCounts {
 // registerChannel records a newly created communicator's channel and
 // recursively builds aggregate channels (Figure 2, MPI_Comm_split).
 func (p *Profiler) registerChannel(ch channel.Channel) {
-	if _, ok := p.aggregates[ch.Hash()]; ok {
+	h := ch.Hash()
+	if _, ok := p.aggregates[h]; ok {
 		return
 	}
-	p.aggregates[ch.Hash()] = ch
+	p.aggregates[h] = ch
 	// Combine with every known aggregate to grow the basis.
 	for {
 		grew := false

@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"critter/internal/sim"
 )
@@ -96,50 +96,105 @@ func (c *Comm) Rekey(key uint64) {
 // Split partitions the communicator by color, ordering each new group by
 // (key, parent rank), and returns the caller's handle on its new
 // communicator. Ranks passing negative colors receive nil (MPI_UNDEFINED).
-// Split is collective over the parent communicator.
+// Split is collective over the parent communicator: one reduceRound whose
+// last arriver builds every color's group (finishSplit), so the members of
+// one new communicator share one group slice, as Dup's members do.
 func (c *Comm) Split(color, key int) *Comm {
-	all, _, seq := fabricOf[splitRecord](c.w).gatherRound(c,
-		splitRecord{color, key, c.rank, c.state.worldRank})
-	mine := c.state.splitScratch[:0]
-	for _, e := range all {
-		if e.color == color {
-			mine = append(mine, e)
-		}
-	}
-	c.state.splitScratch = mine
+	mine, _, seq := fabricOf[splitSlot](c.w).reduceRound(c,
+		splitSlot{color: color, key: key, worldRank: c.state.worldRank}, c.state.finishSplit)
 	if color < 0 {
 		return nil
 	}
-	// Parent ranks are distinct, so the (key, parentRank) order is total
-	// and any comparison sort yields the same permutation.
-	slices.SortFunc(mine, func(a, b splitRecord) int {
-		if a.key != b.key {
-			return a.key - b.key
-		}
-		return a.parentRank - b.parentRank
-	})
-	group := make([]int, len(mine))
-	myRank := -1
-	for i, e := range mine {
-		group[i] = e.worldRank
-		if e.worldRank == c.state.worldRank {
-			myRank = i
-		}
-	}
-	// Deterministic context id, identical across members of the new comm
-	// and unique across (parent comm, round, color).
-	ctx := sim.Mix(c.ctx, seq, uint64(color)+0x51b7, uint64(group[0])+1)
 	return &Comm{
 		w:     c.w,
-		ctx:   ctx,
-		rank:  myRank,
-		group: group,
+		ctx:   splitCtx(c.ctx, seq, color, mine.group[0]),
+		rank:  mine.rank,
+		group: mine.group,
 		state: c.state,
 	}
 }
 
-// splitRecord is the (color, key) deposit of one rank in a Split round.
-type splitRecord struct{ color, key, parentRank, worldRank int }
+// SplitAs returns, without a round, what c.Split(color, key) would return
+// when c's group is that of the communicator sib was split from by
+// Split(color, key): sib's group and rank under c's context. It advances c's
+// collective sequence exactly as Split does, so the two stay interchangeable
+// for every later round on c, and returns nil when sib is nil (a negative
+// color). The profiler splits its internal twin of a communicator this way.
+func (c *Comm) SplitAs(sib *Comm, color int) *Comm {
+	seq := c.collSeq
+	c.collSeq++
+	if sib == nil {
+		return nil
+	}
+	return &Comm{
+		w:     c.w,
+		ctx:   splitCtx(c.ctx, seq, color, sib.group[0]),
+		rank:  sib.rank,
+		group: sib.group,
+		state: c.state,
+	}
+}
+
+// splitCtx is the context id of a communicator split from the one with
+// context parent in round seq: identical across the members of the new
+// communicator (leader is its comm rank 0's world rank) and unique across
+// (parent comm, round, color).
+func splitCtx(parent, seq uint64, color, leader int) uint64 {
+	return sim.Mix(parent, seq, uint64(color)+0x51b7, uint64(leader)+1)
+}
+
+// splitSlot is one member's slot of a Split round: its deposit (color, key,
+// world rank; its parent rank is the slot index) and, once finishSplit has
+// run, its new group and its rank in it.
+type splitSlot struct {
+	color, key, worldRank int
+	group                 []int
+	rank                  int
+}
+
+// finishSplit is Split's finish, run by the last arriver with every other
+// member parked: it orders the members of each non-negative color by (color,
+// key, parent rank) in this rank's scratch, carves every color's group from
+// one []int, and writes each member's group and rank into its slot. Parent
+// ranks are distinct, so the order is total and any comparison sort yields
+// the same permutation.
+func (s *rankState) finishSplit(members []splitSlot) {
+	if cap(s.splitScratch) < len(members) {
+		s.splitScratch = make([]int, 0, len(members))
+	}
+	order := s.splitScratch[:0]
+	for i := range members {
+		if members[i].color >= 0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ma, mb := &members[a], &members[b]
+		if ma.color != mb.color {
+			return cmp.Compare(ma.color, mb.color)
+		}
+		if ma.key != mb.key {
+			return cmp.Compare(ma.key, mb.key)
+		}
+		return a - b
+	})
+	groups := make([]int, len(order))
+	for start := 0; start < len(order); {
+		color := members[order[start]].color
+		end := start
+		for end < len(order) && members[order[end]].color == color {
+			end++
+		}
+		// Capacity clipped: a member appending to its group must not write
+		// into the next color's.
+		group := groups[start:end:end]
+		for r, i := range order[start:end] {
+			group[r] = members[i].worldRank
+			members[i].group, members[i].rank = group, r
+		}
+		start = end
+	}
+}
 
 // Dup returns a new communicator with the same group but a distinct matching
 // context. Dup is collective; it is used by the profiler to keep internal
@@ -154,35 +209,6 @@ func (c *Comm) Dup() *Comm {
 		group: c.group,
 		state: c.state,
 	}
-}
-
-// Stride describes a communicator's placement in the world as the offset of
-// its first member plus the (stride, size) of each dimension when the group
-// forms an arithmetic progression (possibly multi-level). It is the
-// parameterization the paper uses to identify communication channels.
-type Stride struct {
-	Offset int
-	Stride int // 0 for a single-member group
-}
-
-// GroupStride returns (offset, stride) when the sorted world-rank group forms
-// an arithmetic progression, which holds for every fiber/slice communicator
-// of a cartesian grid. ok is false otherwise.
-func (c *Comm) GroupStride() (s Stride, ok bool) {
-	sorted := append([]int(nil), c.group...)
-	sort.Ints(sorted)
-	s.Offset = sorted[0]
-	if len(sorted) == 1 {
-		return s, true
-	}
-	d := sorted[1] - sorted[0]
-	for i := 2; i < len(sorted); i++ {
-		if sorted[i]-sorted[i-1] != d {
-			return s, false
-		}
-	}
-	s.Stride = d
-	return s, true
 }
 
 func (c *Comm) checkPeer(peer int) {

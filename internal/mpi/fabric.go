@@ -8,7 +8,7 @@ package mpi
 // mailbox and collectives only on their round's shard — there is no
 // world-global lock — and a payload is stored as its concrete type end to
 // end, so typed messages (the profiler's intMsg piggyback, Split's
-// color/key records) never box through interface{}.
+// color/key slots) never box through interface{}.
 //
 // Matching is per fabric: a message sent as type T is received as type T.
 // SPMD symmetry makes this safe — peers issue the same operation with the
@@ -281,8 +281,8 @@ func (f *fabric[T]) rendezvous(c *Comm, payload T, finish func(members []T), reu
 // (indexed by comm rank), the maximum participant clock, and the round's
 // sequence number. Payloads are shared across ranks after the round: treat
 // them as immutable. It is for the callers that need every payload
-// (GatherUntimed, Split, Dup); everything that reduces goes through
-// reduceRound.
+// (GatherUntimed, Dup); everything that reduces, Split included, goes
+// through reduceRound.
 func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
 	all, _, maxT, seq := f.rendezvous(c, payload, nil, false)
 	return all, maxT, seq

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -365,17 +366,15 @@ func TestSplitRowsAndCols(t *testing.T) {
 			t.Errorf("row comm rank %d, want %d", rowComm.Rank(), col)
 		}
 		// Row communicator group = consecutive world ranks.
-		s, ok := rowComm.GroupStride()
-		if !ok || s.Stride != 1 || s.Offset != row*3 {
-			t.Errorf("row comm stride = %+v ok=%v", s, ok)
+		if g, want := rowComm.Group(), []int{row * 3, row*3 + 1, row*3 + 2}; !slices.Equal(g, want) {
+			t.Errorf("row comm group = %v, want %v", g, want)
 		}
 		colComm := c.Split(col, row)
 		if colComm.Size() != 2 || colComm.Rank() != row {
 			t.Errorf("col comm size/rank = %d/%d", colComm.Size(), colComm.Rank())
 		}
-		s, ok = colComm.GroupStride()
-		if !ok || s.Stride != 3 || s.Offset != col {
-			t.Errorf("col comm stride = %+v ok=%v", s, ok)
+		if g, want := colComm.Group(), []int{col, col + 3}; !slices.Equal(g, want) {
+			t.Errorf("col comm group = %v, want %v", g, want)
 		}
 		// Communicate within the split comms to verify isolation.
 		sum := make([]float64, 1)
@@ -499,8 +498,8 @@ func TestGroupStrideNonUniform(t *testing.T) {
 		if c.Rank() == 2 {
 			return
 		}
-		if _, ok := nc.GroupStride(); ok {
-			t.Error("non-uniform group should not report a stride")
+		if g := nc.Group(); !slices.Equal(g, []int{0, 1, 3}) {
+			t.Errorf("non-uniform group = %v, want [0 1 3]", g)
 		}
 	})
 }

@@ -97,10 +97,9 @@ type rankState struct {
 	worldRank int
 	clock     sim.Clock
 	rng       *sim.RNG
-	// splitScratch is reused across this rank's Split calls for the
-	// transient sorted-record view (the records are copied into the new
-	// communicator's group before Split returns).
-	splitScratch []splitRecord
+	// splitScratch is the member order this rank sorts in when it is the
+	// last arriver of a Split round (see finishSplit).
+	splitScratch []int
 	// collScratch is the buffer this rank reduces or concatenates into when
 	// it is the last arriver of a data collective (see Comm.scratch).
 	collScratch []float64

@@ -45,7 +45,8 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	// panelTiles caches the factored column-k tiles this rank received:
 	// panelTiles[k][i] is L(i,k) for locally needed i.
 	panelTiles := make(map[int]map[int][]float64)
-	sc := newRankScratch(cc.Size())
+	// need marks the recipients of one tile broadcast (see tileBcast).
+	need := make([]bool, cc.Size())
 	// Received panel tiles recycle through the world's buffer pool (when
 	// the executor threaded one) and cache maps through a local freelist,
 	// once their panel's updates complete; tiles aliasing the matrix's own
@@ -91,14 +92,14 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			}
 		}
 		// L(k,k) goes to owners of tiles (i,k), i>k (the trsm workers).
-		need := sc.reset()
+		clear(need)
 		for i := k + 1; i < nt; i++ {
 			if o := a.Owner(i, k); o != diagOwner {
 				need[o] = true
 			}
 		}
 		var lkk []float64
-		if got := tileBcast(cc, diagOwner, sc.sorted(), tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, recvBuf); got != nil {
+		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, recvBuf); got != nil {
 			lkk = got
 			if me != diagOwner {
 				panelRecv[k] = append(panelRecv[k], got)
@@ -121,7 +122,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 		// (transposed right operand).
 		for i := k + 1; i < nt; i++ {
 			owner := a.Owner(i, k)
-			need := sc.reset()
+			clear(need)
 			for j := k + 1; j <= i; j++ {
 				if o := a.Owner(i, j); o != owner {
 					need[o] = true
@@ -132,7 +133,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 					need[o] = true
 				}
 			}
-			got := tileBcast(cc, owner, sc.sorted(), tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, recvBuf)
+			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, recvBuf)
 			if got != nil {
 				cache[i] = got
 				if me != owner {

@@ -46,7 +46,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	mt, nt, nb, ib := a.MT, a.NT, a.NB, cfg.IB
 	cc := a.G.All
 	me := cc.Rank()
-	sc := newRankScratch(cc.Size())
+	need := make([]bool, cc.Size()) // one tile broadcast's recipients (see tileBcast)
 	ws := cc.Raw().Workspace()
 	recvBuf := ws.Get       // zeroed: a skipped Recv leaves the buffer as handed out
 	vWords := nb*nb + ib*nb // a V tile with its stacked T factor
@@ -75,17 +75,17 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			tau := ws.Get(nb)
 			p.Geqrt(nb, nb, ib, vkk, nb, tkk, ib, tau)
 		}
-		rowNeed := sc.reset()
+		clear(need)
 		for j := k + 1; j < nt; j++ {
 			if o := a.Owner(k, j); o != diagOwner {
-				rowNeed[o] = true
+				need[o] = true
 			}
 		}
 		var send []float64
 		if me == diagOwner {
 			send = stack(vkk, tkk)
 		}
-		if got := tileBcast(cc, diagOwner, sc.sorted(), tagOf(k, k, 0, 0), send, vWords, &reqs, recvBuf); got != nil && me != diagOwner {
+		if got := tileBcast(cc, diagOwner, need, tagOf(k, k, 0, 0), send, vWords, &reqs, recvBuf); got != nil && me != diagOwner {
 			vkk, tkk = got[:nb*nb], got[nb*nb:]
 		}
 		// Apply Q_kk^T to the rest of tile row k.
@@ -127,7 +127,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				tik = ws.Get(ib * nb)
 				p.Tpqrt(nb, nb, ib, r, nb, vik, nb, tik, ib)
 			}
-			need := sc.reset()
+			clear(need)
 			for j := k + 1; j < nt; j++ {
 				if ow := a.Owner(i, j); ow != o {
 					need[ow] = true
@@ -137,7 +137,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			if me == o {
 				vsend = stack(vik, tik)
 			}
-			if got := tileBcast(cc, o, sc.sorted(), tagOf(k, i, 0, 3), vsend, vWords, &reqs, recvBuf); got != nil {
+			if got := tileBcast(cc, o, need, tagOf(k, i, 0, 3), vsend, vWords, &reqs, recvBuf); got != nil {
 				vT[i] = [2][]float64{got[:nb*nb], got[nb*nb:]}
 			} else if me == o {
 				vT[i] = [2][]float64{vik, tik}

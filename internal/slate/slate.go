@@ -208,67 +208,34 @@ func copyTileIntoDense(full []float64, ld int, tile []float64, i, j, nb int) {
 	}
 }
 
-// tileBcast moves one buffer from owner to every rank in recips (sorted,
-// distinct grid ranks) using profiled isend/recv. Every rank must call it
-// with identical arguments; returns the tile contents on ranks in recips and
-// on the owner, nil elsewhere. Isend requests are appended to reqs for
-// deferred completion. A non-nil recvBuf supplies the receive buffer, which
-// the caller recycles once the tile is consumed; nil means make.
-func tileBcast(cc *critter.Comm, owner int, recips []int, tag int, buf []float64, words int, reqs *[]*critter.Request, recvBuf func(words int) []float64) []float64 {
+// tileBcast moves one buffer from owner to every grid rank marked in recips
+// using profiled isend/recv, sending in index order, which is increasing rank
+// order. recips is a dense mark vector indexed by grid rank, not a map: each
+// factorization clears and refills one per tile broadcast, and the rank space
+// is small. Every rank must call it with identical arguments; returns the
+// tile contents on marked ranks and on the owner, nil elsewhere. Isend
+// requests are appended to reqs for deferred completion (Waitall releases
+// them). A non-nil recvBuf supplies the receive buffer, which the caller
+// recycles once the tile is consumed; nil means make.
+func tileBcast(cc *critter.Comm, owner int, recips []bool, tag int, buf []float64, words int, reqs *[]*critter.Request, recvBuf func(words int) []float64) []float64 {
 	me := cc.Rank()
 	if me == owner {
-		for _, r := range recips {
-			if r != owner {
+		for r, marked := range recips {
+			if marked && r != owner {
 				*reqs = append(*reqs, cc.Isend(r, tag, buf))
 			}
 		}
 		return buf
 	}
-	for _, r := range recips {
-		if r == me {
-			var in []float64
-			if recvBuf != nil {
-				in = recvBuf(words)
-			} else {
-				in = make([]float64, words)
-			}
-			cc.Recv(owner, tag, in)
-			return in
-		}
+	if !recips[me] {
+		return nil
 	}
-	return nil
-}
-
-// rankScratch reuses the recipient-set and sorted-recipient storage across
-// the thousands of tile broadcasts of one factorization, which would
-// otherwise allocate a fresh map and slice each (the sweep executor's
-// allocation budget is dominated by exactly this kind of per-step churn).
-type rankScratch struct {
-	marks []bool
-	ranks []int
-}
-
-func newRankScratch(size int) *rankScratch {
-	return &rankScratch{marks: make([]bool, size), ranks: make([]int, 0, size)}
-}
-
-// reset clears and returns the reusable recipient mark vector, indexed by
-// grid rank. A dense bool vector, not a map: recipient sets are built per
-// tile broadcast and the rank space is small.
-func (s *rankScratch) reset() []bool {
-	clear(s.marks)
-	return s.marks
-}
-
-// sorted returns the currently marked ranks in increasing order, valid
-// until the next reset (scanning the marks in index order sorts for free).
-func (s *rankScratch) sorted() []int {
-	out := s.ranks[:0]
-	for r, m := range s.marks {
-		if m {
-			out = append(out, r)
-		}
+	var in []float64
+	if recvBuf != nil {
+		in = recvBuf(words)
+	} else {
+		in = make([]float64, words)
 	}
-	s.ranks = out
-	return out
+	cc.Recv(owner, tag, in)
+	return in
 }
