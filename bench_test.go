@@ -5,8 +5,9 @@ package critter_test
 // line-fitting extrapolation), runs the quick-scale experiment behind it and
 // prints the outcome on its first iteration. Every timing the repository
 // tracks lives in bench/ (per-layer probes and the four workloads); the
-// paper's figure series come from `go run ./cmd/figures -scale quick`; the
-// four benchmarks with an allocation budget are in bench_runtime_test.go.
+// paper's figure series are the committed board BENCH_figures.md, which
+// `go run ./cmd/figures > BENCH_figures.md` regenerates; the four
+// benchmarks with an allocation budget are in bench_runtime_test.go.
 
 import (
 	"context"
@@ -114,7 +115,7 @@ func BenchmarkAblationCollectiveModel(b *testing.B) {
 		for _, tree := range []bool{true, false} {
 			m := benchMachine()
 			m.CollectiveTree = tree
-			reports, err := autotune.FullOnly(study, m, 42)
+			reports, err := autotune.FullOnlyCtx(context.Background(), study, m, 42, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,174 +1,178 @@
-// Command figures regenerates the data series of the paper's evaluation
-// figures on the simulated substrate. The tuning figures (4, 5, and the
-// selection-quality table) drive every study of the figure through one
-// shared pool of Tuners, so all (study, policy, eps) sweeps share a
-// bounded worker pool.
+// Command figures writes BENCH_figures.md, the committed board of the
+// paper's evaluation (Figures 3, 4 and 5) at quick scale:
 //
-// Usage:
+//	go run ./cmd/figures > BENCH_figures.md
 //
-//	figures -fig 3 [-study capital|slate-chol|candmc|slate-qr] [-scale default|quick]
-//	figures -fig 4 [-study capital|slate-chol] [-neps 11]
-//	figures -fig 5 [-study candmc|slate-qr] [-neps 11]
-//	figures -fig select -study capital
+// It takes no flags. The four case studies run through one pool of Tuners at
+// seed 42, machine noise 0.05, the exhaustive strategy, each study's own
+// policies and the paper's tolerance ladder eps = 2^0 .. 2^-10. Per study the
+// board gives the full-execution baseline (the red line of Figures 4 and 5),
+// the true optimum (the argmin of a full pass on a noise-free machine), one
+// row per (policy, eps) with the series of Figures 4-5 a-f and the selection
+// table, and one row per configuration with Figure 3's BSP costs and time
+// breakdown beside the online policy's prediction errors (Figures 4-5 g-h).
+// Figure 3's reports are the exhaustive sweep's ConfigResult.Full, the bits
+// FullOnlyCtx would return, so no second full pass runs.
 //
-// Every figure accepts -workers N (bounded pool, 0 = GOMAXPROCS) and
-// -progress (per-completion lines on stderr): figure 3 parallelizes across
-// studies and configurations, the tuning figures across every (study,
-// policy, eps) sweep. The tuning figures run through Tuners, so -strategy
-// selects the search strategy (exhaustive reproduces the paper) and
-// -timeout cancels the remaining sweeps at a deadline. -profile-in
-// warm-starts every tuning sweep from a previously exported kernel profile
-// and -profile-out persists the suite's merged learned profile.
+// The board is deterministic at any worker count, and main_test.go
+// byte-checks it against the committed file. Other scales, seeds, strategies
+// and priors are critter-tune's: for instance
 //
-// Figure 3 prints BSP cost trade-offs and execution-time breakdowns per
-// configuration; Figures 4 and 5 print tuning time, kernel time, and
-// prediction error versus confidence tolerance per policy.
+//	critter-tune -study capital -scale default -policy online -eps 1,0.5,0.25 -json
 package main
 
 import (
+	"bytes"
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
-	"critter/internal/figures"
 	"critter/internal/sim"
 	"critter/internal/workload"
 )
 
-// paperOrder is the order the paper presents its four case studies in;
-// Figure 3 runs all of them.
+// seed is the noise seed of every run on the board.
+const seed = 42
+
+// paperOrder is the order the paper presents its four case studies in.
 var paperOrder = []string{"capital", "slate-chol", "candmc", "slate-qr"}
 
+// errEps indexes the tolerances of the per-configuration error columns in
+// DefaultEpsList: 2^-2 .. 2^-5.
+var errEps = []int{2, 3, 4, 5}
+
 func main() {
-	fig := flag.String("fig", "3", "figure to regenerate: 3, 4, 5, or select")
-	studyName := flag.String("study", "", "workload: "+strings.Join(workload.Names(), ", ")+" (default: all for the figure)")
-	scaleName := flag.String("scale", "default", "problem scale: "+strings.Join(workload.Default().ScaleNames(), ", "))
-	seed := flag.Uint64("seed", 42, "noise seed")
-	neps := flag.Int("neps", 11, "number of tolerance points (eps = 2^0 .. 2^-(neps-1))")
-	noise := flag.Float64("noise", 0.05, "machine noise sigma")
-	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "report per-sweep progress on stderr")
-	strategyFlag := flag.String("strategy", "exhaustive", "search strategy for the tuning figures: "+autotune.StrategyNames)
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none); on expiry remaining sweeps are cancelled")
-	profileIn := flag.String("profile-in", "", "warm-start the tuning figures' sweeps from this kernel profile (JSON)")
-	profileOut := flag.String("profile-out", "", "write the tuning figures' merged learned kernel profile to this file")
-	flag.Parse()
-
-	if *neps < 1 {
-		fmt.Fprintf(os.Stderr, "figures: -neps must be at least 1, got %d\n", *neps)
-		os.Exit(2)
+	secs, err := run(paperOrder, 0)
+	if err == nil {
+		var buf bytes.Buffer
+		write(&buf, secs)
+		_, err = os.Stdout.Write(buf.Bytes())
 	}
-	machine := sim.DefaultMachine()
-	machine.NoiseSigma = *noise
-	strategy, err := autotune.ParseStrategy(*strategyFlag, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-	if *profileIn != "" {
-		data, err := os.ReadFile(*profileIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(2)
-		}
-		prior, err := critter.DecodeProfile(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", *profileIn, err)
-			os.Exit(2)
-		}
-		// The decorator threads the prior into every sweep the suite plans.
-		strategy = autotune.WarmStart(strategy, prior)
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var order []string
-	switch *fig {
-	case "3":
-		order = paperOrder
-	case "4", "select":
-		order = []string{"capital", "slate-chol"}
-	case "5":
-		order = []string{"candmc", "slate-qr"}
-	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", *fig)
-		os.Exit(2)
-	}
-	if *studyName != "" {
-		order = []string{*studyName}
-	}
-	// Each workload resolves the -scale name against its own declared
-	// presets (the registry's per-workload scale namespace).
-	sts, err := figures.StudiesFor(nil, order, *scaleName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-
-	eps := autotune.EpsList(*neps)
-
-	if *fig == "3" {
-		var f3report func(string, int, int)
-		if *progress {
-			f3report = func(name string, done, total int) {
-				fmt.Fprintf(os.Stderr, "figures: [%d/%d] %s full-execution pass\n", done, total, name)
-			}
-		}
-		f3s, err := figures.RunFig3All(ctx, sts, machine, *seed, *workers, f3report)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f3 := range f3s {
-			f3.Print(os.Stdout)
-			fmt.Println()
-		}
-		return
-	}
-
-	// Figures 4, 5, and the selection table: one suite over every study of
-	// the figure, all sweeps sharing the worker pool.
-	var report func(autotune.Progress)
-	if *progress {
-		report = func(ev autotune.Progress) {
-			status := ""
-			if ev.Err != nil {
-				status = "  FAILED"
-			}
-			fmt.Fprintf(os.Stderr, "figures: [%d/%d] %s policy %s eps 2^%.0f%s\n",
-				ev.Done, ev.Total, ev.Study, ev.Policy, math.Log2(ev.Eps), status)
-		}
-	}
-	tns, err := figures.RunTuningSuite(ctx, sts, machine, *seed, eps, strategy, *workers, report)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
-	for _, tn := range tns {
-		if *fig == "select" {
-			tn.PrintSelection(os.Stdout)
-		} else {
-			tn.PrintAll(os.Stdout)
+}
+
+// section is one study's share of the board.
+type section struct {
+	study autotune.Study
+	res   *autotune.Result
+	// truth is a full pass of every configuration on the noise-free machine.
+	truth []critter.Report
+}
+
+// run resolves the named workloads at quick scale and tunes them through one
+// pool of workers (0 = GOMAXPROCS).
+func run(names []string, workers int) ([]section, error) {
+	ctx := context.Background()
+	noisy := sim.DefaultMachine()
+	noisy.NoiseSigma = 0.05
+	quiet := noisy
+	quiet.NoiseSigma = 0
+	secs := make([]section, len(names))
+	tuners := make([]autotune.Tuner, len(names))
+	for i, name := range names {
+		st, err := workload.ResolveStudy(nil, name, "quick")
+		if err != nil {
+			return nil, err
 		}
-		fmt.Println()
+		truth, err := autotune.FullOnlyCtx(ctx, st, quiet, seed, workers)
+		if err != nil {
+			return nil, err
+		}
+		secs[i] = section{study: st, truth: truth}
+		tuners[i] = autotune.Tuner{
+			Study:    st,
+			EpsList:  autotune.DefaultEpsList(),
+			Machine:  noisy,
+			Seed:     seed,
+			Strategy: autotune.Exhaustive{},
+		}
 	}
-	if *profileOut != "" {
-		var merged *critter.Profile
-		for _, tn := range tns {
-			merged = critter.MergeProfiles(merged, autotune.MergedProfile(tn.Res))
+	results, errs := autotune.RunTuners(ctx, tuners, workers, nil)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for i, res := range results {
+		secs[i].res = res
+	}
+	return secs, nil
+}
+
+// write renders the board: a preamble, then one section per study.
+func write(w io.Writer, secs []section) {
+	fmt.Fprint(w, `# The paper's figures at quick scale
+
+Regenerate with `+"`go run ./cmd/figures > BENCH_figures.md`"+`; `+"`go test ./cmd/figures`"+`
+byte-checks this file. Seed 42, machine noise 0.05, exhaustive search, each
+study's own policies, eps = 2^0 .. 2^-10. Times are virtual seconds.
+`)
+	for _, s := range secs {
+		s.write(w)
+	}
+}
+
+func (s section) write(w io.Writer) {
+	st, res := s.study, s.res
+	base := res.Sweeps[0][0] // every sweep of a tuner shares its reference reports
+	fullKernel := 0.0
+	best := 0
+	for v, cr := range base.Configs {
+		fullKernel += cr.Full.KernelTime
+		if s.truth[v].Wall < s.truth[best].Wall {
+			best = v
 		}
-		if err := autotune.WriteProfileFile(*profileOut, merged); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+	}
+	gap := 100 * (s.truth[base.Optimal].Wall - s.truth[best].Wall) / s.truth[best].Wall
+	fmt.Fprintf(w, "\n## %s (%d configurations)\n\n", st.Name, st.Size())
+	fmt.Fprintf(w, "Full execution (the red line): %.5g s, kernel time %.5g s.\n\n", base.FullWall, fullKernel)
+	fmt.Fprintf(w, "True optimum: config %d (%s), %.5g s on a noise-free machine. The noisy reference's optimum, config %d, is %.2f%% above it there.\n\n",
+		best, st.Label(best), s.truth[best].Wall, base.Optimal, gap)
+
+	// Figures 4-5 a-f and the selection table.
+	fmt.Fprintln(w, "| policy | log2 eps | search s | speedup | kernel s | executed | skipped | log2 exec err | log2 comp err | selected | optimal | rel-perf |")
+	fmt.Fprintln(w, "|---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|")
+	for pi, pol := range res.Policies {
+		for ei, eps := range res.EpsList {
+			sw := res.Sweeps[pi][ei]
+			rel := sw.Configs[sw.Optimal].Full.Wall / sw.Configs[sw.Selected].Full.Wall
+			fmt.Fprintf(w, "| %s | %.0f | %.5g | %.4g | %.5g | %d | %d | %.3f | %.3f | %d | %d | %.1f%% |\n",
+				pol, math.Log2(eps), sw.TuneWall, sw.FullWall/sw.TuneWall, sw.KernelTime,
+				sw.Executed, sw.Skipped, sw.MeanLogExecErr, sw.MeanLogCompErr,
+				sw.Selected, sw.Optimal, 100*rel)
 		}
+	}
+
+	// Figure 3 and Figures 4-5 g-h.
+	online := slices.Index(res.Policies, critter.Online)
+	var head strings.Builder
+	for _, kind := range []string{"exec", "comp"} {
+		for _, ei := range errEps {
+			fmt.Fprintf(&head, " %s err %% 2^%.0f |", kind, math.Log2(res.EpsList[ei]))
+		}
+	}
+	fmt.Fprint(w, "\nPer configuration: the reference's BSP costs (crit = critical path, vol = volumetric average) and time breakdown, and the online policy's prediction errors.\n\n")
+	fmt.Fprintf(w, "| cfg | params | comm crit | comm vol | sync crit | sync vol | comp crit | comp vol | exec s | comp s | comm s |%s\n", head.String())
+	fmt.Fprintln(w, "|--:|---|--:|--:|--:|--:|--:|--:|--:|--:|--:|"+strings.Repeat("--:|", 2*len(errEps)))
+	for v, cr := range base.Configs {
+		r := cr.Full
+		fmt.Fprintf(w, "| %d | %s | %.4g | %.4g | %.4g | %.4g | %.4g | %.4g | %.5g | %.5g | %.5g |",
+			v, st.Label(v), r.BSPCommCrit, r.BSPCommVol, r.BSPSyncCrit, r.BSPSyncVol, r.BSPCompCrit, r.BSPCompVol,
+			r.Wall, r.PredictedComp, r.PredictedComm)
+		var exec, comp strings.Builder
+		for _, ei := range errEps {
+			e := res.Sweeps[online][ei].Configs[v]
+			fmt.Fprintf(&exec, " %.3f |", 100*e.ExecErr)
+			fmt.Fprintf(&comp, " %.3f |", 100*e.CompErr)
+		}
+		fmt.Fprintln(w, exec.String()+comp.String())
 	}
 }

@@ -58,7 +58,7 @@ func TestConfigSpaceSizesMatchPaper(t *testing.T) {
 
 func TestFullOnlyCapitalQuick(t *testing.T) {
 	st := CapitalCholesky(QuickScale())
-	reports, err := FullOnly(st, quickMachine(), 3)
+	reports, err := FullOnlyCtx(context.Background(), st, quickMachine(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,22 +139,16 @@ type Result struct {
 	Sweeps   [][]SweepResult
 }
 
-// FullOnly runs every configuration once with full execution, returning the
-// per-configuration reports (the data of Figure 3: BSP cost trade-offs and
-// execution-time breakdowns). It parallelizes across configurations on the
-// default worker pool; see FullOnlyCtx for bounded pools and cancellation.
-func FullOnly(study Study, machine sim.Machine, seed uint64) ([]critter.Report, error) {
-	return FullOnlyCtx(context.Background(), study, machine, seed, 0)
-}
-
-// FullOnlyCtx is FullOnly with caller-controlled cancellation and pool
-// size (workers; 0 or negative means runtime.GOMAXPROCS(0)). Each
-// configuration runs in its own world through the same reference execution
-// a Tuner's sweeps use, so reports[v] is bit-identical at any worker count
-// and equals ConfigResult.Full of configuration v in every sweep of a Tuner
-// with the same study, machine and seed. The report slice is always returned
-// with failed or skipped configurations zeroed, alongside the joined
-// errors; a study that fails Validate runs nothing.
+// FullOnlyCtx runs every configuration once with full execution, returning
+// the per-configuration reports (the data of Figure 3: BSP cost trade-offs
+// and execution-time breakdowns), parallel across configurations on a pool
+// of workers (0 or negative means runtime.GOMAXPROCS(0)) that ctx cancels.
+// Each configuration runs in its own world through the same reference
+// execution a Tuner's sweeps use, so reports[v] is bit-identical at any
+// worker count and equals ConfigResult.Full of configuration v in every
+// sweep of a Tuner with the same study, machine and seed. The report slice
+// is always returned with failed or skipped configurations zeroed, alongside
+// the joined errors; a study that fails Validate runs nothing.
 func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uint64, workers int) ([]critter.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -179,7 +173,7 @@ func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed 
 	}
 	w := sc.world(study.WorldSize, machine, seed)
 	err := w.Run(func(c *mpi.Comm) {
-		ref, refComm := newReference(c, nil)
+		ref, refComm := critter.NewReference(c, nil)
 		rep := reference(c, study, ref, refComm, v)
 		if c.Rank() == 0 {
 			*out = rep
@@ -192,9 +186,9 @@ func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed 
 	return nil
 }
 
-// EpsList is the tolerance sweep eps = 2^0 .. 2^-(n-1).
-func EpsList(n int) []float64 {
-	out := make([]float64, n)
+// DefaultEpsList is the paper's tolerance sweep: eps = 2^0 .. 2^-10.
+func DefaultEpsList() []float64 {
+	out := make([]float64, 11)
 	e := 1.0
 	for i := range out {
 		out[i] = e
@@ -202,6 +196,3 @@ func EpsList(n int) []float64 {
 	}
 	return out
 }
-
-// DefaultEpsList is the paper's tolerance sweep: eps = 2^0 .. 2^-10.
-func DefaultEpsList() []float64 { return EpsList(11) }

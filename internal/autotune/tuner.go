@@ -269,13 +269,6 @@ func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter
 	return ref.Report()
 }
 
-// newReference builds the profiler reference runs under: cold, never
-// warm-started, tolerance zero — it is the ground truth the selective run is
-// judged against. Only its reports are read, so it archives nothing.
-func newReference(c *mpi.Comm, memo *critter.KernelMemo) (*critter.Profiler, *critter.Comm) {
-	return critter.NewReference(c, memo)
-}
-
 // runSweep performs one (policy, eps) pass over the configurations the
 // strategy selects, judging each approximated execution against the
 // configuration's full execution (the measurement protocol of Section VI-A).
@@ -365,7 +358,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				full = *known
 			} else {
 				if ref == nil {
-					ref, refComm = newReference(c, j.memo)
+					ref, refComm = critter.NewReference(c, j.memo)
 				}
 				full = reference(c, study, ref, refComm, v)
 				if c.Rank() == 0 {

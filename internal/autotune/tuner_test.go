@@ -348,16 +348,16 @@ func TestFullOnlyParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("FullOnly differs between 1 and 4 workers")
+		t.Fatal("FullOnlyCtx differs between 1 and 4 workers")
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	reports, err := FullOnlyCtx(cancelled, st, quickMachine(), 3, 2)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled FullOnly err = %v", err)
+		t.Fatalf("cancelled FullOnlyCtx err = %v", err)
 	}
 	if len(reports) != st.Size() {
-		t.Errorf("cancelled FullOnly returned %d report slots, want %d", len(reports), st.Size())
+		t.Errorf("cancelled FullOnlyCtx returned %d report slots, want %d", len(reports), st.Size())
 	}
 }
 

@@ -450,24 +450,36 @@ func TestGlobalPathFreqs(t *testing.T) {
 
 func TestAPrioriUsesSuppliedFreqs(t *testing.T) {
 	key := CompKey("hot", 8, 8, 8, 0)
-	// With a large a-priori count, the CI shrinks by sqrt(freq), so the
-	// kernel becomes skippable sooner than conditional.
-	var withFreq, without int64
-	runProfiled(t, 1, 0.3, Options{Policy: APriori, Eps: 0.12,
-		AprioriFreq: map[Key]int64{key: 400}}, func(p *Profiler, cc *Comm) {
-		for i := 0; i < 400; i++ {
-			p.Kernel("hot", 8, 8, 8, 0, 1e4, func() {})
-		}
-		withFreq = p.executed
-	})
-	runProfiled(t, 1, 0.3, Options{Policy: Conditional, Eps: 0.12}, func(p *Profiler, cc *Comm) {
-		for i := 0; i < 400; i++ {
-			p.Kernel("hot", 8, 8, 8, 0, 1e4, func() {})
-		}
-		without = p.executed
-	})
+	// An Online eps-0 pass counts the kernel 400 times on the critical path,
+	// as a sweep's offline pass does. Installed with SetAprioriFromPath, the
+	// count shrinks the CI by sqrt(400), so the selective pass skips a kernel
+	// that the same pass without the install, credited a count of 1, runs.
+	selective := func(install bool) (executed int64) {
+		runProfiled(t, 1, 0.3, Options{Policy: Online, Eps: 0}, func(p *Profiler, cc *Comm) {
+			for i := 0; i < 400; i++ {
+				p.Kernel("hot", 8, 8, 8, 0, 1e4, func() {})
+			}
+			want := int64(0)
+			if install {
+				p.SetAprioriFromPath()
+				want = 400
+			}
+			if got := p.k[p.intern(key)].apriori; got != want {
+				t.Errorf("install=%v: a-priori count %d, want %d", install, got, want)
+			}
+			p.SetPolicy(APriori)
+			p.SetEps(0.01)
+			p.StartConfig(false) // keep the offline pass's samples and ids
+			for i := 0; i < 400; i++ {
+				p.Kernel("hot", 8, 8, 8, 0, 1e4, func() {})
+			}
+			executed = p.executed
+		})
+		return executed
+	}
+	withFreq, without := selective(true), selective(false)
 	if withFreq >= without {
-		t.Errorf("apriori with freq 400 executed %d, conditional %d; want fewer", withFreq, without)
+		t.Errorf("apriori with freq 400 executed %d, without an install %d; want fewer", withFreq, without)
 	}
 }
 

@@ -68,7 +68,7 @@ type Profile struct {
 	// Families holds the per-routine-name extrapolation models.
 	Families map[string]Family `json:"families,omitempty"`
 	// PathFreqs holds critical-path execution counts (the table K-tilde),
-	// usable as AprioriFreq seeds and merged by max across runs.
+	// merged by max across runs.
 	PathFreqs map[Key]int64 `json:"pathFreqs,omitempty"`
 }
 

@@ -40,8 +40,8 @@ type kernelStats struct {
 	// reset; prior is the warm-start profile's accumulator for the signature
 	// (empty without one). Queries merge the two (model, estimator.go).
 	live, prior stats.Welford
-	// apriori is the signature's a-priori count: its entry in the installed
-	// id table (SetAprioriFromPath) or in Options.AprioriFreq (0: none).
+	// apriori is the signature's a-priori count: its entry in the id table
+	// SetAprioriFromPath installed (0: none).
 	apriori int64
 	// pred caches the propagation-point predictability outcomes (predCache).
 	pred predCache
@@ -62,12 +62,6 @@ type Options struct {
 	// relative confidence interval falls below Eps. Eps <= 0 disables
 	// selective execution entirely (full execution; the reference mode).
 	Eps float64
-	// AprioriFreq supplies fixed critical-path execution counts for the
-	// APriori policy, measured on a preceding full execution, by Key — the
-	// form a caller outside the profiler holds. A kernel's count is read when
-	// it is first seen; SetAprioriFreq installs a new map, and
-	// SetAprioriFromPath replaces the map with counts by kernel id.
-	AprioriFreq map[Key]int64
 	// Extrapolate enables kernel-model extrapolation across input sizes
 	// (the line-fitting extension of Section VIII): a computation kernel
 	// with an unseen or under-sampled signature may be skipped using a
@@ -137,9 +131,8 @@ type Profiler struct {
 	// next Isend or Irecv (comm.go).
 	reqs []*Request
 	// apriori is the global path table SetAprioriFromPath installed, by id of
-	// the current interner; inactive when the counts come from
-	// Options.AprioriFreq. It goes back to free when it is replaced or its
-	// ids are (startConfig, Retire).
+	// the current interner; inactive when none is. It goes back to free when
+	// it is replaced or its ids are (startConfig, Retire).
 	apriori kernelCounts
 
 	// aggregates is the registry of aggregate channels (Figure 2, lines
@@ -368,19 +361,9 @@ func (p *Profiler) lookup(key Key) (uint32, *kernelStats) {
 		ks.seen = true
 		p.touched++
 		ks.prior = p.est.priorOf(key)
-		ks.apriori = p.aprioriOf(id, key)
+		ks.apriori = p.apriori.get(id)
 	}
 	return id, ks
-}
-
-// aprioriOf returns the a-priori count of kernel id, whose signature is key:
-// from the installed id table when there is one, from Options.AprioriFreq
-// otherwise.
-func (p *Profiler) aprioriOf(id uint32, key Key) int64 {
-	if p.apriori.active() {
-		return p.apriori.get(id)
-	}
-	return p.opts.AprioriFreq[key]
 }
 
 // grow extends the records to n > len entries.
@@ -764,33 +747,21 @@ func (p *Profiler) SetPolicy(pol Policy) { p.opts.Policy = pol }
 // family-model extrapolation rather than their own signature's model.
 func (p *Profiler) ExtrapolatedSkips() int64 { return p.extrapolatedSkips }
 
-// SetAprioriFreq installs critical-path counts by Key for the APriori policy
-// (Options.AprioriFreq), replacing those SetAprioriFromPath installed, and
-// re-resolves the records of the kernels already seen. For callers that hold
-// their counts by Key; a sweep's own offline pass uses SetAprioriFromPath.
-func (p *Profiler) SetAprioriFreq(f map[Key]int64) {
-	p.free.put(p.apriori)
-	p.apriori = kernelCounts{}
-	p.opts.AprioriFreq = f
-	p.resolveApriori()
-}
-
 // SetAprioriFromPath installs the configuration's critical-path counts for
 // the APriori policy: the path frequency table of the rank with the maximal
 // predicted execution time, the table GlobalPathFreqs returns, kept by
-// kernel id instead of rekeyed by Key. It replaces Options.AprioriFreq and
-// re-resolves the records of the kernels already seen; a kernel first seen
+// kernel id instead of rekeyed by Key. It replaces any table installed
+// before and re-resolves the records of the kernels already seen; a kernel first seen
 // later reads its count from the same table. Collective over world.
 //
 // The counts hold while the kernel ids do: a statistics reset that swaps the
-// interner (StartConfig(true) under a non-eager policy) drops them, and
-// SetAprioriFreq replaces them. This is how a sweep seeds the a-priori pass
+// interner (StartConfig(true) under a non-eager policy) drops them, and the
+// next SetAprioriFromPath replaces them. This is how a sweep seeds the a-priori pass
 // from its offline pass (StartConfig(false) between the two keeps the ids).
 func (p *Profiler) SetAprioriFromPath() {
 	g := p.globalPath()
 	p.free.put(p.apriori)
 	p.apriori = g
-	p.opts.AprioriFreq = nil
 	p.resolveApriori()
 }
 
@@ -798,7 +769,7 @@ func (p *Profiler) SetAprioriFromPath() {
 func (p *Profiler) resolveApriori() {
 	for id := range p.k {
 		if ks := &p.k[id]; ks.seen {
-			ks.apriori = p.aprioriOf(uint32(id), p.keyAt(uint32(id)))
+			ks.apriori = p.apriori.get(uint32(id))
 		}
 	}
 }

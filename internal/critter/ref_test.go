@@ -14,8 +14,8 @@ package critter
 // every export, and P exports folded by every rank. The id-dense archive of
 // archive.go and the export round's single fold must produce the same
 // profiles bit for bit. The same walk holds the a-priori install by kernel id
-// (SetAprioriFromPath) to the Key-keyed pair it replaced in the sweep,
-// SetAprioriFreq(GlobalPathFreqs()).
+// (SetAprioriFromPath) to the Key-keyed table it replaced in the sweep,
+// GlobalPathFreqs().
 //
 // The Key-keyed prediction model (keyedModel, at the end): a map of live
 // accumulators over a map of priors, with a set of pooled keys, queried by
@@ -682,7 +682,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 					c.Barrier()
 				}
 				// checkApriori demands that every seen record's a-priori
-				// count be want's entry for its Key.
+				// count be want's entry for its Key (0 for a nil want).
 				checkApriori := func(step int, what string, want map[Key]int64) {
 					for id := range p.k {
 						if !p.k[id].seen {
@@ -715,12 +715,12 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						p.Report() // publishes the configuration's table
 						// A reset drops counts installed by id: they belong to
 						// the previous interner's ids.
-						checkApriori(step, what, p.opts.AprioriFreq)
+						checkApriori(step, what, nil)
 					case op < 40:
 						what = "reset"
 						start(true, false, 0)
 						work()
-						checkApriori(step, what, p.opts.AprioriFreq)
+						checkApriori(step, what, nil)
 					case op < 55:
 						what = "kept"
 						start(false, false, 0)
@@ -739,13 +739,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						p.Kernel("solo", c.Rank(), 1, 1, 0, 8, func() {})
 						p.Report()
 						want := p.GlobalPathFreqs()
-						if ctl.Intn(2) == 0 {
-							what += " by id"
-							p.SetAprioriFromPath()
-						} else {
-							what += " by Key"
-							p.SetAprioriFreq(p.GlobalPathFreqs())
-						}
+						p.SetAprioriFromPath()
 						checkApriori(step, what, want)
 						p.SetPolicy(APriori)
 						p.SetEps(eps)
