@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"critter/internal/autotune"
 	"critter/internal/critter"
 )
 
@@ -74,8 +76,8 @@ func TestBoardMatchesCommittedFile(t *testing.T) {
 }
 
 // TestCapitalSectionIdenticalAtOneWorker renders capital alone on one worker:
-// the preamble and capital section must be how both the default-worker
-// board and the committed file begin.
+// the preamble and capital section, its strategy table included, must be how
+// both the default-worker board and the committed file begin.
 func TestCapitalSectionIdenticalAtOneWorker(t *testing.T) {
 	secs, err := run(paperOrder[:1], 1)
 	if err != nil {
@@ -90,6 +92,65 @@ func TestCapitalSectionIdenticalAtOneWorker(t *testing.T) {
 	}
 	if !strings.HasPrefix(committed(t), one) {
 		t.Errorf("BENCH_figures.md does not begin with the 1-worker capital section; %s", regenerate)
+	}
+}
+
+// TestExhaustiveCellsMatchGoldenEnvelopes ties the board to the repository's
+// determinism anchor: every exhaustive cell of the board at a (policy, eps)
+// that internal/autotune/testdata/envelope_<study>_exhaustive.golden.json
+// holds marshals to the same JSON bytes as that golden cell.
+func TestExhaustiveCellsMatchGoldenEnvelopes(t *testing.T) {
+	for i, s := range board(t) {
+		path := filepath.Join("..", "..", "internal", "autotune", "testdata", "envelope_"+paperOrder[i]+"_exhaustive.golden.json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var golden autotune.Result
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for gpi, pol := range golden.Policies {
+			for gei, eps := range golden.EpsList {
+				pi, ei := slices.Index(s.res.Policies, pol), slices.Index(s.res.EpsList, eps)
+				if pi < 0 || ei < 0 {
+					t.Fatalf("%s: the board has no cell (%s, eps %g)", s.study.Name, pol, eps)
+				}
+				want, err := json.Marshal(golden.Sweeps[gpi][gei])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(s.res.Sweeps[pi][ei])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s (%s, eps %g): the board's exhaustive sweep differs from %s", s.study.Name, pol, eps, path)
+				}
+			}
+		}
+	}
+}
+
+// TestSurrogateHitsOnHalfTheKernels holds the surrogate to its claim on the
+// board's strategy tables: on at least two studies (capital and candmc) its
+// selection lands, and stays, within epsilon of the optimum while it executes
+// at most half of the exhaustive sweep's kernels. Under -race the board holds
+// capital alone, which must hit.
+func TestSurrogateHitsOnHalfTheKernels(t *testing.T) {
+	secs := board(t)
+	var hits []string
+	for _, s := range secs {
+		for _, r := range s.rows {
+			// toEps >= 0 means the final selection is inside epsilon: the
+			// walk in score resets it whenever the running choice leaves.
+			if strings.HasPrefix(r.strategy, "surrogate:") && r.toEps >= 0 && r.frac <= 0.5 {
+				hits = append(hits, s.study.Name)
+			}
+		}
+	}
+	if need := min(2, len(secs)); len(hits) < need {
+		t.Errorf("surrogate within epsilon at <= 50%% of exhaustive kernels on %v, need %d studies", hits, need)
 	}
 }
 
