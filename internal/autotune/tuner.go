@@ -552,11 +552,18 @@ func MergedProfile(res *Result) *critter.Profile {
 	if res == nil {
 		return nil
 	}
+	// The first export is copied once and the rest merged into the copy
+	// in grid order, which is what chaining MergeProfiles would produce
+	// without re-copying the growing profile at every sweep.
 	var merged *critter.Profile
 	for pi := range res.Sweeps {
 		for ei := range res.Sweeps[pi] {
-			if p := res.Sweeps[pi][ei].Profile; p != nil {
-				merged = critter.MergeProfiles(merged, p)
+			switch p := res.Sweeps[pi][ei].Profile; {
+			case p == nil:
+			case merged == nil:
+				merged = p.Clone()
+			default:
+				merged.Merge(p)
 			}
 		}
 	}

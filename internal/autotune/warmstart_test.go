@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -258,4 +259,61 @@ func TestWarmStartForwardsProfileAware(t *testing.T) {
 			t.Fatal("ObserveProfile fed a nil profile through WarmStart")
 		}
 	}
+}
+
+// TestMergedProfileClonesOnce: on a 12-sweep grid (4 policies × 3 eps),
+// MergedProfile encodes to the same bytes as the chained MergeProfiles fold
+// over the sweeps in grid order, and makes fewer allocations than that fold,
+// which copies the growing profile at every sweep.
+func TestMergedProfileClonesOnce(t *testing.T) {
+	res, err := Tuner{
+		Study:    CapitalCholesky(QuickScale()),
+		EpsList:  []float64{0.5, 0.25, 0.125},
+		Machine:  quickMachine(),
+		Seed:     11,
+		Policies: []critter.Policy{critter.Conditional, critter.Local, critter.Online, critter.APriori},
+		Workers:  2,
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := func() *critter.Profile {
+		var merged *critter.Profile
+		for _, row := range res.Sweeps {
+			for _, sw := range row {
+				if sw.Profile != nil {
+					merged = critter.MergeProfiles(merged, sw.Profile)
+				}
+			}
+		}
+		return merged
+	}
+	sweeps := 0
+	for _, row := range res.Sweeps {
+		for _, sw := range row {
+			if sw.Profile != nil {
+				sweeps++
+			}
+		}
+	}
+	if sweeps != 12 {
+		t.Fatalf("%d sweeps exported a profile, want 12", sweeps)
+	}
+	want, err := chained().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MergedProfile(res).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("MergedProfile differs from the chained MergeProfiles fold")
+	}
+	once := testing.AllocsPerRun(5, func() { MergedProfile(res) })
+	fold := testing.AllocsPerRun(5, func() { chained() })
+	if once >= fold {
+		t.Errorf("MergedProfile made %v allocations, the chained fold %v; want fewer", once, fold)
+	}
+	t.Logf("allocations: MergedProfile %v, chained fold %v", once, fold)
 }

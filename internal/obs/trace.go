@@ -97,18 +97,75 @@ type Tracer interface {
 // events, so its storage grows a chunk at a time as slots are first written.
 const ringChunk = 256
 
+// slot is one Ring entry, 48 bytes. A round point event — nearly all of
+// what a traced run emits — is stored inline: its name, virtual clock,
+// wall stamp and whether Memoized is 1. Any other event (every non-round
+// kind, and a round event with other fields set or Memoized outside
+// {0, 1}) is boxed whole behind box, which is non-nil only then. Seq is
+// not stored: it follows from the slot's position.
+type slot struct {
+	name    string
+	virtual float64
+	wall    int64
+	box     *Event
+	memo    bool
+}
+
+// put stores ev, which carries its final WallNanos, in s; its Seq is
+// dropped.
+func (s *slot) put(ev *Event) {
+	if inline(ev) {
+		*s = slot{name: ev.Name, virtual: ev.Virtual, wall: ev.WallNanos, memo: ev.Memoized == 1}
+		return
+	}
+	b := s.box // a box the slot held is reused: Events hands out copies
+	if b == nil {
+		b = new(Event)
+	}
+	*b = *ev
+	*s = slot{box: b}
+}
+
+// inline reports whether a slot reproduces ev exactly, Seq aside: a round
+// point event with Memoized 0 or 1 and no field set but Name, Virtual and
+// WallNanos. A field added to Event must be checked here;
+// TestRingKeepsEveryField fails until it is.
+func inline(ev *Event) bool {
+	return ev.Kind == KindRound && ev.Phase == PhasePoint && ev.Memoized&^1 == 0 &&
+		ev.Job == "" && ev.Policy == "" && ev.Eps == 0 && ev.Config == 0 && ev.Round == 0 &&
+		ev.Configs == 0 && ev.FullVirtual == 0 && ev.Executed == 0 && ev.Skipped == 0 &&
+		ev.AllocBytes == 0 && ev.Error == ""
+}
+
+// event reconstructs the event s holds with sequence number seq.
+func (s *slot) event(seq uint64) Event {
+	if s.box != nil {
+		ev := *s.box
+		ev.Seq = seq
+		return ev
+	}
+	ev := Event{Seq: seq, Kind: KindRound, Phase: PhasePoint, Name: s.name, Virtual: s.virtual, WallNanos: s.wall}
+	if s.memo {
+		ev.Memoized = 1
+	}
+	return ev
+}
+
 // Ring is a bounded in-memory tracer: the last capacity events, oldest
 // dropped first. It is the service layer's per-job tracer behind
 // GET /v1/jobs/{id}/trace. Its slots live in chunks of ringChunk, each made
 // when its first slot is written; the last is cut to the capacity, so a
-// full ring holds exactly capacity slots.
+// full ring holds exactly capacity slots. A slot (see slot) holds a round
+// point event in 48 bytes with no allocation of its own and boxes anything
+// else; Events decodes the slots back into the exact events emitted, with
+// Seq counted back from the newest.
 type Ring struct {
 	clock Clock
 
 	mu       sync.Mutex
 	seq      uint64
 	capacity int
-	chunks   [][]Event // slot i is chunks[i/ringChunk][i%ringChunk]
+	chunks   [][]slot // slot i is chunks[i/ringChunk][i%ringChunk]
 	next     int
 	full     bool
 	dropped  uint64
@@ -120,14 +177,13 @@ func NewRing(capacity int, clock Clock) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{clock: clock, capacity: capacity, chunks: make([][]Event, (capacity+ringChunk-1)/ringChunk)}
+	return &Ring{clock: clock, capacity: capacity, chunks: make([][]slot, (capacity+ringChunk-1)/ringChunk)}
 }
 
 // Emit implements Tracer.
 func (r *Ring) Emit(ev Event) {
 	r.mu.Lock()
 	r.seq++
-	ev.Seq = r.seq
 	if r.clock != nil {
 		ev.WallNanos = r.clock().UnixNano()
 	}
@@ -137,9 +193,9 @@ func (r *Ring) Emit(ev Event) {
 	c := &r.chunks[r.next/ringChunk]
 	if *c == nil {
 		// Slots are first written in order, so r.next starts this chunk.
-		*c = make([]Event, min(ringChunk, r.capacity-r.next))
+		*c = make([]slot, min(ringChunk, r.capacity-r.next))
 	}
-	(*c)[r.next%ringChunk] = ev
+	(*c)[r.next%ringChunk].put(&ev)
 	r.next++
 	if r.next == r.capacity {
 		r.next = 0
@@ -159,12 +215,14 @@ func (r *Ring) Events() []Event {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
-	for len(out) < n {
-		c := r.chunks[i/ringChunk][i%ringChunk:]
-		c = c[:min(len(c), n-len(out))]
-		out = append(out, c...)
-		i = (i + len(c)) % r.capacity
+	out := make([]Event, n)
+	seq := r.seq - uint64(n)
+	for k := range out {
+		seq++
+		out[k] = r.chunks[i/ringChunk][i%ringChunk].event(seq)
+		if i++; i == r.capacity {
+			i = 0
+		}
 	}
 	return out
 }

@@ -3,10 +3,15 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fixedClock is a deterministic Clock for tests.
@@ -47,27 +52,57 @@ func TestRingOrderAndOverflow(t *testing.T) {
 	}
 }
 
-// TestRingChunkBoundaries checks Events order, Seq and Dropped against the
-// last-capacity-events oracle at every chunk boundary a ring can straddle:
-// capacities below, at and past one chunk and across several, each filled
-// to nothing, one event, the chunk edges, exactly full, and wrapped twice
-// over.
+// mixedEvent is the i-th event (1-based) of a stream that mixes every shape
+// a Ring stores: inline round events with Memoized 0 and 1, and boxed ones —
+// round events with Memoized 2 or carrying a Config, and job, sweep, config
+// and strategy events.
+func mixedEvent(i int) Event {
+	v := float64(i) / 8
+	switch i % 9 {
+	case 0, 1, 2:
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: v}
+	case 3:
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "bcast", Virtual: v, Memoized: 1}
+	case 4:
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "send", Virtual: v, Memoized: 2}
+	case 5:
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "recv", Virtual: v, Config: i}
+	case 6:
+		return Event{Kind: KindJob, Phase: PhaseBegin, Name: "capital", Job: "j1"}
+	case 7:
+		return Event{Kind: KindSweep, Phase: PhaseEnd, Policy: "online", Eps: 0.125, Virtual: v, FullVirtual: 2 * v,
+			Executed: int64(i), Skipped: 3, Memoized: 1, AllocBytes: 4096, Error: "boom"}
+	}
+	return Event{Kind: KindStrategy, Phase: PhasePoint, Round: i, Configs: 4}
+}
+
+// TestRingChunkBoundaries checks Events field for field — Seq and WallNanos
+// included — and Dropped against the last-capacity-events oracle at every
+// chunk boundary a ring can straddle: capacities below, at and past one
+// chunk and across several, each filled with the mixed stream to nothing,
+// one event, the chunk edges, exactly full, and wrapped twice over.
 func TestRingChunkBoundaries(t *testing.T) {
+	base := time.Unix(1000, 0)
 	for _, capacity := range []int{1, ringChunk - 1, ringChunk, ringChunk + 1, 3*ringChunk + 5} {
 		for _, n := range []int{0, 1, ringChunk - 1, ringChunk, ringChunk + 1, capacity, 2*capacity + 3} {
-			r := NewRing(capacity, nil)
+			r := NewRing(capacity, fixedClock())
+			var oracle []Event
 			for i := 1; i <= n; i++ {
-				r.Emit(Event{Kind: KindRound, Phase: PhasePoint, Config: i})
+				ev := mixedEvent(i)
+				r.Emit(ev)
+				ev.Seq = uint64(i)
+				ev.WallNanos = base.Add(time.Duration(i) * time.Millisecond).UnixNano()
+				oracle = append(oracle, ev)
 			}
 			kept := min(n, capacity)
+			oracle = oracle[n-kept:]
 			evs := r.Events()
 			if len(evs) != kept {
 				t.Fatalf("capacity %d, %d emitted: %d events, want %d", capacity, n, len(evs), kept)
 			}
 			for k, ev := range evs {
-				if want := n - kept + 1 + k; ev.Config != want || ev.Seq != uint64(want) {
-					t.Fatalf("capacity %d, %d emitted: event %d is config %d seq %d, want %d",
-						capacity, n, k, ev.Config, ev.Seq, want)
+				if ev != oracle[k] {
+					t.Fatalf("capacity %d, %d emitted: event %d is\n%+v, want\n%+v", capacity, n, k, ev, oracle[k])
 				}
 			}
 			if got, want := r.Dropped(), uint64(n-kept); got != want {
@@ -84,17 +119,61 @@ func TestRingChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestRingAllocatesWhatItHolds: a ring sized for a busy job that records ten
-// events costs the ring, its chunk index and one chunk.
-func TestRingAllocatesWhatItHolds(t *testing.T) {
-	allocs := testing.AllocsPerRun(20, func() {
-		r := NewRing(4096, nil)
-		for i := 0; i < 10; i++ {
-			r.Emit(Event{Kind: KindRound, Phase: PhasePoint})
+// TestRingKeepsEveryField sets each Event field in turn on a round point
+// event — the shape a slot stores inline — and checks the ring hands back
+// exactly what was emitted, so a field the inline form cannot hold is boxed.
+func TestRingKeepsEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		if name == "Seq" {
+			continue // the ring's own
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("a 4096-slot ring holding 10 events made %v allocations, want at most 3", allocs)
+		ev := Event{Kind: KindRound, Phase: PhasePoint}
+		switch f := reflect.ValueOf(&ev).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(2)
+		case reflect.Uint64:
+			f.SetUint(2)
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			t.Fatalf("field %s has kind %s; extend this test", name, f.Kind())
+		}
+		r := NewRing(4, nil)
+		r.Emit(ev)
+		ev.Seq = 1
+		if got := r.Events(); len(got) != 1 || got[0] != ev {
+			t.Errorf("field %s: ring returned %+v, want %+v", name, got, ev)
+		}
+	}
+}
+
+// TestRingAllocatesWhatItHolds: a 4096-slot ring costs itself, its chunk
+// index and at most 64 bytes per slot it has written, whether it holds ten
+// round events or is full of them.
+func TestRingAllocatesWhatItHolds(t *testing.T) {
+	const capacity = 4096
+	index := uint64((capacity + ringChunk - 1) / ringChunk * int(unsafe.Sizeof([]slot(nil))))
+	for _, n := range []int{10, capacity} {
+		var before, after runtime.MemStats
+		bytes := uint64(math.MaxUint64)
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			r := NewRing(capacity, nil)
+			for range n {
+				r.Emit(Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5, Memoized: 1})
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(r)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		written := uint64((n + ringChunk - 1) / ringChunk * ringChunk)
+		if budget := uint64(unsafe.Sizeof(Ring{})) + index + 64*written; bytes > budget {
+			t.Errorf("a %d-slot ring holding %d round events allocated %d B, want at most %d", capacity, n, bytes, budget)
+		}
 	}
 }
 
@@ -175,12 +254,37 @@ func TestTracersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < 200; n++ {
-				r.Emit(Event{Kind: KindRound, Phase: PhasePoint})
+				r.Emit(mixedEvent(n))
 				j.Emit(Event{Kind: KindRound, Phase: PhasePoint})
 			}
 		}()
 	}
+	// A reader snapshots the ring while the writers fill it: every
+	// snapshot is a run of consecutive sequence numbers.
+	done := make(chan struct{})
+	read := make(chan error)
+	go func() {
+		for {
+			evs := r.Events()
+			for k := 1; k < len(evs); k++ {
+				if evs[k].Seq != evs[k-1].Seq+1 {
+					read <- fmt.Errorf("snapshot seqs %d then %d", evs[k-1].Seq, evs[k].Seq)
+					return
+				}
+			}
+			select {
+			case <-done:
+				read <- nil
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	if err := <-read; err != nil {
+		t.Error(err)
+	}
 	if got := r.Dropped(); got != 8*200-64 {
 		t.Errorf("ring dropped %d, want %d", got, 8*200-64)
 	}
@@ -192,3 +296,28 @@ func TestTracersConcurrent(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// benchmarkRingEmit emits ev into 4096-slot rings, each filled once and then
+// replaced, so B/op is what an event costs the first time through a job's
+// ring: its share of the slot chunks, plus a box when it is not inline.
+func benchmarkRingEmit(b *testing.B, ev Event) {
+	b.ReportAllocs()
+	var r *Ring
+	for i := 0; b.Loop(); i++ {
+		if i%4096 == 0 {
+			r = NewRing(4096, WallClock())
+		}
+		r.Emit(ev)
+	}
+}
+
+// BenchmarkRingEmitRound is the inline path: a round point event, nearly all
+// of what a traced run emits.
+func BenchmarkRingEmitRound(b *testing.B) {
+	benchmarkRingEmit(b, Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5, Memoized: 1})
+}
+
+// BenchmarkRingEmitConfig is the boxed path: any event but a plain round.
+func BenchmarkRingEmitConfig(b *testing.B) {
+	benchmarkRingEmit(b, Event{Kind: KindConfig, Phase: PhasePoint, Policy: "online", Eps: 0.125, Config: 3})
+}

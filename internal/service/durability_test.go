@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"critter/internal/autotune"
+	"critter/internal/critter"
 	"critter/internal/store"
 )
 
@@ -237,4 +240,64 @@ func mustExecuted(t *testing.T, s *Scheduler, id string) int64 {
 		t.Fatalf("job %s has no sweep results", id)
 	}
 	return env.Result.Sweeps[0][0].Executed
+}
+
+// TestOneSweepJobHandsOverItsProfile: a one-sweep job gives the store its
+// sweep's own profile, not a copy of it. The durable profile record is byte
+// for byte what storing autotune.MergedProfile's copy writes, and after two
+// more jobs merge into the store the job's envelope still holds its profile
+// unchanged: the store only reads what it is given.
+func TestOneSweepJobHandsOverItsProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full sweeps")
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Config{Runners: 1, Durable: st})
+	defer closeNow(t, s)
+	const body = `{"workload":"candmc","scale":"quick","policies":["online"],"eps":[0.125],"seed":%d,"warmStart":false}`
+	job := submitWait(t, s, fmt.Sprintf(body, 11))
+	if job.State != StateDone {
+		t.Fatalf("job finished %s (err %q)", job.State, job.Error)
+	}
+	env, ok := s.Result(job.ID)
+	if !ok || env == nil {
+		t.Fatal("no result envelope")
+	}
+	sweep := env.Result.Sweeps[0][0].Profile
+	before, err := sweep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := NewProfileStore()
+	ref.Merge("candmc", autotune.MergedProfile(env.Result))
+	stamped := *ref.Get("candmc")
+	stamped.SchemaVersion = critter.ProfileSchemaVersion
+	want, err := json.Marshal(&stamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := st.Get(kindProfile, "candmc"); !ok || !bytes.Equal(rec.Data, want) {
+		t.Errorf("durable profile record (found %v) differs from the one MergedProfile's copy writes", ok)
+	}
+
+	for _, seed := range []int{12, 13} {
+		if j := submitWait(t, s, fmt.Sprintf(body, seed)); j.State != StateDone {
+			t.Fatalf("job seed %d finished %s (err %q)", seed, j.State, j.Error)
+		}
+	}
+	after, err := sweep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("merging later jobs into the store changed the first job's sweep profile")
+	}
+	if again, _ := s.Result(job.ID); again.Result.Sweeps[0][0].Profile != sweep {
+		t.Error("the job's envelope no longer holds its sweep profile")
+	}
 }

@@ -68,5 +68,16 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 		sum := autotune.Summarize("", 0, prior)
 		env.Prior = &sum
 	}
-	return env, autotune.MergedProfile(res), err
+	return env, learnedProfile(res), err
+}
+
+// learnedProfile is res's merged learned profile for the store. A one-sweep
+// grid hands over its sweep's own profile rather than MergedProfile's copy
+// of it: ProfileStore.Merge only reads its argument, so the envelope's
+// profile is never aliased by the store.
+func learnedProfile(res *autotune.Result) *critter.Profile {
+	if res != nil && len(res.Sweeps) == 1 && len(res.Sweeps[0]) == 1 {
+		return res.Sweeps[0][0].Profile
+	}
+	return autotune.MergedProfile(res)
 }

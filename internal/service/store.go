@@ -54,6 +54,7 @@ func (s *ProfileStore) get(workload string) (*critter.Profile, time.Time) {
 
 // Merge folds p into the workload's accumulated profile. A nil p is a
 // no-op, so callers can pass a failed sweep's absent export unconditionally.
+// p is only read and never retained, so it may be a job's own sweep profile.
 func (s *ProfileStore) Merge(workload string, p *critter.Profile) {
 	if p == nil {
 		return
