@@ -14,6 +14,7 @@ import (
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
+	"critter/internal/golden"
 )
 
 // raceEnabled is set by race_test.go in -race builds, where the full grid
@@ -44,35 +45,30 @@ func render(secs []section) string {
 	return buf.String()
 }
 
+// boardPath is the committed board, relative to this package.
+var boardPath = filepath.Join("..", "..", "BENCH_figures.md")
+
 func committed(t *testing.T) string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_figures.md"))
+	raw, err := os.ReadFile(boardPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(raw)
 }
 
-const regenerate = "regenerate it with `go run ./cmd/figures > BENCH_figures.md`"
-
 // TestBoardMatchesCommittedFile renders the board and compares it byte for
-// byte with BENCH_figures.md (under -race, the preamble and capital section
-// the file begins with).
+// byte with BENCH_figures.md (under -race, with the preamble and capital
+// section the file begins with).
 func TestBoardMatchesCommittedFile(t *testing.T) {
-	got, want := render(board(t)), committed(t)
+	got := render(board(t))
 	if raceEnabled {
-		want = want[:min(len(want), len(got))]
-	}
-	if got == want {
+		if !strings.HasPrefix(committed(t), got) {
+			t.Errorf("BENCH_figures.md does not begin with the capital section; regenerate it with %s", golden.Regenerate)
+		}
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := range min(len(gl), len(wl)) {
-		if gl[i] != wl[i] {
-			t.Fatalf("BENCH_figures.md differs from the board at line %d; %s\n got: %s\nfile: %s", i+1, regenerate, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("BENCH_figures.md has %d lines, the board %d; %s", len(wl), len(gl), regenerate)
+	golden.Check(t, boardPath, []byte(got))
 }
 
 // TestCapitalSectionIdenticalAtOneWorker renders capital alone on one worker:
@@ -91,7 +87,7 @@ func TestCapitalSectionIdenticalAtOneWorker(t *testing.T) {
 		t.Errorf("the capital section differs between 1 worker and the default pool:\n%s", one)
 	}
 	if !strings.HasPrefix(committed(t), one) {
-		t.Errorf("BENCH_figures.md does not begin with the 1-worker capital section; %s", regenerate)
+		t.Errorf("BENCH_figures.md does not begin with the 1-worker capital section; regenerate it with %s", golden.Regenerate)
 	}
 }
 

@@ -5,19 +5,19 @@ package critter_test
 import (
 	"bytes"
 	"context"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
-	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"critter"
+	"critter/internal/golden"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -414,13 +414,10 @@ func TestFacadeObservability(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/facade.golden")
-
 // TestFacadeSurface pins the public surface: the sorted exported identifiers
 // declared in critter.go must equal testdata/facade.golden, so a change that
 // grows or shrinks the facade shows it in one diff. Regenerate with
-//
-//	go test -run TestFacadeSurface -update-golden .
+// `bash scripts/restat.sh`.
 func TestFacadeSurface(t *testing.T) {
 	file, err := parser.ParseFile(token.NewFileSet(), "critter.go", nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -452,22 +449,5 @@ func TestFacadeSurface(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	got := strings.Join(names, "\n") + "\n"
-	const golden = "testdata/facade.golden"
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("facade surface changed (regenerate %s with -update-golden if intended):\ngot:\n%swant:\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "facade.golden"), []byte(strings.Join(names, "\n")+"\n"))
 }

@@ -2,10 +2,14 @@ package autotune
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"critter/internal/critter"
+	"critter/internal/golden"
 )
 
 // TestNoiseFreeAccountingBias pins the prediction model's bias with the
@@ -14,38 +18,21 @@ import (
 // the conditional and online policies. Every configuration's
 // |Predicted/Wall - 1| (the selective report's prediction against the
 // reference's wall time) is then what the accounting gets wrong, not what
-// the machine drew; the test pins its mean and max per cell to 1e-12
-// relative.
+// the machine drew. testdata/noise_free_bias.golden holds its mean and max
+// per (study, policy, eps) cell as %.17g text, compared exactly: the golden
+// envelopes pin the same Predicted and Wall values bit for bit.
 //
-// The skip-nothing means are capital 0.00%, candmc 2.08%, slate-chol 60.96%
-// and slate-qr 246.35%. Today Profiler.complete adopts the peer's path
-// before it charges a blocking receive, so the wait the sender's path
-// already covers is counted twice. Charging first is expected to shrink the
-// SLATE values; the change that does so re-pins them here.
+// Profiler.complete adopts the peer's path before it charges every op. A
+// blocking point-to-point op's leg already holds the wait for the peer,
+// whose path time the adopted path carries, so that wait counts twice:
+// most of the SLATE bias. Charging first on every op is not the fix (it
+// breaks capital and candmc, whose collectives are exact adopt-first);
+// ROADMAP item 1(a)'s per-op rule is, and the change that lands it
+// re-records this file with `bash scripts/restat.sh`.
 func TestNoiseFreeAccountingBias(t *testing.T) {
-	type cell struct{ mean, max float64 }
-	// want[study][policy][eps], policies {conditional, online}, eps {0, 2^-3}.
-	want := map[string][2][2]cell{
-		"capital-cholesky": {
-			{{0, 0}, {1.5543122344752191e-16, 8.8817841970012523e-16}},
-			{{0, 0}, {1.5543122344752191e-16, 8.8817841970012523e-16}},
-		},
-		"slate-cholesky": {
-			{{0.60958418463982977, 1.0399784407874582}, {0.78389736906352514, 1.2897040778785951}},
-			{{0.60958418463982977, 1.0399784407874582}, {0.78389736906352514, 1.2897040778785951}},
-		},
-		"candmc-qr": {
-			{{0.020750767770562447, 0.068360623751372751}, {0.022806338894507627, 0.087085405920456438}},
-			{{0.020750767770562447, 0.068360623751372751}, {0.017400518116979756, 0.080754058630030379}},
-		},
-		"slate-qr": {
-			{{2.4635279604759774, 6.3398698521735168}, {2.1175557194691415, 5.0641157155281533}},
-			{{2.4635279604759774, 6.3398698521735168}, {2.1175557194691415, 5.0641157155281533}},
-		},
-	}
 	quiet := quickMachine()
 	quiet.NoiseSigma = 0
-	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	var b strings.Builder
 	for _, st := range quickStudies() {
 		res, err := Tuner{
 			Study:    st,
@@ -57,23 +44,21 @@ func TestNoiseFreeAccountingBias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pi, row := range res.Sweeps {
-			for ei, sw := range row {
+		for _, row := range res.Sweeps {
+			for _, sw := range row {
 				if sw.Eps == 0 && sw.Skipped != 0 {
 					t.Errorf("%s %s eps 0: skipped %d kernels, want none", st.Name, sw.Policy, sw.Skipped)
 				}
-				var got cell
+				var mean, hi float64
 				for _, cr := range sw.Configs {
 					e := math.Abs(cr.Selective.Predicted/cr.Full.Wall - 1)
-					got.mean += e
-					got.max = max(got.max, e)
+					mean += e
+					hi = max(hi, e)
 				}
-				got.mean /= float64(len(sw.Configs))
-				if w := want[st.Name][pi][ei]; !near(got.mean, w.mean) || !near(got.max, w.max) {
-					t.Errorf("%s %s eps %g: |Predicted/Wall - 1| mean %.17g max %.17g, pinned %.17g and %.17g",
-						st.Name, sw.Policy, sw.Eps, got.mean, got.max, w.mean, w.max)
-				}
+				mean /= float64(len(sw.Configs))
+				fmt.Fprintf(&b, "%s %s eps=%g mean=%.17g max=%.17g\n", st.Name, sw.Policy, sw.Eps, mean, hi)
 			}
 		}
 	}
+	golden.Check(t, filepath.Join("testdata", "noise_free_bias.golden"), []byte(b.String()))
 }

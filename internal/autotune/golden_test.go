@@ -12,24 +12,19 @@ package autotune_test
 // the same path the CLIs and the service layer take, so the tests also pin
 // that registry resolution changes nothing about the results.
 //
-// Regenerate with:
-//
-//	go test ./internal/autotune -run TestGoldenEnvelope -update-golden
+// Regenerate with `bash scripts/restat.sh`.
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
 	. "critter/internal/autotune"
+	"critter/internal/golden"
 	"critter/internal/sim"
 	"critter/internal/workload"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden envelope files")
 
 // goldenMachine is the fixed machine model behind the golden grids.
 func goldenMachine() sim.Machine {
@@ -103,23 +98,7 @@ func TestGoldenEnvelope(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = append(got, '\n')
-			path := filepath.Join("testdata", "envelope_"+tc.name+".golden.json")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("result grid diverges from golden %s: sweep results are no longer bit-identical\n(regenerate with -update-golden only if the change is intended)", path)
-			}
+			golden.Check(t, filepath.Join("testdata", "envelope_"+tc.name+".golden.json"), got)
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"critter/internal/golden"
 	"critter/internal/stats"
 )
 
@@ -38,23 +39,18 @@ func goldenProfile() *Profile {
 // TestProfileGoldenFile pins the on-disk profile format: the canonical
 // profile must encode byte-for-byte to testdata/profile.golden.json, and
 // the golden file must decode back to the same value. A deliberate format
-// change means regenerating the golden file (delete it and run with
-// -run TestProfileGoldenFile -update-golden is not provided: re-create it
-// from the failure diff) and bumping ProfileSchemaVersion if the layout is
-// incompatible.
+// change regenerates the file with `bash scripts/restat.sh` and bumps
+// ProfileSchemaVersion if the layout is incompatible.
 func TestProfileGoldenFile(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "profile.golden.json")
 	got, err := goldenProfile().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	golden.Check(t, goldenPath, append(got, '\n'))
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("encoded profile differs from %s:\n--- got ---\n%s\n--- want ---\n%s", goldenPath, got, want)
 	}
 	back, err := DecodeProfile(want)
 	if err != nil {

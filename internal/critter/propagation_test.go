@@ -1,21 +1,24 @@
 package critter
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"critter/internal/golden"
 	"critter/internal/mpi"
 	"critter/internal/obs"
 )
 
 // Propagation tests: what each rank's path-frequency table holds after each
 // kind of propagation point. The tables are compared as text — one
-// "name/p1=count" entry per nonzero kernel, sorted — so a literal pins every
-// id of every rank.
+// "name/p1=count" entry per nonzero kernel, sorted — so a golden line pins
+// every id of every rank.
 
 // freqString renders a PathFreqs map canonically.
 func freqString(freqs map[Key]int64) string {
@@ -46,6 +49,19 @@ type pathFreqsLog struct {
 	ranks int
 }
 
+// stepLines renders a per-step, per-rank table one self-describing line per
+// entry ("<kind> step=3 rank=1 <text>"), so a golden diff names the step and
+// rank.
+func stepLines(kind string, table [][]string) []byte {
+	var b bytes.Buffer
+	for s, row := range table {
+		for r, v := range row {
+			fmt.Fprintf(&b, "%s step=%d rank=%d %s\n", kind, s, r, v)
+		}
+	}
+	return b.Bytes()
+}
+
 func (l *pathFreqsLog) note(step, rank int, p *Profiler) {
 	s, ts := freqString(p.PathFreqs()), pathTimeString(p.path)
 	l.mu.Lock()
@@ -58,51 +74,25 @@ func (l *pathFreqsLog) note(step, rank int, p *Profiler) {
 	l.times[step][rank] = ts
 }
 
-// comparePinned reports every entry of got that differs from want, and on
-// any mismatch logs what was observed in literal form.
-func comparePinned(t *testing.T, what string, got, want [][]string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: program logged %d steps, literals cover %d", what, len(got), len(want))
-	} else {
-		for s := range got {
-			if len(got[s]) != len(want[s]) {
-				t.Errorf("%s: step %d logged %d entries, literal has %d", what, s, len(got[s]), len(want[s]))
-				continue
-			}
-			for r := range got[s] {
-				if got[s][r] != want[s][r] {
-					t.Errorf("%s: step %d rank %d:\n got %s\nwant %s", what, s, r, got[s][r], want[s][r])
-				}
-			}
-		}
-	}
-	if t.Failed() {
-		var b strings.Builder
-		for _, st := range got {
-			fmt.Fprintf(&b, "\t{\n")
-			for _, s := range st {
-				fmt.Fprintf(&b, "\t\t%q,\n", s)
-			}
-			fmt.Fprintf(&b, "\t},\n")
-		}
-		t.Logf("%s observed:\n%s", what, b.String())
-	}
-}
-
 // TestOnlinePathFreqsPinned runs a 4-rank online program through every
 // propagation path — the internal allreduce of world and sub-communicator
 // collectives, Isend/Recv/Wait, the combined Sendrecv exchange, blocking
 // Send/Recv — twice over, so the second pass runs entirely on recycled
-// buffers, and compares every rank's PathFreqs() after every step against
-// literals recorded before tables had a single owner (at the copy-on-write
-// implementation that single ownership replaced). It also pins each rank's
-// path ExecTime and CommTime after every step, which a change to the order
-// of adoption against charging moves while leaving the counts alone, and
-// rank 0's stream of round events, which critter-trace's per-op table reads.
+// buffers, and pins, each subtest against its own file under testdata/:
+//   - freqs (online_path_freqs.golden): every rank's PathFreqs() after
+//     every step, and rank 0's GlobalPathFreqs() at the end (global);
+//   - times (online_path_times.golden): each rank's path ExecTime and
+//     CommTime after every step, as float bits, which a change to the order
+//     of adoption against charging moves while leaving the counts alone;
+//   - rounds (online_path_rounds.golden): rank 0's stream of round events
+//     (op, virtual-clock bits, memoized flag), which critter-trace's per-op
+//     table reads.
+//
+// Regenerate with `bash scripts/restat.sh`.
 func TestOnlinePathFreqsPinned(t *testing.T) {
 	const ranks = 4
 	log := &pathFreqsLog{ranks: ranks}
+	var global string
 	w := mpi.NewWorld(ranks, testMachine(0.05), 7)
 	ring := obs.NewRing(1024, nil)
 	w.SetTracer(ring)
@@ -153,28 +143,31 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 		}
 		freqs := p.GlobalPathFreqs()
 		if r == 0 {
-			log.mu.Lock()
-			log.steps = append(log.steps, []string{freqString(freqs)})
-			log.mu.Unlock()
+			global = freqString(freqs)
 		}
 		p.Retire()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("freqs", func(t *testing.T) { comparePinned(t, "PathFreqs", log.steps, pinnedPathFreqs) })
-	t.Run("times", func(t *testing.T) { comparePinned(t, "path times", log.times, pinnedPathTimes) })
+	t.Run("freqs", func(t *testing.T) {
+		got := append(stepLines("freqs", log.steps), "global rank=0 "+global+"\n"...)
+		golden.Check(t, filepath.Join("testdata", "online_path_freqs.golden"), got)
+	})
+	t.Run("times", func(t *testing.T) {
+		golden.Check(t, filepath.Join("testdata", "online_path_times.golden"), stepLines("times", log.times))
+	})
 	t.Run("rounds", func(t *testing.T) {
 		if ring.Dropped() != 0 {
 			t.Fatalf("trace ring dropped %d events", ring.Dropped())
 		}
-		var rounds []string
+		var b bytes.Buffer
 		for _, ev := range ring.Events() {
 			if ev.Kind == obs.KindRound {
-				rounds = append(rounds, roundString(ev))
+				fmt.Fprintf(&b, "round rank=0 %s\n", roundString(ev))
 			}
 		}
-		comparePinned(t, "rank 0 rounds", [][]string{rounds}, [][]string{pinnedRounds})
+		golden.Check(t, filepath.Join("testdata", "online_path_rounds.golden"), b.Bytes())
 	})
 }
 
@@ -184,7 +177,7 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 // path is the longer one, so the two ends of a pair swap tables. Collectives
 // adopt the maximal-ExecTime rank's table as Figure 2 (lines 64-65)
 // prescribes. The swap feeds freqFor under the online policy, i.e. the skip
-// decision; it is recorded under ROADMAP item 2(b) as a suspect for
+// decision; it is recorded under ROADMAP item 1(b) as a suspect for
 // pred_err_pct, to be changed only by a PR that may move the goldens.
 func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 	long, short := CompKey("long", 1, 1, 1, 0), CompKey("short", 1, 1, 1, 0)
@@ -246,206 +239,4 @@ func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 			cc.Sendrecv(cc.Rank()^1, 0, buf, cc.Rank()^1, 0, make([]float64, 4))
 		})
 	})
-}
-
-// pinnedPathFreqs[step][rank] is the table TestOnlinePathFreqsPinned expects;
-// the final entry is rank 0's GlobalPathFreqs.
-var pinnedPathFreqs = [][]string{
-	{
-		"a/4=1 b/2=1",
-		"a/4=2 b/2=1",
-		"a/4=3 b/2=1",
-		"a/4=4 b/2=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1",
-		"a/4=4 allreduce/16=1 b/2=1",
-		"a/4=4 allreduce/16=1 b/2=1",
-		"a/4=4 allreduce/16=1 b/2=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 recv/8=1",
-		"a/4=4 allreduce/16=1 b/2=1 isend/8=1",
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 recv/8=1",
-		"a/4=4 allreduce/16=1 b/2=1 isend/8=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1 e/2=1 isend/8=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 e/1=1 recv/4=1 recv/8=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 e/4=1 isend/8=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 e/3=1 recv/4=1 recv/8=1 send/4=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 e/3=1 recv/4=1 recv/8=1 send/2=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 e/4=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 d/3=1 e/1=1 recv/4=1 recv/8=1 send/2=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 e/2=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1 bcast/6=1 e/4=1 f/1=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 bcast/6=1 e/4=1 f/1=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=4 allreduce/16=1 b/2=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=4 allreduce/16=1 b/2=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=5 allreduce/16=1 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=6 allreduce/16=1 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=7 allreduce/16=1 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=8 allreduce/16=1 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 recv/8=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=2 recv/2=1 recv/4=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=1 recv/8=1 send/4=1",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 f/3=1 isend/8=2 recv/2=1 recv/4=1 send/4=1",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=2 f/3=1 isend/8=2 recv/2=1 recv/4=2 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/1=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 e/4=1 f/3=1 isend/8=2 recv/2=1 recv/4=2 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/2=1 e/3=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/4=2",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/2=1 e/3=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=1 e/4=1 f/3=1 isend/8=2 recv/2=1 recv/2=1 recv/4=2 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 d/3=1 e/1=1 e/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=1 e/2=2 f/3=1 isend/8=2 recv/2=2 recv/4=2 send/4=2",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=2 e/2=1 e/4=1 f/1=1 f/3=1 isend/8=2 recv/2=1 recv/2=1 recv/4=2 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=2 e/2=1 e/4=1 f/1=1 f/3=1 isend/8=2 recv/2=1 recv/2=1 recv/4=2 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=1 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=2 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=2 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=2 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=2 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-	},
-	{
-		"a/4=8 allreduce/16=2 b/2=1 b/3=1 barrier/0=2 bcast/6=2 d/3=1 e/1=1 e/2=1 f/2=1 f/3=1 isend/8=1 recv/2=1 recv/4=2 recv/8=1 send/2=1 send/4=2",
-	},
-}
-
-// pinnedPathTimes[step][rank] is the path's ExecTime and CommTime, as float
-// bits, that TestOnlinePathFreqsPinned expects after each step. Recorded
-// before the interception protocol moved into one method; a change to the
-// order of adoption against charging moves them on purpose.
-var pinnedPathTimes = [][]string{
-	{
-		"exec=3f14f0bea6db4b17 comm=0",
-		"exec=3f308ac57463c5a9 comm=0",
-		"exec=3f3dbbdabd7a22a9 comm=0",
-		"exec=3f45aee3ae52e288 comm=0",
-	},
-	{
-		"exec=3f45d334c56c2b0c comm=3ed2288b8ca441c0",
-		"exec=3f45d334c56c2b0c comm=3ed2288b8ca441c0",
-		"exec=3f45d334c56c2b0c comm=3ed2288b8ca441c0",
-		"exec=3f45d334c56c2b0c comm=3ed2288b8ca441c0",
-	},
-	{
-		"exec=3f4996d2027e8cc6 comm=3eda8c075cff3880",
-		"exec=3f4841c3c8f28ffa comm=3ed2288b8ca441c0",
-		"exec=3f49ec4913fe38e6 comm=3eda8c075cff3880",
-		"exec=3f47fd5603e1105a comm=3ed2288b8ca441c0",
-	},
-	{
-		"exec=3f50a763a951751f comm=3ee1a459cede43ce",
-		"exec=3f515c88ebe5de40 comm=3f0b0dbec644b514",
-		"exec=3f5027c3d76bf824 comm=3ee1bd845fc06960",
-		"exec=3f51f045874c7dd2 comm=3f1ebfcb8a0067fb",
-	},
-	{
-		"exec=3f51f045874c7dd2 comm=3f1ebfcb8a0067fb",
-		"exec=3f5164be901216c8 comm=3f0c14734bcbc60f",
-		"exec=3f51f525599849b0 comm=3f1710a63e491192",
-		"exec=3f51f7ea89db0edb comm=3f1f3a1bb2e9788d",
-	},
-	{
-		"exec=3f52adf4f5b8eecb comm=3f1f42755d9135db",
-		"exec=3f52adf4f5b8eecb comm=3f1f42755d9135db",
-		"exec=3f5332f4f99309cc comm=3f1fcb477d2fa9b5",
-		"exec=3f5332f4f99309cc comm=3f1fcb477d2fa9b5",
-	},
-	{
-		"exec=3f53436c3ee11da7 comm=3f20695de90873b2",
-		"exec=3f53436c3ee11da7 comm=3f20695de90873b2",
-		"exec=3f53436c3ee11da7 comm=3f20695de90873b2",
-		"exec=3f53436c3ee11da7 comm=3f20695de90873b2",
-	},
-	{
-		"exec=3f5494a2ed6744f5 comm=3f20695de90873b2",
-		"exec=3f57674b5772d585 comm=3f20695de90873b2",
-		"exec=3f5aaebf930d37ce comm=3f20695de90873b2",
-		"exec=3f5e179a3ecacc5f comm=3f20695de90873b2",
-	},
-	{
-		"exec=3f5e27fc3f65b7f1 comm=3f20ec6deddfd042",
-		"exec=3f5e27fc3f65b7f1 comm=3f20ec6deddfd042",
-		"exec=3f5e27fc3f65b7f1 comm=3f20ec6deddfd042",
-		"exec=3f5e27fc3f65b7f1 comm=3f20ec6deddfd042",
-	},
-	{
-		"exec=3f6017f59af41316 comm=3f212f89cc62a7fa",
-		"exec=3f5f4c1913443541 comm=3f20ec6deddfd042",
-		"exec=3f6004a2bf6feee2 comm=3f212f89cc62a7fa",
-		"exec=3f5f512bba807f93 comm=3f20ec6deddfd042",
-	},
-	{
-		"exec=3f6253ec207f27d5 comm=3f2175435603b942",
-		"exec=3f631b2e8c742c8d comm=3f2de96a155404c9",
-		"exec=3f619db3b7a071b0 comm=3f2174ea6b4d89bf",
-		"exec=3f624a552ac5f1b8 comm=3f2c3f019da58a48",
-	},
-	{
-		"exec=3f6253ec207f27d5 comm=3f2c3f019da58a48",
-		"exec=3f631f9cf0b4cd87 comm=3f2e3050595e1464",
-		"exec=3f63de38d563dea2 comm=3f350d0752279308",
-		"exec=3f6258161832440a comm=3f2c81a118d74d92",
-	},
-	{
-		"exec=3f63c5ef28f73de7 comm=3f2e76f649178c14",
-		"exec=3f63c5ef28f73de7 comm=3f2e76f649178c14",
-		"exec=3f643f6d757ba284 comm=3f352fd7702ebf04",
-		"exec=3f643f6d757ba284 comm=3f352fd7702ebf04",
-	},
-	{
-		"exec=3f6447ddeafbe34e comm=3f35735b1c30c554",
-		"exec=3f6447ddeafbe34e comm=3f35735b1c30c554",
-		"exec=3f6447ddeafbe34e comm=3f35735b1c30c554",
-		"exec=3f6447ddeafbe34e comm=3f35735b1c30c554",
-	},
-}
-
-// pinnedRounds is rank 0's round-event stream in TestOnlinePathFreqsPinned:
-// op, virtual-clock bits after the round's adoption, memoized flag.
-var pinnedRounds = []string{
-	"allreduce 3f3601adefd72cd3 0",
-	"isend 3f364a501e09bdda 0",
-	"wait 3f3dd18a982e814d 0",
-	"sendrecv 3f468f4143ba2380 0",
-	"recv 3f46a0ba9c3b9e1e 0",
-	"bcast 3f4944046d105b66 0",
-	"barrier 3f495459a7827522 0",
-	"allreduce 3f4c17b58f2aeb74 0",
-	"isend 3f4c38799060c298 0",
-	"wait 3f50242bbeb2cf88 0",
-	"sendrecv 3f5493619894d6dc 0",
-	"recv 3f549c18c9c8f905 0",
-	"bcast 3f55f128c0a847b9 0",
-	"barrier 3f55f9fd7e9f76af 0",
 }

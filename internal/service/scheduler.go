@@ -319,7 +319,8 @@ type Scheduler struct {
 
 	// mu guards everything below, and every job's exec pointer; cond
 	// (tied to mu) wakes runners when pending grows or the scheduler
-	// closes. Lock order: mu before any execution's mu, never the reverse.
+	// closes. Lock order: mu before any execution's mu, never the reverse;
+	// a second execution's mu only under mu (evictLocked).
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []*job // the bounded queue of primaries; canceling a queued job removes it here
@@ -511,12 +512,13 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 		}
 		if st, recs, ok := s.memoHitLocked(p, lc, spec, now); ok {
 			p.hits++
+			evicted := s.evictLocked(nil)
 			s.mu.Unlock()
 			s.met.jobsSubmitted.Inc()
 			s.met.memoHits.Inc()
 			s.met.jobFinished(st.State)
 			s.persistJobs(recs)
-			s.pruneHistory()
+			s.deleteJobs(evicted)
 			return st, nil
 		}
 	}
@@ -606,49 +608,49 @@ func (s *Scheduler) locked(id string) (*job, *execution, bool) {
 	return j, j.exec, true
 }
 
-// pruneHistory evicts the oldest terminal jobs beyond MaxHistory, dropping
-// their memo entries and durable records along the way. Called after a job
-// reaches a terminal state, outside any execution lock (s.mu is taken
-// first, each candidate's execution mu second — the scheduler's lock
-// order).
-func (s *Scheduler) pruneHistory() {
+// evictLocked drops the oldest terminal jobs beyond MaxHistory from the
+// job table, the submission order and the memo, and returns their IDs for
+// deleteJobs. It runs in the s.mu section of the transition that made a
+// job terminal, so a Wait that returns at that job's terminal event sees
+// the history already pruned. Callers hold s.mu and held.mu (held may be
+// nil): held's state is read as is, every other execution's mu is taken
+// in turn. Two execution locks are held at once only here, under s.mu, so
+// no other goroutine can hold one and wait for the other.
+func (s *Scheduler) evictLocked(held *execution) []string {
 	if s.cfg.MaxHistory < 0 {
-		return
+		return nil
 	}
-	s.mu.Lock()
 	var terminal []string
 	for _, id := range s.order {
 		x := s.jobs[id].exec
-		x.mu.Lock()
-		isTerminal := x.lc.state.terminal()
-		x.mu.Unlock()
-		if isTerminal {
+		if x != held {
+			x.mu.Lock()
+		}
+		if x.lc.state.terminal() {
 			terminal = append(terminal, id)
+		}
+		if x != held {
+			x.mu.Unlock()
 		}
 	}
 	if len(terminal) <= s.cfg.MaxHistory {
-		s.mu.Unlock()
-		return
+		return nil
 	}
-	evict := make(map[string]bool, len(terminal)-s.cfg.MaxHistory)
-	evicted := make([]string, 0, len(terminal)-s.cfg.MaxHistory)
-	for _, id := range terminal[:len(terminal)-s.cfg.MaxHistory] {
+	evicted := terminal[:len(terminal)-s.cfg.MaxHistory]
+	evict := make(map[string]bool, len(evicted))
+	for _, id := range evicted {
 		evict[id] = true
-		evicted = append(evicted, id)
 		delete(s.jobs, id)
 	}
 	indexed := len(s.index)
 	maps.DeleteFunc(s.index, func(_ string, j *job) bool { return evict[j.id] })
 	s.met.memoEvictions.Add(int64(indexed - len(s.index)))
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if !evict[id] {
-			kept = append(kept, id)
-		}
-	}
-	s.order = kept
-	s.mu.Unlock()
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return evict[id] })
+	return evicted
+}
 
+// deleteJobs drops evicted jobs' durable records, outside every lock.
+func (s *Scheduler) deleteJobs(evicted []string) {
 	if s.durable == nil {
 		return
 	}
@@ -739,10 +741,10 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		s.pending = slices.DeleteFunc(s.pending, func(p *job) bool { return p == j })
 	}
 	// Not terminal (checked above under the same locks), so next accepts.
-	recs, _ := s.finishLocked(x, step{ev: Event{Type: "canceled"}, at: time.Now(), err: context.Canceled})
+	recs, evicted, _ := s.finishLocked(x, step{ev: Event{Type: "canceled"}, at: time.Now(), err: context.Canceled})
 	x.mu.Unlock()
 	s.mu.Unlock()
-	s.finished(recs)
+	s.finished(recs, evicted)
 	return recs[0].Status, nil
 }
 
@@ -818,7 +820,9 @@ func (s *Scheduler) subscribe(id string, buf int) (*Subscription, bool) {
 
 // Wait blocks until the job reaches a terminal state (or ctx is done) and
 // returns its final status. It waits on a subscription, whose channel
-// closes at the job's terminal event — a canceled follower's included.
+// closes at the job's terminal event — a canceled follower's included. The
+// history pruning that event triggers has happened by then; a job it
+// evicted still reports its final status here.
 func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 	sub, ok := s.subscribe(id, 0)
 	if !ok {
@@ -835,8 +839,9 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 			return JobStatus{}, ctx.Err()
 		}
 	}
-	st, _ := s.Status(id)
-	return st, nil
+	x := s.lockExec(sub.j)
+	defer x.mu.Unlock()
+	return sub.j.status(x.lc), nil
 }
 
 // Close shuts the scheduler down gracefully: no new submissions, queued
@@ -958,12 +963,13 @@ func (s *Scheduler) sweepLocked(x *execution, ev Event) error {
 // finishLocked lands a terminal step on x and, in the same s.mu section,
 // settles x's fingerprint index entry: it stays as the memo entry or goes,
 // so a concurrent submit finds a live execution or the memo, never a
-// window in which an identical job would re-execute. It returns one
-// durable record per name on x for finished. Callers hold s.mu and x.mu.
-func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
+// window in which an identical job would re-execute. It also prunes the
+// history (evictLocked). It returns one durable record per name on x and
+// the evicted IDs, for finished. Callers hold s.mu and x.mu.
+func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, []string, error) {
 	lc, err := x.apply(st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	recs := make([]jobRecord, len(x.names))
 	for i, n := range x.names {
@@ -976,13 +982,13 @@ func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, error) {
 	if p.spec.dedup && s.index[p.spec.fingerprint] == p && (lc.state != StateDone || p.spec.warm) {
 		delete(s.index, p.spec.fingerprint)
 	}
-	return recs, nil
+	return recs, s.evictLocked(x), nil
 }
 
 // finished observes a terminal transition outside every lock: the state
 // counters once per name, the duration once per execution, the durable
-// records, and history pruning.
-func (s *Scheduler) finished(recs []jobRecord) {
+// records, and the durable deletes of the jobs the transition evicted.
+func (s *Scheduler) finished(recs []jobRecord, evicted []string) {
 	st := recs[0].Status
 	for range recs {
 		s.met.jobFinished(st.State)
@@ -991,20 +997,20 @@ func (s *Scheduler) finished(recs []jobRecord) {
 		s.met.jobDuration.Observe(st.Finished.Sub(st.Started).Seconds())
 	}
 	s.persistJobs(recs)
-	s.pruneHistory()
+	s.deleteJobs(evicted)
 }
 
 // finish is finishLocked then finished, for a caller holding no lock.
 func (s *Scheduler) finish(x *execution, st step) error {
 	s.mu.Lock()
 	x.mu.Lock()
-	recs, err := s.finishLocked(x, st)
+	recs, evicted, err := s.finishLocked(x, st)
 	x.mu.Unlock()
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.finished(recs)
+	s.finished(recs, evicted)
 	return nil
 }
 
