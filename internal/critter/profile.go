@@ -152,9 +152,14 @@ func (p *Profile) mergeKernel(key Key, om KernelModel, sameRun bool) {
 		}
 		return
 	}
+	p.Kernels[key] = poolModels(km, om)
+}
+
+// poolModels is the Welford merge of two kernel models, km's samples first.
+func poolModels(km, om KernelModel) KernelModel {
 	w := welfordOf(km)
 	w.Merge(welfordOf(om))
-	p.Kernels[key] = KernelModel{
+	return KernelModel{
 		Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
 		Pooled: km.Pooled || om.Pooled,
 	}
@@ -206,6 +211,66 @@ func MergeProfiles(a, b *Profile) *Profile {
 	out := a.Clone()
 	out.Merge(b)
 	return out
+}
+
+// MergeInto returns what MergeProfiles(acc, p) returns, built in p's maps
+// instead of in a copy of acc: for every key acc's model is pooled first
+// and p's second, families union with p winning on equal flops, and path
+// frequencies take the max. acc is only read. p is consumed: the result
+// is p itself (a copy of acc when p is nil), so the caller hands over a
+// profile nothing else reads. acc and p must be distinct.
+func MergeInto(acc, p *Profile) *Profile {
+	if p == nil {
+		return acc.Clone()
+	}
+	// MergeProfiles copies p's tables into empty ones, which floors a path
+	// frequency at 0 and turns a family's nil points into an empty list;
+	// p's own entries get the same here.
+	for key, n := range p.PathFreqs {
+		if n < 0 {
+			p.PathFreqs[key] = 0
+		}
+	}
+	for name, fam := range p.Families {
+		if fam.Points == nil {
+			p.Families[name] = Family{Points: []FamilyPoint{}}
+		}
+	}
+	if acc == nil {
+		return p
+	}
+	p.SchemaVersion = acc.SchemaVersion
+	if acc.Estimator != "" {
+		p.Estimator = acc.Estimator
+	}
+	for key, km := range acc.Kernels {
+		if p.Kernels == nil {
+			p.Kernels = make(map[Key]KernelModel, len(acc.Kernels))
+		}
+		if om, ok := p.Kernels[key]; ok {
+			km = poolModels(km, om)
+		}
+		p.Kernels[key] = km
+	}
+	for name, afam := range acc.Families {
+		if p.Families == nil {
+			p.Families = make(map[string]Family, len(acc.Families))
+		}
+		if fam, ok := p.Families[name]; ok {
+			p.Families[name] = Family{Points: mergePoints(afam.Points, fam.Points)}
+			continue
+		}
+		own := make([]FamilyPoint, len(afam.Points))
+		copy(own, afam.Points)
+		p.Families[name] = Family{Points: own}
+	}
+	for key, n := range acc.PathFreqs {
+		if p.PathFreqs == nil {
+			p.PathFreqs = make(map[Key]int64, len(acc.PathFreqs))
+		}
+		p.PathFreqs[key] = max(p.PathFreqs[key], n)
+	}
+	return p
 }
 
 // Encode serializes the profile as indented JSON with the current schema

@@ -2,10 +2,11 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+
+	"critter/internal/autotune"
 )
 
 // TestDedupCoalescesConcurrentSubmissions is the dedup acceptance test:
@@ -328,17 +329,23 @@ func waitDone(t *testing.T, s *Scheduler, id string) JobStatus {
 	return JobStatus{}
 }
 
-// envelopeJSON fetches a finished job's envelope and renders it to
-// canonical JSON for byte comparison.
+// envelopeJSON returns a finished job's envelope bytes, for byte
+// comparison.
 func envelopeJSON(t *testing.T, s *Scheduler, id string) []byte {
 	t.Helper()
-	env, ok := s.Result(id)
-	if !ok || env == nil {
+	data, ok := s.Result(id)
+	if !ok || data == nil {
 		t.Fatalf("job %s has no result envelope", id)
 	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		t.Fatalf("marshal envelope for %s: %v", id, err)
-	}
 	return data
+}
+
+// resultEnvelope decodes a finished job's envelope.
+func resultEnvelope(t *testing.T, s *Scheduler, id string) *autotune.Envelope {
+	t.Helper()
+	env, err := autotune.DecodeEnvelope(envelopeJSON(t, s, id))
+	if err != nil {
+		t.Fatalf("decode envelope of %s: %v", id, err)
+	}
+	return env
 }

@@ -2,13 +2,21 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"critter/internal/autotune"
 	"critter/internal/critter"
+	"critter/internal/sim"
 	"critter/internal/store"
+	"critter/internal/workload"
 )
 
 // TestRestartDurability is the restart acceptance test, in three lives of
@@ -235,18 +243,19 @@ func parentRecord(t *testing.T, st *store.Store, from, id string) []byte {
 // sweep.
 func mustExecuted(t *testing.T, s *Scheduler, id string) int64 {
 	t.Helper()
-	env, ok := s.Result(id)
-	if !ok || env == nil || env.Result == nil || len(env.Result.Sweeps) == 0 || len(env.Result.Sweeps[0]) == 0 {
+	env := resultEnvelope(t, s, id)
+	if env.Result == nil || len(env.Result.Sweeps) == 0 || len(env.Result.Sweeps[0]) == 0 {
 		t.Fatalf("job %s has no sweep results", id)
 	}
 	return env.Result.Sweeps[0][0].Executed
 }
 
-// TestOneSweepJobHandsOverItsProfile: a one-sweep job gives the store its
-// sweep's own profile, not a copy of it. The durable profile record is byte
-// for byte what storing autotune.MergedProfile's copy writes, and after two
-// more jobs merge into the store the job's envelope still holds its profile
-// unchanged: the store only reads what it is given.
+// TestOneSweepJobHandsOverItsProfile: a one-sweep job hands the store its
+// sweep's own profile, and the store merges into it. After each of three
+// jobs the durable profile record is byte for byte what folding the jobs'
+// learned profiles with MergeProfiles writes, and the profile Get returned
+// after the first job encodes the same after two more merges: the store
+// builds in what a job hands over, never in what it published.
 func TestOneSweepJobHandsOverItsProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full sweeps")
@@ -259,45 +268,192 @@ func TestOneSweepJobHandsOverItsProfile(t *testing.T) {
 	s := New(Config{Runners: 1, Durable: st})
 	defer closeNow(t, s)
 	const body = `{"workload":"candmc","scale":"quick","policies":["online"],"eps":[0.125],"seed":%d,"warmStart":false}`
-	job := submitWait(t, s, fmt.Sprintf(body, 11))
-	if job.State != StateDone {
-		t.Fatalf("job finished %s (err %q)", job.State, job.Error)
-	}
-	env, ok := s.Result(job.ID)
-	if !ok || env == nil {
-		t.Fatal("no result envelope")
-	}
-	sweep := env.Result.Sweeps[0][0].Profile
-	before, err := sweep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	ref := NewProfileStore()
-	ref.Merge("candmc", autotune.MergedProfile(env.Result))
-	stamped := *ref.Get("candmc")
-	stamped.SchemaVersion = critter.ProfileSchemaVersion
-	want, err := json.Marshal(&stamped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok := st.Get(kindProfile, "candmc"); !ok || !bytes.Equal(rec.Data, want) {
-		t.Errorf("durable profile record (found %v) differs from the one MergedProfile's copy writes", ok)
-	}
-
-	for _, seed := range []int{12, 13} {
-		if j := submitWait(t, s, fmt.Sprintf(body, seed)); j.State != StateDone {
+	// Each job's learned profile, run again outside the scheduler.
+	var arenas autotune.Arenas
+	var folded, published *critter.Profile
+	var publishedBefore []byte
+	for i, seed := range []int{11, 12, 13} {
+		req := fmt.Sprintf(body, seed)
+		if j := submitWait(t, s, req); j.State != StateDone {
 			t.Fatalf("job seed %d finished %s (err %q)", seed, j.State, j.Error)
 		}
+		spec, err := ParseJobRequest(s.Registry(), []byte(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, learned, err := executeSpec(context.Background(), spec, sim.DefaultMachine(), 0, &arenas, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folded = critter.MergeProfiles(folded, learned)
+		stamped := *folded
+		stamped.SchemaVersion = critter.ProfileSchemaVersion
+		want, err := json.Marshal(&stamped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok := st.Get(kindProfile, "candmc"); !ok || !bytes.Equal(rec.Data, want) {
+			t.Errorf("after job seed %d the durable profile record (found %v) differs from the MergeProfiles fold", seed, ok)
+		}
+		if i == 0 {
+			published = s.Store().Get("candmc")
+			if publishedBefore, err = published.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	after, err := sweep.Encode()
+	after, err := published.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, before) {
-		t.Error("merging later jobs into the store changed the first job's sweep profile")
+	if !bytes.Equal(after, publishedBefore) {
+		t.Error("merging later jobs into the store changed a profile it had published")
 	}
-	if again, _ := s.Result(job.ID); again.Result.Sweeps[0][0].Profile != sweep {
-		t.Error("the job's envelope no longer holds its sweep profile")
+}
+
+// TestResultBytesEndToEnd: a job's result is one encoding. The body of
+// GET /result without its newline, the durable job record's envelope, the
+// body after a restart, a memo hit's body and record before and after the
+// restart are all byte for byte json.Marshal of the envelope executeSpec
+// returns for the same cold spec.
+func TestResultBytesEndToEnd(t *testing.T) {
+	reg := tinyRegistry()
+	const body = `{"workload":"tiny","policies":["online"],"eps":[0.5],"seed":5,"warmStart":false}`
+	spec, err := ParseJobRequest(reg, []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arenas autotune.Arenas
+	env, _, err := executeSpec(context.Background(), spec, sim.DefaultMachine(), 0, &arenas, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from json.Marshal of executeSpec's envelope:\n%s\nvs\n%s", what, got, want)
+		}
+	}
+	get := func(ts *httptest.Server, id string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET result of %s: status %d, type %q", id, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		out, ok := bytes.CutSuffix(data, []byte("\n"))
+		if !ok {
+			t.Errorf("GET result of %s does not end in a newline", id)
+		}
+		return out
+	}
+	record := func(st *store.Store, id string) []byte {
+		t.Helper()
+		rec, ok := st.Get(kindJob, id)
+		var jr jobRecord
+		if !ok || json.Unmarshal(rec.Data, &jr) != nil {
+			t.Fatalf("no durable record for %s", id)
+		}
+		return jr.Envelope
+	}
+	memoHit := func(s *Scheduler) string {
+		t.Helper()
+		st, err := s.SubmitJSON([]byte(body))
+		if err != nil || !st.Deduped || st.State != StateDone {
+			t.Fatalf("resubmission: %+v, %v; want a memo hit", st, err)
+		}
+		return st.ID
+	}
+
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Registry: reg, Runners: 1, Durable: st1})
+	ts1 := httptest.NewServer(NewServer(s1))
+	cold := submitWait(t, s1, body)
+	if cold.State != StateDone {
+		t.Fatalf("cold job finished %s (err %q)", cold.State, cold.Error)
+	}
+	check("GET /result", get(ts1, cold.ID))
+	memo := memoHit(s1)
+	check("a memo hit's GET /result", get(ts1, memo))
+	ts1.Close()
+	// The cold job's record is appended after the terminal transition
+	// Wait sees, so the records are read once the runner has exited.
+	closeNow(t, s1)
+	check("the durable job record's envelope", record(st1, cold.ID))
+	check("a memo hit's durable record", record(st1, memo))
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2 := New(Config{Registry: reg, Runners: 1, Durable: st2})
+	defer closeNow(t, s2)
+	ts2 := httptest.NewServer(NewServer(s2))
+	defer ts2.Close()
+	check("GET /result after a restart", get(ts2, cold.ID))
+	check("a replayed memo hit's GET /result", get(ts2, memo))
+	check("a memo hit's GET /result after a restart", get(ts2, memoHit(s2)))
+}
+
+// TestUnencodableResultFailsJob: a job whose envelope cannot be encoded
+// ends failed with the encoding error, and has no result to serve.
+func TestUnencodableResultFailsJob(t *testing.T) {
+	reg := workload.NewRegistry()
+	err := reg.Register(workload.Def{
+		WorkloadName: "nan",
+		Description:  "test workload whose kernels take NaN time",
+		BuildFunc: func(autotune.Scale) autotune.Study {
+			return autotune.Study{
+				Name:      "nan",
+				Space:     autotune.NewSpace(autotune.IntsDim("v", 0, 0)),
+				WorldSize: 1,
+				Policies:  []critter.Policy{critter.Online},
+				Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
+					p.Kernel("work", 1, 0, 0, 0, math.NaN(), func() {})
+				},
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	s := New(Config{Registry: reg, Runners: 1, Durable: dur})
+	st := submitWait(t, s, `{"workload":"nan","policies":["online"],"eps":[0.5]}`)
+	// The job record is appended after the terminal transition Wait sees.
+	closeNow(t, s)
+	if st.State != StateFailed || !strings.Contains(st.Error, "encode envelope") {
+		t.Errorf("job finished %s (err %q), want failed with the encoding error", st.State, st.Error)
+	}
+	if env, ok := s.Result(st.ID); !ok || env != nil {
+		t.Errorf("unencodable job serves a result: %q, %v", env, ok)
+	}
+	var jr jobRecord
+	if rec, ok := dur.Get(kindJob, st.ID); !ok || json.Unmarshal(rec.Data, &jr) != nil || jr.Envelope != nil || jr.Status.State != StateFailed {
+		t.Errorf("durable record (found %v) is not a failed job without an envelope", ok)
 	}
 }

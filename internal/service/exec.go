@@ -71,10 +71,11 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 	return env, learnedProfile(res), err
 }
 
-// learnedProfile is res's merged learned profile for the store. A one-sweep
-// grid hands over its sweep's own profile rather than MergedProfile's copy
-// of it: ProfileStore.Merge only reads its argument, so the envelope's
-// profile is never aliased by the store.
+// learnedProfile is res's merged learned profile for the store, which takes
+// ownership of it. A one-sweep grid hands over its sweep's own profile
+// rather than MergedProfile's copy of it: runJob encodes the envelope that
+// shares it before the merge and then drops the envelope, so nothing reads
+// the profile once ProfileStore.Merge builds in it.
 func learnedProfile(res *autotune.Result) *critter.Profile {
 	if res != nil && len(res.Sweeps) == 1 && len(res.Sweeps[0]) == 1 {
 		return res.Sweeps[0][0].Profile

@@ -8,14 +8,16 @@ package service
 //	GET    /v1/jobs/{id}            one job's status
 //	DELETE /v1/jobs/{id}            cancel a job
 //	GET    /v1/jobs/{id}/events     completion-ordered progress (SSE)
-//	GET    /v1/jobs/{id}/result     a finished job's result envelope
+//	GET    /v1/jobs/{id}/result     a finished job's result envelope (compact)
 //	GET    /v1/jobs/{id}/trace      a job's span events
 //	GET    /v1/metrics              the metrics registry as JSON
 //	GET    /metrics                 the same, Prometheus text format
 //	GET    /v1/workloads            the registry's workload catalog
 //	GET    /v1/profiles/{workload}  the accumulated warm-start profile
 //
-// Responses are JSON; errors are {"error": "..."} with conventional
+// Responses are indented JSON, except a result envelope: that is served as
+// the compact bytes the job's result was encoded to once, the same before
+// and after a restart. Errors are {"error": "..."} with conventional
 // status codes (400 malformed request, 404 unknown resource, 409 wrong
 // state, 429 queue full — with a Retry-After header and a
 // retryAfterSeconds field — and 503 shutting down).
@@ -155,7 +157,13 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s has no result yet (state %s)", id, st.State))
 		return
 	}
-	writeJSON(w, http.StatusOK, env)
+	// The stored bytes as they are, then the newline writeJSON ends with:
+	// no re-encoding, and no copy of a slice other readers share.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)+1))
+	w.WriteHeader(http.StatusOK)
+	writeIgnoringError(w, env)
+	writeIgnoringError(w, []byte{'\n'})
 }
 
 // trace returns the span events of a job's execution (see obs.Event); a

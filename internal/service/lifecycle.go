@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"critter/internal/autotune"
 )
 
 // lifecycle is everything about a job's execution that changes over its
@@ -30,7 +28,7 @@ import (
 type lifecycle struct {
 	state       State
 	err         error
-	envelope    *autotune.Envelope
+	envelope    []byte // the result: the envelope's compact JSON, encoded once
 	warmApplied bool
 	sweepsDone  int
 	sweepsTotal int
@@ -42,10 +40,10 @@ type lifecycle struct {
 // event's payload (the sweep fields); the rest are its inputs.
 type step struct {
 	ev       Event
-	at       time.Time          // the caller's clock: start and finish times
-	warm     bool               // started: a stored prior was applied
-	err      error              // terminal steps: why the job failed or stopped
-	envelope *autotune.Envelope // terminal steps: the result, if any
+	at       time.Time // the caller's clock: start and finish times
+	warm     bool      // started: a stored prior was applied
+	err      error     // terminal steps: why the job failed or stopped
+	envelope []byte    // terminal steps: the result's encoding, if any
 }
 
 // next returns the lifecycle cur becomes after st, or an error when st is

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"critter/internal/autotune"
 )
 
 // TestNextTransitionTable enumerates the job state machine: every (state,
@@ -18,7 +16,7 @@ import (
 // an envelope is rejected, so no job finishes with nothing to serve.
 func TestNextTransitionTable(t *testing.T) {
 	t0, at := time.Unix(100, 0), time.Unix(200, 0)
-	env := &autotune.Envelope{Study: "s"}
+	env := []byte(`{"study":"s"}`)
 	boom := errors.New("boom")
 
 	// One lifecycle per state: a job waiting for a runner, a job one sweep
@@ -97,11 +95,11 @@ func TestNextTransitionTable(t *testing.T) {
 			switch {
 			case w == nil && err == nil:
 				t.Errorf("(%s, %s) accepted: %+v", state, typ, got)
-			case w == nil && got != cur:
+			case w == nil && !reflect.DeepEqual(got, cur):
 				t.Errorf("(%s, %s) rejected but changed the lifecycle to %+v", state, typ, got)
 			case w != nil && err != nil:
 				t.Errorf("(%s, %s) rejected: %v", state, typ, err)
-			case w != nil && got != *w:
+			case w != nil && !reflect.DeepEqual(got, *w):
 				t.Errorf("(%s, %s) = %+v, want %+v", state, typ, got, *w)
 			}
 		}

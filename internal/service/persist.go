@@ -43,12 +43,13 @@ const (
 )
 
 // jobRecord is the persisted form of one finished job, collected under
-// its execution's lock and written outside it. The envelope is encoded inline, in
-// the one json.Marshal of the record.
+// its execution's lock and written outside it. Envelope is the job's
+// result as encoded at its terminal transition, embedded as is, so the
+// record holds the bytes GET /result serves.
 type jobRecord struct {
-	Status   JobStatus          `json:"status"`
-	Request  JobRequest         `json:"request"`
-	Envelope *autotune.Envelope `json:"envelope,omitempty"`
+	Status   JobStatus       `json:"status"`
+	Request  JobRequest      `json:"request"`
+	Envelope json.RawMessage `json:"envelope,omitempty"`
 }
 
 // persistJobs appends one durable record per finished job. Persistence
@@ -60,13 +61,6 @@ func (s *Scheduler) persistJobs(recs []jobRecord) {
 	for _, jr := range recs {
 		id := jr.Status.ID
 		data, err := json.Marshal(jr)
-		if err != nil && jr.Envelope != nil {
-			// An envelope that cannot be encoded costs the record its
-			// envelope, not the job.
-			s.logf("service: marshal envelope for %s: %v", id, err)
-			jr.Envelope = nil
-			data, err = json.Marshal(jr)
-		}
 		if err != nil {
 			s.logf("service: marshal job record %s: %v", id, err)
 			continue
@@ -108,12 +102,7 @@ func (s *Scheduler) replayDurable() {
 
 // replayJob restores one finished job from its durable record.
 func (s *Scheduler) replayJob(data []byte) error {
-	// The envelope is read raw, for DecodeEnvelope's version check; the
-	// outer field shadows jobRecord's.
-	var jr struct {
-		jobRecord
-		Envelope json.RawMessage `json:"envelope"`
-	}
+	var jr jobRecord
 	if err := json.Unmarshal(data, &jr); err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
@@ -129,11 +118,13 @@ func (s *Scheduler) replayJob(data []byte) error {
 	if st.Error != "" {
 		jerr = errors.New(st.Error)
 	}
-	var env *autotune.Envelope
-	if len(jr.Envelope) > 0 {
-		var err error
-		if env, err = autotune.DecodeEnvelope(jr.Envelope); err != nil {
+	// The record's envelope bytes are the job's result once
+	// DecodeEnvelope accepts them; the decoded struct is only the check.
+	env := jr.Envelope
+	if len(env) > 0 {
+		if _, err := autotune.DecodeEnvelope(env); err != nil {
 			s.logf("service: replay envelope of %s: %v", st.ID, err)
+			env = nil
 		}
 	}
 	// The event history is not persisted; a replayed job exposes its one

@@ -13,6 +13,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,6 +337,14 @@ type Scheduler struct {
 
 	// met is the registered instrument set (obs.go); never nil.
 	met *schedMetrics
+
+	// profileRec is the encode buffer of the durable profile record
+	// (mergeProfile); its mu is held across the encode and the store
+	// append.
+	profileRec struct {
+		mu  sync.Mutex
+		buf bytes.Buffer
+	}
 }
 
 // New starts a scheduler: its runner goroutines live until Close. When cfg.Durable is set, history and profiles are replayed from
@@ -685,11 +694,14 @@ func (s *Scheduler) Jobs() []JobStatus {
 	return out
 }
 
-// Result returns a finished job's envelope: the full self-describing
-// result of the run, partial grids included for failed jobs. It is nil
-// until the job reaches a terminal state (and stays nil for jobs canceled
-// before they started).
-func (s *Scheduler) Result(id string) (*autotune.Envelope, bool) {
+// Result returns a finished job's envelope — the full self-describing
+// result of the run, partial grids included for failed jobs — as the
+// compact JSON it was encoded to once at the job's terminal transition;
+// the durable record and a restarted scheduler hold the same bytes. It is
+// nil until the job reaches a terminal state (and stays nil for jobs
+// canceled before they started). The bytes are shared: callers must not
+// modify them.
+func (s *Scheduler) Result(id string) ([]byte, bool) {
 	_, x, ok := s.locked(id)
 	if !ok {
 		return nil, false
@@ -913,7 +925,7 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	}
 
 	s.tunerRuns.Add(1)
-	env, merged, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(ev Event) {
+	env, learned, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(ev Event) {
 		x.mu.Lock()
 		err := s.sweepLocked(x, ev)
 		x.mu.Unlock()
@@ -929,19 +941,29 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 		ring.Emit(ev)
 	}
 
+	// The result is encoded once, here, and the envelope not kept: the
+	// bytes are what GET /result serves and the durable record embeds. It
+	// is encoded before the merge, which builds in the profile a one-sweep
+	// envelope shares (learnedProfile).
+	result, encErr := json.Marshal(env)
+
 	// What the job learned feeds the store, partial grids included: a
 	// timed-out run's completed sweeps are still valid statistics.
-	s.mergeProfile(name, merged)
+	s.mergeProfile(name, learned)
 
 	typ := "done"
 	switch {
+	case encErr != nil:
+		// A result that cannot be served fails the job.
+		typ, err = "failed", errors.Join(err, fmt.Errorf("service: encode envelope: %w", encErr))
+		result = nil
 	case err == nil:
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		typ = "canceled"
 	default:
 		typ = "failed"
 	}
-	if err := s.finish(x, step{ev: Event{Type: typ}, at: time.Now(), err: err, envelope: env}); err != nil {
+	if err := s.finish(x, step{ev: Event{Type: typ}, at: time.Now(), err: err, envelope: result}); err != nil {
 		s.logf("service: %s: %v", j.id, err)
 	}
 }
@@ -1015,7 +1037,8 @@ func (s *Scheduler) finish(x *execution, st step) error {
 }
 
 // mergeProfile folds a finished run's learned profile into the shared
-// store and persists the merged result durably.
+// store, which takes ownership of it, and persists the merged result
+// durably.
 func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 	if p == nil {
 		return
@@ -1024,20 +1047,28 @@ func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 	if s.durable == nil {
 		return
 	}
+	// The record is read under the encoder's lock, so the last append for
+	// a workload is never older than its last merge.
+	rec := &s.profileRec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	merged := s.store.Get(name)
 	if merged == nil {
 		return
 	}
 	// Compact, where Profile.Encode indents: the store frames compact JSON
 	// and would only strip the whitespace again. The version stamp goes on
-	// a shallow copy, as in Encode; merged is shared and read-only.
+	// a shallow copy, as in Encode; merged is shared and read-only. The
+	// buffer is reused from job to job: Append copies the bytes it keeps,
+	// and the Encoder writes what json.Marshal does, plus a newline.
 	stamped := *merged
 	stamped.SchemaVersion = critter.ProfileSchemaVersion
-	data, err := json.Marshal(&stamped)
-	if err != nil {
+	rec.buf.Reset()
+	if err := json.NewEncoder(&rec.buf).Encode(&stamped); err != nil {
 		s.logf("service: encode profile %s: %v", name, err)
 		return
 	}
+	data := bytes.TrimSuffix(rec.buf.Bytes(), []byte{'\n'})
 	now := time.Now()
 	if err := s.durable.Append(store.Record{Kind: kindProfile, Key: name, At: now, Data: data}); err != nil {
 		s.logf("service: persist profile %s: %v", name, err)

@@ -73,11 +73,8 @@ func TestWarmStartAcrossJobs(t *testing.T) {
 		t.Error("second job did not warm-start from the store")
 	}
 
-	coldEnv, _ := s.Result(cold.ID)
-	warmEnv, _ := s.Result(warm.ID)
-	if coldEnv == nil || warmEnv == nil {
-		t.Fatal("finished jobs have no result envelopes")
-	}
+	coldEnv := resultEnvelope(t, s, cold.ID)
+	warmEnv := resultEnvelope(t, s, warm.ID)
 	coldExec := coldEnv.Result.Sweeps[0][0].Executed
 	warmExec := warmEnv.Result.Sweeps[0][0].Executed
 	if coldExec == 0 {
@@ -162,9 +159,12 @@ func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("job finished %s (err %q), want failed", st.State, st.Error)
 	}
-	env, _ := s.Result(st.ID)
-	if env == nil {
-		t.Fatal("failed job has no envelope")
+	// The grid as the envelope's bytes hold it.
+	var env struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(envelopeJSON(t, s, st.ID), &env); err != nil {
+		t.Fatal(err)
 	}
 
 	spec, err := ParseJobRequest(reg, []byte(body))
@@ -180,10 +180,7 @@ func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("Tuner.Run did not fail the online sweeps")
 	}
-	got, err := json.Marshal(env.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := []byte(env.Result)
 	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,10 @@ import (
 // transfer-learning loop that critter-tune's -profile-in/-profile-out pair
 // runs through files.
 //
-// Merging goes through critter.MergeProfiles, which returns a fresh
-// artifact, so a profile handed out by Get is immutable: jobs holding it
-// as their prior never observe later merges.
+// Merging goes through critter.MergeInto, which builds the merged
+// profile in the one a job hands over and only reads the published one,
+// so a profile handed out by Get is immutable: jobs holding it as their
+// prior never observe later merges.
 type ProfileStore struct {
 	mu         sync.RWMutex
 	byWorkload map[string]storedProfile
@@ -54,7 +55,8 @@ func (s *ProfileStore) get(workload string) (*critter.Profile, time.Time) {
 
 // Merge folds p into the workload's accumulated profile. A nil p is a
 // no-op, so callers can pass a failed sweep's absent export unconditionally.
-// p is only read and never retained, so it may be a job's own sweep profile.
+// Merge takes ownership of p: the merged profile is built in p's maps and
+// published as is, so the caller must not read or write p afterwards.
 func (s *ProfileStore) Merge(workload string, p *critter.Profile) {
 	if p == nil {
 		return
@@ -62,7 +64,7 @@ func (s *ProfileStore) Merge(workload string, p *critter.Profile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.byWorkload[workload]
-	r.profile = critter.MergeProfiles(r.profile, p)
+	r.profile = critter.MergeInto(r.profile, p)
 	s.byWorkload[workload] = r
 }
 
