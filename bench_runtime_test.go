@@ -1,6 +1,6 @@
 package critter_test
 
-// The five benchmarks of the simulation substrate (mpi + critter + autotune
+// The six benchmarks of the simulation substrate (mpi + critter + autotune
 // executor) that carry an allocation budget, and TestAllocBudgets, which
 // holds them to it in `go test .`. allocs/op and B/op are the only numbers of
 // theirs that are checked: they are functions of the code, where ns/op is a
@@ -19,10 +19,12 @@ package critter_test
 //     BenchmarkFullSweepApriori is the same sweep under the a-priori policy.
 //   - BenchmarkMPIAllreduce, BenchmarkProfilerCollective: a raw and a
 //     profiled 8-rank collective in steady state.
+//   - BenchmarkMPIBcastMsg: the untimed 8-rank hand-off of rank 0's payload
+//     (mpi.BcastMsg) in steady state.
 //
 // To see the numbers behind a budget:
 //
-//	go test -run '^$' -bench '^Benchmark(Propagation|FullSweep|FullSweepApriori|MPIAllreduce|ProfilerCollective)$' -benchmem .
+//	go test -run '^$' -bench '^Benchmark(Propagation|FullSweep|FullSweepApriori|MPIAllreduce|MPIBcastMsg|ProfilerCollective)$' -benchmem .
 
 import (
 	"context"
@@ -42,20 +44,19 @@ var raceEnabled bool
 // allocation buys.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs five benchmarks for a second each; counts under -race are the detector's")
+		t.Skip("runs six benchmarks for a second each; counts under -race are the detector's")
 	}
 	for _, bud := range []struct {
 		name          string
 		bench         func(*testing.B)
 		allocs, bytes int64
 	}{
-		// The eight unpooled 128-byte Sendrecv payloads of a world without
-		// a BufPool: 1 024 B/op in steady state, 1 024-1 029 at b.N 100 and
-		// -cpu 1, 2 and 4, hence the bytes' headroom. Before steadyState
-		// the world's start-up read as 1 030-1 034 idle and up to 1 076
-		// under load.
-		{"BenchmarkPropagation", BenchmarkPropagation, 8, 1030},
-		// 9 839-9 847 allocs/op and 1 216 449-1 220 512 B/op over 18 runs
+		// 0 allocs/op and 0 B/op at -cpu 1, 2 and 4, idle and loaded: its
+		// Sendrecv payloads come from the world's own BufPool and go back
+		// to it on landing. Until every world owned a pool they were eight
+		// fresh 128-byte buffers, 8 and 1 024 B/op.
+		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
+		// 9 700-9 708 allocs/op and 1 201 668-1 205 257 B/op over 18 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
 		// allocations and one spread of bytes of headroom. An allocation per
@@ -63,18 +64,23 @@ func TestAllocBudgets(t *testing.T) {
 		// is a reference profiler that archives what nobody exports, a
 		// *Request per Isend (13 653-13 660 and 1 400 910-1 407 005 B with
 		// that, a per-member Split group and two Split rounds per profiled
-		// split), or a recipient scratch per factorization.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 9851, 1224600},
-		// 13 474-13 486 allocs/op and 1 432 640-1 439 073 B/op over 18 runs,
-		// the same way. Rekeying the offline pass's global path table into a
+		// split), or a recipient scratch per factorization. With a fresh
+		// round per untimed hand-off and per Dup it read 9 839-9 847 and
+		// 1 216 449-1 220 512 B.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 9712, 1208900},
+		// 13 275-13 287 allocs/op and 1 412 429-1 418 990 B/op over 18 runs,
+		// the same way (13 474-13 486 and 1 432 640-1 439 073 B before the
+		// same change). Rekeying the offline pass's global path table into a
 		// Key map per configuration and rank, as GlobalPathFreqs does, cost
 		// about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13490, 1445600},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13291, 1425600},
 		// A copy or a per-round object coming back into the collective path
-		// shows here first. Both time steady-state rounds only
+		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's
-		// start-up once read as 1 B/op.
+		// start-up once read as 1 B/op. A hand-off round opened fresh, not
+		// from the shard freelist, reads 3 allocs and 208 B/op.
 		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0, 0},
+		{"BenchmarkMPIBcastMsg", BenchmarkMPIBcastMsg, 0, 0},
 		{"BenchmarkProfilerCollective", BenchmarkProfilerCollective, 0, 0},
 	} {
 		res := testing.Benchmark(bud.bench)
@@ -188,6 +194,20 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 		in := make([]float64, 256)
 		out := make([]float64, 256)
 		steadyState(b, c, func() { c.Allreduce(in, out, mpi.OpSum) })
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkMPIBcastMsg measures the untimed rank-0 hand-off round
+// (mpi.BcastMsg: the profiler's interner hand-off, a configuration's shared
+// table, the Tuner's known reference report) at 8 ranks.
+func BenchmarkMPIBcastMsg(b *testing.B) {
+	w := mpi.NewWorld(8, benchMachine(), 1)
+	err := w.Run(func(c *mpi.Comm) {
+		mine := new(int)
+		steadyState(b, c, func() { mpi.BcastMsg(c, mine) })
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -3,16 +3,10 @@
 // repo's determinism and concurrency invariants (detrand, maporder,
 // fabriclock, schematag, ctxfirst).
 //
-// Standalone, over go list patterns:
+// It loads the packages matching go list patterns from source:
 //
 //	go run ./cmd/critterlint ./...
 //	go run ./cmd/critterlint -analyzers detrand,maporder ./internal/critter
-//
-// Or as a vet tool (the driver speaks vet's unit-checker protocol:
-// -V=full for tool identity and a JSON .cfg unit file per package):
-//
-//	go build -o critterlint ./cmd/critterlint
-//	go vet -vettool=$(pwd)/critterlint ./...
 //
 // Exit status: 0 clean, 1 usage or load failure, 2 diagnostics reported.
 // Findings are suppressed only by a `//lint:allow <analyzer> <reason>`
@@ -21,12 +15,9 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"critter/internal/analysis"
 )
@@ -37,26 +28,16 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("critterlint", flag.ContinueOnError)
-	versionFlag := fs.String("V", "", "print tool version (vet protocol; use -V=full)")
-	flagsJSON := fs.Bool("flags", false, "print the tool's flags as JSON (vet protocol)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	spec := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: critterlint [flags] [package patterns | unit.cfg]\n")
+		fmt.Fprintf(fs.Output(), "usage: critterlint [flags] [package patterns]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 
-	if *versionFlag != "" {
-		return printVersion()
-	}
-	if *flagsJSON {
-		// The go command interrogates a vettool for its flags before use.
-		fmt.Println(`[{"Name":"analyzers","Bool":false,"Usage":"comma-separated analyzer subset (default: all)"}]`)
-		return 0
-	}
 	if *list {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -69,32 +50,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "critterlint:", err)
 		return 1
 	}
-
-	// vet invokes the tool with a single JSON unit-config argument.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(analyzers, rest[0])
-	}
 	return runPatterns(analyzers, fs.Args())
 }
 
-// printVersion implements `critterlint -V=full`, which the go command uses
-// as the tool's cache identity: it must change when the binary changes, so
-// hash the executable.
-func printVersion() int {
-	name := "critterlint"
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil)[:12])
-	return 0
-}
-
-// runPatterns is the standalone mode: load the matching packages from
-// source and analyze them.
+// runPatterns loads the matching packages from source and analyzes them.
 func runPatterns(analyzers []*analysis.Analyzer, patterns []string) int {
 	dir, err := os.Getwd()
 	if err != nil {
@@ -119,40 +78,4 @@ func runPatterns(analyzers []*analysis.Analyzer, patterns []string) int {
 		}
 	}
 	return exit
-}
-
-// runUnit is the vet-protocol mode: analyze the single package described
-// by a JSON unit-config file.
-func runUnit(analyzers []*analysis.Analyzer, cfgPath string) int {
-	pkg, cfg, err := analysis.LoadUnit(cfgPath)
-	if err != nil {
-		if cfg != nil && cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "critterlint:", err)
-		return 1
-	}
-	// The go command expects the facts file to exist even though this
-	// suite exports no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "critterlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	diags, err := analysis.RunAnalyzers(analyzers, pkg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "critterlint:", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -352,7 +352,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 			if c.Rank() == 0 {
 				known = j.refs[v].Load()
 			}
-			known = mpi.GatherMsgUntimed(c, known)[0]
+			known = mpi.BcastMsg(c, known)
 			var full critter.Report
 			if known != nil {
 				full = *known

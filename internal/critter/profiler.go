@@ -241,13 +241,12 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	}
 	internal := world.Dup()
 	// Adopt one shared signature interner per world: rank 0 creates it,
-	// the gather (untimed, clock-neutral at construction) hands it to all.
+	// the hand-off (untimed, clock-neutral at construction) gives it to all.
 	var mine *KernelTable
 	if p.rank == 0 {
 		mine = NewKernelTable()
 	}
-	tabs := mpi.GatherMsgUntimed(internal, mine)
-	p.tab = tabs[0]
+	p.tab = mpi.BcastMsg(internal, mine)
 	p.lane = mpi.LaneOf[intMsg](world.World())
 	p.flane = mpi.FusedLaneOf[intMsg](world.World())
 	if p.rank == 0 {
@@ -666,7 +665,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 			msg.tab = NewKernelTable()
 		}
 	}
-	g := mpi.GatherMsgUntimed(p.world.internal, msg)[0]
+	g := mpi.BcastMsg(p.world.internal, msg)
 	p.world.user.ResetClock()
 	if !p.reference {
 		p.archivePathFreqs() // resolves ids through the outgoing table

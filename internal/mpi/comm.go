@@ -200,7 +200,7 @@ func (s *rankState) finishSplit(members []splitSlot) {
 // context. Dup is collective; it is used by the profiler to keep internal
 // traffic from colliding with application messages.
 func (c *Comm) Dup() *Comm {
-	_, _, seq := fabricOf[struct{}](c.w).gatherRound(c, struct{}{})
+	_, _, seq := fabricOf[struct{}](c.w).reduceRound(c, struct{}{}, nil)
 	ctx := sim.Mix(c.ctx, seq, 0xd0bb1e)
 	return &Comm{
 		w:     c.w,

@@ -48,7 +48,7 @@ func TestDeadlockDetected(t *testing.T) {
 				}
 				for r := 1; r < c.Size(); r++ {
 					c.Send(r, 9, []float64{1})
-					SendMsg(c, r, 9, r)
+					LaneOf[int](c.World()).Send(c, r, 9, r)
 				}
 				return
 			}

@@ -28,9 +28,6 @@ type fmsg[T any] struct {
 	tag     int
 	payload T
 	arrive  float64 // virtual time at which the payload is fully available
-	// pooled marks a payload buffer owned by the world's buffer pool,
-	// recyclable once the receiver has copied it out (data plane only).
-	pooled bool
 }
 
 // fbox holds in-flight point-to-point messages destined to one world rank,
@@ -84,12 +81,11 @@ type roundShard[T any] struct {
 // hashing to it), and anything beyond the bound falls to the collector.
 const maxFreeRounds = 8
 
-// open returns a round with n empty slots, recycled when reuse is set and
-// the freelist has one. A recycled round too small for this communicator is
-// dropped for a fresh one, so the freelist converges on the largest size the
-// shard serves.
-func (sh *roundShard[T]) open(n int, reuse bool) *round[T] {
-	if k := len(sh.free); reuse && k > 0 {
+// open returns a round with n empty slots, recycled when the freelist has
+// one. A recycled round too small for this communicator is dropped for a
+// fresh one, so the freelist converges on the largest size the shard serves.
+func (sh *roundShard[T]) open(n int) *round[T] {
+	if k := len(sh.free); k > 0 {
 		rd := sh.free[k-1]
 		sh.free[k-1] = nil
 		sh.free = sh.free[:k-1]
@@ -205,24 +201,25 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 	}
 }
 
-// rendezvous is the one wait path of every collective round on this fabric:
+// reduceRound is the one wait path of every collective round on this fabric:
 // the caller deposits payload and its clock in its slot of the round numbered
 // by c.collSeq (which also seeds finishColl's noise), and the last member to
 // arrive computes the maximum participant clock, runs finish (when non-nil)
-// over the slots in comm-rank order, and wakes the others. Every other member
-// is parked — counted in World.idle, under the same hold of the shard lock as
-// its deposit — until that wakeup, so finish, which runs with the lock held,
-// may read and write through any member's payload (the callers' own buffers
+// over the slots in comm-rank order, and wakes the others. finish must leave
+// in members[i] what rank i is to receive. Every other member is parked —
+// counted in World.idle, under the same hold of the shard lock as its
+// deposit — until that wakeup, so finish, which runs with the lock held, may
+// read and write through any member's payload (the callers' own buffers
 // included) as if it were alone.
 // A panic in finish unwinds the last arriver with the lock released by the
 // deferred unlock; World.Run turns it into an abort that wakes the parked
 // members, exactly as a panic anywhere else in a rank body does.
 //
-// With reuse set the round comes from, and returns to, the shard's freelist,
-// and only the caller's own slot is returned (all is nil); without it the
-// round is allocated fresh and all is the shared slot slice, which outlives
-// the round.
-func (f *fabric[T]) rendezvous(c *Comm, payload T, finish func(members []T), reuse bool) (all []T, mine T, maxT float64, seq uint64) {
+// Each member returns its own slot by value, the maximum participant clock,
+// and the round's sequence number. The round itself (struct, slot and clock
+// slices) comes from, and returns to, the shard's freelist, so a round
+// allocates nothing in steady state.
+func (f *fabric[T]) reduceRound(c *Comm, payload T, finish func(members []T)) (mine T, maxT float64, seq uint64) {
 	seq = c.collSeq
 	c.collSeq++
 	key := roundKey{c.ctx, seq}
@@ -233,7 +230,7 @@ func (f *fabric[T]) rendezvous(c *Comm, payload T, finish func(members []T), reu
 	f.w.checkAbort()
 	rd, ok := sh.rounds[key]
 	if !ok {
-		rd = sh.open(n, reuse)
+		rd = sh.open(n)
 		sh.rounds[key] = rd
 	}
 	rd.payloads[c.rank] = payload
@@ -263,41 +260,11 @@ func (f *fabric[T]) rendezvous(c *Comm, payload T, finish func(members []T), reu
 	}
 	f.w.checkAbort()
 	mine, maxT = rd.payloads[c.rank], rd.maxT
-	if !reuse {
-		all = rd.payloads
-	}
 	rd.departed++
 	if rd.departed == n {
 		delete(sh.rounds, key)
-		if reuse {
-			sh.recycle(rd)
-		}
+		sh.recycle(rd)
 	}
-	return all, mine, maxT, seq
-}
-
-// gatherRound synchronizes all communicator members at a collective point
-// on this fabric, depositing payload and returning every member's payload
-// (indexed by comm rank), the maximum participant clock, and the round's
-// sequence number. Payloads are shared across ranks after the round: treat
-// them as immutable. It is for the callers that need every payload
-// (GatherUntimed, Dup); everything that reduces, Split included, goes
-// through reduceRound.
-func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
-	all, _, maxT, seq := f.rendezvous(c, payload, nil, false)
-	return all, maxT, seq
-}
-
-// reduceRound synchronizes all communicator members at a collective point
-// where the last arriver does the work: finish runs once, on the last
-// arriver, over the members' slots in place (members[i] is comm rank i's
-// payload) while every other member is parked, and must leave in members[i]
-// what rank i is to receive. Each member returns its own slot by value, the
-// maximum participant clock, and the round's sequence number. The round
-// itself (struct, slot and clock slices) is recycled through the shard's
-// freelist, so a round allocates nothing in steady state.
-func (f *fabric[T]) reduceRound(c *Comm, payload T, finish func(members []T)) (T, float64, uint64) {
-	_, mine, maxT, seq := f.rendezvous(c, payload, finish, true)
 	return mine, maxT, seq
 }
 
@@ -358,28 +325,6 @@ func (l Lane[T]) Allreduce(c *Comm, payload T, finish func(members []T)) T {
 	return out
 }
 
-// GatherUntimed returns every member's typed payload indexed by comm rank,
-// synchronizing clocks to the max participant time without charging cost.
-// Used by the profiler for aggregate-channel construction and shared
-// interner adoption.
-func (l Lane[T]) GatherUntimed(c *Comm, payload T) []T {
-	payloads, maxT, _ := l.f.gatherRound(c, payload)
-	c.state.clock.AdvanceTo(maxT)
-	return payloads
-}
-
-// SendMsg transmits a typed payload to dest under tag, untimed. Per-call
-// fabric resolution; hot paths should hold a Lane.
-func SendMsg[T any](c *Comm, dest, tag int, payload T) {
-	LaneOf[T](c.w).Send(c, dest, tag, payload)
-}
-
-// ExchangeMsg sends payload to peer and receives the peer's payload, both
-// untimed. Both sides must call it.
-func ExchangeMsg[T any](c *Comm, peer, tag int, payload T) T {
-	return LaneOf[T](c.w).Exchange(c, peer, tag, payload)
-}
-
 // AllreduceMsg folds every member's typed payload with merge in comm-rank
 // order — once, on the last arriver — and returns the result to all members,
 // untimed. merge must be pure; the result is shared across ranks and must be
@@ -396,22 +341,32 @@ func AllreduceMsg[T any](c *Comm, payload T, merge func(a, b T) T) T {
 	})
 }
 
-// GatherMsgUntimed returns every member's typed payload indexed by comm
-// rank, synchronizing clocks without charging cost. See Lane.GatherUntimed.
-func GatherMsgUntimed[T any](c *Comm, payload T) []T {
-	return LaneOf[T](c.w).GatherUntimed(c, payload)
+// BcastMsg hands comm rank 0's typed payload to every member, untimed: the
+// other members' payloads are ignored, and clocks synchronize to the maximum
+// participant time without charging cost. The result is shared across ranks
+// and must be treated as immutable. See Lane.Allreduce.
+func BcastMsg[T any](c *Comm, payload T) T {
+	return LaneOf[T](c.w).Allreduce(c, payload, keepFirst[T])
+}
+
+// keepFirst is BcastMsg's finish: every member receives rank 0's payload.
+func keepFirst[T any](members []T) {
+	for i := range members {
+		members[i] = members[0]
+	}
 }
 
 // BufPool recycles data-plane payload buffers ([]float64) across messages.
 // Buffers are filed by power-of-two size class; Get and Put are safe for
 // concurrent use (each class holds its freelist under its own mutex, so a
 // put never allocates — unlike sync.Pool, whose interface conversion would
-// box every slice header). One pool may serve many worlds over its lifetime
-// — the sweep executor threads one per worker so consecutive sweeps reuse
-// each other's buffers instead of reallocating the same tile-sized payloads
-// thousands of times. It lives here with the rest of the data plane's
-// locked state: fabric.go and world.go are the only mpi files that may hold
-// raw synchronization primitives (enforced by critterlint's fabriclock).
+// box every slice header). Every World owns one from NewWorld on, and one
+// pool may serve many worlds over its lifetime — the sweep executor threads
+// one per worker so consecutive sweeps reuse each other's buffers instead of
+// reallocating the same tile-sized payloads thousands of times. It lives
+// here with the rest of the data plane's locked state: fabric.go and
+// world.go are the only mpi files that may hold raw synchronization
+// primitives (enforced by critterlint's fabriclock).
 type BufPool struct {
 	classes [31]bufClass
 }
@@ -467,7 +422,7 @@ func (p *BufPool) Get(n int) []float64 {
 // Put recycles b. The buffer is filed under the largest power-of-two class
 // its capacity fully covers, so a later Get never reslices past capacity.
 func (p *BufPool) Put(b []float64) {
-	if p == nil || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	c := bits.Len(uint(cap(b))) - 1

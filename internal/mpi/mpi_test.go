@@ -442,13 +442,12 @@ func TestAllreduceMsg(t *testing.T) {
 	})
 }
 
-func TestGatherMsgUntimed(t *testing.T) {
+// TestBcastMsg: every rank receives rank 0's payload, and the other ranks'
+// payloads are ignored.
+func TestBcastMsg(t *testing.T) {
 	run(t, 3, func(c *Comm) {
-		vals := GatherMsgUntimed(c, c.Rank()*11)
-		for r, v := range vals {
-			if v != r*11 {
-				t.Errorf("gathered[%d] = %v", r, v)
-			}
+		if got := BcastMsg(c, 11+c.Rank()); got != 11 {
+			t.Errorf("rank %d received %d, want rank 0's 11", c.Rank(), got)
 		}
 	})
 }
@@ -456,7 +455,7 @@ func TestGatherMsgUntimed(t *testing.T) {
 func TestExchangeMsg(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		peer := 1 - c.Rank()
-		got := ExchangeMsg(c, peer, 0, fmt.Sprintf("from-%d", c.Rank()))
+		got := LaneOf[string](c.World()).Exchange(c, peer, 0, fmt.Sprintf("from-%d", c.Rank()))
 		want := fmt.Sprintf("from-%d", peer)
 		if got != want {
 			t.Errorf("exchange got %q want %q", got, want)

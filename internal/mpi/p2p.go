@@ -4,16 +4,42 @@ import (
 	"fmt"
 )
 
-// copyPayload captures a data payload for an in-flight message, drawing
-// from the world's buffer pool when one is installed. The second result
-// reports pool ownership (the receiver recycles it after copying out).
-func (w *World) copyPayload(buf []float64) ([]float64, bool) {
-	if w.bufs == nil || len(buf) == 0 {
-		return append([]float64(nil), buf...), false
-	}
+// copyPayload captures a data payload for an in-flight message in a buffer
+// from the world's pool; the receiver hands it back after copying it out
+// (see land).
+func (w *World) copyPayload(buf []float64) []float64 {
 	data := w.bufs.Get(len(buf))
 	copy(data, buf)
-	return data, true
+	return data
+}
+
+// isendArrival is the nonblocking-send cost model, shared by Isend and
+// FusedLane.Isend: the transfer cost of words is sampled at issue, the
+// sender is charged the latency alpha, and the returned arrival time
+// carries the transfer cost.
+func (c *Comm) isendArrival(words int) float64 {
+	m := c.w.machine
+	cost := m.PtToPtTime(8*words) * m.Noise(c.state.rng)
+	c.state.clock.Advance(m.Alpha)
+	return c.state.clock.Now() + cost
+}
+
+// land is the receive landing, shared by Recv and FusedLane.Recv: it copies
+// the matched payload data into buf (which must have the exact transmitted
+// length), returns data to the world's pool, and advances the receiver's
+// clock to arrive. It returns the sampled local duration (zero if the
+// payload had already arrived in virtual time); op names the operation in
+// a length panic.
+func (c *Comm) land(op string, src, tag int, buf, data []float64, arrive float64) float64 {
+	if len(data) != len(buf) {
+		panic(fmt.Sprintf("mpi: %s length mismatch: posted %d, message %d (src %d tag %d)",
+			op, len(buf), len(data), src, tag))
+	}
+	copy(buf, data)
+	c.w.bufs.Put(data)
+	before := c.state.clock.Now()
+	c.state.clock.AdvanceTo(arrive)
+	return c.state.clock.Now() - before
 }
 
 // Send transmits a copy of buf to peer dest under tag. Sends are buffered
@@ -27,13 +53,11 @@ func (c *Comm) Send(dest, tag int, buf []float64) float64 {
 	nbytes := 8 * len(buf)
 	dt := m.PtToPtTime(nbytes) * m.Noise(c.state.rng)
 	c.state.clock.Advance(dt)
-	data, pooled := c.w.copyPayload(buf)
 	c.w.dataFab.post(c.group[dest], fmsg[[]float64]{
 		ctx:     c.ctx,
 		src:     c.rank,
 		tag:     tag,
-		payload: data,
-		pooled:  pooled,
+		payload: c.w.copyPayload(buf),
 		arrive:  c.state.clock.Now() + m.Alpha,
 	})
 	return dt
@@ -47,17 +71,7 @@ func (c *Comm) Send(dest, tag int, buf []float64) float64 {
 func (c *Comm) Recv(src, tag int, buf []float64) float64 {
 	c.checkPeer(src)
 	msg := c.w.dataFab.match(c, src, tag)
-	if len(msg.payload) != len(buf) {
-		panic(fmt.Sprintf("mpi: recv length mismatch: posted %d, message %d (src %d tag %d)",
-			len(buf), len(msg.payload), src, tag))
-	}
-	copy(buf, msg.payload)
-	if msg.pooled {
-		c.w.bufs.Put(msg.payload)
-	}
-	before := c.state.clock.Now()
-	c.state.clock.AdvanceTo(msg.arrive)
-	return c.state.clock.Now() - before
+	return c.land("recv", src, tag, buf, msg.payload, msg.arrive)
 }
 
 // Sendrecv performs a combined send to dest and receive from src, as
@@ -89,18 +103,13 @@ var completedSend = &Request{isSend: true, done: true}
 // the transfer cost reflected in the message arrival time.
 func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 	c.checkPeer(dest)
-	m := c.w.machine
-	nbytes := 8 * len(buf)
-	cost := m.PtToPtTime(nbytes) * m.Noise(c.state.rng)
-	c.state.clock.Advance(m.Alpha)
-	data, pooled := c.w.copyPayload(buf)
+	arrive := c.isendArrival(len(buf))
 	c.w.dataFab.post(c.group[dest], fmsg[[]float64]{
 		ctx:     c.ctx,
 		src:     c.rank,
 		tag:     tag,
-		payload: data,
-		pooled:  pooled,
-		arrive:  c.state.clock.Now() + cost,
+		payload: c.w.copyPayload(buf),
+		arrive:  arrive,
 	})
 	return completedSend
 }

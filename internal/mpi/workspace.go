@@ -13,8 +13,8 @@ package mpi
 // move: when the chunk being carved cannot hold a request, carving continues
 // in the next one big enough (a new one, twice the last, when there is none),
 // and every buffer handed out earlier stays where it is. Chunks come from the
-// world's BufPool when one is installed and go back to it when the rank's
-// body returns, so consecutive worlds of a worker recycle them.
+// world's BufPool and go back to it when the rank's body returns, so
+// consecutive worlds of a worker recycle them.
 //
 // A Workspace is confined to its rank's goroutine and holds no lock. It is
 // deliberately not a held-list on the shared pool: how much a shared pool
@@ -69,13 +69,8 @@ func (ws *Workspace) Get(n int) []float64 {
 	if k := len(ws.chunks); k > 0 {
 		size = max(size, 2*len(ws.chunks[k-1]))
 	}
-	var c []float64
-	if ws.pool != nil {
-		c = ws.pool.Get(size)
-		clear(c[:n])
-	} else {
-		c = make([]float64, size)
-	}
+	c := ws.pool.Get(size)
+	clear(c[:n])
 	ws.chunks = append(ws.chunks, c)
 	ws.off = n
 	return c[:n:n]

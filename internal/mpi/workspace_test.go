@@ -46,42 +46,40 @@ func allZero(b []float64) bool {
 // is all zeros, has the asked length, and has its capacity clipped to it, so
 // an append cannot run into the next buffer.
 func TestWorkspaceGetIsMake(t *testing.T) {
-	for _, pool := range []*BufPool{nil, dirtyPool(4, minWorkspaceChunk)} {
-		ws := &Workspace{pool: pool}
-		base := ws.Mark()
-		a := ws.Get(100)
-		if len(a) != 100 || cap(a) != 100 || !allZero(a) {
-			t.Fatalf("first Get(100): len %d cap %d zero %v", len(a), cap(a), allZero(a))
-		}
-		for i := range a {
-			a[i] = math.Inf(1)
-		}
-		if b := ws.Get(50); !allZero(b) {
-			t.Errorf("pool %v: second Get from a dirty chunk is not zeroed", pool != nil)
-		}
-		ws.Release(base)
-		c := ws.Get(120) // spans all of the first buffer and part of the second
-		if !allZero(c) {
-			t.Errorf("pool %v: Get after Release exposes the previous holder's values", pool != nil)
-		}
-		if &c[0] != &a[0] {
-			t.Errorf("pool %v: Get after Release did not reuse the released region", pool != nil)
-		}
-		d := ws.Get(10)
-		c = append(c, 7)
-		if d[0] != 0 || &c[0] == &a[0] {
-			t.Errorf("append past a workspace buffer wrote into its neighbour")
-		}
-		if e := ws.Get(0); e == nil || len(e) != 0 {
-			t.Errorf("Get(0) = %v, want empty and non-nil like make", e)
-		}
+	ws := &Workspace{pool: dirtyPool(4, minWorkspaceChunk)}
+	base := ws.Mark()
+	a := ws.Get(100)
+	if len(a) != 100 || cap(a) != 100 || !allZero(a) {
+		t.Fatalf("first Get(100): len %d cap %d zero %v", len(a), cap(a), allZero(a))
+	}
+	for i := range a {
+		a[i] = math.Inf(1)
+	}
+	if b := ws.Get(50); !allZero(b) {
+		t.Error("second Get from a dirty chunk is not zeroed")
+	}
+	ws.Release(base)
+	c := ws.Get(120) // spans all of the first buffer and part of the second
+	if !allZero(c) {
+		t.Error("Get after Release exposes the previous holder's values")
+	}
+	if &c[0] != &a[0] {
+		t.Error("Get after Release did not reuse the released region")
+	}
+	d := ws.Get(10)
+	c = append(c, 7)
+	if d[0] != 0 || &c[0] == &a[0] {
+		t.Errorf("append past a workspace buffer wrote into its neighbour")
+	}
+	if e := ws.Get(0); e == nil || len(e) != 0 {
+		t.Errorf("Get(0) = %v, want empty and non-nil like make", e)
 	}
 }
 
 // TestWorkspaceNestedMarks releases an inner mark and then an outer one: each
 // pops exactly what was pushed after it.
 func TestWorkspaceNestedMarks(t *testing.T) {
-	ws := &Workspace{}
+	ws := &Workspace{pool: NewBufPool()}
 	keep := ws.Get(8)
 	outer := ws.Mark()
 	o := ws.Get(16)
@@ -111,7 +109,7 @@ func TestWorkspaceNestedMarks(t *testing.T) {
 // overlap, none may move, and releasing to a mark taken in an early chunk and
 // pushing again must walk the same chunks without taking new ones.
 func TestWorkspaceBuffersSurviveGrowth(t *testing.T) {
-	ws := &Workspace{}
+	ws := &Workspace{pool: NewBufPool()}
 	var bufs [][]float64
 	for n := 1; len(ws.chunks) < 4; n = n*3/2 + 1 {
 		b := ws.Get(n)
@@ -153,7 +151,7 @@ func TestWorkspaceBuffersSurviveGrowth(t *testing.T) {
 }
 
 // TestWorkspaceChunksReturnToPool checks both ends of a chunk's life in a
-// world: chunks come from the installed pool, go back when the rank's body
+// world: chunks come from the world's pool, go back when the rank's body
 // returns — so the next world's ranks start from them — and stay out of the
 // pool when the rank panics, since a peer unwinding out of a round may still
 // be reading one.

@@ -13,8 +13,8 @@
 // Isend, Irecv, Wait), the collectives Bcast, Reduce, Allreduce, Allgather,
 // Gather, Scatter, Barrier, and communicator construction via Split and Dup.
 // Payloads are []float64 (application data) or typed values via the generic
-// message core (SendMsg and friends, used by the profiler's internal
-// piggyback messages).
+// message core (Lane, FusedLane, AllreduceMsg and BcastMsg, used by the
+// profiler's internal piggyback messages).
 //
 // All traffic runs on sharded typed fabrics (fabric.go): one mailbox lock
 // per destination rank and a fixed set of collective-round shards per
@@ -40,9 +40,10 @@ var ErrAborted = fmt.Errorf("mpi: world aborted due to failure on another rank")
 // instead of hanging.
 var errDeadlock = errors.New("mpi: deadlock: every rank is blocked with no message in flight")
 
-// World is a set of P ranks sharing a machine model and a message fabric
-// per payload type. Create one with NewWorld and run an SPMD program with
-// Run.
+// World is a set of P ranks sharing a machine model, a message fabric per
+// payload type, and a BufPool for data-plane payloads and workspace chunks
+// (its own from NewWorld on, or one SetBufPool shares across worlds). Create
+// one with NewWorld and run an SPMD program with Run.
 type World struct {
 	size    int
 	machine sim.Machine
@@ -59,9 +60,9 @@ type World struct {
 	dataFab  *fabric[[]float64]
 	collFab  *fabric[collView]
 
-	// bufs, when non-nil, recycles data-plane payload buffers across
-	// messages (and, via the sweep executor's per-worker scratch, across
-	// the worlds a worker runs). See BufPool.
+	// bufs recycles data-plane payload buffers across messages (and, via
+	// the sweep executor's per-worker scratch, across the worlds a worker
+	// runs). NewWorld makes the world's own; never nil. See BufPool.
 	bufs *BufPool
 
 	// trace, when non-nil, receives span events from the layers running
@@ -122,6 +123,7 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 		machine: machine,
 		seed:    seed,
 		ranks:   make([]*rankState, size),
+		bufs:    NewBufPool(),
 	}
 	for r := 0; r < size; r++ {
 		w.ranks[r] = &rankState{
@@ -143,15 +145,15 @@ func (w *World) Machine() sim.Machine { return w.machine }
 // Seed returns the world's noise seed.
 func (w *World) Seed() uint64 { return w.seed }
 
-// SetBufPool installs a payload-buffer recycler for the world's data plane.
-// Call it before Run; a nil pool (the default) allocates every payload
-// fresh. Pools may be shared across worlds that run sequentially (the sweep
-// executor threads one per worker), not across concurrently running worlds'
-// lifetimes — the pool itself is safe for concurrent use, so sharing is a
-// throughput choice, not a safety one.
+// SetBufPool replaces the world's payload-buffer recycler, which NewWorld
+// made for it, with p; p must not be nil. Call it before Run. Pools may be
+// shared across worlds that run sequentially (the sweep executor threads one
+// per worker), not across concurrently running worlds' lifetimes — the pool
+// itself is safe for concurrent use, so sharing is a throughput choice, not a
+// safety one.
 func (w *World) SetBufPool(p *BufPool) { w.bufs = p }
 
-// BufPoolOf returns the installed payload-buffer recycler (nil when none).
+// BufPoolOf returns the world's payload-buffer recycler; never nil.
 // A workload's per-step scratch does not come from here but from its rank's
 // Workspace, which draws its chunks from this pool. What stays on the pool
 // directly is storage whose lifetime is not a stack's: slate's TileMatrix

@@ -79,7 +79,7 @@ func eventTypes(body string) []string {
 }
 
 // TestSSELaggedResynthesis pins the slow-subscriber contract: a consumer
-// that falls behind a SubBuffer-sized window loses intermediate events but
+// that falls behind its subscription window loses intermediate events but
 // receives exactly one lagged event (with the drop count) followed by a
 // terminal event re-synthesized from the job's final status — never a
 // stream that just ends mid-run. The lag is deterministic: the handler's
@@ -87,7 +87,8 @@ func eventTypes(body string) []string {
 // subscription buffer keeps the sweep event and drops the terminal one.
 func TestSSELaggedResynthesis(t *testing.T) {
 	gate := make(chan struct{})
-	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, SubBuffer: 1})
+	s := New(Config{Registry: blockingRegistry(gate), Runners: 1})
+	s.subBuffer = 1
 	defer closeNow(t, s)
 	srv := NewServer(s)
 

@@ -273,11 +273,6 @@ type Config struct {
 	// long-running server cannot grow without bound. Queued and running
 	// jobs never count against it. 0 means 256; negative disables eviction.
 	MaxHistory int
-	// SubBuffer bounds each event subscriber's channel; a consumer that
-	// falls further behind loses intermediate events (flagged by the SSE
-	// layer with a lagged event) instead of blocking the scheduler. 0
-	// means 64.
-	SubBuffer int
 	// Logf, when set, receives operational log lines (persistence
 	// failures). nil discards them.
 	Logf func(format string, args ...any)
@@ -286,6 +281,11 @@ type Config struct {
 	// means 4096; negative disables per-job tracing.
 	TraceEvents int
 }
+
+// subBufferSize bounds each event subscriber's channel; a consumer that
+// falls further behind loses intermediate events (flagged by the SSE layer
+// with a lagged event) instead of blocking the scheduler.
+const subBufferSize = 64
 
 // ErrQueueFull is returned by Submit when the bounded job queue is at
 // capacity; the HTTP layer maps it to 429 with a Retry-After hint.
@@ -338,6 +338,10 @@ type Scheduler struct {
 	// met is the registered instrument set (obs.go); never nil.
 	met *schedMetrics
 
+	// subBuffer is every Subscribe's live channel size: subBufferSize,
+	// except where a test shrinks it before subscribing.
+	subBuffer int
+
 	// profileRec is the encode buffer of the durable profile record
 	// (mergeProfile); its mu is held across the encode and the store
 	// append.
@@ -365,9 +369,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxHistory == 0 {
 		cfg.MaxHistory = 256
 	}
-	if cfg.SubBuffer <= 0 {
-		cfg.SubBuffer = 64
-	}
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 4096
 	}
@@ -381,6 +382,8 @@ func New(cfg Config) *Scheduler {
 		stop:    stop,
 		jobs:    make(map[string]*job),
 		index:   make(map[string]*job),
+
+		subBuffer: subBufferSize,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.met = newSchedMetrics(s, obs.NewRegistry())
@@ -806,7 +809,7 @@ func (sub *Subscription) Close() {
 // events rather than blocking the scheduler — Subscription.Dropped counts
 // the losses, and the SSE layer surfaces them as a lagged event.
 func (s *Scheduler) Subscribe(id string) (*Subscription, bool) {
-	return s.subscribe(id, s.cfg.SubBuffer)
+	return s.subscribe(id, s.subBuffer)
 }
 
 // subscribe is Subscribe with a live channel of buf slots.

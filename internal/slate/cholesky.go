@@ -47,16 +47,12 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	panelTiles := make(map[int]map[int][]float64)
 	// need marks the recipients of one tile broadcast (see tileBcast).
 	need := make([]bool, cc.Size())
-	// Received panel tiles recycle through the world's buffer pool (when
-	// the executor threaded one) and cache maps through a local freelist,
-	// once their panel's updates complete; tiles aliasing the matrix's own
-	// storage are never pooled. At most lookahead+1 panels are live, so
-	// the steady state allocates nothing.
+	// Received panel tiles recycle through the world's buffer pool and
+	// cache maps through a local freelist, once their panel's updates
+	// complete; tiles aliasing the matrix's own storage are never pooled.
+	// At most lookahead+1 panels are live, so the steady state allocates
+	// nothing.
 	bufs := cc.Raw().World().BufPoolOf()
-	var recvBuf func(words int) []float64
-	if bufs != nil {
-		recvBuf = bufs.Get
-	}
 	var cachePool []map[int][]float64
 	panelRecv := make(map[int][][]float64)
 	newCache := func() map[int][]float64 {
@@ -99,7 +95,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			}
 		}
 		var lkk []float64
-		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, recvBuf); got != nil {
+		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, bufs.Get); got != nil {
 			lkk = got
 			if me != diagOwner {
 				panelRecv[k] = append(panelRecv[k], got)
@@ -133,7 +129,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 					need[o] = true
 				}
 			}
-			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, recvBuf)
+			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, bufs.Get)
 			if got != nil {
 				cache[i] = got
 				if me != owner {

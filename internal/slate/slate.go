@@ -30,18 +30,18 @@ type TileMatrix struct {
 	// row-major global order, so Release hands them back in that order.
 	tiles [][]float64
 	lnt   int
-	// pool, when non-nil, supplies tile storage (world buffer pool). Pooled
-	// tiles have unspecified initial contents, which is sound because every
-	// tile the factorizations touch is fully overwritten by a Fill* call
-	// before its first read; Release returns the storage when the matrix is
-	// done. Message payloads are captured at issue time (mpi.Isend), so no
+	// pool supplies tile storage (the world's buffer pool). Pooled tiles
+	// have unspecified initial contents, which is sound because every tile
+	// the factorizations touch is fully overwritten by a Fill* call before
+	// its first read; Release returns the storage when the matrix is done.
+	// Message payloads are captured at issue time (mpi.Isend), so no
 	// in-flight message ever aliases tile storage.
 	pool *mpi.BufPool
 }
 
 // NewTileMatrix creates an empty tile matrix of mt-by-nt tiles. Tile
-// storage draws from the world's buffer pool when the executor installed
-// one; call Release when the matrix (and any aliases of its tiles) is dead.
+// storage draws from the world's buffer pool; call Release when the matrix
+// (and any aliases of its tiles) is dead.
 func NewTileMatrix(g *grid.Grid2D, mt, nt, nb int) *TileMatrix {
 	lmt, lnt := (mt+g.PR-1)/g.PR, (nt+g.PC-1)/g.PC
 	return &TileMatrix{
@@ -57,11 +57,7 @@ func (t *TileMatrix) slot(i, j int) int { return (i/t.G.PR)*t.lnt + j/t.G.PC }
 
 // Release recycles every tile's storage back to the buffer pool and empties
 // the matrix. The caller asserts no live references to any tile remain.
-// No-op without a pool.
 func (t *TileMatrix) Release() {
-	if t.pool == nil {
-		return
-	}
 	for ix, tl := range t.tiles {
 		if tl != nil {
 			t.pool.Put(tl)
@@ -87,11 +83,7 @@ func (t *TileMatrix) Tile(i, j int) []float64 {
 	ix := t.slot(i, j)
 	tl := t.tiles[ix]
 	if tl == nil {
-		if t.pool != nil {
-			tl = t.pool.Get(t.NB * t.NB)
-		} else {
-			tl = make([]float64, t.NB*t.NB)
-		}
+		tl = t.pool.Get(t.NB * t.NB)
 		t.tiles[ix] = tl
 	}
 	return tl
@@ -215,8 +207,8 @@ func copyTileIntoDense(full []float64, ld int, tile []float64, i, j, nb int) {
 // is small. Every rank must call it with identical arguments; returns the
 // tile contents on marked ranks and on the owner, nil elsewhere. Isend
 // requests are appended to reqs for deferred completion (Waitall releases
-// them). A non-nil recvBuf supplies the receive buffer, which the caller
-// recycles once the tile is consumed; nil means make.
+// them). recvBuf supplies the receive buffer, which the caller recycles once
+// the tile is consumed.
 func tileBcast(cc *critter.Comm, owner int, recips []bool, tag int, buf []float64, words int, reqs *[]*critter.Request, recvBuf func(words int) []float64) []float64 {
 	me := cc.Rank()
 	if me == owner {
@@ -230,12 +222,7 @@ func tileBcast(cc *critter.Comm, owner int, recips []bool, tag int, buf []float6
 	if !recips[me] {
 		return nil
 	}
-	var in []float64
-	if recvBuf != nil {
-		in = recvBuf(words)
-	} else {
-		in = make([]float64, words)
-	}
+	in := recvBuf(words)
 	cc.Recv(owner, tag, in)
 	return in
 }
