@@ -56,24 +56,26 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 9 700-9 708 allocs/op and 1 201 668-1 205 257 B/op over 18 runs
+		// 9 650-9 658 allocs/op and 1 162 553-1 167 294 B/op over 18 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
 		// allocations and one spread of bytes of headroom. An allocation per
 		// configuration (20 a sweep) or per adopt is well past either, and so
-		// is a reference profiler that archives what nobody exports, a
-		// *Request per Isend (13 653-13 660 and 1 400 910-1 407 005 B with
-		// that, a per-member Split group and two Split rounds per profiled
-		// split), or a recipient scratch per factorization. With a fresh
-		// round per untimed hand-off and per Dup it read 9 839-9 847 and
-		// 1 216 449-1 220 512 B.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 9712, 1208900},
-		// 13 275-13 287 allocs/op and 1 412 429-1 418 990 B/op over 18 runs,
-		// the same way (13 474-13 486 and 1 432 640-1 439 073 B before the
-		// same change). Rekeying the offline pass's global path table into a
-		// Key map per configuration and rank, as GlobalPathFreqs does, cost
-		// about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13291, 1425600},
+		// is a reference profiler that interns its signatures (9 700-9 708
+		// and 1 201 668-1 205 257 B with that and a private intern cache per
+		// rank) or archives what nobody exports, a *Request per Isend
+		// (13 653-13 660 and 1 400 910-1 407 005 B with that, a per-member
+		// Split group and two Split rounds per profiled split), or a
+		// recipient scratch per factorization. With a fresh round per
+		// untimed hand-off and per Dup it read 9 839-9 847 and 1 216 449-
+		// 1 220 512 B.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 9662, 1171000},
+		// 13 227-13 237 allocs/op and 1 381 974-1 384 762 B/op over 18 runs,
+		// the same way (13 275-13 287 and 1 412 429-1 418 990 B with the
+		// interning reference). Rekeying the offline pass's global path table
+		// into a Key map per configuration and rank, as GlobalPathFreqs does,
+		// cost about 650 allocations and 295 000 B more.
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13241, 1391400},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

@@ -261,9 +261,8 @@ func runKey(ck, kind uint64, round int) uint64 {
 // on.
 func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter.Comm, v int) critter.Report {
 	ck := critter.ConfigKey(study.Name, v)
-	// The configuration's memo key lets the reference run publish its
-	// interner for the selective runs of the same worker to adopt.
-	ref.StartConfigKeyed(true, ck)
+	// A reference interns nothing, so it has no table to key for the memo.
+	ref.StartConfig(true)
 	c.Rekey(runKey(ck, runReference, 0))
 	study.Run(ref, refComm, v)
 	return ref.Report()

@@ -13,9 +13,9 @@ import (
 // profiler, per rank, and exports once — so the archive stays in the
 // profiler's own currency, dense kernel ids, appended to two slabs, and is
 // rekeyed by Key only when an export is actually asked for. A reference
-// profiler (NewReference) keeps no archive at all: the sweep only ever reads
-// its reports, never asks it for an export, so anything set aside would be
-// recycled unread at Retire.
+// profiler (NewReference) keeps no per-kernel record and no path table, so
+// it sets nothing aside and its export is empty: the sweep only ever reads
+// its reports.
 
 // archivedModel is one kernel's archived duration model under the dense id
 // its segment's table gave it.

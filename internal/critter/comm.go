@@ -254,7 +254,7 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 	recvID, rks := p.intercept(c.p2pKey("recv", len(recvBuf), src))
 	// Taken after both lookups: the second may have grown the records and
 	// invalidated a pointer from the first.
-	sks := &p.k[sendID]
+	sks := p.at(sendID)
 	localSend := p.shouldExecute(sendID, sks)
 	localRecv := p.shouldExecute(recvID, rks)
 	peer := c.p.lane.Exchange(c.internal, dest, srIntTag(sendTag),

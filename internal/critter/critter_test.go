@@ -3,7 +3,6 @@ package critter
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -581,11 +580,11 @@ func TestReportDeterministic(t *testing.T) {
 // TestReferenceArchivesNothing runs a NewReference profiler and its New twin
 // (Conditional, eps 0, a memo of its own) over the same keyed configurations
 // on identical worlds and seeds, each configuration's noise keyed by the
-// configuration as the sweep keys it. The reports must agree field for field
-// and the reference's archive must stay empty; its memo publications must
-// still serve a later selective profiler; and its GlobalProfile must be the
-// live layer alone, the profile of a twin that ran only the last
-// configuration.
+// configuration as the sweep keys it. The reports must agree field for field.
+// The reference is a clock: it keeps no record and archives nothing, its
+// GlobalProfile is empty, and it neither looks up nor publishes an interner,
+// so a selective profiler that restarts a configuration on its memo misses
+// and publishes its own table, where the twin's memo serves it.
 func TestReferenceArchivesNothing(t *testing.T) {
 	const ranks, configs = 4, 5
 	work := func(p *Profiler, cc *Comm, cfg int) {
@@ -603,16 +602,23 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		reports []Report
 		global  *Profile
 		memo    *KernelMemo
+		// published counts the memo's tables before and after the
+		// selective restart.
+		published, republished int
 	}
-	// run executes configurations first..configs-1 under a profiler from
-	// build, then a selective profiler on the same memo restarts
-	// configuration first.
-	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), first int, archiveEmpty bool) side {
+	published := func(m *KernelMemo) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.configs)
+	}
+	// run executes every configuration under a profiler from build, then a
+	// selective profiler on the same memo restarts configuration 0.
+	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), reference bool) side {
 		s := side{memo: NewKernelMemo()}
 		w := mpi.NewWorld(ranks, testMachine(0.05), 11)
 		err := w.Run(func(c *mpi.Comm) {
 			p, cc := build(c, s.memo)
-			for cfg := first; cfg < configs; cfg++ {
+			for cfg := 0; cfg < configs; cfg++ {
 				ck := ConfigKey("ref", cfg)
 				p.StartConfigKeyed(true, ck)
 				c.Rekey(ck)
@@ -621,54 +627,73 @@ func TestReferenceArchivesNothing(t *testing.T) {
 				if c.Rank() == 0 {
 					s.reports = append(s.reports, r)
 				}
-				if a := &p.arch; archiveEmpty && (len(a.segs) != 0 || len(a.models) != 0 || len(a.freqs) != 0 || a.families != nil) {
+				if !reference {
+					continue
+				}
+				if a := &p.arch; len(a.segs) != 0 || len(a.models) != 0 || len(a.freqs) != 0 || a.families != nil {
 					t.Errorf("config %d rank %d: the reference archived %d segments, %d models, %d frequencies, %d families",
 						cfg, c.Rank(), len(a.segs), len(a.models), len(a.freqs), len(a.families))
+				}
+				if len(p.k) != 0 || p.KernelCount() != 0 || p.Table().Len() != 0 {
+					t.Errorf("config %d rank %d: the reference holds %d records for %d kernels and interned %d signatures",
+						cfg, c.Rank(), len(p.k), p.KernelCount(), p.Table().Len())
 				}
 			}
 			g := p.GlobalProfile()
 			if c.Rank() == 0 {
 				s.global = g
+				s.published = published(s.memo)
 			}
 			p.Retire()
 			sel, scc := New(c, Options{Policy: Conditional, Eps: 0.25, Memo: s.memo})
-			ck := ConfigKey("ref", first)
+			ck := ConfigKey("ref", 0)
 			sel.StartConfigKeyed(true, ck)
 			c.Rekey(ck)
-			work(sel, scc, first)
+			work(sel, scc, 0)
 			sel.Report()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.republished = published(s.memo)
 		return s
 	}
 	twin := func(c *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
 		return New(c, Options{Policy: Conditional, Eps: 0, Memo: memo})
 	}
-	ref := run(NewReference, 0, true)
-	full := run(twin, 0, false)
-	last := run(twin, configs-1, false)
+	ref := run(NewReference, true)
+	full := run(twin, false)
 
 	for i := range ref.reports {
 		if ref.reports[i] != full.reports[i] {
 			t.Errorf("config %d: the reference reports %+v, its New twin %+v", i, ref.reports[i], full.reports[i])
 		}
 	}
-	for _, s := range []struct {
-		name string
-		memo *KernelMemo
-	}{{"reference", ref.memo}, {"twin", full.memo}} {
-		if hits, misses := s.memo.TableHits(); hits != 1 || misses != configs {
-			t.Errorf("%s's memo: %d hits and %d misses, want 1 (the selective restart) and %d (its publications)",
-				s.name, hits, misses, configs)
+	for _, want := range []struct {
+		name                   string
+		side                   side
+		hits, misses           int64
+		published, republished int
+	}{
+		// The reference looks nothing up: the restart is the memo's first
+		// lookup, a miss, and its table the memo's first.
+		{"reference", ref, 0, 1, 0, 1},
+		// The twin publishes every configuration; the restart adopts one.
+		{"twin", full, 1, configs, configs, configs},
+	} {
+		s := want.side
+		if hits, misses := s.memo.TableHits(); hits != want.hits || misses != want.misses {
+			t.Errorf("%s's memo: %d hits and %d misses, want %d and %d", want.name, hits, misses, want.hits, want.misses)
+		}
+		if s.published != want.published || s.republished != want.republished {
+			t.Errorf("%s's memo: %d tables before the selective restart and %d after, want %d and %d",
+				want.name, s.published, s.republished, want.published, want.republished)
 		}
 	}
-	if !reflect.DeepEqual(ref.global, last.global) {
-		t.Errorf("the reference's GlobalProfile is not the last configuration's live layer\n got %+v\nwant %+v", ref.global, last.global)
+	if g := ref.global; g.Samples() != 0 || len(g.Kernels) != 0 || len(g.PathFreqs) != 0 || len(g.Families) != 0 {
+		t.Errorf("the reference's GlobalProfile is not empty: %+v", g)
 	}
-	if ref.global.Samples() >= full.global.Samples() {
-		t.Errorf("the reference's GlobalProfile holds %d samples, its twin's %d: the twin should hold every configuration's",
-			ref.global.Samples(), full.global.Samples())
+	if full.global.Samples() == 0 {
+		t.Error("the twin's GlobalProfile holds no samples")
 	}
 }

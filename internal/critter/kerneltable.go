@@ -9,14 +9,16 @@ import "sync"
 // tables can travel between ranks as dense arrays instead of maps.
 //
 // Interning takes the write lock only the first time a signature is seen
-// anywhere in the world; each rank additionally keeps a private id cache
-// (Profiler.idOf) so the steady-state interception path touches no lock at
-// all. Ids are assigned in global first-seen order, which depends on
-// goroutine scheduling — nothing result-bearing may depend on id order, and
-// nothing does: ids never leave the process, and every boundary artifact
-// (PathFreqs, profiles, reports) is rekeyed by Key. A-priori counts never
-// cross that boundary: a sweep's offline and a-priori passes run under one
-// table, so SetAprioriFromPath keeps the global path counts by id.
+// anywhere in the world; every other resolution takes the read lock. Ranks
+// keep no private copy: the steady-state interception path asks the table
+// only when the signature differs from the rank's previous one and the
+// memo's read-only snapshot (KernelMemo) does not hold it. Ids are assigned
+// in global first-seen order, which depends on goroutine scheduling —
+// nothing result-bearing may depend on id order, and nothing does: ids never
+// leave the process, and every boundary artifact (PathFreqs, profiles,
+// reports) is rekeyed by Key. A-priori counts never cross that boundary: a
+// sweep's offline and a-priori passes run under one table, so
+// SetAprioriFromPath keeps the global path counts by id.
 type KernelTable struct {
 	mu   sync.RWMutex
 	ids  map[Key]uint32
@@ -31,21 +33,27 @@ func NewKernelTable() *KernelTable {
 // Intern returns the dense id of k, assigning the next free id on first
 // sight.
 func (t *KernelTable) Intern(k Key) uint32 {
-	t.mu.RLock()
-	id, ok := t.ids[k]
-	t.mu.RUnlock()
-	if ok {
+	if id, ok := t.lookup(k); ok {
 		return id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok = t.ids[k]; ok {
+	if id, ok := t.ids[k]; ok {
 		return id
 	}
-	id = uint32(len(t.keys))
+	id := uint32(len(t.keys))
 	t.ids[k] = id
 	t.keys = append(t.keys, k)
 	return id
+}
+
+// lookup returns the id of k without assigning one: ok is false when no
+// rank has interned k.
+func (t *KernelTable) lookup(k Key) (id uint32, ok bool) {
+	t.mu.RLock()
+	id, ok = t.ids[k]
+	t.mu.RUnlock()
+	return id, ok
 }
 
 // KeyOf returns the signature interned as id. It panics on an id the table

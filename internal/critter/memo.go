@@ -1,15 +1,13 @@
 package critter
 
 // Cross-config kernel memoization. A tuning run evaluates the same study
-// configurations over and over — the selective run after the reference run
-// of a configuration whose reference this sweep computed, every (policy,
-// eps) sweep after the first, a rung strategy's later rungs, warm service
-// jobs after cold ones — and each evaluation used to rebuild the
-// exact same config-invariant state from scratch: the kernel-signature
-// interner, every rank's Key→id cache and per-kernel records, and the
-// archive's slabs. KernelMemo is the sweep executor's per-worker cache of
-// that state, living as long as the arena that carries it: one run, or
-// every run a long-lived owner (the service's scheduler) streams through
+// configurations over and over — every (policy, eps) sweep after the first,
+// a rung strategy's later rungs, warm service jobs after cold ones — and
+// each evaluation used to rebuild the exact same config-invariant state from
+// scratch: the kernel-signature interner, every rank's per-kernel records,
+// and the archive's slabs. KernelMemo is the sweep executor's per-worker
+// cache of that state, living as long as the arena that carries it: one run,
+// or every run a long-lived owner (the service's scheduler) streams through
 // its arenas. It is strictly observational: every byte of
 // every result is identical with a memo attached or not, because the memo
 // only changes *how fast* config-invariant facts are recomputed, never their
@@ -21,22 +19,20 @@ package critter
 //   - Per-configuration kernel tables. The first profiler to finish a
 //     configuration publishes its interner (Profiler.Report), keyed by the
 //     caller-supplied configuration key (StartConfigKeyed) and the world
-//     size. Every later profiler that starts the same configuration — the
-//     selective run after a reference run (when the sweep ran one: a tuner
-//     computes each configuration's reference once, in whichever sweep gets
-//     there first), and every run of the configuration in the later sweeps
+//     size. That is a selective run: a reference (NewReference) interns
+//     nothing and neither looks up nor publishes. Every later profiler that
+//     starts the same configuration — every run of it in the later sweeps
 //     and runs the memo serves — adopts the published table plus an
 //     immutable Key→id snapshot, so its steady-state intern path is a
-//     read-only map hit: no table lock, no insert, no per-config cache
-//     rebuild. Ids stay as compact as the configuration's active kernel
-//     set, keeping the path-frequency table every snapshot copies small.
+//     read-only map hit: no table lock, no insert. Ids stay as compact as
+//     the configuration's active kernel set, keeping the path-frequency
+//     table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
-//     (Profiler.Retire) donates its per-kernel records, private intern
-//     cache, path-frequency buffers, and its archive's model, frequency
-//     and segment slabs back to the memo; the next profiler of the same
-//     world rank built with the same memo adopts them instead of growing
-//     fresh ones.
+//     (Profiler.Retire) donates its per-kernel records, path-frequency
+//     buffers, and its archive's model, frequency and segment slabs back to
+//     the memo; the next profiler of the same world rank built with the
+//     same memo adopts them instead of growing fresh ones.
 //
 // The "memoized kernels" of Report and the sweep stats are not this cache:
 // they count replays of the decision cache in each profiler's own kernel
@@ -87,15 +83,12 @@ type memoConfig struct {
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
-// the records and the id→Key cache (zeroed, length 0, capacity kept), the
-// private intern cache (cleared), the path-frequency table and its freelist
-// of spare buffers (length 0, not zeroed — kernelCounts clears what it grows
-// into), and the archive (length 0: the model slab is overwritten as it
-// refills, the frequency slab is stale and cleared as it regrows, the
-// segment list is cleared so it pins no table).
+// the records (zeroed, length 0, capacity kept), the path-frequency table
+// and its freelist of spare buffers (length 0, not zeroed — kernelCounts
+// clears what it grows into), and the archive (length 0: the model slab is
+// overwritten as it refills, the frequency slab is stale and cleared as it
+// regrows, the segment list is cleared so it pins no table).
 type memoArena struct {
-	idOf   map[Key]uint32
-	keys   []Key
 	k      []kernelStats
 	counts []int64
 	free   countsFree
@@ -139,10 +132,10 @@ func (m *KernelMemo) lookup(key uint64) *memoConfig {
 }
 
 // publish records tab as the interner of the configuration identified by
-// key. First publisher wins: the reference and selective profilers of one
-// sweep both finish every configuration, and whichever reports first owns
-// the published snapshot (their tables intern the same signature set, so
-// the choice is invisible).
+// key. First publisher wins: two worlds that run one configuration through
+// one memo at once both miss, and whichever reports first owns the published
+// snapshot (their tables intern the same signature set, so the choice is
+// invisible).
 func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
 	m.mu.Lock()
 	if _, ok := m.configs[key]; ok {
@@ -182,8 +175,8 @@ func (m *KernelMemo) acquireArena(rank int) *memoArena {
 }
 
 // releaseArena files a profiler's arena, retired by world rank, for reuse.
-// The donor has already zeroed the records and cleared the map (see
-// Profiler.Retire), so adoption is O(1).
+// The donor has already zeroed the records (see Profiler.Retire), so
+// adoption is O(1).
 func (m *KernelMemo) releaseArena(rank int, a *memoArena) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

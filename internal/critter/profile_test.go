@@ -383,7 +383,7 @@ func TestPooledModelExcludesPrior(t *testing.T) {
 		SchemaVersion: ProfileSchemaVersion,
 		Kernels:       map[Key]KernelModel{key: {Count: 10, Mean: 2e-6, M2: 1e-13}},
 	}
-	p := &Profiler{est: newCIMean(false), tab: NewKernelTable(), idOf: make(map[Key]uint32)}
+	p := &Profiler{est: newCIMean(false), tab: NewKernelTable()}
 	p.est.loadPrior(prior)
 	if n := p.Samples(key); n != 10 {
 		t.Errorf("a signature never seen answers with %d samples, want the prior's 10", n)

@@ -98,31 +98,30 @@ type Profiler struct {
 	rank  int
 	psize int
 
-	// tab is the world-shared signature interner; idOf and keys are this
-	// rank's private caches of it (idOf avoids the table's lock on the
-	// steady-state path, keys resolves ids this rank interned itself).
-	tab  *KernelTable
-	idOf map[Key]uint32
-	keys []Key
+	// tab is the world-shared signature interner, the one place ranks
+	// resolve a signature or an id the memo snapshot does not hold. A rank
+	// keeps no private copy of it.
+	tab *KernelTable
 	// roIDs/roKeys are the memo-published read-only intern snapshots of
 	// the current configuration (nil outside a memo hit): a key present in
-	// roIDs resolves without touching idOf or the table's lock, and ids
-	// below len(roKeys) resolve back to keys through roKeys (keyAt). Novel
-	// keys — possible only on a memo-key collision — overlay through
-	// idOf/keys as usual.
+	// roIDs resolves without the table's lock, and ids below len(roKeys)
+	// resolve back to keys through roKeys (keyAt). Novel keys — possible
+	// only on a memo-key collision — go to the table.
 	roIDs  map[Key]uint32
 	roKeys []Key
 	// lastKey/lastID short-circuit intern for back-to-back invocations of
 	// the same kernel signature (the common case inside factorization
-	// loops), skipping the idOf hash.
+	// loops), skipping every map.
 	lastKey   Key
 	lastID    uint32
 	lastValid bool
 
 	// k is the per-signature records, indexed by kernel id; touched counts
-	// the seen entries (KernelCount).
+	// the seen entries (KernelCount). A reference keeps none: every
+	// interception writes scratch, which nothing reads.
 	k       []kernelStats
 	touched int
+	scratch kernelStats
 	path    Pathset
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
@@ -154,7 +153,8 @@ type Profiler struct {
 	// the current one, so ExportProfile covers everything the run learned
 	// (archive.go).
 	arch archive
-	// reference marks a profiler built by NewReference: it archives nothing.
+	// reference marks a profiler built by NewReference: it interns nothing,
+	// keeps no per-kernel record and archives nothing.
 	reference bool
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
@@ -165,12 +165,11 @@ type Profiler struct {
 	trace obs.Tracer
 
 	// memo is the attached cross-config cache (Options.Memo; nil disables
-	// memoization). memoKey/memoKeyed identify the configuration started
-	// by StartConfigKeyed; memoFresh marks rank 0 as owing the memo a
+	// memoization). memoKey identifies the configuration started by
+	// StartConfigKeyed; memoFresh marks rank 0 as owing the memo a
 	// publication of the configuration's table at the next Report.
 	memo      *KernelMemo
 	memoKey   uint64
-	memoKeyed bool
 	memoFresh bool
 
 	// Per-configuration accumulators.
@@ -216,21 +215,16 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		aggregates: make(map[uint64]channel.Channel),
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
-	// supply: the records, the private intern cache, the path-frequency
-	// buffers, and the archive's slabs.
+	// supply: the records, the path-frequency buffers, and the archive's
+	// slabs.
 	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
 		if a := p.memo.acquireArena(p.rank); a != nil {
-			p.idOf = a.idOf
-			p.keys = a.keys
 			p.k = a.k
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
 			p.arch = a.arch
 		}
-	}
-	if p.idOf == nil {
-		p.idOf = make(map[Key]uint32)
 	}
 	if opts.Prior != nil {
 		p.est.loadPrior(opts.Prior)
@@ -266,11 +260,11 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 // NewReference creates the profiler a reference execution runs under — the
 // full execution every selective one is judged against: New with the
 // Conditional policy, tolerance zero and memo. It is collective like New.
-// A reference is only ever asked for its Reports, so StartConfig sets
-// nothing aside for an export: ExportProfile and GlobalProfile on it yield
-// only the live layer, what it learned since the last statistics reset (the
-// current configuration, under StartConfig(true)). It still publishes its
-// configurations' interners to memo, like any keyed profiler.
+// A reference is only ever asked for its Reports, so it is a clock: it
+// interns no signature, keeps no per-kernel record and sets nothing aside,
+// so ExportProfile and GlobalProfile on it are empty and KernelCount is 0.
+// Its StartConfigKeyed neither looks up nor publishes an interner: the first
+// selective run of a configuration does. memo only recycles its arena.
 func NewReference(world *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
 	p, cc := New(world, Options{Policy: Conditional, Eps: 0, Memo: memo})
 	p.reference = true
@@ -289,48 +283,29 @@ func (p *Profiler) World() *Comm { return p.world }
 // Table returns the world-shared kernel-signature interner.
 func (p *Profiler) Table() *KernelTable { return p.tab }
 
-// intern resolves key's dense id through the rank-local caches, hitting the
-// shared table only on first sight. Under a memo hit the published read-only
-// snapshot answers first — no private-cache insert, no table lock — and only
-// keys the snapshot has never seen fall through to the overlay path.
+// intern resolves key's dense id: the previous signature answers a repeat,
+// the memo-published read-only snapshot answers next (no lock), and the
+// world's table answers the rest, assigning an id on the signature's first
+// sight anywhere in the world.
 func (p *Profiler) intern(key Key) uint32 {
 	if p.lastValid && key == p.lastKey {
 		return p.lastID
 	}
-	if id, ok := p.roIDs[key]; ok {
-		p.lastKey, p.lastID, p.lastValid = key, id, true
-		return id
+	id, ok := p.roIDs[key]
+	if !ok {
+		id = p.tab.Intern(key)
 	}
-	if id, ok := p.idOf[key]; ok {
-		p.lastKey, p.lastID, p.lastValid = key, id, true
-		return id
-	}
-	id := p.tab.Intern(key)
-	p.idOf[key] = id
-	if n := int(id) + 1; n > len(p.keys) {
-		if n <= cap(p.keys) {
-			p.keys = p.keys[:n]
-		} else {
-			keys := make([]Key, n, growCap(n, cap(p.keys)))
-			copy(keys, p.keys)
-			p.keys = keys
-		}
-	}
-	p.keys[id] = key
 	p.lastKey, p.lastID, p.lastValid = key, id, true
 	return id
 }
 
-// keyAt resolves an id this rank has interned back to its signature: through
-// the memo snapshot when the id predates it, through the private keys cache
-// otherwise. (The table's ids below len(roKeys) were assigned before the
-// snapshot was taken, so roKeys covers exactly the ids the private cache
-// does not.)
+// keyAt resolves an id back to its signature: through the memo snapshot when
+// the id predates it, through the world's table otherwise.
 func (p *Profiler) keyAt(id uint32) Key {
 	if int(id) < len(p.roKeys) {
 		return p.roKeys[id]
 	}
-	return p.keys[id]
+	return p.tab.KeyOf(id)
 }
 
 // growCap sizes an id-indexed table that must hold n entries: double the
@@ -380,12 +355,25 @@ func (p *Profiler) grow(n int) {
 }
 
 // intercept is lookup for a kernel invocation: it also counts one appearance
-// of the kernel along the rank's execution path.
+// of the kernel along the rank's execution path. A reference resolves no id
+// and hands out its scratch record.
 func (p *Profiler) intercept(key Key) (uint32, *kernelStats) {
+	if p.reference {
+		return 0, &p.scratch
+	}
 	id, ks := p.lookup(key)
 	p.path.Kernels.incr(id)
 	ks.localFreq++
 	return id, ks
+}
+
+// at returns the record intercept returned for id, for a caller whose
+// pointer a later intercept may have invalidated.
+func (p *Profiler) at(id uint32) *kernelStats {
+	if p.reference {
+		return &p.scratch
+	}
+	return &p.k[id]
 }
 
 // KernelCount returns the number of distinct kernel signatures profiled so
@@ -398,7 +386,7 @@ func (p *Profiler) KernelCount() int { return p.touched }
 func (p *Profiler) modelOf(key Key) stats.Welford {
 	id, ok := p.roIDs[key]
 	if !ok {
-		id, ok = p.idOf[key]
+		id, ok = p.tab.lookup(key)
 	}
 	if ok && int(id) < len(p.k) && p.k[id].seen {
 		return p.k[id].model()
@@ -649,7 +637,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// memo attached, rank 0 first checks whether an earlier profiler
 	// already published this configuration's interner; on a hit the round
 	// distributes the published table and its read-only intern snapshots
-	// instead of an empty table.
+	// instead of an empty table. A reference, which interns nothing, sends
+	// neither and keeps its empty table.
 	var msg tabMsg
 	if keyed {
 		// A memo outlives one run, and a study keeps its name across scales:
@@ -657,7 +646,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		// the ids of the tables the other adopts.
 		cfg = sim.Mix(cfg, uint64(p.psize))
 	}
-	if resetIDs && p.rank == 0 {
+	if resetIDs && p.rank == 0 && !p.reference {
 		if keyed && p.memo != nil {
 			msg.mc = p.memo.lookup(cfg)
 		}
@@ -667,9 +656,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	}
 	g := mpi.BcastMsg(p.world.internal, msg)
 	p.world.user.ResetClock()
-	if !p.reference {
-		p.archivePathFreqs() // resolves ids through the outgoing table
-	}
+	p.archivePathFreqs() // resolves ids through the outgoing table
 	p.kernelTime, p.compKernelTime = 0, 0
 	p.volCommWords, p.volSync, p.volFlops = 0, 0, 0
 	p.executed, p.skipped, p.replayedSkips = 0, 0, 0
@@ -679,31 +666,24 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		// live model state persists and is merged at export time instead —
 		// archiving it here would double-count samples.) The live
 		// accumulators themselves go with the records, below.
-		if !p.reference {
-			p.archiveEstimator()
-		}
+		p.archiveEstimator()
 		p.est.reset()
 		p.extrapolatedSkips = 0
 		p.memoKey = cfg
-		p.memoKeyed = keyed && p.memo != nil
+		p.roIDs, p.roKeys, p.memoFresh = nil, nil, false
 		if g.mc != nil {
 			// Memo hit: adopt the published interner and snapshots.
 			p.tab = g.mc.tab
 			p.roIDs, p.roKeys = g.mc.idOf, g.mc.keys
-			p.memoFresh = false
-		} else {
+		} else if g.tab != nil {
 			p.tab = g.tab
-			p.roIDs, p.roKeys = nil, nil
 			// Rank 0 owes the memo this configuration's table once the
 			// run completes (one publication per world, not per rank).
-			p.memoFresh = p.memoKeyed && p.rank == 0
+			p.memoFresh = keyed && p.memo != nil && p.rank == 0
 		}
 		// Empty the id-indexed tables down to zero length (capacity kept)
 		// so they regrow to the new, compact id range.
-		clear(p.idOf)
 		p.lastValid = false
-		clear(p.keys)
-		p.keys = p.keys[:0]
 		clear(p.k)
 		p.k = p.k[:0]
 		p.touched = 0
@@ -842,8 +822,7 @@ func (p *Profiler) Report() Report {
 	// The configuration is complete, so its interner is too: if this
 	// profiler ran the configuration first (memo miss at StartConfigKeyed),
 	// rank 0 publishes the table for every later profiler of the same
-	// configuration — notably the selective run that follows this reference
-	// run within the same sweep iteration.
+	// configuration — the runs of it in later sweeps and later jobs.
 	if p.memoFresh {
 		p.memo.publish(p.memoKey, p.tab)
 		p.memoFresh = false
@@ -870,21 +849,16 @@ func (p *Profiler) Report() Report {
 }
 
 // Retire donates the profiler's recyclable per-rank state to the attached
-// memo — the records, the private intern cache, the path-frequency table and
-// its spare buffers, and the archive's slabs — for the next profiler of the
-// same world rank built with Options.Memo on the same memo to adopt. The
-// profiler must not be used afterwards. A no-op without a memo. Call it per
-// rank once the sweep is done with the profiler (after the final Report /
-// GlobalProfile).
+// memo — the records, the path-frequency table and its spare buffers, and
+// the archive's slabs — for the next profiler of the same world rank built
+// with Options.Memo on the same memo to adopt. The profiler must not be used
+// afterwards. A no-op without a memo. Call it per rank once the sweep is
+// done with the profiler (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
 		return
 	}
 	a := &memoArena{}
-	clear(p.idOf)
-	a.idOf = p.idOf
-	clear(p.keys[:cap(p.keys)])
-	a.keys = p.keys[:0]
 	clear(p.k[:cap(p.k)])
 	a.k = p.k[:0]
 	// The frequency table has no other holder, and neither it nor the
@@ -898,7 +872,7 @@ func (p *Profiler) Retire() {
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
 	p.memo = nil
-	p.idOf, p.keys, p.k = nil, nil, nil
+	p.k = nil
 	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
 	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
