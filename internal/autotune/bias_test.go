@@ -22,13 +22,15 @@ import (
 // per (study, policy, eps) cell as %.17g text, compared exactly: the golden
 // envelopes pin the same Predicted and Wall values bit for bit.
 //
-// Profiler.complete adopts the peer's path before it charges every op. A
-// blocking point-to-point op's leg already holds the wait for the peer,
-// whose path time the adopted path carries, so that wait counts twice:
-// most of the SLATE bias. Charging first on every op is not the fix (it
-// breaks capital and candmc, whose collectives are exact adopt-first);
-// ROADMAP item 1(a)'s per-op rule is, and the change that lands it
-// re-records this file with `bash scripts/restat.sh`.
+// The order of adoption against charging is fixed per op at
+// Profiler.complete's callers (ROADMAP item 1(a)): a collective adopts the
+// merged path and then charges its leg; a blocking point-to-point op charges
+// its leg, whose duration already holds the idle wait for the peer, and then
+// adopts, so that wait counts once. At eps 0 capital, candmc and slate-qr are
+// then exact to rounding. slate-chol keeps a small over-prediction there: a
+// nonblocking send's Wait adopts the receiver's path although the sender's
+// clock never waited for the receiver. A change to any of this re-records
+// the file with `bash scripts/restat.sh`.
 func TestNoiseFreeAccountingBias(t *testing.T) {
 	quiet := quickMachine()
 	quiet.NoiseSigma = 0

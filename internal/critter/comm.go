@@ -67,14 +67,15 @@ func (c *Comm) Split(color, key int) *Comm {
 }
 
 // collective intercepts one blocking collective: agree on execution via an
-// internal allreduce (which also propagates pathsets), then complete the
-// round with the user operation as its one leg.
+// internal allreduce (which also propagates pathsets), adopt the merged
+// pathset, then complete the round with the user operation as its one leg.
 func (c *Comm) collective(op string, words int, bspWords float64, run func() float64) {
 	p := c.p
 	id, ks := p.intercept(CommKey(op, words, c.user.Size(), c.stride()))
 	local := intMsg{Exec: p.shouldExecute(id, ks), Path: p.snapshot()}
 	g := c.p.lane.Allreduce(c.internal, local, propagate)
-	p.complete(op, g.Path, leg{ks, g.Exec, bspWords, run}, leg{})
+	p.adopt(g.Path)
+	p.complete(op, leg{ks, g.Exec, bspWords, run}, leg{})
 	if p.opts.Policy == Eager {
 		p.aggregateEager(c)
 	}
@@ -91,16 +92,31 @@ type leg struct {
 }
 
 // complete is Figure 2's protocol after the internal exchange, for every
-// profiled op. It adopts peer (the merged pathset after a collective, the
-// peer's after a point-to-point exchange, the zero pathset — a no-op — for an
-// Isend, whose reply Wait adopts), emits the round event, then settles legs a
-// and b in turn and charges each to the path and the volumetric accumulators.
-// The event carries the clock after adoption; Memoized flags a latest local
-// skip replayed from predCache, consumed here so an op with no decision of its
-// own (wait) never inherits one. p.trace is non-nil only on rank 0 of a traced
-// world, so the disabled path costs one branch.
-func (p *Profiler) complete(op string, peer Pathset, a, b leg) {
-	p.adopt(peer)
+// profiled op: it emits the round event, then settles legs a and b in turn
+// and charges each to the path and the volumetric accumulators. It does not
+// adopt the peer's pathset; each caller does, on the side of complete that
+// counts the idle wait for the peer exactly once. In the simulator's cost
+// model no internal round is timed (none charges a transfer cost), and a user
+// op's duration is the time its rank's clock advances, idle wait included:
+//   - A collective adopts first. Its internal allreduce moves every member's
+//     clock to the last arriver's at no cost, so the wait is over before the
+//     user op starts and the op's duration is its transfer cost alone. The
+//     merged pathset is the longest path into the round; the cost added to it
+//     is the path out. Charging first would add the cost to this rank's path
+//     only, short of the longest one.
+//   - Send, Recv, Sendrecv and Wait adopt after. Their internal messages move
+//     no clock, so a blocking op's duration includes the wait: a receiver's
+//     clock jumps to the payload's arrival, which already counts the sender's
+//     path up to the send. Charging the leg and then max-merging the peer's
+//     pathset counts that wait once; adopting first would count it twice.
+//     (Wait has no leg, so the order is moot there.)
+//   - Isend adopts nothing: the receiver's reply reaches it at Wait.
+//
+// The event carries the clock before the legs run; Memoized flags a latest
+// local skip replayed from predCache, consumed here so an op with no decision
+// of its own (wait) never inherits one. p.trace is non-nil only on rank 0 of
+// a traced world, so the disabled path costs one branch.
+func (p *Profiler) complete(op string, a, b leg) {
 	if p.trace != nil {
 		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op, Virtual: p.world.user.Clock()}
 		if p.lastReplayed {
@@ -209,8 +225,9 @@ func (c *Comm) Send(dest, tag int, buf []float64) {
 	local := p.shouldExecute(id, ks)
 	p.flane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
 	peer := c.p.lane.Recv(c.internal, dest, recvIntTag(tag))
-	p.complete("send", peer.Path, leg{ks, local || peer.Exec, float64(len(buf)),
+	p.complete("send", leg{ks, local || peer.Exec, float64(len(buf)),
 		func() float64 { return c.user.Send(dest, tag, buf) }}, leg{})
+	p.adopt(peer.Path)
 }
 
 // Recv profiles a blocking receive matching either a profiled Send or a
@@ -226,7 +243,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 	if peer.Committed {
 		exec = peer.Exec
 	}
-	p.complete("recv", peer.Path, leg{ks, exec, float64(len(buf)), func() float64 {
+	p.complete("recv", leg{ks, exec, float64(len(buf)), func() float64 {
 		if hasData {
 			// A committed executing Isend fused its data into the vote
 			// message; the payload is already in buf and fdt is the sampled
@@ -235,6 +252,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 		}
 		return c.user.Recv(src, tag, buf)
 	}}, leg{})
+	p.adopt(peer.Path)
 }
 
 // Sendrecv profiles a combined send and receive. When the operation is a
@@ -261,11 +279,12 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
-	p.complete("sendrecv", peer.Path,
+	p.complete("sendrecv",
 		leg{sks, localSend || peer.Exec2, float64(len(sendBuf)),
 			func() float64 { return c.user.Send(dest, sendTag, sendBuf) }},
 		leg{rks, localRecv || peer.Exec, float64(len(recvBuf)),
 			func() float64 { return c.user.Recv(src, recvTag, recvBuf) }})
+	p.adopt(peer.Path)
 }
 
 // Request is a profiled nonblocking operation handle. Handles come from, and
@@ -294,7 +313,7 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 	if !exec {
 		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
 	}
-	p.complete("isend", Pathset{}, leg{ks, exec, float64(len(buf)), func() float64 {
+	p.complete("isend", leg{ks, exec, float64(len(buf)), func() float64 {
 		// Vote and data fuse into one timed message with Isend's exact
 		// cost model (the caller may reuse buf immediately).
 		t0 := c.user.Clock()
@@ -340,8 +359,10 @@ func (r *Request) Wait() {
 		r.c.Recv(r.peer, r.tag, r.irecvBuf)
 		return
 	}
-	m := r.c.p.lane.Recv(r.c.internal, r.peer, recvIntTag(r.tag))
-	r.c.p.complete("wait", m.Path, leg{}, leg{})
+	p := r.c.p
+	m := p.lane.Recv(r.c.internal, r.peer, recvIntTag(r.tag))
+	p.complete("wait", leg{}, leg{})
+	p.adopt(m.Path)
 }
 
 // Waitall completes profiled requests in order and releases them, as

@@ -536,7 +536,8 @@ func (p *Profiler) snapshot() Pathset {
 // to the freelist for the next snapshot. After a collective g is the merged
 // global pathset and its table the longest path's; after a point-to-point
 // exchange it is the peer's, taken whether or not the peer's path is the
-// longer one. Profiler.complete, its one caller, applies it to every op.
+// longer one. A collective adopts before it charges its leg, a point-to-point
+// op after (Profiler.complete says why); an Isend adopts nothing.
 func (p *Profiler) adopt(g Pathset) {
 	kernels := p.path.Kernels
 	if g.Kernels.active() {

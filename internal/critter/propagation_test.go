@@ -82,8 +82,10 @@ func (l *pathFreqsLog) note(step, rank int, p *Profiler) {
 //   - freqs (online_path_freqs.golden): every rank's PathFreqs() after
 //     every step, and rank 0's GlobalPathFreqs() at the end (global);
 //   - times (online_path_times.golden): each rank's path ExecTime and
-//     CommTime after every step, as float bits, which a change to the order
-//     of adoption against charging moves while leaving the counts alone;
+//     CommTime after every step, as float bits. A change to the order of
+//     adoption against charging moves these, and the counts with them: a
+//     collective's members adopt the table of the longest path into it,
+//     and which path is longest moves with the times;
 //   - rounds (online_path_rounds.golden): rank 0's stream of round events
 //     (op, virtual-clock bits, memoized flag), which critter-trace's per-op
 //     table reads.
@@ -239,4 +241,72 @@ func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 			cc.Sendrecv(cc.Rank()^1, 0, buf, cc.Rank()^1, 0, make([]float64, 4))
 		})
 	})
+}
+
+// TestP2PWaitChargedOnce holds the order of adoption against charging to
+// the cost model on a noise-free machine with nothing skipped. Rank 0 runs
+// a compute kernel and then exchanges with rank 1, which enters the
+// exchange at once, so rank 1 idles for the kernel's whole duration. Its
+// path must end at the kernel's cost plus one transfer: a point-to-point
+// op's duration already holds that wait, and the adopted peer path must
+// not add it again. The collective case is the control: its internal
+// allreduce absorbs the wait before the user op is timed, so it adopts
+// first and its leg is the transfer alone.
+func TestP2PWaitChargedOnce(t *testing.T) {
+	const words, flops = 16, 1e8
+	m := testMachine(0)
+	kernel := m.ComputeTime(flops)
+	p2p := m.PtToPtTime(8*words) + m.Alpha // injection, then one latency to arrival
+	cases := []struct {
+		name     string
+		transfer float64
+		exchange func(cc *Comm, buf []float64)
+	}{
+		{"send-recv", p2p, func(cc *Comm, buf []float64) {
+			if cc.Rank() == 0 {
+				cc.Send(1, 0, buf)
+			} else {
+				cc.Recv(0, 0, buf)
+			}
+		}},
+		{"sendrecv", p2p, func(cc *Comm, buf []float64) {
+			cc.Sendrecv(cc.Rank()^1, 0, buf, cc.Rank()^1, 0, make([]float64, words))
+		}},
+		{"isend-recv-wait", p2p, func(cc *Comm, buf []float64) {
+			if cc.Rank() == 0 {
+				cc.Isend(1, 0, buf).Wait()
+			} else {
+				cc.Recv(0, 0, buf)
+			}
+		}},
+		{"bcast", m.CollectiveTime(8*words, 2), func(cc *Comm, buf []float64) {
+			cc.Bcast(0, buf)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := mpi.NewWorld(2, m, 7)
+			err := w.Run(func(c *mpi.Comm) {
+				p, cc := New(c, Options{Policy: Online, Eps: 0})
+				if cc.Rank() == 0 {
+					p.Kernel("work", 64, 64, 64, 0, flops, func() {})
+				}
+				tc.exchange(cc, make([]float64, words))
+				if p.skipped != 0 {
+					t.Errorf("rank %d skipped %d kernels at eps 0", cc.Rank(), p.skipped)
+				}
+				if cc.Rank() != 1 {
+					return
+				}
+				want := kernel + tc.transfer
+				if got := p.path.ExecTime; math.Abs(got-want) > 1e-12*want {
+					t.Errorf("rank 1 path ExecTime %.17g, want kernel %g + transfer %g = %.17g",
+						got, kernel, tc.transfer, want)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
