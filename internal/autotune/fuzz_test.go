@@ -15,23 +15,25 @@ import (
 	"critter/internal/workload"
 )
 
+// FuzzParseStudy fuzzes the -study gate: workload.ResolveStudy over a
+// workload name and one of its preset names.
 func FuzzParseStudy(f *testing.F) {
-	for _, seed := range []string{"capital", "slate-chol", "candmc", "slate-qr",
-		"cholesky3d", "qr2d", "", "CAPITAL", "slate-qr ", "bogus"} {
-		f.Add(seed)
+	for _, seed := range [][2]string{{"capital", "quick"}, {"slate-chol", "default"},
+		{"candmc", "huge"}, {"slate-qr", "quick"}, {"cholesky3d", "quick"}, {"qr2d", "default"},
+		{"", "quick"}, {"CAPITAL", "quick"}, {"slate-qr ", "quick"}, {"bogus", "Quick"}} {
+		f.Add(seed[0], seed[1])
 	}
-	scale := QuickScale()
-	f.Fuzz(func(t *testing.T, name string) {
-		st, err := workload.ParseStudy(nil, name, scale)
+	f.Fuzz(func(t *testing.T, name, scale string) {
+		st, err := workload.ResolveStudy(nil, name, scale)
 		if err != nil {
 			return
 		}
 		if st.Name == "" || st.Size() <= 0 || st.WorldSize <= 0 || st.Run == nil {
-			t.Fatalf("ParseStudy(%q) returned a half-built study: %+v", name, st)
+			t.Fatalf("ResolveStudy(%q, %q) returned a half-built study: %+v", name, scale, st)
 		}
 		for v := 0; v < st.Size(); v++ {
 			if st.Label(v) == "" {
-				t.Fatalf("ParseStudy(%q): config %d has no label", name, v)
+				t.Fatalf("ResolveStudy(%q, %q): config %d has no label", name, scale, v)
 			}
 		}
 	})

@@ -136,7 +136,6 @@ func (p *Profiler) complete(op string, a, b leg) {
 		p.path.BSPSync++
 		p.volCommWords += l.words
 		p.volSync++
-		l.ks.pathTime += dt
 	}
 }
 
@@ -200,16 +199,11 @@ func (c *Comm) p2pKey(op string, words, peer int) Key {
 // Internal piggyback messages are tagged by direction so that a send's
 // profile message can only pair with the matching receive's reply (and vice
 // versa), regardless of how the application interleaves traffic between the
-// same pair of ranks.
-//
-// The sender-to-receiver leg (sendIntTag) travels on the fused lane
-// (mpi.FusedLane): a committed executing send posts its vote and its data
-// as ONE timed message, while vote-only cases post an untimed aux-only
-// message. The receiver-to-sender leg (recvIntTag) and the symmetric
-// exchange (srIntTag) stay on the plain intMsg lane. Fusing is
-// observationally invisible — the fused message's cost model is exactly
-// Isend's and untimed messages never touch clocks or RNG streams — and
-// saves one fabric message per committed point-to-point pair.
+// same pair of ranks. Every vote is an untimed message on the profiler's one
+// intMsg lane: the sender-to-receiver vote (sendIntTag), the receiver's reply
+// (recvIntTag) and the symmetric exchange (srIntTag). An executing user op
+// sends its data on the user communicator; a data message exists exactly
+// when its vote says execute, so votes and data pair in order.
 func sendIntTag(tag int) int { return 3 * tag }
 func recvIntTag(tag int) int { return 3*tag + 1 }
 func srIntTag(tag int) int   { return 3*tag + 2 }
@@ -223,8 +217,8 @@ func (c *Comm) Send(dest, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("send", len(buf), dest))
 	local := p.shouldExecute(id, ks)
-	p.flane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
-	peer := c.p.lane.Recv(c.internal, dest, recvIntTag(tag))
+	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
+	peer := p.lane.Recv(c.internal, dest, recvIntTag(tag))
 	p.complete("send", leg{ks, local || peer.Exec, float64(len(buf)),
 		func() float64 { return c.user.Send(dest, tag, buf) }}, leg{})
 	p.adopt(peer.Path)
@@ -237,21 +231,14 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("recv", len(buf), src))
 	local := p.shouldExecute(id, ks)
-	c.p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
-	peer, fdt, hasData := p.flane.Recv(c.internal, src, sendIntTag(tag), buf)
+	p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
+	peer := p.lane.Recv(c.internal, src, sendIntTag(tag))
 	exec := local || peer.Exec
 	if peer.Committed {
 		exec = peer.Exec
 	}
-	p.complete("recv", leg{ks, exec, float64(len(buf)), func() float64 {
-		if hasData {
-			// A committed executing Isend fused its data into the vote
-			// message; the payload is already in buf and fdt is the sampled
-			// arrival duration Comm.Recv would have returned.
-			return fdt
-		}
-		return c.user.Recv(src, tag, buf)
-	}}, leg{})
+	p.complete("recv", leg{ks, exec, float64(len(buf)),
+		func() float64 { return c.user.Recv(src, tag, buf) }}, leg{})
 	p.adopt(peer.Path)
 }
 
@@ -275,7 +262,7 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 	sks := p.at(sendID)
 	localSend := p.shouldExecute(sendID, sks)
 	localRecv := p.shouldExecute(recvID, rks)
-	peer := c.p.lane.Exchange(c.internal, dest, srIntTag(sendTag),
+	peer := p.lane.Exchange(c.internal, dest, srIntTag(sendTag),
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
@@ -303,21 +290,17 @@ type Request struct {
 // Isend profiles a nonblocking send. The execution decision is made
 // unilaterally from the sender's model (a committed decision the receiver
 // follows), and the receiver's pathset reply is consumed at Wait, mirroring
-// Figure 2's nonblocking protocol. An executing send fuses its vote and
-// data into one timed message; a skipped send posts the vote untimed.
+// Figure 2's nonblocking protocol. The vote is untimed; an executing send
+// then posts its data with mpi.Comm.Isend (the caller may reuse buf
+// immediately).
 func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
 	exec := p.shouldExecute(id, ks)
-	aux := intMsg{Exec: exec, Committed: true, Path: p.snapshot()}
-	if !exec {
-		p.flane.Send(c.internal, dest, sendIntTag(tag), aux)
-	}
+	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: exec, Committed: true, Path: p.snapshot()})
 	p.complete("isend", leg{ks, exec, float64(len(buf)), func() float64 {
-		// Vote and data fuse into one timed message with Isend's exact
-		// cost model (the caller may reuse buf immediately).
 		t0 := c.user.Clock()
-		p.flane.Isend(c.internal, dest, sendIntTag(tag), aux, buf)
+		c.user.Isend(dest, tag, buf)
 		return c.user.Clock() - t0
 	}}, leg{})
 	r := p.newRequest()

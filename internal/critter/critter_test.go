@@ -266,6 +266,48 @@ func TestIsendCommittedProtocol(t *testing.T) {
 	})
 }
 
+// TestIsendVoteDataPairing: an Isend's vote travels on the internal lane and
+// its data, when it executes, on the user communicator, so a receive pairs
+// the two only because a data message exists exactly when its vote says
+// execute. On one tag, rank 0 Isends one signature until it is skipped, then
+// a fresh signature of another length; rank 1 receives each. A data message
+// posted for the skipped send would land in the shorter receive and panic on
+// its length; a vote paired with the wrong data would show in the payloads.
+func TestIsendVoteDataPairing(t *testing.T) {
+	const tag, maxSends = 5, 200
+	runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0.25}, func(p *Profiler, cc *Comm) {
+		long := make([]float64, 8)
+		sends := 0
+		for ; p.skipped == 0; sends++ {
+			if sends == maxSends {
+				t.Errorf("rank %d: %d sends of one signature, none skipped", cc.Rank(), sends)
+				return
+			}
+			if cc.Rank() == 0 {
+				for j := range long {
+					long[j] = float64(sends*len(long) + j)
+				}
+				Waitall([]*Request{cc.Isend(1, tag, long)})
+				continue
+			}
+			cc.Recv(0, tag, long)
+			// A skipped receive lands nothing.
+			if want := float64(sends * len(long)); p.skipped == 0 && long[0] != want {
+				t.Errorf("send %d: payload starts %g, want %g", sends, long[0], want)
+			}
+		}
+		if cc.Rank() == 0 {
+			Waitall([]*Request{cc.Isend(1, tag, []float64{-1, -2, -3})})
+			return
+		}
+		short := make([]float64, 3)
+		cc.Recv(0, tag, short)
+		if short[0] != -1 || short[1] != -2 || short[2] != -3 {
+			t.Errorf("fresh signature after %d sends landed %v, want [-1 -2 -3]", sends, short)
+		}
+	})
+}
+
 func TestIrecvLazyCompletion(t *testing.T) {
 	runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
 		if cc.Rank() == 0 {
@@ -696,4 +738,27 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	if full.global.Samples() == 0 {
 		t.Error("the twin's GlobalProfile holds no samples")
 	}
+}
+
+// TestProfileIncludesCommKernels: a communication kernel is counted on the
+// rank's path like a computation kernel, once per call.
+func TestProfileIncludesCommKernels(t *testing.T) {
+	runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
+		buf := make([]float64, 1024)
+		for i := 0; i < 3; i++ {
+			cc.Bcast(0, buf)
+		}
+		found := false
+		for k, n := range p.PathFreqs() {
+			if k.Kind == KindComm && k.Name == "bcast" {
+				found = true
+				if n != 3 {
+					t.Errorf("bcast path count = %d", n)
+				}
+			}
+		}
+		if !found {
+			t.Error("communication kernel missing from the path")
+		}
+	})
 }

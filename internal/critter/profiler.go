@@ -49,9 +49,6 @@ type kernelStats struct {
 	// current configuration (the Local policy's frequency credit); the
 	// kernel is on the rank's path this configuration iff it is nonzero.
 	localFreq int64
-	// pathTime is the path time attributed to the kernel this configuration
-	// (profile_report.go).
-	pathTime float64
 }
 
 // Options configures a Profiler.
@@ -138,13 +135,11 @@ type Profiler struct {
 	// 16-25), keyed by hash, seeded with the world channel.
 	aggregates map[uint64]channel.Channel
 
-	// lane is the pre-resolved typed-message lane the piggyback protocol
-	// runs on (one fabric lookup at construction instead of per message).
-	// flane carries the sender-to-receiver leg of the point-to-point
-	// protocol as fused messages: a committed send's vote travels with its
-	// data as one timed message (comm.go).
-	lane  mpi.Lane[intMsg]
-	flane mpi.FusedLane[intMsg]
+	// lane is the pre-resolved typed-message lane every internal message
+	// runs on (one fabric lookup at construction instead of per message):
+	// point-to-point votes and replies and the collectives' allreduce. No
+	// message on it is timed (comm.go).
+	lane mpi.Lane[intMsg]
 
 	// est is the part of the rank's prediction model that is not
 	// per-signature (estimator.go): the family fits and the prior.
@@ -242,7 +237,6 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	}
 	p.tab = mpi.BcastMsg(internal, mine)
 	p.lane = mpi.LaneOf[intMsg](world.World())
-	p.flane = mpi.FusedLaneOf[intMsg](world.World())
 	if p.rank == 0 {
 		p.trace = world.World().TracerOf()
 	}
@@ -592,7 +586,6 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 	p.path.CompTime += dt
 	p.path.BSPComp += flops
 	p.volFlops += flops
-	ks.pathTime += dt
 	return dt
 }
 
@@ -705,7 +698,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	p.path = Pathset{Kernels: kc}
 	for i := range p.k {
 		ks := &p.k[i]
-		ks.perConfig, ks.localFreq, ks.pathTime = 0, 0, 0
+		ks.perConfig, ks.localFreq = 0, 0
 	}
 }
 

@@ -73,15 +73,6 @@ func (p *Profiler) Trtri(n int, a []float64, lda int) error {
 	return err
 }
 
-// Getrf profiles an LU factorization with partial pivoting.
-func (p *Profiler) Getrf(m, n int, a []float64, lda int, ipiv []int) error {
-	var err error
-	p.Kernel("getrf", m, n, 0, 0, lapack.GetrfFlops(m, n), func() {
-		err = lapack.Dgetrf(m, n, a, lda, ipiv)
-	})
-	return err
-}
-
 // GetrfNoPiv profiles an unpivoted LU factorization (Householder
 // reconstruction kernel).
 func (p *Profiler) GetrfNoPiv(m, n int, a []float64, lda int) error {
@@ -124,19 +115,5 @@ func (p *Profiler) Tpqrt(m, n, ib int, a []float64, lda int, b []float64, ldb in
 func (p *Profiler) Tpmqrt(trans bool, m, n, k, ib int, v []float64, ldv int, t []float64, ldt int, atop []float64, ldat int, b []float64, ldb int) {
 	p.Kernel("tpmqrt", m, n, k, boolFlag(trans), lapack.TpmqrtFlops(m, n, k), func() {
 		lapack.Dtpmqrt(trans, m, n, k, ib, v, ldv, t, ldt, atop, ldat, b, ldb)
-	})
-}
-
-// Ormqr profiles the application of reflectors from a Geqrf factorization.
-func (p *Profiler) Ormqr(trans bool, m, n, k int, a []float64, lda int, tau []float64, c []float64, ldc int) {
-	p.Kernel("ormqr", m, n, k, boolFlag(trans), lapack.OrmqrFlops(m, n, k), func() {
-		lapack.Dorm2r(trans, m, n, k, a, lda, tau, c, ldc)
-	})
-}
-
-// Orgqr profiles the explicit formation of Q.
-func (p *Profiler) Orgqr(m, k int, a []float64, lda int, tau []float64, q []float64, ldq int) {
-	p.Kernel("orgqr", m, k, 0, 0, lapack.OrgqrFlops(m, k), func() {
-		lapack.Dorgqr(m, k, a, lda, tau, q, ldq)
 	})
 }

@@ -50,10 +50,6 @@ func OrmqrFlops(m, n, k int) float64 {
 	return 4*fm*fn*fk - 2*fn*fk*fk
 }
 
-// OrgqrFlops returns the flop count of forming m-by-k explicit Q from k
-// reflectors.
-func OrgqrFlops(m, k int) float64 { return OrmqrFlops(m, k, k) }
-
 // TpqrtFlops returns the flop count of the triangular-pentagonal QR of an
 // n-by-n triangle stacked on an m-by-n block (L=0).
 func TpqrtFlops(m, n int) float64 {

@@ -124,37 +124,6 @@ func Dtrtri(n int, a []float64, lda int) error {
 	return nil
 }
 
-// Dgetrf computes an LU factorization with partial pivoting of the m-by-n
-// matrix a in place: P*A = L*U with L unit lower trapezoidal and U upper
-// triangular. ipiv (length min(m,n)) records the row swapped with row i at
-// step i.
-func Dgetrf(m, n int, a []float64, lda int, ipiv []int) error {
-	k := min(m, n)
-	for j := 0; j < k; j++ {
-		p := j + blas.Idamax(m-j, a[j+j*lda:], 1)
-		ipiv[j] = p
-		if a[p+j*lda] == 0 {
-			return ErrSingular{Col: j}
-		}
-		if p != j {
-			for c := 0; c < n; c++ {
-				a[j+c*lda], a[p+c*lda] = a[p+c*lda], a[j+c*lda]
-			}
-		}
-		piv := a[j+j*lda]
-		for i := j + 1; i < m; i++ {
-			a[i+j*lda] /= piv
-		}
-		if j+1 < m && j+1 < n {
-			blas.Dger(m-j-1, n-j-1, -1,
-				a[j+1+j*lda:], 1,
-				a[j+(j+1)*lda:], lda,
-				a[j+1+(j+1)*lda:], lda)
-		}
-	}
-	return nil
-}
-
 // trti2 is the unblocked inverse of one lower-triangular diagonal block,
 // from its last column back: under the diagonal, column c of the inverse is
 // -inv(L22) * l21 / l11 with L22 the trailing triangle, already inverted.

@@ -111,51 +111,6 @@ func TestDtrtriSingular(t *testing.T) {
 	}
 }
 
-func TestDgetrfReconstruction(t *testing.T) {
-	for _, dims := range [][2]int{{5, 5}, {8, 5}, {5, 8}, {16, 16}} {
-		m, n := dims[0], dims[1]
-		a := randMat(m, n, uint64(m*37+n))
-		lu := append([]float64(nil), a...)
-		ipiv := make([]int, min(m, n))
-		if err := Dgetrf(m, n, lu, m, ipiv); err != nil {
-			t.Fatalf("%dx%d: %v", m, n, err)
-		}
-		k := min(m, n)
-		// Build L (m-by-k unit lower) and U (k-by-n upper).
-		l := make([]float64, m*k)
-		u := make([]float64, k*n)
-		for j := 0; j < k; j++ {
-			l[j+j*m] = 1
-			for i := j + 1; i < m; i++ {
-				l[i+j*m] = lu[i+j*m]
-			}
-		}
-		for j := 0; j < n; j++ {
-			for i := 0; i <= min(j, k-1); i++ {
-				u[i+j*k] = lu[i+j*m]
-			}
-		}
-		pa := make([]float64, m*n)
-		blas.Dgemm(false, false, m, n, k, 1, l, m, u, k, 0, pa, m)
-		// Apply recorded swaps to A to get P*A.
-		ref := append([]float64(nil), a...)
-		for j := 0; j < k; j++ {
-			p := ipiv[j]
-			if p != j {
-				for c := 0; c < n; c++ {
-					ref[j+c*m], ref[p+c*m] = ref[p+c*m], ref[j+c*m]
-				}
-			}
-		}
-		for i := range pa {
-			pa[i] -= ref[i]
-		}
-		if rel := frobNorm(pa) / frobNorm(a); rel > 1e-12 {
-			t.Errorf("%dx%d: ||PA-LU||/||A|| = %g", m, n, rel)
-		}
-	}
-}
-
 func TestDgetrfNoPiv(t *testing.T) {
 	// Diagonally dominant matrices admit unpivoted LU.
 	n := 10
@@ -435,7 +390,6 @@ func TestFlopsFormulasPositive(t *testing.T) {
 		{"getrfWide", GetrfFlops(4, 6)},
 		{"geqrf", GeqrfFlops(6, 4)},
 		{"ormqr", OrmqrFlops(6, 4, 3)},
-		{"orgqr", OrgqrFlops(6, 4)},
 		{"tpqrt", TpqrtFlops(6, 4)},
 		{"tpmqrt", TpmqrtFlops(6, 4, 3)},
 	}

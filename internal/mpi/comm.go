@@ -44,8 +44,8 @@ func (c *Comm) World() *World { return c.w }
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.state.clock.Now() }
 
-// AdvanceClock moves the rank's virtual clock forward by dt seconds.
-// It is used by the profiler to charge measured kernel durations.
+// AdvanceClock moves the rank's virtual clock forward by dt seconds. Only
+// tests call it, to stagger ranks' clocks.
 func (c *Comm) AdvanceClock(dt float64) { c.state.clock.Advance(dt) }
 
 // ResetClock rewinds the rank's virtual clock to zero. All ranks should
@@ -66,14 +66,6 @@ func (c *Comm) Compute(flops float64) float64 {
 	dt := m.ComputeTime(flops) * m.Noise(c.state.rng)
 	c.state.clock.Advance(dt)
 	return dt
-}
-
-// ComputeTime returns a sampled duration for a kernel of the given flops
-// without advancing the clock (used when the profiler wants to measure
-// without committing, e.g. during selective replay).
-func (c *Comm) ComputeTime(flops float64) float64 {
-	m := c.w.machine
-	return m.ComputeTime(flops) * m.Noise(c.state.rng)
 }
 
 // Rekey makes everything the rank draws from here on a function of key

@@ -36,9 +36,20 @@ type fbox[T any] struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []fmsg[T]
-	// parked is set while the owning rank waits on cond and is counted in
-	// World.idle; the next post clears both (see World.park).
+	// parked is set while the owning rank waits on cond for the message want
+	// describes, and is counted in World.idle; only the post of such a
+	// message clears both and wakes it (see World.park). A rank waiting for
+	// one message sleeps through the others, such as the replies to its own
+	// profiled Isends that arrive while it waits for a peer's vote on the
+	// same lane.
 	parked bool
+	want   msgKey
+}
+
+// msgKey is what a receive matches: context, source rank and tag.
+type msgKey struct {
+	ctx      uint64
+	src, tag int
 }
 
 // round coordinates one collective operation instance: one slot per member
@@ -168,10 +179,10 @@ func (f *fabric[T]) post(dest int, m fmsg[T]) {
 	defer box.mu.Unlock()
 	f.w.checkAbort()
 	box.queue = append(box.queue, m)
-	box.cond.Broadcast()
-	if box.parked {
+	if box.parked && box.want == (msgKey{m.ctx, m.src, m.tag}) {
 		box.parked = false
 		f.w.unpark(1)
+		box.cond.Signal()
 	}
 }
 
@@ -193,6 +204,7 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 				return out
 			}
 		}
+		box.want = msgKey{c.ctx, src, tag}
 		if !box.parked {
 			box.parked = true
 			f.w.park(&box.mu)
@@ -305,7 +317,7 @@ func (l Lane[T]) Recv(c *Comm, src, tag int) T {
 
 // Exchange sends payload to peer and receives the peer's payload, both
 // untimed. Both sides must call it. It is the runtime's analogue of the
-// internal PMPI_Sendrecv in Figure 2 of the paper.
+// internal combined send-receive in Figure 2 of the paper.
 func (l Lane[T]) Exchange(c *Comm, peer, tag int, payload T) T {
 	l.Send(c, peer, tag, payload)
 	return l.Recv(c, peer, tag)

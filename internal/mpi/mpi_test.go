@@ -155,59 +155,63 @@ func TestAbortUnblocksPeers(t *testing.T) {
 	}
 }
 
-func TestSendrecvNoDeadlock(t *testing.T) {
+// TestBufferedSendsNoDeadlock: both ranks send before they receive. Sends
+// are buffered, so the pairwise exchange cannot deadlock.
+func TestBufferedSendsNoDeadlock(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		peer := 1 - c.Rank()
 		out := []float64{float64(c.Rank())}
 		in := make([]float64, 1)
-		c.Sendrecv(peer, 0, out, peer, 0, in)
+		c.Send(peer, 0, out)
+		c.Recv(peer, 0, in)
 		if in[0] != float64(peer) {
-			t.Errorf("sendrecv got %v, want %d", in[0], peer)
+			t.Errorf("exchange got %v, want %d", in[0], peer)
 		}
 	})
 }
 
-func TestIsendIrecvWait(t *testing.T) {
+// TestIsendRecv: an Isend's payload is captured at issue, so the sender may
+// overwrite its buffer at once and the receiver still gets what was sent.
+func TestIsendRecv(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			req := c.Isend(1, 4, []float64{3.14})
-			if !req.Done() {
-				t.Error("isend request should be complete immediately (buffered)")
-			}
-			req.Wait()
+			buf := []float64{3.14}
+			c.Isend(1, 4, buf)
+			buf[0] = -1
 		} else {
 			buf := make([]float64, 1)
-			req := c.Irecv(0, 4, buf)
-			if req.Done() {
-				t.Error("irecv should not be done before Wait")
-			}
-			req.Wait()
+			c.Recv(0, 4, buf)
 			if buf[0] != 3.14 {
-				t.Errorf("irecv got %v", buf[0])
+				t.Errorf("recv got %v, want 3.14", buf[0])
 			}
 		}
 	})
 }
 
-func TestWaitall(t *testing.T) {
+// TestIsendTagMatching: a receive takes the message with its tag whatever
+// order the tags were sent in, and messages under one tag land in the order
+// they were sent.
+func TestIsendTagMatching(t *testing.T) {
 	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			var reqs []*Request
 			for i := 0; i < 5; i++ {
-				reqs = append(reqs, c.Isend(1, i, []float64{float64(i * i)}))
+				c.Isend(1, i, []float64{float64(i * i)})
 			}
-			Waitall(reqs)
+			for i := 0; i < 3; i++ {
+				c.Isend(1, 9, []float64{float64(100 + i)})
+			}
 		} else {
-			bufs := make([][]float64, 5)
-			var reqs []*Request
-			for i := 0; i < 5; i++ {
-				bufs[i] = make([]float64, 1)
-				reqs = append(reqs, c.Irecv(0, i, bufs[i]))
+			buf := make([]float64, 1)
+			for i := 4; i >= 0; i-- {
+				c.Recv(0, i, buf)
+				if buf[0] != float64(i*i) {
+					t.Errorf("tag %d got %v, want %d", i, buf[0], i*i)
+				}
 			}
-			Waitall(reqs)
-			for i := 0; i < 5; i++ {
-				if bufs[i][0] != float64(i*i) {
-					t.Errorf("req %d got %v", i, bufs[i][0])
+			for i := 0; i < 3; i++ {
+				c.Recv(0, 9, buf)
+				if buf[0] != float64(100+i) {
+					t.Errorf("message %d under tag 9 got %v, want %d", i, buf[0], 100+i)
 				}
 			}
 		}
@@ -335,7 +339,8 @@ func TestDeterministicVirtualTime(t *testing.T) {
 				c.Bcast(iter%4, buf)
 				peer := (c.Rank() + 1) % 4
 				prev := (c.Rank() + 3) % 4
-				c.Sendrecv(peer, iter, buf[:16], prev, iter, buf[:16])
+				c.Send(peer, iter, buf[:16])
+				c.Recv(prev, iter, buf[:16])
 				c.Compute(1e5)
 			}
 			mu.Lock()
@@ -556,7 +561,8 @@ func TestManyRanksStress(t *testing.T) {
 			prev := (c.Rank() + 63) % 64
 			out := []float64{float64(c.Rank())}
 			in := make([]float64, 1)
-			c.Sendrecv(peer, iter, out, prev, iter, in)
+			c.Send(peer, iter, out)
+			c.Recv(prev, iter, in)
 			if in[0] != float64(prev) {
 				t.Errorf("ring got %v want %d", in[0], prev)
 			}
@@ -613,7 +619,8 @@ func TestRekeyMakesTimingsAFunctionOfTheKey(t *testing.T) {
 			next, prev := (c.Rank()+1)%ranks, (c.Rank()+ranks-1)%ranks
 			for i := 0; i < 5; i++ {
 				c.Compute(1e5)
-				c.Sendrecv(next, i, buf[:16], prev, i, buf[:16])
+				c.Send(next, i, buf[:16])
+				c.Recv(prev, i, buf[:16])
 				c.Bcast(i%ranks, buf)
 				row.Allreduce(buf[:8], buf[:8], OpMax)
 			}

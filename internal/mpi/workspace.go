@@ -21,10 +21,9 @@ package mpi
 // must hold depends on how far apart the ranks happen to run, while each
 // rank's stack depth depends on its own program only.
 //
-// Everything Comm's operations need of a buffer is over when they return
-// (payloads are captured at issue, rounds complete before any member leaves),
-// with one exception: a buffer handed to Irecv must not be released before
-// its Wait.
+// Everything Comm's operations need of a buffer is over when they return:
+// payloads are captured at issue, and rounds complete before any member
+// leaves.
 type Workspace struct {
 	pool   *BufPool
 	chunks [][]float64

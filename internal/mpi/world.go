@@ -9,12 +9,13 @@
 // scheduling.
 //
 // The interface mirrors the MPI subset used by the paper's four case-study
-// libraries: blocking and nonblocking point-to-point (Send, Recv, Sendrecv,
-// Isend, Irecv, Wait), the collectives Bcast, Reduce, Allreduce, Allgather,
-// Gather, Scatter, Barrier, and communicator construction via Split and Dup.
-// Payloads are []float64 (application data) or typed values via the generic
-// message core (Lane, FusedLane, AllreduceMsg and BcastMsg, used by the
-// profiler's internal piggyback messages).
+// libraries: point-to-point Send, Isend and Recv (an Isend captures its
+// payload at issue, so it completes at once and has no request to wait on),
+// the collectives Bcast, Reduce, Allreduce, Allgather, Gather, Scatter,
+// Barrier, and communicator construction via Split and Dup. Payloads are
+// []float64 (application data) or typed values via the generic message core
+// (Lane, AllreduceMsg and BcastMsg, used by the profiler's internal
+// piggyback messages).
 //
 // All traffic runs on sharded typed fabrics (fabric.go): one mailbox lock
 // per destination rank and a fixed set of collective-round shards per
@@ -256,9 +257,9 @@ func (w *World) deadlocked(idle int64) bool {
 
 // park counts the calling rank as blocked, just before it waits on the
 // condition variable of inner, which it holds. Whoever later makes the
-// rank's wait predicate true — a post to its mailbox, the last arrival of
-// its round — uncounts it under the same lock, so the count never includes
-// a rank that can proceed. The rank that completes the count aborts the
+// rank's wait predicate true — the post of the message it waits for, the
+// last arrival of its round — uncounts it under the same lock, so the count
+// never includes a rank that can proceed. The rank that completes the count aborts the
 // world with errDeadlock (dropping inner, which abort must take to
 // broadcast) and unwinds like every other rank.
 func (w *World) park(inner *sync.Mutex) {

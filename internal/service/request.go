@@ -40,8 +40,8 @@ type JobRequest struct {
 	Policies []string `json:"policies,omitempty"`
 	// Eps lists the confidence tolerances to sweep. Default: [0.125].
 	Eps []float64 `json:"eps,omitempty"`
-	// Strategy is a search-strategy spec ("exhaustive", "random:N",
-	// "halving[:ETA]"). Default: exhaustive.
+	// Strategy is a search-strategy spec in autotune.StrategyNames'
+	// grammar, as autotune.ParseStrategy reads it. Default: exhaustive.
 	Strategy string `json:"strategy,omitempty"`
 	// Seed seeds every sweep's world. Default: 42.
 	Seed *uint64 `json:"seed,omitempty"`

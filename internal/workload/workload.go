@@ -238,21 +238,6 @@ func List() []Workload { return defaultRegistry.List() }
 // order.
 func Names() []string { return defaultRegistry.Names() }
 
-// ParseStudy resolves a workload name in reg (nil means the default
-// registry) and builds its study at the given scale. The error enumerates
-// the registered names.
-func ParseStudy(reg *Registry, name string, s autotune.Scale) (autotune.Study, error) {
-	if reg == nil {
-		reg = defaultRegistry
-	}
-	w, ok := reg.Lookup(name)
-	if !ok {
-		return autotune.Study{}, fmt.Errorf("workload: unknown workload %q (want %s)",
-			name, strings.Join(reg.Names(), ", "))
-	}
-	return w.Build(s), nil
-}
-
 // ResolveStudy resolves a workload name and one of its declared scale
 // presets together, building the study — the canonical name-to-study path
 // for the CLIs and the service: the scale namespace is the chosen

@@ -69,12 +69,12 @@ func TestBuildsMatchConstructors(t *testing.T) {
 		{"qr2d", autotune.CandmcQR(q)},
 	}
 	for _, tc := range cases {
-		st, err := ParseStudy(nil, tc.workload, q)
+		st, err := ResolveStudy(nil, tc.workload, "quick")
 		if err != nil {
-			t.Fatalf("ParseStudy(%q): %v", tc.workload, err)
+			t.Fatalf("ResolveStudy(%q, quick): %v", tc.workload, err)
 		}
 		if st.Name != tc.study.Name || st.Size() != tc.study.Size() || st.WorldSize != tc.study.WorldSize {
-			t.Errorf("ParseStudy(%q) = {%s %d %d}, want {%s %d %d}",
+			t.Errorf("ResolveStudy(%q, quick) = {%s %d %d}, want {%s %d %d}",
 				tc.workload, st.Name, st.Size(), st.WorldSize,
 				tc.study.Name, tc.study.Size(), tc.study.WorldSize)
 		}
@@ -176,9 +176,9 @@ func (noScales) Scales() []ScalePreset                 { return nil }
 // TestParseStudyErrorEnumerates checks the unknown-workload error names
 // every registered workload, mirroring the old switch-based message.
 func TestParseStudyErrorEnumerates(t *testing.T) {
-	_, err := ParseStudy(nil, "bogus", autotune.QuickScale())
+	_, err := ResolveStudy(nil, "bogus", "quick")
 	if err == nil {
-		t.Fatal("ParseStudy(bogus) succeeded")
+		t.Fatal("ResolveStudy(bogus, quick) succeeded")
 	}
 	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
