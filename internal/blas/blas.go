@@ -71,15 +71,6 @@ func badDims(routine string, dims ...int) string {
 	return fmt.Sprintf("blas: %s: negative dimension in %v", routine, dims)
 }
 
-// Ddot returns x^T y over n elements with the given strides.
-func Ddot(n int, x []float64, incx int, y []float64, incy int) float64 {
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += x[i*incx] * y[i*incy]
-	}
-	return s
-}
-
 // Daxpy computes y += alpha*x over n strided elements.
 func Daxpy(n int, alpha float64, x []float64, incx int, y []float64, incy int) {
 	for i := 0; i < n; i++ {
@@ -114,51 +105,4 @@ func Dnrm2(n int, x []float64, incx int) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Idamax returns the index of the element of largest absolute value among n
-// strided elements of x (first such index on ties), or -1 when n <= 0.
-func Idamax(n int, x []float64, incx int) int {
-	if n <= 0 {
-		return -1
-	}
-	best, bi := math.Abs(x[0]), 0
-	for i := 1; i < n; i++ {
-		if av := math.Abs(x[i*incx]); av > best {
-			best, bi = av, i
-		}
-	}
-	return bi
-}
-
-// Dgemv computes y = alpha*op(A)*x + beta*y for an m-by-n matrix A.
-func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float64, incx int, beta float64, y []float64, incy int) {
-	rows, cols := m, n
-	if trans {
-		rows, cols = n, m
-	}
-	for i := 0; i < rows; i++ {
-		s := 0.0
-		for j := 0; j < cols; j++ {
-			if trans {
-				s += a[j+i*lda] * x[j*incx]
-			} else {
-				s += a[i+j*lda] * x[j*incx]
-			}
-		}
-		y[i*incy] = alpha*s + beta*y[i*incy]
-	}
-}
-
-// Dger computes the rank-1 update A += alpha * x * y^T for an m-by-n A.
-func Dger(m, n int, alpha float64, x []float64, incx int, y []float64, incy int, a []float64, lda int) {
-	for j := 0; j < n; j++ {
-		yj := alpha * y[j*incy]
-		if yj == 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			a[i+j*lda] += x[i*incx] * yj
-		}
-	}
 }

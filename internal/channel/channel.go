@@ -78,19 +78,6 @@ func isAscending(xs []int) bool {
 	return true
 }
 
-// P2P returns the size-2 channel the paper assigns to a point-to-point
-// configuration between two world ranks.
-func P2P(a, b int) Channel {
-	if a > b {
-		a, b = b, a
-	}
-	s := b - a
-	if s == 0 {
-		s = 1 // self-message; degenerate but keep a valid stride
-	}
-	return Channel{Offset: a, Dims: []Dim{{Stride: s, Size: 2}}}
-}
-
 // Ranks returns the number of world ranks the channel spans.
 func (c Channel) Ranks() int {
 	n := 1

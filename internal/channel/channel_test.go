@@ -47,16 +47,6 @@ func TestFromGroupNonUniform(t *testing.T) {
 	}
 }
 
-func TestP2P(t *testing.T) {
-	ch := P2P(9, 3)
-	if ch.Offset != 3 || ch.Dims[0] != (Dim{Stride: 6, Size: 2}) {
-		t.Errorf("p2p channel: %v", ch)
-	}
-	if P2P(3, 9).Hash() != ch.Hash() {
-		t.Error("p2p hash should be symmetric in endpoints")
-	}
-}
-
 func TestHashIgnoresOffset(t *testing.T) {
 	a, _ := FromGroup([]int{0, 1, 2, 3})
 	b, _ := FromGroup([]int{4, 5, 6, 7})

@@ -104,13 +104,13 @@ type leg struct {
 //     merged pathset is the longest path into the round; the cost added to it
 //     is the path out. Charging first would add the cost to this rank's path
 //     only, short of the longest one.
-//   - Send, Recv, Sendrecv and Wait adopt after. Their internal messages move
-//     no clock, so a blocking op's duration includes the wait: a receiver's
-//     clock jumps to the payload's arrival, which already counts the sender's
-//     path up to the send. Charging the leg and then max-merging the peer's
-//     pathset counts that wait once; adopting first would count it twice.
-//     (Wait has no leg, so the order is moot there.)
-//   - Isend adopts nothing: the receiver's reply reaches it at Wait.
+//   - Send, Recv, Sendrecv and Waitall adopt after. Their internal messages
+//     move no clock, so a blocking op's duration includes the wait: a
+//     receiver's clock jumps to the payload's arrival, which already counts
+//     the sender's path up to the send. Charging the leg and then
+//     max-merging the peer's pathset counts that wait once; adopting first
+//     would count it twice. (A wait has no leg, so the order is moot there.)
+//   - Isend adopts nothing: the receiver's reply reaches it at Waitall.
 //
 // The event carries the clock before the legs run; Memoized flags a latest
 // local skip replayed from predCache, consumed here so an op with no decision
@@ -180,10 +180,10 @@ func (c *Comm) Scatter(root int, in, out []float64) {
 		func() float64 { return c.user.Scatter(root, in, out) })
 }
 
-// p2pKey builds the signature of a point-to-point kernel: size-2
-// sub-communicator whose stride is the world-rank distance of the
-// endpoints, exactly channel.P2P's stride without materializing the
-// channel (this runs on every p2p interception).
+// p2pKey builds the signature of a point-to-point kernel: the size-2 channel
+// the paper assigns to a pair of ranks, whose stride is the world-rank
+// distance of the endpoints (1 for a self-message), taken without
+// materializing the channel (this runs on every p2p interception).
 func (c *Comm) p2pKey(op string, words, peer int) Key {
 	a, b := c.user.Group()[c.user.Rank()], c.user.Group()[peer]
 	s := b - a
@@ -274,26 +274,21 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, 
 	p.adopt(peer.Path)
 }
 
-// Request is a profiled nonblocking operation handle. Handles come from, and
-// Waitall returns them to, the profiler's freelist (Profiler.reqs), so a rank
-// allocates one per request it has in flight at its peak, not one per
-// message: a handle passed to Waitall is invalid once Waitall returns.
-type Request struct {
-	c        *Comm
-	peer     int
-	tag      int
-	irecvBuf []float64 // may be nil or empty for a zero-word receive
-	irecv    bool      // an Irecv: Wait runs the receive into irecvBuf
-	done     bool
+// isend is an Isend whose receiver's reply the rank has yet to consume: the
+// internal communicator, the destination and the user tag.
+type isend struct {
+	comm *mpi.Comm
+	peer int
+	tag  int
 }
 
 // Isend profiles a nonblocking send. The execution decision is made
 // unilaterally from the sender's model (a committed decision the receiver
-// follows), and the receiver's pathset reply is consumed at Wait, mirroring
-// Figure 2's nonblocking protocol. The vote is untimed; an executing send
-// then posts its data with mpi.Comm.Isend (the caller may reuse buf
-// immediately).
-func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
+// follows), and the receiver's pathset reply is consumed at the rank's next
+// Profiler.Waitall, mirroring Figure 2's nonblocking protocol. The vote is
+// untimed; an executing send then posts its data with mpi.Comm.Isend (the
+// caller may reuse buf immediately).
+func (c *Comm) Isend(dest, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
 	exec := p.shouldExecute(id, ks)
@@ -303,68 +298,21 @@ func (c *Comm) Isend(dest, tag int, buf []float64) *Request {
 		c.user.Isend(dest, tag, buf)
 		return c.user.Clock() - t0
 	}}, leg{})
-	r := p.newRequest()
-	*r = Request{c: c, peer: dest, tag: tag}
-	return r
+	p.isends = append(p.isends, isend{comm: c.internal, peer: dest, tag: tag})
 }
 
-// Irecv posts a profiled nonblocking receive. The interception is lazy: the
-// internal exchange, the execution decision, and the (possibly skipped)
-// user receive all happen at Wait, which is when Figure 2's protocol
-// resolves outstanding request completion. buf must stay valid until then.
-func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	r := c.p.newRequest()
-	*r = Request{c: c, peer: src, tag: tag, irecv: true, irecvBuf: buf}
-	return r
-}
-
-// newRequest returns a handle from the freelist Waitall files, or a fresh
-// one. The list needs no bound: it never holds more handles than the rank
-// had in flight at once, the same argument as the path-table freelist's.
-func (p *Profiler) newRequest() *Request {
-	if n := len(p.reqs); n > 0 {
-		r := p.reqs[n-1]
-		p.reqs = p.reqs[:n-1]
-		return r
+// Waitall completes, in posting order, every Isend the rank has posted since
+// its last Waitall, on any communicator: it consumes each receiver's
+// internal reply, emits the wait round and adopts the reply's pathset. The
+// list keeps its capacity, so a steady burst of Isends allocates nothing.
+func (p *Profiler) Waitall() {
+	for _, s := range p.isends {
+		m := p.lane.Recv(s.comm, s.peer, recvIntTag(s.tag))
+		p.complete("wait", leg{}, leg{})
+		p.adopt(m.Path)
 	}
-	return new(Request)
-}
-
-// Wait completes a profiled nonblocking operation, consuming the peer's
-// internal reply and propagating its pathset. It keeps the handle valid (a
-// later Wait is a no-op); only Waitall recycles it.
-func (r *Request) Wait() {
-	if r.done {
-		return
-	}
-	r.done = true
-	if r.irecv {
-		r.c.Recv(r.peer, r.tag, r.irecvBuf)
-		return
-	}
-	p := r.c.p
-	m := p.lane.Recv(r.c.internal, r.peer, recvIntTag(r.tag))
-	p.complete("wait", leg{}, leg{})
-	p.adopt(m.Path)
-}
-
-// Waitall completes profiled requests in order and releases them, as
-// MPI_Waitall sets its handles to MPI_REQUEST_NULL: each handle is cleared
-// and filed on its profiler's freelist for a later Isend or Irecv, and its
-// slot in reqs is set to nil. A handle passed to Waitall is invalid
-// afterwards, whether or not it had been waited for already; nil slots are
-// skipped.
-func Waitall(reqs []*Request) {
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		r.Wait()
-		p := r.c.p
-		*r = Request{}
-		p.reqs = append(p.reqs, r)
-		reqs[i] = nil
-	}
+	clear(p.isends)
+	p.isends = p.isends[:0]
 }
 
 // Clock returns the rank's virtual time.

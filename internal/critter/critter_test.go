@@ -257,8 +257,8 @@ func TestIsendCommittedProtocol(t *testing.T) {
 		buf := make([]float64, 64)
 		for i := 0; i < 60; i++ {
 			if cc.Rank() == 0 {
-				r := cc.Isend(1, i, buf)
-				r.Wait()
+				cc.Isend(1, i, buf)
+				p.Waitall()
 			} else {
 				cc.Recv(0, i, buf)
 			}
@@ -287,7 +287,8 @@ func TestIsendVoteDataPairing(t *testing.T) {
 				for j := range long {
 					long[j] = float64(sends*len(long) + j)
 				}
-				Waitall([]*Request{cc.Isend(1, tag, long)})
+				cc.Isend(1, tag, long)
+				p.Waitall()
 				continue
 			}
 			cc.Recv(0, tag, long)
@@ -297,7 +298,8 @@ func TestIsendVoteDataPairing(t *testing.T) {
 			}
 		}
 		if cc.Rank() == 0 {
-			Waitall([]*Request{cc.Isend(1, tag, []float64{-1, -2, -3})})
+			cc.Isend(1, tag, []float64{-1, -2, -3})
+			p.Waitall()
 			return
 		}
 		short := make([]float64, 3)
@@ -308,28 +310,11 @@ func TestIsendVoteDataPairing(t *testing.T) {
 	})
 }
 
-func TestIrecvLazyCompletion(t *testing.T) {
-	runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
-		if cc.Rank() == 0 {
-			r := cc.Isend(1, 3, []float64{7, 8})
-			r.Wait()
-		} else {
-			buf := make([]float64, 2)
-			req := cc.Irecv(0, 3, buf)
-			req.Wait()
-			req.Wait() // idempotent
-			if buf[0] != 7 || buf[1] != 8 {
-				t.Errorf("irecv got %v", buf)
-			}
-		}
-	})
-}
-
-// TestIrecvZeroLengthBuffer posts a zero-word receive with a nil and with an
-// empty buffer against a blocking Send. Both are receives: Wait must run the
-// receive side of the protocol whatever the buffer, or it waits for a reply
-// the sender is waiting for too.
-func TestIrecvZeroLengthBuffer(t *testing.T) {
+// TestRecvZeroLengthBuffer posts a zero-word receive with a nil and with an
+// empty buffer against a blocking Send. Both must run the receive side of
+// the protocol whatever the buffer, or the receiver waits for a reply the
+// sender is waiting for too.
+func TestRecvZeroLengthBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		buf  []float64
@@ -339,27 +324,26 @@ func TestIrecvZeroLengthBuffer(t *testing.T) {
 				if cc.Rank() == 0 {
 					cc.Send(1, 3, nil)
 				} else {
-					cc.Irecv(0, 3, tc.buf).Wait()
+					cc.Recv(0, 3, tc.buf)
 				}
 			})
 		})
 	}
 }
 
-func TestIrecvSelectiveSkipsConsistently(t *testing.T) {
+func TestIsendRecvSelectiveSkipsConsistently(t *testing.T) {
 	runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: 0.3}, func(p *Profiler, cc *Comm) {
 		buf := make([]float64, 32)
 		for i := 0; i < 50; i++ {
 			if cc.Rank() == 0 {
-				r := cc.Isend(1, i, buf)
-				r.Wait()
+				cc.Isend(1, i, buf)
+				p.Waitall()
 			} else {
-				req := cc.Irecv(0, i, buf)
-				req.Wait()
+				cc.Recv(0, i, buf)
 			}
 		}
 		if cc.Rank() == 1 && p.skipped == 0 {
-			t.Error("repeated irecv never skipped at loose tolerance")
+			t.Error("repeated recv of an Isend never skipped at loose tolerance")
 		}
 	})
 }

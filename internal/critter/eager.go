@@ -36,7 +36,7 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if _, ok := channel.Combine(ks.coverage, ch); !ok {
 			continue
 		}
-		nominate[p.keyAt(uint32(id))] = w
+		nominate[p.tab.KeyOf(uint32(id))] = w
 	}
 	merged := mpi.AllreduceMsg(c.internal, nominate, mergeNominations)
 	if len(merged) == 0 {

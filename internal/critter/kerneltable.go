@@ -11,8 +11,9 @@ import "sync"
 // Interning takes the write lock only the first time a signature is seen
 // anywhere in the world; every other resolution takes the read lock. Ranks
 // keep no private copy: the steady-state interception path asks the table
-// only when the signature differs from the rank's previous one and the
-// memo's read-only snapshot (KernelMemo) does not hold it. Ids are assigned
+// whenever the signature differs from the rank's previous one. A memoized
+// configuration adopts the table its first run published (KernelMemo), so
+// its ranks find every signature already there. Ids are assigned
 // in global first-seen order, which depends on goroutine scheduling —
 // nothing result-bearing may depend on id order, and nothing does: ids never
 // leave the process, and every boundary artifact (PathFreqs, profiles,
@@ -69,21 +70,4 @@ func (t *KernelTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.keys)
-}
-
-// snapshot copies the table's current contents: a Key→id map and the
-// id-indexed key slice. The copies are immutable by construction — later
-// Interns grow the table, never the snapshot — so readers may use them
-// without locking. KernelMemo publishes these as the shared read-only
-// intern caches of a memoized configuration.
-func (t *KernelTable) snapshot() (map[Key]uint32, []Key) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make(map[Key]uint32, len(t.ids))
-	for k, id := range t.ids {
-		ids[k] = id
-	}
-	keys := make([]Key, len(t.keys))
-	copy(keys, t.keys)
-	return ids, keys
 }

@@ -70,19 +70,20 @@ func TestKernelTableConcurrentIntern(t *testing.T) {
 // signatures in different orders. On a memo miss every rank resolves each
 // signature to the same id through the world's one table, and back again.
 // The configuration's key is then reused for a run that also sees signatures
-// the published snapshot lacks, as a memo-key collision would: those ids lie
-// past the snapshot and resolve through the table, in keyAt and in modelOf.
+// the published table lacks, as a memo-key collision would: the run adopts
+// the published table object itself, and the new signatures' ids, at or past
+// n, resolve through it, in KeyOf and in modelOf.
 func TestRanksShareOneInterner(t *testing.T) {
 	const ranks, n, extra = 16, 12, 4
 	keyOf := func(i int) Key { return CompKey("gemm", i+1, i+1, i+1, 0) }
 	memo := NewKernelMemo()
 	ck := ConfigKey("interner", 0)
 	type seen struct {
-		tab    *KernelTable
-		ids    map[Key]uint32
-		snap   int            // len(roKeys) in the colliding run
-		past   map[Key]uint32 // ids the colliding run resolved past it
-		counts map[Key]int64  // Samples of every signature in that run
+		tab     *KernelTable
+		ids     map[Key]uint32
+		adopted *KernelTable   // the colliding run's table
+		past    map[Key]uint32 // ids at or past n in that run
+		counts  map[Key]int64  // Samples of every signature in that run
 	}
 	got := make([]seen, ranks)
 	w := mpi.NewWorld(ranks, testMachine(0.05), 3)
@@ -103,16 +104,16 @@ func TestRanksShareOneInterner(t *testing.T) {
 		s := seen{tab: p.Table(), ids: map[Key]uint32{}}
 		for id := range p.k {
 			if p.k[id].seen {
-				s.ids[p.keyAt(uint32(id))] = uint32(id)
+				s.ids[p.tab.KeyOf(uint32(id))] = uint32(id)
 			}
 		}
 		p.StartConfigKeyed(true, ck)
 		run(n + extra)
-		s.snap = len(p.roKeys)
+		s.adopted = p.Table()
 		s.past, s.counts = map[Key]uint32{}, map[Key]int64{}
 		for id := range p.k {
-			if id >= s.snap && p.k[id].seen {
-				s.past[p.keyAt(uint32(id))] = uint32(id)
+			if id >= n && p.k[id].seen {
+				s.past[p.tab.KeyOf(uint32(id))] = uint32(id)
 			}
 		}
 		for i := 0; i < n+extra; i++ {
@@ -141,16 +142,16 @@ func TestRanksShareOneInterner(t *testing.T) {
 				t.Errorf("rank %d resolved %v to id %d (found %v), rank 0 to %d", r, keyOf(i), id, ok, want)
 			}
 		}
-		if s.snap != n {
-			t.Errorf("rank %d: the colliding run adopted a snapshot of %d signatures, want %d", r, s.snap, n)
+		if s.adopted != tab {
+			t.Errorf("rank %d: the colliding run interns into %p, not the published table %p", r, s.adopted, tab)
 		}
 		if len(s.past) != extra {
-			t.Errorf("rank %d resolved %d signatures past the snapshot, want %d", r, len(s.past), extra)
+			t.Errorf("rank %d resolved %d signatures at or past id %d, want %d", r, len(s.past), n, extra)
 		}
 		for i := n; i < n+extra; i++ {
 			id, ok := s.past[keyOf(i)]
 			if want := got[0].past[keyOf(i)]; !ok || id != want || tab.KeyOf(id) != keyOf(i) {
-				t.Errorf("rank %d resolved %v past the snapshot to id %d (found %v), rank 0 to %d", r, keyOf(i), id, ok, want)
+				t.Errorf("rank %d resolved %v past the published ids to id %d (found %v), rank 0 to %d", r, keyOf(i), id, ok, want)
 			}
 		}
 		for i := 0; i < n+extra; i++ {

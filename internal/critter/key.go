@@ -14,7 +14,8 @@
 // mechanism of Figure 2 in the paper: an internal allreduce before each
 // collective (doubling as the skip-decision agreement protocol), an internal
 // exchange around each point-to-point pair, and a one-way internal message
-// for nonblocking sends whose reply is consumed at Wait.
+// for nonblocking sends whose reply is consumed at the sender's next
+// Waitall.
 package critter
 
 import (

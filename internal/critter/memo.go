@@ -22,11 +22,10 @@ package critter
 //     size. That is a selective run: a reference (NewReference) interns
 //     nothing and neither looks up nor publishes. Every later profiler that
 //     starts the same configuration — every run of it in the later sweeps
-//     and runs the memo serves — adopts the published table plus an
-//     immutable Key→id snapshot, so its steady-state intern path is a
-//     read-only map hit: no table lock, no insert. Ids stay as compact as
-//     the configuration's active kernel set, keeping the path-frequency
-//     table every snapshot copies small.
+//     and runs the memo serves — adopts the published table itself, so its
+//     steady-state intern path is a read-locked map hit: no insert. Ids stay
+//     as compact as the configuration's active kernel set, keeping the
+//     path-frequency table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its per-kernel records, path-frequency
@@ -56,7 +55,7 @@ import (
 // NewKernelMemo and thread it through Options.Memo.
 type KernelMemo struct {
 	mu      sync.Mutex
-	configs map[uint64]*memoConfig
+	configs map[uint64]*KernelTable
 	// arenas[r] holds the arenas retired by world rank r, for the next
 	// profilers of rank r to adopt. Keyed by rank, not one shared stack: what
 	// an arena holds — above all its path-table freelist, sized by its
@@ -69,17 +68,6 @@ type KernelMemo struct {
 	// one per configuration start).
 	tableHits   int64
 	tableMisses int64
-}
-
-// memoConfig is one published configuration: its shared interner plus
-// immutable snapshots of the Key→id map and id→Key slice taken at publish
-// time. The snapshots are read without locks; a signature interned after
-// publication (only possible on a key collision or a nondeterministic
-// workload) simply misses the snapshot and falls through to the table.
-type memoConfig struct {
-	tab  *KernelTable
-	idOf map[Key]uint32
-	keys []Key
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
@@ -97,7 +85,7 @@ type memoArena struct {
 
 // NewKernelMemo returns an empty memo.
 func NewKernelMemo() *KernelMemo {
-	return &KernelMemo{configs: make(map[uint64]*memoConfig)}
+	return &KernelMemo{configs: make(map[uint64]*KernelTable)}
 }
 
 // ConfigKey derives the memo key for one configuration of a named study.
@@ -117,45 +105,31 @@ func ConfigKey(study string, config int) uint64 {
 	return h.Sum64()
 }
 
-// lookup returns the published state for a configuration key, nil when the
-// configuration has not completed anywhere yet.
-func (m *KernelMemo) lookup(key uint64) *memoConfig {
+// lookup returns the interner published for a configuration key, nil when
+// the configuration has not completed anywhere yet.
+func (m *KernelMemo) lookup(key uint64) *KernelTable {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mc := m.configs[key]
-	if mc != nil {
+	tab := m.configs[key]
+	if tab != nil {
 		m.tableHits++
 	} else {
 		m.tableMisses++
 	}
-	return mc
+	return tab
 }
 
 // publish records tab as the interner of the configuration identified by
 // key. First publisher wins: two worlds that run one configuration through
 // one memo at once both miss, and whichever reports first owns the published
-// snapshot (their tables intern the same signature set, so the choice is
+// table (their tables intern the same signature set, so the choice is
 // invisible).
 func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
 	m.mu.Lock()
-	if _, ok := m.configs[key]; ok {
-		m.mu.Unlock()
-		return
-	}
-	// Reserve the slot before snapshotting so a racing publisher of the
-	// same key does not duplicate the copy work, then fill it in. Filling
-	// under the lock keeps lookup trivially safe; the snapshot itself is
-	// lock-ordered after the table's own RWMutex, which is never held
-	// while taking m.mu.
-	ids, keys := func() (map[Key]uint32, []Key) {
-		m.mu.Unlock()
-		defer m.mu.Lock()
-		return tab.snapshot()
-	}()
+	defer m.mu.Unlock()
 	if _, ok := m.configs[key]; !ok {
-		m.configs[key] = &memoConfig{tab: tab, idOf: ids, keys: keys}
+		m.configs[key] = tab
 	}
-	m.mu.Unlock()
 }
 
 // acquireArena pops an arena retired by world rank, nil when none is

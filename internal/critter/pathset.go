@@ -79,8 +79,8 @@ func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
 // of a filed buffer are stale, not zero.
 //
 // It has no bound of its own, because the protocol bounds it: every
-// interception takes one snapshot and adopts one table, and an Isend adopts
-// its table at Wait. So a profiler's free buffers plus its snapshots still
+// interception takes one snapshot and adopts one table, and an Isend's table
+// is adopted at Waitall. So a profiler's free buffers plus its snapshots still
 // awaiting an adoption always add up to the most snapshots it has had
 // awaiting one at once — its peak in flight, a function of the rank's own
 // program order — or to the freelist it adopted with a retired arena, if

@@ -1,11 +1,12 @@
 package critter
 
 import (
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"critter/internal/mpi"
+	"critter/internal/obs"
 	"critter/internal/sim"
 )
 
@@ -57,33 +58,37 @@ var raceEnabled bool
 // TestIsendBurstReusesTables: rank 0 of a 2-rank online world posts 64
 // Isends before one Waitall and rank 1 receives them. Once a burst has run,
 // every later burst allocates nothing: each snapshot takes a path table the
-// previous Waitall filed, and each Isend a *Request handle it released. The
-// count does not depend on how the two ranks interleave, so it is zero at
-// GOMAXPROCS 1 and 2 alike.
+// previous Waitall filed, and the rank's list of outstanding Isends keeps
+// its capacity. The count does not depend on how the two ranks interleave,
+// so it is zero at GOMAXPROCS 1 and 2 alike.
+//
+// The count is process-wide, so the Go runtime's own occasional malloc (a
+// sudog under a parked rank's sync.Cond, the scavenger's timer, a new M)
+// lands in it at random. The test takes the fewest mallocs over three
+// repeats of the measured bursts: a runtime malloc rarely hits all three,
+// while an allocation in this code hits every one.
 func TestIsendBurstReusesTables(t *testing.T) {
-	const burst, bursts = 64, 8
+	const burst, bursts, repeats = 64, 8, 3
 	mallocs := func() uint64 {
-		var before, after runtime.MemStats
+		var counts [repeats]uint64
 		w := mpi.NewWorld(2, testMachine(0.05), 3)
 		w.SetBufPool(mpi.NewBufPool())
 		err := w.Run(func(c *mpi.Comm) {
-			_, cc := New(c, Options{Policy: Online, Eps: 0.25})
+			p, cc := New(c, Options{Policy: Online, Eps: 0.25})
 			buf := make([]float64, 16)
-			reqs := make([]*Request, 0, burst)
 			// fill fences the warm-up burst so both mailboxes reach their full
 			// depth: every Isend is queued before rank 1 receives, and every
 			// reply before rank 0 waits.
 			run := func(fill bool) {
 				if c.Rank() == 0 {
 					for i := 0; i < burst; i++ {
-						reqs = append(reqs, cc.Isend(1, i, buf))
+						cc.Isend(1, i, buf)
 					}
 					if fill {
 						c.Barrier()
 						c.Barrier()
 					}
-					Waitall(reqs)
-					reqs = reqs[:0]
+					p.Waitall()
 					return
 				}
 				if fill {
@@ -98,86 +103,85 @@ func TestIsendBurstReusesTables(t *testing.T) {
 			}
 			run(true)
 			run(false)
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&before)
+			for rep := range counts {
+				var before, after runtime.MemStats
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
+				for r := 0; r < bursts; r++ {
+					run(false)
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					counts[rep] = after.Mallocs - before.Mallocs
+				}
+				c.Barrier()
 			}
-			c.Barrier()
-			for r := 0; r < bursts; r++ {
-				run(false)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(&after)
-			}
-			c.Barrier()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs
+		return slices.Min(counts[:])
 	}
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
 		n := mallocs()
 		runtime.GOMAXPROCS(prev)
-		t.Logf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends", procs, n, bursts, burst)
-		// A path table per snapshot past the freelist, or a handle per
-		// Isend, would each add burst*bursts objects. Under -race the test
-		// still drives the reuse for the detector, but the count is not ours.
+		t.Logf("GOMAXPROCS %d: at least %d mallocs over %d bursts of %d Isends", procs, n, bursts, burst)
+		// A path table per snapshot past the freelist, or anything per
+		// Isend, would add burst*bursts objects to every repeat. Under -race
+		// the test still drives the reuse for the detector, but the count is
+		// not ours.
 		if n != 0 && !raceEnabled {
-			t.Errorf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends, want none", procs, n, bursts, burst)
+			t.Errorf("GOMAXPROCS %d: %d mallocs over %d bursts of %d Isends in each of %d repeats, want none", procs, n, bursts, burst, repeats)
 		}
 	}
 }
 
-// TestWaitallReleasesHandles: Waitall nils every slot it completes and files
-// the handle for the next Isend or Irecv — an Irecv's as well as an Isend's —
-// and a request already completed by Wait is completed once, not again, when
-// Waitall releases it.
-func TestWaitallReleasesHandles(t *testing.T) {
+// TestWaitallCompletesEachIsendOnce: rank 0 posts Isends on two
+// communicators and calls Waitall, which completes each once and empties the
+// rank's list. A second Waitall is a no-op: a second
+// completion of any of them would wait for a reply that never comes, which
+// the world reports as a deadlock.
+func TestWaitallCompletesEachIsendOnce(t *testing.T) {
 	w := mpi.NewWorld(2, testMachine(0.05), 5)
-	// A second completion of the waited-for Isend would wait for a reply
-	// that never comes, which the world reports as a deadlock.
+	ring := obs.NewRing(64, nil)
+	w.SetTracer(ring)
+	waits := func() int {
+		n := 0
+		for _, ev := range ring.Events() {
+			if ev.Name == "wait" {
+				n++
+			}
+		}
+		return n
+	}
 	err := w.Run(func(c *mpi.Comm) {
 		p, cc := New(c, Options{Policy: Online, Eps: 0.25})
+		other := cc.Split(0, c.Rank())
 		buf := make([]float64, 4)
 		if c.Rank() == 1 {
-			for tag := 0; tag < 3; tag++ {
-				cc.Recv(0, tag, buf)
-			}
-			cc.Send(0, 7, buf)
-			cc.Send(0, 8, buf)
+			cc.Recv(0, 0, buf)
+			other.Recv(0, 0, buf)
+			cc.Recv(0, 1, buf)
 			return
 		}
-		first := cc.Isend(1, 0, buf)
-		second := cc.Isend(1, 1, buf)
-		first.Wait()
-		reqs := []*Request{first, nil, second}
-		Waitall(reqs)
-		for i, r := range reqs {
-			if r != nil {
-				t.Errorf("slot %d still holds %p after Waitall", i, r)
-			}
+		cc.Isend(1, 0, buf)
+		other.Isend(1, 0, buf)
+		cc.Isend(1, 1, buf)
+		p.Waitall()
+		if n := waits(); n != 3 {
+			t.Errorf("Waitall of 3 Isends emitted %d wait rounds, want 3", n)
 		}
-		if len(p.reqs) != 2 {
-			t.Fatalf("freelist holds %d handles after a Waitall of 2, want 2", len(p.reqs))
+		if len(p.isends) != 0 {
+			t.Errorf("%d Isends still listed after Waitall", len(p.isends))
 		}
-		if !reflect.ValueOf(*first).IsZero() || !reflect.ValueOf(*second).IsZero() {
-			t.Error("Waitall filed a handle without clearing it")
-		}
-		again := cc.Isend(1, 2, buf)
-		if again != first && again != second {
-			t.Error("an Isend after Waitall did not reuse a released handle")
-		}
-		Waitall([]*Request{again})
-
-		rr := cc.Irecv(1, 7, buf)
-		Waitall([]*Request{rr})
-		if next := cc.Irecv(1, 8, buf); next != rr {
-			t.Error("an Irecv handle released by Waitall was not reused")
-		} else {
-			Waitall([]*Request{next})
+		p.Waitall()
+		if n := waits(); n != 3 {
+			t.Errorf("a second Waitall emitted %d more wait rounds, want none", n-3)
 		}
 	})
 	if err != nil {

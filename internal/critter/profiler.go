@@ -96,16 +96,8 @@ type Profiler struct {
 	psize int
 
 	// tab is the world-shared signature interner, the one place ranks
-	// resolve a signature or an id the memo snapshot does not hold. A rank
-	// keeps no private copy of it.
+	// resolve a signature or an id. A rank keeps no private copy of it.
 	tab *KernelTable
-	// roIDs/roKeys are the memo-published read-only intern snapshots of
-	// the current configuration (nil outside a memo hit): a key present in
-	// roIDs resolves without the table's lock, and ids below len(roKeys)
-	// resolve back to keys through roKeys (keyAt). Novel keys — possible
-	// only on a memo-key collision — go to the table.
-	roIDs  map[Key]uint32
-	roKeys []Key
 	// lastKey/lastID short-circuit intern for back-to-back invocations of
 	// the same kernel signature (the common case inside factorization
 	// loops), skipping every map.
@@ -123,9 +115,9 @@ type Profiler struct {
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
 	free countsFree
-	// reqs holds the nonblocking-request handles Waitall released, for the
-	// next Isend or Irecv (comm.go).
-	reqs []*Request
+	// isends lists the Isends whose replies the next Waitall consumes, in
+	// posting order (comm.go).
+	isends []isend
 	// apriori is the global path table SetAprioriFromPath installed, by id of
 	// the current interner; inactive when none is. It goes back to free when
 	// it is replaced or its ids are (startConfig, Retire).
@@ -278,28 +270,15 @@ func (p *Profiler) World() *Comm { return p.world }
 func (p *Profiler) Table() *KernelTable { return p.tab }
 
 // intern resolves key's dense id: the previous signature answers a repeat,
-// the memo-published read-only snapshot answers next (no lock), and the
-// world's table answers the rest, assigning an id on the signature's first
-// sight anywhere in the world.
+// and the world's table answers the rest, assigning an id on the signature's
+// first sight anywhere in the world.
 func (p *Profiler) intern(key Key) uint32 {
 	if p.lastValid && key == p.lastKey {
 		return p.lastID
 	}
-	id, ok := p.roIDs[key]
-	if !ok {
-		id = p.tab.Intern(key)
-	}
+	id := p.tab.Intern(key)
 	p.lastKey, p.lastID, p.lastValid = key, id, true
 	return id
-}
-
-// keyAt resolves an id back to its signature: through the memo snapshot when
-// the id predates it, through the world's table otherwise.
-func (p *Profiler) keyAt(id uint32) Key {
-	if int(id) < len(p.roKeys) {
-		return p.roKeys[id]
-	}
-	return p.tab.KeyOf(id)
 }
 
 // growCap sizes an id-indexed table that must hold n entries: double the
@@ -378,10 +357,7 @@ func (p *Profiler) KernelCount() int { return p.touched }
 // when this rank has profiled the signature, the bare prior otherwise. It
 // interns nothing.
 func (p *Profiler) modelOf(key Key) stats.Welford {
-	id, ok := p.roIDs[key]
-	if !ok {
-		id, ok = p.tab.lookup(key)
-	}
+	id, ok := p.tab.lookup(key)
 	if ok && int(id) < len(p.k) && p.k[id].seen {
 		return p.k[id].model()
 	}
@@ -531,7 +507,8 @@ func (p *Profiler) snapshot() Pathset {
 // global pathset and its table the longest path's; after a point-to-point
 // exchange it is the peer's, taken whether or not the peer's path is the
 // longer one. A collective adopts before it charges its leg, a point-to-point
-// op after (Profiler.complete says why); an Isend adopts nothing.
+// op after (Profiler.complete says why); an Isend adopts nothing, and
+// Waitall adopts each Isend's reply in posting order.
 func (p *Profiler) adopt(g Pathset) {
 	kernels := p.path.Kernels
 	if g.Kernels.active() {
@@ -613,12 +590,15 @@ func (p *Profiler) StartConfigKeyed(resetStats bool, cfg uint64) {
 	p.startConfig(resetStats, cfg, true)
 }
 
-// tabMsg is the payload of StartConfig's alignment round: a fresh interner
-// to distribute, or a memo-published configuration to adopt (both nil on
-// every rank but 0, and on rank 0 when ids are not being reset).
+// tabMsg is the payload of StartConfig's alignment round: the interner to
+// distribute — a fresh one or a memo-published one — and its length as rank
+// 0 read it before the round (tab is nil on every rank but 0, and on rank 0
+// when ids are not being reset). Every rank presizes its records by n, not
+// by the table's length after the round, which other ranks may already be
+// growing.
 type tabMsg struct {
 	tab *KernelTable
-	mc  *memoConfig
+	n   int
 }
 
 func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
@@ -630,10 +610,10 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// path-frequency snapshot copies up to the id high-water mark). With a
 	// memo attached, rank 0 first checks whether an earlier profiler
 	// already published this configuration's interner; on a hit the round
-	// distributes the published table and its read-only intern snapshots
-	// instead of an empty table. A reference, which interns nothing, sends
-	// neither and keeps its empty table.
+	// distributes the published table instead of an empty one. A reference,
+	// which interns nothing, sends no table and keeps its empty one.
 	var msg tabMsg
+	fresh := false // rank 0 missed the memo and owes it this table
 	if keyed {
 		// A memo outlives one run, and a study keeps its name across scales:
 		// the world size keeps quick and default scale apart, so neither grows
@@ -642,11 +622,13 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	}
 	if resetIDs && p.rank == 0 && !p.reference {
 		if keyed && p.memo != nil {
-			msg.mc = p.memo.lookup(cfg)
+			msg.tab = p.memo.lookup(cfg)
+			fresh = msg.tab == nil
 		}
-		if msg.mc == nil {
+		if msg.tab == nil {
 			msg.tab = NewKernelTable()
 		}
+		msg.n = msg.tab.Len()
 	}
 	g := mpi.BcastMsg(p.world.internal, msg)
 	p.world.user.ResetClock()
@@ -664,16 +646,11 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.est.reset()
 		p.extrapolatedSkips = 0
 		p.memoKey = cfg
-		p.roIDs, p.roKeys, p.memoFresh = nil, nil, false
-		if g.mc != nil {
-			// Memo hit: adopt the published interner and snapshots.
-			p.tab = g.mc.tab
-			p.roIDs, p.roKeys = g.mc.idOf, g.mc.keys
-		} else if g.tab != nil {
+		// Rank 0 owes the memo a fresh table once the run completes (one
+		// publication per world, not per rank).
+		p.memoFresh = fresh
+		if g.tab != nil {
 			p.tab = g.tab
-			// Rank 0 owes the memo this configuration's table once the
-			// run completes (one publication per world, not per rank).
-			p.memoFresh = keyed && p.memo != nil && p.rank == 0
 		}
 		// Empty the id-indexed tables down to zero length (capacity kept)
 		// so they regrow to the new, compact id range.
@@ -686,10 +663,10 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.apriori = kernelCounts{}
 		// The table's stale tail is cleared as it regrows (materialize).
 		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
-		if n := len(p.roKeys); n > 0 {
-			// The configuration's id range is known up front: size the
-			// records once instead of growing them kernel by kernel.
-			p.grow(n)
+		if g.n > 0 {
+			// A memo hit knows the configuration's id range up front: size
+			// the records once instead of growing them kernel by kernel.
+			p.grow(g.n)
 		}
 		return
 	}
@@ -867,7 +844,6 @@ func (p *Profiler) Retire() {
 	// corrupting the adopter.
 	p.memo = nil
 	p.k = nil
-	p.roIDs, p.roKeys = nil, nil
 	p.lastValid = false
 	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
 	p.arch = archive{}

@@ -76,7 +76,7 @@ func (l *pathFreqsLog) note(step, rank int, p *Profiler) {
 
 // TestOnlinePathFreqsPinned runs a 4-rank online program through every
 // propagation path — the internal allreduce of world and sub-communicator
-// collectives, Isend/Recv/Wait, the combined Sendrecv exchange, blocking
+// collectives, Isend/Recv/Waitall, the combined Sendrecv exchange, blocking
 // Send/Recv — twice over, so the second pass runs entirely on recycled
 // buffers, and pins, each subtest against its own file under testdata/:
 //   - freqs (online_path_freqs.golden): every rank's PathFreqs() after
@@ -117,11 +117,11 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 			cc.Allreduce(buf, out, mpi.OpSum)
 			note()
 			// Nonblocking pairs 0->1 and 2->3; the receiver counts a kernel
-			// the sender never sees until its Wait adopts the reply.
+			// the sender never sees until its Waitall adopts the reply.
 			if r%2 == 0 {
-				req := cc.Isend(r+1, 5, buf[:8])
+				cc.Isend(r+1, 5, buf[:8])
 				p.Kernel("c", 3, r, 1, 0, 2e5, func() {})
-				req.Wait()
+				p.Waitall()
 			} else {
 				p.Kernel("d", 3, r, 1, 0, 1e5, func() {})
 				cc.Recv(r-1, 5, buf[:8])
@@ -175,7 +175,7 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 
 // TestP2PAdoptsPeerTableUnconditionally pins what point-to-point propagation
 // does today, which is not what pathset.go's header says of K-tilde: Send,
-// Recv, Sendrecv and Wait install the peer's table whether or not the peer's
+// Recv, Sendrecv and Waitall install the peer's table whether or not the peer's
 // path is the longer one, so the two ends of a pair swap tables. Collectives
 // adopt the maximal-ExecTime rank's table as Figure 2 (lines 64-65)
 // prescribes. The swap feeds freqFor under the online policy, i.e. the skip
@@ -227,7 +227,8 @@ func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 	t.Run("isend-recv-wait", func(t *testing.T) {
 		check(t, true, func(cc *Comm, buf []float64) {
 			if cc.Rank() == 1 {
-				cc.Isend(0, 0, buf).Wait()
+				cc.Isend(0, 0, buf)
+				cc.Profiler().Waitall()
 			} else {
 				cc.Recv(1, 0, buf)
 			}
@@ -274,7 +275,8 @@ func TestP2PWaitChargedOnce(t *testing.T) {
 		}},
 		{"isend-recv-wait", p2p, func(cc *Comm, buf []float64) {
 			if cc.Rank() == 0 {
-				cc.Isend(1, 0, buf).Wait()
+				cc.Isend(1, 0, buf)
+				cc.Profiler().Waitall()
 			} else {
 				cc.Recv(0, 0, buf)
 			}

@@ -688,7 +688,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						if !p.k[id].seen {
 							continue
 						}
-						key := p.keyAt(uint32(id))
+						key := p.tab.KeyOf(uint32(id))
 						got := p.k[id].apriori
 						if got != want[key] {
 							t.Errorf("seed %d step %d (%s) rank %d: %v has a-priori count %d, the global path table %d",

@@ -85,13 +85,3 @@ func Mix(words ...uint64) uint64 {
 	}
 	return h
 }
-
-// HashString folds a string into seed material for Mix.
-func HashString(s string) uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

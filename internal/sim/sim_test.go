@@ -107,15 +107,6 @@ func TestMixSensitivity(t *testing.T) {
 	}
 }
 
-func TestHashStringDistinct(t *testing.T) {
-	if HashString("gemm") == HashString("syrk") {
-		t.Fatal("HashString collision on distinct inputs")
-	}
-	if HashString("x") != HashString("x") {
-		t.Fatal("HashString not deterministic")
-	}
-}
-
 func TestMachineValidate(t *testing.T) {
 	m := DefaultMachine()
 	if err := m.Validate(); err != nil {

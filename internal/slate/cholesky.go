@@ -77,7 +77,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 
 	// panel factors tile column k: potrf on the diagonal tile, trsm below,
 	// then broadcasts each L(i,k) to the ranks that will consume it.
-	panel := func(k int, reqs *[]*critter.Request) {
+	panel := func(k int) {
 		cache := newCache()
 		panelTiles[k] = cache
 		diagOwner := a.Owner(k, k)
@@ -95,7 +95,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			}
 		}
 		var lkk []float64
-		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, reqs, bufs.Get); got != nil {
+		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, bufs.Get); got != nil {
 			lkk = got
 			if me != diagOwner {
 				panelRecv[k] = append(panelRecv[k], got)
@@ -129,7 +129,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 					need[o] = true
 				}
 			}
-			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, reqs, bufs.Get)
+			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, bufs.Get)
 			if got != nil {
 				cache[i] = got
 				if me != owner {
@@ -159,9 +159,8 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 		}
 	}
 
-	var reqs []*critter.Request
 	if nt > 0 {
-		panel(0, &reqs)
+		panel(0)
 	}
 	for k := 0; k < nt; k++ {
 		if k+1 < nt {
@@ -170,18 +169,17 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			if cfg.Lookahead >= 1 {
 				// Pipelined: factor the next panel before the bulk update,
 				// so its tiles are in flight during the trailing update.
-				panel(k+1, &reqs)
+				panel(k + 1)
 			}
 		}
 		for j := k + 2; j < nt; j++ {
 			updateColumn(j, k)
 		}
 		if cfg.Lookahead == 0 && k+1 < nt {
-			panel(k+1, &reqs)
+			panel(k + 1)
 		}
 		retirePanel(k)
-		critter.Waitall(reqs)
-		reqs = reqs[:0]
+		p.Waitall()
 	}
 }
 

@@ -40,8 +40,9 @@ func (c QRConfig) Validate(worldSize int) error {
 // hold the Householder reflectors. The buffers that live for one k iteration
 // — the migrating R and top tiles, the T factors, the [V|T] send copies and
 // the received tiles — come off the rank's workspace and are popped at the
-// end of the iteration (messages capture their payload at issue and every
-// request is waited for first, so by then nothing in flight refers to them).
+// end of the iteration (messages capture their payload when posted, and the
+// iteration's Waitall completes every Isend it posted first, so by then
+// nothing in flight refers to them).
 func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	mt, nt, nb, ib := a.MT, a.NT, a.NB, cfg.IB
 	cc := a.G.All
@@ -64,7 +65,6 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 
 	for k := 0; k < nt; k++ {
 		iter := ws.Mark()
-		var reqs []*critter.Request
 		diagOwner := a.Owner(k, k)
 
 		// Factor the diagonal tile and broadcast [V|T] along tile row k.
@@ -85,7 +85,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		if me == diagOwner {
 			send = stack(vkk, tkk)
 		}
-		if got := tileBcast(cc, diagOwner, need, tagOf(k, k, 0, 0), send, vWords, &reqs, recvBuf); got != nil && me != diagOwner {
+		if got := tileBcast(cc, diagOwner, need, tagOf(k, k, 0, 0), send, vWords, recvBuf); got != nil && me != diagOwner {
 			vkk, tkk = got[:nb*nb], got[nb*nb:]
 		}
 		// Apply Q_kk^T to the rest of tile row k.
@@ -115,7 +115,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			o := a.Owner(i, k)
 			if o != cur {
 				if me == cur {
-					reqs = append(reqs, cc.Isend(o, tagOf(k, i, 0, 1), r))
+					cc.Isend(o, tagOf(k, i, 0, 1), r)
 				} else if me == o {
 					r = ws.Get(nb * nb)
 					cc.Recv(cur, tagOf(k, i, 0, 1), r)
@@ -137,7 +137,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			if me == o {
 				vsend = stack(vik, tik)
 			}
-			if got := tileBcast(cc, o, need, tagOf(k, i, 0, 3), vsend, vWords, &reqs, recvBuf); got != nil {
+			if got := tileBcast(cc, o, need, tagOf(k, i, 0, 3), vsend, vWords, recvBuf); got != nil {
 				vT[i] = [2][]float64{got[:nb*nb], got[nb*nb:]}
 			} else if me == o {
 				vT[i] = [2][]float64{vik, tik}
@@ -147,7 +147,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 		// Return the fully reduced R to the diagonal tile.
 		if cur != diagOwner {
 			if me == cur {
-				reqs = append(reqs, cc.Isend(diagOwner, tagOf(k, k, 0, 2), r))
+				cc.Isend(diagOwner, tagOf(k, k, 0, 2), r)
 			} else if me == diagOwner {
 				cc.Recv(cur, tagOf(k, k, 0, 2), r)
 			}
@@ -173,7 +173,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				o := a.Owner(i, j)
 				if o != cur {
 					if me == cur {
-						reqs = append(reqs, cc.Isend(o, tagOf(k, i, j, 4), top))
+						cc.Isend(o, tagOf(k, i, j, 4), top)
 					} else if me == o {
 						top = ws.Get(nb * nb)
 						cc.Recv(cur, tagOf(k, i, j, 4), top)
@@ -190,7 +190,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			}
 			if cur != topOwner {
 				if me == cur {
-					reqs = append(reqs, cc.Isend(topOwner, tagOf(k, k, j, 5), top))
+					cc.Isend(topOwner, tagOf(k, k, j, 5), top)
 				} else if me == topOwner {
 					top = ws.Get(nb * nb)
 					cc.Recv(cur, tagOf(k, k, j, 5), top)
@@ -202,7 +202,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				copy(a.Tile(k, j), top)
 			}
 		}
-		critter.Waitall(reqs)
+		p.Waitall()
 		ws.Release(iter)
 	}
 }

@@ -205,16 +205,15 @@ func copyTileIntoDense(full []float64, ld int, tile []float64, i, j, nb int) {
 // order. recips is a dense mark vector indexed by grid rank, not a map: each
 // factorization clears and refills one per tile broadcast, and the rank space
 // is small. Every rank must call it with identical arguments; returns the
-// tile contents on marked ranks and on the owner, nil elsewhere. Isend
-// requests are appended to reqs for deferred completion (Waitall releases
-// them). recvBuf supplies the receive buffer, which the caller recycles once
-// the tile is consumed.
-func tileBcast(cc *critter.Comm, owner int, recips []bool, tag int, buf []float64, words int, reqs *[]*critter.Request, recvBuf func(words int) []float64) []float64 {
+// tile contents on marked ranks and on the owner, nil elsewhere. The owner's
+// Isends complete at its profiler's next Waitall. recvBuf supplies the
+// receive buffer, which the caller recycles once the tile is consumed.
+func tileBcast(cc *critter.Comm, owner int, recips []bool, tag int, buf []float64, words int, recvBuf func(words int) []float64) []float64 {
 	me := cc.Rank()
 	if me == owner {
 		for r, marked := range recips {
 			if marked && r != owner {
-				*reqs = append(*reqs, cc.Isend(r, tag, buf))
+				cc.Isend(r, tag, buf)
 			}
 		}
 		return buf

@@ -71,10 +71,6 @@ func New(sizes []int, lambda float64) *Model {
 	}
 }
 
-// NumFeatures returns the dimensionality of the feature map (the number of
-// fitted coefficients).
-func (m *Model) NumFeatures() int { return m.nf }
-
 // Fitted reports whether the model has been fit on at least one
 // observation.
 func (m *Model) Fitted() bool { return m.fitted }
