@@ -1,8 +1,8 @@
 // Custom-kernel: instrument arbitrary segments of application code as
 // Critter kernels — the facility the paper uses for CAPITAL's
-// block-to-cyclic redistribution (Section V-D) — and watch the aggregate
-// channel machinery propagate models across a 2D grid under the eager
-// policy.
+// block-to-cyclic redistribution (Section V-D) — and watch the eager policy
+// propagate their models across a 2D grid until each kernel's coverage
+// spans it.
 //
 // The program is a toy iterative solver on a 4x4 grid: each iteration packs
 // a halo (custom kernel), exchanges it along rows and columns, and applies
@@ -60,8 +60,6 @@ func main() {
 		rep := prof.Report()
 		if c.Rank() == 0 {
 			fmt.Printf("iterations: 120 on a 4x4 grid\n")
-			fmt.Printf("aggregate channels registered: %d (full-grid basis: %v)\n",
-				prof.Aggregates(), prof.HasFullGridAggregate())
 			fmt.Printf("kernels propagated across the grid: %d of %d signatures\n",
 				prof.PropagatedKernels(), prof.KernelCount())
 			fmt.Printf("executed %d, skipped %d; wall %.6fs vs predicted %.6fs\n",

@@ -187,12 +187,12 @@ type sweepJob struct {
 }
 
 // run simulates the sweep in a fresh world — wired to the worker's arena —
-// and stores rank 0's view. A done context or a study that fails Validate
-// skips the simulation entirely; failure or cancellation zeroes the slot.
-// With a tracer installed the sweep is bracketed by begin/end span events,
-// the end event carrying the sweep's virtual totals and the process heap
-// growth observed across the span (approximate under concurrent sweeps —
-// TotalAlloc is process-global).
+// and stores rank 0's view. A done context, or a study or machine that fails
+// Validate, skips the simulation entirely; failure or cancellation zeroes
+// the slot. With a tracer installed the sweep is bracketed by begin/end span
+// events, the end event carrying the sweep's virtual totals and the process
+// heap growth observed across the span (approximate under concurrent
+// sweeps — TotalAlloc is process-global).
 func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	var allocStart uint64
 	if j.tracer != nil {
@@ -207,6 +207,9 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	err := ctx.Err()
 	if err == nil {
 		err = j.study.Validate()
+	}
+	if err == nil {
+		err = j.machine.Validate()
 	}
 	if err == nil {
 		j.memo = sc.memo

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"critter/internal/critter"
+	"critter/internal/sim"
 )
 
 // flatSpace is a one-axis space of n configurations, for synthetic studies
@@ -212,18 +213,33 @@ func TestSuiteSharedProgress(t *testing.T) {
 	}
 }
 
-// TestUnrunnableStudyFails pins the empty-study fix: a study with no
-// configurations (the zero Space) or no Run function used to plan zero
-// rounds and return err == nil with Selected: 0, Optimal: 0 in every sweep.
-// Every entry point must fail each such sweep with an error naming the
-// study, cells zeroed.
+// TestUnrunnableStudyFails pins the empty-study fix and the invalid-world
+// fix: a study with no configurations (the zero Space) or no Run function
+// used to plan zero rounds and return err == nil with Selected: 0,
+// Optimal: 0 in every sweep, and a study with no ranks or a machine that
+// fails Validate (a negative NoiseSigma) used to panic inside mpi.NewWorld,
+// taking the process down. Every entry point must fail each such sweep or
+// configuration with an error naming the study, cells zeroed.
 func TestUnrunnableStudyFails(t *testing.T) {
 	noSpace := tinyStudy("no-space")
 	noSpace.Space = Space{}
 	noRun := tinyStudy("no-run")
 	noRun.Run = nil
-	for _, st := range []Study{noSpace, noRun} {
-		tn := Tuner{Study: st, EpsList: []float64{0.5, 0.25}, Machine: quickMachine(), Seed: 1}
+	noRanks := tinyStudy("no-ranks")
+	noRanks.WorldSize = 0
+	badMachine := quickMachine()
+	badMachine.NoiseSigma = -1
+	for _, tc := range []struct {
+		st Study
+		m  sim.Machine
+	}{
+		{noSpace, quickMachine()},
+		{noRun, quickMachine()},
+		{noRanks, quickMachine()},
+		{tinyStudy("bad-machine"), badMachine},
+	} {
+		st := tc.st
+		tn := Tuner{Study: st, EpsList: []float64{0.5, 0.25}, Machine: tc.m, Seed: 1}
 		check := func(entry string, err error) {
 			t.Helper()
 			if err == nil {
@@ -259,7 +275,7 @@ func TestUnrunnableStudyFails(t *testing.T) {
 			t.Errorf("%s: RunTuners let the bad study disturb its neighbour: %v", st.Name, errs[0])
 		}
 		check("RunTuners", errs[1])
-		_, err = FullOnlyCtx(context.Background(), st, quickMachine(), 1, 1)
+		_, err = FullOnlyCtx(context.Background(), st, tc.m, 1, 1)
 		check("FullOnlyCtx", err)
 	}
 }

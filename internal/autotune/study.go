@@ -69,14 +69,17 @@ func (s Study) Label(v int) string { return s.Space.Describe(v) }
 
 // Validate rejects a study no sweep can run. Without configurations a sweep
 // would plan zero rounds and report Selected: 0, Optimal: 0 as if it had
-// searched, so every entry point (Tuner.Run/Stream, RunTuners, FullOnlyCtx,
-// workload registration) fails such a study instead.
+// searched, and without ranks no world can be built, so every entry point
+// (Tuner.Run/Stream, RunTuners, FullOnlyCtx, workload registration) fails
+// such a study instead.
 func (s Study) Validate() error {
 	switch {
 	case s.Size() == 0:
 		return fmt.Errorf("study %q has no configurations (empty Space)", s.Name)
 	case s.Run == nil:
 		return fmt.Errorf("study %q has no Run function", s.Name)
+	case s.WorldSize < 1:
+		return fmt.Errorf("study %q has WorldSize %d, want at least 1", s.Name, s.WorldSize)
 	}
 	return nil
 }
@@ -168,11 +171,15 @@ func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uin
 // fullOnlyConfig runs one configuration with full execution in its own
 // world — wired to the worker's arena — storing rank 0's report.
 func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed uint64, v int, sc *scratch, out *critter.Report) error {
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	if err == nil {
+		err = machine.Validate()
+	}
+	if err != nil {
 		return fmt.Errorf("autotune: %s: config %d: %w", study.Name, v, err)
 	}
 	w := sc.world(study.WorldSize, machine, seed)
-	err := w.Run(func(c *mpi.Comm) {
+	err = w.Run(func(c *mpi.Comm) {
 		ref, refComm := critter.NewReference(c, nil)
 		rep := reference(c, study, ref, refComm, v)
 		if c.Rank() == 0 {

@@ -1,23 +1,22 @@
 // Package channel implements the communication-channel signatures of the
 // paper's path propagation mechanism (Figure 2, Section III-B).
 //
-// A channel identifies a communicator by its placement in the world: the
-// offset of its first member and the (stride, size) of each cartesian
-// dimension it spans. Fiber and slice communicators of processor grids —
-// the only communicators dense linear algebra algorithms build — always have
-// such signatures. Aggregate channels are unions of channels that compose
-// into a cartesian basis of the processor grid; the eager propagation policy
-// switches a kernel off only once its statistics have been propagated along
-// channels that jointly cover the whole grid, guaranteeing all ranks agree
-// on the skip decision.
+// A channel identifies a communicator by the (stride, size) of each
+// cartesian dimension it spans in world-rank space. Fiber and slice
+// communicators of processor grids — the only communicators dense linear
+// algebra algorithms build — always have such signatures. The aggregate
+// channel of the eager policy is a kernel's coverage: the union, grown by
+// Combine, of the channels its pooled statistics have travelled over.
+// Combine refuses any union that is not cartesian; that check subsumes the
+// paper's lookup of a registered aggregate, so no registry is kept. The
+// kernel is switched off once its coverage composes a cartesian basis of
+// the whole grid (CoversWorld), so every rank agrees on the skip decision.
 package channel
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"critter/internal/sim"
 )
 
 // Dim is one cartesian dimension of a channel: Size ranks separated by
@@ -27,12 +26,13 @@ type Dim struct {
 	Size   int
 }
 
-// Channel is the placement signature of a communicator or of an aggregate
-// of communicators. Dims are kept sorted by stride. The zero Channel
-// describes a single rank (the empty aggregate).
+// Channel is the placement signature of a communicator, or a kernel's
+// coverage: the aggregate of the channels it has been pooled over. Dims are
+// kept sorted by stride. The zero Channel describes a single rank (the empty
+// aggregate). Where a channel sits in the world does not matter: symmetric
+// fibers of a grid share one signature.
 type Channel struct {
-	Offset int
-	Dims   []Dim
+	Dims []Dim
 }
 
 // FromGroup derives the channel of a communicator from the world ranks of
@@ -51,9 +51,8 @@ func FromGroup(group []int) (Channel, bool) {
 		sorted = append([]int(nil), group...)
 		sort.Ints(sorted)
 	}
-	ch := Channel{Offset: sorted[0]}
 	if len(sorted) == 1 {
-		return ch, true
+		return Channel{}, true
 	}
 	d := sorted[1] - sorted[0]
 	if d <= 0 {
@@ -64,8 +63,7 @@ func FromGroup(group []int) (Channel, bool) {
 			return Channel{}, false
 		}
 	}
-	ch.Dims = []Dim{{Stride: d, Size: len(sorted)}}
-	return ch, true
+	return Channel{Dims: []Dim{{Stride: d, Size: len(sorted)}}}, true
 }
 
 // isAscending reports whether xs is strictly increasing.
@@ -85,21 +83,6 @@ func (c Channel) Ranks() int {
 		n *= d.Size
 	}
 	return n
-}
-
-// Hash returns a stable identifier for the channel derived purely from its
-// (stride, size) dimensions, as in Figure 2 of the paper ("hash id generated
-// purely from (stride, size)"). Channels differing only by offset share a
-// hash, which is what lets symmetric fibers of a grid aggregate alike.
-func (c Channel) Hash() uint64 {
-	// Mix does not retain its argument, so the words stay on the stack for
-	// every channel of up to four dimensions (a grid has at most three).
-	var buf [8]uint64
-	words := buf[:0]
-	for _, d := range c.Dims {
-		words = append(words, uint64(d.Stride), uint64(d.Size))
-	}
-	return sim.Mix(words...)
 }
 
 // Contains reports whether every dimension of x already appears in c with
@@ -140,19 +123,14 @@ func Combine(c, x Channel) (Channel, bool) {
 			return c, false
 		}
 	}
-	off := c.Offset
-	if len(c.Dims) == 0 || x.Offset < off {
-		off = x.Offset
-	}
-	return Channel{Offset: off, Dims: merged}, true
+	return Channel{Dims: merged}, true
 }
 
 // CoversWorld reports whether the aggregate's dimensions compose a complete
 // cartesian basis of worldSize ranks: first stride 1, each subsequent stride
 // equal to the span of the previous dimension, and total size equal to
-// worldSize. The offset is ignored, matching the paper's offset-free channel
-// hashing: symmetric fibers of a grid aggregate alike, and in an SPMD
-// program every rank completes the same basis at the same collective.
+// worldSize. In an SPMD program every rank completes the same basis at the
+// same collective.
 func (c Channel) CoversWorld(worldSize int) bool {
 	if worldSize == 1 {
 		return true
@@ -173,10 +151,9 @@ func (c Channel) CoversWorld(worldSize int) bool {
 	return span == worldSize
 }
 
-// String renders the channel for diagnostics, e.g. "@0[s1x4][s4x4]".
+// String renders the channel for diagnostics, e.g. "[s1x4][s4x4]".
 func (c Channel) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "@%d", c.Offset)
 	for _, d := range c.Dims {
 		fmt.Fprintf(&b, "[s%dx%d]", d.Stride, d.Size)
 	}

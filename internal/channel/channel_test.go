@@ -7,7 +7,7 @@ import (
 
 func TestFromGroupSingle(t *testing.T) {
 	ch, ok := FromGroup([]int{5})
-	if !ok || ch.Offset != 5 || len(ch.Dims) != 0 {
+	if !ok || len(ch.Dims) != 0 {
 		t.Fatalf("single-rank channel: %v ok=%v", ch, ok)
 	}
 	if ch.Ranks() != 1 {
@@ -20,7 +20,7 @@ func TestFromGroupRow(t *testing.T) {
 	if !ok {
 		t.Fatal("row group should have a channel")
 	}
-	if ch.Offset != 8 || ch.Dims[0] != (Dim{Stride: 1, Size: 4}) {
+	if ch.Dims[0] != (Dim{Stride: 1, Size: 4}) {
 		t.Errorf("row channel: %v", ch)
 	}
 }
@@ -30,7 +30,7 @@ func TestFromGroupColumnUnsorted(t *testing.T) {
 	if !ok {
 		t.Fatal("column group should have a channel")
 	}
-	if ch.Offset != 2 || ch.Dims[0] != (Dim{Stride: 4, Size: 4}) {
+	if ch.Dims[0] != (Dim{Stride: 4, Size: 4}) {
 		t.Errorf("column channel: %v", ch)
 	}
 }
@@ -44,22 +44,6 @@ func TestFromGroupNonUniform(t *testing.T) {
 	}
 	if _, ok := FromGroup([]int{0, 0, 1}); ok {
 		t.Error("duplicate ranks should have no channel")
-	}
-}
-
-func TestHashIgnoresOffset(t *testing.T) {
-	a, _ := FromGroup([]int{0, 1, 2, 3})
-	b, _ := FromGroup([]int{4, 5, 6, 7})
-	if a.Hash() != b.Hash() {
-		t.Error("symmetric fibers should share a hash")
-	}
-	c, _ := FromGroup([]int{0, 4, 8, 12})
-	if a.Hash() == c.Hash() {
-		t.Error("row and column channels must differ")
-	}
-	d, _ := FromGroup([]int{0, 1})
-	if a.Hash() == d.Hash() {
-		t.Error("different sizes must differ")
 	}
 }
 
@@ -133,8 +117,8 @@ func TestCoversWorldDirect(t *testing.T) {
 	if !world.CoversWorld(8) {
 		t.Error("world channel should cover the world")
 	}
-	// Offset is ignored (offset-free hashing): a shifted fiber with a
-	// complete basis still counts as covering.
+	// Placement does not matter: a shifted fiber with a complete basis
+	// still counts as covering.
 	offsetRow, _ := FromGroup([]int{1, 2, 3, 4})
 	if !offsetRow.CoversWorld(4) {
 		t.Error("offset-free coverage should accept a shifted complete basis")
@@ -198,7 +182,7 @@ func TestGridDecompositionProperty(t *testing.T) {
 
 func TestString(t *testing.T) {
 	row, _ := FromGroup([]int{4, 5, 6, 7})
-	if got := row.String(); got != "@4[s1x4]" {
+	if got := row.String(); got != "[s1x4]" {
 		t.Errorf("String = %q", got)
 	}
 }

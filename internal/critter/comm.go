@@ -32,9 +32,6 @@ func (c *Comm) Raw() *mpi.Comm { return c.user }
 // Profiler returns the owning profiler.
 func (c *Comm) Profiler() *Profiler { return c.p }
 
-// Channel returns the communicator's placement signature.
-func (c *Comm) Channel() channel.Channel { return c.ch }
-
 // stride returns the channel stride parameter used in communication-kernel
 // signatures (0 for irregular groups).
 func (c *Comm) stride() int {
@@ -48,11 +45,11 @@ func (c *Comm) stride() int {
 }
 
 // Split partitions the profiled communicator (as MPI_Comm_split), splitting
-// the internal communicator alongside and registering the new channel with
-// the aggregate-channel machinery (Figure 2). Ranks passing a negative
-// color receive nil. The internal communicator has the user one's group, so
-// its split is derived from the user split (mpi.Comm.SplitAs), not run as a
-// second round.
+// the internal communicator alongside and deriving the new communicator's
+// channel, which its kernel signatures (stride) and the eager policy's
+// coverage (aggregateEager) read. Ranks passing a negative color receive
+// nil. The internal communicator has the user one's group, so its split is
+// derived from the user split (mpi.Comm.SplitAs), not run as a second round.
 func (c *Comm) Split(color, key int) *Comm {
 	user := c.user.Split(color, key)
 	internal := c.internal.SplitAs(user, color)
@@ -60,9 +57,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		return nil
 	}
 	ch, ok := channel.FromGroup(user.Group())
-	if ok {
-		c.p.registerChannel(ch)
-	}
 	return &Comm{p: c.p, user: user, internal: internal, ch: ch, chOK: ok}
 }
 

@@ -362,17 +362,14 @@ func TestP2PDataIntegrityWhenExecuted(t *testing.T) {
 	})
 }
 
-func TestSplitRegistersAggregates(t *testing.T) {
-	runProfiled(t, 16, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
+func TestSplitRowAllreduce(t *testing.T) {
+	runProfiled(t, 16, 0.0, Options{Policy: Conditional, Eps: 0}, func(_ *Profiler, cc *Comm) {
 		// 4x4 grid.
 		row, col := cc.Rank()/4, cc.Rank()%4
 		rowComm := cc.Split(row, col)
 		colComm := cc.Split(col, row)
 		if rowComm.Size() != 4 || colComm.Size() != 4 {
 			t.Errorf("split sizes %d/%d", rowComm.Size(), colComm.Size())
-		}
-		if !p.HasFullGridAggregate() {
-			t.Error("row+column channels should compose a full-grid aggregate")
 		}
 		// Communicate on the split communicators.
 		sum := make([]float64, 1)
@@ -401,6 +398,50 @@ func TestEagerPropagationSwitchesKernelsOff(t *testing.T) {
 			t.Error("eager never skipped despite propagation")
 		}
 	})
+}
+
+// TestEagerCoverageDecides pins where the eager decision is made: a kernel is
+// switched off only once the channels its pooled statistics travelled over
+// compose a cartesian basis of the 4x4 grid. A row fiber alone never does;
+// a row and a column fiber do, and so does the world channel by itself.
+func TestEagerCoverageDecides(t *testing.T) {
+	cases := []struct {
+		name      string
+		propagate bool
+		step      func(world, rowComm, colComm *Comm, buf []float64)
+	}{
+		{"row-only", false, func(_, rowComm, _ *Comm, buf []float64) {
+			rowComm.Bcast(0, buf)
+		}},
+		{"row-and-column", true, func(_, rowComm, colComm *Comm, buf []float64) {
+			rowComm.Bcast(0, buf)
+			colComm.Bcast(0, buf)
+		}},
+		{"world-allreduce", true, func(world, _, _ *Comm, buf []float64) {
+			world.Allreduce(buf, make([]float64, len(buf)), mpi.OpSum)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runProfiled(t, 16, 0.05, Options{Policy: Eager, Eps: 0.3}, func(p *Profiler, cc *Comm) {
+				row, col := cc.Rank()/4, cc.Rank()%4
+				rowComm := cc.Split(row, col)
+				colComm := cc.Split(col, row)
+				buf := make([]float64, 32)
+				for i := 0; i < 80; i++ {
+					p.Kernel("tilework", 16, 16, 0, 0, 2e4, func() {})
+					tc.step(cc, rowComm, colComm, buf)
+				}
+				prop, skipped := p.PropagatedKernels(), p.skipped
+				if tc.propagate && (prop == 0 || skipped == 0) {
+					t.Errorf("rank %d: propagated %d, skipped %d; want both > 0", cc.Rank(), prop, skipped)
+				}
+				if !tc.propagate && (prop != 0 || skipped != 0) {
+					t.Errorf("rank %d: propagated %d, skipped %d; want 0 and 0", cc.Rank(), prop, skipped)
+				}
+			})
+		})
+	}
 }
 
 func TestEagerModelsPersistAcrossConfigs(t *testing.T) {

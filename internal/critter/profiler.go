@@ -123,10 +123,6 @@ type Profiler struct {
 	// it is replaced or its ids are (startConfig, Retire).
 	apriori kernelCounts
 
-	// aggregates is the registry of aggregate channels (Figure 2, lines
-	// 16-25), keyed by hash, seeded with the world channel.
-	aggregates map[uint64]channel.Channel
-
 	// lane is the pre-resolved typed-message lane every internal message
 	// runs on (one fabric lookup at construction instead of per message):
 	// point-to-point votes and replies and the collectives' allreduce. No
@@ -195,11 +191,10 @@ type predCache struct {
 // piggyback traffic, and rank 0's KernelTable is adopted by every rank.
 func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	p := &Profiler{
-		opts:       opts,
-		rank:       world.Rank(),
-		psize:      world.Size(),
-		memo:       opts.Memo,
-		aggregates: make(map[uint64]channel.Channel),
+		opts:  opts,
+		rank:  world.Rank(),
+		psize: world.Size(),
+		memo:  opts.Memo,
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
 	// supply: the records, the path-frequency buffers, and the archive's
@@ -217,9 +212,6 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		p.est.loadPrior(opts.Prior)
 	}
 	ch, ok := channel.FromGroup(world.Group())
-	if ok {
-		p.aggregates[ch.Hash()] = ch
-	}
 	internal := world.Dup()
 	// Adopt one shared signature interner per world: rank 0 creates it,
 	// the hand-off (untimed, clock-neutral at construction) gives it to all.
@@ -869,48 +861,6 @@ func (p *Profiler) globalPath() kernelCounts {
 	ps := p.path
 	ps.Kernels = p.path.Kernels.copyInto(p.free.get())
 	return p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, propagate).Path.Kernels
-}
-
-// registerChannel records a newly created communicator's channel and
-// recursively builds aggregate channels (Figure 2, MPI_Comm_split).
-func (p *Profiler) registerChannel(ch channel.Channel) {
-	h := ch.Hash()
-	if _, ok := p.aggregates[h]; ok {
-		return
-	}
-	p.aggregates[h] = ch
-	// Combine with every known aggregate to grow the basis.
-	for {
-		grew := false
-		for _, agg := range p.aggregates {
-			comb, ok := channel.Combine(agg, ch)
-			if !ok || agg.Contains(ch) {
-				continue
-			}
-			h := comb.Hash()
-			if _, exists := p.aggregates[h]; !exists {
-				p.aggregates[h] = comb
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-	}
-}
-
-// Aggregates returns the number of registered aggregate channels.
-func (p *Profiler) Aggregates() int { return len(p.aggregates) }
-
-// HasFullGridAggregate reports whether some registered aggregate spans the
-// entire world as a cartesian basis.
-func (p *Profiler) HasFullGridAggregate() bool {
-	for _, agg := range p.aggregates {
-		if agg.CoversWorld(p.psize) {
-			return true
-		}
-	}
-	return false
 }
 
 func (p *Profiler) String() string {

@@ -68,23 +68,19 @@ const (
 
 // collCost returns the noiseless virtual duration of a collective moving
 // nbytes (per-rank payload for tree ops, total volume for vol ops) among p
-// ranks.
+// ranks, in the step shape sim.Machine.CollectiveTime defines.
 func (c *Comm) collCost(kind collKind, nbytes float64, p int) float64 {
 	if p <= 1 {
 		return 0
 	}
 	m := c.w.machine
-	steps := 1.0
-	if m.CollectiveTree {
-		steps = math.Ceil(math.Log2(float64(p)))
-	}
 	switch kind {
 	case collSync:
-		return steps * m.Alpha
+		return m.CollectiveTime(0, p)
 	case collTree:
-		return steps * (m.Alpha + m.Beta*nbytes)
+		return m.CollectiveTime(nbytes, p)
 	case collVol:
-		return steps*m.Alpha + m.Beta*nbytes
+		return m.CollectiveTime(0, p) + m.Beta*nbytes
 	}
 	panic("mpi: unknown collective kind")
 }

@@ -74,10 +74,12 @@ func (m Machine) PtToPtTime(n int) float64 {
 	return m.Alpha + m.Beta*float64(n)
 }
 
-// CollectiveTime returns the noiseless cost of a collective moving n bytes
-// among p ranks. Reductions and broadcasts share this shape; the caller can
-// scale n for all-gather-style operations where volume grows with p.
-func (m Machine) CollectiveTime(n, p int) float64 {
+// CollectiveTime returns the noiseless cost of a collective moving nbytes
+// per rank among p ranks: one latency and transfer per tree step (a single
+// step on a flat machine). Reductions and broadcasts have this shape; a
+// barrier moves 0 bytes, and the runtime's gather-style collectives pay the
+// steps' latency at 0 bytes plus their total volume once (mpi.collCost).
+func (m Machine) CollectiveTime(nbytes float64, p int) float64 {
 	if p <= 1 {
 		return 0
 	}
@@ -85,7 +87,7 @@ func (m Machine) CollectiveTime(n, p int) float64 {
 	if m.CollectiveTree {
 		steps = math.Ceil(math.Log2(float64(p)))
 	}
-	return steps * (m.Alpha + m.Beta*float64(n))
+	return steps * (m.Alpha + m.Beta*nbytes)
 }
 
 // ComputeTime returns the noiseless cost of a computational kernel performing

@@ -151,9 +151,9 @@ func (r *Registry) Register(w Workload) error {
 	if len(scales) == 0 {
 		return fmt.Errorf("workload: register %q: at least one scale preset is required", name)
 	}
-	// A workload whose study has no configurations or no runner would
-	// resolve fine and then fail every sweep; reject it here, sized at the
-	// first preset like the catalog listings.
+	// A workload whose study has no configurations, no runner or no ranks
+	// would resolve fine and then fail every sweep; reject it here, sized
+	// at the first preset like the catalog listings.
 	if err := w.Build(scales[0].Scale).Validate(); err != nil {
 		return fmt.Errorf("workload: register %q: %w", name, err)
 	}

@@ -127,8 +127,8 @@ func TestRegistryErrors(t *testing.T) {
 	if err := r.Register(noScales{}); err == nil {
 		t.Error("Register of a workload with no scale presets succeeded")
 	}
-	// A workload whose study cannot run (no configurations, or no runner)
-	// is rejected at the door, sized at its first preset.
+	// A workload whose study cannot run (no configurations, no runner, or
+	// no ranks) is rejected at the door, sized at its first preset.
 	noSpace := func(sc autotune.Scale) autotune.Study {
 		st := autotune.CandmcQR(sc)
 		st.Space = autotune.Space{}
@@ -146,6 +146,15 @@ func TestRegistryErrors(t *testing.T) {
 	if err := r.Register(&Def{WorkloadName: "no-run", BuildFunc: noRun}); err == nil ||
 		!strings.Contains(err.Error(), "no Run") {
 		t.Errorf("Register of a *Def building a study without Run: %v", err)
+	}
+	noRanks := func(sc autotune.Scale) autotune.Study {
+		st := autotune.CandmcQR(sc)
+		st.WorldSize = 0
+		return st
+	}
+	if err := r.Register(Def{WorkloadName: "no-ranks", BuildFunc: noRanks}); err == nil ||
+		!strings.Contains(err.Error(), "WorldSize 0") {
+		t.Errorf("Register of a Def building a study without ranks: %v", err)
 	}
 	def := Def{WorkloadName: "x", BuildFunc: autotune.CandmcQR}
 	if err := r.Register(def); err != nil {
