@@ -56,10 +56,11 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 9 650-9 658 allocs/op and 1 162 553-1 167 294 B/op over 18 runs
+		// 8 354-8 358 allocs/op and 1 024 587-1 031 179 B/op over 36 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
-		// allocations and one spread of bytes of headroom. An allocation per
+		// allocations and one spread of bytes (the wider of this benchmark's
+		// and the a-priori one's, 6 592 B) of headroom. An allocation per
 		// configuration (20 a sweep) or per adopt is well past either, and so
 		// is a reference profiler that interns its signatures (9 700-9 708
 		// and 1 201 668-1 205 257 B with that and a private intern cache per
@@ -68,14 +69,16 @@ func TestAllocBudgets(t *testing.T) {
 		// Split group and two Split rounds per profiled split), or a
 		// recipient scratch per factorization. With a fresh round per
 		// untimed hand-off and per Dup it read 9 839-9 847 and 1 216 449-
-		// 1 220 512 B.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 9662, 1171000},
-		// 13 227-13 237 allocs/op and 1 381 974-1 384 762 B/op over 18 runs,
-		// the same way (13 275-13 287 and 1 412 429-1 418 990 B with the
+		// 1 220 512 B; with every rank planning the sweep and growing its
+		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 8362, 1037800},
+		// 11 622-11 628 allocs/op and 1 239 480-1 241 803 B/op over 36 runs,
+		// the same way (11 633-11 637 and 1 286 233-1 288 080 B with every
+		// rank planning; 13 275-13 287 and 1 412 429-1 418 990 B with the
 		// interning reference). Rekeying the offline pass's global path table
 		// into a Key map per configuration and rank, as GlobalPathFreqs does,
 		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 13241, 1391400},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 11632, 1248400},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

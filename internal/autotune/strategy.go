@@ -28,38 +28,40 @@ type Round struct {
 
 // Plan is one sweep's iteration of a Strategy. Next returns the next round
 // given the results of the previous one (nil on the first call); returning
-// ok == false (or an empty round) ends the sweep.
+// ok == false (or an empty round) ends the sweep. A first round that is
+// empty fails the sweep with an error naming the strategy: a sweep that
+// evaluates nothing has no selection to report.
 //
-// A Plan may be stateful: the runner creates one per sweep. Because every
-// rank of a sweep's simulated world drives its own identical copy of the
-// plan, Next must be deterministic in its inputs — the ConfigResults it
-// receives are collective (identical on every rank), so pruning on
-// Selective.Predicted keeps all ranks in agreement.
+// A Plan may be stateful: the runner creates one per sweep, on rank 0 of the
+// sweep's simulated world, and hands every other rank each round it returns.
+// Every rank reads the round's Configs until the round's last configuration
+// has run, so a plan may reuse that slice only from its next Next call on. A
+// plan that is deterministic in its inputs (the seed, the space and the
+// ConfigResults it receives) makes the sweep reproducible.
 type Plan interface {
 	Next(prev []ConfigResult) (Round, bool)
 }
 
 // ProfileAware is an optional interface a Plan may implement to receive the
 // sweep's live learned state: after each completed round the executor pools
-// every rank's profiler export (Profiler.GlobalProfile — a collective whose
-// result is one profile handed to every rank) and feeds it to the plan before
-// the next Next call. Model-guided strategies use it to learn mid-run — e.g.
-// the Surrogate plan re-derives its exploration margin from the measured
-// kernel noise.
+// every rank's profiler export into one profile on rank 0
+// (Profiler.GlobalProfileRoot — a collective whose result only its root
+// receives) and feeds it to the plan before the next Next call. Model-guided
+// strategies use it to learn mid-run — e.g. the Surrogate plan re-derives
+// its exploration margin from the measured kernel noise.
 //
-// The Plan contract extends naturally: ObserveProfile receives identical
-// arguments on every rank of a sweep, and a plan's later Next decisions
-// must remain deterministic in everything it has observed, so all ranks
-// keep agreeing. p is the same *critter.Profile on every rank of the sweep:
-// implementations must only read it, during the call and for as long as
-// they retain it.
+// The Plan contract extends naturally: a plan's later Next decisions should
+// remain deterministic in everything it has observed. p is the sweep's
+// merged profile, shared with the executor: implementations must only read
+// it, during the call and for as long as they retain it.
 type ProfileAware interface {
 	ObserveProfile(p *critter.Profile)
 }
 
 // Strategy plans which configurations a sweep evaluates. Implementations
 // must be immutable values: one Strategy is shared by every concurrent
-// sweep of a Tuner, and Plan is called once per sweep per rank.
+// sweep of a Tuner, and Plan is called once per sweep, on the sweep's
+// rank 0.
 type Strategy interface {
 	// Name identifies the strategy in flags and serialized results.
 	Name() string
@@ -204,9 +206,9 @@ func (p *halvingPlan) Next(prev []ConfigResult) (Round, bool) {
 
 // prune keeps the n results with the smallest predicted execution times,
 // breaking ties by configuration index, and returns their config indices in
-// ascending order (deterministic on every rank — the (Predicted, Config)
-// key is a total order over a round's results, so the unstable sort cannot
-// introduce rank divergence).
+// ascending order (deterministic — the (Predicted, Config) key is a total
+// order over a round's results, so the unstable sort cannot leak the input
+// order).
 func prune(results []ConfigResult, n int) []int {
 	sorted := make([]ConfigResult, len(results))
 	copy(sorted, results)

@@ -48,8 +48,8 @@ func (s Surrogate) Name() string {
 }
 
 // Plan implements Strategy. The plan depends only on (Seed, space, eps) and
-// the collective ConfigResults and profiles it observes, all identical on
-// every rank, so ranks stay in agreement round by round.
+// the ConfigResults and profiles it observes, so a sweep's rounds are a
+// function of what it has run.
 func (s Surrogate) Plan(sp Space, eps float64) Plan {
 	size := sp.Size()
 	n := s.N
@@ -109,9 +109,8 @@ func (s Surrogate) Plan(sp Space, eps float64) Plan {
 // live profile supplies a measured noise level.
 const defaultXi = 0.01
 
-// surrogatePlan is the per-sweep state of Surrogate. Every rank of a sweep
-// drives its own identical copy; all of its decisions are pure functions of
-// collective inputs.
+// surrogatePlan is the per-sweep state of Surrogate, held by the sweep's
+// rank 0; all of its decisions are pure functions of what it observes.
 type surrogatePlan struct {
 	sp       Space
 	eps      float64
@@ -133,7 +132,7 @@ type surrogatePlan struct {
 // Next implements Plan.
 func (p *surrogatePlan) Next(prev []ConfigResult) (Round, bool) {
 	// Absorb the previous round's predictions as observations, in
-	// evaluation order (identical on every rank).
+	// evaluation order.
 	for _, cr := range prev {
 		y := cr.Selective.Predicted
 		if y <= 0 {

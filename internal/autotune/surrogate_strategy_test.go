@@ -142,8 +142,7 @@ func TestSurrogateWorkerInvariance(t *testing.T) {
 
 // profileProbe decorates a strategy to record every ObserveProfile feed,
 // for asserting the executor's ProfileAware plumbing. The recorder is
-// shared by every rank's plan copy (ranks run concurrently), hence the
-// mutex.
+// shared by every sweep's plan (sweeps run concurrently), hence the mutex.
 type profileProbe struct {
 	inner Strategy
 	mu    *sync.Mutex
@@ -177,10 +176,9 @@ func newProfileProbe(inner Strategy) (profileProbe, *[]*critter.Profile) {
 }
 
 // TestProfileAwareFedEveryRound checks the executor's feeding contract:
-// after each completed round, every rank's plan copy receives the live
-// merged profile — non-nil, and identical across ranks round by round
-// (profiles from the same round carry the same sample count; the world has
-// rampStudy's two ranks, so each distinct profile appears exactly twice).
+// after each completed round the one plan of the sweep, which lives on rank
+// 0, receives the live merged profile — non-nil, non-empty, and grown by
+// every round (the archive spans every configuration run so far).
 func TestProfileAwareFedEveryRound(t *testing.T) {
 	st := rampStudy(8) // WorldSize 2
 	probe, calls := newProfileProbe(SuccessiveHalving{})
@@ -194,25 +192,24 @@ func TestProfileAwareFedEveryRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Halving over 8 configs runs 3 rungs (8, 4, 2); one feed per rank per
-	// completed round.
-	const ranks, rounds = 2, 3
-	if len(*calls) != ranks*rounds {
-		t.Fatalf("ObserveProfile called %d times, want %d (%d ranks x %d rounds)", len(*calls), ranks*rounds, ranks, rounds)
+	// Halving over 8 configs runs 3 rungs (8, 4, 2); one feed per completed
+	// round, whatever the world size.
+	const rounds = 3
+	if len(*calls) != rounds {
+		t.Fatalf("ObserveProfile called %d times, want %d (one per round)", len(*calls), rounds)
 	}
-	bySamples := map[int64]int{}
-	for _, prof := range *calls {
+	var last int64
+	for i, prof := range *calls {
 		if prof == nil {
-			t.Fatal("ObserveProfile fed a nil profile")
+			t.Fatalf("round %d: ObserveProfile fed a nil profile", i+1)
 		}
 		if len(prof.Kernels) == 0 {
-			t.Error("ObserveProfile fed an empty profile after a completed round")
+			t.Errorf("round %d: ObserveProfile fed an empty profile after a completed round", i+1)
 		}
-		bySamples[prof.Samples()]++
-	}
-	for samples, n := range bySamples {
-		if n%ranks != 0 {
-			t.Errorf("profile with %d samples seen %d times — ranks diverged (want multiples of %d)", samples, n, ranks)
+		if s := prof.Samples(); s <= last {
+			t.Errorf("round %d: profile holds %d samples, not more than the previous round's %d", i+1, s, last)
+		} else {
+			last = s
 		}
 	}
 	// Plans that do not implement ProfileAware must not be fed: the plain

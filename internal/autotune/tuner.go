@@ -8,6 +8,7 @@ package autotune
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 	"slices"
 	"sync/atomic"
@@ -268,15 +269,26 @@ func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter
 	return ref.Report()
 }
 
+// planMsg is one planning decision as rank 0 hands it to the world: the
+// round to run, whether there is one, and whether the plan observes the
+// merged profile after it.
+type planMsg struct {
+	round   Round
+	ok      bool
+	observe bool
+}
+
 // runSweep performs one (policy, eps) pass over the configurations the
 // strategy selects, judging each approximated execution against the
 // configuration's full execution (the measurement protocol of Section VI-A).
 // The full execution comes from the tuner's shared table when another sweep
 // has already published it, and is run here, then published, when not.
-// Collective; the returned value is meaningful on rank 0, the view
-// sweepJob.run keeps — every other rank holds only the latest round's
-// results, which is all plan.Next reads. Cancellation is checked at every
-// configuration boundary and aborts the whole world.
+// Collective. Rank 0 alone plans the sweep and keeps its results: one untimed
+// round per planning decision hands every other rank the round to run, so the
+// returned Configs, Selected, Optimal, error means and Profile are rank 0's,
+// the view sweepJob.run keeps. A plan whose first round is empty fails the
+// sweep on every rank. Cancellation is checked at every configuration
+// boundary and aborts the whole world.
 func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	study, pol, eps, strat := j.study, j.pol, j.eps, j.strat
 	// The tuner's explicit prior wins; otherwise a WarmStart strategy may
@@ -306,19 +318,34 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		tr = nil
 	}
 	sr := SweepResult{Policy: pol, Eps: eps}
-	plan := strat.Plan(study.Space, eps)
-	// ProfileAware plans receive the live merged profile after every round.
-	// The type assertion resolves identically on every rank (all ranks hold
-	// the same plan type), so the collective GlobalProfile below is entered
-	// by all ranks or none.
-	profileAware, _ := plan.(ProfileAware)
-	var prev []ConfigResult
-	roundNo := 0
+	var (
+		plan Plan
+		// ProfileAware plans receive the live merged profile after every
+		// round.
+		profileAware ProfileAware
+	)
+	if c.Rank() == 0 {
+		plan = strat.Plan(study.Space, eps)
+		profileAware, _ = plan.(ProfileAware)
+	}
+	roundNo, roundStart := 0, 0
 	for {
-		round, ok := plan.Next(prev)
-		if !ok || len(round.Configs) == 0 {
+		var pm planMsg
+		if c.Rank() == 0 {
+			pm.round, pm.ok = plan.Next(sr.Configs[roundStart:])
+			pm.ok = pm.ok && len(pm.round.Configs) > 0
+			pm.observe = profileAware != nil
+		}
+		// Before the round's first Rekey, so no noise stream or virtual
+		// clock sees the hand-off.
+		pm = mpi.BcastMsg(c, pm)
+		if !pm.ok {
+			if roundNo == 0 {
+				panic(fmt.Errorf("autotune: strategy %s planned no configurations", strat.Name()))
+			}
 			break
 		}
+		round := pm.round
 		roundNo++
 		if tr != nil {
 			tr.Emit(obs.Event{
@@ -327,11 +354,10 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				Round: roundNo, Configs: len(round.Configs),
 			})
 		}
-		if c.Rank() != 0 {
-			sr.Configs = sr.Configs[:0]
+		roundStart = len(sr.Configs)
+		if c.Rank() == 0 {
+			sr.Configs = slices.Grow(sr.Configs, len(round.Configs))
 		}
-		roundStart := len(sr.Configs)
-		sr.Configs = slices.Grow(sr.Configs, len(round.Configs))
 		for _, v := range round.Configs {
 			if ctx.Err() != nil {
 				panic(cancelError{ctx.Err()})
@@ -393,15 +419,16 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 			study.Run(tuned, tunedComm, v)
 			sel := tuned.Report()
 
-			cr := ConfigResult{
-				Config:    v,
-				Eps:       round.Eps,
-				Full:      full,
-				Selective: sel,
-				ExecErr:   stats.RelErr(sel.Predicted, full.Wall),
-				CompErr:   stats.RelErr(sel.PredictedComp, full.PredictedComp),
+			if c.Rank() == 0 {
+				sr.Configs = append(sr.Configs, ConfigResult{
+					Config:    v,
+					Eps:       round.Eps,
+					Full:      full,
+					Selective: sel,
+					ExecErr:   stats.RelErr(sel.Predicted, full.Wall),
+					CompErr:   stats.RelErr(sel.PredictedComp, full.PredictedComp),
+				})
 			}
-			sr.Configs = append(sr.Configs, cr)
 			sr.TuneWall += sel.Wall
 			sr.FullWall += full.Wall
 			sr.KernelTime += sel.KernelTime
@@ -419,17 +446,21 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				})
 			}
 		}
-		prev = sr.Configs[roundStart:]
-		if profileAware != nil {
-			// Collective: every rank receives the one merged profile (shared,
-			// read-only), so plan state advances in lockstep across ranks. Fed
-			// after the round's results exist and before the next planning
-			// decision, mirroring how prev reaches Next.
-			profileAware.ObserveProfile(tuned.GlobalProfile())
+		if pm.observe {
+			// Collective: every rank lends its archive to the fold, and only
+			// rank 0, which holds the plan, receives the merged profile (shared,
+			// read-only). Fed after the round's results exist and before the
+			// next planning decision, mirroring how they reach Next.
+			prof := tuned.GlobalProfileRoot(0)
+			if profileAware != nil {
+				profileAware.ObserveProfile(prof)
+			}
 		}
 	}
-	sr.Selected, sr.Optimal = argmins(sr.Configs)
-	sr.MeanLogExecErr, sr.MeanLogCompErr = meanLogErrs(sr.Configs)
+	if c.Rank() == 0 {
+		sr.Selected, sr.Optimal = argmins(sr.Configs)
+		sr.MeanLogExecErr, sr.MeanLogCompErr = meanLogErrs(sr.Configs)
+	}
 	// Export what the sweep learned, pooled across ranks (collective).
 	// The archive inside the profiler spans every configuration, so
 	// studies that reset statistics between configurations still yield

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"critter/internal/critter"
@@ -425,5 +426,108 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	if len(back.Profiles) != 1 || back.Profiles[0].Kernels != env.Profiles[0].Kernels {
 		t.Errorf("profile summaries lost in round trip: %+v", back.Profiles)
+	}
+}
+
+// countingStrategy decorates a strategy to count the Plan and Next calls a
+// sweep makes, whichever goroutine makes them.
+type countingStrategy struct {
+	inner        Strategy
+	plans, nexts *atomic.Int64
+}
+
+func (s countingStrategy) Name() string { return "counting:" + s.inner.Name() }
+
+func (s countingStrategy) Plan(sp Space, eps float64) Plan {
+	s.plans.Add(1)
+	return countingPlan{Plan: s.inner.Plan(sp, eps), nexts: s.nexts}
+}
+
+type countingPlan struct {
+	Plan
+	nexts *atomic.Int64
+}
+
+func (p countingPlan) Next(prev []ConfigResult) (Round, bool) {
+	p.nexts.Add(1)
+	return p.Plan.Next(prev)
+}
+
+// TestPlanRunsOncePerSweep pins who plans a sweep: rank 0 alone builds the
+// plan and asks it for every round, and the world's other ranks get each
+// round by broadcast. A 2-rank world therefore makes one Plan call per sweep
+// and rounds+1 Next calls (the last one ends the sweep), not one of each per
+// rank.
+func TestPlanRunsOncePerSweep(t *testing.T) {
+	for _, tc := range []struct {
+		strat   Strategy
+		rounds  int
+		configs int
+	}{
+		{Exhaustive{}, 1, 8},
+		{SuccessiveHalving{}, 3, 8 + 4 + 2}, // rungs of 8, 4 and 2
+	} {
+		t.Run(tc.strat.Name(), func(t *testing.T) {
+			probe := countingStrategy{inner: tc.strat, plans: new(atomic.Int64), nexts: new(atomic.Int64)}
+			res, err := Tuner{
+				Study:    rampStudy(8), // WorldSize 2
+				EpsList:  []float64{0.25},
+				Machine:  quickMachine(),
+				Seed:     6,
+				Strategy: probe,
+			}.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(res.Sweeps[0][0].Configs); got != tc.configs {
+				t.Errorf("sweep evaluated %d configurations, want %d", got, tc.configs)
+			}
+			if got := probe.plans.Load(); got != 1 {
+				t.Errorf("Plan called %d times, want once per sweep", got)
+			}
+			if got, want := probe.nexts.Load(), int64(tc.rounds+1); got != want {
+				t.Errorf("Next called %d times, want %d (%d rounds + the call that ends the sweep)", got, want, tc.rounds)
+			}
+		})
+	}
+}
+
+// emptyStrategy plans sweeps with nothing in them: its first round is round,
+// returned with ok.
+type emptyStrategy struct {
+	round Round
+	ok    bool
+}
+
+func (s emptyStrategy) Name() string { return "empty" }
+
+func (s emptyStrategy) Plan(Space, float64) Plan { return &oneShot{round: s.round, done: !s.ok} }
+
+// TestEmptyPlanFailsSweep pins the empty-plan fix: a strategy whose first
+// Next returns false, or an empty round, used to end the sweep with a nil
+// error, Selected 0, Optimal 0 and a MeanLogExecErr of -Inf, which
+// json.Marshal rejects. Every rank must abort together and the sweep fail
+// with an error naming the strategy, its cell zeroed.
+func TestEmptyPlanFailsSweep(t *testing.T) {
+	for _, strat := range []emptyStrategy{{}, {round: Round{Eps: 0.25}, ok: true}} {
+		res, err := Tuner{
+			Study:    rampStudy(4),
+			EpsList:  []float64{0.25},
+			Machine:  quickMachine(),
+			Seed:     6,
+			Strategy: strat,
+		}.Run(context.Background())
+		if err == nil {
+			t.Fatalf("ok=%v: a sweep that evaluated nothing returned no error", strat.ok)
+		}
+		if !strings.Contains(err.Error(), "strategy empty") {
+			t.Errorf("ok=%v: error %q does not name the strategy", strat.ok, err)
+		}
+		if sw := res.Sweeps[0][0]; !reflect.DeepEqual(sw, SweepResult{}) {
+			t.Errorf("ok=%v: failed cell not zeroed: %+v", strat.ok, sw)
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Errorf("ok=%v: result does not encode: %v", strat.ok, err)
+		}
 	}
 }
