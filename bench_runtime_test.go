@@ -15,7 +15,8 @@ package critter_test
 //     path frequency table, so the piggyback path (pathset snapshot, merge,
 //     adopt) dominates.
 //   - BenchmarkFullSweep: one iteration is one complete (policy, eps) sweep
-//     of the SLATE Cholesky study at QuickScale through the Tuner;
+//     of the SLATE Cholesky study at QuickScale through the Tuner, on a
+//     Study value of its own, so it runs every reference;
 //     BenchmarkFullSweepApriori is the same sweep under the a-priori policy.
 //   - BenchmarkMPIAllreduce, BenchmarkProfilerCollective: a raw and a
 //     profiled 8-rank collective in steady state.
@@ -70,10 +71,14 @@ func TestAllocBudgets(t *testing.T) {
 		// recipient scratch per factorization. With a fresh round per
 		// untimed hand-off and per Dup it read 9 839-9 847 and 1 216 449-
 		// 1 220 512 B; with every rank planning the sweep and growing its
-		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B.
+		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. With
+		// each iteration building its Study with the timer stopped it reads
+		// 8 353-8 358 and 1 024 561-1 030 701 B over 9 runs at -cpu 1, 2 and
+		// 4; built inside the timed loop the Study adds about 17 allocations.
 		{"BenchmarkFullSweep", BenchmarkFullSweep, 8362, 1037800},
 		// 11 622-11 628 allocs/op and 1 239 480-1 241 803 B/op over 36 runs,
-		// the same way (11 633-11 637 and 1 286 233-1 288 080 B with every
+		// the same way, and 11 618-11 627 and 1 238 724-1 240 373 B over 9
+		// with the Study built per iteration (11 633-11 637 and 1 286 233-1 288 080 B with every
 		// rank planning; 13 275-13 287 and 1 412 429-1 418 990 B with the
 		// interning reference). Rekeying the offline pass's global path table
 		// into a Key map per configuration and rank, as GlobalPathFreqs does,
@@ -150,9 +155,14 @@ func BenchmarkFullSweep(b *testing.B) { benchSweep(b, critter.Online) }
 func BenchmarkFullSweepApriori(b *testing.B) { benchSweep(b, critter.APriori) }
 
 func benchSweep(b *testing.B, pol critter.Policy) {
-	study := autotune.SlateCholesky(autotune.QuickScale())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		// A fresh Study per iteration: one built before the loop would share
+		// its reference reports with every later iteration, which then ran
+		// no full executions. Its construction is not part of the sweep.
+		b.StopTimer()
+		study := autotune.SlateCholesky(autotune.QuickScale())
+		b.StartTimer()
 		res, err := autotune.Tuner{
 			Study:    study,
 			EpsList:  []float64{0.125},

@@ -4,9 +4,9 @@ package autotune
 // own deterministic world, and a run's noise is keyed by what is run (see
 // runKey), so the full evaluation grid — within one Tuner or across several —
 // is dispatched to a bounded pool of worker goroutines. Each job writes into
-// a preallocated result slot, and the reference reports a tuner's sweeps
-// share are the same bits whichever sweep computes them, making results
-// bit-identical to the sequential path regardless of worker count or
+// a preallocated result slot, and the reference reports the sweeps of a
+// Study value share are the same bits whichever sweep computes them, making
+// results bit-identical to the sequential path regardless of worker count or
 // completion order. Cancellation is cooperative: workers skip pending jobs
 // once the context is done, and a running sweep aborts its world at the next
 // configuration boundary.
@@ -155,7 +155,7 @@ func (s *scratch) world(size int, machine sim.Machine, seed uint64) *mpi.World {
 
 // sweepJob is one (study, policy, eps) cell of the evaluation grid. It owns
 // its result slot exclusively, so workers share no mutable state beyond the
-// progress sink and the tuner's table of reference reports.
+// progress sink and the study's table of reference reports.
 type sweepJob struct {
 	study   Study
 	strat   Strategy
@@ -175,12 +175,13 @@ type sweepJob struct {
 	// memoization (results are byte-identical either way).
 	memo *critter.KernelMemo
 	// refs is the reference (full-execution) report of each configuration,
-	// shared by all of a tuner's jobs (Tuner.build): nil until some sweep
-	// has run the configuration's reference and rank 0 of its world has
-	// published the report. The value is a pure function of (study, machine,
-	// seed, configuration), so a slot is only ever overwritten with the bits
-	// it already holds, and a sweep that fails or is cancelled mid-reference
-	// publishes nothing.
+	// shared by all of a tuner's jobs and, for a Study value that carries a
+	// table, by every tuner run on it at the same machine and seed
+	// (Study.references): nil until some sweep has run the configuration's
+	// reference and rank 0 of its world has published the report. The
+	// value is a pure function of (study, machine, seed, configuration), so
+	// a slot is only ever overwritten with the bits it already holds, and a
+	// sweep that fails or is cancelled mid-reference publishes nothing.
 	refs []atomic.Pointer[critter.Report]
 	out  *SweepResult
 	sink *progressSink

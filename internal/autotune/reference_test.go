@@ -14,11 +14,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
+	"critter/internal/sim"
 	"critter/internal/stats"
 )
 
@@ -33,7 +35,10 @@ func quickStudies() []Study {
 // configuration is bit-identical across every policy, tolerance list,
 // strategy, worker count and Tuner.Run call, and equals FullOnlyCtx's report
 // for it. Before noise was keyed by what is run, Full depended on how many
-// kernels the selective runs of earlier configurations had skipped.
+// kernels the selective runs of earlier configurations had skipped. Each
+// variant first runs on a Study value of its own, so every variant computes
+// its references; then all of them run as tuners of one RunTuners pool on a
+// single value, which shares one table among them.
 func TestFullIsOneFactPerConfiguration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs quick sweeps of every study over several seeds")
@@ -51,44 +56,223 @@ func TestFullIsOneFactPerConfiguration(t *testing.T) {
 		{"surrogate:8", []critter.Policy{critter.Local, critter.APriori}, []float64{0.25, 0.0625}, 2},
 	}
 	for _, seed := range []uint64{1, 7, 42, 1234} {
-		for _, st := range quickStudies() {
+		for i, st := range quickStudies() {
 			t.Run(fmt.Sprintf("%s/seed%d", st.Name, seed), func(t *testing.T) {
 				t.Parallel()
 				truth, err := FullOnlyCtx(context.Background(), st, quickMachine(), seed, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, vr := range variants {
-					strat, err := ParseStrategy(vr.spec, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := Tuner{
-						Study: st, EpsList: vr.eps, Machine: quickMachine(), Seed: seed,
-						Policies: vr.policies, Strategy: strat, Workers: vr.workers,
-					}.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
+				check := func(pass string, res *Result) {
 					evaluated := 0
 					for pi, row := range res.Sweeps {
 						for ei, sw := range row {
 							for _, cr := range sw.Configs {
 								evaluated++
 								if cr.Full != truth[cr.Config] {
-									t.Errorf("%s workers %d, policy %s eps %g: Full of config %d is %+v, FullOnlyCtx says %+v",
-										vr.spec, vr.workers, res.Policies[pi], res.EpsList[ei], cr.Config, cr.Full, truth[cr.Config])
+									t.Errorf("%s: %s, policy %s eps %g: Full of config %d is %+v, FullOnlyCtx says %+v",
+										pass, res.Strategy, res.Policies[pi], res.EpsList[ei], cr.Config, cr.Full, truth[cr.Config])
 								}
 							}
 						}
 					}
 					if evaluated == 0 {
-						t.Errorf("%s evaluated nothing", vr.spec)
+						t.Errorf("%s: %s evaluated nothing", pass, res.Strategy)
 					}
+				}
+				tuners := make([]Tuner, len(variants))
+				for vi, vr := range variants {
+					strat, err := ParseStrategy(vr.spec, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tuners[vi] = Tuner{
+						EpsList: vr.eps, Machine: quickMachine(), Seed: seed,
+						Policies: vr.policies, Strategy: strat, Workers: vr.workers,
+					}
+				}
+				for _, tn := range tuners {
+					tn.Study = quickStudies()[i]
+					res, err := tn.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("own study, workers %d", tn.Workers), res)
+				}
+				for vi := range tuners {
+					tuners[vi].Study = st
+				}
+				results, errs := RunTuners(context.Background(), tuners, 3, nil)
+				for vi, res := range results {
+					if errs[vi] != nil {
+						t.Fatal(errs[vi])
+					}
+					check("one shared study", res)
 				}
 			})
 		}
 	}
+}
+
+// TestReferencesSharedAcrossRuns holds the reference table to its scope, the
+// Study value: exhaustive and then random:6 on one built-in quick study at one
+// (machine, seed) run each configuration's reference once in total, and so
+// does a copy of the value; a new seed or machine computes them again;
+// tuners on the value at once, at different seeds, each get their own seed's
+// reports; and a copy whose Run is replaced computes its own, which differ
+// from the original's, and never reads the original's reports.
+func TestReferencesSharedAcrossRuns(t *testing.T) {
+	base := CapitalCholesky(QuickScale())
+	n := base.Size()
+	counts := make([]atomic.Int64, n)
+	st := base
+	st.Run = func(p *critter.Profiler, cc *critter.Comm, v int) {
+		if cc.Rank() == 0 && isReference(p) {
+			counts[v].Add(1)
+		}
+		base.Run(p, cc, v)
+	}
+	// refRuns returns how many references ran per configuration since the
+	// last call.
+	refRuns := func() []int64 {
+		out := make([]int64, n)
+		for v := range counts {
+			out[v] = counts[v].Swap(0)
+		}
+		return out
+	}
+	noisier := quickMachine()
+	noisier.NoiseSigma *= 2
+	// run tunes s on one worker, so no two sweeps miss a slot at once, and
+	// checks every Full against FullOnlyCtx at the same machine and seed.
+	run := func(s Study, spec string, m sim.Machine, seed uint64) {
+		t.Helper()
+		strat, err := ParseStrategy(spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Tuner{
+			Study: s, EpsList: []float64{0.5, 0.125}, Policies: []critter.Policy{critter.Online},
+			Machine: m, Seed: seed, Strategy: strat, Workers: 1,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := FullOnlyCtx(context.Background(), base, m, seed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sw := range res.Sweeps[0] {
+			for _, cr := range sw.Configs {
+				if cr.Full != truth[cr.Config] {
+					t.Errorf("%s, eps %g: Full of config %d is %+v, FullOnlyCtx says %+v", spec, sw.Eps, cr.Config, cr.Full, truth[cr.Config])
+				}
+			}
+		}
+	}
+	// want checks how many references ran per configuration since the last
+	// call: once each for the configurations in ran, never for the others.
+	want := func(step string, ran func(v int) bool) {
+		t.Helper()
+		for v, got := range refRuns() {
+			w := int64(0)
+			if ran(v) {
+				w = 1
+			}
+			if got != w {
+				t.Errorf("%s: config %d ran its reference %d times, want %d", step, v, got, w)
+			}
+		}
+	}
+	every := func(int) bool { return true }
+	none := func(int) bool { return false }
+
+	run(st, "exhaustive", quickMachine(), 42)
+	want("exhaustive", every)
+	run(st, "random:6", quickMachine(), 42)
+	run(st, "exhaustive", quickMachine(), 42)
+	cp := st
+	run(cp, "random:6", quickMachine(), 42)
+	want("random:6 and exhaustive again, on the value and a copy", none)
+
+	sampled := make([]bool, n)
+	round, _ := RandomSample{N: 6, Seed: 43}.Plan(st.Space, 0.5).Next(nil)
+	for _, v := range round.Configs {
+		sampled[v] = true
+	}
+	run(st, "random:6", quickMachine(), 43)
+	want("random:6 at a new seed", func(v int) bool { return sampled[v] })
+	run(st, "exhaustive", noisier, 42)
+	want("exhaustive on a new machine", every)
+
+	// Tuners on the value at once, each at its own seed: every build
+	// replaces the slot set the others were handed, and each run keeps the
+	// set it holds. Two sweeps of one run may miss a slot together, so the
+	// counts are not checked here.
+	var wg sync.WaitGroup
+	for _, seed := range []uint64{44, 45, 46} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			truth, err := FullOnlyCtx(context.Background(), base, quickMachine(), seed, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := Tuner{
+				Study: st, EpsList: []float64{0.5, 0.125}, Policies: []critter.Policy{critter.Online},
+				Machine: quickMachine(), Seed: seed, Workers: 2,
+			}.Run(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, sw := range res.Sweeps[0] {
+				for _, cr := range sw.Configs {
+					if cr.Full != truth[cr.Config] {
+						t.Errorf("concurrent run at seed %d, eps %g: Full of config %d is %+v, FullOnlyCtx says %+v", seed, sw.Eps, cr.Config, cr.Full, truth[cr.Config])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	refRuns()
+
+	// A copy whose Run does more work: its references are its own, and it
+	// must compute every one of them rather than read the original's.
+	other := st
+	var otherRuns atomic.Int64
+	other.Run = func(p *critter.Profiler, cc *critter.Comm, v int) {
+		if cc.Rank() == 0 && isReference(p) {
+			otherRuns.Add(1)
+		}
+		p.Kernel("extra", v+1, 0, 0, 0, 1e6, func() {})
+		base.Run(p, cc, v)
+	}
+	run(st, "exhaustive", quickMachine(), 42)
+	want("exhaustive back at the first machine and seed", every)
+	truth, err := FullOnlyCtx(context.Background(), other, quickMachine(), 42, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRuns.Store(0)
+	res, err := Tuner{
+		Study: other, EpsList: []float64{0.5}, Policies: []critter.Policy{critter.Online},
+		Machine: quickMachine(), Seed: 42, Workers: 1,
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := otherRuns.Load(); got != int64(n) {
+		t.Errorf("the copy with its own Run ran %d references, want %d", got, n)
+	}
+	for _, cr := range res.Sweeps[0][0].Configs {
+		if cr.Full != truth[cr.Config] {
+			t.Errorf("the copy with its own Run: Full of config %d is %+v, its FullOnlyCtx says %+v", cr.Config, cr.Full, truth[cr.Config])
+		}
+	}
+	want("the copy with its own Run", none)
 }
 
 // TestReferenceNoiseFloor measures the part of the prediction error that no

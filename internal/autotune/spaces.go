@@ -96,6 +96,7 @@ func CapitalCholesky(s Scale) Study {
 			critter.Conditional, critter.Eager, critter.Local,
 			critter.Online, critter.APriori,
 		},
+		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
 			cfg := cfgOf(v)
 			if err := cfg.Validate(world); err != nil {
@@ -132,6 +133,7 @@ func SlateCholesky(s Scale) Study {
 		Policies: []critter.Policy{
 			critter.Conditional, critter.Local, critter.Online, critter.APriori,
 		},
+		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
 			cfg := cfgOf(v)
 			if err := cfg.Validate(world); err != nil {
@@ -172,6 +174,7 @@ func CandmcQR(s Scale) Study {
 		Policies: []critter.Policy{
 			critter.Conditional, critter.Local, critter.Online, critter.APriori,
 		},
+		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
 			cfg := cfgOf(v)
 			if err := cfg.Validate(world); err != nil {
@@ -215,6 +218,7 @@ func SlateQR(s Scale) Study {
 		Policies: []critter.Policy{
 			critter.Conditional, critter.Local, critter.Online, critter.APriori,
 		},
+		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
 			cfg := cfgOf(v)
 			if err := cfg.Validate(world); err != nil {

@@ -6,17 +6,18 @@
 // that full execution, and tuning cost as the total (virtual) time of the
 // selective executions.
 //
-// The reference is computed once per configuration and tuner, not once per
-// sweep, and that is the same experiment. On a real machine "directly prior"
-// is a control for drift: the full run must see the machine the approximated
-// run is about to see. The simulated machine has no drift — a run's noise is
-// keyed by (seed, rank, study, configuration, run kind, round) and by nothing
-// that happened before (mpi.Comm.Rekey, runKey) — so the full execution of a
-// configuration is one fact per (study, machine, seed), the same bits in
-// whichever sweep runs it and in FullOnlyCtx, and every (policy, eps) sweep
-// of a tuner is judged against that one report (reference, tuner.go). What
-// stays per evaluation is the selective run and its draws, which differ from
-// the reference's: a profiler that skips nothing still has a non-zero error
+// The reference is computed once per configuration and Study value, not once
+// per sweep, and that is the same experiment. On a real machine "directly
+// prior" is a control for drift: the full run must see the machine the
+// approximated run is about to see. The simulated machine has no drift — a
+// run's noise is keyed by (seed, rank, study, configuration, run kind, round)
+// and by nothing that happened before (mpi.Comm.Rekey, runKey) — so the full
+// execution of a configuration is one fact per (study, machine, seed), the
+// same bits in whichever sweep runs it and in FullOnlyCtx, and every (policy,
+// eps) sweep of every tuner run on that Study value is judged against that
+// one report (reference, tuner.go; Study.references). What stays per
+// evaluation is the selective run and its draws, which differ from the
+// reference's: a profiler that skips nothing still has a non-zero error
 // against the reference, as two runs of a real machine do.
 //
 // The central type is the Tuner (tuner.go), which composes a Study (a
@@ -32,6 +33,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
@@ -40,6 +44,17 @@ import (
 
 // Study is one library's tuning problem: a configuration space and an SPMD
 // runner executing one configuration under a profiler.
+//
+// A Study built by one of the case-study constructors (CapitalCholesky,
+// SlateCholesky, CandmcQR, SlateQR) carries a table of reference reports that
+// its copies share: every Tuner run on the value, or on a copy of it, at the
+// same machine and seed runs each configuration's full execution once in
+// total. The table holds the reports of one (Name, Run, WorldSize, Size,
+// machine, seed) at a time and starts over when a run asks for another, so a
+// copy whose Run or WorldSize is replaced never reads the original's reports.
+// Run is told apart by its code pointer: two closures of one function
+// literal count as the same Run. A Study literal has no table, and each of
+// its Tuner runs computes its own references.
 type Study struct {
 	// Name identifies the study (e.g. "capital-cholesky").
 	Name string
@@ -59,6 +74,52 @@ type Study struct {
 	// Policies lists the selective-execution policies the paper evaluates
 	// for this study (eager only for the bulk-synchronous CAPITAL).
 	Policies []critter.Policy
+
+	// refs is the reference table the value and its copies share; nil for
+	// a Study literal.
+	refs *refTable
+}
+
+// refTable holds one slot set of reference reports, for the key it was last
+// asked for.
+type refTable struct {
+	mu    sync.Mutex
+	key   refKey
+	slots []atomic.Pointer[critter.Report]
+}
+
+// refKey names everything a reference report is a function of besides the
+// configuration.
+type refKey struct {
+	name        string
+	run         uintptr
+	world, size int
+	machine     sim.Machine
+	seed        uint64
+}
+
+// references returns the slot set a Tuner run on machine m and seed hands
+// its sweeps, one slot per configuration (sweepJob.refs). With a table it is
+// the table's set for that key, made anew when the key differs from the
+// last one asked for; a run already holding the old set keeps it, which
+// stays correct because its key is still its own. Without a table every
+// call gets a fresh set.
+func (s Study) references(m sim.Machine, seed uint64) []atomic.Pointer[critter.Report] {
+	if s.refs == nil {
+		return make([]atomic.Pointer[critter.Report], s.Size())
+	}
+	k := refKey{
+		name: s.Name, run: reflect.ValueOf(s.Run).Pointer(),
+		world: s.WorldSize, size: s.Size(),
+		machine: m, seed: seed,
+	}
+	t := s.refs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.key != k {
+		t.key, t.slots = k, make([]atomic.Pointer[critter.Report], k.size)
+	}
+	return t.slots
 }
 
 // Size returns the number of configurations in the study's space.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sync/atomic"
 
 	"critter/internal/critter"
 	"critter/internal/mpi"
@@ -43,7 +42,9 @@ type Tuner struct {
 	// exported by an earlier run (SweepResult.Profile, critter-tune
 	// -profile-out): kernels predicted by the prior skip sooner, shrinking
 	// the executed-kernel count. The reference (full) executions are never
-	// warm-started: they are a function of (Study, Machine, Seed) alone.
+	// warm-started: they are a function of (Study, Machine, Seed) alone,
+	// which is why a warm run on a Study value reuses the reports of a cold
+	// run on it.
 	// Takes precedence over a WarmStart strategy's prior.
 	Prior *critter.Profile
 	// Extrapolate enables family-model extrapolation (Section VIII's
@@ -55,9 +56,10 @@ type Tuner struct {
 	// Workers bounds how many sweeps are simulated concurrently. Zero (or
 	// negative) means runtime.GOMAXPROCS(0); 1 recovers the sequential
 	// path. Every worker count yields bit-identical results: each sweep
-	// runs in its own world, and the one thing sweeps share — the table of
-	// reference reports — holds values that do not depend on who computed
-	// them.
+	// runs in its own world, and the one thing sweeps share — the Study
+	// value's table of reference reports, which every tuner run on that
+	// value at the same Machine and Seed also shares — holds values that do
+	// not depend on who computed them.
 	Workers int
 	// Progress, when non-nil, is invoked after each sweep completes (or is
 	// abandoned to cancellation). Invocations are serialized; the callback
@@ -98,11 +100,12 @@ func (t Tuner) policies() []critter.Policy {
 
 // build preallocates the result grid and one sweep job per (policy, eps)
 // cell, each pointing at its result slot so workers never contend, and hands
-// all of them one table of reference reports, a slot per configuration.
+// all of them the study's table of reference reports for the tuner's machine
+// and seed, a slot per configuration (Study.references).
 func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 	policies := t.policies()
 	strat := t.strategy()
-	refs := make([]atomic.Pointer[critter.Report], t.Study.Size())
+	refs := t.Study.references(t.Machine, t.Seed)
 	res := &Result{
 		Study:    t.Study.Name,
 		Strategy: strat.Name(),
@@ -281,7 +284,7 @@ type planMsg struct {
 // runSweep performs one (policy, eps) pass over the configurations the
 // strategy selects, judging each approximated execution against the
 // configuration's full execution (the measurement protocol of Section VI-A).
-// The full execution comes from the tuner's shared table when another sweep
+// The full execution comes from the study's shared table when another sweep
 // has already published it, and is run here, then published, when not.
 // Collective. Rank 0 alone plans the sweep and keeps its results: one untimed
 // round per planning decision hands every other rank the round to run, so the
