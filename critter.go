@@ -12,9 +12,9 @@
 // tuning, SuccessiveHalving, which prunes configurations across tolerance
 // rungs using Critter's predicted times, or Surrogate, which spends an
 // evaluation budget by expected improvement under a deterministic
-// regression model of the space and adapts its exploration margin from the
-// live merged profile via the ProfileAware plan interface; each sweep's
-// strategy plans once, on rank 0 of the sweep's world), and a
+// regression model of the space, with a fixed exploration margin; each
+// sweep's strategy plans once, on rank 0 of the sweep's world, from the
+// ConfigResults alone), and a
 // context-aware concurrent runner. Every (study, policy, eps) sweep of the tuning grid
 // runs in its own deterministic world whose noise is keyed by what is run, so Tuner.Run
 // dispatches sweeps to a bounded pool of worker goroutines (Workers;
@@ -147,10 +147,6 @@ type (
 	// ridge-regression surrogate with expected-improvement acquisition,
 	// fit on Critter's predicted times as they arrive.
 	Surrogate = autotune.Surrogate
-	// ProfileAware is the optional Plan interface the sweep executor feeds
-	// the live merged profile after every completed round, on the rank
-	// that plans the sweep; model-guided plans use it to adapt mid-sweep.
-	ProfileAware = autotune.ProfileAware
 	// Envelope is the self-describing JSON serialization of one tuning
 	// run (schema version, seed, scale, noise, strategy, result grid).
 	Envelope = autotune.Envelope

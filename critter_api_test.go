@@ -168,7 +168,7 @@ func TestFacadeTunerStrategies(t *testing.T) {
 
 // TestFacadeSurrogateStrategy exercises the model-guided search surface
 // through the public API: the Surrogate strategy value, its ParseStrategy
-// grammar, the ProfileAware plan interface, and deterministic re-runs.
+// grammar, and deterministic re-runs.
 func TestFacadeSurrogateStrategy(t *testing.T) {
 	base := critter.Tuner{
 		Study:    critter.CandmcQR(critter.QuickScale()),
@@ -188,11 +188,6 @@ func TestFacadeSurrogateStrategy(t *testing.T) {
 	}
 	if res.Strategy != "surrogate:5" {
 		t.Errorf("strategy recorded as %q", res.Strategy)
-	}
-	// A surrogate plan implements the ProfileAware feedback interface.
-	plan := base.Strategy.Plan(base.Study.Space, 0.25)
-	if _, ok := plan.(critter.ProfileAware); !ok {
-		t.Error("surrogate plan does not implement ProfileAware")
 	}
 	// The grammar round-trips through the facade parser, and the usage
 	// string mentions it.

@@ -16,10 +16,9 @@
 //   - Surrogate{N: 5} spends the same budget as the random sample but
 //     model-guided: after a seeded initial design it fits a quadratic
 //     regression surrogate on the predicted times observed so far and
-//     picks each next configuration by expected improvement. Its plan is
-//     ProfileAware — the executor feeds it the live merged kernel profile
-//     after every round, and the acquisition widens its exploration
-//     margin when the observed kernel noise is high.
+//     picks each next configuration by expected improvement, with a fixed
+//     exploration margin. Its plan sees only the results of the
+//     configurations it has run.
 //
 // Results stream in completion order through Tuner.Stream — the iterator
 // the serving path consumes — and the whole comparison runs under one

@@ -18,14 +18,14 @@ import (
 // golden machine, each study's own policy list, eps 0.5 and 0.125) under
 // exhaustive, halving with Extrapolate (rungs re-evaluate configurations, so
 // one kernel table is archived twice in a row, and family models are
-// archived), surrogate:8 (a mid-sweep GlobalProfile per round) and random:6,
-// and pins in testdata/profile_sha.golden, one "strategy/study sha" line
-// each, the sha256 over every sweep's Profile.Encode() in sweep order. The
-// golden envelopes cannot see a change to an exported profile
-// (SweepResult.Profile is not serialized into them), while warm starts and
-// the surrogate consume exactly these moments as priors. The hashes move
-// only with the noise the runs draw or the statistics they keep; regenerate
-// with `bash scripts/restat.sh`.
+// archived), surrogate:8 (rounds planned from the results so far) and
+// random:6, and pins in testdata/profile_sha.golden, one "strategy/study
+// sha" line each, the sha256 over every sweep's Profile.Encode() in sweep
+// order. The golden envelopes cannot see a change to an exported profile
+// (SweepResult.Profile is not serialized into them), while warm starts
+// consume exactly these moments as priors. The hashes move only with the
+// noise the runs draw, the statistics they keep or the configurations a
+// strategy picks; regenerate with `bash scripts/restat.sh`.
 func TestExportedProfilesUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full quick sweeps")

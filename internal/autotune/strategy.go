@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 
-	"critter/internal/critter"
 	"critter/internal/sim"
 )
 
@@ -40,22 +39,6 @@ type Round struct {
 // ConfigResults it receives) makes the sweep reproducible.
 type Plan interface {
 	Next(prev []ConfigResult) (Round, bool)
-}
-
-// ProfileAware is an optional interface a Plan may implement to receive the
-// sweep's live learned state: after each completed round the executor pools
-// every rank's profiler export into one profile on rank 0
-// (Profiler.GlobalProfileRoot — a collective whose result only its root
-// receives) and feeds it to the plan before the next Next call. Model-guided
-// strategies use it to learn mid-run — e.g. the Surrogate plan re-derives
-// its exploration margin from the measured kernel noise.
-//
-// The Plan contract extends naturally: a plan's later Next decisions should
-// remain deterministic in everything it has observed. p is the sweep's
-// merged profile, shared with the executor: implementations must only read
-// it, during the call and for as long as they retain it.
-type ProfileAware interface {
-	ObserveProfile(p *critter.Profile)
 }
 
 // Strategy plans which configurations a sweep evaluates. Implementations

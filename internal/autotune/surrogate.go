@@ -5,16 +5,16 @@ package autotune
 // predicted times — cheap, low-fidelity observations the sweep produces
 // anyway — and proposes the next round of configurations by expected
 // improvement. This is the repo's rung past exhaustive/random/halving, in
-// the spirit of the Bayesian autotuners of the related literature, and the
-// first strategy to exploit the ProfileAware hook: the live merged profile
-// tunes the acquisition's exploration margin to the observed kernel noise.
+// the spirit of the Bayesian autotuners of the related literature. Like
+// them it runs expected improvement with a fixed exploration margin
+// (defaultXi), and a plan sees nothing but the ConfigResults its sweep
+// hands it.
 
 import (
 	"fmt"
 	"math"
 	"slices"
 
-	"critter/internal/critter"
 	"critter/internal/sim"
 	"critter/internal/surrogate"
 )
@@ -48,8 +48,8 @@ func (s Surrogate) Name() string {
 }
 
 // Plan implements Strategy. The plan depends only on (Seed, space, eps) and
-// the ConfigResults and profiles it observes, so a sweep's rounds are a
-// function of what it has run.
+// the ConfigResults it observes, so a sweep's rounds are a function of what
+// it has run.
 func (s Surrogate) Plan(sp Space, eps float64) Plan {
 	size := sp.Size()
 	n := s.N
@@ -96,7 +96,6 @@ func (s Surrogate) Plan(sp Space, eps float64) Plan {
 		first: first,
 		model: surrogate.New(sizes, 0),
 		seen:  make([]bool, size),
-		xi:    defaultXi,
 	}
 	for _, v := range first {
 		p.seen[v] = true
@@ -105,8 +104,8 @@ func (s Surrogate) Plan(sp Space, eps float64) Plan {
 	return p
 }
 
-// defaultXi is the exploration margin (in log-time units) used until the
-// live profile supplies a measured noise level.
+// defaultXi is the expected-improvement exploration margin in log-time
+// units.
 const defaultXi = 0.01
 
 // surrogatePlan is the per-sweep state of Surrogate, held by the sweep's
@@ -122,11 +121,6 @@ type surrogatePlan struct {
 	seen     []bool
 	model    *surrogate.Model
 	obs      []surrogate.Obs
-	// xi is the expected-improvement exploration margin in log-time units.
-	// ObserveProfile re-derives it each round from the live merged
-	// profile's kernel-level noise, so a noisy machine widens the margin
-	// (more exploration) and a quiet one narrows it.
-	xi float64
 }
 
 // Next implements Plan.
@@ -188,7 +182,7 @@ func (p *surrogatePlan) propose(k int) []int {
 		if fitted {
 			mean, std := p.model.Predict(p.sp.Decode(v))
 			c.mean = mean
-			c.ei = surrogate.ExpectedImprovement(mean, std, best, p.xi)
+			c.ei = surrogate.ExpectedImprovement(mean, std, best, defaultXi)
 		}
 		cands = append(cands, c)
 	}
@@ -216,32 +210,4 @@ func (p *surrogatePlan) propose(k int) []int {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// ObserveProfile implements ProfileAware: the live merged profile's
-// kernel-level noise (median coefficient of variation across kernel
-// models) becomes the acquisition's exploration margin. Log-time responses
-// make the CV directly comparable to the margin's units. Deterministic:
-// the per-kernel CVs are collected and sorted before the median, so map
-// iteration order never leaks into the decision.
-func (p *surrogatePlan) ObserveProfile(prof *critter.Profile) {
-	if prof == nil {
-		return
-	}
-	cvs := make([]float64, 0, len(prof.Kernels))
-	for _, km := range prof.Kernels {
-		if km.Count < 2 || km.Mean <= 0 {
-			continue
-		}
-		cv := math.Sqrt(km.M2/float64(km.Count)) / km.Mean
-		if !math.IsNaN(cv) && !math.IsInf(cv, 0) {
-			cvs = append(cvs, cv)
-		}
-	}
-	if len(cvs) == 0 {
-		return
-	}
-	slices.Sort(cvs)
-	xi := cvs[len(cvs)/2]
-	p.xi = min(max(xi, 0.001), 0.25)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"critter/internal/critter"
@@ -140,113 +139,50 @@ func TestSurrogateWorkerInvariance(t *testing.T) {
 	}
 }
 
-// profileProbe decorates a strategy to record every ObserveProfile feed,
-// for asserting the executor's ProfileAware plumbing. The recorder is
-// shared by every sweep's plan (sweeps run concurrently), hence the mutex.
-type profileProbe struct {
-	inner Strategy
-	mu    *sync.Mutex
-	calls *[]*critter.Profile
-}
-
-func (s profileProbe) Name() string { return "probe:" + s.inner.Name() }
-
-func (s profileProbe) Plan(sp Space, eps float64) Plan {
-	return probePlan{Plan: s.inner.Plan(sp, eps), probe: s}
-}
-
-type probePlan struct {
-	Plan
-	probe profileProbe
-}
-
-func (p probePlan) ObserveProfile(prof *critter.Profile) {
-	p.probe.mu.Lock()
-	defer p.probe.mu.Unlock()
-	*p.probe.calls = append(*p.probe.calls, prof)
-	if inner, ok := p.Plan.(ProfileAware); ok {
-		inner.ObserveProfile(prof)
+// TestSurrogateReplaysFromResults checks that a surrogate plan sees only the
+// ConfigResults its sweep hands it: a fresh plan fed a recorded sweep's
+// results round by round proposes exactly that sweep's evaluation order.
+// Anything else the executor fed the plan mid-sweep would show here.
+func TestSurrogateReplaysFromResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a quick capital sweep")
 	}
-}
-
-// newProfileProbe wraps a strategy with a fresh recorder.
-func newProfileProbe(inner Strategy) (profileProbe, *[]*critter.Profile) {
-	calls := &[]*critter.Profile{}
-	return profileProbe{inner: inner, mu: &sync.Mutex{}, calls: calls}, calls
-}
-
-// TestProfileAwareFedEveryRound checks the executor's feeding contract:
-// after each completed round the one plan of the sweep, which lives on rank
-// 0, receives the live merged profile — non-nil, non-empty, and grown by
-// every round (the archive spans every configuration run so far).
-func TestProfileAwareFedEveryRound(t *testing.T) {
-	st := rampStudy(8) // WorldSize 2
-	probe, calls := newProfileProbe(SuccessiveHalving{})
-	_, err := Tuner{
+	const eps = 0.5
+	strat := Surrogate{N: 8, Seed: 42}
+	st := CapitalCholesky(QuickScale())
+	res, err := Tuner{
 		Study:    st,
-		EpsList:  []float64{0.25},
+		EpsList:  []float64{eps},
 		Machine:  quickMachine(),
-		Seed:     6,
-		Strategy: probe,
+		Seed:     42,
+		Policies: []critter.Policy{critter.Online},
+		Strategy: strat,
 	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Halving over 8 configs runs 3 rungs (8, 4, 2); one feed per completed
-	// round, whatever the world size.
-	const rounds = 3
-	if len(*calls) != rounds {
-		t.Fatalf("ObserveProfile called %d times, want %d (one per round)", len(*calls), rounds)
-	}
-	var last int64
-	for i, prof := range *calls {
-		if prof == nil {
-			t.Fatalf("round %d: ObserveProfile fed a nil profile", i+1)
+	recorded := res.Sweeps[0][0].Configs
+	plan := strat.Plan(st.Space, eps)
+	var prev []ConfigResult
+	done := 0
+	for {
+		round, ok := plan.Next(prev)
+		if !ok || len(round.Configs) == 0 {
+			break
 		}
-		if len(prof.Kernels) == 0 {
-			t.Errorf("round %d: ObserveProfile fed an empty profile after a completed round", i+1)
+		if done+len(round.Configs) > len(recorded) {
+			t.Fatalf("replay proposes %v after the sweep's %d evaluations", round.Configs, len(recorded))
 		}
-		if s := prof.Samples(); s <= last {
-			t.Errorf("round %d: profile holds %d samples, not more than the previous round's %d", i+1, s, last)
-		} else {
-			last = s
+		prev = recorded[done : done+len(round.Configs)]
+		for i, v := range round.Configs {
+			if prev[i].Config != v {
+				t.Fatalf("evaluation %d: replay proposes config %d, the sweep ran %d", done+i, v, prev[i].Config)
+			}
 		}
+		done += len(round.Configs)
 	}
-	// Plans that do not implement ProfileAware must not be fed: the plain
-	// strategies' plans would not even compile a call, so assert via the
-	// tuner's behavior — their sweeps are byte-identical with the probe
-	// removed (covered by the golden envelope suite, which pins every
-	// non-aware strategy bit-for-bit).
-}
-
-// TestSurrogateObserveProfileAdaptsXi unit-checks the live-profile hook:
-// a noisy merged profile widens the exploration margin, a quiet one
-// narrows it, clamped into [0.001, 0.25], and nil/empty profiles leave it
-// untouched.
-func TestSurrogateObserveProfileAdaptsXi(t *testing.T) {
-	sp := NewSpace(IntsDim("v", seqInts(8)...))
-	plan := Surrogate{N: 4, Seed: 1}.Plan(sp, 0.25).(*surrogatePlan)
-	if plan.xi != defaultXi {
-		t.Fatalf("initial xi %g, want %g", plan.xi, defaultXi)
-	}
-	plan.ObserveProfile(nil)
-	plan.ObserveProfile(&critter.Profile{})
-	if plan.xi != defaultXi {
-		t.Errorf("nil/empty profile moved xi to %g", plan.xi)
-	}
-	noisy := &critter.Profile{Kernels: map[critter.Key]critter.KernelModel{
-		{}: {Count: 10, Mean: 1, M2: 10}, // CV = 1 -> clamped to 0.25
-	}}
-	plan.ObserveProfile(noisy)
-	if plan.xi != 0.25 {
-		t.Errorf("noisy profile set xi %g, want clamp 0.25", plan.xi)
-	}
-	quiet := &critter.Profile{Kernels: map[critter.Key]critter.KernelModel{
-		{}: {Count: 10, Mean: 1, M2: 0}, // CV = 0 -> clamped to 0.001
-	}}
-	plan.ObserveProfile(quiet)
-	if plan.xi != 0.001 {
-		t.Errorf("quiet profile set xi %g, want clamp 0.001", plan.xi)
+	if done != len(recorded) {
+		t.Fatalf("replay ended after %d evaluations, the sweep ran %d", done, len(recorded))
 	}
 }
 

@@ -273,12 +273,10 @@ func reference(c *mpi.Comm, study Study, ref *critter.Profiler, refComm *critter
 }
 
 // planMsg is one planning decision as rank 0 hands it to the world: the
-// round to run, whether there is one, and whether the plan observes the
-// merged profile after it.
+// round to run and whether there is one.
 type planMsg struct {
-	round   Round
-	ok      bool
-	observe bool
+	round Round
+	ok    bool
 }
 
 // runSweep performs one (policy, eps) pass over the configurations the
@@ -321,15 +319,9 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		tr = nil
 	}
 	sr := SweepResult{Policy: pol, Eps: eps}
-	var (
-		plan Plan
-		// ProfileAware plans receive the live merged profile after every
-		// round.
-		profileAware ProfileAware
-	)
+	var plan Plan
 	if c.Rank() == 0 {
 		plan = strat.Plan(study.Space, eps)
-		profileAware, _ = plan.(ProfileAware)
 	}
 	roundNo, roundStart := 0, 0
 	for {
@@ -337,7 +329,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		if c.Rank() == 0 {
 			pm.round, pm.ok = plan.Next(sr.Configs[roundStart:])
 			pm.ok = pm.ok && len(pm.round.Configs) > 0
-			pm.observe = profileAware != nil
 		}
 		// Before the round's first Rekey, so no noise stream or virtual
 		// clock sees the hand-off.
@@ -447,16 +438,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 					Virtual: sel.Wall, FullVirtual: full.Wall,
 					Executed: sel.Executed, Skipped: sel.Skipped,
 				})
-			}
-		}
-		if pm.observe {
-			// Collective: every rank lends its archive to the fold, and only
-			// rank 0, which holds the plan, receives the merged profile (shared,
-			// read-only). Fed after the round's results exist and before the
-			// next planning decision, mirroring how they reach Next.
-			prof := tuned.GlobalProfileRoot(0)
-			if profileAware != nil {
-				profileAware.ObserveProfile(prof)
 			}
 		}
 	}

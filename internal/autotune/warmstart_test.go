@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"critter/internal/critter"
@@ -219,12 +220,30 @@ func TestWarmStartStrategyDecorator(t *testing.T) {
 	}
 }
 
-// TestWarmStartForwardsProfileAware checks the decorator against the new
-// optional interface: WarmStart delegates Plan to the inner strategy
-// untouched, so an inner ProfileAware plan keeps receiving the live merged
-// profile — a warm start must not silently disconnect a model-guided
-// strategy from its feedback loop.
-func TestWarmStartForwardsProfileAware(t *testing.T) {
+// planProbe decorates a strategy to record every plan it hands out. Sweeps
+// plan concurrently, hence the mutex.
+type planProbe struct {
+	inner Strategy
+	mu    *sync.Mutex
+	plans *[]Plan
+}
+
+func (s planProbe) Name() string { return "probe:" + s.inner.Name() }
+
+func (s planProbe) Plan(sp Space, eps float64) Plan {
+	p := s.inner.Plan(sp, eps)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	*s.plans = append(*s.plans, p)
+	return p
+}
+
+// TestWarmStartHandsOutInnerPlan checks that WarmStart delegates Plan to the
+// inner strategy untouched: the plan it returns is the inner strategy's own
+// value, a warm sweep plans once, and it evaluates exactly what the inner
+// strategy does under the same prior passed as Tuner.Prior. A warm start
+// changes the sweep's profiler seeding, never how a stateful plan is driven.
+func TestWarmStartHandsOutInnerPlan(t *testing.T) {
 	base := Tuner{
 		Study:    rampStudy(8),
 		EpsList:  []float64{0.25},
@@ -241,9 +260,14 @@ func TestWarmStartForwardsProfileAware(t *testing.T) {
 		t.Fatal("cold run exported no profile")
 	}
 
-	probe, calls := newProfileProbe(Surrogate{N: 5, Seed: 13})
+	inner := Surrogate{N: 5, Seed: 13}
+	plans := &[]Plan{}
+	warmStrat := WarmStart(planProbe{inner: inner, mu: &sync.Mutex{}, plans: plans}, prior)
+	if got := warmStrat.Plan(base.Study.Space, 0.25); len(*plans) != 1 || got != (*plans)[0] {
+		t.Fatal("WarmStart.Plan did not hand out the inner strategy's plan")
+	}
 	warm := base
-	warm.Strategy = WarmStart(probe, prior)
+	warm.Strategy = warmStrat
 	res, err := warm.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +275,18 @@ func TestWarmStartForwardsProfileAware(t *testing.T) {
 	if res.Strategy != "warm:probe:surrogate:5" {
 		t.Errorf("strategy recorded as %q", res.Strategy)
 	}
-	if len(*calls) == 0 {
-		t.Fatal("warm-started ProfileAware plan never received a profile")
+	if n := len(*plans) - 1; n != 1 {
+		t.Fatalf("the warm sweep planned %d times, want once", n)
 	}
-	for _, prof := range *calls {
-		if prof == nil {
-			t.Fatal("ObserveProfile fed a nil profile through WarmStart")
-		}
+	direct := base
+	direct.Strategy = inner
+	direct.Prior = prior
+	want, err := direct.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Sweeps[0][0].Configs, want.Sweeps[0][0].Configs) {
+		t.Error("warm-started plan evaluated differently from the inner strategy under Tuner.Prior")
 	}
 }
 

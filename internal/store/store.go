@@ -68,12 +68,6 @@ type Options struct {
 	// it. 0 means 4 MiB; negative disables automatic compaction (explicit
 	// Compact still works).
 	CompactBytes int64
-	// OnCompact, when set, receives the stats of every compaction —
-	// explicit or automatic — after the store's lock is released, so
-	// callers can log and count them. The callback must not call back
-	// into the store's mutating methods from the same goroutine chain
-	// that triggered it (read-only calls like LogSize are fine).
-	OnCompact func(CompactStats)
 }
 
 // CompactStats describes one compaction: what it dropped and reclaimed.
@@ -154,7 +148,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:          dir,
 		compactBytes: opt.CompactBytes,
-		onCompact:    opt.OnCompact,
 		idx:          make(map[string]int),
 	}
 	if s.compactBytes == 0 {
@@ -446,8 +439,11 @@ func (s *Store) LogSize() int64 {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetOnCompact installs (or replaces) the compaction-stats callback after
-// Open; see Options.OnCompact for the callback contract.
+// SetOnCompact installs (or replaces) the compaction-stats callback. fn
+// receives the stats of every compaction — explicit or automatic — after
+// the store's lock is released, so callers can log and count them. fn must
+// not call back into the store's mutating methods from the same goroutine
+// chain that triggered it (read-only calls like LogSize are fine).
 func (s *Store) SetOnCompact(fn func(CompactStats)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -207,7 +207,7 @@ func TestCompaction(t *testing.T) {
 }
 
 // TestCompactStats: explicit compaction reports what it reclaimed, and the
-// OnCompact callback observes automatic compactions triggered by commit.
+// SetOnCompact callback observes automatic compactions triggered by commit.
 func TestCompactStats(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{CompactBytes: -1})
@@ -253,7 +253,7 @@ func TestCompactStats(t *testing.T) {
 	}
 	s2.Close()
 	if len(calls) == 0 {
-		t.Fatal("OnCompact never invoked despite tiny threshold")
+		t.Fatal("compaction callback never invoked despite tiny threshold")
 	}
 	for i, cs := range calls {
 		if cs.BytesReclaimed <= 0 {
