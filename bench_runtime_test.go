@@ -57,12 +57,15 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 8 354-8 358 allocs/op and 1 024 587-1 031 179 B/op over 36 runs
+		// 8 338-8 344 allocs/op and 1 023 189-1 030 547 B/op over 36 runs
 		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
 		// often the collector empties the pools during the run, hence four
 		// allocations and one spread of bytes (the wider of this benchmark's
-		// and the a-priori one's, 6 592 B) of headroom. An allocation per
-		// configuration (20 a sweep) or per adopt is well past either, and so
+		// and the a-priori one's, 7 358 B) of headroom; the bytes ceiling
+		// predates a 1 KB fall and stays. While the reference profiler drew
+		// an arena from the memo and retired it, 8 354-8 358 and
+		// 1 024 587-1 031 179 B. An allocation per configuration (20 a
+		// sweep) or per adopt is well past either, and so
 		// is a reference profiler that interns its signatures (9 700-9 708
 		// and 1 201 668-1 205 257 B with that and a private intern cache per
 		// rank) or archives what nobody exports, a *Request per Isend
@@ -71,19 +74,18 @@ func TestAllocBudgets(t *testing.T) {
 		// recipient scratch per factorization. With a fresh round per
 		// untimed hand-off and per Dup it read 9 839-9 847 and 1 216 449-
 		// 1 220 512 B; with every rank planning the sweep and growing its
-		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. With
-		// each iteration building its Study with the timer stopped it reads
-		// 8 353-8 358 and 1 024 561-1 030 701 B over 9 runs at -cpu 1, 2 and
-		// 4; built inside the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 8362, 1037800},
-		// 11 622-11 628 allocs/op and 1 239 480-1 241 803 B/op over 36 runs,
-		// the same way, and 11 618-11 627 and 1 238 724-1 240 373 B over 9
-		// with the Study built per iteration (11 633-11 637 and 1 286 233-1 288 080 B with every
-		// rank planning; 13 275-13 287 and 1 412 429-1 418 990 B with the
-		// interning reference). Rekeying the offline pass's global path table
+		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. Each
+		// iteration builds its Study with the timer stopped; built inside
+		// the timed loop the Study adds about 17 allocations.
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 8348, 1037800},
+		// 11 605-11 612 allocs/op and 1 238 078-1 240 481 B/op over 36 runs,
+		// the same way (11 618-11 627 and 1 238 724-1 240 373 B while the
+		// reference drew an arena; 11 633-11 637 and 1 286 233-1 288 080 B
+		// with every rank planning; 13 275-13 287 and 1 412 429-1 418 990 B
+		// with the interning reference). Rekeying the offline pass's global path table
 		// into a Key map per configuration and rank, as GlobalPathFreqs does,
 		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 11632, 1248400},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 11616, 1248400},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

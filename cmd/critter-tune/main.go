@@ -52,7 +52,7 @@ import (
 )
 
 func main() {
-	studyName := flag.String("study", "capital", "workload: "+strings.Join(workload.Names(), ", "))
+	studyName := flag.String("study", "capital", "workload: "+strings.Join(workload.Default().Names(), ", "))
 	policyFlag := flag.String("policy", "online", "comma-separated policies: conditional, local, online, apriori, eager")
 	epsFlag := flag.String("eps", "0.125", "comma-separated confidence tolerances (<= 0 disables selective execution)")
 	scaleName := flag.String("scale", "default", "problem scale: "+strings.Join(workload.Default().ScaleNames(), ", "))
@@ -90,6 +90,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "critter-tune: %v\n", err)
 		os.Exit(2)
 	}
+	machine := sim.DefaultMachine()
+	machine.NoiseSigma = *noise
+	if err := machine.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "critter-tune: -noise: %v\n", err)
+		os.Exit(2)
+	}
 
 	var prior *critter.Profile
 	if *profileIn != "" {
@@ -122,8 +128,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	machine := sim.DefaultMachine()
-	machine.NoiseSigma = *noise
 	tn := autotune.Tuner{
 		Study:       study,
 		EpsList:     epsList,

@@ -33,12 +33,14 @@
 // problem scales, where the fitted family extrapolators keep predicting
 // after the per-signature models stop matching.
 //
-// Tuning problems themselves are first-class Workloads in a process-global
-// registry: the shipped catalog (the four case studies plus the example
-// workloads) and anything added with RegisterWorkload resolve by name
-// through LookupWorkload, the CLIs, and the critter-serve job service, which
-// queues tuning runs behind an HTTP JSON API and warm-starts each job from
-// what earlier jobs on the same workload learned. The service is built to
+// Tuning problems themselves are first-class Workloads — plain values: a
+// name, a Study builder, default policies and scale presets — in a
+// process-global registry: the shipped catalog (the four case studies plus
+// the example workloads) and anything added with RegisterWorkload resolve
+// by name through LookupWorkload, the CLIs, and the critter-serve job
+// service, which queues tuning runs behind an HTTP JSON API and
+// warm-starts each job from what earlier jobs on the same workload
+// learned. The service is built to
 // be run continuously: finished jobs, result envelopes, and merged
 // profiles persist across restarts in an embedded crash-safe store
 // (internal/store, enabled with -store), identical submissions
@@ -161,13 +163,11 @@ type (
 	// Scale sizes the built-in case studies.
 	Scale = autotune.Scale
 	// Workload is a first-class, registrable tuning problem: name,
-	// description, configuration space, default policies, scale presets,
-	// and a Study builder. Resolve by name through LookupWorkload; add your
-	// own with RegisterWorkload.
+	// description, a Study builder, default policies and scale presets.
+	// Fill Name and Build and pass the value to RegisterWorkload, which
+	// fills empty Policies and Scales; resolve by name through
+	// LookupWorkload.
 	Workload = workload.Workload
-	// WorkloadDef is the declarative Workload implementation: fill the
-	// fields, pass it to RegisterWorkload.
-	WorkloadDef = workload.Def
 	// ScalePreset is one named problem size a workload declares.
 	ScalePreset = workload.ScalePreset
 	// WorkloadRegistry maps workload names to Workloads. The process
@@ -232,20 +232,20 @@ func ParsePolicy(name string) (Policy, error) { return critter.ParsePolicy(name)
 // RegisterWorkload adds a custom workload to the default registry, making
 // it resolvable by name everywhere studies are: LookupWorkload, the CLIs'
 // -study flags, and the critter-serve job API. Empty and duplicate names,
-// and a workload whose study fails Study.Validate, are errors.
-func RegisterWorkload(w Workload) error { return workload.Register(w) }
+// a nil Build, and a workload whose study fails Study.Validate are errors.
+func RegisterWorkload(w Workload) error { return workload.Default().Register(w) }
 
 // LookupWorkload resolves a workload by name in the default registry.
-func LookupWorkload(name string) (Workload, bool) { return workload.Lookup(name) }
+func LookupWorkload(name string) (Workload, bool) { return workload.Default().Lookup(name) }
 
 // Workloads returns the default registry's workloads in registration order
 // (the four case studies first, in the paper's presentation order, then
 // the example workloads, then anything registered since).
-func Workloads() []Workload { return workload.List() }
+func Workloads() []Workload { return workload.Default().List() }
 
 // WorkloadNames returns the default registry's workload names in
 // registration order.
-func WorkloadNames() []string { return workload.Names() }
+func WorkloadNames() []string { return workload.Default().Names() }
 
 // NewWorkloadRegistry returns an empty, isolated workload registry, for
 // services that must not see (or leak into) the process-global namespace.

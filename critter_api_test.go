@@ -321,16 +321,16 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 	// so each run of this test (go test -count=N) registers a name of its own.
 	facadeRegistrations++
 	name := fmt.Sprintf("custom-qr-facade-test-%d", facadeRegistrations)
-	custom := critter.WorkloadDef{
-		WorkloadName: name,
-		Description:  "facade-registered CANDMC QR variant",
-		BuildFunc: func(s critter.Scale) critter.Study {
+	custom := critter.Workload{
+		Name:        name,
+		Description: "facade-registered CANDMC QR variant",
+		Build: func(s critter.Scale) critter.Study {
 			st := critter.CandmcQR(s)
 			st.Name = "custom-qr"
 			return st
 		},
-		DefaultPolicies: []critter.Policy{critter.Online},
-		ScalePresets: []critter.ScalePreset{
+		Policies: []critter.Policy{critter.Online},
+		Scales: []critter.ScalePreset{
 			{Name: "tiny", Scale: critter.QuickScale()},
 		},
 	}

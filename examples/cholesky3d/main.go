@@ -61,7 +61,7 @@ func main() {
 	// reproduces the paper's protocol; a context bounds the sweep). This
 	// experiment is itself a registered workload — "cholesky3d" in the
 	// default registry, with the conditional-vs-eager comparison as its
-	// declared default policies — so it is resolved by name here, exactly
+	// Policies field — so it is resolved by name here, exactly
 	// as critter-tune -study cholesky3d or a critter-serve job would.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -79,7 +79,7 @@ func main() {
 		EpsList:  []float64{0.125},
 		Machine:  machine,
 		Seed:     11,
-		Policies: wl.Policies(), // conditional, eager
+		Policies: wl.Policies, // conditional, eager
 	}.Run(ctx)
 	if err != nil {
 		log.Fatal(err)

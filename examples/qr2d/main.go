@@ -67,8 +67,8 @@ func main() {
 	}
 
 	// Autotune block size and grid shape (the paper's Figure 5a study).
-	// The study is the registered "qr2d" workload (online propagation as
-	// its declared default policy), resolved by name through the registry
+	// The study is the registered "qr2d" workload (its Policies field
+	// declares online propagation), resolved by name through the registry
 	// like any CLI or service job, and swept exhaustively — the Tuner's
 	// default strategy (see examples/budgeted-search for the others).
 	wl, ok := critter.LookupWorkload("qr2d")
@@ -85,7 +85,7 @@ func main() {
 		EpsList:  []float64{0.25},
 		Machine:  machine,
 		Seed:     23,
-		Policies: wl.Policies(), // online
+		Policies: wl.Policies, // online
 	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)

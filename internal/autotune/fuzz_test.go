@@ -1,14 +1,18 @@
 package autotune_test
 
-// Fuzzing of the flag-parsing gates: whatever the input, a parser either
-// returns an error or a fully usable value — no panics, no half-built
-// studies or strategies. Under plain `go test` these run their seed corpus
-// as ordinary unit tests.
+// Fuzzing of the flag-parsing gates and the envelope reader: whatever the
+// input, a parser either returns an error or a fully usable value — no
+// panics, no half-built studies, strategies or envelopes. Under plain
+// `go test` these run their seed corpus as ordinary unit tests.
 //
 // This is an external test package: study and scale names resolve through
 // the workload registry, whose package imports autotune.
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	. "critter/internal/autotune"
@@ -44,13 +48,13 @@ func FuzzParseScale(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
-		for _, w := range workload.List() {
+		for _, w := range workload.Default().List() {
 			s, err := workload.ScaleOf(w, name)
 			if err != nil {
 				continue
 			}
 			if st := w.Build(s); st.Validate() != nil || st.WorldSize <= 0 {
-				t.Fatalf("ScaleOf(%s, %q) built a degenerate study %s", w.Name(), name, st.Name)
+				t.Fatalf("ScaleOf(%s, %q) built a degenerate study %s", w.Name, name, st.Name)
 			}
 		}
 	})
@@ -94,6 +98,67 @@ func FuzzParseStrategy(f *testing.F) {
 				}
 				prev = append(prev, ConfigResult{Config: v})
 			}
+		}
+	})
+}
+
+// FuzzDecodeEnvelope fuzzes the envelope reader every consumer of
+// critter-tune -json and the service's results goes through: any input
+// either fails to decode, or decodes to an envelope inside the readable
+// schema window that encodes again and decodes back to the same bytes.
+func FuzzDecodeEnvelope(f *testing.F) {
+	goldens, err := filepath.Glob("testdata/envelope_*.golden.json")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden envelopes to seed from (%v)", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A golden grid runs to hundreds of kilobytes, and the mutator
+		// makes next to no progress on inputs that size: seed with the
+		// grid's first sweep and two configurations, wrapped the way
+		// critter-tune -json wraps a grid.
+		var res Result
+		if err := json.Unmarshal(data, &res); err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		sw := res.Sweeps[0][0]
+		sw.Configs = sw.Configs[:min(2, len(sw.Configs))]
+		res.Policies, res.EpsList, res.Sweeps = res.Policies[:1], res.EpsList[:1], [][]SweepResult{{sw}}
+		seed, err := json.Marshal(Envelope{SchemaVersion: ResultSchemaVersion, Study: res.Study,
+			Scale: "quick", Seed: 42, NoiseSigma: 0.05, Strategy: res.Strategy, Result: &res})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	for _, seed := range []string{`{}`, `{"schemaVersion":1}`, `{"schemaVersion":2}`,
+		`{"schemaVersion":4}`, `{"schemaVersion":3,"result":{"policies":["bogus"]}}`, `[]`, `null`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := DecodeEnvelope(data)
+		if err != nil {
+			if env != nil {
+				t.Fatalf("DecodeEnvelope returned both an envelope and error %v", err)
+			}
+			return
+		}
+		if env.SchemaVersion < 2 || env.SchemaVersion > ResultSchemaVersion {
+			t.Fatalf("DecodeEnvelope accepted schemaVersion %d outside [2, %d]", env.SchemaVersion, ResultSchemaVersion)
+		}
+		enc, err := json.Marshal(env)
+		if err != nil {
+			t.Fatalf("decoded envelope does not encode: %v", err)
+		}
+		back, err := DecodeEnvelope(enc)
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v\n%s", err, enc)
+		}
+		if again, err := json.Marshal(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("envelope round trip is not stable (%v):\n%s\n%s", err, enc, again)
 		}
 	})
 }

@@ -307,7 +307,7 @@ func TestReferenceNoiseFloor(t *testing.T) {
 			second := make([]critter.Report, st.Size())
 			w := mpi.NewWorld(st.WorldSize, quickMachine(), seed)
 			if err := w.Run(func(c *mpi.Comm) {
-				ref, refComm := critter.NewReference(c, nil)
+				ref, refComm := critter.NewReference(c)
 				for v := range first {
 					a := reference(c, st, ref, refComm, v)
 					ck := critter.ConfigKey(st.Name, v)

@@ -241,7 +241,7 @@ func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed 
 	}
 	w := sc.world(study.WorldSize, machine, seed)
 	err = w.Run(func(c *mpi.Comm) {
-		ref, refComm := critter.NewReference(c, nil)
+		ref, refComm := critter.NewReference(c)
 		rep := reference(c, study, ref, refComm, v)
 		if c.Rank() == 0 {
 			*out = rep

@@ -377,7 +377,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				full = *known
 			} else {
 				if ref == nil {
-					ref, refComm = critter.NewReference(c, j.memo)
+					ref, refComm = critter.NewReference(c)
 				}
 				full = reference(c, study, ref, refComm, v)
 				if c.Rank() == 0 {
@@ -450,11 +450,8 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	// studies that reset statistics between configurations still yield
 	// their full union.
 	sr.Profile = tuned.GlobalProfileRoot(0)
-	// The sweep is done with its profilers: donate their arenas back to the
-	// worker's memo for the next sweep.
-	if ref != nil {
-		ref.Retire()
-	}
+	// The sweep is done with its selective profiler: donate its arena back
+	// to the worker's memo for the next sweep.
 	tuned.Retire()
 	return sr
 }

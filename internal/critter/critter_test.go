@@ -649,9 +649,9 @@ func TestReportDeterministic(t *testing.T) {
 // on identical worlds and seeds, each configuration's noise keyed by the
 // configuration as the sweep keys it. The reports must agree field for field.
 // The reference is a clock: it keeps no record and archives nothing, its
-// GlobalProfile is empty, and it neither looks up nor publishes an interner,
-// so a selective profiler that restarts a configuration on its memo misses
-// and publishes its own table, where the twin's memo serves it.
+// GlobalProfile is empty, and it takes no memo, so a selective profiler that
+// restarts a configuration on the memo misses and publishes its own table,
+// where the twin's memo serves it.
 func TestReferenceArchivesNothing(t *testing.T) {
 	const ranks, configs = 4, 5
 	work := func(p *Profiler, cc *Comm, cfg int) {
@@ -728,7 +728,8 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	twin := func(c *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
 		return New(c, Options{Policy: Conditional, Eps: 0, Memo: memo})
 	}
-	ref := run(NewReference, true)
+	reference := func(c *mpi.Comm, _ *KernelMemo) (*Profiler, *Comm) { return NewReference(c) }
+	ref := run(reference, true)
 	full := run(twin, false)
 
 	for i := range ref.reports {

@@ -237,14 +237,15 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 
 // NewReference creates the profiler a reference execution runs under — the
 // full execution every selective one is judged against: New with the
-// Conditional policy, tolerance zero and memo. It is collective like New.
+// Conditional policy and tolerance zero. It is collective like New.
 // A reference is only ever asked for its Reports, so it is a clock: it
 // interns no signature, keeps no per-kernel record and sets nothing aside,
 // so ExportProfile and GlobalProfile on it are empty and KernelCount is 0.
 // Its StartConfigKeyed neither looks up nor publishes an interner: the first
-// selective run of a configuration does. memo only recycles its arena.
-func NewReference(world *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
-	p, cc := New(world, Options{Policy: Conditional, Eps: 0, Memo: memo})
+// selective run of a configuration does. With nothing to recycle either, it
+// takes no memo.
+func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
+	p, cc := New(world, Options{Policy: Conditional, Eps: 0})
 	p.reference = true
 	return p, cc
 }

@@ -419,10 +419,10 @@ func TestResultBytesEndToEnd(t *testing.T) {
 // ends failed with the encoding error, and has no result to serve.
 func TestUnencodableResultFailsJob(t *testing.T) {
 	reg := workload.NewRegistry()
-	err := reg.Register(workload.Def{
-		WorkloadName: "nan",
-		Description:  "test workload whose kernels take NaN time",
-		BuildFunc: func(autotune.Scale) autotune.Study {
+	err := reg.Register(workload.Workload{
+		Name:        "nan",
+		Description: "test workload whose kernels take NaN time",
+		Build: func(autotune.Scale) autotune.Study {
 			return autotune.Study{
 				Name:      "nan",
 				Space:     autotune.NewSpace(autotune.IntsDim("v", 0, 0)),

@@ -46,7 +46,7 @@ func FuzzParseJobRequest(f *testing.F) {
 			return
 		}
 		// An accepted spec must be fully resolved and runnable.
-		if spec.workload == nil || spec.strategy == nil {
+		if spec.workload.Build == nil || spec.strategy == nil {
 			t.Fatalf("accepted spec is half-built: %+v", spec)
 		}
 		if len(spec.eps) == 0 || len(spec.eps) > maxEpsPerJob {

@@ -298,15 +298,15 @@ func (s *Server) workloads(w http.ResponseWriter, r *http.Request) {
 	var out []workloadInfo
 	for _, wl := range s.sched.Registry().List() {
 		info := workloadInfo{
-			Name:        wl.Name(),
-			Description: wl.Describe(),
+			Name:        wl.Name,
+			Description: wl.Description,
 			Scales:      make(map[string]int),
 		}
-		for _, p := range wl.Policies() {
+		for _, p := range wl.Policies {
 			info.Policies = append(info.Policies, p.String())
 		}
-		for _, preset := range wl.Scales() {
-			info.Scales[preset.Name] = wl.Space(preset.Scale).Size()
+		for _, preset := range wl.Scales {
+			info.Scales[preset.Name] = wl.Build(preset.Scale).Size()
 		}
 		out = append(out, info)
 	}

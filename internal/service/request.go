@@ -140,7 +140,7 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 
 	spec.scaleName = req.Scale
 	if spec.scaleName == "" {
-		spec.scaleName = w.Scales()[0].Name
+		spec.scaleName = w.Scales[0].Name
 	}
 	scale, err := workload.ScaleOf(w, spec.scaleName)
 	if err != nil {
@@ -150,7 +150,7 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 
 	names := req.Policies
 	if len(names) == 0 {
-		for _, p := range w.Policies() {
+		for _, p := range w.Policies {
 			names = append(names, p.String())
 		}
 	}
@@ -197,7 +197,7 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 	// Strategy names round-trip through ParseStrategy, so the normalized
 	// request re-resolves to an identical spec.
 	spec.req = JobRequest{
-		Workload:    w.Name(),
+		Workload:    w.Name,
 		Scale:       spec.scaleName,
 		Policies:    append([]string(nil), spec.policyNames...),
 		Eps:         append([]float64(nil), spec.eps...),
@@ -227,7 +227,7 @@ func fingerprintSpec(spec *jobSpec) string {
 		Extrapolate bool      `json:"extrapolate"`
 		WarmStart   bool      `json:"warmStart"`
 	}{
-		Workload:    spec.workload.Name(),
+		Workload:    spec.workload.Name,
 		Scale:       spec.scaleName,
 		Policies:    spec.policyNames,
 		Eps:         spec.eps,

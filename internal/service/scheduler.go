@@ -219,7 +219,7 @@ func (j *job) status(lc lifecycle) JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       lc.state,
-		Workload:    j.spec.workload.Name(),
+		Workload:    j.spec.workload.Name,
 		Scale:       j.spec.scaleName,
 		Strategy:    j.spec.strategy.Name(),
 		Policies:    append([]string(nil), j.spec.policyNames...),
@@ -888,7 +888,7 @@ func (s *Scheduler) prior(spec *jobSpec) *critter.Profile {
 	if !spec.warm {
 		return nil
 	}
-	return s.store.Get(spec.workload.Name())
+	return s.store.Get(spec.workload.Name)
 }
 
 // runJob executes one popped job end to end on the calling runner.
@@ -915,7 +915,7 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 
 	// A run shows its workload's kernel counters from the start, zero
 	// included.
-	name := spec.workload.Name()
+	name := spec.workload.Name
 	s.met.kernelsExecuted.With(name)
 	s.met.kernelsSkipped.With(name)
 	s.met.kernelsMemoized.With(name)
@@ -978,7 +978,7 @@ func (s *Scheduler) sweepLocked(x *execution, ev Event) error {
 	if _, err := x.apply(step{ev: ev}); err != nil {
 		return err
 	}
-	name := x.names[0].spec.workload.Name()
+	name := x.names[0].spec.workload.Name
 	s.met.kernelsExecuted.With(name).Add(ev.Executed)
 	s.met.kernelsSkipped.With(name).Add(ev.Skipped)
 	s.met.kernelsMemoized.With(name).Add(ev.Memoized)

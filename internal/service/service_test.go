@@ -95,10 +95,10 @@ func TestWarmStartAcrossJobs(t *testing.T) {
 // blocks until gate is closed, for queue/cancellation tests.
 func blockingRegistry(gate chan struct{}) *workload.Registry {
 	reg := workload.NewRegistry()
-	err := reg.Register(workload.Def{
-		WorkloadName: "block",
-		Description:  "test workload that blocks until released",
-		BuildFunc: func(s autotune.Scale) autotune.Study {
+	err := reg.Register(workload.Workload{
+		Name:        "block",
+		Description: "test workload that blocks until released",
+		Build: func(s autotune.Scale) autotune.Study {
 			return autotune.Study{
 				Name: "block",
 				// Two configurations: cancellation is observed at
@@ -127,10 +127,10 @@ func blockingRegistry(gate chan struct{}) *workload.Registry {
 // does, in grid order.
 func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
 	reg := workload.NewRegistry()
-	err := reg.Register(workload.Def{
-		WorkloadName: "grid",
-		Description:  "test workload whose online runs panic",
-		BuildFunc: func(autotune.Scale) autotune.Study {
+	err := reg.Register(workload.Workload{
+		Name:        "grid",
+		Description: "test workload whose online runs panic",
+		Build: func(autotune.Scale) autotune.Study {
 			return autotune.Study{
 				Name:      "grid",
 				Space:     autotune.NewSpace(autotune.IntsDim("v", 0, 1)),

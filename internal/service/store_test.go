@@ -19,10 +19,10 @@ import (
 // run many jobs under the race detector.
 func tinyRegistry() *workload.Registry {
 	reg := workload.NewRegistry()
-	err := reg.Register(workload.Def{
-		WorkloadName: "tiny",
-		Description:  "test workload of a few small kernels",
-		BuildFunc: func(autotune.Scale) autotune.Study {
+	err := reg.Register(workload.Workload{
+		Name:        "tiny",
+		Description: "test workload of a few small kernels",
+		Build: func(autotune.Scale) autotune.Study {
 			return autotune.Study{
 				Name:      "tiny",
 				Space:     autotune.NewSpace(autotune.IntsDim("v", 0, 1)),

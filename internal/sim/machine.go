@@ -52,22 +52,27 @@ func DefaultMachine() Machine {
 	}
 }
 
-// Validate reports whether the model parameters are usable.
+// Validate reports whether the model parameters are usable: Alpha, Beta,
+// Gamma and NoiseSigma finite and non-negative, MinEfficiency in (0,1].
+// Every test is written so that NaN fails it.
 func (m Machine) Validate() error {
 	switch {
-	case m.Alpha < 0:
-		return fmt.Errorf("sim: negative Alpha %g", m.Alpha)
-	case m.Beta < 0:
-		return fmt.Errorf("sim: negative Beta %g", m.Beta)
-	case m.Gamma < 0:
-		return fmt.Errorf("sim: negative Gamma %g", m.Gamma)
-	case m.NoiseSigma < 0:
-		return fmt.Errorf("sim: negative NoiseSigma %g", m.NoiseSigma)
-	case m.MinEfficiency <= 0 || m.MinEfficiency > 1:
+	case !finiteNonNegative(m.Alpha):
+		return fmt.Errorf("sim: Alpha %g is negative or not finite", m.Alpha)
+	case !finiteNonNegative(m.Beta):
+		return fmt.Errorf("sim: Beta %g is negative or not finite", m.Beta)
+	case !finiteNonNegative(m.Gamma):
+		return fmt.Errorf("sim: Gamma %g is negative or not finite", m.Gamma)
+	case !finiteNonNegative(m.NoiseSigma):
+		return fmt.Errorf("sim: NoiseSigma %g is negative or not finite", m.NoiseSigma)
+	case !(m.MinEfficiency > 0 && m.MinEfficiency <= 1):
 		return fmt.Errorf("sim: MinEfficiency %g outside (0,1]", m.MinEfficiency)
 	}
 	return nil
 }
+
+// finiteNonNegative is x >= 0 && x < +Inf; NaN is neither.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // PtToPtTime returns the noiseless cost of moving n bytes point-to-point.
 func (m Machine) PtToPtTime(n int) float64 {

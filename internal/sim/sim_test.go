@@ -127,6 +127,24 @@ func TestMachineValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("negative noise accepted")
 	}
+	// NaN compares false with everything, so a test of the form x < 0
+	// lets it through; every field must reject NaN and both infinities.
+	fields := map[string]func(*Machine) *float64{
+		"Alpha":         func(m *Machine) *float64 { return &m.Alpha },
+		"Beta":          func(m *Machine) *float64 { return &m.Beta },
+		"Gamma":         func(m *Machine) *float64 { return &m.Gamma },
+		"NoiseSigma":    func(m *Machine) *float64 { return &m.NoiseSigma },
+		"MinEfficiency": func(m *Machine) *float64 { return &m.MinEfficiency },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad = m
+			*field(&bad) = v
+			if bad.Validate() == nil {
+				t.Errorf("%s = %g accepted", name, v)
+			}
+		}
+	}
 }
 
 func TestPtToPtTimeMonotone(t *testing.T) {

@@ -12,40 +12,40 @@ import (
 )
 
 func init() {
-	mustRegister(Def{
-		WorkloadName: "capital",
-		Description:  "CAPITAL recursive communication-avoiding Cholesky: 15 configs (block size x base-case strategy), kernels persist across configs (eager propagation applies)",
-		BuildFunc:    autotune.CapitalCholesky,
+	mustRegister(Workload{
+		Name:        "capital",
+		Description: "CAPITAL recursive communication-avoiding Cholesky: 15 configs (block size x base-case strategy), kernels persist across configs (eager propagation applies)",
+		Build:       autotune.CapitalCholesky,
 	})
-	mustRegister(Def{
-		WorkloadName: "slate-chol",
-		Description:  "SLATE tile-based Cholesky: 20 configs (lookahead depth x tile size), kernel models reset per config",
-		BuildFunc:    autotune.SlateCholesky,
+	mustRegister(Workload{
+		Name:        "slate-chol",
+		Description: "SLATE tile-based Cholesky: 20 configs (lookahead depth x tile size), kernel models reset per config",
+		Build:       autotune.SlateCholesky,
 	})
-	mustRegister(Def{
-		WorkloadName: "candmc",
-		Description:  "CANDMC pipelined 2D Householder QR with TSQR panels: 15 configs (block size x grid shape)",
-		BuildFunc:    autotune.CandmcQR,
+	mustRegister(Workload{
+		Name:        "candmc",
+		Description: "CANDMC pipelined 2D Householder QR with TSQR panels: 15 configs (block size x grid shape)",
+		Build:       autotune.CandmcQR,
 	})
-	mustRegister(Def{
-		WorkloadName: "slate-qr",
-		Description:  "SLATE communication-avoiding QR: 63 configs (inner block x tile size x grid shape)",
-		BuildFunc:    autotune.SlateQR,
+	mustRegister(Workload{
+		Name:        "slate-qr",
+		Description: "SLATE communication-avoiding QR: 63 configs (inner block x tile size x grid shape)",
+		Build:       autotune.SlateQR,
 	})
 
 	// The example workloads: the same factorizations the examples drive,
 	// tuned the way the example mains tune them (their default policies
 	// are the comparison each example prints).
-	mustRegister(Def{
-		WorkloadName:    "cholesky3d",
-		Description:     "examples/cholesky3d: CAPITAL Cholesky tuned with eager propagation against the conditional baseline (the paper's headline Figure 4a experiment)",
-		BuildFunc:       autotune.CapitalCholesky,
-		DefaultPolicies: []critter.Policy{critter.Conditional, critter.Eager},
+	mustRegister(Workload{
+		Name:        "cholesky3d",
+		Description: "examples/cholesky3d: CAPITAL Cholesky tuned with eager propagation against the conditional baseline (the paper's headline Figure 4a experiment)",
+		Build:       autotune.CapitalCholesky,
+		Policies:    []critter.Policy{critter.Conditional, critter.Eager},
 	})
-	mustRegister(Def{
-		WorkloadName:    "qr2d",
-		Description:     "examples/qr2d: CANDMC pipelined 2D QR tuned with online critical-path propagation (the paper's Figure 5a study)",
-		BuildFunc:       autotune.CandmcQR,
-		DefaultPolicies: []critter.Policy{critter.Online},
+	mustRegister(Workload{
+		Name:        "qr2d",
+		Description: "examples/qr2d: CANDMC pipelined 2D QR tuned with online critical-path propagation (the paper's Figure 5a study)",
+		Build:       autotune.CandmcQR,
+		Policies:    []critter.Policy{critter.Online},
 	})
 }

@@ -17,19 +17,18 @@ func MarkdownTable(reg *Registry) string {
 	b.WriteString("| workload | configurations | default policies | scales | description |\n")
 	b.WriteString("| --- | --- | --- | --- | --- |\n")
 	for _, w := range reg.List() {
-		presets := w.Scales()
 		var scaleNames []string
-		for _, p := range presets {
+		for _, p := range w.Scales {
 			scaleNames = append(scaleNames, p.Name)
 		}
 		var policies []string
-		for _, p := range w.Policies() {
+		for _, p := range w.Policies {
 			policies = append(policies, p.String())
 		}
 		fmt.Fprintf(&b, "| `%s` | %d | %s | %s | %s |\n",
-			w.Name(), w.Space(presets[0].Scale).Size(),
+			w.Name, w.Build(w.Scales[0].Scale).Size(),
 			strings.Join(policies, ", "), strings.Join(scaleNames, ", "),
-			w.Describe())
+			w.Description)
 	}
 	return b.String()
 }

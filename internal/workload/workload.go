@@ -1,12 +1,12 @@
 // Package workload makes tuning problems first-class, registrable values.
-// A Workload names a problem, describes it, declares its configuration
-// space, default selective-execution policies, and named scale presets, and
-// builds the runnable autotune.Study for a given scale. A Registry maps
-// flag/API names to Workloads; the process-global Default registry carries
-// the paper's four case studies plus the two example workloads, and
-// downstream users add their own through Register (re-exported by the
-// critter facade), which the CLIs, the figures generator, and the service
-// layer then resolve by name — no switch statement to extend.
+// A Workload names a problem, describes it, declares its default
+// selective-execution policies and named scale presets, and builds the
+// runnable autotune.Study for a given scale. A Registry maps flag/API names
+// to Workloads; the process-global Default registry carries the paper's
+// four case studies plus the two example workloads, and downstream users
+// add their own through Default().Register (re-exported by the critter
+// facade), which the CLIs, the figures generator, and the service layer
+// then resolve by name — no switch statement to extend.
 //
 // The package sits above internal/autotune (it imports Study, Space, and
 // Scale from it).
@@ -14,7 +14,6 @@ package workload
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -32,74 +31,23 @@ type ScalePreset struct {
 }
 
 // Workload is a first-class tuning problem: everything the harness needs to
-// list it, size it, and run it, behind a name.
-type Workload interface {
+// list it, size it, and run it, behind a name. Fill Name and Build and
+// register the value; Register fills the rest.
+type Workload struct {
 	// Name is the registry key, as used in flags and the JSON API.
-	Name() string
-	// Describe is a one-line human description for listings.
-	Describe() string
-	// Space returns the configuration space at the given scale.
-	Space(s autotune.Scale) autotune.Space
-	// Build constructs the runnable study at the given scale.
-	Build(s autotune.Scale) autotune.Study
-	// Policies lists the selective-execution policies evaluated by
-	// default when a caller does not choose its own.
-	Policies() []critter.Policy
-	// Scales lists the workload's named scale presets, preferred first.
-	Scales() []ScalePreset
-}
-
-// Def is a declarative Workload implementation: fill the fields, register
-// the value. BuildFunc is the only required field besides the name.
-type Def struct {
-	// WorkloadName is the registry key.
-	WorkloadName string
+	Name string
 	// Description is the one-line listing text.
 	Description string
-	// BuildFunc constructs the study at a scale.
-	BuildFunc func(autotune.Scale) autotune.Study
-	// DefaultPolicies is the policy list evaluated when the caller does
-	// not choose; empty falls back to the built study's own list.
-	DefaultPolicies []critter.Policy
-	// ScalePresets are the named problem sizes; empty falls back to the
-	// shared default/quick pair.
-	ScalePresets []ScalePreset
+	// Build constructs the runnable study at a scale.
+	Build func(autotune.Scale) autotune.Study
+	// Policies lists the selective-execution policies evaluated when a
+	// caller does not choose its own; Register fills an empty list from
+	// the study built at the first preset.
+	Policies []critter.Policy
+	// Scales lists the named scale presets, preferred first; Register
+	// fills an empty list with the default/quick pair.
+	Scales []ScalePreset
 }
-
-// Name implements Workload.
-func (d Def) Name() string { return d.WorkloadName }
-
-// Describe implements Workload.
-func (d Def) Describe() string { return d.Description }
-
-// Space implements Workload via the built study's declared space.
-func (d Def) Space(s autotune.Scale) autotune.Space { return d.Build(s).Space }
-
-// Build implements Workload.
-func (d Def) Build(s autotune.Scale) autotune.Study { return d.BuildFunc(s) }
-
-// Policies implements Workload; an empty DefaultPolicies falls back to the
-// study's own declared list (at the first preset's scale, which the
-// built-in studies declare scale-independently).
-func (d Def) Policies() []critter.Policy {
-	if len(d.DefaultPolicies) > 0 {
-		return d.DefaultPolicies
-	}
-	return d.Build(d.firstScale()).Policies
-}
-
-// Scales implements Workload, defaulting to the shared default/quick pair.
-func (d Def) Scales() []ScalePreset {
-	if len(d.ScalePresets) > 0 {
-		return d.ScalePresets
-	}
-	return []ScalePreset{
-		{Name: "default", Scale: autotune.DefaultScale()},
-		{Name: "quick", Scale: autotune.QuickScale()},
-	}
-}
-
-func (d Def) firstScale() autotune.Scale { return d.Scales()[0].Scale }
 
 // Registry maps workload names to Workloads. The zero value is not usable;
 // call NewRegistry. All methods are safe for concurrent use.
@@ -114,56 +62,42 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]Workload)}
 }
 
-// Register adds w under its name. Empty names and duplicates are errors:
-// a registry is a namespace, and silently replacing a workload would make
-// results irreproducible.
+// Register adds w under its name. Empty names, a nil Build, a study that
+// fails Study.Validate at the first preset, and duplicates are errors: a
+// registry is a namespace, and silently replacing a workload would make
+// results irreproducible. An empty Scales becomes the default/quick pair
+// and an empty Policies the built study's own list, so every stored
+// workload is complete.
 func (r *Registry) Register(w Workload) error {
-	// Catch typed nils (e.g. (*Def)(nil)) before the first method call
-	// dereferences them: a nil pointer in a non-nil interface passes a
-	// plain == nil check.
-	if w == nil || (reflect.ValueOf(w).Kind() == reflect.Pointer && reflect.ValueOf(w).IsNil()) {
-		return fmt.Errorf("workload: Register(nil)")
-	}
-	name := w.Name()
-	if name == "" {
+	if w.Name == "" {
 		return fmt.Errorf("workload: register: empty workload name")
 	}
-	// A Def without its builder would register fine and then panic the
-	// first time anything resolves it (catalog listings build the study
-	// to size the space); reject it at the door instead — value or
-	// pointer, both satisfy Workload.
-	missingBuild := false
-	switch d := w.(type) {
-	case Def:
-		missingBuild = d.BuildFunc == nil
-	case *Def:
-		missingBuild = d.BuildFunc == nil // nil *Def was rejected above
+	if w.Build == nil {
+		return fmt.Errorf("workload: register %q: Build is required", w.Name)
 	}
-	if missingBuild {
-		return fmt.Errorf("workload: register %q: Def.BuildFunc is required", name)
-	}
-	// Every consumer of the catalog (scale resolution, markdown and JSON
-	// listings) indexes the first declared preset, so an empty preset
-	// list is rejected here rather than panicking there. Def can never
-	// trip this (its Scales falls back to default/quick); this guards
-	// hand-rolled Workload implementations.
-	scales := w.Scales()
-	if len(scales) == 0 {
-		return fmt.Errorf("workload: register %q: at least one scale preset is required", name)
+	if len(w.Scales) == 0 {
+		w.Scales = []ScalePreset{
+			{Name: "default", Scale: autotune.DefaultScale()},
+			{Name: "quick", Scale: autotune.QuickScale()},
+		}
 	}
 	// A workload whose study has no configurations, no runner or no ranks
 	// would resolve fine and then fail every sweep; reject it here, sized
 	// at the first preset like the catalog listings.
-	if err := w.Build(scales[0].Scale).Validate(); err != nil {
-		return fmt.Errorf("workload: register %q: %w", name, err)
+	st := w.Build(w.Scales[0].Scale)
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("workload: register %q: %w", w.Name, err)
+	}
+	if len(w.Policies) == 0 {
+		w.Policies = st.Policies
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("workload: register: %q already registered", name)
+	if _, dup := r.byName[w.Name]; dup {
+		return fmt.Errorf("workload: register: %q already registered", w.Name)
 	}
-	r.byName[name] = w
-	r.order = append(r.order, name)
+	r.byName[w.Name] = w
+	r.order = append(r.order, w.Name)
 	return nil
 }
 
@@ -200,7 +134,7 @@ func (r *Registry) ScaleNames() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, w := range r.List() {
-		for _, p := range w.Scales() {
+		for _, p := range w.Scales {
 			if !seen[p.Name] {
 				seen[p.Name] = true
 				out = append(out, p.Name)
@@ -211,32 +145,18 @@ func (r *Registry) ScaleNames() []string {
 	return out
 }
 
-// defaultRegistry is the process-global registry the package-level
-// functions resolve against.
+// defaultRegistry is the process-global registry.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-global registry.
 func Default() *Registry { return defaultRegistry }
 
-// Register adds w to the default registry.
-func Register(w Workload) error { return defaultRegistry.Register(w) }
-
 // mustRegister registers a built-in; a failure is a programming error.
 func mustRegister(w Workload) {
-	if err := Register(w); err != nil {
+	if err := defaultRegistry.Register(w); err != nil {
 		panic(err)
 	}
 }
-
-// Lookup resolves a workload by name in the default registry.
-func Lookup(name string) (Workload, bool) { return defaultRegistry.Lookup(name) }
-
-// List returns the default registry's workloads in registration order.
-func List() []Workload { return defaultRegistry.List() }
-
-// Names returns the default registry's workload names in registration
-// order.
-func Names() []string { return defaultRegistry.Names() }
 
 // ResolveStudy resolves a workload name and one of its declared scale
 // presets together, building the study — the canonical name-to-study path
@@ -263,16 +183,15 @@ func ResolveStudy(reg *Registry, workloadName, scaleName string) (autotune.Study
 // ScaleOf resolves one of w's declared scale presets by name. The error
 // enumerates w's preset names.
 func ScaleOf(w Workload, name string) (autotune.Scale, error) {
-	presets := w.Scales()
-	for _, p := range presets {
+	for _, p := range w.Scales {
 		if p.Name == name {
 			return p.Scale, nil
 		}
 	}
-	names := make([]string, len(presets))
-	for i, p := range presets {
+	names := make([]string, len(w.Scales))
+	for i, p := range w.Scales {
 		names[i] = p.Name
 	}
 	return autotune.Scale{}, fmt.Errorf("workload: %s: unknown scale %q (want %s)",
-		w.Name(), name, strings.Join(names, ", "))
+		w.Name, name, strings.Join(names, ", "))
 }

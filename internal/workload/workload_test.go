@@ -2,6 +2,7 @@ package workload
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // case studies plus the two example workloads, in registration order.
 func TestDefaultRegistryContents(t *testing.T) {
 	want := []string{"capital", "slate-chol", "candmc", "slate-qr", "cholesky3d", "qr2d"}
-	got := Names()
+	got := Default().Names()
 	if len(got) < len(want) {
 		t.Fatalf("default registry has %v, want at least %v", got, want)
 	}
@@ -23,30 +24,26 @@ func TestDefaultRegistryContents(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		w, ok := Lookup(name)
+		w, ok := Default().Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}
-		if w.Name() != name {
-			t.Errorf("Lookup(%q).Name() = %q", name, w.Name())
+		if w.Name != name {
+			t.Errorf("Lookup(%q).Name = %q", name, w.Name)
 		}
-		if w.Describe() == "" {
+		if w.Description == "" {
 			t.Errorf("workload %q has no description", name)
 		}
-		if len(w.Policies()) == 0 {
+		if len(w.Policies) == 0 {
 			t.Errorf("workload %q declares no default policies", name)
 		}
-		if len(w.Scales()) == 0 {
+		if len(w.Scales) == 0 {
 			t.Errorf("workload %q declares no scale presets", name)
 		}
-		for _, preset := range w.Scales() {
+		for _, preset := range w.Scales {
 			st := w.Build(preset.Scale)
 			if st.Size() <= 0 || st.WorldSize <= 0 || st.Run == nil {
 				t.Errorf("workload %q at scale %q builds a degenerate study", name, preset.Name)
-			}
-			if sp := w.Space(preset.Scale); sp.Size() != st.Size() {
-				t.Errorf("workload %q at scale %q: Space size %d != study size %d",
-					name, preset.Name, sp.Size(), st.Size())
 			}
 		}
 	}
@@ -89,11 +86,11 @@ func TestExampleWorkloadPolicies(t *testing.T) {
 		"qr2d":       {critter.Online},
 	}
 	for name, want := range cases {
-		w, ok := Lookup(name)
+		w, ok := Default().Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}
-		got := w.Policies()
+		got := w.Policies
 		if len(got) != len(want) {
 			t.Fatalf("%s policies = %v, want %v", name, got, want)
 		}
@@ -105,27 +102,15 @@ func TestExampleWorkloadPolicies(t *testing.T) {
 	}
 }
 
-// TestRegistryErrors covers the namespace rules: empty names, duplicates,
-// and nil registrations are rejected.
+// TestRegistryErrors covers the namespace rules: empty names, a missing
+// builder, unrunnable studies and duplicates are rejected.
 func TestRegistryErrors(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(nil); err == nil {
-		t.Error("Register(nil) succeeded")
-	}
-	if err := r.Register(Def{WorkloadName: ""}); err == nil {
+	if err := r.Register(Workload{Build: autotune.CandmcQR}); err == nil {
 		t.Error("Register with empty name succeeded")
 	}
-	if err := r.Register(Def{WorkloadName: "no-builder"}); err == nil {
-		t.Error("Register of a Def without BuildFunc succeeded")
-	}
-	if err := r.Register(&Def{WorkloadName: "no-builder-ptr"}); err == nil {
-		t.Error("Register of a *Def without BuildFunc succeeded")
-	}
-	if err := r.Register((*Def)(nil)); err == nil {
-		t.Error("Register of a typed-nil *Def succeeded")
-	}
-	if err := r.Register(noScales{}); err == nil {
-		t.Error("Register of a workload with no scale presets succeeded")
+	if err := r.Register(Workload{Name: "no-builder"}); err == nil {
+		t.Error("Register of a Workload without Build succeeded")
 	}
 	// A workload whose study cannot run (no configurations, no runner, or
 	// no ranks) is rejected at the door, sized at its first preset.
@@ -134,53 +119,55 @@ func TestRegistryErrors(t *testing.T) {
 		st.Space = autotune.Space{}
 		return st
 	}
-	if err := r.Register(Def{WorkloadName: "no-space", BuildFunc: noSpace}); err == nil ||
+	if err := r.Register(Workload{Name: "no-space", Build: noSpace}); err == nil ||
 		!strings.Contains(err.Error(), "no configurations") {
-		t.Errorf("Register of a Def building an empty-space study: %v", err)
+		t.Errorf("Register of a Workload building an empty-space study: %v", err)
 	}
 	noRun := func(sc autotune.Scale) autotune.Study {
 		st := autotune.CandmcQR(sc)
 		st.Run = nil
 		return st
 	}
-	if err := r.Register(&Def{WorkloadName: "no-run", BuildFunc: noRun}); err == nil ||
+	if err := r.Register(Workload{Name: "no-run", Build: noRun}); err == nil ||
 		!strings.Contains(err.Error(), "no Run") {
-		t.Errorf("Register of a *Def building a study without Run: %v", err)
+		t.Errorf("Register of a Workload building a study without Run: %v", err)
 	}
 	noRanks := func(sc autotune.Scale) autotune.Study {
 		st := autotune.CandmcQR(sc)
 		st.WorldSize = 0
 		return st
 	}
-	if err := r.Register(Def{WorkloadName: "no-ranks", BuildFunc: noRanks}); err == nil ||
+	if err := r.Register(Workload{Name: "no-ranks", Build: noRanks}); err == nil ||
 		!strings.Contains(err.Error(), "WorldSize 0") {
-		t.Errorf("Register of a Def building a study without ranks: %v", err)
+		t.Errorf("Register of a Workload building a study without ranks: %v", err)
 	}
-	def := Def{WorkloadName: "x", BuildFunc: autotune.CandmcQR}
-	if err := r.Register(def); err != nil {
+	w := Workload{Name: "x", Build: autotune.CandmcQR}
+	if err := r.Register(w); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := r.Register(def); err == nil {
+	if err := r.Register(w); err == nil {
 		t.Error("duplicate Register succeeded")
 	}
-	if _, ok := r.Lookup("x"); !ok {
-		t.Error("Lookup after Register failed")
+	got, ok := r.Lookup("x")
+	if !ok {
+		t.Fatal("Lookup after Register failed")
+	}
+	// Register completes what the value leaves empty: the default/quick
+	// presets and the study's own policy list.
+	var scales []string
+	for _, p := range got.Scales {
+		scales = append(scales, p.Name)
+	}
+	if !slices.Equal(scales, []string{"default", "quick"}) {
+		t.Errorf("stored Scales = %v, want default, quick", scales)
+	}
+	if want := autotune.CandmcQR(autotune.DefaultScale()).Policies; !slices.Equal(got.Policies, want) {
+		t.Errorf("stored Policies = %v, want the study's %v", got.Policies, want)
 	}
 	if n := len(r.List()); n != 1 {
 		t.Errorf("List length = %d, want 1", n)
 	}
 }
-
-// noScales is a hand-rolled Workload that declares no scale presets —
-// invalid, and rejected at registration.
-type noScales struct{}
-
-func (noScales) Name() string                          { return "no-scales" }
-func (noScales) Describe() string                      { return "invalid test workload" }
-func (noScales) Space(s autotune.Scale) autotune.Space { return autotune.Space{} }
-func (noScales) Build(s autotune.Scale) autotune.Study { return autotune.Study{} }
-func (noScales) Policies() []critter.Policy            { return nil }
-func (noScales) Scales() []ScalePreset                 { return nil }
 
 // TestParseStudyErrorEnumerates checks the unknown-workload error names
 // every registered workload, mirroring the old switch-based message.
@@ -189,7 +176,7 @@ func TestParseStudyErrorEnumerates(t *testing.T) {
 	if err == nil {
 		t.Fatal("ResolveStudy(bogus, quick) succeeded")
 	}
-	for _, name := range Names() {
+	for _, name := range Default().Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not enumerate workload %q", err, name)
 		}
@@ -199,7 +186,7 @@ func TestParseStudyErrorEnumerates(t *testing.T) {
 // TestParseScaleErrorEnumerates checks a workload's declared presets
 // resolve by name and the unknown-scale error enumerates them.
 func TestParseScaleErrorEnumerates(t *testing.T) {
-	w, _ := Lookup("candmc")
+	w, _ := Default().Lookup("candmc")
 	for _, name := range []string{"default", "quick"} {
 		if _, err := ScaleOf(w, name); err != nil {
 			t.Fatalf("ScaleOf(candmc, %s): %v", name, err)
@@ -228,12 +215,12 @@ func TestResolveStudy(t *testing.T) {
 	// A preset declared by one workload does not leak into another's
 	// namespace through this path.
 	reg := NewRegistry()
-	for _, d := range []Def{
-		{WorkloadName: "a", BuildFunc: autotune.CandmcQR,
-			ScalePresets: []ScalePreset{{Name: "tiny", Scale: autotune.QuickScale()}}},
-		{WorkloadName: "b", BuildFunc: autotune.CandmcQR},
+	for _, w := range []Workload{
+		{Name: "a", Build: autotune.CandmcQR,
+			Scales: []ScalePreset{{Name: "tiny", Scale: autotune.QuickScale()}}},
+		{Name: "b", Build: autotune.CandmcQR},
 	} {
-		if err := reg.Register(d); err != nil {
+		if err := reg.Register(w); err != nil {
 			t.Fatal(err)
 		}
 	}
