@@ -18,7 +18,7 @@
 //
 //	POST   /v1/jobs                 {"workload":"candmc","scale":"quick","eps":[0.125]}
 //	                                (optional "strategy": exhaustive, random:N,
-//	                                halving[:ETA], or surrogate:N[:BATCH])
+//	                                halving, or surrogate:N)
 //	GET    /v1/jobs                 all jobs
 //	GET    /v1/jobs/{id}            job status
 //	DELETE /v1/jobs/{id}            cancel

@@ -3,10 +3,9 @@
 // reports: full execution time, predicted time, prediction error, and the
 // kernel execution/skip counts. The grid runs through a Tuner: -strategy
 // selects which configurations each sweep evaluates (exhaustive reproduces
-// the paper; random:N, halving[:ETA], and surrogate:N[:BATCH] — the
-// model-guided strategy — trade coverage for budget), -timeout
-// cancels the remaining work at a deadline, and -workers bounds the
-// concurrent sweep pool.
+// the paper; random:N, halving, and surrogate:N — the model-guided
+// strategy — trade coverage for budget), -timeout cancels the remaining
+// work at a deadline, and -workers bounds the concurrent sweep pool.
 //
 // Usage:
 //
@@ -166,23 +165,9 @@ func main() {
 	// the envelope must reach stdout before any exit — then persist the
 	// profile artifact.
 	if *jsonOut {
-		env := autotune.Envelope{
-			SchemaVersion: autotune.ResultSchemaVersion,
-			Study:         study.Name,
-			Scale:         *scaleName,
-			Seed:          *seed,
-			NoiseSigma:    *noise,
-			Strategy:      strategy.Name(),
-			Profiles:      autotune.ProfileSummaries(res),
-			Result:        res,
-		}
-		if prior != nil {
-			sum := autotune.Summarize("", 0, prior)
-			env.Prior = &sum
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(env); err != nil {
+		if err := enc.Encode(tn.Envelope(*scaleName, res)); err != nil {
 			fmt.Fprintf(os.Stderr, "critter-tune: %v\n", err)
 			os.Exit(1)
 		}

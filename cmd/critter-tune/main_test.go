@@ -31,6 +31,8 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-policy", "bogus"},
 		{"-eps", "abc"},
 		{"-strategy", "bogus"},
+		{"-strategy", "halving:3"},
+		{"-strategy", "surrogate:8:2"},
 		{"-noise", "-1"},
 		{"-noise", "NaN"},
 	} {

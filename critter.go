@@ -265,9 +265,8 @@ func DecodeEnvelope(data []byte) (*Envelope, error) { return autotune.DecodeEnve
 const StrategyNames = autotune.StrategyNames
 
 // ParseStrategy resolves a search-strategy flag spec ("exhaustive",
-// "random:N", "halving[:ETA]", "surrogate:N[:BATCH]"); seed seeds
-// RandomSample's and Surrogate's sampling streams. StrategyNames documents
-// the full grammar.
+// "random:N", "halving", "surrogate:N"); seed seeds RandomSample's and
+// Surrogate's sampling streams.
 func ParseStrategy(spec string, seed uint64) (Strategy, error) {
 	return autotune.ParseStrategy(spec, seed)
 }

@@ -163,8 +163,8 @@ type sweepJob struct {
 	eps     float64
 	machine sim.Machine
 	seed    uint64
-	// prior warm-starts the selective profiler and extrapolate enables
-	// its family fits (see the matching Tuner fields).
+	// prior warm-starts the selective profiler (Tuner.prior resolves it)
+	// and extrapolate enables its family fits (see Tuner.Extrapolate).
 	prior       *critter.Profile
 	extrapolate bool
 	// tracer receives the sweep's span events (see Tuner.Tracer); nil

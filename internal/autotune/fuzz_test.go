@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	. "critter/internal/autotune"
@@ -60,9 +61,12 @@ func FuzzParseScale(f *testing.F) {
 	})
 }
 
+// FuzzParseStrategy fuzzes the -strategy gate: every accepted spec names a
+// strategy whose Name parses back to the same value (one spelling per
+// strategy), and whose plan over a small space stays inside it and ends.
 func FuzzParseStrategy(f *testing.F) {
 	for _, seed := range []string{"exhaustive", "random:8", "random:0", "random:", "halving",
-		"halving:3", "halving:1", "exhaustive:1", "random:-5", "bogus", "", "random:9999999",
+		"halving:2", "halving:3", "halving:1", "exhaustive:1", "random:-5", "bogus", "", "random:9999999",
 		"surrogate:6", "surrogate:0", "surrogate:", "surrogate:3:2", "surrogate:3:0",
 		"surrogate:3:-1", "surrogate:9999999:7", "surrogate:2:9999999"} {
 		f.Add(seed)
@@ -74,6 +78,9 @@ func FuzzParseStrategy(f *testing.F) {
 		}
 		if strat.Name() == "" {
 			t.Fatalf("ParseStrategy(%q) returned an unnamed strategy", spec)
+		}
+		if back, err := ParseStrategy(strat.Name(), 7); err != nil || !reflect.DeepEqual(back, strat) {
+			t.Fatalf("ParseStrategy(%q) = %#v, whose Name %q parses back to %#v (%v)", spec, strat, strat.Name(), back, err)
 		}
 		// Whatever the parsed parameters, the plan over a small space must
 		// stay inside the space and terminate.

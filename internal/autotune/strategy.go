@@ -119,49 +119,32 @@ func (r RandomSample) Plan(sp Space, eps float64) Plan {
 // SuccessiveHalving prunes the space across tolerance rungs: the first rung
 // evaluates every configuration at a loosened tolerance (cheap, because
 // loose tolerances skip most kernels), then each following rung keeps the
-// best 1/Eta of the survivors by Critter's predicted execution time and
+// better half of the survivors by Critter's predicted execution time and
 // halves the tolerance, until the final rung reaches the sweep's target
-// tolerance with at most Eta configurations left. Total evaluations are at
-// most Eta/(Eta-1) times the space size, but almost all of them run at
-// loose tolerances.
-type SuccessiveHalving struct {
-	// Eta is the pruning factor per rung; 0 means 2.
-	Eta int
-}
+// tolerance with at most two configurations left. Total evaluations are at
+// most twice the space size, but almost all of them run at loose
+// tolerances.
+type SuccessiveHalving struct{}
 
 // Name implements Strategy.
-func (sh SuccessiveHalving) Name() string {
-	if e := sh.eta(); e != 2 {
-		return fmt.Sprintf("halving:%d", e)
-	}
-	return "halving"
-}
-
-func (sh SuccessiveHalving) eta() int {
-	if sh.Eta < 2 {
-		return 2
-	}
-	return sh.Eta
-}
+func (SuccessiveHalving) Name() string { return "halving" }
 
 // Plan implements Strategy.
-func (sh SuccessiveHalving) Plan(sp Space, eps float64) Plan {
-	eta := sh.eta()
-	// Rung survivor counts: size, ceil(size/eta), ... down to <= eta.
+func (SuccessiveHalving) Plan(sp Space, eps float64) Plan {
+	// Rung survivor counts: size, ceil(size/2), ... down to <= 2.
 	rungs := 1
-	for n := sp.Size(); n > eta; n = (n + eta - 1) / eta {
+	for n := sp.Size(); n > 2; n = (n + 1) / 2 {
 		rungs++
 	}
 	configs := make([]int, sp.Size())
 	for i := range configs {
 		configs[i] = i
 	}
-	return &halvingPlan{eta: eta, rungs: rungs, targetEps: eps, survivors: configs}
+	return &halvingPlan{rungs: rungs, targetEps: eps, survivors: configs}
 }
 
 // halvingPlan is the per-sweep state of SuccessiveHalving.
 type halvingPlan struct {
-	eta       int
 	rungs     int
 	rung      int
 	targetEps float64
@@ -173,7 +156,7 @@ func (p *halvingPlan) Next(prev []ConfigResult) (Round, bool) {
 		if p.rung >= p.rungs {
 			return Round{}, false
 		}
-		p.survivors = prune(prev, (len(p.survivors)+p.eta-1)/p.eta)
+		p.survivors = prune(prev, (len(p.survivors)+1)/2)
 	}
 	eps := p.targetEps
 	if eps > 0 {
@@ -217,51 +200,32 @@ func prune(results []ConfigResult, n int) []int {
 // grammar head ParseStrategy accepts must appear here (pinned by
 // TestStrategyNamesComplete, which also round-trips each strategy's Name
 // back through the parser).
-const StrategyNames = "exhaustive, random:N, halving[:ETA], surrogate:N[:BATCH]"
+const StrategyNames = "exhaustive, random:N, halving, surrogate:N"
 
 // ParseStrategy resolves a strategy flag spec: "exhaustive", "random:N"
-// (N sampled configurations, seeded with seed), "halving" with an optional
-// ":ETA" pruning factor, or "surrogate:N" (model-guided search over an
-// evaluation budget of N, seeded with seed) with an optional ":BATCH"
-// proposals-per-round count.
+// (N sampled configurations, seeded with seed), "halving", or
+// "surrogate:N" (model-guided search over an evaluation budget of N,
+// seeded with seed).
 func ParseStrategy(spec string, seed uint64) (Strategy, error) {
 	name, arg, hasArg := strings.Cut(spec, ":")
 	switch name {
-	case "exhaustive":
+	case "exhaustive", "halving":
 		if hasArg {
-			return nil, fmt.Errorf("autotune: strategy exhaustive takes no argument, got %q", spec)
+			return nil, fmt.Errorf("autotune: strategy %s takes no argument, got %q", name, spec)
 		}
-		return Exhaustive{}, nil
-	case "random":
-		n, err := strconv.Atoi(arg)
-		if !hasArg || err != nil || n < 1 {
-			return nil, fmt.Errorf("autotune: strategy random wants a positive sample count, e.g. random:8, got %q", spec)
-		}
-		return RandomSample{N: n, Seed: seed}, nil
-	case "halving":
-		if !hasArg {
+		if name == "halving" {
 			return SuccessiveHalving{}, nil
 		}
-		eta, err := strconv.Atoi(arg)
-		if err != nil || eta < 2 {
-			return nil, fmt.Errorf("autotune: strategy halving wants an integer pruning factor >= 2, got %q", spec)
-		}
-		return SuccessiveHalving{Eta: eta}, nil
-	case "surrogate":
-		narg, barg, hasBatch := strings.Cut(arg, ":")
-		n, err := strconv.Atoi(narg)
+		return Exhaustive{}, nil
+	case "random", "surrogate":
+		n, err := strconv.Atoi(arg)
 		if !hasArg || err != nil || n < 1 {
-			return nil, fmt.Errorf("autotune: strategy surrogate wants a positive evaluation budget, e.g. surrogate:8 or surrogate:8:2, got %q", spec)
+			return nil, fmt.Errorf("autotune: strategy %s wants a positive number of configurations to evaluate, e.g. %s:8, got %q", name, name, spec)
 		}
-		s := Surrogate{N: n, Seed: seed}
-		if hasBatch {
-			b, err := strconv.Atoi(barg)
-			if err != nil || b < 1 {
-				return nil, fmt.Errorf("autotune: strategy surrogate wants a positive batch size, e.g. surrogate:8:2, got %q", spec)
-			}
-			s.Batch = b
+		if name == "surrogate" {
+			return Surrogate{N: n, Seed: seed}, nil
 		}
-		return s, nil
+		return RandomSample{N: n, Seed: seed}, nil
 	}
 	return nil, fmt.Errorf("autotune: unknown strategy %q (want %s)", spec, StrategyNames)
 }

@@ -21,7 +21,7 @@ import (
 
 // Surrogate evaluates up to N configurations chosen by a regression
 // surrogate with expected-improvement acquisition: a seeded initial design,
-// then Batch proposals per round, each round refitting the model on every
+// then one proposal per round, each round refitting the model on every
 // prediction observed so far. N >= the space size degenerates to an
 // exhaustive sweep in model-guided order.
 //
@@ -34,18 +34,10 @@ type Surrogate struct {
 	N int
 	// Seed seeds the initial design's sampling stream.
 	Seed uint64
-	// Batch is the number of configurations proposed per model round; 0
-	// means 1 (pure sequential expected improvement).
-	Batch int
 }
 
 // Name implements Strategy.
-func (s Surrogate) Name() string {
-	if s.Batch > 0 {
-		return fmt.Sprintf("surrogate:%d:%d", s.N, s.Batch)
-	}
-	return fmt.Sprintf("surrogate:%d", s.N)
-}
+func (s Surrogate) Name() string { return fmt.Sprintf("surrogate:%d", s.N) }
 
 // Plan implements Strategy. The plan depends only on (Seed, space, eps) and
 // the ConfigResults it observes, so a sweep's rounds are a function of what
@@ -56,23 +48,10 @@ func (s Surrogate) Plan(sp Space, eps float64) Plan {
 	if n <= 0 || n > size {
 		n = size
 	}
-	batch := s.Batch
-	if batch <= 0 {
-		batch = 1
-	}
-	if batch > n {
-		batch = n
-	}
 	// The initial design: a seeded sample large enough to anchor the first
-	// fit (one point per dimension plus intercept headroom), at least one
-	// batch, never more than the budget.
-	init := len(sp.Dims) + 2
-	if init < batch {
-		init = batch
-	}
-	if init > n {
-		init = n
-	}
+	// fit (one point per dimension plus intercept headroom), never more
+	// than the budget.
+	init := min(len(sp.Dims)+2, n)
 	perm := make([]int, size)
 	for i := range perm {
 		perm[i] = i
@@ -92,7 +71,6 @@ func (s Surrogate) Plan(sp Space, eps float64) Plan {
 		sp:    sp,
 		eps:   eps,
 		n:     n,
-		batch: batch,
 		first: first,
 		model: surrogate.New(sizes, 0),
 		seen:  make([]bool, size),
@@ -114,7 +92,6 @@ type surrogatePlan struct {
 	sp       Space
 	eps      float64
 	n        int
-	batch    int
 	first    []int
 	started  bool
 	proposed int
@@ -141,26 +118,17 @@ func (p *surrogatePlan) Next(prev []ConfigResult) (Round, bool) {
 		p.started = true
 		return Round{Configs: p.first, Eps: p.eps}, true
 	}
-	k := p.n - p.proposed
-	if k <= 0 {
+	if p.proposed >= p.n {
 		return Round{}, false
 	}
-	if k > p.batch {
-		k = p.batch
-	}
-	next := p.propose(k)
-	if len(next) == 0 {
-		return Round{}, false
-	}
-	p.proposed += len(next)
-	return Round{Configs: next, Eps: p.eps}, true
+	p.proposed++
+	return Round{Configs: []int{p.propose()}, Eps: p.eps}, true
 }
 
 // propose fits the surrogate on everything observed so far and returns the
-// k unevaluated configurations with the highest expected improvement,
-// ties broken by lower predicted mean then lower configuration index, in
-// ascending index order for a stable evaluation order.
-func (p *surrogatePlan) propose(k int) []int {
+// unevaluated configuration with the highest expected improvement, ties
+// broken by lower predicted mean then lower configuration index.
+func (p *surrogatePlan) propose() int {
 	best := math.Inf(1)
 	for _, o := range p.obs {
 		if o.Y < best {
@@ -168,46 +136,22 @@ func (p *surrogatePlan) propose(k int) []int {
 		}
 	}
 	fitted := p.model.Fit(p.obs) == nil && p.model.Fitted()
-	type cand struct {
-		v    int
-		ei   float64
-		mean float64
-	}
-	cands := make([]cand, 0, p.sp.Size())
+	pick, pickEI, pickMean := -1, 0.0, 0.0
 	for v := 0; v < p.sp.Size(); v++ {
 		if p.seen[v] {
 			continue
 		}
-		c := cand{v: v}
+		var ei, mean float64
 		if fitted {
-			mean, std := p.model.Predict(p.sp.Decode(v))
-			c.mean = mean
-			c.ei = surrogate.ExpectedImprovement(mean, std, best, defaultXi)
+			var std float64
+			mean, std = p.model.Predict(p.sp.Decode(v))
+			ei = surrogate.ExpectedImprovement(mean, std, best, defaultXi)
 		}
-		cands = append(cands, c)
-	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		switch {
-		case a.ei > b.ei:
-			return -1
-		case a.ei < b.ei:
-			return 1
-		case a.mean < b.mean:
-			return -1
-		case a.mean > b.mean:
-			return 1
-		default:
-			return a.v - b.v
+		// Ascending v: a tie on both keys keeps the lower index.
+		if pick < 0 || ei > pickEI || (ei == pickEI && mean < pickMean) {
+			pick, pickEI, pickMean = v, ei, mean
 		}
-	})
-	if k > len(cands) {
-		k = len(cands)
 	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].v
-		p.seen[cands[i].v] = true
-	}
-	slices.Sort(out)
-	return out
+	p.seen[pick] = true
+	return pick
 }

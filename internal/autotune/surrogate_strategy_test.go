@@ -226,9 +226,7 @@ func TestStrategyNamesComplete(t *testing.T) {
 		Exhaustive{},
 		RandomSample{N: 8, Seed: seed},
 		SuccessiveHalving{},
-		SuccessiveHalving{Eta: 3},
 		Surrogate{N: 6, Seed: seed},
-		Surrogate{N: 6, Seed: seed, Batch: 2},
 	}
 	for _, s := range strategies {
 		back, err := ParseStrategy(s.Name(), seed)

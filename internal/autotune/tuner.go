@@ -84,6 +84,15 @@ func (t Tuner) strategy() Strategy {
 	return t.Strategy
 }
 
+// prior resolves the warm-start prior every sweep is seeded with: the
+// explicit Prior, else a WarmStart strategy's, else none.
+func (t Tuner) prior() *critter.Profile {
+	if w, ok := t.Strategy.(warmStart); ok && t.Prior == nil {
+		return w.prior
+	}
+	return t.Prior
+}
+
 // policies resolves the tuner's policy list: the explicit override, else
 // the study's own list, else (when the resolved list is empty) the paper's
 // four-policy default.
@@ -105,6 +114,7 @@ func (t Tuner) policies() []critter.Policy {
 func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 	policies := t.policies()
 	strat := t.strategy()
+	prior := t.prior()
 	refs := t.Study.references(t.Machine, t.Seed)
 	res := &Result{
 		Study:    t.Study.Name,
@@ -124,7 +134,7 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 				eps:         eps,
 				machine:     t.Machine,
 				seed:        t.Seed,
-				prior:       t.Prior,
+				prior:       prior,
 				extrapolate: t.Extrapolate,
 				tracer:      t.Tracer,
 				refs:        refs,
@@ -292,17 +302,11 @@ type planMsg struct {
 // boundary and aborts the whole world.
 func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	study, pol, eps, strat := j.study, j.pol, j.eps, j.strat
-	// The tuner's explicit prior wins; otherwise a WarmStart strategy may
-	// carry one.
-	prior := j.prior
-	if pp, ok := strat.(priorCarrier); ok && prior == nil {
-		prior = pp.Prior()
-	}
 	opts := critter.Options{
 		Policy:      pol,
 		Eps:         eps,
 		Extrapolate: j.extrapolate,
-		Prior:       prior,
+		Prior:       j.prior,
 		Memo:        j.memo,
 	}
 	// The reference profiler is built on the first miss of the shared table;
@@ -598,4 +602,26 @@ type Envelope struct {
 	// Profiles summarizes each sweep's exported profile in grid order.
 	Profiles []ProfileSummary `json:"profiles,omitempty"`
 	Result   *Result          `json:"result"`
+}
+
+// Envelope wraps res, a grid this tuner returned, with the tuner's inputs
+// (seed, noise sigma, strategy), the caller's name for the study's scale,
+// a summary of the prior its sweeps were seeded with, and each sweep's
+// exported profile summary.
+func (t Tuner) Envelope(scale string, res *Result) *Envelope {
+	env := &Envelope{
+		SchemaVersion: ResultSchemaVersion,
+		Study:         t.Study.Name,
+		Scale:         scale,
+		Seed:          t.Seed,
+		NoiseSigma:    t.Machine.NoiseSigma,
+		Strategy:      t.strategy().Name(),
+		Profiles:      ProfileSummaries(res),
+		Result:        res,
+	}
+	if prior := t.prior(); prior != nil {
+		sum := Summarize("", 0, prior)
+		env.Prior = &sum
+	}
+	return env
 }

@@ -11,15 +11,9 @@ package autotune
 
 import "critter/internal/critter"
 
-// priorCarrier is the interface runSweep probes for a strategy-attached
-// warm-start prior. Tuner.Prior, when set, takes precedence.
-type priorCarrier interface {
-	Prior() *critter.Profile
-}
-
 // warmStart decorates an inner Strategy with a prior profile. Planning
 // delegates to the inner strategy untouched; only the sweep's profiler
-// seeding changes.
+// seeding changes, through the prior Tuner.build resolves.
 type warmStart struct {
 	inner Strategy
 	prior *critter.Profile
@@ -44,6 +38,3 @@ func (w warmStart) Name() string { return "warm:" + w.inner.Name() }
 
 // Plan implements Strategy by delegating to the inner strategy.
 func (w warmStart) Plan(sp Space, eps float64) Plan { return w.inner.Plan(sp, eps) }
-
-// Prior implements priorCarrier.
-func (w warmStart) Prior() *critter.Profile { return w.prior }

@@ -239,6 +239,50 @@ func parentRecord(t *testing.T, st *store.Store, from, id string) []byte {
 	return data
 }
 
+// TestReplayRemovedStrategySpelling: a finished job whose durable record
+// names a strategy spelling this version no longer accepts (halving:3,
+// written when halving took a pruning factor) still replays with its
+// status and its result bytes, because replay never re-parses a request;
+// submitting the same request anew is rejected.
+func TestReplayRemovedStrategySpelling(t *testing.T) {
+	const (
+		status = `{"id":"job-7","state":"done","workload":"capital","scale":"quick","strategy":"halving:3",` +
+			`"policies":["online"],"eps":[0.125],"seed":7,"noiseSigma":0.1,"extrapolate":false,"warmStart":false,` +
+			`"fingerprint":"sha256:00","sweepsDone":1,"sweepsTotal":1,"submitted":"2025-01-02T03:04:05Z",` +
+			`"started":"2025-01-02T03:04:06Z","finished":"2025-01-02T03:04:07Z"}`
+		request = `{"workload":"capital","scale":"quick","policies":["online"],"eps":[0.125],"strategy":"halving:3",` +
+			`"seed":7,"noiseSigma":0.1,"warmStart":false,"dedup":true}`
+		envelope = `{"schemaVersion":3,"study":"capital-cholesky","scale":"quick","seed":7,"noiseSigma":0.1,` +
+			`"strategy":"halving:3","result":{"Study":"capital-cholesky","Strategy":"halving:3",` +
+			`"Policies":["online"],"EpsList":[0.125],"Sweeps":[[{"Policy":"online","Eps":0.125}]]}}`
+	)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	data := `{"status":` + status + `,"request":` + request + `,"envelope":` + envelope + `}`
+	if err := st.Append(store.Record{Kind: kindJob, Key: "job-7", Data: json.RawMessage(data)}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Runners: 1, Durable: st})
+	defer closeNow(t, s)
+
+	got, ok := s.Status("job-7")
+	if !ok {
+		t.Fatal("the halving:3 record did not replay")
+	}
+	if enc, err := json.Marshal(got); err != nil || string(enc) != status {
+		t.Errorf("replayed status (%v):\n%s\nwant the record's:\n%s", err, enc, status)
+	}
+	if res := envelopeJSON(t, s, "job-7"); string(res) != envelope {
+		t.Errorf("replayed result:\n%s\nwant the record's:\n%s", res, envelope)
+	}
+	if _, err := s.SubmitJSON([]byte(request)); err == nil {
+		t.Error("a new halving:3 submission was accepted")
+	}
+}
+
 // mustExecuted returns the executed-kernel count of a finished job's only
 // sweep.
 func mustExecuted(t *testing.T, s *Scheduler, id string) int64 {

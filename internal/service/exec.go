@@ -54,21 +54,7 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 	}
 	res, err := arenas.Run(ctx, tn, emit)
 
-	env := &autotune.Envelope{
-		SchemaVersion: autotune.ResultSchemaVersion,
-		Study:         study.Name,
-		Scale:         spec.scaleName,
-		Seed:          spec.seed,
-		NoiseSigma:    spec.noise,
-		Strategy:      spec.strategy.Name(),
-		Profiles:      autotune.ProfileSummaries(res),
-		Result:        res,
-	}
-	if prior != nil {
-		sum := autotune.Summarize("", 0, prior)
-		env.Prior = &sum
-	}
-	return env, learnedProfile(res), err
+	return tn.Envelope(spec.scaleName, res), learnedProfile(res), err
 }
 
 // learnedProfile is res's merged learned profile for the store, which takes

@@ -93,6 +93,8 @@ func TestParseJobRequestErrors(t *testing.T) {
 		{`{"workload":"candmc","scale":"huge"}`, "quick"}, // enumerates the presets
 		{`{"workload":"candmc","policies":["warp"]}`, "policy"},
 		{`{"workload":"candmc","strategy":"bogus"}`, "unknown strategy"},
+		{`{"workload":"candmc","strategy":"halving:3"}`, "takes no argument"},
+		{`{"workload":"candmc","strategy":"surrogate:8:2"}`, `"surrogate:8:2"`},
 		{`{"workload":"candmc","noiseSigma":-1}`, "noiseSigma"},
 		{`{"workload":"candmc","unknownField":1}`, "unknown field"},
 		{`{"workload":"candmc"} trailing`, "trailing data"},

@@ -78,6 +78,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	for _, bad := range []string{
 		``, `{`, `[]`, `{"workload":"bogus"}`, `{"workload":"candmc","scale":"huge"}`,
 		`{"workload":"candmc","eps":[0.1],"unknown":1}`, `{"workload":"candmc","strategy":"bogus"}`,
+		`{"workload":"candmc","strategy":"halving:3"}`, `{"workload":"candmc","strategy":"surrogate:8:2"}`,
 	} {
 		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {

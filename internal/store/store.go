@@ -48,6 +48,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 )
@@ -87,6 +88,8 @@ type CompactStats struct {
 const (
 	snapshotName = "snapshot.json"
 	walName      = "wal.log"
+	// snapshotTempPrefix names a compaction's snapshot before its rename.
+	snapshotTempPrefix = snapshotName + ".tmp-"
 
 	// frameHeaderLen is the per-record framing overhead: a uint32 payload
 	// length followed by a uint32 CRC-32C of the payload.
@@ -154,6 +157,9 @@ func Open(dir string, opt Options) (*Store, error) {
 		s.compactBytes = defaultCompactBytes
 	}
 
+	if err := removeSnapshotTemps(dir); err != nil {
+		return nil, err
+	}
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -161,6 +167,24 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// removeSnapshotTemps deletes the temp files of compactions that never
+// reached their rename: a crash mid-compaction leaves one behind, and no
+// later compaction would reuse or remove it.
+func removeSnapshotTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), snapshotTempPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("store: remove stale snapshot temp: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // loadSnapshot reads snapshot.json when present.
@@ -486,7 +510,7 @@ func (s *Store) compactLocked() (CompactStats, error) {
 		BytesReclaimed: s.walSize,
 	}
 
-	tmp, err := os.CreateTemp(s.dir, snapshotName+".tmp-*")
+	tmp, err := os.CreateTemp(s.dir, snapshotTempPrefix+"*")
 	if err != nil {
 		return CompactStats{}, fmt.Errorf("store: snapshot temp file: %w", err)
 	}

@@ -206,6 +206,48 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesCompactionLeftover: a compaction that crashed before its
+// rename leaves a snapshot-sized temp file; the next Open deletes it and
+// replays the records from the snapshot and log it did not touch.
+func TestOpenRemovesCompactionLeftover(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	for i := 0; i < 3; i++ {
+		if err := s.Append(rec("job", fmt.Sprintf("job-%d", i), i, `{"n":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Close()
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leftover := filepath.Join(dir, snapshotName+".tmp-123456")
+	if err := os.WriteFile(leftover, snap, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Errorf("compaction leftover survived Open: %v", err)
+	}
+	got := s2.Records()
+	if len(got) != 3 {
+		t.Fatalf("replayed %d records, want 3", len(got))
+	}
+	for i, r := range got {
+		if want := rec("job", fmt.Sprintf("job-%d", i), i, `{"n":1}`); r.Key != want.Key || !r.At.Equal(want.At) || string(r.Data) != string(want.Data) {
+			t.Errorf("record %d = %+v, want %+v", i, r, want)
+		}
+	}
+}
+
 // TestCompactStats: explicit compaction reports what it reclaimed, and the
 // SetOnCompact callback observes automatic compactions triggered by commit.
 func TestCompactStats(t *testing.T) {
