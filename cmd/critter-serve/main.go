@@ -12,7 +12,7 @@
 //
 //	critter-serve [-addr 127.0.0.1:8080] [-runners 1] [-queue 16]
 //	              [-workers 0] [-history 256] [-store DIR] [-grace 30s]
-//	              [-trace-events 4096] [-debug-addr ADDR]
+//	              [-debug-addr ADDR]
 //
 // API (JSON; see the README's Service section for the full table):
 //
@@ -34,10 +34,10 @@
 // cancels whatever is left.
 //
 // Observability: GET /v1/metrics (JSON) and GET /metrics (Prometheus
-// text) expose the scheduler's instrument set, GET /v1/jobs/{id}/trace a
-// job's span events, and -debug-addr starts a separate net/http/pprof
-// listener. The pprof listener is opt-in and on its own address so
-// profiling endpoints never share a port with the public API.
+// text) expose the scheduler's instrument set, GET /v1/jobs/{id}/trace the
+// last 4096 span events of a job's run, and -debug-addr starts a separate
+// net/http/pprof listener. The pprof listener is opt-in and on its own
+// address so profiling endpoints never share a port with the public API.
 package main
 
 import (
@@ -68,7 +68,6 @@ func main() {
 	history := flag.Int("history", 256, "finished jobs retained for status/result lookups (oldest evicted beyond this; <0 = unlimited)")
 	storeDir := flag.String("store", "", "durable store directory for jobs + profiles (empty = in-memory only)")
 	grace := flag.Duration("grace", 30*time.Second, "graceful-shutdown window for in-flight jobs")
-	traceEvents := flag.Int("trace-events", 4096, "per-job span-trace ring size served at /v1/jobs/{id}/trace (<0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	flag.Parse()
 
@@ -81,13 +80,12 @@ func main() {
 
 	logger := log.New(os.Stderr, "critter-serve: ", log.LstdFlags)
 	cfg := service.Config{
-		Machine:     sim.DefaultMachine(),
-		QueueSize:   *queue,
-		Runners:     *runners,
-		Workers:     *workers,
-		MaxHistory:  *history,
-		TraceEvents: *traceEvents,
-		Logf:        logger.Printf,
+		Machine:    sim.DefaultMachine(),
+		QueueSize:  *queue,
+		Runners:    *runners,
+		Workers:    *workers,
+		MaxHistory: *history,
+		Logf:       logger.Printf,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})

@@ -40,15 +40,14 @@
 // by name through LookupWorkload, the CLIs, and the critter-serve job
 // service, which queues tuning runs behind an HTTP JSON API and
 // warm-starts each job from what earlier jobs on the same workload
-// learned. The service is built to
-// be run continuously: finished jobs, result envelopes, and merged
-// profiles persist across restarts in an embedded crash-safe store
-// (internal/store, enabled with -store), identical submissions
-// deduplicate onto one execution (and memoize afterwards), and a bounded
-// queue sheds overload with 429 + Retry-After. The determinism guarantees
-// make all of that safe: because a spec's result is byte-identical
-// whenever it runs, caching and replaying jobs cannot change what a
-// client observes.
+// learned. The service is built to be run continuously: finished jobs,
+// result envelopes, and merged profiles persist across restarts in an
+// embedded crash-safe store (internal/store, enabled with -store),
+// identical submissions deduplicate onto one execution (and, without warm
+// start, memoize afterwards), and a bounded queue sheds overload with
+// 429 + Retry-After. The determinism guarantees make all of that safe:
+// because a spec's result is byte-identical whenever it runs, caching and
+// replaying jobs cannot change what a client observes.
 //
 // This file is the public facade: it re-exports the stable API surface from
 // the internal packages. Typical use:
@@ -75,7 +74,6 @@ import (
 	"critter/internal/mpi"
 	"critter/internal/obs"
 	"critter/internal/sim"
-	"critter/internal/stats"
 	"critter/internal/workload"
 )
 
@@ -115,8 +113,6 @@ type (
 	ProfileSummary = autotune.ProfileSummary
 	// Machine is the alpha-beta-gamma cost model.
 	Machine = sim.Machine
-	// Welford is the single-pass statistics accumulator.
-	Welford = stats.Welford
 	// Study is one library's tuning problem: a configuration Space plus an
 	// SPMD runner.
 	Study = autotune.Study
@@ -170,11 +166,6 @@ type (
 	Workload = workload.Workload
 	// ScalePreset is one named problem size a workload declares.
 	ScalePreset = workload.ScalePreset
-	// WorkloadRegistry maps workload names to Workloads. The process
-	// global default registry (Workloads, LookupWorkload, RegisterWorkload)
-	// carries the paper's four case studies plus the two example
-	// workloads; NewWorkloadRegistry builds isolated ones for services.
-	WorkloadRegistry = workload.Registry
 )
 
 // Selective-execution policies (Section IV-B of the paper).
@@ -243,14 +234,6 @@ func LookupWorkload(name string) (Workload, bool) { return workload.Default().Lo
 // the example workloads, then anything registered since).
 func Workloads() []Workload { return workload.Default().List() }
 
-// WorkloadNames returns the default registry's workload names in
-// registration order.
-func WorkloadNames() []string { return workload.Default().Names() }
-
-// NewWorkloadRegistry returns an empty, isolated workload registry, for
-// services that must not see (or leak into) the process-global namespace.
-func NewWorkloadRegistry() *WorkloadRegistry { return workload.NewRegistry() }
-
 // WorkloadScale resolves one of w's declared scale presets by name; the
 // error enumerates w's preset names.
 func WorkloadScale(w Workload, name string) (Scale, error) { return workload.ScaleOf(w, name) }
@@ -303,7 +286,7 @@ var (
 // DefaultEpsList returns the paper's tolerance sweep, eps = 2^0 .. 2^-10.
 func DefaultEpsList() []float64 { return autotune.DefaultEpsList() }
 
-// Observability (internal/obs): metrics and dual-clock run tracing.
+// Observability (internal/obs): dual-clock run tracing.
 type (
 	// Tracer receives span events from a tuning run: set Tuner.Tracer to
 	// observe job → sweep → config → propagation-round structure. Emit must
@@ -313,17 +296,10 @@ type (
 	// TraceEvent is one dual-clock trace record: virtual seconds from the
 	// simulation, wall nanoseconds from the tracer's injected clock.
 	TraceEvent = obs.Event
-	// MetricsRegistry is a process- or service-local metric namespace with
-	// JSON snapshots and Prometheus text exposition; a service scheduler
-	// serves its own through Scheduler.Metrics.
-	MetricsRegistry = obs.Registry
 )
 
 // TraceSchemaVersion identifies the JSON layout of TraceEvent streams.
 const TraceSchemaVersion = obs.TraceSchemaVersion
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewTraceRing returns a bounded in-memory tracer retaining the most
 // recent capacity events (default 4096 when capacity <= 0), stamping wall
@@ -334,7 +310,3 @@ func NewTraceRing(capacity int) *obs.Ring { return obs.NewRing(capacity, obs.Wal
 // w (a schema-version header line first), stamping wall time with the real
 // clock. Check Err after the run; cmd/critter-trace summarizes the output.
 func NewTraceJSONL(w io.Writer) *obs.JSONL { return obs.NewJSONL(w, obs.WallClock()) }
-
-// TeeTracers fans one event stream out to several tracers (e.g. a ring for
-// serving plus a JSONL file for archival); nils are skipped.
-func TeeTracers(ts ...Tracer) Tracer { return obs.Tee(ts...) }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -302,18 +303,14 @@ var facadeRegistrations int
 // do without touching internal packages.
 func TestFacadeWorkloadRegistry(t *testing.T) {
 	// The shipped catalog is visible and resolvable.
-	names := critter.WorkloadNames()
-	byName := map[string]bool{}
-	for _, n := range names {
-		byName[n] = true
+	var names []string
+	for _, w := range critter.Workloads() {
+		names = append(names, w.Name)
 	}
 	for _, want := range []string{"capital", "slate-chol", "candmc", "slate-qr", "cholesky3d", "qr2d"} {
-		if !byName[want] {
+		if !slices.Contains(names, want) {
 			t.Errorf("default registry is missing %q (have %v)", want, names)
 		}
-	}
-	if len(critter.Workloads()) != len(names) {
-		t.Errorf("Workloads and WorkloadNames disagree")
 	}
 
 	// Register a custom workload: a shrunk CANDMC QR under a new name. The
@@ -358,39 +355,33 @@ func TestFacadeWorkloadRegistry(t *testing.T) {
 	}
 }
 
+// TestFacadeObservability: the same tuner run traced through the facade's
+// ring and then its JSONL stream yields the same number of wall-stamped
+// events, the stream headed by its schema version. One worker, so both
+// runs do the same work: concurrent sweeps that miss one reference slot
+// together both run the reference.
 func TestFacadeObservability(t *testing.T) {
-	// Metrics: registry, counter, snapshot round-trip through the facade.
-	reg := critter.NewMetricsRegistry()
-	reg.Counter("facade_test_total", "facade smoke counter").Add(3)
-	var found bool
-	for _, fam := range reg.Snapshot() {
-		if fam.Name == "facade_test_total" && len(fam.Metrics) == 1 && fam.Metrics[0].Value == 3 {
-			found = true
+	run := func(tracer critter.Tracer) {
+		t.Helper()
+		machine := critter.DefaultMachine()
+		machine.NoiseSigma = 0.05
+		_, err := critter.Tuner{
+			Study:   critter.CandmcQR(critter.QuickScale()),
+			EpsList: []float64{0.5},
+			Machine: machine,
+			Seed:    7,
+			Workers: 1,
+			Tracer:  tracer,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Error("facade registry snapshot is missing the counter")
-	}
-
-	// Tracing: a traced tuner run through the facade produces sweep spans
-	// in both the ring and the JSONL stream, teed from one Tracer.
 	ring := critter.NewTraceRing(1 << 16)
+	run(ring)
 	var buf bytes.Buffer
 	jsonl := critter.NewTraceJSONL(&buf)
-	var tracer critter.Tracer = critter.TeeTracers(ring, jsonl)
-
-	machine := critter.DefaultMachine()
-	machine.NoiseSigma = 0.05
-	_, err := critter.Tuner{
-		Study:   critter.CandmcQR(critter.QuickScale()),
-		EpsList: []float64{0.5},
-		Machine: machine,
-		Seed:    7,
-		Tracer:  tracer,
-	}.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run(jsonl)
 
 	events := ring.Events()
 	if len(events) == 0 || ring.Dropped() != 0 {
@@ -401,7 +392,7 @@ func TestFacadeObservability(t *testing.T) {
 		t.Error("facade ring tracer did not stamp wall time")
 	}
 	if jsonl.Err() != nil || jsonl.Count() != uint64(len(events)) {
-		t.Errorf("JSONL tee saw %d events (err %v), ring saw %d", jsonl.Count(), jsonl.Err(), len(events))
+		t.Errorf("JSONL run saw %d events (err %v), ring run saw %d", jsonl.Count(), jsonl.Err(), len(events))
 	}
 	header, _, ok := strings.Cut(buf.String(), "\n")
 	if !ok || !strings.Contains(header, `"traceSchemaVersion":1`) {

@@ -1,9 +1,9 @@
 // Package obs is the stdlib-only observability layer: a metrics registry
-// (counters, gauges, and fixed-bucket histograms, optionally fanned out
-// into labeled families) with atomic hot paths and a snapshot API, plus a
-// dual-clock tracing facility (trace.go) whose events carry virtual time
-// from the deterministic simulation layers and wall time from the service
-// layer. The package sits below internal/service in the dependency order
+// (counters and fixed-bucket histograms with atomic hot paths, labeled
+// counter families, and gauges that are callbacks sampled at snapshot
+// time) with a snapshot API, plus a dual-clock tracing facility (trace.go)
+// whose events carry virtual time from the deterministic simulation layers
+// and wall time from the service layer. The package sits below internal/service in the dependency order
 // so the mpi world, the profiler, and the tuner can emit through it, and
 // it is itself a critterlint-deterministic layer: the only wall-clock
 // reference lives in clock.go, the single sanctioned injection point.
@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -52,26 +51,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down. All methods are lock-free.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram counts observations into fixed buckets. Observe is lock-free.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; an implicit +Inf bucket follows
@@ -107,7 +86,6 @@ type Sample struct {
 type metric struct {
 	labels []string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -195,8 +173,6 @@ func (f *family) child(values []string) *metric {
 		switch f.kind {
 		case KindCounter:
 			m.c = &Counter{}
-		case KindGauge:
-			m.g = &Gauge{}
 		case KindHistogram:
 			h := &Histogram{bounds: f.buckets}
 			h.counts = make([]atomic.Int64, len(f.buckets)+1)
@@ -212,12 +188,6 @@ func (f *family) child(values []string) *metric {
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.register(&family{name: name, help: help, kind: KindCounter})
 	return f.child(nil).c
-}
-
-// Gauge registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, kind: KindGauge})
-	return f.child(nil).g
 }
 
 // Histogram registers and returns an unlabeled histogram with the given
@@ -312,8 +282,6 @@ func (f *family) snapshot() FamilySnapshot {
 		switch f.kind {
 		case KindCounter:
 			ms.Value = float64(m.c.Value())
-		case KindGauge:
-			ms.Value = m.g.Value()
 		case KindHistogram:
 			var cum int64
 			for i := range m.h.counts {
@@ -348,11 +316,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 		out = append(out, f.snapshot())
 	}
 	return out
-}
-
-// MarshalJSON renders the registry as its snapshot.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Snapshot())
 }
 
 // escapeLabel escapes a label value for the text exposition format.

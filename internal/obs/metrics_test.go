@@ -10,7 +10,8 @@ import (
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests")
-	g := r.Gauge("depth", "queue depth")
+	depth := 3.0
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
 	h := r.Histogram("latency_seconds", "latency", 0.1, 1, 10)
 
 	c.Inc()
@@ -18,11 +19,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
-	}
+	depth -= 1.5
 	for _, v := range []float64{0.0625, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -33,6 +30,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if snaps[0].Name != "reqs_total" || snaps[0].Kind != KindCounter || snaps[0].Metrics[0].Value != 5 {
 		t.Errorf("counter snapshot wrong: %+v", snaps[0])
+	}
+	// A gauge reads its callback when snapshotted, not when registered.
+	if snaps[1].Name != "depth" || snaps[1].Kind != KindGauge || snaps[1].Metrics[0].Value != 1.5 {
+		t.Errorf("gauge snapshot wrong: %+v", snaps[1])
 	}
 	hs := snaps[2].Metrics[0]
 	if hs.Count != 4 || hs.Sum != 55.5625 {
@@ -76,11 +77,11 @@ func TestVecFamiliesAndFuncs(t *testing.T) {
 	}
 
 	// Snapshots are JSON-marshalable and stable.
-	a, err := json.Marshal(r)
+	a, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	b, _ := json.Marshal(r)
+	b, _ := json.Marshal(r.Snapshot())
 	if string(a) != string(b) {
 		t.Error("consecutive snapshots differ")
 	}
@@ -90,7 +91,7 @@ func TestRegistryPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "")
 	for name, fn := range map[string]func(){
-		"duplicate name":  func() { r.Gauge("a_total", "") },
+		"duplicate name":  func() { r.GaugeFunc("a_total", "", func() float64 { return 0 }) },
 		"bad metric name": func() { r.Counter("0bad", "") },
 		"le label":        func() { r.CounterVec("b_total", "", "le") },
 		"arity mismatch": func() {
@@ -155,7 +156,8 @@ func TestWritePrometheus(t *testing.T) {
 func TestConcurrentHotPaths(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
+	// The gauge's callback races the increments; every snapshot samples it.
+	r.GaugeFunc("g", "", func() float64 { return float64(c.Value()) })
 	h := r.Histogram("h", "", 10, 100)
 	vec := r.CounterVec("v_total", "", "k")
 
@@ -166,7 +168,6 @@ func TestConcurrentHotPaths(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 1000; n++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(n % 200))
 				vec.With([]string{"a", "b"}[i%2]).Inc()
 			}
@@ -181,10 +182,10 @@ func TestConcurrentHotPaths(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Value())
 	}
-	if g.Value() != 8000 {
-		t.Errorf("gauge = %v, want 8000", g.Value())
-	}
 	snap := r.Snapshot()
+	if g := snap[1].Metrics[0].Value; g != 8000 {
+		t.Errorf("gauge = %v, want 8000", g)
+	}
 	if snap[2].Metrics[0].Count != 8000 {
 		t.Errorf("histogram count = %d, want 8000", snap[2].Metrics[0].Count)
 	}

@@ -287,29 +287,3 @@ func (t *JSONL) Err() error {
 	defer t.mu.Unlock()
 	return t.err
 }
-
-// Tee fans events out to every non-nil tracer in ts; it returns nil when
-// none are, so the disabled fast path stays a nil check.
-func Tee(ts ...Tracer) Tracer {
-	var live []Tracer
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return teeTracer(live)
-}
-
-type teeTracer []Tracer
-
-func (ts teeTracer) Emit(ev Event) {
-	for _, t := range ts {
-		t.Emit(ev)
-	}
-}

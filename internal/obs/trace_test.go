@@ -223,21 +223,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Error("Tee of no live tracers is not nil")
-	}
-	a, b := NewRing(8, nil), NewRing(8, nil)
-	if Tee(a, nil) != Tracer(a) {
-		t.Error("Tee of one live tracer is not that tracer")
-	}
-	tee := Tee(a, b)
-	tee.Emit(Event{Kind: KindJob, Phase: PhaseBegin})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Errorf("tee delivered %d/%d events, want 1/1", len(a.Events()), len(b.Events()))
-	}
-}
-
 func TestTracersConcurrent(t *testing.T) {
 	r := NewRing(64, fixedClock())
 	var discard strings.Builder

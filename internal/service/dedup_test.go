@@ -148,51 +148,109 @@ func TestDedupCoalescesConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestDedupOptOutAndBoundaries: dedup:false submissions never coalesce,
-// and differing specs produce differing fingerprints.
-func TestDedupOptOutAndBoundaries(t *testing.T) {
+// TestDedupFingerprintBoundaries: identical specs share a fingerprint and
+// coalesce, and any material field change produces a fingerprint of its
+// own and an execution of its own.
+func TestDedupFingerprintBoundaries(t *testing.T) {
 	gate := make(chan struct{})
 	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 16})
 	defer closeNow(t, s)
 
-	a, err := s.SubmitJSON([]byte(`{"workload":"block","eps":[0.25],"seed":7,"warmStart":false,"dedup":false}`))
+	const base = `{"workload":"block","eps":[0.25],"seed":7,"warmStart":false}`
+	a, err := s.SubmitJSON([]byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.SubmitJSON([]byte(`{"workload":"block","eps":[0.25],"seed":7,"warmStart":false,"dedup":false}`))
+	// Key order and spelled-out defaults are not work identity.
+	b, err := s.SubmitJSON([]byte(`{"seed":7,"warmStart":false,"workload":"block","scale":"default","eps":[0.25],"strategy":"exhaustive"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Deduped || b.Deduped {
-		t.Errorf("dedup:false submissions coalesced: %+v %+v", a, b)
-	}
-	// The dedup flag itself is routing policy, not work identity: the
-	// fingerprint ignores it.
-	if a.Fingerprint != b.Fingerprint {
-		t.Errorf("identical specs fingerprint differently: %s vs %s", a.Fingerprint, b.Fingerprint)
+	if a.Fingerprint != b.Fingerprint || !b.Deduped || b.DedupOf != a.ID {
+		t.Errorf("identical specs did not coalesce on one fingerprint: %+v %+v", a, b)
 	}
 
 	// Any material field change moves the fingerprint.
 	seen := map[string]string{a.Fingerprint: "base"}
+	ids := []string{a.ID, b.ID}
 	for name, body := range map[string]string{
-		"seed":     `{"workload":"block","eps":[0.25],"seed":8,"warmStart":false,"dedup":false}`,
-		"eps":      `{"workload":"block","eps":[0.5],"seed":7,"warmStart":false,"dedup":false}`,
-		"strategy": `{"workload":"block","eps":[0.25],"seed":7,"strategy":"random:3","warmStart":false,"dedup":false}`,
-		"warm":     `{"workload":"block","eps":[0.25],"seed":7,"warmStart":true,"dedup":false}`,
+		"seed":     `{"workload":"block","eps":[0.25],"seed":8,"warmStart":false}`,
+		"eps":      `{"workload":"block","eps":[0.5],"seed":7,"warmStart":false}`,
+		"strategy": `{"workload":"block","eps":[0.25],"seed":7,"strategy":"random:3","warmStart":false}`,
+		"warm":     `{"workload":"block","eps":[0.25],"seed":7,"warmStart":true}`,
 	} {
 		st, err := s.SubmitJSON([]byte(body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if prev, dup := seen[st.Fingerprint]; dup {
-			t.Errorf("%s collides with %s on fingerprint %s", name, prev, st.Fingerprint)
+		if prev, dup := seen[st.Fingerprint]; dup || st.Deduped {
+			t.Errorf("%s collides with %s on fingerprint %s (deduped %v)", name, prev, st.Fingerprint, st.Deduped)
 		}
 		seen[st.Fingerprint] = name
+		ids = append(ids, st.ID)
 	}
 
 	close(gate)
-	for id := range map[string]bool{a.ID: true, b.ID: true} {
+	for _, id := range ids {
 		waitDone(t, s, id)
+	}
+}
+
+// TestWarmSubmissionsCoalesceButNeverMemoize: an identical warm submission
+// made while the first is queued coalesces onto it, but a warm job is
+// never memoized — its output depends on the evolving profile store — so
+// the same submission after the first finishes executes again, warm
+// started from what the first learned.
+func TestWarmSubmissionsCoalesceButNeverMemoize(t *testing.T) {
+	gate := make(chan struct{})
+	reg := blockingRegistry(gate)
+	if err := reg.Register(tinyWorkload()); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Registry: reg, Runners: 1})
+	defer closeNow(t, s)
+
+	// Occupy the one runner, so the first warm job stays queued.
+	busy, err := s.SubmitJSON([]byte(`{"workload":"block"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, busy.ID, StateRunning)
+	const body = `{"workload":"tiny","eps":[0.5]}`
+	first, err := s.SubmitJSON([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.SubmitJSON([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.State != StateQueued || !second.Deduped || second.DedupOf != first.ID {
+		t.Fatalf("warm submission behind a queued twin: %+v, want deduped onto %+v", second, first)
+	}
+
+	close(gate)
+	for _, id := range []string{busy.ID, first.ID, second.ID} {
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("job %s finished %s (err %q)", id, st.State, st.Error)
+		}
+	}
+	if !bytes.Equal(envelopeJSON(t, s, first.ID), envelopeJSON(t, s, second.ID)) {
+		t.Error("the coalesced warm job's envelope differs from its primary's")
+	}
+	if st, _ := s.Status(first.ID); st.WarmStart {
+		t.Errorf("first tiny job applied a prior before any tiny job ran: %+v", st)
+	}
+	if runs := s.TunerRuns(); runs != 2 {
+		t.Fatalf("%d Tuner runs for the busy job and one coalesced pair, want 2", runs)
+	}
+
+	third := submitWait(t, s, body)
+	if third.Deduped || third.State != StateDone || !third.WarmStart {
+		t.Errorf("warm resubmission after its twin finished: %+v, want a fresh warm-started execution", third)
+	}
+	if runs := s.TunerRuns(); runs != 3 {
+		t.Errorf("%d Tuner runs after the warm resubmission, want 3", runs)
 	}
 }
 

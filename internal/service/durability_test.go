@@ -110,12 +110,12 @@ func TestRestartDurability(t *testing.T) {
 	if got := envelopeJSON(t, s2, cold.ID); !bytes.Equal(got, coldEnv) {
 		t.Errorf("replayed envelope differs from the original:\n%s\nvs\n%s", got, coldEnv)
 	}
-	running, err := s2.SubmitJSON([]byte(`{"workload":"block","dedup":false}`))
+	running, err := s2.SubmitJSON([]byte(`{"workload":"block","seed":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s2, running.ID, StateRunning)
-	queued, err := s2.SubmitJSON([]byte(`{"workload":"block","dedup":false}`))
+	queued, err := s2.SubmitJSON([]byte(`{"workload":"block","seed":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestReplayRemovedStrategySpelling(t *testing.T) {
 			`"fingerprint":"sha256:00","sweepsDone":1,"sweepsTotal":1,"submitted":"2025-01-02T03:04:05Z",` +
 			`"started":"2025-01-02T03:04:06Z","finished":"2025-01-02T03:04:07Z"}`
 		request = `{"workload":"capital","scale":"quick","policies":["online"],"eps":[0.125],"strategy":"halving:3",` +
-			`"seed":7,"noiseSigma":0.1,"warmStart":false,"dedup":true}`
+			`"seed":7,"noiseSigma":0.1,"warmStart":false}`
 		envelope = `{"schemaVersion":3,"study":"capital-cholesky","scale":"quick","seed":7,"noiseSigma":0.1,` +
 			`"strategy":"halving:3","result":{"Study":"capital-cholesky","Strategy":"halving:3",` +
 			`"Policies":["online"],"EpsList":[0.125],"Sweeps":[[{"Policy":"online","Eps":0.125}]]}}`
@@ -280,6 +280,65 @@ func TestReplayRemovedStrategySpelling(t *testing.T) {
 	}
 	if _, err := s.SubmitJSON([]byte(request)); err == nil {
 		t.Error("a new halving:3 submission was accepted")
+	}
+}
+
+// TestReplayDedupOptOutRecord: a finished job whose durable record was
+// written when a request could opt out of coalescing ("dedup": false)
+// replays with its status and its result bytes. It is cold and done, so
+// it is a memo entry like any other: an identical new submission is
+// answered from it without executing.
+func TestReplayDedupOptOutRecord(t *testing.T) {
+	const (
+		submission = `{"workload":"capital","scale":"quick","policies":["online"],"eps":[0.125],"strategy":"exhaustive",` +
+			`"seed":7,"noiseSigma":0.1,"warmStart":false}`
+		envelope = `{"schemaVersion":3,"study":"capital-cholesky","scale":"quick","seed":7,"noiseSigma":0.1,` +
+			`"strategy":"exhaustive","result":{"Study":"capital-cholesky","Strategy":"exhaustive",` +
+			`"Policies":["online"],"EpsList":[0.125],"Sweeps":[[{"Policy":"online","Eps":0.125}]]}}`
+	)
+	spec, err := ParseJobRequest(nil, []byte(submission))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := `{"id":"job-7","state":"done","workload":"capital","scale":"quick","strategy":"exhaustive",` +
+		`"policies":["online"],"eps":[0.125],"seed":7,"noiseSigma":0.1,"extrapolate":false,"warmStart":false,` +
+		`"fingerprint":"` + spec.fingerprint + `","sweepsDone":1,"sweepsTotal":1,"submitted":"2025-01-02T03:04:05Z",` +
+		`"started":"2025-01-02T03:04:06Z","finished":"2025-01-02T03:04:07Z"}`
+	request := strings.TrimSuffix(submission, "}") + `,"dedup":false}`
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	data := `{"status":` + status + `,"request":` + request + `,"envelope":` + envelope + `}`
+	if err := st.Append(store.Record{Kind: kindJob, Key: "job-7", Data: json.RawMessage(data)}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Runners: 1, Durable: st})
+	defer closeNow(t, s)
+
+	got, ok := s.Status("job-7")
+	if !ok {
+		t.Fatal("the dedup:false record did not replay")
+	}
+	if enc, err := json.Marshal(got); err != nil || string(enc) != status {
+		t.Errorf("replayed status (%v):\n%s\nwant the record's:\n%s", err, enc, status)
+	}
+	if res := envelopeJSON(t, s, "job-7"); string(res) != envelope {
+		t.Errorf("replayed result:\n%s\nwant the record's:\n%s", res, envelope)
+	}
+	hit, err := s.SubmitJSON([]byte(submission))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.State != StateDone || hit.DedupOf != "job-7" {
+		t.Fatalf("identical submission %+v, want a memo hit on job-7", hit)
+	}
+	if res := envelopeJSON(t, s, hit.ID); string(res) != envelope {
+		t.Errorf("memo hit's result:\n%s\nwant the record's:\n%s", res, envelope)
+	}
+	if runs := s.TunerRuns(); runs != 0 {
+		t.Errorf("the memo hit ran %d Tuner executions", runs)
 	}
 }
 

@@ -97,6 +97,7 @@ func TestParseJobRequestErrors(t *testing.T) {
 		{`{"workload":"candmc","strategy":"surrogate:8:2"}`, `"surrogate:8:2"`},
 		{`{"workload":"candmc","noiseSigma":-1}`, "noiseSigma"},
 		{`{"workload":"candmc","unknownField":1}`, "unknown field"},
+		{`{"workload":"candmc","dedup":false}`, `unknown field "dedup"`},
 		{`{"workload":"candmc"} trailing`, "trailing data"},
 	}
 	for _, tc := range cases {

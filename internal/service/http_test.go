@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -79,6 +80,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		``, `{`, `[]`, `{"workload":"bogus"}`, `{"workload":"candmc","scale":"huge"}`,
 		`{"workload":"candmc","eps":[0.1],"unknown":1}`, `{"workload":"candmc","strategy":"bogus"}`,
 		`{"workload":"candmc","strategy":"halving:3"}`, `{"workload":"candmc","strategy":"surrogate:8:2"}`,
+		`{"workload":"candmc","dedup":true}`,
 	} {
 		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {
@@ -230,12 +232,14 @@ func TestHTTPQueueFull429(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	// Fill the runner, then the queue. dedup off so the bodies don't
-	// coalesce; the first job must be running (its queue slot freed)
+	// Fill the runner, then the queue. Each body has a seed of its own, so
+	// none coalesces; the first job must be running (its queue slot freed)
 	// before the second can reliably occupy the whole queue.
+	seed := 0
 	submit := func() (JobStatus, int) {
+		seed++
 		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json",
-			strings.NewReader(`{"workload":"block","dedup":false}`))
+			strings.NewReader(fmt.Sprintf(`{"workload":"block","seed":%d}`, seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +263,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	}
 
 	resp, err := client.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"block","dedup":false}`))
+		strings.NewReader(`{"workload":"block","seed":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}

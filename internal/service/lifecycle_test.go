@@ -184,7 +184,7 @@ func TestNoFollowerOfAFinishedExecution(t *testing.T) {
 	defer closeNow(t, s)
 	defer close(gate)
 	// Occupy the one runner, so the primary is still queued when canceled.
-	busy, err := s.SubmitJSON([]byte(`{"workload":"block","dedup":false}`))
+	busy, err := s.SubmitJSON([]byte(`{"workload":"block"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestSSELaggedResynthesis(t *testing.T) {
 	defer closeNow(t, s)
 	srv := NewServer(s)
 
-	st, err := s.SubmitJSON([]byte(`{"workload":"block","eps":[0.5],"dedup":false,"warmStart":false}`))
+	st, err := s.SubmitJSON([]byte(`{"workload":"block","eps":[0.5],"warmStart":false}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,17 +389,20 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		t.Errorf("trace kind counts %v, want one sweep pair and config spans", kinds)
 	}
 
-	// Unknown jobs 404; a scheduler with tracing disabled serves an empty
-	// (not missing) trace for known jobs.
+	// Unknown jobs 404; a known job without a trace — a memo hit, born
+	// terminal — serves an empty (not missing) one.
 	if code := getJSON(t, client, ts.URL+"/v1/jobs/job-99/trace", nil); code != http.StatusNotFound {
 		t.Errorf("GET unknown trace: status %d, want 404", code)
 	}
-
-	s2 := New(Config{Registry: blockingRegistry(gate), Runners: 1, TraceEvents: -1})
-	defer closeNow(t, s2)
-	st2 := submitWait(t, s2, `{"workload":"block","eps":[0.5],"warmStart":false}`)
-	events, dropped, ok := s2.Trace(st2.ID)
-	if !ok || dropped != 0 || len(events) != 0 {
-		t.Errorf("disabled tracing: ok=%v dropped=%d events=%d, want ok with an empty trace", ok, dropped, len(events))
+	hit, err := s.SubmitJSON([]byte(`{"workload":"block","eps":[0.5],"warmStart":false}`))
+	if err != nil || hit.State != StateDone || hit.DedupOf != st.ID {
+		t.Fatalf("resubmission %+v (err %v), want a memo hit on %s", hit, err, st.ID)
+	}
+	trace.Events = nil
+	if code := getJSON(t, client, ts.URL+"/v1/jobs/"+hit.ID+"/trace", &trace); code != http.StatusOK {
+		t.Fatalf("GET memo-hit trace: status %d, want 200", code)
+	}
+	if trace.Job != hit.ID || trace.Dropped != 0 || trace.Events == nil || len(trace.Events) != 0 {
+		t.Errorf("memo-hit trace %+v, want an empty trace", trace)
 	}
 }

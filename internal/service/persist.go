@@ -145,11 +145,10 @@ func (s *Scheduler) replayJob(data []byte) error {
 		s.nextID = n
 	}
 	// Rebuild the memo: a replayed job backs future identical
-	// submissions under the same conditions a live one would — dedup on,
-	// warm start off, finished clean, envelope intact. The last such job
-	// replayed for a fingerprint wins.
+	// submissions under the same conditions a live one would — warm start
+	// off, finished clean, envelope intact. The last such job replayed for
+	// a fingerprint wins.
 	if st.State == StateDone && env != nil && st.Fingerprint != "" &&
-		jr.Request.Dedup != nil && *jr.Request.Dedup &&
 		jr.Request.WarmStart != nil && !*jr.Request.WarmStart {
 		s.index[st.Fingerprint] = j
 	}

@@ -53,12 +53,6 @@ type JobRequest struct {
 	// WarmStart seeds the job from the service's accumulated profile for
 	// this workload, when one exists. Default: true.
 	WarmStart *bool `json:"warmStart,omitempty"`
-	// Dedup lets this submission coalesce with an identical in-flight or
-	// memoized job (same fingerprint: workload, scale, policies, eps,
-	// strategy, seed, noise, extrapolate, warmStart) instead of executing
-	// again. Default: true. Disable for jobs that must run regardless —
-	// e.g. to re-measure wall-clock behaviour.
-	Dedup *bool `json:"dedup,omitempty"`
 }
 
 // jobSpec is a fully resolved, validated job: everything runJob needs,
@@ -75,14 +69,13 @@ type jobSpec struct {
 	noise       float64
 	extrapolate bool
 	warm        bool
-	dedup       bool
 	// fingerprint content-addresses the work: two specs with the same
 	// fingerprint run byte-identical simulations (given the same prior),
 	// so they are safe to coalesce.
 	fingerprint string
 	// req is the normalized request — every default filled in, every name
 	// canonical — as a job's durable record holds it (replay reads its
-	// dedup and warm-start flags).
+	// warm-start flag).
 	req JobRequest
 }
 
@@ -189,11 +182,6 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 	}
 	spec.strategy = strat
 
-	spec.dedup = true
-	if req.Dedup != nil {
-		spec.dedup = *req.Dedup
-	}
-
 	// Strategy names round-trip through ParseStrategy, so the normalized
 	// request re-resolves to an identical spec.
 	spec.req = JobRequest{
@@ -206,7 +194,6 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 		NoiseSigma:  &spec.noise,
 		Extrapolate: spec.extrapolate,
 		WarmStart:   &spec.warm,
-		Dedup:       &spec.dedup,
 	}
 	spec.fingerprint = fingerprintSpec(spec)
 	return spec, nil
@@ -214,7 +201,6 @@ func resolveJobRequest(reg *workload.Registry, req JobRequest) (*jobSpec, error)
 
 // fingerprintSpec content-addresses a resolved spec: SHA-256 over the
 // canonical JSON of every field that determines the simulation's output.
-// Dedup itself is excluded — it is routing policy, not work identity.
 func fingerprintSpec(spec *jobSpec) string {
 	canon := struct {
 		Workload    string    `json:"workload"`

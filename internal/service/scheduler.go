@@ -138,9 +138,9 @@ type execution struct {
 	// submitted it, then its dedup followers in attach order.
 	names  []*job
 	cancel context.CancelFunc // set while running
-	// trace collects the span events of a run (GET /v1/jobs/{id}/trace).
-	// Nil for replayed and born-terminal executions, and when
-	// Config.TraceEvents disables tracing.
+	// trace collects the span events of a run (GET /v1/jobs/{id}/trace),
+	// the last traceEvents of them. Nil for replayed and born-terminal
+	// executions.
 	trace *obs.Ring
 }
 
@@ -276,11 +276,11 @@ type Config struct {
 	// Logf, when set, receives operational log lines (persistence
 	// failures). nil discards them.
 	Logf func(format string, args ...any)
-	// TraceEvents bounds each executed job's in-memory trace ring
-	// (GET /v1/jobs/{id}/trace keeps the last TraceEvents span events). 0
-	// means 4096; negative disables per-job tracing.
-	TraceEvents int
 }
+
+// traceEvents bounds each executed job's in-memory trace ring: GET
+// /v1/jobs/{id}/trace keeps its last traceEvents span events.
+const traceEvents = 4096
 
 // subBufferSize bounds each event subscriber's channel; a consumer that
 // falls further behind loses intermediate events (flagged by the SSE layer
@@ -329,10 +329,10 @@ type Scheduler struct {
 	order   []string
 	nextID  int
 	closed  bool
-	// index maps a fingerprint to the job whose execution answers it
-	// (dedup on): a primary still queued or running, which identical
-	// submissions coalesce onto, or a finished cold one — the memo — whose
-	// envelope answers them at once.
+	// index maps a fingerprint to the job whose execution answers it: a
+	// primary still queued or running, which identical submissions
+	// coalesce onto, or a finished cold one — the memo — whose envelope
+	// answers them at once.
 	index map[string]*job
 
 	// met is the registered instrument set (obs.go); never nil.
@@ -368,9 +368,6 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.MaxHistory == 0 {
 		cfg.MaxHistory = 256
-	}
-	if cfg.TraceEvents == 0 {
-		cfg.TraceEvents = 4096
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -440,8 +437,8 @@ func (s *Scheduler) Metrics() *obs.Registry { return s.met.reg }
 // Trace returns the span events (oldest first) of a job's execution, so a
 // dedup follower serves its primary's, and how many older events the
 // bounded ring overwrote. The second result is false for unknown jobs; an
-// execution without a trace (replayed from the durable store, born
-// terminal, or tracing disabled) returns an empty slice.
+// execution without a trace (replayed from the durable store or born
+// terminal) returns an empty slice.
 func (s *Scheduler) Trace(id string) ([]obs.Event, uint64, bool) {
 	_, x, ok := s.locked(id)
 	if !ok {
@@ -495,9 +492,8 @@ func (s *Scheduler) SubmitJSON(data []byte) (JobStatus, error) {
 	return s.submit(spec)
 }
 
-// submit enqueues a resolved spec, or — when dedup is enabled and an
-// identical job is executing or memoized — coalesces onto it without
-// consuming a queue slot.
+// submit enqueues a resolved spec, or — when an identical job is executing
+// or memoized — coalesces onto it without consuming a queue slot.
 func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 	now := time.Now()
 
@@ -507,7 +503,7 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 		return JobStatus{}, ErrClosed
 	}
 
-	if p, ok := s.index[spec.fingerprint]; ok && spec.dedup {
+	if p, ok := s.index[spec.fingerprint]; ok {
 		p.exec.mu.Lock()
 		lc := p.exec.lc
 		p.exec.mu.Unlock()
@@ -551,16 +547,12 @@ func (s *Scheduler) submit(spec *jobSpec) (JobStatus, error) {
 	}
 	j, st := s.addJobLocked(x, spec, "", now)
 	s.pending = append(s.pending, j)
-	if spec.dedup {
-		s.index[spec.fingerprint] = j
-	}
+	s.index[spec.fingerprint] = j
 	s.cond.Signal()
 	s.mu.Unlock()
 
 	s.met.jobsSubmitted.Inc()
-	if spec.dedup {
-		s.met.memoMisses.Inc()
-	}
+	s.met.memoMisses.Inc()
 	return st, nil
 }
 
@@ -898,10 +890,7 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 
 	spec := j.spec
 	prior := s.prior(spec)
-	var ring *obs.Ring
-	if s.cfg.TraceEvents > 0 {
-		ring = obs.NewRing(s.cfg.TraceEvents, obs.WallClock())
-	}
+	ring := obs.NewRing(traceEvents, obs.WallClock())
 
 	x.mu.Lock()
 	if _, err := x.apply(step{ev: Event{Type: "started"}, at: time.Now(), warm: prior != nil}); err != nil {
@@ -919,16 +908,10 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	s.met.kernelsExecuted.With(name)
 	s.met.kernelsSkipped.With(name)
 	s.met.kernelsMemoized.With(name)
-	// The interface must stay untyped-nil when tracing is off: a typed-nil
-	// *Ring would slip past the executor's nil checks and panic on Emit.
-	var tracer obs.Tracer
-	if ring != nil {
-		tracer = ring
-		ring.Emit(obs.Event{Kind: obs.KindJob, Phase: obs.PhaseBegin, Name: name, Job: j.id})
-	}
+	ring.Emit(obs.Event{Kind: obs.KindJob, Phase: obs.PhaseBegin, Name: name, Job: j.id})
 
 	s.tunerRuns.Add(1)
-	env, learned, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, tracer, func(ev Event) {
+	env, learned, err := executeSpec(ctx, spec, s.cfg.Machine, s.cfg.Workers, &s.arenas, prior, ring, func(ev Event) {
 		x.mu.Lock()
 		err := s.sweepLocked(x, ev)
 		x.mu.Unlock()
@@ -936,13 +919,11 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 			s.logf("service: %s: %v", j.id, err)
 		}
 	})
-	if ring != nil {
-		ev := obs.Event{Kind: obs.KindJob, Phase: obs.PhaseEnd, Name: name, Job: j.id}
-		if err != nil {
-			ev.Error = err.Error()
-		}
-		ring.Emit(ev)
+	end := obs.Event{Kind: obs.KindJob, Phase: obs.PhaseEnd, Name: name, Job: j.id}
+	if err != nil {
+		end.Error = err.Error()
 	}
+	ring.Emit(end)
 
 	// The result is encoded once, here, and the envelope not kept: the
 	// bytes are what GET /result serves and the durable record embeds. It
@@ -1000,11 +981,11 @@ func (s *Scheduler) finishLocked(x *execution, st step) ([]jobRecord, []string, 
 	for i, n := range x.names {
 		recs[i] = jobRecord{Status: n.status(lc), Envelope: lc.envelope, Request: n.spec.req}
 	}
-	// Memoization applies only to deterministic runs: dedup on, warm start
-	// off (a warm run's output depends on the evolving profile store), and
-	// a clean finish. Any other finished execution leaves the index.
+	// Memoization applies only to deterministic runs: warm start off (a
+	// warm run's output depends on the evolving profile store) and a clean
+	// finish. Any other finished execution leaves the index.
 	p := x.names[0]
-	if p.spec.dedup && s.index[p.spec.fingerprint] == p && (lc.state != StateDone || p.spec.warm) {
+	if s.index[p.spec.fingerprint] == p && (lc.state != StateDone || p.spec.warm) {
 		delete(s.index, p.spec.fingerprint)
 	}
 	return recs, s.evictLocked(x), nil

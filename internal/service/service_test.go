@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -152,7 +153,7 @@ func TestServiceEnvelopeIsTheTunersGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const body = `{"workload":"grid","policies":["conditional","online"],"eps":[0.5,0.5,0.25],"warmStart":false,"dedup":false}`
+	const body = `{"workload":"grid","policies":["conditional","online"],"eps":[0.5,0.5,0.25],"warmStart":false}`
 	s := New(Config{Registry: reg, Runners: 1, Workers: 4})
 	defer closeNow(t, s)
 	st := submitWait(t, s, body)
@@ -209,10 +210,14 @@ func TestQueueBounded(t *testing.T) {
 	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 2})
 	defer closeNow(t, s)
 
-	// dedup off: these submissions are intentionally identical, and the
-	// test is about queue capacity, not coalescing.
-	const body = `{"workload":"block","dedup":false}`
-	running, err := s.SubmitJSON([]byte(body))
+	// Each submission gets a seed of its own: the test is about queue
+	// capacity, not coalescing.
+	seed := 0
+	body := func() []byte {
+		seed++
+		return fmt.Appendf(nil, `{"workload":"block","seed":%d}`, seed)
+	}
+	running, err := s.SubmitJSON(body())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +225,13 @@ func TestQueueBounded(t *testing.T) {
 	waitState(t, s, running.ID, StateRunning)
 	var queued []JobStatus
 	for i := 0; i < 2; i++ {
-		st, err := s.SubmitJSON([]byte(body))
+		st, err := s.SubmitJSON(body())
 		if err != nil {
 			t.Fatalf("submission %d into a non-full queue: %v", i, err)
 		}
 		queued = append(queued, st)
 	}
-	if _, err := s.SubmitJSON([]byte(body)); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.SubmitJSON(body()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submission into a full queue: err = %v, want ErrQueueFull", err)
 	}
 
@@ -236,7 +241,7 @@ func TestQueueBounded(t *testing.T) {
 	if err != nil || canceled.State != StateCanceled {
 		t.Fatalf("cancel queued: %v, %v", canceled.State, err)
 	}
-	refill, err := s.SubmitJSON([]byte(body))
+	refill, err := s.SubmitJSON(body())
 	if err != nil {
 		t.Fatalf("submission after canceling a queued job: %v", err)
 	}
@@ -253,7 +258,7 @@ func TestQueueBounded(t *testing.T) {
 			t.Fatalf("job %s after release: %+v, %v", st.ID, final.State, err)
 		}
 	}
-	if st := submitWait(t, s, body); st.State != StateDone {
+	if st := submitWait(t, s, string(body())); st.State != StateDone {
 		t.Fatalf("post-drain submission state %s", st.State)
 	}
 }
@@ -285,15 +290,14 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	s := New(Config{Registry: blockingRegistry(gate), Runners: 1, QueueSize: 4})
 	defer closeNow(t, s)
 
-	// dedup off: the queued duplicate must stay an independent job so the
-	// test exercises queued-state cancellation, not follower detachment.
-	const body = `{"workload":"block","dedup":false}`
-	running, err := s.SubmitJSON([]byte(body))
+	// Two seeds: the queued job must be an independent job so the test
+	// exercises queued-state cancellation, not follower detachment.
+	running, err := s.SubmitJSON([]byte(`{"workload":"block","seed":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, running.ID, StateRunning)
-	queued, err := s.SubmitJSON([]byte(body))
+	queued, err := s.SubmitJSON([]byte(`{"workload":"block","seed":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +350,10 @@ func TestHistoryPruning(t *testing.T) {
 		s := New(Config{Registry: blockingRegistry(gate), Runners: runners, QueueSize: 8, MaxHistory: 2})
 		defer closeNow(t, s)
 
-		// dedup off: five independent terminal records, not one execution
-		// plus four memo hits.
-		const body = `{"workload":"block","dedup":false}`
+		// Five seeds: five independent executions and terminal records.
 		var ids []string
-		for i := 0; i < 5; i++ {
-			ids = append(ids, submitWait(t, s, body).ID)
+		for seed := 1; seed <= 5; seed++ {
+			ids = append(ids, submitWait(t, s, fmt.Sprintf(`{"workload":"block","seed":%d}`, seed)).ID)
 		}
 		// The two newest terminal jobs survive; the three oldest are gone.
 		for _, id := range ids[:3] {

@@ -14,12 +14,11 @@ import (
 	"critter/internal/workload"
 )
 
-// tinyRegistry builds a registry with one small workload, "tiny": two
-// configurations of eight recorded kernels on two ranks, quick enough to
-// run many jobs under the race detector.
-func tinyRegistry() *workload.Registry {
-	reg := workload.NewRegistry()
-	err := reg.Register(workload.Workload{
+// tinyWorkload is a small workload, "tiny": two configurations of eight
+// recorded kernels on two ranks, quick enough to run many jobs under the
+// race detector.
+func tinyWorkload() workload.Workload {
+	return workload.Workload{
 		Name:        "tiny",
 		Description: "test workload of a few small kernels",
 		Build: func(autotune.Scale) autotune.Study {
@@ -37,8 +36,13 @@ func tinyRegistry() *workload.Registry {
 				},
 			}
 		},
-	})
-	if err != nil {
+	}
+}
+
+// tinyRegistry builds a registry holding tinyWorkload alone.
+func tinyRegistry() *workload.Registry {
+	reg := workload.NewRegistry()
+	if err := reg.Register(tinyWorkload()); err != nil {
 		panic(err)
 	}
 	return reg
@@ -87,7 +91,7 @@ func TestConcurrentMergesKeepPublishedProfiles(t *testing.T) {
 		}
 	}()
 
-	const body = `{"workload":"tiny","policies":["online"],"eps":[0.5,0.25],"seed":%d,"warmStart":%t,"dedup":false}`
+	const body = `{"workload":"tiny","policies":["online"],"eps":[0.5,0.25],"seed":%d,"warmStart":%t}`
 	var ids []string
 	for seed := 1; seed <= 4; seed++ {
 		for _, warm := range []bool{false, true} {
