@@ -129,16 +129,14 @@ func BenchmarkPropagation(b *testing.B) {
 		}
 		buf := make([]float64, 32)
 		ring := make([]float64, 16)
-		// Pairwise symmetric exchange partner (butterfly stage 0): ranks
-		// 2k <-> 2k+1, same tag both ways, so the combined Sendrecv
-		// protocol engages.
+		// Sendrecv partner (butterfly stage 0): ranks 2k <-> 2k+1.
 		pair := c.Rank() ^ 1
 		steadyState(b, c, func() {
 			for k := 0; k < 4; k++ {
 				p.Kernel("step", k, 8, 8, 0, 1e3, func() {})
 			}
 			cc.Allreduce(buf, buf, mpi.OpMax)
-			cc.Sendrecv(pair, 5, ring, pair, 5, ring)
+			cc.Sendrecv(pair, 5, ring, ring)
 		})
 	})
 	if err != nil {

@@ -58,7 +58,7 @@
 //	        Policy: critter.Online, Eps: 0.125,
 //	    })
 //	    // Build grids with comm.Split, run kernels via prof.Gemm etc.;
-//	    // communication through comm.Bcast/Send/... is selectively
+//	    // communication through comm.Bcast/Isend/... is selectively
 //	    // executed once its statistics make it predictable.
 //	    report := prof.Report()
 //	    _ = report

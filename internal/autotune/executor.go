@@ -147,9 +147,7 @@ func newScratch() *scratch {
 // world creates a sweep world wired to this worker's arena.
 func (s *scratch) world(size int, machine sim.Machine, seed uint64) *mpi.World {
 	w := mpi.NewWorld(size, machine, seed)
-	if s != nil {
-		w.SetBufPool(s.bufs)
-	}
+	w.SetBufPool(s.bufs)
 	return w
 }
 

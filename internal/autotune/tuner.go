@@ -449,11 +449,11 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		sr.Selected, sr.Optimal = argmins(sr.Configs)
 		sr.MeanLogExecErr, sr.MeanLogCompErr = meanLogErrs(sr.Configs)
 	}
-	// Export what the sweep learned, pooled across ranks (collective).
-	// The archive inside the profiler spans every configuration, so
+	// Export what the sweep learned, pooled across ranks (collective) at
+	// rank 0, whose SweepResult is the one kept. The archive inside the profiler spans every configuration, so
 	// studies that reset statistics between configurations still yield
 	// their full union.
-	sr.Profile = tuned.GlobalProfileRoot(0)
+	sr.Profile = tuned.GlobalProfile(0)
 	// The sweep is done with its selective profiler: donate its arena back
 	// to the worker's memo for the next sweep.
 	tuned.Retire()

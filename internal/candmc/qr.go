@@ -401,7 +401,7 @@ func tsqr(p *critter.Profiler, ws *mpi.Workspace, g *grid.Grid2D, q []float64, r
 	for lvl := 1; lvl < g.PR; lvl <<= 1 {
 		peer := me ^ lvl
 		tag := panel*64 + lvl
-		g.Col.Sendrecv(peer, tag, r, peer, tag, peerR)
+		g.Col.Sendrecv(peer, tag, r, peerR)
 		lo, hi := r, peerR
 		if peer < me {
 			lo, hi = peerR, r

@@ -229,7 +229,7 @@ func (p *Profile) foldFreqs(tab *KernelTable, freqs []int64) {
 // the folded profile.
 type exportMsg struct {
 	p    *Profiler
-	root int // the comm rank that receives the result; negative: every rank
+	root int // the comm rank that receives the result
 	out  *Profile
 }
 
@@ -249,29 +249,15 @@ func foldExports(members []exportMsg) {
 		m.p.exportInto(scratch)
 		out.merge(scratch, true)
 	}
-	root := members[0].root
-	for i := range members {
-		if root < 0 || i == root {
-			members[i].out = out
-		}
-	}
+	members[members[0].root].out = out
 }
 
-// globalProfile runs the export round; see GlobalProfile and
-// GlobalProfileRoot.
-func (p *Profiler) globalProfile(root int) *Profile {
+// GlobalProfile merges every rank's exported profile into one artifact at
+// root: the per-rank exports pooled in comm-rank order, kernel models
+// flagged Pooled deduplicated instead of summed (see KernelModel.Pooled).
+// Collective over the world communicator: every rank takes part in the
+// round, and every rank but root returns nil.
+func (p *Profiler) GlobalProfile(root int) *Profile {
 	lane := mpi.LaneOf[exportMsg](p.world.user.World())
 	return lane.Allreduce(p.world.internal, exportMsg{p: p, root: root}, foldExports).out
 }
-
-// GlobalProfile merges every rank's exported profile into one artifact: the
-// per-rank exports pooled in comm-rank order, kernel models flagged Pooled
-// deduplicated instead of summed (see KernelModel.Pooled). Collective over
-// the world communicator. Every rank returns the same *Profile — it is shared
-// and must be treated as immutable; Clone it before changing it.
-func (p *Profiler) GlobalProfile() *Profile { return p.globalProfile(-1) }
-
-// GlobalProfileRoot is GlobalProfile handed to root only: every rank takes
-// part in the round, the others return nil. The sweep executor keeps only
-// rank 0's SweepResult.
-func (p *Profiler) GlobalProfileRoot(root int) *Profile { return p.globalProfile(root) }

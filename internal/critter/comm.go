@@ -98,12 +98,12 @@ type leg struct {
 //     merged pathset is the longest path into the round; the cost added to it
 //     is the path out. Charging first would add the cost to this rank's path
 //     only, short of the longest one.
-//   - Send, Recv, Sendrecv and Waitall adopt after. Their internal messages
-//     move no clock, so a blocking op's duration includes the wait: a
-//     receiver's clock jumps to the payload's arrival, which already counts
-//     the sender's path up to the send. Charging the leg and then
-//     max-merging the peer's pathset counts that wait once; adopting first
-//     would count it twice. (A wait has no leg, so the order is moot there.)
+//   - Recv, Sendrecv and Waitall adopt after. Their internal messages move
+//     no clock, so a blocking op's duration includes the wait: a receiver's
+//     clock jumps to the payload's arrival, which already counts the
+//     sender's path up to the send. Charging the leg and then max-merging
+//     the peer's pathset counts that wait once; adopting first would count
+//     it twice. (A wait has no leg, so the order is moot there.)
 //   - Isend adopts nothing: the receiver's reply reaches it at Waitall.
 //
 // The event carries the clock before the legs run; Memoized flags a latest
@@ -142,12 +142,6 @@ func (c *Comm) Barrier() {
 func (c *Comm) Bcast(root int, buf []float64) {
 	c.collective("bcast", len(buf), float64(len(buf)),
 		func() float64 { return c.user.Bcast(root, buf) })
-}
-
-// Reduce profiles an elementwise reduction to root.
-func (c *Comm) Reduce(root int, in, out []float64, op mpi.ReduceOp) {
-	c.collective("reduce", len(in), float64(len(in)),
-		func() float64 { return c.user.Reduce(root, in, out, op) })
 }
 
 // Allreduce profiles an elementwise all-reduction.
@@ -190,82 +184,58 @@ func (c *Comm) p2pKey(op string, words, peer int) Key {
 	return CommKey(op, words, 2, s)
 }
 
-// Internal piggyback messages are tagged by direction so that a send's
-// profile message can only pair with the matching receive's reply (and vice
-// versa), regardless of how the application interleaves traffic between the
-// same pair of ranks. Every vote is an untimed message on the profiler's one
-// intMsg lane: the sender-to-receiver vote (sendIntTag), the receiver's reply
-// (recvIntTag) and the symmetric exchange (srIntTag). An executing user op
-// sends its data on the user communicator; a data message exists exactly
-// when its vote says execute, so votes and data pair in order.
+// Internal piggyback messages are tagged by direction so that an Isend's
+// decision can only pair with the matching receive and the receive's reply
+// only with the Isend's wait, regardless of how the application interleaves
+// traffic between the same pair of ranks. Every message is untimed and
+// travels on the profiler's one intMsg lane: the Isend's committed decision
+// (sendIntTag), the receiver's reply (recvIntTag) and Sendrecv's symmetric
+// exchange (srIntTag). An executing user op sends its data on the user
+// communicator; a data message exists exactly when its decision says
+// execute, so decisions and data pair in order.
 func sendIntTag(tag int) int { return 3 * tag }
 func recvIntTag(tag int) int { return 3*tag + 1 }
 func srIntTag(tag int) int   { return 3*tag + 2 }
 
-// Send profiles a blocking send. The execution decision is agreed with the
-// receiver through an internal exchange, so the pair always matches; like a
-// synchronous-mode send, it completes once the receiver reaches its
-// matching receive. For simultaneous bidirectional traffic on one tag use
-// Sendrecv, whose combined protocol cannot deadlock.
-func (c *Comm) Send(dest, tag int, buf []float64) {
-	p := c.p
-	id, ks := p.intercept(c.p2pKey("send", len(buf), dest))
-	local := p.shouldExecute(id, ks)
-	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
-	peer := p.lane.Recv(c.internal, dest, recvIntTag(tag))
-	p.complete("send", leg{ks, local || peer.Exec, float64(len(buf)),
-		func() float64 { return c.user.Send(dest, tag, buf) }}, leg{})
-	p.adopt(peer.Path)
-}
-
-// Recv profiles a blocking receive matching either a profiled Send or a
-// profiled Isend. For Isend matches the sender has already committed its
-// decision and the receiver follows it.
+// Recv profiles a blocking receive matching a profiled Isend. The sender has
+// committed its decision and the receiver follows it. The receiver still
+// takes its own decision, which Report.Memoized and the round event's flag
+// count, and replies with its pathset, which the sender adopts at Waitall.
 func (c *Comm) Recv(src, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("recv", len(buf), src))
-	local := p.shouldExecute(id, ks)
-	p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Exec: local, Path: p.snapshot()})
+	p.shouldExecute(id, ks)
+	p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Path: p.snapshot()})
 	peer := p.lane.Recv(c.internal, src, sendIntTag(tag))
-	exec := local || peer.Exec
-	if peer.Committed {
-		exec = peer.Exec
-	}
-	p.complete("recv", leg{ks, exec, float64(len(buf)),
+	p.complete("recv", leg{ks, peer.Exec, float64(len(buf)),
 		func() float64 { return c.user.Recv(src, tag, buf) }}, leg{})
 	p.adopt(peer.Path)
 }
 
-// Sendrecv profiles a combined send and receive. When the operation is a
-// symmetric pairwise exchange (same peer and tag in both directions, the
-// butterfly pattern of TSQR), a single combined internal exchange carries
-// votes for both kernels, so the two sides always reach identical execution
-// decisions and the pair cannot deadlock. Asymmetric usages fall back to
-// Send followed by Recv.
-func (c *Comm) Sendrecv(dest, sendTag int, sendBuf []float64, src, recvTag int, recvBuf []float64) {
-	if dest != src || sendTag != recvTag {
-		c.Send(dest, sendTag, sendBuf)
-		c.Recv(src, recvTag, recvBuf)
-		return
-	}
+// Sendrecv profiles a symmetric pairwise exchange, the butterfly pattern of
+// TSQR: sendBuf goes to peer and recvBuf receives peer's sendBuf, both on
+// tag. A single combined internal exchange carries votes for both kernels,
+// so the two sides always reach identical execution decisions and the pair
+// cannot deadlock.
+func (c *Comm) Sendrecv(peer, tag int, sendBuf, recvBuf []float64) {
 	p := c.p
-	sendID, _ := p.intercept(c.p2pKey("send", len(sendBuf), dest))
-	recvID, rks := p.intercept(c.p2pKey("recv", len(recvBuf), src))
+	sendID, _ := p.intercept(c.p2pKey("send", len(sendBuf), peer))
+	recvID, rks := p.intercept(c.p2pKey("recv", len(recvBuf), peer))
 	// Taken after both lookups: the second may have grown the records and
 	// invalidated a pointer from the first.
 	sks := p.at(sendID)
 	localSend := p.shouldExecute(sendID, sks)
 	localRecv := p.shouldExecute(recvID, rks)
-	peer := p.lane.Exchange(c.internal, dest, srIntTag(sendTag),
+	got := p.lane.Exchange(c.internal, peer, srIntTag(tag),
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
 	p.complete("sendrecv",
-		leg{sks, localSend || peer.Exec2, float64(len(sendBuf)),
-			func() float64 { return c.user.Send(dest, sendTag, sendBuf) }},
-		leg{rks, localRecv || peer.Exec, float64(len(recvBuf)),
-			func() float64 { return c.user.Recv(src, recvTag, recvBuf) }})
-	p.adopt(peer.Path)
+		leg{sks, localSend || got.Exec2, float64(len(sendBuf)),
+			func() float64 { return c.user.Send(peer, tag, sendBuf) }},
+		leg{rks, localRecv || got.Exec, float64(len(recvBuf)),
+			func() float64 { return c.user.Recv(peer, tag, recvBuf) }})
+	p.adopt(got.Path)
 }
 
 // isend is an Isend whose receiver's reply the rank has yet to consume: the
@@ -279,14 +249,14 @@ type isend struct {
 // Isend profiles a nonblocking send. The execution decision is made
 // unilaterally from the sender's model (a committed decision the receiver
 // follows), and the receiver's pathset reply is consumed at the rank's next
-// Profiler.Waitall, mirroring Figure 2's nonblocking protocol. The vote is
-// untimed; an executing send then posts its data with mpi.Comm.Isend (the
-// caller may reuse buf immediately).
+// Profiler.Waitall, mirroring Figure 2's nonblocking protocol. The decision
+// travels untimed; an executing send then posts its data with mpi.Comm.Isend
+// (the caller may reuse buf immediately).
 func (c *Comm) Isend(dest, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
 	exec := p.shouldExecute(id, ks)
-	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: exec, Committed: true, Path: p.snapshot()})
+	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: exec, Path: p.snapshot()})
 	p.complete("isend", leg{ks, exec, float64(len(buf)), func() float64 {
 		t0 := c.user.Clock()
 		c.user.Isend(dest, tag, buf)

@@ -236,34 +236,46 @@ func TestSkippedCollectiveSavesWallTime(t *testing.T) {
 	}
 }
 
-func TestSendRecvAgreement(t *testing.T) {
-	rep := runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: 0.25}, func(p *Profiler, cc *Comm) {
-		buf := make([]float64, 128)
-		for i := 0; i < 60; i++ {
-			if cc.Rank() == 0 {
-				cc.Send(1, i, buf)
-			} else {
-				cc.Recv(0, i, buf)
-			}
-		}
-	})
-	if rep.Skipped == 0 {
-		t.Error("repeated p2p should eventually be skipped")
-	}
-}
-
+// TestIsendCommittedProtocol pins the one receiver rule: a Recv follows the
+// decision its Isend committed, even where the receiver's own model
+// disagrees. An Isend leg costs exactly α, so the sender's model converges
+// long before the receiver's, whose samples include the wait for the
+// payload; the receiver then skips receives its own model would still run.
+// The pair's executed and skipped counts must match rank for rank.
 func TestIsendCommittedProtocol(t *testing.T) {
-	runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: 0.25}, func(p *Profiler, cc *Comm) {
-		buf := make([]float64, 64)
-		for i := 0; i < 60; i++ {
+	const sends, words, eps = 60, 64, 0.25
+	recv := CommKey("recv", words, 2, 1)
+	var executed, skipped [2]int64
+	overruled := 0
+	runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: eps}, func(p *Profiler, cc *Comm) {
+		buf := make([]float64, words)
+		for i := 0; i < sends; i++ {
 			if cc.Rank() == 0 {
 				cc.Isend(1, i, buf)
 				p.Waitall()
-			} else {
-				cc.Recv(0, i, buf)
+				continue
+			}
+			// The receiver's own decision; Conditional credits frequency 1.
+			m := p.modelOf(recv)
+			own := m.Count() == 0 || !m.Predictable(eps, 1)
+			before := p.skipped
+			cc.Recv(0, i, buf)
+			if own && p.skipped > before {
+				overruled++
 			}
 		}
+		executed[cc.Rank()], skipped[cc.Rank()] = p.executed, p.skipped
 	})
+	if executed[0] != executed[1] || skipped[0] != skipped[1] {
+		t.Errorf("sender executed %d and skipped %d, receiver executed %d and skipped %d",
+			executed[0], skipped[0], executed[1], skipped[1])
+	}
+	if skipped[0] == 0 {
+		t.Error("no send was skipped")
+	}
+	if overruled == 0 {
+		t.Error("the receiver's own model never disagreed with a skipped send")
+	}
 }
 
 // TestIsendVoteDataPairing: an Isend's vote travels on the internal lane and
@@ -311,9 +323,9 @@ func TestIsendVoteDataPairing(t *testing.T) {
 }
 
 // TestRecvZeroLengthBuffer posts a zero-word receive with a nil and with an
-// empty buffer against a blocking Send. Both must run the receive side of
-// the protocol whatever the buffer, or the receiver waits for a reply the
-// sender is waiting for too.
+// empty buffer against an Isend. Both must run the receive side of the
+// protocol whatever the buffer, or the sender's Waitall waits for a reply
+// that never comes.
 func TestRecvZeroLengthBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -322,7 +334,8 @@ func TestRecvZeroLengthBuffer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
 				if cc.Rank() == 0 {
-					cc.Send(1, 3, nil)
+					cc.Isend(1, 3, nil)
+					p.Waitall()
 				} else {
 					cc.Recv(0, 3, tc.buf)
 				}
@@ -351,7 +364,8 @@ func TestIsendRecvSelectiveSkipsConsistently(t *testing.T) {
 func TestP2PDataIntegrityWhenExecuted(t *testing.T) {
 	runProfiled(t, 2, 0.0, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
 		if cc.Rank() == 0 {
-			cc.Send(1, 9, []float64{1, 2, 3})
+			cc.Isend(1, 9, []float64{1, 2, 3})
+			p.Waitall()
 		} else {
 			got := make([]float64, 3)
 			cc.Recv(0, 9, got)
@@ -662,7 +676,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 			p.Kernel("trsm", d, d, 0, 0, float64(d*d), func() {})
 			cc.Allreduce(buf[:8], buf[8:], mpi.OpSum)
 			peer := cc.Rank() ^ 1
-			cc.Sendrecv(peer, 3, buf[:4], peer, 3, buf[4:8])
+			cc.Sendrecv(peer, 3, buf[:4], buf[4:8])
 		}
 	}
 	type side struct {
@@ -706,7 +720,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 						cfg, c.Rank(), len(p.k), p.KernelCount(), p.Table().Len())
 				}
 			}
-			g := p.GlobalProfile()
+			g := p.GlobalProfile(0)
 			if c.Rank() == 0 {
 				s.global = g
 				s.published = published(s.memo)

@@ -158,16 +158,14 @@ func mergePath(a, b Pathset) Pathset {
 
 // intMsg is the internal message piggybacked on intercepted communication.
 type intMsg struct {
-	// Exec is the sender's vote (or, for committed messages, decision) on
-	// whether the user communication kernel must actually execute.
+	// Exec is whether the user communication kernel must actually execute:
+	// a member's vote in a collective, an Isend's committed decision, which
+	// the receiver follows, and in Sendrecv the issuer's vote for its send
+	// kernel. A receiver's reply carries none.
 	Exec bool
-	// Exec2 carries the second vote of a combined send+receive exchange
-	// (the Sendrecv protocol): Exec votes for the issuer's send kernel,
-	// Exec2 for its receive kernel.
+	// Exec2 is the issuer's vote for its receive kernel in Sendrecv's
+	// combined exchange.
 	Exec2 bool
-	// Committed marks nonblocking-send messages whose execution decision
-	// was made unilaterally by the sender; the receiver must follow it.
-	Committed bool
 	// Path is a snapshot of the sender's pathset; the message owns its
 	// frequency table until a receiver adopts it.
 	Path Pathset
@@ -180,10 +178,9 @@ type intMsg struct {
 // lossy fold here would silently drop the receive vote if it ever did.
 func mergeIntMsg(a, b intMsg) intMsg {
 	return intMsg{
-		Exec:      a.Exec || b.Exec,
-		Exec2:     a.Exec2 || b.Exec2,
-		Committed: a.Committed || b.Committed,
-		Path:      mergePath(a.Path, b.Path),
+		Exec:  a.Exec || b.Exec,
+		Exec2: a.Exec2 || b.Exec2,
+		Path:  mergePath(a.Path, b.Path),
 	}
 }
 

@@ -350,24 +350,24 @@ func TestProfileArchiveSpansConfigs(t *testing.T) {
 }
 
 // TestGlobalProfilePoolsRanks checks the collective export: every rank's
-// samples pool into one profile, identical on all ranks.
+// samples pool into one profile at root, and the other ranks get none.
 func TestGlobalProfilePoolsRanks(t *testing.T) {
-	const ranks = 4
+	const ranks, root = 4, 1
 	key := CompKey("gemm", 8, 8, 8, 0)
 	profiles := make([]*Profile, ranks)
 	runProfiled(t, ranks, 0.05, Options{Policy: Conditional, Eps: 0}, func(p *Profiler, cc *Comm) {
 		for i := 0; i < 10; i++ {
 			p.Kernel("gemm", 8, 8, 8, 0, 1e4, func() {})
 		}
-		profiles[cc.Rank()] = p.GlobalProfile()
+		profiles[cc.Rank()] = p.GlobalProfile(root)
 	})
-	if profiles[0].Kernels[key].Count != 10*ranks {
-		t.Errorf("global profile has %d samples, want %d", profiles[0].Kernels[key].Count, 10*ranks)
-	}
-	for r := 1; r < ranks; r++ {
-		if !reflect.DeepEqual(profiles[0], profiles[r]) {
-			t.Errorf("rank %d's global profile differs from rank 0's", r)
+	for r, g := range profiles {
+		if r != root && g != nil {
+			t.Errorf("rank %d got a global profile; only root %d should", r, root)
 		}
+	}
+	if got := profiles[root].Kernels[key].Count; got != 10*ranks {
+		t.Errorf("global profile has %d samples, want %d", got, 10*ranks)
 	}
 }
 

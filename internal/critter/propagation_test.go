@@ -76,8 +76,8 @@ func (l *pathFreqsLog) note(step, rank int, p *Profiler) {
 
 // TestOnlinePathFreqsPinned runs a 4-rank online program through every
 // propagation path — the internal allreduce of world and sub-communicator
-// collectives, Isend/Recv/Waitall, the combined Sendrecv exchange, blocking
-// Send/Recv — twice over, so the second pass runs entirely on recycled
+// collectives, Isend/Recv/Waitall in both pairings, the combined Sendrecv
+// exchange — twice over, so the second pass runs entirely on recycled
 // buffers, and pins, each subtest against its own file under testdata/:
 //   - freqs (online_path_freqs.golden): every rank's PathFreqs() after
 //     every step, and rank 0's GlobalPathFreqs() at the end (global);
@@ -128,11 +128,12 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 			}
 			note()
 			p.Kernel("e", 1+r, 1, 1, 0, 3e5*float64(ranks-r), func() {})
-			cc.Sendrecv(r^1, 9, buf[:4], r^1, 9, out[:4])
+			cc.Sendrecv(r^1, 9, buf[:4], out[:4])
 			note()
-			// Blocking pairs 1->2 and 3->0.
+			// Nonblocking pairs 1->2 and 3->0, across the first pairing.
 			if r%2 == 1 {
-				cc.Send((r+1)%ranks, 11, buf[:2])
+				cc.Isend((r+1)%ranks, 11, buf[:2])
+				p.Waitall()
 			} else {
 				cc.Recv((r+ranks-1)%ranks, 11, buf[:2])
 			}
@@ -174,8 +175,8 @@ func TestOnlinePathFreqsPinned(t *testing.T) {
 }
 
 // TestP2PAdoptsPeerTableUnconditionally pins what point-to-point propagation
-// does today, which is not what pathset.go's header says of K-tilde: Send,
-// Recv, Sendrecv and Waitall install the peer's table whether or not the peer's
+// does today, which is not what pathset.go's header says of K-tilde: Recv,
+// Sendrecv and Waitall install the peer's table whether or not the peer's
 // path is the longer one, so the two ends of a pair swap tables. Collectives
 // adopt the maximal-ExecTime rank's table as Figure 2 (lines 64-65)
 // prescribes. The swap feeds freqFor under the online policy, i.e. the skip
@@ -215,15 +216,6 @@ func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Run("send-recv", func(t *testing.T) {
-		check(t, true, func(cc *Comm, buf []float64) {
-			if cc.Rank() == 0 {
-				cc.Send(1, 0, buf)
-			} else {
-				cc.Recv(0, 0, buf)
-			}
-		})
-	})
 	t.Run("isend-recv-wait", func(t *testing.T) {
 		check(t, true, func(cc *Comm, buf []float64) {
 			if cc.Rank() == 1 {
@@ -239,7 +231,7 @@ func TestP2PAdoptsPeerTableUnconditionally(t *testing.T) {
 	})
 	t.Run("sendrecv", func(t *testing.T) {
 		check(t, true, func(cc *Comm, buf []float64) {
-			cc.Sendrecv(cc.Rank()^1, 0, buf, cc.Rank()^1, 0, make([]float64, 4))
+			cc.Sendrecv(cc.Rank()^1, 0, buf, make([]float64, 4))
 		})
 	})
 }
@@ -263,15 +255,8 @@ func TestP2PWaitChargedOnce(t *testing.T) {
 		transfer float64
 		exchange func(cc *Comm, buf []float64)
 	}{
-		{"send-recv", p2p, func(cc *Comm, buf []float64) {
-			if cc.Rank() == 0 {
-				cc.Send(1, 0, buf)
-			} else {
-				cc.Recv(0, 0, buf)
-			}
-		}},
 		{"sendrecv", p2p, func(cc *Comm, buf []float64) {
-			cc.Sendrecv(cc.Rank()^1, 0, buf, cc.Rank()^1, 0, make([]float64, words))
+			cc.Sendrecv(cc.Rank()^1, 0, buf, make([]float64, words))
 		}},
 		{"isend-recv-wait", p2p, func(cc *Comm, buf []float64) {
 			if cc.Rank() == 0 {

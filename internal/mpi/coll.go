@@ -125,12 +125,11 @@ func (c *Comm) Bcast(root int, buf []float64) float64 {
 }
 
 // reduceViews folds every member's in elementwise with op, in comm-rank
-// order, into dst, which must not alias any member's buffers. what names the
-// operation in the length-mismatch panic.
-func reduceViews(what string, dst []float64, members []collView, op ReduceOp) {
+// order, into dst, which must not alias any member's buffers.
+func reduceViews(dst []float64, members []collView, op ReduceOp) {
 	for r, m := range members {
 		if len(m.in) != len(dst) {
-			panic(fmt.Sprintf("mpi: %s length mismatch: out %d, in %d at rank %d", what, len(dst), len(m.in), r))
+			panic(fmt.Sprintf("mpi: allreduce length mismatch: out %d, in %d at rank %d", len(dst), len(m.in), r))
 		}
 		if r == 0 {
 			copy(dst, m.in)
@@ -142,26 +141,13 @@ func reduceViews(what string, dst []float64, members []collView, op ReduceOp) {
 	}
 }
 
-// Reduce combines every member's in elementwise with op into root's out,
-// which is only written at root.
-func (c *Comm) Reduce(root int, in, out []float64, op ReduceOp) float64 {
-	c.checkPeer(root)
-	maxT, seq := c.collRound(in, out, func(members []collView) {
-		dst := members[root].out
-		acc := c.scratch(len(dst))
-		reduceViews("reduce", acc, members, op)
-		copy(dst, acc)
-	})
-	return c.finishColl(maxT, collTree, float64(8*len(in)), seq)
-}
-
 // Allreduce combines every member's in elementwise with op into every
 // member's out: one fold in comm-rank order on the last arriver, copied to
 // each out (bit-identical to every member folding for itself).
 func (c *Comm) Allreduce(in, out []float64, op ReduceOp) float64 {
 	maxT, seq := c.collRound(in, out, func(members []collView) {
 		acc := c.scratch(len(members[0].out))
-		reduceViews("allreduce", acc, members, op)
+		reduceViews(acc, members, op)
 		for r, m := range members {
 			if len(m.out) != len(acc) {
 				panic(fmt.Sprintf("mpi: allreduce length mismatch: out %d, in %d at rank %d", len(m.out), len(acc), r))

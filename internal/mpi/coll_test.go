@@ -31,7 +31,7 @@ func collInputs(p, n int) [][]float64 {
 	return in
 }
 
-// foldOracle is the sequential reference of Reduce/Allreduce: rank 0's
+// foldOracle is the sequential reference of Allreduce: rank 0's
 // vector, then every other rank's folded in elementwise in rank order.
 func foldOracle(in [][]float64, op ReduceOp) []float64 {
 	acc := append([]float64(nil), in[0]...)
@@ -89,14 +89,6 @@ func TestCollectivesMatchSequentialOracle(t *testing.T) {
 					c.Allreduce(in[r], out, op)
 					if !sameBits(out, want) {
 						fail("allreduce", out, want)
-					}
-					out = make([]float64, n)
-					c.Reduce(root, in[r], out, op)
-					if r == root && !sameBits(out, want) {
-						fail("reduce", out, want)
-					}
-					if r != root && !sameBits(out, make([]float64, n)) {
-						fail("reduce off root (must not be written)", out, nil)
 					}
 				}
 				buf := make([]float64, n)
@@ -175,11 +167,6 @@ func TestCollectivesInputAliasingOutput(t *testing.T) {
 		}
 
 		// Root-only outputs overlapping the root's input.
-		buf = mine()
-		c.Reduce(3, buf, buf, OpSum)
-		if r == 3 && !sameBits(buf, sum) {
-			t.Errorf("reduce in place at root = %v, want %v", buf, sum)
-		}
 		out = make([]float64, n*p)
 		copy(out, in[r])
 		c.Gather(3, out[:n], out)
@@ -243,12 +230,6 @@ func TestCollectiveArgumentErrors(t *testing.T) {
 		{"bcast length at root", func(c *Comm) {
 			c.Bcast(1, make([]float64, lenAt(c, 1, 3)))
 		}, []string{"bcast length mismatch", "root has 4"}},
-		{"reduce input length", func(c *Comm) {
-			c.Reduce(3, make([]float64, lenAt(c, 1, 3)), make([]float64, 3), OpSum)
-		}, []string{"reduce length mismatch", "rank 1"}},
-		{"reduce output length", func(c *Comm) {
-			c.Reduce(3, make([]float64, 3), make([]float64, lenAt(c, 3, 3)), OpSum)
-		}, []string{"reduce length mismatch", "out 4, in 3"}},
 		{"allreduce input length", func(c *Comm) {
 			c.Allreduce(make([]float64, lenAt(c, 3, 3)), make([]float64, 3), OpMax)
 		}, []string{"allreduce length mismatch", "rank 3"}},

@@ -235,17 +235,15 @@ func TestBcast(t *testing.T) {
 	})
 }
 
+// TestReduceAndAllreduce checks each reduction operator through Allreduce.
 func TestReduceAndAllreduce(t *testing.T) {
 	run(t, 4, func(c *Comm) {
 		in := []float64{float64(c.Rank()), 1}
-		out := make([]float64, 2)
-		c.Reduce(0, in, out, OpSum)
-		if c.Rank() == 0 {
-			if out[0] != 6 || out[1] != 4 { // 0+1+2+3, 1*4
-				t.Errorf("reduce got %v", out)
-			}
-		}
 		all := make([]float64, 2)
+		c.Allreduce(in, all, OpSum)
+		if all[0] != 6 || all[1] != 4 { // 0+1+2+3, 1*4
+			t.Errorf("allreduce sum got %v", all)
+		}
 		c.Allreduce(in, all, OpMax)
 		if all[0] != 3 || all[1] != 1 {
 			t.Errorf("allreduce max got %v", all)

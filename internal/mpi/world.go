@@ -11,8 +11,8 @@
 // The interface mirrors the MPI subset used by the paper's four case-study
 // libraries: point-to-point Send, Isend and Recv (an Isend captures its
 // payload at issue, so it completes at once and has no request to wait on),
-// the collectives Bcast, Reduce, Allreduce, Allgather, Gather, Scatter,
-// Barrier, and communicator construction via Split and Dup. Payloads are
+// the collectives Bcast, Allreduce, Allgather, Gather, Scatter, Barrier,
+// and communicator construction via Split and Dup. Payloads are
 // []float64 (application data) or typed values via the generic message core
 // (Lane, AllreduceMsg and BcastMsg, used by the profiler's internal
 // piggyback messages).
