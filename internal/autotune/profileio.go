@@ -41,6 +41,12 @@ func WriteProfileFile(path string, p *critter.Profile) error {
 		tmp.Close()
 		return err
 	}
+	// Flushed before the rename publishes it: a crash after the rename must
+	// leave the whole profile, never an empty or short one.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}

@@ -196,8 +196,9 @@ func (p *Profiler) exportInto(out *Profile) {
 
 // foldModels pools models, filed under tab's ids, into the profile.
 func (p *Profile) foldModels(tab *KernelTable, models []archivedModel) {
+	keys := tab.view()
 	for _, m := range models {
-		p.mergeKernel(tab.KeyOf(m.id), m.KernelModel, false)
+		p.mergeKernel(keys[m.id], m.KernelModel, false)
 	}
 }
 
@@ -216,10 +217,10 @@ func (p *Profile) foldFreqs(tab *KernelTable, freqs []int64) {
 	if p.PathFreqs == nil {
 		p.PathFreqs = make(map[Key]int64, nonzero)
 	}
+	keys := tab.view()
 	for id, v := range freqs {
 		if v != 0 {
-			key := tab.KeyOf(uint32(id))
-			p.PathFreqs[key] = max(p.PathFreqs[key], v)
+			p.PathFreqs[keys[id]] = max(p.PathFreqs[keys[id]], v)
 		}
 	}
 }
@@ -237,18 +238,22 @@ type exportMsg struct {
 // member's archive in turn into one scratch profile and pools it into the
 // single result, in comm-rank order — the fold every rank used to repeat over
 // P gathered exports, done once with one export's worth of maps live at a
-// time. It runs under the round's lock with every member parked, which is
-// what lets it read their profilers and what forbids it to communicate.
+// time. The scratch is the world's memo's (KernelMemo.takeScratch), so a
+// worker folds every sweep through one set of maps, cleared in place. It runs
+// under the round's lock with every member parked, which is what lets it read
+// their profilers and what forbids it to communicate.
 func foldExports(members []exportMsg) {
+	memo := members[0].p.memo
 	out := &Profile{SchemaVersion: ProfileSchemaVersion}
-	scratch := &Profile{}
+	scratch := memo.takeScratch()
 	for _, m := range members {
+		m.p.exportInto(scratch)
+		out.merge(scratch, true)
 		clear(scratch.Kernels)
 		clear(scratch.Families)
 		clear(scratch.PathFreqs)
-		m.p.exportInto(scratch)
-		out.merge(scratch, true)
 	}
+	memo.giveScratch(scratch)
 	members[members[0].root].out = out
 }
 

@@ -18,7 +18,8 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		return
 	}
 	ch := c.ch
-	nominate := make(map[Key]stats.Welford)
+	// Most rounds nominate nothing, so the map is made on first use.
+	var nominate map[Key]stats.Welford
 	for id := range p.k {
 		ks := &p.k[id]
 		if !ks.seen || ks.propagated {
@@ -35,6 +36,9 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		}
 		if _, ok := channel.Combine(ks.coverage, ch); !ok {
 			continue
+		}
+		if nominate == nil {
+			nominate = make(map[Key]stats.Welford)
 		}
 		nominate[p.tab.KeyOf(uint32(id))] = w
 	}
@@ -56,10 +60,14 @@ func (p *Profiler) aggregateEager(c *Comm) {
 
 // mergeNominations folds nomination maps pairwise: the union of keys, with
 // Welford models merged so every rank ends up with the pooled sample set.
-// Pure: inputs are never mutated.
+// Pure: inputs are never mutated, and when one side is empty the other is
+// the result itself (a merge into an empty model is that model, bit for bit).
 func mergeNominations(ma, mb map[Key]stats.Welford) map[Key]stats.Welford {
 	if len(mb) == 0 {
 		return ma
+	}
+	if len(ma) == 0 {
+		return mb
 	}
 	out := make(map[Key]stats.Welford, len(ma)+len(mb))
 	for k, w := range ma {

@@ -65,6 +65,15 @@ func (t *KernelTable) KeyOf(id uint32) Key {
 	return t.keys[id]
 }
 
+// view returns the signatures interned so far, indexed by id. The table
+// only appends, so the slice stays valid while other ranks intern on: the
+// entries it covers never change.
+func (t *KernelTable) view() []Key {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.keys
+}
+
 // Len returns how many distinct signatures the table has interned.
 func (t *KernelTable) Len() int {
 	t.mu.RLock()

@@ -14,7 +14,7 @@ package critter
 // values (ids never leave the process, and all result-bearing artifacts are
 // rekeyed by Key).
 //
-// Two things are memoized:
+// Three things are memoized:
 //
 //   - Per-configuration kernel tables. The first profiler to finish a
 //     configuration publishes its interner (Profiler.Report), keyed by the
@@ -33,6 +33,12 @@ package critter
 //     the memo; the next profiler of the same world rank built with the
 //     same memo adopts them instead of growing fresh ones.
 //
+//   - The export fold's scratch profile. GlobalProfile's fold rekeys each
+//     rank's archive into one scratch before pooling it into the result
+//     (foldExports); it takes that scratch from the world's memo and gives
+//     it back with its maps cleared, so a worker folds every sweep through
+//     one set of Key-keyed maps instead of growing a fresh pair per sweep.
+//
 // The "memoized kernels" of Report and the sweep stats are not this cache:
 // they count replays of the decision cache in each profiler's own kernel
 // records (predCache in profiler.go), which works with or without a
@@ -42,8 +48,9 @@ package critter
 // is threaded through. The sweep executor gives each worker goroutine its
 // own memo (alongside its buffer-pool arena), so cross-worker contention
 // never occurs; within a world the ranks share the memo's mutex, which is
-// touched only at configuration boundaries. Its published tables are
-// bounded by the distinct (study, scale, configuration) triples it has run.
+// touched only at configuration boundaries and twice per export round. Its
+// published tables are bounded by the distinct (study, scale,
+// configuration) triples it has run.
 
 import (
 	"hash/fnv"
@@ -68,6 +75,10 @@ type KernelMemo struct {
 	// one per configuration start).
 	tableHits   int64
 	tableMisses int64
+
+	// scratch is the export fold's scratch profile (foldExports) between
+	// folds, its maps empty; nil while a fold has it out.
+	scratch *Profile
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
@@ -167,4 +178,34 @@ func (m *KernelMemo) TableHits() (hits, misses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.tableHits, m.tableMisses
+}
+
+// takeScratch hands the export fold the memo's scratch profile, its maps
+// empty, and a fresh one when the memo is nil or its scratch is out: two
+// worlds folding through one memo at once never share a scratch.
+func (m *KernelMemo) takeScratch() *Profile {
+	if m == nil {
+		return &Profile{}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.scratch
+	m.scratch = nil
+	if s == nil {
+		s = &Profile{}
+	}
+	return s
+}
+
+// giveScratch files the fold's scratch, its maps emptied, for the next fold.
+// When another fold has filed one meanwhile, that one stays.
+func (m *KernelMemo) giveScratch(s *Profile) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.scratch == nil {
+		m.scratch = s
+	}
 }
