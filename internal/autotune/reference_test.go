@@ -491,3 +491,49 @@ func TestFailedSweepPublishesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestReferenceMatchesArithmeticTwin: a reference is a clock that runs no
+// kernel's arithmetic, and it reports what a profiler that runs all of it
+// reports. For every configuration of the four quick studies, the report of
+// fullOnlyConfig equals, field for field, that of a world running the same
+// configuration under a New profiler with the reference's policy and
+// tolerance (Conditional, eps 0), started and keyed as reference starts and
+// keys a configuration.
+func TestReferenceMatchesArithmeticTwin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick configuration twice")
+	}
+	const seed = 42
+	machine := quickMachine()
+	for _, st := range quickStudies() {
+		t.Run(st.Name, func(t *testing.T) {
+			sc := newScratch()
+			for v := range st.Size() {
+				var ref, twin critter.Report
+				if err := fullOnlyConfig(context.Background(), st, machine, seed, v, sc, &ref); err != nil {
+					t.Fatal(err)
+				}
+				ck := critter.ConfigKey(st.Name, v)
+				err := mpi.NewWorld(st.WorldSize, machine, seed).Run(func(c *mpi.Comm) {
+					p, cc := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0})
+					p.StartConfig(true)
+					c.Rekey(runKey(ck, runReference, 0))
+					st.Run(p, cc, v)
+					r := p.Report()
+					if c.Rank() == 0 {
+						twin = r
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if twin.Executed == 0 {
+					t.Fatalf("config %d: the twin executed no kernel", v)
+				}
+				if ref != twin {
+					t.Errorf("config %d: the reference reports %+v, its arithmetic twin %+v", v, ref, twin)
+				}
+			}
+		})
+	}
+}

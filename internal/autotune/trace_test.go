@@ -116,3 +116,60 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("trace has %d round events (%d with virtual time), want both nonzero", rounds, virtualStamped)
 	}
 }
+
+// TestTraceIndependentOfReferences: a run's trace is a function of what the
+// run tunes, not of who ran its references. A reference emits nothing, so a
+// run on a Study value whose reference table is already full traces the same
+// (kind, phase, name) sequence as the cold run that filled it, and at four
+// workers, where sweeps race to one missing slot and may both run its
+// reference, two fresh values trace the same number of events.
+func TestTraceIndependentOfReferences(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full sweeps")
+	}
+	type step struct{ kind, phase, name string }
+	trace := func(study Study, workers int) []step {
+		t.Helper()
+		ring := obs.NewRing(1<<16, nil)
+		_, err := Tuner{
+			Study:   study,
+			EpsList: []float64{0.5},
+			Machine: goldenMachine(),
+			Seed:    7,
+			Workers: workers,
+			Tracer:  ring,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Dropped() != 0 {
+			t.Fatalf("trace ring dropped %d events; size the ring up", ring.Dropped())
+		}
+		var steps []step
+		for _, ev := range ring.Events() {
+			steps = append(steps, step{ev.Kind, ev.Phase, ev.Name})
+		}
+		return steps
+	}
+	candmc := func() Study {
+		study, err := workload.ResolveStudy(nil, "candmc", "quick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return study
+	}
+
+	study := candmc()
+	cold, warm := trace(study, 1), trace(study, 1)
+	if len(cold) != len(warm) {
+		t.Errorf("one worker: the cold run traced %d events, the warm run %d", len(cold), len(warm))
+	}
+	for i := range min(len(cold), len(warm)) {
+		if cold[i] != warm[i] {
+			t.Fatalf("one worker: event %d is %+v cold and %+v warm", i, cold[i], warm[i])
+		}
+	}
+	if a, b := len(trace(candmc(), 4)), len(trace(candmc(), 4)); a != b || a != len(cold) {
+		t.Errorf("four workers: two fresh Study values traced %d and %d events, one worker %d", a, b, len(cold))
+	}
+}

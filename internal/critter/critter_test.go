@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"critter/internal/mpi"
@@ -662,18 +663,20 @@ func TestReportDeterministic(t *testing.T) {
 // (Conditional, eps 0, a memo of its own) over the same keyed configurations
 // on identical worlds and seeds, each configuration's noise keyed by the
 // configuration as the sweep keys it. The reports must agree field for field.
-// The reference is a clock: it keeps no record and archives nothing, its
+// The reference is a clock: the twin runs a kernel's body once per Kernel
+// call and the reference never; it keeps no record and archives nothing, its
 // GlobalProfile is empty, and it takes no memo, so a selective profiler that
 // restarts a configuration on the memo misses and publishes its own table,
 // where the twin's memo serves it.
 func TestReferenceArchivesNothing(t *testing.T) {
 	const ranks, configs = 4, 5
-	work := func(p *Profiler, cc *Comm, cfg int) {
+	// work calls Kernel twice per step, handing each call run.
+	work := func(p *Profiler, cc *Comm, cfg int, run func()) {
 		buf := make([]float64, 16)
 		for i := 0; i < 6; i++ {
 			d := 4 + 4*((cfg+i)%3)
-			p.Kernel("gemm", d, d, d, 0, float64(d*d*d), func() {})
-			p.Kernel("trsm", d, d, 0, 0, float64(d*d), func() {})
+			p.Kernel("gemm", d, d, d, 0, float64(d*d*d), run)
+			p.Kernel("trsm", d, d, 0, 0, float64(d*d), run)
 			cc.Allreduce(buf[:8], buf[8:], mpi.OpSum)
 			peer := cc.Rank() ^ 1
 			cc.Sendrecv(peer, 3, buf[:4], buf[4:8])
@@ -686,6 +689,9 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		// published counts the memo's tables before and after the
 		// selective restart.
 		published, republished int
+		// runs counts the kernel bodies the configurations ran, on every
+		// rank.
+		runs atomic.Int64
 	}
 	published := func(m *KernelMemo) int {
 		m.mu.Lock()
@@ -694,8 +700,9 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	}
 	// run executes every configuration under a profiler from build, then a
 	// selective profiler on the same memo restarts configuration 0.
-	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), reference bool) side {
-		s := side{memo: NewKernelMemo()}
+	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), reference bool) *side {
+		s := &side{memo: NewKernelMemo()}
+		count := func() { s.runs.Add(1) }
 		w := mpi.NewWorld(ranks, testMachine(0.05), 11)
 		err := w.Run(func(c *mpi.Comm) {
 			p, cc := build(c, s.memo)
@@ -703,7 +710,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 				ck := ConfigKey("ref", cfg)
 				p.StartConfigKeyed(true, ck)
 				c.Rekey(ck)
-				work(p, cc, cfg)
+				work(p, cc, cfg, count)
 				r := p.Report()
 				if c.Rank() == 0 {
 					s.reports = append(s.reports, r)
@@ -730,7 +737,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 			ck := ConfigKey("ref", 0)
 			sel.StartConfigKeyed(true, ck)
 			c.Rekey(ck)
-			work(sel, scc, 0)
+			work(sel, scc, 0, func() {})
 			sel.Report()
 		})
 		if err != nil {
@@ -746,6 +753,13 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	ref := run(reference, true)
 	full := run(twin, false)
 
+	// Every configuration calls Kernel 12 times on each rank.
+	if got, want := full.runs.Load(), int64(ranks*configs*12); got != want {
+		t.Errorf("the twin ran %d kernel bodies, want one per Kernel call, %d", got, want)
+	}
+	if got := ref.runs.Load(); got != 0 {
+		t.Errorf("the reference ran %d kernel bodies, want none", got)
+	}
 	for i := range ref.reports {
 		if ref.reports[i] != full.reports[i] {
 			t.Errorf("config %d: the reference reports %+v, its New twin %+v", i, ref.reports[i], full.reports[i])
@@ -753,7 +767,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	}
 	for _, want := range []struct {
 		name                   string
-		side                   side
+		side                   *side
 		hits, misses           int64
 		published, republished int
 	}{

@@ -136,15 +136,17 @@ type Profiler struct {
 	// the current one, so ExportProfile covers everything the run learned
 	// (archive.go).
 	arch archive
-	// reference marks a profiler built by NewReference: it interns nothing,
-	// keeps no per-kernel record and archives nothing.
+	// reference marks a profiler built by NewReference: it runs no kernel's
+	// arithmetic, interns nothing, keeps no per-kernel record and archives
+	// nothing.
 	reference bool
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
 
 	// trace receives kernel-propagation round events. It is non-nil only
-	// on rank 0 of a world with an installed tracer (see World.SetTracer),
-	// so the stream is deterministic and the disabled path is one branch.
+	// on rank 0 of a world with an installed tracer (see World.SetTracer)
+	// and never on a reference, so the stream is deterministic and the
+	// disabled path is one branch.
 	trace obs.Tracer
 
 	// memo is the attached cross-config cache (Options.Memo; nil disables
@@ -238,15 +240,18 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 // NewReference creates the profiler a reference execution runs under — the
 // full execution every selective one is judged against: New with the
 // Conditional policy and tolerance zero. It is collective like New.
-// A reference is only ever asked for its Reports, so it is a clock: it
-// interns no signature, keeps no per-kernel record and sets nothing aside,
-// so ExportProfile and GlobalProfile on it are empty and KernelCount is 0.
-// Its StartConfigKeyed neither looks up nor publishes an interner: the first
-// selective run of a configuration does. With nothing to recycle either, it
-// takes no memo.
+// A reference is only ever asked for its Reports, so it is a clock: Kernel
+// charges every kernel's modeled time and runs none of its arithmetic, and
+// the reference interns no signature, keeps no per-kernel record and sets
+// nothing aside, so ExportProfile and GlobalProfile on it are empty and
+// KernelCount is 0. It emits no trace events, so a run's trace does not
+// depend on which of its sweeps ran a reference. Its StartConfigKeyed
+// neither looks up nor publishes an interner: the first selective run of a
+// configuration does. With nothing to recycle either, it takes no memo.
 func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
 	p, cc := New(world, Options{Policy: Conditional, Eps: 0})
 	p.reference = true
+	p.trace = nil
 	return p, cc
 }
 
@@ -523,6 +528,9 @@ func (p *Profiler) adopt(g Pathset) {
 // the signature, flops drives the machine model, and run performs the
 // actual numerics. When the kernel is deemed predictable, run is not called
 // and the model mean is charged to the pathset instead of virtual time.
+// A reference (NewReference) charges every kernel as executed and never
+// calls run either: the charge, its noise draw and the clock advance are
+// those of an execution, and its reports read only virtual time and flops.
 // It returns the duration charged to the path.
 func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run func()) float64 {
 	id, ks := p.intercept(CompKey(name, d1, d2, d3, d4))
@@ -544,7 +552,9 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 	} else {
 		dt = p.settle(ks, exec, func() float64 {
 			dt := p.world.user.Compute(flops)
-			run()
+			if !p.reference {
+				run()
+			}
 			return dt
 		})
 		if exec {

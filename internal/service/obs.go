@@ -66,7 +66,7 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 
 		dedupCoalesced: reg.Counter("dedup_coalesced_total", "Submissions coalesced onto an identical in-flight execution."),
 		memoHits:       reg.Counter("memo_hits_total", "Submissions answered from a memoized finished job."),
-		memoMisses:     reg.Counter("memo_misses_total", "Dedup-enabled submissions that found no usable memo entry and executed."),
+		memoMisses:     reg.Counter("memo_misses_total", "Submissions that found no usable memo entry and executed."),
 		memoEvictions:  reg.Counter("memo_evictions_total", "Memo entries dropped because history evicted their job (Config.MaxHistory)."),
 
 		sseLagged:  reg.Counter("sse_lagged_total", "SSE subscribers that lost events to backpressure (lagged events sent)."),
