@@ -60,12 +60,29 @@ func (c *Comm) Split(color, key int) *Comm {
 	return &Comm{p: c.p, user: user, internal: internal, ch: ch, chOK: ok}
 }
 
+// The profiled operations, interned once: an interception carries its op's
+// handle, not its name. A round event names its op (complete), so the two
+// ops that are rounds but no kernel, sendrecv and wait, have handles too.
+var (
+	opBarrier   = internName("barrier")
+	opBcast     = internName("bcast")
+	opAllreduce = internName("allreduce")
+	opAllgather = internName("allgather")
+	opGather    = internName("gather")
+	opScatter   = internName("scatter")
+	opSend      = internName("send")
+	opRecv      = internName("recv")
+	opIsend     = internName("isend")
+	opSendrecv  = internName("sendrecv")
+	opWait      = internName("wait")
+)
+
 // collective intercepts one blocking collective: agree on execution via an
 // internal allreduce (which also propagates pathsets), adopt the merged
 // pathset, then complete the round with the user operation as its one leg.
-func (c *Comm) collective(op string, words int, bspWords float64, run func() float64) {
+func (c *Comm) collective(op kernelName, words int, bspWords float64, run func() float64) {
 	p := c.p
-	id, ks := p.intercept(CommKey(op, words, c.user.Size(), c.stride()))
+	id, ks := p.intercept(commKey(op, words, c.user.Size(), c.stride()))
 	local := intMsg{Exec: p.shouldExecute(id, ks), Path: p.snapshot()}
 	g := c.p.lane.Allreduce(c.internal, local, propagate)
 	p.adopt(g.Path)
@@ -110,9 +127,9 @@ type leg struct {
 // local skip replayed from predCache, consumed here so an op with no decision
 // of its own (wait) never inherits one. p.trace is non-nil only on rank 0 of
 // a traced world, so the disabled path costs one branch.
-func (p *Profiler) complete(op string, a, b leg) {
+func (p *Profiler) complete(op kernelName, a, b leg) {
 	if p.trace != nil {
-		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op, Virtual: p.world.user.Clock()}
+		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op.String(), Virtual: p.world.user.Clock()}
 		if p.lastReplayed {
 			ev.Memoized = 1
 			p.lastReplayed = false
@@ -135,36 +152,36 @@ func (p *Profiler) complete(op string, a, b leg) {
 
 // Barrier profiles a barrier synchronization.
 func (c *Comm) Barrier() {
-	c.collective("barrier", 0, 0, func() float64 { return c.user.Barrier() })
+	c.collective(opBarrier, 0, 0, func() float64 { return c.user.Barrier() })
 }
 
 // Bcast profiles a broadcast of buf from root.
 func (c *Comm) Bcast(root int, buf []float64) {
-	c.collective("bcast", len(buf), float64(len(buf)),
+	c.collective(opBcast, len(buf), float64(len(buf)),
 		func() float64 { return c.user.Bcast(root, buf) })
 }
 
 // Allreduce profiles an elementwise all-reduction.
 func (c *Comm) Allreduce(in, out []float64, op mpi.ReduceOp) {
-	c.collective("allreduce", len(in), float64(len(in)),
+	c.collective(opAllreduce, len(in), float64(len(in)),
 		func() float64 { return c.user.Allreduce(in, out, op) })
 }
 
 // Allgather profiles an allgather of equal-size contributions.
 func (c *Comm) Allgather(in, out []float64) {
-	c.collective("allgather", len(in), float64(len(in)*(c.user.Size()-1)),
+	c.collective(opAllgather, len(in), float64(len(in)*(c.user.Size()-1)),
 		func() float64 { return c.user.Allgather(in, out) })
 }
 
 // Gather profiles a gather to root.
 func (c *Comm) Gather(root int, in, out []float64) {
-	c.collective("gather", len(in), float64(len(in)*(c.user.Size()-1)),
+	c.collective(opGather, len(in), float64(len(in)*(c.user.Size()-1)),
 		func() float64 { return c.user.Gather(root, in, out) })
 }
 
 // Scatter profiles a scatter from root; out is each rank's segment.
 func (c *Comm) Scatter(root int, in, out []float64) {
-	c.collective("scatter", len(out), float64(len(out)*(c.user.Size()-1)),
+	c.collective(opScatter, len(out), float64(len(out)*(c.user.Size()-1)),
 		func() float64 { return c.user.Scatter(root, in, out) })
 }
 
@@ -172,7 +189,7 @@ func (c *Comm) Scatter(root int, in, out []float64) {
 // the paper assigns to a pair of ranks, whose stride is the world-rank
 // distance of the endpoints (1 for a self-message), taken without
 // materializing the channel (this runs on every p2p interception).
-func (c *Comm) p2pKey(op string, words, peer int) Key {
+func (c *Comm) p2pKey(op kernelName, words, peer int) Key {
 	a, b := c.user.Group()[c.user.Rank()], c.user.Group()[peer]
 	s := b - a
 	if s < 0 {
@@ -181,7 +198,7 @@ func (c *Comm) p2pKey(op string, words, peer int) Key {
 	if s == 0 {
 		s = 1 // self-message; degenerate but keep a valid stride
 	}
-	return CommKey(op, words, 2, s)
+	return commKey(op, words, 2, s)
 }
 
 // Internal piggyback messages are tagged by direction so that an Isend's
@@ -203,11 +220,11 @@ func srIntTag(tag int) int   { return 3*tag + 2 }
 // count, and replies with its pathset, which the sender adopts at Waitall.
 func (c *Comm) Recv(src, tag int, buf []float64) {
 	p := c.p
-	id, ks := p.intercept(c.p2pKey("recv", len(buf), src))
+	id, ks := p.intercept(c.p2pKey(opRecv, len(buf), src))
 	p.shouldExecute(id, ks)
 	p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Path: p.snapshot()})
 	peer := p.lane.Recv(c.internal, src, sendIntTag(tag))
-	p.complete("recv", leg{ks, peer.Exec, float64(len(buf)),
+	p.complete(opRecv, leg{ks, peer.Exec, float64(len(buf)),
 		func() float64 { return c.user.Recv(src, tag, buf) }}, leg{})
 	p.adopt(peer.Path)
 }
@@ -219,8 +236,8 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 // cannot deadlock.
 func (c *Comm) Sendrecv(peer, tag int, sendBuf, recvBuf []float64) {
 	p := c.p
-	sendID, _ := p.intercept(c.p2pKey("send", len(sendBuf), peer))
-	recvID, rks := p.intercept(c.p2pKey("recv", len(recvBuf), peer))
+	sendID, _ := p.intercept(c.p2pKey(opSend, len(sendBuf), peer))
+	recvID, rks := p.intercept(c.p2pKey(opRecv, len(recvBuf), peer))
 	// Taken after both lookups: the second may have grown the records and
 	// invalidated a pointer from the first.
 	sks := p.at(sendID)
@@ -230,7 +247,7 @@ func (c *Comm) Sendrecv(peer, tag int, sendBuf, recvBuf []float64) {
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
-	p.complete("sendrecv",
+	p.complete(opSendrecv,
 		leg{sks, localSend || got.Exec2, float64(len(sendBuf)),
 			func() float64 { return c.user.Send(peer, tag, sendBuf) }},
 		leg{rks, localRecv || got.Exec, float64(len(recvBuf)),
@@ -254,10 +271,10 @@ type isend struct {
 // (the caller may reuse buf immediately).
 func (c *Comm) Isend(dest, tag int, buf []float64) {
 	p := c.p
-	id, ks := p.intercept(c.p2pKey("isend", len(buf), dest))
+	id, ks := p.intercept(c.p2pKey(opIsend, len(buf), dest))
 	exec := p.shouldExecute(id, ks)
 	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: exec, Path: p.snapshot()})
-	p.complete("isend", leg{ks, exec, float64(len(buf)), func() float64 {
+	p.complete(opIsend, leg{ks, exec, float64(len(buf)), func() float64 {
 		t0 := c.user.Clock()
 		c.user.Isend(dest, tag, buf)
 		return c.user.Clock() - t0
@@ -272,7 +289,7 @@ func (c *Comm) Isend(dest, tag int, buf []float64) {
 func (p *Profiler) Waitall() {
 	for _, s := range p.isends {
 		m := p.lane.Recv(s.comm, s.peer, recvIntTag(s.tag))
-		p.complete("wait", leg{}, leg{})
+		p.complete(opWait, leg{}, leg{})
 		p.adopt(m.Path)
 	}
 	clear(p.isends)

@@ -3,6 +3,7 @@ package critter
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -726,6 +727,10 @@ func TestReferenceArchivesNothing(t *testing.T) {
 					t.Errorf("config %d rank %d: the reference holds %d records for %d kernels and interned %d signatures",
 						cfg, c.Rank(), len(p.k), p.KernelCount(), p.Table().Len())
 				}
+				if !reflect.DeepEqual(p.scratch, kernelStats{}) {
+					t.Errorf("config %d rank %d: the reference folded its interceptions into its scratch record: %+v",
+						cfg, c.Rank(), p.scratch)
+				}
 			}
 			g := p.GlobalProfile(0)
 			if c.Rank() == 0 {
@@ -804,7 +809,7 @@ func TestProfileIncludesCommKernels(t *testing.T) {
 		}
 		found := false
 		for k, n := range p.PathFreqs() {
-			if k.Kind == KindComm && k.Name == "bcast" {
+			if k.Kind == KindComm && k.Name() == "bcast" {
 				found = true
 				if n != 3 {
 					t.Errorf("bcast path count = %d", n)

@@ -73,7 +73,7 @@ func (e *ciMean) priorOf(key Key) stats.Welford {
 // observe offers a just-sampled computation kernel to its routine family:
 // once the kernel's own model is predictable at tolerance eps it contributes
 // its (flops, mean) point. name is the routine and flops its operation count.
-func (e *ciMean) observe(name string, flops float64, ks *kernelStats, eps float64) {
+func (e *ciMean) observe(name kernelName, flops float64, ks *kernelStats, eps float64) {
 	if !e.fitFamilies || flops <= 0 {
 		return
 	}
@@ -81,10 +81,10 @@ func (e *ciMean) observe(name string, flops float64, ks *kernelStats, eps float6
 	if m.Count() < 2 || !m.Predictable(eps, 1) {
 		return
 	}
-	fm, ok := e.families[name]
+	fm, ok := e.families[name.String()]
 	if !ok {
 		fm = newFamilyModel()
-		e.families[name] = fm
+		e.families[name.String()] = fm
 	}
 	fm.add(flops, m.Mean())
 }
@@ -93,11 +93,11 @@ func (e *ciMean) observe(name string, flops float64, ks *kernelStats, eps float6
 // routine name whose own model is not yet trustworthy — the family-model
 // prediction of extrapolate.go — or ok == false when extrapolation is off or
 // the fit is untrustworthy.
-func (e *ciMean) extrapolate(name string, flops, eps float64) (float64, bool) {
+func (e *ciMean) extrapolate(name kernelName, flops, eps float64) (float64, bool) {
 	if !e.fitFamilies || flops <= 0 {
 		return 0, false
 	}
-	fm, ok := e.families[name]
+	fm, ok := e.families[name.String()]
 	if !ok {
 		return 0, false
 	}
@@ -105,9 +105,10 @@ func (e *ciMean) extrapolate(name string, flops, eps float64) (float64, bool) {
 }
 
 // reset discards the family points learned since construction (between
-// tuning configurations); the prior-seeded ones are put back.
+// tuning configurations); the prior-seeded ones are put back. The map is
+// cleared in place: nothing reads its order.
 func (e *ciMean) reset() {
-	e.families = make(map[string]*familyModel)
+	clear(e.families)
 	if e.prior != nil {
 		e.seedFamilies(e.prior)
 	}

@@ -20,8 +20,11 @@ package critter
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind classifies a kernel as computation or communication.
@@ -42,31 +45,61 @@ const (
 // and sub-communicator stride relative to the world communicator (P3), with
 // point-to-point configurations treated as size-2 sub-communicators, as in
 // Section V-D of the paper.
+//
+// A Key is 24 bytes of plain memory: the routine is a handle into the
+// process-wide table of kernel names, and Kind comes last, so a Key holds no
+// pointer and no interior padding. The runtime hashes and compares it as one
+// block, and the collector never scans a Key-keyed map. Handles are
+// process-local: nothing serializes one (MarshalText writes the name) and
+// nothing is ordered by one. Build keys with CompKey or CommKey, or decode
+// them with UnmarshalText; parameters outside int32 are refused.
 type Key struct {
+	name kernelName
+	P1   int32
+	P2   int32
+	P3   int32
+	P4   int32
 	Kind Kind
-	Name string
-	P1   int
-	P2   int
-	P3   int
-	P4   int
 }
 
-// CompKey builds a computation-kernel signature.
+// CompKey builds a computation-kernel signature. It panics on a parameter
+// outside int32 and on a new name past the name table's bound.
 func CompKey(name string, p1, p2, p3, p4 int) Key {
-	return Key{Kind: KindComp, Name: name, P1: p1, P2: p2, P3: p3, P4: p4}
+	return compKey(internName(name), p1, p2, p3, p4)
 }
 
-// CommKey builds a communication-kernel signature.
+// CommKey builds a communication-kernel signature. It panics like CompKey.
 func CommKey(op string, words, commSize, commStride int) Key {
-	return Key{Kind: KindComm, Name: op, P1: words, P2: commSize, P3: commStride}
+	return commKey(internName(op), words, commSize, commStride)
 }
+
+// compKey and commKey are CompKey and CommKey for a name already interned:
+// the interception paths, which name their routines by package-level handles.
+func compKey(name kernelName, p1, p2, p3, p4 int) Key {
+	return Key{name: name, P1: param(p1), P2: param(p2), P3: param(p3), P4: param(p4), Kind: KindComp}
+}
+
+func commKey(op kernelName, words, commSize, commStride int) Key {
+	return Key{name: op, P1: param(words), P2: param(commSize), P3: param(commStride), Kind: KindComm}
+}
+
+// param narrows a signature parameter to the Key's int32 field.
+func param(v int) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("critter: kernel parameter %d outside int32", v))
+	}
+	return int32(v)
+}
+
+// Name returns the kernel's routine name.
+func (k Key) Name() string { return k.name.String() }
 
 // String renders the key for diagnostics.
 func (k Key) String() string {
 	if k.Kind == KindComm {
-		return fmt.Sprintf("comm:%s(words=%d,size=%d,stride=%d)", k.Name, k.P1, k.P2, k.P3)
+		return fmt.Sprintf("comm:%s(words=%d,size=%d,stride=%d)", k.Name(), k.P1, k.P2, k.P3)
 	}
-	return fmt.Sprintf("comp:%s(%d,%d,%d;%d)", k.Name, k.P1, k.P2, k.P3, k.P4)
+	return fmt.Sprintf("comp:%s(%d,%d,%d;%d)", k.Name(), k.P1, k.P2, k.P3, k.P4)
 }
 
 // MarshalText encodes the key in the stable form used by serialized
@@ -74,17 +107,19 @@ func (k Key) String() string {
 // keyed by Key serialize as readable JSON objects. Names containing '(' or
 // ')' are rejected: they would make the encoding ambiguous.
 func (k Key) MarshalText() ([]byte, error) {
-	if strings.ContainsAny(k.Name, "()") {
-		return nil, fmt.Errorf("critter: kernel name %q not encodable (contains parentheses)", k.Name)
+	name := k.Name()
+	if strings.ContainsAny(name, "()") {
+		return nil, fmt.Errorf("critter: kernel name %q not encodable (contains parentheses)", name)
 	}
 	kind := "comp"
 	if k.Kind == KindComm {
 		kind = "comm"
 	}
-	return fmt.Appendf(nil, "%s:%s(%d,%d,%d;%d)", kind, k.Name, k.P1, k.P2, k.P3, k.P4), nil
+	return fmt.Appendf(nil, "%s:%s(%d,%d,%d;%d)", kind, name, k.P1, k.P2, k.P3, k.P4), nil
 }
 
-// UnmarshalText decodes the encoding produced by MarshalText.
+// UnmarshalText decodes the encoding produced by MarshalText. It refuses a
+// parameter outside int32 and a new name once the name table is full.
 func (k *Key) UnmarshalText(text []byte) error {
 	s := string(text)
 	kind, rest, ok := strings.Cut(s, ":")
@@ -104,8 +139,8 @@ func (k *Key) UnmarshalText(text []byte) error {
 	if open < 0 || !strings.HasSuffix(rest, ")") {
 		return fmt.Errorf("critter: bad key %q: malformed parameter list", s)
 	}
-	out.Name = rest[:open]
-	if strings.ContainsAny(out.Name, "()") {
+	name := rest[:open]
+	if strings.ContainsAny(name, "()") {
 		return fmt.Errorf("critter: bad key %q: parenthesized name", s)
 	}
 	params := rest[open+1 : len(rest)-1]
@@ -117,17 +152,92 @@ func (k *Key) UnmarshalText(text []byte) error {
 	if len(fields) != 3 {
 		return fmt.Errorf("critter: bad key %q: want 3 dims, got %d", s, len(fields))
 	}
-	var err error
-	for i, dst := range []*int{&out.P1, &out.P2, &out.P3} {
-		if *dst, err = strconv.Atoi(fields[i]); err != nil {
+	for i, dst := range []*int32{&out.P1, &out.P2, &out.P3} {
+		v, err := strconv.ParseInt(fields[i], 10, 32)
+		if err != nil {
 			return fmt.Errorf("critter: bad key %q: dim %d: %v", s, i+1, err)
 		}
+		*dst = int32(v)
 	}
-	if out.P4, err = strconv.Atoi(p4); err != nil {
+	v, err := strconv.ParseInt(p4, 10, 32)
+	if err != nil {
 		return fmt.Errorf("critter: bad key %q: flags: %v", s, err)
+	}
+	out.P4 = int32(v)
+	if out.name, err = kernelNames.intern(name); err != nil {
+		return fmt.Errorf("critter: bad key %q: %v", s, err)
 	}
 	*k = out
 	return nil
+}
+
+// kernelName is a handle to a kernel routine's name in kernelNames. Handle
+// 0 is the empty name, so the zero Key names "".
+type kernelName uint32
+
+// String returns the name the handle stands for.
+func (n kernelName) String() string { return (*kernelNames.names.Load())[n] }
+
+// maxKernelNames bounds the distinct names the process will intern, so
+// decoding untrusted text cannot grow the table without limit: past it
+// UnmarshalText refuses a new name and the constructors panic.
+const maxKernelNames = 1 << 16
+
+// nameTable is the process-wide, append-only table of kernel names. A lookup
+// by name takes mu's read lock and an addition its write lock. A handle's name
+// is read from the slice the last addition published, whose entries never
+// change once written, so Name takes no lock: every rank reads names on
+// traced rounds and, with Options.Extrapolate, on every computation kernel.
+type nameTable struct {
+	mu    sync.RWMutex
+	ids   map[string]kernelName // guarded by mu
+	names atomic.Pointer[[]string]
+}
+
+var kernelNames = newNameTable()
+
+func newNameTable() *nameTable {
+	t := &nameTable{ids: map[string]kernelName{"": 0}}
+	names := []string{""}
+	t.names.Store(&names)
+	return t
+}
+
+// intern returns name's handle, assigning the next one on first sight, or
+// an error once the table holds maxKernelNames names.
+func (t *nameTable) intern(name string) (kernelName, error) {
+	t.mu.RLock()
+	h, ok := t.ids[name]
+	t.mu.RUnlock()
+	if ok {
+		return h, nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h, ok := t.ids[name]; ok {
+		return h, nil
+	}
+	names := *t.names.Load()
+	if len(names) >= maxKernelNames {
+		return 0, fmt.Errorf("more than %d distinct kernel names", maxKernelNames)
+	}
+	// The table outlives the caller's text: keep a copy, not a substring.
+	name = strings.Clone(name)
+	h = kernelName(len(names))
+	names = append(names, name)
+	t.ids[name] = h
+	t.names.Store(&names)
+	return h, nil
+}
+
+// internName is kernelNames.intern for the constructors, which panic where
+// UnmarshalText returns the error.
+func internName(name string) kernelName {
+	h, err := kernelNames.intern(name)
+	if err != nil {
+		panic("critter: " + err.Error())
+	}
+	return h
 }
 
 // Policy selects how kernel execution counts and statistics propagate

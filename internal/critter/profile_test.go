@@ -102,7 +102,8 @@ func TestKeyTextRoundTrip(t *testing.T) {
 		CompKey("potrf", -1, 0, 0, 0),
 		CommKey("bcast", 64, 8, 1),
 		CommKey("send", 128, 2, -7),
-		{Kind: KindComp, Name: "", P1: 1, P2: 2, P3: 3, P4: 4},
+		CompKey("", 1, 2, 3, 4),
+		CompKey("gemm", math.MaxInt32, math.MinInt32, 0, -1),
 	}
 	for _, k := range keys {
 		text, err := k.MarshalText()
@@ -117,10 +118,11 @@ func TestKeyTextRoundTrip(t *testing.T) {
 			t.Errorf("round trip %v -> %s -> %v", k, text, back)
 		}
 	}
-	if _, err := (Key{Name: "bad(name"}).MarshalText(); err == nil {
+	if _, err := CompKey("bad(name", 0, 0, 0, 0).MarshalText(); err == nil {
 		t.Error("parenthesized name encoded without error")
 	}
-	for _, bad := range []string{"", "comp", "x:y(1,2,3;4)", "comp:g(1,2;3)", "comp:g(1,2,3)", "comp:g(a,2,3;4)", "comp:g(1,2,3;4"} {
+	for _, bad := range []string{"", "comp", "x:y(1,2,3;4)", "comp:g(1,2;3)", "comp:g(1,2,3)", "comp:g(a,2,3;4)", "comp:g(1,2,3;4",
+		"comp:g(2147483648,0,0;0)", "comm:x(-2147483649,1,1;0)", "comp:g(0,0,0;9223372036854775807)"} {
 		var k Key
 		if err := k.UnmarshalText([]byte(bad)); err == nil {
 			t.Errorf("UnmarshalText(%q) accepted", bad)
@@ -134,6 +136,8 @@ func FuzzKeyText(f *testing.F) {
 	f.Add("comp:(1,2,3;4)")
 	f.Add("bogus")
 	f.Add("comp:g(1,2,3;4)trailer")
+	f.Add("comp:g(2147483648,0,0;0)")
+	f.Add("comm:x(-2147483649,1,1;0)")
 	f.Fuzz(func(t *testing.T, s string) {
 		var k Key
 		if err := k.UnmarshalText([]byte(s)); err != nil {

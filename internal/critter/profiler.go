@@ -16,8 +16,10 @@ import (
 // id. Records live exactly as long as the id space that indexes them
 // (startConfig). What depends on the signature itself — the prior's moments,
 // the a-priori count — is resolved from its Key-keyed source once, when the
-// id is first seen (lookup), so the interception path works on an id and a
-// record and never hashes a Key again.
+// id is first seen (lookup). An interception hashes its Key only when it
+// differs from the rank's previous one (intern): then the world's KernelTable
+// hashes it, as 24 bytes of plain memory (key.go). Everything after works on
+// an id and a record.
 type kernelStats struct {
 	// seen marks the slot as belonging to a signature this rank has
 	// actually profiled (dense storage leaves holes for ids interned only
@@ -107,7 +109,7 @@ type Profiler struct {
 
 	// k is the per-signature records, indexed by kernel id; touched counts
 	// the seen entries (KernelCount). A reference keeps none: every
-	// interception writes scratch, which nothing reads.
+	// interception hands out scratch, which stays the zero record (record).
 	k       []kernelStats
 	touched int
 	scratch kernelStats
@@ -458,15 +460,19 @@ func (p *Profiler) predictable(ks *kernelStats, freq int64) (pred, hit bool) {
 	return pred, false
 }
 
-// record incorporates one measured duration: the kernel's live accumulator
-// takes the sample and the per-configuration execution counters advance. The
+// record incorporates one measured duration: the per-configuration execution
+// counters advance, and the kernel's live accumulator takes the sample. The
 // sample changes the model, so the cached predictability bounds are dropped.
+// A reference keeps no model: Report reads only its counters.
 func (p *Profiler) record(ks *kernelStats, dt float64) {
+	p.executed++
+	p.kernelTime += dt
+	if p.reference {
+		return
+	}
 	ks.live.Add(dt)
 	ks.pred = predCache{}
 	ks.perConfig++
-	p.executed++
-	p.kernelTime += dt
 }
 
 // settle is the tail of every interception once the execution decision is
@@ -531,9 +537,15 @@ func (p *Profiler) adopt(g Pathset) {
 // A reference (NewReference) charges every kernel as executed and never
 // calls run either: the charge, its noise draw and the clock advance are
 // those of an execution, and its reports read only virtual time and flops.
-// It returns the duration charged to the path.
+// It returns the duration charged to the path. It panics like CompKey.
 func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run func()) float64 {
-	id, ks := p.intercept(CompKey(name, d1, d2, d3, d4))
+	return p.kernel(internName(name), d1, d2, d3, d4, flops, run)
+}
+
+// kernel is Kernel for a routine already interned; the BLAS and LAPACK
+// wrappers call it with package-level handles.
+func (p *Profiler) kernel(name kernelName, d1, d2, d3, d4 int, flops float64, run func()) float64 {
+	id, ks := p.intercept(compKey(name, d1, d2, d3, d4))
 	exec := p.shouldExecute(id, ks)
 	// Line-fitting extension: an under-sampled signature may still be
 	// skipped, charged its routine family's fit, when that is trustworthy.

@@ -24,7 +24,7 @@ import (
 func freqString(freqs map[Key]int64) string {
 	parts := make([]string, 0, len(freqs))
 	for k, v := range freqs {
-		parts = append(parts, fmt.Sprintf("%s/%d=%d", k.Name, k.P1, v))
+		parts = append(parts, fmt.Sprintf("%s/%d=%d", k.Name(), k.P1, v))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, " ")

@@ -684,7 +684,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 							t.Errorf("seed %d step %d (%s) rank %d: %v has a-priori count %d, the global path table %d",
 								seed, step, what, c.Rank(), key, got, want[key])
 						}
-						if key.Name == "solo" && key.P1 != c.Rank() && got > 0 {
+						if key.Name() == "solo" && int(key.P1) != c.Rank() && got > 0 {
 							lateCounted.Add(1)
 						}
 					}
