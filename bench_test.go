@@ -6,8 +6,8 @@ package critter_test
 // prints the outcome on its first iteration. Every timing the repository
 // tracks lives in bench/ (per-layer probes and the four workloads); the
 // paper's figure series are the committed board BENCH_figures.md, which
-// `go run ./cmd/figures > BENCH_figures.md` regenerates; the four
-// benchmarks with an allocation budget are in bench_runtime_test.go.
+// `go run ./cmd/figures > BENCH_figures.md` regenerates; the benchmarks
+// with an allocation budget are in bench_runtime_test.go.
 
 import (
 	"context"

@@ -106,16 +106,30 @@ func (k Key) String() string {
 // profiles, "comp:name(p1,p2,p3;p4)" or "comm:name(p1,p2,p3;p4)", so maps
 // keyed by Key serialize as readable JSON objects. Names containing '(' or
 // ')' are rejected: they would make the encoding ambiguous.
-func (k Key) MarshalText() ([]byte, error) {
+func (k Key) MarshalText() ([]byte, error) { return k.appendText(nil) }
+
+// appendText appends MarshalText's encoding to dst, or returns dst and the
+// error MarshalText returns.
+func (k Key) appendText(dst []byte) ([]byte, error) {
 	name := k.Name()
 	if strings.ContainsAny(name, "()") {
-		return nil, fmt.Errorf("critter: kernel name %q not encodable (contains parentheses)", name)
+		return dst, fmt.Errorf("critter: kernel name %q not encodable (contains parentheses)", name)
 	}
-	kind := "comp"
 	if k.Kind == KindComm {
-		kind = "comm"
+		dst = append(dst, "comm:"...)
+	} else {
+		dst = append(dst, "comp:"...)
 	}
-	return fmt.Appendf(nil, "%s:%s(%d,%d,%d;%d)", kind, name, k.P1, k.P2, k.P3, k.P4), nil
+	dst = append(dst, name...)
+	dst = append(dst, '(')
+	dst = strconv.AppendInt(dst, int64(k.P1), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(k.P2), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(k.P3), 10)
+	dst = append(dst, ';')
+	dst = strconv.AppendInt(dst, int64(k.P4), 10)
+	return append(dst, ')'), nil
 }
 
 // UnmarshalText decodes the encoding produced by MarshalText. It refuses a

@@ -1,6 +1,7 @@
 package critter
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -274,12 +275,27 @@ func MergeInto(acc, p *Profile) *Profile {
 }
 
 // Encode serializes the profile as indented JSON with the current schema
-// version stamped in. The stamp goes on a shallow copy: p is not modified,
-// and its maps are only read.
+// version stamped in: a ProfileEncoder's compact bytes through json.Indent,
+// which is what json.MarshalIndent writes. The stamp goes on a shallow copy:
+// p is not modified, and its maps are only read.
 func (p *Profile) Encode() ([]byte, error) {
 	c := *p
 	c.SchemaVersion = ProfileSchemaVersion
-	return json.MarshalIndent(&c, "", "  ")
+	// Sized for a typical profile, so the compact bytes take one
+	// allocation: about 88 bytes a kernel model with its key, 32 a path
+	// frequency, 48 a family point.
+	size := 64 + 88*len(c.Kernels) + 32*len(c.PathFreqs) + 48*c.FamilyPointCount()
+	var enc ProfileEncoder
+	compact, err := enc.Append(make([]byte, 0, size), &c)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	out.Grow(2 * len(compact))
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 // DecodeProfile parses a serialized profile, validating the schema version

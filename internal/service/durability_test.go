@@ -59,9 +59,9 @@ func TestRestartDurability(t *testing.T) {
 	}
 	coldEnv := envelopeJSON(t, s1, cold.ID)
 	coldExec := mustExecuted(t, s1, cold.ID)
-	coldProfile, _, ok := s1.ProfileInfo("candmc")
-	if !ok {
-		t.Fatal("no candmc profile after the cold job")
+	coldProfile, _, ok, err := s1.ProfileInfo("candmc")
+	if !ok || err != nil {
+		t.Fatalf("no candmc profile after the cold job: ok=%v err=%v", ok, err)
 	}
 	// The durable records hold the bytes earlier versions framed: the
 	// profile is Profile.Encode compacted, the envelope json.Marshal's.
@@ -167,9 +167,9 @@ func TestRestartDurability(t *testing.T) {
 	if data, err := json.Marshal(parent); err != nil || bytes.Contains(data, []byte(`"worker"`)) || bytes.Contains(data, []byte(`"attempts"`)) {
 		t.Errorf("replayed status of %s still carries worker or attempts: %s (%v)", parentID, data, err)
 	}
-	prof, at, ok := s3.ProfileInfo("candmc")
-	if !ok || at.IsZero() {
-		t.Errorf("persisted profile after restart: ok=%v persistedAt=%v", ok, at)
+	prof, at, ok, err := s3.ProfileInfo("candmc")
+	if !ok || err != nil || at.IsZero() {
+		t.Errorf("persisted profile after restart: ok=%v err=%v persistedAt=%v", ok, err, at)
 	}
 	if !bytes.Equal(prof, coldProfile) {
 		t.Errorf("profile after two restarts differs from life 1's:\n%s\nvs\n%s", prof, coldProfile)

@@ -326,7 +326,11 @@ type profileResponse struct {
 
 func (s *Server) profile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("workload")
-	data, at, ok := s.sched.ProfileInfo(name)
+	data, at, ok, err := s.sched.ProfileInfo(name)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no accumulated profile for workload %q", name))
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -215,6 +216,29 @@ func TestHTTPEndToEnd(t *testing.T) {
 	delResp.Body.Close()
 	if delResp.StatusCode != http.StatusConflict {
 		t.Errorf("DELETE finished job: status %d, want 409", delResp.StatusCode)
+	}
+}
+
+// TestHTTPUnencodableProfile500 holds GET /v1/profiles/{w} to a 500 that
+// names the encode error when the workload's profile exists but cannot be
+// encoded: a NaN mean, which JSON cannot carry. "No accumulated profile"
+// (404) is only for a workload that has none.
+func TestHTTPUnencodableProfile500(t *testing.T) {
+	s := New(Config{Runners: 1})
+	defer closeNow(t, s)
+	s.store.Merge("candmc", &critter.Profile{Kernels: map[critter.Key]critter.KernelModel{
+		critter.CompKey("gemm", 8, 8, 8, 0): {Count: 1, Mean: math.NaN()},
+	}})
+	ts := httptest.NewServer(NewServer(s))
+	defer ts.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if code := getJSON(t, ts.Client(), ts.URL+"/v1/profiles/candmc", &body); code != http.StatusInternalServerError {
+		t.Fatalf("unencodable profile: status %d (%q), want 500", code, body.Error)
+	}
+	if !strings.Contains(body.Error, "encode profile candmc") {
+		t.Errorf("500 body %q does not name the encode error", body.Error)
 	}
 }
 

@@ -13,7 +13,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -342,12 +341,13 @@ type Scheduler struct {
 	// except where a test shrinks it before subscribing.
 	subBuffer int
 
-	// profileRec is the encode buffer of the durable profile record
-	// (mergeProfile); its mu is held across the encode and the store
-	// append.
+	// profileRec is the encoder and buffer of the durable profile record
+	// (mergeProfile), both reused from job to job; its mu is held across
+	// the encode and the store append.
 	profileRec struct {
 		mu  sync.Mutex
-		buf bytes.Buffer
+		buf []byte
+		enc critter.ProfileEncoder
 	}
 }
 
@@ -468,17 +468,18 @@ func (s *Scheduler) RetryAfterHint() int {
 
 // ProfileInfo returns the encoded merged profile for a workload plus the
 // time it was last durably persisted (zero when the scheduler has no
-// durable store or the profile has not been written yet).
-func (s *Scheduler) ProfileInfo(name string) ([]byte, time.Time, bool) {
+// durable store or the profile has not been written yet). ok is false when
+// the workload has no profile; err is set when it has one that cannot be
+// encoded.
+func (s *Scheduler) ProfileInfo(name string) (data []byte, at time.Time, ok bool, err error) {
 	p, at := s.store.get(name)
 	if p == nil {
-		return nil, time.Time{}, false
+		return nil, time.Time{}, false, nil
 	}
-	data, err := p.Encode()
-	if err != nil {
-		return nil, time.Time{}, false
+	if data, err = p.Encode(); err != nil {
+		return nil, time.Time{}, true, fmt.Errorf("service: encode profile %s: %w", name, err)
 	}
-	return data, at, true
+	return data, at, true, nil
 }
 
 // SubmitJSON parses, validates, and enqueues a JSON job submission (the
@@ -1043,16 +1044,17 @@ func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 	// Compact, where Profile.Encode indents: the store frames compact JSON
 	// and would only strip the whitespace again. The version stamp goes on
 	// a shallow copy, as in Encode; merged is shared and read-only. The
-	// buffer is reused from job to job: Append copies the bytes it keeps,
-	// and the Encoder writes what json.Marshal does, plus a newline.
+	// encoder writes what json.Marshal does into the record's buffer, which
+	// is reused from job to job: the store's Append copies the bytes it
+	// keeps.
 	stamped := *merged
 	stamped.SchemaVersion = critter.ProfileSchemaVersion
-	rec.buf.Reset()
-	if err := json.NewEncoder(&rec.buf).Encode(&stamped); err != nil {
+	data, err := rec.enc.Append(rec.buf[:0], &stamped)
+	if err != nil {
 		s.logf("service: encode profile %s: %v", name, err)
 		return
 	}
-	data := bytes.TrimSuffix(rec.buf.Bytes(), []byte{'\n'})
+	rec.buf = data
 	now := time.Now()
 	if err := s.durable.Append(store.Record{Kind: kindProfile, Key: name, At: now, Data: data}); err != nil {
 		s.logf("service: persist profile %s: %v", name, err)
