@@ -6,6 +6,7 @@ package autotune
 // nothing behind for the others to trip over.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -536,4 +537,118 @@ func TestReferenceMatchesArithmeticTwin(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSelectiveMatchesArithmeticTwin: a sweep's selective runs and a-priori
+// offline passes run under a clock (runSweep builds its profiler with
+// NewClock), and they report and learn exactly what a profiler that runs
+// every executed kernel's arithmetic does. For the four quick studies under
+// each of their policies at eps 0.5 and 0.125, plus candmc's online sweep
+// with Extrapolate on, cold and then warm-started from the cold sweep's
+// profile, sweep drives runSweep's loop over every configuration once under
+// NewClock and once under New: the reports of every offline pass and
+// selective run, and the bytes of the sweep's encoded GlobalProfile, are
+// equal. This holds because no library branches on a computed value; the
+// test fails for a quick study that starts to.
+func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick configuration under every policy twice")
+	}
+	const seed = 977
+	machine := quickMachine()
+	type outcome struct {
+		reports  []critter.Report
+		profile  *critter.Profile
+		encoded  []byte
+		executed int64
+		fitted   int64 // rank 0's extrapolated skips, over the configurations
+	}
+	// sweep runs every configuration of st as runSweep runs a one-round
+	// plan at opts.Eps, under a profiler from build.
+	sweep := func(t *testing.T, st Study, opts critter.Options, build func(*mpi.Comm, critter.Options) (*critter.Profiler, *critter.Comm)) outcome {
+		t.Helper()
+		var out outcome
+		err := mpi.NewWorld(st.WorldSize, machine, seed).Run(func(c *mpi.Comm) {
+			p, cc := build(c, opts)
+			keep := func(r critter.Report) {
+				if c.Rank() == 0 {
+					out.reports = append(out.reports, r)
+					out.executed += r.Executed
+				}
+			}
+			for v := range st.Size() {
+				ck := critter.ConfigKey(st.Name, v)
+				p.StartConfigKeyed(st.ResetStats, ck)
+				if opts.Policy == critter.APriori {
+					p.SetPolicy(critter.Online)
+					p.SetEps(0)
+					c.Rekey(runKey(ck, runOffline, 1))
+					st.Run(p, cc, v)
+					keep(p.Report())
+					p.SetAprioriFromPath()
+					p.SetPolicy(critter.APriori)
+					p.SetEps(opts.Eps)
+					p.StartConfig(false)
+				}
+				c.Rekey(runKey(ck, runSelective, 1))
+				st.Run(p, cc, v)
+				keep(p.Report())
+				if c.Rank() == 0 {
+					out.fitted += p.ExtrapolatedSkips()
+				}
+			}
+			g := p.GlobalProfile(0)
+			if c.Rank() == 0 {
+				data, err := g.Encode()
+				if err != nil {
+					panic(err)
+				}
+				out.profile, out.encoded = g, data
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// twin runs sweep under both profilers and holds the clock to New.
+	twin := func(t *testing.T, st Study, opts critter.Options) outcome {
+		t.Helper()
+		full := sweep(t, st, opts, critter.New)
+		clock := sweep(t, st, opts, critter.NewClock)
+		if full.executed == 0 {
+			t.Fatal("the sweep executed no kernel")
+		}
+		if len(clock.reports) != len(full.reports) {
+			t.Fatalf("the clock made %d reports, New %d", len(clock.reports), len(full.reports))
+		}
+		for i := range full.reports {
+			if clock.reports[i] != full.reports[i] {
+				t.Errorf("run %d: the clock reports %+v, New %+v", i, clock.reports[i], full.reports[i])
+			}
+		}
+		if !bytes.Equal(clock.encoded, full.encoded) {
+			t.Errorf("the sweeps' global profiles differ (%d and %d bytes)", len(clock.encoded), len(full.encoded))
+		}
+		return clock
+	}
+	for _, st := range quickStudies() {
+		for _, pol := range st.Policies {
+			for _, eps := range []float64{0.5, 0.125} {
+				t.Run(fmt.Sprintf("%s/%s/%g", st.Name, pol, eps), func(t *testing.T) {
+					twin(t, st, critter.Options{Policy: pol, Eps: eps})
+				})
+			}
+		}
+	}
+	t.Run("warm-extrapolate", func(t *testing.T) {
+		st := CandmcQR(QuickScale())
+		opts := critter.Options{Policy: critter.Online, Eps: 0.125, Extrapolate: true}
+		cold := twin(t, st, opts)
+		opts.Prior = cold.profile
+		warm := twin(t, st, opts)
+		if warm.fitted == 0 {
+			t.Error("no skip of the warm sweep was decided by a family fit")
+		}
+	})
 }

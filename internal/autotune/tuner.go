@@ -315,7 +315,9 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		ref     *critter.Profiler
 		refComm *critter.Comm
 	)
-	tuned, tunedComm := critter.New(c, opts)
+	// Nothing a sweep keeps reads a kernel's data, so the selective runs and
+	// the a-priori offline passes are clocks too: no kernel arithmetic.
+	tuned, tunedComm := critter.NewClock(c, opts)
 	// Trace from rank 0 only, mirroring the profiler's convention: one
 	// deterministic event stream per sweep, not one per rank.
 	tr := j.tracer

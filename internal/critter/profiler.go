@@ -81,9 +81,10 @@ type Options struct {
 	Memo *KernelMemo
 }
 
-// Profiler is one rank's profiling state. Create one per rank with New,
-// which also wraps the rank's world communicator. All ranks must construct
-// their Profiler collectively (New performs communication).
+// Profiler is one rank's profiling state. Create one per rank with New (or
+// NewClock, for a caller that never reads its kernels' data), which also
+// wraps the rank's world communicator. All ranks must construct their
+// Profiler collectively (New performs communication).
 //
 // Kernel signatures are interned into dense ids through a KernelTable
 // shared by every rank of the world, so everything per-invocation (model,
@@ -138,9 +139,11 @@ type Profiler struct {
 	// the current one, so ExportProfile covers everything the run learned
 	// (archive.go).
 	arch archive
-	// reference marks a profiler built by NewReference: it runs no kernel's
-	// arithmetic, interns nothing, keeps no per-kernel record and archives
-	// nothing.
+	// clock marks a profiler built by NewClock (NewReference included): its
+	// Kernel charges an executed kernel's modeled time and never calls run.
+	clock bool
+	// reference marks a profiler built by NewReference: a clock that also
+	// interns nothing, keeps no per-kernel record and archives nothing.
 	reference bool
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
@@ -239,19 +242,32 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	return p, cc
 }
 
+// NewClock is New for a caller that reads only the profiler's reports, path
+// tables and profiles, never the data its kernels write: Kernel does all an
+// execution does — the Compute(flops) charge with its noise draw and clock
+// advance, the sample, the family fit — but never calls the kernel's run,
+// so the profiler runs no arithmetic. Every report, path table and profile
+// equals that of a New profiler on the same program, since none of them
+// reads a kernel's data (and no library branches on it). The error of an
+// intercepted factorization (Potrf, Trtri, GetrfNoPiv) is nil on a clock.
+func NewClock(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
+	p, cc := New(world, opts)
+	p.clock = true
+	return p, cc
+}
+
 // NewReference creates the profiler a reference execution runs under — the
-// full execution every selective one is judged against: New with the
+// full execution every selective one is judged against: NewClock with the
 // Conditional policy and tolerance zero. It is collective like New.
-// A reference is only ever asked for its Reports, so it is a clock: Kernel
-// charges every kernel's modeled time and runs none of its arithmetic, and
-// the reference interns no signature, keeps no per-kernel record and sets
+// A reference is only ever asked for its Reports, so beyond running no
+// arithmetic it interns no signature, keeps no per-kernel record and sets
 // nothing aside, so ExportProfile and GlobalProfile on it are empty and
 // KernelCount is 0. It emits no trace events, so a run's trace does not
 // depend on which of its sweeps ran a reference. Its StartConfigKeyed
 // neither looks up nor publishes an interner: the first selective run of a
 // configuration does. With nothing to recycle either, it takes no memo.
 func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
-	p, cc := New(world, Options{Policy: Conditional, Eps: 0})
+	p, cc := NewClock(world, Options{Policy: Conditional, Eps: 0})
 	p.reference = true
 	p.trace = nil
 	return p, cc
@@ -534,10 +550,10 @@ func (p *Profiler) adopt(g Pathset) {
 // the signature, flops drives the machine model, and run performs the
 // actual numerics. When the kernel is deemed predictable, run is not called
 // and the model mean is charged to the pathset instead of virtual time.
-// A reference (NewReference) charges every kernel as executed and never
-// calls run either: the charge, its noise draw and the clock advance are
-// those of an execution, and its reports read only virtual time and flops.
-// It returns the duration charged to the path. It panics like CompKey.
+// A clock (NewClock, NewReference) never calls run, not even for a kernel it
+// executes: the charge, its noise draw, the clock advance and the sample are
+// those of an execution. It returns the duration charged to the path. It
+// panics like CompKey.
 func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run func()) float64 {
 	return p.kernel(internName(name), d1, d2, d3, d4, flops, run)
 }
@@ -564,7 +580,7 @@ func (p *Profiler) kernel(name kernelName, d1, d2, d3, d4 int, flops float64, ru
 	} else {
 		dt = p.settle(ks, exec, func() float64 {
 			dt := p.world.user.Compute(flops)
-			if !p.reference {
+			if !p.clock {
 				run()
 			}
 			return dt

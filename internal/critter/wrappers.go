@@ -10,8 +10,9 @@ import (
 // selectively execute them (Section V-D). Signatures are parameterized on
 // matrix dimensions and flags. Numerical errors from skipped-upstream
 // garbage inputs are swallowed during tuning, as the paper tolerates
-// (inputs are reset between runs); callers that need the error (full
-// execution) receive it.
+// (inputs are reset between runs). A factorization's error comes from its
+// body, so only a profiler that runs bodies (New) can return one: a skipped
+// kernel, and every kernel on a clock (NewClock, NewReference), returns nil.
 
 // The routines the wrappers intercept, interned once: an interception
 // carries its routine's handle, not its name.
@@ -72,7 +73,8 @@ func (p *Profiler) Trmm(side blas.Side, uplo blas.Uplo, transA bool, diag blas.D
 }
 
 // Potrf profiles a Cholesky factorization. The numerical error, if any, is
-// returned from executed invocations and nil from skipped ones.
+// returned from invocations whose body ran, and nil from skipped ones and
+// from every invocation on a clock.
 func (p *Profiler) Potrf(n int, a []float64, lda int) error {
 	var err error
 	p.kernel(namePotrf, n, 0, 0, 0, lapack.PotrfFlops(n), func() {
