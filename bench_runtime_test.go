@@ -60,14 +60,17 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 8 338-8 344 allocs/op and 1 023 189-1 030 547 B/op over 36 runs
-		// at -cpu 1, 2 and 4, idle and loaded: the last digits move with how
-		// often the collector empties the pools during the run, hence four
-		// allocations and one spread of bytes (the wider of this benchmark's
-		// and the a-priori one's, 7 358 B) of headroom; the bytes ceiling
-		// predates a 1 KB fall and stays. While the reference profiler drew
-		// an arena from the memo and retired it, 8 354-8 358 and
-		// 1 024 587-1 031 179 B. An allocation per configuration (20 a
+		// 7 674 allocs/op and 859 832-859 911 B/op over 27 runs at -cpu 1,
+		// 2 and 4, idle and loaded. A world's ranks run on one goroutine, so
+		// the count no longer moves with the scheduler; four allocations and
+		// 7 358 B of headroom (the widest spread of bytes the two sweep
+		// benchmarks read while their ranks were goroutines) stay. With a
+		// goroutine per rank it read 8 018-8 023 and 932 546-939 041 B: the
+		// coroutines' state (iter.Pull) costs about 57 allocations a sweep,
+		// and the condition variables, round shards and abort registrations
+		// every fabric of every world made, about 400. While the reference
+		// profiler drew an arena from the memo and retired it, 8 354-8 358
+		// and 1 024 587-1 031 179 B. An allocation per configuration (20 a
 		// sweep) or per adopt is well past either, and so
 		// is a reference profiler that interns its signatures (9 700-9 708
 		// and 1 201 668-1 205 257 B with that and a private intern cache per
@@ -80,20 +83,21 @@ func TestAllocBudgets(t *testing.T) {
 		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 8348, 1037800},
-		// 11 605-11 612 allocs/op and 1 238 078-1 240 481 B/op over 36 runs,
-		// the same way (11 618-11 627 and 1 238 724-1 240 373 B while the
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 7678, 867269},
+		// 10 937 allocs/op and 1 064 928-1 064 947 B/op over 27 runs, the
+		// same way (11 285-11 292 and 1 148 626-1 149 138 B with a goroutine
+		// per rank; 11 618-11 627 and 1 238 724-1 240 373 B while the
 		// reference drew an arena; 11 633-11 637 and 1 286 233-1 288 080 B
 		// with every rank planning; 13 275-13 287 and 1 412 429-1 418 990 B
 		// with the interning reference). Rekeying the offline pass's global path table
 		// into a Key map per configuration and rank, as GlobalPathFreqs does,
 		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 11616, 1248400},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 10941, 1072305},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's
 		// start-up once read as 1 B/op. A hand-off round opened fresh, not
-		// from the shard freelist, reads 3 allocs and 208 B/op.
+		// from the fabric's freelist, reads 3 allocs and 208 B/op.
 		{"BenchmarkMPIAllreduce", BenchmarkMPIAllreduce, 0, 0},
 		{"BenchmarkMPIBcastMsg", BenchmarkMPIBcastMsg, 0, 0},
 		{"BenchmarkProfilerCollective", BenchmarkProfilerCollective, 0, 0},

@@ -16,7 +16,7 @@
 //     accumulation, output writes) inside `range` over a map in the
 //     deterministic layers.
 //   - fabriclock: raw sync/atomic use in internal/mpi is restricted to
-//     fabric.go and world.go, locking in the PR-4 lock architecture.
+//     fabric.go and world.go, keeping locks off its communication paths.
 //   - schematag: a struct that participates in the JSON schema (has any
 //     `json` tag) must tag every exported field, so schema drift is
 //     compile-time visible.

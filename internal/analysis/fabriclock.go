@@ -5,13 +5,14 @@ import (
 )
 
 // FabricLock restricts raw synchronization primitives in internal/mpi to
-// fabric.go and world.go. The PR-4 lock architecture gives every rank its
-// own mailbox and shards collectives eight ways precisely so there is no
-// world-global lock; it lives in those two files. Any other file in the
-// package importing sync or sync/atomic is a regression vector — new
-// shared state should route through the fabric (or move into the
-// sanctioned files with a design note). Test files are exempt: they
-// synchronize their own harnesses, not the runtime.
+// fabric.go and world.go. A world's ranks are coroutines that never run at
+// once, so no communication path takes a lock; what does lock is state
+// shared across worlds running on different goroutines (the BufPool), and
+// it lives in those two files. Any other file in the package importing
+// sync or sync/atomic is a regression vector — new shared state should
+// route through the fabric (or move into the sanctioned files with a
+// design note). Test files are exempt: they synchronize their own
+// harnesses, not the runtime.
 var FabricLock = &Analyzer{
 	Name: "fabriclock",
 	Doc:  "restrict raw sync/atomic use in internal/mpi to fabric.go and world.go",
@@ -36,7 +37,7 @@ func runFabricLock(pass *Pass) error {
 			switch strings.Trim(spec.Path.Value, `"`) {
 			case "sync", "sync/atomic":
 				pass.Reportf(spec.Pos(),
-					"import of %s outside fabric.go/world.go: the mpi lock architecture (per-rank mailboxes, sharded collectives, no world-global lock) is confined to those files — route synchronization through the fabric or move this into a sanctioned file",
+					"import of %s outside fabric.go/world.go: mpi's communication paths take no lock (a world's ranks never run at once) and its one shared-state lock is confined to those files — route synchronization through the fabric or move this into a sanctioned file",
 					spec.Path.Value)
 			}
 		}

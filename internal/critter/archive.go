@@ -226,7 +226,7 @@ func (p *Profile) foldFreqs(tab *KernelTable, freqs []int64) {
 }
 
 // exportMsg is one member's deposit in the export round: its profiler, which
-// the round's finish reads while the member is parked, and on the way back
+// the round's finish reads while the member waits, and on the way back
 // the folded profile.
 type exportMsg struct {
 	p    *Profiler
@@ -240,7 +240,7 @@ type exportMsg struct {
 // P gathered exports, done once with one export's worth of maps live at a
 // time. The scratch is the world's memo's (KernelMemo.takeScratch), so a
 // worker folds every sweep through one set of maps, cleared in place. It runs
-// under the round's lock with every member parked, which is what lets it read
+// while every other member waits in the round, which is what lets it read
 // their profilers and what forbids it to communicate.
 func foldExports(members []exportMsg) {
 	memo := members[0].p.memo

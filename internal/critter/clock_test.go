@@ -192,3 +192,109 @@ func TestClockMatchesArithmeticTwin(t *testing.T) {
 		})
 	}
 }
+
+// TestClockMovesNoData runs every profiled communication operation on 4
+// ranks under NewClock and under New, at tolerance zero so that every leg
+// executes, into receive buffers pre-filled with a sentinel. A clock's legs
+// charge their time and move no data, so its buffers keep the sentinel
+// while New's receive what was sent; nothing else may tell the two apart:
+// every rank's clock, Report and PathFreqs are equal.
+func TestClockMovesNoData(t *testing.T) {
+	const ranks, n = 4, 6
+	const sentinel = -7.5
+	type side struct {
+		clocks  []float64
+		reports []Report
+		freqs   []map[Key]int64
+		recv    [][]float64 // each rank's receive buffers, concatenated
+	}
+	run := func(build func(*mpi.Comm, Options) (*Profiler, *Comm)) side {
+		s := side{
+			clocks:  make([]float64, ranks),
+			reports: make([]Report, ranks),
+			freqs:   make([]map[Key]int64, ranks),
+			recv:    make([][]float64, ranks),
+		}
+		err := mpi.NewWorld(ranks, testMachine(0.05), 23).Run(func(c *mpi.Comm) {
+			p, cc := build(c, Options{Policy: Conditional, Eps: 0})
+			p.StartConfig(true)
+			r := cc.Rank()
+			src := make([]float64, n*ranks)
+			for i := range src {
+				src[i] = float64(100*r + i)
+			}
+			var recv [][]float64
+			fill := func(k int) []float64 {
+				b := make([]float64, k)
+				for i := range b {
+					b[i] = sentinel
+				}
+				recv = append(recv, b)
+				return b
+			}
+			// Unequal clocks going into every operation.
+			p.Kernel("gemm", 4+r, 4, 4, 0, float64(1000*(r+1)), func() {})
+			cc.Barrier()
+			if r == 1 {
+				cc.Bcast(1, src[:n])
+			} else {
+				cc.Bcast(1, fill(n))
+			}
+			cc.Allreduce(src[:n], fill(n), mpi.OpSum)
+			cc.Allgather(src[:n], fill(n*ranks))
+			if r == 2 {
+				cc.Gather(2, src[:n], fill(n*ranks))
+			} else {
+				cc.Gather(2, src[:n], nil)
+			}
+			if r == 0 {
+				cc.Scatter(0, src, fill(n))
+			} else {
+				cc.Scatter(0, nil, fill(n))
+			}
+			p.Kernel("gemm", 4+r, 4, 4, 0, float64(1000*(r+1)), func() {})
+			cc.Isend((r+1)%ranks, 5, src[:n])
+			cc.Recv((r+ranks-1)%ranks, 5, fill(n))
+			p.Waitall()
+			cc.Sendrecv(r^1, 6, src[:n], fill(n))
+			s.reports[r] = p.Report()
+			s.clocks[r] = c.Clock()
+			s.freqs[r] = p.PathFreqs()
+			for _, b := range recv {
+				s.recv[r] = append(s.recv[r], b...)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	full, clock := run(New), run(NewClock)
+	if full.reports[0].Skipped != 0 || full.reports[0].Executed == 0 {
+		t.Fatalf("New executed %d kernels and skipped %d: every leg must execute",
+			full.reports[0].Executed, full.reports[0].Skipped)
+	}
+	for r := range ranks {
+		if math.Float64bits(clock.clocks[r]) != math.Float64bits(full.clocks[r]) {
+			t.Errorf("rank %d: the clock's clock %v, New's %v", r, clock.clocks[r], full.clocks[r])
+		}
+		if clock.reports[r] != full.reports[r] {
+			t.Errorf("rank %d: the clock reports %+v, New %+v", r, clock.reports[r], full.reports[r])
+		}
+		if !reflect.DeepEqual(clock.freqs[r], full.freqs[r]) {
+			t.Errorf("rank %d: the clock's PathFreqs %v, New's %v", r, clock.freqs[r], full.freqs[r])
+		}
+		moved := 0
+		for i, v := range clock.recv[r] {
+			if v != sentinel {
+				t.Errorf("rank %d: the clock wrote %v into receive word %d", r, v, i)
+			}
+			if full.recv[r][i] != sentinel {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Errorf("rank %d: New received nothing either", r)
+		}
+	}
+}

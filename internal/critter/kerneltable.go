@@ -13,9 +13,11 @@ import "sync"
 // keep no private copy: the steady-state interception path asks the table
 // whenever the signature differs from the rank's previous one. A memoized
 // configuration adopts the table its first run published (KernelMemo), so
-// its ranks find every signature already there. Ids are assigned
-// in global first-seen order, which depends on goroutine scheduling —
-// nothing result-bearing may depend on id order, and nothing does: ids never
+// its ranks find every signature already there. Ids are assigned in global
+// first-seen order: within a world that follows the order its loop runs the
+// ranks in, and a table a memo hands to worlds running at once on other
+// workers also follows how those interleave. Nothing result-bearing may
+// depend on id order, and nothing does: ids never
 // leave the process, and every boundary artifact (PathFreqs, profiles,
 // reports) is rekeyed by Key. A-priori counts never cross that boundary: a
 // sweep's offline and a-priori passes run under one table, so

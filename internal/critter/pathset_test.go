@@ -63,7 +63,7 @@ var raceEnabled bool
 // so it is zero at GOMAXPROCS 1 and 2 alike.
 //
 // The count is process-wide, so the Go runtime's own occasional malloc (a
-// sudog under a parked rank's sync.Cond, the scavenger's timer, a new M)
+// the scavenger's timer, a new M)
 // lands in it at random. The test takes the fewest mallocs over three
 // repeats of the measured bursts: a runtime malloc rarely hits all three,
 // while an allocation in this code hits every one.

@@ -361,7 +361,7 @@ func TestPropagateKeepsNilness(t *testing.T) {
 // profiled collectives on 8 ranks under online propagation — each an
 // internal allreduce carrying every rank's table, an adoption, and the user
 // collective or its skip — add zero mallocs per operation: snapshots cycle
-// through the freelist, the round through its shard's.
+// through the freelist, the round through its fabric's.
 func TestProfiledCollectivesSteadyStateAllocateNothing(t *testing.T) {
 	const iters = 1000
 	for _, eps := range []float64{0, 0.25} { // every collective executed; most skipped
@@ -772,9 +772,8 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 
 // TestExportFoldPanicAbortsWorld corrupts one rank's archive so that rekeying
 // it panics inside the export round's finish — on whichever rank arrives
-// last, under the round's lock, with every other rank parked. The world must
-// abort and Run return the panic as an error. That Run returns at all shows
-// the lock was released: a parked rank has to retake it to leave its wait.
+// last, with every other rank waiting in the round. The world must abort,
+// stopping the waiting ranks, and Run return the panic as an error.
 func TestExportFoldPanicAbortsWorld(t *testing.T) {
 	for _, ranks := range []int{2, 8} {
 		for _, root := range []int{0, 1} {

@@ -31,7 +31,7 @@ func (op ReduceOp) apply(acc, x float64) float64 {
 
 // collView is the payload of a data collective: views of the caller's own
 // input and output buffers. Nothing is copied into the round — the caller is
-// parked from its deposit until the last arriver's finish returns, so finish
+// suspended from its deposit until the last arriver's finish returns, so finish
 // reads every in and writes every out in place. A member's in may alias its
 // own out; each finish below therefore reads all it needs of a member's in
 // before writing that member's out, going through the finishing rank's
@@ -42,7 +42,15 @@ type collView struct {
 
 // collRound runs one data-collective round on the world's view fabric and
 // returns the maximum participant clock and the round's sequence number.
+// On a cost-only rank (SetCostOnly) it runs no round and moves no data: it
+// takes the round's sequence number and returns the caller's own clock,
+// which is every member's when they enter with equal clocks.
 func (c *Comm) collRound(in, out []float64, finish func(members []collView)) (float64, uint64) {
+	if c.state.costOnly {
+		seq := c.collSeq
+		c.collSeq++
+		return c.state.clock.Now(), seq
+	}
 	_, maxT, seq := c.w.collFab.reduceRound(c, collView{in, out}, finish)
 	return maxT, seq
 }

@@ -3,9 +3,8 @@ package mpi
 // Tests of the data collectives on reduceRound: every collective against a
 // sequential oracle, bit for bit; callers whose input aliases their output;
 // every argument error surfacing from World.Run as an error that names the
-// operation and the offending rank, with no shard lock left held (a leaked
-// lock would also hang the test, which the go test timeout catches); and
-// the steady state allocating nothing.
+// operation and the offending rank; and the steady state allocating
+// nothing.
 
 import (
 	"errors"
@@ -191,24 +190,11 @@ func TestBcastSharedBuffer(t *testing.T) {
 	}
 }
 
-// assertNoShardLockHeld fails if any collective-round shard of f is still
-// locked after its world has returned from Run.
-func assertNoShardLockHeld[T any](t *testing.T, f *fabric[T]) {
-	t.Helper()
-	for i := range f.shards {
-		if !f.shards[i].mu.TryLock() {
-			t.Errorf("round shard %d is still locked after Run returned", i)
-			continue
-		}
-		f.shards[i].mu.Unlock()
-	}
-}
-
 // TestCollectiveArgumentErrors gives each data collective an argument error
-// on exactly one rank. finish runs on the last arriver with the shard lock
-// held, whichever rank that is, so the error must abort the world, come back
-// from Run naming the operation and the offending rank, and leave no shard
-// locked. Each case runs at GOMAXPROCS 1 and 4 to vary who arrives last.
+// on exactly one rank. finish runs on the last arriver, whichever rank that
+// is, so the error must abort the world and come back from Run naming the
+// operation and the offending rank. Each case runs under every pick order
+// to vary who arrives last.
 func TestCollectiveArgumentErrors(t *testing.T) {
 	const p = 4
 	// lenAt returns want everywhere but at rank bad, where it returns
@@ -257,40 +243,32 @@ func TestCollectiveArgumentErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, procs := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
-				w := NewWorld(p, quietMachine(), 1)
-				err := w.Run(func(c *Comm) {
-					// Skew who reaches the round last.
-					for i := 0; i < 50*((c.Rank()+procs)%p); i++ {
-						runtime.Gosched()
-					}
+			for _, o := range pickOrders {
+				err := o.world(p, quietMachine(), 1).Run(func(c *Comm) {
 					tc.body(c)
 					// The world is aborted: nobody gets past another round.
 					c.Barrier()
 				})
-				runtime.GOMAXPROCS(prev)
 				if err == nil {
-					t.Errorf("GOMAXPROCS %d: Run returned nil", procs)
+					t.Errorf("%s: Run returned nil", o.name)
 					continue
 				}
 				if errors.Is(err, errDeadlock) {
-					t.Errorf("GOMAXPROCS %d: reported as a deadlock: %v", procs, err)
+					t.Errorf("%s: reported as a deadlock: %v", o.name, err)
 				}
 				for _, s := range tc.want {
 					if !strings.Contains(err.Error(), s) {
-						t.Errorf("GOMAXPROCS %d: error %q does not contain %q", procs, err, s)
+						t.Errorf("%s: error %q does not contain %q", o.name, err, s)
 					}
 				}
-				assertNoShardLockHeld(t, w.collFab)
 			}
 		})
 	}
 }
 
 // TestTypedFinishPanicAbortsWorld panics inside the finish of a typed
-// allreduce: the last arriver unwinds with the shard lock released, the
-// parked members are woken by the abort, and Run returns the panic value.
+// allreduce: the last arriver unwinds, the waiting members are stopped by
+// the abort, and Run returns the panic value.
 func TestTypedFinishPanicAbortsWorld(t *testing.T) {
 	boom := errors.New("finish exploded")
 	for _, p := range []int{1, 2, 8} {
@@ -303,7 +281,6 @@ func TestTypedFinishPanicAbortsWorld(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Errorf("p=%d: Run error %v does not wrap the finish panic", p, err)
 		}
-		assertNoShardLockHeld(t, lane.f)
 	}
 }
 
@@ -311,7 +288,7 @@ func TestTypedFinishPanicAbortsWorld(t *testing.T) {
 // one call per round, slots indexed by comm rank (sub-communicators
 // included), and each member leaving with exactly its own slot.
 func TestLaneAllreduceFinishSeesRankOrder(t *testing.T) {
-	var calls [2]int // finish calls per colour, written under the shard lock
+	var calls [2]int // finish calls per colour
 	run(t, 6, func(c *Comm) {
 		sub := c.Split(c.Rank()%2, -c.Rank()) // reversed order within each colour
 		colour := c.Rank() % 2
@@ -337,7 +314,7 @@ func TestLaneAllreduceFinishSeesRankOrder(t *testing.T) {
 	}
 }
 
-// TestReduceRoundRecyclesWithoutPinning checks the shard freelist: rounds
+// TestReduceRoundRecyclesWithoutPinning checks the fabric's freelist: rounds
 // come back with their slots cleared (a recycled round must not keep a
 // delivered payload alive) and the list stays within its bound.
 func TestReduceRoundRecyclesWithoutPinning(t *testing.T) {
@@ -350,36 +327,32 @@ func TestReduceRoundRecyclesWithoutPinning(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	recycled := 0
-	for i := range lane.f.shards {
-		sh := &lane.f.shards[i]
-		if len(sh.rounds) != 0 {
-			t.Errorf("shard %d still maps %d finished rounds", i, len(sh.rounds))
-		}
-		if len(sh.free) > maxFreeRounds {
-			t.Errorf("shard %d freelist holds %d rounds, bound is %d", i, len(sh.free), maxFreeRounds)
-		}
-		for _, rd := range sh.free {
-			recycled++
-			if rd.arrived != 0 || rd.departed != 0 || rd.done {
-				t.Errorf("recycled round not reset: %+v", rd)
-			}
-			for _, p := range rd.payloads[:cap(rd.payloads)] {
-				if p != nil {
-					t.Errorf("recycled round still holds payload %v", p)
-				}
-			}
-		}
+	f := lane.f
+	if len(f.rounds) != 0 {
+		t.Errorf("fabric still maps %d finished rounds", len(f.rounds))
 	}
-	if recycled == 0 {
+	if len(f.free) > maxFreeRounds {
+		t.Errorf("freelist holds %d rounds, bound is %d", len(f.free), maxFreeRounds)
+	}
+	if len(f.free) == 0 {
 		t.Error("no round was recycled")
+	}
+	for _, rd := range f.free {
+		if rd.arrived != 0 || rd.departed != 0 {
+			t.Errorf("recycled round not reset: %+v", rd)
+		}
+		for _, p := range rd.payloads[:cap(rd.payloads)] {
+			if p != nil {
+				t.Errorf("recycled round still holds payload %v", p)
+			}
+		}
 	}
 }
 
 // mallocsDuring runs op on every rank of a p-rank world iters times, after
 // warm further rounds of it, and returns how many heap objects the whole
 // process allocated meanwhile. Raw barriers fence the measurement: while
-// rank 0 reads the counter every other rank is parked.
+// rank 0 reads the counter every other rank waits.
 func mallocsDuring(t *testing.T, p, warm, iters int, setup func(c *Comm) (op func())) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -418,5 +391,75 @@ func TestAllreduceSteadyStateAllocatesNothing(t *testing.T) {
 	// to the operations; anything per-operation shows as a thousand.
 	if n >= iters/10 {
 		t.Errorf("%d mallocs over %d allreduces on 8 ranks, want none per operation", n, iters)
+	}
+}
+
+// TestCostOnlyCollectivesMatchData runs each data collective cost-only
+// (SetCostOnly) and as its data twin on 1, 2, 3 and 8 ranks, entered after
+// an untimed round that equalizes staggered clocks, three times over so the
+// round sequence advances. Every rank's returned durations and final clock
+// must be bit-identical, and the cost-only output buffers must keep their
+// contents.
+func TestCostOnlyCollectivesMatchData(t *testing.T) {
+	const n = 5
+	const sentinel = -3.25
+	ops := []struct {
+		name string
+		run  func(c *Comm, in, out []float64) float64
+	}{
+		{"barrier", func(c *Comm, in, out []float64) float64 { return c.Barrier() }},
+		{"bcast", func(c *Comm, in, out []float64) float64 { return c.Bcast(c.Size()-1, out[:n]) }},
+		{"allreduce", func(c *Comm, in, out []float64) float64 { return c.Allreduce(in[:n], out[:n], OpSum) }},
+		{"allgather", func(c *Comm, in, out []float64) float64 { return c.Allgather(in[:n], out) }},
+		{"gather", func(c *Comm, in, out []float64) float64 { return c.Gather(0, in[:n], out) }},
+		{"scatter", func(c *Comm, in, out []float64) float64 { return c.Scatter(c.Size()/2, in, out[:n]) }},
+	}
+	m := sim.DefaultMachine()
+	m.NoiseSigma = 0.1
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, op := range ops {
+			// times runs the operation and returns every rank's durations
+			// and final clock, failing if a cost-only run touched out.
+			times := func(costOnly bool) [][]float64 {
+				got := make([][]float64, p)
+				err := NewWorld(p, m, 11).Run(func(c *Comm) {
+					in := make([]float64, n*p)
+					for i := range in {
+						in[i] = float64(c.Rank()*100 + i)
+					}
+					out := make([]float64, n*p)
+					c.AdvanceClock(1e-6 * float64(c.Rank()+1))
+					for range 3 {
+						for i := range out {
+							out[i] = sentinel
+						}
+						AllreduceMsg(c, 0, func(a, b int) int { return a })
+						c.SetCostOnly(costOnly)
+						got[c.Rank()] = append(got[c.Rank()], op.run(c, in, out))
+						c.SetCostOnly(false)
+						for i, v := range out {
+							if costOnly && v != sentinel {
+								t.Errorf("p=%d %s: cost-only rank %d wrote %v into out[%d]", p, op.name, c.Rank(), v, i)
+							}
+						}
+						c.Compute(float64(1000 * (c.Rank() + 1)))
+					}
+					got[c.Rank()] = append(got[c.Rank()], c.Clock())
+				})
+				if err != nil {
+					t.Fatalf("p=%d %s: %v", p, op.name, err)
+				}
+				return got
+			}
+			data, cost := times(false), times(true)
+			for r := range p {
+				for i := range data[r] {
+					if math.Float64bits(cost[r][i]) != math.Float64bits(data[r][i]) {
+						t.Errorf("p=%d %s rank %d: cost-only times %v, data %v", p, op.name, r, cost[r], data[r])
+						break
+					}
+				}
+			}
+		}
 	}
 }

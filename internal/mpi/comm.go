@@ -144,8 +144,8 @@ type splitSlot struct {
 	rank                  int
 }
 
-// finishSplit is Split's finish, run by the last arriver with every other
-// member parked: it orders the members of each non-negative color by (color,
+// finishSplit is Split's finish, run by the last arriver while every other
+// member waits: it orders the members of each non-negative color by (color,
 // key, parent rank) in this rank's scratch, carves every color's group from
 // one []int, and writes each member's group and rank into its slot. Parent
 // ranks are distinct, so the order is total and any comparison sort yields

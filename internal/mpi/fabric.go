@@ -1,14 +1,13 @@
 package mpi
 
-// The typed message fabric: the sharded, allocation-lean core every
-// communication path runs on. A World owns one fabric per payload type,
-// created on first use; a fabric owns one mailbox per world rank (each with
-// its own lock and condition variable) and a fixed set of collective-round
-// shards. Point-to-point traffic therefore contends only on the destination
-// mailbox and collectives only on their round's shard — there is no
-// world-global lock — and a payload is stored as its concrete type end to
-// end, so typed messages (the profiler's intMsg piggyback, Split's
-// color/key slots) never box through interface{}.
+// The typed message fabric: the allocation-lean core every communication
+// path runs on. A World owns one fabric per payload type, created on first
+// use; a fabric owns one mailbox per world rank and the table of its open
+// collective rounds. A world's ranks never run at once (World.loop), so none
+// of it takes a lock: a rank that must wait yields, and whoever satisfies
+// the wait readies it. A payload is stored as its concrete type end to end,
+// so typed messages (the profiler's intMsg piggyback, Split's color/key
+// slots) never box through interface{}.
 //
 // Matching is per fabric: a message sent as type T is received as type T.
 // SPMD symmetry makes this safe — peers issue the same operation with the
@@ -30,20 +29,16 @@ type fmsg[T any] struct {
 	arrive  float64 // virtual time at which the payload is fully available
 }
 
-// fbox holds in-flight point-to-point messages destined to one world rank,
-// guarded by its own lock so senders to different ranks never contend.
+// fbox holds in-flight point-to-point messages destined to one world rank.
 type fbox[T any] struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []fmsg[T]
-	// parked is set while the owning rank waits on cond for the message want
-	// describes, and is counted in World.idle; only the post of such a
-	// message clears both and wakes it (see World.park). A rank waiting for
-	// one message sleeps through the others, such as the replies to its own
-	// profiled Isends that arrive while it waits for a peer's vote on the
-	// same lane.
-	parked bool
-	want   msgKey
+	// waiting is set while the owning rank is suspended in match for the
+	// message want describes; only the post of such a message clears it and
+	// readies the rank. A rank waiting for one message sleeps through the
+	// others, such as the replies to its own profiled Isends that arrive
+	// while it waits for a peer's vote on the same lane.
+	waiting bool
+	want    msgKey
 }
 
 // msgKey is what a receive matches: context, source rank and tag.
@@ -53,14 +48,13 @@ type msgKey struct {
 }
 
 // round coordinates one collective operation instance: one slot per member
-// for its payload and its entry clock. Guarded by its shard's lock.
+// for its payload and its entry clock.
 type round[T any] struct {
 	arrived  int
 	departed int
 	maxT     float64
 	payloads []T
 	clocks   []float64
-	done     bool
 }
 
 // roundKey identifies a collective round: the communicator's matching
@@ -70,36 +64,31 @@ type roundKey struct {
 	seq uint64
 }
 
-// roundShardCount is the number of independently locked collective-round
-// shards per fabric. Rounds hash to shards by context and sequence, so
-// concurrent collectives on different communicators rarely share a lock.
-const roundShardCount = 8
+// maxFreeRounds bounds a fabric's freelist of recycled rounds: a fabric
+// rarely has more than a few rounds open at once (one per communicator in
+// mid-round), and anything beyond the bound falls to the collector.
+const maxFreeRounds = 16
 
-// roundShard is one independently locked slice of a fabric's collective
-// state.
-type roundShard[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+// fabric is the per-payload-type message substrate of one World.
+type fabric[T any] struct {
+	w      *World
+	boxes  []fbox[T]
 	rounds map[roundKey]*round[T]
 	// free holds the rounds reduceRound has finished with (struct, payload
 	// and clock slices, slots cleared), at most maxFreeRounds of them; a
-	// shard in steady state opens its rounds without allocating.
+	// fabric in steady state opens its rounds without allocating.
 	free []*round[T]
 }
 
-// maxFreeRounds bounds each shard's freelist of recycled rounds: a shard
-// rarely has more than a few rounds open at once (one per communicator
-// hashing to it), and anything beyond the bound falls to the collector.
-const maxFreeRounds = 8
-
 // open returns a round with n empty slots, recycled when the freelist has
 // one. A recycled round too small for this communicator is dropped for a
-// fresh one, so the freelist converges on the largest size the shard serves.
-func (sh *roundShard[T]) open(n int) *round[T] {
-	if k := len(sh.free); k > 0 {
-		rd := sh.free[k-1]
-		sh.free[k-1] = nil
-		sh.free = sh.free[:k-1]
+// fresh one, so the freelist converges on the largest size the fabric
+// serves.
+func (f *fabric[T]) open(n int) *round[T] {
+	if k := len(f.free); k > 0 {
+		rd := f.free[k-1]
+		f.free[k-1] = nil
+		f.free = f.free[:k-1]
 		if cap(rd.payloads) >= n {
 			rd.payloads, rd.clocks = rd.payloads[:n], rd.clocks[:n]
 			return rd
@@ -110,90 +99,42 @@ func (sh *roundShard[T]) open(n int) *round[T] {
 
 // recycle clears rd's slots (a freelist must not pin a delivered payload)
 // and files it for the next open.
-func (sh *roundShard[T]) recycle(rd *round[T]) {
-	if len(sh.free) >= maxFreeRounds {
+func (f *fabric[T]) recycle(rd *round[T]) {
+	if len(f.free) >= maxFreeRounds {
 		return
 	}
 	clear(rd.payloads)
 	*rd = round[T]{payloads: rd.payloads[:0], clocks: rd.clocks[:0]}
-	sh.free = append(sh.free, rd)
-}
-
-// fabric is the per-payload-type message substrate of one World.
-type fabric[T any] struct {
-	w      *World
-	boxes  []fbox[T]
-	shards [roundShardCount]roundShard[T]
-}
-
-// newFabric builds and wires a fabric for w, registering every condition
-// variable with the world's abort machinery.
-func newFabric[T any](w *World) *fabric[T] {
-	f := &fabric[T]{w: w, boxes: make([]fbox[T], w.size)}
-	wakers := make([]waker, 0, w.size+roundShardCount)
-	for i := range f.boxes {
-		b := &f.boxes[i]
-		b.cond = sync.NewCond(&b.mu)
-		wakers = append(wakers, waker{mu: &b.mu, cond: b.cond})
-	}
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.cond = sync.NewCond(&s.mu)
-		s.rounds = make(map[roundKey]*round[T])
-		wakers = append(wakers, waker{mu: &s.mu, cond: s.cond})
-	}
-	w.registerWakers(wakers)
-	return f
+	f.free = append(f.free, rd)
 }
 
 // fabricOf returns w's fabric for payload type T, creating it on first use.
-// The steady state is one lock-free map load; creation is serialized by
-// fabricMu so exactly one fabric per type is built and registered with the
-// abort machinery (a lost LoadOrStore race would leak the loser's waker
-// registrations).
 func fabricOf[T any](w *World) *fabric[T] {
 	key := reflect.TypeFor[T]()
-	if f, ok := w.fabrics.Load(key); ok {
+	if f, ok := w.fabrics[key]; ok {
 		return f.(*fabric[T])
 	}
-	w.fabricMu.Lock()
-	defer w.fabricMu.Unlock()
-	if f, ok := w.fabrics.Load(key); ok {
-		return f.(*fabric[T])
-	}
-	f := newFabric[T](w)
-	w.fabrics.Store(key, f)
+	f := &fabric[T]{w: w, boxes: make([]fbox[T], w.size), rounds: make(map[roundKey]*round[T])}
+	w.fabrics[key] = f
 	return f
 }
 
-// shardOf maps a round key to its shard.
-func (f *fabric[T]) shardOf(key roundKey) *roundShard[T] {
-	h := key.ctx*0x9e3779b97f4a7c15 + key.seq
-	return &f.shards[(h>>32)%roundShardCount]
-}
-
-// post delivers m to world rank dest's mailbox on this fabric.
+// post delivers m to world rank dest's mailbox on this fabric, readying dest
+// if it waits for m.
 func (f *fabric[T]) post(dest int, m fmsg[T]) {
 	box := &f.boxes[dest]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	f.w.checkAbort()
 	box.queue = append(box.queue, m)
-	if box.parked && box.want == (msgKey{m.ctx, m.src, m.tag}) {
-		box.parked = false
-		f.w.unpark(1)
-		box.cond.Signal()
+	if box.waiting && box.want == (msgKey{m.ctx, m.src, m.tag}) {
+		box.waiting = false
+		f.w.ready(dest)
 	}
 }
 
-// match blocks until a message with (ctx, src, tag) is present in the
+// match waits until a message with (ctx, src, tag) is present in the
 // calling rank's mailbox on this fabric and removes it (FIFO among equals).
 func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 	box := &f.boxes[c.state.worldRank]
-	box.mu.Lock()
-	defer box.mu.Unlock()
 	for {
-		f.w.checkAbort()
 		for i := range box.queue {
 			m := &box.queue[i]
 			if m.ctx == c.ctx && m.src == src && m.tag == tag {
@@ -205,11 +146,8 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 			}
 		}
 		box.want = msgKey{c.ctx, src, tag}
-		if !box.parked {
-			box.parked = true
-			f.w.park(&box.mu)
-		}
-		box.cond.Wait()
+		box.waiting = true
+		c.state.wait()
 	}
 }
 
@@ -217,38 +155,35 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 // the caller deposits payload and its clock in its slot of the round numbered
 // by c.collSeq (which also seeds finishColl's noise), and the last member to
 // arrive computes the maximum participant clock, runs finish (when non-nil)
-// over the slots in comm-rank order, and wakes the others. finish must leave
-// in members[i] what rank i is to receive. Every other member is parked —
-// counted in World.idle, under the same hold of the shard lock as its
-// deposit — until that wakeup, so finish, which runs with the lock held, may
-// read and write through any member's payload (the callers' own buffers
-// included) as if it were alone.
-// A panic in finish unwinds the last arriver with the lock released by the
-// deferred unlock; World.Run turns it into an abort that wakes the parked
-// members, exactly as a panic anywhere else in a rank body does.
+// over the slots in comm-rank order, and readies the others. finish must
+// leave in members[i] what rank i is to receive. Every other member is
+// suspended from its deposit until that wakeup, so finish may read and write
+// through any member's payload (the callers' own buffers included) as if it
+// were alone. A panic in finish unwinds the last arriver like a panic
+// anywhere else in a rank body: World.Run turns it into an abort that stops
+// the suspended members.
 //
 // Each member returns its own slot by value, the maximum participant clock,
 // and the round's sequence number. The round itself (struct, slot and clock
-// slices) comes from, and returns to, the shard's freelist, so a round
+// slices) comes from, and returns to, the fabric's freelist, so a round
 // allocates nothing in steady state.
 func (f *fabric[T]) reduceRound(c *Comm, payload T, finish func(members []T)) (mine T, maxT float64, seq uint64) {
 	seq = c.collSeq
 	c.collSeq++
 	key := roundKey{c.ctx, seq}
 	n := len(c.group)
-	sh := f.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f.w.checkAbort()
-	rd, ok := sh.rounds[key]
+	rd, ok := f.rounds[key]
 	if !ok {
-		rd = sh.open(n)
-		sh.rounds[key] = rd
+		rd = f.open(n)
+		f.rounds[key] = rd
 	}
 	rd.payloads[c.rank] = payload
 	rd.clocks[c.rank] = c.state.clock.Now()
 	rd.arrived++
-	if rd.arrived == n {
+	if rd.arrived < n {
+		c.state.wait()
+	} else {
+		delete(f.rounds, key)
 		rd.maxT = rd.clocks[0]
 		for _, t := range rd.clocks[1:] {
 			if t > rd.maxT {
@@ -258,24 +193,16 @@ func (f *fabric[T]) reduceRound(c *Comm, payload T, finish func(members []T)) (m
 		if finish != nil {
 			finish(rd.payloads)
 		}
-		rd.done = true
-		sh.cond.Broadcast()
-		// Every other member deposited and parked without releasing the
-		// shard lock in between.
-		f.w.unpark(n - 1)
-	} else {
-		f.w.park(&sh.mu)
+		for r, wr := range c.group {
+			if r != c.rank {
+				f.w.ready(wr)
+			}
+		}
 	}
-	for !rd.done {
-		f.w.checkAbort()
-		sh.cond.Wait()
-	}
-	f.w.checkAbort()
 	mine, maxT = rd.payloads[c.rank], rd.maxT
 	rd.departed++
 	if rd.departed == n {
-		delete(sh.rounds, key)
-		sh.recycle(rd)
+		f.recycle(rd)
 	}
 	return mine, maxT, seq
 }
@@ -295,8 +222,10 @@ func LaneOf[T any](w *World) Lane[T] { return Lane[T]{f: fabricOf[T](w)} }
 
 // Send transmits a typed payload to dest under tag without advancing any
 // virtual clock. It exists for internal piggyback traffic (the profiler's
-// protocol messages), whose overhead the paper treats as negligible. The
-// payload is not copied; treat it as immutable after sending.
+// protocol messages), whose overhead the paper treats as negligible. It
+// never waits: the message goes into dest's mailbox, and dest, if it waits
+// for it, back on the run queue; the caller runs on. The payload is not
+// copied; treat it as immutable after sending.
 func (l Lane[T]) Send(c *Comm, dest, tag int, payload T) {
 	c.checkPeer(dest)
 	l.f.post(c.group[dest], fmsg[T]{
@@ -308,7 +237,7 @@ func (l Lane[T]) Send(c *Comm, dest, tag int, payload T) {
 	})
 }
 
-// Recv blocks for a typed payload from src under tag. Clocks are not
+// Recv waits for a typed payload from src under tag. Clocks are not
 // advanced.
 func (l Lane[T]) Recv(c *Comm, src, tag int) T {
 	c.checkPeer(src)
@@ -326,7 +255,7 @@ func (l Lane[T]) Exchange(c *Comm, peer, tag int, payload T) T {
 // Allreduce is the profiler's internal coordination primitive (the
 // PMPI_Allreduce with a custom operator in Figure 2 of the paper) as one
 // reduceRound: finish runs once, on the last member to arrive, over every
-// member's payload in comm-rank order while the others are parked, and leaves
+// member's payload in comm-rank order while the others wait, and leaves
 // in members[i] what rank i returns. Clocks are synchronized to the maximum
 // participant time but no transfer cost is charged. Whatever finish hands to
 // more than one slot is shared across those ranks and must be treated as
@@ -375,8 +304,9 @@ func keepFirst[T any](members []T) {
 // box every slice header). Every World owns one from NewWorld on, and one
 // pool may serve many worlds over its lifetime — the sweep executor threads
 // one per worker so consecutive sweeps reuse each other's buffers instead of
-// reallocating the same tile-sized payloads thousands of times. It lives
-// here with the rest of the data plane's locked state: fabric.go and
+// reallocating the same tile-sized payloads thousands of times. Unlike the
+// fabrics, which only their world's ranks touch, a pool is shared by worlds
+// running on different goroutines, so it keeps its locks; fabric.go and
 // world.go are the only mpi files that may hold raw synchronization
 // primitives (enforced by critterlint's fabriclock).
 type BufPool struct {

@@ -8,8 +8,8 @@ import (
 	"critter/internal/sim"
 )
 
-// stressBody is a mixed workload over 64 ranks exercising every lock shard
-// of the fabric at once: ring p2p (blocking and nonblocking), world
+// stressBody is a mixed workload over 64 ranks exercising every fabric at
+// once: ring p2p (blocking and nonblocking), world
 // collectives, typed piggyback messages, and communicator construction via
 // Split and Dup, with per-rank virtual-time checksums returned for
 // determinism comparison.
@@ -62,58 +62,95 @@ func stressBody(c *Comm, sum []float64) {
 	sum[me] = c.Clock() + dup.Clock()
 }
 
-// TestStressDeterminism64 runs the mixed 64-rank workload three times and
-// demands bit-identical per-rank virtual clocks: the sharded per-mailbox
-// locks and round shards must not leak goroutine scheduling into virtual
-// time. Run under -race in CI, this is also the fabric's data-race stress
-// and the deadlock accounting's negative: with ranks parking and being
-// unparked across every mailbox and shard, no run may report a deadlock.
+// pickOrder is a run-queue order for World.pick: FIFO (the default), LIFO,
+// or a seeded shuffle that takes a uniformly random ready rank each time.
+// Virtual time must not depend on which: a fixed FIFO schedule alone would
+// hide any dependence on the order ranks run in.
+type pickOrder struct {
+	name string
+	lifo bool
+	seed uint64 // shuffle seed; 0 is no shuffle
+}
+
+// pickOrders are the orders the schedule-independence tests run under.
+var pickOrders = []pickOrder{
+	{name: "fifo"},
+	{name: "lifo", lifo: true},
+	{name: "shuffle-1", seed: 1},
+	{name: "shuffle-2", seed: 0x5eed},
+}
+
+// world returns NewWorld(size, m, seed) picking its ready ranks in order o.
+func (o pickOrder) world(size int, m sim.Machine, seed uint64) *World {
+	w := NewWorld(size, m, seed)
+	switch {
+	case o.lifo:
+		w.pick = func(n int) int { return n - 1 }
+	case o.seed != 0:
+		rng := sim.NewRNG(o.seed)
+		w.pick = func(n int) int { return rng.Intn(n) }
+	}
+	return w
+}
+
+// TestStressDeterminism64 runs the mixed 64-rank workload under every pick
+// order and demands bit-identical per-rank virtual clocks: the order in
+// which the loop runs ready ranks must not leak into virtual time. It is
+// also the deadlock rule's negative: with ranks waiting and being readied
+// across every mailbox and round, no order may report a deadlock.
 func TestStressDeterminism64(t *testing.T) {
 	m := sim.DefaultMachine()
 	m.NoiseSigma = 0.08
 	var ref []float64
-	for run := 0; run < 3; run++ {
-		sums := make([]float64, 64)
-		w := NewWorld(64, m, 0xfeed)
-		if err := w.Run(func(c *Comm) { stressBody(c, sums) }); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if ref == nil {
-			ref = sums
-			continue
-		}
-		for r, v := range sums {
-			if v != ref[r] {
-				t.Fatalf("run %d: rank %d virtual time %v differs from run 0's %v", run, r, v, ref[r])
+	for _, o := range pickOrders {
+		t.Run(o.name, func(t *testing.T) {
+			sums := make([]float64, 64)
+			if err := o.world(64, m, 0xfeed).Run(func(c *Comm) { stressBody(c, sums) }); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if ref == nil {
+				ref = sums
+				return
+			}
+			for r, v := range sums {
+				if v != ref[r] {
+					t.Fatalf("rank %d virtual time %v differs from %s's %v", r, v, pickOrders[0].name, ref[r])
+				}
+			}
+		})
 	}
 }
 
-// TestStressAbortFanout64 panics one rank mid-workload while 63 peers are
-// blocked across mailboxes and round shards; every rank must unwind via
-// ErrAborted (no deadlock) and Run must surface the original failure.
+// TestStressAbortFanout64 panics one rank mid-workload while 63 peers wait
+// across mailboxes and rounds, under every pick order: every rank must
+// unwind via ErrAborted (no deadlock) and Run must surface the original
+// failure, the same verdict whatever the order.
 func TestStressAbortFanout64(t *testing.T) {
 	boom := errors.New("rank 17 exploded")
-	w := NewWorld(64, sim.DefaultMachine(), 7)
-	done := make(chan error, 1)
-	go func() {
-		sums := make([]float64, 64)
-		done <- w.Run(func(c *Comm) {
-			if c.Rank() == 17 {
-				// Let peers get deep into blocking operations first.
+	var verdict string
+	for _, o := range pickOrders {
+		t.Run(o.name, func(t *testing.T) {
+			sums := make([]float64, 64)
+			err := o.world(64, sim.DefaultMachine(), 7).Run(func(c *Comm) {
+				if c.Rank() == 17 {
+					// Let peers get deep into waiting operations first.
+					c.Barrier()
+					panic(boom)
+				}
 				c.Barrier()
-				panic(boom)
+				stressBody(c, sums)
+			})
+			if err == nil {
+				t.Fatal("Run returned nil after a rank panic")
 			}
-			c.Barrier()
-			stressBody(c, sums)
+			if !errors.Is(err, boom) {
+				t.Errorf("Run error %v does not wrap the original panic", err)
+			}
+			if verdict == "" {
+				verdict = err.Error()
+			} else if err.Error() != verdict {
+				t.Errorf("Run error %q differs from %s's %q", err, pickOrders[0].name, verdict)
+			}
 		})
-	}()
-	err := <-done
-	if err == nil {
-		t.Fatal("Run returned nil after a rank panic")
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("Run error %v does not wrap the original panic", err)
 	}
 }

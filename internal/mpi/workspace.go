@@ -16,7 +16,7 @@ package mpi
 // world's BufPool and go back to it when the rank's body returns, so
 // consecutive worlds of a worker recycle them.
 //
-// A Workspace is confined to its rank's goroutine and holds no lock. It is
+// A Workspace is confined to its rank's coroutine and holds no lock. It is
 // deliberately not a held-list on the shared pool: how much a shared pool
 // must hold depends on how far apart the ranks happen to run, while each
 // rank's stack depth depends on its own program only.

@@ -2,11 +2,15 @@
 // with MPI-like semantics and virtual time. It is the substrate on which the
 // Critter profiler and the distributed factorization libraries run.
 //
-// Ranks execute as goroutines. Each rank owns a virtual clock (package sim);
-// point-to-point messages and collectives advance clocks according to an
-// alpha-beta-gamma machine model with deterministic per-rank noise, so a
-// fixed seed reproduces identical virtual timings regardless of goroutine
-// scheduling.
+// A world's ranks are coroutines (iter.Pull) driven by one loop: a rank runs
+// until it must wait for a message or a collective round, then yields, and
+// the post or the last arrival that satisfies its wait puts it back on the
+// loop's run queue. Ranks never run at once, so no communication path takes
+// a lock. Each rank owns a virtual clock (package sim); point-to-point
+// messages and collectives advance clocks according to an alpha-beta-gamma
+// machine model with deterministic per-rank noise, so a fixed seed
+// reproduces identical virtual timings whatever order the loop runs the
+// ready ranks in.
 //
 // The interface mirrors the MPI subset used by the paper's four case-study
 // libraries: point-to-point Send, Isend and Recv (an Isend captures its
@@ -17,28 +21,29 @@
 // (Lane, AllreduceMsg and BcastMsg, used by the profiler's internal
 // piggyback messages).
 //
-// All traffic runs on sharded typed fabrics (fabric.go): one mailbox lock
-// per destination rank and a fixed set of collective-round shards per
-// payload type, with no world-global lock on any communication path.
+// All traffic runs on typed fabrics (fabric.go): one mailbox per
+// destination rank and one table of open collective rounds per payload type.
 package mpi
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"iter"
+	"reflect"
+	"slices"
 
 	"critter/internal/obs"
 	"critter/internal/sim"
 )
 
-// ErrAborted is the panic value raised in every rank when some rank panics,
-// so a single failure cannot deadlock the remaining ranks.
+// ErrAborted is the panic value raised in every suspended rank when some
+// rank fails or the world deadlocks, so a single failure cannot leave the
+// remaining ranks waiting.
 var ErrAborted = fmt.Errorf("mpi: world aborted due to failure on another rank")
 
-// errDeadlock is the abort cause when every unfinished rank is blocked at a
-// fabric wait site, so no wakeup can ever arrive. Run returns it (wrapped)
-// instead of hanging.
+// errDeadlock is the abort cause when the run queue empties while ranks are
+// unfinished: every one of them waits for a message or a round that no rank
+// is left to post or join. Run returns it (wrapped) instead of hanging.
 var errDeadlock = errors.New("mpi: deadlock: every rank is blocked with no message in flight")
 
 // World is a set of P ranks sharing a machine model, a message fabric per
@@ -55,11 +60,10 @@ type World struct {
 	// fabrics maps a payload type (reflect.Type) to its *fabric[T]; the
 	// data plane's two are cached: point-to-point payloads travel at
 	// T = []float64 (dataFab), data collectives meet at T = collView
-	// (collFab). fabricMu serializes fabric creation (lookups are lock-free).
-	fabrics  sync.Map
-	fabricMu sync.Mutex
-	dataFab  *fabric[[]float64]
-	collFab  *fabric[collView]
+	// (collFab).
+	fabrics map[reflect.Type]any
+	dataFab *fabric[[]float64]
+	collFab *fabric[collView]
 
 	// bufs recycles data-plane payload buffers across messages (and, via
 	// the sweep executor's per-worker scratch, across the worlds a worker
@@ -70,35 +74,29 @@ type World struct {
 	// on this world (the profiler's propagation rounds). See SetTracer.
 	trace obs.Tracer
 
-	// Abort machinery: aborted flips once, abortE records the first
-	// failure, and wakers lists every condition variable a rank may block
-	// on so abort can wake the whole world.
-	aborted atomic.Bool
-	abortMu sync.Mutex
+	// runq lists the world ranks ready to run, in the order they became
+	// ready. The loop takes the one pick chooses: the first when pick is
+	// nil, any index in [0, n) otherwise. Only this package's tests set
+	// pick, to show that no clock depends on the order.
+	runq []int
+	pick func(n int) int
+
+	// aborted marks a failed world and abortE records its first failure.
+	aborted bool
 	abortE  any
-	wakers  []waker
-
-	// idle counts the ranks that cannot run: parked at a fabric wait site
-	// (low 32 bits) and finished (high 32 bits). See park.
-	idle atomic.Int64
-}
-
-// finishedOne is one finished rank in World.idle; a parked rank counts 1.
-const finishedOne = 1 << 32
-
-// waker pairs a condition variable with the lock its waiters hold, so abort
-// can broadcast without losing a wakeup.
-type waker struct {
-	mu   *sync.Mutex
-	cond *sync.Cond
 }
 
 // rankState is the per-rank private state, confined to the rank's
-// goroutine.
+// coroutine.
 type rankState struct {
 	worldRank int
 	clock     sim.Clock
 	rng       *sim.RNG
+	// yield suspends the rank's coroutine (see wait).
+	yield func(struct{}) bool
+	// costOnly makes the rank's data operations charge time without moving
+	// data (see Comm.SetCostOnly).
+	costOnly bool
 	// splitScratch is the member order this rank sorts in when it is the
 	// last arriver of a Split round (see finishSplit).
 	splitScratch []int
@@ -124,7 +122,9 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 		machine: machine,
 		seed:    seed,
 		ranks:   make([]*rankState, size),
+		fabrics: make(map[reflect.Type]any),
 		bufs:    NewBufPool(),
+		runq:    make([]int, 0, size),
 	}
 	for r := 0; r < size; r++ {
 		w.ranks[r] = &rankState{
@@ -175,112 +175,102 @@ func (w *World) SetTracer(t obs.Tracer) { w.trace = t }
 // deterministic and volume bounded by the run, not the world size.
 func (w *World) TracerOf() obs.Tracer { return w.trace }
 
-// registerWakers records condition variables the abort broadcast must
-// reach.
-func (w *World) registerWakers(ws []waker) {
-	w.abortMu.Lock()
-	w.wakers = append(w.wakers, ws...)
-	w.abortMu.Unlock()
-}
-
-// Run executes body once per rank, concurrently, passing each rank its world
-// communicator. It returns a non-nil error if any rank panicked; the
-// remaining ranks are woken and unwound via ErrAborted panics.
+// Run executes body once per rank, passing each rank its world communicator,
+// and returns when every rank has finished or the world has failed. The ranks
+// are coroutines that one loop runs in turn, on a goroutine of its own (see
+// loop). Run returns a non-nil error if a rank panicked or exited through
+// runtime.Goexit (a t.Fatal in a rank body), or if the ranks deadlocked; the
+// ranks still suspended then unwind via ErrAborted panics.
 // A World must not be reused after Run returns.
 func (w *World) Run(body func(c *Comm)) error {
-	var wg sync.WaitGroup
-	wg.Add(w.size)
-	for r := 0; r < w.size; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			completed := false
-			defer func() {
-				if e := recover(); e != nil {
-					w.abort(e)
-				} else if !completed {
-					// The goroutine exited via runtime.Goexit (e.g.
-					// t.Fatal inside a rank body); peers must not be
-					// left blocked.
-					w.abort(fmt.Errorf("rank %d exited abnormally", rank))
-				}
-				// After the abort bookkeeping, so a rank's own failure wins
-				// over the deadlock its exit leaves behind.
-				if w.deadlocked(w.idle.Add(finishedOne)) {
-					w.abort(errDeadlock)
-				}
-			}()
-			ws := &w.ranks[rank].ws
-			ws.pool = w.bufs
-			body(w.worldComm(rank))
-			completed = true
-			ws.drain()
-		}(r)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.loop(body)
+	}()
+	<-done
+	if !w.aborted {
+		return nil
 	}
-	wg.Wait()
-	if w.aborted.Load() {
-		w.abortMu.Lock()
-		defer w.abortMu.Unlock()
-		if err, ok := w.abortE.(error); ok {
-			return fmt.Errorf("mpi: rank failure: %w", err)
+	if err, ok := w.abortE.(error); ok {
+		return fmt.Errorf("mpi: rank failure: %w", err)
+	}
+	return fmt.Errorf("mpi: rank failure: %v", w.abortE)
+}
+
+// loop runs every rank to its end from the run queue, which starts with the
+// ranks in order. A rank runs until it finishes or waits; a failure (see
+// rank) ends the loop, and so does a queue that empties with ranks
+// unfinished, which is a deadlock. Stopping the ranks still suspended is
+// deferred because next re-raises a rank's runtime.Goexit here: it ends this
+// goroutine, which is why loop has one of its own, but not before every
+// other rank has unwound.
+func (w *World) loop(body func(c *Comm)) {
+	next := make([]func() (struct{}, bool), w.size)
+	stop := make([]func(), w.size)
+	for r := range w.size {
+		next[r], stop[r] = iter.Pull(w.rank(r, body))
+		w.runq = append(w.runq, r)
+	}
+	defer func() {
+		for _, s := range stop {
+			s()
 		}
-		return fmt.Errorf("mpi: rank failure: %v", w.abortE)
+	}()
+	unfinished := w.size
+	for len(w.runq) > 0 && !w.aborted {
+		i := 0
+		if w.pick != nil {
+			i = w.pick(len(w.runq))
+		}
+		r := w.runq[i]
+		w.runq = slices.Delete(w.runq, i, i+1)
+		if _, ok := next[r](); !ok {
+			unfinished--
+		}
 	}
-	return nil
-}
-
-// abort records the first failure and wakes every blocked rank: the flag is
-// published first, then each registered condition variable is broadcast
-// under its own lock so a rank between its abort check and its Wait cannot
-// miss the wakeup.
-func (w *World) abort(e any) {
-	w.abortMu.Lock()
-	if !w.aborted.Load() {
-		w.abortE = e
-		w.aborted.Store(true)
-	}
-	wakers := w.wakers
-	w.abortMu.Unlock()
-	for _, wk := range wakers {
-		wk.mu.Lock()
-		wk.cond.Broadcast()
-		wk.mu.Unlock()
-	}
-}
-
-// deadlocked reports whether idle, a value of w.idle, accounts for every
-// rank with at least one of them parked: nobody is left to post the message
-// or join the round a parked rank waits for.
-func (w *World) deadlocked(idle int64) bool {
-	parked, finished := int(uint32(idle)), int(idle>>32)
-	return parked > 0 && parked+finished == w.size
-}
-
-// park counts the calling rank as blocked, just before it waits on the
-// condition variable of inner, which it holds. Whoever later makes the
-// rank's wait predicate true — the post of the message it waits for, the
-// last arrival of its round — uncounts it under the same lock, so the count
-// never includes a rank that can proceed. The rank that completes the count aborts the
-// world with errDeadlock (dropping inner, which abort must take to
-// broadcast) and unwinds like every other rank.
-func (w *World) park(inner *sync.Mutex) {
-	if w.deadlocked(w.idle.Add(1)) {
-		inner.Unlock()
+	if unfinished > 0 && !w.aborted {
 		w.abort(errDeadlock)
-		inner.Lock()
+	}
+}
+
+// rank is world rank r's coroutine body: body on the rank's world
+// communicator, with a failure — a panic, ErrAborted included, or a
+// runtime.Goexit — recorded as the world's abort.
+func (w *World) rank(r int, body func(c *Comm)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		s := w.ranks[r]
+		s.yield = yield
+		completed := false
+		defer func() {
+			if e := recover(); e != nil {
+				w.abort(e)
+			} else if !completed {
+				w.abort(fmt.Errorf("rank %d exited abnormally", r))
+			}
+		}()
+		s.ws.pool = w.bufs
+		body(w.worldComm(r))
+		completed = true
+		s.ws.drain()
+	}
+}
+
+// wait suspends the calling rank until ready puts it back on the run queue.
+// It panics with ErrAborted if the world stops the rank instead.
+func (s *rankState) wait() {
+	if !s.yield(struct{}{}) {
 		panic(ErrAborted)
 	}
 }
 
-// unpark uncounts n ranks parked by park; the caller holds their lock.
-func (w *World) unpark(n int) { w.idle.Add(-int64(n)) }
+// ready appends world rank r, which is suspended in wait, to the run queue.
+func (w *World) ready(r int) { w.runq = append(w.runq, r) }
 
-// checkAbort panics with ErrAborted if the world has failed; the panic
-// unwinds through the caller's defers. Callers blocked on a condition
-// variable hold its lock around both this check and the Wait, which —
-// together with abort's lock-and-broadcast — makes the wakeup reliable.
-func (w *World) checkAbort() {
-	if w.aborted.Load() {
-		panic(ErrAborted)
+// abort records e as the world's failure unless an earlier one is recorded.
+func (w *World) abort(e any) {
+	if !w.aborted {
+		w.aborted, w.abortE = true, e
 	}
 }
 

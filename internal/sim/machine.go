@@ -116,7 +116,7 @@ func (m Machine) Noise(rng *RNG) float64 {
 	return rng.LogNormal(m.NoiseSigma)
 }
 
-// Clock is a per-rank virtual clock. It is confined to its rank's goroutine;
+// Clock is a per-rank virtual clock. It is confined to its rank's coroutine;
 // cross-rank synchronization happens by exchanging timestamps inside the
 // message-passing runtime, never by sharing a Clock.
 type Clock struct {
