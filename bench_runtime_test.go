@@ -60,12 +60,15 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 7 674 allocs/op and 859 832-859 911 B/op over 27 runs at -cpu 1,
+		// 5 976 allocs/op and 668 576-668 649 B/op over 18 runs at -cpu 1,
 		// 2 and 4, idle and loaded. A world's ranks run on one goroutine, so
 		// the count no longer moves with the scheduler; four allocations and
 		// 7 358 B of headroom (the widest spread of bytes the two sweep
-		// benchmarks read while their ranks were goroutines) stay. With a
-		// goroutine per rank it read 8 018-8 023 and 932 546-939 041 B: the
+		// benchmarks read while their ranks were goroutines) stay. While a
+		// clock's world held numbers — a tile index and tiles per matrix,
+		// received panels recycled through the pool — it read 7 674 and
+		// 859 832-859 911 B. With a goroutine per rank it read 8 018-8 023
+		// and 932 546-939 041 B: the
 		// coroutines' state (iter.Pull) costs about 57 allocations a sweep,
 		// and the condition variables, round shards and abort registrations
 		// every fabric of every world made, about 400. While the reference
@@ -83,16 +86,17 @@ func TestAllocBudgets(t *testing.T) {
 		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 7678, 867269},
-		// 10 937 allocs/op and 1 064 928-1 064 947 B/op over 27 runs, the
-		// same way (11 285-11 292 and 1 148 626-1 149 138 B with a goroutine
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 5980, 676007},
+		// 8 447 allocs/op and 832 872-832 986 B/op over 18 runs, the same
+		// way (10 937 and 1 064 928-1 064 947 B while a clock's world held
+		// numbers; 11 285-11 292 and 1 148 626-1 149 138 B with a goroutine
 		// per rank; 11 618-11 627 and 1 238 724-1 240 373 B while the
 		// reference drew an arena; 11 633-11 637 and 1 286 233-1 288 080 B
 		// with every rank planning; 13 275-13 287 and 1 412 429-1 418 990 B
 		// with the interning reference). Rekeying the offline pass's global path table
 		// into a Key map per configuration and rank, as GlobalPathFreqs does,
 		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 10941, 1072305},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 8451, 840344},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

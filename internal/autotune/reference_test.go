@@ -545,11 +545,13 @@ func TestReferenceMatchesArithmeticTwin(t *testing.T) {
 // every executed kernel's arithmetic does. For the four quick studies under
 // each of their policies at eps 0.5 and 0.125, plus candmc's online sweep
 // with Extrapolate on, cold and then warm-started from the cold sweep's
-// profile, sweep drives runSweep's loop over every configuration once under
-// NewClock and once under New: the reports of every offline pass and
-// selective run, and the bytes of the sweep's encoded GlobalProfile, are
-// equal. This holds because no library branches on a computed value; the
-// test fails for a quick study that starts to.
+// profile, and one default-scale configuration each of slate-chol and
+// slate-qr under online at eps 0.125 (the clock's world keeps no tile and
+// skips the input fills, which New does), sweep drives runSweep's loop over
+// the configurations once under NewClock and once under New: the reports of
+// every offline pass and selective run, and the bytes of the sweep's encoded
+// GlobalProfile, are equal. This holds because no library branches on a
+// computed value; the test fails for a study that starts to.
 func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick configuration under every policy twice")
@@ -563,9 +565,9 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 		executed int64
 		fitted   int64 // rank 0's extrapolated skips, over the configurations
 	}
-	// sweep runs every configuration of st as runSweep runs a one-round
-	// plan at opts.Eps, under a profiler from build.
-	sweep := func(t *testing.T, st Study, opts critter.Options, build func(*mpi.Comm, critter.Options) (*critter.Profiler, *critter.Comm)) outcome {
+	// sweep runs configs of st as runSweep runs a one-round plan at
+	// opts.Eps, under a profiler from build.
+	sweep := func(t *testing.T, st Study, configs []int, opts critter.Options, build func(*mpi.Comm, critter.Options) (*critter.Profiler, *critter.Comm)) outcome {
 		t.Helper()
 		var out outcome
 		err := mpi.NewWorld(st.WorldSize, machine, seed).Run(func(c *mpi.Comm) {
@@ -576,7 +578,7 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 					out.executed += r.Executed
 				}
 			}
-			for v := range st.Size() {
+			for _, v := range configs {
 				ck := critter.ConfigKey(st.Name, v)
 				p.StartConfigKeyed(st.ResetStats, ck)
 				if opts.Policy == critter.APriori {
@@ -612,10 +614,10 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 		return out
 	}
 	// twin runs sweep under both profilers and holds the clock to New.
-	twin := func(t *testing.T, st Study, opts critter.Options) outcome {
+	twin := func(t *testing.T, st Study, configs []int, opts critter.Options) outcome {
 		t.Helper()
-		full := sweep(t, st, opts, critter.New)
-		clock := sweep(t, st, opts, critter.NewClock)
+		full := sweep(t, st, configs, opts, critter.New)
+		clock := sweep(t, st, configs, opts, critter.NewClock)
 		if full.executed == 0 {
 			t.Fatal("the sweep executed no kernel")
 		}
@@ -632,11 +634,18 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 		}
 		return clock
 	}
+	every := func(st Study) []int {
+		configs := make([]int, st.Size())
+		for v := range configs {
+			configs[v] = v
+		}
+		return configs
+	}
 	for _, st := range quickStudies() {
 		for _, pol := range st.Policies {
 			for _, eps := range []float64{0.5, 0.125} {
 				t.Run(fmt.Sprintf("%s/%s/%g", st.Name, pol, eps), func(t *testing.T) {
-					twin(t, st, critter.Options{Policy: pol, Eps: eps})
+					twin(t, st, every(st), critter.Options{Policy: pol, Eps: eps})
 				})
 			}
 		}
@@ -644,11 +653,24 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 	t.Run("warm-extrapolate", func(t *testing.T) {
 		st := CandmcQR(QuickScale())
 		opts := critter.Options{Policy: critter.Online, Eps: 0.125, Extrapolate: true}
-		cold := twin(t, st, opts)
+		cold := twin(t, st, every(st), opts)
 		opts.Prior = cold.profile
-		warm := twin(t, st, opts)
+		warm := twin(t, st, every(st), opts)
 		if warm.fitted == 0 {
 			t.Error("no skip of the warm sweep was decided by a family fit")
 		}
 	})
+	// Default scale: slate-chol at nb 30 with lookahead (8x8 tiles on the
+	// 8x8 grid), slate-qr at nb 24, ib 4 on the 8x4 grid.
+	for _, tc := range []struct {
+		st Study
+		v  int
+	}{
+		{SlateCholesky(DefaultScale()), 9},
+		{SlateQR(DefaultScale()), 28},
+	} {
+		t.Run(fmt.Sprintf("default/%s/%d", tc.st.Name, tc.v), func(t *testing.T) {
+			twin(t, tc.st, []int{tc.v}, critter.Options{Policy: critter.Online, Eps: 0.125})
+		})
+	}
 }

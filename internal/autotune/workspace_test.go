@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"critter/internal/autotune"
 	"critter/internal/candmc"
 	"critter/internal/capital"
 	"critter/internal/critter"
@@ -138,5 +139,41 @@ func TestWarmRunsRepeatAndAllocateNothing(t *testing.T) {
 				t.Logf("allocated %d bytes per run, skipped %d kernels", allocated, skipped[0])
 			})
 		}
+	}
+}
+
+// TestClockWorldHoldsNoNumbers runs every configuration of the four quick
+// studies under a clock twice, as a worker runs consecutive worlds on one
+// buffer pool. A clock's world moves no data and its libraries keep no
+// storage but the world's one scratch: after the first world the pool holds
+// that scratch alone, the second world takes it (the pool is empty once its
+// configuration has run) and draws nothing else, and it goes back when Run
+// ends.
+func TestClockWorldHoldsNoNumbers(t *testing.T) {
+	s := autotune.QuickScale()
+	for _, st := range []autotune.Study{autotune.CapitalCholesky(s), autotune.SlateCholesky(s), autotune.CandmcQR(s), autotune.SlateQR(s)} {
+		t.Run(st.Name, func(t *testing.T) {
+			for v := range st.Size() {
+				pool := mpi.NewBufPool()
+				for run := range 2 {
+					w := mpi.NewWorld(st.WorldSize, sim.DefaultMachine(), 42)
+					w.SetBufPool(pool)
+					err := w.Run(func(c *mpi.Comm) {
+						p, cc := critter.NewClock(c, critter.Options{Policy: critter.Online, Eps: 0.5})
+						p.StartConfig(true)
+						st.Run(p, cc, v)
+						if c.Rank() == 0 && run == 1 && pool.Len() != 0 {
+							t.Errorf("config %d: the pool holds %d buffers while the second world runs: it did not take the first one's scratch", v, pool.Len())
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := pool.Len(); got != 1 {
+						t.Fatalf("config %d, world %d: the pool holds %d buffers after Run, want the world's scratch alone", v, run+1, got)
+					}
+				}
+			}
+		})
 	}
 }

@@ -94,8 +94,12 @@ func NewMatrix(g *grid.Grid2D, cfg Config) *Matrix {
 }
 
 // FillGeneral fills the local part with a deterministic dense test matrix
-// (consistent across distributions).
+// (consistent across distributions). It does nothing on a cost-only world
+// (mpi.World.MarkCostOnly), where Data is a view of the world's scratch.
 func (m *Matrix) FillGeneral(seed uint64) {
+	if m.G.All.Raw().World().CostOnly() {
+		return
+	}
 	for lc := 0; lc < m.CLoc; lc++ {
 		gc := m.ColD.GlobalIndexOf(m.G.MyCol, lc)
 		for lr := 0; lr < m.RLoc; lr++ {

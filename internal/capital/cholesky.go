@@ -75,7 +75,9 @@ type Chol struct {
 
 // New allocates the local state on the calling rank's workspace — it lives
 // until a workspace mark taken before the call is released — and fills A with
-// the deterministic SPD test matrix (identical on every layer).
+// the deterministic SPD test matrix (identical on every layer). On a
+// cost-only world (mpi.World.MarkCostOnly) the slabs are views of the
+// world's scratch and A is not filled.
 func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 	p2 := cfg.C * cfg.C
 	ch := &Chol{
@@ -86,6 +88,9 @@ func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 	ch.A = ch.ws.Get(ch.RLoc * cfg.N)
 	ch.L = ch.ws.Get(ch.RLoc * cfg.N)
 	ch.Linv = ch.ws.Get(ch.RLoc * cfg.N)
+	if g.All.Raw().World().CostOnly() {
+		return ch
+	}
 	boost := 4 + 2*math.Log(float64(cfg.N))
 	for lb := 0; lb < ch.Rows.LocalBlocks(g.LayerRank); lb++ {
 		g0 := ch.Rows.GlobalBlock(g.LayerRank, lb) * cfg.BB

@@ -195,10 +195,12 @@ func TestClockMatchesArithmeticTwin(t *testing.T) {
 
 // TestClockMovesNoData runs every profiled communication operation on 4
 // ranks under NewClock and under New, at tolerance zero so that every leg
-// executes, into receive buffers pre-filled with a sentinel. A clock's legs
-// charge their time and move no data, so its buffers keep the sentinel
-// while New's receive what was sent; nothing else may tell the two apart:
-// every rank's clock, Report and PathFreqs are equal.
+// executes, into receive buffers pre-filled with a sentinel, plus one raw
+// message on the user communicator. A clock marks its world cost-only, so
+// its legs and the raw message charge their time and move no data: its
+// buffers keep the sentinel while New's receive what was sent. Nothing else
+// may tell the two apart: every rank's clock, Report and PathFreqs are
+// equal.
 func TestClockMovesNoData(t *testing.T) {
 	const ranks, n = 4, 6
 	const sentinel = -7.5
@@ -217,6 +219,9 @@ func TestClockMovesNoData(t *testing.T) {
 		}
 		err := mpi.NewWorld(ranks, testMachine(0.05), 23).Run(func(c *mpi.Comm) {
 			p, cc := build(c, Options{Policy: Conditional, Eps: 0})
+			if c.World().CostOnly() != p.clock {
+				t.Errorf("rank %d: a world with a clock: %v, cost-only: %v", c.Rank(), p.clock, c.World().CostOnly())
+			}
 			p.StartConfig(true)
 			r := cc.Rank()
 			src := make([]float64, n*ranks)
@@ -257,6 +262,8 @@ func TestClockMovesNoData(t *testing.T) {
 			cc.Recv((r+ranks-1)%ranks, 5, fill(n))
 			p.Waitall()
 			cc.Sendrecv(r^1, 6, src[:n], fill(n))
+			c.Send((r+1)%ranks, 7, src[:n])
+			c.Recv((r+ranks-1)%ranks, 7, fill(n))
 			s.reports[r] = p.Report()
 			s.clocks[r] = c.Clock()
 			s.freqs[r] = p.PathFreqs()

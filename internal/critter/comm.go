@@ -123,21 +123,17 @@ type leg struct {
 //     it twice. (A wait has no leg, so the order is moot there.)
 //   - Isend adopts nothing: the receiver's reply reaches it at Waitall.
 //
-// A clock (NewClock, NewReference) runs its legs cost-only
-// (mpi.Comm.SetCostOnly): they charge their time and move no data, which no
-// kernel of a clock wrote. Every rank of a world is a clock or none is, and
-// a collective's internal allreduce has just given its members equal clocks,
-// so the user round it skips would only have confirmed that maximum.
+// On a clock's world (NewClock, NewReference), which is cost-only
+// (mpi.World.MarkCostOnly), the legs charge their time and move no data,
+// which no kernel of a clock wrote. A collective's internal allreduce has
+// just given its members equal clocks, so the user round the leg skips would
+// only have confirmed that maximum.
 //
 // The event carries the clock before the legs run; Memoized flags a latest
 // local skip replayed from predCache, consumed here so an op with no decision
 // of its own (wait) never inherits one. p.trace is non-nil only on rank 0 of
 // a traced world, so the disabled path costs one branch.
 func (p *Profiler) complete(op kernelName, a, b leg) {
-	if p.clock {
-		p.world.user.SetCostOnly(true)
-		defer p.world.user.SetCostOnly(false)
-	}
 	if p.trace != nil {
 		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op.String(), Virtual: p.world.user.Clock()}
 		if p.lastReplayed {

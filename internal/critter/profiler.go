@@ -250,7 +250,14 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 // equals that of a New profiler on the same program, since none of them
 // reads a kernel's data (and no library branches on it). The error of an
 // intercepted factorization (Potrf, Trtri, GetrfNoPiv) is nil on a clock.
+//
+// A clock marks its world cost-only (mpi.World.MarkCostOnly) for the rest of
+// the world's run: its communication charges time and moves no data, and
+// the libraries built on it keep no numbers — their workspaces and tiles are
+// views of the world's one scratch, and their input fills are skipped.
+// Every rank of a world builds a clock or none does.
 func NewClock(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
+	world.World().MarkCostOnly()
 	p, cc := New(world, opts)
 	p.clock = true
 	return p, cc

@@ -42,11 +42,11 @@ type collView struct {
 
 // collRound runs one data-collective round on the world's view fabric and
 // returns the maximum participant clock and the round's sequence number.
-// On a cost-only rank (SetCostOnly) it runs no round and moves no data: it
-// takes the round's sequence number and returns the caller's own clock,
-// which is every member's when they enter with equal clocks.
+// On a cost-only world (World.MarkCostOnly) it runs no round and moves no
+// data: it takes the round's sequence number and returns the caller's own
+// clock, which is every member's when they enter with equal clocks.
 func (c *Comm) collRound(in, out []float64, finish func(members []collView)) (float64, uint64) {
-	if c.state.costOnly {
+	if c.w.costOnly {
 		seq := c.collSeq
 		c.collSeq++
 		return c.state.clock.Now(), seq

@@ -394,12 +394,12 @@ func TestAllreduceSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCostOnlyCollectivesMatchData runs each data collective cost-only
-// (SetCostOnly) and as its data twin on 1, 2, 3 and 8 ranks, entered after
-// an untimed round that equalizes staggered clocks, three times over so the
-// round sequence advances. Every rank's returned durations and final clock
-// must be bit-identical, and the cost-only output buffers must keep their
-// contents.
+// TestCostOnlyCollectivesMatchData runs each data collective on a cost-only
+// world (every rank calls World.MarkCostOnly first) and on its data twin on
+// 1, 2, 3 and 8 ranks, entered after an untimed round that equalizes
+// staggered clocks, three times over so the round sequence advances. Every
+// rank's returned durations and final clock must be bit-identical, and the
+// cost-only output buffers must keep their contents.
 func TestCostOnlyCollectivesMatchData(t *testing.T) {
 	const n = 5
 	const sentinel = -3.25
@@ -423,6 +423,9 @@ func TestCostOnlyCollectivesMatchData(t *testing.T) {
 			times := func(costOnly bool) [][]float64 {
 				got := make([][]float64, p)
 				err := NewWorld(p, m, 11).Run(func(c *Comm) {
+					if costOnly {
+						c.World().MarkCostOnly()
+					}
 					in := make([]float64, n*p)
 					for i := range in {
 						in[i] = float64(c.Rank()*100 + i)
@@ -434,9 +437,7 @@ func TestCostOnlyCollectivesMatchData(t *testing.T) {
 							out[i] = sentinel
 						}
 						AllreduceMsg(c, 0, func(a, b int) int { return a })
-						c.SetCostOnly(costOnly)
 						got[c.Rank()] = append(got[c.Rank()], op.run(c, in, out))
-						c.SetCostOnly(false)
 						for i, v := range out {
 							if costOnly && v != sentinel {
 								t.Errorf("p=%d %s: cost-only rank %d wrote %v into out[%d]", p, op.name, c.Rank(), v, i)

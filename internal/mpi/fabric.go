@@ -337,6 +337,18 @@ func classBound(c int) int { return max(minPooledPerClass, maxPooledWords>>c) }
 // NewBufPool returns an empty pool.
 func NewBufPool() *BufPool { return &BufPool{} }
 
+// Len returns how many buffers the pool holds, over all size classes.
+func (p *BufPool) Len() int {
+	n := 0
+	for i := range p.classes {
+		cl := &p.classes[i]
+		cl.mu.Lock()
+		n += len(cl.free)
+		cl.mu.Unlock()
+	}
+	return n
+}
+
 // sizeClass returns the smallest c with n <= 1<<c.
 func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 
@@ -349,16 +361,34 @@ func (p *BufPool) Get(n int) []float64 {
 	if c >= len(p.classes) {
 		return make([]float64, n)
 	}
-	cl := &p.classes[c]
-	cl.mu.Lock()
-	if k := len(cl.free); k > 0 {
-		b := cl.free[k-1]
-		cl.free = cl.free[:k-1]
-		cl.mu.Unlock()
+	if b := p.classes[c].pop(); b != nil {
 		return b[:n]
 	}
-	cl.mu.Unlock()
 	return make([]float64, n, 1<<c)
+}
+
+// getAtLeast is Get from the smallest class at or above n's that holds a
+// buffer, so one buffer serves every smaller request; only when none does
+// is a buffer of n's class made. n must be positive.
+func (p *BufPool) getAtLeast(n int) []float64 {
+	for c := sizeClass(n); c < len(p.classes); c++ {
+		if b := p.classes[c].pop(); b != nil {
+			return b[:n]
+		}
+	}
+	return p.Get(n)
+}
+
+// pop takes a buffer off the class's freelist, nil when it is empty.
+func (cl *bufClass) pop() []float64 {
+	var b []float64
+	cl.mu.Lock()
+	if k := len(cl.free); k > 0 {
+		b = cl.free[k-1]
+		cl.free = cl.free[:k-1]
+	}
+	cl.mu.Unlock()
+	return b
 }
 
 // Put recycles b. The buffer is filed under the largest power-of-two class

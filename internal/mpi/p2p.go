@@ -4,25 +4,11 @@ import (
 	"fmt"
 )
 
-// SetCostOnly sets whether the calling rank's data operations move data.
-// While it is on, they charge the rank exactly the virtual time and noise
-// they would otherwise, and touch no buffer: a collective runs no round, and
-// a Send or Isend posts its message with no payload, which the matching
-// Recv consumes for its arrival time alone. It is the rank's setting, not
-// c's: it applies to every communicator of the rank until turned off.
-// Its preconditions are the caller's to keep. A collective's members
-// enter it with equal clocks, as after an untimed round such as
-// Lane.Allreduce; a member's own clock stands for the maximum the round
-// would have taken. Either every rank of a world sends and receives
-// cost-only or none does, since a data Recv cannot match a message that
-// has no payload.
-func (c *Comm) SetCostOnly(on bool) { c.state.costOnly = on }
-
 // payload captures buf for an in-flight message in a buffer from the world's
 // pool, which the receiver hands back after copying it out (see Recv); a
-// cost-only rank sends none.
+// cost-only world (World.MarkCostOnly) sends none.
 func (c *Comm) payload(buf []float64) []float64 {
-	if c.state.costOnly {
+	if c.w.costOnly {
 		return nil
 	}
 	data := c.w.bufs.Get(len(buf))
@@ -75,12 +61,12 @@ func (c *Comm) Isend(dest, tag int, buf []float64) {
 // the payload buffer to the world's pool, and advances the receiver's clock
 // to the payload arrival time. It returns the sampled local duration (zero if
 // the payload had already arrived in virtual time). Messages from one source
-// under one tag land in the order they were sent. A cost-only rank
-// (SetCostOnly) leaves buf as it is.
+// under one tag land in the order they were sent. On a cost-only world
+// (World.MarkCostOnly) it leaves buf as it is.
 func (c *Comm) Recv(src, tag int, buf []float64) float64 {
 	c.checkPeer(src)
 	msg := c.w.dataFab.match(c, src, tag)
-	if !c.state.costOnly {
+	if !c.w.costOnly {
 		if len(msg.payload) != len(buf) {
 			panic(fmt.Sprintf("mpi: recv length mismatch: posted %d, message %d (src %d tag %d)",
 				len(buf), len(msg.payload), src, tag))

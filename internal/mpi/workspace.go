@@ -24,8 +24,19 @@ package mpi
 // Everything Comm's operations need of a buffer is over when they return:
 // payloads are captured at issue, and rounds complete before any member
 // leaves.
+//
+// On a cost-only world (World.MarkCostOnly), whose ranks read no number,
+// Get ignores the stack and returns a view of the world's one scratch
+// buffer, shared by all of its ranks and not zeroed: every Get aliases every
+// other. That is race-free because the ranks run on one goroutine. The
+// scratch comes from the world's pool — the smallest pooled buffer that is
+// large enough, so a worker's consecutive worlds pass one buffer along — and
+// goes back to it when Run returns with no failure; when a Get outgrows it,
+// the old buffer is dropped, not pooled, since stale views of it may still
+// be written.
 type Workspace struct {
 	pool   *BufPool
+	w      *World // the rank's world; nil outside one (tests)
 	chunks [][]float64
 	cur    int // index of the chunk being carved
 	off    int // words of chunks[cur] handed out
@@ -51,10 +62,17 @@ func (ws *Workspace) Mark() WorkspaceMark { return WorkspaceMark{ws.cur, ws.off}
 func (ws *Workspace) Release(m WorkspaceMark) { ws.cur, ws.off = m.chunk, m.off }
 
 // Get pushes a zeroed buffer of length and capacity n, valid until a mark
-// taken before it is released.
+// taken before it is released. On a cost-only world it returns a view of
+// the world's scratch instead, with unspecified contents.
 func (ws *Workspace) Get(n int) []float64 {
 	if n == 0 {
 		return []float64{}
+	}
+	if w := ws.w; w != nil && w.costOnly {
+		if cap(w.scratch) < n {
+			w.scratch = w.bufs.getAtLeast(n)
+		}
+		return w.scratch[:n:n]
 	}
 	for ; ws.cur < len(ws.chunks); ws.cur, ws.off = ws.cur+1, 0 {
 		if c := ws.chunks[ws.cur]; n <= len(c)-ws.off {

@@ -3,17 +3,9 @@ package mpi
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 )
-
-// pooled counts the buffers p holds, over all size classes.
-func pooled(p *BufPool) int {
-	n := 0
-	for i := range p.classes {
-		n += len(p.classes[i].free)
-	}
-	return n
-}
 
 // dirtyPool returns a pool holding n buffers of words words each, all NaN.
 func dirtyPool(n, words int) *BufPool {
@@ -172,7 +164,7 @@ func TestWorkspaceChunksReturnToPool(t *testing.T) {
 	if err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}
-	if got := pooled(pool); got != 2*ranks {
+	if got := pool.Len(); got != 2*ranks {
 		t.Fatalf("pool holds %d buffers after %d ranks returned with 2 chunks each", got, ranks)
 	}
 	// A second world takes its chunks from the pool and gives them back.
@@ -180,14 +172,14 @@ func TestWorkspaceChunksReturnToPool(t *testing.T) {
 	w.SetBufPool(pool)
 	if err := w.Run(func(c *Comm) {
 		body(c)
-		if c.Rank() == 0 && pooled(pool) != 0 {
-			t.Errorf("pool still holds %d buffers while every rank has its chunks out", pooled(pool))
+		if c.Rank() == 0 && pool.Len() != 0 {
+			t.Errorf("pool still holds %d buffers while every rank has its chunks out", pool.Len())
 		}
 		c.Barrier()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := pooled(pool); got != 2*ranks {
+	if got := pool.Len(); got != 2*ranks {
 		t.Errorf("pool holds %d buffers after the second world, want %d again", got, 2*ranks)
 	}
 	// Every rank of a failed world keeps its chunks from the pool: rank 1
@@ -205,7 +197,131 @@ func TestWorkspaceChunksReturnToPool(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error %v does not wrap the rank's panic", err)
 	}
-	if got := pooled(pool); got != 0 {
+	if got := pool.Len(); got != 0 {
 		t.Errorf("pool holds %d buffers after a failed world: a panicking rank returned its chunks", got)
+	}
+}
+
+// TestCostOnlyWorkspaceIsOneScratch checks a cost-only world's workspace:
+// every rank's Get is an unzeroed view of one buffer all ranks share,
+// clipped to the asked length, and leaves the rank's stack alone; a Get the
+// scratch cannot hold replaces it, dropping the old buffer; Run gives the
+// scratch back to the pool when the world ends normally and keeps it out
+// after a failure, as it does a rank's chunks.
+func TestCostOnlyWorkspaceIsOneScratch(t *testing.T) {
+	const ranks, big = 4, 1 << 14
+	pool := NewBufPool()
+	var first, grown []float64
+	w := NewWorld(ranks, quietMachine(), 1)
+	w.SetBufPool(pool)
+	if err := w.Run(func(c *Comm) {
+		c.World().MarkCostOnly()
+		ws := c.Workspace()
+		mark := ws.Mark()
+		a := ws.Get(100)
+		if len(a) != 100 || cap(a) != 100 {
+			t.Errorf("rank %d: Get(100) has len %d cap %d", c.Rank(), len(a), cap(a))
+		}
+		if b := ws.Get(50); &b[0] != &a[0] {
+			t.Errorf("rank %d: two Gets are not views of one scratch", c.Rank())
+		}
+		if ws.Mark() != mark || len(ws.chunks) != 0 {
+			t.Errorf("rank %d: a cost-only Get moved the stack (%d chunks)", c.Rank(), len(ws.chunks))
+		}
+		switch {
+		case first == nil:
+			first = a
+			a[99] = 7
+		case &a[0] != &first[0] || a[99] != 7:
+			t.Errorf("rank %d: Get is not an unzeroed view of the scratch another rank wrote", c.Rank())
+		}
+		AllreduceMsg(c, 0, func(a, b int) int { return a }) // every rank has taken its views
+		if c.Rank() == ranks-1 {
+			grown = ws.Get(big)
+			if &grown[0] == &first[0] {
+				t.Error("a Get past the scratch's capacity did not replace it")
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Len(); got != 1 {
+		t.Fatalf("pool holds %d buffers after a cost-only world, want its scratch alone", got)
+	}
+	if b := pool.Get(big); &b[0] != &grown[0] {
+		t.Error("the pooled buffer is not the world's last scratch")
+	}
+
+	boom := errors.New("boom")
+	w = NewWorld(ranks, quietMachine(), 1)
+	w.SetBufPool(pool)
+	err := w.Run(func(c *Comm) {
+		c.World().MarkCostOnly()
+		c.Workspace().Get(100)
+		if c.Rank() == 1 {
+			panic(boom)
+		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run error %v does not wrap the rank's panic", err)
+	}
+	if got := pool.Len(); got != 0 {
+		t.Errorf("pool holds %d buffers after a failed cost-only world: its scratch went back", got)
+	}
+}
+
+// TestCostOnlyWorldsShareNoScratch runs two cost-only worlds at once on one
+// pool, which holds one buffer either could take. Each world's ranks write
+// their scratch, and its last rank holds it while the other world's does
+// and writes it again: the two scratches must differ, keep their own
+// contents, and both return to the pool. Under -race a shared scratch is
+// also a data race.
+func TestCostOnlyWorldsShareNoScratch(t *testing.T) {
+	const ranks, n = 2, 512
+	pool := NewBufPool()
+	pool.Put(make([]float64, n))
+	var held [2][]float64
+	ready := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := NewWorld(ranks, quietMachine(), 1)
+			w.SetBufPool(pool)
+			errs[i] = w.Run(func(c *Comm) {
+				c.World().MarkCostOnly()
+				b := c.Workspace().Get(n)
+				for j := range b {
+					b[j] = float64(i)
+				}
+				if c.Rank() != ranks-1 {
+					return
+				}
+				held[i] = b
+				close(ready[i])
+				<-ready[1-i]
+				for j, v := range b {
+					if v != float64(i) {
+						t.Errorf("world %d: scratch word %d is %v, written by the other world", i, j, v)
+						break
+					}
+					b[j] = float64(i)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &held[0][0] == &held[1][0] {
+		t.Error("two worlds running at once share one scratch")
+	}
+	if got := pool.Len(); got != 2 {
+		t.Errorf("pool holds %d buffers after both worlds, want their two scratches", got)
 	}
 }

@@ -84,6 +84,12 @@ type World struct {
 	// aborted marks a failed world and abortE records its first failure.
 	aborted bool
 	abortE  any
+
+	// costOnly marks a world whose data operations charge time and move no
+	// data, and scratch is the one buffer its ranks' workspaces hand out
+	// views of (see MarkCostOnly).
+	costOnly bool
+	scratch  []float64
 }
 
 // rankState is the per-rank private state, confined to the rank's
@@ -94,9 +100,6 @@ type rankState struct {
 	rng       *sim.RNG
 	// yield suspends the rank's coroutine (see wait).
 	yield func(struct{}) bool
-	// costOnly makes the rank's data operations charge time without moving
-	// data (see Comm.SetCostOnly).
-	costOnly bool
 	// splitScratch is the member order this rank sorts in when it is the
 	// last arriver of a Split round (see finishSplit).
 	splitScratch []int
@@ -175,12 +178,35 @@ func (w *World) SetTracer(t obs.Tracer) { w.trace = t }
 // deterministic and volume bounded by the run, not the world size.
 func (w *World) TracerOf() obs.Tracer { return w.trace }
 
+// MarkCostOnly makes the world's data operations charge time and move no
+// data until its Run returns; package critter calls it for every clock
+// profiler (NewClock, NewReference), which never reads a kernel's data.
+// Call it from the ranks' bodies, before their first data operation; any
+// number of ranks may. On a cost-only world:
+//   - a collective charges each member exactly the virtual time and noise it
+//     would otherwise and runs no round, so its members must enter it with
+//     equal clocks, as after an untimed round such as Lane.Allreduce (a
+//     member's own clock stands for the maximum the round would have taken);
+//   - a Send or Isend posts its message with no payload, which the matching
+//     Recv consumes for its arrival time alone, leaving the receive buffer
+//     as it is;
+//   - Workspace.Get hands out views of one scratch buffer shared by every
+//     rank (see Workspace), and the libraries keep no storage of their own.
+func (w *World) MarkCostOnly() { w.costOnly = true }
+
+// CostOnly reports whether the world moves no data (see MarkCostOnly). A
+// library reads it to skip what only data needs: filling inputs, and owning
+// storage that the world's scratch can stand in for.
+func (w *World) CostOnly() bool { return w.costOnly }
+
 // Run executes body once per rank, passing each rank its world communicator,
 // and returns when every rank has finished or the world has failed. The ranks
 // are coroutines that one loop runs in turn, on a goroutine of its own (see
 // loop). Run returns a non-nil error if a rank panicked or exited through
 // runtime.Goexit (a t.Fatal in a rank body), or if the ranks deadlocked; the
-// ranks still suspended then unwind via ErrAborted panics.
+// ranks still suspended then unwind via ErrAborted panics. A cost-only
+// world's scratch goes back to the pool when Run returns nil; after a
+// failure it stays out of it, as the ranks' workspace chunks do.
 // A World must not be reused after Run returns.
 func (w *World) Run(body func(c *Comm)) error {
 	done := make(chan struct{})
@@ -190,6 +216,8 @@ func (w *World) Run(body func(c *Comm)) error {
 	}()
 	<-done
 	if !w.aborted {
+		w.bufs.Put(w.scratch)
+		w.scratch = nil
 		return nil
 	}
 	if err, ok := w.abortE.(error); ok {
@@ -249,7 +277,7 @@ func (w *World) rank(r int, body func(c *Comm)) iter.Seq[struct{}] {
 				w.abort(fmt.Errorf("rank %d exited abnormally", r))
 			}
 		}()
-		s.ws.pool = w.bufs
+		s.ws.pool, s.ws.w = w.bufs, w
 		body(w.worldComm(r))
 		completed = true
 		s.ws.drain()

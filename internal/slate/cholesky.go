@@ -51,10 +51,18 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	// cache maps through a local freelist, once their panel's updates
 	// complete; tiles aliasing the matrix's own storage are never pooled.
 	// At most lookahead+1 panels are live, so the steady state allocates
-	// nothing.
+	// nothing. On a cost-only world a received tile is a view of the
+	// world's scratch, like the matrix's own, and panelRecv, which lists
+	// each panel's received tiles to recycle, stays nil.
 	bufs := cc.Raw().World().BufPoolOf()
+	recvBuf := bufs.Get
+	var panelRecv map[int][][]float64
+	if cc.Raw().World().CostOnly() {
+		recvBuf = cc.Raw().Workspace().Get
+	} else {
+		panelRecv = make(map[int][][]float64)
+	}
 	var cachePool []map[int][]float64
-	panelRecv := make(map[int][][]float64)
 	newCache := func() map[int][]float64 {
 		if n := len(cachePool); n > 0 {
 			m := cachePool[n-1]
@@ -89,15 +97,12 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 		}
 		// L(k,k) goes to owners of tiles (i,k), i>k (the trsm workers).
 		clear(need)
-		for i := k + 1; i < nt; i++ {
-			if o := a.Owner(i, k); o != diagOwner {
-				need[o] = true
-			}
-		}
+		a.markCol(need, k, k+1, nt)
+		need[diagOwner] = false
 		var lkk []float64
-		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, bufs.Get); got != nil {
+		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, recvBuf); got != nil {
 			lkk = got
-			if me != diagOwner {
+			if me != diagOwner && panelRecv != nil {
 				panelRecv[k] = append(panelRecv[k], got)
 			}
 		}
@@ -107,10 +112,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			cache[k] = lkk
 		}
 		// trsm: L(i,k) = A(i,k) * L(k,k)^-T for local tiles below.
-		for i := k + 1; i < nt; i++ {
-			if !a.Mine(i, k) {
-				continue
-			}
+		for i := a.mineInCol(k, k+1); i < nt; i += a.G.PR {
 			p.Trsm(blas.Right, blas.Lower, true, blas.NonUnit, nb, nb, 1, cache[k], nb, a.Tile(i, k), nb)
 		}
 		// Broadcast each L(i,k) to the ranks holding trailing tiles that
@@ -119,20 +121,13 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 		for i := k + 1; i < nt; i++ {
 			owner := a.Owner(i, k)
 			clear(need)
-			for j := k + 1; j <= i; j++ {
-				if o := a.Owner(i, j); o != owner {
-					need[o] = true
-				}
-			}
-			for i2 := i; i2 < nt; i2++ {
-				if o := a.Owner(i2, i); o != owner {
-					need[o] = true
-				}
-			}
-			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, bufs.Get)
+			a.markRow(need, i, k+1, i+1)
+			a.markCol(need, i, i, nt)
+			need[owner] = false
+			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, recvBuf)
 			if got != nil {
 				cache[i] = got
-				if me != owner {
+				if me != owner && panelRecv != nil {
 					panelRecv[k] = append(panelRecv[k], got)
 				}
 			}
@@ -143,10 +138,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	// trailing matrix: A(i,j) -= L(i,k) L(j,k)^T (syrk on the diagonal).
 	updateColumn := func(j, k int) {
 		cache := panelTiles[k]
-		for i := j; i < nt; i++ {
-			if !a.Mine(i, j) {
-				continue
-			}
+		for i := a.mineInCol(j, j); i < nt; i += a.G.PR {
 			lik, ljk := cache[i], cache[j]
 			if lik == nil || ljk == nil {
 				panic(fmt.Sprintf("slate: rank %d missing panel tiles for update (%d,%d) from panel %d", me, i, j, k))

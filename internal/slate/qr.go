@@ -76,11 +76,8 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			p.Geqrt(nb, nb, ib, vkk, nb, tkk, ib, tau)
 		}
 		clear(need)
-		for j := k + 1; j < nt; j++ {
-			if o := a.Owner(k, j); o != diagOwner {
-				need[o] = true
-			}
-		}
+		a.markRow(need, k, k+1, nt)
+		need[diagOwner] = false
 		var send []float64
 		if me == diagOwner {
 			send = stack(vkk, tkk)
@@ -89,10 +86,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			vkk, tkk = got[:nb*nb], got[nb*nb:]
 		}
 		// Apply Q_kk^T to the rest of tile row k.
-		for j := k + 1; j < nt; j++ {
-			if !a.Mine(k, j) {
-				continue
-			}
+		for j := a.mineInRow(k, k+1); j < nt; j += a.G.PC {
 			p.Gemqrt(true, nb, nb, nb, ib, vkk, nb, tkk, ib, a.Tile(k, j), nb)
 		}
 
@@ -128,11 +122,8 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				p.Tpqrt(nb, nb, ib, r, nb, vik, nb, tik, ib)
 			}
 			clear(need)
-			for j := k + 1; j < nt; j++ {
-				if ow := a.Owner(i, j); ow != o {
-					need[ow] = true
-				}
-			}
+			a.markRow(need, i, k+1, nt)
+			need[o] = false
 			var vsend []float64
 			if me == o {
 				vsend = stack(vik, tik)

@@ -18,6 +18,12 @@ import (
 // TileMatrix stores the locally owned nb-by-nb tiles of an (mt*nb)x(nt*nb)
 // matrix distributed block-cyclically: tile (I, J) lives on grid rank
 // (I mod pr, J mod pc). Tiles are column-major.
+//
+// On a cost-only world (mpi.World.MarkCostOnly: a clock profiler's, whose
+// kernels read no number) the matrix holds no numbers: it allocates no
+// tile, Tile returns a view of the world's scratch (mpi.Workspace.Get), and
+// the fills do nothing. Ownership, and so every rank's control flow and send
+// order, is the same as on any other world.
 type TileMatrix struct {
 	G      *grid.Grid2D
 	NB     int
@@ -28,32 +34,41 @@ type TileMatrix struct {
 	// global MT·NT. A dense slice, not a map: tile lookups sit in the
 	// factorizations' innermost loops. Slot order is the owned tiles'
 	// row-major global order, so Release hands them back in that order.
-	tiles [][]float64
-	lnt   int
-	// pool supplies tile storage (the world's buffer pool). Pooled tiles
-	// have unspecified initial contents, which is sound because every tile
-	// the factorizations touch is fully overwritten by a Fill* call before
-	// its first read; Release returns the storage when the matrix is done.
+	// The index itself is nil on a cost-only world, and only there.
+	//
+	// pool, the world's buffer pool, supplies tile storage. Pooled tiles have
+	// unspecified initial contents, which is sound because every tile the
+	// factorizations touch is fully overwritten by a Fill* call before its
+	// first read; Release returns the storage when the matrix is done.
 	// Message payloads are captured at issue time (mpi.Isend), so no
 	// in-flight message ever aliases tile storage.
-	pool *mpi.BufPool
+	tiles [][]float64
+	lnt   int
+	pool  *mpi.BufPool
 }
 
 // NewTileMatrix creates an empty tile matrix of mt-by-nt tiles. Tile
 // storage draws from the world's buffer pool; call Release when the matrix
 // (and any aliases of its tiles) is dead.
 func NewTileMatrix(g *grid.Grid2D, mt, nt, nb int) *TileMatrix {
-	lmt, lnt := (mt+g.PR-1)/g.PR, (nt+g.PC-1)/g.PC
-	return &TileMatrix{
-		G: g, NB: nb, MT: mt, NT: nt,
-		tiles: make([][]float64, lmt*lnt),
-		lnt:   lnt,
-		pool:  g.All.Raw().World().BufPoolOf(),
+	w := g.All.Raw().World()
+	t := &TileMatrix{G: g, NB: nb, MT: mt, NT: nt, lnt: (nt + g.PC - 1) / g.PC, pool: w.BufPoolOf()}
+	if !w.CostOnly() {
+		t.tiles = make([][]float64, (mt+g.PR-1)/g.PR*t.lnt)
 	}
+	return t
 }
 
 // slot returns the index of owned tile (i, j) in t.tiles.
 func (t *TileMatrix) slot(i, j int) int { return (i/t.G.PR)*t.lnt + j/t.G.PC }
+
+// stored returns owned tile (i, j)'s storage, nil if it has none.
+func (t *TileMatrix) stored(i, j int) []float64 {
+	if t.tiles == nil {
+		return nil
+	}
+	return t.tiles[t.slot(i, j)]
+}
 
 // Release recycles every tile's storage back to the buffer pool and empties
 // the matrix. The caller asserts no live references to any tile remain.
@@ -72,13 +87,66 @@ func (t *TileMatrix) Owner(i, j int) int {
 }
 
 // Mine reports whether the calling rank owns tile (i, j).
-func (t *TileMatrix) Mine(i, j int) bool { return t.Owner(i, j) == t.G.All.Rank() }
+func (t *TileMatrix) Mine(i, j int) bool { return i%t.G.PR == t.G.MyRow && j%t.G.PC == t.G.MyCol }
+
+// firstMine returns the first index at or after i0 that is congruent to
+// mine modulo p: the first tile row (or column) of a range that the calling
+// rank's grid row (or column) holds; the next ones follow every p.
+func firstMine(i0, mine, p int) int { return i0 + ((mine-i0)%p+p)%p }
+
+// mineInCol returns the first tile row i >= i0 with tile (i, j) local, the
+// rest following every PR rows; it is MaxInt when the calling rank owns no
+// tile of column j.
+func (t *TileMatrix) mineInCol(j, i0 int) int {
+	if j%t.G.PC != t.G.MyCol {
+		return math.MaxInt
+	}
+	return firstMine(i0, t.G.MyRow, t.G.PR)
+}
+
+// mineInRow is mineInCol along tile row i: the first local column j >= j0,
+// the rest following every PC columns.
+func (t *TileMatrix) mineInRow(i, j0 int) int {
+	if i%t.G.PR != t.G.MyRow {
+		return math.MaxInt
+	}
+	return firstMine(j0, t.G.MyCol, t.G.PC)
+}
+
+// markRow marks in need the owners of tiles (i, j), j in [j0, j1): the grid
+// row i mod PR spans at most PC of them, one per process column, so PC
+// consecutive columns name them all.
+func (t *TileMatrix) markRow(need []bool, i, j0, j1 int) {
+	row, c := t.Owner(i, 0), j0%t.G.PC
+	for range min(j1-j0, t.G.PC) {
+		need[row+c] = true
+		if c++; c == t.G.PC {
+			c = 0
+		}
+	}
+}
+
+// markCol marks in need the owners of tiles (i, j), i in [i0, i1), at most
+// PR of them, one per process row.
+func (t *TileMatrix) markCol(need []bool, j, i0, i1 int) {
+	r, c := i0%t.G.PR, j%t.G.PC
+	for range min(i1-i0, t.G.PR) {
+		need[t.G.RankOf(r, c)] = true
+		if r++; r == t.G.PR {
+			r = 0
+		}
+	}
+}
 
 // Tile returns (allocating if needed) the local tile (i, j); it panics if
-// the tile is not local.
+// the tile is not local. On a cost-only world it returns a view of the
+// world's scratch.
 func (t *TileMatrix) Tile(i, j int) []float64 {
 	if !t.Mine(i, j) {
 		panic(fmt.Sprintf("slate: tile (%d,%d) not owned by rank %d", i, j, t.G.All.Rank()))
+	}
+	if t.tiles == nil {
+		return t.G.All.Raw().Workspace().Get(t.NB * t.NB)
 	}
 	ix := t.slot(i, j)
 	tl := t.tiles[ix]
@@ -92,8 +160,12 @@ func (t *TileMatrix) Tile(i, j int) []float64 {
 // FillSymmetricPD fills the lower tiles (i >= j) with the deterministic
 // symmetric positive definite test matrix
 // A[i][j] = 1/(1+|i-j|) + boost*delta_ij, which is strictly diagonally
-// dominant and locally computable on every rank.
+// dominant and locally computable on every rank. It does nothing on a
+// cost-only world.
 func (t *TileMatrix) FillSymmetricPD() {
+	if t.tiles == nil {
+		return
+	}
 	n := t.NT * t.NB
 	boost := 4 + 2*math.Log(float64(n))
 	for i := 0; i < t.MT; i++ {
@@ -126,7 +198,11 @@ func spdEntry(i, j int, boost float64) float64 {
 }
 
 // FillGeneral fills all local tiles with a deterministic dense test matrix.
+// It does nothing on a cost-only world.
 func (t *TileMatrix) FillGeneral(seed uint64) {
+	if t.tiles == nil {
+		return
+	}
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
 			if !t.Mine(i, j) {
@@ -173,11 +249,11 @@ func (t *TileMatrix) GatherDense(root int) []float64 {
 			tag := 1<<20 + i*t.NT + j
 			switch {
 			case owner == root && me == root:
-				if tl := t.tiles[t.slot(i, j)]; tl != nil {
+				if tl := t.stored(i, j); tl != nil {
 					copyTileIntoDense(full, m, tl, i, j, t.NB)
 				}
 			case me == owner:
-				tl := t.tiles[t.slot(i, j)]
+				tl := t.stored(i, j)
 				if tl == nil {
 					tl = buf
 					for k := range tl {

@@ -2,6 +2,7 @@ package slate
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"critter/internal/blas"
@@ -272,4 +273,121 @@ func TestTileMatrixOwnership(t *testing.T) {
 			t.Errorf("expected 4 distinct owners, got %d", len(owners))
 		}
 	})
+}
+
+// TestOwnersEnumeratedMatchScan holds the enumerations the factorizations
+// loop over — a rank's local tiles down a column or along a row from any
+// start, and the owners of a row or column range — to a scan of Mine and
+// Owner over every tile of the range, on a 3x2 grid with 7x5 tiles.
+func TestOwnersEnumeratedMatchScan(t *testing.T) {
+	const pr, pc, mt, nt = 3, 2, 7, 5
+	runGrid(t, pr, pc, 0, critter.Conditional, func(p *critter.Profiler, g *grid.Grid2D) {
+		a := NewTileMatrix(g, mt, nt, 2)
+		me := g.All.Rank()
+		equal := func(x, y []bool) bool {
+			for r := range x {
+				if x[r] != y[r] {
+					return false
+				}
+			}
+			return true
+		}
+		for j := range nt {
+			for i0 := range mt + 1 {
+				var got, want []int
+				for i := a.mineInCol(j, i0); i < mt; i += pr {
+					got = append(got, i)
+				}
+				for i := i0; i < mt; i++ {
+					if a.Mine(i, j) {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("rank %d: local rows of column %d from %d are %v, want %v", me, j, i0, got, want)
+				}
+				for i1 := i0; i1 <= mt; i1++ {
+					got, want := make([]bool, pr*pc), make([]bool, pr*pc)
+					a.markCol(got, j, i0, i1)
+					for i := i0; i < i1; i++ {
+						want[a.Owner(i, j)] = true
+					}
+					if !equal(got, want) {
+						t.Errorf("rank %d: owners of column %d rows [%d, %d) are %v, want %v", me, j, i0, i1, got, want)
+					}
+				}
+			}
+		}
+		for i := range mt {
+			for j0 := range nt + 1 {
+				var got, want []int
+				for j := a.mineInRow(i, j0); j < nt; j += pc {
+					got = append(got, j)
+				}
+				for j := j0; j < nt; j++ {
+					if a.Mine(i, j) {
+						want = append(want, j)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("rank %d: local columns of row %d from %d are %v, want %v", me, i, j0, got, want)
+				}
+				for j1 := j0; j1 <= nt; j1++ {
+					got, want := make([]bool, pr*pc), make([]bool, pr*pc)
+					a.markRow(got, i, j0, j1)
+					for j := j0; j < j1; j++ {
+						want[a.Owner(i, j)] = true
+					}
+					if !equal(got, want) {
+						t.Errorf("rank %d: owners of row %d columns [%d, %d) are %v, want %v", me, i, j0, j1, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestCostOnlyTileMatrixHoldsNoTiles builds a matrix on a clock's world,
+// which is cost-only: it keeps no tile index, the fills write nothing, every
+// local tile is a view of the world's scratch, and a tile the rank does not
+// own still panics.
+func TestCostOnlyTileMatrixHoldsNoTiles(t *testing.T) {
+	const pr, pc, mt, nt, nb = 3, 2, 7, 5, 4
+	w := mpi.NewWorld(pr*pc, sim.DefaultMachine(), 11)
+	if err := w.Run(func(c *mpi.Comm) {
+		_, cc := critter.NewClock(c, critter.Options{Policy: critter.Conditional})
+		g := grid.New2D(cc, pr, pc)
+		me := g.All.Rank()
+		a := NewTileMatrix(g, mt, nt, nb)
+		if a.tiles != nil {
+			t.Errorf("rank %d: a cost-only matrix holds a %d-slot index", me, len(a.tiles))
+		}
+		scratch := c.Workspace().Get(nb * nb)
+		for k := range scratch {
+			scratch[k] = -1
+		}
+		a.FillGeneral(3)
+		a.FillSymmetricPD()
+		for i := g.MyRow; i < mt; i += pr {
+			for j := g.MyCol; j < nt; j += pc {
+				tl := a.Tile(i, j)
+				if len(tl) != nb*nb || &tl[0] != &scratch[0] {
+					t.Errorf("rank %d: tile (%d,%d) is not a view of the world's scratch", me, i, j)
+				}
+				if tl[0] != -1 {
+					t.Errorf("rank %d: a fill wrote %v into the scratch", me, tl[0])
+				}
+			}
+		}
+		a.Release()
+		i, j := (g.MyRow+1)%pr, (g.MyCol+1)%pc
+		defer func() {
+			if recover() == nil {
+				t.Errorf("rank %d: Tile(%d,%d) of rank %d did not panic", me, i, j, a.Owner(i, j))
+			}
+		}()
+		a.Tile(i, j)
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
