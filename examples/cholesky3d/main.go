@@ -26,6 +26,7 @@ func main() {
 
 	// --- Part 1: one factorization with full execution, verified. ---
 	cfg := capital.Config{N: 128, B: 16, BB: 2, Strategy: 2, C: 4}
+	var residual float64
 	world := critter.NewWorld(64, machine, 11)
 	err := world.Run(func(c *critter.RawComm) {
 		prof, comm := critter.NewProfiler(c, critter.Options{Policy: critter.Conditional, Eps: 0})
@@ -47,13 +48,17 @@ func main() {
 			num += d * d
 			den += a[i] * a[i]
 		}
+		residual = math.Sqrt(num / den)
 		fmt.Printf("factorized %dx%d on a %d^3 grid: ||A-LL^T||/||A|| = %.2e\n",
-			n, n, cfg.C, math.Sqrt(num/den))
+			n, n, cfg.C, residual)
 		fmt.Printf("virtual execution time %.5fs; BSP costs: %.3g words, %.0f supersteps, %.3g flops\n",
 			rep.Wall, rep.BSPCommCrit, rep.BSPSyncCrit, rep.BSPCompCrit)
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if !(residual <= 1e-12) {
+		log.Fatalf("residual %.2e exceeds 1e-12: the factorization is wrong", residual)
 	}
 
 	// --- Part 2: autotune all 15 configurations with eager propagation,

@@ -28,6 +28,7 @@ func main() {
 			PR: 8, PC: 8,
 			Panel: panel,
 		}
+		var residual float64
 		world := critter.NewWorld(64, machine, 23)
 		err := world.Run(func(c *critter.RawComm) {
 			prof, comm := critter.NewProfiler(c, critter.Options{Policy: critter.Conditional, Eps: 0})
@@ -57,12 +58,16 @@ func main() {
 				num += d * d
 				den += ata[i] * ata[i]
 			}
+			residual = math.Sqrt(num / den)
 			fmt.Printf("%-8s panel: %dx%d b=%d on %dx%d grid: ||A^TA-R^TR||/||A^TA|| = %.2e, exec %.5fs, %d kernel signatures\n",
 				cfg.Panel, m, n, cfg.B, cfg.PR, cfg.PC,
-				math.Sqrt(num/den), rep.Wall, prof.KernelCount())
+				residual, rep.Wall, prof.KernelCount())
 		})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if !(residual <= 1e-12) {
+			log.Fatalf("%s panel: residual %.2e exceeds 1e-12: the factorization is wrong", cfg.Panel, residual)
 		}
 	}
 

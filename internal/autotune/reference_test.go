@@ -674,3 +674,41 @@ func TestSelectiveMatchesArithmeticTwin(t *testing.T) {
 		})
 	}
 }
+
+// TestTunerRunsNoKernelBody pins what lets the numerics core be a
+// correctness path: every run a Tuner makes (references, a-priori offline
+// passes and selective runs, with Extrapolate on) is a clock, so under every
+// policy the sweeps execute kernels, in the model's sense, and never call a
+// kernel's body.
+func TestTunerRunsNoKernelBody(t *testing.T) {
+	var bodies atomic.Int64
+	count := func() { bodies.Add(1) }
+	st := Study{
+		Name:      "body-count",
+		Space:     flatSpace(3),
+		WorldSize: 2,
+		Policies:  []critter.Policy{critter.Conditional, critter.Local, critter.Online, critter.APriori, critter.Eager},
+		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
+			n := 8 << v
+			buf := []float64{1}
+			for range 8 {
+				p.Kernel("work", n, 0, 0, 0, float64(n*n*n), count)
+				cc.Allreduce(buf, buf, mpi.OpSum)
+			}
+		},
+	}
+	res, err := Tuner{Study: st, EpsList: []float64{0.5, 0.125}, Machine: quickMachine(), Seed: 42, Extrapolate: true}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Sweeps {
+		for _, sw := range row {
+			if sw.Executed == 0 {
+				t.Errorf("%s eps %g: the sweep executed no kernel, so it shows nothing", sw.Policy, sw.Eps)
+			}
+		}
+	}
+	if n := bodies.Load(); n != 0 {
+		t.Errorf("the tuner called a kernel body %d times, want none", n)
+	}
+}

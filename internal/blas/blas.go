@@ -6,21 +6,12 @@
 // LAPACK conventions: element (i, j) of an m-by-n matrix stored in a with
 // leading dimension lda >= m lives at a[i+j*lda].
 //
-// The level-3 routines are what a sweep spends its real time in, so they
-// all run on one pair of register-blocked pure-Go micro-kernels (gemm.go):
-//
-//   - gemmN, the N-form axpy kernel, for op(A) = A: 4 columns of C by 2
-//     steps of k per pass over unit-stride column slices cut to a common
-//     length, so the inner loop carries no bounds check;
-//   - gemmT, the T-form dot kernel, for op(A) = A^T: a 2-by-4 tile of C in
-//     eight independent accumulators;
-//   - scalar edge loops for the remainders of both.
-//
-// Dgemm dispatches to them directly, Dsyrk as a triangle of gemm blocks,
-// and Dtrsm/Dtrmm by splitting the stored triangle in halves joined by a
-// gemm, down to scalar loops on blocks of order 8 (tri.go). No level-3
-// routine allocates, packs or copies an operand; the only scratch is a
-// fixed 8-by-8 tile on the stack.
+// Every routine is one plain loop nest: a kernel body runs only under a
+// profiler that executes it (critter.New: the examples, the libraries'
+// residual tests, the arithmetic twins of the clock tests). Sweeps run on
+// clocks, which charge a kernel's modelled time and never call its body,
+// so how fast these loops are moves no timed result. No level-3 routine
+// allocates, packs or copies an operand.
 //
 // Garbage-input contract: the libraries run these routines on buffers that
 // skipped kernels left undefined, so for operands of any content (NaN,
@@ -29,7 +20,7 @@
 // window (or triangle) it is given. beta == 0 and alpha == 0 assign rather
 // than scale, so C need not be defined on input. Timings of experiments
 // come from the virtual machine model (package sim), never from these
-// loops: making them faster changes how long a sweep takes, not its result.
+// loops.
 package blas
 
 import (

@@ -9,10 +9,10 @@ import (
 )
 
 // The differential suite: every level-3 routine against the naive oracle of
-// ref_test.go, over shapes that straddle each micro-kernel's block edges.
+// ref_test.go, over shapes from empty to past the tile orders the studies
+// run.
 
-// diffSizes covers empty, below, at and just past the 2-, 4- and 8-wide
-// blocks of the kernels, and the tile orders the studies run.
+// diffSizes covers empty, small, and the tile orders the studies run.
 var diffSizes = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65}
 
 var (

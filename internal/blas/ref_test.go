@@ -1,8 +1,8 @@
 package blas
 
-// The reference oracle of the differential suite: the plain triple loops
-// this package ran on before its micro-kernels, kept one element and one
-// accumulator at a time so that they stay obviously right. They share no
+// The reference oracle of the differential suite: plain triple loops, kept
+// one element and one accumulator at a time so that they stay obviously
+// right. They share no
 // code with the routines they check. With beta == 0 they assign, as
 // reference BLAS does.
 

@@ -123,11 +123,15 @@ func TestHouseholderReconstruction(t *testing.T) {
 	for i := range a {
 		a[i] = 2*r.Float64() - 1
 	}
-	tau := make([]float64, b)
+	tau, tf := make([]float64, b), make([]float64, b*b)
 	qr := append([]float64(nil), a...)
-	lapack.Dgeqr2(m, b, qr, m, tau)
+	lapack.Dgeqrt(m, b, b, qr, m, tf, b, tau)
+	// Q1 = Q [I; 0].
 	q1 := make([]float64, m*b)
-	lapack.Dorgqr(m, b, qr, m, tau, q1, m)
+	for i := 0; i < b; i++ {
+		q1[i+i*m] = 1
+	}
+	lapack.Dgemqrt(false, m, b, b, b, qr, m, tf, b, q1, m)
 	// Negate (the reconstruction-robust sign choice).
 	for i := range q1 {
 		q1[i] = -q1[i]

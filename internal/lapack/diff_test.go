@@ -9,10 +9,10 @@ import (
 	"critter/internal/sim"
 )
 
-// The differential suite: every routine recast onto the level-3 core
-// against the hand-written loops of ref_test.go, over sizes that straddle
-// the panel width of the blocked factorizations, the block edges of the
-// blas micro-kernels and the column groups of the reflector workspace.
+// The differential suite: every routine against the hand-written loops of
+// ref_test.go, over sizes from empty to a few tile orders, the reflector
+// block widths of the QR family and the column groups of the reflector
+// workspace.
 
 var (
 	diffSizes  = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 63, 64, 65}

@@ -140,6 +140,52 @@ func TestDgetrfNoPiv(t *testing.T) {
 	}
 }
 
+// Dorm2r applies Q (trans=false) or Q^T (trans=true) from the left to the
+// m-by-n matrix c, where Q is defined by the k reflectors of a Dgeqr2/Dgeqrf
+// factorization stored in a (m-by-k) and tau.
+func Dorm2r(trans bool, m, n, k int, a []float64, lda int, tau []float64, c []float64, ldc int) {
+	if trans {
+		for i := 0; i < k; i++ {
+			applyReflectorToC(m, n, i, a, lda, tau[i], c, ldc)
+		}
+		return
+	}
+	for i := k - 1; i >= 0; i-- {
+		applyReflectorToC(m, n, i, a, lda, tau[i], c, ldc)
+	}
+}
+
+// applyReflectorToC applies reflector i of a Dgeqr2 factorization to the
+// m-by-n matrix c.
+func applyReflectorToC(m, n, i int, a []float64, lda int, tau float64, c []float64, ldc int) {
+	if tau == 0 {
+		return
+	}
+	for j := 0; j < n; j++ {
+		w := c[i+j*ldc]
+		for r := i + 1; r < m; r++ {
+			w += a[r+i*lda] * c[r+j*ldc]
+		}
+		w *= tau
+		c[i+j*ldc] -= w
+		for r := i + 1; r < m; r++ {
+			c[r+j*ldc] -= a[r+i*lda] * w
+		}
+	}
+}
+
+// Dorgqr forms the first k columns of Q explicitly into q (m-by-k) from a
+// Dgeqr2/Dgeqrf factorization in a and tau.
+func Dorgqr(m, k int, a []float64, lda int, tau []float64, q []float64, ldq int) {
+	for j := 0; j < k; j++ {
+		for i := 0; i < m; i++ {
+			q[i+j*ldq] = 0
+		}
+		q[j+j*ldq] = 1
+	}
+	Dorm2r(false, m, k, k, a, lda, tau, q, ldq)
+}
+
 // qrResidual factors a copy of A and returns (||A-QR||/||A||, ||Q^TQ-I||).
 func qrResidual(t *testing.T, m, n, nb int, a []float64) (float64, float64) {
 	t.Helper()

@@ -72,25 +72,10 @@ func Dlarft(m, k int, v []float64, ldv int, tau []float64, t []float64, ldt int)
 				ti[j] = v[i+j*ldv]
 			}
 			blas.Dgemm(true, false, i, 1, m-i-1, 1, v[i+1:], ldv, v[i+1+i*ldv:], ldv, 1, ti, ldt)
-			finishTColumn(i, tau[i], t, ldt)
+			// Then T[0:i, i] = -tau_i * T[0:i, 0:i] * ti.
+			blas.Dtrmm(blas.Left, blas.Upper, false, blas.NonUnit, i, 1, -tau[i], t, ldt, ti, ldt)
 		}
 		t[i+i*ldt] = tau[i]
-	}
-}
-
-// finishTColumn turns column i of T from V[:, 0:i]^T * v_i into its final
-// value -tau * T[0:i, 0:i] * (that product), in place. Row j of the product
-// reads rows j..i-1, so ascending order overwrites each after its last use.
-// This is i*i/2 multiply-adds beside the m*i of the product before it; a
-// one-column Dtrmm was slower at every block width the studies use.
-func finishTColumn(i int, tau float64, t []float64, ldt int) {
-	ti := t[i*ldt : i*ldt+i]
-	for j := range ti {
-		s := 0.0
-		for r := j; r < i; r++ {
-			s += t[j+r*ldt] * ti[r]
-		}
-		ti[j] = -tau * s
 	}
 }
 
@@ -163,50 +148,6 @@ func Dgeqrf(m, n, nb int, a []float64, lda int, tau []float64) {
 			Dlarfb(true, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda)
 		}
 	}
-}
-
-// Dorm2r applies Q (trans=false) or Q^T (trans=true) from the left to the
-// m-by-n matrix c, where Q is defined by the k reflectors of a Dgeqr2/Dgeqrf
-// factorization stored in a (m-by-k) and tau.
-func Dorm2r(trans bool, m, n, k int, a []float64, lda int, tau []float64, c []float64, ldc int) {
-	if trans {
-		for i := 0; i < k; i++ {
-			applyReflectorToC(m, n, i, a, lda, tau[i], c, ldc)
-		}
-		return
-	}
-	for i := k - 1; i >= 0; i-- {
-		applyReflectorToC(m, n, i, a, lda, tau[i], c, ldc)
-	}
-}
-
-func applyReflectorToC(m, n, i int, a []float64, lda int, tau float64, c []float64, ldc int) {
-	if tau == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		w := c[i+j*ldc]
-		for r := i + 1; r < m; r++ {
-			w += a[r+i*lda] * c[r+j*ldc]
-		}
-		w *= tau
-		c[i+j*ldc] -= w
-		for r := i + 1; r < m; r++ {
-			c[r+j*ldc] -= a[r+i*lda] * w
-		}
-	}
-}
-
-// Dorgqr forms the first k columns of Q explicitly into q (m-by-k) from a
-// Dgeqr2/Dgeqrf factorization in a and tau.
-func Dorgqr(m, k int, a []float64, lda int, tau []float64, q []float64, ldq int) {
-	for j := 0; j < k; j++ {
-		for i := 0; i < m; i++ {
-			q[i+j*ldq] = 0
-		}
-		q[j+j*ldq] = 1
-	}
-	Dorm2r(false, m, k, k, a, lda, tau, q, ldq)
 }
 
 // Dgeqrt computes a blocked QR factorization of the m-by-n tile a with inner

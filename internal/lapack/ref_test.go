@@ -2,9 +2,8 @@ package lapack
 
 import "math"
 
-// The reference oracle of the differential suite: the hand-written,
-// single-accumulator loops these routines were before they were recast
-// onto the level-3 routines of package blas. They call nothing in blas.
+// The reference oracle of the differential suite: hand-written,
+// single-accumulator loops that call nothing in blas.
 
 // refPotrf is the unblocked left-looking Cholesky factorization.
 func refPotrf(n int, a []float64, lda int) error {

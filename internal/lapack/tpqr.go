@@ -35,7 +35,7 @@ func Dtpqrt2(m, n int, a []float64, lda int, b []float64, ldb int, t []float64, 
 	for j := 1; j < n; j++ {
 		tj := t[j*ldt : j*ldt+j]
 		blas.Dgemm(true, false, j, 1, m, 1, b, ldb, b[j*ldb:], ldb, 0, tj, ldt)
-		finishTColumn(j, t[j+j*ldt], t, ldt)
+		blas.Dtrmm(blas.Left, blas.Upper, false, blas.NonUnit, j, 1, -t[j+j*ldt], t, ldt, tj, ldt)
 	}
 }
 
