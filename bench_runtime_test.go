@@ -60,43 +60,24 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 5 976 allocs/op and 668 576-668 649 B/op over 18 runs at -cpu 1,
-		// 2 and 4, idle and loaded. A world's ranks run on one goroutine, so
-		// the count no longer moves with the scheduler; four allocations and
-		// 7 358 B of headroom (the widest spread of bytes the two sweep
-		// benchmarks read while their ranks were goroutines) stay. While a
-		// clock's world held numbers — a tile index and tiles per matrix,
-		// received panels recycled through the pool — it read 7 674 and
-		// 859 832-859 911 B. With a goroutine per rank it read 8 018-8 023
-		// and 932 546-939 041 B: the
-		// coroutines' state (iter.Pull) costs about 57 allocations a sweep,
-		// and the condition variables, round shards and abort registrations
-		// every fabric of every world made, about 400. While the reference
-		// profiler drew an arena from the memo and retired it, 8 354-8 358
-		// and 1 024 587-1 031 179 B. An allocation per configuration (20 a
-		// sweep) or per adopt is well past either, and so
-		// is a reference profiler that interns its signatures (9 700-9 708
-		// and 1 201 668-1 205 257 B with that and a private intern cache per
-		// rank) or archives what nobody exports, a *Request per Isend
-		// (13 653-13 660 and 1 400 910-1 407 005 B with that, a per-member
-		// Split group and two Split rounds per profiled split), or a
-		// recipient scratch per factorization. With a fresh round per
-		// untimed hand-off and per Dup it read 9 839-9 847 and 1 216 449-
-		// 1 220 512 B; with every rank planning the sweep and growing its
-		// own ConfigResults, 8 366-8 368 and 1 071 126-1 077 892 B. Each
+		// 3 584-3 585 allocs/op and 543 585-544 226 B/op over 21 runs at
+		// -cpu 1, 2 and 4, idle and loaded, with 20 iterations and with
+		// testing.Benchmark's own count; four allocations and 7 358 B of
+		// headroom stay (the widest spread of bytes the two sweep benchmarks
+		// read while their ranks were goroutines). Before a grid's Release
+		// handed its fibers to the next configuration's splits and a world
+		// its mailbox arrays to the next world, it read 5 976 and
+		// 668 576-668 649 B. An allocation per configuration (20 a sweep),
+		// per adopt or per split handle is well past either. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 5980, 676007},
-		// 8 447 allocs/op and 832 872-832 986 B/op over 18 runs, the same
-		// way (10 937 and 1 064 928-1 064 947 B while a clock's world held
-		// numbers; 11 285-11 292 and 1 148 626-1 149 138 B with a goroutine
-		// per rank; 11 618-11 627 and 1 238 724-1 240 373 B while the
-		// reference drew an arena; 11 633-11 637 and 1 286 233-1 288 080 B
-		// with every rank planning; 13 275-13 287 and 1 412 429-1 418 990 B
-		// with the interning reference). Rekeying the offline pass's global path table
-		// into a Key map per configuration and rank, as GlobalPathFreqs does,
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 3589, 551584},
+		// 4 775 allocs/op and 641 320-641 712 B/op over 21 runs, the same
+		// way (8 447 and 832 872-832 986 B before the grids and mailboxes
+		// were reused). Rekeying the offline pass's global path table into
+		// a Key map per configuration and rank, as GlobalPathFreqs does,
 		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 8451, 840344},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 4779, 649070},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

@@ -47,12 +47,12 @@ func TestSpaceDescribeAndValue(t *testing.T) {
 }
 
 // TestBuiltinSpaceLabels pins the built-in Space declarations to the paper's
-// flat config numbering — the numbering each study's cfgOf decodes when it
-// runs configuration v. The literals are the labels the studies' bespoke
-// formatters printed before labels came from the Space alone, for the first,
-// one interior, and the last configuration; they are compared as name=value
-// token sets because a label lists the axes in Space order (slate-cholesky
-// used to print nb before la).
+// flat config numbering — the numbering each study's Scale method
+// (capitalConfig, ...) decodes when it runs configuration v. The literals
+// are the labels the studies' bespoke formatters printed before labels came
+// from the Space alone, for the first, one interior, and the last
+// configuration; they are compared as name=value token sets because a label
+// lists the axes in Space order (slate-cholesky used to print nb before la).
 func TestBuiltinSpaceLabels(t *testing.T) {
 	type want struct {
 		v     int

@@ -70,19 +70,7 @@ func QuickScale() Scale {
 // propagation is evaluated, as in Figure 4a.
 func CapitalCholesky(s Scale) Study {
 	world := s.CapitalC * s.CapitalC * s.CapitalC
-	b0 := s.CapitalN / 128
-	if b0 < s.CapitalBB {
-		b0 = s.CapitalBB
-	}
-	cfgOf := func(v int) capital.Config {
-		return capital.Config{
-			N:        s.CapitalN,
-			B:        b0 << (v % 5),
-			BB:       s.CapitalBB,
-			Strategy: 1 + v/5,
-			C:        s.CapitalC,
-		}
-	}
+	b0 := s.capitalB0()
 	bs := make([]int, 5)
 	for j := range bs {
 		bs[j] = b0 << j
@@ -98,7 +86,7 @@ func CapitalCholesky(s Scale) Study {
 		},
 		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
-			cfg := cfgOf(v)
+			cfg := s.capitalConfig(v)
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
@@ -107,7 +95,22 @@ func CapitalCholesky(s Scale) Study {
 			g := grid.New3D(cc, s.CapitalC)
 			ch := capital.New(p, g, cfg)
 			ch.Run()
+			g.Release()
 		},
+	}
+}
+
+// capitalB0 is CAPITAL's smallest block size: N/128, at least BB.
+func (s Scale) capitalB0() int { return max(s.CapitalN/128, s.CapitalBB) }
+
+// capitalConfig is CapitalCholesky's configuration v.
+func (s Scale) capitalConfig(v int) capital.Config {
+	return capital.Config{
+		N:        s.CapitalN,
+		B:        s.capitalB0() << (v % 5),
+		BB:       s.CapitalBB,
+		Strategy: 1 + v/5,
+		C:        s.CapitalC,
 	}
 }
 
@@ -116,15 +119,6 @@ func CapitalCholesky(s Scale) Study {
 // cores, tiles 256+64*floor(v/2)).
 func SlateCholesky(s Scale) Study {
 	world := s.SlateCholPR * s.SlateCholPC
-	cfgOf := func(v int) slate.CholConfig {
-		return slate.CholConfig{
-			N:         s.SlateCholN,
-			NB:        s.SlateCholNB[v/2],
-			Lookahead: v % 2,
-			PR:        s.SlateCholPR,
-			PC:        s.SlateCholPC,
-		}
-	}
 	return Study{
 		Name:       "slate-cholesky",
 		Space:      NewSpace(IntsDim("la", 0, 1), IntsDim("nb", s.SlateCholNB...)),
@@ -135,7 +129,7 @@ func SlateCholesky(s Scale) Study {
 		},
 		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
-			cfg := cfgOf(v)
+			cfg := s.slateCholConfig(v)
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
@@ -144,7 +138,19 @@ func SlateCholesky(s Scale) Study {
 			a.FillSymmetricPD()
 			slate.Cholesky(p, a, cfg)
 			a.Release()
+			g.Release()
 		},
+	}
+}
+
+// slateCholConfig is SlateCholesky's configuration v.
+func (s Scale) slateCholConfig(v int) slate.CholConfig {
+	return slate.CholConfig{
+		N:         s.SlateCholN,
+		NB:        s.SlateCholNB[v/2],
+		Lookahead: v % 2,
+		PR:        s.SlateCholPR,
+		PC:        s.SlateCholPC,
 	}
 }
 
@@ -153,15 +159,6 @@ func SlateCholesky(s Scale) Study {
 // cores, b = 8*2^(v%5), grids 64*2^j x 64/2^j).
 func CandmcQR(s Scale) Study {
 	world := s.CandmcGrids[0][0] * s.CandmcGrids[0][1]
-	cfgOf := func(v int) candmc.Config {
-		g := s.CandmcGrids[v/5]
-		return candmc.Config{
-			M: s.CandmcM, N: s.CandmcN,
-			B:  s.CandmcB0 << (v % 5),
-			PR: g[0], PC: g[1],
-			Panel: candmc.PanelTSQR,
-		}
-	}
 	bs := make([]int, 5)
 	for j := range bs {
 		bs[j] = s.CandmcB0 << j
@@ -176,7 +173,7 @@ func CandmcQR(s Scale) Study {
 		},
 		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
-			cfg := cfgOf(v)
+			cfg := s.candmcConfig(v)
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
@@ -186,7 +183,19 @@ func CandmcQR(s Scale) Study {
 			a := candmc.NewMatrix(g, cfg)
 			a.FillGeneral(7)
 			candmc.QR(p, a, cfg)
+			g.Release()
 		},
+	}
+}
+
+// candmcConfig is CandmcQR's configuration v.
+func (s Scale) candmcConfig(v int) candmc.Config {
+	g := s.CandmcGrids[v/5]
+	return candmc.Config{
+		M: s.CandmcM, N: s.CandmcN,
+		B:  s.CandmcB0 << (v % 5),
+		PR: g[0], PC: g[1],
+		Panel: candmc.PanelTSQR,
 	}
 }
 
@@ -196,15 +205,6 @@ func CandmcQR(s Scale) Study {
 // grids 64/2^j x 4*2^j).
 func SlateQR(s Scale) Study {
 	world := s.SlateQRGrids[0][0] * s.SlateQRGrids[0][1]
-	cfgOf := func(v int) slate.QRConfig {
-		g := s.SlateQRGrids[v/21]
-		return slate.QRConfig{
-			M: s.SlateQRM, N: s.SlateQRN,
-			NB: s.SlateQRNB[(v/3)%7],
-			IB: s.SlateQRIB0 << (v % 3),
-			PR: g[0], PC: g[1],
-		}
-	}
 	ibs := make([]int, 3)
 	for j := range ibs {
 		ibs[j] = s.SlateQRIB0 << j
@@ -220,7 +220,7 @@ func SlateQR(s Scale) Study {
 		},
 		refs: new(refTable),
 		Run: func(p *critter.Profiler, cc *critter.Comm, v int) {
-			cfg := cfgOf(v)
+			cfg := s.slateQRConfig(v)
 			if err := cfg.Validate(world); err != nil {
 				panic(err)
 			}
@@ -231,6 +231,18 @@ func SlateQR(s Scale) Study {
 			a.FillGeneral(3)
 			slate.QR(p, a, cfg)
 			a.Release()
+			g.Release()
 		},
+	}
+}
+
+// slateQRConfig is SlateQR's configuration v.
+func (s Scale) slateQRConfig(v int) slate.QRConfig {
+	g := s.SlateQRGrids[v/21]
+	return slate.QRConfig{
+		M: s.SlateQRM, N: s.SlateQRN,
+		NB: s.SlateQRNB[(v/3)%7],
+		IB: s.SlateQRIB0 << (v % 3),
+		PR: g[0], PC: g[1],
 	}
 }

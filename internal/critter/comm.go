@@ -50,14 +50,73 @@ func (c *Comm) stride() int {
 // coverage (aggregateEager) read. Ranks passing a negative color receive
 // nil. The internal communicator has the user one's group, so its split is
 // derived from the user split (mpi.Comm.SplitAs), not run as a second round.
+// The handle is the one the profiler freed last (see Free), when it has one,
+// and it keeps its channel when that still describes the new group, so a
+// grid split again for every configuration and released after it builds
+// neither handles nor channels past the first.
 func (c *Comm) Split(color, key int) *Comm {
 	user := c.user.Split(color, key)
 	internal := c.internal.SplitAs(user, color)
 	if user == nil {
 		return nil
 	}
-	ch, ok := channel.FromGroup(user.Group())
-	return &Comm{p: c.p, user: user, internal: internal, ch: ch, chOK: ok}
+	s := c.p.handle()
+	s.user, s.internal = user, internal
+	if !s.chOK || !describes(s.ch, user.Group()) {
+		s.ch, s.chOK = channel.FromGroup(user.Group())
+	}
+	return s
+}
+
+// Free frees a communicator Split returned, its user and internal
+// communicators with it (mpi.Comm.Free), and files the handle for the
+// profiler's next Split. It is local; the handle must not be used after,
+// and no Isend on it may await its Waitall. Free panics on the world
+// communicator (Profiler.World), whose user communicator mpi refuses, and
+// on a handle already freed.
+func (c *Comm) Free() {
+	if c.user == nil {
+		panic("critter: Free of a freed communicator")
+	}
+	for _, s := range c.p.isends {
+		if s.comm == c.internal {
+			panic("critter: Free of a communicator with an Isend awaiting Waitall")
+		}
+	}
+	c.user.Free()
+	c.internal.Free()
+	c.user, c.internal = nil, nil
+	c.p.freed = append(c.p.freed, c)
+}
+
+// handle returns a handle for a new communicator: the one the profiler
+// freed last, channel kept, when there is one, else a new one.
+func (p *Profiler) handle() *Comm {
+	if k := len(p.freed); k > 0 {
+		c := p.freed[k-1]
+		p.freed[k-1] = nil
+		p.freed = p.freed[:k-1]
+		return c
+	}
+	return &Comm{p: p}
+}
+
+// describes reports whether ch is the channel channel.FromGroup derives
+// from group with ok, without deriving it. It answers false for a group
+// FromGroup would have to sort, which costs only a rebuild.
+func describes(ch channel.Channel, group []int) bool {
+	if len(group) == 1 {
+		return len(ch.Dims) == 0
+	}
+	if len(ch.Dims) != 1 || ch.Dims[0].Size != len(group) {
+		return false
+	}
+	for i, d := 1, ch.Dims[0].Stride; i < len(group); i++ {
+		if group[i]-group[i-1] != d {
+			return false
+		}
+	}
+	return true
 }
 
 // The profiled operations, interned once: an interception carries its op's

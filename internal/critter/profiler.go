@@ -121,6 +121,9 @@ type Profiler struct {
 	// isends lists the Isends whose replies the next Waitall consumes, in
 	// posting order (comm.go).
 	isends []isend
+	// freed holds the communicator handles Comm.Free gave back, the last
+	// freed on top, for Split to reuse (comm.go).
+	freed []*Comm
 	// apriori is the global path table SetAprioriFromPath installed, by id of
 	// the current interner; inactive when none is. It goes back to free when
 	// it is replaced or its ids are (startConfig, Retire).

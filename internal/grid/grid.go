@@ -42,6 +42,17 @@ func New2D(cc *critter.Comm, pr, pc int) *Grid2D {
 	}
 }
 
+// Release frees the grid's fiber communicators (critter.Comm.Free), Col and
+// then Row, the reverse of the order New2D split them: the next grid built
+// on the same communicator takes its handles back last-freed first, so a
+// recurring grid gets its own fibers, channels included. All stays usable;
+// the grid does not.
+func (g *Grid2D) Release() {
+	g.Col.Free()
+	g.Row.Free()
+	g.Row, g.Col = nil, nil
+}
+
 // RankOf returns the grid rank owning grid coordinates (row, col).
 func (g *Grid2D) RankOf(row, col int) int { return row*g.PC + col }
 
@@ -72,6 +83,14 @@ func New3D(cc *critter.Comm, c int) *Grid3D {
 		MyLayer:   layer,
 		LayerRank: lr,
 	}
+}
+
+// Release frees the grid's fibers, Depth and then Layer, as Grid2D.Release
+// does.
+func (g *Grid3D) Release() {
+	g.Depth.Free()
+	g.Layer.Free()
+	g.Layer, g.Depth = nil, nil
 }
 
 // Cyclic describes a 1D block-cyclic distribution of n items in blocks of

@@ -148,3 +148,36 @@ func TestGrid3DCoordinates(t *testing.T) {
 		}
 	})
 }
+
+// TestReleaseHandsFibersBack: a grid built after Release of one of the same
+// shape gets the released grid's fiber handles back, each in its own role,
+// on a 2D and a 3D grid; a second Release of the same grid panics.
+func TestReleaseHandsFibersBack(t *testing.T) {
+	runWorld(t, 8, func(cc *critter.Comm) {
+		g := New2D(cc, 4, 2)
+		row, col := g.Row, g.Col
+		g.Release()
+		g = New2D(cc, 4, 2)
+		if g.Row != row || g.Col != col {
+			t.Errorf("rank %d: the next 2D grid's fibers are not the released grid's, role for role", cc.Rank())
+		}
+		g.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rank %d: a second Release did not panic", cc.Rank())
+				}
+			}()
+			g.Release()
+		}()
+
+		g3 := New3D(cc, 2)
+		layer, depth := g3.Layer, g3.Depth
+		g3.Release()
+		g3 = New3D(cc, 2)
+		if g3.Layer != layer || g3.Depth != depth {
+			t.Errorf("rank %d: the next 3D grid's fibers are not the released grid's, role for role", cc.Rank())
+		}
+		g3.Release()
+	})
+}

@@ -90,41 +90,34 @@ func (c *Comm) Rekey(key uint64) {
 // communicator. Ranks passing negative colors receive nil (MPI_UNDEFINED).
 // Split is collective over the parent communicator: one reduceRound whose
 // last arriver builds every color's group (finishSplit), so the members of
-// one new communicator share one group slice, as Dup's members do.
+// one new communicator share one group slice, as Dup's members do. The
+// handle is the one the rank freed last (see Free), when there is one: a
+// program that splits the same grid once per configuration and frees it
+// after makes its handles once. The round runs either way, so the new
+// communicator's context and every sequence number and clock are the same.
 func (c *Comm) Split(color, key int) *Comm {
 	mine, _, seq := fabricOf[splitSlot](c.w).reduceRound(c,
 		splitSlot{color: color, key: key, worldRank: c.state.worldRank}, c.state.finishSplit)
 	if color < 0 {
 		return nil
 	}
-	return &Comm{
-		w:     c.w,
-		ctx:   splitCtx(c.ctx, seq, color, mine.group[0]),
-		rank:  mine.rank,
-		group: mine.group,
-		state: c.state,
-	}
+	return c.state.handle(c.w, splitCtx(c.ctx, seq, color, mine.group[0]), mine.rank, mine.group)
 }
 
 // SplitAs returns, without a round, what c.Split(color, key) would return
 // when c's group is that of the communicator sib was split from by
-// Split(color, key): sib's group and rank under c's context. It advances c's
-// collective sequence exactly as Split does, so the two stay interchangeable
-// for every later round on c, and returns nil when sib is nil (a negative
-// color). The profiler splits its internal twin of a communicator this way.
+// Split(color, key): sib's group and rank under c's context, on a freed
+// handle when the rank has one, as Split's. It advances c's collective
+// sequence exactly as Split does, so the two stay interchangeable for every
+// later round on c, and returns nil when sib is nil (a negative color). The
+// profiler splits its internal twin of a communicator this way.
 func (c *Comm) SplitAs(sib *Comm, color int) *Comm {
 	seq := c.collSeq
 	c.collSeq++
 	if sib == nil {
 		return nil
 	}
-	return &Comm{
-		w:     c.w,
-		ctx:   splitCtx(c.ctx, seq, color, sib.group[0]),
-		rank:  sib.rank,
-		group: sib.group,
-		state: c.state,
-	}
+	return c.state.handle(c.w, splitCtx(c.ctx, seq, color, sib.group[0]), sib.rank, sib.group)
 }
 
 // splitCtx is the context id of a communicator split from the one with
@@ -189,18 +182,43 @@ func (s *rankState) finishSplit(members []splitSlot) {
 }
 
 // Dup returns a new communicator with the same group but a distinct matching
-// context. Dup is collective; it is used by the profiler to keep internal
-// traffic from colliding with application messages.
+// context, on a freed handle when the rank has one. Dup is collective; it is
+// used by the profiler to keep internal traffic from colliding with
+// application messages.
 func (c *Comm) Dup() *Comm {
 	_, _, seq := fabricOf[struct{}](c.w).reduceRound(c, struct{}{}, nil)
-	ctx := sim.Mix(c.ctx, seq, 0xd0bb1e)
-	return &Comm{
-		w:     c.w,
-		ctx:   ctx,
-		rank:  c.rank,
-		group: c.group,
-		state: c.state,
+	return c.state.handle(c.w, sim.Mix(c.ctx, seq, 0xd0bb1e), c.rank, c.group)
+}
+
+// Free hands a communicator that Split, SplitAs or Dup returned back to the
+// calling rank, whose next Split, SplitAs or Dup returns this handle (the
+// last freed first). It is local: no round, no clock, and the other members
+// need not free theirs. The handle must not be used after, and nothing may
+// be pending on it. Free panics on the world communicator Run handed the
+// rank and on a handle already freed, so one handle never has two owners.
+func (c *Comm) Free() {
+	switch {
+	case c == c.state.world:
+		panic("mpi: Free of the world communicator")
+	case c.group == nil:
+		panic("mpi: Free of a freed communicator")
 	}
+	c.group = nil // a freed handle pins no group
+	c.state.freed = append(c.state.freed, c)
+}
+
+// handle returns the rank's handle on a new communicator: the one it freed
+// last, when there is one, else a new one.
+func (s *rankState) handle(w *World, ctx uint64, rank int, group []int) *Comm {
+	var c *Comm
+	if k := len(s.freed); k > 0 {
+		c, s.freed[k-1] = s.freed[k-1], nil
+		s.freed = s.freed[:k-1]
+	} else {
+		c = new(Comm)
+	}
+	*c = Comm{w: w, ctx: ctx, rank: rank, group: group, state: s}
+	return c
 }
 
 func (c *Comm) checkPeer(peer int) {

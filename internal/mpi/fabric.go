@@ -108,15 +108,40 @@ func (f *fabric[T]) recycle(rd *round[T]) {
 	f.free = append(f.free, rd)
 }
 
-// fabricOf returns w's fabric for payload type T, creating it on first use.
+// anyFabric is what World.Run does with a fabric of any payload type.
+type anyFabric interface {
+	giveBoxes(p *BufPool)
+}
+
+// fabricOf returns w's fabric for payload type T, creating it on first use
+// with the mailbox array the last world on w's pool gave back for T, when
+// that holds w's ranks (see giveBoxes), so its queues start at the capacity
+// that world grew them to.
 func fabricOf[T any](w *World) *fabric[T] {
 	key := reflect.TypeFor[T]()
 	if f, ok := w.fabrics[key]; ok {
 		return f.(*fabric[T])
 	}
-	f := &fabric[T]{w: w, boxes: make([]fbox[T], w.size), rounds: make(map[roundKey]*round[T])}
+	boxes, _ := w.bufs.takeBoxes(key, w.size).([]fbox[T])
+	if boxes == nil {
+		boxes = make([]fbox[T], w.size)
+	}
+	f := &fabric[T]{w: w, boxes: boxes[:w.size], rounds: make(map[roundKey]*round[T])}
 	w.fabrics[key] = f
 	return f
+}
+
+// giveBoxes empties the fabric's mailboxes, which pin no payload after, and
+// files their array, queues and all, on p for the next world's fabric of
+// this type. World.Run calls it when the world has ended normally, so no
+// rank waits in a mailbox.
+func (f *fabric[T]) giveBoxes(p *BufPool) {
+	boxes := f.boxes[:cap(f.boxes)]
+	for i := range boxes {
+		clear(boxes[i].queue)
+		boxes[i] = fbox[T]{queue: boxes[i].queue[:0]}
+	}
+	p.putBoxes(reflect.TypeFor[T](), boxes, len(boxes))
 }
 
 // post delivers m to world rank dest's mailbox on this fabric, readying dest
@@ -304,13 +329,28 @@ func keepFirst[T any](members []T) {
 // box every slice header). Every World owns one from NewWorld on, and one
 // pool may serve many worlds over its lifetime — the sweep executor threads
 // one per worker so consecutive sweeps reuse each other's buffers instead of
-// reallocating the same tile-sized payloads thousands of times. Unlike the
-// fabrics, which only their world's ranks touch, a pool is shared by worlds
-// running on different goroutines, so it keeps its locks; fabric.go and
-// world.go are the only mpi files that may hold raw synchronization
-// primitives (enforced by critterlint's fabriclock).
+// reallocating the same tile-sized payloads thousands of times. A world that
+// ends normally also leaves its fabrics' mailbox arrays on the pool, at most
+// one per payload type, and the next world to create a fabric of that type
+// takes the array, queues grown and all (fabricOf). Unlike the fabrics,
+// which only their world's ranks touch, a pool is shared by worlds running
+// on different goroutines, so it keeps its locks; fabric.go and world.go
+// are the only mpi files that may hold raw synchronization primitives
+// (enforced by critterlint's fabriclock).
 type BufPool struct {
 	classes [31]bufClass
+
+	// boxes holds, per payload type, the mailbox array ([]fbox[T]) the
+	// last world to end on the pool gave back (giveBoxes), for the next
+	// world's fabricOf to take; boxMu guards it.
+	boxMu sync.Mutex
+	boxes map[reflect.Type]boxArray
+}
+
+// boxArray is a mailbox array on a pool's shelf and the ranks it holds.
+type boxArray struct {
+	boxes any
+	n     int
 }
 
 // bufClass is one size class's freelist.
@@ -377,6 +417,31 @@ func (p *BufPool) getAtLeast(n int) []float64 {
 		}
 	}
 	return p.Get(n)
+}
+
+// takeBoxes takes the pool's mailbox array for payload type t off its
+// shelf when it holds at least n ranks, leaving the shelf empty, so two
+// worlds running at once never share one; it returns nil otherwise.
+func (p *BufPool) takeBoxes(t reflect.Type, n int) any {
+	p.boxMu.Lock()
+	defer p.boxMu.Unlock()
+	b, ok := p.boxes[t]
+	if !ok || b.n < n {
+		return nil
+	}
+	delete(p.boxes, t)
+	return b.boxes
+}
+
+// putBoxes shelves boxes, a mailbox array of payload type t holding n
+// ranks, in place of any it holds: a pool keeps one array per payload type.
+func (p *BufPool) putBoxes(t reflect.Type, boxes any, n int) {
+	p.boxMu.Lock()
+	defer p.boxMu.Unlock()
+	if p.boxes == nil {
+		p.boxes = make(map[reflect.Type]boxArray)
+	}
+	p.boxes[t] = boxArray{boxes, n}
 }
 
 // pop takes a buffer off the class's freelist, nil when it is empty.

@@ -468,24 +468,26 @@ func TestExchangeMsg(t *testing.T) {
 
 // TestMatchReleasesPayload pins the mailbox's backing array after a matched
 // receive: the vacated slot must not keep the delivered payload alive (on
-// the data plane that buffer may already be back in the BufPool).
+// the data plane that buffer may already be back in the BufPool). It looks
+// from the receiving rank, before Run empties the mailboxes for the pool.
 func TestMatchReleasesPayload(t *testing.T) {
 	w := NewWorld(2, quietMachine(), 1)
 	if err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, []float64{1, 2, 3})
-		} else {
-			c.Recv(0, 0, make([]float64, 3))
+			return
+		}
+		c.Recv(0, 0, make([]float64, 3))
+		q := w.dataFab.boxes[1].queue
+		if len(q) != 0 || cap(q) == 0 {
+			t.Errorf("mailbox queue len %d cap %d after one matched receive", len(q), cap(q))
+			return
+		}
+		if vacated := q[:1][0]; vacated.payload != nil {
+			t.Errorf("vacated tail slot still holds payload %v", vacated.payload)
 		}
 	}); err != nil {
 		t.Fatal(err)
-	}
-	q := w.dataFab.boxes[1].queue
-	if len(q) != 0 || cap(q) == 0 {
-		t.Fatalf("mailbox queue len %d cap %d after one matched receive", len(q), cap(q))
-	}
-	if vacated := q[:1][0]; vacated.payload != nil {
-		t.Errorf("vacated tail slot still holds payload %v", vacated.payload)
 	}
 }
 

@@ -57,11 +57,11 @@ type World struct {
 
 	ranks []*rankState
 
-	// fabrics maps a payload type (reflect.Type) to its *fabric[T]; the
-	// data plane's two are cached: point-to-point payloads travel at
-	// T = []float64 (dataFab), data collectives meet at T = collView
-	// (collFab).
-	fabrics map[reflect.Type]any
+	// fabrics maps a payload type (reflect.Type) to its *fabric[T]; Run
+	// resolves the data plane's two once the world's pool is set:
+	// point-to-point payloads travel at T = []float64 (dataFab), data
+	// collectives meet at T = collView (collFab).
+	fabrics map[reflect.Type]anyFabric
 	dataFab *fabric[[]float64]
 	collFab *fabric[collView]
 
@@ -109,6 +109,10 @@ type rankState struct {
 	// ws is the rank's scratch stack for the workload running on it (see
 	// Workspace); Run wires it to the world's buffer pool.
 	ws Workspace
+	// world is the rank's world communicator, which Free refuses; freed
+	// holds the handles Free gave back, the last freed on top (see handle).
+	world *Comm
+	freed []*Comm
 }
 
 // NewWorld creates a world of size ranks with the given machine model and
@@ -125,7 +129,7 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 		machine: machine,
 		seed:    seed,
 		ranks:   make([]*rankState, size),
-		fabrics: make(map[reflect.Type]any),
+		fabrics: make(map[reflect.Type]anyFabric),
 		bufs:    NewBufPool(),
 		runq:    make([]int, 0, size),
 	}
@@ -135,8 +139,6 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 			rng:       sim.NewRNG(sim.Mix(seed, uint64(r), 0x6d7069)),
 		}
 	}
-	w.dataFab = fabricOf[[]float64](w)
-	w.collFab = fabricOf[collView](w)
 	return w
 }
 
@@ -152,9 +154,10 @@ func (w *World) Seed() uint64 { return w.seed }
 // SetBufPool replaces the world's payload-buffer recycler, which NewWorld
 // made for it, with p; p must not be nil. Call it before Run. Pools may be
 // shared across worlds that run sequentially (the sweep executor threads one
-// per worker), not across concurrently running worlds' lifetimes — the pool
-// itself is safe for concurrent use, so sharing is a throughput choice, not a
-// safety one.
+// per worker), which then start on the buffers, scratch and mailbox arrays
+// the worlds before them gave back, not across concurrently running worlds'
+// lifetimes — the pool itself is safe for concurrent use, so sharing is a
+// throughput choice, not a safety one.
 func (w *World) SetBufPool(p *BufPool) { w.bufs = p }
 
 // BufPoolOf returns the world's payload-buffer recycler; never nil.
@@ -204,11 +207,15 @@ func (w *World) CostOnly() bool { return w.costOnly }
 // are coroutines that one loop runs in turn, on a goroutine of its own (see
 // loop). Run returns a non-nil error if a rank panicked or exited through
 // runtime.Goexit (a t.Fatal in a rank body), or if the ranks deadlocked; the
-// ranks still suspended then unwind via ErrAborted panics. A cost-only
-// world's scratch goes back to the pool when Run returns nil; after a
-// failure it stays out of it, as the ranks' workspace chunks do.
-// A World must not be reused after Run returns.
+// ranks still suspended then unwind via ErrAborted panics. When Run returns
+// nil, a cost-only world's scratch goes back to the pool, and so does every
+// fabric's array of mailboxes, emptied, queues and their capacity kept, for
+// the next world on the pool to post into without regrowing them (one array
+// per payload type; see fabricOf). After a failure all of it stays out of
+// the pool, as the ranks' workspace chunks do. A World must not be reused
+// after Run returns.
 func (w *World) Run(body func(c *Comm)) error {
+	w.dataFab, w.collFab = fabricOf[[]float64](w), fabricOf[collView](w)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -218,6 +225,9 @@ func (w *World) Run(body func(c *Comm)) error {
 	if !w.aborted {
 		w.bufs.Put(w.scratch)
 		w.scratch = nil
+		for _, f := range w.fabrics {
+			f.giveBoxes(w.bufs)
+		}
 		return nil
 	}
 	if err, ok := w.abortE.(error); ok {
@@ -278,7 +288,8 @@ func (w *World) rank(r int, body func(c *Comm)) iter.Seq[struct{}] {
 			}
 		}()
 		s.ws.pool, s.ws.w = w.bufs, w
-		body(w.worldComm(r))
+		s.world = w.worldComm(r)
+		body(s.world)
 		completed = true
 		s.ws.drain()
 	}

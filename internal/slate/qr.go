@@ -160,8 +160,9 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				top = a.Tile(k, j)
 			}
 			cur := topOwner
-			for i := k + 1; i < mt; i++ {
-				o := a.Owner(i, j)
+			// The chain's owners step down the process rows of column j.
+			o := a.Owner(k+1, j)
+			for i := k + 1; i < mt; i, o = i+1, a.ownerBelow(o) {
 				if o != cur {
 					if me == cur {
 						cc.Isend(o, tagOf(k, i, j, 4), top)

@@ -86,6 +86,17 @@ func (t *TileMatrix) Owner(i, j int) int {
 	return t.G.RankOf(i%t.G.PR, j%t.G.PC)
 }
 
+// ownerBelow returns the owner of tile (i+1, j), given o, the owner of tile
+// (i, j): the next process row's rank in the same process column, the first
+// row's after the last. A walk down a tile column steps with it instead of
+// dividing for every tile.
+func (t *TileMatrix) ownerBelow(o int) int {
+	if o += t.G.PC; o >= t.G.PR*t.G.PC {
+		o -= t.G.PR * t.G.PC
+	}
+	return o
+}
+
 // Mine reports whether the calling rank owns tile (i, j).
 func (t *TileMatrix) Mine(i, j int) bool { return i%t.G.PR == t.G.MyRow && j%t.G.PC == t.G.MyCol }
 

@@ -277,8 +277,9 @@ func TestTileMatrixOwnership(t *testing.T) {
 
 // TestOwnersEnumeratedMatchScan holds the enumerations the factorizations
 // loop over — a rank's local tiles down a column or along a row from any
-// start, and the owners of a row or column range — to a scan of Mine and
-// Owner over every tile of the range, on a 3x2 grid with 7x5 tiles.
+// start, the owners of a row or column range, and QR's chain of owners
+// stepped down a column (ownerBelow) — to a scan of Mine and Owner over
+// every tile of the range, on a 3x2 grid with 7x5 tiles.
 func TestOwnersEnumeratedMatchScan(t *testing.T) {
 	const pr, pc, mt, nt = 3, 2, 7, 5
 	runGrid(t, pr, pc, 0, critter.Conditional, func(p *critter.Profiler, g *grid.Grid2D) {
@@ -305,6 +306,12 @@ func TestOwnersEnumeratedMatchScan(t *testing.T) {
 				}
 				if !slices.Equal(got, want) {
 					t.Errorf("rank %d: local rows of column %d from %d are %v, want %v", me, j, i0, got, want)
+				}
+				o := a.Owner(i0, j)
+				for i := i0; i < mt; i, o = i+1, a.ownerBelow(o) {
+					if o != a.Owner(i, j) {
+						t.Errorf("rank %d: chain down column %d from %d steps to owner %d at row %d, want %d", me, j, i0, o, i, a.Owner(i, j))
+					}
 				}
 				for i1 := i0; i1 <= mt; i1++ {
 					got, want := make([]bool, pr*pc), make([]bool, pr*pc)
