@@ -104,22 +104,15 @@ func (m *Matrix) FillGeneral(seed uint64) {
 		gc := m.ColD.GlobalIndexOf(m.G.MyCol, lc)
 		for lr := 0; lr < m.RLoc; lr++ {
 			gr := m.RowD.GlobalIndexOf(m.G.MyRow, lr)
-			m.Data[lr+lc*m.RLoc] = entry(gr, gc, seed)
+			m.Data[lr+lc*m.RLoc] = Entry(gr, gc, seed)
 		}
 	}
 }
 
-// Entry returns the deterministic test-matrix value at global (i, j).
-func Entry(i, j int, seed uint64) float64 { return entry(i, j, seed) }
-
-func entry(i, j int, seed uint64) float64 {
-	h := seed + uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	v := 2*float64(h>>11)/(1<<53) - 1
+// Entry returns the deterministic test-matrix value at global (i, j):
+// grid.GeneralEntry with 2 added on the diagonal.
+func Entry(i, j int, seed uint64) float64 {
+	v := grid.GeneralEntry(i, j, seed)
 	if i == j {
 		v += 2 // keep panels well conditioned for CholeskyQR2
 	}

@@ -98,23 +98,11 @@ func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 			gi := g0 + r
 			li := lb*cfg.BB + r
 			for j := 0; j < cfg.N; j++ {
-				ch.A[li+j*ch.RLoc] = spdEntry(gi, j, boost)
+				ch.A[li+j*ch.RLoc] = grid.SPDEntry(gi, j, boost)
 			}
 		}
 	}
 	return ch
-}
-
-func spdEntry(i, j int, boost float64) float64 {
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	v := 1.0 / float64(1+d)
-	if i == j {
-		v += boost
-	}
-	return v
 }
 
 // Run performs the full factorization with inverse maintenance.
@@ -557,7 +545,7 @@ func DenseA(n int) []float64 {
 	a := make([]float64, n*n)
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			a[i+j*n] = spdEntry(i, j, boost)
+			a[i+j*n] = grid.SPDEntry(i, j, boost)
 		}
 	}
 	return a

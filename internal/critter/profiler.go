@@ -174,11 +174,6 @@ type Profiler struct {
 	executed       int64
 	skipped        int64
 	replayedSkips  int64 // skips whose predictability decision predCache replayed
-	// lastReplayed marks whether the most recent shouldExecute call
-	// resolved to a replayed skip; complete consumes and clears it so
-	// round events can tell replayed skips apart. Trace-only state: it
-	// never feeds clocks, decisions, or reports.
-	lastReplayed bool
 }
 
 // predCache memoizes one kernel's propagation-point predictability
@@ -441,25 +436,23 @@ func (p *Profiler) freqFor(id uint32, ks *kernelStats) int64 {
 // policy the decision is the global propagation flag; for all other
 // policies the kernel must have executed at least once this configuration
 // and is skipped only when predictable at tolerance Eps under the policy's
-// frequency credit. Decisions replayed from the record's predCache that
-// result in a skip are counted (Report.Memoized).
-func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) bool {
-	p.lastReplayed = false
+// frequency credit. A skip replayed from the record's predCache reports
+// replayed and is counted (Report.Memoized).
+func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) (exec, replayed bool) {
 	if p.opts.Eps <= 0 {
-		return true
+		return true, false
 	}
 	if p.opts.Policy == Eager {
-		return !ks.propagated
+		return !ks.propagated, false
 	}
 	if ks.perConfig < 1 {
-		return true
+		return true, false
 	}
 	pred, hit := p.predictable(ks, p.freqFor(id, ks))
 	if pred && hit {
 		p.replayedSkips++
-		p.lastReplayed = true
 	}
-	return !pred
+	return !pred, pred && hit
 }
 
 // predictable answers the propagation-point CI tolerance test through the
@@ -572,7 +565,7 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 // wrappers call it with package-level handles.
 func (p *Profiler) kernel(name kernelName, d1, d2, d3, d4 int, flops float64, run func()) float64 {
 	id, ks := p.intercept(compKey(name, d1, d2, d3, d4))
-	exec := p.shouldExecute(id, ks)
+	exec, _ := p.shouldExecute(id, ks)
 	// Line-fitting extension: an under-sampled signature may still be
 	// skipped, charged its routine family's fit, when that is trustworthy.
 	fit, fitted := 0.0, false

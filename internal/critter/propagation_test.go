@@ -297,3 +297,51 @@ func TestP2PWaitChargedOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestRoundFlagIsItsOwnOps pins that a round event's memoized flag comes from
+// its own op's decision only. Rank 0 converges kernel k, then between an
+// Isend and its Waitall, and again before a Recv, replays a skip of k from
+// predCache. Neither the wait nor the receive decides anything, so neither
+// round may report that skip; the isend's own decision is a first sight.
+func TestRoundFlagIsItsOwnOps(t *testing.T) {
+	w := mpi.NewWorld(2, testMachine(0), 7)
+	ring := obs.NewRing(64, nil)
+	w.SetTracer(ring)
+	var replayed int64
+	err := w.Run(func(c *mpi.Comm) {
+		p, cc := New(c, Options{Policy: Conditional, Eps: 0.5})
+		k := func() { p.Kernel("k", 8, 8, 8, 0, 1e5, func() {}) }
+		for i := 0; i < 6; i++ {
+			k()
+		}
+		buf := make([]float64, 8)
+		if cc.Rank() == 0 {
+			cc.Isend(1, 3, buf)
+			k()
+			p.Waitall()
+			k()
+			cc.Recv(1, 4, buf)
+			replayed = p.replayedSkips
+		} else {
+			cc.Recv(0, 3, buf)
+			cc.Isend(0, 4, buf)
+			p.Waitall()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed < 2 {
+		t.Fatalf("rank 0 replayed %d skips of k, want at least the 2 between its rounds", replayed)
+	}
+	var got []string
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.KindRound {
+			got = append(got, fmt.Sprintf("%s memo=%d", ev.Name, ev.Memoized))
+		}
+	}
+	want := []string{"isend memo=0", "wait memo=0", "recv memo=0"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("rank 0 rounds %q, want %q", got, want)
+	}
+}

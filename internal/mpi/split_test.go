@@ -143,3 +143,25 @@ func TestSplitAsNil(t *testing.T) {
 		}
 	})
 }
+
+// TestWorldGroupIsShared: every rank's world communicator reports the group
+// 0..P-1, and all of them read one backing array, as the members of a split
+// communicator do, so a world holds one world-sized group, not one per rank.
+func TestWorldGroupIsShared(t *testing.T) {
+	const p = 6
+	groups := make([][]int, p)
+	run(t, p, func(c *Comm) { groups[c.Rank()] = c.Group() })
+	for r, g := range groups {
+		if len(g) != p {
+			t.Fatalf("rank %d: world group %v, want %d ranks", r, g, p)
+		}
+		for i, v := range g {
+			if v != i {
+				t.Fatalf("rank %d: world group %v, want 0..%d", r, g, p-1)
+			}
+		}
+		if &g[0] != &groups[0][0] {
+			t.Errorf("rank %d's world group is its own array, want rank 0's", r)
+		}
+	}
+}

@@ -246,8 +246,12 @@ func (w *World) Run(body func(c *Comm)) error {
 func (w *World) loop(body func(c *Comm)) {
 	next := make([]func() (struct{}, bool), w.size)
 	stop := make([]func(), w.size)
+	group := make([]int, w.size) // the world communicator's, shared by every rank
+	for i := range group {
+		group[i] = i
+	}
 	for r := range w.size {
-		next[r], stop[r] = iter.Pull(w.rank(r, body))
+		next[r], stop[r] = iter.Pull(w.rank(r, group, body))
 		w.runq = append(w.runq, r)
 	}
 	defer func() {
@@ -272,10 +276,11 @@ func (w *World) loop(body func(c *Comm)) {
 	}
 }
 
-// rank is world rank r's coroutine body: body on the rank's world
-// communicator, with a failure — a panic, ErrAborted included, or a
-// runtime.Goexit — recorded as the world's abort.
-func (w *World) rank(r int, body func(c *Comm)) iter.Seq[struct{}] {
+// rank is world rank r's coroutine body: body on the rank's handle on the
+// world communicator (context 0, group shared by every rank), with a
+// failure — a panic, ErrAborted included, or a runtime.Goexit — recorded as
+// the world's abort.
+func (w *World) rank(r int, group []int, body func(c *Comm)) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		s := w.ranks[r]
 		s.yield = yield
@@ -288,7 +293,7 @@ func (w *World) rank(r int, body func(c *Comm)) iter.Seq[struct{}] {
 			}
 		}()
 		s.ws.pool, s.ws.w = w.bufs, w
-		s.world = w.worldComm(r)
+		s.world = &Comm{w: w, ctx: 0, rank: r, group: group, state: s}
 		body(s.world)
 		completed = true
 		s.ws.drain()
@@ -310,20 +315,5 @@ func (w *World) ready(r int) { w.runq = append(w.runq, r) }
 func (w *World) abort(e any) {
 	if !w.aborted {
 		w.aborted, w.abortE = true, e
-	}
-}
-
-// worldComm builds rank's handle on the world communicator (context 0).
-func (w *World) worldComm(rank int) *Comm {
-	group := make([]int, w.size)
-	for i := range group {
-		group[i] = i
-	}
-	return &Comm{
-		w:     w,
-		ctx:   0,
-		rank:  rank,
-		group: group,
-		state: w.ranks[rank],
 	}
 }

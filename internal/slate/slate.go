@@ -188,24 +188,11 @@ func (t *TileMatrix) FillSymmetricPD() {
 			for c := 0; c < t.NB; c++ {
 				for r := 0; r < t.NB; r++ {
 					gi, gj := i*t.NB+r, j*t.NB+c
-					v := spdEntry(gi, gj, boost)
-					tl[r+c*t.NB] = v
+					tl[r+c*t.NB] = grid.SPDEntry(gi, gj, boost)
 				}
 			}
 		}
 	}
-}
-
-func spdEntry(i, j int, boost float64) float64 {
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	v := 1.0 / float64(1+d)
-	if i == j {
-		v += boost
-	}
-	return v
 }
 
 // FillGeneral fills all local tiles with a deterministic dense test matrix.
@@ -223,23 +210,11 @@ func (t *TileMatrix) FillGeneral(seed uint64) {
 			for c := 0; c < t.NB; c++ {
 				for r := 0; r < t.NB; r++ {
 					gi, gj := i*t.NB+r, j*t.NB+c
-					tl[r+c*t.NB] = generalEntry(gi, gj, seed)
+					tl[r+c*t.NB] = grid.GeneralEntry(gi, gj, seed)
 				}
 			}
 		}
 	}
-}
-
-// generalEntry is a deterministic pseudo-random value in [-1, 1) derived
-// from the global coordinates, so every rank generates consistent data.
-func generalEntry(i, j int, seed uint64) float64 {
-	h := seed + uint64(i)*0x9e3779b97f4a7c15 + uint64(j)*0xbf58476d1ce4e5b9
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return 2*float64(h>>11)/(1<<53) - 1
 }
 
 // GatherDense assembles the full matrix on grid rank root using the raw

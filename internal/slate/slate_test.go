@@ -219,7 +219,7 @@ func TestRaggedTileIndex(t *testing.T) {
 			m, bad := mt*nb, 0
 			for j := 0; j < nt*nb; j++ {
 				for i := 0; i < m; i++ {
-					if got, want := full[i+j*m], generalEntry(i, j, seed); got != want {
+					if got, want := full[i+j*m], grid.GeneralEntry(i, j, seed); got != want {
 						bad++
 					}
 				}

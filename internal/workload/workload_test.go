@@ -256,3 +256,25 @@ func TestREADMEWorkloadTable(t *testing.T) {
 		t.Errorf("README workload table is stale; regenerate it from MarkdownTable:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
+
+// TestDocLineBudgets keeps README.md and the verify skill describing the
+// system as it is: history goes to CHANGES.md and a number a test holds is
+// cited by the test's name, so a change that needs room moves narrative out
+// instead of adding it.
+func TestDocLineBudgets(t *testing.T) {
+	for _, d := range []struct {
+		path   string // from the repository root
+		budget int
+	}{
+		{"README.md", 1100},
+		{".claude/skills/verify/SKILL.md", 200},
+	} {
+		b, err := os.ReadFile("../../" + d.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(b), "\n"); n > d.budget {
+			t.Errorf("%s has %d lines, over its budget of %d: move narrative to CHANGES.md, or cite the test that holds a number", d.path, n, d.budget)
+		}
+	}
+}
