@@ -60,24 +60,28 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 3 584-3 585 allocs/op and 543 585-544 226 B/op over 21 runs at
-		// -cpu 1, 2 and 4, idle and loaded, with 20 iterations and with
-		// testing.Benchmark's own count; four allocations and 7 358 B of
-		// headroom stay (the widest spread of bytes the two sweep benchmarks
-		// read while their ranks were goroutines). Before a grid's Release
-		// handed its fibers to the next configuration's splits and a world
-		// its mailbox arrays to the next world, it read 5 976 and
-		// 668 576-668 649 B. An allocation per configuration (20 a sweep),
-		// per adopt or per split handle is well past either. Each
+		// 1 349 allocs/op and 363 808-364 070 B/op over 21 runs at -cpu 1,
+		// 2 and 4, with 20 iterations and with testing.Benchmark's own
+		// count; four allocations and 7 358 B of headroom stay (the
+		// widest spread of bytes the two sweep benchmarks read while their
+		// ranks were goroutines). Before a rank kept its grid headers, its
+		// Cholesky panel ring and its broadcast marks for the whole world
+		// (mpi.Local), it read 3 584-3 585 and 543 585-544 226 B; before a
+		// grid's Release handed its fibers to the next configuration's
+		// splits and a world its mailbox arrays to the next world, 5 976
+		// and 668 576-668 649 B. An allocation per configuration (20 a
+		// sweep), per adopt or per split handle is well past either. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 3589, 551584},
-		// 4 775 allocs/op and 641 320-641 712 B/op over 21 runs, the same
-		// way (8 447 and 832 872-832 986 B before the grids and mailboxes
-		// were reused). Rekeying the offline pass's global path table into
-		// a Key map per configuration and rank, as GlobalPathFreqs does,
-		// cost about 650 allocations and 295 000 B more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 4779, 649070},
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 1353, 371428},
+		// 1 394 allocs/op and 369 064-369 086 B/op over 21 runs, the same
+		// way (4 775 and 641 320-641 712 B before the bookkeeping was kept
+		// per rank, 8 447 and 832 872-832 986 B before the grids and
+		// mailboxes were reused). Rekeying the offline pass's global path
+		// table into a Key map per configuration and rank, as
+		// GlobalPathFreqs does, cost about 650 allocations and 295 000 B
+		// more.
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 1398, 376444},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

@@ -192,3 +192,34 @@ func TestDepthChunkPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalBlocksInMatchesScan checks the slot range localBlocksIn computes
+// against a scan of every local block, for every layer rank and every
+// BB-aligned row range of a few distributions.
+func TestLocalBlocksInMatchesScan(t *testing.T) {
+	for _, d := range []struct{ n, bb, c int }{{64, 2, 2}, {48, 4, 2}, {96, 8, 3}, {32, 4, 1}, {40, 2, 4}} {
+		p2 := d.c * d.c
+		rows := grid.Cyclic{N: d.n, BS: d.bb, P: p2}
+		for lr := range p2 {
+			ch := &Chol{G: &grid.Grid3D{LayerRank: lr}, Cfg: Config{N: d.n, BB: d.bb}, Rows: rows}
+			for r0 := 0; r0 <= d.n; r0 += d.bb {
+				for r1 := r0; r1 <= d.n; r1 += d.bb {
+					var want []int
+					for lb := range rows.LocalBlocks(lr) {
+						if g0 := rows.GlobalBlock(lr, lb) * d.bb; g0 >= r0 && g0 < r1 {
+							want = append(want, lb)
+						}
+					}
+					got := ch.localBlocksIn(r0, r1)
+					ok := got.n == len(want)
+					for bi := 0; ok && bi < got.n; bi++ {
+						ok = got.first+bi == want[bi]
+					}
+					if !ok {
+						t.Fatalf("N=%d BB=%d P=%d rank %d rows [%d,%d): slots %+v, scan %v", d.n, d.bb, p2, lr, r0, r1, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -61,6 +61,13 @@ func (c Config) Validate(worldSize int) error {
 // Chol holds one rank's state: the replicated-by-layer, row-cyclic local
 // slabs of A, L, and L^{-1} (each rloc x N column-major). The slabs and every
 // buffer of the factorization live on the rank's workspace.
+//
+// On a cost-only world (mpi.World.MarkCostOnly: a clock profiler's, whose
+// kernels read no number) the factorization moves no data: every buffer is
+// a view of the world's scratch, and the copies that pack, unpack, assemble
+// and write back blocks, the Schur update's subtractions and the base
+// case's zeroing are skipped. Every kernel call, message and send order is
+// the same as on any other world.
 type Chol struct {
 	G    *grid.Grid3D
 	Cfg  Config
@@ -71,6 +78,8 @@ type Chol struct {
 	Linv []float64
 	p    *critter.Profiler
 	ws   *mpi.Workspace
+	// costOnly marks a rank of a cost-only world.
+	costOnly bool
 }
 
 // New allocates the local state on the calling rank's workspace — it lives
@@ -88,7 +97,7 @@ func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 	ch.A = ch.ws.Get(ch.RLoc * cfg.N)
 	ch.L = ch.ws.Get(ch.RLoc * cfg.N)
 	ch.Linv = ch.ws.Get(ch.RLoc * cfg.N)
-	if g.All.Raw().World().CostOnly() {
+	if ch.costOnly = g.All.Raw().World().CostOnly(); ch.costOnly {
 		return ch
 	}
 	boost := 4 + 2*math.Log(float64(cfg.N))
@@ -108,17 +117,25 @@ func New(p *critter.Profiler, g *grid.Grid3D, cfg Config) *Chol {
 // Run performs the full factorization with inverse maintenance.
 func (ch *Chol) Run() { ch.cholInv(0, ch.Cfg.N) }
 
+// slots is a run of consecutive local block slots: the bi-th is first+bi,
+// for bi in [0, n).
+type slots struct{ first, n int }
+
 // localBlocksIn returns the local block slots whose global rows lie in
-// [r0, r1); both bounds must be BB-aligned.
-func (ch *Chol) localBlocksIn(r0, r1 int) []int {
-	var out []int
-	for lb := 0; lb < ch.Rows.LocalBlocks(ch.G.LayerRank); lb++ {
-		g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * ch.Cfg.BB
-		if g0 >= r0 && g0 < r1 {
-			out = append(out, lb)
+// [r0, r1); both bounds must be BB-aligned and r1 at most N. Local slot lb
+// holds global block lb*P + LayerRank, so the slots in a block range are
+// consecutive.
+func (ch *Chol) localBlocksIn(r0, r1 int) slots {
+	r, p := ch.G.LayerRank, ch.Rows.P
+	// from returns the first local slot whose global block is at least b.
+	from := func(b int) int {
+		if b <= r {
+			return 0
 		}
+		return (b - r + p - 1) / p
 	}
-	return out
+	lo, hi := from(r0/ch.Cfg.BB), from(r1/ch.Cfg.BB)
+	return slots{first: lo, n: hi - lo}
 }
 
 // maxBlocksIn returns the maximum, over layer ranks, of the number of
@@ -144,8 +161,9 @@ func (ch *Chol) allgatherBlock(mat []float64, r0, r1, c0, c1 int) []float64 {
 	defer ch.ws.Release(ch.ws.Mark())
 	contrib := ch.ws.Get(maxB * bb * cols)
 	mine := ch.localBlocksIn(r0, r1)
-	ch.p.Kernel("blk2cyc", len(mine), cols, 0, 0, float64(len(mine)*bb*cols), func() {
-		for bi, lb := range mine {
+	ch.p.Kernel("blk2cyc", mine.n, cols, 0, 0, float64(mine.n*bb*cols), func() {
+		for bi := range mine.n {
+			lb := mine.first + bi
 			for c := 0; c < cols; c++ {
 				src := mat[lb*bb+(c0+c)*ch.RLoc : lb*bb+(c0+c)*ch.RLoc+bb]
 				copy(contrib[bi*bb+c*maxB*bb:bi*bb+c*maxB*bb+bb], src)
@@ -178,9 +196,13 @@ func (ch *Chol) allgatherBlock(mat []float64, r0, r1, c0, c1 int) []float64 {
 // writeBlockRows scatters dense rows of a (r1-r0) x cols block back into the
 // local cyclic slab of mat at columns [c0, c0+cols).
 func (ch *Chol) writeBlockRows(mat, dense []float64, r0, r1, c0, cols int) {
+	if ch.costOnly {
+		return
+	}
 	bb := ch.Cfg.BB
 	rows := r1 - r0
-	for _, lb := range ch.localBlocksIn(r0, r1) {
+	mine := ch.localBlocksIn(r0, r1)
+	for lb := mine.first; lb < mine.first+mine.n; lb++ {
 		g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * bb
 		for c := 0; c < cols; c++ {
 			copy(mat[lb*bb+(c0+c)*ch.RLoc:lb*bb+(c0+c)*ch.RLoc+bb],
@@ -208,12 +230,14 @@ func (ch *Chol) cholInv(i0, i1 int) {
 	schur := ch.ws.Mark()
 	mine := ch.localBlocksIn(mid, i1)
 	bb := ch.Cfg.BB
-	m2loc := len(mine) * bb
+	m2loc := mine.n * bb
 	l21 := ch.ws.Get(m2loc * s11)
 	if m2loc > 0 {
 		a21 := ch.packRows(ch.A, mine, i0, s11)
 		if ch.Cfg.C == 1 {
-			copy(l21, a21)
+			if !ch.costOnly {
+				copy(l21, a21)
+			}
 			ch.p.Trmm(blas.Right, blas.Lower, true, blas.NonUnit, m2loc, s11, 1, m11inv, s11, l21, m2loc)
 		} else {
 			k0, k1 := depthChunk(s11, ch.Cfg.C, ch.G.MyLayer)
@@ -233,26 +257,32 @@ func (ch *Chol) cholInv(i0, i1 int) {
 	// A22 <- A22 - L21 L21^T (lower triangle), per local row block:
 	// syrk for the diagonal tile, gemm for the off-diagonal row segment.
 	f := ch.allgatherBlock(ch.L, mid, i1, i0, mid) // m2 x s11
-	for _, lb := range mine {
+	for lb := mine.first; lb < mine.first+mine.n; lb++ {
 		g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * bb
 		block := ch.ws.Mark()
 		frow := ch.ws.Get(bb * s11)
-		for c := 0; c < s11; c++ {
-			copy(frow[c*bb:(c+1)*bb], f[g0-mid+c*m2:g0-mid+c*m2+bb])
+		if !ch.costOnly {
+			for c := 0; c < s11; c++ {
+				copy(frow[c*bb:(c+1)*bb], f[g0-mid+c*m2:g0-mid+c*m2+bb])
+			}
 		}
 		diag := ch.ws.Get(bb * bb)
 		ch.p.Syrk(blas.Lower, false, bb, s11, 1, frow, bb, 0, diag, bb)
-		for c := 0; c < bb; c++ {
-			for r := c; r < bb; r++ {
-				ch.A[lb*bb+r+(g0+c)*ch.RLoc] -= diag[r+c*bb]
+		if !ch.costOnly {
+			for c := 0; c < bb; c++ {
+				for r := c; r < bb; r++ {
+					ch.A[lb*bb+r+(g0+c)*ch.RLoc] -= diag[r+c*bb]
+				}
 			}
 		}
 		if g0 > mid {
 			off := ch.ws.Get(bb * (g0 - mid))
 			ch.p.Gemm(false, true, bb, g0-mid, s11, 1, frow, bb, f, m2, 0, off, bb)
-			for c := 0; c < g0-mid; c++ {
-				for r := 0; r < bb; r++ {
-					ch.A[lb*bb+r+(mid+c)*ch.RLoc] -= off[r+c*bb]
+			if !ch.costOnly {
+				for c := 0; c < g0-mid; c++ {
+					for r := 0; r < bb; r++ {
+						ch.A[lb*bb+r+(mid+c)*ch.RLoc] -= off[r+c*bb]
+					}
 				}
 			}
 		}
@@ -276,12 +306,16 @@ func (ch *Chol) cholInv(i0, i1 int) {
 }
 
 // packRows copies the local blocks' columns [c0, c0+cols) into a contiguous
-// (len(mine)*BB) x cols matrix on the workspace.
-func (ch *Chol) packRows(mat []float64, mine []int, c0, cols int) []float64 {
+// (mine.n*BB) x cols matrix on the workspace.
+func (ch *Chol) packRows(mat []float64, mine slots, c0, cols int) []float64 {
 	bb := ch.Cfg.BB
-	m := len(mine) * bb
+	m := mine.n * bb
 	out := ch.ws.Get(m * cols)
-	for bi, lb := range mine {
+	if ch.costOnly {
+		return out
+	}
+	for bi := range mine.n {
+		lb := mine.first + bi
 		for c := 0; c < cols; c++ {
 			copy(out[bi*bb+c*m:bi*bb+c*m+bb], mat[lb*bb+(c0+c)*ch.RLoc:lb*bb+(c0+c)*ch.RLoc+bb])
 		}
@@ -289,12 +323,16 @@ func (ch *Chol) packRows(mat []float64, mine []int, c0, cols int) []float64 {
 	return out
 }
 
-// unpackRows writes a packed (len(mine)*BB) x cols matrix back into the
+// unpackRows writes a packed (mine.n*BB) x cols matrix back into the
 // local slab columns [c0, c0+cols).
-func (ch *Chol) unpackRows(mat, packed []float64, mine []int, c0, cols int) {
+func (ch *Chol) unpackRows(mat, packed []float64, mine slots, c0, cols int) {
+	if ch.costOnly {
+		return
+	}
 	bb := ch.Cfg.BB
-	m := len(mine) * bb
-	for bi, lb := range mine {
+	m := mine.n * bb
+	for bi := range mine.n {
+		lb := mine.first + bi
 		for c := 0; c < cols; c++ {
 			copy(mat[lb*bb+(c0+c)*ch.RLoc:lb*bb+(c0+c)*ch.RLoc+bb], packed[bi*bb+c*m:bi*bb+c*m+bb])
 		}
@@ -337,17 +375,21 @@ func (ch *Chol) factorDense(block []float64, s int) []float64 {
 		_ = err // tolerated under selective execution
 	}
 	pair := ch.ws.Get(2 * s * s)
-	copy(pair[:s*s], block)
 	inv := pair[s*s:]
-	copy(inv, block)
+	if !ch.costOnly {
+		copy(pair[:s*s], block)
+		copy(inv, block)
+	}
 	if err := ch.p.Trtri(s, inv, s); err != nil {
 		_ = err
 	}
 	// Zero strict upper triangles for cleanliness.
-	for c := 0; c < s; c++ {
-		for r := 0; r < c; r++ {
-			pair[r+c*s] = 0
-			inv[r+c*s] = 0
+	if !ch.costOnly {
+		for c := 0; c < s; c++ {
+			for r := 0; r < c; r++ {
+				pair[r+c*s] = 0
+				inv[r+c*s] = 0
+			}
 		}
 	}
 	return pair
@@ -366,8 +408,9 @@ func (ch *Chol) baseGatherScatter(i0, i1, s int) {
 	if ch.G.MyLayer == 0 {
 		contrib := ch.ws.Get(contribWords)
 		mine := ch.localBlocksIn(i0, i1)
-		ch.p.Kernel("blk2cyc", len(mine), s, 0, 0, float64(len(mine)*bb*s), func() {
-			for bi, lb := range mine {
+		ch.p.Kernel("blk2cyc", mine.n, s, 0, 0, float64(mine.n*bb*s), func() {
+			for bi := range mine.n {
+				lb := mine.first + bi
 				for c := 0; c < s; c++ {
 					copy(contrib[bi*bb+c*maxB*bb:bi*bb+c*maxB*bb+bb],
 						ch.A[lb*bb+(i0+c)*ch.RLoc:lb*bb+(i0+c)*ch.RLoc+bb])
@@ -410,13 +453,15 @@ func (ch *Chol) baseAllgatherLayer0(i0, i1, s int) {
 		dense := ch.allgatherBlock(ch.A, i0, i1, i0, i1)
 		pair := ch.factorDense(dense, s)
 		// Pack my rows of both factors for the depth broadcast.
-		mine := ch.localBlocksIn(i0, i1)
-		for bi, lb := range mine {
-			g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * bb
-			for c := 0; c < s; c++ {
-				copy(slab[bi*bb+c*maxB*bb:bi*bb+c*maxB*bb+bb], pair[g0-i0+c*s:g0-i0+c*s+bb])
-				copy(slab[maxB*bb*s+bi*bb+c*maxB*bb:maxB*bb*s+bi*bb+c*maxB*bb+bb],
-					pair[s*s+g0-i0+c*s:s*s+g0-i0+c*s+bb])
+		if !ch.costOnly {
+			mine := ch.localBlocksIn(i0, i1)
+			for bi := range mine.n {
+				g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, mine.first+bi) * bb
+				for c := 0; c < s; c++ {
+					copy(slab[bi*bb+c*maxB*bb:bi*bb+c*maxB*bb+bb], pair[g0-i0+c*s:g0-i0+c*s+bb])
+					copy(slab[maxB*bb*s+bi*bb+c*maxB*bb:maxB*bb*s+bi*bb+c*maxB*bb+bb],
+						pair[s*s+g0-i0+c*s:s*s+g0-i0+c*s+bb])
+				}
 			}
 		}
 	}
@@ -431,6 +476,9 @@ func (ch *Chol) assembleDense(gathered []float64, i0, i1, s, maxB int) []float64
 	p2 := ch.Cfg.C * ch.Cfg.C
 	contribWords := maxB * bb * s
 	dense := ch.ws.Get(s * s)
+	if ch.costOnly {
+		return dense
+	}
 	d := grid.Cyclic{N: ch.Cfg.N, BS: bb, P: p2}
 	for owner := 0; owner < p2; owner++ {
 		seg := gathered[owner*contribWords : (owner+1)*contribWords]
@@ -456,6 +504,9 @@ func (ch *Chol) packPairForScatter(pair []float64, i0, i1, s, maxB int) []float6
 	p2 := ch.Cfg.C * ch.Cfg.C
 	slabWords := 2 * maxB * bb * s
 	out := ch.ws.Get(p2 * slabWords)
+	if ch.costOnly {
+		return out
+	}
 	d := grid.Cyclic{N: ch.Cfg.N, BS: bb, P: p2}
 	for owner := 0; owner < p2; owner++ {
 		seg := out[owner*slabWords : (owner+1)*slabWords]
@@ -478,9 +529,14 @@ func (ch *Chol) packPairForScatter(pair []float64, i0, i1, s, maxB int) []float6
 
 // unpackPairSlab writes a padded [L | Linv] slab into the local storage.
 func (ch *Chol) unpackPairSlab(slab []float64, i0, i1, s, maxB int) {
+	if ch.costOnly {
+		return
+	}
 	bb := ch.Cfg.BB
 	half := maxB * bb * s
-	for bi, lb := range ch.localBlocksIn(i0, i1) {
+	mine := ch.localBlocksIn(i0, i1)
+	for bi := range mine.n {
+		lb := mine.first + bi
 		for c := 0; c < s; c++ {
 			copy(ch.L[lb*bb+(i0+c)*ch.RLoc:lb*bb+(i0+c)*ch.RLoc+bb],
 				slab[bi*bb+c*maxB*bb:bi*bb+c*maxB*bb+bb])
@@ -492,8 +548,12 @@ func (ch *Chol) unpackPairSlab(slab []float64, i0, i1, s, maxB int) {
 
 // writePair writes a dense [L | Linv] pair's local rows into storage.
 func (ch *Chol) writePair(pair []float64, i0, i1, s int) {
+	if ch.costOnly {
+		return
+	}
 	bb := ch.Cfg.BB
-	for _, lb := range ch.localBlocksIn(i0, i1) {
+	mine := ch.localBlocksIn(i0, i1)
+	for lb := mine.first; lb < mine.first+mine.n; lb++ {
 		g0 := ch.Rows.GlobalBlock(ch.G.LayerRank, lb) * bb
 		for c := 0; c < s; c++ {
 			copy(ch.L[lb*bb+(i0+c)*ch.RLoc:lb*bb+(i0+c)*ch.RLoc+bb], pair[g0-i0+c*s:g0-i0+c*s+bb])

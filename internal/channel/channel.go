@@ -14,8 +14,9 @@
 package channel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -49,7 +50,7 @@ func FromGroup(group []int) (Channel, bool) {
 	sorted := group
 	if !isAscending(group) {
 		sorted = append([]int(nil), group...)
-		sort.Ints(sorted)
+		slices.Sort(sorted)
 	}
 	if len(sorted) == 1 {
 		return Channel{}, true
@@ -116,7 +117,7 @@ func Combine(c, x Channel) (Channel, bool) {
 		return c, true
 	}
 	merged := append(append([]Dim(nil), c.Dims...), x.Dims...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Stride < merged[j].Stride })
+	slices.SortFunc(merged, func(a, b Dim) int { return cmp.Compare(a.Stride, b.Stride) })
 	for i := 1; i < len(merged); i++ {
 		span := merged[i-1].Stride * merged[i-1].Size
 		if merged[i].Stride < span || merged[i].Stride%merged[i-1].Stride != 0 {

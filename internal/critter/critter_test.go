@@ -239,44 +239,39 @@ func TestSkippedCollectiveSavesWallTime(t *testing.T) {
 }
 
 // TestIsendCommittedProtocol pins the one receiver rule: a Recv follows the
-// decision its Isend committed, even where the receiver's own model
-// disagrees. An Isend leg costs exactly α, so the sender's model converges
-// long before the receiver's, whose samples include the wait for the
-// payload; the receiver then skips receives its own model would still run.
-// The pair's executed and skipped counts must match rank for rank.
+// decision its Isend committed. Rank 0 Isends one signature until its model
+// skips sends; rank 1's receive i is skipped if and only if rank 0's send i
+// was, and the pair's executed and skipped counts match rank for rank.
 func TestIsendCommittedProtocol(t *testing.T) {
 	const sends, words, eps = 60, 64, 0.25
-	recv := CommKey("recv", words, 2, 1)
 	var executed, skipped [2]int64
-	overruled := 0
+	var skips [2][sends]bool // skips[r][i]: rank r skipped its leg of message i
 	runProfiled(t, 2, 0.1, Options{Policy: Conditional, Eps: eps}, func(p *Profiler, cc *Comm) {
 		buf := make([]float64, words)
 		for i := 0; i < sends; i++ {
+			before := p.skipped
 			if cc.Rank() == 0 {
 				cc.Isend(1, i, buf)
+				skips[0][i] = p.skipped > before
 				p.Waitall()
 				continue
 			}
-			// The receiver's own decision; Conditional credits frequency 1.
-			m := p.modelOf(recv)
-			own := m.Count() == 0 || !m.Predictable(eps, 1)
-			before := p.skipped
 			cc.Recv(0, i, buf)
-			if own && p.skipped > before {
-				overruled++
-			}
+			skips[1][i] = p.skipped > before
 		}
 		executed[cc.Rank()], skipped[cc.Rank()] = p.executed, p.skipped
 	})
+	for i := range sends {
+		if skips[0][i] != skips[1][i] {
+			t.Errorf("message %d: send skipped %v, receive skipped %v", i, skips[0][i], skips[1][i])
+		}
+	}
 	if executed[0] != executed[1] || skipped[0] != skipped[1] {
 		t.Errorf("sender executed %d and skipped %d, receiver executed %d and skipped %d",
 			executed[0], skipped[0], executed[1], skipped[1])
 	}
 	if skipped[0] == 0 {
 		t.Error("no send was skipped")
-	}
-	if overruled == 0 {
-		t.Error("the receiver's own model never disagreed with a skipped send")
 	}
 }
 

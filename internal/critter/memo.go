@@ -86,12 +86,14 @@ type KernelMemo struct {
 // and its freelist of spare buffers (length 0, not zeroed — kernelCounts
 // clears what it grows into), and the archive (length 0: the model slab is
 // overwritten as it refills, the frequency slab is stale and cleared as it
-// regrows, the segment list is cleared so it pins no table).
+// regrows, the segment list is cleared so it pins no table), and the list
+// of Isends awaiting Waitall (cleared, length 0).
 type memoArena struct {
 	k      []kernelStats
 	counts []int64
 	free   countsFree
 	arch   archive
+	isends []isend
 }
 
 // NewKernelMemo returns an empty memo.

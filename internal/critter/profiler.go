@@ -202,8 +202,8 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		memo:  opts.Memo,
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
-	// supply: the records, the path-frequency buffers, and the archive's
-	// slabs.
+	// supply: the records, the path-frequency buffers, the archive's slabs
+	// and the Isend list.
 	p.est = newCIMean(opts.Extrapolate)
 	if p.memo != nil {
 		if a := p.memo.acquireArena(p.rank); a != nil {
@@ -211,6 +211,7 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
 			p.arch = a.arch
+			p.isends = a.isends
 		}
 	}
 	if opts.Prior != nil {
@@ -854,10 +855,10 @@ func (p *Profiler) Report() Report {
 }
 
 // Retire donates the profiler's recyclable per-rank state to the attached
-// memo — the records, the path-frequency table and its spare buffers, and
-// the archive's slabs — for the next profiler of the same world rank built
-// with Options.Memo on the same memo to adopt. The profiler must not be used
-// afterwards. A no-op without a memo. Call it per rank once the sweep is
+// memo — the records, the path-frequency table and its spare buffers, the
+// archive's slabs and the Isend list — for the next profiler of the same
+// world rank built with Options.Memo on the same memo to adopt. The profiler
+// must not be used afterwards. A no-op without a memo. Call it per rank once the sweep is
 // done with the profiler (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
 	if p.memo == nil {
@@ -873,6 +874,8 @@ func (p *Profiler) Retire() {
 	p.free.put(p.apriori)
 	a.free = p.free
 	a.arch = p.arch.recycled()
+	clear(p.isends)
+	a.isends = p.isends[:0]
 	p.memo.releaseArena(p.rank, a)
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
@@ -881,6 +884,7 @@ func (p *Profiler) Retire() {
 	p.lastValid = false
 	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
 	p.arch = archive{}
+	p.isends = nil
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,

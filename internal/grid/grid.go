@@ -8,7 +8,29 @@ import (
 	"fmt"
 
 	"critter/internal/critter"
+	"critter/internal/mpi"
 )
+
+// headers is a rank's freelist of released grid headers (see Release), kept
+// in its mpi.Local slot, so a sweep that builds a grid per configuration
+// allocates one header per rank and grid kind.
+type headers struct {
+	g2 []*Grid2D
+	g3 []*Grid3D
+}
+
+// pop removes and returns the top of a freelist, or a new T when it is
+// empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	g := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return g
+}
 
 // Grid2D is one rank's view of a pr-by-pc process grid. Ranks are laid out
 // row-major: rank = row*pc + col. Row and Col are the rank's fiber
@@ -24,14 +46,16 @@ type Grid2D struct {
 }
 
 // New2D builds the grid from a communicator of exactly pr*pc ranks,
-// creating row and column fiber communicators via profiled splits.
+// creating row and column fiber communicators via profiled splits. The
+// header is the one the rank released last, when there is one.
 func New2D(cc *critter.Comm, pr, pc int) *Grid2D {
 	if cc.Size() != pr*pc {
 		panic(fmt.Sprintf("grid: comm size %d != %dx%d", cc.Size(), pr, pc))
 	}
 	r := cc.Rank() / pc
 	c := cc.Rank() % pc
-	return &Grid2D{
+	g := pop(&mpi.Local[headers](cc.Raw()).g2)
+	*g = Grid2D{
 		All:   cc,
 		Row:   cc.Split(r, c),
 		Col:   cc.Split(c, r),
@@ -40,17 +64,21 @@ func New2D(cc *critter.Comm, pr, pc int) *Grid2D {
 		MyRow: r,
 		MyCol: c,
 	}
+	return g
 }
 
 // Release frees the grid's fiber communicators (critter.Comm.Free), Col and
 // then Row, the reverse of the order New2D split them: the next grid built
 // on the same communicator takes its handles back last-freed first, so a
-// recurring grid gets its own fibers, channels included. All stays usable;
-// the grid does not.
+// recurring grid gets its own fibers, channels included. The header goes on
+// the rank's freelist for the next New2D. All stays usable; the grid does
+// not: nothing may read it after.
 func (g *Grid2D) Release() {
 	g.Col.Free()
 	g.Row.Free()
-	g.Row, g.Col = nil, nil
+	h := mpi.Local[headers](g.All.Raw())
+	*g = Grid2D{}
+	h.g2 = append(h.g2, g)
 }
 
 // RankOf returns the grid rank owning grid coordinates (row, col).
@@ -68,14 +96,16 @@ type Grid3D struct {
 	LayerRank int // position within the layer
 }
 
-// New3D builds a cubic grid from a communicator of exactly c*c*c ranks.
+// New3D builds a cubic grid from a communicator of exactly c*c*c ranks, on
+// a released header when the rank has one, as New2D.
 func New3D(cc *critter.Comm, c int) *Grid3D {
 	if cc.Size() != c*c*c {
 		panic(fmt.Sprintf("grid: comm size %d != %d^3", cc.Size(), c))
 	}
 	layer := cc.Rank() / (c * c)
 	lr := cc.Rank() % (c * c)
-	return &Grid3D{
+	g := pop(&mpi.Local[headers](cc.Raw()).g3)
+	*g = Grid3D{
 		All:       cc,
 		Layer:     cc.Split(layer, lr),
 		Depth:     cc.Split(lr, layer),
@@ -83,14 +113,17 @@ func New3D(cc *critter.Comm, c int) *Grid3D {
 		MyLayer:   layer,
 		LayerRank: lr,
 	}
+	return g
 }
 
-// Release frees the grid's fibers, Depth and then Layer, as Grid2D.Release
-// does.
+// Release frees the grid's fibers, Depth and then Layer, and files the
+// header, as Grid2D.Release does.
 func (g *Grid3D) Release() {
 	g.Depth.Free()
 	g.Layer.Free()
-	g.Layer, g.Depth = nil, nil
+	h := mpi.Local[headers](g.All.Raw())
+	*g = Grid3D{}
+	h.g3 = append(h.g3, g)
 }
 
 // Cyclic describes a 1D block-cyclic distribution of n items in blocks of

@@ -229,3 +229,43 @@ func TestWorldsShareNoMailboxes(t *testing.T) {
 		t.Error("neither world gave its mailboxes back")
 	}
 }
+
+// TestLocalSlots: Local hands each rank one value per type, zero on first
+// use and the same pointer on every later call, from the world communicator
+// and from a Dup of it alike; the values of two types, and of two ranks, are
+// distinct; and a new world's ranks start from new zero values.
+func TestLocalSlots(t *testing.T) {
+	type a struct{ n int }
+	type b struct{ n int }
+	const size = 4
+	var first [size]*a
+	run(t, size, func(c *Comm) {
+		pa, pb := Local[a](c), Local[b](c)
+		if pa.n != 0 || pb.n != 0 {
+			t.Errorf("rank %d: first use holds %d and %d, want zero", c.Rank(), pa.n, pb.n)
+		}
+		pa.n, pb.n = c.Rank()+1, -(c.Rank() + 1)
+		d := c.Dup()
+		if Local[a](c) != pa || Local[a](d) != pa || Local[b](d) != pb {
+			t.Errorf("rank %d: a later call returned another value", c.Rank())
+		}
+		if Local[a](d).n != c.Rank()+1 || Local[b](c).n != -(c.Rank()+1) {
+			t.Errorf("rank %d: the two types share a value", c.Rank())
+		}
+		c.Barrier() // every rank has written its own
+		first[c.Rank()] = pa
+	})
+	for r, p := range first {
+		if p.n != r+1 {
+			t.Errorf("rank %d's value holds %d, want %d: another rank wrote it", r, p.n, r+1)
+		}
+		if slices.Index(first[:], p) != r {
+			t.Errorf("ranks %d and %d share a value", slices.Index(first[:], p), r)
+		}
+	}
+	run(t, size, func(c *Comm) {
+		if p := Local[a](c); p == first[c.Rank()] || p.n != 0 {
+			t.Errorf("rank %d: a new world's value is the old one or not zero (%d)", c.Rank(), p.n)
+		}
+	})
+}

@@ -113,6 +113,26 @@ type rankState struct {
 	// holds the handles Free gave back, the last freed on top (see handle).
 	world *Comm
 	freed []*Comm
+	// locals holds the rank's Local values, one *T per type T.
+	locals []any
+}
+
+// Local returns the calling rank's value of type T: zero on the rank's first
+// call, the same pointer on every later one, from any of the rank's
+// communicators. It lives as long as the world and, like everything of the
+// rank, is confined to the rank's coroutine. A library keeps here what it
+// would otherwise rebuild for every configuration a sweep runs on the world —
+// a freelist, a mark vector — keyed by a type of its own.
+func Local[T any](c *Comm) *T {
+	s := c.state
+	for _, v := range s.locals {
+		if v, ok := v.(*T); ok {
+			return v
+		}
+	}
+	v := new(T)
+	s.locals = append(s.locals, v)
+	return v
 }
 
 // NewWorld creates a world of size ranks with the given machine model and

@@ -5,6 +5,7 @@ import (
 
 	"critter/internal/blas"
 	"critter/internal/critter"
+	"critter/internal/mpi"
 )
 
 // CholConfig parameterizes SLATE's tiled Cholesky (potrf): matrix dimension
@@ -42,52 +43,42 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 	cc := a.G.All
 	me := cc.Rank()
 
-	// panelTiles caches the factored column-k tiles this rank received:
-	// panelTiles[k][i] is L(i,k) for locally needed i.
-	panelTiles := make(map[int]map[int][]float64)
-	// need marks the recipients of one tile broadcast (see tileBcast).
-	need := make([]bool, cc.Size())
-	// Received panel tiles recycle through the world's buffer pool and
-	// cache maps through a local freelist, once their panel's updates
-	// complete; tiles aliasing the matrix's own storage are never pooled.
-	// At most lookahead+1 panels are live, so the steady state allocates
-	// nothing. On a cost-only world a received tile is a view of the
-	// world's scratch, like the matrix's own, and panelRecv, which lists
-	// each panel's received tiles to recycle, stays nil.
+	// need marks the recipients of one tile broadcast (see tileBcast). The
+	// panel ring holds the factored column-k tiles this rank uses:
+	// panelOf(k)[i] is L(i,k) for every locally needed i, nil elsewhere. At
+	// most lookahead+1 <= 2 panels are live, so two slots of nt tiles serve
+	// the whole run. Both are the rank's slate bookkeeping (local), which
+	// outlives the run. A received tile is a buffer of the world's pool, or
+	// on a cost-only world a view of the world's scratch. Retiring a panel
+	// clears its slot and, on a data world, gives back to the pool every
+	// tile of it this rank does not own: those are the received ones.
+	st := mpi.Local[local](cc.Raw())
+	st.need = resized(st.need, cc.Size())
+	st.ring = resized(st.ring, 2*nt)
+	need, ring := st.need, st.ring
+	panelOf := func(k int) [][]float64 { return ring[k%2*nt : (k%2+1)*nt] }
 	bufs := cc.Raw().World().BufPoolOf()
+	costOnly := cc.Raw().World().CostOnly()
 	recvBuf := bufs.Get
-	var panelRecv map[int][][]float64
-	if cc.Raw().World().CostOnly() {
+	if costOnly {
 		recvBuf = cc.Raw().Workspace().Get
-	} else {
-		panelRecv = make(map[int][][]float64)
-	}
-	var cachePool []map[int][]float64
-	newCache := func() map[int][]float64 {
-		if n := len(cachePool); n > 0 {
-			m := cachePool[n-1]
-			cachePool = cachePool[:n-1]
-			clear(m)
-			return m
-		}
-		return make(map[int][]float64)
 	}
 	retirePanel := func(k int) {
-		for _, b := range panelRecv[k] {
-			bufs.Put(b)
+		cache := panelOf(k)
+		if !costOnly {
+			for i := k; i < nt; i++ {
+				if cache[i] != nil && a.Owner(i, k) != me {
+					bufs.Put(cache[i])
+				}
+			}
 		}
-		delete(panelRecv, k)
-		if m, ok := panelTiles[k]; ok {
-			cachePool = append(cachePool, m)
-			delete(panelTiles, k)
-		}
+		clear(cache)
 	}
 
 	// panel factors tile column k: potrf on the diagonal tile, trsm below,
 	// then broadcasts each L(i,k) to the ranks that will consume it.
 	panel := func(k int) {
-		cache := newCache()
-		panelTiles[k] = cache
+		cache := panelOf(k)
 		diagOwner := a.Owner(k, k)
 		if me == diagOwner {
 			lkk := a.Tile(k, k)
@@ -99,18 +90,7 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 		clear(need)
 		a.markCol(need, k, k+1, nt)
 		need[diagOwner] = false
-		var lkk []float64
-		if got := tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, recvBuf); got != nil {
-			lkk = got
-			if me != diagOwner && panelRecv != nil {
-				panelRecv[k] = append(panelRecv[k], got)
-			}
-		}
-		if me == diagOwner {
-			cache[k] = a.Tile(k, k)
-		} else if lkk != nil {
-			cache[k] = lkk
-		}
+		cache[k] = tileBcast(cc, diagOwner, need, tag(k, k, 0, nt), tileOrNil(a, k, k, me == diagOwner), nb*nb, recvBuf)
 		// trsm: L(i,k) = A(i,k) * L(k,k)^-T for local tiles below.
 		for i := a.mineInCol(k, k+1); i < nt; i += a.G.PR {
 			p.Trsm(blas.Right, blas.Lower, true, blas.NonUnit, nb, nb, 1, cache[k], nb, a.Tile(i, k), nb)
@@ -124,20 +104,14 @@ func Cholesky(p *critter.Profiler, a *TileMatrix, cfg CholConfig) {
 			a.markRow(need, i, k+1, i+1)
 			a.markCol(need, i, i, nt)
 			need[owner] = false
-			got := tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, recvBuf)
-			if got != nil {
-				cache[i] = got
-				if me != owner && panelRecv != nil {
-					panelRecv[k] = append(panelRecv[k], got)
-				}
-			}
+			cache[i] = tileBcast(cc, owner, need, tag(k, i, 1, nt), tileOrNil(a, i, k, me == owner), nb*nb, recvBuf)
 		}
 	}
 
 	// updateColumn applies panel k's update to tile column j of the
 	// trailing matrix: A(i,j) -= L(i,k) L(j,k)^T (syrk on the diagonal).
 	updateColumn := func(j, k int) {
-		cache := panelTiles[k]
+		cache := panelOf(k)
 		for i := a.mineInCol(j, j); i < nt; i += a.G.PR {
 			lik, ljk := cache[i], cache[j]
 			if lik == nil || ljk == nil {

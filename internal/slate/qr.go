@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"critter/internal/critter"
+	"critter/internal/mpi"
 )
 
 // QRConfig parameterizes SLATE's tiled Householder QR (geqrf): matrix shape
@@ -47,7 +48,13 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 	mt, nt, nb, ib := a.MT, a.NT, a.NB, cfg.IB
 	cc := a.G.All
 	me := cc.Rank()
-	need := make([]bool, cc.Size()) // one tile broadcast's recipients (see tileBcast)
+	// need marks one tile broadcast's recipients (see tileBcast); pairs[i]
+	// holds {V(i,k), T(i,k)} of the current tile column where this rank
+	// needs them. Both come from the rank's slate bookkeeping (local).
+	st := mpi.Local[local](cc.Raw())
+	st.need = resized(st.need, cc.Size())
+	st.pairs = resized(st.pairs, mt)
+	need, pairs := st.need, st.pairs
 	ws := cc.Raw().Workspace()
 	recvBuf := ws.Get       // zeroed: a skipped Recv leaves the buffer as handed out
 	vWords := nb*nb + ib*nb // a V tile with its stacked T factor
@@ -104,7 +111,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 			}
 		}
 		cur := diagOwner
-		vT := make(map[int][2][]float64) // i -> {V(i,k), T(i,k)} if needed locally
+		clear(pairs)
 		for i := k + 1; i < mt; i++ {
 			o := a.Owner(i, k)
 			if o != cur {
@@ -129,9 +136,9 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 				vsend = stack(vik, tik)
 			}
 			if got := tileBcast(cc, o, need, tagOf(k, i, 0, 3), vsend, vWords, recvBuf); got != nil {
-				vT[i] = [2][]float64{got[:nb*nb], got[nb*nb:]}
+				pairs[i] = [2][]float64{got[:nb*nb], got[nb*nb:]}
 			} else if me == o {
-				vT[i] = [2][]float64{vik, tik}
+				pairs[i] = [2][]float64{vik, tik}
 			}
 			cur = o
 		}
@@ -172,7 +179,7 @@ func QR(p *critter.Profiler, a *TileMatrix, cfg QRConfig) {
 					}
 				}
 				if me == o {
-					pair := vT[i]
+					pair := pairs[i]
 					if pair[0] == nil {
 						panic(fmt.Sprintf("slate: rank %d missing V(%d,%d) for update of (%d,%d)", me, i, k, i, j))
 					}

@@ -262,6 +262,27 @@ func copyTileIntoDense(full []float64, ld int, tile []float64, i, j, nb int) {
 	}
 }
 
+// local is a rank's slate bookkeeping, kept in its mpi.Local slot so that
+// the configurations a sweep runs on one world reuse it rather than rebuild
+// it: the recipients of one tile broadcast (see tileBcast), Cholesky's panel
+// ring and QR's V/T pairs of one tile column.
+type local struct {
+	need  []bool
+	ring  [][]float64
+	pairs [][2][]float64
+}
+
+// resized returns s at length n, every element zero, on s's array when it
+// holds n.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // tileBcast moves one buffer from owner to every grid rank marked in recips
 // using profiled isend/recv, sending in index order, which is increasing rank
 // order. recips is a dense mark vector indexed by grid rank, not a map: each
