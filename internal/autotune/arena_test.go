@@ -12,17 +12,18 @@ import (
 	"testing"
 
 	"critter/internal/critter"
+	"critter/internal/mpi"
 	"critter/internal/obs"
 )
 
-// runOn runs every sweep of a tuner in turn on one scratch arena: what
-// runJobs does on a single worker, with the arena chosen by the caller
-// instead of taken from a set.
-func runOn(ctx context.Context, sc *scratch, tu Tuner) (*Result, error) {
+// runOn runs every sweep of a tuner in turn on one arena: what runJobs does
+// on a single worker, with the arena chosen by the caller instead of taken
+// from a set.
+func runOn(ctx context.Context, pool *mpi.BufPool, tu Tuner) (*Result, error) {
 	res, jobs := tu.build(&progressSink{})
 	errs := make([]error, len(jobs))
 	for i, j := range jobs {
-		errs[i] = j.run(ctx, sc)
+		errs[i] = j.run(ctx, pool)
 	}
 	return res, errors.Join(errs...)
 }
@@ -35,19 +36,19 @@ func runOn(ctx context.Context, sc *scratch, tu Tuner) (*Result, error) {
 // the same ones run after run.
 func TestArenasKeepWhatTheirRunsGaveBack(t *testing.T) {
 	var a Arenas
-	sc := a.take()
-	a.give(sc)
+	pool := a.take()
+	a.give(pool)
 	runtime.GC()
 	runtime.GC()
-	taken := make(chan *scratch)
+	taken := make(chan *mpi.BufPool)
 	go func() { taken <- a.take() }()
-	if got := <-taken; got != sc {
+	if got := <-taken; got != pool {
 		t.Fatal("another goroutine took a new arena, not the one given back")
 	}
 
 	var none *Arenas
-	none.give(sc)
-	if none.take() == sc {
+	none.give(pool)
+	if none.take() == pool {
 		t.Fatal("a nil set handed back an arena")
 	}
 
@@ -55,7 +56,7 @@ func TestArenasKeepWhatTheirRunsGaveBack(t *testing.T) {
 		Study: CapitalCholesky(QuickScale()), EpsList: []float64{0.5, 0.25}, Policies: []critter.Policy{critter.Online},
 		Machine: quickMachine(), Seed: 42, Workers: 2,
 	}
-	var kept []*scratch
+	var kept []*mpi.BufPool
 	for run := 0; run < 2; run++ {
 		if _, err := a.Run(context.Background(), tu, nil); err != nil {
 			t.Fatal(err)
@@ -96,18 +97,18 @@ func TestArenaOutlivesRuns(t *testing.T) {
 		t.Skip("runs a default-scale sweep and four golden grids")
 	}
 	ctx := context.Background()
-	sc := newScratch()
+	pool := mpi.NewBufPool()
 
 	for _, tu := range []Tuner{
 		{Study: SlateCholesky(QuickScale()), EpsList: []float64{0.125}, Policies: []critter.Policy{critter.Online}},
 		{Study: SlateCholesky(DefaultScale()), EpsList: []float64{0.125}, Policies: []critter.Policy{critter.Online}},
 	} {
 		tu.Machine, tu.Seed = quickMachine(), 42
-		got, err := runOn(ctx, sc, tu)
+		got, err := runOn(ctx, pool, tu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runOn(ctx, newScratch(), tu)
+		want, err := runOn(ctx, mpi.NewBufPool(), tu)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestArenaOutlivesRuns(t *testing.T) {
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	_, err := runOn(cctx, sc, Tuner{
+	_, err := runOn(cctx, pool, Tuner{
 		Study: SlateQR(QuickScale()), EpsList: []float64{0.125}, Policies: []critter.Policy{critter.Online},
 		Machine: quickMachine(), Seed: 42, Tracer: &cancelAfter{configs: 5, cancel: cancel},
 	})
@@ -132,7 +133,7 @@ func TestArenaOutlivesRuns(t *testing.T) {
 		if st.Name == "slate-qr" {
 			eps = []float64{0.125}
 		}
-		res, err := runOn(ctx, sc, Tuner{Study: st, EpsList: eps, Machine: quickMachine(), Seed: 42})
+		res, err := runOn(ctx, pool, Tuner{Study: st, EpsList: eps, Machine: quickMachine(), Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,64 +69,52 @@ func (ps *progressSink) report(study string, sw SweepResult, err error) {
 	}
 }
 
-// scratch is the reusable per-worker arena threaded through the executor:
-// every world a worker creates shares one data-plane buffer pool, so
-// consecutive sweeps (and configurations within them) recycle each other's
-// message payload buffers instead of reallocating the same tile-sized
-// slices thousands of times, and one kernel memo, so later runs of a
-// configuration skip re-interning its kernel signatures and every profiler
-// recycles a retired one's arenas (see critter.KernelMemo). A scratch
-// belongs to exactly one worker goroutine at a time; the pool and memo it
-// hands to worlds are themselves concurrency safe (the world's ranks share
-// them).
-type scratch struct {
-	bufs *mpi.BufPool
-	memo *critter.KernelMemo
-}
-
 // Arenas is a set of executor arenas owned by a caller that runs tuner after
-// tuner, such as the service's runners: every run through it (Arenas.Run)
-// takes its workers' arenas from the set and gives them back,
-// so its buffers, records and interners grow once rather than once per run.
-// It holds at most as many arenas as its runs have had workers at once, each
-// for as long as the Arenas itself lives; an arena's memo publishes one table
-// per distinct (study, scale, configuration) it has run. Tuner.Run, Stream
-// and RunTuners, which have no such owner, give each worker a fresh arena
-// that dies with the run. The zero value is an empty set.
+// tuner, such as the service's runners. An arena is a worker's buffer pool
+// (mpi.BufPool): every world the worker runs is on it, so consecutive sweeps
+// recycle each other's payload buffers, mailboxes and the profiler's kernel
+// memo (interners and retired records) instead of rebuilding them. Every run
+// through the set (Arenas.Run) takes its workers' arenas from it and gives
+// them back, so they grow once rather than once per run. It holds at most as
+// many arenas as its runs have had workers at once, each for as long as the
+// Arenas itself lives; an arena's memo publishes one table per distinct
+// (study, scale, configuration) it has run. Tuner.Run, Stream and RunTuners,
+// which have no such owner, give each worker a fresh arena that dies with
+// the run. The zero value is an empty set.
 //
 // An arena's lifetime is the owner's, not the collector's: a free list that
 // the collector emptied would leave whether a run starts warm, and so what it
 // allocates, to when the last collection happened.
 type Arenas struct {
 	mu   sync.Mutex
-	free []*scratch
+	free []*mpi.BufPool
 }
 
 // take returns the arena given back last, or a new one. A nil set has no
 // arenas to give.
-func (a *Arenas) take() *scratch {
+func (a *Arenas) take() *mpi.BufPool {
 	if a == nil {
-		return newScratch()
+		return mpi.NewBufPool()
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := len(a.free)
 	if n == 0 {
-		return newScratch()
+		return mpi.NewBufPool()
 	}
-	sc := a.free[n-1]
+	pool := a.free[n-1]
 	a.free[n-1] = nil
 	a.free = a.free[:n-1]
-	return sc
+	return pool
 }
 
 // give files an arena its worker is done with for the next worker to take.
-func (a *Arenas) give(sc *scratch) {
+func (a *Arenas) give(pool *mpi.BufPool) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.free = append(a.free, sc)
+	a.free = append(a.free, pool)
 	a.mu.Unlock()
 }
 
@@ -137,18 +125,6 @@ func (a *Arenas) give(sc *scratch) {
 // never what it computes. A nil set gives each worker a fresh arena.
 func (a *Arenas) Run(ctx context.Context, t Tuner, emit func(SweepResult, error)) (*Result, error) {
 	return t.run(ctx, a, emit)
-}
-
-// newScratch builds one arena: an empty buffer pool and an empty memo.
-func newScratch() *scratch {
-	return &scratch{bufs: mpi.NewBufPool(), memo: critter.NewKernelMemo()}
-}
-
-// world creates a sweep world wired to this worker's arena.
-func (s *scratch) world(size int, machine sim.Machine, seed uint64) *mpi.World {
-	w := mpi.NewWorld(size, machine, seed)
-	w.SetBufPool(s.bufs)
-	return w
 }
 
 // sweepJob is one (study, policy, eps) cell of the evaluation grid. It owns
@@ -168,10 +144,6 @@ type sweepJob struct {
 	// tracer receives the sweep's span events (see Tuner.Tracer); nil
 	// disables tracing for this job at the cost of one branch.
 	tracer obs.Tracer
-	// memo is the worker's cross-config kernel memoization cache,
-	// installed by run from the worker's scratch arena. Nil disables
-	// memoization (results are byte-identical either way).
-	memo *critter.KernelMemo
 	// refs is the reference (full-execution) report of each configuration,
 	// shared by all of a tuner's jobs and, for a Study value that carries a
 	// table, by every tuner run on it at the same machine and seed
@@ -192,7 +164,7 @@ type sweepJob struct {
 // events, the end event carrying the sweep's virtual totals and the process
 // heap growth observed across the span (approximate under concurrent
 // sweeps — TotalAlloc is process-global).
-func (j sweepJob) run(ctx context.Context, sc *scratch) error {
+func (j sweepJob) run(ctx context.Context, pool *mpi.BufPool) error {
 	var allocStart uint64
 	if j.tracer != nil {
 		j.tracer.Emit(obs.Event{
@@ -211,8 +183,8 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 		err = j.machine.Validate()
 	}
 	if err == nil {
-		j.memo = sc.memo
-		w := sc.world(j.study.WorldSize, j.machine, j.seed)
+		w := mpi.NewWorld(j.study.WorldSize, j.machine, j.seed)
+		w.SetBufPool(pool)
 		w.SetTracer(j.tracer)
 		err = w.Run(func(c *mpi.Comm) {
 			sr := runSweep(ctx, c, j)
@@ -247,15 +219,15 @@ func (j sweepJob) run(ctx context.Context, sc *scratch) error {
 	return err
 }
 
-// forEachBounded runs fn(i, sc) for every i in [0, n) on at most workers
+// forEachBounded runs fn(i, pool) for every i in [0, n) on at most workers
 // goroutines (0 or negative means runtime.GOMAXPROCS(0); 1 recovers the
-// sequential path). sc is the executing worker's scratch arena: each worker
+// sequential path). pool is the executing worker's arena: each worker
 // goroutine takes one from arenas (a fresh one when arenas is nil), hands it
 // to every call it runs, and gives it back when the indices run out. The
 // index channel is buffered to n, so feeding it never blocks a worker. It is
 // the one pool implementation shared by the sweep executor and the full-only
 // pass.
-func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, sc *scratch)) {
+func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, pool *mpi.BufPool)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -263,10 +235,10 @@ func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, sc *scratch))
 		workers = n
 	}
 	if workers <= 1 {
-		sc := arenas.take()
-		defer arenas.give(sc)
+		pool := arenas.take()
+		defer arenas.give(pool)
 		for i := 0; i < n; i++ {
-			fn(i, sc)
+			fn(i, pool)
 		}
 		return
 	}
@@ -280,10 +252,10 @@ func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, sc *scratch))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := arenas.take()
-			defer arenas.give(sc)
+			pool := arenas.take()
+			defer arenas.give(pool)
 			for i := range idx {
-				fn(i, sc)
+				fn(i, pool)
 			}
 		}()
 	}
@@ -291,13 +263,13 @@ func forEachBounded(n, workers int, arenas *Arenas, fn func(i int, sc *scratch))
 }
 
 // runJobs executes jobs on at most workers goroutines — each carrying its
-// own scratch arena, taken from arenas — and returns the per-job errors in
+// own arena, taken from arenas — and returns the per-job errors in
 // job order, nil entries for successes. A failed sweep never blocks the
 // others.
 func runJobs(ctx context.Context, jobs []sweepJob, workers int, arenas *Arenas) []error {
 	errs := make([]error, len(jobs))
-	forEachBounded(len(jobs), workers, arenas, func(i int, sc *scratch) {
-		errs[i] = jobs[i].run(ctx, sc)
+	forEachBounded(len(jobs), workers, arenas, func(i int, pool *mpi.BufPool) {
+		errs[i] = jobs[i].run(ctx, pool)
 	})
 	return errs
 }

@@ -444,11 +444,11 @@ func TestFailedSweepPublishesNothing(t *testing.T) {
 				base.Run(p, cc, v)
 			}
 			res, jobs := tuner(st).build(&progressSink{})
-			sc := newScratch()
+			pool := mpi.NewBufPool()
 
 			// The first sweep fails; the context is its own, so the second
 			// sweep is not cancelled with it.
-			err := jobs[0].run(ctx, sc)
+			err := jobs[0].run(ctx, pool)
 			switch mode {
 			case "panic":
 				if err == nil || errors.Is(err, context.Canceled) {
@@ -478,7 +478,7 @@ func TestFailedSweepPublishesNothing(t *testing.T) {
 				}
 			}
 
-			if err := jobs[1].run(context.Background(), sc); err != nil {
+			if err := jobs[1].run(context.Background(), pool); err != nil {
 				t.Fatalf("second sweep: %v", err)
 			}
 			if got, want := res.Sweeps[0][1], clean.Sweeps[0][1]; !reflect.DeepEqual(got, want) {
@@ -508,10 +508,10 @@ func TestReferenceMatchesArithmeticTwin(t *testing.T) {
 	machine := quickMachine()
 	for _, st := range quickStudies() {
 		t.Run(st.Name, func(t *testing.T) {
-			sc := newScratch()
+			pool := mpi.NewBufPool()
 			for v := range st.Size() {
 				var ref, twin critter.Report
-				if err := fullOnlyConfig(context.Background(), st, machine, seed, v, sc, &ref); err != nil {
+				if err := fullOnlyConfig(context.Background(), st, machine, seed, v, pool, &ref); err != nil {
 					t.Fatal(err)
 				}
 				ck := critter.ConfigKey(st.Name, v)

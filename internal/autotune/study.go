@@ -179,10 +179,10 @@ type SweepResult struct {
 	// KernelsMemoized counts the skips whose predictability decision was
 	// replayed from a profiler's per-kernel decision cache instead of
 	// re-derived from the model (critter.Report.Memoized, summed over the
-	// sweep); the count is the same with or without the worker's
-	// critter.KernelMemo. Excluded from JSON: it is observational, so
-	// envelopes stay byte-identical. Surfaced operationally as the
-	// kernels_memoized_total metric.
+	// sweep); the count is the same on a warm arena or a fresh one.
+	// Excluded from JSON: it is observational, so envelopes stay
+	// byte-identical. Surfaced operationally as the kernels_memoized_total
+	// metric.
 	KernelsMemoized int64 `json:"-"`
 
 	// Profile is what the sweep's selective executions learned, merged
@@ -223,15 +223,15 @@ func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uin
 		return reports, fmt.Errorf("autotune: %w", err)
 	}
 	errs := make([]error, n)
-	forEachBounded(n, workers, nil, func(v int, sc *scratch) {
-		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, sc, &reports[v])
+	forEachBounded(n, workers, nil, func(v int, pool *mpi.BufPool) {
+		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, pool, &reports[v])
 	})
 	return reports, errors.Join(errs...)
 }
 
 // fullOnlyConfig runs one configuration with full execution in its own
 // world — wired to the worker's arena — storing rank 0's report.
-func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed uint64, v int, sc *scratch, out *critter.Report) error {
+func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed uint64, v int, pool *mpi.BufPool, out *critter.Report) error {
 	err := ctx.Err()
 	if err == nil {
 		err = machine.Validate()
@@ -239,7 +239,8 @@ func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed 
 	if err != nil {
 		return fmt.Errorf("autotune: %s: config %d: %w", study.Name, v, err)
 	}
-	w := sc.world(study.WorldSize, machine, seed)
+	w := mpi.NewWorld(study.WorldSize, machine, seed)
+	w.SetBufPool(pool)
 	err = w.Run(func(c *mpi.Comm) {
 		ref, refComm := critter.NewReference(c)
 		rep := reference(c, study, ref, refComm, v)

@@ -307,7 +307,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 		Eps:         eps,
 		Extrapolate: j.extrapolate,
 		Prior:       j.prior,
-		Memo:        j.memo,
 	}
 	// The reference profiler is built on the first miss of the shared table;
 	// a sweep that finds every report published never needs one.
@@ -457,7 +456,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	// their full union.
 	sr.Profile = tuned.GlobalProfile(0)
 	// The sweep is done with its selective profiler: donate its arena back
-	// to the worker's memo for the next sweep.
+	// to the memo on the worker's pool for the next sweep.
 	tuned.Retire()
 	return sr
 }

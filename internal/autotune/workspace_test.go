@@ -82,13 +82,9 @@ func TestWarmRunsRepeatAndAllocateNothing(t *testing.T) {
 				var factors [runs][]float64
 				var allocated [runs]uint64
 				var skipped [runs]int64
-				memo := critter.NewKernelMemo()
 				w := mpi.NewWorld(8, mode.machine, 42)
-				w.SetBufPool(mpi.NewBufPool())
 				err := w.Run(func(c *mpi.Comm) {
-					opts := mode.opts
-					opts.Memo = memo
-					p, cc := critter.New(c, opts)
+					p, cc := critter.New(c, mode.opts)
 					ws := c.Workspace()
 					for run := range factors {
 						mark := ws.Mark()

@@ -238,8 +238,8 @@ type exportMsg struct {
 // member's archive in turn into one scratch profile and pools it into the
 // single result, in comm-rank order — the fold every rank used to repeat over
 // P gathered exports, done once with one export's worth of maps live at a
-// time. The scratch is the world's memo's (KernelMemo.takeScratch), so a
-// worker folds every sweep through one set of maps, cleared in place. It runs
+// time. The scratch is the memo's of the world's buffer pool (takeScratch),
+// so a worker folds every sweep through one set of maps, cleared in place. It runs
 // while every other member waits in the round, which is what lets it read
 // their profilers and what forbids it to communicate.
 func foldExports(members []exportMsg) {

@@ -656,14 +656,15 @@ func TestReportDeterministic(t *testing.T) {
 }
 
 // TestReferenceArchivesNothing runs a NewReference profiler and its New twin
-// (Conditional, eps 0, a memo of its own) over the same keyed configurations
-// on identical worlds and seeds, each configuration's noise keyed by the
-// configuration as the sweep keys it. The reports must agree field for field.
-// The reference is a clock: the twin runs a kernel's body once per Kernel
-// call and the reference never; it keeps no record and archives nothing, its
-// GlobalProfile is empty, and it takes no memo, so a selective profiler that
-// restarts a configuration on the memo misses and publishes its own table,
-// where the twin's memo serves it.
+// (Conditional, eps 0) over the same keyed configurations on identical worlds
+// and seeds, each world on a pool of its own, each configuration's noise
+// keyed by the configuration as the sweep keys it. The reports must agree
+// field for field. The reference is a clock: the twin runs a kernel's body
+// once per Kernel call and the reference never; it keeps no record and
+// archives nothing, its GlobalProfile is empty, and it neither looks up nor
+// publishes in its pool's memo, so a selective profiler that restarts a
+// configuration on the pool misses and publishes its own table, where the
+// twin's memo serves it.
 func TestReferenceArchivesNothing(t *testing.T) {
 	const ranks, configs = 4, 5
 	// work calls Kernel twice per step, handing each call run.
@@ -681,7 +682,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 	type side struct {
 		reports []Report
 		global  *Profile
-		memo    *KernelMemo
+		memo    *kernelMemo
 		// published counts the memo's tables before and after the
 		// selective restart.
 		published, republished int
@@ -689,19 +690,20 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		// rank.
 		runs atomic.Int64
 	}
-	published := func(m *KernelMemo) int {
+	published := func(m *kernelMemo) int {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return len(m.configs)
 	}
 	// run executes every configuration under a profiler from build, then a
-	// selective profiler on the same memo restarts configuration 0.
-	run := func(build func(*mpi.Comm, *KernelMemo) (*Profiler, *Comm), reference bool) *side {
-		s := &side{memo: NewKernelMemo()}
+	// selective profiler on the same pool restarts configuration 0.
+	run := func(build func(*mpi.Comm) (*Profiler, *Comm), reference bool) *side {
+		s := &side{}
 		count := func() { s.runs.Add(1) }
 		w := mpi.NewWorld(ranks, testMachine(0.05), 11)
+		s.memo = mpi.Pooled[kernelMemo](w.BufPoolOf())
 		err := w.Run(func(c *mpi.Comm) {
-			p, cc := build(c, s.memo)
+			p, cc := build(c)
 			for cfg := 0; cfg < configs; cfg++ {
 				ck := ConfigKey("ref", cfg)
 				p.StartConfigKeyed(true, ck)
@@ -733,7 +735,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 				s.published = published(s.memo)
 			}
 			p.Retire()
-			sel, scc := New(c, Options{Policy: Conditional, Eps: 0.25, Memo: s.memo})
+			sel, scc := New(c, Options{Policy: Conditional, Eps: 0.25})
 			ck := ConfigKey("ref", 0)
 			sel.StartConfigKeyed(true, ck)
 			c.Rekey(ck)
@@ -746,11 +748,10 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		s.republished = published(s.memo)
 		return s
 	}
-	twin := func(c *mpi.Comm, memo *KernelMemo) (*Profiler, *Comm) {
-		return New(c, Options{Policy: Conditional, Eps: 0, Memo: memo})
+	twin := func(c *mpi.Comm) (*Profiler, *Comm) {
+		return New(c, Options{Policy: Conditional, Eps: 0})
 	}
-	reference := func(c *mpi.Comm, _ *KernelMemo) (*Profiler, *Comm) { return NewReference(c) }
-	ref := run(reference, true)
+	ref := run(NewReference, true)
 	full := run(twin, false)
 
 	// Every configuration calls Kernel 12 times on each rank.
@@ -778,7 +779,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		{"twin", full, 1, configs, configs, configs},
 	} {
 		s := want.side
-		if hits, misses := s.memo.TableHits(); hits != want.hits || misses != want.misses {
+		if hits, misses := s.memo.lookups(); hits != want.hits || misses != want.misses {
 			t.Errorf("%s's memo: %d hits and %d misses, want %d and %d", want.name, hits, misses, want.hits, want.misses)
 		}
 		if s.published != want.published || s.republished != want.republished {

@@ -11,14 +11,14 @@ import "sync"
 // Interning takes the write lock only the first time a signature is seen
 // anywhere in the world; every other resolution takes the read lock. Ranks
 // keep no private copy: the steady-state interception path asks the table
-// whenever the signature differs from the rank's previous one. A memoized
-// configuration adopts the table its first run published (KernelMemo), so
-// its ranks find every signature already there. Ids are assigned in global
-// first-seen order: within a world that follows the order its loop runs the
-// ranks in, and a table a memo hands to worlds running at once on other
-// workers also follows how those interleave. Nothing result-bearing may
-// depend on id order, and nothing does: ids never
-// leave the process, and every boundary artifact (PathFreqs, profiles,
+// whenever the signature differs from the rank's previous one. A keyed
+// configuration adopts the table its first run on the world's buffer pool
+// published (memo.go), so its ranks find every signature already there. Ids
+// are assigned in global first-seen order: within a world that follows the
+// order its loop runs the ranks in, and a table a pool's memo hands to
+// worlds running at once on it also follows how those interleave. Nothing
+// result-bearing may depend on id order, and nothing does: ids never leave
+// the process, and every boundary artifact (PathFreqs, profiles,
 // reports) is rekeyed by Key. A-priori counts never cross that boundary: a
 // sweep's offline and a-priori passes run under one table, so
 // SetAprioriFromPath keeps the global path counts by id.

@@ -76,7 +76,6 @@ func TestKernelTableConcurrentIntern(t *testing.T) {
 func TestRanksShareOneInterner(t *testing.T) {
 	const ranks, n, extra = 16, 12, 4
 	keyOf := func(i int) Key { return CompKey("gemm", i+1, i+1, i+1, 0) }
-	memo := NewKernelMemo()
 	ck := ConfigKey("interner", 0)
 	type seen struct {
 		tab     *KernelTable
@@ -89,7 +88,7 @@ func TestRanksShareOneInterner(t *testing.T) {
 	w := mpi.NewWorld(ranks, testMachine(0.05), 3)
 	err := w.Run(func(c *mpi.Comm) {
 		r := c.Rank()
-		p, _ := New(c, Options{Policy: Conditional, Eps: 0.25, Memo: memo})
+		p, _ := New(c, Options{Policy: Conditional, Eps: 0.25})
 		// Every rank runs the signatures in an order of its own, so ids are
 		// assigned in whatever order the ranks race to them.
 		run := func(m int) {
@@ -125,7 +124,7 @@ func TestRanksShareOneInterner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := memo.TableHits(); hits != 1 || misses != 1 {
+	if hits, misses := mpi.Pooled[kernelMemo](w.BufPoolOf()).lookups(); hits != 1 || misses != 1 {
 		t.Fatalf("memo: %d hits and %d misses, want the colliding run's 1 and the first run's 1", hits, misses)
 	}
 	tab := got[0].tab

@@ -3,16 +3,14 @@ package critter
 // Cross-config kernel memoization. A tuning run evaluates the same study
 // configurations over and over — every (policy, eps) sweep after the first,
 // a rung strategy's later rungs, warm service jobs after cold ones — and
-// each evaluation used to rebuild the exact same config-invariant state from
-// scratch: the kernel-signature interner, every rank's per-kernel records,
-// and the archive's slabs. KernelMemo is the sweep executor's per-worker
-// cache of that state, living as long as the arena that carries it: one run,
-// or every run a long-lived owner (the service's scheduler) streams through
-// its arenas. It is strictly observational: every byte of
-// every result is identical with a memo attached or not, because the memo
-// only changes *how fast* config-invariant facts are recomputed, never their
-// values (ids never leave the process, and all result-bearing artifacts are
-// rekeyed by Key).
+// each would rebuild the same config-invariant state: the kernel-signature
+// interner, every rank's per-kernel records and the archive's slabs.
+// kernelMemo caches it, one per buffer pool (mpi.Pooled): every profiler
+// finds the memo on its world's pool, so the memo lives as long as the pool
+// the sweep executor threads through a worker's worlds. It is strictly
+// observational: every result is byte-identical on a warm pool or a fresh
+// one, since ids never leave the process and every result-bearing artifact
+// is rekeyed by Key.
 //
 // Three things are memoized:
 //
@@ -21,46 +19,41 @@ package critter
 //     caller-supplied configuration key (StartConfigKeyed) and the world
 //     size. That is a selective run: a reference (NewReference) interns
 //     nothing and neither looks up nor publishes. Every later profiler that
-//     starts the same configuration — every run of it in the later sweeps
-//     and runs the memo serves — adopts the published table itself, so its
-//     steady-state intern path is a read-locked map hit: no insert. Ids stay
-//     as compact as the configuration's active kernel set, keeping the
-//     path-frequency table every snapshot copies small.
+//     starts the same configuration on the pool adopts the published table
+//     itself, so its steady-state intern path is a read-locked map hit: no
+//     insert. Ids stay as compact as the configuration's active kernel set,
+//     keeping the path-frequency table every snapshot copies small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
 //     (Profiler.Retire) donates its per-kernel records, path-frequency
 //     buffers, and its archive's model, frequency and segment slabs back to
-//     the memo; the next profiler of the same world rank built with the
-//     same memo adopts them instead of growing fresh ones.
+//     the memo; the next profiler of the same world rank on the pool adopts
+//     them instead of growing fresh ones.
 //
 //   - The export fold's scratch profile. GlobalProfile's fold rekeys each
 //     rank's archive into one scratch before pooling it into the result
-//     (foldExports); it takes that scratch from the world's memo and gives
-//     it back with its maps cleared, so a worker folds every sweep through
-//     one set of Key-keyed maps instead of growing a fresh pair per sweep.
+//     (foldExports); it takes that scratch from the memo and gives it back
+//     with its maps cleared, so a worker folds every sweep through one set
+//     of Key-keyed maps instead of growing a fresh pair per sweep.
 //
 // The "memoized kernels" of Report and the sweep stats are not this cache:
 // they count replays of the decision cache in each profiler's own kernel
-// records (predCache in profiler.go), which works with or without a
-// KernelMemo.
+// records (predCache in profiler.go).
 //
-// A KernelMemo is safe for concurrent use by every rank of the worlds it
-// is threaded through. The sweep executor gives each worker goroutine its
-// own memo (alongside its buffer-pool arena), so cross-worker contention
-// never occurs; within a world the ranks share the memo's mutex, which is
-// touched only at configuration boundaries and twice per export round. Its
-// published tables are bounded by the distinct (study, scale,
-// configuration) triples it has run.
+// A memo is safe for concurrent use by the ranks of every world on its pool;
+// the executor gives each worker a pool of its own, and within a world the
+// ranks take the memo's mutex only at configuration boundaries and twice per
+// export round. Its tables are bounded by the distinct (study, scale,
+// configuration) triples its pool's worlds have run.
 
 import (
 	"hash/fnv"
 	"sync"
 )
 
-// KernelMemo caches config-invariant profiler state across configurations,
-// profilers, and sweeps. The zero value is not usable; create one with
-// NewKernelMemo and thread it through Options.Memo.
-type KernelMemo struct {
+// kernelMemo caches config-invariant profiler state across configurations,
+// profilers, and sweeps. The zero value is an empty memo.
+type kernelMemo struct {
 	mu      sync.Mutex
 	configs map[uint64]*KernelTable
 	// arenas[r] holds the arenas retired by world rank r, for the next
@@ -96,16 +89,11 @@ type memoArena struct {
 	isends []isend
 }
 
-// NewKernelMemo returns an empty memo.
-func NewKernelMemo() *KernelMemo {
-	return &KernelMemo{configs: make(map[uint64]*KernelTable)}
-}
-
 // ConfigKey derives the memo key for one configuration of a named study.
 // Any deterministic hash works — the memo is observationally invisible, so
 // even a collision only costs speed, never correctness — but the key must
-// include the study identity: one worker's memo may serve sweeps of
-// several studies. (StartConfigKeyed mixes in the world size, which a
+// include the study identity: one pool's memo may serve sweeps of several
+// studies. (StartConfigKeyed mixes in the world size, which a
 // study's name does not carry across scales.)
 func ConfigKey(study string, config int) uint64 {
 	h := fnv.New64a()
@@ -120,7 +108,7 @@ func ConfigKey(study string, config int) uint64 {
 
 // lookup returns the interner published for a configuration key, nil when
 // the configuration has not completed anywhere yet.
-func (m *KernelMemo) lookup(key uint64) *KernelTable {
+func (m *kernelMemo) lookup(key uint64) *KernelTable {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tab := m.configs[key]
@@ -137,9 +125,12 @@ func (m *KernelMemo) lookup(key uint64) *KernelTable {
 // one memo at once both miss, and whichever reports first owns the published
 // table (their tables intern the same signature set, so the choice is
 // invisible).
-func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
+func (m *kernelMemo) publish(key uint64, tab *KernelTable) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.configs == nil {
+		m.configs = make(map[uint64]*KernelTable)
+	}
 	if _, ok := m.configs[key]; !ok {
 		m.configs[key] = tab
 	}
@@ -147,7 +138,7 @@ func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
 
 // acquireArena pops an arena retired by world rank, nil when none is
 // available.
-func (m *KernelMemo) acquireArena(rank int) *memoArena {
+func (m *kernelMemo) acquireArena(rank int) *memoArena {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if rank >= len(m.arenas) || len(m.arenas[rank]) == 0 {
@@ -164,7 +155,7 @@ func (m *KernelMemo) acquireArena(rank int) *memoArena {
 // releaseArena files a profiler's arena, retired by world rank, for reuse.
 // The donor has already zeroed the records (see Profiler.Retire), so
 // adoption is O(1).
-func (m *KernelMemo) releaseArena(rank int, a *memoArena) {
+func (m *kernelMemo) releaseArena(rank int, a *memoArena) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if rank >= len(m.arenas) {
@@ -173,22 +164,19 @@ func (m *KernelMemo) releaseArena(rank int, a *memoArena) {
 	m.arenas[rank] = append(m.arenas[rank], a)
 }
 
-// TableHits returns how many StartConfigKeyed lookups found a published
+// lookups returns how many StartConfigKeyed lookups found a published
 // configuration (and how many missed). Rank 0 performs one lookup per
 // configuration start, so these count configurations, not ranks.
-func (m *KernelMemo) TableHits() (hits, misses int64) {
+func (m *kernelMemo) lookups() (hits, misses int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.tableHits, m.tableMisses
 }
 
 // takeScratch hands the export fold the memo's scratch profile, its maps
-// empty, and a fresh one when the memo is nil or its scratch is out: two
-// worlds folding through one memo at once never share a scratch.
-func (m *KernelMemo) takeScratch() *Profile {
-	if m == nil {
-		return &Profile{}
-	}
+// empty, and a fresh one when its scratch is out: two worlds folding through
+// one memo at once never share a scratch.
+func (m *kernelMemo) takeScratch() *Profile {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.scratch
@@ -201,10 +189,7 @@ func (m *KernelMemo) takeScratch() *Profile {
 
 // giveScratch files the fold's scratch, its maps emptied, for the next fold.
 // When another fold has filed one meanwhile, that one stays.
-func (m *KernelMemo) giveScratch(s *Profile) {
-	if m == nil {
-		return
-	}
+func (m *kernelMemo) giveScratch(s *Profile) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.scratch == nil {

@@ -11,11 +11,12 @@ import (
 )
 
 // TestMemoKeepsWorldSizesApart runs one configuration key on worlds of two
-// sizes through one memo, the way a study keeps its name from quick to
-// default scale: each size publishes and adopts its own table, so a run at
-// one scale never interns into the other's.
+// sizes on one buffer pool, the way a study keeps its name from quick to
+// default scale: each size publishes and adopts its own table in the pool's
+// memo, so a run at one scale never interns into the other's.
 func TestMemoKeepsWorldSizesApart(t *testing.T) {
-	memo := NewKernelMemo()
+	pool := mpi.NewBufPool()
+	memo := mpi.Pooled[kernelMemo](pool)
 	cfg := ConfigKey("study", 3)
 	for i, step := range []struct {
 		ranks        int
@@ -27,8 +28,9 @@ func TestMemoKeepsWorldSizesApart(t *testing.T) {
 		{4, 2, 2}, // adopts what the 4-rank run published
 	} {
 		w := mpi.NewWorld(step.ranks, testMachine(0.05), 1)
+		w.SetBufPool(pool)
 		if err := w.Run(func(c *mpi.Comm) {
-			p, _ := New(c, Options{Policy: Conditional, Eps: 0.3, Memo: memo})
+			p, _ := New(c, Options{Policy: Conditional, Eps: 0.3})
 			p.StartConfigKeyed(true, cfg)
 			p.Kernel("gemm", 4, 4, 4, 0, 64, func() {})
 			p.Report()
@@ -36,7 +38,7 @@ func TestMemoKeepsWorldSizesApart(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if h, m := memo.TableHits(); h != step.hits || m != step.misses {
+		if h, m := memo.lookups(); h != step.hits || m != step.misses {
 			t.Errorf("run %d (%d ranks): %d hits and %d misses, want %d and %d",
 				i+1, step.ranks, h, m, step.hits, step.misses)
 		}
@@ -86,17 +88,17 @@ func (s scratchStudy) work(c *mpi.Comm, p *Profiler, cc *Comm) {
 	}
 }
 
-// run executes the study on a fresh world with memo attached to every rank
-// (nil for none) and returns root's global profile after each of exports
-// exports, nil when the world fails; every rank retires its profiler at the
-// end, as a sweep does. A non-nil gate is called on rank 0 between the work
-// and the exports.
-func (s scratchStudy) run(t *testing.T, memo *KernelMemo, exports int, gate func()) []*Profile {
+// run executes the study on a fresh world on pool and returns root's global
+// profile after each of exports exports, nil when the world fails; every
+// rank retires its profiler at the end, as a sweep does. A non-nil gate is
+// called on rank 0 between the work and the exports.
+func (s scratchStudy) run(t *testing.T, pool *mpi.BufPool, exports int, gate func()) []*Profile {
 	t.Helper()
 	out := make([]*Profile, exports)
 	w := mpi.NewWorld(s.ranks, testMachine(0.05), s.seed)
+	w.SetBufPool(pool)
 	err := w.Run(func(c *mpi.Comm) {
-		p, cc := New(c, Options{Policy: Online, Eps: 0.3, Extrapolate: s.extrap, Memo: memo})
+		p, cc := New(c, Options{Policy: Online, Eps: 0.3, Extrapolate: s.extrap})
 		s.work(c, p, cc)
 		if gate != nil {
 			if c.Rank() == 0 {
@@ -120,23 +122,24 @@ func (s scratchStudy) run(t *testing.T, memo *KernelMemo, exports int, gate func
 
 // once runs the study and returns its one export, stopping the test when the
 // world fails.
-func (s scratchStudy) once(t *testing.T, memo *KernelMemo) *Profile {
+func (s scratchStudy) once(t *testing.T, pool *mpi.BufPool) *Profile {
 	t.Helper()
-	out := s.run(t, memo, 1, nil)
+	out := s.run(t, pool, 1, nil)
 	if out == nil {
 		t.FailNow()
 	}
 	return out[0]
 }
 
-// TestExportScratchLeaksNothing folds a large export through one memo, then a
+// TestExportScratchLeaksNothing folds a large export on one pool, then a
 // smaller one of another study and world size: the second must equal the same
-// export made with a fresh memo and with none, so nothing the large fold left
-// in the memo's scratch reaches a later result. A last leg folds two studies
-// through one memo at once, each world exporting several times.
+// export made on a fresh pool, so nothing the large fold left in the pool's
+// memo's scratch reaches a later result. A last leg folds two studies on one
+// pool at once, each world exporting several times.
 func TestExportScratchLeaksNothing(t *testing.T) {
-	memo := NewKernelMemo()
-	large := largeStudy.once(t, memo)
+	pool := mpi.NewBufPool()
+	memo := mpi.Pooled[kernelMemo](pool)
+	large := largeStudy.once(t, pool)
 	if len(large.Kernels) == 0 || len(large.PathFreqs) == 0 || len(large.Families) == 0 {
 		t.Fatalf("the large export fills %d kernels, %d path frequencies and %d families, want every map used",
 			len(large.Kernels), len(large.PathFreqs), len(large.Families))
@@ -145,30 +148,24 @@ func TestExportScratchLeaksNothing(t *testing.T) {
 	if scratch == nil {
 		t.Fatal("the fold did not give its scratch back to the memo")
 	}
-	got := smallStudy.once(t, memo)
+	got := smallStudy.once(t, pool)
 	if memo.scratch != scratch {
 		t.Error("the second fold did not reuse the memo's scratch")
 	}
 	if len(scratch.Kernels)+len(scratch.Families)+len(scratch.PathFreqs) != 0 {
 		t.Error("the memo holds a scratch with entries left in it")
 	}
-	for _, want := range []struct {
-		what string
-		memo *KernelMemo
-	}{{"a fresh memo", NewKernelMemo()}, {"no memo", nil}} {
-		if w := smallStudy.once(t, want.memo); !reflect.DeepEqual(got, w) {
-			t.Errorf("after a large fold, the small export differs from the one made with %s\n got %+v\nwant %+v",
-				want.what, got, w)
-		}
+	if w := smallStudy.once(t, mpi.NewBufPool()); !reflect.DeepEqual(got, w) {
+		t.Errorf("after a large fold, the small export differs from the one made on a fresh pool\n got %+v\nwant %+v", got, w)
 	}
 
 	const exports = 8
 	var want [2]*Profile
 	for i, s := range []scratchStudy{largeStudy, smallStudy} {
-		want[i] = s.once(t, nil)
+		want[i] = s.once(t, mpi.NewBufPool())
 	}
 	// Both worlds start exporting together, so their folds overlap.
-	shared := NewKernelMemo()
+	shared := mpi.NewBufPool()
 	var wg, ready sync.WaitGroup
 	ready.Add(2)
 	gate := func() { ready.Done(); ready.Wait() }
@@ -184,18 +181,18 @@ func TestExportScratchLeaksNothing(t *testing.T) {
 	for i := range gots {
 		for j, g := range gots[i] {
 			if !reflect.DeepEqual(g, want[i]) {
-				t.Errorf("world %d, export %d of %d: folding beside another world on one memo changed the profile", i, j+1, exports)
+				t.Errorf("world %d, export %d of %d: folding beside another world on one pool changed the profile", i, j+1, exports)
 			}
 		}
 	}
 }
 
-// TestExportScratchAllocPin exports one world's profile through a memo once,
-// then again, and counts the bytes the second export allocates (the fewest
-// over three repeats): the result's maps, built exactly as replaying the
-// fold's merges of the per-rank exports builds them, plus a little for the
-// round. A scratch that the fold does not give back, or that the memo does
-// not hand out again, is grown anew and fails it.
+// TestExportScratchAllocPin exports one world's profile once, then again, and
+// counts the bytes the second export allocates (the fewest over three
+// repeats): the result's maps, built exactly as replaying the fold's merges
+// of the per-rank exports builds them, plus a little for the round. A scratch
+// that the fold does not give back to the memo, or that the memo does not
+// hand out again, is grown anew and fails it.
 func TestExportScratchAllocPin(t *testing.T) {
 	const repeats, slack = 3, 1 << 10
 	s := scratchStudy{ranks: 4, seed: 13, names: []string{"gemm", "trsm", "syrk"}, dims: 40, configs: 2}
@@ -204,7 +201,7 @@ func TestExportScratchAllocPin(t *testing.T) {
 	exports := make([]*Profile, s.ranks)
 	w := mpi.NewWorld(s.ranks, testMachine(0.05), s.seed)
 	err := w.Run(func(c *mpi.Comm) {
-		p, cc := New(c, Options{Policy: Online, Eps: 0.3, Memo: NewKernelMemo()})
+		p, cc := New(c, Options{Policy: Online, Eps: 0.3})
 		s.work(c, p, cc)
 		exports[c.Rank()] = p.ExportProfile()
 		// The first export grows the memo's scratch and warms the round.
@@ -250,5 +247,125 @@ func TestExportScratchAllocPin(t *testing.T) {
 	// count is not ours.
 	if got > want+slack && !raceEnabled {
 		t.Errorf("a warm export allocates %d B, want at most the result's maps (%d B) plus %d B", got, want, slack)
+	}
+}
+
+// TestMemoRidesThePool runs one keyed configuration in three worlds, each
+// world under a reference first and a selective profiler after, as a sweep
+// builds them: two worlds in turn on one buffer pool, then one on a fresh
+// pool. The second world on the pool finds the first's memo there: its
+// selective profiler adopts the table the first published and the backing
+// array of the records the first retired, while its reference leaves every
+// rank's stack of retired arenas as it was. The fresh pool's world misses.
+// Reports and global profiles are the same in all three.
+func TestMemoRidesThePool(t *testing.T) {
+	const ranks = 4
+	cfg := ConfigKey("pool", 0)
+	type world struct {
+		rep  Report
+		prof *Profile
+		tab  *KernelTable
+		// adopted and retired are each rank's first record slot in the
+		// records its selective profiler adopted at New and retired at the
+		// end; nil for none.
+		adopted, retired [ranks]*kernelStats
+		// stacked counts each rank's retired arenas on the pool's memo
+		// before and after its reference is built and retired.
+		before, after [ranks]int
+	}
+	first := func(k []kernelStats) *kernelStats {
+		if k = k[:cap(k)]; len(k) == 0 {
+			return nil
+		}
+		return &k[0]
+	}
+	run := func(pool *mpi.BufPool) *world {
+		out := &world{}
+		memo := mpi.Pooled[kernelMemo](pool)
+		stacked := func(r int) int {
+			memo.mu.Lock()
+			defer memo.mu.Unlock()
+			if r < len(memo.arenas) {
+				return len(memo.arenas[r])
+			}
+			return 0
+		}
+		w := mpi.NewWorld(ranks, testMachine(0.05), 7)
+		w.SetBufPool(pool)
+		err := w.Run(func(c *mpi.Comm) {
+			r := c.Rank()
+			work := func(p *Profiler) Report {
+				p.StartConfigKeyed(true, cfg)
+				c.Rekey(cfg)
+				for d := 1; d <= 6; d++ {
+					for range 3 {
+						p.Kernel("gemm", d, d, d, 0, float64(d*d*d), func() {})
+					}
+				}
+				return p.Report()
+			}
+			out.before[r] = stacked(r)
+			ref, _ := NewReference(c)
+			work(ref)
+			ref.Retire()
+			out.after[r] = stacked(r)
+			p, _ := New(c, Options{Policy: Conditional, Eps: 0.3})
+			out.adopted[r] = first(p.k)
+			rep := work(p)
+			g := p.GlobalProfile(0)
+			if r == 0 {
+				out.rep, out.prof, out.tab = rep, g, p.Table()
+			}
+			out.retired[r] = first(p.k)
+			p.Retire()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	pool := mpi.NewBufPool()
+	memo := mpi.Pooled[kernelMemo](pool)
+	cold := run(pool)
+	if h, m := memo.lookups(); h != 0 || m != 1 {
+		t.Fatalf("the first world on the pool: %d hits and %d misses, want 0 and 1", h, m)
+	}
+	warm := run(pool)
+	if h, m := memo.lookups(); h != 1 || m != 1 {
+		t.Errorf("the second world on the pool: %d hits and %d misses in all, want 1 and 1", h, m)
+	}
+	if warm.tab != cold.tab {
+		t.Error("the second world did not adopt the table the first published")
+	}
+	for r := range ranks {
+		if cold.retired[r] == nil || warm.adopted[r] != cold.retired[r] {
+			t.Errorf("rank %d: the second world's records are not the ones the first retired", r)
+		}
+		for i, s := range []*world{cold, warm} {
+			if s.after[r] != s.before[r] {
+				t.Errorf("world %d rank %d: the reference changed the rank's retired arenas from %d to %d", i+1, r, s.before[r], s.after[r])
+			}
+		}
+	}
+	if warm.before != [ranks]int{1, 1, 1, 1} {
+		t.Errorf("before the second world's reference, the ranks hold %v retired arenas, want one each", warm.before)
+	}
+
+	fresh := mpi.NewBufPool()
+	other := run(fresh)
+	if h, m := mpi.Pooled[kernelMemo](fresh).lookups(); h != 0 || m != 1 {
+		t.Errorf("a world on a fresh pool: %d hits and %d misses, want 0 and 1", h, m)
+	}
+	if other.tab == cold.tab {
+		t.Error("a world on a fresh pool adopted the other pool's table")
+	}
+	for i, s := range []*world{warm, other} {
+		if !reflect.DeepEqual(s.rep, cold.rep) || !reflect.DeepEqual(s.prof, cold.prof) {
+			t.Errorf("world %d's report or profile differs from the first world's\n got %+v\nwant %+v", i+2, s.rep, cold.rep)
+		}
+	}
+	if cold.prof.Samples() == 0 {
+		t.Error("the selective profiler sampled nothing")
 	}
 }

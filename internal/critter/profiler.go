@@ -71,14 +71,6 @@ type Options struct {
 	// survives StartConfig resets: every configuration starts from it. The
 	// profiler reads it for as long as it runs; it must not change meanwhile.
 	Prior *Profile
-	// Memo, when non-nil, attaches the sweep-scoped cross-config
-	// memoization cache (see KernelMemo): configurations started through
-	// StartConfigKeyed adopt tables published by earlier profilers of the
-	// same configuration, and Retire recycles this profiler's dense arenas
-	// into the cache. Every rank of a world must receive the same memo.
-	// Purely an optimization — all results are byte-identical with or
-	// without one.
-	Memo *KernelMemo
 }
 
 // Profiler is one rank's profiling state. Create one per rank with New (or
@@ -157,11 +149,11 @@ type Profiler struct {
 	// disabled path is one branch.
 	trace obs.Tracer
 
-	// memo is the attached cross-config cache (Options.Memo; nil disables
-	// memoization). memoKey identifies the configuration started by
-	// StartConfigKeyed; memoFresh marks rank 0 as owing the memo a
-	// publication of the configuration's table at the next Report.
-	memo      *KernelMemo
+	// memo is the cross-config cache of the world's buffer pool (memo.go).
+	// memoKey identifies the configuration started by StartConfigKeyed;
+	// memoFresh marks rank 0 as owing the memo a publication of the
+	// configuration's table at the next Report.
+	memo      *kernelMemo
 	memoKey   uint64
 	memoFresh bool
 
@@ -193,19 +185,65 @@ type predCache struct {
 
 // New creates the rank's profiler and wraps its world communicator. It is
 // collective over world: an internal duplicate communicator is created for
-// piggyback traffic, and rank 0's KernelTable is adopted by every rank.
+// piggyback traffic, and rank 0's KernelTable is adopted by every rank. The
+// profiler keeps its cross-config state in the memo of its world's buffer
+// pool (memo.go), adopting the arena a retired profiler of the same world
+// rank left there.
 func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
+	return newProfiler(world, opts, false, false)
+}
+
+// NewClock is New for a caller that reads only the profiler's reports, path
+// tables and profiles, never the data its kernels write: Kernel does all an
+// execution does — the Compute(flops) charge with its noise draw and clock
+// advance, the sample, the family fit — but never calls the kernel's run,
+// so the profiler runs no arithmetic. Every report, path table and profile
+// equals that of a New profiler on the same program, since none of them
+// reads a kernel's data (and no library branches on it). The error of an
+// intercepted factorization (Potrf, Trtri, GetrfNoPiv) is nil on a clock.
+//
+// A clock marks its world cost-only (mpi.World.MarkCostOnly) for the rest of
+// the world's run: its communication charges time and moves no data, and
+// the libraries built on it keep no numbers — their workspaces and tiles are
+// views of the world's one scratch, and their input fills are skipped.
+// Every rank of a world builds a clock or none does.
+func NewClock(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
+	world.World().MarkCostOnly()
+	return newProfiler(world, opts, true, false)
+}
+
+// NewReference creates the profiler a reference execution runs under — the
+// full execution every selective one is judged against: NewClock with the
+// Conditional policy and tolerance zero. It is collective like New.
+// A reference is only ever asked for its Reports, so beyond running no
+// arithmetic it interns no signature, keeps no per-kernel record and sets
+// nothing aside, so ExportProfile and GlobalProfile on it are empty and
+// KernelCount is 0. It emits no trace events, so a run's trace does not
+// depend on which of its sweeps ran a reference. Its StartConfigKeyed
+// neither looks up nor publishes an interner: the first selective run of a
+// configuration does. With nothing to recycle either, it adopts no arena,
+// and its Retire does nothing.
+func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
+	world.World().MarkCostOnly()
+	return newProfiler(world, Options{Policy: Conditional, Eps: 0}, true, true)
+}
+
+// newProfiler is New, NewClock and NewReference: the flags are set before
+// anything reads them, so a reference never adopts an arena.
+func newProfiler(world *mpi.Comm, opts Options, clock, reference bool) (*Profiler, *Comm) {
 	p := &Profiler{
-		opts:  opts,
-		rank:  world.Rank(),
-		psize: world.Size(),
-		memo:  opts.Memo,
+		opts:      opts,
+		rank:      world.Rank(),
+		psize:     world.Size(),
+		memo:      mpi.Pooled[kernelMemo](world.World().BufPoolOf()),
+		clock:     clock,
+		reference: reference,
 	}
 	// Adopt a retired profiler's arena before allocating anything it could
 	// supply: the records, the path-frequency buffers, the archive's slabs
 	// and the Isend list.
 	p.est = newCIMean(opts.Extrapolate)
-	if p.memo != nil {
+	if !reference {
 		if a := p.memo.acquireArena(p.rank); a != nil {
 			p.k = a.k
 			p.path.Kernels = kernelCounts{vals: a.counts}
@@ -227,7 +265,7 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 	}
 	p.tab = mpi.BcastMsg(internal, mine)
 	p.lane = mpi.LaneOf[intMsg](world.World())
-	if p.rank == 0 {
+	if p.rank == 0 && !reference {
 		p.trace = world.World().TracerOf()
 	}
 	cc := &Comm{
@@ -238,44 +276,6 @@ func New(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 		chOK:     ok,
 	}
 	p.world = cc
-	return p, cc
-}
-
-// NewClock is New for a caller that reads only the profiler's reports, path
-// tables and profiles, never the data its kernels write: Kernel does all an
-// execution does — the Compute(flops) charge with its noise draw and clock
-// advance, the sample, the family fit — but never calls the kernel's run,
-// so the profiler runs no arithmetic. Every report, path table and profile
-// equals that of a New profiler on the same program, since none of them
-// reads a kernel's data (and no library branches on it). The error of an
-// intercepted factorization (Potrf, Trtri, GetrfNoPiv) is nil on a clock.
-//
-// A clock marks its world cost-only (mpi.World.MarkCostOnly) for the rest of
-// the world's run: its communication charges time and moves no data, and
-// the libraries built on it keep no numbers — their workspaces and tiles are
-// views of the world's one scratch, and their input fills are skipped.
-// Every rank of a world builds a clock or none does.
-func NewClock(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
-	world.World().MarkCostOnly()
-	p, cc := New(world, opts)
-	p.clock = true
-	return p, cc
-}
-
-// NewReference creates the profiler a reference execution runs under — the
-// full execution every selective one is judged against: NewClock with the
-// Conditional policy and tolerance zero. It is collective like New.
-// A reference is only ever asked for its Reports, so beyond running no
-// arithmetic it interns no signature, keeps no per-kernel record and sets
-// nothing aside, so ExportProfile and GlobalProfile on it are empty and
-// KernelCount is 0. It emits no trace events, so a run's trace does not
-// depend on which of its sweeps ran a reference. Its StartConfigKeyed
-// neither looks up nor publishes an interner: the first selective run of a
-// configuration does. With nothing to recycle either, it takes no memo.
-func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
-	p, cc := NewClock(world, Options{Policy: Conditional, Eps: 0})
-	p.reference = true
-	p.trace = nil
 	return p, cc
 }
 
@@ -615,12 +615,11 @@ func (p *Profiler) StartConfig(resetStats bool) {
 }
 
 // StartConfigKeyed is StartConfig for a configuration with a stable identity
-// (critter.ConfigKey): with a KernelMemo attached (Options.Memo) and the
-// statistics reset in effect, the configuration adopts the memo-published
-// interner of an earlier run of the same configuration in a world of the
-// same size — or, on the first such run, publishes its own at the next
-// Report. Identical to StartConfig when no memo is attached; byte-identical
-// in results always.
+// (critter.ConfigKey): with the statistics reset in effect, the
+// configuration adopts the interner an earlier run of the same configuration
+// in a world of the same size published on the world's buffer pool (memo.go)
+// — or, on the first such run, publishes its own at the next Report.
+// Byte-identical in results to StartConfig always.
 func (p *Profiler) StartConfigKeyed(resetStats bool, cfg uint64) {
 	p.startConfig(resetStats, cfg, true)
 }
@@ -642,11 +641,11 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// discarded anyway, the same round distributes the next shared
 	// interner, so dense ids stay as compact as the configuration's active
 	// kernel set instead of accumulating across configurations (every
-	// path-frequency snapshot copies up to the id high-water mark). With a
-	// memo attached, rank 0 first checks whether an earlier profiler
-	// already published this configuration's interner; on a hit the round
-	// distributes the published table instead of an empty one. A reference,
-	// which interns nothing, sends no table and keeps its empty one.
+	// path-frequency snapshot copies up to the id high-water mark). For a
+	// keyed configuration rank 0 first checks whether an earlier profiler
+	// already published its interner; on a hit the round distributes the
+	// published table instead of an empty one. A reference, which interns
+	// nothing, sends no table and keeps its empty one.
 	var msg tabMsg
 	fresh := false // rank 0 missed the memo and owes it this table
 	if keyed {
@@ -656,7 +655,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		cfg = sim.Mix(cfg, uint64(p.psize))
 	}
 	if resetIDs && p.rank == 0 && !p.reference {
-		if keyed && p.memo != nil {
+		if keyed {
 			msg.tab = p.memo.lookup(cfg)
 			fresh = msg.tab == nil
 		}
@@ -854,14 +853,15 @@ func (p *Profiler) Report() Report {
 	}
 }
 
-// Retire donates the profiler's recyclable per-rank state to the attached
-// memo — the records, the path-frequency table and its spare buffers, the
-// archive's slabs and the Isend list — for the next profiler of the same
-// world rank built with Options.Memo on the same memo to adopt. The profiler
-// must not be used afterwards. A no-op without a memo. Call it per rank once the sweep is
-// done with the profiler (after the final Report / GlobalProfile).
+// Retire donates the profiler's recyclable per-rank state to the memo of
+// its world's buffer pool — the records, the path-frequency table and its
+// spare buffers, the archive's slabs and the Isend list — for the next
+// profiler of the same world rank on the same pool to adopt. The profiler
+// must not be used afterwards. A no-op on a reference, which holds nothing
+// to donate. Call it per rank once the sweep is done with the profiler
+// (after the final Report / GlobalProfile).
 func (p *Profiler) Retire() {
-	if p.memo == nil {
+	if p.reference {
 		return
 	}
 	a := &memoArena{}

@@ -590,9 +590,6 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 14; seed++ {
 		ranks := 2 + int(seed%7)
 		opts := Options{Policy: Conditional, Eps: 0.3, Extrapolate: seed%2 == 0}
-		if seed%3 != 0 {
-			opts.Memo = NewKernelMemo()
-		}
 		if seed%4 < 2 {
 			// A prior over part of the signature set: those kernels skip
 			// after one validation execution, and their prior samples must
@@ -616,9 +613,9 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 			// it this rank does, so the ranks' sample sets differ.
 			ctl := sim.NewRNG(sim.Mix(seed, 0xa1))
 			loc := sim.NewRNG(sim.Mix(seed, 0xa2, uint64(c.Rank())))
-			// Two profilers in turn, as two sweeps of a worker: with a memo
-			// the second fills the archive slabs the first retired, stale
-			// contents and all.
+			// Two profilers in turn, as two sweeps of a worker: the second
+			// fills the archive slabs the first retired to the pool's memo,
+			// stale contents and all.
 			for sweep := 0; sweep < 2; sweep++ {
 				p, cc := New(c, opts)
 				half := cc.Split(c.Rank()%2, c.Rank())

@@ -122,7 +122,7 @@ func fabricOf[T any](w *World) *fabric[T] {
 	if f, ok := w.fabrics[key]; ok {
 		return f.(*fabric[T])
 	}
-	boxes, _ := w.bufs.takeBoxes(key, w.size).([]fbox[T])
+	boxes := Pooled[boxShelf[T]](w.bufs).take(w.size)
 	if boxes == nil {
 		boxes = make([]fbox[T], w.size)
 	}
@@ -141,7 +141,36 @@ func (f *fabric[T]) giveBoxes(p *BufPool) {
 		clear(boxes[i].queue)
 		boxes[i] = fbox[T]{queue: boxes[i].queue[:0]}
 	}
-	p.putBoxes(reflect.TypeFor[T](), boxes, len(boxes))
+	Pooled[boxShelf[T]](p).put(boxes)
+}
+
+// boxShelf is a pool's shelf for one mailbox array of payload type T: the
+// one the last world to end on the pool gave back (giveBoxes), for the next
+// world's fabricOf to take.
+type boxShelf[T any] struct {
+	mu    sync.Mutex
+	boxes []fbox[T]
+}
+
+// take takes the shelved array off the shelf when it holds at least n ranks,
+// leaving the shelf empty, so two worlds running at once never share one; it
+// returns nil otherwise.
+func (s *boxShelf[T]) take(n int) []fbox[T] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.boxes
+	if len(b) < n {
+		return nil
+	}
+	s.boxes = nil
+	return b
+}
+
+// put shelves boxes in place of any array the shelf holds.
+func (s *boxShelf[T]) put(boxes []fbox[T]) {
+	s.mu.Lock()
+	s.boxes = boxes
+	s.mu.Unlock()
 }
 
 // post delivers m to world rank dest's mailbox on this fabric, readying dest
@@ -322,35 +351,41 @@ func keepFirst[T any](members []T) {
 	}
 }
 
-// BufPool recycles data-plane payload buffers ([]float64) across messages.
-// Buffers are filed by power-of-two size class; Get and Put are safe for
-// concurrent use (each class holds its freelist under its own mutex, so a
-// put never allocates — unlike sync.Pool, whose interface conversion would
-// box every slice header). Every World owns one from NewWorld on, and one
-// pool may serve many worlds over its lifetime — the sweep executor threads
-// one per worker so consecutive sweeps reuse each other's buffers instead of
-// reallocating the same tile-sized payloads thousands of times. A world that
-// ends normally also leaves its fabrics' mailbox arrays on the pool, at most
-// one per payload type, and the next world to create a fabric of that type
-// takes the array, queues grown and all (fabricOf). Unlike the fabrics,
-// which only their world's ranks touch, a pool is shared by worlds running
-// on different goroutines, so it keeps its locks; fabric.go and world.go
-// are the only mpi files that may hold raw synchronization primitives
-// (enforced by critterlint's fabriclock).
+// BufPool is what a world leaves for the next world on it. It recycles
+// data-plane payload buffers ([]float64), filed by power-of-two size class;
+// Get and Put are safe for concurrent use (each class locks its own
+// freelist, so a put never allocates, unlike sync.Pool, which boxes every
+// slice header). Beside them Pooled holds one value per type: a fabric's
+// mailbox array (boxShelf) and the profiler's kernel memo ride there. Every
+// World owns one from NewWorld on; the sweep executor threads one per worker
+// through every world the worker runs. A pool is shared by worlds on
+// different goroutines, so unlike the fabrics it keeps locks; fabric.go and
+// world.go are the only mpi files that may (critterlint's fabriclock).
 type BufPool struct {
 	classes [31]bufClass
 
-	// boxes holds, per payload type, the mailbox array ([]fbox[T]) the
-	// last world to end on the pool gave back (giveBoxes), for the next
-	// world's fabricOf to take; boxMu guards it.
-	boxMu sync.Mutex
-	boxes map[reflect.Type]boxArray
+	// pooled holds the pool's Pooled values, one *T per type T; pooledMu
+	// guards the list, each value its own state.
+	pooledMu sync.Mutex
+	pooled   []any
 }
 
-// boxArray is a mailbox array on a pool's shelf and the ranks it holds.
-type boxArray struct {
-	boxes any
-	n     int
+// Pooled returns p's value of type T: zero on the first call, the same
+// pointer on every later one, from every world on p. It lives as long as the
+// pool. Worlds on one pool may run at once on different goroutines, so T
+// must guard its own state. A layer keeps here what it would otherwise
+// rebuild for every world a worker runs, keyed by a type of its own.
+func Pooled[T any](p *BufPool) *T {
+	p.pooledMu.Lock()
+	defer p.pooledMu.Unlock()
+	for _, v := range p.pooled {
+		if v, ok := v.(*T); ok {
+			return v
+		}
+	}
+	v := new(T)
+	p.pooled = append(p.pooled, v)
+	return v
 }
 
 // bufClass is one size class's freelist.
@@ -417,31 +452,6 @@ func (p *BufPool) getAtLeast(n int) []float64 {
 		}
 	}
 	return p.Get(n)
-}
-
-// takeBoxes takes the pool's mailbox array for payload type t off its
-// shelf when it holds at least n ranks, leaving the shelf empty, so two
-// worlds running at once never share one; it returns nil otherwise.
-func (p *BufPool) takeBoxes(t reflect.Type, n int) any {
-	p.boxMu.Lock()
-	defer p.boxMu.Unlock()
-	b, ok := p.boxes[t]
-	if !ok || b.n < n {
-		return nil
-	}
-	delete(p.boxes, t)
-	return b.boxes
-}
-
-// putBoxes shelves boxes, a mailbox array of payload type t holding n
-// ranks, in place of any it holds: a pool keeps one array per payload type.
-func (p *BufPool) putBoxes(t reflect.Type, boxes any, n int) {
-	p.boxMu.Lock()
-	defer p.boxMu.Unlock()
-	if p.boxes == nil {
-		p.boxes = make(map[reflect.Type]boxArray)
-	}
-	p.boxes[t] = boxArray{boxes, n}
 }
 
 // pop takes a buffer off the class's freelist, nil when it is empty.

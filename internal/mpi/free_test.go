@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -175,7 +174,7 @@ func TestMailboxesOutliveTheirWorld(t *testing.T) {
 	}); err == nil {
 		t.Fatal("a panicking world ran without error")
 	}
-	if got := pool.takeBoxes(reflect.TypeFor[int](), 1); got != nil {
+	if got := Pooled[boxShelf[int]](pool).take(1); got != nil {
 		t.Error("an aborted world gave its mailboxes back to the pool")
 	}
 }
@@ -225,7 +224,7 @@ func TestWorldsShareNoMailboxes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pool.takeBoxes(reflect.TypeFor[int](), 2) == nil {
+	if Pooled[boxShelf[int]](pool).take(2) == nil {
 		t.Error("neither world gave its mailboxes back")
 	}
 }
@@ -268,4 +267,54 @@ func TestLocalSlots(t *testing.T) {
 			t.Errorf("rank %d: a new world's value is the old one or not zero (%d)", c.Rank(), p.n)
 		}
 	})
+}
+
+// TestPooledOneValuePerPoolAndType: Pooled hands one value per (pool, type),
+// zero on the first call and the same pointer to every later world on the
+// pool; two pools, or two types on one pool, get distinct values; and the
+// concurrent first calls of two goroutines, as two worlds starting at once on
+// one pool make them, get one value between them.
+func TestPooledOneValuePerPoolAndType(t *testing.T) {
+	type a struct{ n int }
+	type b struct{ n int }
+	pool := NewBufPool()
+	var seen [2]*a
+	for i := range seen {
+		w := NewWorld(2, quietMachine(), 1)
+		w.SetBufPool(pool)
+		if err := w.Run(func(c *Comm) {
+			if c.Rank() == 0 {
+				seen[i] = Pooled[a](c.World().BufPoolOf())
+				seen[i].n++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen[0] != seen[1] || seen[1].n != 2 {
+		t.Errorf("two worlds on one pool got %p and %p (n = %d), want one value both wrote", seen[0], seen[1], seen[1].n)
+	}
+	if pb := Pooled[b](pool); pb.n != 0 {
+		t.Errorf("a second type on the pool starts at %d, want its own zero value", pb.n)
+	}
+	if other := Pooled[a](NewBufPool()); other == seen[0] || other.n != 0 {
+		t.Error("a second pool shares the first's value or does not start at zero")
+	}
+
+	for range 50 {
+		fresh := NewBufPool()
+		var got [2]*a
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = Pooled[a](fresh)
+			}()
+		}
+		wg.Wait()
+		if got[0] != got[1] {
+			t.Fatal("two concurrent first calls on one pool got two values")
+		}
+	}
 }

@@ -65,9 +65,8 @@ type World struct {
 	dataFab *fabric[[]float64]
 	collFab *fabric[collView]
 
-	// bufs recycles data-plane payload buffers across messages (and, via
-	// the sweep executor's per-worker scratch, across the worlds a worker
-	// runs). NewWorld makes the world's own; never nil. See BufPool.
+	// bufs is what the world keeps for the next world on it (see BufPool):
+	// NewWorld makes the world's own, SetBufPool shares one; never nil.
 	bufs *BufPool
 
 	// trace, when non-nil, receives span events from the layers running
@@ -171,13 +170,13 @@ func (w *World) Machine() sim.Machine { return w.machine }
 // Seed returns the world's noise seed.
 func (w *World) Seed() uint64 { return w.seed }
 
-// SetBufPool replaces the world's payload-buffer recycler, which NewWorld
-// made for it, with p; p must not be nil. Call it before Run. Pools may be
-// shared across worlds that run sequentially (the sweep executor threads one
-// per worker), which then start on the buffers, scratch and mailbox arrays
-// the worlds before them gave back, not across concurrently running worlds'
-// lifetimes — the pool itself is safe for concurrent use, so sharing is a
-// throughput choice, not a safety one.
+// SetBufPool replaces the pool NewWorld made for the world with p; p must not
+// be nil. Call it before Run. A world on a shared pool starts on what the
+// worlds before it left there: buffers, scratch, mailbox arrays and every
+// Pooled value, such as the profiler's kernel memo. The sweep executor
+// shares one per worker, so its worlds run one after another; the pool is
+// safe for concurrent use too, so sharing is a throughput choice, not a
+// safety one.
 func (w *World) SetBufPool(p *BufPool) { w.bufs = p }
 
 // BufPoolOf returns the world's payload-buffer recycler; never nil.

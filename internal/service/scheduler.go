@@ -74,8 +74,8 @@ type Event struct {
 	// Memoized counts the skipped kernels whose skip decision was replayed
 	// from the kernel's record in its profiler (critter's predCache) rather
 	// than a fresh predictability test (a subset of Skipped; sweep events
-	// only). Despite the name it counts neither critter.KernelMemo hits nor
-	// this package's memo hits (memoHitLocked).
+	// only). Despite the name it counts neither the kernel memo's hits
+	// (critter's memo.go) nor this package's memo hits (memoHitLocked).
 	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`
