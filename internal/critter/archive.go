@@ -129,13 +129,14 @@ func (p *Profiler) archiveEstimator() {
 }
 
 // liveModels appends the live accumulator of every record that has samples
-// to dst, under the record's id. Prior samples are not part of the live
-// layer, so chaining runs via MergeProfiles never counts one twice.
+// to dst under its id, in the order the rank touched them (ids are distinct,
+// so no export sees it). Prior samples are not part of the live layer, so
+// chaining runs via MergeProfiles never counts one twice.
 func (p *Profiler) liveModels(dst []archivedModel) []archivedModel {
-	for id := range p.k {
-		ks := &p.k[id]
+	for i := range p.k {
+		ks := &p.k[i]
 		if w := &ks.live; w.Count() > 0 {
-			dst = append(dst, archivedModel{uint32(id), KernelModel{
+			dst = append(dst, archivedModel{ks.id, KernelModel{
 				Count: w.Count(), Mean: w.Mean(), M2: w.M2(), Pooled: ks.pooled,
 			}})
 		}

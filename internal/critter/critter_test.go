@@ -112,10 +112,11 @@ func TestSelectiveComputeSkipsAndPredicts(t *testing.T) {
 }
 
 // TestMemoizedCountsDecisionCacheWithoutMemo pins what Report.Memoized
-// measures: replays of the profiler's own per-id decision cache (predCache),
-// which needs no KernelMemo. A converged kernel re-encountered under a
-// conditional (constant) frequency credit is answered from the cache on
-// every skip after the first.
+// measures: replays of the profiler's own per-kernel decision cache
+// (predCache), which owes nothing to the buffer pool's kernel memo (memo.go):
+// the world runs on a fresh pool, whose memo holds no table and no arena. A
+// converged kernel re-encountered under a conditional (constant) frequency
+// credit is answered from the cache on every skip after the first.
 func TestMemoizedCountsDecisionCacheWithoutMemo(t *testing.T) {
 	rep := runProfiled(t, 1, 0.02, Options{Policy: Conditional, Eps: 0.1}, func(p *Profiler, cc *Comm) {
 		for i := 0; i < 200; i++ {
@@ -126,7 +127,7 @@ func TestMemoizedCountsDecisionCacheWithoutMemo(t *testing.T) {
 		t.Fatalf("kernel loop skipped %d times, want a converged loop", rep.Skipped)
 	}
 	if rep.Memoized == 0 || rep.Memoized > rep.Skipped {
-		t.Errorf("Memoized = %d with Options.Memo == nil and %d skips, want 0 < Memoized <= Skipped",
+		t.Errorf("Memoized = %d on a fresh pool with %d skips, want 0 < Memoized <= Skipped",
 			rep.Memoized, rep.Skipped)
 	}
 }
@@ -541,7 +542,7 @@ func TestAPrioriUsesSuppliedFreqs(t *testing.T) {
 				p.SetAprioriFromPath()
 				want = 400
 			}
-			if got := p.k[p.intern(key)].apriori; got != want {
+			if got := p.at(p.intern(key)).apriori; got != want {
 				t.Errorf("install=%v: a-priori count %d, want %d", install, got, want)
 			}
 			p.SetPolicy(APriori)

@@ -20,9 +20,9 @@ func (p *Profiler) aggregateEager(c *Comm) {
 	ch := c.ch
 	// Most rounds nominate nothing, so the map is made on first use.
 	var nominate map[Key]stats.Welford
-	for id := range p.k {
-		ks := &p.k[id]
-		if !ks.seen || ks.propagated {
+	for i := range p.k {
+		ks := &p.k[i]
+		if ks.propagated {
 			continue
 		}
 		// Only the rank-local live samples are pooled: every rank shares
@@ -40,7 +40,7 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if nominate == nil {
 			nominate = make(map[Key]stats.Welford)
 		}
-		nominate[p.tab.KeyOf(uint32(id))] = w
+		nominate[p.tab.KeyOf(ks.id)] = w
 	}
 	merged := mpi.AllreduceMsg(c.internal, nominate, mergeNominations)
 	if len(merged) == 0 {
@@ -52,7 +52,7 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if cov, ok := channel.Combine(ks.coverage, ch); ok {
 			ks.coverage = cov
 		}
-		if ks.coverage.CoversWorld(p.psize) {
+		if ks.coverage.CoversWorld(p.world.user.Size()) {
 			ks.propagated = true
 		}
 	}

@@ -101,18 +101,16 @@ func TestRanksShareOneInterner(t *testing.T) {
 		run(n)
 		p.Report() // publishes the table of n signatures
 		s := seen{tab: p.Table(), ids: map[Key]uint32{}}
-		for id := range p.k {
-			if p.k[id].seen {
-				s.ids[p.tab.KeyOf(uint32(id))] = uint32(id)
-			}
+		for _, ks := range p.k {
+			s.ids[p.tab.KeyOf(ks.id)] = ks.id
 		}
 		p.StartConfigKeyed(true, ck)
 		run(n + extra)
 		s.adopted = p.Table()
 		s.past, s.counts = map[Key]uint32{}, map[Key]int64{}
-		for id := range p.k {
-			if id >= n && p.k[id].seen {
-				s.past[p.tab.KeyOf(uint32(id))] = uint32(id)
+		for _, ks := range p.k {
+			if ks.id >= uint32(n) {
+				s.past[p.tab.KeyOf(ks.id)] = ks.id
 			}
 		}
 		for i := 0; i < n+extra; i++ {
@@ -158,5 +156,54 @@ func TestRanksShareOneInterner(t *testing.T) {
 				t.Errorf("rank %d: modelOf(%v) holds %d samples, want the run's 1", r, keyOf(i), c)
 			}
 		}
+	}
+}
+
+// TestRecordsOnlyForTouchedKernels: in an 8-rank world whose four pairs
+// exchange at four distinct strides (4, 1, 3 and 2), every rank touches one
+// computation kernel, the world's barrier and its own pair's send and
+// receive, while the world's table holds every pair's. Each rank keeps a
+// record for exactly the four it touched, its slot index maps each record's
+// id back to it and marks no other id, and another pair's signature reads as
+// unprofiled.
+func TestRecordsOnlyForTouchedKernels(t *testing.T) {
+	const ranks = 8
+	partner := [ranks]int{4, 2, 1, 6, 0, 7, 3, 5}
+	w := mpi.NewWorld(ranks, testMachine(0.05), 11)
+	err := w.Run(func(c *mpi.Comm) {
+		p, cc := New(c, Options{Policy: Online, Eps: 0.25})
+		buf, out := make([]float64, 8), make([]float64, 8)
+		for range 3 {
+			p.Kernel("gemm", 4, 4, 4, 0, 128, func() {})
+			cc.Sendrecv(partner[c.Rank()], 0, buf, out)
+			cc.Barrier()
+		}
+		r, tab := c.Rank(), p.Table()
+		if n := tab.Len(); p.KernelCount() != 4 || len(p.k) != p.KernelCount() || n != 2+2*4 {
+			t.Errorf("rank %d: %d records for %d kernels in a table of %d, want 4 records of 10",
+				r, len(p.k), p.KernelCount(), n)
+		}
+		marked := 0
+		for _, s := range p.slot {
+			if s != 0 {
+				marked++
+			}
+		}
+		if marked != len(p.k) {
+			t.Errorf("rank %d: the slot index marks %d ids for %d records", r, marked, len(p.k))
+		}
+		for i, ks := range p.k {
+			if p.slot[ks.id] != uint32(i+1) {
+				t.Errorf("rank %d: record %d (id %d) has slot %d", r, i, ks.id, p.slot[ks.id])
+			}
+		}
+		// Ranks 1 and 2 are the one pair at stride 1.
+		stride1 := commKey(opSend, len(buf), 2, 1)
+		if got, want := p.Samples(stride1) != 0, r == 1 || r == 2; got != want {
+			t.Errorf("rank %d: the stride-1 send profiled %v, want %v", r, got, want)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -61,8 +61,9 @@ type kernelMemo struct {
 	// an arena holds — above all its path-table freelist, sized by its
 	// owners' peak number of snapshots in flight — is then a function of one
 	// rank's program over the worker's sweeps, not of which rank happened to
-	// retire last.
-	arenas [][]*memoArena
+	// retire last. Arenas are filed by value, so a rank's stack keeps its
+	// capacity and retiring allocates nothing.
+	arenas [][]memoArena
 
 	// tableHits/tableMisses count StartConfigKeyed lookups (rank-0 only,
 	// one per configuration start).
@@ -75,14 +76,15 @@ type kernelMemo struct {
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
-// the records (zeroed, length 0, capacity kept), the path-frequency table
-// and its freelist of spare buffers (length 0, not zeroed — kernelCounts
-// clears what it grows into), and the archive (length 0: the model slab is
-// overwritten as it refills, the frequency slab is stale and cleared as it
-// regrows, the segment list is cleared so it pins no table), and the list
+// the records and their slot index (zeroed, length 0, capacity kept), the
+// path-frequency table and its freelist of spare buffers (length 0, not
+// zeroed — kernelCounts clears what it grows into), the archive (length 0:
+// the model slab is overwritten as it refills, the frequency slab is stale
+// and cleared as it regrows, the segment list pins no table), and the list
 // of Isends awaiting Waitall (cleared, length 0).
 type memoArena struct {
 	k      []kernelStats
+	slot   []uint32
 	counts []int64
 	free   countsFree
 	arch   archive
@@ -136,30 +138,30 @@ func (m *kernelMemo) publish(key uint64, tab *KernelTable) {
 	}
 }
 
-// acquireArena pops an arena retired by world rank, nil when none is
-// available.
-func (m *kernelMemo) acquireArena(rank int) *memoArena {
+// acquireArena pops an arena retired by world rank, reporting false when
+// none is available.
+func (m *kernelMemo) acquireArena(rank int) (memoArena, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if rank >= len(m.arenas) || len(m.arenas[rank]) == 0 {
-		return nil
+		return memoArena{}, false
 	}
 	s := m.arenas[rank]
 	n := len(s)
 	a := s[n-1]
-	s[n-1] = nil
+	s[n-1] = memoArena{}
 	m.arenas[rank] = s[:n-1]
-	return a
+	return a, true
 }
 
 // releaseArena files a profiler's arena, retired by world rank, for reuse.
 // The donor has already zeroed the records (see Profiler.Retire), so
 // adoption is O(1).
-func (m *kernelMemo) releaseArena(rank int, a *memoArena) {
+func (m *kernelMemo) releaseArena(rank int, a memoArena) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if rank >= len(m.arenas) {
-		m.arenas = append(m.arenas, make([][]*memoArena, rank+1-len(m.arenas))...)
+		m.arenas = append(m.arenas, make([][]memoArena, rank+1-len(m.arenas))...)
 	}
 	m.arenas[rank] = append(m.arenas[rank], a)
 }

@@ -60,16 +60,21 @@ func (k *kernelCounts) reset() { clear(k.vals) }
 // copyInto returns a copy of the table held in buf's backing array when it
 // is big enough, in a fresh one otherwise. The copy is active exactly when
 // the table is. A fresh array is sized by what the copy holds, not by the
-// capacity the table happens to have: capacities travel with recycled arenas
-// from study to study and from rank to rank, so which one a table inherited
-// depends on scheduling.
-func (k *kernelCounts) copyInto(buf []int64) kernelCounts {
+// capacity the table happens to have (capacities travel with recycled arenas
+// from study to study and from rank to rank), or, given the interner tab the
+// ids are of, by its whole id range so far: a path grows id by id as its
+// configuration runs, and a snapshot sized to one length would be outgrown by
+// the next. The range is read only then, since reading it takes a lock.
+func (k *kernelCounts) copyInto(buf []int64, tab *KernelTable) kernelCounts {
 	if !k.active() {
 		return kernelCounts{}
 	}
-	if buf == nil || cap(buf) < len(k.vals) {
+	if n := len(k.vals); buf == nil || cap(buf) < n {
+		if tab != nil {
+			n = max(n, tab.Len())
+		}
 		// make, not append: an empty table's copy must still be non-nil.
-		buf = make([]int64, 0, len(k.vals))
+		buf = make([]int64, 0, n)
 	}
 	return kernelCounts{vals: append(buf[:0], k.vals...)}
 }
@@ -205,7 +210,7 @@ func propagate(members []intMsg) {
 		sent := members[i].Path.Kernels.vals
 		members[i] = acc
 		if i != win {
-			members[i].Path.Kernels = winner.copyInto(sent)
+			members[i].Path.Kernels = winner.copyInto(sent, nil)
 		}
 	}
 }

@@ -218,16 +218,65 @@ func TestFreshSnapshotIsSizedByContents(t *testing.T) {
 		src.incr(id)
 	}
 	for _, buf := range [][]int64{nil, make([]int64, 0, 8)} {
-		snap := src.copyInto(buf)
+		snap := src.copyInto(buf, nil)
 		if len(snap.vals) != 40 || cap(snap.vals) != 40 {
 			t.Errorf("fresh copy of 40 counts from a table of capacity 512: len %d cap %d", len(snap.vals), cap(snap.vals))
 		}
 	}
-	if snap := src.copyInto(make([]int64, 0, 64)); cap(snap.vals) != 64 {
+	if snap := src.copyInto(make([]int64, 0, 64), nil); cap(snap.vals) != 64 {
 		t.Errorf("a recycled buffer that fits was not used: cap %d", cap(snap.vals))
 	}
 	empty := kernelCounts{vals: make([]int64, 0, 16)}
-	if snap := empty.copyInto(nil); !snap.active() {
+	if snap := empty.copyInto(nil, nil); !snap.active() {
 		t.Error("the copy of an empty active table is inactive")
+	}
+}
+
+// TestGrowingPathReusesFirstSnapshot: a configuration that adopts its
+// published table knows its id range from the start, and a rank whose path
+// table then grows by one id per barrier makes one fresh table buffer for its
+// first snapshot and none after: the buffer has room for the whole range, so
+// every later snapshot, the barrier's copy back and the path table's growth
+// fit what the rank already holds. Sized by the copy alone, the next id
+// outgrew it at every barrier.
+func TestGrowingPathReusesFirstSnapshot(t *testing.T) {
+	const ranks, n = 2, 12
+	ck := ConfigKey("growing-path", 0)
+	pool := mpi.NewBufPool()
+	backing := func(v []int64) *int64 {
+		if v = v[:cap(v)]; len(v) == 0 {
+			return nil
+		}
+		return &v[0]
+	}
+	for run := range 2 {
+		w := mpi.NewWorld(ranks, testMachine(0.05), 9)
+		w.SetBufPool(pool)
+		err := w.Run(func(c *mpi.Comm) {
+			p, cc := New(c, Options{Policy: Online, Eps: 0})
+			p.StartConfigKeyed(true, ck)
+			held := map[*int64]bool{}
+			for i := range n {
+				p.Kernel("gemm", i+1, i+1, i+1, 0, 64, func() {})
+				cc.Barrier()
+				bufs := []*int64{backing(p.path.Kernels.vals)}
+				for _, f := range p.free {
+					bufs = append(bufs, backing(f))
+				}
+				for _, b := range bufs {
+					if run == 1 && i > 0 && !held[b] {
+						t.Errorf("rank %d barrier %d: a table buffer the rank did not hold after its first", c.Rank(), i)
+					}
+					held[b] = true
+				}
+			}
+			p.Report()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := mpi.Pooled[kernelMemo](pool).lookups(); h != 1 {
+		t.Fatalf("the second run found %d published tables, want 1", h)
 	}
 }

@@ -13,24 +13,22 @@ import (
 // kernelStats is everything one rank holds about one kernel signature (an
 // entry of the set K in the paper's notation): its duration model, its
 // execution bookkeeping and its path attribution, one record per KernelTable
-// id. Records live exactly as long as the id space that indexes them
-// (startConfig). What depends on the signature itself — the prior's moments,
-// the a-priori count — is resolved from its Key-keyed source once, when the
-// id is first seen (lookup). An interception hashes its Key only when it
-// differs from the rank's previous one (intern): then the world's KernelTable
-// hashes it, as 24 bytes of plain memory (key.go). Everything after works on
-// an id and a record.
+// id the rank has touched. Records live exactly as long as the id space that
+// names them (startConfig). What depends on the signature itself — the
+// prior's moments, the a-priori count — is resolved from its Key-keyed
+// source once, when the rank first touches the id (lookup). An interception
+// hashes its Key only when it differs from the rank's previous one (intern):
+// then the world's KernelTable hashes it, as 24 bytes of plain memory
+// (key.go). Everything after works on an id and a record.
 type kernelStats struct {
-	// seen marks the slot as belonging to a signature this rank has
-	// actually profiled (dense storage leaves holes for ids interned only
-	// by other ranks).
-	seen bool
 	// propagated marks the kernel globally skippable under the eager
 	// policy: its statistics have covered the full processor grid.
 	propagated bool
 	// pooled marks a live accumulator installed by eager cross-rank
 	// aggregation (adoptPooled).
 	pooled bool
+	// id is the record's KernelTable id (Profiler.slot maps it back here).
+	id uint32
 	// perConfig counts executions of the kernel during the current
 	// configuration; non-eager policies require at least one execution per
 	// tuning iteration before skipping (Section VI-A).
@@ -80,7 +78,7 @@ type Options struct {
 //
 // Kernel signatures are interned into dense ids through a KernelTable
 // shared by every rank of the world, so everything per-invocation (model,
-// bookkeeping, local counts, path attribution) is one dense record per id
+// bookkeeping, local counts, path attribution) is one record per touched id
 // (kernelStats) and pathsets propagate between ranks as flat copies into
 // recycled buffers. Keys reappear only at the boundaries: a signature's first
 // sight in a configuration, eager nominations, profile exports, and reports.
@@ -88,7 +86,6 @@ type Profiler struct {
 	opts  Options
 	world *Comm
 	rank  int
-	psize int
 
 	// tab is the world-shared signature interner, the one place ranks
 	// resolve a signature or an id. A rank keeps no private copy of it.
@@ -100,11 +97,13 @@ type Profiler struct {
 	lastID    uint32
 	lastValid bool
 
-	// k is the per-signature records, indexed by kernel id; touched counts
-	// the seen entries (KernelCount). A reference keeps none: every
-	// interception hands out scratch, which stays the zero record (record).
+	// k holds a record per kernel this rank has touched, in the order it
+	// touched them; slot[id] is 1 + the index in k of id's record, 0 for an
+	// id it has not, so each other rank's id costs it 4 bytes, not a record.
+	// A reference keeps none: every interception hands out scratch, which
+	// stays the zero record (record).
 	k       []kernelStats
-	touched int
+	slot    []uint32
 	scratch kernelStats
 	path    Pathset
 	// free recycles path-frequency buffers between adopt, which files the
@@ -134,12 +133,6 @@ type Profiler struct {
 	// the current one, so ExportProfile covers everything the run learned
 	// (archive.go).
 	arch archive
-	// clock marks a profiler built by NewClock (NewReference included): its
-	// Kernel charges an executed kernel's modeled time and never calls run.
-	clock bool
-	// reference marks a profiler built by NewReference: a clock that also
-	// interns nothing, keeps no per-kernel record and archives nothing.
-	reference bool
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
 
@@ -156,6 +149,12 @@ type Profiler struct {
 	memo      *kernelMemo
 	memoKey   uint64
 	memoFresh bool
+	// clock marks a profiler built by NewClock (NewReference included): its
+	// Kernel charges an executed kernel's modeled time and never calls run.
+	clock bool
+	// reference marks a profiler built by NewReference: a clock that also
+	// interns nothing, keeps no per-kernel record and archives nothing.
+	reference bool
 
 	// Per-configuration accumulators.
 	kernelTime     float64 // time spent actually executing selectable kernels
@@ -234,7 +233,6 @@ func newProfiler(world *mpi.Comm, opts Options, clock, reference bool) (*Profile
 	p := &Profiler{
 		opts:      opts,
 		rank:      world.Rank(),
-		psize:     world.Size(),
 		memo:      mpi.Pooled[kernelMemo](world.World().BufPoolOf()),
 		clock:     clock,
 		reference: reference,
@@ -244,8 +242,9 @@ func newProfiler(world *mpi.Comm, opts Options, clock, reference bool) (*Profile
 	// and the Isend list.
 	p.est = newCIMean(opts.Extrapolate)
 	if !reference {
-		if a := p.memo.acquireArena(p.rank); a != nil {
+		if a, ok := p.memo.acquireArena(p.rank); ok {
 			p.k = a.k
+			p.slot = a.slot
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
 			p.arch = a.arch
@@ -316,37 +315,39 @@ func growCap(n, c int) int {
 	return c
 }
 
-// lookup interns key and returns its id and record, growing the records to
-// cover the id. On the signature's first sight since the records were last
-// dropped it is marked profiled and what the record holds by Key is resolved.
-// The pointer is invalidated by the next lookup that grows the records.
+// lookup interns key and returns its id and record. On the signature's first
+// sight since the records were last dropped the rank appends its record,
+// resolving what it holds by Key. The pointer is invalidated by the next
+// lookup that appends a record.
 func (p *Profiler) lookup(key Key) (uint32, *kernelStats) {
 	id := p.intern(key)
-	if n := int(id) + 1; n > len(p.k) {
+	if n := int(id) + 1; n > len(p.slot) {
 		p.grow(n)
 	}
-	ks := &p.k[id]
-	if !ks.seen {
-		ks.seen = true
-		p.touched++
-		ks.prior = p.est.priorOf(key)
-		ks.apriori = p.apriori.get(id)
+	if s := p.slot[id]; s != 0 {
+		return id, &p.k[s-1]
 	}
-	return id, ks
+	if n := len(p.k); n == cap(p.k) {
+		// growCap's floor, not append's growth from one record.
+		p.k = append(make([]kernelStats, 0, growCap(n+1, n)), p.k...)
+	}
+	p.k = append(p.k, kernelStats{id: id, prior: p.est.priorOf(key), apriori: p.apriori.get(id)})
+	p.slot[id] = uint32(len(p.k))
+	return id, &p.k[len(p.k)-1]
 }
 
-// grow extends the records to n > len entries.
+// grow extends the slot index to n > len entries.
 func (p *Profiler) grow(n int) {
-	if n <= cap(p.k) {
+	if n <= cap(p.slot) {
 		// The backing array is allocated zeroed and cleared in place on
-		// reset (and zeroed before arena donation), so extending within
-		// capacity exposes zero records.
-		p.k = p.k[:n]
+		// reset (and before arena donation), so extending within capacity
+		// exposes untouched slots.
+		p.slot = p.slot[:n]
 		return
 	}
-	k := make([]kernelStats, n, growCap(n, cap(p.k)))
-	copy(k, p.k)
-	p.k = k
+	slot := make([]uint32, n, growCap(n, cap(p.slot)))
+	copy(slot, p.slot)
+	p.slot = slot
 }
 
 // intercept is lookup for a kernel invocation: it also counts one appearance
@@ -368,20 +369,19 @@ func (p *Profiler) at(id uint32) *kernelStats {
 	if p.reference {
 		return &p.scratch
 	}
-	return &p.k[id]
+	return &p.k[p.slot[id]-1]
 }
 
 // KernelCount returns the number of distinct kernel signatures profiled so
 // far on this rank.
-func (p *Profiler) KernelCount() int { return p.touched }
+func (p *Profiler) KernelCount() int { return len(p.k) }
 
 // modelOf returns key's combined model for the report accessors: its record's
 // when this rank has profiled the signature, the bare prior otherwise. It
 // interns nothing.
 func (p *Profiler) modelOf(key Key) stats.Welford {
-	id, ok := p.tab.lookup(key)
-	if ok && int(id) < len(p.k) && p.k[id].seen {
-		return p.k[id].model()
+	if id, ok := p.tab.lookup(key); ok && int(id) < len(p.slot) && p.slot[id] != 0 {
+		return p.k[p.slot[id]-1].model()
 	}
 	return p.est.priorOf(key)
 }
@@ -516,7 +516,7 @@ func (p *Profiler) settle(ks *kernelStats, exec bool, run func() float64) float6
 func (p *Profiler) snapshot() Pathset {
 	ps := p.path
 	if p.opts.Policy == Online {
-		ps.Kernels = p.path.Kernels.copyInto(p.free.get())
+		ps.Kernels = p.path.Kernels.copyInto(p.free.get(), p.tab)
 	} else {
 		ps.Kernels = kernelCounts{}
 	}
@@ -652,7 +652,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		// A memo outlives one run, and a study keeps its name across scales:
 		// the world size keeps quick and default scale apart, so neither grows
 		// the ids of the tables the other adopts.
-		cfg = sim.Mix(cfg, uint64(p.psize))
+		cfg = sim.Mix(cfg, uint64(p.world.user.Size()))
 	}
 	if resetIDs && p.rank == 0 && !p.reference {
 		if keyed {
@@ -686,12 +686,12 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		if g.tab != nil {
 			p.tab = g.tab
 		}
-		// Empty the id-indexed tables down to zero length (capacity kept)
-		// so they regrow to the new, compact id range.
+		// Empty the records and the id-indexed tables down to zero length
+		// (capacity kept) so they regrow to the new, compact id range.
 		p.lastValid = false
 		clear(p.k)
-		p.k = p.k[:0]
-		p.touched = 0
+		clear(p.slot)
+		p.k, p.slot = p.k[:0], p.slot[:0]
 		// A-priori counts by id mean nothing under the next interner.
 		p.free.put(p.apriori)
 		p.apriori = kernelCounts{}
@@ -699,7 +699,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
 		if g.n > 0 {
 			// A memo hit knows the configuration's id range up front: size
-			// the records once instead of growing them kernel by kernel.
+			// the slot index once instead of growing it kernel by kernel.
 			p.grow(g.n)
 		}
 		return
@@ -708,8 +708,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	kc.reset()
 	p.path = Pathset{Kernels: kc}
 	for i := range p.k {
-		ks := &p.k[i]
-		ks.perConfig, ks.localFreq = 0, 0
+		p.k[i].perConfig, p.k[i].localFreq = 0, 0
 	}
 }
 
@@ -751,10 +750,8 @@ func (p *Profiler) SetAprioriFromPath() {
 
 // resolveApriori re-reads the a-priori count of every kernel already seen.
 func (p *Profiler) resolveApriori() {
-	for id := range p.k {
-		if ks := &p.k[id]; ks.seen {
-			ks.apriori = p.apriori.get(uint32(id))
-		}
+	for i := range p.k {
+		p.k[i].apriori = p.apriori.get(p.k[i].id)
 	}
 }
 
@@ -779,10 +776,10 @@ type Report struct {
 	// Memoized counts the skips (across ranks) whose predictability
 	// decision was replayed from the kernel's record (predCache) rather
 	// than re-derived from the model; always <= Skipped. The cache is the
-	// profiler's own: the count is the same with or without Options.Memo,
-	// and the name stays only because bench/ reads it. Excluded from
-	// serialized envelopes: the count is observational and must not perturb
-	// golden artifacts.
+	// profiler's own, not the buffer pool's kernel memo (memo.go), and the
+	// name stays only because bench/ reads it. Excluded from serialized
+	// envelopes: the count is observational and must not perturb golden
+	// artifacts.
 	Memoized int64 `json:"-"`
 }
 
@@ -833,7 +830,7 @@ func (p *Profiler) Report() Report {
 		p.memoFresh = false
 	}
 	maxes, sums := g.maxes, g.sums
-	fp := float64(p.psize)
+	fp := float64(p.world.user.Size())
 	return Report{
 		Predicted:     maxes[0],
 		PredictedComp: maxes[1],
@@ -864,27 +861,22 @@ func (p *Profiler) Retire() {
 	if p.reference {
 		return
 	}
-	a := &memoArena{}
-	clear(p.k[:cap(p.k)])
-	a.k = p.k[:0]
+	clear(p.k)
+	clear(p.slot)
+	clear(p.isends)
 	// The frequency table has no other holder, and neither it nor the
 	// spare buffers (the a-priori table among them) need zeroing: a table
 	// clears what it grows into.
-	a.counts = p.path.Kernels.vals[:0]
 	p.free.put(p.apriori)
-	a.free = p.free
-	a.arch = p.arch.recycled()
-	clear(p.isends)
-	a.isends = p.isends[:0]
-	p.memo.releaseArena(p.rank, a)
+	p.memo.releaseArena(p.rank, memoArena{
+		k: p.k[:0], slot: p.slot[:0], counts: p.path.Kernels.vals[:0],
+		free: p.free, arch: p.arch.recycled(), isends: p.isends[:0],
+	})
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
-	p.memo = nil
-	p.k = nil
-	p.lastValid = false
+	p.memo, p.k, p.slot, p.isends = nil, nil, nil, nil
 	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
-	p.arch = archive{}
-	p.isends = nil
+	p.arch, p.lastValid = archive{}, false
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,
@@ -905,11 +897,11 @@ func (p *Profiler) GlobalPathFreqs() map[Key]int64 {
 // caller (in that buffer when it fits; see propagate).
 func (p *Profiler) globalPath() kernelCounts {
 	ps := p.path
-	ps.Kernels = p.path.Kernels.copyInto(p.free.get())
+	ps.Kernels = p.path.Kernels.copyInto(p.free.get(), p.tab)
 	return p.lane.Allreduce(p.world.internal, intMsg{Path: ps}, propagate).Path.Kernels
 }
 
 func (p *Profiler) String() string {
 	return fmt.Sprintf("critter.Profiler{rank=%d, policy=%s, eps=%g, kernels=%d}",
-		p.rank, p.opts.Policy, p.opts.Eps, p.touched)
+		p.rank, p.opts.Policy, p.opts.Eps, len(p.k))
 }

@@ -278,7 +278,7 @@ func TestRecycledBufferTailIsCleared(t *testing.T) {
 	// ...and its buffer carries the snapshot of a much shorter one.
 	var short kernelCounts
 	short.incr(1)
-	snap := short.copyInto(free.get())
+	snap := short.copyInto(free.get(), nil)
 	if &snap.vals[0] != &old.vals[0] {
 		t.Fatal("snapshot did not reuse the recycled buffer; the test exercises nothing")
 	}
@@ -502,15 +502,15 @@ func refHasLiveState(p *Profiler) bool {
 // into dst key by key, archive-side accumulator first.
 func refArchiveInto(p *Profiler, dst *Profile) {
 	e := p.est
-	for id := range p.k {
-		w := p.k[id].live
+	for i := range p.k {
+		w := p.k[i].live
 		if w.Count() == 0 {
 			continue
 		}
-		key := p.tab.KeyOf(uint32(id))
+		key := p.tab.KeyOf(p.k[i].id)
 		om := KernelModel{
 			Count: w.Count(), Mean: w.Mean(), M2: w.M2(),
-			Pooled: p.k[id].pooled,
+			Pooled: p.k[i].pooled,
 		}
 		if dst.Kernels == nil {
 			dst.Kernels = make(map[Key]KernelModel)
@@ -671,12 +671,9 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 				// checkApriori demands that every seen record's a-priori
 				// count be want's entry for its Key (0 for a nil want).
 				checkApriori := func(step int, what string, want map[Key]int64) {
-					for id := range p.k {
-						if !p.k[id].seen {
-							continue
-						}
-						key := p.tab.KeyOf(uint32(id))
-						got := p.k[id].apriori
+					for _, ks := range p.k {
+						key := p.tab.KeyOf(ks.id)
+						got := ks.apriori
 						if got != want[key] {
 							t.Errorf("seed %d step %d (%s) rank %d: %v has a-priori count %d, the global path table %d",
 								seed, step, what, c.Rank(), key, got, want[key])

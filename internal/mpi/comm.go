@@ -90,14 +90,15 @@ func (c *Comm) Rekey(key uint64) {
 // communicator. Ranks passing negative colors receive nil (MPI_UNDEFINED).
 // Split is collective over the parent communicator: one reduceRound whose
 // last arriver builds every color's group (finishSplit), so the members of
-// one new communicator share one group slice, as Dup's members do. The
-// handle is the one the rank freed last (see Free), when there is one: a
-// program that splits the same grid once per configuration and frees it
-// after makes its handles once. The round runs either way, so the new
+// one new communicator share one group slice, as Dup's members do, and a
+// round whose members deposit what an earlier round's did on the world gets
+// that round's slices back. The handle is the one the rank freed last (see
+// Free), when there is one: a program that splits the same grid once per
+// configuration and frees it after makes its handles once. The round runs either way, so the new
 // communicator's context and every sequence number and clock are the same.
 func (c *Comm) Split(color, key int) *Comm {
 	mine, _, seq := fabricOf[splitSlot](c.w).reduceRound(c,
-		splitSlot{color: color, key: key, worldRank: c.state.worldRank}, c.state.finishSplit)
+		splitSlot{color: color, key: key, worldRank: c.state.worldRank}, c.w.finishSplit)
 	if color < 0 {
 		return nil
 	}
@@ -137,17 +138,46 @@ type splitSlot struct {
 	rank                  int
 }
 
+// deposit is what the member brought to the round.
+func (s *splitSlot) deposit() splitDeposit { return splitDeposit{s.color, s.key, s.worldRank} }
+
+// splitDeposit is what a member brings to a Split round.
+type splitDeposit struct{ color, key, worldRank int }
+
+// splitShape is a Split round the world has finished: its members' deposits
+// in parent rank order, and the one []int every color's group was carved
+// from.
+type splitShape struct {
+	deposits []splitDeposit
+	groups   []int
+}
+
 // finishSplit is Split's finish, run by the last arriver while every other
 // member waits: it orders the members of each non-negative color by (color,
-// key, parent rank) in this rank's scratch, carves every color's group from
+// key, parent rank) in the world's scratch, carves every color's group from
 // one []int, and writes each member's group and rank into its slot. Parent
 // ranks are distinct, so the order is total and any comparison sort yields
-// the same permutation.
-func (s *rankState) finishSplit(members []splitSlot) {
-	if cap(s.splitScratch) < len(members) {
-		s.splitScratch = make([]int, 0, len(members))
+// the same permutation. The []int is the one an earlier round with the same
+// deposits made, when the world has finished one: its groups hold the same
+// ranks, and no holder writes into a group, so the communicators of both
+// rounds share them. A program that splits the same grid once per
+// configuration makes its groups once.
+func (w *World) finishSplit(members []splitSlot) {
+	h := uint64(len(members))
+	for i := range members {
+		m := &members[i]
+		h = sim.Mix(h, uint64(m.color), uint64(m.key), uint64(m.worldRank))
 	}
-	order := s.splitScratch[:0]
+	shape, seen := w.splits[h]
+	if seen && !slices.EqualFunc(shape.deposits, members, func(d splitDeposit, m splitSlot) bool {
+		return d == m.deposit()
+	}) {
+		seen = false // a hash collision: this round's groups replace the other's
+	}
+	if cap(w.splitOrder) < len(members) {
+		w.splitOrder = make([]int, 0, len(members))
+	}
+	order := w.splitOrder[:0]
 	for i := range members {
 		if members[i].color >= 0 {
 			order = append(order, i)
@@ -163,7 +193,16 @@ func (s *rankState) finishSplit(members []splitSlot) {
 		}
 		return a - b
 	})
-	groups := make([]int, len(order))
+	if !seen {
+		shape = splitShape{deposits: make([]splitDeposit, len(members)), groups: make([]int, len(order))}
+		for i := range members {
+			shape.deposits[i] = members[i].deposit()
+		}
+		if w.splits == nil {
+			w.splits = make(map[uint64]splitShape)
+		}
+		w.splits[h] = shape
+	}
 	for start := 0; start < len(order); {
 		color := members[order[start]].color
 		end := start
@@ -172,9 +211,11 @@ func (s *rankState) finishSplit(members []splitSlot) {
 		}
 		// Capacity clipped: a member appending to its group must not write
 		// into the next color's.
-		group := groups[start:end:end]
+		group := shape.groups[start:end:end]
 		for r, i := range order[start:end] {
-			group[r] = members[i].worldRank
+			if !seen {
+				group[r] = members[i].worldRank
+			}
 			members[i].group, members[i].rank = group, r
 		}
 		start = end

@@ -165,3 +165,28 @@ func TestWorldGroupIsShared(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedSplitSharesGroups: a world that splits its ranks into rows the
+// same way twice, freeing the first communicators in between, hands the
+// second round the group array of the first, and a row of the second round
+// reads the same ranks as its twin of the first. A round with other keys
+// gets an array of its own.
+func TestRepeatedSplitSharesGroups(t *testing.T) {
+	const p = 6
+	first, again, other := make([][]int, p), make([][]int, p), make([][]int, p)
+	run(t, p, func(c *Comm) {
+		row := c.Split(c.Rank()/3, c.Rank())
+		first[c.Rank()] = row.Group()
+		row.Free()
+		again[c.Rank()] = c.Split(c.Rank()/3, c.Rank()).Group()
+		other[c.Rank()] = c.Split(c.Rank()/3, -c.Rank()).Group()
+	})
+	for r := range p {
+		if !slices.Equal(again[r], first[r]) || &again[r][0] != &first[r][0] {
+			t.Errorf("rank %d: the repeated split gave %v in its own array, want %v in the first round's", r, again[r], first[r])
+		}
+		if &other[r][0] == &first[r][0] {
+			t.Errorf("rank %d: a split with other keys shares the first round's array", r)
+		}
+	}
+}

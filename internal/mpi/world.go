@@ -84,6 +84,12 @@ type World struct {
 	aborted bool
 	abortE  any
 
+	// splitOrder is the member order a Split round's last arriver sorts in,
+	// and splits holds the rounds finished so far by a hash of their
+	// deposits (see finishSplit). Only the loop's running rank touches them.
+	splitOrder []int
+	splits     map[uint64]splitShape
+
 	// costOnly marks a world whose data operations charge time and move no
 	// data, and scratch is the one buffer its ranks' workspaces hand out
 	// views of (see MarkCostOnly).
@@ -99,9 +105,6 @@ type rankState struct {
 	rng       *sim.RNG
 	// yield suspends the rank's coroutine (see wait).
 	yield func(struct{}) bool
-	// splitScratch is the member order this rank sorts in when it is the
-	// last arriver of a Split round (see finishSplit).
-	splitScratch []int
 	// collScratch is the buffer this rank reduces or concatenates into when
 	// it is the last arriver of a data collective (see Comm.scratch).
 	collScratch []float64
