@@ -60,13 +60,15 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 1 261 allocs/op and 358 160-358 387 B/op over 27 runs at -cpu 1,
+		// 1 261 allocs/op and 312 928-313 135 B/op over 27 runs at -cpu 1,
 		// 2 and 4, with 20 iterations and with testing.Benchmark's own
 		// count; four allocations and 7 358 B of headroom stay (the
 		// widest spread of bytes the two sweep benchmarks read while their
-		// ranks were goroutines). Before a rank's records were sized by
-		// what it touches, a repeated split got its first round's groups
-		// back and the memo filed retired arenas by value, it read 1 349
+		// ranks were goroutines). Before path counts were 32-bit, a record
+		// 72 bytes and an archived model 32, it read 1 261 and
+		// 358 160-358 387 B; before a rank's records were sized by what it
+		// touches, a repeated split got its first round's groups back and
+		// the memo filed retired arenas by value, it read 1 349
 		// and 363 808-364 070 B; before a rank kept its grid headers, its
 		// Cholesky panel ring and its broadcast marks for the whole world
 		// (mpi.Local), it read 3 584-3 585 and 543 585-544 226 B; before a
@@ -76,16 +78,18 @@ func TestAllocBudgets(t *testing.T) {
 		// sweep), per adopt or per split handle is well past either. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 1265, 365745},
-		// 1 266 allocs/op and 360 856-361 129 B/op over 27 runs, the same
-		// way (1 394 and 369 064-369 086 B before the records, the split
-		// groups and the arenas, 4 775 and 641 320-641 712 B before the
-		// bookkeeping was kept per rank, 8 447 and 832 872-832 986 B before the grids and
-		// mailboxes were reused). Rekeying the offline pass's global path
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 1265, 320493},
+		// 1 266 allocs/op and 315 624-315 628 B/op over 27 runs, the same
+		// way (1 266 and 360 856-361 129 B before the compact counts,
+		// records and archived models, 1 394 and 369 064-369 086 B before
+		// the records, the split groups and the arenas, 4 775 and
+		// 641 320-641 712 B before the bookkeeping was kept per rank,
+		// 8 447 and 832 872-832 986 B before the grids and mailboxes were
+		// reused). Rekeying the offline pass's global path
 		// table into a Key map per configuration and rank, as
 		// GlobalPathFreqs does, cost about 650 allocations and 295 000 B
 		// more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 1270, 368487},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 1270, 322986},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

@@ -18,10 +18,15 @@ import (
 // its reports.
 
 // archivedModel is one kernel's archived duration model under the dense id
-// its segment's table gave it.
+// its segment's table gave it: KernelModel's fields with the id in what
+// would be its padding, 32 bytes where an embedded KernelModel takes 40
+// (foldModels builds the KernelModel).
 type archivedModel struct {
-	id uint32
-	KernelModel
+	Count  int64
+	Mean   float64
+	M2     float64
+	id     uint32
+	Pooled bool
 }
 
 // archiveSeg is what was set aside while one kernel table was current: the
@@ -41,7 +46,7 @@ type archive struct {
 	models []archivedModel
 	// freqs is recycled without zeroing: whatever lies past its length is
 	// stale, and growing into it clears what is exposed.
-	freqs []int64
+	freqs []int32
 	// families holds the family models of the configurations archived so
 	// far, already in export form (they are keyed by routine name, a
 	// handful per run, and exist only under Options.Extrapolate).
@@ -136,9 +141,9 @@ func (p *Profiler) liveModels(dst []archivedModel) []archivedModel {
 	for i := range p.k {
 		ks := &p.k[i]
 		if w := &ks.live; w.Count() > 0 {
-			dst = append(dst, archivedModel{ks.id, KernelModel{
-				Count: w.Count(), Mean: w.Mean(), M2: w.M2(), Pooled: ks.pooled,
-			}})
+			dst = append(dst, archivedModel{
+				Count: w.Count(), Mean: w.Mean(), M2: w.M2(), id: ks.id, Pooled: ks.pooled,
+			})
 		}
 	}
 	return dst
@@ -199,13 +204,13 @@ func (p *Profiler) exportInto(out *Profile) {
 func (p *Profile) foldModels(tab *KernelTable, models []archivedModel) {
 	keys := tab.view()
 	for _, m := range models {
-		p.mergeKernel(keys[m.id], m.KernelModel, false)
+		p.mergeKernel(keys[m.id], KernelModel{Count: m.Count, Mean: m.Mean, M2: m.M2, Pooled: m.Pooled}, false)
 	}
 }
 
 // foldFreqs max-merges a frequency table dense by tab's ids into the
 // profile.
-func (p *Profile) foldFreqs(tab *KernelTable, freqs []int64) {
+func (p *Profile) foldFreqs(tab *KernelTable, freqs []int32) {
 	nonzero := 0
 	for _, v := range freqs {
 		if v != 0 {
@@ -221,7 +226,7 @@ func (p *Profile) foldFreqs(tab *KernelTable, freqs []int64) {
 	keys := tab.view()
 	for id, v := range freqs {
 		if v != 0 {
-			p.PathFreqs[keys[id]] = max(p.PathFreqs[keys[id]], v)
+			p.PathFreqs[keys[id]] = max(p.PathFreqs[keys[id]], int64(v))
 		}
 	}
 }

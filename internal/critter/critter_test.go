@@ -537,7 +537,7 @@ func TestAPrioriUsesSuppliedFreqs(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				p.Kernel("hot", 8, 8, 8, 0, 1e4, func() {})
 			}
-			want := int64(0)
+			want := int32(0)
 			if install {
 				p.SetAprioriFromPath()
 				want = 400

@@ -18,6 +18,9 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		return
 	}
 	ch := c.ch
+	// A profiler switched to the eager policy mid-run (SetPolicy) has
+	// records that predate their coverage.
+	p.growCover()
 	// Most rounds nominate nothing, so the map is made on first use.
 	var nominate map[Key]stats.Welford
 	for i := range p.k {
@@ -31,10 +34,10 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		if w.Count() < 2 || !w.Predictable(p.opts.Eps, 1) {
 			continue
 		}
-		if ks.coverage.Contains(ch) {
+		if p.cover[i].Contains(ch) {
 			continue
 		}
-		if _, ok := channel.Combine(ks.coverage, ch); !ok {
+		if _, ok := channel.Combine(p.cover[i], ch); !ok {
 			continue
 		}
 		if nominate == nil {
@@ -47,12 +50,14 @@ func (p *Profiler) aggregateEager(c *Comm) {
 		return
 	}
 	for key, w := range merged {
-		_, ks := p.lookup(key)
+		// Under the eager policy lookup keeps the coverage one per record.
+		id, ks := p.lookup(key)
 		ks.adoptPooled(w)
-		if cov, ok := channel.Combine(ks.coverage, ch); ok {
-			ks.coverage = cov
+		cov := &p.cover[p.slot[id]-1]
+		if joined, ok := channel.Combine(*cov, ch); ok {
+			*cov = joined
 		}
-		if ks.coverage.CoversWorld(p.world.user.Size()) {
+		if cov.CoversWorld(p.world.user.Size()) {
 			ks.propagated = true
 		}
 	}

@@ -49,6 +49,8 @@ package critter
 import (
 	"hash/fnv"
 	"sync"
+
+	"critter/internal/channel"
 )
 
 // kernelMemo caches config-invariant profiler state across configurations,
@@ -76,16 +78,18 @@ type kernelMemo struct {
 }
 
 // memoArena is the recyclable per-rank state a retiring profiler donates:
-// the records and their slot index (zeroed, length 0, capacity kept), the
-// path-frequency table and its freelist of spare buffers (length 0, not
-// zeroed — kernelCounts clears what it grows into), the archive (length 0:
-// the model slab is overwritten as it refills, the frequency slab is stale
-// and cleared as it regrows, the segment list pins no table), and the list
-// of Isends awaiting Waitall (cleared, length 0).
+// the records, their slot index and the eager coverage beside them (zeroed,
+// length 0, capacity kept), the path-frequency table and its freelist of
+// spare buffers (length 0, not zeroed — kernelCounts clears what it grows
+// into), the archive (length 0: the model slab is overwritten as it
+// refills, the frequency slab is stale and cleared as it regrows, the
+// segment list pins no table), and the list of Isends awaiting Waitall
+// (cleared, length 0).
 type memoArena struct {
 	k      []kernelStats
 	slot   []uint32
-	counts []int64
+	cover  []channel.Channel
+	counts []int32
 	free   countsFree
 	arch   archive
 	isends []isend

@@ -1,5 +1,7 @@
 package critter
 
+import "math"
+
 // kernelCounts is the path frequency table K-tilde as a dense array indexed
 // by KernelTable id. A table has exactly one owner at any time: the profiler
 // counting into it, the internal message carrying it, or the freelist it
@@ -12,8 +14,10 @@ type kernelCounts struct {
 	// vals[id] is the number of appearances of kernel id along the current
 	// sub-critical path. Indexed by the world-wide KernelTable. The
 	// length is not part of the value: ids past the end count zero, and
-	// whatever lies between len and cap is stale (see materialize).
-	vals []int64
+	// whatever lies between len and cap is stale (see materialize). A count
+	// is the number of kernel invocations along one rank's path in one
+	// configuration, so 32 bits hold it; incr refuses to wrap.
+	vals []int32
 }
 
 // active reports whether the table is carried at all (policies that do not
@@ -25,16 +29,24 @@ func (k *kernelCounts) get(id uint32) int64 {
 	if int(id) >= len(k.vals) {
 		return 0
 	}
-	return k.vals[id]
+	return int64(k.vals[id])
 }
 
 // incr counts one appearance of kernel id, growing the table first when it
-// is too short.
+// is too short. It panics when the count would pass math.MaxInt32.
 func (k *kernelCounts) incr(id uint32) {
 	if int(id) >= len(k.vals) {
 		k.materialize(int(id) + 1)
 	}
-	k.vals[id]++
+	k.vals[id] = countUp(k.vals[id])
+}
+
+// countUp returns n+1 for a 32-bit count, panicking instead of wrapping.
+func countUp(n int32) int32 {
+	if n == math.MaxInt32 {
+		panic("critter: kernel count overflows int32")
+	}
+	return n + 1
 }
 
 // materialize grows the table to hold n > len entries. Within capacity it
@@ -49,7 +61,7 @@ func (k *kernelCounts) materialize(n int) {
 		clear(k.vals[old:])
 		return
 	}
-	vals := make([]int64, n, growCap(n, cap(k.vals)))
+	vals := make([]int32, n, growCap(n, cap(k.vals)))
 	copy(vals, k.vals)
 	k.vals = vals
 }
@@ -65,7 +77,7 @@ func (k *kernelCounts) reset() { clear(k.vals) }
 // ids are of, by its whole id range so far: a path grows id by id as its
 // configuration runs, and a snapshot sized to one length would be outgrown by
 // the next. The range is read only then, since reading it takes a lock.
-func (k *kernelCounts) copyInto(buf []int64, tab *KernelTable) kernelCounts {
+func (k *kernelCounts) copyInto(buf []int32, tab *KernelTable) kernelCounts {
 	if !k.active() {
 		return kernelCounts{}
 	}
@@ -74,7 +86,7 @@ func (k *kernelCounts) copyInto(buf []int64, tab *KernelTable) kernelCounts {
 			n = max(n, tab.Len())
 		}
 		// make, not append: an empty table's copy must still be non-nil.
-		buf = make([]int64, 0, n)
+		buf = make([]int32, 0, n)
 	}
 	return kernelCounts{vals: append(buf[:0], k.vals...)}
 }
@@ -94,10 +106,10 @@ func (k *kernelCounts) copyInto(buf []int64, tab *KernelTable) kernelCounts {
 // buffer too small, so a burst of Isends before one Waitall is paid for
 // once, not per burst, and what the freelist holds does not depend on how
 // far apart the ranks run.
-type countsFree [][]int64
+type countsFree [][]int32
 
 // get pops a buffer, nil when the list is empty.
-func (f *countsFree) get() []int64 {
+func (f *countsFree) get() []int32 {
 	n := len(*f)
 	if n == 0 {
 		return nil

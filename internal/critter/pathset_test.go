@@ -213,20 +213,20 @@ func TestMergeIntMsgPreservesExec2(t *testing.T) {
 // before, so sizing by them made a sweep's allocation depend on scheduling),
 // and an empty active table still copies to an active one.
 func TestFreshSnapshotIsSizedByContents(t *testing.T) {
-	src := kernelCounts{vals: make([]int64, 0, 512)}
+	src := kernelCounts{vals: make([]int32, 0, 512)}
 	for id := uint32(0); id < 40; id++ {
 		src.incr(id)
 	}
-	for _, buf := range [][]int64{nil, make([]int64, 0, 8)} {
+	for _, buf := range [][]int32{nil, make([]int32, 0, 8)} {
 		snap := src.copyInto(buf, nil)
 		if len(snap.vals) != 40 || cap(snap.vals) != 40 {
 			t.Errorf("fresh copy of 40 counts from a table of capacity 512: len %d cap %d", len(snap.vals), cap(snap.vals))
 		}
 	}
-	if snap := src.copyInto(make([]int64, 0, 64), nil); cap(snap.vals) != 64 {
+	if snap := src.copyInto(make([]int32, 0, 64), nil); cap(snap.vals) != 64 {
 		t.Errorf("a recycled buffer that fits was not used: cap %d", cap(snap.vals))
 	}
-	empty := kernelCounts{vals: make([]int64, 0, 16)}
+	empty := kernelCounts{vals: make([]int32, 0, 16)}
 	if snap := empty.copyInto(nil, nil); !snap.active() {
 		t.Error("the copy of an empty active table is inactive")
 	}
@@ -243,7 +243,7 @@ func TestGrowingPathReusesFirstSnapshot(t *testing.T) {
 	const ranks, n = 2, 12
 	ck := ConfigKey("growing-path", 0)
 	pool := mpi.NewBufPool()
-	backing := func(v []int64) *int64 {
+	backing := func(v []int32) *int32 {
 		if v = v[:cap(v)]; len(v) == 0 {
 			return nil
 		}
@@ -255,11 +255,11 @@ func TestGrowingPathReusesFirstSnapshot(t *testing.T) {
 		err := w.Run(func(c *mpi.Comm) {
 			p, cc := New(c, Options{Policy: Online, Eps: 0})
 			p.StartConfigKeyed(true, ck)
-			held := map[*int64]bool{}
+			held := map[*int32]bool{}
 			for i := range n {
 				p.Kernel("gemm", i+1, i+1, i+1, 0, 64, func() {})
 				cc.Barrier()
-				bufs := []*int64{backing(p.path.Kernels.vals)}
+				bufs := []*int32{backing(p.path.Kernels.vals)}
 				for _, f := range p.free {
 					bufs = append(bufs, backing(f))
 				}

@@ -19,7 +19,10 @@ import (
 // source once, when the rank first touches the id (lookup). An interception
 // hashes its Key only when it differs from the rank's previous one (intern):
 // then the world's KernelTable hashes it, as 24 bytes of plain memory
-// (key.go). Everything after works on an id and a record.
+// (key.go). Everything after works on an id and a record. A record is 72
+// bytes (TestProfilerStateLayout): counts are 32-bit, the flags share the
+// word the id pads, and the eager policy's coverage lives beside the
+// records (Profiler.cover).
 type kernelStats struct {
 	// propagated marks the kernel globally skippable under the eager
 	// policy: its statistics have covered the full processor grid.
@@ -27,28 +30,25 @@ type kernelStats struct {
 	// pooled marks a live accumulator installed by eager cross-rank
 	// aggregation (adoptPooled).
 	pooled bool
+	// ran marks a kernel executed during the current configuration;
+	// non-eager policies require at least one execution per tuning
+	// iteration before skipping (Section VI-A).
+	ran bool
 	// id is the record's KernelTable id (Profiler.slot maps it back here).
 	id uint32
-	// perConfig counts executions of the kernel during the current
-	// configuration; non-eager policies require at least one execution per
-	// tuning iteration before skipping (Section VI-A).
-	perConfig int64
-	// coverage accumulates the aggregate channel over which this kernel's
-	// statistics have been propagated (eager policy).
-	coverage channel.Channel
 	// live accumulates the durations sampled since the last statistics
 	// reset; prior is the warm-start profile's accumulator for the signature
 	// (empty without one). Queries merge the two (model, estimator.go).
 	live, prior stats.Welford
 	// apriori is the signature's a-priori count: its entry in the id table
 	// SetAprioriFromPath installed (0: none).
-	apriori int64
-	// pred caches the propagation-point predictability outcomes (predCache).
-	pred predCache
+	apriori int32
 	// localFreq counts the kernel's appearances on this rank during the
 	// current configuration (the Local policy's frequency credit); the
 	// kernel is on the rank's path this configuration iff it is nonzero.
-	localFreq int64
+	localFreq int32
+	// pred caches the propagation-point predictability outcomes (predCache).
+	pred predCache
 }
 
 // Options configures a Profiler.
@@ -106,6 +106,10 @@ type Profiler struct {
 	slot    []uint32
 	scratch kernelStats
 	path    Pathset
+	// cover[i] is the aggregate channel over which k[i]'s statistics have
+	// been propagated (the eager policy's coverage, eager.go). Only an eager
+	// profiler grows it (growCover); every other policy leaves it empty.
+	cover []channel.Channel
 	// free recycles path-frequency buffers between adopt, which files the
 	// table it replaces, and snapshot, which copies into one (pathset.go).
 	free countsFree
@@ -178,8 +182,8 @@ type Profiler struct {
 // model changes (record, adoptPooled) and every record's when eps changes
 // (SetEps); StartConfig's statistics reset drops the records themselves.
 type predCache struct {
-	trueAt  int64 // minimal freq observed predictable (0: none)
-	falseAt int64 // maximal freq observed unpredictable (0: none)
+	trueAt  int32 // minimal freq observed predictable (0: none)
+	falseAt int32 // maximal freq observed unpredictable (0: none)
 }
 
 // New creates the rank's profiler and wraps its world communicator. It is
@@ -245,6 +249,7 @@ func newProfiler(world *mpi.Comm, opts Options, clock, reference bool) (*Profile
 		if a, ok := p.memo.acquireArena(p.rank); ok {
 			p.k = a.k
 			p.slot = a.slot
+			p.cover = a.cover
 			p.path.Kernels = kernelCounts{vals: a.counts}
 			p.free = a.free
 			p.arch = a.arch
@@ -331,9 +336,21 @@ func (p *Profiler) lookup(key Key) (uint32, *kernelStats) {
 		// growCap's floor, not append's growth from one record.
 		p.k = append(make([]kernelStats, 0, growCap(n+1, n)), p.k...)
 	}
-	p.k = append(p.k, kernelStats{id: id, prior: p.est.priorOf(key), apriori: p.apriori.get(id)})
+	p.k = append(p.k, kernelStats{id: id, prior: p.est.priorOf(key), apriori: p.aprioriOf(id)})
 	p.slot[id] = uint32(len(p.k))
+	if p.opts.Policy == Eager {
+		p.growCover()
+	}
 	return id, &p.k[len(p.k)-1]
+}
+
+// growCover pads the eager coverage to one channel per record: a record
+// appended under the eager policy, or every record seen before a switch to
+// it (SetPolicy), starts with the empty channel.
+func (p *Profiler) growCover() {
+	if n := len(p.k) - len(p.cover); n > 0 {
+		p.cover = append(p.cover, make([]channel.Channel, n)...)
+	}
 }
 
 // grow extends the slot index to n > len entries.
@@ -359,7 +376,7 @@ func (p *Profiler) intercept(key Key) (uint32, *kernelStats) {
 	}
 	id, ks := p.lookup(key)
 	p.path.Kernels.incr(id)
-	ks.localFreq++
+	ks.localFreq = countUp(ks.localFreq)
 	return id, ks
 }
 
@@ -406,7 +423,7 @@ func (p *Profiler) pathFreqMap(kc kernelCounts) map[Key]int64 {
 	out := make(map[Key]int64)
 	for id, v := range kc.vals {
 		if v != 0 {
-			out[p.tab.KeyOf(uint32(id))] = v
+			out[p.tab.KeyOf(uint32(id))] = int64(v)
 		}
 	}
 	return out
@@ -422,12 +439,12 @@ func (p *Profiler) PathFreqs() map[Key]int64 {
 func (p *Profiler) freqFor(id uint32, ks *kernelStats) int64 {
 	switch p.opts.Policy {
 	case Local:
-		return ks.localFreq
+		return int64(ks.localFreq)
 	case Online:
 		return p.path.Kernels.get(id)
 	case APriori:
 		if ks.apriori > 0 {
-			return ks.apriori
+			return int64(ks.apriori)
 		}
 	}
 	return 1
@@ -446,7 +463,7 @@ func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) (exec, replayed boo
 	if p.opts.Policy == Eager {
 		return !ks.propagated, false
 	}
-	if ks.perConfig < 1 {
+	if !ks.ran {
 		return true, false
 	}
 	pred, hit := p.predictable(ks, p.freqFor(id, ks))
@@ -459,23 +476,24 @@ func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) (exec, replayed boo
 // predictable answers the propagation-point CI tolerance test through the
 // record's decision cache, reporting whether the answer was replayed. The
 // steady-state skip path — a converged signature re-encountered with an
-// ever-growing frequency credit — reduces to two integer compares.
+// ever-growing frequency credit — reduces to two integer compares. Every
+// credit freqFor grants is a 32-bit count or 1, so the bounds hold it.
 func (p *Profiler) predictable(ks *kernelStats, freq int64) (pred, hit bool) {
 	c := &ks.pred
-	if c.trueAt != 0 && freq >= c.trueAt {
+	if c.trueAt != 0 && freq >= int64(c.trueAt) {
 		return true, true
 	}
-	if c.falseAt != 0 && freq <= c.falseAt {
+	if c.falseAt != 0 && freq <= int64(c.falseAt) {
 		return false, true
 	}
 	m := ks.model()
 	pred = m.Predictable(p.opts.Eps, freq)
 	if pred {
-		if c.trueAt == 0 || freq < c.trueAt {
-			c.trueAt = freq
+		if c.trueAt == 0 || freq < int64(c.trueAt) {
+			c.trueAt = int32(freq)
 		}
-	} else if freq > c.falseAt {
-		c.falseAt = freq
+	} else if freq > int64(c.falseAt) {
+		c.falseAt = int32(freq)
 	}
 	return pred, false
 }
@@ -492,7 +510,7 @@ func (p *Profiler) record(ks *kernelStats, dt float64) {
 	}
 	ks.live.Add(dt)
 	ks.pred = predCache{}
-	ks.perConfig++
+	ks.ran = true
 }
 
 // settle is the tail of every interception once the execution decision is
@@ -691,7 +709,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.lastValid = false
 		clear(p.k)
 		clear(p.slot)
-		p.k, p.slot = p.k[:0], p.slot[:0]
+		clear(p.cover)
+		p.k, p.slot, p.cover = p.k[:0], p.slot[:0], p.cover[:0]
 		// A-priori counts by id mean nothing under the next interner.
 		p.free.put(p.apriori)
 		p.apriori = kernelCounts{}
@@ -708,7 +727,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	kc.reset()
 	p.path = Pathset{Kernels: kc}
 	for i := range p.k {
-		p.k[i].perConfig, p.k[i].localFreq = 0, 0
+		p.k[i].ran, p.k[i].localFreq = false, 0
 	}
 }
 
@@ -751,9 +770,13 @@ func (p *Profiler) SetAprioriFromPath() {
 // resolveApriori re-reads the a-priori count of every kernel already seen.
 func (p *Profiler) resolveApriori() {
 	for i := range p.k {
-		p.k[i].apriori = p.apriori.get(p.k[i].id)
+		p.k[i].apriori = p.aprioriOf(p.k[i].id)
 	}
 }
+
+// aprioriOf returns id's entry in the installed a-priori table, a 32-bit
+// count like every path table's, so the narrowing is exact.
+func (p *Profiler) aprioriOf(id uint32) int32 { return int32(p.apriori.get(id)) }
 
 // Report summarizes the configuration run. Collective over the world
 // communicator: critical-path metrics and kernel-time maxima reduce with
@@ -863,18 +886,19 @@ func (p *Profiler) Retire() {
 	}
 	clear(p.k)
 	clear(p.slot)
+	clear(p.cover)
 	clear(p.isends)
 	// The frequency table has no other holder, and neither it nor the
 	// spare buffers (the a-priori table among them) need zeroing: a table
 	// clears what it grows into.
 	p.free.put(p.apriori)
 	p.memo.releaseArena(p.rank, memoArena{
-		k: p.k[:0], slot: p.slot[:0], counts: p.path.Kernels.vals[:0],
+		k: p.k[:0], slot: p.slot[:0], cover: p.cover[:0], counts: p.path.Kernels.vals[:0],
 		free: p.free, arch: p.arch.recycled(), isends: p.isends[:0],
 	})
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
-	p.memo, p.k, p.slot, p.isends = nil, nil, nil, nil
+	p.memo, p.k, p.slot, p.cover, p.isends = nil, nil, nil, nil, nil
 	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
 	p.arch, p.lastValid = archive{}, false
 }

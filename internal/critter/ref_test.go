@@ -312,7 +312,7 @@ func TestRecycledBufferTailIsCleared(t *testing.T) {
 // empty-but-active table stays active through a copy.
 func TestPropagateKeepsNilness(t *testing.T) {
 	active := func(n int) kernelCounts {
-		k := kernelCounts{vals: make([]int64, 0, 4)}
+		k := kernelCounts{vals: make([]int32, 0, 4)}
 		for id := 0; id < n; id++ {
 			k.incr(uint32(id))
 		}
@@ -446,7 +446,7 @@ func (m *mapArchive) archivePathFreqs(p *Profiler) {
 			}
 		}
 		key := p.tab.KeyOf(uint32(id))
-		m.prof.PathFreqs[key] = max(m.prof.PathFreqs[key], v)
+		m.prof.PathFreqs[key] = max(m.prof.PathFreqs[key], int64(v))
 	}
 }
 
@@ -477,7 +477,7 @@ func (m *mapArchive) export(p *Profiler) *Profile {
 			out.PathFreqs = make(map[Key]int64)
 		}
 		key := p.tab.KeyOf(uint32(id))
-		out.PathFreqs[key] = max(out.PathFreqs[key], v)
+		out.PathFreqs[key] = max(out.PathFreqs[key], int64(v))
 	}
 	return out
 }
@@ -673,7 +673,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 				checkApriori := func(step int, what string, want map[Key]int64) {
 					for _, ks := range p.k {
 						key := p.tab.KeyOf(ks.id)
-						got := ks.apriori
+						got := int64(ks.apriori)
 						if got != want[key] {
 							t.Errorf("seed %d step %d (%s) rank %d: %v has a-priori count %d, the global path table %d",
 								seed, step, what, c.Rank(), key, got, want[key])
