@@ -77,7 +77,7 @@ func (ps *progressSink) report(study string, sw SweepResult, err error) {
 // through the set (Arenas.Run) takes its workers' arenas from it and gives
 // them back, so they grow once rather than once per run. It holds at most as
 // many arenas as its runs have had workers at once, each for as long as the
-// Arenas itself lives; an arena's memo publishes one table per distinct
+// Arenas itself lives; an arena's memo registers one table per distinct
 // (study, scale, configuration) it has run. Tuner.Run, Stream and RunTuners,
 // which have no such owner, give each worker a fresh arena that dies with
 // the run. The zero value is an empty set.

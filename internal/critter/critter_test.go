@@ -662,10 +662,10 @@ func TestReportDeterministic(t *testing.T) {
 // keyed by the configuration as the sweep keys it. The reports must agree
 // field for field. The reference is a clock: the twin runs a kernel's body
 // once per Kernel call and the reference never; it keeps no record and
-// archives nothing, its GlobalProfile is empty, and it neither looks up nor
-// publishes in its pool's memo, so a selective profiler that restarts a
-// configuration on the pool misses and publishes its own table, where the
-// twin's memo serves it.
+// archives nothing, its GlobalProfile is empty, and it neither takes nor
+// makes a table in its pool's memo, so a selective profiler that restarts a
+// configuration on the pool misses and makes its own table, where the twin's
+// memo serves it.
 func TestReferenceArchivesNothing(t *testing.T) {
 	const ranks, configs = 4, 5
 	// work calls Kernel twice per step, handing each call run.
@@ -684,8 +684,8 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		reports []Report
 		global  *Profile
 		memo    *kernelMemo
-		// published counts the memo's tables before and after the
-		// selective restart.
+		// published and republished count the memo's tables before and
+		// after the selective restart.
 		published, republished int
 		// runs counts the kernel bodies the configurations ran, on every
 		// rank.
@@ -776,7 +776,7 @@ func TestReferenceArchivesNothing(t *testing.T) {
 		// The reference looks nothing up: the restart is the memo's first
 		// lookup, a miss, and its table the memo's first.
 		{"reference", ref, 0, 1, 0, 1},
-		// The twin publishes every configuration; the restart adopts one.
+		// The twin registers every configuration; the restart adopts one.
 		{"twin", full, 1, configs, configs, configs},
 	} {
 		s := want.side

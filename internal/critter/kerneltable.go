@@ -13,7 +13,8 @@ import "sync"
 // keep no private copy: the steady-state interception path asks the table
 // whenever the signature differs from the rank's previous one. A keyed
 // configuration adopts the table its first run on the world's buffer pool
-// published (memo.go), so its ranks find every signature already there. Ids
+// made and registered (memo.go), so its ranks find every signature already
+// there. Ids
 // are assigned in global first-seen order: within a world that follows the
 // order its loop runs the ranks in, and a table a pool's memo hands to
 // worlds running at once on it also follows how those interleave. Nothing

@@ -70,8 +70,8 @@ func TestKernelTableConcurrentIntern(t *testing.T) {
 // signatures in different orders. On a memo miss every rank resolves each
 // signature to the same id through the world's one table, and back again.
 // The configuration's key is then reused for a run that also sees signatures
-// the published table lacks, as a memo-key collision would: the run adopts
-// the published table object itself, and the new signatures' ids, at or past
+// the registered table lacks, as a memo-key collision would: the run adopts
+// the registered table object itself, and the new signatures' ids, at or past
 // n, resolve through it, in KeyOf and in modelOf.
 func TestRanksShareOneInterner(t *testing.T) {
 	const ranks, n, extra = 16, 12, 4
@@ -99,7 +99,7 @@ func TestRanksShareOneInterner(t *testing.T) {
 		}
 		p.StartConfigKeyed(true, ck)
 		run(n)
-		p.Report() // publishes the table of n signatures
+		p.Report()
 		s := seen{tab: p.Table(), ids: map[Key]uint32{}}
 		for _, ks := range p.k {
 			s.ids[p.tab.KeyOf(ks.id)] = ks.id
@@ -140,7 +140,7 @@ func TestRanksShareOneInterner(t *testing.T) {
 			}
 		}
 		if s.adopted != tab {
-			t.Errorf("rank %d: the colliding run interns into %p, not the published table %p", r, s.adopted, tab)
+			t.Errorf("rank %d: the colliding run interns into %p, not the registered table %p", r, s.adopted, tab)
 		}
 		if len(s.past) != extra {
 			t.Errorf("rank %d resolved %d signatures at or past id %d, want %d", r, len(s.past), n, extra)
@@ -148,7 +148,7 @@ func TestRanksShareOneInterner(t *testing.T) {
 		for i := n; i < n+extra; i++ {
 			id, ok := s.past[keyOf(i)]
 			if want := got[0].past[keyOf(i)]; !ok || id != want || tab.KeyOf(id) != keyOf(i) {
-				t.Errorf("rank %d resolved %v past the published ids to id %d (found %v), rank 0 to %d", r, keyOf(i), id, ok, want)
+				t.Errorf("rank %d resolved %v past the first run's ids to id %d (found %v), rank 0 to %d", r, keyOf(i), id, ok, want)
 			}
 		}
 		for i := 0; i < n+extra; i++ {

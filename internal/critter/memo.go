@@ -14,21 +14,22 @@ package critter
 //
 // Three things are memoized:
 //
-//   - Per-configuration kernel tables. The first profiler to finish a
-//     configuration publishes its interner (Profiler.Report), keyed by the
-//     caller-supplied configuration key (StartConfigKeyed) and the world
-//     size. That is a selective run: a reference (NewReference) interns
-//     nothing and neither looks up nor publishes. Every later profiler that
-//     starts the same configuration on the pool adopts the published table
-//     itself, so its steady-state intern path is a read-locked map hit: no
-//     insert. Ids stay as compact as the configuration's active kernel set,
-//     keeping the path-frequency table every snapshot copies small.
+//   - Per-configuration kernel tables. The first profiler to start a
+//     configuration makes its interner and registers it at once, keyed by
+//     the caller-supplied configuration key (StartConfigKeyed) and the world
+//     size (kernelMemo.table). That is a selective run: a reference
+//     (NewReference) interns nothing and never asks. Every later profiler
+//     that starts the same configuration on the pool adopts the registered
+//     table itself, so its steady-state intern path is a read-locked map
+//     hit: no insert. Ids stay as compact as the configuration's active
+//     kernel set, keeping the path-frequency table every snapshot copies
+//     small.
 //
 //   - Retired per-rank arenas. A profiler that will not be used again
-//     (Profiler.Retire) donates its per-kernel records, path-frequency
-//     buffers, and its archive's model, frequency and segment slabs back to
-//     the memo; the next profiler of the same world rank on the pool adopts
-//     them instead of growing fresh ones.
+//     (Profiler.Retire) donates its memoArena — per-kernel records,
+//     path-frequency buffers, archive slabs, Isend list — back to the memo;
+//     the next profiler of the same world rank on the pool adopts it
+//     instead of growing fresh state.
 //
 //   - The export fold's scratch profile. GlobalProfile's fold rekeys each
 //     rank's archive into one scratch before pooling it into the result
@@ -58,14 +59,15 @@ import (
 type kernelMemo struct {
 	mu      sync.Mutex
 	configs map[uint64]*KernelTable
-	// arenas[r] holds the arenas retired by world rank r, for the next
-	// profilers of rank r to adopt. Keyed by rank, not one shared stack: what
-	// an arena holds — above all its path-table freelist, sized by its
-	// owners' peak number of snapshots in flight — is then a function of one
-	// rank's program over the worker's sweeps, not of which rank happened to
-	// retire last. Arenas are filed by value, so a rank's stack keeps its
-	// capacity and retiring allocates nothing.
-	arenas [][]memoArena
+	// arenas[r] is the arena world rank r retired last, for the next
+	// profiler of rank r to adopt (empty when it holds none). One per rank,
+	// not one shared stack: what an arena holds — above all its path-table
+	// freelist, sized by its owners' peak number of snapshots in flight — is
+	// then a function of one rank's program over the worker's sweeps, not of
+	// which rank happened to retire last. A sweep retires each rank's
+	// profiler before the next world on the pool starts, so one slot per
+	// rank suffices.
+	arenas []memoArena
 
 	// tableHits/tableMisses count StartConfigKeyed lookups (rank-0 only,
 	// one per configuration start).
@@ -77,22 +79,46 @@ type kernelMemo struct {
 	scratch *Profile
 }
 
-// memoArena is the recyclable per-rank state a retiring profiler donates:
-// the records, their slot index and the eager coverage beside them (zeroed,
-// length 0, capacity kept), the path-frequency table and its freelist of
-// spare buffers (length 0, not zeroed — kernelCounts clears what it grows
-// into), the archive (length 0: the model slab is overwritten as it
-// refills, the frequency slab is stale and cleared as it regrows, the
-// segment list pins no table), and the list of Isends awaiting Waitall
-// (cleared, length 0).
+// memoArena is a rank's recyclable state: what a profiler adopts at New and
+// donates at Retire (recycled). The path-frequency table it counts into rides
+// on free: Retire files it last, and New takes it off first.
 type memoArena struct {
-	k      []kernelStats
-	slot   []uint32
-	cover  []channel.Channel
-	counts []int32
-	free   countsFree
-	arch   archive
+	// k holds a record per kernel this rank has touched, in the order it
+	// touched them; slot[id] is 1 + the index in k of id's record, 0 for an
+	// id it has not, so each other rank's id costs it 4 bytes, not a record.
+	// A reference keeps none: every interception hands out scratch, which
+	// stays the zero record (record).
+	k    []kernelStats
+	slot []uint32
+	// cover[i] is the aggregate channel over which k[i]'s statistics have
+	// been propagated (the eager policy's coverage, eager.go). Only an eager
+	// profiler grows it (growCover); every other policy leaves it empty.
+	cover []channel.Channel
+	// free recycles path-frequency buffers between adopt, which files the
+	// table it replaces, and snapshot, which copies into one (pathset.go).
+	// Filed buffers are stale, not zero: a table clears what it grows into.
+	free countsFree
+	// arch is what StartConfig has set aside of the configurations before
+	// the current one, so ExportProfile covers everything the run learned
+	// (archive.go).
+	arch archive
+	// isends lists the Isends whose replies the next Waitall consumes, in
+	// posting order (comm.go).
 	isends []isend
+}
+
+// recycled returns the arena emptied for the next profiler of its rank:
+// records, slot index, coverage and Isend list zeroed at length 0 with their
+// capacity kept, the freelist as it is, the archive recycled.
+func (a *memoArena) recycled() memoArena {
+	clear(a.k)
+	clear(a.slot)
+	clear(a.cover)
+	clear(a.isends)
+	return memoArena{
+		k: a.k[:0], slot: a.slot[:0], cover: a.cover[:0],
+		free: a.free, arch: a.arch.recycled(), isends: a.isends[:0],
+	}
 }
 
 // ConfigKey derives the memo key for one configuration of a named study.
@@ -112,66 +138,52 @@ func ConfigKey(study string, config int) uint64 {
 	return h.Sum64()
 }
 
-// lookup returns the interner published for a configuration key, nil when
-// the configuration has not completed anywhere yet.
-func (m *kernelMemo) lookup(key uint64) *KernelTable {
+// table returns the interner registered for a configuration key, making and
+// registering one when the key has none: the first profiler to start a
+// configuration owns its table from the start, and every later one, in this
+// world or another on the pool, interns into the same.
+func (m *kernelMemo) table(key uint64) *KernelTable {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tab := m.configs[key]
-	if tab != nil {
+	if tab := m.configs[key]; tab != nil {
 		m.tableHits++
-	} else {
-		m.tableMisses++
+		return tab
 	}
-	return tab
-}
-
-// publish records tab as the interner of the configuration identified by
-// key. First publisher wins: two worlds that run one configuration through
-// one memo at once both miss, and whichever reports first owns the published
-// table (their tables intern the same signature set, so the choice is
-// invisible).
-func (m *kernelMemo) publish(key uint64, tab *KernelTable) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.tableMisses++
 	if m.configs == nil {
 		m.configs = make(map[uint64]*KernelTable)
 	}
-	if _, ok := m.configs[key]; !ok {
-		m.configs[key] = tab
-	}
+	tab := NewKernelTable()
+	m.configs[key] = tab
+	return tab
 }
 
-// acquireArena pops an arena retired by world rank, reporting false when
-// none is available.
-func (m *kernelMemo) acquireArena(rank int) (memoArena, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rank >= len(m.arenas) || len(m.arenas[rank]) == 0 {
-		return memoArena{}, false
-	}
-	s := m.arenas[rank]
-	n := len(s)
-	a := s[n-1]
-	s[n-1] = memoArena{}
-	m.arenas[rank] = s[:n-1]
-	return a, true
-}
-
-// releaseArena files a profiler's arena, retired by world rank, for reuse.
-// The donor has already zeroed the records (see Profiler.Retire), so
-// adoption is O(1).
-func (m *kernelMemo) releaseArena(rank int, a memoArena) {
+// takeArena takes the arena world rank retired last, the zero arena when it
+// holds none.
+func (m *kernelMemo) takeArena(rank int) memoArena {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if rank >= len(m.arenas) {
-		m.arenas = append(m.arenas, make([][]memoArena, rank+1-len(m.arenas))...)
+		return memoArena{}
 	}
-	m.arenas[rank] = append(m.arenas[rank], a)
+	a := m.arenas[rank]
+	m.arenas[rank] = memoArena{}
+	return a
 }
 
-// lookups returns how many StartConfigKeyed lookups found a published
-// configuration (and how many missed). Rank 0 performs one lookup per
+// putArena files the arena world rank retires, already recycled, for the
+// next profiler of the rank.
+func (m *kernelMemo) putArena(rank int, a memoArena) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rank >= len(m.arenas) {
+		m.arenas = append(m.arenas, make([]memoArena, rank+1-len(m.arenas))...)
+	}
+	m.arenas[rank] = a
+}
+
+// lookups returns how many StartConfigKeyed lookups found a registered
+// table (and how many missed and made one). Rank 0 performs one lookup per
 // configuration start, so these count configurations, not ranks.
 func (m *kernelMemo) lookups() (hits, misses int64) {
 	m.mu.Lock()

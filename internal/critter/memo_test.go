@@ -12,7 +12,7 @@ import (
 
 // TestMemoKeepsWorldSizesApart runs one configuration key on worlds of two
 // sizes on one buffer pool, the way a study keeps its name from quick to
-// default scale: each size publishes and adopts its own table in the pool's
+// default scale: each size registers and adopts its own table in the pool's
 // memo, so a run at one scale never interns into the other's.
 func TestMemoKeepsWorldSizesApart(t *testing.T) {
 	pool := mpi.NewBufPool()
@@ -22,10 +22,10 @@ func TestMemoKeepsWorldSizesApart(t *testing.T) {
 		ranks        int
 		hits, misses int64
 	}{
-		{2, 0, 1}, // first run anywhere: publishes
+		{2, 0, 1}, // first run anywhere: registers
 		{4, 0, 2}, // same key, other world size: a table of its own
-		{2, 1, 2}, // adopts what the 2-rank run published
-		{4, 2, 2}, // adopts what the 4-rank run published
+		{2, 1, 2}, // adopts what the 2-rank run registered
+		{4, 2, 2}, // adopts what the 4-rank run registered
 	} {
 		w := mpi.NewWorld(step.ranks, testMachine(0.05), 1)
 		w.SetBufPool(pool)
@@ -42,6 +42,35 @@ func TestMemoKeepsWorldSizesApart(t *testing.T) {
 			t.Errorf("run %d (%d ranks): %d hits and %d misses, want %d and %d",
 				i+1, step.ranks, h, m, step.hits, step.misses)
 		}
+	}
+}
+
+// TestMemoRegistersTableAtStart starts one keyed configuration under two
+// profilers of one world before either reports: the memo registers the
+// first's table when it is made, so the second adopts that table instead of
+// making one of its own, and both intern into it.
+func TestMemoRegistersTableAtStart(t *testing.T) {
+	cfg := ConfigKey("start", 0)
+	w := mpi.NewWorld(3, testMachine(0.05), 5)
+	memo := mpi.Pooled[kernelMemo](w.BufPoolOf())
+	err := w.Run(func(c *mpi.Comm) {
+		first, _ := New(c, Options{Policy: Conditional, Eps: 0.3})
+		second, _ := New(c, Options{Policy: Conditional, Eps: 0.3})
+		first.StartConfigKeyed(true, cfg)
+		second.StartConfigKeyed(true, cfg)
+		if first.Table() != second.Table() {
+			t.Errorf("rank %d: the second profiler made a table of its own", c.Rank())
+		}
+		first.Kernel("gemm", 4, 4, 4, 0, 64, func() {})
+		second.Kernel("gemm", 4, 4, 4, 0, 64, func() {})
+		first.Report()
+		second.Report()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := memo.lookups(); h != 1 || m != 1 {
+		t.Errorf("%d hits and %d misses, want the second profiler's 1 and the first's 1", h, m)
 	}
 }
 
@@ -254,10 +283,11 @@ func TestExportScratchAllocPin(t *testing.T) {
 // world under a reference first and a selective profiler after, as a sweep
 // builds them: two worlds in turn on one buffer pool, then one on a fresh
 // pool. The second world on the pool finds the first's memo there: its
-// selective profiler adopts the table the first published and the backing
+// selective profiler adopts the table the first registered and the backing
 // array of the records the first retired, while its reference leaves every
-// rank's stack of retired arenas as it was. The fresh pool's world misses.
-// Reports and global profiles are the same in all three.
+// rank's one slot for a retired arena as it was, full or empty. The fresh
+// pool's world misses. Reports and global profiles are the same in all
+// three.
 func TestMemoRidesThePool(t *testing.T) {
 	const ranks = 4
 	cfg := ConfigKey("pool", 0)
@@ -269,9 +299,10 @@ func TestMemoRidesThePool(t *testing.T) {
 		// records its selective profiler adopted at New and retired at the
 		// end; nil for none.
 		adopted, retired [ranks]*kernelStats
-		// stacked counts each rank's retired arenas on the pool's memo
-		// before and after its reference is built and retired.
-		before, after [ranks]int
+		// before and after tell whether each rank's slot on the pool's memo
+		// holds a retired arena before and after its reference is built and
+		// retired; taken, whether it does once the selective profiler is.
+		before, after, taken [ranks]bool
 	}
 	first := func(k []kernelStats) *kernelStats {
 		if k = k[:cap(k)]; len(k) == 0 {
@@ -282,13 +313,10 @@ func TestMemoRidesThePool(t *testing.T) {
 	run := func(pool *mpi.BufPool) *world {
 		out := &world{}
 		memo := mpi.Pooled[kernelMemo](pool)
-		stacked := func(r int) int {
+		held := func(r int) bool {
 			memo.mu.Lock()
 			defer memo.mu.Unlock()
-			if r < len(memo.arenas) {
-				return len(memo.arenas[r])
-			}
-			return 0
+			return r < len(memo.arenas) && !reflect.DeepEqual(memo.arenas[r], memoArena{})
 		}
 		w := mpi.NewWorld(ranks, testMachine(0.05), 7)
 		w.SetBufPool(pool)
@@ -304,12 +332,13 @@ func TestMemoRidesThePool(t *testing.T) {
 				}
 				return p.Report()
 			}
-			out.before[r] = stacked(r)
+			out.before[r] = held(r)
 			ref, _ := NewReference(c)
 			work(ref)
 			ref.Retire()
-			out.after[r] = stacked(r)
+			out.after[r] = held(r)
 			p, _ := New(c, Options{Policy: Conditional, Eps: 0.3})
+			out.taken[r] = held(r)
 			out.adopted[r] = first(p.k)
 			rep := work(p)
 			g := p.GlobalProfile(0)
@@ -336,7 +365,7 @@ func TestMemoRidesThePool(t *testing.T) {
 		t.Errorf("the second world on the pool: %d hits and %d misses in all, want 1 and 1", h, m)
 	}
 	if warm.tab != cold.tab {
-		t.Error("the second world did not adopt the table the first published")
+		t.Error("the second world did not adopt the table the first registered")
 	}
 	for r := range ranks {
 		if cold.retired[r] == nil || warm.adopted[r] != cold.retired[r] {
@@ -344,12 +373,15 @@ func TestMemoRidesThePool(t *testing.T) {
 		}
 		for i, s := range []*world{cold, warm} {
 			if s.after[r] != s.before[r] {
-				t.Errorf("world %d rank %d: the reference changed the rank's retired arenas from %d to %d", i+1, r, s.before[r], s.after[r])
+				t.Errorf("world %d rank %d: the reference changed whether the rank's slot holds an arena from %v to %v", i+1, r, s.before[r], s.after[r])
+			}
+			if s.taken[r] {
+				t.Errorf("world %d rank %d: the selective profiler left a retired arena in the rank's slot", i+1, r)
 			}
 		}
 	}
-	if warm.before != [ranks]int{1, 1, 1, 1} {
-		t.Errorf("before the second world's reference, the ranks hold %v retired arenas, want one each", warm.before)
+	if cold.before != [ranks]bool{} || warm.before != [ranks]bool{true, true, true, true} {
+		t.Errorf("before each world's reference, the ranks' slots are full %v then %v, want all empty then all full", cold.before, warm.before)
 	}
 
 	fresh := mpi.NewBufPool()

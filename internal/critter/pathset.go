@@ -190,14 +190,12 @@ type intMsg struct {
 
 // mergeIntMsg folds internal messages during the profiler's internal
 // allreduce: any rank demanding execution forces it, and pathsets merge by
-// the longest-path rule. Exec2 is merged too — today's allreduce path never
-// carries it (the combined Sendrecv protocol is a pairwise exchange), but a
-// lossy fold here would silently drop the receive vote if it ever did.
+// the longest-path rule. Exec2 is not folded: only Sendrecv's pairwise
+// exchange carries it.
 func mergeIntMsg(a, b intMsg) intMsg {
 	return intMsg{
-		Exec:  a.Exec || b.Exec,
-		Exec2: a.Exec2 || b.Exec2,
-		Path:  mergePath(a.Path, b.Path),
+		Exec: a.Exec || b.Exec,
+		Path: mergePath(a.Path, b.Path),
 	}
 }
 

@@ -189,24 +189,6 @@ func TestWaitallCompletesEachIsendOnce(t *testing.T) {
 	}
 }
 
-// TestMergeIntMsgPreservesExec2 is the regression test for the combined
-// Sendrecv exchange's second vote: the old merge rebuilt the message without
-// Exec2, silently dropping the receive-kernel vote of any combined exchange
-// folded through an allreduce. Either side voting must survive the fold.
-func TestMergeIntMsgPreservesExec2(t *testing.T) {
-	a := intMsg{Exec: false, Exec2: true}
-	b := intMsg{Exec: true, Exec2: false}
-	if got := mergeIntMsg(a, b); !got.Exec2 {
-		t.Errorf("mergeIntMsg dropped a's Exec2 vote: %+v", got)
-	}
-	if got := mergeIntMsg(b, a); !got.Exec2 {
-		t.Errorf("mergeIntMsg dropped b's Exec2 vote: %+v", got)
-	}
-	if got := mergeIntMsg(intMsg{}, intMsg{}); got.Exec2 {
-		t.Errorf("mergeIntMsg invented an Exec2 vote: %+v", got)
-	}
-}
-
 // TestFreshSnapshotIsSizedByContents: a copy that cannot use a recycled
 // buffer allocates for the counts it holds, whatever capacity the source
 // table inherited (arena capacities depend on which study a worker ran
@@ -233,7 +215,7 @@ func TestFreshSnapshotIsSizedByContents(t *testing.T) {
 }
 
 // TestGrowingPathReusesFirstSnapshot: a configuration that adopts its
-// published table knows its id range from the start, and a rank whose path
+// registered table knows its id range from the start, and a rank whose path
 // table then grows by one id per barrier makes one fresh table buffer for its
 // first snapshot and none after: the buffer has room for the whole range, so
 // every later snapshot, the barrier's copy back and the path table's growth
@@ -277,6 +259,6 @@ func TestGrowingPathReusesFirstSnapshot(t *testing.T) {
 		}
 	}
 	if h, _ := mpi.Pooled[kernelMemo](pool).lookups(); h != 1 {
-		t.Fatalf("the second run found %d published tables, want 1", h)
+		t.Fatalf("the second run found %d registered tables, want 1", h)
 	}
 }

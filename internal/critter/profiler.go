@@ -97,25 +97,12 @@ type Profiler struct {
 	lastID    uint32
 	lastValid bool
 
-	// k holds a record per kernel this rank has touched, in the order it
-	// touched them; slot[id] is 1 + the index in k of id's record, 0 for an
-	// id it has not, so each other rank's id costs it 4 bytes, not a record.
-	// A reference keeps none: every interception hands out scratch, which
-	// stays the zero record (record).
-	k       []kernelStats
-	slot    []uint32
+	// memoArena is the rank's recyclable state (memo.go): the records and
+	// their slot index, the eager coverage, the path-table freelist, the
+	// archive and the Isend list.
+	memoArena
 	scratch kernelStats
 	path    Pathset
-	// cover[i] is the aggregate channel over which k[i]'s statistics have
-	// been propagated (the eager policy's coverage, eager.go). Only an eager
-	// profiler grows it (growCover); every other policy leaves it empty.
-	cover []channel.Channel
-	// free recycles path-frequency buffers between adopt, which files the
-	// table it replaces, and snapshot, which copies into one (pathset.go).
-	free countsFree
-	// isends lists the Isends whose replies the next Waitall consumes, in
-	// posting order (comm.go).
-	isends []isend
 	// freed holds the communicator handles Comm.Free gave back, the last
 	// freed on top, for Split to reuse (comm.go).
 	freed []*Comm
@@ -133,10 +120,6 @@ type Profiler struct {
 	// est is the part of the rank's prediction model that is not
 	// per-signature (estimator.go): the family fits and the prior.
 	est *ciMean
-	// arch is what StartConfig has set aside of the configurations before
-	// the current one, so ExportProfile covers everything the run learned
-	// (archive.go).
-	arch archive
 	// extrapolatedSkips counts skips decided by family-model fits.
 	extrapolatedSkips int64
 
@@ -147,12 +130,7 @@ type Profiler struct {
 	trace obs.Tracer
 
 	// memo is the cross-config cache of the world's buffer pool (memo.go).
-	// memoKey identifies the configuration started by StartConfigKeyed;
-	// memoFresh marks rank 0 as owing the memo a publication of the
-	// configuration's table at the next Report.
-	memo      *kernelMemo
-	memoKey   uint64
-	memoFresh bool
+	memo *kernelMemo
 	// clock marks a profiler built by NewClock (NewReference included): its
 	// Kernel charges an executed kernel's modeled time and never calls run.
 	clock bool
@@ -223,7 +201,7 @@ func NewClock(world *mpi.Comm, opts Options) (*Profiler, *Comm) {
 // nothing aside, so ExportProfile and GlobalProfile on it are empty and
 // KernelCount is 0. It emits no trace events, so a run's trace does not
 // depend on which of its sweeps ran a reference. Its StartConfigKeyed
-// neither looks up nor publishes an interner: the first selective run of a
+// neither takes nor makes the memo's interner: the first selective run of a
 // configuration does. With nothing to recycle either, it adopts no arena,
 // and its Retire does nothing.
 func NewReference(world *mpi.Comm) (*Profiler, *Comm) {
@@ -246,15 +224,8 @@ func newProfiler(world *mpi.Comm, opts Options, clock, reference bool) (*Profile
 	// and the Isend list.
 	p.est = newCIMean(opts.Extrapolate)
 	if !reference {
-		if a, ok := p.memo.acquireArena(p.rank); ok {
-			p.k = a.k
-			p.slot = a.slot
-			p.cover = a.cover
-			p.path.Kernels = kernelCounts{vals: a.counts}
-			p.free = a.free
-			p.arch = a.arch
-			p.isends = a.isends
-		}
+		p.memoArena = p.memo.takeArena(p.rank)
+		p.path.Kernels = kernelCounts{vals: p.free.get()}
 	}
 	if opts.Prior != nil {
 		p.est.loadPrior(opts.Prior)
@@ -634,16 +605,16 @@ func (p *Profiler) StartConfig(resetStats bool) {
 
 // StartConfigKeyed is StartConfig for a configuration with a stable identity
 // (critter.ConfigKey): with the statistics reset in effect, the
-// configuration adopts the interner an earlier run of the same configuration
-// in a world of the same size published on the world's buffer pool (memo.go)
-// — or, on the first such run, publishes its own at the next Report.
+// configuration interns into the one table the world's buffer pool holds for
+// it in a world of the same size (memo.go): the table the first such run made
+// and registered there, which this run adopts or, being first, makes.
 // Byte-identical in results to StartConfig always.
 func (p *Profiler) StartConfigKeyed(resetStats bool, cfg uint64) {
 	p.startConfig(resetStats, cfg, true)
 }
 
 // tabMsg is the payload of StartConfig's alignment round: the interner to
-// distribute — a fresh one or a memo-published one — and its length as rank
+// distribute — a fresh one or the memo's for the key — and its length as rank
 // 0 read it before the round (tab is nil on every rank but 0, and on rank 0
 // when ids are not being reset). Every rank presizes its records by n, not
 // by the table's length after the round, which other ranks may already be
@@ -660,12 +631,10 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// interner, so dense ids stay as compact as the configuration's active
 	// kernel set instead of accumulating across configurations (every
 	// path-frequency snapshot copies up to the id high-water mark). For a
-	// keyed configuration rank 0 first checks whether an earlier profiler
-	// already published its interner; on a hit the round distributes the
-	// published table instead of an empty one. A reference, which interns
-	// nothing, sends no table and keeps its empty one.
+	// keyed configuration rank 0 takes the memo's table for the key, which
+	// an earlier profiler may already have filled. A reference, which
+	// interns nothing, sends no table and keeps its empty one.
 	var msg tabMsg
-	fresh := false // rank 0 missed the memo and owes it this table
 	if keyed {
 		// A memo outlives one run, and a study keeps its name across scales:
 		// the world size keeps quick and default scale apart, so neither grows
@@ -674,10 +643,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	}
 	if resetIDs && p.rank == 0 && !p.reference {
 		if keyed {
-			msg.tab = p.memo.lookup(cfg)
-			fresh = msg.tab == nil
-		}
-		if msg.tab == nil {
+			msg.tab = p.memo.table(cfg)
+		} else {
 			msg.tab = NewKernelTable()
 		}
 		msg.n = msg.tab.Len()
@@ -697,10 +664,6 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.archiveEstimator()
 		p.est.reset()
 		p.extrapolatedSkips = 0
-		p.memoKey = cfg
-		// Rank 0 owes the memo a fresh table once the run completes (one
-		// publication per world, not per rank).
-		p.memoFresh = fresh
 		if g.tab != nil {
 			p.tab = g.tab
 		}
@@ -717,7 +680,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		// The table's stale tail is cleared as it regrows (materialize).
 		p.path = Pathset{Kernels: kernelCounts{vals: p.path.Kernels.vals[:0]}}
 		if g.n > 0 {
-			// A memo hit knows the configuration's id range up front: size
+			// A filled table knows the configuration's id range up front: size
 			// the slot index once instead of growing it kernel by kernel.
 			p.grow(g.n)
 		}
@@ -799,10 +762,10 @@ type Report struct {
 	// Memoized counts the skips (across ranks) whose predictability
 	// decision was replayed from the kernel's record (predCache) rather
 	// than re-derived from the model; always <= Skipped. The cache is the
-	// profiler's own, not the buffer pool's kernel memo (memo.go), and the
-	// name stays only because bench/ reads it. Excluded from serialized
-	// envelopes: the count is observational and must not perturb golden
-	// artifacts.
+	// profiler's own, not the buffer pool's kernel memo (memo.go); the
+	// sweep sums this count into autotune.SweepResult.KernelsMemoized.
+	// Excluded from serialized envelopes: the count is observational and
+	// must not perturb golden artifacts.
 	Memoized int64 `json:"-"`
 }
 
@@ -844,14 +807,6 @@ func (p *Profiler) Report() Report {
 		},
 	}
 	g := mpi.AllreduceMsg(p.world.internal, local, mergeReport)
-	// The configuration is complete, so its interner is too: if this
-	// profiler ran the configuration first (memo miss at StartConfigKeyed),
-	// rank 0 publishes the table for every later profiler of the same
-	// configuration — the runs of it in later sweeps and later jobs.
-	if p.memoFresh {
-		p.memo.publish(p.memoKey, p.tab)
-		p.memoFresh = false
-	}
 	maxes, sums := g.maxes, g.sums
 	fp := float64(p.world.user.Size())
 	return Report{
@@ -884,23 +839,15 @@ func (p *Profiler) Retire() {
 	if p.reference {
 		return
 	}
-	clear(p.k)
-	clear(p.slot)
-	clear(p.cover)
-	clear(p.isends)
-	// The frequency table has no other holder, and neither it nor the
-	// spare buffers (the a-priori table among them) need zeroing: a table
-	// clears what it grows into.
+	// The a-priori table and the path table have no other holder; the path
+	// table goes on the freelist last, so the adopter counts into it.
 	p.free.put(p.apriori)
-	p.memo.releaseArena(p.rank, memoArena{
-		k: p.k[:0], slot: p.slot[:0], cover: p.cover[:0], counts: p.path.Kernels.vals[:0],
-		free: p.free, arch: p.arch.recycled(), isends: p.isends[:0],
-	})
+	p.free.put(p.path.Kernels)
+	p.memo.putArena(p.rank, p.memoArena.recycled())
 	// Sever the donated state so accidental reuse fails loudly instead of
 	// corrupting the adopter.
-	p.memo, p.k, p.slot, p.cover, p.isends = nil, nil, nil, nil, nil
-	p.path.Kernels, p.free, p.apriori = kernelCounts{}, nil, kernelCounts{}
-	p.arch, p.lastValid = archive{}, false
+	p.memo, p.memoArena = nil, memoArena{}
+	p.path.Kernels, p.apriori, p.lastValid = kernelCounts{}, kernelCounts{}, false
 }
 
 // GlobalPathFreqs merges the final path frequency tables across ranks,

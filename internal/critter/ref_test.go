@@ -696,7 +696,7 @@ func TestArchiveMatchesMapOracle(t *testing.T) {
 						lastCfg = cfg
 						start(true, true, cfg)
 						work()
-						p.Report() // publishes the configuration's table
+						p.Report()
 						// A reset drops counts installed by id: they belong to
 						// the previous interner's ids.
 						checkApriori(step, what, nil)
