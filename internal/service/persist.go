@@ -23,6 +23,10 @@ package service
 // transitions and makes the replay path deterministic: nothing in the
 // store ever describes work in progress. Job IDs continue after the
 // highest replayed ID, so replayed and new jobs never collide.
+//
+// The store keeps an index in memory, not the records: their bytes stay
+// in its files. Replay reads every live record back once, at New, and a
+// record that cannot be read is logged and skipped like a corrupt one.
 
 import (
 	"encoding/json"
@@ -80,7 +84,11 @@ func (s *Scheduler) replayDurable() {
 	if s.durable == nil {
 		return
 	}
-	for _, rec := range s.durable.Records() {
+	recs, err := s.durable.Records()
+	if err != nil {
+		s.logf("service: replay: %v", err)
+	}
+	for _, rec := range recs {
 		switch rec.Kind {
 		case kindProfile:
 			p, err := critter.DecodeProfile(rec.Data)

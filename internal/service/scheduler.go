@@ -1045,8 +1045,8 @@ func (s *Scheduler) mergeProfile(name string, p *critter.Profile) {
 	// and would only strip the whitespace again. The version stamp goes on
 	// a shallow copy, as in Encode; merged is shared and read-only. The
 	// encoder writes what json.Marshal does into the record's buffer, which
-	// is reused from job to job: the store's Append copies the bytes it
-	// keeps.
+	// is reused from job to job: the store's Append writes the bytes to its
+	// log and keeps none of them.
 	stamped := *merged
 	stamped.SchemaVersion = critter.ProfileSchemaVersion
 	data, err := rec.enc.Append(rec.buf[:0], &stamped)

@@ -147,3 +147,38 @@ func requireLive(t *testing.T, s *Store, recs []Record) {
 		t.Errorf("Len = %d, want %d", n, live)
 	}
 }
+
+// FuzzFrameIsMarshal: whatever Data a record carries, encodeFrame accepts
+// it exactly when json.Marshal does, and then writes json.Marshal's
+// bytes as the payload, with Data's span holding what Marshal wrote for
+// it.
+func FuzzFrameIsMarshal(f *testing.F) {
+	for _, r := range encodingCases() {
+		f.Add([]byte(r.Data))
+	}
+	f.Add([]byte(`{"unterminated":`))
+	f.Add([]byte(`"a b"`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return // Append rejects it before encoding
+		}
+		r := Record{Kind: "k", Key: "k", At: at(0), Data: data}
+		want, werr := json.Marshal(r)
+		var buf bytes.Buffer
+		start, end, err := encodeFrame(&buf, r)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("encodeFrame error %v, json.Marshal error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		payload := buf.Bytes()[frameHeaderLen:]
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("payload %q, json.Marshal %q", payload, want)
+		}
+		var head bytes.Buffer
+		if off, ok := encodedAt(payload, Record{Kind: r.Kind, Key: r.Key, At: r.At, Data: buf.Bytes()[start:end]}, &head); !ok || off+frameHeaderLen != start {
+			t.Fatalf("Data's span [%d, %d) is not where the payload holds it", start, end)
+		}
+	})
+}

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,6 +19,16 @@ func at(i int) time.Time { return time.Unix(int64(1_700_000_000+i), 0).UTC() }
 // rec builds a test record.
 func rec(kind, key string, i int, body string) Record {
 	return Record{Kind: kind, Key: key, At: at(i), Data: json.RawMessage(body)}
+}
+
+// records returns s.Records(), failing t on a read error.
+func records(t *testing.T, s *Store) []Record {
+	t.Helper()
+	recs, err := s.Records()
+	if err != nil {
+		t.Fatalf("Records: %v", err)
+	}
+	return recs
 }
 
 func mustOpen(t *testing.T, dir string, opt Options) *Store {
@@ -48,7 +61,7 @@ func TestRoundTrip(t *testing.T) {
 
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	got := s2.Records()
+	got := records(t, s2)
 	if len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3: %+v", len(got), got)
 	}
@@ -92,8 +105,8 @@ func TestTombstone(t *testing.T) {
 	if _, ok := s2.Get("job", "job-1"); ok {
 		t.Error("tombstoned record resurfaced after reopen")
 	}
-	if n := len(s2.Records()); n != 0 {
-		t.Errorf("Records() has %d entries, want 0", n)
+	if n := len(records(t, s2)); n != 0 {
+		t.Errorf("Records has %d entries, want 0", n)
 	}
 }
 
@@ -195,7 +208,7 @@ func TestCompaction(t *testing.T) {
 
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	got := s2.Records()
+	got := records(t, s2)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
@@ -237,7 +250,7 @@ func TestOpenRemovesCompactionLeftover(t *testing.T) {
 	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
 		t.Errorf("compaction leftover survived Open: %v", err)
 	}
-	got := s2.Records()
+	got := records(t, s2)
 	if len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(got))
 	}
@@ -455,13 +468,13 @@ func TestFramePayloadIsMarshal(t *testing.T) {
 		}
 	}
 
-	before := s.Records()
+	before := records(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	sameRecords(t, s2.Records(), before)
+	sameRecords(t, records(t, s2), before)
 }
 
 // TestSnapshotLayouts: a snapshot in the indented layout of earlier
@@ -476,7 +489,7 @@ func TestSnapshotLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := s.Records()
+	want := records(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +506,7 @@ func TestSnapshotLayouts(t *testing.T) {
 
 	s2 := mustOpen(t, dir, Options{CompactBytes: -1})
 	defer s2.Close()
-	sameRecords(t, s2.Records(), want)
+	sameRecords(t, records(t, s2), want)
 
 	stats, err := s2.Compact()
 	if err != nil {
@@ -515,5 +528,280 @@ func TestSnapshotLayouts(t *testing.T) {
 	}
 	s3 := mustOpen(t, dir, Options{})
 	defer s3.Close()
-	sameRecords(t, s3.Records(), want)
+	sameRecords(t, records(t, s3), want)
+}
+
+// where reports where the index holds (kind, key)'s Data: "snapshot",
+// "log", "memory", or "" when the record is absent.
+func where(s *Store, kind, key string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.idx[kind+"\x00"+key]
+	if !ok {
+		return ""
+	}
+	switch e := s.recs[i]; {
+	case e.mem != nil:
+		return "memory"
+	case e.inSnap:
+		return "snapshot"
+	default:
+		return "log"
+	}
+}
+
+// TestBytesMoveBetweenFiles: a record's Data is read back from the file
+// it lies in — the snapshot after a compaction, the log after a later
+// commit — and Get and Records agree before and after a second
+// compaction and after a reopen.
+func TestBytesMoveBetweenFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	for i, key := range []string{"A", "B", "C"} {
+		if err := s.Append(rec("job", key, i, fmt.Sprintf(`{"key":%q,"v":1}`, key))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec("job", "A", 3, `{"key":"A","v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("job", "B", at(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec("job", "D", 5, `{"key":"D","v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		rec("job", "A", 3, `{"key":"A","v":2}`),
+		rec("job", "C", 2, `{"key":"C","v":1}`),
+		rec("job", "D", 5, `{"key":"D","v":1}`),
+	}
+	check := func(stage string, s *Store, places map[string]string) {
+		t.Helper()
+		sameRecords(t, records(t, s), want)
+		for _, w := range want {
+			got, ok := s.Get(w.Kind, w.Key)
+			if !ok || !got.At.Equal(w.At) || !bytes.Equal(got.Data, w.Data) {
+				t.Errorf("%s: Get(%s) = %v at %v %q, want at %v %q", stage, w.Key, ok, got.At, got.Data, w.At, w.Data)
+			}
+		}
+		if _, ok := s.Get("job", "B"); ok {
+			t.Errorf("%s: deleted record B found", stage)
+		}
+		for key, place := range places {
+			if got := where(s, "job", key); got != place {
+				t.Errorf("%s: %s lies in the %s, want the %s", stage, key, got, place)
+			}
+		}
+	}
+	check("after the commits", s, map[string]string{"A": "log", "C": "snapshot", "D": "log"})
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the second compaction", s, map[string]string{"A": "snapshot", "C": "snapshot", "D": "snapshot"})
+	if err := s.Append(rec("job", "C", 6, `{"key":"C","v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	want[1] = rec("job", "C", 6, `{"key":"C","v":2}`)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, Options{CompactBytes: -1})
+	defer s2.Close()
+	check("after the reopen", s2, map[string]string{"A": "snapshot", "C": "log", "D": "snapshot"})
+}
+
+// TestIndentedSnapshotKeptUntilCompact: opening a snapshot in the
+// indented layout writes nothing, even as records are read and
+// committed; its records are held in memory until a Compact rewrites the
+// file in the streamed layout.
+func TestIndentedSnapshotKeptUntilCompact(t *testing.T) {
+	dir := t.TempDir()
+	want := encodingCases()
+	for i := range want {
+		var buf bytes.Buffer
+		if err := appendData(&buf, want[i].Data); err != nil {
+			t.Fatal(err)
+		}
+		want[i].Data = buf.Bytes()
+	}
+	indented, err := json.MarshalIndent(snapshotFile{SchemaVersion: snapshotSchemaVersion, Records: want}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName)
+	if err := os.WriteFile(path, indented, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	defer s.Close()
+	sameRecords(t, records(t, s), want)
+	for _, r := range want {
+		if got := where(s, r.Kind, r.Key); got != "memory" {
+			t.Errorf("%s/%s of an indented snapshot lies in the %s, want memory", r.Kind, r.Key, got)
+		}
+	}
+	extra := rec("job", "extra", 9, `{"n":9}`)
+	if err := s.Append(extra); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, indented) {
+		t.Fatalf("snapshot.json changed before any Compact (err %v)", err)
+	}
+
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, extra)
+	streamed, err := json.Marshal(snapshotFile{SchemaVersion: snapshotSchemaVersion, Records: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, streamed) {
+		t.Errorf("compacted snapshot:\n got %s\nwant %s (err %v)", got, streamed, err)
+	}
+	sameRecords(t, records(t, s), want)
+	for _, r := range want {
+		if got := where(s, r.Kind, r.Key); got != "snapshot" {
+			t.Errorf("%s/%s lies in the %s after Compact, want the snapshot", r.Kind, r.Key, got)
+		}
+	}
+}
+
+// TestTruncatedSnapshotReported: a record whose bytes can no longer be
+// read is absent, never a silent wrong answer, and the store's next
+// mutating call returns the read error once.
+func TestTruncatedSnapshotReported(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{CompactBytes: -1})
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if err := s.Append(rec("job", fmt.Sprintf("job-%d", i), i, `{"payload":"xxxxxxxxxxxxxxxx"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, snapshotName), int64(len(snapshotPrefix))); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := s.Get("job", "job-2"); ok {
+		t.Fatalf("Get of a record past the snapshot's end = %q, want absent", r.Data)
+	}
+	if recs, err := s.Records(); err == nil || len(recs) != 0 {
+		t.Errorf("Records = %d records, err %v; want none and an error", len(recs), err)
+	}
+	if err := s.Append(rec("job", "job-3", 3, `{}`)); err == nil {
+		t.Fatal("Append after a failed read returned no error")
+	}
+	if _, ok := s.Get("job", "job-3"); ok {
+		t.Error("the Append that reported the read error committed its record")
+	}
+	if err := s.Append(rec("job", "job-3", 3, `{}`)); err != nil {
+		t.Errorf("the read error was reported twice: %v", err)
+	}
+
+	// Close reports a read error no mutating call has.
+	if _, ok := s.Get("job", "job-0"); ok {
+		t.Fatal("Get of a truncated record succeeded")
+	}
+	if err := s.Close(); err == nil {
+		t.Error("Close after a failed read returned no error")
+	}
+	if _, ok := s.Get("job", "job-3"); ok {
+		t.Error("Get after Close found a record")
+	}
+}
+
+// TestConcurrentAppendGetCompact: goroutines commit, delete and read at
+// once under a threshold so small that compactions swap the snapshot
+// handle and truncate the log throughout. A writer reading its own key
+// gets exactly its last commit or, after its delete, nothing; a reader
+// gets each key absent or as one whole version of it, never torn bytes.
+func TestConcurrentAppendGetCompact(t *testing.T) {
+	const writers, readers, keys, rounds = 4, 2, 3, 100
+	s := mustOpen(t, t.TempDir(), Options{CompactBytes: 2 << 10})
+	defer s.Close()
+	var compactions atomic.Int64
+	s.SetOnCompact(func(CompactStats) { compactions.Add(1) })
+	data := func(w, k, v int) string {
+		return fmt.Sprintf(`{"w":%d,"k":%d,"v":%d,"pad":%q}`, w, k, v, strings.Repeat("x", (w*7+k*13+v)%97))
+	}
+	key := func(w, k int) string { return fmt.Sprintf("w%d-k%d", w, k) }
+	errs := make(chan error, writers+readers)
+	var wrote, read sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		wrote.Add(1)
+		go func(w int) {
+			defer wrote.Done()
+			errs <- func() error {
+				last := make([]string, keys) // "" once deleted
+				for v := 0; v < rounds; v++ {
+					k := v % keys
+					if v%7 == 6 {
+						if err := s.Delete("kv", key(w, k), at(v)); err != nil {
+							return err
+						}
+						last[k] = ""
+					} else {
+						last[k] = data(w, k, v)
+						if err := s.Append(rec("kv", key(w, k), v, last[k])); err != nil {
+							return err
+						}
+					}
+					got, ok := s.Get("kv", key(w, k))
+					if ok != (last[k] != "") || string(got.Data) != last[k] {
+						return fmt.Errorf("Get(%s) = %v %q, want %q", key(w, k), ok, got.Data, last[k])
+					}
+					if v%20 == 19 {
+						if _, err := s.Compact(); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}()
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		read.Add(1)
+		go func() {
+			defer read.Done()
+			errs <- func() error {
+				for !done.Load() {
+					for w := 0; w < writers; w++ {
+						for k := 0; k < keys; k++ {
+							got, ok := s.Get("kv", key(w, k))
+							if !ok {
+								continue
+							}
+							var d struct{ W, K, V int }
+							if err := json.Unmarshal(got.Data, &d); err != nil || d.W != w || d.K != k || string(got.Data) != data(w, k, d.V) {
+								return fmt.Errorf("Get(%s) read torn bytes %q", key(w, k), got.Data)
+							}
+						}
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	wrote.Wait()
+	done.Store(true)
+	read.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if n := compactions.Load(); n < writers*rounds/20 {
+		t.Errorf("%d compactions, want at least %d", n, writers*rounds/20)
+	}
 }
