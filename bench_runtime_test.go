@@ -60,12 +60,16 @@ func TestAllocBudgets(t *testing.T) {
 		// to it on landing. Until every world owned a pool they were eight
 		// fresh 128-byte buffers, 8 and 1 024 B/op.
 		{"BenchmarkPropagation", BenchmarkPropagation, 0, 0},
-		// 1 261 allocs/op and 312 928-313 135 B/op over 27 runs at -cpu 1,
-		// 2 and 4, with 20 iterations and with testing.Benchmark's own
-		// count; four allocations and 7 358 B of headroom stay (the
-		// widest spread of bytes the two sweep benchmarks read while their
-		// ranks were goroutines). Before path counts were 32-bit, a record
-		// 72 bytes and an archived model 32, it read 1 261 and
+		// 1 256 allocs/op and 313 808-314 044 B/op over 27 runs at -cpu 1,
+		// 2 and 4, 5 with testing.Benchmark's own count and 4 with 20
+		// iterations each. Four allocations and 4 209 B of headroom stay:
+		// each byte ceiling fell by the 2 240 B a record's skip-decision
+		// cache cost (1 256 and 316 048-316 108 B with it), keeping the
+		// room it had over that reading. At an earlier reading, 1 261 and
+		// 312 928-313 135 B, 7 358 B of headroom stayed, the widest spread
+		// of bytes the two sweep benchmarks read while their ranks were
+		// goroutines. Before path counts were 32-bit, a
+		// record 72 bytes and an archived model 32, it read 1 261 and
 		// 358 160-358 387 B; before a rank's records were sized by what it
 		// touches, a repeated split got its first round's groups back and
 		// the memo filed retired arenas by value, it read 1 349
@@ -78,9 +82,10 @@ func TestAllocBudgets(t *testing.T) {
 		// sweep), per adopt or per split handle is well past either. Each
 		// iteration builds its Study with the timer stopped; built inside
 		// the timed loop the Study adds about 17 allocations.
-		{"BenchmarkFullSweep", BenchmarkFullSweep, 1265, 320493},
-		// 1 266 allocs/op and 315 624-315 628 B/op over 27 runs, the same
-		// way (1 266 and 360 856-361 129 B before the compact counts,
+		{"BenchmarkFullSweep", BenchmarkFullSweep, 1260, 318253},
+		// 1 261 allocs/op and 316 504-316 710 B/op over 27 runs, the same
+		// way (1 261 and 318 744-318 747 B before the decision cache went,
+		// 1 266 and 360 856-361 129 B before the compact counts,
 		// records and archived models, 1 394 and 369 064-369 086 B before
 		// the records, the split groups and the arenas, 4 775 and
 		// 641 320-641 712 B before the bookkeeping was kept per rank,
@@ -89,7 +94,7 @@ func TestAllocBudgets(t *testing.T) {
 		// table into a Key map per configuration and rank, as
 		// GlobalPathFreqs does, cost about 650 allocations and 295 000 B
 		// more.
-		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 1270, 322986},
+		{"BenchmarkFullSweepApriori", BenchmarkFullSweepApriori, 1265, 320746},
 		// A copy or a per-round object coming back into the collective path
 		// shows here first. All three time steady-state rounds only
 		// (steadyState): charged to a small b.N under load, the world's

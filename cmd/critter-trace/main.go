@@ -2,10 +2,7 @@
 // -trace (or any obs.JSONL tracer): a per-phase breakdown of event
 // counts, completed spans, wall time (from the tracer's WallNanos
 // stamps), virtual time (from the simulation's clocks), and heap growth,
-// plus a per-op table of the kernel-propagation rounds. The rounds table
-// separates memoized skips — rounds whose skip decision was replayed from
-// the profiler's per-kernel decision cache rather than freshly tested — so
-// the cache's contribution to a run is visible per operation.
+// plus a per-op count of the kernel-propagation rounds.
 //
 // Usage:
 //
@@ -101,8 +98,8 @@ func summarize(in io.Reader, out io.Writer) error {
 		forKind(k)
 	}
 
-	open := make(map[spanKey]int64)     // span identity -> begin WallNanos
-	rounds := make(map[string]*opStats) // round op -> counts
+	open := make(map[spanKey]int64) // span identity -> begin WallNanos
+	rounds := make(map[string]int)  // round op -> rounds
 	schema := 0
 	total, malformed := 0, 0
 
@@ -133,15 +130,7 @@ func summarize(in io.Reader, out io.Writer) error {
 			ps.errors++
 		}
 		if ev.Kind == obs.KindRound {
-			os, ok := rounds[ev.Name]
-			if !ok {
-				os = &opStats{}
-				rounds[ev.Name] = os
-			}
-			os.count++
-			if ev.Memoized > 0 {
-				os.memoized++
-			}
+			rounds[ev.Name]++
 		}
 		key := spanKey{kind: ev.Kind, job: ev.Job, policy: ev.Policy, eps: ev.Eps, config: ev.Config}
 		switch ev.Phase {
@@ -204,27 +193,19 @@ func summarize(in io.Reader, out io.Writer) error {
 			ops = append(ops, op)
 		}
 		sort.Slice(ops, func(i, k int) bool {
-			if rounds[ops[i]].count != rounds[ops[k]].count {
-				return rounds[ops[i]].count > rounds[ops[k]].count
+			if rounds[ops[i]] != rounds[ops[k]] {
+				return rounds[ops[i]] > rounds[ops[k]]
 			}
 			return ops[i] < ops[k]
 		})
 		fmt.Fprintln(out)
 		fmt.Fprintln(out, "rounds by op:")
-		fmt.Fprintf(out, "  %-12s %8s %10s\n", "op", "rounds", "memoized")
+		fmt.Fprintf(out, "  %-12s %8s\n", "op", "rounds")
 		for _, op := range ops {
-			os := rounds[op]
-			fmt.Fprintf(out, "  %-12s %8d %10s\n", op, os.count, dash(os.memoized, fmt.Sprintf("%d", os.memoized)))
+			fmt.Fprintf(out, "  %-12s %8d\n", op, rounds[op])
 		}
 	}
 	return nil
-}
-
-// opStats is one round op's row: total rounds and how many were skips the
-// profiler's decision cache answered (the trace event's memoized flag).
-type opStats struct {
-	count    int
-	memoized int
 }
 
 // dash renders "-" for zero-valued cells so the table reads as "not

@@ -32,3 +32,25 @@ func FuzzSummarize(f *testing.F) {
 		}
 	})
 }
+
+// TestOldRoundEventsStillCount: traces written before round events lost
+// their "memoized" flag still carry it. The field is unknown now and
+// ignored, so such a round is counted under its op, not skipped as a
+// malformed line.
+func TestOldRoundEventsStillCount(t *testing.T) {
+	in := `{"traceSchemaVersion":1}` + "\n" +
+		`{"seq":1,"kind":"round","phase":"point","name":"bcast","virtual":0.5,"memoized":1}` + "\n" +
+		`{"seq":2,"kind":"round","phase":"point","name":"bcast","virtual":0.75}` + "\n" +
+		`{"seq":3,"kind":"sweep","phase":"end","policy":"online","eps":0.125,"executed":4,"skipped":9,"memoized":7}` + "\n"
+	var out bytes.Buffer
+	if err := summarize(strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.HasPrefix(got, "trace: 3 events (schema 1)\n") {
+		t.Errorf("summary opens %q, want 3 events and no malformed line", strings.SplitN(got, "\n", 2)[0])
+	}
+	if !strings.Contains(got, "\n  bcast               2\n") {
+		t.Errorf("rounds table lacks bcast's 2 rounds:\n%s", got)
+	}
+}

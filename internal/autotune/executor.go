@@ -205,7 +205,6 @@ func (j sweepJob) run(ctx context.Context, pool *mpi.BufPool) error {
 			Policy: j.pol.String(), Eps: j.eps,
 			Virtual: j.out.TuneWall, FullVirtual: j.out.FullWall,
 			Executed: j.out.Executed, Skipped: j.out.Skipped,
-			Memoized:   j.out.KernelsMemoized,
 			AllocBytes: ms.TotalAlloc - allocStart,
 		}
 		if err != nil {

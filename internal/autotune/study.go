@@ -176,13 +176,10 @@ type SweepResult struct {
 	Executed       int64   `json:"Executed"`
 	Skipped        int64   `json:"Skipped"`
 
-	// KernelsMemoized counts the skips whose predictability decision was
-	// replayed from a profiler's per-kernel decision cache instead of
-	// re-derived from the model (critter.Report.Memoized, summed over the
-	// sweep); the count is the same on a warm arena or a fresh one.
-	// Excluded from JSON: it is observational, so envelopes stay
-	// byte-identical. Surfaced operationally as the kernels_memoized_total
-	// metric.
+	// KernelsMemoized always reads 0: the profiler replays no skip
+	// decision, it tests every one. It stays only for the benchmark's
+	// readers (bench/paper.go), and goes once they drop it (ROADMAP item
+	// 10(h)). Excluded from JSON.
 	KernelsMemoized int64 `json:"-"`
 
 	// Profile is what the sweep's selective executions learned, merged

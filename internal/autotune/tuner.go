@@ -406,7 +406,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				sr.TuneWall += offline.Wall
 				sr.KernelTime += offline.KernelTime
 				sr.CompKernelTime += offline.CompKernel
-				sr.KernelsMemoized += offline.Memoized
 				tuned.SetPolicy(critter.APriori)
 				tuned.SetEps(round.Eps)
 				tuned.StartConfig(false) // keep the offline pass's samples
@@ -434,7 +433,6 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 			sr.CompKernelTime += sel.CompKernel
 			sr.Executed += sel.Executed
 			sr.Skipped += sel.Skipped
-			sr.KernelsMemoized += sel.Memoized
 			if tr != nil {
 				tr.Emit(obs.Event{
 					Kind: obs.KindConfig, Phase: obs.PhaseEnd,

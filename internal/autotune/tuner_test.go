@@ -397,10 +397,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	// The full per-sweep profiles and the memoization counter are
-	// deliberately not serialized (the envelope carries summaries;
-	// -profile-out persists the artifact; kernels_memoized_total carries
-	// the counter), so the round trip is checked against a stripped copy.
+	// The full per-sweep profiles are deliberately not serialized (the
+	// envelope carries summaries; -profile-out persists the artifact), so
+	// the round trip is checked against a stripped copy.
 	want := env
 	stripped := *res
 	stripped.Sweeps = make([][]SweepResult, len(res.Sweeps))
@@ -408,12 +407,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		stripped.Sweeps[pi] = make([]SweepResult, len(res.Sweeps[pi]))
 		for ei, sw := range res.Sweeps[pi] {
 			sw.Profile = nil
-			sw.KernelsMemoized = 0
-			sw.Configs = append([]ConfigResult(nil), sw.Configs...)
-			for ci := range sw.Configs {
-				sw.Configs[ci].Full.Memoized = 0
-				sw.Configs[ci].Selective.Memoized = 0
-			}
 			stripped.Sweeps[pi][ei] = sw
 		}
 	}

@@ -142,23 +142,21 @@ var (
 func (c *Comm) collective(op kernelName, words int, bspWords float64, run func() float64) {
 	p := c.p
 	id, ks := p.intercept(commKey(op, words, c.user.Size(), c.stride()))
-	exec, memo := p.shouldExecute(id, ks)
+	exec := p.shouldExecute(id, ks)
 	g := c.p.lane.Allreduce(c.internal, intMsg{Exec: exec, Path: p.snapshot()}, propagate)
 	p.adopt(g.Path)
-	p.complete(op, leg{ks, g.Exec, memo, bspWords, run}, leg{})
+	p.complete(op, leg{ks, g.Exec, bspWords, run}, leg{})
 	if p.opts.Policy == Eager {
 		p.aggregateEager(c)
 	}
 }
 
 // leg is one user communication kernel of an operation: its record, the agreed
-// decision, whether the rank's own decision was a skip replayed from
-// predCache, the words it moves, and run, which performs it and returns its
+// decision, the words it moves, and run, which performs it and returns its
 // duration. A leg with a nil ks is absent.
 type leg struct {
 	ks    *kernelStats
 	exec  bool
-	memo  bool
 	words float64
 	run   func() float64
 }
@@ -190,17 +188,11 @@ type leg struct {
 // just given its members equal clocks, so the user round the leg skips would
 // only have confirmed that maximum.
 //
-// The event carries the clock before the legs run; Memoized flags a leg
-// whose own decision was a replayed skip, so an op that decides nothing (a
-// receive, a wait) never flags one. p.trace is non-nil only on rank 0 of a
-// traced world, so the disabled path costs one branch.
+// The event carries the clock before the legs run. p.trace is non-nil only
+// on rank 0 of a traced world, so the disabled path costs one branch.
 func (p *Profiler) complete(op kernelName, a, b leg) {
 	if p.trace != nil {
-		ev := obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op.String(), Virtual: p.world.user.Clock()}
-		if a.memo || b.memo {
-			ev.Memoized = 1
-		}
-		p.trace.Emit(ev)
+		p.trace.Emit(obs.Event{Kind: obs.KindRound, Phase: obs.PhasePoint, Name: op.String(), Virtual: p.world.user.Clock()})
 	}
 	for _, l := range [...]leg{a, b} {
 		if l.ks == nil {
@@ -288,7 +280,7 @@ func (c *Comm) Recv(src, tag int, buf []float64) {
 	_, ks := p.intercept(c.p2pKey(opRecv, len(buf), src))
 	p.lane.Send(c.internal, src, recvIntTag(tag), intMsg{Path: p.snapshot()})
 	peer := p.lane.Recv(c.internal, src, sendIntTag(tag))
-	p.complete(opRecv, leg{ks, peer.Exec, false, float64(len(buf)),
+	p.complete(opRecv, leg{ks, peer.Exec, float64(len(buf)),
 		func() float64 { return c.user.Recv(src, tag, buf) }}, leg{})
 	p.adopt(peer.Path)
 }
@@ -305,16 +297,16 @@ func (c *Comm) Sendrecv(peer, tag int, sendBuf, recvBuf []float64) {
 	// Taken after both lookups: the second may have grown the records and
 	// invalidated a pointer from the first.
 	sks := p.at(sendID)
-	localSend, sendMemo := p.shouldExecute(sendID, sks)
-	localRecv, recvMemo := p.shouldExecute(recvID, rks)
+	localSend := p.shouldExecute(sendID, sks)
+	localRecv := p.shouldExecute(recvID, rks)
 	got := p.lane.Exchange(c.internal, peer, srIntTag(tag),
 		intMsg{Exec: localSend, Exec2: localRecv, Path: p.snapshot()})
 	// My send pairs with the peer's receive and vice versa; both sides
 	// compute the same OR for each direction.
 	p.complete(opSendrecv,
-		leg{sks, localSend || got.Exec2, sendMemo, float64(len(sendBuf)),
+		leg{sks, localSend || got.Exec2, float64(len(sendBuf)),
 			func() float64 { return c.user.Send(peer, tag, sendBuf) }},
-		leg{rks, localRecv || got.Exec, recvMemo, float64(len(recvBuf)),
+		leg{rks, localRecv || got.Exec, float64(len(recvBuf)),
 			func() float64 { return c.user.Recv(peer, tag, recvBuf) }})
 	p.adopt(got.Path)
 }
@@ -336,9 +328,9 @@ type isend struct {
 func (c *Comm) Isend(dest, tag int, buf []float64) {
 	p := c.p
 	id, ks := p.intercept(c.p2pKey(opIsend, len(buf), dest))
-	exec, memo := p.shouldExecute(id, ks)
+	exec := p.shouldExecute(id, ks)
 	p.lane.Send(c.internal, dest, sendIntTag(tag), intMsg{Exec: exec, Path: p.snapshot()})
-	p.complete(opIsend, leg{ks, exec, memo, float64(len(buf)), func() float64 {
+	p.complete(opIsend, leg{ks, exec, float64(len(buf)), func() float64 {
 		t0 := c.user.Clock()
 		c.user.Isend(dest, tag, buf)
 		return c.user.Clock() - t0

@@ -69,8 +69,8 @@ func TestCountsRefuseToWrap(t *testing.T) {
 // change the number here. The eager policy's coverage lives beside the
 // records, so a sweep under any other policy never grows it.
 func TestProfilerStateLayout(t *testing.T) {
-	if n := unsafe.Sizeof(kernelStats{}); n != 72 {
-		t.Errorf("kernelStats is %d bytes, want 72", n)
+	if n := unsafe.Sizeof(kernelStats{}); n != 64 {
+		t.Errorf("kernelStats is %d bytes, want 64", n)
 	}
 	if n := unsafe.Sizeof(archivedModel{}); n != 32 {
 		t.Errorf("archivedModel is %d bytes, want 32", n)

@@ -33,10 +33,9 @@ func (ks *kernelStats) model() stats.Welford {
 // adoptPooled installs an accumulator pooled across ranks by the eager policy
 // as the kernel's live layer. The record now holds other ranks' samples too,
 // which profile exports flag (KernelModel.Pooled) so same-run rank merges keep
-// the best copy instead of summing the shared samples p times; the cached
-// predictability bounds described the accumulator it replaces.
+// the best copy instead of summing the shared samples p times.
 func (ks *kernelStats) adoptPooled(w stats.Welford) {
-	ks.live, ks.pooled, ks.pred = w, true, predCache{}
+	ks.live, ks.pooled = w, true
 }
 
 // ciMean is the part of the paper's prediction model that is not

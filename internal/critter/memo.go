@@ -37,10 +37,6 @@ package critter
 //     with its maps cleared, so a worker folds every sweep through one set
 //     of Key-keyed maps instead of growing a fresh pair per sweep.
 //
-// The "memoized kernels" of Report and the sweep stats are not this cache:
-// they count replays of the decision cache in each profiler's own kernel
-// records (predCache in profiler.go).
-//
 // A memo is safe for concurrent use by the ranks of every world on its pool;
 // the executor gives each worker a pool of its own, and within a world the
 // ranks take the memo's mutex only at configuration boundaries and twice per

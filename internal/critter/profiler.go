@@ -19,7 +19,7 @@ import (
 // source once, when the rank first touches the id (lookup). An interception
 // hashes its Key only when it differs from the rank's previous one (intern):
 // then the world's KernelTable hashes it, as 24 bytes of plain memory
-// (key.go). Everything after works on an id and a record. A record is 72
+// (key.go). Everything after works on an id and a record. A record is 64
 // bytes (TestProfilerStateLayout): counts are 32-bit, the flags share the
 // word the id pads, and the eager policy's coverage lives beside the
 // records (Profiler.cover).
@@ -47,8 +47,6 @@ type kernelStats struct {
 	// current configuration (the Local policy's frequency credit); the
 	// kernel is on the rank's path this configuration iff it is nonzero.
 	localFreq int32
-	// pred caches the propagation-point predictability outcomes (predCache).
-	pred predCache
 }
 
 // Options configures a Profiler.
@@ -146,22 +144,6 @@ type Profiler struct {
 	volFlops       float64 // local BSP computation (flops)
 	executed       int64
 	skipped        int64
-	replayedSkips  int64 // skips whose predictability decision predCache replayed
-}
-
-// predCache memoizes one kernel's propagation-point predictability
-// outcomes. Welford.Predictable is pure in (model state, eps, freq) and
-// monotone nondecreasing in freq — a larger execution-count credit only
-// shrinks the scaled confidence interval — so a single observation in each
-// direction bounds the whole frequency axis: predictable at trueAt implies
-// predictable at every freq >= trueAt, unpredictable at falseAt implies
-// unpredictable at every freq <= falseAt. Zero means "no bound yet" (the
-// frequency credit is always >= 1). A record's bounds are dropped when its
-// model changes (record, adoptPooled) and every record's when eps changes
-// (SetEps); StartConfig's statistics reset drops the records themselves.
-type predCache struct {
-	trueAt  int32 // minimal freq observed predictable (0: none)
-	falseAt int32 // maximal freq observed unpredictable (0: none)
 }
 
 // New creates the rank's profiler and wraps its world communicator. It is
@@ -425,53 +407,23 @@ func (p *Profiler) freqFor(id uint32, ks *kernelStats) int64 {
 // policy the decision is the global propagation flag; for all other
 // policies the kernel must have executed at least once this configuration
 // and is skipped only when predictable at tolerance Eps under the policy's
-// frequency credit. A skip replayed from the record's predCache reports
-// replayed and is counted (Report.Memoized).
-func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) (exec, replayed bool) {
+// frequency credit (Section III-A).
+func (p *Profiler) shouldExecute(id uint32, ks *kernelStats) bool {
 	if p.opts.Eps <= 0 {
-		return true, false
+		return true
 	}
 	if p.opts.Policy == Eager {
-		return !ks.propagated, false
+		return !ks.propagated
 	}
 	if !ks.ran {
-		return true, false
-	}
-	pred, hit := p.predictable(ks, p.freqFor(id, ks))
-	if pred && hit {
-		p.replayedSkips++
-	}
-	return !pred, pred && hit
-}
-
-// predictable answers the propagation-point CI tolerance test through the
-// record's decision cache, reporting whether the answer was replayed. The
-// steady-state skip path — a converged signature re-encountered with an
-// ever-growing frequency credit — reduces to two integer compares. Every
-// credit freqFor grants is a 32-bit count or 1, so the bounds hold it.
-func (p *Profiler) predictable(ks *kernelStats, freq int64) (pred, hit bool) {
-	c := &ks.pred
-	if c.trueAt != 0 && freq >= int64(c.trueAt) {
-		return true, true
-	}
-	if c.falseAt != 0 && freq <= int64(c.falseAt) {
-		return false, true
+		return true
 	}
 	m := ks.model()
-	pred = m.Predictable(p.opts.Eps, freq)
-	if pred {
-		if c.trueAt == 0 || freq < int64(c.trueAt) {
-			c.trueAt = int32(freq)
-		}
-	} else if freq > int64(c.falseAt) {
-		c.falseAt = int32(freq)
-	}
-	return pred, false
+	return !m.Predictable(p.opts.Eps, p.freqFor(id, ks))
 }
 
 // record incorporates one measured duration: the per-configuration execution
-// counters advance, and the kernel's live accumulator takes the sample. The
-// sample changes the model, so the cached predictability bounds are dropped.
+// counters advance, and the kernel's live accumulator takes the sample.
 // A reference keeps no model: Report reads only its counters.
 func (p *Profiler) record(ks *kernelStats, dt float64) {
 	p.executed++
@@ -480,7 +432,6 @@ func (p *Profiler) record(ks *kernelStats, dt float64) {
 		return
 	}
 	ks.live.Add(dt)
-	ks.pred = predCache{}
 	ks.ran = true
 }
 
@@ -555,7 +506,7 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 // wrappers call it with package-level handles.
 func (p *Profiler) kernel(name kernelName, d1, d2, d3, d4 int, flops float64, run func()) float64 {
 	id, ks := p.intercept(compKey(name, d1, d2, d3, d4))
-	exec, _ := p.shouldExecute(id, ks)
+	exec := p.shouldExecute(id, ks)
 	// Line-fitting extension: an under-sampled signature may still be
 	// skipped, charged its routine family's fit, when that is trustworthy.
 	fit, fitted := 0.0, false
@@ -654,7 +605,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	p.archivePathFreqs() // resolves ids through the outgoing table
 	p.kernelTime, p.compKernelTime = 0, 0
 	p.volCommWords, p.volSync, p.volFlops = 0, 0, 0
-	p.executed, p.skipped, p.replayedSkips = 0, 0, 0
+	p.executed, p.skipped = 0, 0
 	if resetIDs {
 		// Archive what the model learned before wiping it, so the run's
 		// exported profile spans every configuration. (Without a reset the
@@ -695,14 +646,8 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 }
 
 // SetEps changes the confidence tolerance (used by sweeps reusing one
-// profiler). Cached predictability decisions are bound to the tolerance
-// they were made under, so every record's are dropped.
-func (p *Profiler) SetEps(eps float64) {
-	p.opts.Eps = eps
-	for i := range p.k {
-		p.k[i].pred = predCache{}
-	}
-}
+// profiler).
+func (p *Profiler) SetEps(eps float64) { p.opts.Eps = eps }
 
 // SetPolicy changes the selective-execution policy (used by the a-priori
 // method, whose offline pass runs under online propagation).
@@ -759,21 +704,13 @@ type Report struct {
 	CompKernel    float64 `json:"CompKernel"`    // max over ranks: time executing compute kernels
 	Executed      int64   `json:"Executed"`      // total kernel executions across ranks
 	Skipped       int64   `json:"Skipped"`       // total kernel skips across ranks
-	// Memoized counts the skips (across ranks) whose predictability
-	// decision was replayed from the kernel's record (predCache) rather
-	// than re-derived from the model; always <= Skipped. The cache is the
-	// profiler's own, not the buffer pool's kernel memo (memo.go); the
-	// sweep sums this count into autotune.SweepResult.KernelsMemoized.
-	// Excluded from serialized envelopes: the count is observational and
-	// must not perturb golden artifacts.
-	Memoized int64 `json:"-"`
 }
 
 // reportMsg carries one rank's report contributions through the single
 // fused reduction round: maxes reduce elementwise by max, sums by +.
 type reportMsg struct {
 	maxes [9]float64
-	sums  [6]float64
+	sums  [5]float64
 }
 
 // mergeReport folds report contributions in comm-rank order — elementwise
@@ -800,10 +737,9 @@ func (p *Profiler) Report() Report {
 			p.path.BSPComm, p.path.BSPSync, p.path.BSPComp,
 			p.world.user.Clock(), p.kernelTime, p.compKernelTime,
 		},
-		sums: [6]float64{
+		sums: [5]float64{
 			p.volCommWords, p.volSync, p.volFlops,
 			float64(p.executed), float64(p.skipped),
-			float64(p.replayedSkips),
 		},
 	}
 	g := mpi.AllreduceMsg(p.world.internal, local, mergeReport)
@@ -824,7 +760,6 @@ func (p *Profiler) Report() Report {
 		BSPCompVol:    sums[2] / fp,
 		Executed:      int64(sums[3]),
 		Skipped:       int64(sums[4]),
-		Memoized:      int64(sums[5]),
 	}
 }
 

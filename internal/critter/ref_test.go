@@ -20,8 +20,8 @@ package critter
 // The Key-keyed prediction model (keyedModel, at the end): a map of live
 // accumulators over a map of priors, with a set of pooled keys, queried by
 // hashing the signature every time. The per-id record (kernelStats) with its
-// resolved prior and its decision cache must answer every query bit for bit
-// the same.
+// resolved prior must answer every query, skip decisions included, bit for
+// bit the same.
 
 import (
 	"errors"
@@ -856,9 +856,9 @@ func (m *keyedModel) reset() {
 
 // TestRecordMatchesKeyedOracle drives one profiler's records and the keyed
 // model through the same seeded random sequences of everything that reads or
-// writes a kernel's model — samples, skip charges, predictability tests at
-// random frequency credits (through the record's decision cache; the oracle
-// has none), eager adoptions, tolerance changes, statistics resets — with and
+// writes a kernel's model — samples, skip charges, skip decisions at random
+// frequency credits (the Local policy's, set on the record), eager
+// adoptions, tolerance changes, statistics resets — with and
 // without a prior, and demands bit-equal means, counts and verdicts after
 // every step and equal exports before every reset. The signature set includes
 // one the prior knows and nobody ever samples, one no layer knows, and every
@@ -878,7 +878,7 @@ func TestRecordMatchesKeyedOracle(t *testing.T) {
 		keys[8]:   {Count: 2, Mean: 2e-6, M2: 8e-15},
 	}}
 	for seed := uint64(1); seed <= 12; seed++ {
-		opts := Options{Policy: Conditional, Eps: 0.2}
+		opts := Options{Policy: Local, Eps: 0.2}
 		if seed%2 == 0 {
 			opts.Prior = prior
 		}
@@ -917,13 +917,16 @@ func TestRecordMatchesKeyedOracle(t *testing.T) {
 					}
 					same(step, "estimate", key, ks.model())
 				case op < 80:
-					freq := int64(1 + rng.Intn(40))
-					_, ks := p.lookup(key)
-					got, _ := p.predictable(ks, freq)
+					freq := int32(1 + rng.Intn(40))
+					id, ks := p.lookup(key)
+					ks.localFreq = freq
 					want := ref.model(key)
-					if got != want.Predictable(p.Eps(), freq) {
-						t.Errorf("seed %d step %d %v: predictable(eps %g, freq %d) = %v through the record, %v from the keyed model %+v",
-							seed, step, key, p.Eps(), freq, got, !got, want)
+					// A kernel that has not run this configuration executes
+					// whatever its model says.
+					wantExec := !ks.ran || !want.Predictable(p.Eps(), int64(freq))
+					if got := p.shouldExecute(id, ks); got != wantExec {
+						t.Errorf("seed %d step %d %v (ran %v): shouldExecute(eps %g, freq %d) = %v through the record, %v from the keyed model %+v",
+							seed, step, key, ks.ran, p.Eps(), freq, got, wantExec, want)
 					}
 				case op < 87:
 					if key == unsampled {

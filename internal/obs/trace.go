@@ -72,11 +72,6 @@ type Event struct {
 	// Executed and Skipped are cumulative kernel counts on end events.
 	Executed int64 `json:"executed,omitempty"`
 	Skipped  int64 `json:"skipped,omitempty"`
-	// Memoized counts skips whose predictability decision was replayed
-	// from the profiler's per-kernel decision cache (a subset of Skipped):
-	// cumulative on sweep end events, 1 on round point events whose
-	// deciding rank's latest skip decision was cache-served.
-	Memoized int64 `json:"memoized,omitempty"`
 	// AllocBytes is the heap growth attributed to the span (sweep end
 	// events, sampled by the executor when tracing is enabled).
 	AllocBytes uint64 `json:"allocBytes,omitempty"`
@@ -97,25 +92,23 @@ type Tracer interface {
 // events, so its storage grows a chunk at a time as slots are first written.
 const ringChunk = 256
 
-// slot is one Ring entry, 48 bytes. A round point event — nearly all of
-// what a traced run emits — is stored inline: its name, virtual clock,
-// wall stamp and whether Memoized is 1. Any other event (every non-round
-// kind, and a round event with other fields set or Memoized outside
-// {0, 1}) is boxed whole behind box, which is non-nil only then. Seq is
-// not stored: it follows from the slot's position.
+// slot is one Ring entry, 40 bytes. A round point event — nearly all of
+// what a traced run emits — is stored inline: its name, virtual clock and
+// wall stamp. Any other event (every non-round kind, and a round event with
+// other fields set) is boxed whole behind box, which is non-nil only then.
+// Seq is not stored: it follows from the slot's position.
 type slot struct {
 	name    string
 	virtual float64
 	wall    int64
 	box     *Event
-	memo    bool
 }
 
 // put stores ev, which carries its final WallNanos, in s; its Seq is
 // dropped.
 func (s *slot) put(ev *Event) {
 	if inline(ev) {
-		*s = slot{name: ev.Name, virtual: ev.Virtual, wall: ev.WallNanos, memo: ev.Memoized == 1}
+		*s = slot{name: ev.Name, virtual: ev.Virtual, wall: ev.WallNanos}
 		return
 	}
 	b := s.box // a box the slot held is reused: Events hands out copies
@@ -127,11 +120,10 @@ func (s *slot) put(ev *Event) {
 }
 
 // inline reports whether a slot reproduces ev exactly, Seq aside: a round
-// point event with Memoized 0 or 1 and no field set but Name, Virtual and
-// WallNanos. A field added to Event must be checked here;
+// point event with no field set but Name, Virtual and WallNanos. A field added to Event must be checked here;
 // TestRingKeepsEveryField fails until it is.
 func inline(ev *Event) bool {
-	return ev.Kind == KindRound && ev.Phase == PhasePoint && ev.Memoized&^1 == 0 &&
+	return ev.Kind == KindRound && ev.Phase == PhasePoint &&
 		ev.Job == "" && ev.Policy == "" && ev.Eps == 0 && ev.Config == 0 && ev.Round == 0 &&
 		ev.Configs == 0 && ev.FullVirtual == 0 && ev.Executed == 0 && ev.Skipped == 0 &&
 		ev.AllocBytes == 0 && ev.Error == ""
@@ -144,11 +136,7 @@ func (s *slot) event(seq uint64) Event {
 		ev.Seq = seq
 		return ev
 	}
-	ev := Event{Seq: seq, Kind: KindRound, Phase: PhasePoint, Name: s.name, Virtual: s.virtual, WallNanos: s.wall}
-	if s.memo {
-		ev.Memoized = 1
-	}
-	return ev
+	return Event{Seq: seq, Kind: KindRound, Phase: PhasePoint, Name: s.name, Virtual: s.virtual, WallNanos: s.wall}
 }
 
 // Ring is a bounded in-memory tracer: the last capacity events, oldest
@@ -156,7 +144,7 @@ func (s *slot) event(seq uint64) Event {
 // GET /v1/jobs/{id}/trace. Its slots live in chunks of ringChunk, each made
 // when its first slot is written; the last is cut to the capacity, so a
 // full ring holds exactly capacity slots. A slot (see slot) holds a round
-// point event in 48 bytes with no allocation of its own and boxes anything
+// point event in 40 bytes with no allocation of its own and boxes anything
 // else; Events decodes the slots back into the exact events emitted, with
 // Seq counted back from the newest.
 type Ring struct {

@@ -53,25 +53,24 @@ func TestRingOrderAndOverflow(t *testing.T) {
 }
 
 // mixedEvent is the i-th event (1-based) of a stream that mixes every shape
-// a Ring stores: inline round events with Memoized 0 and 1, and boxed ones —
-// round events with Memoized 2 or carrying a Config, and job, sweep, config
-// and strategy events.
+// a Ring stores: inline round events, and boxed ones — round events
+// carrying a Round or a Config, and job, sweep, config and strategy events.
 func mixedEvent(i int) Event {
 	v := float64(i) / 8
 	switch i % 9 {
 	case 0, 1, 2:
 		return Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: v}
 	case 3:
-		return Event{Kind: KindRound, Phase: PhasePoint, Name: "bcast", Virtual: v, Memoized: 1}
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "bcast", Virtual: v}
 	case 4:
-		return Event{Kind: KindRound, Phase: PhasePoint, Name: "send", Virtual: v, Memoized: 2}
+		return Event{Kind: KindRound, Phase: PhasePoint, Name: "send", Virtual: v, Round: i}
 	case 5:
 		return Event{Kind: KindRound, Phase: PhasePoint, Name: "recv", Virtual: v, Config: i}
 	case 6:
 		return Event{Kind: KindJob, Phase: PhaseBegin, Name: "capital", Job: "j1"}
 	case 7:
 		return Event{Kind: KindSweep, Phase: PhaseEnd, Policy: "online", Eps: 0.125, Virtual: v, FullVirtual: 2 * v,
-			Executed: int64(i), Skipped: 3, Memoized: 1, AllocBytes: 4096, Error: "boom"}
+			Executed: int64(i), Skipped: 3, AllocBytes: 4096, Error: "boom"}
 	}
 	return Event{Kind: KindStrategy, Phase: PhasePoint, Round: i, Configs: 4}
 }
@@ -164,7 +163,7 @@ func TestRingAllocatesWhatItHolds(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			r := NewRing(capacity, nil)
 			for range n {
-				r.Emit(Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5, Memoized: 1})
+				r.Emit(Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5})
 			}
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(r)
@@ -299,7 +298,7 @@ func benchmarkRingEmit(b *testing.B, ev Event) {
 // BenchmarkRingEmitRound is the inline path: a round point event, nearly all
 // of what a traced run emits.
 func BenchmarkRingEmitRound(b *testing.B) {
-	benchmarkRingEmit(b, Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5, Memoized: 1})
+	benchmarkRingEmit(b, Event{Kind: KindRound, Phase: PhasePoint, Name: "allreduce", Virtual: 1.5})
 }
 
 // BenchmarkRingEmitConfig is the boxed path: any event but a plain round.

@@ -44,7 +44,6 @@ func executeSpec(ctx context.Context, spec *jobSpec, machine sim.Machine, worker
 				Type:   "sweep",
 				Policy: sw.Policy.String(), Eps: sw.Eps,
 				Executed: sw.Executed, Skipped: sw.Skipped,
-				Memoized: sw.KernelsMemoized,
 			}
 			if err != nil {
 				ev.Error = err.Error()

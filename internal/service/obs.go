@@ -46,7 +46,6 @@ type schedMetrics struct {
 
 	kernelsExecuted *obs.CounterVec
 	kernelsSkipped  *obs.CounterVec
-	kernelsMemoized *obs.CounterVec
 }
 
 // newSchedMetrics registers the scheduler's instrument set on reg. The
@@ -78,7 +77,6 @@ func newSchedMetrics(s *Scheduler, reg *obs.Registry) *schedMetrics {
 
 		kernelsExecuted: reg.CounterVec("kernels_executed_total", "Kernels actually executed by finished sweeps.", "workload"),
 		kernelsSkipped:  reg.CounterVec("kernels_skipped_total", "Kernels skipped by selective execution in finished sweeps.", "workload"),
-		kernelsMemoized: reg.CounterVec("kernels_memoized_total", "Skipped kernels whose decision was replayed from a profiler's per-kernel decision cache (subset of kernels_skipped_total).", "workload"),
 	}
 
 	reg.GaugeFunc("queue_depth", "Jobs waiting in the bounded queue.", func() float64 {

@@ -71,12 +71,6 @@ type Event struct {
 	// absence).
 	Executed int64 `json:"executed"`
 	Skipped  int64 `json:"skipped"`
-	// Memoized counts the skipped kernels whose skip decision was replayed
-	// from the kernel's record in its profiler (critter's predCache) rather
-	// than a fresh predictability test (a subset of Skipped; sweep events
-	// only). Despite the name it counts neither the kernel memo's hits
-	// (critter's memo.go) nor this package's memo hits (memoHitLocked).
-	Memoized int64 `json:"memoized"`
 	// Error carries a sweep's or the job's failure, when there is one.
 	Error string `json:"error,omitempty"`
 	// Dropped counts the events a slow subscriber lost (lagged events
@@ -908,7 +902,6 @@ func (s *Scheduler) runJob(j *job, x *execution) {
 	name := spec.workload.Name
 	s.met.kernelsExecuted.With(name)
 	s.met.kernelsSkipped.With(name)
-	s.met.kernelsMemoized.With(name)
 	ring.Emit(obs.Event{Kind: obs.KindJob, Phase: obs.PhaseBegin, Name: name, Job: j.id})
 
 	s.tunerRuns.Add(1)
@@ -963,7 +956,6 @@ func (s *Scheduler) sweepLocked(x *execution, ev Event) error {
 	name := x.names[0].spec.workload.Name
 	s.met.kernelsExecuted.With(name).Add(ev.Executed)
 	s.met.kernelsSkipped.With(name).Add(ev.Skipped)
-	s.met.kernelsMemoized.With(name).Add(ev.Memoized)
 	return nil
 }
 

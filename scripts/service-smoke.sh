@@ -14,8 +14,8 @@
 #      then assert the observability surface: the job's span trace,
 #      /v1/metrics (JSON) naming the counter families, and /metrics
 #      (Prometheus text) reporting jobs_completed_total >= 1,
-#      memo_hits_total >= 1, and kernels_memoized_total >= 1 (the
-#      profilers' decision caches replayed skips during the job),
+#      memo_hits_total >= 1, and kernels_skipped_total >= 1 (selective
+#      execution skipped kernels during the job),
 #   7. shut the server down gracefully (SIGTERM) and require a clean exit,
 #   8. RESTART against the same store directory and require the finished
 #      job, its envelope (golden-diffed again), and the persisted profile
@@ -125,7 +125,7 @@ grep -q '"kind": *"round"' "$workdir/trace.json"
 
 echo "=== metrics: JSON snapshot names the counter families"
 curl -fsS "$base/v1/metrics" >"$workdir/metrics.json"
-for fam in jobs_completed_total memo_hits_total memo_entry_hits kernels_executed_total kernels_memoized_total; do
+for fam in jobs_completed_total memo_hits_total memo_entry_hits kernels_executed_total kernels_skipped_total; do
   grep -q "\"$fam\"" "$workdir/metrics.json" || { echo "/v1/metrics is missing $fam"; exit 1; }
 done
 
@@ -138,10 +138,9 @@ memo_hits=$(awk '$1 == "memo_hits_total" {print $2}' "$workdir/metrics.prom")
 [[ -n "$memo_hits" && "$memo_hits" -ge 1 ]] || { echo "memo_hits_total = '$memo_hits', want >= 1"; exit 1; }
 executed=$(awk -F' ' '/^kernels_executed_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
 [[ -n "$executed" && "$executed" -ge 1 ]] || { echo "kernels_executed_total = '$executed', want >= 1"; exit 1; }
-# The profilers' per-kernel decision caches must have replayed skip decisions
-# during the job.
-memoized=$(awk -F' ' '/^kernels_memoized_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
-[[ -n "$memoized" && "$memoized" -ge 1 ]] || { echo "kernels_memoized_total = '$memoized', want >= 1"; exit 1; }
+# Selective execution must have skipped kernels during the job.
+skipped=$(awk -F' ' '/^kernels_skipped_total{workload="candmc"}/ {print $2}' "$workdir/metrics.prom")
+[[ -n "$skipped" && "$skipped" -ge 1 ]] || { echo "kernels_skipped_total = '$skipped', want >= 1"; exit 1; }
 
 echo "=== graceful shutdown"
 stop_server "$workdir/serve.log"
